@@ -21,6 +21,7 @@ use scbr_crypto::rsa::RsaPublicKey;
 use scbr_telemetry::{Stage, StageHistograms, StageSummary};
 use sgx_sim::enclave::EnclaveBuilder;
 use sgx_sim::{Enclave, MemStats, MemorySim, SgxPlatform};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Per-engine reusable buffers for the hot matching path. All match entry
@@ -155,8 +156,19 @@ impl std::fmt::Debug for MatchingEngine {
 impl MatchingEngine {
     /// Creates an engine whose index lives in `mem`.
     pub fn new(mem: &MemorySim, kind: IndexKind) -> Self {
+        Self::with_schema(mem, kind, AttrSchema::new())
+    }
+
+    /// Creates an engine that interns attribute names into `schema`.
+    /// Engines whose compiled subscriptions are compared with each other
+    /// — the slices of one partitioned matcher, whose broker checks
+    /// covering across them — must share one table: [`AttrId`]s from
+    /// different tables name different attributes.
+    ///
+    /// [`AttrId`]: crate::attr::AttrId
+    pub fn with_schema(mem: &MemorySim, kind: IndexKind, schema: AttrSchema) -> Self {
         MatchingEngine {
-            schema: AttrSchema::new(),
+            schema,
             index: new_index(kind, mem),
             mem: mem.clone(),
             sk: None,
@@ -233,14 +245,17 @@ impl MatchingEngine {
     /// id (re-registration replaces, so the index never accumulates
     /// duplicate rows for one id).
     fn retain_body(&mut self, id: SubscriptionId, deliver_to: Option<ClientId>, body: Vec<u8>) {
-        if let Some(&pos) = self.registered_pos.get(&id) {
-            // Re-registration: displace the old index row and overwrite the
-            // retained body in place.
-            self.index.remove(id);
-            self.registered[pos] = (id, deliver_to, body);
-        } else {
-            self.registered_pos.insert(id, self.registered.len());
-            self.registered.push((id, deliver_to, body));
+        match self.registered_pos.entry(id) {
+            Entry::Occupied(slot) => {
+                // Re-registration: displace the old index row and
+                // overwrite the retained body in place.
+                self.index.remove(id);
+                self.registered[*slot.get()] = (id, deliver_to, body);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.registered.len());
+                self.registered.push((id, deliver_to, body));
+            }
         }
     }
 
@@ -277,11 +292,51 @@ impl MatchingEngine {
         deliver_to: Option<ClientId>,
     ) -> Result<(SubscriptionId, crate::subscription::CompiledSubscription), ScbrError> {
         let body = self.open_envelope(envelope)?;
+        self.register_retained_as(body, deliver_to)
+    }
+
+    /// Registers an already-opened registration body (the plaintext a
+    /// registration envelope decrypts to) under `deliver_to` — the
+    /// per-row half of [`MatchingEngine::restore`], and what
+    /// [`MatchingEngine::register_envelope_as`] does once the envelope
+    /// has authenticated. It needs neither `SK` nor the producer key, so
+    /// an enclave relaunched after a crash can redo registrations from
+    /// its own sealed state before it has been re-attested. The body is
+    /// trusted input: callers hand in only what they unsealed or
+    /// decrypted themselves.
+    ///
+    /// # Errors
+    ///
+    /// Malformed bodies or invalid subscriptions.
+    pub fn register_retained_as(
+        &mut self,
+        body: Vec<u8>,
+        deliver_to: Option<ClientId>,
+    ) -> Result<(SubscriptionId, crate::subscription::CompiledSubscription), ScbrError> {
+        self.register_body(body, deliver_to, Clone::clone)
+    }
+
+    /// Decode, compile, retain and index one registration body. `keep`
+    /// picks what the caller wants back of the compiled form before the
+    /// index takes ownership of it (a bulk restore wants nothing).
+    fn register_body<R>(
+        &mut self,
+        body: Vec<u8>,
+        deliver_to: Option<ClientId>,
+        keep: impl FnOnce(&crate::subscription::CompiledSubscription) -> R,
+    ) -> Result<(SubscriptionId, R), ScbrError> {
         let (spec, id, client) = codec::decode_registration(&body)?;
         let compiled = spec.compile(&self.schema)?;
+        let kept = keep(&compiled);
         self.retain_body(id, deliver_to, body);
-        self.index.insert(id, deliver_to.unwrap_or(client), compiled.clone());
-        Ok((id, compiled))
+        self.index.insert(id, deliver_to.unwrap_or(client), compiled);
+        Ok((id, kept))
+    }
+
+    /// The retained (plaintext) registration body of a live id — what a
+    /// snapshot would store for it. Must not leave the trust boundary.
+    pub fn retained_body(&self, id: SubscriptionId) -> Option<&[u8]> {
+        self.registered_pos.get(&id).map(|&pos| self.registered[pos].2.as_slice())
     }
 
     /// Unregisters a subscription (and drops its retained snapshot body).
@@ -449,12 +504,7 @@ impl MatchingEngine {
                 1 => Some(ClientId(r.u64()?)),
                 _ => return Err(ScbrError::Codec { context: "snapshot delivery tag" }),
             };
-            let body = r.bytes()?;
-            let (spec, id, client) = codec::decode_registration(&body)?;
-            let compiled = spec.compile(&self.schema)?;
-            self.index.insert(id, deliver_to.unwrap_or(client), compiled);
-            self.registered_pos.insert(id, self.registered.len());
-            self.registered.push((id, deliver_to, body));
+            self.register_body(r.bytes()?, deliver_to, |_| ())?;
             restored += 1;
         }
         if !r.is_exhausted() {

@@ -6,11 +6,15 @@
 //! buffer, decode into a reused `CompiledHeader`, match through the
 //! per-engine `MatchScratch`, append into a reused `BatchMatches`. After
 //! the warm-up batch has sized every buffer, repeated batches must not
-//! touch the allocator at all. (Isolated in its own test binary so other
-//! tests' allocations cannot interfere with the counters.)
+//! touch the allocator at all.
+//!
+//! The counter is **per thread**: libtest runs the `#[test]`s of this
+//! binary on parallel threads, so a process-global counter would charge
+//! one test's set-up allocations to the other's measurement window. Each
+//! measuring thread reads only the allocations it made itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use scbr::engine::{BatchMatches, MatchingEngine};
 use scbr::ids::{ClientId, SubscriptionId};
@@ -22,15 +26,26 @@ use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::RsaPublicKey;
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by the current thread. `const`-initialised
+    /// and without a destructor, so touching it from inside the allocator
+    /// neither allocates nor registers a TLS dtor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bumps the calling thread's counter (`try_with`: a thread past TLS
+/// teardown simply stops counting).
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAllocator;
 
-// SAFETY: delegates every operation to `System`; the counter updates are
-// lock-free atomics, so the allocator never recurses or blocks.
+// SAFETY: delegates every operation to `System`; the counter is a plain
+// thread-local `Cell`, so the allocator never recurses, locks or blocks.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -39,12 +54,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -52,8 +67,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocator calls the *calling* thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn drive_warmed_batches(telemetry: bool) {

@@ -24,24 +24,67 @@
 //! ## Crash and sealed recovery
 //!
 //! [`Input::Crash`] drops *all* volatile state: the enclave, the index,
-//! the live-subscription set, the covering tables, the link keys and
-//! any half-open handshakes. What survives is the host's disk: a
-//! [`sgx_sim::seal::VersionedSeal`]'d **recovery record** the enclave
-//! re-seals at the end of any [`Broker::step`] that mutated
-//! subscription state (one seal per step, however many mutations the
-//! step carried), containing per matcher slice the engine snapshot
-//! (with per-subscription *delivery identities*, so link interfaces are
-//! restored as interfaces, not edge clients), the live envelope set
-//! with origins, and every per-link [`ForwardingTable`] (rows + churn
-//! counters). Single-slice brokers keep writing the original
-//! (pre-partition) record layout, and both layouts restore. The seal is
-//! keyed to a platform monotonic counter: a host replaying a stale
-//! record is detected and the broker **refuses to rejoin**.
+//! the live-subscription set, the covering tables, the link keys, any
+//! half-open handshakes and the journal of not-yet-checkpointed
+//! admissions. What survives is the host's disk: the **recovery record**,
+//! a sealed *base* plus an append-only chain of sealed *deltas*.
 //!
-//! On [`Input::Restart`] the broker relaunches its enclave, unseals and
-//! restores, then — in `Rejoining` — re-runs the attested link
-//! handshake with every neighbour and asks each one to **replay** the
-//! live registration envelopes it had forwarded on the link
+//! **File format.** One byte string (read and replaced through
+//! [`Broker::sealed_record`] / [`Broker::set_sealed_record`]): entries of
+//! `u32` big-endian length + blob; the first is the base, the rest are
+//! deltas in the order they were written. On an attested broker each
+//! blob is one [`VersionedSeal::seal_link`] link — a clear header
+//! `version ‖ kind ‖ base version`, then the sealed payload with that
+//! header as associated data; without a platform (pre-shared trust) the
+//! blobs are the bare payloads. The *base payload* is the whole record:
+//! per matcher slice the engine snapshot (with per-subscription
+//! *delivery identities*, so link interfaces are restored as interfaces,
+//! not edge clients), the live envelope set with origins, and every
+//! per-link [`ForwardingTable`] (rows + churn counters). Single-slice
+//! brokers keep writing the original (pre-partition) payload layout, and
+//! both layouts restore. A *delta payload* is the journal: one entry per
+//! admission (origin, replay flag, opened registration body, envelope)
+//! since the previous checkpoint.
+//!
+//! **Checkpoints.** At the end of any [`Broker::step`] that mutated
+//! subscription state the enclave seals **once** — however many
+//! mutations the step carried — in one crossing and on one fresh
+//! monotonic-counter value: for a step that only admitted, the journal,
+//! a few hundred bytes per admission, which the host appends; a whole
+//! base, which replaces the file, when the fixed **compaction rule**
+//! says so — there is no base yet, the deltas on disk plus this one
+//! would reach the base's size, the step retired a subscription (the
+//! journal holds admissions only, and a retired registration leaves the
+//! disk in the step that retired it rather than at the next
+//! compaction), the step migrated subscriptions between slices (a
+//! migration re-authenticates envelopes under `SK`; it is not a journal
+//! kind), or the step closed a rejoin/heal reconciliation. An admission
+//! therefore costs O(what it changed) amortised, a retirement costs one
+//! whole-record seal, the file stays under twice its base, and a
+//! restart redoes at most one base's worth of journal.
+//!
+//! **Chain rule.** Every blob takes its own counter value, and
+//! [`VersionedSeal::unseal_chain`] accepts only a base at `v_b` followed
+//! by deltas at exactly `v_b+1 … v_live`, each naming `v_b`, the last at
+//! the live counter. The host can withhold the file (a disk-loss
+//! restart, recovered by neighbour replay) but cannot edit it: a stale
+//! file, a cut tail, a dropped, swapped or repeated delta, deltas
+//! spliced across a compaction, a delta offered as base or a flipped
+//! bit are all detected and the broker **refuses to rejoin**.
+//!
+//! On [`Input::Restart`] the broker relaunches its enclave and, in one
+//! crossing, opens the chain, restores the base and **redoes the
+//! deltas through the same admission code live traffic runs**
+//! (`BrokerCore::propagate`) — there is no second copy of the covering
+//! logic and no table diffing, and the restored core is byte-for-byte
+//! the one that took the last checkpoint (`checkpoint_proptests`). Redo
+//! needs no `SK`: the relaunched enclave has not been re-attested yet,
+//! so admissions are journalled with the registration body the enclave
+//! had already opened
+//! ([`scbr::engine::MatchingEngine::register_retained_as`]). Then — in
+//! `Rejoining` — it re-runs the attested link handshake with every
+//! neighbour and asks each one to **replay** the live registration
+//! envelopes it had forwarded on the link
 //! ([`scbr::protocol::messages::Message::ReplayRequest`]). Replayed
 //! envelopes re-admit idempotently; subscriptions in the restored
 //! record that the neighbour no longer vouches for were removed during
@@ -58,7 +101,14 @@
 //! ever handles ciphertext — registration envelopes, encrypted headers,
 //! sealed link frames, sealed recovery records — and the *routing
 //! decisions* the enclave intentionally reveals, exactly the §3.3 leak
-//! the paper accepts for the single-router case.
+//! the paper accepts for the single-router case. The checkpoint
+//! counters [`BrokerStats`] exports (`seals`, `sealed_bytes`,
+//! `compactions`, `log_entries`) add nothing to that: the host is handed
+//! every blob and stores the file, so it already knows how many there
+//! were, how long each is (ciphertext length is plaintext length plus a
+//! constant) and which ones replaced the file. Like the hop records'
+//! bucketed match counts, nothing exported is finer than what the host
+//! observes on its own.
 //!
 //! ## Interfaces
 //!
@@ -84,6 +134,7 @@
 
 use crate::error::OverlayError;
 use crate::forwarding::ForwardingTable;
+use crate::journal::{self, Journal, Redo, RedoReader};
 use crate::partition::{PartitionConfig, PartitionedMatcher, RebalanceReport};
 use scbr::cluster::SliceStats;
 use scbr::codec;
@@ -401,6 +452,17 @@ pub enum Origin {
     Link(usize),
 }
 
+impl Origin {
+    /// The delivery identity a subscription that entered here is indexed
+    /// under: its own edge client (`None`) or the link's interface.
+    fn deliver_to(self) -> Option<ClientId> {
+        match self {
+            Origin::Local => None,
+            Origin::Link(l) => Some(link_interface(l)),
+        }
+    }
+}
+
 /// What the enclave decided for one publication.
 #[derive(Debug, Clone, Default)]
 struct RouteDecision {
@@ -470,6 +532,13 @@ struct BrokerCore {
     /// engine's own scratch holds the decrypt/index-match ones. Fixed
     /// arrays with epoch-stamped clears — recording never allocates.
     stages: StageHistograms,
+    /// Subscription mutations since the last checkpoint, flushed as one
+    /// sealed delta by the next one.
+    journal: Journal,
+    /// Counter value the current base record was sealed at — what every
+    /// delta must name. 0 until a base exists (counter values start at 1)
+    /// and on brokers without a platform.
+    base_version: u64,
 }
 
 impl BrokerCore {
@@ -488,6 +557,8 @@ impl BrokerCore {
             route_buf: std::sync::Mutex::new(Vec::new()),
             recorder: FlightRecorder::default(),
             stages: StageHistograms::new(),
+            journal: Journal::default(),
+            base_version: 0,
         }
     }
 
@@ -502,11 +573,25 @@ impl BrokerCore {
         origin: Origin,
         replay: bool,
     ) -> Result<AdmitOutcome, ScbrError> {
-        let deliver_to = match origin {
-            Origin::Local => None,
-            Origin::Link(l) => Some(link_interface(l)),
-        };
-        let (id, compiled) = self.matcher.register_envelope_as(envelope, deliver_to)?;
+        let (id, compiled) = self.matcher.register_envelope_as(envelope, origin.deliver_to())?;
+        let body = self.matcher.retained_body(id).expect("just registered");
+        self.journal.admit(origin, replay, body, envelope);
+        Ok(self.propagate(id, compiled, envelope, origin, replay))
+    }
+
+    /// The covering half of an admission, shared by live traffic
+    /// ([`BrokerCore::admit`]) and the restart redo
+    /// ([`BrokerCore::redo`]): `id` is registered in the matcher; decide
+    /// per link whether it is forwarded, replaced or pruned, and record
+    /// it live.
+    fn propagate(
+        &mut self,
+        id: SubscriptionId,
+        compiled: scbr::CompiledSubscription,
+        envelope: &[u8],
+        origin: Origin,
+        replay: bool,
+    ) -> AdmitOutcome {
         let already_counted = replay && self.live.contains_key(&id);
         let flood = self.flood;
         let mut forward_to = Vec::new();
@@ -541,7 +626,7 @@ impl BrokerCore {
             }
         }
         self.live.insert(id, LiveSub { origin, compiled, envelope: envelope.to_vec() });
-        Ok(AdmitOutcome { id, forward_to })
+        AdmitOutcome { id, forward_to }
     }
 
     /// Processes an authenticated unregistration envelope.
@@ -561,6 +646,24 @@ impl BrokerCore {
             return RemoveOutcome { id, removed: false, links: Vec::new() };
         }
         self.uncover_after_removal(id, origin)
+    }
+
+    /// Redoes one sealed delta on top of the state restored so far, in
+    /// journal order, through the same [`BrokerCore::propagate`] live
+    /// traffic runs — the matcher placement, the covering tables, their
+    /// counters and the live set end up exactly where the crashed core
+    /// had them at its last checkpoint. Registrations come from their
+    /// journalled bodies (the relaunched enclave holds no `SK` yet).
+    /// Nothing is re-journalled and the frames the admissions once
+    /// produced are not produced again.
+    fn redo(&mut self, delta: &[u8]) -> Result<(), ScbrError> {
+        let mut entries = RedoReader::new(delta);
+        while let Some(Redo { origin, replay, body, envelope }) = entries.next()? {
+            let (id, compiled) =
+                self.matcher.register_retained_as(body.to_vec(), origin.deliver_to())?;
+            self.propagate(id, compiled, envelope, origin, replay);
+        }
+        Ok(())
     }
 
     /// The recorded origin of a live subscription.
@@ -661,8 +764,9 @@ impl BrokerCore {
             .collect()
     }
 
-    /// Serialises the full recovery record: per matcher slice the engine
-    /// snapshot (bodies + delivery identities — the slice sections *are*
+    /// Serialises the full recovery record — the *base* a compaction
+    /// seals: per matcher slice the engine snapshot
+    /// (bodies + delivery identities — the slice sections *are*
     /// the sealed per-slice assignment), the live envelope set with
     /// origins, and every per-link covering table (rows + counters).
     /// Single-slice brokers write the original pre-partition layout
@@ -683,14 +787,7 @@ impl BrokerCore {
         w.u32(self.live.len() as u32);
         for (id, sub) in &self.live {
             w.u64(id.0);
-            match sub.origin {
-                Origin::Local => {
-                    w.u8(0);
-                }
-                Origin::Link(n) => {
-                    w.u8(1).u64(n as u64);
-                }
-            }
+            journal::write_origin(&mut w, sub.origin);
             w.bytes(&sub.envelope);
         }
         w.u32(self.upstream.len() as u32);
@@ -707,15 +804,30 @@ impl BrokerCore {
         w.into_bytes()
     }
 
-    /// Rebuilds a core from a recovery record (or fresh when the host has
-    /// no record — a disk-loss restart). A versioned record restores the
+    /// What the next checkpoint seals, and the base version it must name
+    /// (`None` for a base, which names itself): the whole record when
+    /// compacting — the pending journal is then part of it and dropped —
+    /// else the pending journal as one delta.
+    fn checkpoint_payload(&mut self, compact: bool) -> (Vec<u8>, Option<u64>) {
+        if compact {
+            self.journal.clear();
+            (self.serialize_record(), None)
+        } else {
+            (self.journal.take(), Some(self.base_version))
+        }
+    }
+
+    /// Rebuilds a core from an opened recovery record — `record[0]` the
+    /// base, the rest its deltas in order — or fresh when the host has
+    /// no record (a disk-loss restart). A versioned base restores the
     /// sealed per-slice assignment exactly — the recorded slice count
     /// wins over `slices`, so a config change takes effect through the
-    /// rebalancer, never by scrambling a restore. A legacy
-    /// (pre-partition) record restores wholesale into slice 0 of the
+    /// rebalancer, never by scrambling a restore — and the deltas are
+    /// then redone on top ([`BrokerCore::redo`]). A legacy
+    /// (pre-partition) base restores wholesale into slice 0 of the
     /// configured partition; the rebalancer re-spreads it.
     fn restore(
-        record: Option<&[u8]>,
+        record: &[&[u8]],
         mem: &MemorySim,
         kind: IndexKind,
         flood: bool,
@@ -723,7 +835,7 @@ impl BrokerCore {
         slices: usize,
     ) -> Result<Self, ScbrError> {
         let mut core = BrokerCore::fresh(mem, kind, flood, neighbors, slices);
-        let Some(bytes) = record else {
+        let Some((bytes, deltas)) = record.split_first() else {
             return Ok(core);
         };
         let mut r = codec::Reader::new(bytes);
@@ -748,11 +860,7 @@ impl BrokerCore {
         let n_live = r.u32()?;
         for _ in 0..n_live {
             let id = SubscriptionId(r.u64()?);
-            let origin = match r.u8()? {
-                0 => Origin::Local,
-                1 => Origin::Link(r.u64()? as usize),
-                _ => return Err(ScbrError::Codec { context: "recovery origin tag" }),
-            };
+            let origin = journal::read_origin(&mut r)?;
             let envelope = r.bytes()?;
             let Some((_, compiled)) = core.matcher.compiled_of(id)? else {
                 return Err(ScbrError::Codec { context: "recovery live set" });
@@ -780,6 +888,9 @@ impl BrokerCore {
         }
         if !r.is_exhausted() {
             return Err(ScbrError::Codec { context: "recovery trailing bytes" });
+        }
+        for delta in deltas {
+            core.redo(delta)?;
         }
         Ok(core)
     }
@@ -903,6 +1014,14 @@ pub struct BrokerStats {
     /// that found the record already marked dirty in the same step and
     /// would each have paid a seal ECALL before coalescing.
     pub seals_saved: u64,
+    /// Plaintext bytes that went through the checkpoint seal
+    /// (cumulative): delta payloads plus every compaction's whole base.
+    pub sealed_bytes: u64,
+    /// Checkpoints that wrote a whole base record instead of a delta
+    /// (cumulative; the first checkpoint is one).
+    pub compactions: u64,
+    /// Deltas currently chained onto the base in the host's file.
+    pub log_entries: u64,
 }
 
 impl BrokerStats {
@@ -923,6 +1042,9 @@ impl BrokerStats {
             ("heartbeats", self.heartbeats),
             ("seals", self.seals),
             ("seals_saved", self.seals_saved),
+            ("sealed_bytes", self.sealed_bytes),
+            ("compactions", self.compactions),
+            ("log_entries", self.log_entries),
         ]
     }
 }
@@ -934,6 +1056,16 @@ enum Opened {
     Gap { expected: u64, got: u64 },
     Failed(NetError),
     NoChannel,
+}
+
+/// The shape of the recovery file as the host sees it on its own disk:
+/// the size of the base entry, and how many deltas of what total size
+/// have been appended since. Drives the compaction rule.
+#[derive(Debug, Clone, Copy, Default)]
+struct LogShape {
+    base_bytes: usize,
+    delta_bytes: usize,
+    deltas: u64,
 }
 
 /// One overlay broker (untrusted shell + enclave-resident core), driven
@@ -957,8 +1089,12 @@ pub struct Broker {
     /// Trust anchors for verifying peer quotes during link handshakes.
     service: Option<AttestationService>,
     policy: Option<VerifierPolicy>,
-    /// The sealed recovery record, as stored on the untrusted host disk.
+    /// The sealed recovery record, as stored on the untrusted host
+    /// disk: one length-prefixed base entry, then the deltas appended
+    /// since.
     sealed: Option<Vec<u8>>,
+    /// The shape of `sealed` as last written or restored.
+    log: LogShape,
     /// The platform monotonic counter keying the record's rollback
     /// protection.
     counter: Option<CounterId>,
@@ -1018,10 +1154,18 @@ pub struct Broker {
     /// Subscription state mutated during the current `step`; flushed to
     /// (at most) one [`Broker::checkpoint`] on the way out.
     dirty: bool,
+    /// The pending checkpoint must write a whole base: the step changed
+    /// state the journal does not describe (a retirement, a migration)
+    /// or closed a replay reconciliation.
+    force_base: bool,
     /// Recovery-record seals performed (cumulative).
     seals: u64,
     /// Seals avoided by per-step coalescing (cumulative).
     seals_saved: u64,
+    /// Plaintext bytes sealed by checkpoints (cumulative).
+    sealed_bytes: u64,
+    /// Checkpoints that wrote a base (cumulative).
+    compactions: u64,
     rng: CryptoRng,
 }
 
@@ -1072,6 +1216,7 @@ impl Broker {
             service: None,
             policy: None,
             sealed: None,
+            log: LogShape::default(),
             counter: Some(counter),
             pending_replays: BTreeSet::new(),
             requested: BTreeSet::new(),
@@ -1096,8 +1241,11 @@ impl Broker {
             telemetry: false,
             partition: PartitionConfig::default(),
             dirty: false,
+            force_base: false,
             seals: 0,
             seals_saved: 0,
+            sealed_bytes: 0,
+            compactions: 0,
             rng: CryptoRng::from_seed(seed ^ 0x6c69_6e6b),
         })
     }
@@ -1124,6 +1272,7 @@ impl Broker {
             service: None,
             policy: None,
             sealed: None,
+            log: LogShape::default(),
             counter: None,
             pending_replays: BTreeSet::new(),
             requested: BTreeSet::new(),
@@ -1148,8 +1297,11 @@ impl Broker {
             telemetry: false,
             partition: PartitionConfig::default(),
             dirty: false,
+            force_base: false,
             seals: 0,
             seals_saved: 0,
+            sealed_bytes: 0,
+            compactions: 0,
             rng: CryptoRng::from_seed(seed ^ 0x6c69_6e6b),
         }
     }
@@ -1175,17 +1327,18 @@ impl Broker {
         self.enclave.as_ref()
     }
 
-    /// The sealed recovery record currently on the host's disk — exposed
+    /// The sealed recovery record currently on the host's disk (base
+    /// entry + appended deltas, each `u32` length-prefixed) — exposed
     /// because the disk is *outside* the trust boundary: tests (and
-    /// adversaries) may read or swap it; the seal, not the accessor,
-    /// provides the protection.
+    /// adversaries) may read, cut up or swap it; the seal chain, not the
+    /// accessor, provides the protection.
     pub fn sealed_record(&self) -> Option<&[u8]> {
         self.sealed.as_deref()
     }
 
     /// Overwrites the host-disk recovery record (models a malicious or
-    /// restored-from-backup host). A stale record is caught by the
-    /// monotonic counter at restart.
+    /// restored-from-backup host). A stale, truncated or re-spliced
+    /// record is caught by the monotonic counter at restart.
     pub fn set_sealed_record(&mut self, record: Vec<u8>) {
         self.sealed = Some(record);
     }
@@ -1408,6 +1561,16 @@ impl Broker {
         }
     }
 
+    /// [`Broker::mark_dirty_if_serving`] for a step that retired a
+    /// subscription. The journal holds admissions only, so the checkpoint
+    /// writes a base, and the retired registration leaves the host's
+    /// disk in this step instead of lingering in an old base or delta
+    /// until the next compaction.
+    fn mark_retired(&mut self) {
+        self.force_base = true;
+        self.mark_dirty_if_serving();
+    }
+
     /// Seals the recovery record if this step mutated subscription
     /// state.
     fn flush_checkpoint(&mut self) -> Result<(), OverlayError> {
@@ -1450,9 +1613,11 @@ impl Broker {
         // but the flight recorder and stage histograms (volatile, never
         // sealed) restart empty with the rebuilt core.
         self.core.matcher.set_telemetry(self.telemetry);
-        // Whatever was marked dirty this step died with the enclave; the
+        // Whatever was marked dirty this step died with the enclave, and
+        // so did the journal (it lived in the core just replaced); the
         // last *flushed* record on the host disk is the recovery truth.
         self.dirty = false;
+        self.force_base = false;
         self.links.clear();
         self.initiations.clear();
         self.responses.clear();
@@ -1487,38 +1652,53 @@ impl Broker {
                 reason: "restart of a broker that is not crashed",
             });
         }
+        // The host's file: the base entry, then the deltas appended
+        // since. Nothing below touches `self` until the whole record has
+        // been accepted — a refused restart leaves the broker crashed
+        // and the file where it was.
+        let entries = journal::split_entries(self.sealed.as_deref().unwrap_or_default())?;
+        let (kind, flood, slices) = (self.kind, self.flood, self.partition.slices);
+        let neighbors = &self.neighbors;
         if let Some(platform) = &self.platform {
-            // Relaunch the (same, identically measured) routing enclave.
+            // Relaunch the (same, identically measured) routing enclave;
+            // one crossing opens the chain (one key derivation for all
+            // its blobs), restores the base and redoes the deltas.
             let enclave = platform.launch(router_builder(&self.code))?;
-            let record = match (&self.sealed, self.counter) {
-                (Some(blob), Some(counter)) => Some(enclave.ecall(|ctx| {
-                    VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, platform, counter, blob)
-                })?),
-                _ => None,
-            };
-            let core = BrokerCore::restore(
-                record.as_deref(),
-                enclave.memory(),
-                self.kind,
-                self.flood,
-                &self.neighbors,
-                self.partition.slices,
-            )?;
+            let counter = self.counter;
+            let core = enclave.ecall(|ctx| -> Result<BrokerCore, OverlayError> {
+                let (base_version, opened) = match counter {
+                    Some(counter) if !entries.is_empty() => VersionedSeal::unseal_chain(
+                        ctx,
+                        SealPolicy::MrEnclave,
+                        platform,
+                        counter,
+                        &entries,
+                    )?,
+                    _ => (0, Vec::new()),
+                };
+                let record: Vec<&[u8]> = opened.iter().map(Vec::as_slice).collect();
+                let mut core =
+                    BrokerCore::restore(&record, ctx.memory(), kind, flood, neighbors, slices)?;
+                core.base_version = base_version;
+                Ok(core)
+            })?;
             self.enclave = Some(enclave);
             self.core = core;
         } else {
             let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-            self.core = BrokerCore::restore(
-                self.sealed.clone().as_deref(),
-                &mem,
-                self.kind,
-                self.flood,
-                &self.neighbors,
-                self.partition.slices,
-            )?;
+            self.core = BrokerCore::restore(&entries, &mem, kind, flood, neighbors, slices)?;
         }
+        self.log = match entries.split_first() {
+            Some((base, deltas)) => LogShape {
+                base_bytes: base.len(),
+                delta_bytes: deltas.iter().map(|d| d.len()).sum(),
+                deltas: deltas.len() as u64,
+            },
+            None => LogShape::default(),
+        };
         self.core.matcher.set_telemetry(self.telemetry);
         self.dirty = false;
+        self.force_base = false;
         let restored = self.core.live.len();
         self.replayed_subs = 0;
         self.dropped_stale = 0;
@@ -1587,6 +1767,9 @@ impl Broker {
         for _ in 0..report.migrated {
             self.mark_dirty();
         }
+        // A migration re-registers under `SK` and moves placement: not a
+        // journal kind, so the checkpoint it triggers writes a base.
+        self.force_base |= report.migrated > 0;
         Ok(())
     }
 
@@ -1985,7 +2168,7 @@ impl Broker {
                 }
                 let wire = Message::SubRemove { envelope }.to_wire();
                 let outs = self.removal_frames(outcome.links, &wire)?;
-                self.mark_dirty_if_serving();
+                self.mark_retired();
                 Ok(outs)
             }
             Message::SubDrop { id } => {
@@ -1996,7 +2179,7 @@ impl Broker {
                         let outcome = self.call(|c| c.remove_by_id(id, Origin::Link(from)));
                         let wire = Message::SubDrop { id }.to_wire();
                         let outs = self.removal_frames(outcome.links, &wire)?;
-                        self.mark_dirty_if_serving();
+                        self.mark_retired();
                         Ok(outs)
                     }
                     Some(_) => Err(OverlayError::Link { reason: "sub-drop from wrong direction" }),
@@ -2098,8 +2281,11 @@ impl Broker {
         }
         // One checkpoint per completed link replay: covers the replayed
         // admissions (whose per-frame marks are suppressed while
-        // replaying) and the stale drops marked above.
+        // replaying) and the stale drops marked above. It writes a base:
+        // a replay re-journals the link's whole live set, so a delta
+        // would cost as much and restart redo twice over.
         self.mark_dirty();
+        self.force_base = true;
         self.pending_replays.remove(&from);
         self.requested.remove(&from);
         self.requested_at.remove(&from);
@@ -2142,7 +2328,7 @@ impl Broker {
         if outcome.removed {
             let wire = Message::SubRemove { envelope: envelope.to_vec() }.to_wire();
             outs = self.removal_frames(outcome.links, &wire)?;
-            self.mark_dirty();
+            self.mark_retired();
         }
         outs.push(Output::Event(LinkEvent::Unsubscribed {
             id: outcome.id,
@@ -2296,29 +2482,69 @@ impl Broker {
         Ok(outs)
     }
 
-    /// Re-seals the recovery record after a subscription-state mutation:
-    /// serialise inside the enclave, seal under the platform key bound
-    /// to a fresh monotonic-counter value (so every older record is
-    /// rollback-detected), and hand the blob to the host disk. Without a
-    /// platform (pre-shared trust) the record is stored unsealed.
-    /// Reached only through [`Broker::flush_checkpoint`] (and the forced
+    /// Checkpoints the recovery record after a subscription-state
+    /// mutation: inside the enclave, take the journal — or, when the
+    /// compaction rule says so, serialise the whole record — and seal it
+    /// as the next link of the chain, bound to a fresh monotonic-counter
+    /// value (so every older or shorter file is rollback-detected); the
+    /// host appends a delta to its file and replaces the file with a
+    /// base. Without a platform (pre-shared trust) the same entries are
+    /// stored unsealed. Reached only through
+    /// [`Broker::flush_checkpoint`] (and the forced
     /// [`Broker::rebalance_now`]), so each step seals at most once.
+    ///
+    /// The compaction rule is fixed: write a base when there is none,
+    /// when the deltas on disk plus this one would reach the base's
+    /// size, and whenever the step forced one (`force_base`: it retired
+    /// a subscription, migrated subscriptions between slices or closed a
+    /// replay reconciliation). Between forced bases each byte of base is
+    /// paid for by a byte of delta before it is written again —
+    /// amortised O(entry) per admission — the file stays under twice
+    /// its base, and a restart redoes at most one base's worth of
+    /// journal.
     fn checkpoint(&mut self) -> Result<(), OverlayError> {
         self.seals += 1;
-        match (&self.enclave, &self.platform, self.counter) {
+        let compact = self.force_base
+            || self.sealed.is_none()
+            || self.log.delta_bytes + self.core.journal.len() >= self.log.base_bytes;
+        let core = &mut self.core;
+        let (plain_bytes, entry) = match (&self.enclave, &self.platform, self.counter) {
             (Some(enclave), Some(platform), Some(counter)) => {
-                let core = &self.core;
                 let rng = &mut self.rng;
-                let blob = enclave.ecall(|ctx| {
-                    let record = core.serialize_record();
-                    VersionedSeal::seal(ctx, SealPolicy::MrEnclave, platform, counter, &record, rng)
-                })?;
-                self.sealed = Some(blob);
+                enclave.ecall(|ctx| -> Result<(usize, Vec<u8>), OverlayError> {
+                    let (payload, base) = core.checkpoint_payload(compact);
+                    let (version, blob) = VersionedSeal::seal_link(
+                        ctx,
+                        SealPolicy::MrEnclave,
+                        platform,
+                        counter,
+                        base,
+                        &payload,
+                        rng,
+                    )?;
+                    if compact {
+                        core.base_version = version;
+                    }
+                    Ok((payload.len(), blob))
+                })?
             }
             _ => {
-                self.sealed = Some(self.core.serialize_record());
+                let (payload, _) = core.checkpoint_payload(compact);
+                (payload.len(), payload)
             }
+        };
+        self.sealed_bytes += plain_bytes as u64;
+        let file = self.sealed.get_or_insert_default();
+        if compact {
+            file.clear();
+            self.log = LogShape { base_bytes: entry.len(), delta_bytes: 0, deltas: 0 };
+            self.compactions += 1;
+            self.force_base = false;
+        } else {
+            self.log.delta_bytes += entry.len();
+            self.log.deltas += 1;
         }
+        journal::append_entry(file, &entry);
         Ok(())
     }
 
@@ -2358,6 +2584,9 @@ impl Broker {
             heartbeats: self.heartbeats_sent,
             seals: self.seals,
             seals_saved: self.seals_saved,
+            sealed_bytes: self.sealed_bytes,
+            compactions: self.compactions,
+            log_entries: self.log.deltas,
         }
     }
 
@@ -2406,6 +2635,7 @@ impl Broker {
         if report.migrated > 0 {
             // All migrations share one seal; count the avoided ones.
             self.seals_saved += report.migrated as u64 - 1;
+            self.force_base = true;
             self.checkpoint()?;
         }
         Ok(report)
@@ -2496,6 +2726,9 @@ pub fn router_builder(code: &[u8]) -> EnclaveBuilder {
 }
 
 #[cfg(test)]
+mod checkpoint_proptests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use scbr::ids::KeyEpoch;
@@ -2531,6 +2764,15 @@ mod tests {
             epoch: KeyEpoch(0),
             payload_ct: vec![0xaa],
         }
+    }
+
+    /// The host file of a pre-partition broker: one base entry in the
+    /// original single-slice payload layout, no deltas.
+    fn legacy_file(broker: &Broker) -> Vec<u8> {
+        assert_eq!(broker.slice_count(), 1);
+        let mut file = Vec::new();
+        journal::append_entry(&mut file, &broker.core.serialize_record());
+        file
     }
 
     #[test]
@@ -3059,7 +3301,8 @@ mod tests {
                 .unwrap();
             old.step(i, Input::Subscribe { envelope }).unwrap();
         }
-        let legacy = old.sealed_record().expect("record sealed after admissions").to_vec();
+        assert!(old.sealed_record().is_some(), "record sealed after admissions");
+        let legacy = legacy_file(&old);
 
         // A partitioned replacement restores it: everything lands in
         // slice 0 (the legacy layout carries no placement).
@@ -3126,7 +3369,7 @@ mod tests {
                 .unwrap();
             old.step(i, Input::Subscribe { envelope }).unwrap();
         }
-        let legacy = old.sealed_record().unwrap().to_vec();
+        let legacy = legacy_file(&old);
 
         let mut broker = Broker::preshared(0, 12, IndexKind::Poset, false);
         broker.set_partition(PartitionConfig::sliced(3));
@@ -3146,6 +3389,11 @@ mod tests {
         assert!(broker.occupancy_skew() <= 1.5);
         assert_eq!(after.seals, before.seals + 1, "the whole pass coalesces into one seal");
         assert_eq!(
+            (after.compactions, after.log_entries),
+            (before.compactions + 1, 0),
+            "migrations are not journalled: the pass seals a whole base"
+        );
+        assert_eq!(
             after.seals_saved - before.seals_saved,
             broker.migrations() - 1,
             "every migration after the first rides the same seal"
@@ -3153,5 +3401,183 @@ mod tests {
         // An idle tick at balance is free: no migration, no seal.
         broker.step(31, Input::Tick).unwrap();
         assert_eq!(broker.stats().seals, after.seals);
+    }
+
+    fn subscribe_n(
+        broker: &mut Broker,
+        producer: &ProducerCrypto,
+        rng: &mut CryptoRng,
+        ids: std::ops::Range<u64>,
+    ) {
+        for i in ids {
+            let envelope = producer
+                .seal_registration(
+                    &SubscriptionSpec::new().gt("p", i as f64),
+                    SubscriptionId(i),
+                    ClientId(i),
+                    rng,
+                )
+                .unwrap();
+            broker.step(i, Input::Subscribe { envelope }).unwrap();
+        }
+    }
+
+    #[test]
+    fn checkpoints_append_deltas_and_compact_by_the_fixed_rule() {
+        let mut rng = CryptoRng::from_seed(13);
+        let producer = producer(&mut rng);
+        let mut broker = Broker::preshared(0, 13, IndexKind::Poset, false);
+        broker.provision_preshared(&producer);
+        assert!(broker.sealed_record().is_none());
+
+        let mut appended = 0;
+        for i in 0..40u64 {
+            let before = (broker.stats(), broker.sealed_record().map_or(0, <[u8]>::len));
+            subscribe_n(&mut broker, &producer, &mut rng, i..i + 1);
+            let (after, file) = (broker.stats(), broker.sealed_record().unwrap());
+            assert_eq!(after.seals, before.0.seals + 1, "one checkpoint per mutating step");
+            let entries = journal::split_entries(file).unwrap();
+            assert_eq!(entries.len() as u64, 1 + after.log_entries);
+            if after.compactions == before.0.compactions {
+                // A delta: the file only grew, by a few hundred bytes.
+                assert_eq!(after.log_entries, before.0.log_entries + 1);
+                assert!(file.len() > before.1 && file.len() - before.1 < 400);
+                appended += 1;
+            } else {
+                assert_eq!(after.log_entries, 0, "a base replaces the whole file");
+                assert_eq!(entries[0], broker.core.serialize_record());
+            }
+            // The file never reaches twice its base.
+            assert!(file.len() < 2 * (entries[0].len() + 4));
+            assert_eq!(
+                after.sealed_bytes - before.0.sealed_bytes,
+                entries.last().unwrap().len() as u64,
+                "unsealed brokers store exactly the bytes they would have sealed"
+            );
+        }
+        let stats = broker.stats();
+        assert!(appended >= 30, "most checkpoints are deltas, got {appended}");
+        assert!((3..=10).contains(&stats.compactions), "doubling rule: {}", stats.compactions);
+
+        // A retirement is not a journal kind: its step writes a base, and
+        // the retired envelope is gone from the host's file with it.
+        subscribe_n(&mut broker, &producer, &mut rng, 40..41);
+        let retired = broker.core.live[&SubscriptionId(40)].envelope.clone();
+        let holds = |file: &[u8]| file.windows(retired.len()).any(|w| w == retired);
+        assert!(broker.stats().log_entries > 0 && holds(broker.sealed_record().unwrap()));
+        let unreg =
+            producer.seal_unregistration(SubscriptionId(40), ClientId(40), &mut rng).unwrap();
+        broker.step(41, Input::Unsubscribe { envelope: unreg }).unwrap();
+        let after = broker.stats();
+        assert_eq!((after.seals, after.compactions), (stats.seals + 2, stats.compactions + 1));
+        assert_eq!(after.log_entries, 0);
+        assert!(!holds(broker.sealed_record().unwrap()));
+    }
+
+    #[test]
+    fn attested_checkpoint_is_one_crossing_and_one_counter_value() {
+        let mut rng = CryptoRng::from_seed(14);
+        let producer = producer(&mut rng);
+        let mut broker = Broker::attested(0, 14, IndexKind::Poset, b"router v1", false).unwrap();
+        broker.set_neighbors(&[]);
+        broker.provision_preshared(&producer);
+        let counter = broker.counter.unwrap();
+        let (mut bases, mut deltas) = (0, 0);
+        for i in 0..12u64 {
+            let before = broker.stats();
+            broker.reset_counters();
+            subscribe_n(&mut broker, &producer, &mut rng, i..i + 1);
+            let after = broker.stats();
+            assert_eq!(after.ecalls, 2, "admission + checkpoint, base or delta");
+            assert_eq!(
+                broker.platform().unwrap().read_counter(counter).unwrap(),
+                i + 1,
+                "each checkpoint takes exactly one counter value"
+            );
+            if after.compactions > before.compactions {
+                bases += 1;
+            } else {
+                deltas += 1;
+            }
+        }
+        assert!(bases >= 2 && deltas >= 2, "both kinds exercised: {bases} bases, {deltas} deltas");
+
+        // The chain restores in one crossing, to the same record.
+        let record = broker.core.serialize_record();
+        broker.step(20, Input::Crash).unwrap();
+        broker.step(21, Input::Restart { dead_links: vec![] }).unwrap();
+        assert_eq!(broker.enclave().unwrap().ecall_count(), 1, "unseal + restore + redo");
+        assert_eq!(broker.core.serialize_record(), record);
+        let on_disk = journal::split_entries(broker.sealed_record().unwrap()).unwrap().len();
+        assert_eq!(broker.stats().log_entries, on_disk as u64 - 1);
+    }
+
+    #[test]
+    fn a_crash_discards_the_pending_journal_with_the_mutations_it_describes() {
+        let mut rng = CryptoRng::from_seed(15);
+        let producer = producer(&mut rng);
+        let mut broker = Broker::preshared(0, 15, IndexKind::Poset, false);
+        broker.provision_preshared(&producer);
+        subscribe_n(&mut broker, &producer, &mut rng, 0..5);
+        let flushed = broker.core.serialize_record();
+        let file = broker.sealed_record().unwrap().to_vec();
+
+        // A mutation that reached the core but no checkpoint (the step
+        // that carried it died first).
+        let envelope = producer
+            .seal_registration(
+                &SubscriptionSpec::new().gt("p", 99.0),
+                SubscriptionId(99),
+                ClientId(99),
+                &mut rng,
+            )
+            .unwrap();
+        broker.call(|c| c.admit(&envelope, Origin::Local, false)).unwrap();
+        broker.mark_dirty();
+        assert!(broker.core.journal.len() > 0);
+        broker.step(10, Input::Crash).unwrap();
+        assert_eq!(broker.core.journal.len(), 0);
+        assert!(!broker.dirty && !broker.force_base);
+        assert_eq!(broker.sealed_record().unwrap(), file, "a crash writes nothing");
+
+        broker.step(11, Input::Restart { dead_links: vec![] }).unwrap();
+        assert_eq!(broker.core.serialize_record(), flushed, "the last flushed state, exactly");
+        assert_eq!(broker.subscriptions(), 5);
+    }
+
+    #[test]
+    fn an_edited_unsealed_file_is_refused_not_trusted() {
+        // Pre-shared brokers store the chain unsealed: no rollback
+        // protection, but a file that does not parse or does not redo
+        // must still fail the restart cleanly.
+        let mut rng = CryptoRng::from_seed(16);
+        let producer = producer(&mut rng);
+        let mut broker = Broker::preshared(0, 16, IndexKind::Poset, false);
+        broker.provision_preshared(&producer);
+        subscribe_n(&mut broker, &producer, &mut rng, 0..6);
+        let genuine = broker.sealed_record().unwrap().to_vec();
+        let entries = journal::split_entries(&genuine).unwrap();
+        assert!(entries.len() >= 2, "a base and at least one delta");
+        broker.step(10, Input::Crash).unwrap();
+
+        let mut cut = genuine.clone();
+        cut.truncate(genuine.len() - 3);
+        let mut unknown_kind = genuine.clone();
+        journal::append_entry(&mut unknown_kind, &[2, 0, 0, 0, 0, 0, 0, 0, 77, 0]);
+        let mut delta_first = Vec::new();
+        journal::append_entry(&mut delta_first, entries[1]);
+        for (bad, what) in [
+            (cut, "torn tail"),
+            (unknown_kind, "delta entry of a kind the journal does not have"),
+            (delta_first, "delta in base position"),
+        ] {
+            broker.set_sealed_record(bad);
+            assert!(broker.step(11, Input::Restart { dead_links: vec![] }).is_err(), "{what}");
+            assert_eq!(broker.lifecycle(), Lifecycle::Crashed, "{what}");
+            assert_eq!(broker.subscriptions(), 0, "{what}");
+        }
+        broker.set_sealed_record(genuine);
+        broker.step(12, Input::Restart { dead_links: vec![] }).unwrap();
+        assert_eq!(broker.subscriptions(), 6);
     }
 }

@@ -27,10 +27,12 @@
 //!   decrypts and matches a whole publication batch in **one enclave
 //!   crossing** and learns local deliveries and outgoing links together.
 //!   At the end of any `step` that mutated subscriptions the enclave
-//!   re-seals a rollback-protected recovery record (one seal per step,
-//!   however many mutations the step carried); a crashed broker
-//!   restarts from it and asks its neighbours to replay their live
-//!   forwarded sets.
+//!   seals what the step changed as one delta onto a rollback-protected
+//!   recovery record — a sealed base plus an append-only chain of sealed
+//!   deltas, one seal per step however many mutations the step carried;
+//!   a crashed broker restarts from it (base, then the deltas redone
+//!   through the live admission code) and asks its neighbours to replay
+//!   their live forwarded sets.
 //! * [`partition`] — the matcher inside each broker can be sharded into
 //!   N [`partition::PartitionedMatcher`] slices behind the same
 //!   admit/remove/route surface: subscriptions hash-placed per slice,
@@ -76,6 +78,7 @@ pub mod broker;
 pub mod error;
 pub mod fabric;
 pub mod forwarding;
+mod journal;
 pub mod partition;
 pub mod topology;
 

@@ -132,8 +132,13 @@ impl PartitionedMatcher {
     /// `mem`.
     pub fn new(mem: &MemorySim, kind: IndexKind, slices: usize) -> Self {
         let n = slices.max(1);
+        // One interning table for all slices: the broker's covering check
+        // compares compiled subscriptions across them.
+        let schema = scbr::attr::AttrSchema::new();
         PartitionedMatcher {
-            slices: (0..n).map(|_| MatchingEngine::new(mem, kind)).collect(),
+            slices: (0..n)
+                .map(|_| MatchingEngine::with_schema(mem, kind, schema.clone()))
+                .collect(),
             placement: BTreeMap::new(),
             migrations: 0,
         }
@@ -217,6 +222,37 @@ impl PartitionedMatcher {
         let out = self.slices[slice].register_envelope_as(envelope, deliver_to)?;
         self.placement.insert(id, slice);
         Ok(out)
+    }
+
+    /// Registers an already-opened registration body on the id's owning
+    /// slice — the partitioned form of
+    /// [`MatchingEngine::register_retained_as`], and the redo path of a
+    /// restart: same placement rule as
+    /// [`PartitionedMatcher::register_envelope_as`], no keys needed.
+    ///
+    /// # Errors
+    ///
+    /// Malformed bodies or invalid subscriptions.
+    pub fn register_retained_as(
+        &mut self,
+        body: Vec<u8>,
+        deliver_to: Option<ClientId>,
+    ) -> Result<(SubscriptionId, scbr::CompiledSubscription), ScbrError> {
+        let slice = if self.slices.len() == 1 {
+            0
+        } else {
+            let (_, id, _) = scbr::codec::decode_registration(&body)?;
+            self.slice_of(id).unwrap_or_else(|| self.home_slice(id))
+        };
+        let out = self.slices[slice].register_retained_as(body, deliver_to)?;
+        self.placement.insert(out.0, slice);
+        Ok(out)
+    }
+
+    /// The retained (plaintext) registration body of a live id, from its
+    /// owning slice.
+    pub fn retained_body(&self, id: SubscriptionId) -> Option<&[u8]> {
+        self.slices[self.slice_of(id)?].retained_body(id)
     }
 
     /// Processes an unregistration envelope against the id's owning
@@ -502,6 +538,41 @@ mod tests {
         four.match_into(&header, &mut b).unwrap();
         assert_eq!(a, b, "partitioned ≡ single-engine match set");
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn slices_compile_into_one_attribute_numbering() {
+        // Regression: each slice used to intern attribute names into its
+        // own schema, so two slices that first saw "price" and "volume"
+        // in opposite orders numbered them oppositely — and the broker's
+        // cross-slice covering check compared price bounds with volume
+        // bounds.
+        let (mut matcher, producer, mut rng) = setup(2);
+        let on = |slice: usize, matcher: &PartitionedMatcher| {
+            (0..64u64).find(|&i| matcher.home_slice(SubscriptionId(i)) == slice).unwrap()
+        };
+        let (a, b) = (on(0, &matcher), on(1, &matcher));
+        let broad = SubscriptionSpec::new().gt("price", 3.0);
+        let narrow = SubscriptionSpec::new().gt("volume", 1.0).gt("price", 5.0);
+        let (_, broad_c) = matcher
+            .register_envelope_as(
+                &producer
+                    .seal_registration(&broad, SubscriptionId(a), ClientId(a), &mut rng)
+                    .unwrap(),
+                None,
+            )
+            .unwrap();
+        let (_, narrow_c) = matcher
+            .register_envelope_as(
+                &producer
+                    .seal_registration(&narrow, SubscriptionId(b), ClientId(b), &mut rng)
+                    .unwrap(),
+                None,
+            )
+            .unwrap();
+        assert_ne!(matcher.slice_of(SubscriptionId(a)), matcher.slice_of(SubscriptionId(b)));
+        assert!(broad_c.covers(&narrow_c), "price > 3 covers volume > 1 ∧ price > 5");
+        assert!(!narrow_c.covers(&broad_c));
     }
 
     #[test]

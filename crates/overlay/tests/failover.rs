@@ -126,6 +126,118 @@ fn stale_sealed_record_is_refused() {
     assert_eq!(deliveries.len(), 2);
 }
 
+/// Splits a host recovery file into its entries (`u32` big-endian
+/// length, then the blob; the first entry is the base) — nothing the
+/// host could not do to the bytes on its own disk.
+fn file_entries(file: &[u8]) -> Vec<Vec<u8>> {
+    let mut entries = Vec::new();
+    let mut rest = file;
+    while !rest.is_empty() {
+        let (len, tail) = rest.split_at(4);
+        let (blob, tail) = tail.split_at(u32::from_be_bytes(len.try_into().unwrap()) as usize);
+        entries.push(blob.to_vec());
+        rest = tail;
+    }
+    entries
+}
+
+fn file_of(entries: &[&Vec<u8>]) -> Vec<u8> {
+    let mut file = Vec::new();
+    for blob in entries {
+        file.extend_from_slice(&(blob.len() as u32).to_be_bytes());
+        file.extend_from_slice(blob);
+    }
+    file
+}
+
+/// The host owns the disk, and the record on it is now a *chain*: a
+/// sealed base plus sealed deltas. Everything it can do to that chain
+/// short of serving it whole and current — cut the tail, drop, swap or
+/// repeat a delta, splice deltas across a compaction in either
+/// direction, promote a delta to base, flip a bit anywhere, serve an
+/// older complete file — is refused exactly like a stale whole record:
+/// the restart fails, the broker stays crashed with nothing restored and
+/// the file untouched; the genuine file then restores everything.
+#[test]
+fn edited_record_chains_are_refused() {
+    let mut fabric =
+        OverlayFabric::build(Topology::line(2), FabricConfig::attested(66)).expect("build");
+    // Subscribe at router 1 until its file has been through a generation
+    // of base + ≥ 3 deltas, a compaction, and ≥ 3 deltas again; keep the
+    // last file of the first generation.
+    let mut old: Option<Vec<u8>> = None;
+    let mut subscribed = 0u64;
+    loop {
+        let before = fabric.broker_stats()[1];
+        let previous = fabric.sealed_record(1);
+        let spec = SubscriptionSpec::new().gt("price", subscribed as f64);
+        fabric.subscribe(1, ClientId(subscribed), &spec).unwrap();
+        subscribed += 1;
+        let after = fabric.broker_stats()[1];
+        if after.compactions > before.compactions && before.log_entries >= 3 {
+            old = previous;
+        }
+        if old.is_some() && after.log_entries >= 3 {
+            break;
+        }
+        assert!(subscribed < 200, "compaction rule never produced two long generations");
+    }
+    let genuine = fabric.sealed_record(1).unwrap();
+    let (old, new) = (file_entries(&old.unwrap()), file_entries(&genuine));
+    assert!(old.len() >= 4 && new.len() >= 4, "base + ≥ 3 deltas on both sides");
+    let (a, a_deltas) = old.split_first().unwrap();
+    let (b, b_deltas) = new.split_first().unwrap();
+    let with_base = |base: &'_ Vec<u8>, deltas: &'_ [Vec<u8>]| -> Vec<u8> {
+        file_of(&std::iter::once(base).chain(deltas).collect::<Vec<_>>())
+    };
+
+    let mut attacks: Vec<(&str, Vec<u8>)> = vec![
+        ("tail cut off", with_base(b, &b_deltas[..b_deltas.len() - 1])),
+        ("deltas withheld", with_base(b, &[])),
+        ("middle delta dropped", file_of(&[b, &b_deltas[0], &b_deltas[2]])),
+        ("two deltas swapped", {
+            let mut d = b_deltas.to_vec();
+            d.swap(0, 1);
+            with_base(b, &d)
+        }),
+        ("a delta repeated", {
+            let mut d = b_deltas.to_vec();
+            d.insert(1, b_deltas[0].clone());
+            with_base(b, &d)
+        }),
+        ("pre-compaction deltas on the post-compaction base", with_base(b, a_deltas)),
+        ("post-compaction deltas on the pre-compaction base", with_base(a, b_deltas)),
+        ("a delta in base position", with_base(&b_deltas[0], &b_deltas[1..])),
+        ("an older whole file", with_base(a, a_deltas)),
+    ];
+    for victim in 0..new.len() {
+        let mut bent = new.clone();
+        let middle = bent[victim].len() / 2;
+        bent[victim][middle] ^= 0x10;
+        attacks.push(("one bit flipped", file_of(&bent.iter().collect::<Vec<_>>())));
+    }
+
+    fabric.crash(1).unwrap();
+    for (what, file) in attacks {
+        fabric.set_sealed_record(1, file.clone());
+        let result = fabric.restart(1);
+        assert!(
+            matches!(result, Err(OverlayError::Sgx(SgxError::UnsealFailed { .. }))),
+            "{what}: must be refused, got {result:?}"
+        );
+        assert_eq!(fabric.lifecycle(1), Lifecycle::Crashed, "{what}: refused broker stays crashed");
+        assert_eq!(fabric.broker_stats()[1].subscriptions, 0, "{what}: nothing was restored");
+        assert_eq!(fabric.sealed_record(1), Some(file), "{what}: the file is untouched");
+    }
+
+    fabric.set_sealed_record(1, genuine);
+    let report = fabric.restart(1).unwrap();
+    assert_eq!(report.restored as u64, subscribed);
+    assert_eq!(fabric.lifecycle(1), Lifecycle::Serving);
+    let deliveries = fabric.publish(0, &[PublicationSpec::new().attr("price", 1e9)]).unwrap();
+    assert_eq!(deliveries.len() as u64, subscribed);
+}
+
 /// A subscription removed while a broker was down is reconciled at
 /// rejoin: the neighbour's replay no longer vouches for it, so the
 /// rejoiner drops it and propagates authenticated `sub-drop`s down the

@@ -63,7 +63,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let snap = fabric.telemetry();
 
     println!("{:<24} {:>10} {:>10} {:>10}", "counter", "broker 0", "broker 1", "broker 2");
-    for key in ["broker.ecalls", "broker.ocalls", "broker.heartbeats", "broker.subscriptions"] {
+    for key in [
+        "broker.ecalls",
+        "broker.ocalls",
+        "broker.heartbeats",
+        "broker.subscriptions",
+        // The recovery record, as the host sees it on its own disk:
+        // checkpoints sealed, plaintext bytes through the seal, whole
+        // bases written, deltas currently chained onto the last base.
+        "broker.seals",
+        "broker.sealed_bytes",
+        "broker.compactions",
+        "broker.log_entries",
+    ] {
         print!("{key:<24}");
         for broker in &snap.brokers {
             print!(" {:>10}", broker.counters.get(key).unwrap_or(0));

@@ -44,24 +44,27 @@
 //! brokers keep writing the original (pre-partition) payload layout, and
 //! both layouts restore. A *delta payload* is the journal: one entry per
 //! admission (origin, replay flag, opened registration body, envelope)
-//! since the previous checkpoint.
+//! and per retirement (id, origin) since the previous checkpoint.
 //!
 //! **Checkpoints.** At the end of any [`Broker::step`] that mutated
 //! subscription state the enclave seals **once** — however many
 //! mutations the step carried — in one crossing and on one fresh
-//! monotonic-counter value: for a step that only admitted, the journal,
-//! a few hundred bytes per admission, which the host appends; a whole
-//! base, which replaces the file, when the fixed **compaction rule**
-//! says so — there is no base yet, the deltas on disk plus this one
-//! would reach the base's size, the step retired a subscription (the
-//! journal holds admissions only, and a retired registration leaves the
-//! disk in the step that retired it rather than at the next
-//! compaction), the step migrated subscriptions between slices (a
-//! migration re-authenticates envelopes under `SK`; it is not a journal
-//! kind), or the step closed a rejoin/heal reconciliation. An admission
-//! therefore costs O(what it changed) amortised, a retirement costs one
-//! whole-record seal, the file stays under twice its base, and a
-//! restart redoes at most one base's worth of journal.
+//! monotonic-counter value. Admissions and retirements both append:
+//! the step's journal — a few hundred bytes per admission, ten to
+//! twenty per retirement — is sealed as a delta the host appends. A
+//! whole base, which replaces the file, is written only when the fixed
+//! **compaction rule** says so — there is no base yet; by size, the
+//! deltas on disk plus this one would reach the base's size; by retired
+//! quarter, the registrations retired since the base was written (still
+//! on the host's disk, in the base or in a delta) reach a quarter of
+//! it; the step migrated subscriptions between slices (a migration
+//! re-authenticates envelopes under `SK`; it is not a journal kind); or
+//! the step closed a rejoin/heal reconciliation. Each base write is
+//! thus paid for by at least a quarter base of retired or one base of
+//! appended bytes, so a mutation of either kind costs O(what it
+//! changed) amortised; a retired registration leaves the disk within a
+//! quarter base of further retirements, the file stays under twice its
+//! base, and a restart redoes at most one base's worth of journal.
 //!
 //! **Chain rule.** Every blob takes its own counter value, and
 //! [`VersionedSeal::unseal_chain`] accepts only a base at `v_b` followed
@@ -74,10 +77,11 @@
 //!
 //! On [`Input::Restart`] the broker relaunches its enclave and, in one
 //! crossing, opens the chain, restores the base and **redoes the
-//! deltas through the same admission code live traffic runs**
-//! (`BrokerCore::propagate`) — there is no second copy of the covering
-//! logic and no table diffing, and the restored core is byte-for-byte
-//! the one that took the last checkpoint (`checkpoint_proptests`). Redo
+//! deltas through the same admission and removal code live traffic
+//! runs** (`BrokerCore::propagate`, `BrokerCore::uncover_after_removal`)
+//! — there is no second copy of the covering logic and no table
+//! diffing, and the restored core is byte-for-byte the one that took the
+//! last checkpoint (`checkpoint_proptests`). Redo
 //! needs no `SK`: the relaunched enclave has not been re-attested yet,
 //! so admissions are journalled with the registration body the enclave
 //! had already opened
@@ -106,9 +110,15 @@
 //! `compactions`, `log_entries`) add nothing to that: the host is handed
 //! every blob and stores the file, so it already knows how many there
 //! were, how long each is (ciphertext length is plaintext length plus a
-//! constant) and which ones replaced the file. Like the hop records'
-//! bucketed match counts, nothing exported is finer than what the host
-//! observes on its own.
+//! constant) and which ones replaced the file. Journalling retirements
+//! moved one of those observations, it did not add one: the host told
+//! an admission from a retirement by delta-versus-base before and tells
+//! them by the delta's length now. A compaction by retired quarter says
+//! only that the retired envelopes — every one of which the host has
+//! handled as ciphertext, length in clear — now add up to a quarter of
+//! the base; which envelopes those are stays inside. Like the hop
+//! records' bucketed match counts, nothing exported is finer than what
+//! the host observes on its own.
 //!
 //! ## Interfaces
 //!
@@ -166,6 +176,12 @@ pub const LINK_INTERFACE_BIT: u64 = 1 << 63;
 pub fn link_interface(neighbor: usize) -> ClientId {
     ClientId(LINK_INTERFACE_BIT | neighbor as u64)
 }
+
+/// Compaction by retired quarter: a base is rewritten once the retired
+/// registrations still on the host's disk reach one part in this many of
+/// it. A constant beside the size rule, not a knob (see
+/// [`Broker::checkpoint`]).
+const RETIRED_DIVISOR: usize = 4;
 
 /// Version byte of the partitioned recovery-record layout. The layout is
 /// announced by a `u32::MAX` magic where the legacy record stores its
@@ -473,10 +489,11 @@ struct RouteDecision {
 }
 
 /// Outcome of admitting one subscription envelope.
-#[derive(Debug, Clone)]
 struct AdmitOutcome {
     id: SubscriptionId,
-    forward_to: Vec<usize>,
+    /// Links the admission propagates on. Links where it was pruned, or
+    /// already held the identical filter, are absent.
+    links: Vec<LinkUpdate>,
 }
 
 /// One live subscription as the broker's enclave tracks it: where it
@@ -490,10 +507,11 @@ struct LiveSub {
     envelope: Vec<u8>,
 }
 
-/// What a removal requires on one link: the envelopes of newly uncovered
-/// subscriptions to forward first (make-before-break — upstream interest
-/// never dips), then the removal itself.
-struct LinkRemoval {
+/// What a removal — or a re-registration that replaced a forwarded row —
+/// requires on one link: the envelopes of newly uncovered subscriptions
+/// to forward first (make-before-break — upstream interest never dips),
+/// then the removal or the replacement itself.
+struct LinkUpdate {
     neighbor: usize,
     uncovered: Vec<Vec<u8>>,
 }
@@ -506,7 +524,7 @@ struct RemoveOutcome {
     removed: bool,
     /// Links the subscription had actually been forwarded on. Links where
     /// it was pruned are absent — a pruned removal is free.
-    links: Vec<LinkRemoval>,
+    links: Vec<LinkUpdate>,
 }
 
 /// The enclave-resident routing state.
@@ -535,6 +553,11 @@ struct BrokerCore {
     /// Subscription mutations since the last checkpoint, flushed as one
     /// sealed delta by the next one.
     journal: Journal,
+    /// Envelope bytes of the registrations retired since the current base
+    /// was written — dead weight still on the host's disk, in the base or
+    /// in a delta, until the next compaction. Recomputed by the restart
+    /// redo.
+    retired_bytes: usize,
     /// Counter value the current base record was sealed at — what every
     /// delta must name. 0 until a base exists (counter values start at 1)
     /// and on brokers without a platform.
@@ -558,6 +581,7 @@ impl BrokerCore {
             recorder: FlightRecorder::default(),
             stages: StageHistograms::new(),
             journal: Journal::default(),
+            retired_bytes: 0,
             base_version: 0,
         }
     }
@@ -593,40 +617,48 @@ impl BrokerCore {
         replay: bool,
     ) -> AdmitOutcome {
         let already_counted = replay && self.live.contains_key(&id);
-        let flood = self.flood;
-        let mut forward_to = Vec::new();
+        let (flood, live) = (self.flood, &self.live);
+        let mut links = Vec::new();
         for (neighbor, table) in &mut self.upstream {
             if origin == Origin::Link(*neighbor) {
                 continue; // never forward back where it came from
             }
-            if table.contains(id) {
-                // Re-registration of an id already forwarded there. If the
-                // filter changed, replace the row *and* re-forward — the
-                // next hop replaces its copy the same way, recursively,
-                // and never matches a stale spec. (The coverage check must
-                // not run here: the id's own stale row could "cover" its
-                // replacement.) If the filter is *unchanged* — the common
-                // case during a neighbour replay — the upstream copy is
-                // already exact and no traffic is due.
-                let unchanged = table.get(id) == Some(&compiled);
-                table.record(id, compiled.clone());
-                if !unchanged {
-                    forward_to.push(*neighbor);
+            let mut uncovered = Vec::new();
+            match table.get(id) {
+                // Re-registration of an id already forwarded there with
+                // its filter *unchanged* — the common case during a
+                // neighbour replay: the upstream copy is already exact and
+                // no traffic is due.
+                Some(old) if *old == compiled => continue,
+                // The filter changed: replace the row *and* re-forward —
+                // the next hop replaces its copy the same way,
+                // recursively, and never matches a stale spec. (The
+                // coverage check must not run here: the id's own stale row
+                // could "cover" its replacement.) What the old filter
+                // covered and the new one does not is uncovered exactly as
+                // if the old row had been removed.
+                Some(old) => {
+                    let old = old.clone();
+                    table.record(id, compiled.clone());
+                    uncovered = promote(table, &dependants(table, live, *neighbor, &old));
                 }
-            } else if !flood && table.covered(&compiled) {
                 // Flood mode records everything (the table *is* the
                 // forwarded set, and the counters stay comparable across
                 // modes) — it never consults coverage.
-                if !already_counted {
-                    table.note_pruned();
+                None if !flood && table.covered(&compiled) => {
+                    if !already_counted {
+                        table.note_pruned();
+                    }
+                    continue;
                 }
-            } else {
-                table.record(id, compiled.clone());
-                forward_to.push(*neighbor);
+                None => {
+                    table.record(id, compiled.clone());
+                }
             }
+            links.push(LinkUpdate { neighbor: *neighbor, uncovered });
         }
         self.live.insert(id, LiveSub { origin, compiled, envelope: envelope.to_vec() });
-        AdmitOutcome { id, forward_to }
+        AdmitOutcome { id, links }
     }
 
     /// Processes an authenticated unregistration envelope.
@@ -635,6 +667,7 @@ impl BrokerCore {
         if !existed {
             return Ok(RemoveOutcome { id, removed: false, links: Vec::new() });
         }
+        self.journal.remove(id, origin);
         Ok(self.uncover_after_removal(id, origin))
     }
 
@@ -645,23 +678,37 @@ impl BrokerCore {
         if !self.matcher.unregister(id) {
             return RemoveOutcome { id, removed: false, links: Vec::new() };
         }
+        self.journal.remove(id, origin);
         self.uncover_after_removal(id, origin)
     }
 
     /// Redoes one sealed delta on top of the state restored so far, in
-    /// journal order, through the same [`BrokerCore::propagate`] live
-    /// traffic runs — the matcher placement, the covering tables, their
-    /// counters and the live set end up exactly where the crashed core
-    /// had them at its last checkpoint. Registrations come from their
-    /// journalled bodies (the relaunched enclave holds no `SK` yet).
-    /// Nothing is re-journalled and the frames the admissions once
-    /// produced are not produced again.
+    /// journal order, through the same [`BrokerCore::propagate`] and
+    /// [`BrokerCore::uncover_after_removal`] live traffic runs — the
+    /// matcher placement, the covering tables, their counters, the live
+    /// set and the retired-bytes figure end up exactly where the crashed
+    /// core had them at its last checkpoint. Registrations come from
+    /// their journalled bodies (the relaunched enclave holds no `SK`
+    /// yet). Nothing is re-journalled and the frames the mutations once
+    /// produced are not produced again. The live core only journals the
+    /// removal of an id it holds, so a delta that removes an unknown one
+    /// is not a record this enclave wrote: refused, not skipped.
     fn redo(&mut self, delta: &[u8]) -> Result<(), ScbrError> {
         let mut entries = RedoReader::new(delta);
-        while let Some(Redo { origin, replay, body, envelope }) = entries.next()? {
-            let (id, compiled) =
-                self.matcher.register_retained_as(body.to_vec(), origin.deliver_to())?;
-            self.propagate(id, compiled, envelope, origin, replay);
+        while let Some(entry) = entries.next()? {
+            match entry {
+                Redo::Admit { origin, replay, body, envelope } => {
+                    let (id, compiled) =
+                        self.matcher.register_retained_as(body.to_vec(), origin.deliver_to())?;
+                    self.propagate(id, compiled, envelope, origin, replay);
+                }
+                Redo::Remove { id, origin } => {
+                    if !self.matcher.unregister(id) {
+                        return Err(ScbrError::Codec { context: "recovery journal removed id" });
+                    }
+                    self.uncover_after_removal(id, origin);
+                }
+            }
         }
         Ok(())
     }
@@ -677,49 +724,20 @@ impl BrokerCore {
     /// table and sent upstream, while links that only ever saw the
     /// subscription pruned stay silent.
     fn uncover_after_removal(&mut self, id: SubscriptionId, origin: Origin) -> RemoveOutcome {
-        self.live.remove(&id);
+        if let Some(gone) = self.live.remove(&id) {
+            self.retired_bytes += gone.envelope.len();
+        }
         let live = &self.live;
         let mut links = Vec::new();
         for (neighbor, table) in &mut self.upstream {
             if origin == Origin::Link(*neighbor) {
                 continue; // the removal came from there; it already knows
             }
-            if !table.remove(id) {
+            let Some(row) = table.remove(id) else {
                 continue; // pruned on this link: upstream never saw it
-            }
-            // Candidates for promotion: live subscriptions routed toward
-            // this link that are not already forwarded there. (In flood
-            // mode everything is already in the table, so this is empty
-            // and no uncovering ever happens — correct, nothing was ever
-            // pruned.)
-            let candidates: Vec<(&SubscriptionId, &LiveSub)> = live
-                .iter()
-                .filter(|(cid, sub)| {
-                    sub.origin != Origin::Link(*neighbor) && !table.contains(**cid)
-                })
-                .collect();
-            // Broadest-first, so one promotion can keep narrower
-            // candidates pruned (ties broken by id for determinism).
-            let coverage: Vec<usize> = candidates
-                .iter()
-                .map(|(_, a)| {
-                    candidates.iter().filter(|(_, b)| a.compiled.covers(&b.compiled)).count()
-                })
-                .collect();
-            let mut order: Vec<usize> = (0..candidates.len()).collect();
-            order.sort_by(|&i, &j| {
-                coverage[j].cmp(&coverage[i]).then(candidates[i].0 .0.cmp(&candidates[j].0 .0))
-            });
-            let mut uncovered = Vec::new();
-            for &i in &order {
-                let (cid, sub) = candidates[i];
-                if table.covered(&sub.compiled) {
-                    continue; // still covered by the remaining interest
-                }
-                table.record_uncovered(*cid, sub.compiled.clone());
-                uncovered.push(sub.envelope.clone());
-            }
-            links.push(LinkRemoval { neighbor: *neighbor, uncovered });
+            };
+            let uncovered = promote(table, &dependants(table, live, *neighbor, &row));
+            links.push(LinkUpdate { neighbor: *neighbor, uncovered });
         }
         RemoveOutcome { id, removed: true, links }
     }
@@ -811,6 +829,7 @@ impl BrokerCore {
     fn checkpoint_payload(&mut self, compact: bool) -> (Vec<u8>, Option<u64>) {
         if compact {
             self.journal.clear();
+            self.retired_bytes = 0;
             (self.serialize_record(), None)
         } else {
             (self.journal.take(), Some(self.base_version))
@@ -936,6 +955,58 @@ impl BrokerCore {
             skew_after: self.matcher.occupancy_skew(),
         })
     }
+}
+
+/// The subscriptions that may need promoting onto the link to `neighbor`
+/// now that `row` has left its `table`: live, routed toward that link,
+/// not forwarded there, and covered by `row`. Every other pruned
+/// subscription was covered by a row that is still in the table, and
+/// still is. (In flood mode everything is already in the table, so this
+/// is empty and no uncovering ever happens — correct, nothing was ever
+/// pruned.)
+fn dependants<'a>(
+    table: &ForwardingTable,
+    live: &'a BTreeMap<SubscriptionId, LiveSub>,
+    neighbor: usize,
+    row: &scbr::CompiledSubscription,
+) -> Vec<(SubscriptionId, &'a LiveSub)> {
+    live.iter()
+        .filter(|(id, sub)| {
+            sub.origin != Origin::Link(neighbor)
+                && !table.contains(**id)
+                && row.covers(&sub.compiled)
+        })
+        .map(|(id, sub)| (*id, sub))
+        .collect()
+}
+
+/// Promotes into `table` the `candidates` nothing in it covers any more,
+/// broadest first, so one promotion can keep narrower candidates pruned
+/// (ties broken by id for determinism); returns the promoted envelopes
+/// in promotion order. Breadth is the coverage count among the
+/// candidates themselves. Covering is transitive, so whatever a
+/// dependant of a departed row covers is itself a dependant of that row:
+/// ranking [`dependants`] gives each of them the count, and so the
+/// order, that ranking every pruned subscription of the link would.
+fn promote(table: &mut ForwardingTable, candidates: &[(SubscriptionId, &LiveSub)]) -> Vec<Vec<u8>> {
+    let coverage: Vec<usize> = candidates
+        .iter()
+        .map(|(_, a)| candidates.iter().filter(|(_, b)| a.compiled.covers(&b.compiled)).count())
+        .collect();
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by(|&i, &j| {
+        coverage[j].cmp(&coverage[i]).then(candidates[i].0 .0.cmp(&candidates[j].0 .0))
+    });
+    let mut uncovered = Vec::new();
+    for &i in &order {
+        let (id, sub) = candidates[i];
+        if table.covered(&sub.compiled) {
+            continue; // still covered by the remaining interest
+        }
+        table.record_uncovered(id, sub.compiled.clone());
+        uncovered.push(sub.envelope.clone());
+    }
+    uncovered
 }
 
 /// One sealed frame to hand to a neighbour.
@@ -1155,8 +1226,8 @@ pub struct Broker {
     /// (at most) one [`Broker::checkpoint`] on the way out.
     dirty: bool,
     /// The pending checkpoint must write a whole base: the step changed
-    /// state the journal does not describe (a retirement, a migration)
-    /// or closed a replay reconciliation.
+    /// state the journal does not describe (a migration) or closed a
+    /// replay reconciliation.
     force_base: bool,
     /// Recovery-record seals performed (cumulative).
     seals: u64,
@@ -1559,16 +1630,6 @@ impl Broker {
         if self.state == Lifecycle::Serving {
             self.mark_dirty();
         }
-    }
-
-    /// [`Broker::mark_dirty_if_serving`] for a step that retired a
-    /// subscription. The journal holds admissions only, so the checkpoint
-    /// writes a base, and the retired registration leaves the host's
-    /// disk in this step instead of lingering in an old base or delta
-    /// until the next compaction.
-    fn mark_retired(&mut self) {
-        self.force_base = true;
-        self.mark_dirty_if_serving();
     }
 
     /// Seals the recovery record if this step mutated subscription
@@ -2152,7 +2213,8 @@ impl Broker {
                     self.confirmed.entry(from).or_default().insert(outcome.id);
                     self.replayed_subs += 1;
                 }
-                let outs = self.forward_frames(&outcome, &envelope)?;
+                let wire = Message::SubForward { envelope }.to_wire();
+                let outs = self.link_frames(outcome.links, &wire)?;
                 // While replaying, one mark at the end of the link's
                 // replay (reconcile_replay) covers the whole burst.
                 if !replaying {
@@ -2167,8 +2229,8 @@ impl Broker {
                     return Ok(Vec::new());
                 }
                 let wire = Message::SubRemove { envelope }.to_wire();
-                let outs = self.removal_frames(outcome.links, &wire)?;
-                self.mark_retired();
+                let outs = self.link_frames(outcome.links, &wire)?;
+                self.mark_dirty_if_serving();
                 Ok(outs)
             }
             Message::SubDrop { id } => {
@@ -2178,8 +2240,8 @@ impl Broker {
                     Some(Origin::Link(l)) if l == from => {
                         let outcome = self.call(|c| c.remove_by_id(id, Origin::Link(from)));
                         let wire = Message::SubDrop { id }.to_wire();
-                        let outs = self.removal_frames(outcome.links, &wire)?;
-                        self.mark_retired();
+                        let outs = self.link_frames(outcome.links, &wire)?;
+                        self.mark_dirty_if_serving();
                         Ok(outs)
                     }
                     Some(_) => Err(OverlayError::Link { reason: "sub-drop from wrong direction" }),
@@ -2275,7 +2337,7 @@ impl Broker {
         for id in &stale {
             let outcome = self.call(|c| c.remove_by_id(*id, Origin::Link(from)));
             let wire = Message::SubDrop { id: *id }.to_wire();
-            outs.extend(self.removal_frames(outcome.links, &wire)?);
+            outs.extend(self.link_frames(outcome.links, &wire)?);
             self.dropped_stale += 1;
             self.mark_dirty();
         }
@@ -2315,7 +2377,8 @@ impl Broker {
     fn on_subscribe(&mut self, envelope: &[u8]) -> Result<Vec<Output>, OverlayError> {
         self.require_serving("subscription for a broker that is not serving")?;
         let outcome = self.call(|c| c.admit(envelope, Origin::Local, false))?;
-        let mut outs = self.forward_frames(&outcome, envelope)?;
+        let wire = Message::SubForward { envelope: envelope.to_vec() }.to_wire();
+        let mut outs = self.link_frames(outcome.links, &wire)?;
         self.mark_dirty();
         outs.push(Output::Event(LinkEvent::Subscribed { id: outcome.id }));
         Ok(outs)
@@ -2327,8 +2390,8 @@ impl Broker {
         let mut outs = Vec::new();
         if outcome.removed {
             let wire = Message::SubRemove { envelope: envelope.to_vec() }.to_wire();
-            outs = self.removal_frames(outcome.links, &wire)?;
-            self.mark_retired();
+            outs = self.link_frames(outcome.links, &wire)?;
+            self.mark_dirty();
         }
         outs.push(Output::Event(LinkEvent::Unsubscribed {
             id: outcome.id,
@@ -2432,43 +2495,23 @@ impl Broker {
 
     // ---- frame builders ------------------------------------------------
 
-    /// Seals one `SubForward` per link the admission propagates on.
-    /// Links without an established channel (a neighbour declared dead
-    /// at restart, not yet re-keyed) are skipped: the interest is
-    /// recorded in the covering table, and the neighbour's own rejoin
-    /// replay will fetch it.
-    fn forward_frames(
-        &mut self,
-        outcome: &AdmitOutcome,
-        envelope: &[u8],
-    ) -> Result<Vec<Output>, OverlayError> {
-        let wire = Message::SubForward { envelope: envelope.to_vec() }.to_wire();
-        let mut outs = Vec::with_capacity(outcome.forward_to.len());
-        for &neighbor in &outcome.forward_to {
-            if !self.links.contains_key(&neighbor) {
-                continue;
-            }
-            let bytes = self.seal_to(neighbor, &wire)?;
-            outs.push(Output::Frame(LinkFrame { to: neighbor, from: self.id, bytes }));
-        }
-        Ok(outs)
-    }
-
-    /// Seals a removal's traffic per affected link: first the
-    /// `SubForward`s of newly *uncovered* subscriptions
+    /// Seals a subscription mutation's traffic per affected link: first
+    /// the `SubForward`s of newly *uncovered* subscriptions
     /// (make-before-break — the upstream covering set never dips below
-    /// the live interest), then the removal itself (`terminal`: a
-    /// `SubRemove` or `SubDrop` wire), which recurses at the next hop.
-    fn removal_frames(
+    /// the live interest), then the mutation itself (`terminal`: the
+    /// admission's `SubForward`, or a removal's `SubRemove` or `SubDrop`
+    /// wire), which recurses at the next hop.
+    fn link_frames(
         &mut self,
-        links: Vec<LinkRemoval>,
+        links: Vec<LinkUpdate>,
         terminal: &[u8],
     ) -> Result<Vec<Output>, OverlayError> {
         let mut outs = Vec::new();
         for link in links {
             if !self.links.contains_key(&link.neighbor) {
-                // Dead neighbour, no channel yet: its rejoin replay will
-                // see the updated table instead of these frames.
+                // Dead neighbour (declared so at restart), no channel
+                // yet: the covering table is up to date, and its rejoin
+                // replay will see that instead of these frames.
                 continue;
             }
             for envelope in &link.uncovered {
@@ -2493,20 +2536,25 @@ impl Broker {
     /// [`Broker::flush_checkpoint`] (and the forced
     /// [`Broker::rebalance_now`]), so each step seals at most once.
     ///
-    /// The compaction rule is fixed: write a base when there is none,
-    /// when the deltas on disk plus this one would reach the base's
-    /// size, and whenever the step forced one (`force_base`: it retired
-    /// a subscription, migrated subscriptions between slices or closed a
-    /// replay reconciliation). Between forced bases each byte of base is
-    /// paid for by a byte of delta before it is written again —
-    /// amortised O(entry) per admission — the file stays under twice
-    /// its base, and a restart redoes at most one base's worth of
-    /// journal.
+    /// Admissions and retirements both append. The compaction rule is
+    /// fixed: write a base when there is none, by size — the deltas on
+    /// disk plus this one would reach the base's size — by retired
+    /// quarter — the envelopes of the registrations retired since the
+    /// base was written, all still on the host's disk, add up to
+    /// [`RETIRED_DIVISOR`] of it — and whenever the step forced one
+    /// (`force_base`: it migrated subscriptions between slices or
+    /// closed a replay reconciliation). Between forced bases every base
+    /// write is paid for by a quarter base of retired or one base of
+    /// appended bytes — amortised O(entry) per mutation — a retired
+    /// registration leaves the disk within a quarter base of further
+    /// retirements, the file stays under twice its base, and a restart
+    /// redoes at most one base's worth of journal.
     fn checkpoint(&mut self) -> Result<(), OverlayError> {
         self.seals += 1;
         let compact = self.force_base
             || self.sealed.is_none()
-            || self.log.delta_bytes + self.core.journal.len() >= self.log.base_bytes;
+            || self.log.delta_bytes + self.core.journal.len() >= self.log.base_bytes
+            || self.core.retired_bytes >= self.log.base_bytes / RETIRED_DIVISOR;
         let core = &mut self.core;
         let (plain_bytes, entry) = match (&self.enclave, &self.platform, self.counter) {
             (Some(enclave), Some(platform), Some(counter)) => {
@@ -2729,6 +2777,9 @@ pub fn router_builder(code: &[u8]) -> EnclaveBuilder {
 mod checkpoint_proptests;
 
 #[cfg(test)]
+mod uncover_proptests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use scbr::ids::KeyEpoch;
@@ -2947,6 +2998,19 @@ mod tests {
         );
     }
 
+    /// Two linked serving brokers: a (0, the edge) — b (1).
+    fn linked_pair(producer: &ProducerCrypto) -> (Broker, Broker) {
+        let mut a = Broker::preshared(0, 7, IndexKind::Poset, false);
+        let mut b = Broker::preshared(1, 8, IndexKind::Poset, false);
+        a.set_neighbors(&[1]);
+        b.set_neighbors(&[0]);
+        a.install_plain_link(1);
+        b.install_plain_link(0);
+        a.provision_preshared(producer);
+        b.provision_preshared(producer);
+        (a, b)
+    }
+
     #[test]
     fn re_registration_reforwards_only_when_the_filter_changed() {
         // Two linked brokers: a (edge) — b. A re-registered id with a
@@ -2956,14 +3020,7 @@ mod tests {
         // stay silent.
         let mut rng = CryptoRng::from_seed(7);
         let producer = producer(&mut rng);
-        let mut a = Broker::preshared(0, 7, IndexKind::Poset, false);
-        let mut b = Broker::preshared(1, 8, IndexKind::Poset, false);
-        a.set_neighbors(&[1]);
-        b.set_neighbors(&[0]);
-        a.install_plain_link(1);
-        b.install_plain_link(0);
-        a.provision_preshared(&producer);
-        b.provision_preshared(&producer);
+        let (mut a, mut b) = linked_pair(&producer);
 
         let narrow = producer
             .seal_registration(
@@ -3020,6 +3077,51 @@ mod tests {
         let local = deliveries(&outs);
         assert_eq!(local.len(), 1);
         assert_eq!(local[0].client, ClientId(1));
+    }
+
+    #[test]
+    fn narrowing_re_registration_uncovers_what_the_old_filter_covered() {
+        // Regression: re-registering a *forwarded* id replaced its row
+        // and re-forwarded, but never uncovered — a subscription pruned
+        // behind the old, broader filter was stranded: upstream held
+        // only the narrowed copy and stopped sending what it wanted.
+        let mut rng = CryptoRng::from_seed(17);
+        let producer = producer(&mut rng);
+        let (mut a, mut b) = linked_pair(&producer);
+        let mut register = |a: &mut Broker, b: &mut Broker, id: u64, above: f64| {
+            let spec = SubscriptionSpec::new().gt("price", above);
+            let envelope = producer
+                .seal_registration(&spec, SubscriptionId(id), ClientId(id), &mut rng)
+                .unwrap();
+            let outs = a.step(id, Input::Subscribe { envelope }).unwrap();
+            let kinds: Vec<String> = frames(&outs)
+                .iter()
+                .map(|f| Message::from_wire(&f.bytes).unwrap().kind().to_owned())
+                .collect();
+            for f in frames(&outs) {
+                b.step(id, Input::Frame { from: f.from, bytes: f.bytes.clone() }).unwrap();
+            }
+            kinds
+        };
+        assert_eq!(register(&mut a, &mut b, 1, 0.0).len(), 1, "id 1 forwards");
+        assert!(register(&mut a, &mut b, 2, 5.0).is_empty(), "id 2 is pruned behind it");
+        // Narrowing id 1 to price > 50: id 2 goes upstream *first*, then
+        // the replacement (make-before-break), and counts as uncovered.
+        assert_eq!(register(&mut a, &mut b, 1, 50.0), vec!["sub-forward", "sub-forward"]);
+        let stats = a.stats();
+        assert_eq!((stats.forwarded, stats.uncovered, stats.removed), (2, 1, 0));
+        assert_eq!(a.core.upstream[0].1.row_ids(), vec![SubscriptionId(1), SubscriptionId(2)]);
+        assert_eq!(b.subscriptions(), 2);
+
+        // price = 10 entering at b matches only id 2 and must reach it.
+        let publication = PublicationSpec::new().attr("price", 10.0);
+        let items = vec![item(&producer, &publication, &mut rng)];
+        let outs = b.step(9, Input::Publish { items, trace: TraceId::NONE }).unwrap();
+        let fwd = frames(&outs);
+        assert_eq!(fwd.len(), 1, "b still knows about id 2's interest");
+        let outs = a.step(9, Input::Frame { from: 1, bytes: fwd[0].bytes.clone() }).unwrap();
+        let clients: Vec<ClientId> = deliveries(&outs).iter().map(|d| d.client).collect();
+        assert_eq!(clients, vec![ClientId(2)]);
     }
 
     #[test]
@@ -3459,19 +3561,51 @@ mod tests {
         assert!(appended >= 30, "most checkpoints are deltas, got {appended}");
         assert!((3..=10).contains(&stats.compactions), "doubling rule: {}", stats.compactions);
 
-        // A retirement is not a journal kind: its step writes a base, and
-        // the retired envelope is gone from the host's file with it.
+        // A retiring step appends too — ten bytes — and the retired
+        // envelope stays on the host's disk, counted.
         subscribe_n(&mut broker, &producer, &mut rng, 40..41);
         let retired = broker.core.live[&SubscriptionId(40)].envelope.clone();
         let holds = |file: &[u8]| file.windows(retired.len()).any(|w| w == retired);
-        assert!(broker.stats().log_entries > 0 && holds(broker.sealed_record().unwrap()));
-        let unreg =
-            producer.seal_unregistration(SubscriptionId(40), ClientId(40), &mut rng).unwrap();
-        broker.step(41, Input::Unsubscribe { envelope: unreg }).unwrap();
+        let mut retire = |broker: &mut Broker, id: u64| {
+            let unreg =
+                producer.seal_unregistration(SubscriptionId(id), ClientId(id), &mut rng).unwrap();
+            broker.step(41 + id, Input::Unsubscribe { envelope: unreg }).unwrap();
+        };
+        let before = (broker.stats(), broker.sealed_record().unwrap().len());
+        assert!(before.0.log_entries > 0 && holds(broker.sealed_record().unwrap()));
+        retire(&mut broker, 40);
         let after = broker.stats();
-        assert_eq!((after.seals, after.compactions), (stats.seals + 2, stats.compactions + 1));
-        assert_eq!(after.log_entries, 0);
-        assert!(!holds(broker.sealed_record().unwrap()));
+        assert_eq!((after.seals, after.compactions), (stats.seals + 2, stats.compactions));
+        assert_eq!(after.log_entries, before.0.log_entries + 1);
+        assert_eq!(broker.sealed_record().unwrap().len(), before.1 + 4 + 10);
+        assert_eq!(broker.core.retired_bytes, retired.len());
+        assert!(holds(broker.sealed_record().unwrap()));
+
+        // Retirements alone then cross the retired quarter, long before
+        // their deltas could reach the base's size. That compaction takes
+        // the retired envelopes off the disk.
+        let mut by_retired_quarter = false;
+        for id in 0..40 {
+            let (log, compactions) = (broker.log, broker.stats().compactions);
+            let retired_bytes =
+                broker.core.retired_bytes + broker.core.live[&SubscriptionId(id)].envelope.len();
+            retire(&mut broker, id);
+            let file = broker.sealed_record().unwrap();
+            assert!(file.len() < 2 * (broker.log.base_bytes + 4));
+            let quarter_reached = retired_bytes >= log.base_bytes / RETIRED_DIVISOR;
+            if broker.stats().compactions == compactions {
+                assert!(!quarter_reached && broker.core.retired_bytes == retired_bytes);
+                continue;
+            }
+            assert_eq!((broker.stats().log_entries, broker.core.retired_bytes), (0, 0));
+            assert!(!holds(file), "a compaction drops every retired envelope");
+            if log.delta_bytes + 10 < log.base_bytes {
+                assert!(quarter_reached, "neither rule was due");
+                by_retired_quarter = true;
+                break;
+            }
+        }
+        assert!(by_retired_quarter, "retirements never compacted by the retired quarter");
     }
 
     #[test]
@@ -3563,12 +3697,15 @@ mod tests {
         let mut cut = genuine.clone();
         cut.truncate(genuine.len() - 3);
         let mut unknown_kind = genuine.clone();
-        journal::append_entry(&mut unknown_kind, &[2, 0, 0, 0, 0, 0, 0, 0, 77, 0]);
+        journal::append_entry(&mut unknown_kind, &[3, 0, 0, 0, 0, 0, 0, 0, 77, 0]);
+        let mut unknown_id = genuine.clone();
+        journal::append_entry(&mut unknown_id, &[2, 0, 0, 0, 0, 0, 0, 0, 77, 0]);
         let mut delta_first = Vec::new();
         journal::append_entry(&mut delta_first, entries[1]);
         for (bad, what) in [
             (cut, "torn tail"),
             (unknown_kind, "delta entry of a kind the journal does not have"),
+            (unknown_id, "removal of an id that was never admitted"),
             (delta_first, "delta in base position"),
         ] {
             broker.set_sealed_record(bad);

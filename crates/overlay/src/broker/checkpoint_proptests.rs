@@ -6,16 +6,23 @@
 //! re-registration of a live id with a changed filter, forced rebalancing
 //! passes and serving ticks — and crashed after a random step. Its only
 //! way back is the host file: the last base plus the deltas appended
-//! since, redone through the admission code. An uncrashed twin receives
-//! the same inputs. After the restart, and again after the rest of the
-//! schedule and a second crash, the two must be indistinguishable:
+//! since, admissions and retirements alike, redone through the live
+//! admission and removal code. An uncrashed twin receives the same
+//! inputs. After the restart, and again after the rest of the schedule
+//! and a second crash, the two must be indistinguishable:
 //!
 //! * their full recovery records serialise to the **same bytes** (matcher
 //!   contents and slice assignment, live set, every covering table row
 //!   and every ledger counter);
+//! * the restarted broker — no live neighbour, so serving at once —
+//!   resumes with the twin's retired-bytes figure, recomputed by the redo;
 //! * probe publications deliver and forward exactly what a flat oracle
 //!   engine holding the live set says;
 //! * `rows == forwarded_total − removed` holds on both.
+//!
+//! Every schedule ends on a short fixed tail that leaves a retirement in
+//! a *delta* of the file the last restart reads, so each case redoes at
+//! least one removal rather than finding them all folded into a base.
 //!
 //! A child module of `broker` so it can read `BrokerCore` directly: the
 //! plaintext record must not grow a public accessor for a test's sake.
@@ -276,7 +283,22 @@ fn assert_same_state(crashed: &Broker, twin: &Broker, what: &str) -> Result<(), 
         "{}: ledgers diverged",
         what
     );
+    prop_assert_eq!(crashed.core.retired_bytes, twin.core.retired_bytes, "{}", what);
     Ok(())
+}
+
+/// Retirements journalled in the deltas of `broker`'s host file: what a
+/// restart from it redoes through `uncover_after_removal`.
+fn removals_in_deltas(broker: &Broker) -> usize {
+    let file = broker.sealed_record().unwrap_or_default();
+    let mut removals = 0;
+    for delta in journal::split_entries(file).expect("host file").iter().skip(1) {
+        let mut entries = RedoReader::new(delta);
+        while let Some(entry) = entries.next().expect("delta entry") {
+            removals += usize::from(matches!(entry, Redo::Remove { .. }));
+        }
+    }
+    removals
 }
 
 /// The whole property for one partition configuration.
@@ -295,10 +317,19 @@ fn crash_anywhere(
 
     // Eight guaranteed admissions up front: under the doubling rule that
     // alone crosses the second compaction, whatever the script does next.
+    // The tail: eight more, so the base is large enough for one
+    // retirement to stay under its retired quarter, then fresh local
+    // subscribe / unsubscribe pairs until a retirement sits in a delta
+    // (the first pair can still trip a compaction the script left due;
+    // the pair after a compaction cannot).
     let warmup = (0..8).map(|i| ((i % 4) as u8, i));
-    let crash_after = crash_after % (8 + script.len());
-    for (step, (op, pick)) in warmup.chain(script.iter().copied()).enumerate() {
+    let tail = (0..8).map(|i| ((i % 4) as u8, i)).chain([(0, 0), (4, usize::MAX)].repeat(4));
+    let (crash_after, pairs_from) = (crash_after % (8 + script.len()), 16 + script.len());
+    for (step, (op, pick)) in warmup.chain(script.iter().copied()).chain(tail).enumerate() {
         let now = step as u64;
+        if step >= pairs_from && op == 0 && removals_in_deltas(&crashed) > 0 {
+            break; // a retirement sits in a delta: no further pair needed
+        }
         if op == 9 {
             let a = crashed.rebalance_now().expect("rebalance");
             let b = twin.rebalance_now().expect("rebalance");
@@ -316,9 +347,11 @@ fn crash_anywhere(
     }
 
     // The restored broker kept journalling onto the chain it restored
-    // from: a second crash at the very end must round-trip too.
+    // from: a second crash at the very end must round-trip too, and its
+    // restart redoes a retirement from a delta.
     assert_same_state(&crashed, &twin, "at the end of the schedule")?;
-    crash_and_restart(&mut crashed, (8 + script.len()) as u64, &producer);
+    prop_assert!(removals_in_deltas(&crashed) > 0, "no retirement left in a delta to redo");
+    crash_and_restart(&mut crashed, (24 + script.len()) as u64, &producer);
     assert_same_state(&crashed, &twin, "after the final crash")?;
     harness.assert_routes_like_the_oracle(&mut crashed, probes, "after the final crash")?;
     harness.assert_routes_like_the_oracle(&mut twin, probes, "twin")?;

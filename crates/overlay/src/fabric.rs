@@ -538,6 +538,33 @@ impl OverlayFabric {
         Ok(id)
     }
 
+    /// Re-registers subscription `id` with a new filter at its home
+    /// router — same id and client, a fresh producer-signed envelope. The
+    /// new filter replaces the old one at every broker the subscription
+    /// had reached, and on every link it had been forwarded on,
+    /// subscriptions pruned behind the old filter that the new one no
+    /// longer covers are re-forwarded ahead of the replacement.
+    ///
+    /// # Errors
+    ///
+    /// As [`OverlayFabric::unsubscribe`].
+    pub fn resubscribe(
+        &mut self,
+        id: SubscriptionId,
+        spec: &SubscriptionSpec,
+    ) -> Result<(), OverlayError> {
+        let &(at, client) = self
+            .issued
+            .get(&id)
+            .ok_or(OverlayError::Routing(ScbrError::NotFound { what: "subscription" }))?;
+        let envelope = self
+            .producer
+            .seal_registration(spec, id, client, &mut self.rng)
+            .map_err(OverlayError::Routing)?;
+        self.dispatch(at, Input::Subscribe { envelope })?;
+        Ok(())
+    }
+
     /// Retires subscription `id`, propagating the removal through the
     /// tree: each broker drops the entry from its index, and on every
     /// link the subscription had been forwarded on, newly *uncovered*

@@ -216,20 +216,19 @@ impl ForwardingTable {
         fresh
     }
 
-    /// Removes a forwarded entry. Returns whether it was present (a
+    /// Removes a forwarded entry and hands the row back — what it covered
+    /// is what its removal may uncover. `None` when it was not present (a
     /// pruned subscription was never in the table, so removing it is a
     /// no-op and — crucially — generates no upstream traffic).
-    pub fn remove(&mut self, id: SubscriptionId) -> bool {
-        let Some(p) = self.pos.remove(&id) else {
-            return false;
-        };
+    pub fn remove(&mut self, id: SubscriptionId) -> Option<CompiledSubscription> {
+        let p = self.pos.remove(&id)?;
         let (_, sub) = self.entries.swap_remove(p);
         if let Some((moved, _)) = self.entries.get(p) {
             self.pos.insert(*moved, p);
         }
         self.bucket_remove(cover_key(&sub), id);
         self.removed += 1;
-        true
+        Some(sub)
     }
 
     /// Counts one covering-pruned (not forwarded) subscription.
@@ -320,7 +319,7 @@ mod tests {
         assert!(!table.record(SubscriptionId(1), wider.clone()));
         assert!(table.covered(&wider));
         // One removal fully clears the id.
-        assert!(table.remove(SubscriptionId(1)));
+        assert_eq!(table.remove(SubscriptionId(1)), Some(wider), "the replaced row comes back");
         assert_eq!(table.forwarded(), 0);
         assert!(!table.contains(SubscriptionId(1)));
     }
@@ -397,11 +396,11 @@ mod tests {
         let a = compiled(SubscriptionSpec::new().gt("price", 0.0), &schema);
         let b = compiled(SubscriptionSpec::new().gt("price", 5.0), &schema);
         let mut table = ForwardingTable::new();
-        table.record(SubscriptionId(1), a);
-        assert!(!table.remove(SubscriptionId(9)), "absent id: no-op");
+        table.record(SubscriptionId(1), a.clone());
+        assert!(table.remove(SubscriptionId(9)).is_none(), "absent id: no-op");
         assert_eq!(table.removed(), 0);
-        assert!(table.remove(SubscriptionId(1)));
-        assert!(!table.remove(SubscriptionId(1)), "second removal is a no-op");
+        assert_eq!(table.remove(SubscriptionId(1)), Some(a));
+        assert!(table.remove(SubscriptionId(1)).is_none(), "second removal is a no-op");
         table.record_uncovered(SubscriptionId(2), b);
         assert_eq!(table.forwarded_total(), 2);
         assert_eq!(table.removed(), 1);

@@ -2,14 +2,16 @@
 //! flushed into.
 //!
 //! Between two checkpoints the enclave-resident core appends one entry
-//! per admitted registration to a [`Journal`]; a checkpoint seals the
-//! pending entries as one *delta* and hands it to the host, which appends
-//! it to the recovery file. A restart reads the entries back
-//! ([`RedoReader`]) and redoes them on top of the base record. Entries
-//! are logical — "this registration was admitted from there" — never
-//! table rows: redo runs the same covering code as live traffic, so
-//! there is nothing physical to keep in step. Retirements are not a
-//! journal kind: a step that retires a subscription rewrites the base.
+//! per admitted and per retired registration to a [`Journal`]; a
+//! checkpoint seals the pending entries as one *delta* and hands it to
+//! the host, which appends it to the recovery file. A restart reads the
+//! entries back ([`RedoReader`]) and redoes them on top of the base
+//! record. Entries are logical — "this registration was admitted from
+//! there", "that id was retired from there" — never table rows: redo
+//! runs the same covering and uncovering code as live traffic, so there
+//! is nothing physical to keep in step. Admissions and retirements both
+//! append; a base is written only by the compaction rule (by size or by
+//! retired quarter, see `Broker::checkpoint`).
 //!
 //! An admission is journalled with its **opened registration body**
 //! beside the producer's envelope: the envelope is what neighbours are
@@ -18,9 +20,11 @@
 
 use crate::broker::Origin;
 use scbr::codec::{Reader, Writer};
+use scbr::ids::SubscriptionId;
 use scbr::ScbrError;
 
 const ADMIT: u8 = 1;
+const REMOVE: u8 = 2;
 
 /// Writes an [`Origin`] (shared with the base record's live set).
 pub(crate) fn write_origin(w: &mut Writer, origin: Origin) {
@@ -43,10 +47,10 @@ pub(crate) fn read_origin(r: &mut Reader<'_>) -> Result<Origin, ScbrError> {
     }
 }
 
-/// Admissions since the last checkpoint, already in their sealed-delta
-/// encoding. Volatile: it dies with the enclave, exactly like the
-/// admissions it describes. No `Debug`: the buffer holds opened
-/// registration bodies.
+/// Admissions and retirements since the last checkpoint, already in
+/// their sealed-delta encoding. Volatile: it dies with the enclave,
+/// exactly like the mutations it describes. No `Debug`: the buffer holds
+/// opened registration bodies.
 #[derive(Default)]
 pub(crate) struct Journal {
     buf: Vec<u8>,
@@ -61,6 +65,15 @@ impl Journal {
         w.u8(ADMIT);
         write_origin(&mut w, origin);
         w.u8(u8::from(replay)).bytes(body).bytes(envelope);
+        self.buf.extend_from_slice(&w.into_bytes());
+    }
+
+    /// Records a retirement: the id, and where the removal entered (the
+    /// link that already knows and is not told again).
+    pub(crate) fn remove(&mut self, id: SubscriptionId, origin: Origin) {
+        let mut w = Writer::new();
+        w.u8(REMOVE).u64(id.0);
+        write_origin(&mut w, origin);
         self.buf.extend_from_slice(&w.into_bytes());
     }
 
@@ -80,12 +93,10 @@ impl Journal {
     }
 }
 
-/// One journalled admission, borrowed from a delta payload.
-pub(crate) struct Redo<'a> {
-    pub(crate) origin: Origin,
-    pub(crate) replay: bool,
-    pub(crate) body: &'a [u8],
-    pub(crate) envelope: &'a [u8],
+/// One journalled mutation, borrowed from a delta payload.
+pub(crate) enum Redo<'a> {
+    Admit { origin: Origin, replay: bool, body: &'a [u8], envelope: &'a [u8] },
+    Remove { id: SubscriptionId, origin: Origin },
 }
 
 /// Reads a delta payload back, entry by entry.
@@ -104,14 +115,15 @@ impl<'a> RedoReader<'a> {
             return Ok(None);
         }
         let r = &mut self.r;
-        if r.u8()? != ADMIT {
-            return Err(ScbrError::Codec { context: "recovery journal entry kind" });
-        }
-        Ok(Some(Redo {
-            origin: read_origin(r)?,
-            replay: r.u8()? != 0,
-            body: r.bytes_ref()?,
-            envelope: r.bytes_ref()?,
+        Ok(Some(match r.u8()? {
+            ADMIT => Redo::Admit {
+                origin: read_origin(r)?,
+                replay: r.u8()? != 0,
+                body: r.bytes_ref()?,
+                envelope: r.bytes_ref()?,
+            },
+            REMOVE => Redo::Remove { id: SubscriptionId(r.u64()?), origin: read_origin(r)? },
+            _ => return Err(ScbrError::Codec { context: "recovery journal entry kind" }),
         }))
     }
 }
@@ -143,15 +155,18 @@ mod tests {
     fn journal_round_trips_through_a_delta_payload() {
         let mut journal = Journal::default();
         journal.admit(Origin::Link(3), true, b"body", b"envelope");
+        journal.remove(SubscriptionId(7), Origin::Link(2));
         journal.admit(Origin::Local, false, b"", b"e");
-        assert!(journal.len() > 0);
+        let admissions = journal.len();
+        journal.remove(SubscriptionId(u64::MAX), Origin::Local);
+        assert_eq!(journal.len(), admissions + 10, "a local retirement is ten bytes");
         let delta = journal.take();
         assert_eq!(journal.len(), 0, "taking the delta empties the journal");
 
         let mut redo = RedoReader::new(&delta);
         assert!(matches!(
             redo.next().unwrap(),
-            Some(Redo {
+            Some(Redo::Admit {
                 origin: Origin::Link(3),
                 replay: true,
                 body: b"body",
@@ -160,7 +175,15 @@ mod tests {
         ));
         assert!(matches!(
             redo.next().unwrap(),
-            Some(Redo { origin: Origin::Local, replay: false, body: b"", envelope: b"e" })
+            Some(Redo::Remove { id: SubscriptionId(7), origin: Origin::Link(2) })
+        ));
+        assert!(matches!(
+            redo.next().unwrap(),
+            Some(Redo::Admit { origin: Origin::Local, replay: false, body: b"", envelope: b"e" })
+        ));
+        assert!(matches!(
+            redo.next().unwrap(),
+            Some(Redo::Remove { id: SubscriptionId(u64::MAX), origin: Origin::Local })
         ));
         assert!(redo.next().unwrap().is_none());
     }
@@ -170,6 +193,16 @@ mod tests {
         assert!(RedoReader::new(&[7]).next().is_err(), "unknown entry kind");
         assert!(RedoReader::new(&[ADMIT, 0, 0, 0, 0, 0, 9]).next().is_err(), "truncated body");
         assert!(RedoReader::new(&[ADMIT, 1, 2]).next().is_err(), "truncated origin");
+        assert!(RedoReader::new(&[REMOVE, 0, 0, 0, 0, 0, 0, 7]).next().is_err(), "truncated id");
+        let removal = [REMOVE, 0, 0, 0, 0, 0, 0, 0, 7, 1, 0, 0, 0, 0, 0, 0, 0, 2];
+        assert!(RedoReader::new(&removal).next().unwrap().is_some());
+        assert!(RedoReader::new(&removal[..9]).next().is_err(), "missing origin");
+        assert!(RedoReader::new(&removal[..13]).next().is_err(), "truncated origin link");
+        assert!(
+            RedoReader::new(&[REMOVE, 0, 0, 0, 0, 0, 0, 0, 7, 9]).next().is_err(),
+            "origin tag"
+        );
+        assert!(RedoReader::new(&[3]).next().is_err(), "the kind after the last one");
 
         let mut file = Vec::new();
         append_entry(&mut file, b"base");

@@ -238,6 +238,48 @@ fn edited_record_chains_are_refused() {
     assert_eq!(deliveries.len() as u64, subscribed);
 }
 
+/// A delta that removes an id the base never held — or removes one
+/// twice — is not a record the enclave wrote: the live core journals a
+/// retirement only for an id it holds, so redo refuses the file instead
+/// of skipping the entry. Forging a delta at all takes a pre-shared
+/// fabric, whose chain is stored unsealed; under attestation the MAC
+/// refuses it first (`edited_record_chains_are_refused`).
+#[test]
+fn a_delta_that_removes_an_id_the_base_never_held_is_refused() {
+    let mut fabric =
+        OverlayFabric::build(Topology::line(2), FabricConfig::preshared(67)).expect("build");
+    let mut ids = Vec::new();
+    for i in 0..3u64 {
+        let spec = SubscriptionSpec::new().gt("price", i as f64);
+        ids.push(fabric.subscribe(1, ClientId(i), &spec).unwrap());
+    }
+    let genuine = fabric.sealed_record(1).unwrap();
+    // A journalled retirement: kind 2, the id, origin tag 0 (local).
+    let removal = |id: u64| [&[2u8][..], &id.to_be_bytes(), &[0]].concat();
+    let appended = |deltas: &[Vec<u8>]| {
+        let entries = file_entries(&genuine);
+        file_of(&entries.iter().chain(deltas).collect::<Vec<_>>())
+    };
+
+    fabric.crash(1).unwrap();
+    for (what, file) in [
+        ("an id never admitted", appended(&[removal(77)])),
+        ("an id already removed", appended(&[removal(ids[0].0), removal(ids[0].0)])),
+    ] {
+        fabric.set_sealed_record(1, file.clone());
+        let result = fabric.restart(1);
+        assert!(matches!(result, Err(OverlayError::Routing(_))), "{what}: got {result:?}");
+        assert_eq!(fabric.lifecycle(1), Lifecycle::Crashed, "{what}: refused broker stays crashed");
+        assert_eq!(fabric.broker_stats()[1].subscriptions, 0, "{what}: nothing was restored");
+        assert_eq!(fabric.sealed_record(1), Some(file), "{what}: the file is untouched");
+    }
+
+    fabric.set_sealed_record(1, genuine);
+    assert_eq!(fabric.restart(1).unwrap().restored, 3);
+    let deliveries = fabric.publish(0, &[PublicationSpec::new().attr("price", 9.0)]).unwrap();
+    assert_eq!(deliveries.len(), 3);
+}
+
 /// A subscription removed while a broker was down is reconciled at
 /// rejoin: the neighbour's replay no longer vouches for it, so the
 /// rejoiner drops it and propagates authenticated `sub-drop`s down the

@@ -1,15 +1,18 @@
 //! Property: the **full subscription lifecycle** — random interleavings
-//! of subscribe and unsubscribe over random trees — keeps the overlay
+//! of subscribe, unsubscribe and re-registration of a live id under a
+//! different filter, over random trees — keeps the overlay
 //! delivery-equivalent to a flat single-router oracle *after every step*,
 //! in both covering-pruned and flooded propagation modes.
 //!
 //! Unsubscription is where the covering optimisation gets dangerous: a
 //! removal may *uncover* subscriptions that were pruned behind it, and
 //! forgetting to re-forward them silently under-delivers, while
-//! re-forwarding too eagerly leaks table rows. These properties pin both
-//! failure modes:
+//! re-forwarding too eagerly leaks table rows. A re-registration that
+//! narrows a forwarded filter uncovers in exactly the same way, with no
+//! removal to hang it on. These properties pin both failure modes:
 //!
-//! * after every subscribe/unsubscribe, a probe publication batch is
+//! * after every subscribe/unsubscribe/re-registration, a probe
+//!   publication batch is
 //!   routed through the pruned fabric, the flooded fabric and a flat
 //!   oracle engine, and all three delivery sets must be identical;
 //! * when the script ends, every remaining subscription is removed and
@@ -94,6 +97,24 @@ fn build_pub(raw: &RawPub) -> PublicationSpec {
     spec
 }
 
+/// A publication `raw`'s filter matches, whatever else does: probing with
+/// the witness of every live subscription finds a stranded one at once,
+/// where a random probe would have to land in the gap.
+fn witness(raw: &RawSub) -> PublicationSpec {
+    let mut values = [4.0; NUMERIC.len()];
+    let mut used = std::collections::HashSet::new();
+    for (attr, op, bound) in &raw.bounds {
+        if used.insert(*attr) {
+            values[*attr] = *bound as f64 + [-1.0, 0.0, 1.0, 0.0][(*op as usize).min(3)];
+        }
+    }
+    let mut spec = PublicationSpec::new().attr("symbol", SYMBOLS[raw.symbol.unwrap_or(0)]);
+    for (name, value) in NUMERIC.iter().zip(values) {
+        spec = spec.attr(name, value);
+    }
+    spec
+}
+
 /// Builds a random tree from parent choices: router `i`'s parent is
 /// `parents[i-1] % i`, guaranteeing acyclicity and connectivity.
 fn build_tree(parents: &[usize]) -> Topology {
@@ -122,22 +143,27 @@ enum Step {
     Subscribe,
     /// Unsubscribe the `pick % live`-th live subscription.
     Unsubscribe(usize),
+    /// Re-register the `pick % live`-th live subscription — same id,
+    /// client and edge router — under another generated filter.
+    Resubscribe(usize),
 }
 
 /// Decodes the raw script into concrete steps against the generated
 /// subscription pool, ending with the removal of everything still live.
-fn decode_script(script: &[(bool, usize)], total_subs: usize) -> Vec<Step> {
+fn decode_script(script: &[(u8, usize)], total_subs: usize) -> Vec<Step> {
     let mut steps = Vec::new();
     let mut pending = total_subs;
     let mut live = 0usize;
-    for &(subscribe, pick) in script {
-        if subscribe && pending > 0 {
+    for &(op, pick) in script {
+        if op == 0 && pending > 0 {
             steps.push(Step::Subscribe);
             pending -= 1;
             live += 1;
-        } else if !subscribe && live > 0 {
+        } else if op == 1 && live > 0 {
             steps.push(Step::Unsubscribe(pick));
             live -= 1;
+        } else if op == 2 && live > 0 {
+            steps.push(Step::Resubscribe(pick));
         }
     }
     // Drain everything so the final emptiness check always runs.
@@ -176,13 +202,14 @@ fn assert_counters(fabric: &OverlayFabric, ctx: &str) -> Result<(), TestCaseErro
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// After every subscribe/unsubscribe step, pruned ≡ flooded ≡ flat
-    /// oracle; after the final step, every broker is completely drained.
+    /// After every subscribe/unsubscribe/re-registration step, pruned ≡
+    /// flooded ≡ flat oracle; after the final step, every broker is
+    /// completely drained.
     #[test]
     fn lifecycle_interleavings_stay_oracle_equivalent(
         parents in proptest::collection::vec(0usize..8, 1..5),
         subs in proptest::collection::vec(sub_strategy(), 1..8),
-        script in proptest::collection::vec((any::<bool>(), 0usize..16), 0..16),
+        script in proptest::collection::vec((0u8..3, 0usize..16), 0..24),
         pubs in proptest::collection::vec(pub_strategy(), 1..3),
         publish_router in 0usize..64,
         seed in 0u64..1_000,
@@ -212,8 +239,9 @@ proptest! {
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
         let mut oracle = MatchingEngine::new(&mem, IndexKind::Naive);
 
-        // id → index into `subs`, for oracle-expectation building.
-        let mut live: Vec<(SubscriptionId, usize)> = Vec::new();
+        // id → (index into `subs` of its owner — client and placement —
+        // and of its current filter), for oracle-expectation building.
+        let mut live: Vec<(SubscriptionId, usize, usize)> = Vec::new();
         let mut next_sub = 0usize;
 
         for (step_no, step) in steps.iter().enumerate() {
@@ -227,24 +255,44 @@ proptest! {
                     let id2 = flooded.subscribe(at, client, &spec).expect("flooded subscribe");
                     prop_assert_eq!(id, id2, "both fabrics allocate ids in lockstep");
                     oracle.register_plain(id, client, &spec).expect("oracle register");
-                    live.push((id, next_sub));
+                    live.push((id, next_sub, next_sub));
                     next_sub += 1;
                 }
                 Step::Unsubscribe(pick) => {
-                    let (id, _) = live.remove(pick % live.len());
+                    let (id, _, _) = live.remove(pick % live.len());
                     prop_assert!(pruned.unsubscribe(id).expect("pruned unsubscribe"));
                     prop_assert!(flooded.unsubscribe(id).expect("flooded unsubscribe"));
                     prop_assert!(oracle.unregister(id), "oracle had the subscription");
                 }
+                Step::Resubscribe(pick) => {
+                    // The filter of another generated subscription (the
+                    // pool is small, so broader, narrower, disjoint and
+                    // identical replacements all occur); placement and
+                    // client stay the id's own.
+                    let entry = pick % live.len();
+                    let (id, owner, _) = live[entry];
+                    let filter = (owner + 1 + pick / live.len()) % subs.len();
+                    live[entry].2 = filter;
+                    let spec = build_sub(&subs[filter]);
+                    pruned.resubscribe(id, &spec).expect("pruned re-registration");
+                    flooded.resubscribe(id, &spec).expect("flooded re-registration");
+                    oracle
+                        .register_plain(id, ClientId(owner as u64), &spec)
+                        .expect("oracle re-registration");
+                }
             }
 
-            // Probe: all three views agree on every delivery.
-            let got_pruned = pruned.publish(publish_at, &publications).expect("pruned publish");
+            // Probe — the generated publications plus a witness of every
+            // live filter: all three views agree on every delivery. The
+            // pruned fabric is probed from every router: a subscription
+            // stranded behind one link is missed only by publications
+            // that have to cross it.
+            let publications: Vec<PublicationSpec> = publications
+                .iter()
+                .cloned()
+                .chain(live.iter().map(|&(_, _, filter)| witness(&subs[filter])))
+                .collect();
             let got_flooded = flooded.publish(publish_at, &publications).expect("flooded publish");
-            prop_assert_eq!(
-                &got_pruned, &got_flooded,
-                "pruned and flooded disagree after step {}", step_no
-            );
             let mut expected: Vec<Delivery> = Vec::new();
             for (p, publication) in publications.iter().enumerate() {
                 for client in oracle.match_plain(publication).expect("oracle match") {
@@ -258,9 +306,17 @@ proptest! {
             }
             expected.sort_unstable();
             prop_assert_eq!(
-                got_pruned, expected,
-                "overlay disagrees with the flat oracle after step {}", step_no
+                &got_flooded, &expected,
+                "flooded overlay disagrees with the flat oracle after step {}", step_no
             );
+            for at in 0..routers {
+                let got_pruned = pruned.publish(at, &publications).expect("pruned publish");
+                prop_assert_eq!(
+                    &got_pruned, &expected,
+                    "overlay disagrees with the flat oracle after step {} (published at {})",
+                    step_no, at
+                );
+            }
             assert_counters(&pruned, "pruned")?;
             assert_counters(&flooded, "flooded")?;
             // Pruning must never store more than flooding.

@@ -3,14 +3,14 @@
 //! of enclave enters/exits").
 //!
 //! Measured in virtual time via `iter_custom`, driving the production
-//! batch API ([`RouterEngine::match_batch`]): one ECALL per publication
+//! batch API ([`RouterEngine::match_batch_into`]): one ECALL per publication
 //! versus one ECALL per batch. The saving is the EENTER/EEXIT pair
 //! (~3.8 µs) amortised across the batch — significant for small databases
 //! where matching itself is only tens of microseconds. The `batching`
 //! binary sweeps the same axis against slice counts and a tight EPC.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scbr::engine::RouterEngine;
+use scbr::engine::{BatchMatches, RouterEngine};
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
 use scbr_crypto::ctr::AesCtr;
@@ -47,6 +47,7 @@ fn bench_batching(c: &mut Criterion) {
                 .call(|e| e.register_plain(SubscriptionId(i as u64), ClientId(i as u64), s))
                 .expect("register");
         }
+        let mut out = BatchMatches::new();
         group.bench_function(BenchmarkId::from_parameter(batch), |b| {
             b.iter_custom(|iters| {
                 engine.reset_counters();
@@ -57,7 +58,8 @@ fn bench_batching(c: &mut Criterion) {
                     let at = processed as usize % headers.len();
                     let window: Vec<Vec<u8>> =
                         (0..n).map(|k| headers[(at + k) % headers.len()].clone()).collect();
-                    engine.match_batch(&window).expect("match");
+                    engine.match_batch_into(&window, &mut out);
+                    assert!(out.iter().all(|span| span.is_ok()), "match");
                     processed += n as u64;
                 }
                 Duration::from_nanos(engine.elapsed_ns() as u64)

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scbr::attr::AttrSchema;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::{new_index, IndexKind, SubscriptionIndex};
+use scbr::index::{new_index, IndexKind, MatchScratch, SubscriptionIndex};
 use scbr_workloads::{MarketConfig, StockMarket, Workload, WorkloadName};
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 use std::time::Duration;
@@ -49,11 +49,13 @@ fn bench_virtual_match(c: &mut Criterion) {
             group.bench_function(BenchmarkId::new(format!("{kind:?}"), workload.as_str()), |b| {
                 b.iter_custom(|iters| {
                     let mut out = Vec::new();
+                    let mut scratch = MatchScratch::new();
                     bench.mem.reset_counters();
                     for i in 0..iters {
                         out.clear();
-                        bench.index.match_header(
+                        bench.index.match_into(
                             &bench.headers[i as usize % bench.headers.len()],
+                            &mut scratch,
                             &mut out,
                         );
                     }

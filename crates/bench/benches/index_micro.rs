@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scbr::attr::AttrSchema;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::{new_index, IndexKind};
+use scbr::index::{new_index, IndexKind, MatchScratch};
 use scbr_workloads::{MarketConfig, StockMarket, Workload, WorkloadName};
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 use std::hint::black_box;
@@ -39,10 +39,15 @@ fn bench_matching(c: &mut Criterion) {
             let (index, headers) = setup(kind, n);
             group.bench_with_input(BenchmarkId::new(format!("{kind:?}"), n), &n, |b, _| {
                 let mut out = Vec::new();
+                let mut scratch = MatchScratch::new();
                 let mut i = 0;
                 b.iter(|| {
                     out.clear();
-                    index.match_header(black_box(&headers[i % headers.len()]), &mut out);
+                    index.match_into(
+                        black_box(&headers[i % headers.len()]),
+                        &mut scratch,
+                        &mut out,
+                    );
                     i += 1;
                     out.len()
                 });

@@ -1,15 +1,17 @@
 //! Million-subscriber hot path (extension): **live subscriptions ×
-//! publish rate × index kind** over the zero-allocation batch pipeline.
+//! publish rate** over the zero-allocation batch pipeline.
 //!
 //! The paper's evaluation stops at 100 k subscriptions (Figure 8 loads
 //! 500 k for registration cost only). This run pushes steady-state
 //! *matching* to one million live subscriptions under the push-feed
 //! workload ([`scbr_workloads::pushfeed`]) and measures three things:
 //!
-//! 1. **Arena vs legacy poset** — identical replayed workload against
-//!    [`IndexKind::Poset`] (arena, SoA node storage) and
-//!    [`IndexKind::PosetLegacy`] (the frozen pre-arena baseline), at
-//!    every subscription count; `index_kind` is recorded per JSON row.
+//! 1. **Scale** — the arena poset ([`IndexKind::Poset`]) at every
+//!    subscription count, on both clocks. The pre-arena poset and the
+//!    allocating `Vec<Vec<_>>` batch path this index and pipeline replaced
+//!    are gone from the tree; their last measurement over the same
+//!    workload is `crates/bench/baselines/million-7ef4a61.json` (rows
+//!    `"index_kind": "legacy"` and `"segment": "alloc_discipline"`).
 //! 2. **Batch amortisation** — per-batch µs across publish-rate
 //!    (batch-size) steps through [`RouterEngine::match_batch_into`],
 //!    which reuses one flat [`BatchMatches`] and the engine's internal
@@ -41,7 +43,7 @@ fn main() {
     let scale = Scale::from_env();
     banner(
         "Million-subscriber hot path (extension)",
-        "Push-feed fan-out: live subs × publish rate × index kind, zero-alloc batches",
+        "Push-feed fan-out: live subs × publish rate, zero-alloc batches",
         &scale,
     );
     let (sub_counts, batches, publications): (&[usize], &[usize], usize) = match scale.name {
@@ -71,112 +73,59 @@ fn main() {
             .map(|p| AesCtr::encrypt_with_nonce(&sk, &mut rng, &scbr::codec::encode_header(p)))
             .collect();
 
-        for kind in [IndexKind::Poset, IndexKind::PosetLegacy] {
-            let kind_label = match kind {
-                IndexKind::Poset => "arena",
-                IndexKind::PosetLegacy => "legacy",
-                _ => unreachable!(),
-            };
-            let mut engine = RouterEngine::outside(&platform, kind);
-            let (sk_c, pk_c) = (sk.clone(), pk.clone());
-            engine.call(move |e| e.provision_keys(sk_c, pk_c));
-            let reg_start = Instant::now();
-            for (id, client, spec) in &subs {
-                engine.call(|e| e.register_plain(*id, *client, spec)).expect("register");
-            }
-            let reg_s = reg_start.elapsed().as_secs_f64();
-            let index_bytes = engine.engine().index().logical_bytes();
-            let node_count = engine.engine().index().node_count() as u64;
-
-            let mut out = BatchMatches::new();
-            // Warm the scratch buffers: steady state starts after the
-            // first batch has sized every reusable vector.
-            engine.match_batch_into(&headers, &mut out);
-            let matched: usize = out.total_clients();
-            for &batch in batches {
-                engine.reset_counters();
-                let wall_start = Instant::now();
-                for chunk in headers.chunks(batch) {
-                    engine.match_batch_into(chunk, &mut out);
-                }
-                let wall_us = wall_start.elapsed().as_secs_f64() * 1e6 / headers.len() as f64;
-                let virt_us = engine.stats().elapsed_ns / headers.len() as f64 / 1_000.0;
-                let match_per_msg = matched as f64 / headers.len() as f64;
-                println!(
-                    "{:<8} {:<10} {:<6} {:>12.2} {:>12.2} {:>12.1} {:>10.0} {:>8.1}",
-                    kind_label,
-                    n_subs,
-                    batch,
-                    virt_us,
-                    wall_us,
-                    1_000.0 / wall_us,
-                    match_per_msg,
-                    index_bytes as f64 / (1024.0 * 1024.0)
-                );
-                rows.push(
-                    JsonObj::new()
-                        .str("segment", "index_sweep")
-                        .str("index_kind", kind_label)
-                        .int("subscriptions", n_subs as u64)
-                        .int("batch", batch as u64)
-                        .int("publications", headers.len() as u64)
-                        .num("virtual_us_per_msg", virt_us)
-                        .num("wall_us_per_msg", wall_us)
-                        .num("throughput_wall_msg_per_s", 1e6 / wall_us)
-                        .num("throughput_virtual_msg_per_s", 1e6 / virt_us)
-                        .num("matched_per_msg", match_per_msg)
-                        .num("registration_s", reg_s)
-                        .int("index_bytes", index_bytes)
-                        .int("node_count", node_count),
-                );
-            }
-        }
-    }
-
-    // Allocation discipline: the flat batch path vs the Vec<Vec<_>> path
-    // on the largest arena configuration just measured.
-    let n_subs = *sub_counts.last().expect("non-empty sweep");
-    {
-        let feed = PushFeed::new(PushFeedConfig::with_total_subscriptions(n_subs));
-        let subs = feed.subscriptions(7);
-        let pubs = feed.publications(publications, 8);
-        let mut rng = CryptoRng::from_seed(11);
-        let headers: Vec<Vec<u8>> = pubs
-            .iter()
-            .map(|p| AesCtr::encrypt_with_nonce(&sk, &mut rng, &scbr::codec::encode_header(p)))
-            .collect();
         let mut engine = RouterEngine::outside(&platform, IndexKind::Poset);
         let (sk_c, pk_c) = (sk.clone(), pk.clone());
         engine.call(move |e| e.provision_keys(sk_c, pk_c));
+        let reg_start = Instant::now();
         for (id, client, spec) in &subs {
             engine.call(|e| e.register_plain(*id, *client, spec)).expect("register");
         }
+        let reg_s = reg_start.elapsed().as_secs_f64();
+        let index_bytes = engine.engine().index().logical_bytes();
+        let node_count = engine.engine().index().node_count() as u64;
+
         let mut out = BatchMatches::new();
+        // Warm the scratch buffers: steady state starts after the
+        // first batch has sized every reusable vector.
         engine.match_batch_into(&headers, &mut out);
-        let flat_start = Instant::now();
-        engine.match_batch_into(&headers, &mut out);
-        let flat_us = flat_start.elapsed().as_secs_f64() * 1e6 / headers.len() as f64;
-        let vec_start = Instant::now();
-        let nested = engine.match_batch(&headers).expect("vec batch");
-        let vec_us = vec_start.elapsed().as_secs_f64() * 1e6 / headers.len() as f64;
-        assert_eq!(
-            nested.iter().map(Vec::len).sum::<usize>(),
-            out.total_clients(),
-            "flat and nested batch paths agree"
-        );
-        println!(
-            "\nallocation discipline at {n_subs} subs: flat reuse {flat_us:.2} µs/msg \
-             vs Vec<Vec<_>> {vec_us:.2} µs/msg"
-        );
-        rows.push(
-            JsonObj::new()
-                .str("segment", "alloc_discipline")
-                .str("index_kind", "arena")
-                .int("subscriptions", n_subs as u64)
-                .int("publications", headers.len() as u64)
-                .num("flat_reuse_wall_us_per_msg", flat_us)
-                .num("nested_alloc_wall_us_per_msg", vec_us),
-        );
+        let matched: usize = out.total_clients();
+        for &batch in batches {
+            engine.reset_counters();
+            let wall_start = Instant::now();
+            for chunk in headers.chunks(batch) {
+                engine.match_batch_into(chunk, &mut out);
+            }
+            let wall_us = wall_start.elapsed().as_secs_f64() * 1e6 / headers.len() as f64;
+            let virt_us = engine.stats().elapsed_ns / headers.len() as f64 / 1_000.0;
+            let match_per_msg = matched as f64 / headers.len() as f64;
+            println!(
+                "{:<8} {:<10} {:<6} {:>12.2} {:>12.2} {:>12.1} {:>10.0} {:>8.1}",
+                "arena",
+                n_subs,
+                batch,
+                virt_us,
+                wall_us,
+                1_000.0 / wall_us,
+                match_per_msg,
+                index_bytes as f64 / (1024.0 * 1024.0)
+            );
+            rows.push(
+                JsonObj::new()
+                    .str("segment", "index_sweep")
+                    .str("index_kind", "arena")
+                    .int("subscriptions", n_subs as u64)
+                    .int("batch", batch as u64)
+                    .int("publications", headers.len() as u64)
+                    .num("virtual_us_per_msg", virt_us)
+                    .num("wall_us_per_msg", wall_us)
+                    .num("throughput_wall_msg_per_s", 1e6 / wall_us)
+                    .num("throughput_virtual_msg_per_s", 1e6 / virt_us)
+                    .num("matched_per_msg", match_per_msg)
+                    .num("registration_s", reg_s)
+                    .int("index_bytes", index_bytes)
+                    .int("node_count", node_count),
+            );
+        }
     }
 
     // Bloom-gated ASPE segment: the encrypted matcher over the same
@@ -242,10 +191,10 @@ fn main() {
     }
 
     println!(
-        "\nexpected: the arena index beats the legacy poset on both clocks at \
-         every size (SoA node walks touch fewer lines, no per-insert clones), \
-         the flat batch path beats the allocating path, and the Bloom gate \
-         skips the large majority of quadratic forms under Zipf topics"
+        "\nexpected: virtual µs/msg stays flat from 100 k to 1 M subscriptions \
+         (directory-seeded matching) while wall µs/msg follows the match count, \
+         and the Bloom gate skips the large majority of quadratic forms under \
+         Zipf topics"
     );
     emit("million", scale.name, &rows);
 }

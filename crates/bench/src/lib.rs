@@ -16,8 +16,9 @@
 //!
 //! All times are **virtual nanoseconds** from the `sgx-sim` cost model
 //! (deterministic, host-independent) unless a column is explicitly
-//! labelled wall-clock; see `EXPERIMENTS.md` at the repository root for
-//! the paper-vs-reproduction comparison.
+//! labelled wall-clock; `tests/figures_smoke.rs` asserts each figure's
+//! directional claim at smoke scale, and the README's "Reproducing the
+//! paper's figures and tables" section lists how to run them.
 //!
 //! Set `SCBR_JSON=1` (or `SCBR_JSON=<dir>`) and the binaries additionally
 //! write machine-readable `BENCH_<artefact>.json` files ([`json`]), so

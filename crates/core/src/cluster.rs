@@ -28,18 +28,24 @@
 //!
 //! Batches are the unit of work: [`PartitionedRouter::match_encrypted_batch`]
 //! ships the whole batch to each slice, which matches it through a
-//! **single enclave crossing** ([`RouterEngine::match_batch`]), so the
-//! per-message transition cost scales as `slices / batch_size`.
+//! **single enclave crossing** ([`RouterEngine::match_batch_into`]) into
+//! its own reused flat [`BatchMatches`], so the per-message transition
+//! cost scales as `slices / batch_size` and the only per-publication
+//! allocation left is the merged client list handed back to the caller.
 //!
 //! ## Placement and rebalancing
 //!
 //! Registrations are placed round-robin, which balances slice *occupancy*
 //! without inspecting ciphertexts (the router must not learn which
-//! subscriptions are related). Unregistrations can still skew slices over
-//! time: round-robin never moves a live subscription, so a slice whose
-//! tenants happen to unsubscribe ends up under-filled while the others
-//! carry its share of the EPC budget. [`PartitionedRouter::slice_stats`]
-//! and [`PartitionedRouter::occupancy_skew`] expose the imbalance
+//! subscriptions are related). Re-registering a live id replaces it: a
+//! plaintext registration goes back to the slice that holds the id, and
+//! an envelope — whose id the router learns only from the slice's reply —
+//! retires the stale copy on the previous slice once the new one is in.
+//! Unregistrations can still skew slices over time: nothing else moves a
+//! live subscription, so a slice whose tenants happen to unsubscribe ends
+//! up under-filled while the others carry its share of the EPC budget.
+//! [`PartitionedRouter::slice_stats`] and
+//! [`PartitionedRouter::occupancy_skew`] expose the imbalance
 //! (subscriptions, index bytes, EPC swaps per slice) so an operator — or
 //! the overlay's auto-rebalancer — can detect it. Through the telemetry
 //! registry these surface as the `slice.<n>.subscriptions`,
@@ -62,7 +68,7 @@
 //! link, so counting them would make a high-degree broker read as
 //! permanently skewed and trigger futile rebalancing.
 
-use crate::engine::RouterEngine;
+use crate::engine::{BatchMatches, RouterEngine};
 use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
 use crate::index::IndexKind;
@@ -89,6 +95,9 @@ struct SliceWorker {
     /// The slice's engine. The worker thread holds the lock while running
     /// jobs; the dispatcher locks it only between fan-outs (inspection).
     engine: Arc<Mutex<RouterEngine>>,
+    /// The slice's flat match result, reused across fan-outs: the worker
+    /// fills it during a fan-out, the dispatcher's merge reads it after.
+    matches: Arc<Mutex<BatchMatches>>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -103,7 +112,7 @@ impl SliceWorker {
                 job(&mut engine);
             }
         });
-        SliceWorker { jobs: Some(tx), engine, handle: Some(handle) }
+        SliceWorker { jobs: Some(tx), engine, matches: Arc::default(), handle: Some(handle) }
     }
 
     fn send(&self, job: SliceJob) {
@@ -241,23 +250,38 @@ impl PartitionedRouter {
         }
     }
 
+    /// The next slice in round-robin order.
+    fn next_slice(&mut self) -> usize {
+        let slice = self.next % self.workers.len();
+        self.next += 1;
+        slice
+    }
+
     /// Registers an encrypted envelope on the next slice (round-robin
     /// placement keeps slices balanced without inspecting ciphertexts).
+    /// The id is only known once that slice has opened the envelope; if
+    /// it was already live on another slice, that stale copy is retired
+    /// (make-before-break), so re-registration replaces here exactly as it
+    /// does on a single engine.
     ///
     /// # Errors
     ///
     /// Propagates the slice engine's verification/decryption failures.
     pub fn register_envelope(&mut self, envelope: &[u8]) -> Result<SubscriptionId, ScbrError> {
-        let slice = self.next % self.workers.len();
-        self.next += 1;
+        let slice = self.next_slice();
         let envelope = envelope.to_vec();
         let id =
             self.run_on(slice, move |engine| engine.call(|e| e.register_envelope(&envelope)))?;
-        self.placement.insert(id, slice);
+        if let Some(previous) = self.placement.insert(id, slice) {
+            if previous != slice {
+                self.run_on(previous, move |engine| engine.call(|e| e.unregister(id)));
+            }
+        }
         Ok(id)
     }
 
-    /// Registers a plaintext subscription (baseline path).
+    /// Registers a plaintext subscription (baseline path): a live id goes
+    /// back to the slice that holds it, a new one to the next slice.
     ///
     /// # Errors
     ///
@@ -268,8 +292,10 @@ impl PartitionedRouter {
         client: ClientId,
         spec: &SubscriptionSpec,
     ) -> Result<(), ScbrError> {
-        let slice = self.next % self.workers.len();
-        self.next += 1;
+        let slice = match self.placement.get(&id) {
+            Some(&slice) => slice,
+            None => self.next_slice(),
+        };
         let spec = spec.clone();
         self.run_on(slice, move |engine| engine.call(|e| e.register_plain(id, client, &spec)))?;
         self.placement.insert(id, slice);
@@ -298,21 +324,20 @@ impl PartitionedRouter {
 
     /// Fans a whole batch of encrypted headers out to every slice
     /// **concurrently** — each slice matches the batch through a single
-    /// enclave crossing — and merges the per-publication client lists
-    /// (sorted, deduplicated).
+    /// enclave crossing into its own reused flat buffer — and merges the
+    /// slices' spans per publication (sorted, deduplicated).
     ///
     /// Wall-clock time from dispatch to merge is accumulated in
     /// [`PartitionedRouter::fanout_wall_ns`].
     ///
     /// # Errors
     ///
-    /// Fails if any slice fails on any header (all-or-nothing, matching
-    /// [`RouterEngine::match_batch`]).
+    /// Fails if any slice fails on any header (all-or-nothing: the caller
+    /// gets one merged list per header or none).
     pub fn match_encrypted_batch(
         &mut self,
         headers: &[Vec<u8>],
     ) -> Result<Vec<Vec<ClientId>>, ScbrError> {
-        let n = self.workers.len();
         let shared: Arc<[Vec<u8>]> = headers.to_vec().into();
         // The fan-out runs on untrusted host worker threads; real wall
         // time is the *point* of `fanout_wall_ns` (per-slice virtual
@@ -320,36 +345,37 @@ impl PartitionedRouter {
         // lint: allow(SL01, host-side dispatcher measuring thread fan-out wall time)
         let started = Instant::now();
         let (tx, rx) = unbounded();
-        for (slice, worker) in self.workers.iter().enumerate() {
-            let (shared, tx) = (shared.clone(), tx.clone());
+        for worker in &self.workers {
+            let (shared, matches, tx) = (shared.clone(), worker.matches.clone(), tx.clone());
             worker.send(Box::new(move |engine| {
-                let _ = tx.send((slice, engine.match_batch(&shared)));
+                let mut matches = matches.lock();
+                engine.match_batch_into(&shared, &mut matches);
+                let _ = tx.send(matches.take_first_error());
             }));
         }
         drop(tx);
-
-        let mut merged: Vec<Vec<ClientId>> = vec![Vec::new(); headers.len()];
         let mut first_err = None;
-        for _ in 0..n {
-            let (_, result) = rx.recv().expect("slice worker replies");
-            match result {
-                Ok(per_publication) => {
-                    for (i, clients) in per_publication.into_iter().enumerate() {
-                        merged[i].extend(clients);
+        for _ in &self.workers {
+            first_err = first_err.or(rx.recv().expect("slice worker replies"));
+        }
+        let merged = match first_err {
+            Some(e) => Err(e),
+            None => {
+                let slices: Vec<_> = self.workers.iter().map(|w| w.matches.lock()).collect();
+                let merge = |i| {
+                    let mut clients: Vec<ClientId> = Vec::new();
+                    for slice in &slices {
+                        clients.extend_from_slice(slice.get(i).expect("no slice failed"));
                     }
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
+                    clients.sort_unstable_by_key(|c| c.0);
+                    clients.dedup();
+                    clients
+                };
+                Ok((0..headers.len()).map(merge).collect())
             }
-        }
+        };
         self.fanout_wall_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        for clients in &mut merged {
-            clients.sort_unstable_by_key(|c| c.0);
-            clients.dedup();
-        }
-        Ok(merged)
+        merged
     }
 
     /// Total subscriptions across slices.
@@ -569,6 +595,40 @@ mod tests {
         assert!(router.unregister(SubscriptionId(4)));
         assert!(!router.unregister(SubscriptionId(4)));
         assert_eq!(router.len(), 8);
+    }
+
+    #[test]
+    fn re_registration_replaces_across_slices() {
+        // Regression: every registration used to take the next
+        // round-robin slice, so re-registering a live id stranded the old
+        // copy on another slice — still matched, and out of `unregister`'s
+        // reach.
+        let platform = SgxPlatform::for_testing(9);
+        let (crypto, mut rng) = producer();
+        let mut router = PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, 3).unwrap();
+        router.provision_keys(crypto.sk(), crypto.public_key());
+        let wide = SubscriptionSpec::new().gt("price", 1.0);
+        let narrow = SubscriptionSpec::new().gt("price", 100.0);
+        let seal = |spec: &SubscriptionSpec, rng: &mut CryptoRng| {
+            crypto.seal_registration(spec, SubscriptionId(7), ClientId(7), rng).unwrap()
+        };
+        router.register_envelope(&seal(&wide, &mut rng)).unwrap();
+        router.register_envelope(&seal(&narrow, &mut rng)).unwrap();
+        router.register_plain(SubscriptionId(8), ClientId(8), &wide).unwrap();
+        router.register_plain(SubscriptionId(8), ClientId(8), &narrow).unwrap();
+        assert_eq!(router.len(), 2, "one row per id, not one per registration");
+
+        let mut at = |price: f64, router: &mut PartitionedRouter| {
+            let header =
+                crypto.encrypt_header(&PublicationSpec::new().attr("price", price), &mut rng);
+            router.match_encrypted(&header).unwrap()
+        };
+        assert!(at(50.0, &mut router).is_empty(), "the wide filters are gone");
+        assert_eq!(at(150.0, &mut router), vec![ClientId(7), ClientId(8)]);
+        assert!(router.unregister(SubscriptionId(7)));
+        assert!(router.unregister(SubscriptionId(8)));
+        assert!(at(150.0, &mut router).is_empty(), "unregister reaches the only copy");
+        assert!(router.is_empty());
     }
 
     #[test]

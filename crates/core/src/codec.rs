@@ -276,7 +276,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<PublicationSpec, ScbrError> {
     Ok(spec)
 }
 
-/// Decodes a wire header straight into a reusable [`CompiledHeader`]:
+/// Decodes a wire header straight into a reusable [`crate::publication::CompiledHeader`]:
 /// attribute names are interned against `schema` without building `String`s
 /// and string values are FNV-hashed in place, so steady-state decoding of
 /// headers whose attributes the schema has already seen performs no heap

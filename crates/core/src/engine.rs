@@ -7,6 +7,20 @@
 //! and the index lives in EPC-backed memory) or outside (native memory) —
 //! the two configurations the paper's Figures 5 and 7 compare, optionally
 //! with encryption disabled for the plaintext baselines.
+//!
+//! ## Match surface
+//!
+//! One allocation-free core behind every encrypted entry point:
+//! [`MatchingEngine::match_plain`] and [`MatchingEngine::match_encrypted`]
+//! are the single-shot conveniences that return an owned client list
+//! (figure binaries, examples, test oracles);
+//! [`MatchingEngine::match_encrypted_append`] matches one header into a
+//! caller-owned buffer (what a partitioned matcher builds its merge on);
+//! [`MatchingEngine::match_encrypted_batch_into`] matches a batch into a
+//! reused flat [`BatchMatches`] with per-header fault isolation, and
+//! [`RouterEngine::match_batch_into`] is that same call behind a single
+//! enclave crossing — the path the TCP router, the partitioned router
+//! and the benchmark all run.
 
 use crate::attr::AttrSchema;
 use crate::codec;
@@ -115,6 +129,13 @@ impl BatchMatches {
     /// Records the next header's outcome as a failure (no clients).
     pub fn push_error(&mut self, error: ScbrError) {
         self.spans.push(Err(error));
+    }
+
+    /// Moves the first recorded failure out, leaving an empty span in its
+    /// place — for an all-or-nothing caller that discards the batch.
+    pub(crate) fn take_first_error(&mut self) -> Option<ScbrError> {
+        let span = self.spans.iter_mut().find(|span| span.is_err())?;
+        std::mem::replace(span, Ok((0, 0))).err()
     }
 }
 
@@ -423,49 +444,6 @@ impl MatchingEngine {
         Ok(AesCtr::decrypt_with_nonce(sk, &body_ct)?)
     }
 
-    /// Matches a batch of encrypted headers in one call — the paper's
-    /// future-work optimisation ("message batching … to reduce the
-    /// frequency of enclave enters/exits"): wrap this in a *single*
-    /// [`RouterEngine::call`] (or use [`RouterEngine::match_batch`], which
-    /// does exactly that) and the EENTER/EEXIT pair is amortised over the
-    /// whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first undecryptable header. Use
-    /// [`MatchingEngine::match_encrypted_batch_each`] when one poisoned
-    /// header must not sink its batch-mates.
-    pub fn match_encrypted_batch(
-        &self,
-        headers: &[Vec<u8>],
-    ) -> Result<Vec<Vec<ClientId>>, ScbrError> {
-        headers.iter().map(|ct| self.match_encrypted(ct)).collect()
-    }
-
-    /// Matches a batch of encrypted headers, reporting each outcome
-    /// independently — the fault-isolating variant the router event loop
-    /// uses, since a batch drained off the wire may mix traffic from
-    /// several producers.
-    pub fn match_encrypted_batch_each(
-        &self,
-        headers: &[Vec<u8>],
-    ) -> Vec<Result<Vec<ClientId>, ScbrError>> {
-        headers.iter().map(|ct| self.match_encrypted(ct)).collect()
-    }
-
-    /// Matches a batch of plaintext headers (baseline path for the
-    /// batching ablation).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first header that does not compile.
-    pub fn match_plain_batch(
-        &self,
-        publications: &[PublicationSpec],
-    ) -> Result<Vec<Vec<ClientId>>, ScbrError> {
-        publications.iter().map(|p| self.match_plain(p)).collect()
-    }
-
     /// Serialises the registered subscriptions (raw registration bodies
     /// plus their delivery identities) for sealing: the enclave can
     /// persist this via [`sgx_sim::seal::VersionedSeal`] and re-register
@@ -610,33 +588,16 @@ impl MatchingEngine {
     /// Decryption or decoding failures, or missing keys.
     pub fn match_encrypted(&self, header_ct: &[u8]) -> Result<Vec<ClientId>, ScbrError> {
         let mut out = Vec::new();
-        self.match_encrypted_into(header_ct, &mut out)?;
+        self.match_encrypted_append(header_ct, &mut out)?;
         Ok(out)
     }
 
-    /// Like [`MatchingEngine::match_encrypted`], but clears and fills a
-    /// caller-owned buffer: a warmed-up caller reusing one buffer sees no
-    /// heap allocation per publication.
-    ///
-    /// # Errors
-    ///
-    /// Decryption or decoding failures, or missing keys; `out` is left
-    /// empty on error.
-    pub fn match_encrypted_into(
-        &self,
-        header_ct: &[u8],
-        out: &mut Vec<ClientId>,
-    ) -> Result<(), ScbrError> {
-        out.clear();
-        let mut scratch = self.scratch.lock();
-        self.match_decrypt_append(header_ct, &mut scratch, out)
-    }
-
-    /// Like [`MatchingEngine::match_encrypted_into`], but *appends* the
-    /// header's sorted, deduplicated clients without clearing `out` — the
-    /// fan-out primitive of a partitioned matcher: every slice appends its
-    /// matches for one header into a shared buffer and the caller merges
-    /// the combined span. Nothing is appended on error.
+    /// Like [`MatchingEngine::match_encrypted`], but *appends* the
+    /// header's sorted, deduplicated clients to a caller-owned buffer
+    /// without clearing it: a warmed-up caller reusing one buffer sees no
+    /// heap allocation per publication, and a partitioned matcher has
+    /// every slice append its matches for one header into a shared buffer
+    /// and merges the combined span. Nothing is appended on error.
     ///
     /// # Errors
     ///
@@ -771,32 +732,13 @@ impl RouterEngine {
     }
 
     /// Matches a batch of encrypted headers in a **single enclave
-    /// crossing**: the EENTER/EEXIT pair (and its [`MemStats::ecalls`]
-    /// tick) is paid once for the whole slice of headers, so per-message
-    /// transition cost scales as `1/batch_size`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first undecryptable header (all-or-nothing; see
-    /// [`RouterEngine::match_batch_each`] for per-item outcomes).
-    pub fn match_batch(&mut self, headers: &[Vec<u8>]) -> Result<Vec<Vec<ClientId>>, ScbrError> {
-        self.call(|e| e.match_encrypted_batch(headers))
-    }
-
-    /// Matches a batch of encrypted headers in a single enclave crossing,
-    /// reporting each header's outcome independently (the router event
-    /// loop's drain path: one corrupt publication must not void the rest
-    /// of the batch).
-    pub fn match_batch_each(
-        &mut self,
-        headers: &[Vec<u8>],
-    ) -> Vec<Result<Vec<ClientId>, ScbrError>> {
-        self.call(|e| e.match_encrypted_batch_each(headers))
-    }
-
-    /// Matches a batch in a single enclave crossing into a reusable flat
-    /// result buffer: one ecall, per-header fault isolation, and zero
-    /// steady-state heap allocation (see
+    /// crossing** into a reusable flat result buffer — the paper's
+    /// future-work optimisation ("message batching … to reduce the
+    /// frequency of enclave enters/exits"): the EENTER/EEXIT pair (and its
+    /// [`MemStats::ecalls`] tick) is paid once for the whole slice of
+    /// headers, so per-message transition cost scales as `1/batch_size`.
+    /// Each header's outcome is independent and a steady-state call
+    /// allocates nothing (see
     /// [`MatchingEngine::match_encrypted_batch_into`]).
     pub fn match_batch_into(&mut self, headers: &[Vec<u8>], out: &mut BatchMatches) {
         self.call(|e| e.match_encrypted_batch_into(headers, out))
@@ -1270,14 +1212,18 @@ mod tests {
                 producer.encrypt_header(&publication, &mut rng)
             })
             .collect();
-        let batched = engine.match_encrypted_batch(&headers).unwrap();
+        let mut batched = BatchMatches::new();
+        engine.match_encrypted_batch_into(&headers, &mut batched);
+        assert_eq!(batched.len(), headers.len());
         for (i, ct) in headers.iter().enumerate() {
-            assert_eq!(batched[i], engine.match_encrypted(ct).unwrap());
+            assert_eq!(batched.get(i).unwrap(), engine.match_encrypted(ct).unwrap().as_slice());
         }
-        // A corrupt header in the batch fails the whole call.
+        // A corrupt header sinks only itself: its own error, the rest intact.
         let mut bad = headers.clone();
         bad[2].truncate(3);
-        assert!(engine.match_encrypted_batch(&bad).is_err());
+        engine.match_encrypted_batch_into(&bad, &mut batched);
+        assert!(batched.get(2).is_err());
+        assert_eq!(batched.iter().filter(Result::is_ok).count(), headers.len() - 1);
     }
 
     #[test]
@@ -1419,10 +1365,12 @@ mod tests {
         assert_eq!(seq_stats.ecalls, headers.len() as u64);
 
         engine.reset_counters();
-        let batched = engine.match_batch(&headers).unwrap();
+        let mut batched = BatchMatches::new();
+        engine.match_batch_into(&headers, &mut batched);
         let batch_stats = engine.stats();
         assert_eq!(batch_stats.ecalls, 1, "whole batch crosses the gate once");
-        assert_eq!(batched, sequential, "batching never changes the match set");
+        let spans: Vec<_> = batched.iter().map(|span| span.unwrap().to_vec()).collect();
+        assert_eq!(spans, sequential, "batching never changes the match set");
         assert!(
             batch_stats.elapsed_ns < seq_stats.elapsed_ns,
             "amortised transitions are cheaper: {} vs {}",
@@ -1430,14 +1378,17 @@ mod tests {
             seq_stats.elapsed_ns
         );
 
-        // The per-item variant isolates a poisoned header.
+        // A poisoned header is isolated behind the gate too, still in
+        // one crossing.
         let mut mixed = headers.clone();
         mixed[3].truncate(2);
-        let outcomes = engine.match_batch_each(&mixed);
-        assert!(outcomes[3].is_err());
-        for (i, outcome) in outcomes.iter().enumerate() {
+        engine.reset_counters();
+        engine.match_batch_into(&mixed, &mut batched);
+        assert_eq!(engine.stats().ecalls, 1);
+        assert!(batched.get(3).is_err());
+        for (i, outcome) in batched.iter().enumerate() {
             if i != 3 {
-                assert_eq!(outcome.as_ref().unwrap(), &sequential[i]);
+                assert_eq!(outcome.unwrap(), sequential[i].as_slice());
             }
         }
     }

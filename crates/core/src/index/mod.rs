@@ -1,33 +1,29 @@
 //! Subscription indexes: the data structures the routing engine matches
 //! against.
 //!
-//! Four implementations with one interface:
+//! Three implementations with one interface:
 //!
 //! * [`poset::PosetIndex`] — the paper's containment-based
 //!   index (à la Siena) rebuilt on an arena layout: subscriptions form a
 //!   forest ordered by covering, matching prunes entire subtrees whose
 //!   root fails, and the root directory seeds each match with only the
 //!   buckets compatible with the publication's attributes.
-//! * [`legacy::LegacyPosetIndex`] — the pre-arena poset kept verbatim as
-//!   the "old" baseline for the `BENCH_million.json` before/after rows.
 //! * [`naive::NaiveIndex`] — a linear scan, the correctness
 //!   oracle and worst-case baseline.
 //! * [`counting::CountingIndex`] — a classic
 //!   counting-algorithm engine with per-attribute posting lists, used for
-//!   the ablation study in `DESIGN.md`.
+//!   the `ablation_index` bench.
 //!
 //! All indexes store their nodes in [`sgx_sim::SimArena`]s so every probe
 //! is charged to the owning [`sgx_sim::MemorySim`] — that is what lets the
 //! benchmarks observe cache-miss knees and EPC paging exactly where the
 //! paper does.
 //!
-//! The hot path is [`SubscriptionIndex::match_into`]: it threads a
-//! caller-owned [`MatchScratch`] through the traversal so steady-state
-//! matching performs no heap allocation. [`SubscriptionIndex::match_header`]
-//! is a convenience wrapper that conjures a scratch per call.
+//! The one match entry point is [`SubscriptionIndex::match_into`]: it
+//! threads a caller-owned [`MatchScratch`] through the traversal so
+//! steady-state matching performs no heap allocation.
 
 pub mod counting;
-pub mod legacy;
 pub mod naive;
 pub mod poset;
 
@@ -36,7 +32,6 @@ use crate::publication::CompiledHeader;
 use crate::subscription::CompiledSubscription;
 
 pub use counting::CountingIndex;
-pub use legacy::LegacyPosetIndex;
 pub use naive::NaiveIndex;
 pub use poset::PosetIndex;
 
@@ -86,8 +81,6 @@ pub(crate) const NODE_STRIDE: u64 =
 pub enum IndexKind {
     /// Containment poset (the paper's engine), arena-backed.
     Poset,
-    /// Pre-arena containment poset, kept as the before/after baseline.
-    PosetLegacy,
     /// Linear scan baseline.
     Naive,
     /// Counting algorithm with per-attribute postings.
@@ -113,14 +106,6 @@ pub trait SubscriptionIndex: Send {
         out: &mut Vec<ClientId>,
     );
 
-    /// Convenience wrapper around [`Self::match_into`] with a throwaway
-    /// scratch (an unused `Vec` does not allocate, so this is only costly
-    /// once the traversal actually grows the buffers).
-    fn match_header(&self, header: &CompiledHeader, out: &mut Vec<ClientId>) {
-        let mut scratch = MatchScratch::new();
-        self.match_into(header, &mut scratch, out);
-    }
-
     /// Number of live subscriptions.
     fn len(&self) -> usize;
 
@@ -144,7 +129,6 @@ pub trait SubscriptionIndex: Send {
 pub fn new_index(kind: IndexKind, mem: &sgx_sim::MemorySim) -> Box<dyn SubscriptionIndex> {
     match kind {
         IndexKind::Poset => Box::new(PosetIndex::new(mem)),
-        IndexKind::PosetLegacy => Box::new(LegacyPosetIndex::new(mem)),
         IndexKind::Naive => Box::new(NaiveIndex::new(mem)),
         IndexKind::Counting => Box::new(CountingIndex::new(mem)),
     }
@@ -182,7 +166,7 @@ pub(crate) mod testutil {
     /// Matches and returns sorted, deduplicated client ids.
     pub fn matches(index: &dyn SubscriptionIndex, header: &CompiledHeader) -> Vec<u64> {
         let mut out = Vec::new();
-        index.match_header(header, &mut out);
+        index.match_into(header, &mut MatchScratch::new(), &mut out);
         let mut ids: Vec<u64> = out.into_iter().map(|c| c.0).collect();
         ids.sort_unstable();
         ids.dedup();

@@ -151,7 +151,7 @@ mod tests {
         let reads_before = mem.stats().reads;
         let h = header(&schema, &[("s", 5i64.into())]);
         let mut out = Vec::new();
-        index.match_header(&h, &mut out);
+        index.match_into(&h, &mut MatchScratch::new(), &mut out);
         assert!(mem.stats().reads > reads_before, "matching reads memory");
         assert_eq!(out, vec![ClientId(5)]);
     }

@@ -16,8 +16,9 @@
 //!    one node, shrinking the enclave-resident footprint — valuable when
 //!    memory beyond the EPC costs 1000× (Figure 8).
 //!
-//! Compared to [`super::legacy::LegacyPosetIndex`] (the pre-arena engine)
-//! three things changed:
+//! Compared to the pre-arena poset it replaced (deleted; its last
+//! measurement is `crates/bench/baselines/million-7ef4a61.json`) three
+//! things changed:
 //!
 //! * **Struct-of-arrays links.** Child/sibling/parent relations live in
 //!   flat `Vec<u32>` arrays indexed by node id (`u32::MAX` = none) instead
@@ -25,7 +26,7 @@
 //!   forest is O(1) pointer surgery with no heap allocation and no
 //!   `children.clone()`.
 //! * **Copyable directory keys.** Each node caches the directory bucket it
-//!   roots under ([`DirKey`], derived from its first constraint), so root
+//!   roots under (`DirKey`, derived from its first constraint), so root
 //!   promotion/demotion never needs a `sub.clone()`; bucket membership is
 //!   maintained with position-indexed `swap_remove`, O(1) per root flip.
 //! * **Directory-seeded matching.** A root can only match a publication
@@ -732,14 +733,14 @@ mod tests {
         mem.reset_counters();
         let h = header(&schema, &[("symbol", "IBM".into()), ("price", 100.0.into())]);
         let mut out = Vec::new();
-        index.match_header(&h, &mut out);
+        index.match_into(&h, &mut MatchScratch::new(), &mut out);
         assert!(out.is_empty());
         let pruned_reads = mem.stats().reads;
         assert_eq!(pruned_reads, 0, "directory seeding skips the whole forest");
         // A HAL publication walks the full 11-node subtree.
         mem.reset_counters();
         let h2 = header(&schema, &[("symbol", "HAL".into()), ("price", 100.0.into())]);
-        index.match_header(&h2, &mut out);
+        index.match_into(&h2, &mut MatchScratch::new(), &mut out);
         let full_reads = mem.stats().reads;
         assert!(full_reads >= 11, "full walk visits all nodes, saw {full_reads}");
     }

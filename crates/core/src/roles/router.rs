@@ -15,15 +15,19 @@
 //! event so message order is preserved), flattens
 //! [`Message::PublishBatch`] frames into the same batch, and matches it
 //! in [`MAX_DRAIN`]-bounded **single enclave crossings**
-//! ([`RouterEngine::match_batch_each`]) — at most one publication-free
+//! ([`RouterEngine::match_batch_into`]) — at most one publication-free
 //! wakeup per crossing, never more than `MAX_DRAIN` publications pinned
-//! by one ECALL, even when a single wire frame carries more. Under light
+//! by one ECALL, even when a single wire frame carries more. The header
+//! batch and the flat [`BatchMatches`] it is matched into live across
+//! wakeups, so a warmed-up loop allocates nothing per publication on the
+//! match path, and each publication is dispatched from its own span or
+//! its own error: one corrupt header bounces alone. Under light
 //! load the batch degenerates to one message and behaves exactly like the
 //! classic per-message loop; under heavy load the EENTER/EEXIT cost is
 //! amortised across everything the producers managed to queue — the
 //! paper's "message batching" future-work optimisation.
 
-use crate::engine::RouterEngine;
+use crate::engine::{BatchMatches, RouterEngine};
 use crate::error::ScbrError;
 use crate::ids::{ClientId, KeyEpoch};
 use crate::protocol::messages::{Message, PublishItem};
@@ -69,6 +73,11 @@ impl Router {
             // An event pulled off the channel while draining a publication
             // batch; processed before blocking on the channel again.
             let mut stashed: Option<ConnEvent> = None;
+            // The in-flight publication batch and its match result,
+            // reused across wakeups.
+            let mut headers: Vec<Vec<u8>> = Vec::new();
+            let mut pending: Vec<PendingPublish> = Vec::new();
+            let mut matches = BatchMatches::new();
             loop {
                 // Collect any newly accepted connections.
                 while let Ok((id, conn)) = accepted.try_recv() {
@@ -124,8 +133,6 @@ impl Router {
                                 // Drain the channel into one batch, then
                                 // match it in MAX_DRAIN-bounded enclave
                                 // crossings.
-                                let mut headers: Vec<Vec<u8>> = Vec::new();
-                                let mut pending: Vec<PendingPublish> = Vec::new();
                                 collect_publishes(&mut headers, &mut pending, conn, message);
                                 while headers.len() < MAX_DRAIN {
                                     match events_rx.try_recv() {
@@ -150,11 +157,13 @@ impl Router {
                                 for (chunk, info) in
                                     headers.chunks(MAX_DRAIN).zip(pending.chunks(MAX_DRAIN))
                                 {
-                                    let outcomes = engine.match_batch_each(chunk);
-                                    for (publish, outcome) in info.iter().zip(outcomes) {
+                                    engine.match_batch_into(chunk, &mut matches);
+                                    for (publish, outcome) in info.iter().zip(matches.iter()) {
                                         dispatch_outcome(publish, outcome, &conns, &delivery);
                                     }
                                 }
+                                headers.clear();
+                                pending.clear();
                             }
                             Message::Shutdown => {
                                 // Surface the transition counters the
@@ -227,7 +236,7 @@ fn collect_publishes(
 /// publishing connection).
 fn dispatch_outcome(
     publish: &PendingPublish,
-    outcome: Result<Vec<ClientId>, ScbrError>,
+    outcome: Result<&[ClientId], &ScbrError>,
     conns: &HashMap<u64, Arc<dyn Connection>>,
     delivery: &HashMap<ClientId, u64>,
 ) {
@@ -236,7 +245,7 @@ fn dispatch_outcome(
             let msg =
                 Message::Deliver { epoch: publish.epoch, payload_ct: publish.payload_ct.clone() };
             for client in clients {
-                if let Some(conn_id) = delivery.get(&client) {
+                if let Some(conn_id) = delivery.get(client) {
                     if let Some(c) = conns.get(conn_id) {
                         send_best_effort(c.as_ref(), &msg);
                     }

@@ -5,12 +5,13 @@
 //! publications through one enclave crossing may change *cost*, never
 //! *results*. These properties drive random subscription databases and
 //! header batches through all three index kinds (poset, counting, naive)
-//! and through the enclave-hosted [`RouterEngine::match_batch`] gate, and
-//! require bit-identical client lists against the one-message-at-a-time
-//! path.
+//! and through the enclave-hosted [`RouterEngine::match_batch_into`] gate,
+//! and require bit-identical client lists against the
+//! one-message-at-a-time path — with a poisoned header sinking only
+//! itself.
 
 use proptest::prelude::*;
-use scbr::engine::{MatchingEngine, RouterEngine};
+use scbr::engine::{BatchMatches, MatchingEngine, RouterEngine};
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
 use scbr::publication::PublicationSpec;
@@ -79,6 +80,11 @@ fn build_pub(raw: &RawPub) -> PublicationSpec {
     spec
 }
 
+/// The per-header spans of a batch in which every header matched.
+fn spans(batch: &BatchMatches) -> Vec<Vec<ClientId>> {
+    batch.iter().map(|span| span.expect("valid header").to_vec()).collect()
+}
+
 fn test_key() -> (SymmetricKey, RsaPublicKey) {
     (
         SymmetricKey::from_bytes([0x42; 16]),
@@ -92,8 +98,10 @@ fn test_key() -> (SymmetricKey, RsaPublicKey) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For each index kind: `match_encrypted_batch` equals the sequential
-    /// per-message path item by item, and all kinds agree with each other.
+    /// For each index kind: `match_encrypted_batch_into` equals the
+    /// sequential per-message path item by item, all kinds agree with
+    /// each other, and a poisoned header records its own error while its
+    /// batch-mates' spans stay intact.
     #[test]
     fn batch_equals_sequential_for_all_index_kinds(
         subs in proptest::collection::vec(sub_strategy(), 0..24),
@@ -125,7 +133,9 @@ proptest! {
                     .expect("generated subscriptions compile");
             }
 
-            let batched = engine.match_encrypted_batch(&headers).expect("batch matches");
+            let mut out = BatchMatches::new();
+            engine.match_encrypted_batch_into(&headers, &mut out);
+            let batched = spans(&out);
             prop_assert_eq!(batched.len(), headers.len());
             for (i, ct) in headers.iter().enumerate() {
                 let sequential = engine.match_encrypted(ct).expect("sequential matches");
@@ -134,9 +144,19 @@ proptest! {
                     "kind {:?}, publication {}", kind, i
                 );
             }
-            // The per-item variant agrees too.
-            for (i, outcome) in engine.match_encrypted_batch_each(&headers).iter().enumerate() {
-                prop_assert_eq!(outcome.as_ref().expect("valid headers"), &batched[i]);
+            // Poison one header: the reused buffer reports that error
+            // alone, every other span is what it was.
+            let poisoned = seed as usize % headers.len();
+            let mut mixed = headers.clone();
+            mixed[poisoned].truncate(3);
+            engine.match_encrypted_batch_into(&mixed, &mut out);
+            prop_assert_eq!(out.len(), headers.len());
+            for (i, outcome) in out.iter().enumerate() {
+                if i == poisoned {
+                    prop_assert!(outcome.is_err(), "kind {:?}", kind);
+                } else {
+                    prop_assert_eq!(outcome.expect("untouched"), batched[i].as_slice());
+                }
             }
             match &reference {
                 None => reference = Some(batched),
@@ -178,14 +198,16 @@ proptest! {
             .collect();
 
         let ecalls_before = inside.stats().ecalls;
+        let mut out = BatchMatches::new();
         let mut inside_results = Vec::new();
         for chunk in headers.chunks(split) {
-            inside_results.extend(inside.match_batch(chunk).expect("inside batch"));
+            inside.match_batch_into(chunk, &mut out);
+            inside_results.extend(spans(&out));
         }
         let crossings = inside.stats().ecalls - ecalls_before;
         prop_assert_eq!(crossings, headers.chunks(split).len() as u64, "one ECALL per chunk");
 
-        let outside_results = outside.match_batch(&headers).expect("outside batch");
-        prop_assert_eq!(inside_results, outside_results);
+        outside.match_batch_into(&headers, &mut out);
+        prop_assert_eq!(inside_results, spans(&out));
     }
 }

@@ -1,10 +1,9 @@
 //! Property: every index implementation computes the **same match sets**
 //! under arbitrary interleavings of inserts, removals, and matches.
 //!
-//! The arena poset (this PR) must be behaviourally indistinguishable from
-//! the frozen pre-arena poset (`IndexKind::PosetLegacy`), the counting
-//! index, and the naive scan — only cost may differ. These properties
-//! replay one random op stream against all four kinds simultaneously and
+//! The arena poset must be behaviourally indistinguishable from the
+//! counting index and the naive scan — only cost may differ. These
+//! properties replay one random op stream against all kinds simultaneously and
 //! compare outputs after every step, so structural divergence (a dropped
 //! edge during detach, a stale directory bucket, a missed root promotion)
 //! surfaces as a minimal counterexample.
@@ -17,8 +16,7 @@ use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 
-const KINDS: [IndexKind; 4] =
-    [IndexKind::Poset, IndexKind::PosetLegacy, IndexKind::Counting, IndexKind::Naive];
+const KINDS: [IndexKind; 3] = [IndexKind::Poset, IndexKind::Counting, IndexKind::Naive];
 
 const TOPICS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
@@ -100,7 +98,7 @@ fn matches_of(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All four kinds agree after every step of a random interleaving.
+    /// All kinds agree after every step of a random interleaving.
     #[test]
     fn all_index_kinds_agree_under_churn(
         pool in proptest::collection::vec(sub_strategy(), 1..24),

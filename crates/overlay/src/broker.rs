@@ -99,7 +99,7 @@
 //!
 //! ## Trust split
 //!
-//! The in-enclave state is [`BrokerCore`]: the matching engine (holding
+//! The in-enclave state is `BrokerCore`: the matching engine (holding
 //! `SK` and the plaintext compiled subscriptions) plus the per-link
 //! covering tables and the live envelope set. The untrusted shell only
 //! ever handles ciphertext — registration envelopes, encrypted headers,
@@ -167,14 +167,10 @@ use sgx_sim::seal::{SealPolicy, VersionedSeal};
 use sgx_sim::{CacheConfig, CostModel, Enclave, MemStats, MemorySim, SgxPlatform};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Top bit of a [`ClientId`] marks a link interface rather than an edge
-/// client.
-pub const LINK_INTERFACE_BIT: u64 = 1 << 63;
-
 /// The synthetic delivery identity for subscriptions learnt from
-/// neighbour `n`.
+/// neighbour `n`: [`ClientId::INTERFACE_BIT`] over the neighbour number.
 pub fn link_interface(neighbor: usize) -> ClientId {
-    ClientId(LINK_INTERFACE_BIT | neighbor as u64)
+    ClientId(ClientId::INTERFACE_BIT | neighbor as u64)
 }
 
 /// Compaction by retired quarter: a base is rewritten once the retired
@@ -747,7 +743,7 @@ impl BrokerCore {
     fn route(&self, headers: &[&[u8]], origin: Origin) -> Vec<Result<RouteDecision, ScbrError>> {
         // One match buffer per broker, reused across every header of every
         // hop (the engine's own decrypt/decode/traversal scratch is reused
-        // inside `match_encrypted_into`).
+        // inside `match_encrypted_append`).
         let mut matched = self.route_buf.lock().expect("route buffer poisoned");
         headers
             .iter()
@@ -755,10 +751,10 @@ impl BrokerCore {
                 self.matcher.match_into(ct, &mut matched)?;
                 let mut decision = RouteDecision::default();
                 for client in matched.iter() {
-                    if client.0 & LINK_INTERFACE_BIT == 0 {
+                    if !client.is_interface() {
                         decision.locals.push(*client);
                     } else {
-                        let neighbor = (client.0 & !LINK_INTERFACE_BIT) as usize;
+                        let neighbor = (client.0 & !ClientId::INTERFACE_BIT) as usize;
                         if origin != Origin::Link(neighbor) {
                             decision.links.push(neighbor);
                         }
@@ -2829,8 +2825,8 @@ mod tests {
     #[test]
     fn link_interface_encoding() {
         let iface = link_interface(5);
-        assert_eq!(iface.0 & LINK_INTERFACE_BIT, LINK_INTERFACE_BIT);
-        assert_eq!(iface.0 & !LINK_INTERFACE_BIT, 5);
+        assert!(iface.is_interface());
+        assert_eq!(iface.0 & !ClientId::INTERFACE_BIT, 5);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl ForwardingTable {
 
     /// Is `sub` covered by a subscription already forwarded on this link?
     ///
-    /// Sub-linear: only the [`CoverKey`] buckets compatible with `sub`'s
+    /// Sub-linear: only the `CoverKey` buckets compatible with `sub`'s
     /// own constraints are probed (unconstrained rows, the identical
     /// string equality per attribute, and ranges over `sub`'s attributes);
     /// every other row provably cannot cover `sub`.

@@ -315,20 +315,17 @@ impl PartitionedMatcher {
     }
 
     /// Decrypts and matches one header across every slice, replacing
-    /// `out` with the merged, sorted, deduplicated client set. With one
-    /// slice this is exactly [`MatchingEngine::match_encrypted_into`];
-    /// with several, each slice appends its span and the merge
-    /// deduplicates — which is also what makes the make-before-break
-    /// migration window deliver exactly once.
+    /// `out` with the merged, sorted, deduplicated client set: clear,
+    /// then one [`MatchingEngine::match_encrypted_append`] per slice. One
+    /// slice's span is already sorted and deduplicated; with several the
+    /// merge deduplicates — which is also what makes the
+    /// make-before-break migration window deliver exactly once.
     ///
     /// # Errors
     ///
     /// Decryption or decoding failures, or missing keys; `out` is left
     /// empty on error.
     pub fn match_into(&self, header_ct: &[u8], out: &mut Vec<ClientId>) -> Result<(), ScbrError> {
-        if self.slices.len() == 1 {
-            return self.slices[0].match_encrypted_into(header_ct, out);
-        }
         out.clear();
         for slice in &self.slices {
             if let Err(err) = slice.match_encrypted_append(header_ct, out) {
@@ -336,8 +333,10 @@ impl PartitionedMatcher {
                 return Err(err);
             }
         }
-        out.sort_unstable_by_key(|c| c.0);
-        out.dedup();
+        if self.slices.len() > 1 {
+            out.sort_unstable_by_key(|c| c.0);
+            out.dedup();
+        }
         Ok(())
     }
 

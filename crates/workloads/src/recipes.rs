@@ -318,7 +318,7 @@ mod tests {
     use scbr::attr::AttrSchema;
     use scbr::ids::{ClientId, SubscriptionId};
     use scbr::index::poset::PosetIndex;
-    use scbr::index::SubscriptionIndex;
+    use scbr::index::{MatchScratch, SubscriptionIndex};
     use sgx_sim::{CostModel, MemorySim};
 
     fn market() -> StockMarket {
@@ -480,10 +480,11 @@ mod tests {
             index.insert(SubscriptionId(i as u64), ClientId(i as u64), s.compile(&schema).unwrap());
         }
         let mut total = 0usize;
+        let mut scratch = MatchScratch::new();
         for publication in w.publications(&m, 100, 19) {
             let header = publication.compile_header(&schema).unwrap();
             let mut out = Vec::new();
-            index.match_header(&header, &mut out);
+            index.match_into(&header, &mut scratch, &mut out);
             total += out.len();
         }
         assert!(total > 0, "at least some publications match");

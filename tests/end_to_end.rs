@@ -6,10 +6,10 @@
 //! protocol messages; everything is encrypted exactly as in the paper.
 
 use scbr::engine::RouterEngine;
-use scbr::ids::ClientId;
+use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
 use scbr::index::IndexKind;
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
-use scbr::protocol::messages::Message;
+use scbr::protocol::messages::{Message, PublishItem};
 use scbr::publication::PublicationSpec;
 use scbr::roles::{ClientNode, Producer, ProducerCommand, Router};
 use scbr::subscription::SubscriptionSpec;
@@ -403,4 +403,68 @@ fn publish_batch_flows_end_to_end() {
         - 3  // deploy(): two attestation calls + one provisioning call
         - 2; // one per registration
     assert_eq!(match_ecalls, 1, "four publications, one crossing");
+}
+
+#[test]
+fn poisoned_publication_in_a_batch_bounces_alone() {
+    // Role-level fault isolation: a batch drained off the wire may mix
+    // traffic from several producers, so one corrupt header must cost
+    // exactly one `Error` to the connection that sent it — its
+    // batch-mates are matched and delivered as if it were not there.
+    // Raw connections stand in for the producer and the subscriber so
+    // the test can put a truncated header on the wire.
+    let net = InProcNetwork::new();
+    let listener = net.bind("router").expect("bind router");
+    let platform = SgxPlatform::for_testing(190);
+    let mut rng = CryptoRng::from_seed(191);
+    let crypto = ProducerCrypto::generate(512, &mut rng).expect("keys");
+    let mut engine = RouterEngine::in_enclave(&platform, IndexKind::Poset).expect("launch");
+    engine.call(|e| e.provision_keys(crypto.sk().clone(), crypto.public_key().clone()));
+    let router = Router::spawn(listener, engine);
+
+    let recv = |conn: &dyn scbr_net::Connection, wait: Duration| {
+        conn.recv_timeout(wait).expect("recv").map(|f| Message::from_wire(&f).expect("decodes"))
+    };
+    // The subscriber's connection carries its own registration, so the
+    // ack also proves the router has seen its `Hello`.
+    let subscriber = net.connect("router").expect("subscriber->router");
+    subscriber.send(&Message::Hello { client: ClientId(1) }.to_wire()).expect("hello");
+    let envelope = crypto
+        .seal_registration(
+            &SubscriptionSpec::new().eq("symbol", "HAL"),
+            SubscriptionId(1),
+            ClientId(1),
+            &mut rng,
+        )
+        .expect("seal");
+    subscriber.send(&Message::Register { envelope }.to_wire()).expect("register");
+    assert!(matches!(recv(subscriber.as_ref(), WAIT), Some(Message::RegisterAck { .. })));
+    let publisher = net.connect("router").expect("publisher->router");
+
+    let header = crypto.encrypt_header(&PublicationSpec::new().attr("symbol", "HAL"), &mut rng);
+    let item = |header_ct: Vec<u8>, payload: &[u8]| PublishItem {
+        header_ct,
+        epoch: KeyEpoch(0),
+        payload_ct: payload.to_vec(),
+    };
+    let items = vec![
+        item(header.clone(), b"first"),
+        item(header[..3].to_vec(), b"poisoned"),
+        item(header, b"third"),
+    ];
+    publisher.send(&Message::PublishBatch { items }.to_wire()).expect("publish");
+
+    for expected in [&b"first"[..], b"third"] {
+        match recv(subscriber.as_ref(), WAIT) {
+            Some(Message::Deliver { payload_ct, .. }) => assert_eq!(payload_ct, expected),
+            other => panic!("expected a delivery, got {other:?}"),
+        }
+    }
+    assert!(recv(subscriber.as_ref(), DRAIN).is_none(), "the poisoned item delivers nothing");
+    assert!(matches!(recv(publisher.as_ref(), WAIT), Some(Message::Error { .. })));
+    assert!(recv(publisher.as_ref(), DRAIN).is_none(), "exactly one error, not one per item");
+
+    publisher.send(&Message::Shutdown.to_wire()).expect("shutdown");
+    let engine = router.join().expect("join");
+    assert_eq!(engine.stats().ecalls, 3, "provision + register + one crossing for the batch");
 }

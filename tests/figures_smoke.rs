@@ -2,7 +2,8 @@
 //!
 //! Each test runs a miniature version of one evaluation experiment and
 //! checks the *directional* result the corresponding figure reports. The
-//! full-scale numbers live in `EXPERIMENTS.md`; these tests keep the
+//! full-scale numbers come from the `scbr-bench` binaries (`SCBR_JSON=1`
+//! writes them as `BENCH_<artefact>.json`); these tests keep the
 //! reproduction honest under refactoring.
 
 use scbr::engine::RouterEngine;

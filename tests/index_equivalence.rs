@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use scbr::attr::AttrSchema;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::{new_index, IndexKind, SubscriptionIndex};
+use scbr::index::{new_index, IndexKind, MatchScratch, SubscriptionIndex};
 use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
@@ -44,6 +44,8 @@ fn run_scenario(ops: Vec<Op>) -> Result<(), TestCaseError> {
     ];
     let mut inserted: Vec<SubscriptionId> = Vec::new();
     let mut next_id = 0u64;
+    // One scratch shared by all three kinds (each resizes what it uses).
+    let mut scratch = MatchScratch::new();
 
     for op in ops {
         match op {
@@ -89,7 +91,7 @@ fn run_scenario(ops: Vec<Op>) -> Result<(), TestCaseError> {
                 let mut results: Vec<Vec<u64>> = Vec::new();
                 for index in &indexes {
                     let mut out = Vec::new();
-                    index.match_header(&header, &mut out);
+                    index.match_into(&header, &mut scratch, &mut out);
                     let mut ids: Vec<u64> = out.into_iter().map(|c| c.0).collect();
                     ids.sort_unstable();
                     ids.dedup();
@@ -140,7 +142,7 @@ fn indexes_agree_on_workload_data() {
             let header = publication.compile_header(&schema).expect("compiles");
             let collect = |index: &dyn SubscriptionIndex| {
                 let mut out = Vec::new();
-                index.match_header(&header, &mut out);
+                index.match_into(&header, &mut MatchScratch::new(), &mut out);
                 let mut ids: Vec<u64> = out.into_iter().map(|c| c.0).collect();
                 ids.sort_unstable();
                 ids.dedup();

@@ -61,6 +61,20 @@ fn bench_sealed_box(c: &mut Criterion) {
 }
 
 fn bench_rsa(c: &mut Criterion) {
+    // 512 bits is the size every producer, link and attestation key uses.
+    let mut rng = CryptoRng::from_seed(512);
+    let small = RsaKeyPair::generate(512, &mut rng).expect("keygen");
+    c.bench_function("rsa512_sign", |b| {
+        b.iter(|| small.private().sign(black_box(b"registration body")).unwrap());
+    });
+    let sig = small.private().sign(b"registration body").unwrap();
+    c.bench_function("rsa512_verify", |b| {
+        b.iter(|| small.public().verify(black_box(b"registration body"), &sig).unwrap());
+    });
+    c.bench_function("rsa512_keygen", |b| {
+        b.iter(|| RsaKeyPair::generate(512, &mut rng).unwrap());
+    });
+
     let mut rng = CryptoRng::from_seed(2);
     let pair = RsaKeyPair::generate(1024, &mut rng).expect("keygen");
     c.bench_function("rsa1024_encrypt", |b| {

@@ -1,13 +1,27 @@
 //! Multi-precision unsigned integer arithmetic.
 //!
-//! Provides exactly the operations RSA needs — comparison, ring arithmetic,
-//! Knuth division, Montgomery exponentiation and modular inversion — with a
-//! compact little-endian `u32`-limb representation. Written for clarity and
-//! testability rather than raw speed; 2048-bit operations are easily fast
-//! enough for the SCBR workloads.
+//! [`BigUint`] provides exactly the operations RSA needs — comparison, ring
+//! arithmetic, Knuth division, modular exponentiation and inversion — over a
+//! normalised little-endian `u32`-limb vector, the representation key
+//! generation, the codecs and the RNG draws work in.
+//!
+//! Exponentiation runs on a crate-private Montgomery context (`MontCtx` in
+//! `bigint/mont.rs`) built once per odd modulus: the modulus in `u64`
+//! limbs, `-n⁻¹ mod 2⁶⁴` and `R² mod n`; CIOS multiplication with `u128`
+//! accumulation into scratch reused across the whole exponentiation; and
+//! two ladders. Secret exponents (RSA's `d_p`/`d_q`, the Miller–Rabin
+//! exponent) take a fixed 4-bit window whose table entry is read by a
+//! masked scan of all 16 and whose final `t ≥ n` subtraction is masked, so
+//! their timing and memory accesses depend on the modulus width only.
+//! Public exponents (`e = 65537`, [`BigUint::modpow`]) take plain
+//! square-and-multiply. RSA keys hold their contexts ([`crate::rsa`]);
+//! [`BigUint::modpow`] is the context-per-call convenience.
+
+mod mont;
 
 use crate::error::CryptoError;
 use crate::rng::CryptoRng;
+pub(crate) use mont::MontCtx;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -376,37 +390,29 @@ impl BigUint {
         self.div_rem(m).1
     }
 
-    /// Modular exponentiation `self^exp mod m`.
+    /// `self mod d` for a nonzero single-limb divisor, without allocating.
+    pub(crate) fn rem_u32(&self, d: u32) -> u32 {
+        let d = d as u64;
+        self.limbs.iter().rev().fold(0u64, |rem, &l| ((rem << 32) | l as u64) % d) as u32
+    }
+
+    /// Modular exponentiation `self^exp mod m` for an **odd** modulus `m`.
     ///
-    /// Uses Montgomery multiplication when `m` is odd (the RSA case) and a
-    /// generic square-and-multiply with Knuth reduction otherwise.
+    /// A convenience that builds a Montgomery context for `m` on every call
+    /// and runs square-and-multiply, whose time depends on `exp`. RSA keys
+    /// build their contexts once and keep secret exponents on the
+    /// constant-time ladder instead (see [`crate::rsa`]).
     ///
     /// # Panics
     ///
-    /// Panics if `m` is zero.
+    /// Panics if `m` is even (zero included).
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        assert!(!m.is_zero(), "modulus must be nonzero");
-        if m.is_one() {
-            return BigUint::zero();
+        assert!(m.is_odd(), "modulus must be odd");
+        match MontCtx::new(m) {
+            Some(ctx) => ctx.pow_public(&self.rem(m), exp),
+            // m == 1: every residue is 0.
+            None => BigUint::zero(),
         }
-        if exp.is_zero() {
-            return BigUint::one();
-        }
-        if m.is_odd() {
-            let ctx = Montgomery::new(m);
-            return ctx.modpow(self, exp);
-        }
-        // Generic path for even moduli (not used by RSA, kept for
-        // completeness).
-        let mut base = self.rem(m);
-        let mut result = BigUint::one();
-        for i in 0..exp.bits() {
-            if exp.bit(i) {
-                result = result.mul(&base).rem(m);
-            }
-            base = base.mul(&base).rem(m);
-        }
-        result
     }
 
     /// Greatest common divisor (binary-free Euclid).
@@ -546,89 +552,6 @@ impl Signed {
         } else {
             r
         }
-    }
-}
-
-/// Montgomery context for fast modular multiplication modulo an odd modulus.
-struct Montgomery {
-    n: BigUint,
-    /// `-n^{-1} mod 2^32`.
-    n0_inv: u32,
-    /// `R^2 mod n` where `R = 2^(32 * limbs)`.
-    rr: BigUint,
-    limbs: usize,
-}
-
-impl Montgomery {
-    fn new(n: &BigUint) -> Self {
-        debug_assert!(n.is_odd());
-        let limbs = n.limbs.len();
-        // Newton iteration for the inverse of n[0] modulo 2^32.
-        let n0 = n.limbs[0];
-        let mut inv = 1u32;
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u32.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(n0.wrapping_mul(inv), 1);
-        let n0_inv = inv.wrapping_neg();
-        let r = BigUint::one().shl(32 * limbs);
-        let rr = r.mul(&r).rem(n);
-        Montgomery { n: n.clone(), n0_inv, rr, limbs }
-    }
-
-    /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod n`.
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let s = self.limbs;
-        let mut t = vec![0u32; s + 2];
-        for i in 0..s {
-            let ai = a.limbs.get(i).copied().unwrap_or(0) as u64;
-            // t += a[i] * b
-            let mut carry = 0u64;
-            for (j, tj) in t.iter_mut().enumerate().take(s) {
-                let bj = b.limbs.get(j).copied().unwrap_or(0) as u64;
-                let sum = *tj as u64 + ai * bj + carry;
-                *tj = sum as u32;
-                carry = sum >> 32;
-            }
-            let sum = t[s] as u64 + carry;
-            t[s] = sum as u32;
-            t[s + 1] = t[s + 1].wrapping_add((sum >> 32) as u32);
-
-            // m = t[0] * n0_inv mod 2^32; t += m * n; t >>= 32
-            let m = (t[0].wrapping_mul(self.n0_inv)) as u64;
-            // t[0] + m*n[0] == 0 mod 2^32 by construction, keep only carry.
-            let mut carry = (t[0] as u64 + m * self.n.limbs[0] as u64) >> 32;
-            for j in 1..s {
-                let sum = t[j] as u64 + m * self.n.limbs[j] as u64 + carry;
-                t[j - 1] = sum as u32;
-                carry = sum >> 32;
-            }
-            let sum = t[s] as u64 + carry;
-            t[s - 1] = sum as u32;
-            let sum2 = t[s + 1] as u64 + (sum >> 32);
-            t[s] = sum2 as u32;
-            t[s + 1] = (sum2 >> 32) as u32;
-        }
-        let mut result = BigUint { limbs: t[..=s].to_vec() };
-        result.normalize();
-        if result >= self.n {
-            result = result.checked_sub(&self.n).expect("result >= n");
-        }
-        result
-    }
-
-    fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let base_red = base.rem(&self.n);
-        let mont_base = self.mont_mul(&base_red, &self.rr);
-        // mont(1) = R mod n.
-        let mut acc = self.mont_mul(&BigUint::one(), &self.rr);
-        for i in (0..exp.bits()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &mont_base);
-            }
-        }
-        self.mont_mul(&acc, &BigUint::one())
     }
 }
 
@@ -845,15 +768,34 @@ mod tests {
 
     #[test]
     fn modpow_small_values() {
-        // 3^10 mod 1000 = 59049 mod 1000 = 49
-        assert_eq!(big(3).modpow(&big(10), &big(1000)), big(49));
+        // 3^10 mod 1001 = 59049 mod 1001 = 991
+        assert_eq!(big(3).modpow(&big(10), &big(1001)), big(991));
         // Fermat: 2^(p-1) mod p = 1 for prime p
         let p = big(1_000_000_007);
         assert_eq!(big(2).modpow(&p.checked_sub(&BigUint::one()).unwrap(), &p), BigUint::one());
-        // Odd modulus (Montgomery path)
         assert_eq!(big(7).modpow(&big(13), &big(101)), big(7u128.pow(13) % 101));
-        // Even modulus (generic path)
-        assert_eq!(big(7).modpow(&big(13), &big(100)), big(7u128.pow(13) % 100));
+        // A base above the modulus is reduced first.
+        assert_eq!(big(7 + 101 * 5).modpow(&big(13), &big(101)), big(7u128.pow(13) % 101));
+    }
+
+    #[test]
+    #[should_panic(expected = "modulus must be odd")]
+    fn modpow_rejects_even_modulus() {
+        big(7).modpow(&big(13), &big(100));
+    }
+
+    #[test]
+    fn rem_u32_matches_rem() {
+        let mut rng = CryptoRng::from_seed(13);
+        for bits in [1usize, 31, 32, 33, 64, 257, 1024] {
+            let x = BigUint::random_bits(bits, &mut rng);
+            for d in [1u32, 2, 3, 281, 65537, u32::MAX] {
+                assert_eq!(
+                    BigUint::from_u64(x.rem_u32(d) as u64),
+                    x.rem(&BigUint::from_u64(d as u64))
+                );
+            }
+        }
     }
 
     #[test]

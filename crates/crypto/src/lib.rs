@@ -42,9 +42,12 @@
 //! ## Security note
 //!
 //! These implementations favour clarity and portability over side-channel
-//! hardening (table-based AES, non-blinded RSA). They are faithful
-//! functional substitutes for the paper's crypto stack, suitable for
-//! research and reproduction, **not** for production deployment.
+//! hardening (table-based AES, non-blinded RSA), with one exception: RSA's
+//! private-key operations run on a constant-time ladder, since enclaves
+//! hold private keys here (see [`rsa`] for exactly which paths are
+//! constant-time). They are faithful functional substitutes for the
+//! paper's crypto stack, suitable for research and reproduction, **not**
+//! for production deployment.
 //!
 //! [Pires et al., Middleware '16]: https://doi.org/10.1145/2988336.2988346
 

@@ -2,11 +2,11 @@
 //!
 //! Used by [`crate::rsa`] for key generation.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, MontCtx};
 use crate::rng::CryptoRng;
 
 /// Small primes used for fast trial division before Miller–Rabin.
-const SMALL_PRIMES: [u64; 60] = [
+const SMALL_PRIMES: [u32; 60] = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
     197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281,
@@ -17,16 +17,22 @@ const MR_ROUNDS: usize = 40;
 
 /// Returns true if `n` passes trial division and `rounds` Miller–Rabin
 /// rounds with random bases.
+///
+/// One Montgomery context is built per candidate that survives trial
+/// division, and every round runs inside it: `a^d` on the constant-time
+/// ladder, then the squarings in Montgomery form. A composite is rejected
+/// as soon as a witness shows it, so the time spent on a rejected candidate
+/// varies; the prime that is kept sees all `rounds`.
 pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut CryptoRng) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
+    let small = n.to_u64();
     for &p in &SMALL_PRIMES {
-        let sp = BigUint::from_u64(p);
-        if n == &sp {
+        if small == Some(p as u64) {
             return true;
         }
-        if n.rem(&sp).is_zero() {
+        if n.rem_u32(p) == 0 {
             return false;
         }
     }
@@ -45,16 +51,23 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut CryptoRng) -> boo
         // n < 3 was handled by the small-prime table above.
         None => return true,
     };
+    // Trial division left n odd and above the table, so the context exists;
+    // 1 and n − 1 are compared in Montgomery form.
+    let ctx = MontCtx::new(n).expect("odd n > 281");
+    let d = ctx.exponent(&d);
+    let one_m = ctx.to_mont(&one);
+    let minus_one_m = ctx.to_mont(&n_minus_1);
+    let mut scratch = ctx.scratch();
     'witness: for _ in 0..rounds {
         // Random base in [2, n-2].
         let a = BigUint::random_below(&n_minus_3, rng).add(&two);
-        let mut x = a.modpow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = ctx.pow_ct(&ctx.to_mont(&a), &d);
+        if x == one_m || x == minus_one_m {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = x.modpow(&two, n);
-            if x == n_minus_1 {
+            ctx.square(&mut x, &mut scratch);
+            if x == minus_one_m {
                 continue 'witness;
             }
         }

@@ -6,9 +6,26 @@
 //! forwards to the routing enclave.
 //!
 //! Key generation draws two random primes (via [`crate::prime`]) and uses
-//! the standard `e = 65537`. Decryption uses the CRT for a ~4× speedup.
+//! the standard `e = 65537`. Each key builds its Montgomery contexts once —
+//! `n` for a public key, `p` and `q` for a private key — and every
+//! operation reuses them.
+//!
+//! **Timing.** Constant-time in the private key: [`RsaPrivateKey::sign`]
+//! and [`RsaPrivateKey::decrypt`] run both CRT halves on a fixed 4-bit
+//! window ladder over the full width of `p`/`q` (masked table reads, masked
+//! final subtraction), recombine with a masked add, and scan the type-2
+//! padding with masks; what remains data-dependent is the result's
+//! conversion to bytes (it skips leading zero bytes), the length of the
+//! plaintext returned and whether the padding was valid. Variable-time on
+//! purpose: [`RsaPublicKey::verify`] and [`RsaPublicKey::encrypt`]
+//! (square-and-multiply over the public `e`) and key generation's
+//! rejection of prime candidates (trial division and Miller–Rabin exit
+//! early on a composite, which reveals nothing about the primes kept).
+//!
+//! Signing is deterministic PKCS#1 v1.5: the same key and message always
+//! give the same signature bytes.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, MontCtx};
 use crate::error::CryptoError;
 use crate::prime::generate_rsa_factor;
 use crate::rng::CryptoRng;
@@ -24,10 +41,30 @@ const SHA256_DIGEST_INFO: [u8; 19] = [
 ];
 
 /// An RSA public key `(n, e)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality and `Debug` see `(n, e)` only, never the cached context.
+#[derive(Clone)]
 pub struct RsaPublicKey {
     n: BigUint,
     e: BigUint,
+    /// Montgomery context for `n`; `None` only for an even or unit modulus
+    /// handed to [`RsaPublicKey::from_parts`], under which every operation
+    /// fails.
+    ctx: Option<MontCtx>,
+}
+
+impl PartialEq for RsaPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.e == other.e
+    }
+}
+
+impl Eq for RsaPublicKey {}
+
+impl std::fmt::Debug for RsaPublicKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RsaPublicKey").field("n", &self.n).field("e", &self.e).finish()
+    }
 }
 
 /// An RSA private key with CRT parameters.
@@ -35,11 +72,31 @@ pub struct RsaPublicKey {
 pub struct RsaPrivateKey {
     n: BigUint,
     d: BigUint,
-    p: BigUint,
-    q: BigUint,
-    d_p: BigUint,
-    d_q: BigUint,
-    q_inv: BigUint,
+    p: CrtFactor,
+    q: CrtFactor,
+    /// `q⁻¹ mod p`, in the Montgomery form of `p`'s context.
+    q_inv: Vec<u64>,
+}
+
+/// One prime of the CRT: its Montgomery context and the exponent
+/// `d mod (f − 1)`, padded to the context's width.
+#[derive(Clone)]
+struct CrtFactor {
+    ctx: MontCtx,
+    exp: Vec<u64>,
+}
+
+impl CrtFactor {
+    fn new(f: &BigUint, d: &BigUint) -> Self {
+        let ctx = MontCtx::new(f).expect("RSA factors are odd primes");
+        let exp = ctx.exponent(&d.rem(&f.checked_sub(&BigUint::one()).expect("f >= 2")));
+        CrtFactor { ctx, exp }
+    }
+
+    /// `c^exp mod f` as plain limbs, on the constant-time ladder.
+    fn pow(&self, c: &BigUint) -> Vec<u64> {
+        self.ctx.redc(&self.ctx.pow_ct(&self.ctx.to_mont(c), &self.exp))
+    }
 }
 
 impl std::fmt::Debug for RsaPrivateKey {
@@ -105,14 +162,14 @@ impl RsaKeyPair {
                 Ok(d) => d,
                 Err(_) => continue,
             };
-            let d_p = d.rem(&p1);
-            let d_q = d.rem(&q1);
             let q_inv = match q.mod_inverse(&p) {
                 Ok(v) => v,
                 Err(_) => continue,
             };
-            let public = RsaPublicKey { n: n.clone(), e: e.clone() };
-            let private = RsaPrivateKey { n, d, p, q, d_p, d_q, q_inv };
+            let (p, q) = (CrtFactor::new(&p, &d), CrtFactor::new(&q, &d));
+            let q_inv = p.ctx.to_mont(&q_inv);
+            let public = RsaPublicKey::from_parts(n.clone(), e.clone());
+            let private = RsaPrivateKey { n, d, p, q, q_inv };
             return Ok(RsaKeyPair { public, private });
         }
     }
@@ -135,8 +192,13 @@ impl RsaKeyPair {
 
 impl RsaPublicKey {
     /// Constructs a public key from raw `n` and `e`.
+    ///
+    /// Unchecked: under an even modulus or `n < 3` (which
+    /// [`RsaPublicKey::from_bytes`] refuses) every operation returns an
+    /// error.
     pub fn from_parts(n: BigUint, e: BigUint) -> Self {
-        RsaPublicKey { n, e }
+        let ctx = MontCtx::new(&n);
+        RsaPublicKey { n, e, ctx }
     }
 
     /// Serialises the key as `len(n) (4 BE) || n || len(e) (4 BE) || e`.
@@ -153,9 +215,13 @@ impl RsaPublicKey {
 
     /// Parses a key serialised by [`RsaPublicKey::to_bytes`].
     ///
+    /// The bytes are attacker-supplied in the link handshake and during
+    /// provisioning, so structurally impossible keys are refused here.
+    ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidEncoding`] on malformed input.
+    /// Returns [`CryptoError::InvalidEncoding`] on malformed input, an even
+    /// modulus, `n < 3` or `e = 0`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
         let err = CryptoError::InvalidEncoding { context: "rsa public key" };
         let read = |buf: &[u8]| -> Result<(BigUint, usize), CryptoError> {
@@ -170,10 +236,14 @@ impl RsaPublicKey {
         };
         let (n, used) = read(bytes)?;
         let (e, used2) = read(&bytes[used..])?;
-        if used + used2 != bytes.len() || n.is_zero() || e.is_zero() {
+        if used + used2 != bytes.len() || e.is_zero() {
             return Err(err);
         }
-        Ok(RsaPublicKey { n, e })
+        let key = RsaPublicKey::from_parts(n, e);
+        if key.ctx.is_none() {
+            return Err(err);
+        }
+        Ok(key)
     }
 
     /// Modulus size in bytes (k in RFC 8017 terms).
@@ -205,8 +275,12 @@ impl RsaPublicKey {
     /// # Errors
     ///
     /// Returns [`CryptoError::MessageTooLong`] if `msg` exceeds `k - 11`
-    /// bytes for a `k`-byte modulus.
+    /// bytes for a `k`-byte modulus, and [`CryptoError::InvalidKey`] under
+    /// an even modulus or `n < 3`.
     pub fn encrypt(&self, msg: &[u8], rng: &mut CryptoRng) -> Result<Vec<u8>, CryptoError> {
+        let Some(ctx) = &self.ctx else {
+            return Err(CryptoError::InvalidKey { reason: "modulus must be odd and at least 3" });
+        };
         let k = self.modulus_len();
         if msg.len() + 11 > k {
             return Err(CryptoError::MessageTooLong);
@@ -227,9 +301,9 @@ impl RsaPublicKey {
         }
         em[2 + ps_len] = 0x00;
         em[3 + ps_len..].copy_from_slice(msg);
+        // EM starts with 0x00, so m < 256^(k−1) ≤ n.
         let m = BigUint::from_bytes_be(&em);
-        let c = m.modpow(&self.e, &self.n);
-        c.to_bytes_be_padded(k)
+        ctx.pow_public(&m, &self.e).to_bytes_be_padded(k)
     }
 
     /// Verifies a PKCS#1 v1.5 SHA-256 signature over `msg`.
@@ -245,10 +319,13 @@ impl RsaPublicKey {
             return Err(CryptoError::InvalidLength { context: "rsa signature" });
         }
         let s = BigUint::from_bytes_be(signature);
+        let Some(ctx) = &self.ctx else {
+            return Err(CryptoError::VerificationFailed);
+        };
         if s >= self.n {
             return Err(CryptoError::VerificationFailed);
         }
-        let em = s.modpow(&self.e, &self.n).to_bytes_be_padded(k)?;
+        let em = ctx.pow_public(&s, &self.e).to_bytes_be_padded(k)?;
         let expected = signature_encoding(msg, k)?;
         if em == expected {
             Ok(())
@@ -285,25 +362,12 @@ impl RsaPrivateKey {
         &self.d
     }
 
-    /// RSA private operation via the CRT.
+    /// RSA private operation `c^d mod n` for `c < n`, via the CRT and in
+    /// constant time.
     fn private_op(&self, c: &BigUint) -> BigUint {
-        let m1 = c.modpow(&self.d_p, &self.p);
-        let m2 = c.modpow(&self.d_q, &self.q);
-        // h = q_inv * (m1 - m2) mod p
-        let diff = if m1 >= m2 {
-            m1.checked_sub(&m2).expect("ordered")
-        } else {
-            // (m1 - m2) mod p with m1 < m2: add p until positive.
-            let m2_mod = m2.rem(&self.p);
-            let m1_mod = m1.rem(&self.p);
-            if m1_mod >= m2_mod {
-                m1_mod.checked_sub(&m2_mod).expect("ordered")
-            } else {
-                self.p.add(&m1_mod).checked_sub(&m2_mod).expect("p + m1 >= m2")
-            }
-        };
-        let h = self.q_inv.mul(&diff).rem(&self.p);
-        m2.add(&h.mul(&self.q))
+        let m1 = self.p.pow(c);
+        let m2 = self.q.pow(c);
+        self.p.ctx.crt_combine(&m1, &m2, &self.q_inv, &self.q.ctx)
     }
 
     /// Decrypts a PKCS#1 v1.5 type-2 ciphertext.
@@ -323,14 +387,18 @@ impl RsaPrivateKey {
             return Err(CryptoError::VerificationFailed);
         }
         let em = self.private_op(&c).to_bytes_be_padded(k)?;
-        if em[0] != 0x00 || em[1] != 0x02 {
-            return Err(CryptoError::VerificationFailed);
+        // The 0x00 separator must follow at least 8 bytes of padding. Find
+        // the first one by a masked scan of every byte (0 if there is none)
+        // and judge the whole encoding at once.
+        let mut sep = 0usize;
+        for (i, &b) in em.iter().enumerate().skip(2) {
+            let first = usize::from(b == 0) & usize::from(sep == 0);
+            sep |= i & first.wrapping_neg();
         }
-        // Find the 0x00 separator after at least 8 bytes of padding.
-        let sep = em[2..].iter().position(|&b| b == 0).map(|i| i + 2);
-        match sep {
-            Some(i) if i >= 10 => Ok(em[i + 1..].to_vec()),
-            _ => Err(CryptoError::VerificationFailed),
+        if (em[0] == 0x00) & (em[1] == 0x02) & (sep >= 10) {
+            Ok(em[sep + 1..].to_vec())
+        } else {
+            Err(CryptoError::VerificationFailed)
         }
     }
 
@@ -454,6 +522,11 @@ mod tests {
         let bytes = pair.public().to_bytes();
         let back = RsaPublicKey::from_bytes(&bytes).unwrap();
         assert_eq!(&back, pair.public());
+        // Debug shows (n, e) only, never the cached context.
+        assert_eq!(
+            format!("{back:?}"),
+            format!("RsaPublicKey {{ n: {:?}, e: {:?} }}", back.n(), back.e())
+        );
         // Malformed inputs are rejected.
         assert!(RsaPublicKey::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(RsaPublicKey::from_bytes(&[]).is_err());
@@ -471,6 +544,39 @@ mod tests {
         let c = m.modpow(pair.public().e(), pair.public().n());
         let back = c.modpow(pair.private().d(), pair.public().n());
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn crt_private_op_equals_plain_exponentiation() {
+        let pair = test_pair();
+        let n = pair.public().n();
+        let n_minus_1 = n.checked_sub(&BigUint::one()).unwrap();
+        let em = BigUint::from_bytes_be(
+            &signature_encoding(b"msg", pair.public().modulus_len()).unwrap(),
+        );
+        for m in [BigUint::zero(), BigUint::one(), BigUint::from_u64(2), n_minus_1, em] {
+            assert_eq!(pair.private().private_op(&m), m.modpow(pair.private().d(), n));
+        }
+    }
+
+    #[test]
+    fn hostile_public_keys_are_refused() {
+        let pair = test_pair();
+        let n = pair.public().n();
+        let e = pair.public().e().clone();
+        let even = n.add(&BigUint::one());
+        for bad_n in [even, BigUint::one(), BigUint::from_u64(2), BigUint::zero()] {
+            let bytes = RsaPublicKey::from_parts(bad_n.clone(), e.clone()).to_bytes();
+            assert!(RsaPublicKey::from_bytes(&bytes).is_err(), "n = {bad_n:?}");
+            // The unchecked constructor still yields a key whose every
+            // operation fails cleanly.
+            let key = RsaPublicKey::from_parts(bad_n, e.clone());
+            let k = key.modulus_len();
+            for sig in [vec![0u8; k], vec![0xffu8; k], vec![1u8; k + 1]] {
+                assert!(key.verify(b"msg", &sig).is_err());
+            }
+            assert!(key.encrypt(b"x", &mut CryptoRng::from_seed(1)).is_err());
+        }
     }
 
     #[test]

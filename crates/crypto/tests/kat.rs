@@ -5,6 +5,8 @@
 //! * AES-CTR — NIST SP 800-38A F.5.1 / F.5.5
 //! * HMAC-SHA256 — RFC 4231 test cases 1–7
 //! * HKDF-SHA256 — RFC 5869 test cases 1–3
+//! * RSA — seeded 512- and 1024-bit keys, their PKCS#1 v1.5 SHA-256
+//!   signatures and one type-2 ciphertext, pinned byte for byte
 //!
 //! The property tests cross-check internal consistency (round trips,
 //! incremental == one-shot); these vectors pin the primitives to the
@@ -15,6 +17,8 @@ use scbr_crypto::aes::Aes;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
 use scbr_crypto::hkdf;
 use scbr_crypto::hmac::HmacSha256;
+use scbr_crypto::rng::CryptoRng;
+use scbr_crypto::rsa::RsaKeyPair;
 use scbr_crypto::sha256::Sha256;
 
 fn hex(s: &str) -> Vec<u8> {
@@ -268,5 +272,93 @@ fn hkdf_sha256_rfc5869_vectors() {
         let mut derived = vec![0u8; expected_okm.len()];
         hkdf::derive(&case.salt, &case.ikm, &case.info, &mut derived);
         assert_eq!(derived, expected_okm);
+    }
+}
+
+// -------------------------------------------------------------------------
+// RSA (seeded keys; generated before the Montgomery core was rewritten)
+// -------------------------------------------------------------------------
+
+/// The messages every pinned key signs.
+const RSA_MESSAGES: [&[u8]; 3] = [b"", b"abc", b"subscription: symbol = HAL and price < 50"];
+
+/// The plaintext of each pinned ciphertext.
+const RSA_PLAINTEXT: &[u8] = b"SK = 000102030405060708090a0b0c0d0e0f";
+
+struct RsaCase {
+    seed: u64,
+    bits: usize,
+    /// `RsaPublicKey::to_bytes`.
+    public_key: &'static str,
+    /// One signature per entry of `RSA_MESSAGES`.
+    signatures: [&'static str; 3],
+    /// `RSA_PLAINTEXT` encrypted with `CryptoRng::from_seed(seed + 1)`.
+    ciphertext: &'static str,
+}
+
+/// Key generation draws the same RNG sequence, so seeded keys (benchmark
+/// seeds, fixtures, `SgxPlatform::for_testing`) stay byte-identical;
+/// signing is deterministic, so signatures do too.
+#[test]
+fn rsa_seeded_keys_signatures_and_decrypt() {
+    let cases = [
+        RsaCase {
+            seed: 2016,
+            bits: 512,
+            public_key: "00000040d57cb0d3891596059106359af28f66faf1b35c9a4c8955b18b3468cc\
+                         49a480f96f76148bb8a39aa3b6bcaff445c3ace0618e0579b4137728a9a35941\
+                         22bc98bb00000003010001",
+            signatures: [
+                "b8bcba36ce934b6501d6c66ee98d4cf71951d9058ba47b3a827a85009b56fc4e\
+                 66f0879f8a2771a47dd447eba18c4da0d87dcd98350913604f415629385047bc",
+                "90154cf8a3e745d65a5c7ca97b0a8283e9f92da95106bc825be323f586faa5ea\
+                 6417b71ae4fcbce35b10a93d641e15933e85463b50748728a13b251fed361c12",
+                "6e3ef04e7a539b640716b269ee480b9770b19c94211d5e80297e318b1e13e7ea\
+                 ac66ac6f67fe0e604aa0d15f440c4531896716825d2ec32f7aae3ded98909294",
+            ],
+            ciphertext: "8f852e881722215b19d6217cfaeea559a1000b9748c4a59943d0626122de8c2a\
+                         1f2c2afd3c02eee1e85efbdefd810ef46fecbc84df16a5a1005aa13ba9bfedd3",
+        },
+        RsaCase {
+            seed: 612,
+            bits: 1024,
+            public_key: "00000080a802799ccda102e3a79e9b18070e276646467d25eb8fa9be28fd059f\
+                         a49f8196127bb633123a2d603a8aa0bc7e2f9bc299bad0c0b1519c48aed9cbdd\
+                         ca3aa8c0a312b9599e1123e6f94808c09e5d69bccf4743250813d52094e2a172\
+                         8f20c1460ae15957be5073fa8f8f77696b71fa4a339ee28b837d616521fc701d\
+                         39537e6900000003010001",
+            signatures: [
+                "3c20cee8520b301af228dcb312ba72feb9c59119d5f84e333f570149970026e8\
+                 f2d1a03d7cdc50f571abae30b4e2df5baeca3ed51f0dd285be6afa13f97c6e24\
+                 546ff2878cb08f9c1e430bd7def9b8460481853be964e95ab84296ce373ddc9d\
+                 d2e944050658a69f78106a150298f9a5f99c3f05db3a5506c49bd5b1196f4467",
+                "5b52d188dd7fdf2a02e99a8d476c624943abaf30e9c43befe2e42f3b1288fa93\
+                 4104df6ef4a752d5bf044c606f2d398f8c675c5b0bc81aef045b1a40d57ed25a\
+                 06a8eeabd067c26adaa1689f815560c9a50665216fdd75617a762d8ff143a1e0\
+                 a2a17e769eaab40750c0f3b26556a611aaeb3a11d8fff246d1f0883842c04ae7",
+                "0c6c196c9dc739320d3617d798b33a7b56f9bb918b35a23cf0fb7f5bf4db03ef\
+                 c74729bb72129429c3f4fd9c3d00a22a30d59920f06146f97a5661b3b636fe45\
+                 e5f3c046409815b8b7ec103b6973ff5dc226a40653c83cf8032a6f7ef25dbe38\
+                 77924420b3dba7eea38c36f0603f4aac4be1b1ccc891cf6dee4252c5d76add25",
+            ],
+            ciphertext: "166bcc7e5d39233aff734639be11b331ebb0b0833b446bceb39c48518f41c5a8\
+                         dd5cfeb03dca1cbd97b26b43b19342fc5ce61e5ace6203280cde3ec0a67d9b1e\
+                         fcaf471e38206a63140a25c889859877c28c7086a470db420214b94ed2bf53f2\
+                         d6da3c0a7b918cb4f80fae1822a969ba070e3c001e4c531fa9e56b51ffbe707e",
+        },
+    ];
+    for case in &cases {
+        let mut rng = CryptoRng::from_seed(case.seed);
+        let pair = RsaKeyPair::generate(case.bits, &mut rng).unwrap();
+        assert_eq!(pair.public().to_bytes(), hex(case.public_key), "{}-bit key", case.bits);
+        for (msg, sig) in RSA_MESSAGES.iter().zip(case.signatures) {
+            let sig = hex(sig);
+            assert_eq!(pair.private().sign(msg).unwrap(), sig, "{}-bit signature", case.bits);
+            pair.public().verify(msg, &sig).unwrap();
+        }
+        let ct = hex(case.ciphertext);
+        let mut enc_rng = CryptoRng::from_seed(case.seed + 1);
+        assert_eq!(pair.public().encrypt(RSA_PLAINTEXT, &mut enc_rng).unwrap(), ct);
+        assert_eq!(pair.private().decrypt(&ct).unwrap(), RSA_PLAINTEXT);
     }
 }

@@ -71,7 +71,9 @@ proptest! {
     }
 
     #[test]
-    fn biguint_modpow_matches_u128(base in 0u64.., exp in 0u64..256, m in 2u64..) {
+    fn biguint_modpow_matches_u128(base in 0u64.., exp in 0u64..256, m in 3u64..) {
+        // `modpow` takes odd moduli only (Montgomery).
+        let m = m | 1;
         let expected = {
             // Reference square-and-multiply over u128.
             let (mut result, mut b, mut e) = (1u128, base as u128 % m as u128, exp);

@@ -94,6 +94,15 @@ impl Default for LintConfig {
                 "match_encrypted_batch_into".into(),
                 "match_into".into(),
                 "route_batch".into(),
+                // The Montgomery core (`scbr-crypto` `bigint/mont.rs`):
+                // scratch is allocated once per exponentiation, never per
+                // multiply or per window.
+                "cios_mul".into(),
+                "redc_wide".into(),
+                "sub_n_masked".into(),
+                "select_ct".into(),
+                "ladder_ct".into(),
+                "ladder_vartime".into(),
             ],
             sl06_unsafe_allow: vec!["crates/core/tests/zero_alloc_batch.rs".into()],
             boundary_exclude: vec!["crates/sgx-sim".into()],

@@ -60,6 +60,20 @@ fn each_good_fixture_is_silent() {
     }
 }
 
+/// The Montgomery core is declared zero-alloc: scratch allocated per
+/// multiply or per window, as the old `u32` core did, must not creep back.
+#[test]
+fn allocating_montgomery_ladder_is_an_sl03_finding() {
+    let src = "impl MontCtx {\n\
+               fn cios_mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) { let s = vec![0u64; 4]; }\n\
+               fn ladder_ct(&self, acc: &mut [u64]) { let base = acc.to_vec(); }\n\
+               fn ladder_vartime(&self, acc: &mut [u64]) { let c: Vec<u64> = acc.iter().copied().collect(); }\n\
+               }\n";
+    let out = lint_file("crates/crypto/src/bigint/mont.rs", src, &LintConfig::default(), false);
+    let sl03: Vec<u32> = out.findings.iter().filter(|f| f.rule == "SL03").map(|f| f.line).collect();
+    assert_eq!(sl03, [2, 3, 4], "{:?}", out.findings);
+}
+
 /// The acceptance gate: the real workspace lints clean under `--deny`
 /// semantics (no unsuppressed findings against the checked-in lock).
 #[test]

@@ -60,6 +60,34 @@ fn bench_sealed_box(c: &mut Criterion) {
     });
 }
 
+/// The sizes the publish path runs at: a 9 KiB link frame (a 64-message
+/// batch, sealed and opened once per hop under a cached schedule) and a
+/// ~100-byte publication header.
+fn bench_publish_path(c: &mut Criterion) {
+    let key = SymmetricKey::from_bytes([5u8; 16]);
+    let mut frame = vec![0u8; 9 * 1024];
+    let mut ctr = AesCtr::new(&key, [2; 8]);
+    c.bench_function("aes_ctr_9k_cached_schedule", |b| {
+        b.iter(|| {
+            ctr.reset_nonce([2; 8]);
+            ctr.apply(black_box(&mut frame));
+        });
+    });
+    let sb = SealedBox::new(&key);
+    let mut rng = CryptoRng::from_seed(4);
+    c.bench_function("sealed_box_seal_9k", |b| {
+        b.iter(|| sb.seal(black_box(&frame), b"aad", &mut rng));
+    });
+    let sealed = sb.seal(&frame, b"aad", &mut rng);
+    c.bench_function("sealed_box_open_9k", |b| {
+        b.iter(|| sb.open(black_box(&sealed), b"aad").unwrap());
+    });
+    let header = [0x2au8; 100];
+    c.bench_function("aes_ctr_encrypt_with_nonce_100", |b| {
+        b.iter(|| AesCtr::encrypt_with_nonce(&key, &mut rng, black_box(&header)));
+    });
+}
+
 fn bench_rsa(c: &mut Criterion) {
     // 512 bits is the size every producer, link and attestation key uses.
     let mut rng = CryptoRng::from_seed(512);
@@ -93,5 +121,13 @@ fn bench_rsa(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_aes_ctr, bench_sha256, bench_hmac, bench_sealed_box, bench_rsa);
+criterion_group!(
+    benches,
+    bench_aes_ctr,
+    bench_sha256,
+    bench_hmac,
+    bench_sealed_box,
+    bench_publish_path,
+    bench_rsa
+);
 criterion_main!(benches);

@@ -52,8 +52,8 @@ struct EngineScratch {
     header: CompiledHeader,
     /// CTR cipher with the session key's schedule already expanded, keyed
     /// by the `SymmetricKey` it was built from so re-provisioning cannot
-    /// serve a stale schedule. `AesCtr::new` allocates per call; at one
-    /// key for millions of headers that is pure hot-path churn.
+    /// serve a stale schedule. `AesCtr::new` expands the key per call; at
+    /// one key for millions of headers that is pure hot-path churn.
     cipher: Option<(SymmetricKey, AesCtr)>,
     /// Per-stage latency histograms (decrypt, index match) — fixed-size
     /// arrays with epoch-stamped clears, so recording a sample in the hot

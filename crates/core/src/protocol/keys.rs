@@ -11,7 +11,7 @@ use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
 use crate::publication::PublicationSpec;
 use crate::subscription::SubscriptionSpec;
-use scbr_crypto::ctr::{AesCtr, SymmetricKey};
+use scbr_crypto::ctr::{AesCtr, SymmetricKey, NONCE_LEN};
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use scbr_crypto::SealedBox;
@@ -58,6 +58,9 @@ pub fn hybrid_decrypt(pair: &RsaKeyPair, ciphertext: &[u8]) -> Result<Vec<u8>, S
 pub struct ProducerCrypto {
     rsa: RsaKeyPair,
     sk: SymmetricKey,
+    /// `SK`'s expanded schedule, so headers and envelopes are encrypted
+    /// without a key expansion each.
+    sk_cipher: AesCtr,
 }
 
 impl ProducerCrypto {
@@ -68,10 +71,10 @@ impl ProducerCrypto {
     ///
     /// Propagates RSA key-generation failures.
     pub fn generate(bits: usize, rng: &mut CryptoRng) -> Result<Self, ScbrError> {
-        Ok(ProducerCrypto {
-            rsa: RsaKeyPair::generate(bits, rng)?,
-            sk: SymmetricKey::generate(rng),
-        })
+        let rsa = RsaKeyPair::generate(bits, rng)?;
+        let sk = SymmetricKey::generate(rng);
+        let sk_cipher = AesCtr::new(&sk, [0u8; NONCE_LEN]);
+        Ok(ProducerCrypto { rsa, sk, sk_cipher })
     }
 
     /// The public key `PK` clients encrypt subscriptions to (also the
@@ -114,7 +117,7 @@ impl ProducerCrypto {
         rng: &mut CryptoRng,
     ) -> Result<Vec<u8>, ScbrError> {
         let body = codec::encode_registration(spec, id, client);
-        let body_ct = AesCtr::encrypt_with_nonce(&self.sk, rng, &body);
+        let body_ct = self.encrypt_under_sk(&body, rng);
         let signature = self.rsa.private().sign(&body_ct)?;
         let mut w = Writer::new();
         w.bytes(&body_ct).bytes(&signature);
@@ -138,7 +141,7 @@ impl ProducerCrypto {
         rng: &mut CryptoRng,
     ) -> Result<Vec<u8>, ScbrError> {
         let body = codec::encode_unregistration(id, client);
-        let body_ct = AesCtr::encrypt_with_nonce(&self.sk, rng, &body);
+        let body_ct = self.encrypt_under_sk(&body, rng);
         let signature = self.rsa.private().sign(&body_ct)?;
         let mut w = Writer::new();
         w.bytes(&body_ct).bytes(&signature);
@@ -148,7 +151,22 @@ impl ProducerCrypto {
     /// Encrypts a publication header under `SK` (protocol step 4).
     pub fn encrypt_header(&self, publication: &PublicationSpec, rng: &mut CryptoRng) -> Vec<u8> {
         let plain = codec::encode_header(publication);
-        AesCtr::encrypt_with_nonce(&self.sk, rng, &plain)
+        self.encrypt_under_sk(&plain, rng)
+    }
+
+    /// `nonce || ciphertext` of `plain` under `SK` and a fresh nonce — the
+    /// bytes [`AesCtr::encrypt_with_nonce`] produces, on the cached
+    /// schedule.
+    fn encrypt_under_sk(&self, plain: &[u8], rng: &mut CryptoRng) -> Vec<u8> {
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill(&mut nonce);
+        let mut out = Vec::with_capacity(NONCE_LEN + plain.len());
+        out.extend_from_slice(&nonce);
+        out.extend_from_slice(plain);
+        let mut cipher = self.sk_cipher.clone();
+        cipher.reset_nonce(nonce);
+        cipher.apply(&mut out[NONCE_LEN..]);
+        out
     }
 }
 
@@ -284,6 +302,32 @@ mod tests {
         let plain = AesCtr::decrypt_with_nonce(producer.sk(), &ct).unwrap();
         let decoded = codec::decode_header(&plain).unwrap();
         assert_eq!(decoded.header(), publication.header());
+    }
+
+    /// Seeded producer, so the header ciphertext and the whole signed
+    /// envelope are pinned byte for byte.
+    #[test]
+    fn seeded_header_and_registration_are_pinned() {
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let mut r = rng(26);
+        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let publication = PublicationSpec::new().attr("symbol", "HAL").attr("price", 12.5);
+        let header = producer.encrypt_header(&publication, &mut r);
+        let spec = SubscriptionSpec::new().eq("symbol", "HAL").lt("price", 50.0);
+        let envelope =
+            producer.seal_registration(&spec, SubscriptionId(7), ClientId(3), &mut r).unwrap();
+        assert_eq!(
+            hex(&header),
+            "46518e40a7832ccb93ff36a1c094940658e59ddcd1635d3632e7fe40a7cf61f8fde7eb3d99e1ab667cca\
+             4006d6c9"
+        );
+        assert_eq!(
+            hex(&envelope),
+            "00000044f7bac95702f3f27a7412db415799a41b3e0e8f250b26a522599e29c7d8538ab2f7c99274\
+             7117b69e68ca39b5802701aac5b44bdee4ff96bfd0b7d63f275ab153bb1fcaac0000004065724730\
+             042f1be510c9e6b00d97dec6b0c51d9240f2cf31b1828e9c76e55de521ccb94af4b563b0aa2d7b5c\
+             9455b03ea496cbed2e52aea8bfa93d3d6d3c7c79"
+        );
     }
 
     #[test]

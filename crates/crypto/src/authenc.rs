@@ -5,8 +5,14 @@
 //! keys provides the same integrity + confidentiality contract), and SCBR
 //! uses it for the signed, encrypted subscription envelopes forwarded by
 //! producers to routers.
+//!
+//! A [`SealedBox`] is a key holder: it derives its cipher and MAC keys
+//! once, keeps the cipher's expanded AES schedule and the HMAC's keyed
+//! ipad/opad SHA-256 states, and so pays neither a key expansion nor a
+//! key-block compression per [`SealedBox::seal`] or [`SealedBox::open`].
 
-use crate::ctr::{AesCtr, SymmetricKey, NONCE_LEN};
+use crate::aes::Aes;
+use crate::ctr::{self, SymmetricKey, NONCE_LEN};
 use crate::error::CryptoError;
 use crate::hkdf;
 use crate::hmac::{HmacSha256, TAG_LEN};
@@ -29,10 +35,19 @@ use crate::rng::CryptoRng;
 /// assert_eq!(sealed.open(&ct, b"header-v1")?, b"enclave state");
 /// # Ok::<(), scbr_crypto::CryptoError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SealedBox {
-    enc_key: SymmetricKey,
-    mac_key: [u8; 32],
+    cipher: Aes,
+    /// HMAC keyed with the derived MAC key and fed nothing else: each tag
+    /// starts from a copy.
+    mac: HmacSha256,
+}
+
+impl std::fmt::Debug for SealedBox {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the schedule or the keyed MAC states.
+        f.debug_struct("SealedBox").finish_non_exhaustive()
+    }
 }
 
 impl SealedBox {
@@ -42,12 +57,15 @@ impl SealedBox {
         let mut mac = [0u8; 32];
         hkdf::derive(b"scbr-sealedbox", master.as_bytes(), b"enc", &mut enc);
         hkdf::derive(b"scbr-sealedbox", master.as_bytes(), b"mac", &mut mac);
-        SealedBox { enc_key: SymmetricKey::from_bytes(enc), mac_key: mac }
+        SealedBox {
+            cipher: Aes::new(&enc).expect("16-byte derived key"),
+            mac: HmacSha256::new(&mac),
+        }
     }
 
     /// Encrypts and authenticates `plaintext`, binding `aad` into the tag.
     pub fn seal(&self, plaintext: &[u8], aad: &[u8], rng: &mut CryptoRng) -> Vec<u8> {
-        let mut out = AesCtr::encrypt_with_nonce(&self.enc_key, rng, plaintext);
+        let mut out = ctr::seal_framed(&self.cipher, rng, plaintext, TAG_LEN);
         let tag = self.tag(&out, aad);
         out.extend_from_slice(&tag);
         out
@@ -69,11 +87,13 @@ impl SealedBox {
         if !crate::ct::ct_eq(&expected, tag) {
             return Err(CryptoError::VerificationFailed);
         }
-        AesCtr::decrypt_with_nonce(&self.enc_key, body)
+        let mut plain = Vec::new();
+        ctr::open_framed(&self.cipher, body, &mut plain)?;
+        Ok(plain)
     }
 
     fn tag(&self, nonce_and_ct: &[u8], aad: &[u8]) -> [u8; TAG_LEN] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(&(aad.len() as u64).to_be_bytes());
         mac.update(aad);
         mac.update(nonce_and_ct);
@@ -145,6 +165,21 @@ mod tests {
     fn too_short_rejected() {
         let (sb, _) = setup();
         assert!(matches!(sb.open(&[0u8; 10], b""), Err(CryptoError::InvalidLength { .. })));
+    }
+
+    /// `{:?}` on the key holders prints no key, keyed MAC state or
+    /// keystream bytes.
+    #[test]
+    fn debug_redacts_keys_midstates_and_keystream() {
+        let (sb, mut rng) = setup();
+        sb.seal(b"data", b"", &mut rng);
+        assert_eq!(format!("{sb:?}"), "SealedBox { .. }");
+        let mut mac = HmacSha256::new(&[0x42; 32]);
+        mac.update(b"message");
+        assert_eq!(format!("{mac:?}"), "HmacSha256 { .. }");
+        let mut ctr = crate::ctr::AesCtr::new(&SymmetricKey::from_bytes([9u8; 16]), [3; 8]);
+        ctr.apply(&mut [0u8; 5]);
+        assert_eq!(format!("{ctr:?}"), "AesCtr { next_block: 4, .. }");
     }
 
     #[test]

@@ -3,9 +3,22 @@
 //!
 //! The counter block is formed from an 8-byte nonce followed by a 64-bit
 //! big-endian block counter, matching the common Crypto++/SDK layout the
-//! paper's prototype used.
+//! paper's prototype used. The counter wraps per block, modulo 2⁶⁴.
+//!
+//! The keystream is produced 64 bytes at a time: one call of the
+//! bitsliced AES core ([`crate::aes`]) encrypts four consecutive counter
+//! blocks, and the buffered bytes are XORed in a word at a time. A stream
+//! may start at any block ([`AesCtr::seek_block`]), not only at a
+//! multiple of four.
+//!
+//! [`SymmetricKey`] is plain key bytes; the expanded schedule belongs to
+//! whoever encrypts repeatedly under one key: an [`AesCtr`] (a router's
+//! cached header cipher, the producer's `SK` cipher) or a
+//! [`crate::authenc::SealedBox`]. The associated functions that take a
+//! `SymmetricKey` ([`AesCtr::encrypt_with_nonce`] and the
+//! `decrypt_with_nonce` pair) expand it on every call.
 
-use crate::aes::{Aes, BLOCK_LEN};
+use crate::aes::{Aes, BLOCK_LEN, PARALLEL_LEN};
 use crate::error::CryptoError;
 use crate::rng::CryptoRng;
 
@@ -83,37 +96,39 @@ impl SymmetricKey {
 /// AesCtr::new(&key, [0; 8]).apply(&mut msg);
 /// assert_eq!(msg, b"price<50");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AesCtr {
     aes: Aes,
-    nonce: [u8; NONCE_LEN],
-    counter: u64,
-    keystream: [u8; BLOCK_LEN],
-    /// Offset of the next unused keystream byte; `BLOCK_LEN` means empty.
-    ks_used: usize,
+    stream: Keystream,
+}
+
+impl std::fmt::Debug for AesCtr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the schedule or the buffered keystream (keystream ⊕
+        // ciphertext is the plaintext).
+        f.debug_struct("AesCtr").field("next_block", &self.stream.counter).finish_non_exhaustive()
+    }
 }
 
 impl AesCtr {
     /// Creates a CTR cipher positioned at block 0 of the keystream.
     pub fn new(key: &SymmetricKey, nonce: [u8; NONCE_LEN]) -> Self {
         let aes = Aes::new(key.as_bytes()).expect("SymmetricKey guarantees a valid length");
-        AesCtr { aes, nonce, counter: 0, keystream: [0u8; BLOCK_LEN], ks_used: BLOCK_LEN }
+        AesCtr { aes, stream: Keystream::new(nonce) }
     }
 
     /// Repositions the keystream at an arbitrary block index (random access).
     pub fn seek_block(&mut self, block: u64) {
-        self.counter = block;
-        self.ks_used = BLOCK_LEN;
+        self.stream.counter = block;
+        self.stream.used = KEYSTREAM_LEN;
     }
 
     /// Restarts the stream at block 0 under a new nonce, reusing the
     /// expanded key schedule — [`AesCtr::new`] pays the AES key expansion
-    /// (and its heap allocations) on every call, which dominates when
-    /// decrypting many short headers under one session key.
+    /// on every call, which dominates when decrypting many short headers
+    /// under one session key.
     pub fn reset_nonce(&mut self, nonce: [u8; NONCE_LEN]) {
-        self.nonce = nonce;
-        self.counter = 0;
-        self.ks_used = BLOCK_LEN;
+        self.stream = Keystream::new(nonce);
     }
 
     /// Like [`AesCtr::decrypt_with_nonce_into`], but reuses `self`'s key
@@ -126,37 +141,13 @@ impl AesCtr {
     /// Returns [`CryptoError::InvalidLength`] if `message` is shorter than
     /// a nonce; `out` is left cleared in that case.
     pub fn decrypt_into(&mut self, message: &[u8], out: &mut Vec<u8>) -> Result<(), CryptoError> {
-        out.clear();
-        if message.len() < NONCE_LEN {
-            return Err(CryptoError::InvalidLength { context: "ctr message" });
-        }
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce.copy_from_slice(&message[..NONCE_LEN]);
-        self.reset_nonce(nonce);
-        out.extend_from_slice(&message[NONCE_LEN..]);
-        self.apply(out);
+        self.stream = open_framed(&self.aes, message, out)?;
         Ok(())
-    }
-
-    fn refill(&mut self) {
-        let mut block = [0u8; BLOCK_LEN];
-        block[..NONCE_LEN].copy_from_slice(&self.nonce);
-        block[NONCE_LEN..].copy_from_slice(&self.counter.to_be_bytes());
-        self.aes.encrypt_block(&mut block);
-        self.keystream = block;
-        self.ks_used = 0;
-        self.counter = self.counter.wrapping_add(1);
     }
 
     /// XORs the keystream into `data`, advancing the stream position.
     pub fn apply(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            if self.ks_used == BLOCK_LEN {
-                self.refill();
-            }
-            *byte ^= self.keystream[self.ks_used];
-            self.ks_used += 1;
-        }
+        self.stream.apply(&self.aes, data);
     }
 
     /// Convenience: encrypts `plaintext` with a freshly drawn nonce, returning
@@ -166,13 +157,8 @@ impl AesCtr {
         rng: &mut CryptoRng,
         plaintext: &[u8],
     ) -> Vec<u8> {
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill(&mut nonce);
-        let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len());
-        out.extend_from_slice(&nonce);
-        out.extend_from_slice(plaintext);
-        AesCtr::new(key, nonce).apply(&mut out[NONCE_LEN..]);
-        out
+        let aes = Aes::new(key.as_bytes()).expect("SymmetricKey guarantees a valid length");
+        seal_framed(&aes, rng, plaintext, 0)
     }
 
     /// Inverse of [`AesCtr::encrypt_with_nonce`].
@@ -200,16 +186,133 @@ impl AesCtr {
         message: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CryptoError> {
-        out.clear();
-        if message.len() < NONCE_LEN {
-            return Err(CryptoError::InvalidLength { context: "ctr message" });
-        }
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce.copy_from_slice(&message[..NONCE_LEN]);
-        out.extend_from_slice(&message[NONCE_LEN..]);
-        AesCtr::new(key, nonce).apply(out);
-        Ok(())
+        let aes = Aes::new(key.as_bytes()).expect("SymmetricKey guarantees a valid length");
+        open_framed(&aes, message, out).map(drop)
     }
+}
+
+/// Bytes of keystream one refill produces: four counter blocks, the
+/// bitsliced core's width.
+const KEYSTREAM_LEN: usize = PARALLEL_LEN;
+
+/// The position and buffered keystream of one CTR stream, apart from the
+/// schedule that fills it, so one key holder's schedule serves a stream
+/// per message ([`seal_framed`], [`open_framed`]) without being copied.
+#[derive(Clone)]
+pub(crate) struct Keystream {
+    nonce: [u8; NONCE_LEN],
+    /// Counter of the next block a refill encrypts.
+    counter: u64,
+    buf: [u8; KEYSTREAM_LEN],
+    /// Offset of the next unused byte of `buf`; `KEYSTREAM_LEN` means empty.
+    used: usize,
+}
+
+impl Keystream {
+    /// A stream at block 0 under `nonce`.
+    fn new(nonce: [u8; NONCE_LEN]) -> Self {
+        Keystream { nonce, counter: 0, buf: [0u8; KEYSTREAM_LEN], used: KEYSTREAM_LEN }
+    }
+
+    /// Encrypts the next four counter blocks; the counter wraps per block.
+    fn refill(&mut self, aes: &Aes) {
+        let mut blocks = [0u8; KEYSTREAM_LEN];
+        for block in blocks.chunks_exact_mut(BLOCK_LEN) {
+            block[..NONCE_LEN].copy_from_slice(&self.nonce);
+            block[NONCE_LEN..].copy_from_slice(&self.counter.to_be_bytes());
+            self.counter = self.counter.wrapping_add(1);
+        }
+        self.buf = aes.encrypt4(&blocks);
+        self.used = 0;
+    }
+
+    /// The next run of keystream, at most `max` bytes and never crossing
+    /// a refill, advancing the stream position past it.
+    fn next_run(&mut self, aes: &Aes, max: usize) -> &[u8] {
+        if self.used == KEYSTREAM_LEN {
+            self.refill(aes);
+        }
+        let n = (KEYSTREAM_LEN - self.used).min(max);
+        self.used += n;
+        &self.buf[self.used - n..self.used]
+    }
+
+    /// XORs the keystream into `data`, advancing the stream position.
+    fn apply(&mut self, aes: &Aes, data: &mut [u8]) {
+        let mut rest = data;
+        while !rest.is_empty() {
+            let run = self.next_run(aes, rest.len());
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(run.len());
+            xor_words(head, run);
+            rest = tail;
+        }
+    }
+
+    /// Appends `src ⊕ keystream` to `dst`: the cipher writes its output
+    /// in one pass, so the input is never copied on its own first.
+    fn xor_append(&mut self, aes: &Aes, src: &[u8], dst: &mut Vec<u8>) {
+        dst.reserve(src.len());
+        let mut rest = src;
+        while !rest.is_empty() {
+            let run = self.next_run(aes, rest.len());
+            let (head, tail) = rest.split_at(run.len());
+            dst.extend(head.iter().zip(run).map(|(s, k)| s ^ k));
+            rest = tail;
+        }
+    }
+}
+
+/// `data ^= keystream`, eight bytes at a time.
+#[inline(always)]
+fn xor_words(data: &mut [u8], keystream: &[u8]) {
+    let mut words = data.chunks_exact_mut(8);
+    let mut keys = keystream.chunks_exact(8);
+    for (d, k) in (&mut words).zip(&mut keys) {
+        let x = u64::from_ne_bytes(d.try_into().expect("8 bytes"))
+            ^ u64::from_ne_bytes(k.try_into().expect("8 bytes"));
+        d.copy_from_slice(&x.to_ne_bytes());
+    }
+    for (d, k) in words.into_remainder().iter_mut().zip(keys.remainder()) {
+        *d ^= k;
+    }
+}
+
+/// `nonce || ciphertext` of `plaintext` under a freshly drawn nonce, with
+/// `trailer` more bytes of capacity so a caller appending a tag does not
+/// reallocate.
+pub(crate) fn seal_framed(
+    aes: &Aes,
+    rng: &mut CryptoRng,
+    plaintext: &[u8],
+    trailer: usize,
+) -> Vec<u8> {
+    let mut nonce = [0u8; NONCE_LEN];
+    rng.fill(&mut nonce);
+    let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len() + trailer);
+    out.extend_from_slice(&nonce);
+    Keystream::new(nonce).xor_append(aes, plaintext, &mut out);
+    out
+}
+
+/// Decrypts `nonce || ciphertext` into `out` (cleared first), returning
+/// the stream positioned after the message.
+///
+/// # Errors
+///
+/// [`CryptoError::InvalidLength`] if `message` is shorter than a nonce;
+/// `out` is left cleared in that case.
+pub(crate) fn open_framed(
+    aes: &Aes,
+    message: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<Keystream, CryptoError> {
+    out.clear();
+    let Some((nonce, ciphertext)) = message.split_first_chunk::<NONCE_LEN>() else {
+        return Err(CryptoError::InvalidLength { context: "ctr message" });
+    };
+    let mut stream = Keystream::new(*nonce);
+    stream.xor_append(aes, ciphertext, out);
+    Ok(stream)
 }
 
 #[cfg(test)]
@@ -316,6 +419,76 @@ mod tests {
         }
         assert!(cipher.decrypt_into(&[1, 2], &mut out).is_err());
         assert!(out.is_empty());
+    }
+
+    /// Keystream block `k` under `nonce`, from the byte-oriented
+    /// reference cipher, one block at a time.
+    fn reference_block(key: &SymmetricKey, nonce: [u8; NONCE_LEN], k: u64) -> [u8; BLOCK_LEN] {
+        let oracle = crate::aes::reference::Aes::new(key.as_bytes()).unwrap();
+        let mut block = [0u8; BLOCK_LEN];
+        block[..NONCE_LEN].copy_from_slice(&nonce);
+        block[NONCE_LEN..].copy_from_slice(&k.to_be_bytes());
+        oracle.encrypt_block(&mut block);
+        block
+    }
+
+    /// `blocks` keystream blocks from block `start` on.
+    fn keystream(key: &SymmetricKey, nonce: [u8; NONCE_LEN], start: u64, blocks: usize) -> Vec<u8> {
+        let mut ks = vec![0u8; blocks * BLOCK_LEN];
+        let mut ctr = AesCtr::new(key, nonce);
+        ctr.seek_block(start);
+        ctr.apply(&mut ks);
+        ks
+    }
+
+    #[test]
+    fn seek_to_blocks_off_the_refill_boundary() {
+        let key = SymmetricKey::from_bytes([0x31u8; 32]);
+        for start in [1u64, 2, 3, 5, 6, 7, 1001] {
+            let ks = keystream(&key, [4; 8], start, 5);
+            for (k, block) in (start..).zip(ks.chunks_exact(BLOCK_LEN)) {
+                assert_eq!(block, reference_block(&key, [4; 8], k), "seek {start}, block {k}");
+            }
+        }
+    }
+
+    /// The counter wraps per block, also inside one four-block refill.
+    #[test]
+    fn counter_wraps_per_block_at_u64_max() {
+        let key = SymmetricKey::from_bytes([0x52u8; 16]);
+        for start in [u64::MAX - 1, u64::MAX] {
+            let ks = keystream(&key, [6; 8], start, 4);
+            for (i, block) in ks.chunks_exact(BLOCK_LEN).enumerate() {
+                let k = start.wrapping_add(i as u64);
+                assert_eq!(block, reference_block(&key, [6; 8], k), "block {k}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Any split of a message into `apply` calls, wherever the cuts
+        /// fall in the 64-byte keystream buffer, gives the one-shot bytes.
+        #[test]
+        fn chunked_apply_equals_oneshot_at_random_splits(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            mut cuts in proptest::collection::vec(0usize..300, 0..8),
+            wide: bool,
+            nonce: [u8; NONCE_LEN],
+        ) {
+            let key = SymmetricKey::from_bytes(if wide { vec![0x13; 32] } else { vec![0x13; 16] });
+            let mut oneshot = data.clone();
+            AesCtr::new(&key, nonce).apply(&mut oneshot);
+            cuts.iter_mut().for_each(|c| *c = (*c).min(data.len()));
+            cuts.sort_unstable();
+            let mut chunked = data.clone();
+            let mut ctr = AesCtr::new(&key, nonce);
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                ctr.apply(&mut chunked[from..cut]);
+                from = cut;
+            }
+            proptest::prop_assert_eq!(chunked, oneshot);
+        }
     }
 
     #[test]

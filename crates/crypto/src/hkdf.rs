@@ -19,20 +19,18 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// Panics if more than `255 * 32` bytes are requested, per RFC 5869.
 pub fn expand(prk: &[u8], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * DIGEST_LEN, "hkdf output too long");
-    let mut t: Vec<u8> = Vec::new();
-    let mut generated = 0usize;
-    let mut counter = 1u8;
-    while generated < out.len() {
-        let mut mac = HmacSha256::new(prk);
-        mac.update(&t);
+    let keyed = HmacSha256::new(prk);
+    // T(0) is empty; T(i) = HMAC(prk, T(i-1) || info || i).
+    let mut t = [0u8; DIGEST_LEN];
+    let mut t_len = 0;
+    for (chunk, counter) in out.chunks_mut(DIGEST_LEN).zip(1..=u8::MAX) {
+        let mut mac = keyed.clone();
+        mac.update(&t[..t_len]);
         mac.update(info);
         mac.update(&[counter]);
-        let block = mac.finalize();
-        let take = (out.len() - generated).min(DIGEST_LEN);
-        out[generated..generated + take].copy_from_slice(&block[..take]);
-        generated += take;
-        t = block.to_vec();
-        counter = counter.wrapping_add(1);
+        t = mac.finalize();
+        t_len = DIGEST_LEN;
+        chunk.copy_from_slice(&t[..chunk.len()]);
     }
 }
 
@@ -96,6 +94,17 @@ mod tests {
         derive(b"s", b"ikm", b"context a", &mut a);
         derive(b"s", b"ikm", b"context b", &mut b);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn expands_to_the_maximum_length() {
+        let prk = extract(b"salt", b"ikm");
+        let mut max = vec![0u8; 255 * DIGEST_LEN];
+        expand(&prk, b"info", &mut max);
+        let mut short = [0u8; DIGEST_LEN];
+        expand(&prk, b"info", &mut short);
+        assert_eq!(&max[..DIGEST_LEN], &short[..]);
+        assert_ne!(&max[254 * DIGEST_LEN..], &[0u8; DIGEST_LEN][..]);
     }
 
     #[test]

@@ -19,10 +19,18 @@ pub const TAG_LEN: usize = DIGEST_LEN;
 /// let tag = mac.finalize();
 /// assert!(HmacSha256::verify(b"key", b"The quick brown fox jumps over the lazy dog", &tag));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The keyed ipad/opad states are as good as the key for forging
+        // tags: never print them.
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {

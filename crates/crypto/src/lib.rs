@@ -13,7 +13,8 @@
 //!
 //! ## Contents
 //!
-//! * [`aes`] — AES-128/AES-256 block cipher (FIPS-197 key schedule).
+//! * [`aes`] — AES-128/AES-256 block cipher (FIPS-197), bitsliced and
+//!   table-free, four blocks per call.
 //! * [`ctr`] — counter-mode stream encryption ([`ctr::AesCtr`]), as used for
 //!   SCBR headers and subscriptions.
 //! * [`authenc`] — encrypt-then-MAC authenticated encryption
@@ -41,13 +42,19 @@
 //!
 //! ## Security note
 //!
-//! These implementations favour clarity and portability over side-channel
-//! hardening (table-based AES, non-blinded RSA), with one exception: RSA's
-//! private-key operations run on a constant-time ladder, since enclaves
-//! hold private keys here (see [`rsa`] for exactly which paths are
-//! constant-time). They are faithful functional substitutes for the
-//! paper's crypto stack, suitable for research and reproduction, **not**
-//! for production deployment.
+//! Enclaves hold keys here, so the code that uses a key keeps its timing
+//! independent of it where that was in scope. AES has no load indexed by
+//! key or data and no branch on either, in the rounds or in the key
+//! schedule (a bitsliced circuit, see [`aes`]); RSA's private-key
+//! operations run on a constant-time ladder (see [`rsa`] for exactly
+//! which paths are constant-time); tags are compared in constant time
+//! ([`ct`]). What stays variable-time: RSA is not blinded and its
+//! public-key operations, key generation and `BigUint` arithmetic branch
+//! on their inputs; lengths (of messages, associated data and HKDF
+//! output) are public and steer loops; and nothing models cache or
+//! power leakage of the platform itself. These are faithful functional
+//! substitutes for the paper's crypto stack, suitable for research and
+//! reproduction, **not** for production deployment.
 //!
 //! [Pires et al., Middleware '16]: https://doi.org/10.1145/2988336.2988346
 

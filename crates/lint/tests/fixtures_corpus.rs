@@ -74,6 +74,21 @@ fn allocating_montgomery_ladder_is_an_sl03_finding() {
     assert_eq!(sl03, [2, 3, 4], "{:?}", out.findings);
 }
 
+/// The bitsliced AES rounds and the CTR keystream are declared zero-alloc
+/// too; a `Type::name` entry binds one type's method, not every `apply`.
+#[test]
+fn allocating_bitsliced_aes_is_an_sl03_finding() {
+    let src = "fn sub_bytes(q: &mut [u64; 8]) { let t = q.to_vec(); }\n\
+               fn mix_columns(s: &mut [u64; 8]) { let r: Vec<u64> = s.iter().copied().collect(); }\n\
+               impl Aes { fn encrypt4(&self, b: &[u8; 64]) -> Vec<u8> { vec![0u8; 64] } }\n\
+               impl Keystream { fn refill(&mut self, aes: &Aes) { self.buf = aes.encrypt4(&self.blocks).clone(); } }\n\
+               impl AesCtr { fn apply(&mut self, data: &mut [u8]) { let v: Vec<u8> = Vec::new(); } }\n\
+               impl Filter { fn apply(&mut self, data: &mut [u8]) { let _ = data.to_vec(); } }\n";
+    let out = lint_file("crates/crypto/src/aes.rs", src, &LintConfig::default(), false);
+    let sl03: Vec<u32> = out.findings.iter().filter(|f| f.rule == "SL03").map(|f| f.line).collect();
+    assert_eq!(sl03, [1, 2, 3, 4, 5], "{:?}", out.findings);
+}
+
 /// The acceptance gate: the real workspace lints clean under `--deny`
 /// semantics (no unsuppressed findings against the checked-in lock).
 #[test]

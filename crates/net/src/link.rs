@@ -54,10 +54,9 @@ use scbr_crypto::{SealedBox, SymmetricKey};
 /// let sealed = a_to_b.seal(b"publish batch", &mut rng);
 /// assert_eq!(b_from_a.open(&sealed).unwrap(), b"publish batch");
 /// ```
-#[derive(Debug)]
 pub struct SecureLink {
     sealer: SealedBox,
-    label: Vec<u8>,
+    label: [u8; LABEL_LEN],
     seq: u64,
     /// First sequence gap observed on this (inbound) half, if any:
     /// `(expected, got)` at the moment the gap surfaced. Sticky — a
@@ -68,11 +67,29 @@ pub struct SecureLink {
     last_meta: u64,
 }
 
-/// Associated data for frame `seq` on the link from `from` to `to`.
-fn direction_label(from: u64, to: u64) -> Vec<u8> {
-    let mut label = b"scbr-link ".to_vec();
-    label.extend_from_slice(&from.to_be_bytes());
-    label.extend_from_slice(&to.to_be_bytes());
+impl std::fmt::Debug for SecureLink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The sealer's keyed state stays out of logs.
+        f.debug_struct("SecureLink")
+            .field("seq", &self.seq)
+            .field("gap", &self.gap)
+            .field("last_meta", &self.last_meta)
+            .finish_non_exhaustive()
+    }
+}
+
+/// `b"scbr-link " || from || to`.
+const LABEL_LEN: usize = 26;
+
+/// The direction label, then the frame's sequence number and meta word.
+const AAD_LEN: usize = LABEL_LEN + 16;
+
+/// The direction label of the link from `from` to `to`.
+fn direction_label(from: u64, to: u64) -> [u8; LABEL_LEN] {
+    let mut label = [0u8; LABEL_LEN];
+    label[..10].copy_from_slice(b"scbr-link ");
+    label[10..18].copy_from_slice(&from.to_be_bytes());
+    label[18..].copy_from_slice(&to.to_be_bytes());
     label
 }
 
@@ -119,10 +136,12 @@ impl SecureLink {
         self.last_meta
     }
 
-    fn aad_for(&self, seq: u64, meta: u64) -> Vec<u8> {
-        let mut aad = self.label.clone();
-        aad.extend_from_slice(&seq.to_be_bytes());
-        aad.extend_from_slice(&meta.to_be_bytes());
+    /// Associated data for frame `seq` carrying `meta` on this half.
+    fn aad_for(&self, seq: u64, meta: u64) -> [u8; AAD_LEN] {
+        let mut aad = [0u8; AAD_LEN];
+        aad[..LABEL_LEN].copy_from_slice(&self.label);
+        aad[LABEL_LEN..LABEL_LEN + 8].copy_from_slice(&seq.to_be_bytes());
+        aad[LABEL_LEN + 8..].copy_from_slice(&meta.to_be_bytes());
         aad
     }
 
@@ -137,9 +156,11 @@ impl SecureLink {
     /// Seals one outbound frame carrying `meta` in the clear (bound into
     /// the associated data, so tampering is detected on open).
     pub fn seal_meta(&mut self, plain: &[u8], meta: u64, rng: &mut CryptoRng) -> Vec<u8> {
-        let mut frame = self.seq.to_be_bytes().to_vec();
+        let sealed = self.sealer.seal(plain, &self.aad_for(self.seq, meta), rng);
+        let mut frame = Vec::with_capacity(16 + sealed.len());
+        frame.extend_from_slice(&self.seq.to_be_bytes());
         frame.extend_from_slice(&meta.to_be_bytes());
-        frame.extend_from_slice(&self.sealer.seal(plain, &self.aad_for(self.seq, meta), rng));
+        frame.extend_from_slice(&sealed);
         self.seq += 1;
         frame
     }
@@ -330,6 +351,35 @@ mod tests {
         let plain = tx.seal(b"untraced", &mut rng);
         rx.open(&plain).unwrap();
         assert_eq!(rx.last_meta(), 0);
+    }
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let (mut tx, _) = pair();
+        tx.seal(b"frame 0", &mut CryptoRng::from_seed(12));
+        assert_eq!(format!("{tx:?}"), "SecureLink { seq: 1, gap: None, last_meta: 0, .. }");
+    }
+
+    /// A seeded frame pinned byte for byte: sequence, meta word, nonce,
+    /// ciphertext and tag (the tag binds the direction label).
+    #[test]
+    fn seeded_frame_is_pinned() {
+        let (mut tx, mut rx) = pair();
+        let mut rng = CryptoRng::from_seed(26);
+        let first = tx.seal(b"frame 0", &mut rng);
+        // 71 bytes: crosses one 64-byte keystream refill.
+        let payload: Vec<u8> = (0..71u8).collect();
+        let frame = tx.seal_meta(&payload, 0xDEAD_BEEF, &mut rng);
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "000000000000000100000000deadbeef190740ee6b0ff62660247ecf5ca7b8b7f6fa976322129d0f\
+             8d08fee0ba4a17289f7424fe9b552bd7301dfcc33a6e0872692f5d8a9dd30b4eef9d60ddc122046c\
+             b9cf444e235440b08c8fe598663a05b7f46184f8d1ab3257ac08f09171d6c3d19924840e913bf15e\
+             7f0af6edef19b8"
+        );
+        rx.open(&first).unwrap();
+        assert_eq!(rx.open(&frame).unwrap(), payload);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Binary wire codec for SCBR data types.
 //!
-//! A small hand-rolled format (the paper wraps binary messages in Base64
-//! text; that wrapping lives in [`scbr_net::envelope`]). All integers are
-//! big-endian; strings and byte blobs are length-prefixed with `u32`.
+//! A small hand-rolled format, also the body encoding of every wire
+//! message ([`crate::protocol::messages`]). All integers are big-endian;
+//! strings and byte blobs are length-prefixed with `u32`.
 
 use crate::error::ScbrError;
 use crate::ids::{ClientId, KeyEpoch, SubscriptionId};

@@ -89,6 +89,21 @@ fn allocating_bitsliced_aes_is_an_sl03_finding() {
     assert_eq!(sl03, [1, 2, 3, 4, 5], "{:?}", out.findings);
 }
 
+/// The overlay hop path is declared zero-alloc: reading a batch in place,
+/// routing it into reused spans and encoding it per link must not go back
+/// to owned copies.
+#[test]
+fn allocating_hop_path_is_an_sl03_finding() {
+    let src = "impl<'a> Iterator for PublishBatchView<'a> { fn next(&mut self) -> Option<Item> { let rest = self.rest.to_vec(); None } }\n\
+               fn split_member(bytes: &[u8]) -> Result<(Item, &[u8]), E> { let member: Vec<u8> = bytes.iter().copied().collect(); }\n\
+               fn encode_publish_batch(items: I, out: &mut Vec<u8>) { let body = Vec::new(); }\n\
+               impl BrokerCore { fn route_into(&mut self, routes: &mut RouteSpans) { let spans = vec![0u32; 4]; } }\n\
+               impl Cursor { fn next(&mut self) -> Option<u8> { self.buf.clone().pop() } }\n";
+    let out = lint_file("crates/overlay/src/broker.rs", src, &LintConfig::default(), false);
+    let sl03: Vec<u32> = out.findings.iter().filter(|f| f.rule == "SL03").map(|f| f.line).collect();
+    assert_eq!(sl03, [1, 2, 3, 4], "{:?}", out.findings);
+}
+
 /// The acceptance gate: the real workspace lints clean under `--deny`
 /// semantics (no unsuppressed findings against the checked-in lock).
 #[test]

@@ -2,15 +2,18 @@
 //!
 //! Messaging substrate for the SCBR reproduction.
 //!
-//! The paper's prototype used ZeroMQ and serialised messages
-//! "in Base64 text format". This crate provides the equivalent plumbing
-//! with no external dependency:
+//! The paper's prototype used ZeroMQ and serialised messages "in Base64
+//! text format". This crate provides the equivalent plumbing with no
+//! external dependency, and one deliberate deviation: messages travel as
+//! binary (`u8 tag ‖ body`, see `scbr::protocol::messages`), not as
+//! Base64 text. Base64 suited ZeroMQ's text frames; here every transport
+//! already frames length-prefixed binary, so the text form only inflated
+//! each message by 4/3 — and on a sealed overlay link every hop
+//! re-encrypted and re-MACed that inflation.
 //!
 //! * [`frame`] — length-prefixed binary framing over any byte stream;
 //! * [`batch`] — many sub-frames packed into one wire unit, the transport
 //!   of the batch-first routing pipeline;
-//! * [`envelope`] — the Base64 text envelope (`SCBR1 <kind> <payload>`)
-//!   used on the wire;
 //! * [`link`] — sealed broker-to-broker channels (AEAD with direction and
 //!   sequence bound as associated data), the transport of the overlay
 //!   fabric's inter-router links;
@@ -37,13 +40,11 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod envelope;
 pub mod error;
 pub mod frame;
 pub mod link;
 pub mod transport;
 
-pub use envelope::Envelope;
 pub use error::NetError;
 pub use link::SecureLink;
 pub use transport::{Connection, InProcNetwork, Listener, TcpTransport, Transport};

@@ -2,7 +2,6 @@
 //! decoders never panic on adversarial input.
 
 use proptest::prelude::*;
-use scbr_net::envelope::Envelope;
 use scbr_net::frame;
 use std::io::Cursor;
 
@@ -17,36 +16,5 @@ proptest! {
     #[test]
     fn frame_reader_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
         let _ = frame::read_frame(Cursor::new(&bytes));
-    }
-
-    #[test]
-    fn envelope_round_trip(kind_idx in 0usize..4,
-                           payload in proptest::collection::vec(any::<u8>(), 0..1024)) {
-        let kinds = ["sub", "pub", "key-update", "hello"];
-        let env = Envelope::new(kinds[kind_idx], payload);
-        prop_assert_eq!(Envelope::decode_bytes(&env.encode_bytes()).unwrap(), env);
-    }
-
-    #[test]
-    fn envelope_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Envelope::decode_bytes(&bytes);
-    }
-
-    /// Any single-byte mutation of a valid envelope either still decodes
-    /// to *some* envelope (text remains well-formed) or is rejected — it
-    /// never panics and never produces the original payload with a
-    /// different length.
-    #[test]
-    fn envelope_mutation_is_safe(payload in proptest::collection::vec(any::<u8>(), 1..128),
-                                 flip in 0usize..4096) {
-        let env = Envelope::new("pub", payload);
-        let mut wire = env.encode_bytes();
-        let idx = flip % wire.len();
-        wire[idx] ^= 0x20;
-        if let Ok(decoded) = Envelope::decode_bytes(&wire) {
-            // Base64 body length can only map to the same payload length
-            // when structure survived.
-            prop_assert!(decoded.payload.len() <= env.payload.len() + 2);
-        }
     }
 }

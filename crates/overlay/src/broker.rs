@@ -151,7 +151,9 @@ use scbr::codec;
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
-use scbr::protocol::messages::{Message, PublishItem};
+use scbr::protocol::messages::{
+    encode_publish_batch, Message, PublishBatchView, PublishItem, PublishItemRef,
+};
 use scbr::roles::router::MAX_DRAIN;
 use scbr::ScbrError;
 use scbr_crypto::rng::CryptoRng;
@@ -166,6 +168,7 @@ use sgx_sim::platform::CounterId;
 use sgx_sim::seal::{SealPolicy, VersionedSeal};
 use sgx_sim::{CacheConfig, CostModel, Enclave, MemStats, MemorySim, SgxPlatform};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The synthetic delivery identity for subscriptions learnt from
 /// neighbour `n`: [`ClientId::INTERFACE_BIT`] over the neighbour number.
@@ -475,13 +478,35 @@ impl Origin {
     }
 }
 
-/// What the enclave decided for one publication.
-#[derive(Debug, Clone, Default)]
-struct RouteDecision {
-    /// Edge clients at this broker to deliver to.
+/// What the enclave decided for a batch of publications, flat: every
+/// publication's edge clients and outgoing links (ascending, origin
+/// excluded) in two shared buffers, plus where each publication's spans
+/// end. One per broker, reused across every hop.
+#[derive(Debug, Default)]
+struct RouteSpans {
     locals: Vec<ClientId>,
-    /// Neighbour links to forward on (ascending, origin excluded).
     links: Vec<usize>,
+    /// Per publication, the end of its `locals` and of its `links` span;
+    /// each span starts where the previous publication's ends.
+    ends: Vec<(u32, u32)>,
+}
+
+impl RouteSpans {
+    fn clear(&mut self) {
+        self.locals.clear();
+        self.links.clear();
+        self.ends.clear();
+    }
+
+    /// Publication `i`'s edge clients and outgoing links.
+    fn get(&self, i: usize) -> (&[ClientId], &[usize]) {
+        let (local_start, link_start) = if i == 0 { (0, 0) } else { self.ends[i - 1] };
+        let (local_end, link_end) = self.ends[i];
+        (
+            &self.locals[local_start as usize..local_end as usize],
+            &self.links[link_start as usize..link_end as usize],
+        )
+    }
 }
 
 /// Outcome of admitting one subscription envelope.
@@ -536,7 +561,7 @@ struct BrokerCore {
     flood: bool,
     /// Reusable match buffer for the per-hop routing path: one `Vec` per
     /// broker instead of one per publication per hop.
-    route_buf: std::sync::Mutex<Vec<ClientId>>,
+    route_buf: Vec<ClientId>,
     /// In-enclave flight recorder for cross-hop publication tracing.
     /// Volatile by design: hop records die with a crash (never sealed
     /// into the recovery record) and leave the enclave only through the
@@ -573,7 +598,7 @@ impl BrokerCore {
             upstream: neighbors.iter().map(|&n| (n, ForwardingTable::new())).collect(),
             live: BTreeMap::new(),
             flood,
-            route_buf: std::sync::Mutex::new(Vec::new()),
+            route_buf: Vec::new(),
             recorder: FlightRecorder::default(),
             stages: StageHistograms::new(),
             journal: Journal::default(),
@@ -738,31 +763,32 @@ impl BrokerCore {
         RemoveOutcome { id, removed: true, links }
     }
 
-    /// Decrypts and matches a chunk of headers, splitting each match set
-    /// into local deliveries and outgoing links.
-    fn route(&self, headers: &[&[u8]], origin: Origin) -> Vec<Result<RouteDecision, ScbrError>> {
-        // One match buffer per broker, reused across every header of every
-        // hop (the engine's own decrypt/decode/traversal scratch is reused
-        // inside `match_encrypted_append`).
-        let mut matched = self.route_buf.lock().expect("route buffer poisoned");
-        headers
-            .iter()
-            .map(|ct| {
-                self.matcher.match_into(ct, &mut matched)?;
-                let mut decision = RouteDecision::default();
-                for client in matched.iter() {
-                    if !client.is_interface() {
-                        decision.locals.push(*client);
-                    } else {
-                        let neighbor = (client.0 & !ClientId::INTERFACE_BIT) as usize;
-                        if origin != Origin::Link(neighbor) {
-                            decision.links.push(neighbor);
-                        }
+    /// Decrypts and matches each header, appending to `routes` its local
+    /// deliveries and outgoing links. The match buffer is the broker's
+    /// own, reused across every header of every hop (the engine's
+    /// decrypt/decode/traversal scratch is reused inside
+    /// `match_encrypted_append`).
+    fn route_into<'a>(
+        &mut self,
+        headers: impl Iterator<Item = &'a [u8]>,
+        origin: Origin,
+        routes: &mut RouteSpans,
+    ) -> Result<(), ScbrError> {
+        for ct in headers {
+            self.matcher.match_into(ct, &mut self.route_buf)?;
+            for client in &self.route_buf {
+                if !client.is_interface() {
+                    routes.locals.push(*client);
+                } else {
+                    let neighbor = (client.0 & !ClientId::INTERFACE_BIT) as usize;
+                    if origin != Origin::Link(neighbor) {
+                        routes.links.push(neighbor);
                     }
                 }
-                Ok(decision)
-            })
-            .collect()
+            }
+            routes.ends.push((routes.locals.len() as u32, routes.links.len() as u32));
+        }
+        Ok(())
     }
 
     /// The live registration envelopes recorded as forwarded on the link
@@ -1023,8 +1049,10 @@ pub struct LocalDelivery {
     pub router: usize,
     /// The edge client.
     pub client: ClientId,
-    /// The delivered item (payload still encrypted under the group key).
-    pub item: PublishItem,
+    /// The delivered item (payload still encrypted under the group key),
+    /// one allocation shared by every client the publication reaches
+    /// here.
+    pub item: Arc<PublishItem>,
 }
 
 /// The two halves of one established link at one endpoint. `Sealed` is
@@ -1234,6 +1262,12 @@ pub struct Broker {
     /// Checkpoints that wrote a base (cumulative).
     compactions: u64,
     rng: CryptoRng,
+    /// Route results of the publication batch in flight; the enclave
+    /// fills it, the shell turns it into outputs. Reused across batches.
+    routes: RouteSpans,
+    /// Encoding buffer for outgoing publication batches, reused across
+    /// links and batches.
+    batch_wire: Vec<u8>,
 }
 
 impl std::fmt::Debug for Broker {
@@ -1314,6 +1348,8 @@ impl Broker {
             sealed_bytes: 0,
             compactions: 0,
             rng: CryptoRng::from_seed(seed ^ 0x6c69_6e6b),
+            routes: RouteSpans::default(),
+            batch_wire: Vec::new(),
         })
     }
 
@@ -1370,6 +1406,8 @@ impl Broker {
             sealed_bytes: 0,
             compactions: 0,
             rng: CryptoRng::from_seed(seed ^ 0x6c69_6e6b),
+            routes: RouteSpans::default(),
+            batch_wire: Vec::new(),
         }
     }
 
@@ -2196,6 +2234,11 @@ impl Broker {
         wire: &[u8],
         meta: u64,
     ) -> Result<Vec<Output>, OverlayError> {
+        // Publication batches are routed straight out of the opened frame.
+        if let Some(batch) = PublishBatchView::from_wire(wire)? {
+            self.require_serving("publication for a broker that is not serving")?;
+            return self.route_batch(|| batch.clone(), Origin::Link(from), TraceId(meta));
+        }
         match Message::from_wire(wire)? {
             Message::SubForward { envelope } => {
                 self.require_traffic()?;
@@ -2243,14 +2286,10 @@ impl Broker {
                     Some(_) => Err(OverlayError::Link { reason: "sub-drop from wrong direction" }),
                 }
             }
-            Message::PublishBatch { items } => {
-                self.require_serving("publication for a broker that is not serving")?;
-                self.route_batch(&items, Origin::Link(from), TraceId(meta))
-            }
             Message::Publish { header_ct, epoch, payload_ct } => {
                 self.require_serving("publication for a broker that is not serving")?;
-                let item = PublishItem { header_ct, epoch, payload_ct };
-                self.route_batch(std::slice::from_ref(&item), Origin::Link(from), TraceId(meta))
+                let item = PublishItemRef { header_ct: &header_ct, epoch, payload_ct: &payload_ct };
+                self.route_batch(|| std::iter::once(item), Origin::Link(from), TraceId(meta))
             }
             Message::ReplayRequest => {
                 if self.state != Lifecycle::Serving {
@@ -2402,12 +2441,15 @@ impl Broker {
         trace: TraceId,
     ) -> Result<Vec<Output>, OverlayError> {
         self.require_serving("publication for a broker that is not serving")?;
-        self.route_batch(items, Origin::Local, trace)
+        self.route_batch(|| items.iter().map(PublishItem::view), Origin::Local, trace)
     }
 
     /// Routes a batch of publications: decrypt+match the whole batch in
-    /// [`MAX_DRAIN`]-bounded single enclave crossings, deliver locally,
-    /// and forward each item on every matching link (origin excluded).
+    /// [`MAX_DRAIN`]-bounded single enclave crossings, deliver locally —
+    /// every client a publication reaches here shares one copy of it —
+    /// and forward each item on every matching link (origin excluded),
+    /// each link's batch encoded from the borrowed items into one reused
+    /// buffer. `items` yields the batch afresh on every call.
     ///
     /// With telemetry enabled the batch is timed through three waypoints
     /// (arrival, matched, forwarded) and committed as one
@@ -2416,53 +2458,62 @@ impl Broker {
     /// crossing, so the recording cost never pollutes the measurements,
     /// and with telemetry off the crossing count is exactly the
     /// uninstrumented one.
-    fn route_batch(
+    fn route_batch<'a, I>(
         &mut self,
-        items: &[PublishItem],
+        items: impl Fn() -> I,
         origin: Origin,
         trace: TraceId,
-    ) -> Result<Vec<Output>, OverlayError> {
+    ) -> Result<Vec<Output>, OverlayError>
+    where
+        I: ExactSizeIterator<Item = PublishItemRef<'a>>,
+    {
         let timing = self.telemetry;
         let t_arrival = if timing { self.mem_elapsed_ns() } else { 0.0 };
-        let mut matched_here = 0usize;
-        // lint: allow(SL03, owned output construction - deliveries and frames leave this fn)
-        let mut outs = Vec::new();
-        // Per-link outgoing batches, in ascending neighbour order.
-        let mut outgoing: BTreeMap<usize, Vec<PublishItem>> = BTreeMap::new();
-        for chunk in items.chunks(MAX_DRAIN) {
-            // lint: allow(SL03, per-chunk header slice list - bounded by MAX_DRAIN)
-            let headers: Vec<&[u8]> = chunk.iter().map(|i| i.header_ct.as_slice()).collect();
-            let decisions = self
-                // lint: allow(SL03, decisions cross the enclave boundary by value)
-                .call(|c| c.route(&headers, origin).into_iter().collect::<Result<Vec<_>, _>>())?;
-            for (item, decision) in chunk.iter().zip(decisions) {
-                matched_here += decision.locals.len();
-                for client in decision.locals {
-                    outs.push(Output::Delivery(LocalDelivery {
-                        router: self.id,
-                        client,
-                        // lint: allow(SL03, each local delivery owns its item copy)
-                        item: item.clone(),
-                    }));
-                }
-                for neighbor in decision.links {
-                    // lint: allow(SL03, per-link batch owns its item copy)
-                    outgoing.entry(neighbor).or_default().push(item.clone());
-                }
-            }
+        let mut routes = std::mem::take(&mut self.routes);
+        routes.clear();
+        for start in (0..items().len()).step_by(MAX_DRAIN) {
+            let headers = items().skip(start).take(MAX_DRAIN).map(|item| item.header_ct);
+            self.call(|c| c.route_into(headers, origin, &mut routes))?;
         }
         let t_matched = if timing { self.mem_elapsed_ns() } else { 0.0 };
-        for (neighbor, items) in outgoing {
-            if !self.links.contains_key(&neighbor) {
-                // Matching interest toward a dead (not yet re-keyed)
-                // neighbour: the frame would be dropped on the floor
-                // anyway — lose it here, like the wire would.
+        let matched_here = routes.locals.len();
+        // lint: allow(SL03, owned output construction - deliveries and frames leave this fn)
+        let mut outs = Vec::with_capacity(matched_here + self.links.len());
+        for (i, item) in items().enumerate() {
+            let (locals, _) = routes.get(i);
+            if locals.is_empty() {
                 continue;
             }
-            let wire = Message::PublishBatch { items }.to_wire();
+            let shared = Arc::new(item.to_item());
+            outs.extend(locals.iter().map(|&client| {
+                Output::Delivery(LocalDelivery {
+                    router: self.id,
+                    client,
+                    item: Arc::clone(&shared),
+                })
+            }));
+        }
+        // One batch per keyed link with interest, in ascending neighbour
+        // order. Interest toward a dead (not yet re-keyed) neighbour is
+        // lost here, like the wire would lose the frame.
+        let mut wire = std::mem::take(&mut self.batch_wire);
+        let mut next = 0;
+        while let Some(neighbor) = self.links.range(next..).next().map(|(&n, _)| n) {
+            next = neighbor + 1;
+            let mut routed = items()
+                .enumerate()
+                .filter(|(i, _)| routes.get(*i).1.contains(&neighbor))
+                .map(|(_, item)| item)
+                .peekable();
+            if routed.peek().is_none() {
+                continue;
+            }
+            encode_publish_batch(routed, &mut wire)?;
             let bytes = self.seal_to_meta(neighbor, &wire, trace.0)?;
             outs.push(Output::Frame(LinkFrame { to: neighbor, from: self.id, bytes }));
         }
+        self.batch_wire = wire;
+        self.routes = routes;
         if timing {
             let t_forwarded = self.mem_elapsed_ns();
             let record = HopRecord {

@@ -6,14 +6,6 @@
 
 use crate::costs::CacheConfig;
 
-/// One cache way: the stored tag and its last-use timestamp.
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    last_use: u64,
-}
-
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
@@ -36,7 +28,13 @@ pub enum Access {
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     config: CacheConfig,
-    sets: Vec<Way>,
+    /// Stored tag of every way, set after set (`set * ways + way`).
+    tags: Vec<u64>,
+    /// Last-use tick of every way, same layout; 0 marks an invalid way
+    /// (ticks start at 1). Both arrays start zeroed, which the allocator
+    /// hands out lazily, so an enclave pays resident memory only for the
+    /// sets it touches.
+    last_use: Vec<u64>,
     n_sets: usize,
     line_shift: u32,
     tick: u64,
@@ -53,7 +51,8 @@ impl CacheSim {
     pub fn new(config: CacheConfig) -> Self {
         let n_sets = config.sets();
         CacheSim {
-            sets: vec![Way::default(); n_sets * config.ways],
+            tags: vec![0; n_sets * config.ways],
+            last_use: vec![0; n_sets * config.ways],
             n_sets,
             line_shift: config.line_size.trailing_zeros(),
             tick: 0,
@@ -74,23 +73,21 @@ impl CacheSim {
         let line = addr >> self.line_shift;
         let set = (line % self.n_sets as u64) as usize;
         let tag = line / self.n_sets as u64;
-        let ways = &mut self.sets[set * self.config.ways..(set + 1) * self.config.ways];
+        let ways = set * self.config.ways..(set + 1) * self.config.ways;
+        let (tags, last_use) = (&mut self.tags[ways.clone()], &mut self.last_use[ways]);
 
         // Hit?
-        for way in ways.iter_mut() {
-            if way.valid && way.tag == tag {
-                way.last_use = self.tick;
-                self.hits += 1;
-                return Access::Hit;
-            }
+        if let Some(way) = (0..tags.len()).find(|&w| last_use[w] != 0 && tags[w] == tag) {
+            last_use[way] = self.tick;
+            self.hits += 1;
+            return Access::Hit;
         }
-        // Miss: fill an invalid way, else evict LRU.
+        // Miss: fill the first invalid way, else evict the least recently
+        // used (the first minimum on a tie).
         self.misses += 1;
-        let victim =
-            ways.iter_mut().min_by_key(|w| if w.valid { w.last_use } else { 0 }).expect("ways > 0");
-        victim.tag = tag;
-        victim.valid = true;
-        victim.last_use = self.tick;
+        let victim = (0..tags.len()).min_by_key(|&w| last_use[w]).expect("ways > 0");
+        tags[victim] = tag;
+        last_use[victim] = self.tick;
         Access::Miss
     }
 
@@ -122,9 +119,7 @@ impl CacheSim {
 
     /// Invalidates all contents and counters.
     pub fn flush(&mut self) {
-        for w in &mut self.sets {
-            w.valid = false;
-        }
+        self.last_use.fill(0);
         self.reset_stats();
     }
 }
@@ -162,6 +157,34 @@ mod tests {
         assert_eq!(c.access(2 * stride), Access::Miss);
         assert_eq!(c.access(0), Access::Hit);
         assert_eq!(c.access(stride), Access::Miss); // was evicted
+    }
+
+    /// Replacement order with ties: an invalid way always goes first (the
+    /// lowest-numbered one), and among valid ways the oldest last use —
+    /// also after a flush left every way invalid at once.
+    #[test]
+    fn lru_order_with_ties() {
+        // 1 set of 4 ways: every line maps to it.
+        let mut c = CacheSim::new(CacheConfig { capacity: 256, ways: 4, line_size: 64 });
+        let line = |i: u64| i * 64;
+        for i in 0..4 {
+            assert_eq!(c.access(line(i)), Access::Miss); // fills ways 0..4 in order
+        }
+        assert_eq!(c.tags, [0, 1, 2, 3]);
+        assert_eq!(c.access(line(0)), Access::Hit); // 1 is now the LRU
+        assert_eq!(c.access(line(4)), Access::Miss);
+        assert_eq!(c.tags, [0, 4, 2, 3]);
+        assert_eq!(c.access(line(5)), Access::Miss); // then 2
+        assert_eq!(c.tags, [0, 4, 5, 3]);
+        c.flush();
+        // All four ways tie at "invalid": the first one is filled.
+        assert_eq!(c.access(line(3)), Access::Miss);
+        assert_eq!(c.tags, [3, 4, 5, 3]);
+        assert_eq!(c.access(line(3)), Access::Hit);
+        assert_eq!(c.access(line(6)), Access::Miss);
+        assert_eq!(c.tags, [3, 6, 5, 3]);
+        assert_eq!(c.access(line(4)), Access::Miss, "a flushed line does not hit");
+        assert_eq!(c.tags, [3, 6, 4, 3]);
     }
 
     #[test]

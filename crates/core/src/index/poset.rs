@@ -17,7 +17,7 @@
 //!    memory beyond the EPC costs 1000× (Figure 8).
 //!
 //! Compared to the pre-arena poset it replaced (deleted; its last
-//! measurement is `crates/bench/baselines/million-7ef4a61.json`) three
+//! measurement is `crates/bench/baselines/million-7ef4a61.json`) four
 //! things changed:
 //!
 //! * **Struct-of-arrays links.** Child/sibling/parent relations live in
@@ -25,10 +25,11 @@
 //!   of a per-node `Vec<u32>` child list. Splicing a node in or out of the
 //!   forest is O(1) pointer surgery with no heap allocation and no
 //!   `children.clone()`.
-//! * **Copyable directory keys.** Each node caches the directory bucket it
-//!   roots under (`DirKey`, derived from its first constraint), so root
-//!   promotion/demotion never needs a `sub.clone()`; bucket membership is
-//!   maintained with position-indexed `swap_remove`, O(1) per root flip.
+//! * **Copyable directory keys.** A root's directory bucket (`DirKey`) is
+//!   derived from its gate (below), which for a root is its first
+//!   constraint, so root promotion/demotion never needs a `sub.clone()`;
+//!   bucket membership is maintained with position-indexed `swap_remove`,
+//!   O(1) per root flip.
 //! * **Directory-seeded matching.** A root can only match a publication
 //!   that carries its first (minimum-id) constrained attribute with a
 //!   compatible kind, so matching seeds its DFS stack from the compatible
@@ -38,6 +39,24 @@
 //!   with a handful of bucket probes, and the traversal stack itself comes
 //!   from the caller's [`MatchScratch`], so steady-state matching performs
 //!   zero heap allocation.
+//! * **Gated descent.** A column index-parallel with the links holds each
+//!   node's *gate*: for a child, its first constraint not identical to its
+//!   parent's on the same attribute; for a root, its first constraint.
+//!   Matching tests a candidate's gate against the publication before
+//!   pushing it — the children of a matched node and the range roots the
+//!   directory seeds — and a rejected candidate is never read. Sound
+//!   because the gate is one of the node's own constraints, so a
+//!   publication that lacks its attribute or fails it cannot match the
+//!   node, nor (by covering) anything below it. It pays because a child
+//!   shares most constraints with its matched parent, and these already
+//!   hold: the gate is where siblings differ. The gate is recomputed
+//!   whenever a node gets a new parent or becomes a root (linking,
+//!   adoption, both splice paths of removal), at O(constraints) each. A
+//!   gate fixed at insertion would stay sound but go blind: once its node
+//!   is re-parented it may test a constraint the new parent already
+//!   guarantees and pass siblings that fail elsewhere. On `router_scan`
+//!   (12k `e80a1`) a publication matches ~384 nodes with ~5 700 children
+//!   between them, and the gates keep all but a few hundred unread.
 //!
 //! Node payloads still live in a [`SimArena`] with the paper's ~432-byte
 //! stride, so probes surface as cache misses and EPC faults in the
@@ -67,9 +86,38 @@ const NONE: u32 = u32::MAX;
 /// footprint the paper's Figure 8 implies.
 const SCAN_CAP: usize = 16;
 
-/// Which root-directory bucket a node belongs to, derived from its first
-/// (minimum-attribute-id) constraint. Copyable, so root bookkeeping never
-/// clones the subscription itself.
+/// The one constraint a publication must pass before a node is read: for a
+/// child, its first constraint not identical to its parent's on the same
+/// attribute; for a root, its first constraint. `None` only for the
+/// unconstrained root, which admits everything.
+type Gate = Option<(AttrId, ConstraintSet)>;
+
+/// The gate of `child` under `parent` (`None` parent: a root).
+///
+/// A child is strictly covered by its parent (equal subscriptions share a
+/// node), so it tightens some parent constraint or adds an attribute, and
+/// the merge-join below always finds one. Were it not to, `None` would
+/// admit the child unconditionally — slower, never wrong.
+fn gate_under(child: &CompiledSubscription, parent: Option<&CompiledSubscription>) -> Gate {
+    let Some(parent) = parent else {
+        return child.constraints().first().copied();
+    };
+    let theirs = parent.constraints();
+    let mut t = 0usize;
+    for &(attr, set) in child.constraints() {
+        while t < theirs.len() && theirs[t].0 < attr {
+            t += 1;
+        }
+        if theirs.get(t) != Some(&(attr, set)) {
+            return Some((attr, set));
+        }
+    }
+    None
+}
+
+/// Which root-directory bucket a root belongs to, derived from its gate
+/// (its first, minimum-attribute-id constraint). Copyable, so root
+/// bookkeeping never clones the subscription itself.
 // lint: allow(SL02, directory lookup key - no cryptographic material)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DirKey {
@@ -82,8 +130,8 @@ enum DirKey {
 }
 
 impl DirKey {
-    fn of(sub: &CompiledSubscription) -> Self {
-        match sub.constraints().first() {
+    fn of(first: Option<&(AttrId, ConstraintSet)>) -> Self {
+        match first {
             None => DirKey::Top,
             Some((attr, ConstraintSet::StrEq(h))) => DirKey::Eq(*attr, *h),
             Some((attr, ConstraintSet::Range { .. })) => DirKey::Range(*attr),
@@ -176,10 +224,16 @@ impl RootDirectory {
     /// Seeds a match with every root that could possibly accept `header`:
     /// the unconstrained `top` roots plus, for each publication attribute,
     /// the exact string-equality bucket (when the value is a string) and
-    /// the numeric-range list. Complete because a matching root's first
-    /// constrained attribute must appear in the header with a compatible
-    /// kind, and each root lives in exactly one bucket (no duplicates).
-    fn seed_match(&self, header: &CompiledHeader, out: &mut Vec<u32>) {
+    /// the numeric-range roots `admit` passes. Complete because a matching
+    /// root's first constrained attribute must appear in the header with a
+    /// compatible kind, and each root lives in exactly one bucket (no
+    /// duplicates).
+    fn seed_match(
+        &self,
+        header: &CompiledHeader,
+        mut admit: impl FnMut(u32) -> bool,
+        out: &mut Vec<u32>,
+    ) {
         out.extend_from_slice(&self.top);
         for (attr, scalar) in header.entries() {
             if let Some(bucket) = self.by_attr.get(attr) {
@@ -188,7 +242,7 @@ impl RootDirectory {
                         out.extend_from_slice(list);
                     }
                 }
-                out.extend_from_slice(&bucket.ranges);
+                out.extend(bucket.ranges.iter().copied().filter(|&r| admit(r)));
             }
         }
     }
@@ -240,9 +294,10 @@ pub struct PosetIndex {
     next_sibling: Vec<u32>,
     prev_sibling: Vec<u32>,
     parent: Vec<u32>,
-    /// Directory bucket this node roots under (valid whenever it exists;
-    /// recomputed on slot reuse).
-    dir_key: Vec<DirKey>,
+    /// Each node's [`Gate`], recomputed whenever it gets a new parent or
+    /// becomes a root. A root's gate is its first constraint, so it also
+    /// names the root's directory bucket ([`DirKey::of`]).
+    gate: Vec<Gate>,
     /// Position inside its directory bucket list while a root, else NONE.
     dir_pos: Vec<u32>,
     directory: RootDirectory,
@@ -267,7 +322,7 @@ impl PosetIndex {
             next_sibling: Vec::new(),
             prev_sibling: Vec::new(),
             parent: Vec::new(),
-            dir_key: Vec::new(),
+            gate: Vec::new(),
             dir_pos: Vec::new(),
             directory: RootDirectory::default(),
             by_id: HashMap::new(),
@@ -325,6 +380,11 @@ impl PosetIndex {
         self.nodes.read_partial(idx, bytes)
     }
 
+    /// Directory bucket of root `idx`.
+    fn dir_key(&self, idx: u32) -> DirKey {
+        DirKey::of(self.gate[idx as usize].as_ref())
+    }
+
     /// Compares the incoming subscription with a node's, charging the two
     /// covering checks.
     fn relate(&self, idx: u32, sub: &CompiledSubscription) -> Relation {
@@ -339,9 +399,11 @@ impl PosetIndex {
         }
     }
 
-    /// Registers `idx` as a root in its directory bucket. O(1).
+    /// Registers `idx` as a root in its directory bucket. O(1) plus the
+    /// gate copy.
     fn root_add(&mut self, idx: u32) {
-        let key = self.dir_key[idx as usize];
+        self.gate[idx as usize] = gate_under(&self.nodes.peek(idx).sub, None);
+        let key = self.dir_key(idx);
         let list = self.directory.list_mut(key);
         self.dir_pos[idx as usize] = list.len() as u32;
         list.push(idx);
@@ -352,7 +414,7 @@ impl PosetIndex {
     /// Removes root `idx` from its directory bucket via position-indexed
     /// swap_remove. O(1), no subscription clone.
     fn root_remove(&mut self, idx: u32) {
-        let key = self.dir_key[idx as usize];
+        let key = self.dir_key(idx);
         let pos = self.dir_pos[idx as usize] as usize;
         let list = self.directory.list_mut(key);
         list.swap_remove(pos);
@@ -364,8 +426,10 @@ impl PosetIndex {
         self.n_roots -= 1;
     }
 
-    /// Prepends `c` to `p`'s child list. O(1) pointer surgery.
+    /// Prepends `c` to `p`'s child list and recomputes its gate under `p`.
+    /// O(1) pointer surgery plus an O(constraints) merge-join.
     fn link_child(&mut self, p: u32, c: u32) {
+        self.gate[c as usize] = gate_under(&self.nodes.peek(c).sub, Some(&self.nodes.peek(p).sub));
         let head = self.first_child[p as usize];
         self.next_sibling[c as usize] = head;
         self.prev_sibling[c as usize] = NONE;
@@ -428,7 +492,6 @@ impl PosetIndex {
         &mut self,
         sub: CompiledSubscription,
         subscriber: (SubscriptionId, ClientId),
-        key: DirKey,
     ) -> u32 {
         if let Some(idx) = self.free.pop() {
             let body = self.nodes.write(idx);
@@ -440,7 +503,7 @@ impl PosetIndex {
             self.next_sibling[i] = NONE;
             self.prev_sibling[i] = NONE;
             self.parent[i] = NONE;
-            self.dir_key[i] = key;
+            self.gate[i] = None;
             self.dir_pos[i] = NONE;
             idx
         } else {
@@ -449,7 +512,7 @@ impl PosetIndex {
             self.next_sibling.push(NONE);
             self.prev_sibling.push(NONE);
             self.parent.push(NONE);
-            self.dir_key.push(key);
+            self.gate.push(None);
             self.dir_pos.push(NONE);
             idx
         }
@@ -537,7 +600,7 @@ impl SubscriptionIndex for PosetIndex {
         }
 
         // Place a new node under `parent`, adopting any siblings it covers.
-        let key = DirKey::of(&sub);
+        let key = DirKey::of(sub.constraints().first());
         cands.clear();
         if parent == NONE {
             self.directory.adoption_candidates_into(key, salt, &mut cands);
@@ -551,7 +614,7 @@ impl SubscriptionIndex for PosetIndex {
                 adopted.push(s);
             }
         }
-        let new_idx = self.alloc_node(sub, (id, client), key);
+        let new_idx = self.alloc_node(sub, (id, client));
         for &a in &adopted {
             if parent == NONE {
                 self.root_remove(a);
@@ -592,21 +655,39 @@ impl SubscriptionIndex for PosetIndex {
         scratch: &mut MatchScratch,
         out: &mut Vec<ClientId>,
     ) {
+        // A candidate's gate is tested from the gate column, never the
+        // node. Each rejection is priced as one predicate evaluation,
+        // charged once per match rather than once per candidate.
+        let mut rejected = 0u64;
+        let mut admit = |c: u32| {
+            let pass = match &self.gate[c as usize] {
+                None => true,
+                Some((attr, set)) => header.get(*attr).is_some_and(|value| set.matches(value)),
+            };
+            rejected += u64::from(!pass);
+            pass
+        };
         scratch.stack.clear();
-        self.directory.seed_match(header, &mut scratch.stack);
+        self.directory.seed_match(header, &mut admit, &mut scratch.stack);
         while let Some(idx) = scratch.stack.pop() {
             let node = self.visit(idx);
             if node.sub.matches(header) {
                 out.extend(node.subscribers.iter().map(|(_, c)| *c));
+                // Only children whose gate passes are read: the parent's
+                // constraints already hold, so the gate is the child's
+                // first chance to fail.
                 let mut c = self.first_child[idx as usize];
                 while c != NONE {
-                    scratch.stack.push(c);
+                    if admit(c) {
+                        scratch.stack.push(c);
+                    }
                     c = self.next_sibling[c as usize];
                 }
             }
             // A failed node prunes its whole subtree: every descendant is
             // covered by it, so none can match.
         }
+        self.mem.charge_predicate_evals(rejected);
     }
 
     fn len(&self) -> usize {
@@ -877,6 +958,102 @@ mod tests {
         // list); each 72-byte visit touches two cache lines. The other 199
         // topic roots are never read — a full walk would cost ~400 reads.
         assert!(mem.stats().reads <= 6, "seeded match read {} lines", mem.stats().reads);
+    }
+
+    #[test]
+    fn gated_descent_reads_only_the_matching_sibling() {
+        let mem = free_mem();
+        let schema = AttrSchema::new();
+        let mut index = PosetIndex::new(&mem);
+        index.insert(
+            SubscriptionId(0),
+            ClientId(0),
+            sub(&schema, SubscriptionSpec::new().eq("topic", "t")),
+        );
+        // 200 disjoint price bands, all children of the one topic root.
+        for i in 1..=200u64 {
+            let lo = (i * 10) as f64;
+            index.insert(
+                SubscriptionId(i),
+                ClientId(i),
+                sub(&schema, SubscriptionSpec::new().eq("topic", "t").between("p", lo, lo + 5.0)),
+            );
+        }
+        assert_eq!(index.root_count(), 1);
+        assert_eq!(index.depth(), 2);
+        mem.reset_counters();
+        let h = header(&schema, &[("topic", "t".into()), ("p", 72.0.into())]);
+        assert_eq!(matches(&index, &h), vec![0, 7]);
+        // The root and the one band containing 72 are read (two lines per
+        // visit); the 199 other bands fail their gate and are never read —
+        // an ungated walk reads ~400 lines.
+        assert!(mem.stats().reads <= 8, "gated match read {} lines", mem.stats().reads);
+    }
+
+    #[test]
+    fn removal_of_inner_node_regates_spliced_children() {
+        let mem = free_mem();
+        let schema = AttrSchema::new();
+        let mut index = PosetIndex::new(&mem);
+        let root = SubscriptionSpec::new().eq("s", "X");
+        index.insert(SubscriptionId(0), ClientId(0), sub(&schema, root.clone()));
+        index.insert(SubscriptionId(1), ClientId(1), sub(&schema, root.clone().gt("a", 0.0)));
+        index.insert(
+            SubscriptionId(2),
+            ClientId(2),
+            sub(&schema, root.clone().gt("a", 0.0).gt("b", 0.0)),
+        );
+        assert_eq!(index.depth(), 3);
+        let child = index.by_id[&SubscriptionId(2)];
+        let a = schema.intern("a");
+        let b = schema.intern("b");
+        assert_eq!(index.gate[child as usize].map(|(attr, _)| attr), Some(b));
+        // Splice the child up to the root: its gate moves to `a`, the
+        // constraint the removed node used to guarantee.
+        assert!(index.remove(SubscriptionId(1)));
+        assert_eq!(index.depth(), 2);
+        assert_eq!(index.gate[child as usize].map(|(attr, _)| attr), Some(a));
+        // Passes the new parent, fails the old one: the child is gated out
+        // unread, and the match set is right.
+        mem.reset_counters();
+        let h = header(&schema, &[("s", "X".into()), ("a", (-1.0).into()), ("b", 5.0.into())]);
+        assert_eq!(matches(&index, &h), vec![0]);
+        assert!(mem.stats().reads <= 2, "gated child was read: {} lines", mem.stats().reads);
+        let h = header(&schema, &[("s", "X".into()), ("a", 1.0.into()), ("b", 5.0.into())]);
+        assert_eq!(matches(&index, &h), vec![0, 2]);
+    }
+
+    #[test]
+    fn removal_of_root_regates_promoted_children() {
+        let mem = free_mem();
+        let schema = AttrSchema::new();
+        let mut index = PosetIndex::new(&mem);
+        index.insert(
+            SubscriptionId(0),
+            ClientId(0),
+            sub(&schema, SubscriptionSpec::new().gt("a", 0.0)),
+        );
+        index.insert(
+            SubscriptionId(1),
+            ClientId(1),
+            sub(&schema, SubscriptionSpec::new().gt("a", 0.0).gt("b", 0.0)),
+        );
+        let child = index.by_id[&SubscriptionId(1)];
+        let a = schema.intern("a");
+        assert_ne!(index.gate[child as usize].map(|(attr, _)| attr), Some(a));
+        // Promoted to a root, the child is gated (and bucketed) by its
+        // first constraint again.
+        assert!(index.remove(SubscriptionId(0)));
+        assert_eq!(index.root_count(), 1);
+        assert_eq!(index.gate[child as usize].map(|(attr, _)| attr), Some(a));
+        mem.reset_counters();
+        let h = header(&schema, &[("a", (-1.0).into()), ("b", 5.0.into())]);
+        assert!(matches(&index, &h).is_empty());
+        assert_eq!(mem.stats().reads, 0, "a gated-out root is never read");
+        let h = header(&schema, &[("a", 1.0.into()), ("b", 5.0.into())]);
+        assert_eq!(matches(&index, &h), vec![1]);
+        assert!(index.remove(SubscriptionId(1)));
+        assert_eq!(index.root_count(), 0);
     }
 
     #[test]

@@ -95,8 +95,157 @@ fn matches_of(
     ids
 }
 
+/// The parents of the wide fan-out arm, each with the grandparent
+/// above it: `(parent, grandparent)`.
+fn fan_parents(kind: usize) -> (SubscriptionSpec, SubscriptionSpec) {
+    let topic = || SubscriptionSpec::new().eq("topic", TOPICS[0]);
+    match kind {
+        // An equality parent under the empty (match-all) subscription.
+        0 => (topic(), SubscriptionSpec::new()),
+        // A range parent under a looser range on the same attribute.
+        1 => (SubscriptionSpec::new().gt("x", -5i64), SubscriptionSpec::new().gt("x", -15i64)),
+        // An equality-and-range parent under its equality.
+        _ => (topic().gt("x", -5i64), topic()),
+    }
+}
+
+/// One step of the wide fan-out arm.
+#[derive(Debug, Clone)]
+enum FanOp {
+    /// A sibling: the parent's filter plus a band `lo..=lo+width` on one
+    /// of x/y/z. Bands on x stay inside the parent's `x > -5`.
+    Child { attr: u8, lo: i8, width: u8 },
+    /// A subscription between the parent and its children: the parent's
+    /// filter plus `attr >= lo`, adopting whichever siblings it covers.
+    Middle { attr: u8, lo: i8 },
+    /// Remove the oldest live parent or middle subscription, splicing its
+    /// children to the grandparent or promoting them to roots.
+    RemoveInner,
+    /// Remove the i-th live subscription (modulo live count).
+    Remove(usize),
+    /// Insert the parent again (a fresh node, or a shared one).
+    Parent,
+}
+
+fn fan_op_strategy() -> impl Strategy<Value = FanOp> {
+    (0u8..10, 0u8..3, -4i8..20, 0u8..8, 0usize..64).prop_map(|(roll, attr, lo, width, pick)| {
+        match roll {
+            0..=4 => FanOp::Child { attr, lo, width },
+            5..=6 => FanOp::Middle { attr, lo: lo.min(10) },
+            7 => FanOp::RemoveInner,
+            8 => FanOp::Remove(pick),
+            _ => FanOp::Parent,
+        }
+    })
+}
+
+fn attr_name(attr: u8) -> &'static str {
+    ["x", "y", "z"][attr as usize]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Wide fan-out and re-parenting: many sibling bands under one shared
+    /// parent (on the parent's attribute and on others), broader
+    /// subscriptions inserted between parent and children, and the
+    /// parent removed under them. The poset re-derives each moved node's
+    /// gate; a stale or wrong one drops a match, so the poset is compared
+    /// with the naive scan on a fixed set of probes after every step.
+    #[test]
+    fn gated_descent_agrees_under_fan_out_and_reparenting(
+        parent in 0usize..3,
+        with_grandparent in any::<bool>(),
+        siblings in proptest::collection::vec((0u8..3, -4i8..20, 0u8..8), 8..48),
+        ops in proptest::collection::vec(fan_op_strategy(), 1..40),
+        probes in proptest::collection::vec((0usize..2, proptest::collection::vec(-8i8..30, 3)), 6),
+    ) {
+        let schema = AttrSchema::new();
+        let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
+        let mut poset = new_index(IndexKind::Poset, &mem);
+        let mut naive = new_index(IndexKind::Naive, &mem);
+        let headers: Vec<_> = probes
+            .iter()
+            .map(|(topic, values)| {
+                PublicationSpec::new()
+                    .attr("topic", TOPICS[*topic])
+                    .attr("x", values[0] as i64)
+                    .attr("y", values[1] as i64)
+                    .attr("z", values[2] as i64)
+                    .compile_header(&schema)
+                    .expect("header compiles")
+            })
+            .collect();
+        let (parent_spec, grand_spec) = fan_parents(parent);
+
+        let mut next_id = 0u64;
+        let mut live: Vec<SubscriptionId> = Vec::new();
+        // Parent and middle subscriptions, oldest first.
+        let mut inner: Vec<SubscriptionId> = Vec::new();
+        let mut insert = |spec: SubscriptionSpec,
+                          poset: &mut Box<dyn SubscriptionIndex>,
+                          naive: &mut Box<dyn SubscriptionIndex>,
+                          live: &mut Vec<SubscriptionId>| {
+            let compiled = spec.compile(&schema).expect("generated subs compile");
+            let id = SubscriptionId(next_id);
+            next_id += 1;
+            poset.insert(id, ClientId(id.0), compiled.clone());
+            naive.insert(id, ClientId(id.0), compiled);
+            live.push(id);
+            id
+        };
+        let child = |attr: u8, lo: i8, width: u8| {
+            parent_spec.clone().between(attr_name(attr), lo as i64, lo as i64 + width as i64)
+        };
+
+        if with_grandparent {
+            insert(grand_spec, &mut poset, &mut naive, &mut live);
+        }
+        let id = insert(parent_spec.clone(), &mut poset, &mut naive, &mut live);
+        inner.push(id);
+        let mut steps: Vec<FanOp> = siblings
+            .iter()
+            .map(|&(attr, lo, width)| FanOp::Child { attr, lo, width })
+            .collect();
+        steps.extend(ops.iter().cloned());
+        for (step, op) in steps.iter().enumerate() {
+            match op {
+                FanOp::Child { attr, lo, width } => {
+                    insert(child(*attr, *lo, *width), &mut poset, &mut naive, &mut live);
+                }
+                FanOp::Middle { attr, lo } => {
+                    let spec = parent_spec.clone().ge(attr_name(*attr), *lo as i64);
+                    let id = insert(spec, &mut poset, &mut naive, &mut live);
+                    inner.push(id);
+                }
+                FanOp::Parent => {
+                    let id = insert(parent_spec.clone(), &mut poset, &mut naive, &mut live);
+                    inner.push(id);
+                }
+                FanOp::RemoveInner | FanOp::Remove(_) => {
+                    let id = match op {
+                        FanOp::RemoveInner if !inner.is_empty() => inner.remove(0),
+                        FanOp::Remove(pick) if !live.is_empty() => live[pick % live.len()],
+                        _ => continue,
+                    };
+                    live.retain(|l| *l != id);
+                    inner.retain(|l| *l != id);
+                    prop_assert!(poset.remove(id), "poset lost subscription {:?}", id);
+                    prop_assert!(naive.remove(id), "naive lost subscription {:?}", id);
+                }
+            }
+            for (p, header) in headers.iter().enumerate() {
+                let mut scratch = MatchScratch::default();
+                prop_assert_eq!(
+                    matches_of(poset.as_ref(), header, &mut scratch),
+                    matches_of(naive.as_ref(), header, &mut scratch),
+                    "probe {} disagrees after step {} ({:?})",
+                    p, step, op
+                );
+            }
+            prop_assert_eq!(poset.len(), live.len(), "poset live-count drift");
+        }
+    }
 
     /// All kinds agree after every step of a random interleaving.
     #[test]

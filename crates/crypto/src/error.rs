@@ -18,7 +18,7 @@ pub enum CryptoError {
         /// What was being parsed or processed.
         context: &'static str,
     },
-    /// Input could not be decoded (e.g. malformed Base64).
+    /// Input could not be decoded (e.g. a malformed RSA public key).
     InvalidEncoding {
         /// What was being decoded.
         context: &'static str,
@@ -66,7 +66,7 @@ mod tests {
         let errors = [
             CryptoError::VerificationFailed,
             CryptoError::InvalidLength { context: "aes key" },
-            CryptoError::InvalidEncoding { context: "base64" },
+            CryptoError::InvalidEncoding { context: "rsa public key" },
             CryptoError::MessageTooLong,
             CryptoError::InvalidKey { reason: "modulus too small" },
             CryptoError::Arithmetic { reason: "division by zero" },

@@ -23,8 +23,6 @@
 //! * [`sha256`], [`hmac`], [`hkdf`] — SHA-256, HMAC-SHA256 and HKDF.
 //! * [`bigint`], [`prime`], [`rsa`] — multi-precision arithmetic, prime
 //!   generation and RSA (PKCS#1 v1.5-style encryption and signatures).
-//! * [`base64`] — the Base64 text codec of the paper's wire format. The
-//!   messages here travel as binary (see `scbr-net`), so nothing calls it.
 //! * [`ct`] — constant-time comparison helpers.
 //! * [`rng`] — deterministic and OS-seeded random sources.
 //!
@@ -64,7 +62,6 @@
 
 pub mod aes;
 pub mod authenc;
-pub mod base64;
 pub mod bigint;
 pub mod ct;
 pub mod ctr;

@@ -5,7 +5,6 @@
 //! fits in two limbs plus a generous multi-limb regime via concatenation.
 
 use proptest::prelude::*;
-use scbr_crypto::base64;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
 use scbr_crypto::hmac::HmacSha256;
 use scbr_crypto::rng::CryptoRng;
@@ -105,11 +104,6 @@ proptest! {
         prop_assert_eq!(BigUint::from_bytes_be(&canonical), n);
         // Canonical form has no leading zeros.
         prop_assert!(canonical.first() != Some(&0));
-    }
-
-    #[test]
-    fn base64_round_trip(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        prop_assert_eq!(base64::decode(&base64::encode(&data)).unwrap(), data);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! frequency of enclave enters/exits". This run measures that amortisation
 //! directly — the simulator counts transitions per batch, so the measured
 //! transition count scales as `slices / batch_size` — and sweeps it
-//! against a [`scbr::cluster::PartitionedRouter`] whose worker threads
+//! against a [`scbr::cluster::PartitionedRouter`] whose scoped threads
 //! genuinely run the slices concurrently (wall-clock µs/msg is
-//! host-measured dispatch→merge time).
+//! host-measured spawn→merge time).
 //!
 //! The workload is Zipf-skewed (`e80a1zz100`) and sized so a single
 //! slice's index overflows the (reduced) usable EPC: one slice pays page
@@ -24,6 +24,7 @@
 //! ```
 
 use scbr::cluster::PartitionedRouter;
+use scbr::engine::BatchMatches;
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
 use scbr_bench::json::{emit, JsonObj};
@@ -88,14 +89,15 @@ fn main() {
                 .expect("register");
         }
         // Warm up caches/EPC residency before the measured sweeps.
-        router.match_encrypted_batch(&headers[..32.min(headers.len())]).expect("warmup");
+        let mut matches = BatchMatches::new();
+        router.match_batch_into(&headers[..32.min(headers.len())], &mut matches);
 
         let mut prev_virt: Option<f64> = None;
         let mut knee: Option<usize> = None;
         for &batch in &BATCHES {
             router.reset_counters();
             for chunk in headers.chunks(batch) {
-                router.match_encrypted_batch(chunk).expect("match");
+                router.match_batch_into(chunk, &mut matches);
             }
             let n_msgs = headers.len() as f64;
             let ecalls = router.total_ecalls();
@@ -145,7 +147,7 @@ fn main() {
         }
     }
 
-    println!("\nwall-clock fan-out at batch 32 (worker threads, host-measured):");
+    println!("\nwall-clock fan-out at batch 32 (scoped threads, host-measured):");
     for (n_slices, virt_us, wall_us) in &wall_at_32 {
         println!("  {n_slices} slice(s): {virt_us:>8.2} virt µs/msg  {wall_us:>8.2} wall µs/msg");
     }

@@ -524,12 +524,10 @@ fn main() {
             for (i, spec) in subs.iter().take(n_part).enumerate() {
                 ids.push(fabric.subscribe(0, ClientId(i as u64), spec).expect("subscribe"));
             }
-            // Retire everything hash-homed off slice 0 (the same
-            // Fibonacci placement the matcher uses), piling the whole
+            // Retire everything hash-homed off slice 0, piling the whole
             // surviving population onto one slice.
             for id in &ids {
-                let home = (id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % slices as u64;
-                if home != 0 {
+                if scbr::cluster::home_slice(*id, slices) != 0 {
                     fabric.unsubscribe(*id).expect("clustered unsubscribe");
                 }
             }

@@ -11,6 +11,7 @@
 //! ```
 
 use scbr::cluster::PartitionedRouter;
+use scbr::engine::BatchMatches;
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
 use scbr_bench::json::{emit, JsonObj};
@@ -70,7 +71,7 @@ fn main() {
         router.reset_counters();
         // Batch fan-out: every slice matches the whole set through one
         // enclave crossing per batch.
-        router.match_encrypted_batch(&headers).expect("match");
+        router.match_batch_into(&headers, &mut BatchMatches::new());
         let match_us = router.parallel_elapsed_ns() / headers.len() as f64 / 1_000.0;
         let slice_mb =
             router.with_slice(0, |s| s.engine().index().logical_bytes()) as f64 / (1024.0 * 1024.0);

@@ -115,7 +115,7 @@ impl BatchMatches {
 
     /// Commits one header's merged client span: `clients` is sorted and
     /// deduplicated in place, appended to the shared buffer, and recorded
-    /// as the next header's outcome. This is how a partitioned matcher
+    /// as the next header's outcome. This is how a partitioned router
     /// folds several slices' results for one header into the same flat
     /// shape a single engine produces.
     pub fn push_span(&mut self, clients: &mut Vec<ClientId>) {
@@ -131,10 +131,11 @@ impl BatchMatches {
         self.spans.push(Err(error));
     }
 
-    /// Moves the first recorded failure out, leaving an empty span in its
-    /// place — for an all-or-nothing caller that discards the batch.
-    pub(crate) fn take_first_error(&mut self) -> Option<ScbrError> {
-        let span = self.spans.iter_mut().find(|span| span.is_err())?;
+    /// Moves header `i`'s failure out, if it failed, leaving an empty
+    /// span in its place — how a partitioned router hands one slice's
+    /// error on to its merged result.
+    pub(crate) fn take_error(&mut self, i: usize) -> Option<ScbrError> {
+        let span = self.spans.get_mut(i).filter(|span| span.is_err())?;
         std::mem::replace(span, Ok((0, 0))).err()
     }
 }
@@ -169,7 +170,7 @@ impl std::fmt::Debug for MatchingEngine {
         f.debug_struct("MatchingEngine")
             .field("index_kind", &self.index.kind())
             .field("subscriptions", &self.index.len())
-            .field("provisioned", &self.is_provisioned())
+            .field("provisioned", &self.sk.is_some())
             .finish()
     }
 }
@@ -208,26 +209,9 @@ impl MatchingEngine {
         self.telemetry = on;
     }
 
-    /// True when per-stage latency instrumentation is recording.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry
-    }
-
-    /// Copies out the per-stage latency histograms (decrypt, index
-    /// match). All-inline arrays: cheap, lock-held only for the memcpy.
-    pub fn stage_histograms(&self) -> StageHistograms {
-        self.scratch.lock().stages.clone()
-    }
-
     /// Summaries of every stage that recorded at least one sample.
     pub fn stage_summaries(&self) -> Vec<StageSummary> {
         self.scratch.lock().stages.summaries()
-    }
-
-    /// Forgets all recorded stage latencies in O(stages), without
-    /// touching buffer capacity (between measurement phases).
-    pub fn clear_stage_histograms(&self) {
-        self.scratch.lock().stages.clear();
     }
 
     /// Installs the symmetric key `SK` and the producer's signature key
@@ -236,11 +220,6 @@ impl MatchingEngine {
     pub fn provision_keys(&mut self, sk: SymmetricKey, producer_key: RsaPublicKey) {
         self.sk = Some(sk);
         self.producer_key = Some(producer_key);
-    }
-
-    /// True once keys have been provisioned.
-    pub fn is_provisioned(&self) -> bool {
-        self.sk.is_some()
     }
 
     /// Registers a plaintext subscription (baseline path and tests).
@@ -358,6 +337,11 @@ impl MatchingEngine {
     /// snapshot would store for it. Must not leave the trust boundary.
     pub fn retained_body(&self, id: SubscriptionId) -> Option<&[u8]> {
         self.registered_pos.get(&id).map(|&pos| self.registered[pos].2.as_slice())
+    }
+
+    /// The ids of every live subscription, in no particular order.
+    pub fn ids(&self) -> impl Iterator<Item = SubscriptionId> + '_ {
+        self.registered.iter().map(|(id, _, _)| *id)
     }
 
     /// Unregisters a subscription (and drops its retained snapshot body).
@@ -670,19 +654,9 @@ impl MatchingEngine {
     }
 }
 
-/// Where the engine runs relative to the enclave boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Inside an SGX enclave: EPC-backed memory, MEE costs, call gates.
-    InEnclave,
-    /// Outside any enclave: native memory (the insecure baseline).
-    Outside,
-}
-
 /// A matching engine bound to a placement — the unit the benchmarks drive.
 #[derive(Debug)]
 pub struct RouterEngine {
-    placement: Placement,
     enclave: Option<Enclave>,
     engine: MatchingEngine,
 }
@@ -698,23 +672,14 @@ impl RouterEngine {
             EnclaveBuilder::new("scbr-router").add_page(b"scbr matching engine v1").isv_prod_id(1),
         )?;
         let engine = MatchingEngine::new(enclave.memory(), kind);
-        Ok(RouterEngine { placement: Placement::InEnclave, enclave: Some(enclave), engine })
+        Ok(RouterEngine { enclave: Some(enclave), engine })
     }
 
     /// Builds an engine in native memory shaped by `platform`'s cache and
     /// cost model (the outside-enclave baseline on the same machine).
     pub fn outside(platform: &SgxPlatform, kind: IndexKind) -> Self {
         let mem = MemorySim::native(*platform.cache_config(), platform.cost_model().clone());
-        RouterEngine {
-            placement: Placement::Outside,
-            enclave: None,
-            engine: MatchingEngine::new(&mem, kind),
-        }
-    }
-
-    /// The placement.
-    pub fn placement(&self) -> Placement {
-        self.placement
+        RouterEngine { enclave: None, engine: MatchingEngine::new(&mem, kind) }
     }
 
     /// The enclave, when placed inside one.
@@ -1363,8 +1328,8 @@ mod tests {
         let platform = SgxPlatform::for_testing(5);
         let mut inside = RouterEngine::in_enclave(&platform, IndexKind::Poset).unwrap();
         let mut outside = RouterEngine::outside(&platform, IndexKind::Poset);
-        assert_eq!(inside.placement(), Placement::InEnclave);
-        assert_eq!(outside.placement(), Placement::Outside);
+        assert!(inside.enclave().is_some());
+        assert!(outside.enclave().is_none());
 
         let spec = SubscriptionSpec::new().eq("s", "X");
         inside.call(|e| e.register_plain(SubscriptionId(1), ClientId(1), &spec)).unwrap();

@@ -64,7 +64,7 @@ pub mod roles;
 pub mod subscription;
 pub mod value;
 
-pub use engine::{MatchingEngine, Placement, RouterEngine};
+pub use engine::{MatchingEngine, RouterEngine};
 pub use error::ScbrError;
 pub use ids::{ClientId, KeyEpoch, SubscriptionId};
 pub use index::{IndexKind, SubscriptionIndex};

@@ -8,9 +8,12 @@
 //! and through the enclave-hosted [`RouterEngine::match_batch_into`] gate,
 //! and require bit-identical client lists against the
 //! one-message-at-a-time path — with a poisoned header sinking only
-//! itself.
+//! itself. The partitioned router's scoped fan-out
+//! ([`PartitionedRouter::match_batch_into`]) is held to the same
+//! standard against one engine, under registration churn.
 
 use proptest::prelude::*;
+use scbr::cluster::PartitionedRouter;
 use scbr::engine::{BatchMatches, MatchingEngine, RouterEngine};
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
@@ -78,6 +81,21 @@ fn build_pub(raw: &RawPub) -> PublicationSpec {
         spec = spec.attr(NUMERIC[i], *v);
     }
     spec
+}
+
+/// One step of registration churn. Ids come from a small range, so a
+/// `Register` often re-registers a live id with a changed filter.
+#[derive(Debug, Clone)]
+enum Churn {
+    Register(u64, RawSub),
+    Unregister(u64),
+}
+
+fn churn_strategy() -> impl Strategy<Value = Churn> {
+    prop_oneof![
+        3 => (0u64..10, sub_strategy()).prop_map(|(id, raw)| Churn::Register(id, raw)),
+        1 => (0u64..10).prop_map(Churn::Unregister),
+    ]
 }
 
 /// The per-header spans of a batch in which every header matched.
@@ -209,5 +227,74 @@ proptest! {
 
         outside.match_batch_into(&headers, &mut out);
         prop_assert_eq!(inside_results, spans(&out));
+    }
+
+    /// 1-, 2- and 3-slice routers under register / re-register /
+    /// unregister churn: after every step a batch with one truncated
+    /// header matches one engine span for span and fails at exactly the
+    /// truncated header.
+    #[test]
+    fn partitioned_router_matches_one_engine_under_churn(
+        churn in proptest::collection::vec(churn_strategy(), 1..20),
+        pubs in proptest::collection::vec(pub_strategy(), 2..6),
+        poisoned in 0usize..6,
+    ) {
+        let (sk, pk) = test_key();
+        let mut rng = CryptoRng::from_seed(5);
+        let mut headers: Vec<Vec<u8>> = pubs
+            .iter()
+            .map(|p| {
+                let plain = scbr::codec::encode_header(&build_pub(p));
+                AesCtr::encrypt_with_nonce(&sk, &mut rng, &plain)
+            })
+            .collect();
+        let poisoned = poisoned % headers.len();
+        headers[poisoned].truncate(3);
+
+        let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
+        let mut reference = MatchingEngine::new(&mem, IndexKind::Poset);
+        reference.provision_keys(sk.clone(), pk.clone());
+        let platform = SgxPlatform::for_testing(3);
+        let mut routers: Vec<PartitionedRouter> = (1..=3)
+            .map(|n| {
+                let mut router = PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, n)
+                    .expect("launch");
+                router.provision_keys(&sk, &pk);
+                router
+            })
+            .collect();
+        let (mut expected, mut out) = (BatchMatches::new(), BatchMatches::new());
+        for step in &churn {
+            match step {
+                Churn::Register(id, raw) => {
+                    // Collide clients across ids: the merge deduplicates.
+                    let (id, client, spec) = (SubscriptionId(*id), ClientId(id % 4), build_sub(raw));
+                    reference.register_plain(id, client, &spec).expect("register");
+                    for router in &mut routers {
+                        router.register_plain(id, client, &spec).expect("register");
+                    }
+                }
+                Churn::Unregister(id) => {
+                    let existed = reference.unregister(SubscriptionId(*id));
+                    for router in &mut routers {
+                        prop_assert_eq!(router.unregister(SubscriptionId(*id)), existed);
+                    }
+                }
+            }
+            reference.match_encrypted_batch_into(&headers, &mut expected);
+            for router in &mut routers {
+                let slices = router.slice_count();
+                prop_assert_eq!(router.len(), reference.index().len(), "{} slices", slices);
+                router.match_batch_into(&headers, &mut out);
+                prop_assert_eq!(out.len(), headers.len());
+                for (i, (got, want)) in out.iter().zip(expected.iter()).enumerate() {
+                    if i == poisoned {
+                        prop_assert!(got.is_err() && want.is_err(), "{} slices", slices);
+                    } else {
+                        prop_assert_eq!(got.ok(), want.ok(), "{} slices, header {}", slices, i);
+                    }
+                }
+            }
+        }
     }
 }

@@ -2708,9 +2708,9 @@ impl Broker {
     }
 
     /// Per-slice occupancy stats in the cluster schema
-    /// ([`SliceStats`]); `lifetime_ecalls` is `None` — the slices share
-    /// the broker's single call gate, so per-slice crossings are not
-    /// attributable.
+    /// ([`SliceStats`]); `mem` and `lifetime_ecalls` are `None` — the
+    /// slices share the broker's one memory and call gate, so per-slice
+    /// memory counters and crossings are not attributable.
     pub fn slice_stats(&self) -> Vec<SliceStats> {
         self.core.matcher.slice_stats()
     }

@@ -1370,6 +1370,31 @@ mod tests {
     }
 
     #[test]
+    fn sliced_broker_exports_its_memory_counters_once() {
+        // Regression: every slice of a partitioned broker re-exported the
+        // broker's one shared memory counters, so `slice.*.ecalls` summed
+        // to slices × the broker's count and the spread of
+        // `slice.*.epc_swaps` was always 0.
+        let config = FabricConfig::attested(33).with_partition(PartitionConfig::sliced(4));
+        let mut fabric = OverlayFabric::build(Topology::line(2), config).unwrap();
+        for i in 0..8u64 {
+            let spec = SubscriptionSpec::new().gt("price", i as f64);
+            fabric.subscribe(0, ClientId(i), &spec).unwrap();
+        }
+        fabric.publish(1, &[PublicationSpec::new().attr("price", 9.0)]).unwrap();
+        let snap = fabric.telemetry();
+        let counters = &snap.brokers[0].counters;
+        assert!(counters.get("mem.ecalls").unwrap() > 0, "the broker's counters, once");
+        assert_eq!(counters.get("partition.slices"), Some(4));
+        for slice in 0..4 {
+            assert!(counters.get(&format!("slice.{slice}.subscriptions")).is_some());
+            for shared in ["ecalls", "epc_swaps", "lifetime_ecalls"] {
+                assert_eq!(counters.get(&format!("slice.{slice}.{shared}")), None, "{shared}");
+            }
+        }
+    }
+
+    #[test]
     fn telemetry_off_publishes_untraced_with_no_records() {
         let mut fabric =
             OverlayFabric::build(Topology::line(2), FabricConfig::preshared(32)).unwrap();

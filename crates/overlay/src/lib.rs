@@ -35,8 +35,10 @@
 //!   their live forwarded sets.
 //! * [`partition`] — the matcher inside each broker can be sharded into
 //!   N [`partition::PartitionedMatcher`] slices behind the same
-//!   admit/remove/route surface: subscriptions hash-placed per slice,
-//!   each publication fanned across all slices inside the same single
+//!   admit/remove/route surface: subscriptions hash-placed per slice by
+//!   [`scbr::cluster::home_slice`] (the scale-out router's rule, so the
+//!   tree has one), each publication fanned across all slices inside the
+//!   same single
 //!   enclave crossing and merged, and a serving-tick rebalancer that
 //!   watches `occupancy_skew` and migrates subscriptions fullest →
 //!   emptiest make-before-break

@@ -8,10 +8,12 @@
 //! while presenting exactly the register/unregister/match surface
 //! [`crate::broker::Broker`] already drives:
 //!
-//! * **Placement** — a fresh subscription id is hash-placed
-//!   ([`PartitionedMatcher::home_slice`]); a re-registration or removal
-//!   routes to the id's *current* slice through the placement map, so a
-//!   migrated subscription is never duplicated by later churn. Learning
+//! * **Placement** — a fresh subscription id is hash-placed by
+//!   [`scbr::cluster::home_slice`], the one placement rule it shares with
+//!   the scale-out router; a re-registration or removal routes to the
+//!   id's *current* slice through the placement map, so a migrated
+//!   subscription is never duplicated by later churn. (The map exists
+//!   only because migration can move an id off its home slice.) Learning
 //!   the id before picking a slice uses
 //!   [`MatchingEngine::peek_registration`] (verify + decrypt + decode
 //!   without mutating); with one slice the matcher delegates directly
@@ -32,11 +34,14 @@
 //!
 //! The skew signal and the closed rebalancing loop live in the broker
 //! (which owns the registration envelopes a migration replays); this
-//! module provides the mechanism and the per-slice occupancy arithmetic,
-//! mirroring `scbr`'s cluster-level [`scbr::cluster::SliceStats`]
-//! remedy documentation.
+//! module provides the mechanism. The skew arithmetic
+//! ([`scbr::cluster::occupancy_skew`]) and the per-slice stats
+//! ([`scbr::cluster::SliceStats::of`]) are `scbr`'s cluster-level ones.
+//! Unlike the router's slices, which are separate enclaves and never
+//! migrate, these slices share the broker's one enclave, so a migration
+//! never carries plaintext across the host.
 
-use scbr::cluster::SliceStats;
+use scbr::cluster::{home_slice, SliceStats};
 use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
@@ -149,12 +154,6 @@ impl PartitionedMatcher {
         self.slices.len()
     }
 
-    /// The deterministic hash slice for a fresh id (Fibonacci hashing on
-    /// the id bits, so sequential ids spread instead of clustering).
-    pub fn home_slice(&self, id: SubscriptionId) -> usize {
-        ((id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % self.slices.len() as u64) as usize
-    }
-
     /// The slice currently holding `id`, if live.
     pub fn slice_of(&self, id: SubscriptionId) -> Option<usize> {
         self.placement.get(&id).copied()
@@ -218,7 +217,7 @@ impl PartitionedMatcher {
         // peek (verify + decrypt + decode, no mutation) to learn it, then
         // register for real on the owner.
         let (id, _) = self.slices[0].peek_registration(envelope)?;
-        let slice = self.slice_of(id).unwrap_or_else(|| self.home_slice(id));
+        let slice = self.slice_of(id).unwrap_or_else(|| home_slice(id, self.slices.len()));
         let out = self.slices[slice].register_envelope_as(envelope, deliver_to)?;
         self.placement.insert(id, slice);
         Ok(out)
@@ -242,7 +241,7 @@ impl PartitionedMatcher {
             0
         } else {
             let (_, id, _) = scbr::codec::decode_registration(&body)?;
-            self.slice_of(id).unwrap_or_else(|| self.home_slice(id))
+            self.slice_of(id).unwrap_or_else(|| home_slice(id, self.slices.len()))
         };
         let out = self.slices[slice].register_retained_as(body, deliver_to)?;
         self.placement.insert(out.0, slice);
@@ -376,16 +375,9 @@ impl PartitionedMatcher {
     }
 
     /// Max-over-mean edge occupancy across slices (1.0 = perfectly
-    /// balanced or empty) — the same figure
-    /// `scbr::cluster::PartitionedRouter::occupancy_skew` reports.
+    /// balanced or empty; see [`scbr::cluster::occupancy_skew`]).
     pub fn occupancy_skew(&self) -> f64 {
-        let counts = self.edge_counts();
-        let total: usize = counts.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / counts.len() as f64;
-        counts.iter().copied().max().unwrap_or(0) as f64 / mean
+        scbr::cluster::occupancy_skew(&self.edge_counts())
     }
 
     /// The fullest and emptiest slices by edge occupancy (ties broken by
@@ -414,23 +406,14 @@ impl PartitionedMatcher {
     }
 
     /// Per-slice stats in [`SliceStats`] form (the cluster module's
-    /// schema, so the same telemetry labels apply). `mem` is the shared
-    /// simulator — identical across slices by construction — and
-    /// `lifetime_ecalls` is `None`: the slices share the broker's one
-    /// call gate, so a per-slice crossing count is not attributable.
+    /// schema, so the same telemetry labels apply). `mem` and
+    /// `lifetime_ecalls` are `None`: the slices share the broker's one
+    /// memory and call gate, whose counters the broker reports once.
     pub fn slice_stats(&self) -> Vec<SliceStats> {
         self.slices
             .iter()
             .enumerate()
-            .map(|(slice, engine)| SliceStats {
-                slice,
-                subscriptions: engine.index().len(),
-                edge_subscriptions: engine.edge_subscriptions(),
-                nodes: engine.index().node_count(),
-                index_bytes: engine.index().logical_bytes(),
-                mem: engine.memory().stats(),
-                lifetime_ecalls: None,
-            })
+            .map(|(slice, engine)| SliceStats::of(slice, engine, None, None))
             .collect()
     }
 
@@ -453,36 +436,9 @@ impl PartitionedMatcher {
             return Err(ScbrError::Codec { context: "recovery slice out of range" });
         }
         let restored = self.slices[slice].restore(snapshot)?;
-        // The engine does not enumerate its ids; recover them from the
-        // snapshot framing (count, then per entry a delivery tag and the
-        // retained body) by asking the slice what it now holds.
-        for id in ids_in_snapshot(snapshot)? {
-            self.placement.insert(id, slice);
-        }
+        self.placement.extend(self.slices[slice].ids().map(|id| (id, slice)));
         Ok(restored)
     }
-}
-
-/// The subscription ids recorded in an engine snapshot
-/// ([`MatchingEngine::snapshot`] framing: count, then per entry a
-/// delivery tag and the retained registration body).
-fn ids_in_snapshot(snapshot: &[u8]) -> Result<Vec<SubscriptionId>, ScbrError> {
-    let mut r = scbr::codec::Reader::new(snapshot);
-    let n = r.u32()? as usize;
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        match r.u8()? {
-            0 => {}
-            1 => {
-                r.u64()?;
-            }
-            _ => return Err(ScbrError::Codec { context: "snapshot delivery tag" }),
-        }
-        let body = r.bytes()?;
-        let (_, id, _) = scbr::codec::decode_registration(&body)?;
-        ids.push(id);
-    }
-    Ok(ids)
 }
 
 #[cfg(test)]
@@ -548,7 +504,9 @@ mod tests {
         // bounds.
         let (mut matcher, producer, mut rng) = setup(2);
         let on = |slice: usize, matcher: &PartitionedMatcher| {
-            (0..64u64).find(|&i| matcher.home_slice(SubscriptionId(i)) == slice).unwrap()
+            (0..64u64)
+                .find(|&i| home_slice(SubscriptionId(i), matcher.slice_count()) == slice)
+                .unwrap()
         };
         let (a, b) = (on(0, &matcher), on(1, &matcher));
         let broad = SubscriptionSpec::new().gt("price", 3.0);

@@ -226,7 +226,7 @@ fn batching_amortises_transitions_and_partitioning_beats_epc_thrash() {
         for batch in [1usize, 8, 32] {
             router.reset_counters();
             for chunk in headers.chunks(batch) {
-                router.match_encrypted_batch(chunk).expect("match");
+                router.match_batch_into(chunk, &mut scbr::engine::BatchMatches::new());
             }
             // Transition count scales as slices / batch (ceil per chunk).
             let expected = slices as u64 * headers.chunks(batch).len() as u64;

@@ -26,7 +26,7 @@ use crate::attr::AttrSchema;
 use crate::codec;
 use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
-use crate::index::{new_index, IndexKind, MatchScratch, SubscriptionIndex};
+use crate::index::{new_index, Anchor, IndexKind, MatchScratch, SubscriptionIndex};
 use crate::publication::{CompiledHeader, PublicationSpec};
 use crate::subscription::SubscriptionSpec;
 use parking_lot::Mutex;
@@ -138,6 +138,101 @@ impl BatchMatches {
         let span = self.spans.get_mut(i).filter(|span| span.is_err())?;
         std::mem::replace(span, Ok((0, 0))).err()
     }
+}
+
+/// Opens every engine snapshot. It names the layout, so a snapshot in any
+/// other layout — one written before the anchor column existed — is
+/// refused with a codec error instead of being misread.
+const SNAPSHOT_FORMAT: u64 = u64::from_be_bytes(*b"scbr-sn2");
+
+/// One row of an engine snapshot, its body borrowed from the snapshot.
+struct SnapshotRow<'a> {
+    deliver_to: Option<ClientId>,
+    anchor: Anchor,
+    body: &'a [u8],
+}
+
+impl<'a> SnapshotRow<'a> {
+    fn write(&self, w: &mut codec::Writer) {
+        match self.deliver_to {
+            Some(client) => w.u8(1).u64(client.0),
+            None => w.u8(0),
+        };
+        match self.anchor {
+            Anchor::Unknown => w.u8(0),
+            Anchor::Root => w.u8(1),
+            Anchor::Under(at) => w.u8(2).u64(at.0),
+        };
+        w.bytes(self.body);
+    }
+
+    /// Every row of `snapshot`, after checking its format tag and that
+    /// nothing trails the last row.
+    fn parse_all(snapshot: &'a [u8]) -> Result<Vec<Self>, ScbrError> {
+        let mut r = codec::Reader::new(snapshot);
+        if r.u64()? != SNAPSHOT_FORMAT {
+            return Err(ScbrError::Codec { context: "snapshot format" });
+        }
+        let n = r.u32()?;
+        let mut rows = Vec::new();
+        for _ in 0..n {
+            let deliver_to = match r.u8()? {
+                0 => None,
+                1 => Some(ClientId(r.u64()?)),
+                _ => return Err(ScbrError::Codec { context: "snapshot delivery tag" }),
+            };
+            let anchor = match r.u8()? {
+                0 => Anchor::Unknown,
+                1 => Anchor::Root,
+                2 => Anchor::Under(SubscriptionId(r.u64()?)),
+                _ => return Err(ScbrError::Codec { context: "snapshot anchor tag" }),
+            };
+            rows.push(SnapshotRow { deliver_to, anchor, body: r.bytes_ref()? });
+        }
+        if !r.is_exhausted() {
+            return Err(ScbrError::Codec { context: "snapshot trailing bytes" });
+        }
+        Ok(rows)
+    }
+}
+
+/// `snapshot` with every anchor set to [`Anchor::Unknown`]. It restores
+/// to the same subscriptions and matches (by search), and it compares
+/// equal between two engines that hold the same registrations in the same
+/// order, whatever shapes their covering forests grew into.
+///
+/// # Errors
+///
+/// Whatever [`MatchingEngine::restore`] refuses to parse.
+pub fn strip_anchors(snapshot: &[u8]) -> Result<Vec<u8>, ScbrError> {
+    let rows = SnapshotRow::parse_all(snapshot)?;
+    let mut w = codec::Writer::new();
+    w.u64(SNAPSHOT_FORMAT).u32(rows.len() as u32);
+    for row in rows {
+        SnapshotRow { anchor: Anchor::Unknown, ..row }.write(&mut w);
+    }
+    Ok(w.into_bytes())
+}
+
+/// The rows `0..n` ordered so that each comes after the row its anchor
+/// names (`anchor_row`), when there is one: a restore that inserts in this
+/// order finds every parent node already in place. A cycle — only a
+/// corrupted snapshot has one — is cut where the walk meets it, and the
+/// row there falls back to the covering search.
+fn parents_first(n: usize, anchor_row: impl Fn(usize) -> Option<usize>) -> Vec<usize> {
+    let mut seen = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    let mut chain = Vec::new();
+    for start in 0..n {
+        let mut row = Some(start);
+        while let Some(i) = row.filter(|&i| !seen[i]) {
+            seen[i] = true;
+            chain.push(i);
+            row = anchor_row(i);
+        }
+        order.extend(chain.drain(..).rev());
+    }
+    order
 }
 
 /// The trusted matching core (runs inside the enclave when placed there).
@@ -296,11 +391,11 @@ impl MatchingEngine {
     }
 
     /// Registers an already-opened registration body (the plaintext a
-    /// registration envelope decrypts to) under `deliver_to` — the
-    /// per-row half of [`MatchingEngine::restore`], and what
+    /// registration envelope decrypts to) under `deliver_to` — what
     /// [`MatchingEngine::register_envelope_as`] does once the envelope
-    /// has authenticated. It needs neither `SK` nor the producer key, so
-    /// an enclave relaunched after a crash can redo registrations from
+    /// has authenticated, and how a broker redoes the registrations its
+    /// sealed journal holds. It needs neither `SK` nor the producer key,
+    /// so an enclave relaunched after a crash can redo registrations from
     /// its own sealed state before it has been re-attested. The body is
     /// trusted input: callers hand in only what they unsealed or
     /// decrypted themselves.
@@ -313,24 +408,11 @@ impl MatchingEngine {
         body: Vec<u8>,
         deliver_to: Option<ClientId>,
     ) -> Result<(SubscriptionId, crate::subscription::CompiledSubscription), ScbrError> {
-        self.register_body(body, deliver_to, Clone::clone)
-    }
-
-    /// Decode, compile, retain and index one registration body. `keep`
-    /// picks what the caller wants back of the compiled form before the
-    /// index takes ownership of it (a bulk restore wants nothing).
-    fn register_body<R>(
-        &mut self,
-        body: Vec<u8>,
-        deliver_to: Option<ClientId>,
-        keep: impl FnOnce(&crate::subscription::CompiledSubscription) -> R,
-    ) -> Result<(SubscriptionId, R), ScbrError> {
         let (spec, id, client) = codec::decode_registration(&body)?;
         let compiled = spec.compile(&self.schema)?;
-        let kept = keep(&compiled);
         self.retain_body(id, deliver_to, body);
-        self.index.insert(id, deliver_to.unwrap_or(client), compiled);
-        Ok((id, kept))
+        self.index.insert(id, deliver_to.unwrap_or(client), compiled.clone());
+        Ok((id, compiled))
     }
 
     /// The retained (plaintext) registration body of a live id — what a
@@ -428,51 +510,87 @@ impl MatchingEngine {
         Ok(AesCtr::decrypt_with_nonce(sk, &body_ct)?)
     }
 
-    /// Serialises the registered subscriptions (raw registration bodies
-    /// plus their delivery identities) for sealing: the enclave can
-    /// persist this via [`sgx_sim::seal::VersionedSeal`] and re-register
-    /// after a restart without a new remote attestation (the paper's §2
-    /// restart flow). A subscription registered under a link-interface
-    /// identity keeps that identity through the round trip — a restored
-    /// broker must not collapse its neighbours' interest into edge
-    /// clients.
+    /// Serialises the registered subscriptions for sealing: the enclave
+    /// can persist this via [`sgx_sim::seal::VersionedSeal`] and
+    /// re-register after a restart without a new remote attestation (the
+    /// paper's §2 restart flow).
+    ///
+    /// Layout: a format tag, a row count, then one row per live
+    /// subscription in registration order — its delivery identity, its
+    /// [`Anchor`] and its raw registration body. A subscription
+    /// registered under a link-interface identity keeps that identity
+    /// through the round trip (a restored broker must not collapse its
+    /// neighbours' interest into edge clients). The anchor column records
+    /// where the row sits in the index ([`SubscriptionIndex::anchor`]:
+    /// a forest root, or the first subscription of its parent or shared
+    /// node; `Unknown` for indexes without a forest), so that
+    /// [`MatchingEngine::restore`] can relink the forest instead of
+    /// searching it. Rows stay in registration order, not forest order:
+    /// two engines holding the same registrations then write the same
+    /// bytes apart from the anchors (see [`strip_anchors`]).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = codec::Writer::new();
-        w.u32(self.registered.len() as u32);
-        for (_, deliver_to, body) in &self.registered {
-            match deliver_to {
-                Some(client) => w.u8(1).u64(client.0),
-                None => w.u8(0),
-            };
-            w.bytes(body);
+        w.u64(SNAPSHOT_FORMAT).u32(self.registered.len() as u32);
+        for (id, deliver_to, body) in &self.registered {
+            SnapshotRow { deliver_to: *deliver_to, anchor: self.index.anchor(*id), body }
+                .write(&mut w);
         }
         w.into_bytes()
     }
 
     /// Restores a snapshot produced by [`MatchingEngine::snapshot`],
     /// re-registering every subscription under its recorded delivery
-    /// identity.
+    /// identity, and returns the number of rows.
+    ///
+    /// Every row is decoded and compiled before anything is registered,
+    /// and bodies are retained in row order, so the restored engine's
+    /// next snapshot lists them as this one did. The index is then filled
+    /// parents-first along the anchor column, each row placed with
+    /// [`SubscriptionIndex::insert_anchored`]: one covering comparison
+    /// against the node its anchor names, where a fresh insert would run
+    /// the whole covering search. The anchor is checked even though the
+    /// snapshot comes sealed from this same code: it describes a forest
+    /// the bytes do not carry (the rows are recompiled here, under this
+    /// engine's attribute numbering, possibly into an index of another
+    /// kind or one already holding subscriptions), and the index rests
+    /// its pruning on parents covering children. So an anchor that is
+    /// unknown, not placed yet, names no live subscription, or does not
+    /// cover its row falls back to the search: a wrong anchor costs time,
+    /// never a delivery.
     ///
     /// # Errors
     ///
-    /// Malformed snapshots or invalid subscriptions abort the restore.
+    /// A snapshot without the current format tag (one written before
+    /// anchors existed, say), a malformed row or an invalid subscription
+    /// aborts the restore before anything is registered.
     pub fn restore(&mut self, snapshot: &[u8]) -> Result<usize, ScbrError> {
-        let mut r = codec::Reader::new(snapshot);
-        let n = r.u32()? as usize;
-        let mut restored = 0;
-        for _ in 0..n {
-            let deliver_to = match r.u8()? {
-                0 => None,
-                1 => Some(ClientId(r.u64()?)),
-                _ => return Err(ScbrError::Codec { context: "snapshot delivery tag" }),
-            };
-            self.register_body(r.bytes()?, deliver_to, |_| ())?;
-            restored += 1;
+        let rows = SnapshotRow::parse_all(snapshot)?;
+        let mut pending = Vec::with_capacity(rows.len());
+        for row in &rows {
+            let (spec, id, client) = codec::decode_registration(row.body)?;
+            let compiled = spec.compile(&self.schema)?;
+            pending.push((id, Some((row.deliver_to.unwrap_or(client), compiled))));
         }
-        if !r.is_exhausted() {
-            return Err(ScbrError::Codec { context: "snapshot trailing bytes" });
+        // A repeated id re-registers, as it would live: the last row wins.
+        let mut row_of = HashMap::with_capacity(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            let id = pending[i].0;
+            if let Some(earlier) = row_of.insert(id, i) {
+                pending[earlier].1 = None;
+            }
+            self.retain_body(id, row.deliver_to, row.body.to_vec());
         }
-        Ok(restored)
+        let anchor_row = |i: usize| match rows[i].anchor {
+            Anchor::Under(at) => row_of.get(&at).copied(),
+            _ => None,
+        };
+        for i in parents_first(rows.len(), anchor_row) {
+            let (id, entry) = &mut pending[i];
+            if let Some((client, compiled)) = entry.take() {
+                self.index.insert_anchored(*id, client, compiled, rows[i].anchor);
+            }
+        }
+        Ok(rows.len())
     }
 
     /// Recompiles the retained registration body of `id` (if live),
@@ -1054,6 +1172,93 @@ mod tests {
         assert_eq!(restored.index().len(), 2);
         // Corrupt snapshots are rejected.
         assert!(restored.restore(&snapshot[..snapshot.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn restore_survives_hand_edited_anchors() {
+        let specs = [
+            SubscriptionSpec::new().gt("p", 0.0),
+            SubscriptionSpec::new().gt("p", 10.0),
+            SubscriptionSpec::new().gt("p", 10.0),
+            SubscriptionSpec::new().eq("s", "A").gt("p", 20.0),
+            SubscriptionSpec::new().eq("s", "A"),
+            SubscriptionSpec::new().eq("s", "B").lt("q", 5i64),
+            SubscriptionSpec::new(),
+        ];
+        let free =
+            || MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
+        let mem = free();
+        let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
+        let mut naive = MatchingEngine::new(&mem, IndexKind::Naive);
+        for (i, spec) in specs.iter().enumerate() {
+            let (id, client) = (SubscriptionId(i as u64), ClientId(i as u64));
+            engine.register_plain(id, client, spec).unwrap();
+            naive.register_plain(id, client, spec).unwrap();
+        }
+        let snapshot = engine.snapshot();
+        let rows = SnapshotRow::parse_all(&snapshot).unwrap();
+        let n = rows.len() as u64;
+        let under = |i: u64| Anchor::Under(SubscriptionId(i));
+        let edits: [(&str, &dyn Fn(u64) -> Anchor); 6] = [
+            ("an id that is not in the snapshot", &|_| under(99)),
+            ("forward references, closing a cycle", &|i| under((i + 1) % n)),
+            ("anchors that do not cover their rows", &|_| under(3)),
+            ("self-anchors", &|i| under(i)),
+            ("roots everywhere", &|_| Anchor::Root),
+            ("the shared node of a covered row", &|i| if i == 0 { under(1) } else { under(0) }),
+        ];
+        let publications: Vec<PublicationSpec> = ["A", "B", "C"]
+            .iter()
+            .flat_map(|s| {
+                [-1.0, 5.0, 15.0, 25.0].map(|p| {
+                    PublicationSpec::new().attr("s", *s).attr("p", p).attr("q", p as i64 - 10)
+                })
+            })
+            .collect();
+        for (what, anchor_of) in edits {
+            let mut w = codec::Writer::new();
+            w.u64(SNAPSHOT_FORMAT).u32(rows.len() as u32);
+            for (i, row) in rows.iter().enumerate() {
+                let anchor = anchor_of(i as u64);
+                SnapshotRow { deliver_to: row.deliver_to, anchor, body: row.body }.write(&mut w);
+            }
+            let mem = free();
+            let mut restored = MatchingEngine::new(&mem, IndexKind::Poset);
+            assert_eq!(restored.restore(&w.into_bytes()).unwrap(), specs.len(), "{what}");
+            assert_eq!(restored.index().len(), specs.len(), "{what}");
+            for publication in &publications {
+                assert_eq!(
+                    restored.match_plain(publication).unwrap(),
+                    naive.match_plain(publication).unwrap(),
+                    "{what}: {publication:?}"
+                );
+            }
+            // Whatever shape the edit left, the forest reports anchors
+            // that restore again.
+            let again = restored.snapshot();
+            let mut twice = MatchingEngine::new(&free(), IndexKind::Poset);
+            assert_eq!(twice.restore(&again).unwrap(), specs.len(), "{what}");
+            assert_eq!(strip_anchors(&again).unwrap(), strip_anchors(&snapshot).unwrap(), "{what}");
+        }
+    }
+
+    #[test]
+    fn snapshot_without_the_format_tag_is_refused() {
+        let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
+        let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
+        engine
+            .register_plain(SubscriptionId(1), ClientId(1), &SubscriptionSpec::new().eq("s", "A"))
+            .unwrap();
+        let body = engine.retained_body(SubscriptionId(1)).unwrap().to_vec();
+        // The layout before anchors: a row count, then delivery tag + body.
+        let mut old = codec::Writer::new();
+        old.u32(1).u8(0).bytes(&body);
+        let mut restored = MatchingEngine::new(&mem, IndexKind::Poset);
+        for snapshot in [old.into_bytes(), vec![0, 0, 0, 0], Vec::new()] {
+            assert!(matches!(restored.restore(&snapshot), Err(ScbrError::Codec { .. })));
+        }
+        assert_eq!(restored.index().len(), 0, "nothing was registered");
+        assert!(strip_anchors(&[0, 0, 0, 0]).is_err());
     }
 
     #[test]

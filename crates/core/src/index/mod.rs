@@ -22,6 +22,12 @@
 //! The one match entry point is [`SubscriptionIndex::match_into`]: it
 //! threads a caller-owned [`MatchScratch`] through the traversal so
 //! steady-state matching performs no heap allocation.
+//!
+//! An index may also report an [`Anchor`] per subscription — where it sits
+//! in the structure — and take it back through
+//! [`SubscriptionIndex::insert_anchored`]; that is how an engine snapshot
+//! lets a restored poset skip its covering search. The naive and counting
+//! indexes keep the defaults (no anchor, plain insert).
 
 pub mod counting;
 pub mod naive;
@@ -87,10 +93,52 @@ pub enum IndexKind {
     Counting,
 }
 
+/// Where a live subscription sits in an index's structure, as an engine
+/// snapshot records it so that a restore can put the row back without
+/// searching for its place (see [`SubscriptionIndex::insert_anchored`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Anchor {
+    /// Nothing a restore could reuse: the index keeps no structure, or
+    /// the id is not live.
+    Unknown,
+    /// A root of the covering forest.
+    Root,
+    /// Below or beside the node whose first subscription is this id: its
+    /// parent node, or its own shared node when it is not that node's
+    /// first subscription.
+    Under(SubscriptionId),
+}
+
 /// Common interface of all subscription indexes.
 pub trait SubscriptionIndex: Send {
     /// Registers a subscription for `client`.
     fn insert(&mut self, id: SubscriptionId, client: ClientId, sub: CompiledSubscription);
+
+    /// Where `id` sits, for a snapshot to record. Indexes without a
+    /// structure worth restoring report [`Anchor::Unknown`].
+    fn anchor(&self, _id: SubscriptionId) -> Anchor {
+        Anchor::Unknown
+    }
+
+    /// Registers a subscription at the place `anchor` names, as a restore
+    /// does. The anchor is a hint: an index that cannot confirm it with
+    /// the subscription itself falls back to [`SubscriptionIndex::insert`],
+    /// so a wrong anchor may cost time but never changes a match.
+    fn insert_anchored(
+        &mut self,
+        id: SubscriptionId,
+        client: ClientId,
+        sub: CompiledSubscription,
+        _anchor: Anchor,
+    ) {
+        self.insert(id, client, sub);
+    }
+
+    /// The covering forest, when this index is one (shape inspection:
+    /// [`PosetIndex::root_count`], [`PosetIndex::depth`]).
+    fn as_poset(&self) -> Option<&PosetIndex> {
+        None
+    }
 
     /// Unregisters subscription `id`. Returns whether it existed.
     fn remove(&mut self, id: SubscriptionId) -> bool;

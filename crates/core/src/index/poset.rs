@@ -57,6 +57,21 @@
 //!   guarantees and pass siblings that fail elsewhere. On `router_scan`
 //!   (12k `e80a1`) a publication matches ~384 nodes with ~5 700 children
 //!   between them, and the gates keep all but a few hundred unread.
+//! * **Restore.** [`SubscriptionIndex::anchor`] names where a
+//!   subscription sits: a root, or the first subscription of its parent
+//!   node (of its own shared node, when it is not that node's first). An
+//!   engine snapshot records it per row, and
+//!   [`SubscriptionIndex::insert_anchored`] puts the row back with one
+//!   charged covering comparison against the anchor's node instead of the
+//!   covering search: `Equal` joins the node, `NodeCoversNew` links a
+//!   new child under it (its gate re-derived as on any link), and a root
+//!   goes straight into its directory bucket. Anything else — an unknown
+//!   or not-yet-placed anchor, or one that does not cover the row — falls
+//!   back to [`SubscriptionIndex::insert`]. A restore that places rows
+//!   parents-first rebuilds the author's forest exactly. A wrong anchor
+//!   costs a search or a flatter forest, never a match: a row is linked
+//!   under a node only once that node was seen to cover it, and any
+//!   subscription may be a root.
 //!
 //! Node payloads still live in a [`SimArena`] with the paper's ~432-byte
 //! stride, so probes surface as cache misses and EPC faults in the
@@ -64,7 +79,8 @@
 //! arena footprint proportional to *live* nodes under churn.
 
 use super::{
-    IndexKind, MatchScratch, SubscriptionIndex, CONSTRAINT_BYTES, NODE_HEADER_BYTES, NODE_STRIDE,
+    Anchor, IndexKind, MatchScratch, SubscriptionIndex, CONSTRAINT_BYTES, NODE_HEADER_BYTES,
+    NODE_STRIDE,
 };
 use crate::attr::AttrId;
 use crate::ids::{ClientId, SubscriptionId};
@@ -518,6 +534,32 @@ impl PosetIndex {
         }
     }
 
+    /// Gives `id` a node of its own under `parent` (`NONE`: as a root).
+    fn place(
+        &mut self,
+        id: SubscriptionId,
+        client: ClientId,
+        sub: CompiledSubscription,
+        parent: u32,
+    ) -> u32 {
+        let idx = self.alloc_node(sub, (id, client));
+        if parent == NONE {
+            self.root_add(idx);
+        } else {
+            self.link_child(parent, idx);
+        }
+        self.by_id.insert(id, idx);
+        self.live += 1;
+        idx
+    }
+
+    /// Adds `id` as a further subscriber of the existing node `node`.
+    fn join(&mut self, node: u32, id: SubscriptionId, client: ClientId) {
+        self.nodes.write(node).subscribers.push((id, client));
+        self.by_id.insert(id, node);
+        self.live += 1;
+    }
+
     /// Detaches `idx` from the forest, splicing its children to its parent
     /// (or promoting them to roots), and returns the slot to the free list.
     fn detach(&mut self, idx: u32) {
@@ -592,9 +634,7 @@ impl SubscriptionIndex for PosetIndex {
             parent = next;
         }
         if equal != NONE {
-            self.nodes.write(equal).subscribers.push((id, client));
-            self.by_id.insert(id, equal);
-            self.live += 1;
+            self.join(equal, id, client);
             self.cand_buf = cands;
             return;
         }
@@ -614,24 +654,59 @@ impl SubscriptionIndex for PosetIndex {
                 adopted.push(s);
             }
         }
-        let new_idx = self.alloc_node(sub, (id, client));
         for &a in &adopted {
             if parent == NONE {
                 self.root_remove(a);
             } else {
                 self.unlink_child(a);
             }
+        }
+        let new_idx = self.place(id, client, sub, parent);
+        for &a in &adopted {
             self.link_child(new_idx, a);
         }
-        if parent == NONE {
-            self.root_add(new_idx);
-        } else {
-            self.link_child(parent, new_idx);
-        }
-        self.by_id.insert(id, new_idx);
-        self.live += 1;
         self.cand_buf = cands;
         self.adopt_buf = adopted;
+    }
+
+    fn anchor(&self, id: SubscriptionId) -> Anchor {
+        let Some(&idx) = self.by_id.get(&id) else {
+            return Anchor::Unknown;
+        };
+        let first_of = |node: u32| self.nodes.peek(node).subscribers[0].0;
+        match (first_of(idx), self.parent[idx as usize]) {
+            (first, _) if first != id => Anchor::Under(first),
+            (_, NONE) => Anchor::Root,
+            (_, parent) => Anchor::Under(first_of(parent)),
+        }
+    }
+
+    fn insert_anchored(
+        &mut self,
+        id: SubscriptionId,
+        client: ClientId,
+        sub: CompiledSubscription,
+        anchor: Anchor,
+    ) {
+        let node = match anchor {
+            Anchor::Root => {
+                self.place(id, client, sub, NONE);
+                return;
+            }
+            Anchor::Under(at) => self.by_id.get(&at).copied(),
+            Anchor::Unknown => None,
+        };
+        match node.map(|node| (node, self.relate(node, &sub))) {
+            Some((node, Relation::Equal)) => self.join(node, id, client),
+            Some((node, Relation::NodeCoversNew)) => {
+                self.place(id, client, sub, node);
+            }
+            _ => self.insert(id, client, sub),
+        }
+    }
+
+    fn as_poset(&self) -> Option<&PosetIndex> {
+        Some(self)
     }
 
     fn remove(&mut self, id: SubscriptionId) -> bool {

@@ -10,8 +10,9 @@
 
 use proptest::prelude::*;
 use scbr::attr::AttrSchema;
+use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::{new_index, IndexKind, MatchScratch, SubscriptionIndex};
+use scbr::index::{new_index, Anchor, IndexKind, MatchScratch, SubscriptionIndex};
 use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
@@ -143,6 +144,51 @@ fn attr_name(attr: u8) -> &'static str {
     ["x", "y", "z"][attr as usize]
 }
 
+/// One step of the restore arm.
+#[derive(Debug, Clone)]
+enum ChurnOp {
+    /// Register a fresh id with the next subscription from the pool.
+    Insert,
+    /// Re-register the i-th live id (modulo live count) with the next one.
+    Reregister(usize),
+    /// Remove the i-th live id (modulo live count).
+    Remove(usize),
+    /// Remove the i-th id (modulo their count) that another live id names
+    /// as its anchor: a parent node's first subscription, so its removal
+    /// splices children to the grandparent or promotes them to roots, or
+    /// a shared node's, so the next subscriber becomes the node's first.
+    RemoveAnchor(usize),
+}
+
+fn churn_op_strategy() -> impl Strategy<Value = ChurnOp> {
+    (0u8..10, 0usize..64).prop_map(|(roll, pick)| match roll {
+        0..=4 => ChurnOp::Insert,
+        5 => ChurnOp::Reregister(pick),
+        6..=7 => ChurnOp::Remove(pick),
+        _ => ChurnOp::RemoveAnchor(pick),
+    })
+}
+
+fn header_of(topic: usize, values: &[i8]) -> PublicationSpec {
+    PublicationSpec::new()
+        .attr("topic", TOPICS[topic])
+        .attr("x", values[0] as i64)
+        .attr("y", values[1] as i64)
+        .attr("z", values[2] as i64)
+}
+
+/// Anchors of `live` in `engine`, in `live` order: the forest's parent
+/// relation as a snapshot records it.
+fn anchors_of(engine: &MatchingEngine, live: &[SubscriptionId]) -> Vec<Anchor> {
+    live.iter().map(|&id| engine.index().anchor(id)).collect()
+}
+
+/// `(nodes, roots, depth)` of a poset engine's forest.
+fn shape_of(engine: &MatchingEngine) -> (usize, usize, usize) {
+    let forest = engine.index().as_poset().expect("a poset engine");
+    (forest.node_count(), forest.root_count(), forest.depth())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -167,13 +213,7 @@ proptest! {
         let headers: Vec<_> = probes
             .iter()
             .map(|(topic, values)| {
-                PublicationSpec::new()
-                    .attr("topic", TOPICS[*topic])
-                    .attr("x", values[0] as i64)
-                    .attr("y", values[1] as i64)
-                    .attr("z", values[2] as i64)
-                    .compile_header(&schema)
-                    .expect("header compiles")
+                header_of(*topic, values).compile_header(&schema).expect("header compiles")
             })
             .collect();
         let (parent_spec, grand_spec) = fan_parents(parent);
@@ -247,6 +287,76 @@ proptest! {
         }
     }
 
+    /// Snapshot and restore after random churn. The restored engine
+    /// matches like the original and like a naive engine, and, placed
+    /// from the anchor column rather than by the covering search, it
+    /// rebuilds the original's forest: the same `(id, anchor)` pairs,
+    /// node count, root count and depth.
+    #[test]
+    fn restore_relinks_the_same_forest_after_churn(
+        pool in proptest::collection::vec(sub_strategy(), 1..24),
+        ops in proptest::collection::vec(churn_op_strategy(), 1..80),
+        probes in proptest::collection::vec(
+            (0usize..TOPICS.len(), proptest::collection::vec(-25i8..25, 3)),
+            8,
+        ),
+    ) {
+        let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
+        let mut original = MatchingEngine::new(&mem, IndexKind::Poset);
+        let mut naive = MatchingEngine::new(&mem, IndexKind::Naive);
+        let mut live: Vec<SubscriptionId> = Vec::new();
+        let (mut next_id, mut next_sub) = (0u64, 0usize);
+        for op in &ops {
+            let id = match *op {
+                ChurnOp::Insert => {
+                    next_id += 1;
+                    live.push(SubscriptionId(next_id));
+                    SubscriptionId(next_id)
+                }
+                ChurnOp::Reregister(pick) if !live.is_empty() => live[pick % live.len()],
+                ChurnOp::Remove(pick) | ChurnOp::RemoveAnchor(pick) if !live.is_empty() => {
+                    let named: Vec<SubscriptionId> = match op {
+                        ChurnOp::RemoveAnchor(_) => anchors_of(&original, &live)
+                            .into_iter()
+                            .filter_map(|a| match a {
+                                Anchor::Under(at) => Some(at),
+                                _ => None,
+                            })
+                            .collect(),
+                        _ => live.clone(),
+                    };
+                    let Some(&id) = named.get(pick % named.len().max(1)) else { continue };
+                    live.retain(|l| *l != id);
+                    prop_assert!(original.unregister(id), "poset lost {:?}", id);
+                    prop_assert!(naive.unregister(id), "naive lost {:?}", id);
+                    continue;
+                }
+                _ => continue,
+            };
+            let spec = build_sub(&pool[next_sub % pool.len()]);
+            next_sub += 1;
+            original.register_plain(id, ClientId(id.0), &spec).expect("generated subs compile");
+            naive.register_plain(id, ClientId(id.0), &spec).expect("generated subs compile");
+        }
+
+        let fresh = MemorySim::native(CacheConfig::default(), CostModel::free());
+        let mut restored = MatchingEngine::new(&fresh, IndexKind::Poset);
+        prop_assert_eq!(restored.restore(&original.snapshot()).expect("restore"), live.len());
+        prop_assert_eq!(anchors_of(&restored, &live), anchors_of(&original, &live));
+        prop_assert_eq!(shape_of(&restored), shape_of(&original));
+        for (topic, values) in &probes {
+            let publication = header_of(*topic, values);
+            let expected = naive.match_plain(&publication).expect("naive match");
+            prop_assert_eq!(&original.match_plain(&publication).expect("match"), &expected);
+            prop_assert_eq!(
+                &restored.match_plain(&publication).expect("match"),
+                &expected,
+                "restored engine diverges on {:?}",
+                publication
+            );
+        }
+    }
+
     /// All kinds agree after every step of a random interleaving.
     #[test]
     fn all_index_kinds_agree_under_churn(
@@ -285,13 +395,8 @@ proptest! {
                     }
                 }
                 RawOp::Match { topic, values } => {
-                    let header = PublicationSpec::new()
-                        .attr("topic", TOPICS[*topic])
-                        .attr("x", values[0] as i64)
-                        .attr("y", values[1] as i64)
-                        .attr("z", values[2] as i64)
-                        .compile_header(&schema)
-                        .expect("header compiles");
+                    let header =
+                        header_of(*topic, values).compile_header(&schema).expect("header compiles");
                     let reference = matches_of(indexes[0].as_ref(), &header, &mut scratches[0]);
                     for i in 1..indexes.len() {
                         let got = matches_of(indexes[i].as_ref(), &header, &mut scratches[i]);

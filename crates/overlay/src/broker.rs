@@ -810,17 +810,21 @@ impl BrokerCore {
     /// the sealed per-slice assignment), the live envelope set with
     /// origins, and every per-link covering table (rows + counters).
     /// Single-slice brokers write the original pre-partition layout
-    /// byte-for-byte, so their records stay restorable by older builds.
-    /// Runs inside the enclave; the result is only ever persisted
-    /// sealed.
+    /// around their one engine snapshot. Runs inside the enclave; the
+    /// result is only ever persisted sealed.
     fn serialize_record(&self) -> Vec<u8> {
+        self.record_with(&self.matcher.snapshot_slices())
+    }
+
+    /// The record [`BrokerCore::serialize_record`] writes, around the
+    /// given per-slice engine snapshots.
+    fn record_with(&self, snapshots: &[Vec<u8>]) -> Vec<u8> {
         let mut w = codec::Writer::new();
-        let snapshots = self.matcher.snapshot_slices();
         if snapshots.len() == 1 {
             w.bytes(&snapshots[0]);
         } else {
             w.u32(u32::MAX).u8(RECORD_VERSION).u32(snapshots.len() as u32);
-            for snapshot in &snapshots {
+            for snapshot in snapshots {
                 w.bytes(snapshot);
             }
         }

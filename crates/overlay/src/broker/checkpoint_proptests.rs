@@ -13,7 +13,8 @@
 //!
 //! * their full recovery records serialise to the **same bytes** (matcher
 //!   contents and slice assignment, live set, every covering table row
-//!   and every ledger counter);
+//!   and every ledger counter) once the one column that records forest
+//!   shape, each engine row's anchor, is masked;
 //! * the restarted broker — no live neighbour, so serving at once —
 //!   resumes with the twin's retired-bytes figure, recomputed by the redo;
 //! * probe publications deliver and forward exactly what a flat oracle
@@ -29,7 +30,7 @@
 
 use super::*;
 use proptest::prelude::*;
-use scbr::engine::MatchingEngine;
+use scbr::engine::{strip_anchors, MatchingEngine};
 use scbr::ids::KeyEpoch;
 use scbr::{PublicationSpec, SubscriptionSpec};
 
@@ -265,9 +266,25 @@ fn frame(from: usize, message: Message) -> Input {
     Input::Frame { from, bytes: message.to_wire() }
 }
 
+/// `broker`'s full recovery record with only the engine snapshots' anchor
+/// column masked: anchors describe the shape of a covering forest, which
+/// a restart may change (the restored engine numbers attributes in
+/// restore order, so later inserts can settle under other parents)
+/// without changing what the broker holds or delivers.
+fn record_without_anchors(broker: &Broker) -> Vec<u8> {
+    let snapshots: Vec<Vec<u8>> = broker
+        .core
+        .matcher
+        .snapshot_slices()
+        .iter()
+        .map(|snapshot| strip_anchors(snapshot).expect("own snapshot parses"))
+        .collect();
+    broker.core.record_with(&snapshots)
+}
+
 fn assert_same_state(crashed: &Broker, twin: &Broker, what: &str) -> Result<(), TestCaseError> {
     prop_assert!(
-        crashed.core.serialize_record() == twin.core.serialize_record(),
+        record_without_anchors(crashed) == record_without_anchors(twin),
         "{}: restored record differs from the uncrashed twin's",
         what
     );

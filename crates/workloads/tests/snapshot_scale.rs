@@ -1,6 +1,9 @@
 //! Regression: snapshot/restore stays lossless at 100 k live
 //! subscriptions (the arena poset's slab layout, directory buckets, and
-//! the engine's position map must all rebuild exactly).
+//! the engine's position map must all rebuild exactly), and restore
+//! relinks the recorded forest instead of searching it — pinned by the
+//! forest's shape and by the simulated reads the restore costs, so a
+//! regression to the covering search fails here without a clock.
 //!
 //! The paper's §2 restart flow reloads a sealed subscription database
 //! after a broker restart; this drives it at push-feed scale so a
@@ -41,6 +44,21 @@ fn snapshot_round_trips_100k_subscriptions() {
     assert_eq!(restored.restore(&snapshot).expect("restore"), live);
     assert_eq!(restored.index().len(), live);
     assert_eq!(restored.index().node_count(), engine.index().node_count());
+    // The anchors rebuild the author's forest, not merely an equivalent one.
+    let shape = |e: &MatchingEngine| {
+        let forest = e.index().as_poset().expect("a poset engine");
+        (forest.root_count(), forest.depth())
+    };
+    assert_eq!(shape(&restored), shape(&engine), "(roots, depth) after restore");
+    // Relinking, not searching: one covering check per anchored row reads
+    // ~2.3 lines per row here, where the covering search read ~5.7 (and
+    // 27-62 on the benchmark's router populations).
+    let reads = mem2.stats().reads;
+    assert!(
+        reads <= 4 * live as u64,
+        "restore read {reads} lines for {live} rows ({:.1} per row)",
+        reads as f64 / live as f64
+    );
 
     for (i, publication) in pubs.iter().enumerate() {
         let mut a = engine.match_plain(publication).expect("match original");

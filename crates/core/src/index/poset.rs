@@ -17,14 +17,22 @@
 //!    memory beyond the EPC costs 1000× (Figure 8).
 //!
 //! Compared to the pre-arena poset it replaced (deleted; its last
-//! measurement is `crates/bench/baselines/million-7ef4a61.json`) four
+//! measurement is `crates/bench/baselines/million-7ef4a61.json`) five
 //! things changed:
 //!
-//! * **Struct-of-arrays links.** Child/sibling/parent relations live in
-//!   flat `Vec<u32>` arrays indexed by node id (`u32::MAX` = none) instead
-//!   of a per-node `Vec<u32>` child list. Splicing a node in or out of the
-//!   forest is O(1) pointer surgery with no heap allocation and no
-//!   `children.clone()`.
+//! * **Sorted child runs.** A node's children are one *run*: a contiguous
+//!   `Vec` of 16-byte entries `(child, attr, kind, key)` sorted by
+//!   `(attr, kind, key)`, where the key is a string-equality gate's hash
+//!   and 0 otherwise. The run sits in the node's payload beside its
+//!   subscriber list, which matching has just read, and the parent is a
+//!   `u32` column indexed by node id (`u32::MAX` = root). Linking a child
+//!   is a binary search plus a shifting insert after its equal keys,
+//!   unlinking a binary search to its key plus a scan of the equal keys
+//!   for its id, and removing a node appends its re-gated children to the
+//!   parent's run and sorts that once: O(run) each, where intrusive
+//!   sibling lists were O(1), bought back on every match (below). A node
+//!   that never had a child allocates no run. Insertion samples a wide
+//!   node's children in run order, i.e. grouped by gate, not by recency.
 //! * **Copyable directory keys.** A root's directory bucket (`DirKey`) is
 //!   derived from its gate (below), which for a root is its first
 //!   constraint, so root promotion/demotion never needs a `sub.clone()`;
@@ -39,7 +47,7 @@
 //!   with a handful of bucket probes, and the traversal stack itself comes
 //!   from the caller's [`MatchScratch`], so steady-state matching performs
 //!   zero heap allocation.
-//! * **Gated descent.** A column index-parallel with the links holds each
+//! * **Gated descent.** A column index-parallel with `parent` holds each
 //!   node's *gate*: for a child, its first constraint not identical to its
 //!   parent's on the same attribute; for a root, its first constraint.
 //!   Matching tests a candidate's gate against the publication before
@@ -54,9 +62,22 @@
 //!   adoption, both splice paths of removal), at O(constraints) each. A
 //!   gate fixed at insertion would stay sound but go blind: once its node
 //!   is re-parented it may test a constraint the new parent already
-//!   guarantees and pass siblings that fail elsewhere. On `router_scan`
-//!   (12k `e80a1`) a publication matches ~384 nodes with ~5 700 children
-//!   between them, and the gates keep all but a few hundred unread.
+//!   guarantees and pass siblings that fail elsewhere. A matched node's
+//!   run is walked one `(attr, kind)` group at a time, with one header
+//!   lookup per group: ungated children are pushed; a string-equality
+//!   group is binary-searched for the value's hash and its equal-key
+//!   range pushed (a value of any other kind rejects the whole group); a
+//!   range group is tested entry by entry against the gate column. Each
+//!   rejected child, tested or skipped by the search, is still charged one
+//!   predicate evaluation, so on a given forest the simulated cost is that
+//!   of testing every gate. On `router_scan` (12k `e80a1`) a publication
+//!   reaches ~384 subscribers through matched nodes with ~5 700 children
+//!   between them, most under ~16 wide range nodes whose children are
+//!   gated on `symbol = X`; the gates keep all but a few hundred unread,
+//!   and the binary search leaves most of them untested. Traced at the
+//!   default seed on a 2-core VM, the walk took `index.match_us_per_msg`
+//!   from ~145 µs (sibling lists) to ~88 µs, with the same matches and
+//!   ~1 015 simulated line reads per message either way.
 //! * **Restore.** [`SubscriptionIndex::anchor`] names where a
 //!   subscription sits: a root, or the first subscription of its parent
 //!   node (of its own shared node, when it is not that node's first). An
@@ -91,15 +112,15 @@ use crate::value::Scalar;
 use sgx_sim::{MemorySim, SimArena};
 use std::collections::HashMap;
 
-/// Sentinel for "no node" in the link arrays.
+/// Sentinel for "no node" in the parent column.
 const NONE: u32 = u32::MAX;
 
-/// Upper bound on candidate nodes examined per sibling list during
-/// insertion. A missed cover or adoption only flattens the forest (extra
-/// roots), never breaks the parent-covers-child invariant; the cap keeps
-/// per-registration work — and therefore the *memory touches the simulator
-/// charges per registration* — bounded, matching the modest per-insert
-/// footprint the paper's Figure 8 implies.
+/// Upper bound on candidate nodes examined per child run or root bucket
+/// during insertion. A missed cover or adoption only flattens the forest
+/// (extra roots), never breaks the parent-covers-child invariant; the cap
+/// keeps per-registration work — and therefore the *memory touches the
+/// simulator charges per registration* — bounded, matching the modest
+/// per-insert footprint the paper's Figure 8 implies.
 const SCAN_CAP: usize = 16;
 
 /// The one constraint a publication must pass before a node is read: for a
@@ -129,6 +150,46 @@ fn gate_under(child: &CompiledSubscription, parent: Option<&CompiledSubscription
         }
     }
     None
+}
+
+/// How a child's gate is tested, in run order within one attribute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum GateKind {
+    /// No gate: the child is always pushed.
+    Ungated,
+    /// String equality: found by binary search on the hash.
+    StrEq,
+    /// Numeric range: tested against the gate column.
+    Range,
+}
+
+/// One child in its parent's run, sorted by `(attr, kind, key)`. `key` is
+/// the hash of a string-equality gate and 0 otherwise, so the children a
+/// header value admits through string equality are one contiguous range.
+#[derive(Debug, Clone, Copy)]
+struct ChildEntry {
+    key: u64,
+    child: u32,
+    attr: AttrId,
+    kind: GateKind,
+}
+
+const _: () = assert!(std::mem::size_of::<ChildEntry>() == 16);
+
+impl ChildEntry {
+    fn new(child: u32, gate: &Gate) -> Self {
+        let (attr, kind, key) = match *gate {
+            None => (AttrId(0), GateKind::Ungated, 0),
+            Some((attr, ConstraintSet::StrEq(h))) => (attr, GateKind::StrEq, h),
+            Some((attr, ConstraintSet::Range { .. })) => (attr, GateKind::Range, 0),
+        };
+        ChildEntry { key, child, attr, kind }
+    }
+
+    /// The run's sort key.
+    fn order(&self) -> (AttrId, GateKind, u64) {
+        (self.attr, self.kind, self.key)
+    }
 }
 
 /// Which root-directory bucket a root belongs to, derived from its gate
@@ -271,13 +332,19 @@ impl RootDirectory {
 /// That access pattern is what drives the paper's Figure 8: once the index
 /// outgrows the EPC, insertion touches evicted pages and pays for swaps.
 fn capped_into(list: &[u32], salt: u64, out: &mut Vec<u32>) {
-    if list.len() <= SCAN_CAP {
-        out.extend_from_slice(list);
-        return;
-    }
-    let stride = list.len().div_ceil(SCAN_CAP);
-    let offset = (salt as usize) % stride;
+    let (offset, stride) = sample_of(list.len(), salt);
     out.extend(list.iter().skip(offset).step_by(stride).copied());
+}
+
+/// `(offset, stride)` of the [`SCAN_CAP`]-entry sample of a `len`-entry
+/// list: every element when it is short enough, else every
+/// ⌈len/CAP⌉-th from a salt-dependent offset.
+fn sample_of(len: usize, salt: u64) -> (usize, usize) {
+    if len <= SCAN_CAP {
+        return (0, 1);
+    }
+    let stride = len.div_ceil(SCAN_CAP);
+    ((salt as usize) % stride, stride)
 }
 
 /// Relation between a resident node's subscription and an incoming one.
@@ -289,12 +356,17 @@ enum Relation {
     Unrelated,
 }
 
-/// Arena payload: the parts of a node with per-subscription size. The
-/// structural links live in the index's struct-of-arrays columns.
+/// Arena payload: the parts of a node with per-node size. Fixed-size
+/// structure lives in the index's struct-of-arrays columns.
 #[derive(Debug)]
 struct NodeBody {
     sub: CompiledSubscription,
     subscribers: Vec<(SubscriptionId, ClientId)>,
+    /// The node's children, one [`ChildEntry`] each, sorted by gate. It
+    /// sits beside the subscriber list because a matched node is walked
+    /// right after it is read; a node that never had a child allocates
+    /// none.
+    run: Vec<ChildEntry>,
 }
 
 /// The containment forest, arena-backed.
@@ -302,13 +374,8 @@ struct NodeBody {
 pub struct PosetIndex {
     mem: MemorySim,
     nodes: SimArena<NodeBody>,
-    // Struct-of-arrays link columns, index-parallel with `nodes`.
-    // `NONE` (u32::MAX) means absent. Children form an intrusive doubly
-    // linked list through first_child/next_sibling/prev_sibling so splices
-    // are O(1) and allocation-free.
-    first_child: Vec<u32>,
-    next_sibling: Vec<u32>,
-    prev_sibling: Vec<u32>,
+    // Struct-of-arrays columns, index-parallel with `nodes`.
+    /// The node whose run holds this one; `NONE` (u32::MAX) for a root.
     parent: Vec<u32>,
     /// Each node's [`Gate`], recomputed whenever it gets a new parent or
     /// becomes a root. A root's gate is its first constraint, so it also
@@ -334,9 +401,6 @@ impl PosetIndex {
         PosetIndex {
             mem: mem.clone(),
             nodes: SimArena::with_stride(mem, NODE_STRIDE),
-            first_child: Vec::new(),
-            next_sibling: Vec::new(),
-            prev_sibling: Vec::new(),
             parent: Vec::new(),
             gate: Vec::new(),
             dir_pos: Vec::new(),
@@ -358,13 +422,8 @@ impl PosetIndex {
     /// Maximum depth of the forest (1 for a single layer; 0 when empty).
     pub fn depth(&self) -> usize {
         fn depth_of(index: &PosetIndex, node: u32) -> usize {
-            let mut deepest = 0;
-            let mut c = index.first_child[node as usize];
-            while c != NONE {
-                deepest = deepest.max(depth_of(index, c));
-                c = index.next_sibling[c as usize];
-            }
-            1 + deepest
+            let run = &index.nodes.peek(node).run;
+            1 + run.iter().map(|e| depth_of(index, e.child)).max().unwrap_or(0)
         }
         let mut max = 0;
         self.each_root(|r| max = max.max(depth_of(self, r)));
@@ -442,65 +501,81 @@ impl PosetIndex {
         self.n_roots -= 1;
     }
 
-    /// Prepends `c` to `p`'s child list and recomputes its gate under `p`.
-    /// O(1) pointer surgery plus an O(constraints) merge-join.
-    fn link_child(&mut self, p: u32, c: u32) {
-        self.gate[c as usize] = gate_under(&self.nodes.peek(c).sub, Some(&self.nodes.peek(p).sub));
-        let head = self.first_child[p as usize];
-        self.next_sibling[c as usize] = head;
-        self.prev_sibling[c as usize] = NONE;
-        if head != NONE {
-            self.prev_sibling[head as usize] = c;
-        }
-        self.first_child[p as usize] = c;
+    /// Makes `p` the parent of `c` and recomputes `c`'s gate under it, at
+    /// O(constraints). Returns `c`'s entry for `p`'s run.
+    fn adopt(&mut self, p: u32, c: u32) -> ChildEntry {
+        let gate = gate_under(&self.nodes.peek(c).sub, Some(&self.nodes.peek(p).sub));
+        self.gate[c as usize] = gate;
         self.parent[c as usize] = p;
+        ChildEntry::new(c, &gate)
     }
 
-    /// Unlinks `c` from its parent's child list. O(1).
+    /// Links `c` under `p`: its entry goes after the equal keys of `p`'s
+    /// run.
+    fn link_child(&mut self, p: u32, c: u32) {
+        let entry = self.adopt(p, c);
+        let run = &mut self.nodes.peek_mut(p).run;
+        let at = run.partition_point(|e| e.order() <= entry.order());
+        run.insert(at, entry);
+    }
+
+    /// Unlinks `c` from its parent's run: a binary search to its key, then
+    /// a scan of the equal keys for its id.
     fn unlink_child(&mut self, c: u32) {
-        let p = self.parent[c as usize];
-        let prev = self.prev_sibling[c as usize];
-        let next = self.next_sibling[c as usize];
-        if prev != NONE {
-            self.next_sibling[prev as usize] = next;
-        } else if p != NONE {
-            self.first_child[p as usize] = next;
-        }
-        if next != NONE {
-            self.prev_sibling[next as usize] = prev;
-        }
-        self.next_sibling[c as usize] = NONE;
-        self.prev_sibling[c as usize] = NONE;
-        self.parent[c as usize] = NONE;
+        let p = std::mem::replace(&mut self.parent[c as usize], NONE);
+        let order = ChildEntry::new(c, &self.gate[c as usize]).order();
+        let run = &mut self.nodes.peek_mut(p).run;
+        let from = run.partition_point(|e| e.order() < order);
+        let at = run[from..].iter().position(|e| e.child == c).expect("a child sits in its run");
+        run.remove(from + at);
     }
 
-    /// Appends a capped sample of `p`'s children to `out` without
-    /// materialising the list.
+    /// Appends a capped sample of `p`'s children, in run order, to `out`.
     fn children_capped_into(&self, p: u32, salt: u64, out: &mut Vec<u32>) {
-        let mut n = 0usize;
-        let mut c = self.first_child[p as usize];
-        while c != NONE {
-            n += 1;
-            c = self.next_sibling[c as usize];
-        }
-        if n == 0 {
-            return;
-        }
-        let (stride, offset) = if n <= SCAN_CAP {
-            (1, 0)
-        } else {
-            let stride = n.div_ceil(SCAN_CAP);
-            (stride, (salt as usize) % stride)
-        };
-        let mut i = 0usize;
-        let mut c = self.first_child[p as usize];
-        while c != NONE {
-            if i >= offset && (i - offset).is_multiple_of(stride) {
-                out.push(c);
+        let run = &self.nodes.peek(p).run;
+        let (offset, stride) = sample_of(run.len(), salt);
+        out.extend(run.iter().skip(offset).step_by(stride).map(|e| e.child));
+    }
+
+    /// Pushes the children in a matched node's `run` whose gates `header`
+    /// passes onto `stack`, one `(attr, kind)` group at a time, and
+    /// returns how many it rejected. Each group looks its attribute up
+    /// in the header once. A string-equality group is binary-searched for
+    /// the value's hash and pushes the equal-key range; any other value
+    /// kind fails the whole group. A range group is tested entry by entry.
+    fn admit_children(
+        &self,
+        mut run: &[ChildEntry],
+        header: &CompiledHeader,
+        stack: &mut Vec<u32>,
+    ) -> u64 {
+        let mut rejected = 0;
+        while let Some(first) = run.first() {
+            let (attr, kind) = (first.attr, first.kind);
+            let len = run.partition_point(|e| (e.attr, e.kind) == (attr, kind));
+            let (group, rest) = run.split_at(len);
+            run = rest;
+            let pushed = stack.len();
+            match kind {
+                GateKind::Ungated => stack.extend(group.iter().map(|e| e.child)),
+                GateKind::StrEq => {
+                    if let Some(&Scalar::Str(h)) = header.get(attr) {
+                        let lo = group.partition_point(|e| e.key < h);
+                        let hi = group.partition_point(|e| e.key <= h);
+                        stack.extend(group[lo..hi].iter().map(|e| e.child));
+                    }
+                }
+                GateKind::Range => {
+                    if let Some(value) = header.get(attr) {
+                        stack.extend(group.iter().map(|e| e.child).filter(|&c| {
+                            matches!(&self.gate[c as usize], Some((_, set)) if set.matches(value))
+                        }));
+                    }
+                }
             }
-            i += 1;
-            c = self.next_sibling[c as usize];
+            rejected += (len - (stack.len() - pushed)) as u64;
         }
+        rejected
     }
 
     /// Allocates a node slot, recycling a detached one when available.
@@ -515,18 +590,13 @@ impl PosetIndex {
             body.subscribers.clear();
             body.subscribers.push(subscriber);
             let i = idx as usize;
-            self.first_child[i] = NONE;
-            self.next_sibling[i] = NONE;
-            self.prev_sibling[i] = NONE;
             self.parent[i] = NONE;
             self.gate[i] = None;
             self.dir_pos[i] = NONE;
             idx
         } else {
-            let idx = self.nodes.push(NodeBody { sub, subscribers: vec![subscriber] });
-            self.first_child.push(NONE);
-            self.next_sibling.push(NONE);
-            self.prev_sibling.push(NONE);
+            let idx =
+                self.nodes.push(NodeBody { sub, subscribers: vec![subscriber], run: Vec::new() });
             self.parent.push(NONE);
             self.gate.push(None);
             self.dir_pos.push(NONE);
@@ -562,38 +632,26 @@ impl PosetIndex {
 
     /// Detaches `idx` from the forest, splicing its children to its parent
     /// (or promoting them to roots), and returns the slot to the free list.
+    /// A splice appends the re-gated children to the parent's run and
+    /// sorts it once, rather than paying one shifting insert per child.
     fn detach(&mut self, idx: u32) {
         let p = self.parent[idx as usize];
-        let mut kids = std::mem::take(&mut self.cand_buf);
-        kids.clear();
-        let mut c = self.first_child[idx as usize];
-        while c != NONE {
-            kids.push(c);
-            c = self.next_sibling[c as usize];
-        }
+        let kids = std::mem::take(&mut self.nodes.peek_mut(idx).run);
         if p != NONE {
             self.unlink_child(idx);
-            for &k in &kids {
-                self.link_child(p, k);
+            for k in &kids {
+                let entry = self.adopt(p, k.child);
+                self.nodes.peek_mut(p).run.push(entry);
             }
+            self.nodes.peek_mut(p).run.sort_by_key(ChildEntry::order);
         } else {
             self.root_remove(idx);
-            for &k in &kids {
-                let ki = k as usize;
-                self.next_sibling[ki] = NONE;
-                self.prev_sibling[ki] = NONE;
-                self.parent[ki] = NONE;
-                self.root_add(k);
+            for k in &kids {
+                self.root_add(k.child);
             }
         }
-        let i = idx as usize;
-        self.first_child[i] = NONE;
-        self.next_sibling[i] = NONE;
-        self.prev_sibling[i] = NONE;
-        self.parent[i] = NONE;
         self.nodes.write(idx).subscribers.clear();
         self.free.push(idx);
-        self.cand_buf = kids;
     }
 }
 
@@ -730,11 +788,12 @@ impl SubscriptionIndex for PosetIndex {
         scratch: &mut MatchScratch,
         out: &mut Vec<ClientId>,
     ) {
-        // A candidate's gate is tested from the gate column, never the
-        // node. Each rejection is priced as one predicate evaluation,
-        // charged once per match rather than once per candidate.
+        // A candidate's gate is tested from the gate column or its run
+        // entry, never the node. Each rejection, tested or skipped by a
+        // binary search, is priced as one predicate evaluation, charged
+        // once per match rather than once per candidate.
         let mut rejected = 0u64;
-        let mut admit = |c: u32| {
+        let admit = |c: u32| {
             let pass = match &self.gate[c as usize] {
                 None => true,
                 Some((attr, set)) => header.get(*attr).is_some_and(|value| set.matches(value)),
@@ -743,7 +802,7 @@ impl SubscriptionIndex for PosetIndex {
             pass
         };
         scratch.stack.clear();
-        self.directory.seed_match(header, &mut admit, &mut scratch.stack);
+        self.directory.seed_match(header, admit, &mut scratch.stack);
         while let Some(idx) = scratch.stack.pop() {
             let node = self.visit(idx);
             if node.sub.matches(header) {
@@ -751,13 +810,7 @@ impl SubscriptionIndex for PosetIndex {
                 // Only children whose gate passes are read: the parent's
                 // constraints already hold, so the gate is the child's
                 // first chance to fail.
-                let mut c = self.first_child[idx as usize];
-                while c != NONE {
-                    if admit(c) {
-                        scratch.stack.push(c);
-                    }
-                    c = self.next_sibling[c as usize];
-                }
+                rejected += self.admit_children(&node.run, header, &mut scratch.stack);
             }
             // A failed node prunes its whole subtree: every descendant is
             // covered by it, so none can match.
@@ -788,6 +841,49 @@ mod tests {
     use super::*;
     use crate::attr::AttrSchema;
     use crate::subscription::SubscriptionSpec;
+    use std::collections::HashSet;
+
+    /// Asserts the child-run invariants: every run is sorted; each entry's
+    /// key is its child's current gate, which is the gate re-derived under
+    /// the run's owner; `parent[child]` is that owner; every live non-root
+    /// node sits in exactly one run, and no root or free slot in any; the
+    /// run lengths sum to `node_count − root_count`.
+    fn check_runs(index: &PosetIndex) {
+        let mut placed = vec![0usize; index.nodes.len()];
+        for (owner, body) in index.nodes.iter().enumerate() {
+            let run = &body.run;
+            assert!(run.windows(2).all(|w| w[0].order() <= w[1].order()), "run {owner} unsorted");
+            let owner_sub = &index.nodes.peek(owner as u32).sub;
+            for e in run {
+                let c = e.child as usize;
+                assert_eq!(index.parent[c], owner as u32, "node {c} in the run of {owner}");
+                let gate = gate_under(&index.nodes.peek(e.child).sub, Some(owner_sub));
+                assert_eq!(index.gate[c], gate, "stale gate on node {c}");
+                assert_eq!(e.order(), ChildEntry::new(e.child, &gate).order(), "stale key on {c}");
+                placed[c] += 1;
+            }
+        }
+        let free: HashSet<u32> = index.free.iter().copied().collect();
+        let mut roots = 0;
+        for (i, &runs) in placed.iter().enumerate() {
+            let live = !free.contains(&(i as u32));
+            let linked = live && index.parent[i] != NONE;
+            roots += usize::from(live && !linked);
+            assert_eq!(runs, usize::from(linked), "node {i} sits in {runs} runs");
+        }
+        assert_eq!(roots, index.root_count(), "unlinked live nodes vs roots");
+        let total: usize = index.nodes.iter().map(|b| b.run.len()).sum();
+        assert_eq!(total, index.node_count() - index.root_count());
+    }
+
+    /// Simulated line reads of visiting exactly the nodes of `ids`.
+    fn reads_of_visiting(index: &PosetIndex, mem: &MemorySim, ids: &[u64]) -> u64 {
+        mem.reset_counters();
+        for id in ids {
+            index.visit(index.by_id[&SubscriptionId(*id)]);
+        }
+        mem.stats().reads
+    }
 
     #[test]
     fn conformance() {
@@ -921,7 +1017,9 @@ mod tests {
             ClientId(2),
             sub(&schema, SubscriptionSpec::new().gt("p", 20.0)),
         );
+        check_runs(&index);
         assert!(index.remove(SubscriptionId(1)));
+        check_runs(&index);
         // Chain 0 -> 2 must still match correctly.
         let h = header(&schema, &[("p", 25.0.into())]);
         assert_eq!(matches(&index, &h), vec![0, 2]);
@@ -943,7 +1041,9 @@ mod tests {
             ClientId(1),
             sub(&schema, SubscriptionSpec::new().gt("p", 10.0)),
         );
+        check_runs(&index);
         assert!(index.remove(SubscriptionId(0)));
+        check_runs(&index);
         assert_eq!(index.root_count(), 1);
         let h = header(&schema, &[("p", 15.0.into())]);
         assert_eq!(matches(&index, &h), vec![1]);
@@ -957,7 +1057,9 @@ mod tests {
         let spec = || SubscriptionSpec::new().eq("s", "X");
         index.insert(SubscriptionId(0), ClientId(0), sub(&schema, spec()));
         index.insert(SubscriptionId(1), ClientId(1), sub(&schema, spec()));
+        check_runs(&index);
         assert!(index.remove(SubscriptionId(0)));
+        check_runs(&index);
         let h = header(&schema, &[("s", "X".into())]);
         assert_eq!(matches(&index, &h), vec![1]);
         assert_eq!(index.len(), 1);
@@ -993,8 +1095,10 @@ mod tests {
                 ClientId(round),
                 sub(&schema, SubscriptionSpec::new().eq("topic", format!("t{round}").as_str())),
             );
+            check_runs(&index);
             if round >= 4 {
                 assert!(index.remove(SubscriptionId(round - 4)));
+                check_runs(&index);
             }
         }
         assert_eq!(index.len(), 4);
@@ -1078,6 +1182,7 @@ mod tests {
             ClientId(2),
             sub(&schema, root.clone().gt("a", 0.0).gt("b", 0.0)),
         );
+        check_runs(&index);
         assert_eq!(index.depth(), 3);
         let child = index.by_id[&SubscriptionId(2)];
         let a = schema.intern("a");
@@ -1086,6 +1191,7 @@ mod tests {
         // Splice the child up to the root: its gate moves to `a`, the
         // constraint the removed node used to guarantee.
         assert!(index.remove(SubscriptionId(1)));
+        check_runs(&index);
         assert_eq!(index.depth(), 2);
         assert_eq!(index.gate[child as usize].map(|(attr, _)| attr), Some(a));
         // Passes the new parent, fails the old one: the child is gated out
@@ -1113,12 +1219,14 @@ mod tests {
             ClientId(1),
             sub(&schema, SubscriptionSpec::new().gt("a", 0.0).gt("b", 0.0)),
         );
+        check_runs(&index);
         let child = index.by_id[&SubscriptionId(1)];
         let a = schema.intern("a");
         assert_ne!(index.gate[child as usize].map(|(attr, _)| attr), Some(a));
         // Promoted to a root, the child is gated (and bucketed) by its
         // first constraint again.
         assert!(index.remove(SubscriptionId(0)));
+        check_runs(&index);
         assert_eq!(index.root_count(), 1);
         assert_eq!(index.gate[child as usize].map(|(attr, _)| attr), Some(a));
         mem.reset_counters();
@@ -1128,6 +1236,7 @@ mod tests {
         let h = header(&schema, &[("a", 1.0.into()), ("b", 5.0.into())]);
         assert_eq!(matches(&index, &h), vec![1]);
         assert!(index.remove(SubscriptionId(1)));
+        check_runs(&index);
         assert_eq!(index.root_count(), 0);
     }
 
@@ -1182,6 +1291,14 @@ mod tests {
             let compiled = sub(&schema, spec);
             poset.insert(SubscriptionId(i), ClientId(i), compiled.clone());
             naive.insert(SubscriptionId(i), ClientId(i), compiled);
+            check_runs(&poset);
+            // Every fifth step also removes an earlier subscription, which
+            // splices its node's run into its parent's when it was alone.
+            if i % 5 == 4 {
+                let gone = SubscriptionId(rng.below(i + 1));
+                assert_eq!(poset.remove(gone), naive.remove(gone), "removing {gone:?}");
+                check_runs(&poset);
+            }
         }
         for t in 0..100 {
             let h = header(
@@ -1193,6 +1310,114 @@ mod tests {
                 ],
             );
             assert_eq!(matches(&poset, &h), matches(&naive, &h), "trial {t}");
+        }
+    }
+
+    #[test]
+    fn equality_gated_children_are_found_by_binary_search() {
+        let mem = free_mem();
+        let schema = AttrSchema::new();
+        // `topic` is interned before `p`, so a child's first constraint
+        // not identical to the root's is its topic: the gate a wide
+        // router_scan node's children carry.
+        schema.intern("topic");
+        let mut index = PosetIndex::new(&mem);
+        index.insert(
+            SubscriptionId(0),
+            ClientId(0),
+            sub(&schema, SubscriptionSpec::new().gt("p", -1.0)),
+        );
+        for i in 0..200u64 {
+            let topic = format!("t{i}");
+            let spec = SubscriptionSpec::new().gt("p", 0.0).eq("topic", topic.as_str());
+            index.insert(SubscriptionId(100 + i), ClientId(100 + i), sub(&schema, spec));
+        }
+        // Three more t7 children whose bands neither nest in nor contain
+        // `p > 0`: four equal keys in one group of the root's run.
+        for (i, (lo, hi)) in [(-0.9, 1.0), (-0.8, 2.0), (-0.7, 3.0)].into_iter().enumerate() {
+            let spec = SubscriptionSpec::new().between("p", lo, hi).eq("topic", "t7");
+            index.insert(SubscriptionId(1 + i as u64), ClientId(1 + i as u64), sub(&schema, spec));
+        }
+        // A numeric gate on the same attribute: the range group right
+        // after the string-equality group.
+        let spec = SubscriptionSpec::new().gt("p", 0.0).gt("topic", 5i64);
+        index.insert(SubscriptionId(4), ClientId(4), sub(&schema, spec));
+        check_runs(&index);
+        assert_eq!(index.root_count(), 1);
+        assert_eq!(index.depth(), 2);
+        let root = index.by_id[&SubscriptionId(0)];
+        assert_eq!(index.nodes.peek(root).run.len(), 204);
+
+        let expected = [0, 1, 2, 3, 107];
+        let reads = reads_of_visiting(&index, &mem, &expected);
+        mem.reset_counters();
+        let h = header(&schema, &[("topic", "t7".into()), ("p", 0.5.into())]);
+        assert_eq!(matches(&index, &h), expected);
+        assert_eq!(mem.stats().reads, reads, "a node outside the t7 range was read");
+        // A topic no child carries admits none of them; a number admits
+        // no string-equality child, only the numeric one.
+        let h = header(&schema, &[("topic", "t200".into()), ("p", 0.5.into())]);
+        assert_eq!(matches(&index, &h), vec![0]);
+        let h = header(&schema, &[("topic", 7i64.into()), ("p", 0.5.into())]);
+        assert_eq!(matches(&index, &h), vec![0, 4]);
+    }
+
+    #[test]
+    fn removing_a_wide_middle_node_splices_its_run() {
+        use crate::index::naive::NaiveIndex;
+        let mem = free_mem();
+        let schema = AttrSchema::new();
+        // `p` before `topic` before `q`: under the middle node (`q ∧ p`) a
+        // topic child is gated on its topic and a `q`-band child on `q`,
+        // under the root (`q`) both are gated on `p`, so the splice
+        // changes their gate kind or attribute.
+        for attr in ["p", "topic", "q", "r"] {
+            schema.intern(attr);
+        }
+        let mut poset = PosetIndex::new(&mem);
+        let mut naive = NaiveIndex::new(&mem);
+        let mut insert = |poset: &mut PosetIndex, id: u64, spec: SubscriptionSpec| {
+            let compiled = sub(&schema, spec);
+            poset.insert(SubscriptionId(id), ClientId(id), compiled.clone());
+            naive.insert(SubscriptionId(id), ClientId(id), compiled);
+        };
+        let root = || SubscriptionSpec::new().gt("q", -1.0);
+        let middle = || root().gt("p", 0.0);
+        insert(&mut poset, 0, root());
+        insert(&mut poset, 1, middle());
+        // Equal-width bands never nest, so all 120 stay the middle's
+        // children; seven topics repeat keys inside the topic group.
+        for i in 0..120u64 {
+            let band = |attr| middle().between(attr, i as f64, i as f64 + 4.0);
+            let spec = match i % 3 {
+                0 => band("r").eq("topic", format!("t{}", i % 7).as_str()),
+                1 => band("p"),
+                _ => band("q"),
+            };
+            insert(&mut poset, 10 + i, spec);
+        }
+        check_runs(&poset);
+        let middle_node = poset.by_id[&SubscriptionId(1)];
+        assert_eq!(poset.nodes.peek(middle_node).run.len(), 120);
+        assert_eq!(poset.depth(), 3);
+
+        assert!(poset.remove(SubscriptionId(1)));
+        assert!(naive.remove(SubscriptionId(1)));
+        check_runs(&poset);
+        assert_eq!(poset.depth(), 2);
+        let root_node = poset.by_id[&SubscriptionId(0)];
+        assert_eq!(poset.nodes.peek(root_node).run.len(), 120);
+        for t in 0..90u64 {
+            let h = header(
+                &schema,
+                &[
+                    ("p", (t as f64 * 1.5 - 4.0).into()),
+                    ("topic", format!("t{}", t % 8).as_str().into()),
+                    ("q", (((t * 7) % 130) as f64).into()),
+                    ("r", (((t * 11) % 125) as f64).into()),
+                ],
+            );
+            assert_eq!(matches(&poset, &h), matches(&naive, &h), "probe {t}");
         }
     }
 }

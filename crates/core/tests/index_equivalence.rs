@@ -116,6 +116,15 @@ enum FanOp {
     /// A sibling: the parent's filter plus a band `lo..=lo+width` on one
     /// of x/y/z. Bands on x stay inside the parent's `x > -5`.
     Child { attr: u8, lo: i8, width: u8 },
+    /// A tagged sibling: the parent's filter plus `topic = TOPICS[topic]`
+    /// plus a band. Under the range parent (kind 1) these are gated on
+    /// their topic, and the four topics repeat keys inside that group of
+    /// the parent's run; a topic parent keeps its own topic.
+    Tagged { topic: usize, attr: u8, lo: i8, width: u8 },
+    /// A sibling whose band on y or z has `f64` bounds: the attribute
+    /// holds integers, so the gate never passes, and its range group
+    /// mixes value kinds.
+    FloatBand { attr: u8, lo: i8, width: u8 },
     /// A subscription between the parent and its children: the parent's
     /// filter plus `attr >= lo`, adopting whichever siblings it covers.
     Middle { attr: u8, lo: i8 },
@@ -129,13 +138,15 @@ enum FanOp {
 }
 
 fn fan_op_strategy() -> impl Strategy<Value = FanOp> {
-    (0u8..10, 0u8..3, -4i8..20, 0u8..8, 0usize..64).prop_map(|(roll, attr, lo, width, pick)| {
+    (0u8..14, 0u8..3, -4i8..20, 0u8..8, 0usize..64).prop_map(|(roll, attr, lo, width, pick)| {
         match roll {
             0..=4 => FanOp::Child { attr, lo, width },
             5..=6 => FanOp::Middle { attr, lo: lo.min(10) },
             7 => FanOp::RemoveInner,
             8 => FanOp::Remove(pick),
-            _ => FanOp::Parent,
+            9 => FanOp::Parent,
+            10..=12 => FanOp::Tagged { topic: pick % TOPICS.len(), attr, lo, width },
+            _ => FanOp::FloatBand { attr: 1 + attr % 2, lo, width },
         }
     })
 }
@@ -193,18 +204,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Wide fan-out and re-parenting: many sibling bands under one shared
-    /// parent (on the parent's attribute and on others), broader
-    /// subscriptions inserted between parent and children, and the
-    /// parent removed under them. The poset re-derives each moved node's
-    /// gate; a stale or wrong one drops a match, so the poset is compared
-    /// with the naive scan on a fixed set of probes after every step.
+    /// parent (on the parent's attribute and on others, topic-tagged, or
+    /// with float bounds), broader subscriptions inserted between parent
+    /// and children, and the parent removed under them. The poset
+    /// re-derives each moved node's gate and re-sorts its run; a stale
+    /// gate, a misplaced run entry or a wrong group bound drops a match,
+    /// so the poset is compared with the naive scan on a fixed set of
+    /// probes after every step.
     #[test]
     fn gated_descent_agrees_under_fan_out_and_reparenting(
         parent in 0usize..3,
         with_grandparent in any::<bool>(),
-        siblings in proptest::collection::vec((0u8..3, -4i8..20, 0u8..8), 8..48),
+        siblings in proptest::collection::vec(
+            (0u8..3, -4i8..20, 0u8..8, proptest::option::of(0usize..TOPICS.len())),
+            8..48,
+        ),
         ops in proptest::collection::vec(fan_op_strategy(), 1..40),
-        probes in proptest::collection::vec((0usize..2, proptest::collection::vec(-8i8..30, 3)), 6),
+        probes in proptest::collection::vec(
+            (0usize..TOPICS.len(), proptest::collection::vec(-8i8..30, 3)),
+            8,
+        ),
     ) {
         let schema = AttrSchema::new();
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
@@ -245,13 +264,26 @@ proptest! {
         inner.push(id);
         let mut steps: Vec<FanOp> = siblings
             .iter()
-            .map(|&(attr, lo, width)| FanOp::Child { attr, lo, width })
+            .map(|&(attr, lo, width, tag)| match tag {
+                Some(topic) => FanOp::Tagged { topic, attr, lo, width },
+                None => FanOp::Child { attr, lo, width },
+            })
             .collect();
         steps.extend(ops.iter().cloned());
         for (step, op) in steps.iter().enumerate() {
             match op {
                 FanOp::Child { attr, lo, width } => {
                     insert(child(*attr, *lo, *width), &mut poset, &mut naive, &mut live);
+                }
+                FanOp::Tagged { topic, attr, lo, width } => {
+                    let topic = if parent == 1 { *topic } else { 0 };
+                    let spec = child(*attr, *lo, *width).eq("topic", TOPICS[topic]);
+                    insert(spec, &mut poset, &mut naive, &mut live);
+                }
+                FanOp::FloatBand { attr, lo, width } => {
+                    let (lo, hi) = (*lo as f64 - 0.5, *lo as f64 + *width as f64 + 0.5);
+                    let spec = parent_spec.clone().between(attr_name(*attr), lo, hi);
+                    insert(spec, &mut poset, &mut naive, &mut live);
                 }
                 FanOp::Middle { attr, lo } => {
                     let spec = parent_spec.clone().ge(attr_name(*attr), *lo as i64);

@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
 use scbr_crypto::hmac::HmacSha256;
+use scbr_crypto::poly1305::Poly1305;
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::RsaKeyPair;
 use scbr_crypto::sha256::Sha256;
@@ -45,6 +46,27 @@ fn bench_hmac(c: &mut Criterion) {
         let buf = vec![0u8; 1024];
         b.iter(|| HmacSha256::mac(b"key", black_box(&buf)));
     });
+}
+
+/// The two MACs side by side at a one-publication link frame (112 B) and
+/// a full-batch frame (9 KiB).
+fn bench_mac(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mac");
+    for size in [112usize, 9 * 1024] {
+        let buf = vec![0x5au8; size];
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::new("hmac_sha256", size), &size, |b, _| {
+            b.iter(|| HmacSha256::mac(b"key", black_box(&buf)));
+        });
+        group.bench_with_input(BenchmarkId::new("poly1305", size), &size, |b, _| {
+            b.iter(|| {
+                let mut mac = Poly1305::new(&[7u8; 32]);
+                mac.update(black_box(&buf));
+                mac.finalize()
+            });
+        });
+    }
+    group.finish();
 }
 
 fn bench_sealed_box(c: &mut Criterion) {
@@ -126,6 +148,7 @@ criterion_group!(
     bench_aes_ctr,
     bench_sha256,
     bench_hmac,
+    bench_mac,
     bench_sealed_box,
     bench_publish_path,
     bench_rsa

@@ -158,7 +158,7 @@ impl AesCtr {
         plaintext: &[u8],
     ) -> Vec<u8> {
         let aes = Aes::new(key.as_bytes()).expect("SymmetricKey guarantees a valid length");
-        seal_framed(&aes, rng, plaintext, 0)
+        seal_framed(&aes, rng, plaintext)
     }
 
     /// Inverse of [`AesCtr::encrypt_with_nonce`].
@@ -197,7 +197,8 @@ const KEYSTREAM_LEN: usize = PARALLEL_LEN;
 
 /// The position and buffered keystream of one CTR stream, apart from the
 /// schedule that fills it, so one key holder's schedule serves a stream
-/// per message ([`seal_framed`], [`open_framed`]) without being copied.
+/// per message ([`open_framed`], [`split_first_block`]) without being
+/// copied.
 #[derive(Clone)]
 pub(crate) struct Keystream {
     nonce: [u8; NONCE_LEN],
@@ -250,7 +251,7 @@ impl Keystream {
 
     /// Appends `src ⊕ keystream` to `dst`: the cipher writes its output
     /// in one pass, so the input is never copied on its own first.
-    fn xor_append(&mut self, aes: &Aes, src: &[u8], dst: &mut Vec<u8>) {
+    pub(crate) fn xor_append(&mut self, aes: &Aes, src: &[u8], dst: &mut Vec<u8>) {
         dst.reserve(src.len());
         let mut rest = src;
         while !rest.is_empty() {
@@ -277,18 +278,11 @@ fn xor_words(data: &mut [u8], keystream: &[u8]) {
     }
 }
 
-/// `nonce || ciphertext` of `plaintext` under a freshly drawn nonce, with
-/// `trailer` more bytes of capacity so a caller appending a tag does not
-/// reallocate.
-pub(crate) fn seal_framed(
-    aes: &Aes,
-    rng: &mut CryptoRng,
-    plaintext: &[u8],
-    trailer: usize,
-) -> Vec<u8> {
+/// `nonce || ciphertext` of `plaintext` under a freshly drawn nonce.
+fn seal_framed(aes: &Aes, rng: &mut CryptoRng, plaintext: &[u8]) -> Vec<u8> {
     let mut nonce = [0u8; NONCE_LEN];
     rng.fill(&mut nonce);
-    let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len() + trailer);
+    let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len());
     out.extend_from_slice(&nonce);
     Keystream::new(nonce).xor_append(aes, plaintext, &mut out);
     out
@@ -301,11 +295,7 @@ pub(crate) fn seal_framed(
 ///
 /// [`CryptoError::InvalidLength`] if `message` is shorter than a nonce;
 /// `out` is left cleared in that case.
-pub(crate) fn open_framed(
-    aes: &Aes,
-    message: &[u8],
-    out: &mut Vec<u8>,
-) -> Result<Keystream, CryptoError> {
+fn open_framed(aes: &Aes, message: &[u8], out: &mut Vec<u8>) -> Result<Keystream, CryptoError> {
     out.clear();
     let Some((nonce, ciphertext)) = message.split_first_chunk::<NONCE_LEN>() else {
         return Err(CryptoError::InvalidLength { context: "ctr message" });
@@ -313,6 +303,21 @@ pub(crate) fn open_framed(
     let mut stream = Keystream::new(*nonce);
     stream.xor_append(aes, ciphertext, out);
     Ok(stream)
+}
+
+/// Keystream block 0 under `nonce`, and the stream positioned at block 1.
+/// [`crate::authenc::SealedBox`] takes block 0 as the message's Poly1305
+/// `s` and encrypts from block 1, so one refill serves both.
+///
+/// It refills directly rather than through [`Keystream::next_run`]: a
+/// third caller makes the compiler stop inlining `next_run` into
+/// [`Keystream::xor_append`], which every header decrypt runs.
+pub(crate) fn split_first_block(aes: &Aes, nonce: [u8; NONCE_LEN]) -> ([u8; BLOCK_LEN], Keystream) {
+    let mut stream = Keystream::new(nonce);
+    stream.refill(aes);
+    stream.used = BLOCK_LEN;
+    let first = stream.buf[..BLOCK_LEN].try_into().expect("a refill holds four blocks");
+    (first, stream)
 }
 
 #[cfg(test)]

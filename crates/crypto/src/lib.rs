@@ -17,9 +17,11 @@
 //!   table-free, four blocks per call.
 //! * [`ctr`] — counter-mode stream encryption ([`ctr::AesCtr`]), as used for
 //!   SCBR headers and subscriptions.
-//! * [`authenc`] — encrypt-then-MAC authenticated encryption
-//!   ([`authenc::SealedBox`]), used by the enclave simulator for sealing and
-//!   by SCBR for signed subscription envelopes.
+//! * [`authenc`] — AES-CTR + Poly1305-AES authenticated encryption
+//!   ([`authenc::SealedBox`]), used by the enclave simulator for sealing,
+//!   by sealed overlay links, and by SCBR for group keys and hybrid
+//!   envelopes.
+//! * [`poly1305`] — the Poly1305 one-time authenticator (RFC 8439 §2.5).
 //! * [`sha256`], [`hmac`], [`hkdf`] — SHA-256, HMAC-SHA256 and HKDF.
 //! * [`bigint`], [`prime`], [`rsa`] — multi-precision arithmetic, prime
 //!   generation and RSA (PKCS#1 v1.5-style encryption and signatures).
@@ -46,8 +48,9 @@
 //! key or data and no branch on either, in the rounds or in the key
 //! schedule (a bitsliced circuit, see [`aes`]); RSA's private-key
 //! operations run on a constant-time ladder (see [`rsa`] for exactly
-//! which paths are constant-time); tags are compared in constant time
-//! ([`ct`]). What stays variable-time: RSA is not blinded and its
+//! which paths are constant-time); Poly1305 has no branch on key,
+//! message or tag, down to its masked final reduction ([`poly1305`]);
+//! tags are compared in constant time ([`ct`]). What stays variable-time: RSA is not blinded and its
 //! public-key operations, key generation and `BigUint` arithmetic branch
 //! on their inputs; lengths (of messages, associated data and HKDF
 //! output) are public and steer loops; and nothing models cache or
@@ -68,6 +71,7 @@ pub mod ctr;
 pub mod error;
 pub mod hkdf;
 pub mod hmac;
+pub mod poly1305;
 pub mod prime;
 pub mod rng;
 pub mod rsa;

@@ -5,6 +5,7 @@
 //! * AES-CTR — NIST SP 800-38A F.5.1 / F.5.5
 //! * AES-CTR and `SealedBox` — seeded outputs, pinned byte for byte
 //! * HMAC-SHA256 — RFC 4231 test cases 1–7
+//! * Poly1305 — RFC 8439 §2.5.2
 //! * HKDF-SHA256 — RFC 5869 test cases 1–3
 //! * RSA — seeded 512- and 1024-bit keys, their PKCS#1 v1.5 SHA-256
 //!   signatures and one type-2 ciphertext, pinned byte for byte
@@ -18,6 +19,7 @@ use scbr_crypto::aes::Aes;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
 use scbr_crypto::hkdf;
 use scbr_crypto::hmac::HmacSha256;
+use scbr_crypto::poly1305::Poly1305;
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::RsaKeyPair;
 use scbr_crypto::sha256::Sha256;
@@ -160,7 +162,8 @@ fn pinned_plaintext() -> Vec<u8> {
 
 /// Seeded keys and nonces, so every ciphertext and tag byte is pinned:
 /// the cipher, the counter layout, the wire framing and the MAC input
-/// order must all stay as they are.
+/// order must all stay as they are. (The `SealedBox` bytes were re-pinned
+/// when its tag moved from HMAC-SHA256 to Poly1305-AES.)
 #[test]
 fn seeded_ctr_and_sealed_box_outputs_are_pinned() {
     let mut rng = CryptoRng::from_seed(26);
@@ -180,13 +183,19 @@ fn seeded_ctr_and_sealed_box_outputs_are_pinned() {
         hex("8203fc26c8897ea3f01095e34e6c7d94b449514bdd56de4e39830f7af1e6324a4839bd3a9336a259\
              442dac502a81d9834e01353b06514bc40c331dbbcc2431b03867fa95deb9ac86227241ad50f196")
     );
-    assert_eq!(
-        sealed,
-        hex("eb3662aed061059971f68cbd645df63e16310b9aed83eda58c664b5cc7826c9eff43048e3a4a4583\
-             c56744c83edeccb3738c49d277eb1b9efe14ad0e02d9807ccbdfff3b2bf4a677636443324881c312\
-             5604bfd2b34852417a7863d04c10490f45a4501e238b082b2065434d944ab1")
-    );
+    assert_eq!(sealed, hex("eb3662aed0610599dcd6bbecb752bcce4fb3b4deea9a353335371418eeae7c4323dc9962075bcbce\
+                           aee41d7eb209d02c3b6f8febfba41687d33493e218313305c2b258ab9651ccd366d9e9e8910dc261\
+                           74b1e44d4a513ebc73ddbc4fad2fd6"));
     assert_eq!(SealedBox::new(&key128).open(&sealed, b"pinned aad").unwrap(), plain);
+    // The same seal under encrypt-then-HMAC, as the box wrote it before
+    // Poly1305: same nonce, a 32-byte tag. It no longer opens.
+    let hmac_layout = hex("eb3662aed061059971f68cbd645df63e16310b9aed83eda58c664b5cc7826c9eff43048e3a4a4583\
+                           c56744c83edeccb3738c49d277eb1b9efe14ad0e02d9807ccbdfff3b2bf4a677636443324881c312\
+                           5604bfd2b34852417a7863d04c10490f45a4501e238b082b2065434d944ab1");
+    assert_eq!(
+        SealedBox::new(&key128).open(&hmac_layout, b"pinned aad"),
+        Err(scbr_crypto::CryptoError::VerificationFailed)
+    );
 }
 
 // -------------------------------------------------------------------------
@@ -246,6 +255,21 @@ fn hmac_sha256_rfc4231_case5_truncated() {
     // Case 5 specifies a tag truncated to 128 bits.
     let tag = HmacSha256::mac(&[0x0c; 20], b"Test With Truncation");
     assert_eq!(tag[..16].to_vec(), hex("a3b6167473100ee06e0c796c2955552b"));
+}
+
+// -------------------------------------------------------------------------
+// Poly1305 (RFC 8439)
+// -------------------------------------------------------------------------
+
+#[test]
+fn poly1305_rfc8439_2_5_2() {
+    let key: [u8; 32] = hex("85d6be7857556d337f4452fe42d506a8\
+                             0103808afb0db2fd4abff6af4149f51b")
+    .try_into()
+    .unwrap();
+    let mut mac = Poly1305::new(&key);
+    mac.update(b"Cryptographic Forum Research Group");
+    assert_eq!(mac.finalize().to_vec(), hex("a8061dc1305136c6c22b8baf0c0127a9"));
 }
 
 // -------------------------------------------------------------------------

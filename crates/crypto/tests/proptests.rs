@@ -3,10 +3,13 @@
 //! The `BigUint` properties cross-check the hand-written limb arithmetic
 //! against Rust's native `u128`, which covers every carry/borrow path that
 //! fits in two limbs plus a generous multi-limb regime via concatenation.
+//! Poly1305's limb arithmetic is checked the other way round: against a
+//! reference modulo 2¹³⁰ − 5 built on `BigUint`.
 
 use proptest::prelude::*;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
 use scbr_crypto::hmac::HmacSha256;
+use scbr_crypto::poly1305::{Poly1305, KEY_LEN, TAG_LEN};
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::sha256::Sha256;
 use scbr_crypto::{BigUint, SealedBox};
@@ -23,6 +26,90 @@ fn to_u128(n: &BigUint) -> Option<u128> {
     let mut buf = [0u8; 16];
     buf[16 - bytes.len()..].copy_from_slice(&bytes);
     Some(u128::from_be_bytes(buf))
+}
+
+/// Little-endian bytes as a number.
+fn le(bytes: &[u8]) -> BigUint {
+    let be: Vec<u8> = bytes.iter().rev().copied().collect();
+    BigUint::from_bytes_be(&be)
+}
+
+/// Poly1305 as RFC 8439 §2.5 writes it, on `BigUint`: clamp `r` byte by
+/// byte; for each 16-byte chunk (the last may be short) add the chunk with
+/// a 1 byte appended, multiply by `r`, reduce modulo 2¹³⁰ − 5; add `s` and
+/// keep the low 128 bits.
+fn poly1305_reference(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
+    let p = BigUint::one().shl(130).checked_sub(&BigUint::from_u64(5)).unwrap();
+    let mut r = key[..16].to_vec();
+    for i in [3, 7, 11, 15] {
+        r[i] &= 0x0f;
+    }
+    for i in [4, 8, 12] {
+        r[i] &= 0xfc;
+    }
+    let r = le(&r);
+    let mut acc = BigUint::zero();
+    for chunk in msg.chunks(16) {
+        let n = le(chunk).add(&BigUint::one().shl(8 * chunk.len()));
+        acc = acc.add(&n).mul(&r).rem(&p);
+    }
+    let tag = acc.add(&le(&key[16..])).to_bytes_be();
+    let mut out = [0u8; TAG_LEN];
+    for (o, b) in out.iter_mut().zip(tag.iter().rev()) {
+        *o = *b;
+    }
+    out
+}
+
+/// Poly1305 with the message fed in pieces cut at `cuts`.
+fn poly1305_split(key: &[u8; KEY_LEN], msg: &[u8], cuts: &[usize]) -> [u8; TAG_LEN] {
+    let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(msg.len())).collect();
+    cuts.sort_unstable();
+    let mut mac = Poly1305::new(key);
+    let mut from = 0;
+    for cut in cuts.into_iter().chain([msg.len()]) {
+        mac.update(&msg[from..cut]);
+        from = cut;
+    }
+    mac.finalize()
+}
+
+fn key_of(r: [u8; 16], s: [u8; 16]) -> [u8; KEY_LEN] {
+    let mut key = [0u8; KEY_LEN];
+    key[..16].copy_from_slice(&r);
+    key[16..].copy_from_slice(&s);
+    key
+}
+
+/// Inputs where the accumulator ends at or above p, so the final masked
+/// select must subtract it, and where `h + s` wraps past 2¹²⁸.
+#[test]
+fn poly1305_reduction_and_wrap_edges_match_the_reference() {
+    let mut r2 = [0u8; 16];
+    r2[0] = 2;
+    let mut one = [0u8; 16];
+    one[0] = 1;
+    // r = 2, one all-0xff block: h = 2·(2¹²⁹ − 1) = 2¹³⁰ − 2 ≥ p, which
+    // reduces to 3.
+    let tag = poly1305_split(&key_of(r2, [0; 16]), &[0xff; 16], &[]);
+    assert_eq!(tag, one.map(|b| b * 3));
+    // The same h plus s = 2¹²⁸ − 1 wraps to 2.
+    let tag = poly1305_split(&key_of(r2, [0xff; 16]), &[0xff; 16], &[]);
+    assert_eq!(tag, one.map(|b| b * 2));
+    // Every unclamped bit of r set, with all-0xff blocks of every length
+    // up to 300, and with s at its extremes.
+    for len in 0..=300 {
+        for (r, s) in [([0xff; 16], [0xff; 16]), ([0xff; 16], [0; 16]), (r2, [0xff; 16])] {
+            let key = key_of(r, s);
+            let msg = vec![0xff; len];
+            assert_eq!(
+                poly1305_split(&key, &msg, &[]),
+                poly1305_reference(&key, &msg),
+                "len {len}"
+            );
+            assert_eq!(poly1305_split(&key, &msg, &[len / 3, 7]), poly1305_reference(&key, &msg));
+        }
+    }
 }
 
 proptest! {
@@ -135,6 +222,15 @@ proptest! {
         bad[flip_byte] ^= 1 << flip_bit;
         prop_assert!(HmacSha256::verify(b"key", &data, &tag));
         prop_assert!(!HmacSha256::verify(b"key", &data, &bad));
+    }
+
+    /// Any key and message, fed in any pieces, gives the reference tag.
+    #[test]
+    fn poly1305_matches_the_biguint_reference(r: [u8; 16], s: [u8; 16],
+                                              msg in proptest::collection::vec(any::<u8>(), 0..300),
+                                              cuts in proptest::collection::vec(0usize..300, 0..6)) {
+        let key = key_of(r, s);
+        prop_assert_eq!(poly1305_split(&key, &msg, &cuts), poly1305_reference(&key, &msg));
     }
 
     #[test]

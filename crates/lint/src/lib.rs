@@ -114,6 +114,11 @@ impl Default for LintConfig {
                 "Keystream::apply".into(),
                 "Keystream::refill".into(),
                 "Keystream::xor_append".into(),
+                // Poly1305 (`scbr-crypto` `poly1305.rs`): limbs and the
+                // partial block live in the state.
+                "Poly1305::blocks".into(),
+                "Poly1305::update".into(),
+                "Poly1305::finalize".into(),
                 // The overlay hop path: batches are read in place from the
                 // opened frame, routed into reused spans and encoded per
                 // link into a reused buffer.

@@ -40,8 +40,9 @@ const SECRET_FRAGMENTS: [&str; 3] = ["Key", "Secret", "Plaintext"];
 const SECRET_EXCLUSIONS: [&str; 2] = ["Public", "Epoch"];
 
 /// Key holders whose names carry no fragment: they hold an expanded
-/// cipher schedule, keyed MAC states or buffered keystream.
-const SECRET_TYPES: [&str; 4] = ["AesCtr", "HmacSha256", "SealedBox", "SecureLink"];
+/// cipher schedule, keyed MAC states, a one-time MAC key or buffered
+/// keystream.
+const SECRET_TYPES: [&str; 5] = ["AesCtr", "HmacSha256", "Poly1305", "SealedBox", "SecureLink"];
 
 fn is_secret_name(name: &str) -> bool {
     SECRET_TYPES.contains(&name)
@@ -318,6 +319,7 @@ mod tests {
             "PlaintextFrame",
             "AesCtr",
             "HmacSha256",
+            "Poly1305",
             "SealedBox",
             "SecureLink",
         ] {

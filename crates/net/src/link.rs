@@ -3,9 +3,9 @@
 //!
 //! Once two routers have agreed on a link key (e.g. via the mutual
 //! attestation handshake in `sgx_sim::link`), every frame between them
-//! travels through a [`SecureLink`]: AES-CTR + HMAC with the frame's
-//! **direction and sequence number** bound in as associated data. That
-//! gives each link:
+//! travels through a [`SecureLink`]: AES-CTR + Poly1305-AES
+//! ([`SealedBox`]) with the frame's **direction and sequence number**
+//! bound in as associated data. That gives each link:
 //!
 //! * confidentiality — the infrastructure between two brokers sees only
 //!   ciphertext (it already cannot read headers, which are encrypted under
@@ -36,8 +36,30 @@
 //! encrypted: it describes the *frame*, not the content, and reveals
 //! nothing beyond the linkability that frame observation (sizes,
 //! direction, timing, sequence) already provides.
+//!
+//! # Frame layout and nonce
+//!
+//! A frame is `seq (8) ‖ meta (8) ‖ ciphertext ‖ tag (16)`, both words
+//! big-endian. It carries no nonce: the one it was sealed under is
+//! `seq | d << 63`, where the direction bit `d` is 1 when the sender's
+//! endpoint identifier is greater than the receiver's. The receiver
+//! knows both, and both are authenticated, so the nonce costs neither
+//! bytes nor an RNG call.
+//!
+//! Poly1305 is a one-time MAC, so a nonce must never repeat under a key:
+//!
+//! * the two directions share the key, and the direction bit keeps their
+//!   nonces apart (a link from an endpoint to itself has no direction
+//!   and is refused);
+//! * within a direction the sequence number never repeats, and one half
+//!   seals at most 2⁶³ frames (the bit above is the direction's), which
+//!   [`SecureLink::seal_meta`] enforces;
+//! * a link re-established after a crash or a wedge restarts at sequence
+//!   0, but under the fresh key of a new handshake, never the old one.
 
 use crate::error::NetError;
+use scbr_crypto::ctr::NONCE_LEN;
+use scbr_crypto::poly1305::TAG_LEN;
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::{SealedBox, SymmetricKey};
 
@@ -57,6 +79,8 @@ use scbr_crypto::{SealedBox, SymmetricKey};
 pub struct SecureLink {
     sealer: SealedBox,
     label: [u8; LABEL_LEN],
+    /// The direction bit of every nonce on this half (bit 63).
+    direction: u64,
     seq: u64,
     /// First sequence gap observed on this (inbound) half, if any:
     /// `(expected, got)` at the moment the gap surfaced. Sticky — a
@@ -84,6 +108,12 @@ const LABEL_LEN: usize = 26;
 /// The direction label, then the frame's sequence number and meta word.
 const AAD_LEN: usize = LABEL_LEN + 16;
 
+/// The clear sequence number and meta word ahead of the ciphertext.
+const HEADER_LEN: usize = 16;
+
+/// Sequence numbers stay below the direction bit.
+const MAX_FRAMES: u64 = 1 << 63;
+
 /// The direction label of the link from `from` to `to`.
 fn direction_label(from: u64, to: u64) -> [u8; LABEL_LEN] {
     let mut label = [0u8; LABEL_LEN];
@@ -95,21 +125,30 @@ fn direction_label(from: u64, to: u64) -> [u8; LABEL_LEN] {
 
 impl SecureLink {
     /// The sending half at endpoint `local`, towards `peer`.
+    ///
+    /// # Panics
+    ///
+    /// If `local == peer`: both halves would seal under the same nonces.
     pub fn outbound(key: &[u8], local: u64, peer: u64) -> Self {
-        SecureLink {
-            sealer: SealedBox::new(&SymmetricKey::from_bytes(key)),
-            label: direction_label(local, peer),
-            seq: 0,
-            gap: None,
-            last_meta: 0,
-        }
+        Self::half(key, local, peer)
     }
 
     /// The receiving half at endpoint `local`, from `peer`.
+    ///
+    /// # Panics
+    ///
+    /// If `local == peer`, as [`SecureLink::outbound`].
     pub fn inbound(key: &[u8], local: u64, peer: u64) -> Self {
+        Self::half(key, peer, local)
+    }
+
+    /// The half carrying frames from `from` to `to`.
+    fn half(key: &[u8], from: u64, to: u64) -> Self {
+        assert_ne!(from, to, "a sealed link joins two distinct endpoints");
         SecureLink {
             sealer: SealedBox::new(&SymmetricKey::from_bytes(key)),
-            label: direction_label(peer, local),
+            label: direction_label(from, to),
+            direction: u64::from(from > to) << 63,
             seq: 0,
             gap: None,
             last_meta: 0,
@@ -145,22 +184,38 @@ impl SecureLink {
         aad
     }
 
+    /// The nonce frame `seq` is sealed under on this half.
+    fn nonce_for(&self, seq: u64) -> [u8; NONCE_LEN] {
+        (seq | self.direction).to_be_bytes()
+    }
+
     /// Seals one outbound frame with a zero meta word, advancing the
     /// sequence counter. The sequence number travels in the clear ahead
     /// of the ciphertext (authenticated via the associated data) so the
     /// receiver can distinguish a *lost-frame gap* from a forgery.
-    pub fn seal(&mut self, plain: &[u8], rng: &mut CryptoRng) -> Vec<u8> {
-        self.seal_meta(plain, 0, rng)
+    ///
+    /// `rng` is not drawn from: the nonce comes from the sequence number.
+    /// The parameter stays so that existing callers of this signature,
+    /// the benchmark's replay probes among them, keep compiling.
+    pub fn seal(&mut self, plain: &[u8], _rng: &mut CryptoRng) -> Vec<u8> {
+        self.seal_meta(plain, 0)
     }
 
     /// Seals one outbound frame carrying `meta` in the clear (bound into
-    /// the associated data, so tampering is detected on open).
-    pub fn seal_meta(&mut self, plain: &[u8], meta: u64, rng: &mut CryptoRng) -> Vec<u8> {
-        let sealed = self.sealer.seal(plain, &self.aad_for(self.seq, meta), rng);
-        let mut frame = Vec::with_capacity(16 + sealed.len());
+    /// the associated data, so tampering is detected on open), straight
+    /// into the frame it returns.
+    ///
+    /// # Panics
+    ///
+    /// After 2⁶³ frames on this half, where its nonces would run into the
+    /// other direction's.
+    pub fn seal_meta(&mut self, plain: &[u8], meta: u64) -> Vec<u8> {
+        assert!(self.seq < MAX_FRAMES, "sealed link half out of nonces");
+        let mut frame = Vec::with_capacity(HEADER_LEN + plain.len() + TAG_LEN);
         frame.extend_from_slice(&self.seq.to_be_bytes());
         frame.extend_from_slice(&meta.to_be_bytes());
-        frame.extend_from_slice(&sealed);
+        let aad = self.aad_for(self.seq, meta);
+        self.sealer.seal_into(self.nonce_for(self.seq), plain, &aad, &mut frame);
         self.seq += 1;
         frame
     }
@@ -177,19 +232,19 @@ impl SecureLink {
     /// between were lost, and the link cannot make progress until it is
     /// re-established (the counter does not advance).
     pub fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, NetError> {
-        if sealed.len() < 16 {
+        let Some((header, body)) = sealed.split_first_chunk::<HEADER_LEN>() else {
             return Err(NetError::Malformed { context: "sealed link frame" });
-        }
-        let (header, body) = sealed.split_at(16);
+        };
         let claimed = u64::from_be_bytes(header[..8].try_into().expect("8 bytes"));
         let meta = u64::from_be_bytes(header[8..].try_into().expect("8 bytes"));
-        if claimed < self.seq {
-            // A frame from the past is a replay regardless of its MAC.
+        if claimed < self.seq || claimed >= MAX_FRAMES {
+            // A frame from the past is a replay regardless of its MAC, and
+            // no half seals past the direction bit.
             return Err(NetError::Malformed { context: "sealed link frame" });
         }
         let plain = self
             .sealer
-            .open(body, &self.aad_for(claimed, meta))
+            .open_with_nonce(self.nonce_for(claimed), body, &self.aad_for(claimed, meta))
             .map_err(|_| NetError::Malformed { context: "sealed link frame" })?;
         if claimed > self.seq {
             if self.gap.is_none() {
@@ -341,7 +396,7 @@ mod tests {
     fn meta_word_rides_in_clear_and_round_trips() {
         let (mut tx, mut rx) = pair();
         let mut rng = CryptoRng::from_seed(10);
-        let sealed = tx.seal_meta(b"traced batch", 0xDEAD_BEEF, &mut rng);
+        let sealed = tx.seal_meta(b"traced batch", 0xDEAD_BEEF);
         // Visible to the infrastructure without the key…
         assert_eq!(u64::from_be_bytes(sealed[8..16].try_into().unwrap()), 0xDEAD_BEEF);
         // …and surfaced to the receiver after authentication.
@@ -360,33 +415,100 @@ mod tests {
         assert_eq!(format!("{tx:?}"), "SecureLink { seq: 1, gap: None, last_meta: 0, .. }");
     }
 
-    /// A seeded frame pinned byte for byte: sequence, meta word, nonce,
-    /// ciphertext and tag (the tag binds the direction label).
+    /// A frame pinned byte for byte: sequence, meta word, ciphertext and
+    /// tag. No nonce travels, and none is drawn: the frame depends on the
+    /// key, the direction, the sequence number, the meta word and the
+    /// payload alone.
     #[test]
     fn seeded_frame_is_pinned() {
         let (mut tx, mut rx) = pair();
         let mut rng = CryptoRng::from_seed(26);
         let first = tx.seal(b"frame 0", &mut rng);
-        // 71 bytes: crosses one 64-byte keystream refill.
+        // 71 bytes: with the Poly1305 block in front, crosses one 64-byte
+        // keystream refill.
         let payload: Vec<u8> = (0..71u8).collect();
-        let frame = tx.seal_meta(&payload, 0xDEAD_BEEF, &mut rng);
+        let frame = tx.seal_meta(&payload, 0xDEAD_BEEF);
+        assert_eq!(frame.len(), HEADER_LEN + payload.len() + TAG_LEN);
         let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(
-            hex,
-            "000000000000000100000000deadbeef190740ee6b0ff62660247ecf5ca7b8b7f6fa976322129d0f\
-             8d08fee0ba4a17289f7424fe9b552bd7301dfcc33a6e0872692f5d8a9dd30b4eef9d60ddc122046c\
-             b9cf444e235440b08c8fe598663a05b7f46184f8d1ab3257ac08f09171d6c3d19924840e913bf15e\
-             7f0af6edef19b8"
-        );
+        assert_eq!(hex, PINNED_FRAME.split_whitespace().collect::<String>());
         rx.open(&first).unwrap();
         assert_eq!(rx.open(&frame).unwrap(), payload);
+    }
+
+    const PINNED_FRAME: &str = "000000000000000100000000deadbeef10a3fe349ea820bbbf3b7c728d93cf59\
+                                 e151a4692def4f10d6bb9ae2612b0fd80b03761034facc9e754ca96c149c3753\
+                                 ea2daeae3732ea70febfd3b057f25e9f986524e835f81c4e00436b7fae5e7744\
+                                 523a0913987720";
+
+    /// The same frame as sealed before links used Poly1305: a random
+    /// nonce after the meta word and a 32-byte HMAC-SHA256 tag.
+    const HMAC_LAYOUT_FRAME: &str = "000000000000000100000000deadbeef190740ee6b0ff62660247ecf5ca7b8b7\
+                                     f6fa976322129d0f8d08fee0ba4a17289f7424fe9b552bd7301dfcc33a6e0872\
+                                     692f5d8a9dd30b4eef9d60ddc122046cb9cf444e235440b08c8fe598663a05b7\
+                                     f46184f8d1ab3257ac08f09171d6c3d19924840e913bf15e7f0af6edef19b8";
+
+    #[test]
+    fn hmac_layout_frame_is_refused() {
+        let (mut tx, mut rx) = pair();
+        rx.open(&tx.seal(b"frame 0", &mut CryptoRng::from_seed(26))).unwrap();
+        let hex: String = HMAC_LAYOUT_FRAME.split_whitespace().collect();
+        let old: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        assert!(matches!(rx.open(&old), Err(NetError::Malformed { .. })));
+        assert_eq!(rx.sequence(), 1, "a refused frame does not advance the link");
+    }
+
+    /// Both directions share the key; the direction bit keeps their
+    /// nonces, and so their keystreams and tags, apart.
+    #[test]
+    fn the_two_directions_seal_the_same_frame_differently() {
+        let mut rng = CryptoRng::from_seed(13);
+        let mut up = SecureLink::outbound(&KEY, 5, 9);
+        let mut down = SecureLink::outbound(&KEY, 9, 5);
+        for _ in 0..3 {
+            let a = up.seal(b"same plaintext", &mut rng);
+            let b = down.seal(b"same plaintext", &mut rng);
+            assert_eq!(a[..HEADER_LEN], b[..HEADER_LEN], "same sequence number and meta word");
+            let (ct_a, ct_b) =
+                (&a[HEADER_LEN..a.len() - TAG_LEN], &b[HEADER_LEN..b.len() - TAG_LEN]);
+            assert_ne!(ct_a, ct_b, "different keystreams");
+            assert_ne!(a[a.len() - TAG_LEN..], b[b.len() - TAG_LEN..], "different tags");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct endpoints")]
+    fn an_outbound_link_to_itself_is_refused() {
+        let _ = SecureLink::outbound(&KEY, 3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct endpoints")]
+    fn an_inbound_link_from_itself_is_refused() {
+        let _ = SecureLink::inbound(&KEY, 3, 3);
+    }
+
+    /// Sequence numbers never reach the direction bit: a half that would
+    /// seal past 2⁶³ − 1 stops, and a frame claiming such a number is a
+    /// forgery.
+    #[test]
+    fn sequence_numbers_stay_below_the_direction_bit() {
+        let (mut tx, mut rx) = pair();
+        let mut frame = tx.seal(b"x", &mut CryptoRng::from_seed(14));
+        frame[..8].copy_from_slice(&MAX_FRAMES.to_be_bytes());
+        assert!(matches!(rx.open(&frame), Err(NetError::Malformed { .. })));
+        tx.seq = MAX_FRAMES - 1;
+        tx.seal(b"last", &mut CryptoRng::from_seed(14));
+        let spent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tx.seal_meta(b"", 0)));
+        assert!(spent.is_err(), "no frame past 2^63 - 1");
     }
 
     #[test]
     fn tampered_meta_word_is_detected() {
         let (mut tx, mut rx) = pair();
-        let mut rng = CryptoRng::from_seed(11);
-        let mut sealed = tx.seal_meta(b"payload", 7, &mut rng);
+        let mut sealed = tx.seal_meta(b"payload", 7);
         sealed[15] ^= 1; // flip a bit of the in-clear meta word
         assert!(
             matches!(rx.open(&sealed), Err(NetError::Malformed { .. })),

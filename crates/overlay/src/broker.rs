@@ -1610,9 +1610,8 @@ impl Broker {
         wire: &[u8],
         meta: u64,
     ) -> Result<Vec<u8>, OverlayError> {
-        let rng = &mut self.rng;
         match self.links.get_mut(&neighbor) {
-            Some(LinkChannel::Sealed { outbound, .. }) => Ok(outbound.seal_meta(wire, meta, rng)),
+            Some(LinkChannel::Sealed { outbound, .. }) => Ok(outbound.seal_meta(wire, meta)),
             Some(LinkChannel::Plain) => Ok(wire.to_vec()),
             None => Err(OverlayError::Link { reason: "no link to neighbour" }),
         }

@@ -762,3 +762,54 @@ fn wedged_gap_link_rekeys_and_heals_itself() {
     let deliveries = fabric.publish(0, &[PublicationSpec::new().attr("price", 3.0)]).unwrap();
     assert_eq!(deliveries, vec![Delivery { router: 1, client: ClientId(3), publication: 0 }]);
 }
+
+/// A link re-keyed after a crash never repeats a (key, nonce) pair.
+/// Frame nonces come from the sequence number, which restarts at 0 on
+/// the new link, so everything rests on the handshake: the relaunched
+/// enclave, with the same measurement, must agree a fresh key. Then the
+/// new link's first frame differs from the old link's first frame for the
+/// same plaintext, and neither side's old half opens it.
+#[test]
+fn rekeyed_link_never_repeats_a_key_nonce_pair() {
+    use scbr_crypto::rng::CryptoRng;
+    use scbr_net::{NetError, SecureLink};
+    use sgx_sim::attest::{AttestationService, VerifierPolicy};
+    use sgx_sim::enclave::EnclaveBuilder;
+    use sgx_sim::link::{accept, complete, finish, initiate, LinkKey};
+    use sgx_sim::platform::SgxPlatform;
+
+    let router = |platform: &SgxPlatform| {
+        platform.launch(EnclaveBuilder::new("router").add_page(b"router code")).unwrap()
+    };
+    let (pa, pb) = (SgxPlatform::for_testing(41), SgxPlatform::for_testing(42));
+    let mut service = AttestationService::new();
+    service.trust_platform(pa.attestation_public_key().clone());
+    service.trust_platform(pb.attestation_public_key().clone());
+    let eb = router(&pb);
+    let policy = VerifierPolicy::require_mr_enclave(eb.identity().mr_enclave);
+    // Each broker keeps its host RNG across the crash, as `Broker` does.
+    let (mut rng_a, mut rng_b) = (CryptoRng::from_seed(43), CryptoRng::from_seed(44));
+    let mut handshake = |ea: &sgx_sim::enclave::Enclave| -> LinkKey {
+        let (hello, initiator) = initiate(&pa, ea, &mut rng_a).unwrap();
+        let (acc, responder) = accept(&pb, &eb, &service, &policy, &hello, &mut rng_b).unwrap();
+        let (fin, key) = finish(initiator, &acc, &service, &policy, ea, &mut rng_a).unwrap();
+        assert_eq!(complete(responder, &fin, &eb).unwrap(), key);
+        key
+    };
+
+    let before = handshake(&router(&pa));
+    // Broker 0 crashes; its enclave relaunches with the same measurement.
+    let after = handshake(&router(&pa));
+    assert_ne!(before.as_bytes(), after.as_bytes(), "a rejoin agrees a fresh key");
+
+    let plain = b"the same first frame";
+    let mut rng = CryptoRng::from_seed(45);
+    let old_frame = SecureLink::outbound(before.as_bytes(), 0, 1).seal(plain, &mut rng);
+    let new_frame = SecureLink::outbound(after.as_bytes(), 0, 1).seal(plain, &mut rng);
+    assert_eq!(old_frame[..16], new_frame[..16], "both are frame 0 with meta 0");
+    assert_ne!(old_frame, new_frame, "same nonce, different key");
+    let mut old_inbound = SecureLink::inbound(before.as_bytes(), 1, 0);
+    assert!(matches!(old_inbound.open(&new_frame), Err(NetError::Malformed { .. })));
+    let mut new_inbound = SecureLink::inbound(after.as_bytes(), 1, 0);
+    assert_eq!(new_inbound.open(&new_frame).unwrap(), plain);
+}

@@ -187,4 +187,12 @@ fn delivery_fan_out_costs_no_allocations() {
         many as f64 / ROUNDS as f64,
         one as f64 / ROUNDS as f64
     );
+    // Each sealed hop builds its frame in one allocation: the tag is
+    // written straight into it and the nonce comes from the sequence
+    // number.
+    assert!(
+        one / ROUNDS as u64 <= 58,
+        "allocator calls per batch: {} (at most 58)",
+        one as f64 / ROUNDS as f64
+    );
 }

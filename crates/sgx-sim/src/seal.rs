@@ -383,6 +383,33 @@ mod tests {
         assert!(e.ecall(|ctx| unseal_data(ctx, SealPolicy::MrEnclave, &sealed, b"")).is_err());
     }
 
+    /// What `seal_data` wrote for this enclave before sealed storage moved
+    /// from HMAC-SHA256 to Poly1305-AES: `b"sealed before Poly1305"`
+    /// under associated data `b"v1"`, as an 8-byte nonce, the ciphertext
+    /// and a 32-byte tag.
+    const HMAC_LAYOUT_BLOB: &str = "74829ff9779d61da8371eaed82c1d2be103dd1f29cfdb6ddca923ba5186c\
+                                    ba0b7485f6415edf1df51c0d47874ad0ebb1a6809c75bba60d16fbf94f18cd7c";
+
+    #[test]
+    fn hmac_layout_blob_is_refused() {
+        let p = platform();
+        let e = launch(&p, "a", b"code");
+        let old: Vec<u8> = (0..HMAC_LAYOUT_BLOB.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&HMAC_LAYOUT_BLOB[i..i + 2], 16).unwrap())
+            .collect();
+        let got = e.ecall(|ctx| unseal_data(ctx, SealPolicy::MrEnclave, &old, b"v1"));
+        assert!(matches!(got, Err(SgxError::UnsealFailed { .. })), "got {got:?}");
+        // The same state sealed now opens under the same key.
+        let mut rng = CryptoRng::from_seed(32);
+        let plain = b"sealed before Poly1305";
+        let blob = e.ecall(|ctx| seal_data(ctx, SealPolicy::MrEnclave, plain, b"v1", &mut rng));
+        assert_eq!(blob[..8], old[..8], "same drawn nonce");
+        assert_eq!(blob.len(), old.len() - 16, "a 16-byte tag in place of 32");
+        let opened = e.ecall(|ctx| unseal_data(ctx, SealPolicy::MrEnclave, &blob, b"v1"));
+        assert_eq!(opened.unwrap(), plain);
+    }
+
     #[test]
     fn monotonic_counter_moves_forward() {
         let mut c = MonotonicCounter::new();

@@ -1,4 +1,4 @@
-//! Ablation: containment poset vs naive scan vs counting index, measured
+//! Ablation: containment poset vs naive scan, measured
 //! in **virtual time** on the simulated memory hierarchy (via
 //! `iter_custom`), which is the quantity the paper's evaluation is about.
 //!
@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scbr::attr::AttrSchema;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::{new_index, IndexKind, MatchScratch, SubscriptionIndex};
+use scbr::index::{MatchScratch, NaiveIndex, PosetIndex, SubscriptionIndex};
 use scbr_workloads::{MarketConfig, StockMarket, Workload, WorkloadName};
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 use std::time::Duration;
@@ -19,12 +19,21 @@ struct Bench {
     mem: MemorySim,
 }
 
-fn setup(kind: IndexKind, workload: WorkloadName, n: usize) -> Bench {
+/// An index on the given memory.
+type Make = fn(&MemorySim) -> Box<dyn SubscriptionIndex>;
+
+/// The two indexes, by row name.
+const INDEXES: [(&str, Make); 2] = [
+    ("Poset", |mem| Box::new(PosetIndex::new(mem))),
+    ("Naive", |mem| Box::new(NaiveIndex::new(mem))),
+];
+
+fn setup(make: Make, workload: WorkloadName, n: usize) -> Bench {
     let market = StockMarket::generate(&MarketConfig::small(), 1);
     let workload = Workload::from_name(workload);
     let schema = AttrSchema::new();
     let mem = MemorySim::native(CacheConfig::default(), CostModel::default());
-    let mut index = new_index(kind, &mem);
+    let mut index = make(&mem);
     for (i, spec) in workload.subscriptions(&market, n, 2).into_iter().enumerate() {
         index.insert(
             SubscriptionId(i as u64),
@@ -44,9 +53,9 @@ fn bench_virtual_match(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_index_virtual_us");
     group.sample_size(10);
     for workload in [WorkloadName::E100A1, WorkloadName::E80A4] {
-        for kind in [IndexKind::Poset, IndexKind::Naive, IndexKind::Counting] {
-            let bench = setup(kind, workload, 5_000);
-            group.bench_function(BenchmarkId::new(format!("{kind:?}"), workload.as_str()), |b| {
+        for (name, make) in INDEXES {
+            let bench = setup(make, workload, 5_000);
+            group.bench_function(BenchmarkId::new(name, workload.as_str()), |b| {
                 b.iter_custom(|iters| {
                     let mut out = Vec::new();
                     let mut scratch = MatchScratch::new();

@@ -26,7 +26,6 @@
 use scbr::cluster::PartitionedRouter;
 use scbr::engine::BatchMatches;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
 use scbr_bench::json::{emit, JsonObj};
 use scbr_bench::{banner, Scale};
 use scbr_crypto::ctr::AesCtr;
@@ -80,8 +79,7 @@ fn main() {
     let mut rows: Vec<JsonObj> = Vec::new();
     let mut wall_at_32 = Vec::new();
     for &n_slices in &SLICES {
-        let mut router =
-            PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, n_slices).expect("launch");
+        let mut router = PartitionedRouter::in_enclaves(&platform, n_slices).expect("launch");
         router.provision_keys(&sk, &pk);
         for (i, spec) in subs.iter().enumerate() {
             router

@@ -18,7 +18,7 @@
 
 use scbr::engine::RouterEngine;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr_bench::json::{emit, JsonObj};
 use scbr_bench::{banner, Scale};
 use scbr_workloads::{StockMarket, Workload, WorkloadName};
@@ -38,7 +38,7 @@ fn main() {
     let platform = SgxPlatform::for_testing(9);
 
     let mut inside = RouterEngine::in_enclave(&platform, IndexKind::Poset).expect("launch");
-    let mut outside = RouterEngine::outside(&platform, IndexKind::Poset);
+    let mut outside = RouterEngine::outside(&platform);
 
     println!(
         "\n{:<10} {:>9} {:>12} {:>12} {:>12} {:>14} {:>14}",

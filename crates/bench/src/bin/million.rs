@@ -6,7 +6,7 @@
 //! *matching* to one million live subscriptions under the push-feed
 //! workload ([`scbr_workloads::pushfeed`]) and measures three things:
 //!
-//! 1. **Scale** — the arena poset ([`IndexKind::Poset`]) at every
+//! 1. **Scale** — the arena poset ([`scbr::index::PosetIndex`]) at every
 //!    subscription count, on both clocks. The pre-arena poset and the
 //!    allocating `Vec<Vec<_>>` batch path this index and pipeline replaced
 //!    are gone from the tree; their last measurement over the same
@@ -29,7 +29,7 @@
 use std::time::Instant;
 
 use scbr::engine::{BatchMatches, RouterEngine};
-use scbr::index::IndexKind;
+use scbr::index::SubscriptionIndex;
 use scbr_aspe::{AspeAuthority, AspeMatcher};
 use scbr_bench::json::{emit, JsonObj};
 use scbr_bench::{banner, Scale};
@@ -73,7 +73,7 @@ fn main() {
             .map(|p| AesCtr::encrypt_with_nonce(&sk, &mut rng, &scbr::codec::encode_header(p)))
             .collect();
 
-        let mut engine = RouterEngine::outside(&platform, IndexKind::Poset);
+        let mut engine = RouterEngine::outside(&platform);
         let (sk_c, pk_c) = (sk.clone(), pk.clone());
         engine.call(move |e| e.provision_keys(sk_c, pk_c));
         let reg_start = Instant::now();

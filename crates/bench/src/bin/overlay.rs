@@ -67,12 +67,7 @@ fn main() {
                 Propagation::CoveringPruned => "pruned",
                 Propagation::Flood => "flooded",
             };
-            let config = FabricConfig {
-                seed: 11,
-                index: scbr::index::IndexKind::Poset,
-                propagation,
-                ..FabricConfig::attested(11)
-            };
+            let config = FabricConfig { seed: 11, propagation, ..FabricConfig::attested(11) };
             let mut fabric =
                 OverlayFabric::build(Topology::line(routers), config).expect("fabric build");
             // All subscribers at router 0; publications enter at the far
@@ -145,7 +140,6 @@ fn main() {
         let hops = routers - 1;
         let config = FabricConfig {
             seed: 13,
-            index: scbr::index::IndexKind::Poset,
             propagation: Propagation::CoveringPruned,
             ..FabricConfig::attested(13)
         };
@@ -216,7 +210,6 @@ fn main() {
     for &routers in router_counts {
         let config = FabricConfig {
             seed: 17,
-            index: scbr::index::IndexKind::Poset,
             propagation: Propagation::CoveringPruned,
             ..FabricConfig::attested(17)
         };
@@ -326,7 +319,6 @@ fn main() {
         ] {
             let config = FabricConfig {
                 seed: 19,
-                index: scbr::index::IndexKind::Poset,
                 propagation: Propagation::CoveringPruned,
                 ..FabricConfig::preshared(19)
             }
@@ -410,7 +402,6 @@ fn main() {
     for &batch in trace_batches {
         let config = FabricConfig {
             seed: 23,
-            index: scbr::index::IndexKind::Poset,
             propagation: Propagation::CoveringPruned,
             ..FabricConfig::attested(23)
         }
@@ -511,7 +502,6 @@ fn main() {
         for &threshold in &[1.25f64, 1.5, 2.0] {
             let config = FabricConfig {
                 seed: 29,
-                index: scbr::index::IndexKind::Poset,
                 propagation: Propagation::CoveringPruned,
                 ..FabricConfig::attested(29)
             }

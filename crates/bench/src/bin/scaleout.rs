@@ -13,7 +13,7 @@
 use scbr::cluster::PartitionedRouter;
 use scbr::engine::BatchMatches;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::SubscriptionIndex;
 use scbr_bench::json::{emit, JsonObj};
 use scbr_bench::{banner, Scale};
 use scbr_crypto::ctr::AesCtr;
@@ -54,8 +54,7 @@ fn main() {
     );
     let mut rows: Vec<JsonObj> = Vec::new();
     for n in [1usize, 2, 4, 8] {
-        let mut router =
-            PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, n).expect("launch");
+        let mut router = PartitionedRouter::in_enclaves(&platform, n).expect("launch");
         let pk = scbr_crypto::rsa::RsaPublicKey::from_parts(
             scbr_crypto::BigUint::from_u64(3233),
             scbr_crypto::BigUint::from_u64(17),

@@ -38,7 +38,7 @@ pub mod json;
 
 use scbr::engine::RouterEngine;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use scbr_aspe::{AspeAuthority, AspeMatcher};
@@ -180,7 +180,7 @@ impl MatchExperiment {
         let mut engine = if config.inside() {
             RouterEngine::in_enclave(platform, IndexKind::Poset).expect("enclave launch")
         } else {
-            RouterEngine::outside(platform, IndexKind::Poset)
+            RouterEngine::outside(platform)
         };
         // A fixed SK: the key-exchange protocol is exercised in tests and
         // examples; experiments measure steady-state matching.

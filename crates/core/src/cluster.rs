@@ -57,7 +57,7 @@
 use crate::engine::{BatchMatches, MatchingEngine, RouterEngine};
 use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
-use crate::index::IndexKind;
+use crate::index::{IndexKind, SubscriptionIndex};
 use crate::subscription::SubscriptionSpec;
 use scbr_crypto::ctr::SymmetricKey;
 use scbr_crypto::rsa::RsaPublicKey;
@@ -185,14 +185,11 @@ impl PartitionedRouter {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn in_enclaves(
-        platform: &SgxPlatform,
-        kind: IndexKind,
-        n: usize,
-    ) -> Result<Self, ScbrError> {
+    pub fn in_enclaves(platform: &SgxPlatform, n: usize) -> Result<Self, ScbrError> {
         assert!(n > 0, "at least one slice required");
-        let slices =
-            (0..n).map(|_| RouterEngine::in_enclave(platform, kind)).collect::<Result<_, _>>()?;
+        let slices = (0..n)
+            .map(|_| RouterEngine::in_enclave(platform, IndexKind::Poset))
+            .collect::<Result<_, _>>()?;
         Ok(PartitionedRouter {
             slices,
             matches: (0..n).map(|_| BatchMatches::new()).collect(),
@@ -381,7 +378,7 @@ mod tests {
     }
 
     fn router(platform: &SgxPlatform, crypto: &ProducerCrypto, n: usize) -> PartitionedRouter {
-        let mut router = PartitionedRouter::in_enclaves(platform, IndexKind::Poset, n).unwrap();
+        let mut router = PartitionedRouter::in_enclaves(platform, n).unwrap();
         router.provision_keys(crypto.sk(), crypto.public_key());
         router
     }
@@ -502,7 +499,7 @@ mod tests {
     #[test]
     fn slices_split_the_footprint_and_report_stats() {
         let platform = SgxPlatform::for_testing(4);
-        let mut router = PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, 4).unwrap();
+        let mut router = PartitionedRouter::in_enclaves(&platform, 4).unwrap();
         for i in 0..400u64 {
             router
                 .register_plain(
@@ -576,8 +573,8 @@ mod tests {
             })
             .collect();
 
-        let mut one = PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, 1).unwrap();
-        let mut four = PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, 4).unwrap();
+        let mut one = PartitionedRouter::in_enclaves(&platform, 1).unwrap();
+        let mut four = PartitionedRouter::in_enclaves(&platform, 4).unwrap();
         for (i, spec) in specs.iter().enumerate() {
             one.register_plain(SubscriptionId(i as u64), ClientId(i as u64), spec).unwrap();
             four.register_plain(SubscriptionId(i as u64), ClientId(i as u64), spec).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! [`MatchingEngine`] is the trusted core: it holds the symmetric key `SK`,
 //! decrypts registrations and publication headers, and matches them against
-//! a [`SubscriptionIndex`]. [`RouterEngine`] wraps it in a *placement*:
+//! the covering forest it owns by value ([`PosetIndex`], so the hot match
+//! is a direct call). [`RouterEngine`] wraps it in a *placement*:
 //! inside a simulated SGX enclave (every operation crosses the call gate
 //! and the index lives in EPC-backed memory) or outside (native memory) —
 //! the two configurations the paper's Figures 5 and 7 compare, optionally
@@ -26,7 +27,7 @@ use crate::attr::AttrSchema;
 use crate::codec;
 use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
-use crate::index::{new_index, Anchor, IndexKind, MatchScratch, SubscriptionIndex};
+use crate::index::{Anchor, IndexKind, MatchScratch, PosetIndex, SubscriptionIndex};
 use crate::publication::{CompiledHeader, PublicationSpec};
 use crate::subscription::SubscriptionSpec;
 use parking_lot::Mutex;
@@ -44,7 +45,7 @@ use std::collections::HashMap;
 /// time) and an uncontended `parking_lot` lock never allocates.
 #[derive(Debug, Default)]
 struct EngineScratch {
-    /// Index traversal state (DFS stack, counting epochs).
+    /// Index traversal state (the DFS stack).
     index: MatchScratch,
     /// Decrypted header plaintext, reused across publications.
     plain: Vec<u8>,
@@ -238,7 +239,7 @@ fn parents_first(n: usize, anchor_row: impl Fn(usize) -> Option<usize>) -> Vec<u
 /// The trusted matching core (runs inside the enclave when placed there).
 pub struct MatchingEngine {
     schema: AttrSchema,
-    index: Box<dyn SubscriptionIndex>,
+    index: PosetIndex,
     mem: MemorySim,
     sk: Option<SymmetricKey>,
     producer_key: Option<RsaPublicKey>,
@@ -263,7 +264,6 @@ pub struct MatchingEngine {
 impl std::fmt::Debug for MatchingEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatchingEngine")
-            .field("index_kind", &self.index.kind())
             .field("subscriptions", &self.index.len())
             .field("provisioned", &self.sk.is_some())
             .finish()
@@ -271,9 +271,10 @@ impl std::fmt::Debug for MatchingEngine {
 }
 
 impl MatchingEngine {
-    /// Creates an engine whose index lives in `mem`.
-    pub fn new(mem: &MemorySim, kind: IndexKind) -> Self {
-        Self::with_schema(mem, kind, AttrSchema::new())
+    /// Creates an engine whose index lives in `mem`. The `kind` parameter
+    /// is a shim that goes with the next benchmark change.
+    pub fn new(mem: &MemorySim, _kind: IndexKind) -> Self {
+        Self::with_schema(mem, AttrSchema::new())
     }
 
     /// Creates an engine that interns attribute names into `schema`.
@@ -283,10 +284,10 @@ impl MatchingEngine {
     /// different tables name different attributes.
     ///
     /// [`AttrId`]: crate::attr::AttrId
-    pub fn with_schema(mem: &MemorySim, kind: IndexKind, schema: AttrSchema) -> Self {
+    pub fn with_schema(mem: &MemorySim, schema: AttrSchema) -> Self {
         MatchingEngine {
             schema,
-            index: new_index(kind, mem),
+            index: PosetIndex::new(mem),
             mem: mem.clone(),
             sk: None,
             producer_key: None,
@@ -521,9 +522,8 @@ impl MatchingEngine {
     /// registered under a link-interface identity keeps that identity
     /// through the round trip (a restored broker must not collapse its
     /// neighbours' interest into edge clients). The anchor column records
-    /// where the row sits in the index ([`SubscriptionIndex::anchor`]:
-    /// a forest root, or the first subscription of its parent or shared
-    /// node; `Unknown` for indexes without a forest), so that
+    /// where the row sits in the forest ([`PosetIndex::anchor`]: a root,
+    /// or the first subscription of its parent or shared node), so that
     /// [`MatchingEngine::restore`] can relink the forest instead of
     /// searching it. Rows stay in registration order, not forest order:
     /// two engines holding the same registrations then write the same
@@ -546,17 +546,17 @@ impl MatchingEngine {
     /// and bodies are retained in row order, so the restored engine's
     /// next snapshot lists them as this one did. The index is then filled
     /// parents-first along the anchor column, each row placed with
-    /// [`SubscriptionIndex::insert_anchored`]: one covering comparison
+    /// [`PosetIndex::insert_anchored`]: one covering comparison
     /// against the node its anchor names, where a fresh insert would run
     /// the whole covering search. The anchor is checked even though the
     /// snapshot comes sealed from this same code: it describes a forest
     /// the bytes do not carry (the rows are recompiled here, under this
-    /// engine's attribute numbering, possibly into an index of another
-    /// kind or one already holding subscriptions), and the index rests
-    /// its pruning on parents covering children. So an anchor that is
-    /// unknown, not placed yet, names no live subscription, or does not
-    /// cover its row falls back to the search: a wrong anchor costs time,
-    /// never a delivery.
+    /// engine's attribute numbering, possibly into an engine already
+    /// holding subscriptions), and the forest rests its pruning on
+    /// parents covering children. So an anchor that is unknown, not
+    /// placed yet, names no live subscription, or does not cover its row
+    /// falls back to the search: a wrong anchor costs time, never a
+    /// delivery.
     ///
     /// # Errors
     ///
@@ -761,9 +761,9 @@ impl MatchingEngine {
         &self.schema
     }
 
-    /// The underlying index.
-    pub fn index(&self) -> &dyn SubscriptionIndex {
-        self.index.as_ref()
+    /// The covering forest.
+    pub fn index(&self) -> &PosetIndex {
+        &self.index
     }
 
     /// The memory simulator backing the index.
@@ -780,7 +780,8 @@ pub struct RouterEngine {
 }
 
 impl RouterEngine {
-    /// Builds an engine hosted inside a new enclave on `platform`.
+    /// Builds an engine hosted inside a new enclave on `platform`. The
+    /// `kind` parameter is a shim that goes with the next benchmark change.
     ///
     /// # Errors
     ///
@@ -795,9 +796,9 @@ impl RouterEngine {
 
     /// Builds an engine in native memory shaped by `platform`'s cache and
     /// cost model (the outside-enclave baseline on the same machine).
-    pub fn outside(platform: &SgxPlatform, kind: IndexKind) -> Self {
+    pub fn outside(platform: &SgxPlatform) -> Self {
         let mem = MemorySim::native(*platform.cache_config(), platform.cost_model().clone());
-        RouterEngine { enclave: None, engine: MatchingEngine::new(&mem, kind) }
+        RouterEngine { enclave: None, engine: MatchingEngine::with_schema(&mem, AttrSchema::new()) }
     }
 
     /// The enclave, when placed inside one.
@@ -1189,7 +1190,7 @@ mod tests {
             || MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mem = free();
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        let mut naive = MatchingEngine::new(&mem, IndexKind::Naive);
+        let mut naive = crate::index::FlatOracle::new(&mem);
         for (i, spec) in specs.iter().enumerate() {
             let (id, client) = (SubscriptionId(i as u64), ClientId(i as u64));
             engine.register_plain(id, client, spec).unwrap();
@@ -1532,7 +1533,7 @@ mod tests {
     fn enclave_placement_charges_transitions() {
         let platform = SgxPlatform::for_testing(5);
         let mut inside = RouterEngine::in_enclave(&platform, IndexKind::Poset).unwrap();
-        let mut outside = RouterEngine::outside(&platform, IndexKind::Poset);
+        let mut outside = RouterEngine::outside(&platform);
         assert!(inside.enclave().is_some());
         assert!(outside.enclave().is_none());
 
@@ -1552,7 +1553,7 @@ mod tests {
         let mut rng = CryptoRng::from_seed(7);
         let producer = producer(&mut rng);
         let mut inside = RouterEngine::in_enclave(&platform, IndexKind::Poset).unwrap();
-        let mut outside = RouterEngine::outside(&platform, IndexKind::Poset);
+        let mut outside = RouterEngine::outside(&platform);
         for engine in [&mut inside, &mut outside] {
             engine.call(|e| e.provision_keys(producer.sk().clone(), producer.public_key().clone()));
         }

@@ -1,35 +1,34 @@
 //! Subscription indexes: the data structures the routing engine matches
 //! against.
 //!
-//! Three implementations with one interface:
+//! Two implementations:
 //!
 //! * [`poset::PosetIndex`] — the paper's containment-based
 //!   index (à la Siena) rebuilt on an arena layout: subscriptions form a
 //!   forest ordered by covering, matching prunes entire subtrees whose
 //!   root fails, and the root directory seeds each match with only the
-//!   buckets compatible with the publication's attributes.
-//! * [`naive::NaiveIndex`] — a linear scan, the correctness
-//!   oracle and worst-case baseline.
-//! * [`counting::CountingIndex`] — a classic
-//!   counting-algorithm engine with per-attribute posting lists, used for
-//!   the `ablation_index` bench.
+//!   buckets compatible with the publication's attributes. It is the one
+//!   index the engine holds.
+//! * [`naive::NaiveIndex`] — a linear scan, the reference the forest is
+//!   checked against and the worst-case baseline. [`naive::FlatOracle`]
+//!   puts the engine's plaintext signatures on it for the equivalence
+//!   tests.
 //!
-//! All indexes store their nodes in [`sgx_sim::SimArena`]s so every probe
-//! is charged to the owning [`sgx_sim::MemorySim`] — that is what lets the
-//! benchmarks observe cache-miss knees and EPC paging exactly where the
-//! paper does.
+//! [`SubscriptionIndex`] is their shared surface: insert, remove, match,
+//! and the size figures the benches read. Both store their nodes in
+//! [`sgx_sim::SimArena`]s so every probe is charged to the owning
+//! [`sgx_sim::MemorySim`] — that is what lets the benchmarks observe
+//! cache-miss knees and EPC paging exactly where the paper does.
 //!
 //! The one match entry point is [`SubscriptionIndex::match_into`]: it
 //! threads a caller-owned [`MatchScratch`] through the traversal so
 //! steady-state matching performs no heap allocation.
 //!
-//! An index may also report an [`Anchor`] per subscription — where it sits
-//! in the structure — and take it back through
-//! [`SubscriptionIndex::insert_anchored`]; that is how an engine snapshot
-//! lets a restored poset skip its covering search. The naive and counting
-//! indexes keep the defaults (no anchor, plain insert).
+//! The forest also reports an [`Anchor`] per subscription — where it sits
+//! in the structure — and takes it back through
+//! [`PosetIndex::insert_anchored`]; that is how an engine snapshot lets a
+//! restored forest skip its covering search.
 
-pub mod counting;
 pub mod naive;
 pub mod poset;
 
@@ -37,27 +36,17 @@ use crate::ids::{ClientId, SubscriptionId};
 use crate::publication::CompiledHeader;
 use crate::subscription::CompiledSubscription;
 
-pub use counting::CountingIndex;
-pub use naive::NaiveIndex;
+pub use naive::{FlatOracle, NaiveIndex};
 pub use poset::PosetIndex;
 
 /// Reusable per-engine traversal state threaded through
-/// [`SubscriptionIndex::match_into`].
-///
-/// Holds the poset DFS stack and the counting index's epoch-stamped
-/// satisfaction counters (its dedup "bitmap"): after a short warm-up the
-/// buffers reach their high-water mark and matching allocates nothing.
-/// One scratch may be shared across index kinds; each implementation
-/// resizes only the parts it uses.
+/// [`SubscriptionIndex::match_into`]: the forest's DFS stack. After a
+/// short warm-up it reaches its high-water mark and matching allocates
+/// nothing. The linear scan needs none of it.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     /// DFS work list (poset traversal).
     pub(crate) stack: Vec<u32>,
-    /// `(epoch, satisfied)` per arena entry (counting index). A stale
-    /// epoch reads as zero, so clearing between matches is O(1).
-    pub(crate) counts: Vec<(u64, u16)>,
-    /// Current stamp for `counts` validity.
-    pub(crate) epoch: u64,
 }
 
 impl MatchScratch {
@@ -68,7 +57,7 @@ impl MatchScratch {
 
     /// Capacity currently retained by the scratch, in entries.
     pub fn retained(&self) -> usize {
-        self.stack.capacity() + self.counts.capacity()
+        self.stack.capacity()
     }
 }
 
@@ -82,24 +71,20 @@ pub(crate) const CONSTRAINT_BYTES: u64 = 24;
 pub(crate) const NODE_STRIDE: u64 =
     NODE_HEADER_BYTES + crate::subscription::MAX_CONSTRAINTS as u64 * CONSTRAINT_BYTES;
 
-/// Which index implementation to instantiate.
+/// The index an engine is built with. A shim that goes with the next
+/// benchmark change: the frozen harness still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// Containment poset (the paper's engine), arena-backed.
     Poset,
-    /// Linear scan baseline.
-    Naive,
-    /// Counting algorithm with per-attribute postings.
-    Counting,
 }
 
-/// Where a live subscription sits in an index's structure, as an engine
+/// Where a live subscription sits in the covering forest, as an engine
 /// snapshot records it so that a restore can put the row back without
-/// searching for its place (see [`SubscriptionIndex::insert_anchored`]).
+/// searching for its place (see [`PosetIndex::insert_anchored`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Anchor {
-    /// Nothing a restore could reuse: the index keeps no structure, or
-    /// the id is not live.
+    /// Nothing a restore could reuse: the id is not live.
     Unknown,
     /// A root of the covering forest.
     Root,
@@ -109,36 +94,10 @@ pub enum Anchor {
     Under(SubscriptionId),
 }
 
-/// Common interface of all subscription indexes.
+/// What the covering forest and the linear scan share.
 pub trait SubscriptionIndex: Send {
     /// Registers a subscription for `client`.
     fn insert(&mut self, id: SubscriptionId, client: ClientId, sub: CompiledSubscription);
-
-    /// Where `id` sits, for a snapshot to record. Indexes without a
-    /// structure worth restoring report [`Anchor::Unknown`].
-    fn anchor(&self, _id: SubscriptionId) -> Anchor {
-        Anchor::Unknown
-    }
-
-    /// Registers a subscription at the place `anchor` names, as a restore
-    /// does. The anchor is a hint: an index that cannot confirm it with
-    /// the subscription itself falls back to [`SubscriptionIndex::insert`],
-    /// so a wrong anchor may cost time but never changes a match.
-    fn insert_anchored(
-        &mut self,
-        id: SubscriptionId,
-        client: ClientId,
-        sub: CompiledSubscription,
-        _anchor: Anchor,
-    ) {
-        self.insert(id, client, sub);
-    }
-
-    /// The covering forest, when this index is one (shape inspection:
-    /// [`PosetIndex::root_count`], [`PosetIndex::depth`]).
-    fn as_poset(&self) -> Option<&PosetIndex> {
-        None
-    }
 
     /// Unregisters subscription `id`. Returns whether it existed.
     fn remove(&mut self, id: SubscriptionId) -> bool;
@@ -168,18 +127,12 @@ pub trait SubscriptionIndex: Send {
 
     /// Simulated memory footprint in bytes.
     fn logical_bytes(&self) -> u64;
-
-    /// Which implementation this is.
-    fn kind(&self) -> IndexKind;
 }
 
-/// Constructs an index of the requested kind on the given memory.
-pub fn new_index(kind: IndexKind, mem: &sgx_sim::MemorySim) -> Box<dyn SubscriptionIndex> {
-    match kind {
-        IndexKind::Poset => Box::new(PosetIndex::new(mem)),
-        IndexKind::Naive => Box::new(NaiveIndex::new(mem)),
-        IndexKind::Counting => Box::new(CountingIndex::new(mem)),
-    }
+/// A covering forest on the given memory, boxed. The `kind` parameter is
+/// a shim that goes with the next benchmark change.
+pub fn new_index(_kind: IndexKind, mem: &sgx_sim::MemorySim) -> Box<dyn SubscriptionIndex> {
+    Box::new(PosetIndex::new(mem))
 }
 
 #[cfg(test)]
@@ -222,7 +175,7 @@ pub(crate) mod testutil {
     }
 
     /// Exercises one index implementation against a fixed scenario; used by
-    /// each implementation's test module so all three stay in lockstep.
+    /// each implementation's test module so both stay in lockstep.
     pub fn conformance_scenario(make: impl Fn(&MemorySim) -> Box<dyn SubscriptionIndex>) {
         let schema = AttrSchema::new();
         let mem = free_mem();

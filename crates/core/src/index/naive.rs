@@ -1,15 +1,18 @@
 //! Linear-scan subscription index.
 //!
 //! Every registered subscription is checked against every publication.
-//! Used as the correctness oracle for the smarter indexes and as the
-//! unoptimised baseline in the ablation benchmarks.
+//! Used as the correctness oracle for the covering forest and as the
+//! unoptimised baseline in the ablation benchmarks. [`FlatOracle`] wraps
+//! it in the engine's plaintext signatures, so a test can hold a flat
+//! oracle beside a [`MatchingEngine`](crate::engine::MatchingEngine)
+//! without sharing any of the forest's code.
 
-use super::{
-    IndexKind, MatchScratch, SubscriptionIndex, CONSTRAINT_BYTES, NODE_HEADER_BYTES, NODE_STRIDE,
-};
+use super::{MatchScratch, SubscriptionIndex, CONSTRAINT_BYTES, NODE_HEADER_BYTES, NODE_STRIDE};
+use crate::attr::AttrSchema;
+use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
-use crate::publication::CompiledHeader;
-use crate::subscription::CompiledSubscription;
+use crate::publication::{CompiledHeader, PublicationSpec};
+use crate::subscription::{CompiledSubscription, SubscriptionSpec};
 use sgx_sim::{MemorySim, SimArena};
 use std::collections::HashMap;
 
@@ -93,9 +96,68 @@ impl SubscriptionIndex for NaiveIndex {
     fn logical_bytes(&self) -> u64 {
         self.entries.len() as u64 * NODE_STRIDE
     }
+}
 
-    fn kind(&self) -> IndexKind {
-        IndexKind::Naive
+/// A flat matcher with the engine's plaintext signatures: an attribute
+/// table plus a [`NaiveIndex`]. What the equivalence tests check the
+/// engine, the partitioned matcher and the overlay against.
+#[derive(Debug)]
+pub struct FlatOracle {
+    schema: AttrSchema,
+    index: NaiveIndex,
+}
+
+impl FlatOracle {
+    /// An empty oracle storing its entries in `mem`.
+    pub fn new(mem: &MemorySim) -> Self {
+        FlatOracle { schema: AttrSchema::new(), index: NaiveIndex::new(mem) }
+    }
+
+    /// Registers a subscription; a live `id` is replaced, as the engine
+    /// replaces it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compilation failures.
+    pub fn register_plain(
+        &mut self,
+        id: SubscriptionId,
+        client: ClientId,
+        spec: &SubscriptionSpec,
+    ) -> Result<(), ScbrError> {
+        let compiled = spec.compile(&self.schema)?;
+        self.index.remove(id);
+        self.index.insert(id, client, compiled);
+        Ok(())
+    }
+
+    /// Unregisters `id`. Returns whether it was live.
+    pub fn unregister(&mut self, id: SubscriptionId) -> bool {
+        self.index.remove(id)
+    }
+
+    /// The sorted, deduplicated clients `publication` matches.
+    ///
+    /// # Errors
+    ///
+    /// Propagates header-compilation failures.
+    pub fn match_plain(&self, publication: &PublicationSpec) -> Result<Vec<ClientId>, ScbrError> {
+        let header = publication.compile_header(&self.schema)?;
+        let mut out = Vec::new();
+        self.index.match_into(&header, &mut MatchScratch::new(), &mut out);
+        out.sort_unstable_by_key(|c| c.0);
+        out.dedup();
+        Ok(out)
+    }
+
+    /// Number of live subscriptions.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when no subscription is registered.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
     }
 }
 
@@ -154,5 +216,34 @@ mod tests {
         index.match_into(&h, &mut MatchScratch::new(), &mut out);
         assert!(mem.stats().reads > reads_before, "matching reads memory");
         assert_eq!(out, vec![ClientId(5)]);
+    }
+
+    #[test]
+    fn flat_oracle_replaces_refuses_unknown_ids_and_sorts() {
+        let mut oracle = FlatOracle::new(&free_mem());
+        let quote = |price: f64| PublicationSpec::new().attr("symbol", "HAL").attr("price", price);
+        for (id, client) in [(3u64, 9u64), (1, 2), (2, 9), (4, 5)] {
+            let spec = SubscriptionSpec::new().eq("symbol", "HAL").gt("price", 1.0);
+            oracle.register_plain(SubscriptionId(id), ClientId(client), &spec).unwrap();
+        }
+        assert_eq!(oracle.len(), 4);
+        // Sorted by client and deduplicated: ids 3 and 2 both deliver to 9.
+        let all = vec![ClientId(2), ClientId(5), ClientId(9)];
+        assert_eq!(oracle.match_plain(&quote(50.0)).unwrap(), all);
+
+        // Re-registering a live id with a narrower filter replaces it:
+        // the old filter no longer matches, and no row is added.
+        let narrow = SubscriptionSpec::new().eq("symbol", "HAL").gt("price", 100.0);
+        oracle.register_plain(SubscriptionId(4), ClientId(5), &narrow).unwrap();
+        assert_eq!(oracle.len(), 4);
+        assert_eq!(oracle.match_plain(&quote(50.0)).unwrap(), vec![ClientId(2), ClientId(9)]);
+        assert_eq!(oracle.match_plain(&quote(150.0)).unwrap(), all);
+
+        assert!(!oracle.unregister(SubscriptionId(77)), "an unknown id was never live");
+        assert!(oracle.unregister(SubscriptionId(3)));
+        assert!(!oracle.unregister(SubscriptionId(3)), "a second removal finds nothing");
+        assert_eq!(oracle.len(), 3);
+        assert_eq!(oracle.match_plain(&quote(150.0)).unwrap(), all, "id 2 still delivers to 9");
+        assert!(!oracle.is_empty());
     }
 }

@@ -78,11 +78,11 @@
 //!   default seed on a 2-core VM, the walk took `index.match_us_per_msg`
 //!   from ~145 µs (sibling lists) to ~88 µs, with the same matches and
 //!   ~1 015 simulated line reads per message either way.
-//! * **Restore.** [`SubscriptionIndex::anchor`] names where a
+//! * **Restore.** [`PosetIndex::anchor`] names where a
 //!   subscription sits: a root, or the first subscription of its parent
 //!   node (of its own shared node, when it is not that node's first). An
 //!   engine snapshot records it per row, and
-//!   [`SubscriptionIndex::insert_anchored`] puts the row back with one
+//!   [`PosetIndex::insert_anchored`] puts the row back with one
 //!   charged covering comparison against the anchor's node instead of the
 //!   covering search: `Equal` joins the node, `NodeCoversNew` links a
 //!   new child under it (its gate re-derived as on any link), and a root
@@ -100,8 +100,7 @@
 //! arena footprint proportional to *live* nodes under churn.
 
 use super::{
-    Anchor, IndexKind, MatchScratch, SubscriptionIndex, CONSTRAINT_BYTES, NODE_HEADER_BYTES,
-    NODE_STRIDE,
+    Anchor, MatchScratch, SubscriptionIndex, CONSTRAINT_BYTES, NODE_HEADER_BYTES, NODE_STRIDE,
 };
 use crate::attr::AttrId;
 use crate::ids::{ClientId, SubscriptionId};
@@ -630,6 +629,50 @@ impl PosetIndex {
         self.live += 1;
     }
 
+    /// Where `id` sits, for a snapshot to record: a root, or the first
+    /// subscription of its parent node (of its own shared node, when it is
+    /// not that node's first). [`Anchor::Unknown`] when `id` is not live.
+    pub fn anchor(&self, id: SubscriptionId) -> Anchor {
+        let Some(&idx) = self.by_id.get(&id) else {
+            return Anchor::Unknown;
+        };
+        let first_of = |node: u32| self.nodes.peek(node).subscribers[0].0;
+        match (first_of(idx), self.parent[idx as usize]) {
+            (first, _) if first != id => Anchor::Under(first),
+            (_, NONE) => Anchor::Root,
+            (_, parent) => Anchor::Under(first_of(parent)),
+        }
+    }
+
+    /// Registers a subscription at the place `anchor` names, as a restore
+    /// does. The anchor is a hint: one that this forest cannot confirm
+    /// with the subscription itself falls back to
+    /// [`SubscriptionIndex::insert`], so a wrong anchor may cost time but
+    /// never changes a match.
+    pub fn insert_anchored(
+        &mut self,
+        id: SubscriptionId,
+        client: ClientId,
+        sub: CompiledSubscription,
+        anchor: Anchor,
+    ) {
+        let node = match anchor {
+            Anchor::Root => {
+                self.place(id, client, sub, NONE);
+                return;
+            }
+            Anchor::Under(at) => self.by_id.get(&at).copied(),
+            Anchor::Unknown => None,
+        };
+        match node.map(|node| (node, self.relate(node, &sub))) {
+            Some((node, Relation::Equal)) => self.join(node, id, client),
+            Some((node, Relation::NodeCoversNew)) => {
+                self.place(id, client, sub, node);
+            }
+            _ => self.insert(id, client, sub),
+        }
+    }
+
     /// Detaches `idx` from the forest, splicing its children to its parent
     /// (or promoting them to roots), and returns the slot to the free list.
     /// A splice appends the re-gated children to the parent's run and
@@ -727,46 +770,6 @@ impl SubscriptionIndex for PosetIndex {
         self.adopt_buf = adopted;
     }
 
-    fn anchor(&self, id: SubscriptionId) -> Anchor {
-        let Some(&idx) = self.by_id.get(&id) else {
-            return Anchor::Unknown;
-        };
-        let first_of = |node: u32| self.nodes.peek(node).subscribers[0].0;
-        match (first_of(idx), self.parent[idx as usize]) {
-            (first, _) if first != id => Anchor::Under(first),
-            (_, NONE) => Anchor::Root,
-            (_, parent) => Anchor::Under(first_of(parent)),
-        }
-    }
-
-    fn insert_anchored(
-        &mut self,
-        id: SubscriptionId,
-        client: ClientId,
-        sub: CompiledSubscription,
-        anchor: Anchor,
-    ) {
-        let node = match anchor {
-            Anchor::Root => {
-                self.place(id, client, sub, NONE);
-                return;
-            }
-            Anchor::Under(at) => self.by_id.get(&at).copied(),
-            Anchor::Unknown => None,
-        };
-        match node.map(|node| (node, self.relate(node, &sub))) {
-            Some((node, Relation::Equal)) => self.join(node, id, client),
-            Some((node, Relation::NodeCoversNew)) => {
-                self.place(id, client, sub, node);
-            }
-            _ => self.insert(id, client, sub),
-        }
-    }
-
-    fn as_poset(&self) -> Option<&PosetIndex> {
-        Some(self)
-    }
-
     fn remove(&mut self, id: SubscriptionId) -> bool {
         let Some(idx) = self.by_id.remove(&id) else {
             return false;
@@ -828,10 +831,6 @@ impl SubscriptionIndex for PosetIndex {
 
     fn logical_bytes(&self) -> u64 {
         self.nodes.len() as u64 * NODE_STRIDE
-    }
-
-    fn kind(&self) -> IndexKind {
-        IndexKind::Poset
     }
 }
 

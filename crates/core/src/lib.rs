@@ -12,9 +12,9 @@
 //!   header + opaque payload ([`publication`]), subscriptions as
 //!   conjunctions of equality/range predicates ([`subscription`],
 //!   [`predicate`]).
-//! * **Matching** — three interchangeable indexes ([`index`]); the default
-//!   is the paper's containment poset, which prunes matching using the
-//!   covering partial order.
+//! * **Matching** — the paper's containment poset ([`index`]), which
+//!   prunes matching using the covering partial order, checked against a
+//!   naive scan.
 //! * **Engine** — [`engine::MatchingEngine`] decrypts and matches inside
 //!   the trust boundary; [`engine::RouterEngine`] places it inside or
 //!   outside an enclave (the axis of the paper's experiments).
@@ -67,6 +67,6 @@ pub mod value;
 pub use engine::{MatchingEngine, RouterEngine};
 pub use error::ScbrError;
 pub use ids::{ClientId, KeyEpoch, SubscriptionId};
-pub use index::{IndexKind, SubscriptionIndex};
+pub use index::SubscriptionIndex;
 pub use publication::PublicationSpec;
 pub use subscription::{CompiledSubscription, SubscriptionSpec};

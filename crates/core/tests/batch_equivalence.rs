@@ -1,14 +1,13 @@
 //! Property: batch matching is **match-set-equivalent** to sequential
-//! per-message matching, for every index implementation.
+//! per-message matching and to a flat scan.
 //!
 //! The batch-first pipeline (PR 2) must be a pure amortisation: moving N
 //! publications through one enclave crossing may change *cost*, never
 //! *results*. These properties drive random subscription databases and
-//! header batches through all three index kinds (poset, counting, naive)
-//! and through the enclave-hosted [`RouterEngine::match_batch_into`] gate,
-//! and require bit-identical client lists against the
-//! one-message-at-a-time path — with a poisoned header sinking only
-//! itself. The partitioned router's scoped fan-out
+//! header batches through the engine and through the enclave-hosted
+//! [`RouterEngine::match_batch_into`] gate, and require bit-identical
+//! client lists against the one-message-at-a-time path and the
+//! [`FlatOracle`] — with a poisoned header sinking only itself. The partitioned router's scoped fan-out
 //! ([`PartitionedRouter::match_batch_into`]) is held to the same
 //! standard against one engine, under registration churn.
 
@@ -16,7 +15,7 @@ use proptest::prelude::*;
 use scbr::cluster::PartitionedRouter;
 use scbr::engine::{BatchMatches, MatchingEngine, RouterEngine};
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::{FlatOracle, IndexKind, SubscriptionIndex};
 use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
@@ -116,10 +115,9 @@ fn test_key() -> (SymmetricKey, RsaPublicKey) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For each index kind: `match_encrypted_batch_into` equals the
-    /// sequential per-message path item by item, all kinds agree with
-    /// each other, and a poisoned header records its own error while its
-    /// batch-mates' spans stay intact.
+    /// `match_encrypted_batch_into` equals the sequential per-message path
+    /// and the flat oracle item by item, and a poisoned header records its
+    /// own error while its batch-mates' spans stay intact.
     #[test]
     fn batch_equals_sequential_for_all_index_kinds(
         subs in proptest::collection::vec(sub_strategy(), 0..24),
@@ -136,49 +134,39 @@ proptest! {
             })
             .collect();
 
-        let mut reference: Option<Vec<Vec<ClientId>>> = None;
-        for kind in [IndexKind::Poset, IndexKind::Counting, IndexKind::Naive] {
-            let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-            let mut engine = MatchingEngine::new(&mem, kind);
-            engine.provision_keys(sk.clone(), pk.clone());
-            for (i, raw) in subs.iter().enumerate() {
-                engine
-                    .register_plain(
-                        SubscriptionId(i as u64),
-                        ClientId(i as u64 % 7), // collide clients: dedup paths
-                        &build_sub(raw),
-                    )
-                    .expect("generated subscriptions compile");
-            }
+        let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
+        let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
+        let mut oracle = FlatOracle::new(&mem);
+        engine.provision_keys(sk, pk);
+        for (i, raw) in subs.iter().enumerate() {
+            // Collide clients: dedup paths.
+            let (id, client, spec) = (SubscriptionId(i as u64), ClientId(i as u64 % 7), build_sub(raw));
+            engine.register_plain(id, client, &spec).expect("generated subscriptions compile");
+            oracle.register_plain(id, client, &spec).expect("generated subscriptions compile");
+        }
 
-            let mut out = BatchMatches::new();
-            engine.match_encrypted_batch_into(&headers, &mut out);
-            let batched = spans(&out);
-            prop_assert_eq!(batched.len(), headers.len());
-            for (i, ct) in headers.iter().enumerate() {
-                let sequential = engine.match_encrypted(ct).expect("sequential matches");
-                prop_assert_eq!(
-                    &batched[i], &sequential,
-                    "kind {:?}, publication {}", kind, i
-                );
-            }
-            // Poison one header: the reused buffer reports that error
-            // alone, every other span is what it was.
-            let poisoned = seed as usize % headers.len();
-            let mut mixed = headers.clone();
-            mixed[poisoned].truncate(3);
-            engine.match_encrypted_batch_into(&mixed, &mut out);
-            prop_assert_eq!(out.len(), headers.len());
-            for (i, outcome) in out.iter().enumerate() {
-                if i == poisoned {
-                    prop_assert!(outcome.is_err(), "kind {:?}", kind);
-                } else {
-                    prop_assert_eq!(outcome.expect("untouched"), batched[i].as_slice());
-                }
-            }
-            match &reference {
-                None => reference = Some(batched),
-                Some(r) => prop_assert_eq!(r, &batched, "index kinds agree ({:?})", kind),
+        let mut out = BatchMatches::new();
+        engine.match_encrypted_batch_into(&headers, &mut out);
+        let batched = spans(&out);
+        prop_assert_eq!(batched.len(), headers.len());
+        for (i, ct) in headers.iter().enumerate() {
+            let sequential = engine.match_encrypted(ct).expect("sequential matches");
+            prop_assert_eq!(&batched[i], &sequential, "publication {}", i);
+            let flat = oracle.match_plain(&build_pub(&pubs[i])).expect("flat matches");
+            prop_assert_eq!(&batched[i], &flat, "flat oracle, publication {}", i);
+        }
+        // Poison one header: the reused buffer reports that error alone,
+        // every other span is what it was.
+        let poisoned = seed as usize % headers.len();
+        let mut mixed = headers.clone();
+        mixed[poisoned].truncate(3);
+        engine.match_encrypted_batch_into(&mixed, &mut out);
+        prop_assert_eq!(out.len(), headers.len());
+        for (i, outcome) in out.iter().enumerate() {
+            if i == poisoned {
+                prop_assert!(outcome.is_err());
+            } else {
+                prop_assert_eq!(outcome.expect("untouched"), batched[i].as_slice());
             }
         }
     }
@@ -195,7 +183,7 @@ proptest! {
         let mut rng = CryptoRng::from_seed(9);
         let platform = SgxPlatform::for_testing(1);
         let mut inside = RouterEngine::in_enclave(&platform, IndexKind::Poset).expect("launch");
-        let mut outside = RouterEngine::outside(&platform, IndexKind::Poset);
+        let mut outside = RouterEngine::outside(&platform);
         for engine in [&mut inside, &mut outside] {
             let (sk, pk) = (sk.clone(), pk.clone());
             engine.call(move |e| e.provision_keys(sk, pk));
@@ -257,8 +245,7 @@ proptest! {
         let platform = SgxPlatform::for_testing(3);
         let mut routers: Vec<PartitionedRouter> = (1..=3)
             .map(|n| {
-                let mut router = PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, n)
-                    .expect("launch");
+                let mut router = PartitionedRouter::in_enclaves(&platform, n).expect("launch");
                 router.provision_keys(&sk, &pk);
                 router
             })

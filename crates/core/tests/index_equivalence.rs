@@ -1,9 +1,9 @@
-//! Property: every index implementation computes the **same match sets**
+//! Property: both index implementations compute the **same match sets**
 //! under arbitrary interleavings of inserts, removals, and matches.
 //!
-//! The arena poset must be behaviourally indistinguishable from the
-//! counting index and the naive scan — only cost may differ. These
-//! properties replay one random op stream against all kinds simultaneously and
+//! The arena poset must be behaviourally indistinguishable from the naive
+//! scan — only cost may differ. These properties replay one random op
+//! stream against both simultaneously and
 //! compare outputs after every step, so structural divergence (a dropped
 //! edge during detach, a stale directory bucket, a missed root promotion)
 //! surfaces as a minimal counterexample.
@@ -12,12 +12,18 @@ use proptest::prelude::*;
 use scbr::attr::AttrSchema;
 use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::{new_index, Anchor, IndexKind, MatchScratch, SubscriptionIndex};
+use scbr::index::{
+    Anchor, FlatOracle, IndexKind, MatchScratch, NaiveIndex, PosetIndex, SubscriptionIndex,
+};
 use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 
-const KINDS: [IndexKind; 3] = [IndexKind::Poset, IndexKind::Counting, IndexKind::Naive];
+/// Both implementations on `mem`, named for failure messages; the
+/// forest comes first.
+fn both(mem: &MemorySim) -> Vec<(&'static str, Box<dyn SubscriptionIndex>)> {
+    vec![("poset", Box::new(PosetIndex::new(mem))), ("naive", Box::new(NaiveIndex::new(mem)))]
+}
 
 const TOPICS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
@@ -37,7 +43,7 @@ enum RawOp {
     Insert,
     /// Remove the i-th live subscription (modulo live count).
     Remove(usize),
-    /// Match a header and compare all kinds.
+    /// Match a header and compare both implementations.
     Match { topic: usize, values: Vec<i8> },
 }
 
@@ -194,9 +200,9 @@ fn anchors_of(engine: &MatchingEngine, live: &[SubscriptionId]) -> Vec<Anchor> {
     live.iter().map(|&id| engine.index().anchor(id)).collect()
 }
 
-/// `(nodes, roots, depth)` of a poset engine's forest.
+/// `(nodes, roots, depth)` of an engine's forest.
 fn shape_of(engine: &MatchingEngine) -> (usize, usize, usize) {
-    let forest = engine.index().as_poset().expect("a poset engine");
+    let forest = engine.index();
     (forest.node_count(), forest.root_count(), forest.depth())
 }
 
@@ -227,8 +233,8 @@ proptest! {
     ) {
         let schema = AttrSchema::new();
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut poset = new_index(IndexKind::Poset, &mem);
-        let mut naive = new_index(IndexKind::Naive, &mem);
+        let mut poset = PosetIndex::new(&mem);
+        let mut naive = NaiveIndex::new(&mem);
         let headers: Vec<_> = probes
             .iter()
             .map(|(topic, values)| {
@@ -242,8 +248,8 @@ proptest! {
         // Parent and middle subscriptions, oldest first.
         let mut inner: Vec<SubscriptionId> = Vec::new();
         let mut insert = |spec: SubscriptionSpec,
-                          poset: &mut Box<dyn SubscriptionIndex>,
-                          naive: &mut Box<dyn SubscriptionIndex>,
+                          poset: &mut PosetIndex,
+                          naive: &mut NaiveIndex,
                           live: &mut Vec<SubscriptionId>| {
             let compiled = spec.compile(&schema).expect("generated subs compile");
             let id = SubscriptionId(next_id);
@@ -309,8 +315,8 @@ proptest! {
             for (p, header) in headers.iter().enumerate() {
                 let mut scratch = MatchScratch::default();
                 prop_assert_eq!(
-                    matches_of(poset.as_ref(), header, &mut scratch),
-                    matches_of(naive.as_ref(), header, &mut scratch),
+                    matches_of(&poset, header, &mut scratch),
+                    matches_of(&naive, header, &mut scratch),
                     "probe {} disagrees after step {} ({:?})",
                     p, step, op
                 );
@@ -320,7 +326,7 @@ proptest! {
     }
 
     /// Snapshot and restore after random churn. The restored engine
-    /// matches like the original and like a naive engine, and, placed
+    /// matches like the original and like the flat oracle, and, placed
     /// from the anchor column rather than by the covering search, it
     /// rebuilds the original's forest: the same `(id, anchor)` pairs,
     /// node count, root count and depth.
@@ -335,7 +341,7 @@ proptest! {
     ) {
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
         let mut original = MatchingEngine::new(&mem, IndexKind::Poset);
-        let mut naive = MatchingEngine::new(&mem, IndexKind::Naive);
+        let mut naive = FlatOracle::new(&mem);
         let mut live: Vec<SubscriptionId> = Vec::new();
         let (mut next_id, mut next_sub) = (0u64, 0usize);
         for op in &ops {
@@ -389,7 +395,8 @@ proptest! {
         }
     }
 
-    /// All kinds agree after every step of a random interleaving.
+    /// Both implementations agree after every step of a random
+    /// interleaving.
     #[test]
     fn all_index_kinds_agree_under_churn(
         pool in proptest::collection::vec(sub_strategy(), 1..24),
@@ -397,9 +404,8 @@ proptest! {
     ) {
         let schema = AttrSchema::new();
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut indexes: Vec<Box<dyn SubscriptionIndex>> =
-            KINDS.iter().map(|k| new_index(*k, &mem)).collect();
-        let mut scratches: Vec<MatchScratch> = KINDS.iter().map(|_| MatchScratch::default()).collect();
+        let mut indexes = both(&mem);
+        let mut scratch = MatchScratch::default();
 
         let mut next_id = 0u64;
         let mut next_sub = 0usize;
@@ -413,7 +419,7 @@ proptest! {
                     let id = SubscriptionId(next_id);
                     next_id += 1;
                     live.push(id);
-                    for index in &mut indexes {
+                    for (_, index) in &mut indexes {
                         index.insert(id, ClientId(id.0), compiled.clone());
                     }
                 }
@@ -422,31 +428,31 @@ proptest! {
                         continue;
                     }
                     let id = live.swap_remove(pick % live.len());
-                    for (index, kind) in indexes.iter_mut().zip(&KINDS) {
-                        prop_assert!(index.remove(id), "{kind:?} lost subscription {id:?}");
+                    for (name, index) in &mut indexes {
+                        prop_assert!(index.remove(id), "{name} lost subscription {id:?}");
                     }
                 }
                 RawOp::Match { topic, values } => {
                     let header =
                         header_of(*topic, values).compile_header(&schema).expect("header compiles");
-                    let reference = matches_of(indexes[0].as_ref(), &header, &mut scratches[0]);
-                    for i in 1..indexes.len() {
-                        let got = matches_of(indexes[i].as_ref(), &header, &mut scratches[i]);
+                    let reference = matches_of(indexes[0].1.as_ref(), &header, &mut scratch);
+                    for (name, index) in &indexes[1..] {
+                        let got = matches_of(index.as_ref(), &header, &mut scratch);
                         prop_assert_eq!(
                             &reference, &got,
-                            "{:?} disagrees with {:?} after {} inserts",
-                            KINDS[i], KINDS[0], next_id
+                            "{} disagrees with {} after {} inserts",
+                            name, indexes[0].0, next_id
                         );
                     }
                 }
             }
-            for (index, kind) in indexes.iter().zip(&KINDS) {
-                prop_assert_eq!(index.len(), live.len(), "{:?} live-count drift", kind);
+            for (name, index) in &indexes {
+                prop_assert_eq!(index.len(), live.len(), "{} live-count drift", name);
             }
         }
     }
 
-    /// Draining every subscription leaves every kind empty and matching
+    /// Draining every subscription leaves both implementations empty and matching
     /// nothing (no leaked arena slots or directory buckets).
     #[test]
     fn full_drain_leaves_all_kinds_empty(
@@ -455,16 +461,15 @@ proptest! {
     ) {
         let schema = AttrSchema::new();
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut indexes: Vec<Box<dyn SubscriptionIndex>> =
-            KINDS.iter().map(|k| new_index(*k, &mem)).collect();
+        let mut indexes = both(&mem);
         for (i, raw) in pool.iter().enumerate() {
             let compiled = build_sub(raw).compile(&schema).expect("compiles");
-            for index in &mut indexes {
+            for (_, index) in &mut indexes {
                 index.insert(SubscriptionId(i as u64), ClientId(i as u64), compiled.clone());
             }
         }
         for i in 0..pool.len() {
-            for index in &mut indexes {
+            for (_, index) in &mut indexes {
                 prop_assert!(index.remove(SubscriptionId(i as u64)));
             }
         }
@@ -473,12 +478,12 @@ proptest! {
             .attr("x", 0i64)
             .compile_header(&schema)
             .expect("compiles");
-        for (index, kind) in indexes.iter().zip(&KINDS) {
-            prop_assert_eq!(index.len(), 0, "{:?} not empty", kind);
+        for (name, index) in &indexes {
+            prop_assert_eq!(index.len(), 0, "{} not empty", name);
             let mut scratch = MatchScratch::default();
             let mut out = Vec::new();
             index.match_into(&header, &mut scratch, &mut out);
-            prop_assert!(out.is_empty(), "{:?} matched after drain", kind);
+            prop_assert!(out.is_empty(), "{} matched after drain", name);
         }
     }
 }

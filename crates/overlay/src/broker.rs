@@ -40,9 +40,10 @@
 //! per matcher slice the engine snapshot (with per-subscription
 //! *delivery identities*, so link interfaces are restored as interfaces,
 //! not edge clients), the live envelope set with origins, and every
-//! per-link [`ForwardingTable`] (rows + churn counters). Single-slice
-//! brokers keep writing the original (pre-partition) payload layout, and
-//! both layouts restore. A *delta payload* is the journal: one entry per
+//! per-link [`ForwardingTable`] (rows + churn counters). It opens with a
+//! `u32::MAX` magic, the record version and the slice count, one slice or
+//! many; a base in any other layout is refused with a codec error. A
+//! *delta payload* is the journal: one entry per
 //! admission (origin, replay flag, opened registration body, envelope)
 //! and per retirement (id, origin) since the previous checkpoint.
 //!
@@ -149,7 +150,6 @@ use crate::partition::{PartitionConfig, PartitionedMatcher, RebalanceReport};
 use scbr::cluster::SliceStats;
 use scbr::codec;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
 use scbr::protocol::messages::{
     encode_publish_batch, Message, PublishBatchView, PublishItem, PublishItemRef,
@@ -182,10 +182,12 @@ pub fn link_interface(neighbor: usize) -> ClientId {
 /// [`Broker::checkpoint`]).
 const RETIRED_DIVISOR: usize = 4;
 
-/// Version byte of the partitioned recovery-record layout. The layout is
-/// announced by a `u32::MAX` magic where the legacy record stores its
-/// engine-snapshot byte length (which can never be `u32::MAX`), so
-/// pre-partition records parse unambiguously.
+/// Version byte of the recovery-record layout, written after a `u32::MAX`
+/// magic by every base, whatever its slice count. The older single-slice
+/// layout began with its one engine snapshot's byte length instead (never
+/// `u32::MAX`), so a base in that layout is refused with a codec error
+/// rather than misread; its snapshot predates the engine's current
+/// snapshot format and would be refused anyway.
 const RECORD_VERSION: u8 = 1;
 
 /// Timer-driven liveness configuration, in tick units. Host-side
@@ -586,15 +588,9 @@ struct BrokerCore {
 }
 
 impl BrokerCore {
-    fn fresh(
-        mem: &MemorySim,
-        kind: IndexKind,
-        flood: bool,
-        neighbors: &[usize],
-        slices: usize,
-    ) -> Self {
+    fn fresh(mem: &MemorySim, flood: bool, neighbors: &[usize], slices: usize) -> Self {
         BrokerCore {
-            matcher: PartitionedMatcher::new(mem, kind, slices),
+            matcher: PartitionedMatcher::new(mem, slices),
             upstream: neighbors.iter().map(|&n| (n, ForwardingTable::new())).collect(),
             live: BTreeMap::new(),
             flood,
@@ -809,9 +805,7 @@ impl BrokerCore {
     /// (bodies + delivery identities — the slice sections *are*
     /// the sealed per-slice assignment), the live envelope set with
     /// origins, and every per-link covering table (rows + counters).
-    /// Single-slice brokers write the original pre-partition layout
-    /// around their one engine snapshot. Runs inside the enclave; the
-    /// result is only ever persisted sealed.
+    /// Runs inside the enclave; the result is only ever persisted sealed.
     fn serialize_record(&self) -> Vec<u8> {
         self.record_with(&self.matcher.snapshot_slices())
     }
@@ -820,13 +814,9 @@ impl BrokerCore {
     /// given per-slice engine snapshots.
     fn record_with(&self, snapshots: &[Vec<u8>]) -> Vec<u8> {
         let mut w = codec::Writer::new();
-        if snapshots.len() == 1 {
-            w.bytes(&snapshots[0]);
-        } else {
-            w.u32(u32::MAX).u8(RECORD_VERSION).u32(snapshots.len() as u32);
-            for snapshot in snapshots {
-                w.bytes(snapshot);
-            }
+        w.u32(u32::MAX).u8(RECORD_VERSION).u32(snapshots.len() as u32);
+        for snapshot in snapshots {
+            w.bytes(snapshot);
         }
         w.u32(self.live.len() as u32);
         for (id, sub) in &self.live {
@@ -864,43 +854,35 @@ impl BrokerCore {
 
     /// Rebuilds a core from an opened recovery record — `record[0]` the
     /// base, the rest its deltas in order — or fresh when the host has
-    /// no record (a disk-loss restart). A versioned base restores the
-    /// sealed per-slice assignment exactly — the recorded slice count
-    /// wins over `slices`, so a config change takes effect through the
-    /// rebalancer, never by scrambling a restore — and the deltas are
-    /// then redone on top ([`BrokerCore::redo`]). A legacy
-    /// (pre-partition) base restores wholesale into slice 0 of the
-    /// configured partition; the rebalancer re-spreads it.
+    /// no record (a disk-loss restart). The base restores the sealed
+    /// per-slice assignment exactly — the recorded slice count wins over
+    /// `slices`, so a config change takes effect through the rebalancer,
+    /// never by scrambling a restore — and the deltas are then redone on
+    /// top ([`BrokerCore::redo`]). A base without the record magic and
+    /// version is a codec error.
     fn restore(
         record: &[&[u8]],
         mem: &MemorySim,
-        kind: IndexKind,
         flood: bool,
         neighbors: &[usize],
         slices: usize,
     ) -> Result<Self, ScbrError> {
-        let mut core = BrokerCore::fresh(mem, kind, flood, neighbors, slices);
+        let mut core = BrokerCore::fresh(mem, flood, neighbors, slices);
         let Some((bytes, deltas)) = record.split_first() else {
             return Ok(core);
         };
         let mut r = codec::Reader::new(bytes);
-        if r.u32()? == u32::MAX {
-            if r.u8()? != RECORD_VERSION {
-                return Err(ScbrError::Codec { context: "recovery record version" });
-            }
-            let n_slices = r.u32()? as usize;
-            if n_slices == 0 {
-                return Err(ScbrError::Codec { context: "recovery slice count" });
-            }
-            core.matcher = PartitionedMatcher::new(mem, kind, n_slices);
-            for slice in 0..n_slices {
-                let snapshot = r.bytes()?;
-                core.matcher.restore_slice(slice, &snapshot)?;
-            }
-        } else {
-            r = codec::Reader::new(bytes);
+        if r.u32()? != u32::MAX || r.u8()? != RECORD_VERSION {
+            return Err(ScbrError::Codec { context: "recovery record version" });
+        }
+        let n_slices = r.u32()? as usize;
+        if n_slices == 0 {
+            return Err(ScbrError::Codec { context: "recovery slice count" });
+        }
+        core.matcher = PartitionedMatcher::new(mem, n_slices);
+        for slice in 0..n_slices {
             let snapshot = r.bytes()?;
-            core.matcher.restore_slice(0, &snapshot)?;
+            core.matcher.restore_slice(slice, &snapshot)?;
         }
         let n_live = r.u32()?;
         for _ in 0..n_live {
@@ -1176,7 +1158,6 @@ pub struct Broker {
     enclave: Option<Enclave>,
     /// The measured routing binary, kept for enclave relaunch on restart.
     code: Vec<u8>,
-    kind: IndexKind,
     flood: bool,
     core: BrokerCore,
     links: BTreeMap<usize, LinkChannel>,
@@ -1294,24 +1275,17 @@ impl Broker {
     /// # Errors
     ///
     /// Propagates enclave-launch failures.
-    pub fn attested(
-        id: usize,
-        seed: u64,
-        kind: IndexKind,
-        code: &[u8],
-        flood: bool,
-    ) -> Result<Self, OverlayError> {
+    pub fn attested(id: usize, seed: u64, code: &[u8], flood: bool) -> Result<Self, OverlayError> {
         let platform = SgxPlatform::for_testing(seed);
         let enclave = platform.launch(router_builder(code))?;
         let counter = platform.create_counter();
-        let core = BrokerCore::fresh(enclave.memory(), kind, flood, &[], 1);
+        let core = BrokerCore::fresh(enclave.memory(), flood, &[], 1);
         Ok(Broker {
             id,
             state: Lifecycle::Cold,
             platform: Some(platform),
             enclave: Some(enclave),
             code: code.to_vec(),
-            kind,
             flood,
             core,
             links: BTreeMap::new(),
@@ -1361,7 +1335,7 @@ impl Broker {
     /// no enclave, free-cost native memory, unsealed links. Crash/rejoin
     /// still works — the recovery record is stored unsealed (no rollback
     /// protection without a platform).
-    pub fn preshared(id: usize, seed: u64, kind: IndexKind, flood: bool) -> Self {
+    pub fn preshared(id: usize, seed: u64, flood: bool) -> Self {
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
         Broker {
             id,
@@ -1369,9 +1343,8 @@ impl Broker {
             platform: None,
             enclave: None,
             code: Vec::new(),
-            kind,
             flood,
-            core: BrokerCore::fresh(&mem, kind, flood, &[], 1),
+            core: BrokerCore::fresh(&mem, flood, &[], 1),
             links: BTreeMap::new(),
             neighbors: Vec::new(),
             initiations: BTreeMap::new(),
@@ -1488,7 +1461,7 @@ impl Broker {
             migration_batch: config.migration_batch.max(1),
         };
         let mem = self.core.matcher.memory().clone();
-        self.core.matcher = PartitionedMatcher::new(&mem, self.kind, self.partition.slices);
+        self.core.matcher = PartitionedMatcher::new(&mem, self.partition.slices);
         self.core.matcher.set_telemetry(self.telemetry);
     }
 
@@ -1705,8 +1678,7 @@ impl Broker {
         }
         self.enclave = None;
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        self.core =
-            BrokerCore::fresh(&mem, self.kind, self.flood, &self.neighbors, self.partition.slices);
+        self.core = BrokerCore::fresh(&mem, self.flood, &self.neighbors, self.partition.slices);
         // Telemetry is host configuration: the flag survives the crash,
         // but the flight recorder and stage histograms (volatile, never
         // sealed) restart empty with the rebuilt core.
@@ -1755,7 +1727,7 @@ impl Broker {
         // been accepted — a refused restart leaves the broker crashed
         // and the file where it was.
         let entries = journal::split_entries(self.sealed.as_deref().unwrap_or_default())?;
-        let (kind, flood, slices) = (self.kind, self.flood, self.partition.slices);
+        let (flood, slices) = (self.flood, self.partition.slices);
         let neighbors = &self.neighbors;
         if let Some(platform) = &self.platform {
             // Relaunch the (same, identically measured) routing enclave;
@@ -1776,7 +1748,7 @@ impl Broker {
                 };
                 let record: Vec<&[u8]> = opened.iter().map(Vec::as_slice).collect();
                 let mut core =
-                    BrokerCore::restore(&record, ctx.memory(), kind, flood, neighbors, slices)?;
+                    BrokerCore::restore(&record, ctx.memory(), flood, neighbors, slices)?;
                 core.base_version = base_version;
                 Ok(core)
             })?;
@@ -1784,7 +1756,7 @@ impl Broker {
             self.core = core;
         } else {
             let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-            self.core = BrokerCore::restore(&entries, &mem, kind, flood, neighbors, slices)?;
+            self.core = BrokerCore::restore(&entries, &mem, flood, neighbors, slices)?;
         }
         self.log = match entries.split_first() {
             Some((base, deltas)) => LogShape {
@@ -2867,12 +2839,16 @@ mod tests {
         }
     }
 
-    /// The host file of a pre-partition broker: one base entry in the
-    /// original single-slice payload layout, no deltas.
-    fn legacy_file(broker: &Broker) -> Vec<u8> {
-        assert_eq!(broker.slice_count(), 1);
+    /// The host file of a `slices`-slice broker holding everything in
+    /// slice 0: the single-slice `broker`'s base record, with empty engine
+    /// snapshots for the other slices, and no deltas.
+    fn piled_file(broker: &Broker, slices: usize) -> Vec<u8> {
+        let mut snapshots = broker.core.matcher.snapshot_slices();
+        assert_eq!(snapshots.len(), 1);
+        let empty = PartitionedMatcher::new(broker.core.matcher.memory(), 1).snapshot_slices();
+        snapshots.resize(slices, empty[0].clone());
         let mut file = Vec::new();
-        journal::append_entry(&mut file, &broker.core.serialize_record());
+        journal::append_entry(&mut file, &broker.core.record_with(&snapshots));
         file
     }
 
@@ -2887,7 +2863,7 @@ mod tests {
     fn preshared_broker_admits_and_routes_through_step() {
         let mut rng = CryptoRng::from_seed(1);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 1, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 1, false);
         broker.set_neighbors(&[1, 2]);
         broker.install_plain_link(1);
         broker.install_plain_link(2);
@@ -2935,7 +2911,7 @@ mod tests {
     fn flood_mode_skips_pruning() {
         let mut rng = CryptoRng::from_seed(2);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 2, IndexKind::Poset, true);
+        let mut broker = Broker::preshared(0, 2, true);
         broker.set_neighbors(&[1]);
         broker.install_plain_link(1);
         broker.provision_preshared(&producer);
@@ -2956,7 +2932,7 @@ mod tests {
     fn removing_a_covering_sub_uncovers_and_reforwards() {
         let mut rng = CryptoRng::from_seed(5);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 5, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 5, false);
         broker.set_neighbors(&[1]);
         broker.install_plain_link(1);
         broker.provision_preshared(&producer);
@@ -3009,7 +2985,7 @@ mod tests {
         // never run steady-state timer work.
         let mut rng = CryptoRng::from_seed(11);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 11, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 11, false);
         broker.set_neighbors(&[1]);
         broker.install_plain_link(1);
         broker.provision_preshared(&producer);
@@ -3050,8 +3026,8 @@ mod tests {
 
     /// Two linked serving brokers: a (0, the edge) — b (1).
     fn linked_pair(producer: &ProducerCrypto) -> (Broker, Broker) {
-        let mut a = Broker::preshared(0, 7, IndexKind::Poset, false);
-        let mut b = Broker::preshared(1, 8, IndexKind::Poset, false);
+        let mut a = Broker::preshared(0, 7, false);
+        let mut b = Broker::preshared(1, 8, false);
         a.set_neighbors(&[1]);
         b.set_neighbors(&[0]);
         a.install_plain_link(1);
@@ -3178,7 +3154,7 @@ mod tests {
     fn pruned_removal_is_silent_and_double_remove_is_idempotent() {
         let mut rng = CryptoRng::from_seed(6);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 6, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 6, false);
         broker.set_neighbors(&[1]);
         broker.install_plain_link(1);
         broker.provision_preshared(&producer);
@@ -3227,7 +3203,7 @@ mod tests {
     fn attested_broker_counts_one_crossing_per_batch() {
         let mut rng = CryptoRng::from_seed(3);
         let producer = producer(&mut rng);
-        let mut broker = Broker::attested(0, 33, IndexKind::Poset, b"router v1", false).unwrap();
+        let mut broker = Broker::attested(0, 33, b"router v1", false).unwrap();
         broker.set_neighbors(&[]);
         // Install keys directly (attestation is exercised in the fabric
         // tests; this test is about crossing accounting).
@@ -3255,7 +3231,7 @@ mod tests {
     fn lifecycle_gates_inputs() {
         let mut rng = CryptoRng::from_seed(9);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 9, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 9, false);
         let envelope = producer
             .seal_registration(
                 &SubscriptionSpec::new().gt("p", 1.0),
@@ -3298,7 +3274,7 @@ mod tests {
         // record alone, so the restart transitions straight to Serving.
         let mut rng = CryptoRng::from_seed(10);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 10, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 10, false);
         broker.provision_preshared(&producer);
         for i in 0..3u64 {
             let envelope = producer
@@ -3341,7 +3317,7 @@ mod tests {
     fn frames_on_unknown_links_are_refused() {
         let mut rng = CryptoRng::from_seed(4);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 4, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 4, false);
         broker.provision_preshared(&producer);
         assert!(matches!(
             broker.step(0, Input::Frame { from: 9, bytes: b"junk".to_vec() }),
@@ -3382,8 +3358,8 @@ mod tests {
 
     #[test]
     fn partitioned_broker_routes_exactly_like_a_single_slice_broker() {
-        let mut single = Broker::preshared(0, 77, IndexKind::Poset, false);
-        let mut sliced = Broker::preshared(0, 77, IndexKind::Poset, false);
+        let mut single = Broker::preshared(0, 77, false);
+        let mut sliced = Broker::preshared(0, 77, false);
         sliced.set_partition(PartitionConfig::sliced(4));
         assert_eq!(single.slice_count(), 1);
         assert_eq!(sliced.slice_count(), 4);
@@ -3405,7 +3381,7 @@ mod tests {
     fn partitioned_attested_broker_still_counts_one_crossing_per_batch() {
         let mut rng = CryptoRng::from_seed(34);
         let producer = producer(&mut rng);
-        let mut broker = Broker::attested(0, 34, IndexKind::Poset, b"router v1", false).unwrap();
+        let mut broker = Broker::attested(0, 34, b"router v1", false).unwrap();
         broker.set_neighbors(&[]);
         broker.set_partition(PartitionConfig::sliced(4));
         broker.provision_preshared(&producer);
@@ -3438,9 +3414,9 @@ mod tests {
         let mut rng = CryptoRng::from_seed(11);
         let producer = producer(&mut rng);
 
-        // A pre-partition (single-slice) broker seals the legacy record
-        // layout.
-        let mut old = Broker::preshared(0, 11, IndexKind::Poset, false);
+        // A single-slice broker's subscriptions, written as a four-slice
+        // record with all of them in slice 0.
+        let mut old = Broker::preshared(0, 11, false);
         old.provision_preshared(&producer);
         for i in 0..3u64 {
             let envelope = producer
@@ -3454,21 +3430,21 @@ mod tests {
             old.step(i, Input::Subscribe { envelope }).unwrap();
         }
         assert!(old.sealed_record().is_some(), "record sealed after admissions");
-        let legacy = legacy_file(&old);
+        let piled = piled_file(&old, 4);
 
-        // A partitioned replacement restores it: everything lands in
-        // slice 0 (the legacy layout carries no placement).
-        let mut broker = Broker::preshared(0, 11, IndexKind::Poset, false);
+        // A partitioned replacement restores the sealed assignment: every
+        // subscription in slice 0.
+        let mut broker = Broker::preshared(0, 11, false);
         broker.set_partition(PartitionConfig::sliced(4));
         broker.provision_preshared(&producer);
         broker.step(10, Input::Crash).unwrap();
-        broker.set_sealed_record(legacy);
+        broker.set_sealed_record(piled);
         broker.step(20, Input::Restart { dead_links: vec![] }).unwrap();
         assert_eq!(broker.lifecycle(), Lifecycle::Serving);
         assert_eq!(broker.subscriptions(), 3);
         assert_eq!(broker.slice_count(), 4);
         let skew = broker.occupancy_skew();
-        assert!(skew > 1.5, "legacy restore piles onto slice 0, skew {skew}");
+        assert!(skew > 1.5, "the restore piles onto slice 0, skew {skew}");
 
         // The rebalancer spreads the pile below threshold; deliveries
         // stay exactly-once throughout.
@@ -3506,9 +3482,9 @@ mod tests {
         let mut rng = CryptoRng::from_seed(12);
         let producer = producer(&mut rng);
 
-        // Same legacy-record trick as above to manufacture a skewed
-        // partitioned broker deterministically.
-        let mut old = Broker::preshared(0, 12, IndexKind::Poset, false);
+        // Same piled record as above to manufacture a skewed partitioned
+        // broker deterministically.
+        let mut old = Broker::preshared(0, 12, false);
         old.provision_preshared(&producer);
         for i in 0..6u64 {
             let envelope = producer
@@ -3521,13 +3497,13 @@ mod tests {
                 .unwrap();
             old.step(i, Input::Subscribe { envelope }).unwrap();
         }
-        let legacy = legacy_file(&old);
+        let piled = piled_file(&old, 3);
 
-        let mut broker = Broker::preshared(0, 12, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 12, false);
         broker.set_partition(PartitionConfig::sliced(3));
         broker.provision_preshared(&producer);
         broker.step(10, Input::Crash).unwrap();
-        broker.set_sealed_record(legacy);
+        broker.set_sealed_record(piled);
         broker.step(20, Input::Restart { dead_links: vec![] }).unwrap();
         broker.provision_preshared(&producer);
         assert!(broker.occupancy_skew() > 1.5);
@@ -3578,7 +3554,7 @@ mod tests {
     fn checkpoints_append_deltas_and_compact_by_the_fixed_rule() {
         let mut rng = CryptoRng::from_seed(13);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 13, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 13, false);
         broker.provision_preshared(&producer);
         assert!(broker.sealed_record().is_none());
 
@@ -3662,7 +3638,7 @@ mod tests {
     fn attested_checkpoint_is_one_crossing_and_one_counter_value() {
         let mut rng = CryptoRng::from_seed(14);
         let producer = producer(&mut rng);
-        let mut broker = Broker::attested(0, 14, IndexKind::Poset, b"router v1", false).unwrap();
+        let mut broker = Broker::attested(0, 14, b"router v1", false).unwrap();
         broker.set_neighbors(&[]);
         broker.provision_preshared(&producer);
         let counter = broker.counter.unwrap();
@@ -3700,7 +3676,7 @@ mod tests {
     fn a_crash_discards_the_pending_journal_with_the_mutations_it_describes() {
         let mut rng = CryptoRng::from_seed(15);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 15, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 15, false);
         broker.provision_preshared(&producer);
         subscribe_n(&mut broker, &producer, &mut rng, 0..5);
         let flushed = broker.core.serialize_record();
@@ -3736,7 +3712,7 @@ mod tests {
         // must still fail the restart cleanly.
         let mut rng = CryptoRng::from_seed(16);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 16, IndexKind::Poset, false);
+        let mut broker = Broker::preshared(0, 16, false);
         broker.provision_preshared(&producer);
         subscribe_n(&mut broker, &producer, &mut rng, 0..6);
         let genuine = broker.sealed_record().unwrap().to_vec();
@@ -3766,5 +3742,29 @@ mod tests {
         broker.set_sealed_record(genuine);
         broker.step(12, Input::Restart { dead_links: vec![] }).unwrap();
         assert_eq!(broker.subscriptions(), 6);
+    }
+
+    #[test]
+    fn a_record_in_the_old_single_slice_layout_is_refused() {
+        let mut rng = CryptoRng::from_seed(17);
+        let producer = producer(&mut rng);
+        let mut broker = Broker::preshared(0, 17, false);
+        broker.provision_preshared(&producer);
+        subscribe_n(&mut broker, &producer, &mut rng, 0..3);
+        let record = broker.core.serialize_record();
+        // The versioned layout opens `u32::MAX ‖ version ‖ 1`; the old one
+        // began directly with the one engine snapshot, length first.
+        assert_eq!(record[..9], [0xff, 0xff, 0xff, 0xff, RECORD_VERSION, 0, 0, 0, 1]);
+        let mut old = Vec::new();
+        journal::append_entry(&mut old, &record[9..]);
+        broker.step(10, Input::Crash).unwrap();
+        broker.set_sealed_record(old);
+        let refused = broker.step(11, Input::Restart { dead_links: vec![] });
+        assert!(
+            matches!(refused, Err(OverlayError::Routing(ScbrError::Codec { .. }))),
+            "{refused:?}"
+        );
+        assert_eq!(broker.lifecycle(), Lifecycle::Crashed);
+        assert_eq!(broker.subscriptions(), 0);
     }
 }

@@ -30,8 +30,9 @@
 
 use super::*;
 use proptest::prelude::*;
-use scbr::engine::{strip_anchors, MatchingEngine};
+use scbr::engine::strip_anchors;
 use scbr::ids::KeyEpoch;
+use scbr::index::FlatOracle;
 use scbr::{PublicationSpec, SubscriptionSpec};
 
 const NEIGHBORS: [usize; 2] = [1, 2];
@@ -88,7 +89,7 @@ fn shared_producer() -> ProducerCrypto {
 }
 
 fn new_broker(seed: u64, partition: PartitionConfig, producer: &ProducerCrypto) -> Broker {
-    let mut broker = Broker::preshared(0, seed, IndexKind::Poset, false);
+    let mut broker = Broker::preshared(0, seed, false);
     broker.set_neighbors(&NEIGHBORS);
     broker.set_partition(partition);
     relink(&mut broker, producer);
@@ -121,12 +122,12 @@ struct Live {
 }
 
 /// What is shared by the two brokers of one case: the producer, the
-/// live set, and the flat oracle engine holding exactly that set (link
+/// live set, and the flat oracle holding exactly that set (link
 /// subscriptions under their link's interface identity).
 struct Harness {
     producer: ProducerCrypto,
     rng: CryptoRng,
-    oracle: MatchingEngine,
+    oracle: FlatOracle,
     live: Vec<Live>,
     next_id: u64,
 }
@@ -137,7 +138,7 @@ impl Harness {
         Harness {
             producer: shared_producer(),
             rng: CryptoRng::from_seed(seed),
-            oracle: MatchingEngine::new(&mem, IndexKind::Naive),
+            oracle: FlatOracle::new(&mem),
             live: Vec::new(),
             next_id: 0,
         }

@@ -40,7 +40,6 @@ use crate::error::OverlayError;
 use crate::partition::{PartitionConfig, RebalanceReport};
 use crate::topology::Topology;
 use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
-use scbr::index::IndexKind;
 use scbr::protocol::keys::ProducerCrypto;
 use scbr::protocol::messages::PublishItem;
 use scbr::{PublicationSpec, ScbrError, SubscriptionSpec};
@@ -85,8 +84,6 @@ pub enum Trust {
 pub struct FabricConfig {
     /// Seed for all deterministic key material and workload encryption.
     pub seed: u64,
-    /// Index implementation each broker runs.
-    pub index: IndexKind,
     /// Subscription-propagation mode.
     pub propagation: Propagation,
     /// Authentication mode.
@@ -115,11 +112,10 @@ pub struct FabricConfig {
 
 impl FabricConfig {
     /// The default production-shaped configuration: attested brokers,
-    /// covering-pruned propagation, poset index, epoch 0.
+    /// covering-pruned propagation, epoch 0.
     pub fn attested(seed: u64) -> Self {
         FabricConfig {
             seed,
-            index: IndexKind::Poset,
             propagation: Propagation::CoveringPruned,
             trust: Trust::Attested,
             epoch: KeyEpoch(0),
@@ -288,12 +284,8 @@ impl OverlayFabric {
         match config.trust {
             Trust::PreShared => {
                 for id in 0..n {
-                    let mut broker = Broker::preshared(
-                        id,
-                        config.seed.wrapping_add(id as u64),
-                        config.index,
-                        flood,
-                    );
+                    let mut broker =
+                        Broker::preshared(id, config.seed.wrapping_add(id as u64), flood);
                     broker.set_neighbors(topology.neighbors(id));
                     broker.set_partition(config.partition);
                     broker.provision_preshared(&producer);
@@ -310,8 +302,7 @@ impl OverlayFabric {
                 let mut service = AttestationService::new();
                 for id in 0..n {
                     let seed = config.seed.wrapping_mul(7919).wrapping_add(id as u64 + 1);
-                    let mut broker =
-                        Broker::attested(id, seed, config.index, ROUTER_ENCLAVE_CODE, flood)?;
+                    let mut broker = Broker::attested(id, seed, ROUTER_ENCLAVE_CODE, flood)?;
                     broker.set_neighbors(topology.neighbors(id));
                     broker.set_partition(config.partition);
                     let platform = broker.platform().expect("attested broker has a platform");

@@ -44,7 +44,7 @@
 use scbr::cluster::{home_slice, SliceStats};
 use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::SubscriptionIndex;
 use scbr::ScbrError;
 use scbr_crypto::{RsaPublicKey, SymmetricKey};
 use scbr_telemetry::StageSummary;
@@ -135,15 +135,13 @@ impl std::fmt::Debug for PartitionedMatcher {
 impl PartitionedMatcher {
     /// Builds `slices` engine slices (at least one), all indexing into
     /// `mem`.
-    pub fn new(mem: &MemorySim, kind: IndexKind, slices: usize) -> Self {
+    pub fn new(mem: &MemorySim, slices: usize) -> Self {
         let n = slices.max(1);
         // One interning table for all slices: the broker's covering check
         // compares compiled subscriptions across them.
         let schema = scbr::attr::AttrSchema::new();
         PartitionedMatcher {
-            slices: (0..n)
-                .map(|_| MatchingEngine::with_schema(mem, kind, schema.clone()))
-                .collect(),
+            slices: (0..n).map(|_| MatchingEngine::with_schema(mem, schema.clone())).collect(),
             placement: BTreeMap::new(),
             migrations: 0,
         }
@@ -453,7 +451,7 @@ mod tests {
         let mut rng = CryptoRng::from_seed(0x70617274);
         let producer = ProducerCrypto::generate(512, &mut rng).unwrap();
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut matcher = PartitionedMatcher::new(&mem, IndexKind::Poset, slices);
+        let mut matcher = PartitionedMatcher::new(&mem, slices);
         matcher.provision_keys(producer.sk().clone(), producer.public_key().clone());
         (matcher, producer, rng)
     }
@@ -614,7 +612,7 @@ mod tests {
         let snapshots = matcher.snapshot_slices();
 
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut restored = PartitionedMatcher::new(&mem, IndexKind::Poset, 3);
+        let mut restored = PartitionedMatcher::new(&mem, 3);
         restored.provision_keys(producer.sk().clone(), producer.public_key().clone());
         for (slice, snap) in snapshots.iter().enumerate() {
             restored.restore_slice(slice, snap).unwrap();

@@ -22,9 +22,8 @@
 //!   `rows == forwarded_total − removed` with `uncovered ⊆ forwarded_total`.
 
 use proptest::prelude::*;
-use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::FlatOracle;
 use scbr::protocol::keys::ProducerCrypto;
 use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
@@ -223,13 +222,12 @@ proptest! {
         let producer = shared_producer();
         let mut pruned = OverlayFabric::build_with_producer(
             topology.clone(),
-            FabricConfig { index: IndexKind::Poset, ..FabricConfig::preshared(seed) },
+            FabricConfig::preshared(seed),
             producer.clone(),
         ).expect("pruned fabric");
         let mut flooded = OverlayFabric::build_with_producer(
             topology.clone(),
             FabricConfig {
-                index: IndexKind::Poset,
                 propagation: Propagation::Flood,
                 ..FabricConfig::preshared(seed)
             },
@@ -237,7 +235,7 @@ proptest! {
         ).expect("flooded fabric");
         // The flat oracle: one big router holding exactly the live set.
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut oracle = MatchingEngine::new(&mem, IndexKind::Naive);
+        let mut oracle = FlatOracle::new(&mem);
 
         // id → (index into `subs` of its owner — client and placement —
         // and of its current filter), for oracle-expectation building.
@@ -356,11 +354,11 @@ proptest! {
 
         let mut fabric = OverlayFabric::build_with_producer(
             topology.clone(),
-            FabricConfig { index: IndexKind::Poset, ..FabricConfig::preshared(seed) },
+            FabricConfig::preshared(seed),
             shared_producer(),
         ).expect("fabric");
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut oracle = MatchingEngine::new(&mem, IndexKind::Naive);
+        let mut oracle = FlatOracle::new(&mem);
 
         // id → (index into `subs`, actual edge router), for
         // oracle-expectation building; placement may dodge a crashed
@@ -370,7 +368,7 @@ proptest! {
         let mut crashed: Option<usize> = None;
 
         let probe = |fabric: &mut OverlayFabric,
-                         oracle: &MatchingEngine,
+                         oracle: &FlatOracle,
                          live: &[(SubscriptionId, usize, usize)],
                          step_no: usize|
          -> Result<(), TestCaseError> {
@@ -486,14 +484,12 @@ proptest! {
         let heartbeats = HeartbeatConfig::fast();
         let mut pruned = OverlayFabric::build_with_producer(
             topology.clone(),
-            FabricConfig { index: IndexKind::Poset, ..FabricConfig::preshared(seed) }
-                .with_heartbeats(heartbeats),
+            FabricConfig::preshared(seed).with_heartbeats(heartbeats),
             producer.clone(),
         ).expect("pruned fabric");
         let mut flooded = OverlayFabric::build_with_producer(
             topology.clone(),
             FabricConfig {
-                index: IndexKind::Poset,
                 propagation: Propagation::Flood,
                 ..FabricConfig::preshared(seed)
             }.with_heartbeats(heartbeats),
@@ -507,7 +503,7 @@ proptest! {
             flooded.set_tick_stride(r, s);
         }
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut oracle = MatchingEngine::new(&mem, IndexKind::Naive);
+        let mut oracle = FlatOracle::new(&mem);
 
         // id → index into `subs` (placement is always the natural edge
         // router — churn only happens on a fully serving fabric).
@@ -666,7 +662,7 @@ proptest! {
         let publications: Vec<PublicationSpec> = pubs.iter().map(build_pub).collect();
 
         let producer = shared_producer();
-        let config = FabricConfig { index: IndexKind::Poset, ..FabricConfig::preshared(seed) };
+        let config = FabricConfig::preshared(seed);
         let mut plain = OverlayFabric::build_with_producer(
             topology.clone(),
             config,
@@ -761,9 +757,9 @@ proptest! {
         prop_assert_eq!(got_plain, got_instrumented, "post-drain deliveries diverged");
     }
 
-    /// The final-drain guarantee holds for every index kind, not just the
-    /// poset (removal goes through `SubscriptionIndex::remove`, whose
-    /// implementations differ structurally).
+    /// The final-drain guarantee: removing every subscription, half before
+    /// a publication and half after, leaves no index entry and no
+    /// forwarded row on any broker.
     #[test]
     fn all_index_kinds_drain_to_empty(
         parents in proptest::collection::vec(0usize..4, 1..4),
@@ -774,40 +770,31 @@ proptest! {
         let topology = build_tree(&parents);
         let routers = topology.routers();
         let publications: Vec<PublicationSpec> = pubs.iter().map(build_pub).collect();
-        for kind in [IndexKind::Poset, IndexKind::Counting, IndexKind::Naive] {
-            let mut fabric = OverlayFabric::build_with_producer(
-                topology.clone(),
-                FabricConfig { index: kind, ..FabricConfig::preshared(seed) },
-                shared_producer(),
-            ).expect("fabric");
-            let mut ids = Vec::new();
-            for (i, raw) in subs.iter().enumerate() {
-                let at = raw.router % routers;
-                ids.push(
-                    fabric
-                        .subscribe(at, ClientId(i as u64), &build_sub(raw))
-                        .expect("subscribe"),
-                );
-            }
-            // Remove the first half, publish, remove the rest.
-            let half = ids.len() / 2;
-            for id in &ids[..half] {
-                prop_assert!(fabric.unsubscribe(*id).expect("unsubscribe"));
-            }
-            // Deliveries reflect only the surviving half.
-            let deliveries = fabric.publish(0, &publications).expect("publish");
-            for d in &deliveries {
-                prop_assert!(
-                    (d.client.0 as usize) >= half,
-                    "removed subscription still delivering under {:?}", kind
-                );
-            }
-            for id in &ids[half..] {
-                prop_assert!(fabric.unsubscribe(*id).expect("unsubscribe rest"));
-            }
-            prop_assert_eq!(fabric.total_index_entries(), 0, "{:?} leaked entries", kind);
-            prop_assert_eq!(fabric.total_forwarded(), 0, "{:?} leaked rows", kind);
+        let mut fabric = OverlayFabric::build_with_producer(
+            topology.clone(),
+            FabricConfig::preshared(seed),
+            shared_producer(),
+        ).expect("fabric");
+        let mut ids = Vec::new();
+        for (i, raw) in subs.iter().enumerate() {
+            let at = raw.router % routers;
+            ids.push(fabric.subscribe(at, ClientId(i as u64), &build_sub(raw)).expect("subscribe"));
         }
+        // Remove the first half, publish, remove the rest.
+        let half = ids.len() / 2;
+        for id in &ids[..half] {
+            prop_assert!(fabric.unsubscribe(*id).expect("unsubscribe"));
+        }
+        // Deliveries reflect only the surviving half.
+        let deliveries = fabric.publish(0, &publications).expect("publish");
+        for d in &deliveries {
+            prop_assert!((d.client.0 as usize) >= half, "removed subscription still delivering");
+        }
+        for id in &ids[half..] {
+            prop_assert!(fabric.unsubscribe(*id).expect("unsubscribe rest"));
+        }
+        prop_assert_eq!(fabric.total_index_entries(), 0, "leaked entries");
+        prop_assert_eq!(fabric.total_forwarded(), 0, "leaked rows");
     }
 
     /// Partitioned-matcher arm: a fabric whose brokers shard their
@@ -831,7 +818,7 @@ proptest! {
         let publish_at = publish_router % routers;
 
         let producer = shared_producer();
-        let config = FabricConfig { index: IndexKind::Poset, ..FabricConfig::preshared(seed) };
+        let config = FabricConfig::preshared(seed);
         let mut flat = OverlayFabric::build_with_producer(
             topology.clone(),
             config,
@@ -845,7 +832,7 @@ proptest! {
             producer.clone(),
         ).expect("partitioned fabric");
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut oracle = MatchingEngine::new(&mem, IndexKind::Naive);
+        let mut oracle = FlatOracle::new(&mem);
 
         // id → (index into `subs`, actual edge router): placement dodges
         // a crashed broker, so it is recorded per subscription.

@@ -8,14 +8,13 @@
 //! the publications to the pruning router, whose local index finishes the
 //! job. These properties drive random subscription sets over random
 //! trees, publish random batches from random routers, and require the
-//! pruned and flooded fabrics to produce identical delivery sets for all
-//! three index kinds — plus a single-router oracle check: the overlay
-//! delivers exactly what one big router would.
+//! pruned and flooded fabrics to produce identical delivery sets — plus a
+//! single-router oracle check: the overlay delivers exactly what one big
+//! flat router would.
 
 use proptest::prelude::*;
-use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::FlatOracle;
 use scbr::protocol::keys::ProducerCrypto;
 use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
@@ -112,14 +111,13 @@ fn shared_producer() -> ProducerCrypto {
 /// Runs one fabric end to end and returns the sorted delivery set.
 fn run_fabric(
     topology: &Topology,
-    kind: IndexKind,
     propagation: Propagation,
     seed: u64,
     subs: &[RawSub],
     pubs: &[PublicationSpec],
     publish_at: usize,
 ) -> (Vec<Delivery>, OverlayFabric) {
-    let config = FabricConfig { index: kind, propagation, ..FabricConfig::preshared(seed) };
+    let config = FabricConfig { propagation, ..FabricConfig::preshared(seed) };
     let mut fabric =
         OverlayFabric::build_with_producer(topology.clone(), config, shared_producer())
             .expect("fabric build");
@@ -136,8 +134,8 @@ fn run_fabric(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Pruned ≡ flooded for every index kind, over random trees, random
-    /// subscriptions and random publication batches.
+    /// Pruned ≡ flooded over random trees, random subscriptions and random
+    /// publication batches.
     #[test]
     fn pruned_propagation_is_delivery_equivalent_to_flooding(
         parents in proptest::collection::vec(0usize..8, 1..5),
@@ -150,29 +148,24 @@ proptest! {
         let publish_at = publish_router % topology.routers();
         let publications: Vec<PublicationSpec> = pubs.iter().map(build_pub).collect();
 
-        for kind in [IndexKind::Poset, IndexKind::Counting, IndexKind::Naive] {
-            let (pruned, pruned_fabric) = run_fabric(
-                &topology, kind, Propagation::CoveringPruned,
-                seed, &subs, &publications, publish_at,
-            );
-            let (flooded, flooded_fabric) = run_fabric(
-                &topology, kind, Propagation::Flood,
-                seed, &subs, &publications, publish_at,
-            );
-            prop_assert_eq!(
-                &pruned, &flooded,
-                "pruned and flooded fabrics disagree for {:?}", kind
-            );
-            // Pruning never *increases* propagation traffic or state.
-            prop_assert!(
-                pruned_fabric.total_forwarded() <= flooded_fabric.total_forwarded(),
-                "pruning must not forward more than flooding"
-            );
-            prop_assert!(
-                pruned_fabric.total_index_entries() <= flooded_fabric.total_index_entries(),
-                "pruning must not store more than flooding"
-            );
-        }
+        let (pruned, pruned_fabric) = run_fabric(
+            &topology, Propagation::CoveringPruned,
+            seed, &subs, &publications, publish_at,
+        );
+        let (flooded, flooded_fabric) = run_fabric(
+            &topology, Propagation::Flood,
+            seed, &subs, &publications, publish_at,
+        );
+        prop_assert_eq!(&pruned, &flooded, "pruned and flooded fabrics disagree");
+        // Pruning never *increases* propagation traffic or state.
+        prop_assert!(
+            pruned_fabric.total_forwarded() <= flooded_fabric.total_forwarded(),
+            "pruning must not forward more than flooding"
+        );
+        prop_assert!(
+            pruned_fabric.total_index_entries() <= flooded_fabric.total_index_entries(),
+            "pruning must not store more than flooding"
+        );
     }
 
     /// The overlay (pruned, multi-hop) delivers exactly what a single
@@ -189,13 +182,13 @@ proptest! {
         let publish_at = publish_router % topology.routers();
         let publications: Vec<PublicationSpec> = pubs.iter().map(build_pub).collect();
         let (deliveries, _) = run_fabric(
-            &topology, IndexKind::Poset, Propagation::CoveringPruned,
+            &topology, Propagation::CoveringPruned,
             seed, &subs, &publications, publish_at,
         );
 
-        // Oracle: one flat engine with every subscription.
+        // Oracle: one flat matcher with every subscription.
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut oracle = MatchingEngine::new(&mem, IndexKind::Naive);
+        let mut oracle = FlatOracle::new(&mem);
         for (i, raw) in subs.iter().enumerate() {
             oracle
                 .register_plain(SubscriptionId(i as u64), ClientId(i as u64), &build_sub(raw))

@@ -18,7 +18,6 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
-use scbr::index::IndexKind;
 use scbr::protocol::keys::ProducerCrypto;
 use scbr::protocol::messages::PublishItem;
 use scbr::{PublicationSpec, SubscriptionSpec};
@@ -116,7 +115,7 @@ fn attested_line(clients: u64) -> (Vec<Broker>, Vec<PublishItem>) {
         .collect();
     let mut brokers: Vec<Broker> = (0..BROKERS)
         .map(|id| {
-            Broker::attested(id, 2702 + id as u64, IndexKind::Poset, ROUTER_ENCLAVE_CODE, false)
+            Broker::attested(id, 2702 + id as u64, ROUTER_ENCLAVE_CODE, false)
                 .expect("enclave launch")
         })
         .collect();

@@ -4,7 +4,7 @@
 //! `i` counts samples in `[2^i, 2^(i+1))` virtual nanoseconds (bucket 0
 //! also absorbs zero). Each slot carries the epoch it was last written in,
 //! so [`LatencyHistogram::clear`] is a single increment — a stale epoch
-//! reads as zero — exactly the `MatchScratch` counting-index pattern.
+//! reads as zero.
 //! Recording touches one array slot and allocates nothing, which is what
 //! lets the histograms live inside the matching hot path without breaking
 //! the counting-allocator zero-alloc proof.

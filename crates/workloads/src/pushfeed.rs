@@ -16,7 +16,7 @@
 //!   that keeps the live-set size steady while recycling index slots.
 //!
 //! Everything is deterministic per seed, so benchmarks and equivalence
-//! tests can replay identical streams against different index kinds.
+//! tests can replay identical streams against the forest and its oracle.
 
 use crate::zipf::Zipf;
 use scbr::ids::{ClientId, SubscriptionId};

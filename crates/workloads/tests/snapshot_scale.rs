@@ -12,7 +12,7 @@
 //! during rebuild) cannot hide behind small fixtures.
 
 use scbr::engine::MatchingEngine;
-use scbr::index::IndexKind;
+use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr_workloads::{PushFeed, PushFeedConfig};
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 
@@ -45,10 +45,7 @@ fn snapshot_round_trips_100k_subscriptions() {
     assert_eq!(restored.index().len(), live);
     assert_eq!(restored.index().node_count(), engine.index().node_count());
     // The anchors rebuild the author's forest, not merely an equivalent one.
-    let shape = |e: &MatchingEngine| {
-        let forest = e.index().as_poset().expect("a poset engine");
-        (forest.root_count(), forest.depth())
-    };
+    let shape = |e: &MatchingEngine| (e.index().root_count(), e.index().depth());
     assert_eq!(shape(&restored), shape(&engine), "(roots, depth) after restore");
     // Relinking, not searching: one covering check per anchored row reads
     // ~2.3 lines per row here, where the covering search read ~5.7 (and

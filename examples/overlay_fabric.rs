@@ -27,7 +27,6 @@
 //! ```
 
 use scbr::ids::ClientId;
-use scbr::index::IndexKind;
 use scbr::{PublicationSpec, SubscriptionSpec};
 use scbr_overlay::broker::{Broker, Input, Output};
 use scbr_overlay::fabric::{router_measurement, FabricConfig, OverlayFabric, ROUTER_ENCLAVE_CODE};
@@ -45,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // measurement, so an honest broker refuses the handshake hello.
     let mut rng = scbr_crypto::rng::CryptoRng::from_seed(900);
     let producer = scbr::protocol::keys::ProducerCrypto::generate(512, &mut rng)?;
-    let mut honest = Broker::attested(10, 900, IndexKind::Poset, ROUTER_ENCLAVE_CODE, false)?;
-    let mut rogue = Broker::attested(11, 901, IndexKind::Poset, b"router + backdoor", false)?;
+    let mut honest = Broker::attested(10, 900, ROUTER_ENCLAVE_CODE, false)?;
+    let mut rogue = Broker::attested(11, 901, b"router + backdoor", false)?;
     let mut service = AttestationService::new();
     service.trust_platform(honest.platform().expect("attested").attestation_public_key().clone());
     service.trust_platform(rogue.platform().expect("attested").attestation_public_key().clone());

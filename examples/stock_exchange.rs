@@ -9,7 +9,7 @@
 
 use scbr::engine::RouterEngine;
 use scbr::ids::ClientId;
-use scbr::index::IndexKind;
+use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
 use scbr::roles::{ClientNode, Producer, ProducerCommand, Router};
 use scbr::subscription::SubscriptionSpec;

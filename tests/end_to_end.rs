@@ -7,7 +7,7 @@
 
 use scbr::engine::RouterEngine;
 use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
 use scbr::protocol::messages::{Message, PublishItem};
 use scbr::publication::PublicationSpec;

@@ -124,7 +124,7 @@ fn fig8_paging_cliff() {
     let subs = workload.subscriptions(&market, n, 9);
 
     let mut inside = RouterEngine::in_enclave(&platform, IndexKind::Poset).expect("launch");
-    let mut outside = RouterEngine::outside(&platform, IndexKind::Poset);
+    let mut outside = RouterEngine::outside(&platform);
 
     let mut ratios = Vec::new();
     let bucket = 2_500;
@@ -210,8 +210,7 @@ fn batching_amortises_transitions_and_partitioning_beats_epc_thrash() {
 
     let mut virt_per_batch = Vec::new();
     for slices in [1usize, 2] {
-        let mut router =
-            PartitionedRouter::in_enclaves(&platform, IndexKind::Poset, slices).expect("launch");
+        let mut router = PartitionedRouter::in_enclaves(&platform, slices).expect("launch");
         router.provision_keys(&sk, &pk);
         for (i, spec) in subs.iter().enumerate() {
             router

@@ -3,7 +3,7 @@
 
 use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
-use scbr::index::IndexKind;
+use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::protocol::keys::{
     encrypt_subscription_for_producer, provision_sk_via_attestation, ProducerCrypto,
 };

@@ -27,7 +27,6 @@ struct Entry {
 /// A subscription index that scans all entries on every match.
 #[derive(Debug)]
 pub struct NaiveIndex {
-    mem: MemorySim,
     entries: SimArena<Entry>,
     by_id: HashMap<SubscriptionId, u32>,
     live: usize,
@@ -37,7 +36,6 @@ impl NaiveIndex {
     /// Creates an empty index storing entries in `mem`.
     pub fn new(mem: &MemorySim) -> Self {
         NaiveIndex {
-            mem: mem.clone(),
             entries: SimArena::with_stride(mem, NODE_STRIDE),
             by_id: HashMap::new(),
             live: 0,
@@ -74,11 +72,11 @@ impl SubscriptionIndex for NaiveIndex {
         // The linear scan needs no traversal state; it is allocation-free
         // by construction.
         for idx in 0..self.entries.len() as u32 {
-            // Touch the header plus as many constraints as this entry holds.
-            let peek = self.entries.peek(idx);
-            let touched = NODE_HEADER_BYTES + peek.sub.len() as u64 * CONSTRAINT_BYTES;
-            let entry = self.entries.read_partial(idx, touched);
-            self.mem.charge_predicate_evals(entry.sub.len().max(1) as u64);
+            // Evaluate as many predicates as this entry holds, touching the
+            // header plus those constraints.
+            let n_constraints = self.entries.peek(idx).sub.len() as u64;
+            let touched = NODE_HEADER_BYTES + n_constraints * CONSTRAINT_BYTES;
+            let entry = self.entries.read_partial(idx, touched, n_constraints.max(1));
             if entry.alive && entry.sub.matches(header) {
                 out.push(entry.client);
             }

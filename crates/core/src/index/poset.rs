@@ -75,9 +75,9 @@
 //!   between them, most under ~16 wide range nodes whose children are
 //!   gated on `symbol = X`; the gates keep all but a few hundred unread,
 //!   and the binary search leaves most of them untested. Traced at the
-//!   default seed on a 2-core VM, the walk took `index.match_us_per_msg`
-//!   from ~145 µs (sibling lists) to ~88 µs, with the same matches and
-//!   ~1 015 simulated line reads per message either way.
+//!   default seed on a 2-core VM, the walk costs `index.match_us_per_msg`
+//!   ~40 µs (~145 µs with sibling lists) for ~1 014 simulated line reads
+//!   per message, one `SimArena::read_partial` per visited node.
 //! * **Restore.** [`PosetIndex::anchor`] names where a
 //!   subscription sits: a root, or the first subscription of its parent
 //!   node (of its own shared node, when it is not that node's first). An
@@ -446,12 +446,12 @@ impl PosetIndex {
         }
     }
 
-    /// Reads a node charging traffic proportional to its constraint count.
+    /// Reads a node, charging one predicate evaluation per constraint and
+    /// traffic proportional to its constraint count.
     fn visit(&self, idx: u32) -> &NodeBody {
         let n_constraints = self.nodes.peek(idx).sub.len() as u64;
         let bytes = NODE_HEADER_BYTES + n_constraints * CONSTRAINT_BYTES;
-        self.mem.charge_predicate_evals(n_constraints.max(1));
-        self.nodes.read_partial(idx, bytes)
+        self.nodes.read_partial(idx, bytes, n_constraints.max(1))
     }
 
     /// Directory bucket of root `idx`.

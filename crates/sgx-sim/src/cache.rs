@@ -3,6 +3,13 @@
 //! Models the last-level cache of the evaluation machine. Addresses are
 //! *logical* (issued by [`crate::mem::MemorySim`]'s bump allocator); only
 //! tag/set behaviour is simulated, no data is stored.
+//!
+//! Each set is one run of tags kept in recency order, most recent first.
+//! A hit moves its tag to the front; a miss shifts the run back by one way,
+//! dropping the last (least recently used, or invalid) tag, and writes the
+//! new tag at the front. An access therefore touches one contiguous run of
+//! `ways` words and keeps no clock. Tags are stored plus one, so a zeroed
+//! way is invalid, and invalid ways always sit at the back of their set.
 
 use crate::costs::CacheConfig;
 
@@ -28,16 +35,13 @@ pub enum Access {
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     config: CacheConfig,
-    /// Stored tag of every way, set after set (`set * ways + way`).
+    /// Tag plus one of every way, set after set (`set * ways + way`), each
+    /// set most recently used first; 0 marks an invalid way. The array
+    /// starts zeroed, which the allocator hands out lazily, so an enclave
+    /// pays resident memory only for the sets it touches.
     tags: Vec<u64>,
-    /// Last-use tick of every way, same layout; 0 marks an invalid way
-    /// (ticks start at 1). Both arrays start zeroed, which the allocator
-    /// hands out lazily, so an enclave pays resident memory only for the
-    /// sets it touches.
-    last_use: Vec<u64>,
-    n_sets: usize,
+    n_sets: u64,
     line_shift: u32,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -52,10 +56,8 @@ impl CacheSim {
         let n_sets = config.sets();
         CacheSim {
             tags: vec![0; n_sets * config.ways],
-            last_use: vec![0; n_sets * config.ways],
-            n_sets,
+            n_sets: n_sets as u64,
             line_shift: config.line_size.trailing_zeros(),
-            tick: 0,
             hits: 0,
             misses: 0,
             config,
@@ -69,26 +71,31 @@ impl CacheSim {
 
     /// Accesses the line containing byte address `addr`.
     pub fn access(&mut self, addr: u64) -> Access {
-        self.tick += 1;
         let line = addr >> self.line_shift;
-        let set = (line % self.n_sets as u64) as usize;
-        let tag = line / self.n_sets as u64;
-        let ways = set * self.config.ways..(set + 1) * self.config.ways;
-        let (tags, last_use) = (&mut self.tags[ways.clone()], &mut self.last_use[ways]);
-
-        // Hit?
-        if let Some(way) = (0..tags.len()).find(|&w| last_use[w] != 0 && tags[w] == tag) {
-            last_use[way] = self.tick;
-            self.hits += 1;
-            return Access::Hit;
+        // A mask and a shift where the set count allows (every shipped
+        // geometry), a division where it does not.
+        let (set, tag) = if self.n_sets.is_power_of_two() {
+            (line & (self.n_sets - 1), line >> self.n_sets.trailing_zeros())
+        } else {
+            (line % self.n_sets, line / self.n_sets)
+        };
+        let (set, key) = (set as usize, tag + 1);
+        let ways = self.config.ways;
+        let run = &mut self.tags[set * ways..(set + 1) * ways];
+        match run.iter().position(|&t| t == key) {
+            Some(way) => {
+                run.copy_within(..way, 1);
+                run[0] = key;
+                self.hits += 1;
+                Access::Hit
+            }
+            None => {
+                run.copy_within(..ways - 1, 1);
+                run[0] = key;
+                self.misses += 1;
+                Access::Miss
+            }
         }
-        // Miss: fill the first invalid way, else evict the least recently
-        // used (the first minimum on a tie).
-        self.misses += 1;
-        let victim = (0..tags.len()).min_by_key(|&w| last_use[w]).expect("ways > 0");
-        tags[victim] = tag;
-        last_use[victim] = self.tick;
-        Access::Miss
     }
 
     /// Number of hits so far.
@@ -115,12 +122,6 @@ impl CacheSim {
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
-    }
-
-    /// Invalidates all contents and counters.
-    pub fn flush(&mut self) {
-        self.last_use.fill(0);
-        self.reset_stats();
     }
 }
 
@@ -159,32 +160,25 @@ mod tests {
         assert_eq!(c.access(stride), Access::Miss); // was evicted
     }
 
-    /// Replacement order with ties: an invalid way always goes first (the
-    /// lowest-numbered one), and among valid ways the oldest last use —
-    /// also after a flush left every way invalid at once.
+    /// Replacement order: a miss fills an invalid way while one is left
+    /// (every way ties at "invalid" in a fresh cache, line 0 included), and
+    /// then evicts the least recently used line, a hit counting as a use.
     #[test]
     fn lru_order_with_ties() {
+        use Access::{Hit, Miss};
         // 1 set of 4 ways: every line maps to it.
         let mut c = CacheSim::new(CacheConfig { capacity: 256, ways: 4, line_size: 64 });
-        let line = |i: u64| i * 64;
-        for i in 0..4 {
-            assert_eq!(c.access(line(i)), Access::Miss); // fills ways 0..4 in order
-        }
-        assert_eq!(c.tags, [0, 1, 2, 3]);
-        assert_eq!(c.access(line(0)), Access::Hit); // 1 is now the LRU
-        assert_eq!(c.access(line(4)), Access::Miss);
-        assert_eq!(c.tags, [0, 4, 2, 3]);
-        assert_eq!(c.access(line(5)), Access::Miss); // then 2
-        assert_eq!(c.tags, [0, 4, 5, 3]);
-        c.flush();
-        // All four ways tie at "invalid": the first one is filled.
-        assert_eq!(c.access(line(3)), Access::Miss);
-        assert_eq!(c.tags, [3, 4, 5, 3]);
-        assert_eq!(c.access(line(3)), Access::Hit);
-        assert_eq!(c.access(line(6)), Access::Miss);
-        assert_eq!(c.tags, [3, 6, 5, 3]);
-        assert_eq!(c.access(line(4)), Access::Miss, "a flushed line does not hit");
-        assert_eq!(c.tags, [3, 6, 4, 3]);
+        let mut outcomes =
+            |lines: &[u64]| lines.iter().map(|&i| c.access(i * 64)).collect::<Vec<_>>();
+        // Four fills, no eviction: all four lines are still there.
+        assert_eq!(outcomes(&[0, 1, 2, 3]), [Miss; 4]);
+        assert_eq!(outcomes(&[3, 2, 1, 0]), [Hit; 4]); // recency 0 1 2 3
+        assert_eq!(outcomes(&[1]), [Hit]); // recency 1 0 2 3
+        assert_eq!(outcomes(&[4, 5]), [Miss, Miss]); // evict 3, then 2
+        assert_eq!(outcomes(&[0, 1, 4, 5]), [Hit; 4]); // recency 5 4 1 0
+        assert_eq!(outcomes(&[3]), [Miss], "3 was evicted first"); // evicts 0
+        assert_eq!(outcomes(&[2]), [Miss], "2 was evicted second"); // evicts 1
+        assert_eq!(outcomes(&[0, 1]), [Miss, Miss], "the least recent went next");
     }
 
     #[test]
@@ -214,14 +208,6 @@ mod tests {
         }
         // Sequential sweep over 4x capacity with LRU: everything misses.
         assert!(c.miss_rate() > 0.9, "rate {}", c.miss_rate());
-    }
-
-    #[test]
-    fn flush_invalidates() {
-        let mut c = tiny();
-        c.access(0);
-        c.flush();
-        assert_eq!(c.access(0), Access::Miss);
     }
 
     #[test]

@@ -6,8 +6,43 @@
 //! page (decrypt + verify, `ELD`). The *count* of these events is what
 //! Figure 8 of the paper plots; their cost is charged by
 //! [`crate::mem::MemorySim`].
+//!
+//! One page map holds every page ever touched: a resident page maps to its
+//! CLOCK slot, an evicted one to a not-resident mark, so a touch is one
+//! lookup. Page ids are small integers derived from the simulator's own
+//! bump allocator, never from outside input, so they need no keyed
+//! (collision-resistant) hash: the map hashes them by one multiplication
+//! (`PageHasher`), as does native memory's first-touch set.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Fibonacci hashing of a page id: one multiplication by 2⁶⁴/φ, with the
+/// well-mixed high half folded onto the low bits the table indexes by.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// Builds a [`PageHasher`] for a map or set keyed by page id.
+pub(crate) type PageHash = BuildHasherDefault<PageHasher>;
+
+/// The slot of a page that has been evicted (and not yet swapped back in).
+const NOT_RESIDENT: usize = usize::MAX;
 
 /// Outcome of touching a page through the EPC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,13 +69,12 @@ pub enum PageAccess {
 #[derive(Debug, Clone)]
 pub struct Epc {
     capacity_pages: usize,
-    /// page id -> slot index in `slots`.
-    resident: HashMap<u64, usize>,
-    /// CLOCK ring: (page id, referenced bit).
+    /// Every page ever touched -> its slot in `slots`, or [`NOT_RESIDENT`].
+    pages: HashMap<u64, usize, PageHash>,
+    /// CLOCK ring: (page id, referenced bit). Every slot holds a resident
+    /// page.
     slots: Vec<(u64, bool)>,
     clock_hand: usize,
-    /// Pages that have been seen at least once (admitted or swapped).
-    ever_seen: HashMap<u64, ()>,
     admissions: u64,
     swaps: u64,
     evictions: u64,
@@ -56,10 +90,9 @@ impl Epc {
         assert!(capacity_pages > 0, "EPC must hold at least one page");
         Epc {
             capacity_pages,
-            resident: HashMap::new(),
+            pages: HashMap::default(),
             slots: Vec::with_capacity(capacity_pages.min(1 << 20)),
             clock_hand: 0,
-            ever_seen: HashMap::new(),
             admissions: 0,
             swaps: 0,
             evictions: 0,
@@ -68,34 +101,36 @@ impl Epc {
 
     /// Touches `page`, updating residency and returning what happened.
     pub fn touch(&mut self, page: u64) -> PageAccess {
-        if let Some(&slot) = self.resident.get(&page) {
-            self.slots[slot].1 = true;
-            return PageAccess::Resident;
-        }
-        let first_time = self.ever_seen.insert(page, ()).is_none();
-        if self.slots.len() < self.capacity_pages {
+        let first_time = match self.pages.get(&page) {
+            Some(&NOT_RESIDENT) => false,
+            Some(&slot) => {
+                self.slots[slot].1 = true;
+                return PageAccess::Resident;
+            }
+            None => true,
+        };
+        let slot = if self.slots.len() < self.capacity_pages {
             // Free slot available.
-            let slot = self.slots.len();
             self.slots.push((page, true));
-            self.resident.insert(page, slot);
+            self.slots.len() - 1
         } else {
             // CLOCK: advance hand, clearing referenced bits, until a victim
             // with a clear bit is found.
             loop {
-                let (victim_page, referenced) = self.slots[self.clock_hand];
+                let hand = self.clock_hand;
+                self.clock_hand = (hand + 1) % self.capacity_pages;
+                let (victim_page, referenced) = self.slots[hand];
                 if referenced {
-                    self.slots[self.clock_hand].1 = false;
-                    self.clock_hand = (self.clock_hand + 1) % self.capacity_pages;
+                    self.slots[hand].1 = false;
                 } else {
-                    self.resident.remove(&victim_page);
+                    self.pages.insert(victim_page, NOT_RESIDENT);
                     self.evictions += 1;
-                    self.slots[self.clock_hand] = (page, true);
-                    self.resident.insert(page, self.clock_hand);
-                    self.clock_hand = (self.clock_hand + 1) % self.capacity_pages;
-                    break;
+                    self.slots[hand] = (page, true);
+                    break hand;
                 }
             }
-        }
+        };
+        self.pages.insert(page, slot);
         if first_time {
             self.admissions += 1;
             PageAccess::Admitted
@@ -107,7 +142,7 @@ impl Epc {
 
     /// Number of pages currently resident.
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.slots.len()
     }
 
     /// Capacity in pages.

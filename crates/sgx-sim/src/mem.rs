@@ -13,12 +13,16 @@
 //!    ([`crate::epc::Epc`]) and pay for swaps once the working set exceeds
 //!    the usable EPC.
 //!
+//! One lock covers one visit: [`SimArena::read_partial`] charges a node's
+//! predicate evaluations and then its touch under a single acquisition of
+//! the simulator's lock, not one per charge.
+//!
 //! All costs land on a virtual clock, so measurements are deterministic and
 //! independent of the host machine.
 
 use crate::cache::{Access, CacheSim};
 use crate::costs::{CacheConfig, CostModel, EpcConfig};
-use crate::epc::Epc;
+use crate::epc::{Epc, PageAccess, PageHash};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -101,7 +105,7 @@ pub enum Protection {
 struct MemState {
     cache: CacheSim,
     epc: Option<Epc>,
-    touched_pages: HashSet<u64>,
+    touched_pages: HashSet<u64, PageHash>,
     stats: MemStats,
     next_addr: u64,
     page_size: u64,
@@ -150,7 +154,7 @@ impl MemorySim {
             state: Arc::new(Mutex::new(MemState {
                 cache: CacheSim::new(cache),
                 epc: None,
-                touched_pages: HashSet::new(),
+                touched_pages: HashSet::default(),
                 stats: MemStats::default(),
                 next_addr: 0x1000,
                 page_size: 2 * 1024 * 1024,
@@ -174,7 +178,7 @@ impl MemorySim {
             state: Arc::new(Mutex::new(MemState {
                 cache: CacheSim::new(cache),
                 epc: Some(Epc::new(epc.capacity_pages())),
-                touched_pages: HashSet::new(),
+                touched_pages: HashSet::default(),
                 stats: MemStats::default(),
                 next_addr: 0x1000,
                 page_size: epc.page_size as u64,
@@ -224,8 +228,19 @@ impl MemorySim {
     }
 
     fn touch(&self, addr: u64, len: u64, write: bool) {
+        self.touch_locked(&mut self.state.lock(), addr, len, write);
+    }
+
+    /// Charges `evals` predicate evaluations, then a read of `len` bytes at
+    /// `addr`: [`MemorySim::charge_predicate_evals`] followed by
+    /// [`MemorySim::touch_read`], under one lock.
+    fn evaluate_and_read(&self, evals: u64, addr: u64, len: u64) {
         let mut st = self.state.lock();
-        let st = &mut *st;
+        st.stats.elapsed_ns += self.costs.predicate_eval_ns * evals as f64;
+        self.touch_locked(&mut st, addr, len, false);
+    }
+
+    fn touch_locked(&self, st: &mut MemState, addr: u64, len: u64, write: bool) {
         let costs = &*self.costs;
         let first_line = addr / self.line_size;
         let last_line = (addr + len.max(1) - 1) / self.line_size;
@@ -242,12 +257,12 @@ impl MemorySim {
                     }
                 }
                 Some(epc) => match epc.touch(page) {
-                    crate::epc::PageAccess::Resident => {}
-                    crate::epc::PageAccess::Admitted => {
+                    PageAccess::Resident => {}
+                    PageAccess::Admitted => {
                         st.stats.epc_admissions += 1;
                         st.stats.elapsed_ns += costs.epc_admit_ns;
                     }
-                    crate::epc::PageAccess::SwappedIn => {
+                    PageAccess::SwappedIn => {
                         st.stats.epc_swaps += 1;
                         st.stats.elapsed_ns += costs.epc_swap_ns;
                     }
@@ -256,12 +271,13 @@ impl MemorySim {
         }
 
         // Then the cache, line by line.
+        let lines = last_line - first_line + 1;
+        if write {
+            st.stats.writes += lines;
+        } else {
+            st.stats.reads += lines;
+        }
         for line in first_line..=last_line {
-            if write {
-                st.stats.writes += 1;
-            } else {
-                st.stats.reads += 1;
-            }
             st.stats.elapsed_ns += costs.base_access_ns;
             match st.cache.access(line * self.line_size) {
                 Access::Hit => {
@@ -430,14 +446,15 @@ impl<T> SimArena<T> {
         &self.items[idx as usize]
     }
 
-    /// Reads element `idx` charging only `bytes` of traffic (partial reads,
-    /// e.g. when a match aborts at the first failing predicate).
+    /// Reads element `idx` after evaluating `evals` predicates on it,
+    /// charging the evaluations and then only `bytes` of traffic (partial
+    /// reads, e.g. when a match aborts at the first failing predicate).
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
-    pub fn read_partial(&self, idx: u32, bytes: u64) -> &T {
-        self.mem.touch_read(self.addr_of(idx), bytes.min(self.stride).max(1));
+    pub fn read_partial(&self, idx: u32, bytes: u64, evals: u64) -> &T {
+        self.mem.evaluate_and_read(evals, self.addr_of(idx), bytes.min(self.stride).max(1));
         &self.items[idx as usize]
     }
 
@@ -656,6 +673,58 @@ mod tests {
         mem.charge_aes_bytes(1024);
         let t2 = mem.elapsed_ns();
         assert!(t1 > t0 && t2 > t1);
+    }
+
+    /// A fixed, seeded read/write trace through an enclave whose 16-page
+    /// usable EPC and 8 KiB LLC are both overrun, so swaps and misses
+    /// occur. Every counter and the bits of the clock are pinned: a change
+    /// to the cache, the EPC or the charging code that moves the
+    /// simulation by one event or one rounding fails here.
+    #[test]
+    fn pinned_trace_is_bit_identical() {
+        let mem = MemorySim::enclave(
+            CacheConfig { capacity: 8 * 1024, ways: 4, line_size: 64 },
+            EpcConfig { total_bytes: 64 * 4096, usable_bytes: 16 * 4096, page_size: 4096 },
+            CostModel::default(),
+        );
+        let region = 64 * 4096;
+        let base = mem.alloc(region);
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            // SplitMix64.
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..10_000 {
+            let r = next();
+            // Three accesses in four stay in a hot 12 KiB; the rest roam.
+            let span = if r % 4 == 0 { region } else { 3 * 4096 };
+            let offset = (r >> 8) % span;
+            let len = (1 + (r >> 40) % 256).min(region - offset);
+            if (r >> 56) % 4 == 0 {
+                mem.touch_write(base + offset, len);
+            } else {
+                mem.charge_predicate_evals((r >> 60) + 1);
+                mem.touch_read(base + offset, len);
+            }
+        }
+        let st = mem.stats();
+        let pinned = MemStats {
+            reads: 22_450,
+            writes: 7_501,
+            cache_hits: 11_050,
+            cache_misses: 18_901,
+            epc_admissions: 64,
+            epc_swaps: 1_892,
+            allocated_bytes: 64 * 4096,
+            elapsed_ns: st.elapsed_ns,
+            ..MemStats::default()
+        };
+        assert_eq!(st, pinned, "counters");
+        // 32 520 905.199984975 ns.
+        assert_eq!(st.elapsed_ns.to_bits(), 0x417f_03ac_9333_2372, "clock {}", st.elapsed_ns);
     }
 
     #[test]

@@ -474,105 +474,4 @@ fn main() {
         trace_routers
     );
     emit("overlay_trace", scale.name, &trace_rows);
-
-    // ---- partition mode: slices × skew threshold -----------------------
-    //
-    // The edge broker's matcher is sharded into N slices. Clustered
-    // unsubscribes (every id hashed off slice 0 is retired) manufacture
-    // the worst-case occupancy skew — all surviving load on one slice —
-    // and one forced rebalancing pass must bring the skew back under the
-    // configured threshold by migrating subscriptions fullest → emptiest,
-    // without losing or duplicating a single delivery.
-    println!(
-        "\n{:<7} {:>10} {:>9} {:>10} {:>10} {:>9} {:>7} {:>11} {:>10}",
-        "slices",
-        "threshold",
-        "survive",
-        "skew pre",
-        "skew post",
-        "migrated",
-        "passes",
-        "ecall/brkr",
-        "delivered"
-    );
-    let part_routers = 3usize;
-    let n_part = n_subs.min(192);
-    let mut partition_rows: Vec<JsonObj> = Vec::new();
-    for &slices in &[2usize, 4, 8] {
-        for &threshold in &[1.25f64, 1.5, 2.0] {
-            let config = FabricConfig {
-                seed: 29,
-                propagation: Propagation::CoveringPruned,
-                ..FabricConfig::attested(29)
-            }
-            .with_partition(
-                scbr_overlay::PartitionConfig::sliced(slices).with_skew_threshold(threshold),
-            );
-            let mut fabric =
-                OverlayFabric::build(Topology::line(part_routers), config).expect("fabric build");
-            let mut ids = Vec::with_capacity(n_part);
-            for (i, spec) in subs.iter().take(n_part).enumerate() {
-                ids.push(fabric.subscribe(0, ClientId(i as u64), spec).expect("subscribe"));
-            }
-            // Retire everything hash-homed off slice 0, piling the whole
-            // surviving population onto one slice.
-            for id in &ids {
-                if scbr::cluster::home_slice(*id, slices) != 0 {
-                    fabric.unsubscribe(*id).expect("clustered unsubscribe");
-                }
-            }
-            let skew_before = fabric.occupancy_skew(0);
-            let survivors = fabric.broker_stats()[0].subscriptions;
-            let before = fabric.publish(part_routers - 1, &pubs).expect("publish before");
-
-            let report = fabric.rebalance(0).expect("rebalance");
-            // A perfectly level spread (slice gap ≤ 1) still has skew
-            // ceil(m/s)·s/m — a small population cannot go below that,
-            // whatever the threshold asks for.
-            let level = survivors.div_ceil(slices) as f64 * slices as f64 / survivors as f64;
-            assert!(
-                report.skew_after <= threshold.max(level) + 1e-9,
-                "rebalancer failed to converge: skew {} > threshold {threshold} \
-                 (level bound {level:.3}, {slices} slices, {survivors} survivors)",
-                report.skew_after
-            );
-            fabric.reset_counters();
-            let after = fabric.publish(part_routers - 1, &pubs).expect("publish after");
-            assert_eq!(before, after, "migration lost or duplicated deliveries");
-            let ecalls_per_broker = fabric.total_ecalls() as f64 / part_routers as f64;
-
-            println!(
-                "{:<7} {:>10.2} {:>9} {:>10.2} {:>10.2} {:>9} {:>7} {:>11.2} {:>10}",
-                slices,
-                threshold,
-                fabric.broker_stats()[0].subscriptions,
-                skew_before,
-                report.skew_after,
-                report.migrated,
-                report.passes,
-                ecalls_per_broker,
-                after.len()
-            );
-            partition_rows.push(
-                JsonObj::new()
-                    .int("slices", slices as u64)
-                    .num("skew_threshold", threshold)
-                    .int("subscribers", n_part as u64)
-                    .int("survivors", fabric.broker_stats()[0].subscriptions as u64)
-                    .num("skew_before", skew_before)
-                    .num("skew_after", report.skew_after)
-                    .int("migrated", report.migrated as u64)
-                    .int("passes", report.passes as u64)
-                    .num("ecalls_per_broker", ecalls_per_broker)
-                    .int("deliveries", after.len() as u64),
-            );
-        }
-    }
-    println!(
-        "\nexpected: clustered churn drives the skew to ≈ slices; one rebalancing run \
-         brings it back under every threshold (migrating ≈ survivors·(1−1/slices) ids at \
-         the tightest), identical delivery sets before and after, and the fanned batch \
-         still costs ≈ 1 crossing per broker"
-    );
-    emit("overlay_partition", scale.name, &partition_rows);
 }

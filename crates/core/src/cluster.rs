@@ -11,26 +11,38 @@
 //! batch is fanned out to all slices and their spans are merged per
 //! publication.
 //!
-//! ## One partitioning rule
+//! ## Why a broker does not slice
+//!
+//! This is the one partitioner. An overlay broker holds one matching
+//! engine in its one enclave. Slicing that engine inside the enclave
+//! would buy nothing the EPC limit asks for: the slices would share the
+//! broker's one EPC and one simulated memory, so the index would press
+//! on the EPC exactly as before, and they would run one after another,
+//! each decrypting every header again. When the broker once had such
+//! slices, they made every fabric shape slower with identical
+//! deliveries and crossings (4 096 publications in 64-message batches,
+//! attested, virtual time summed over brokers): a 4-broker line with
+//! 1 200 push-feed subscriptions went from 28.1 to 55.7 to 111.1 µs per
+//! message at 1, 2 and 4 slices, and a 5-broker tree with 500
+//! `e100a1zz100` subscriptions from 24.5 to 47.6 to 93.8 µs. Only more
+//! enclaves relieve the EPC, and that is what this module provides.
+//!
+//! ## Placement
 //!
 //! [`home_slice`] places a subscription by a Fibonacci hash of its id.
-//! The overlay broker's `PartitionedMatcher` places fresh ids by the same
-//! function, and both partitioners account skew with [`occupancy_skew`]
-//! and report per-slice figures through [`SliceStats::of`], so each rule
-//! exists once. Placement reads nothing but the id, and the router keeps
-//! no placement map: a subscription's slice is always
-//! `home_slice(id, n)`, so a re-registration replaces in place and an
-//! unregistration goes straight to the one slice that can hold the id.
+//! Placement reads nothing but the id, and the router keeps no placement
+//! map: a subscription's slice is always `home_slice(id, n)`, so a
+//! re-registration replaces in place and an unregistration goes straight
+//! to the one slice that can hold the id.
 //!
 //! The router never migrates a subscription and runs no rebalancer. Its
 //! slices are separate enclaves, so moving a subscription would carry
-//! its plaintext across the untrusted host. (A broker's slices share one
-//! enclave, which is why only the broker rebalances.) Hash placement
-//! balances the slices in expectation; clustered unregistrations can
-//! still skew them, and [`PartitionedRouter::slice_stats`] and
-//! [`PartitionedRouter::occupancy_skew`] expose it. Through the
-//! telemetry registry the stats surface as `slice.<n>.*` metrics (one
-//! [`SliceStats::snapshot`] per slice): the spread of
+//! its plaintext across the untrusted host. Hash placement balances the
+//! slices in expectation; clustered unregistrations can still skew them,
+//! and [`PartitionedRouter::slice_stats`] and
+//! [`PartitionedRouter::occupancy_skew`] expose it. Absorbed into a
+//! telemetry registry under a `slice.<n>` prefix (one
+//! [`SliceStats::snapshot`] per slice), the spread of
 //! `slice.*.subscriptions` is the skew, and the spread of
 //! `slice.*.epc_swaps` shows a hot slice thrashing the EPC while its
 //! siblings idle. Skew counts *edge-client* load only: link-interface
@@ -61,13 +73,12 @@ use crate::index::{IndexKind, SubscriptionIndex};
 use crate::subscription::SubscriptionSpec;
 use scbr_crypto::ctr::SymmetricKey;
 use scbr_crypto::rsa::RsaPublicKey;
-use sgx_sim::{Enclave, MemStats, SgxPlatform};
+use sgx_sim::{MemStats, SgxPlatform};
 use std::time::Instant;
 
 /// The slice subscription `id` lives on among `slices`: Fibonacci
 /// hashing on the id bits, so sequential ids spread instead of
-/// clustering. Sealed broker records store their slices' contents, so
-/// this formula must not change.
+/// clustering.
 ///
 /// # Panics
 ///
@@ -95,36 +106,25 @@ pub struct SliceStats {
     /// Live subscriptions placed on this slice (edge + interface copies).
     pub subscriptions: usize,
     /// Live subscriptions delivering to real edge clients — the
-    /// occupancy figure skew detection and rebalancing read
-    /// (link-interface copies are pinned, not movable load).
+    /// occupancy figure skew detection reads (link-interface copies are
+    /// pinned, not movable load).
     pub edge_subscriptions: usize,
     /// Structural nodes in the slice's index.
     pub nodes: usize,
     /// Simulated index footprint in bytes (what presses on the EPC).
     pub index_bytes: u64,
     /// The slice's own memory counters since the last reset (`ecalls`,
-    /// `epc_swaps`, virtual `elapsed_ns`), or `None` when the slices
-    /// share one memory, as a broker's do: those counters are the
-    /// broker's, and repeating them per slice would count them once per
-    /// slice.
-    pub mem: Option<MemStats>,
+    /// `epc_swaps`, virtual `elapsed_ns`).
+    pub mem: MemStats,
     /// Lifetime enclave crossings (not reset by
-    /// [`PartitionedRouter::reset_counters`]), or `None` when the slice
-    /// has no call gate of its own — an absent counter, unlike a silent
-    /// 0, lets telemetry tell a gateless slice from an idle enclave.
-    pub lifetime_ecalls: Option<u64>,
+    /// [`PartitionedRouter::reset_counters`]).
+    pub lifetime_ecalls: u64,
 }
 
 impl SliceStats {
-    /// The occupancy of slice `slice`'s engine, with the counters only a
-    /// slice that owns its memory (`mem`) or its call gate
-    /// (`lifetime_ecalls`) can attribute.
-    pub fn of(
-        slice: usize,
-        engine: &MatchingEngine,
-        mem: Option<MemStats>,
-        lifetime_ecalls: Option<u64>,
-    ) -> Self {
+    /// The occupancy of slice `slice`'s engine, with its enclave's memory
+    /// counters and lifetime crossings.
+    pub fn of(slice: usize, engine: &MatchingEngine, mem: MemStats, lifetime_ecalls: u64) -> Self {
         let index = engine.index();
         SliceStats {
             slice,
@@ -138,26 +138,17 @@ impl SliceStats {
     }
 
     /// Uniform counter export for the telemetry registry (absorbed under
-    /// a `slice.<n>` prefix). `gated` reports the gate mode (1 =
-    /// enclave-hosted). The memory counters and `lifetime_ecalls` are
-    /// emitted only when the slice owns them, so a shared-memory or
-    /// gateless slice exports no such counter at all instead of a
-    /// misleading copy or 0.
+    /// a `slice.<n>` prefix).
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        let mut pairs = vec![
+        vec![
             ("subscriptions", self.subscriptions as u64),
             ("edge_subscriptions", self.edge_subscriptions as u64),
             ("nodes", self.nodes as u64),
             ("index_bytes", self.index_bytes),
-        ];
-        if let Some(mem) = self.mem {
-            pairs.extend([("ecalls", mem.ecalls), ("epc_swaps", mem.epc_swaps)]);
-        }
-        pairs.push(("gated", u64::from(self.lifetime_ecalls.is_some())));
-        if let Some(lifetime) = self.lifetime_ecalls {
-            pairs.push(("lifetime_ecalls", lifetime));
-        }
-        pairs
+            ("ecalls", self.mem.ecalls),
+            ("epc_swaps", self.mem.epc_swaps),
+            ("lifetime_ecalls", self.lifetime_ecalls),
+        ]
     }
 }
 
@@ -325,12 +316,8 @@ impl PartitionedRouter {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                SliceStats::of(
-                    i,
-                    s.engine(),
-                    Some(s.stats()),
-                    s.enclave().map(Enclave::ecall_count),
-                )
+                let enclave = s.enclave().expect("every slice is launched in an enclave");
+                SliceStats::of(i, s.engine(), s.stats(), enclave.ecall_count())
             })
             .collect()
     }
@@ -516,11 +503,9 @@ mod tests {
             assert!((85..=115).contains(&s.subscriptions), "hash placement balances slices");
             assert_eq!(s.edge_subscriptions, s.subscriptions, "plain registrations are edge load");
             assert!(s.index_bytes > 0);
-            let lifetime = s.lifetime_ecalls.expect("enclave-hosted slices report a gate");
-            assert!(lifetime >= s.subscriptions as u64, "one crossing per registration");
+            assert!(s.lifetime_ecalls >= s.subscriptions as u64, "one crossing per registration");
             let snap = s.snapshot();
-            assert!(snap.contains(&("gated", 1)));
-            assert!(snap.iter().any(|(name, _)| *name == "lifetime_ecalls"));
+            assert!(snap.contains(&("lifetime_ecalls", s.lifetime_ecalls)));
             assert!(snap.iter().any(|(name, _)| *name == "epc_swaps"), "own memory exported");
         }
         assert!(router.occupancy_skew() < 1.15);
@@ -530,24 +515,6 @@ mod tests {
             assert!(router.unregister(SubscriptionId(i)));
         }
         assert!(router.occupancy_skew() > 1.1, "skew detected after churn");
-    }
-
-    #[test]
-    fn gateless_slice_omits_the_lifetime_counter() {
-        // Regression: a gateless slice used to export `lifetime_ecalls: 0`
-        // via `unwrap_or_default`, indistinguishable from an idle enclave.
-        let stats = SliceStats {
-            slice: 0,
-            subscriptions: 3,
-            edge_subscriptions: 3,
-            nodes: 1,
-            index_bytes: 64,
-            mem: None,
-            lifetime_ecalls: None,
-        };
-        let snap = stats.snapshot();
-        assert!(snap.contains(&("gated", 0)));
-        assert!(snap.iter().all(|(name, _)| !matches!(*name, "lifetime_ecalls" | "epc_swaps")));
     }
 
     #[test]

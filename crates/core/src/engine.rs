@@ -16,7 +16,7 @@
 //! are the single-shot conveniences that return an owned client list
 //! (figure binaries, examples, test oracles);
 //! [`MatchingEngine::match_encrypted_append`] matches one header into a
-//! caller-owned buffer (what a partitioned matcher builds its merge on);
+//! caller-owned buffer (what an overlay broker routes each hop with);
 //! [`MatchingEngine::match_encrypted_batch_into`] matches a batch into a
 //! reused flat [`BatchMatches`] with per-header fault isolation, and
 //! [`RouterEngine::match_batch_into`] is that same call behind a single
@@ -274,19 +274,8 @@ impl MatchingEngine {
     /// Creates an engine whose index lives in `mem`. The `kind` parameter
     /// is a shim that goes with the next benchmark change.
     pub fn new(mem: &MemorySim, _kind: IndexKind) -> Self {
-        Self::with_schema(mem, AttrSchema::new())
-    }
-
-    /// Creates an engine that interns attribute names into `schema`.
-    /// Engines whose compiled subscriptions are compared with each other
-    /// — the slices of one partitioned matcher, whose broker checks
-    /// covering across them — must share one table: [`AttrId`]s from
-    /// different tables name different attributes.
-    ///
-    /// [`AttrId`]: crate::attr::AttrId
-    pub fn with_schema(mem: &MemorySim, schema: AttrSchema) -> Self {
         MatchingEngine {
-            schema,
+            schema: AttrSchema::new(),
             index: PosetIndex::new(mem),
             mem: mem.clone(),
             sk: None,
@@ -422,11 +411,6 @@ impl MatchingEngine {
         self.registered_pos.get(&id).map(|&pos| self.registered[pos].2.as_slice())
     }
 
-    /// The ids of every live subscription, in no particular order.
-    pub fn ids(&self) -> impl Iterator<Item = SubscriptionId> + '_ {
-        self.registered.iter().map(|(id, _, _)| *id)
-    }
-
     /// Unregisters a subscription (and drops its retained snapshot body).
     pub fn unregister(&mut self, id: SubscriptionId) -> bool {
         if let Some(pos) = self.registered_pos.remove(&id) {
@@ -458,40 +442,6 @@ impl MatchingEngine {
         let (id, client) = codec::decode_unregistration(&body)?;
         let existed = self.unregister(id);
         Ok((id, client, existed))
-    }
-
-    /// Verifies, decrypts and decodes a registration envelope *without*
-    /// registering anything, returning the subscription id and the edge
-    /// client embedded in it. A partitioned matcher must learn the id
-    /// before it can pick (or look up) the owning slice; the owning
-    /// slice's engine then does the real registration.
-    ///
-    /// # Errors
-    ///
-    /// Signature or decryption failures, malformed bodies, or missing keys.
-    pub fn peek_registration(
-        &self,
-        envelope: &[u8],
-    ) -> Result<(SubscriptionId, ClientId), ScbrError> {
-        let body = self.open_envelope(envelope)?;
-        let (_, id, client) = codec::decode_registration(&body)?;
-        Ok((id, client))
-    }
-
-    /// Verifies, decrypts and decodes an unregistration envelope without
-    /// removing anything — the placement lookup of a partitioned matcher
-    /// (see [`MatchingEngine::peek_registration`]).
-    ///
-    /// # Errors
-    ///
-    /// Signature or decryption failures, malformed bodies, or missing keys.
-    pub fn peek_unregistration(
-        &self,
-        envelope: &[u8],
-    ) -> Result<(SubscriptionId, ClientId), ScbrError> {
-        let body = self.open_envelope(envelope)?;
-        let (id, client) = codec::decode_unregistration(&body)?;
-        Ok((id, client))
     }
 
     /// Shared envelope authentication: verify the producer signature,
@@ -697,9 +647,7 @@ impl MatchingEngine {
     /// Like [`MatchingEngine::match_encrypted`], but *appends* the
     /// header's sorted, deduplicated clients to a caller-owned buffer
     /// without clearing it: a warmed-up caller reusing one buffer sees no
-    /// heap allocation per publication, and a partitioned matcher has
-    /// every slice append its matches for one header into a shared buffer
-    /// and merges the combined span. Nothing is appended on error.
+    /// heap allocation per publication. Nothing is appended on error.
     ///
     /// # Errors
     ///
@@ -744,18 +692,6 @@ impl MatchingEngine {
             .count()
     }
 
-    /// The delivery identity subscription `id` is currently indexed
-    /// under, if live (the envelope's embedded edge client unless an
-    /// override was recorded at registration).
-    pub fn delivery_identity(&self, id: SubscriptionId) -> Option<ClientId> {
-        let &pos = self.registered_pos.get(&id)?;
-        let (_, deliver_to, body) = &self.registered[pos];
-        match deliver_to {
-            Some(client) => Some(*client),
-            None => codec::decode_registration(body).ok().map(|(_, _, client)| client),
-        }
-    }
-
     /// The engine's interning schema.
     pub fn schema(&self) -> &AttrSchema {
         &self.schema
@@ -798,7 +734,7 @@ impl RouterEngine {
     /// cost model (the outside-enclave baseline on the same machine).
     pub fn outside(platform: &SgxPlatform) -> Self {
         let mem = MemorySim::native(*platform.cache_config(), platform.cost_model().clone());
-        RouterEngine { enclave: None, engine: MatchingEngine::with_schema(&mem, AttrSchema::new()) }
+        RouterEngine { enclave: None, engine: MatchingEngine::new(&mem, IndexKind::Poset) }
     }
 
     /// The enclave, when placed inside one.
@@ -1407,29 +1343,6 @@ mod tests {
     }
 
     #[test]
-    fn peeks_authenticate_without_mutating() {
-        let mut rng = CryptoRng::from_seed(46);
-        let producer = producer(&mut rng);
-        let rogue = ProducerCrypto::generate(512, &mut rng).unwrap();
-        let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
-        let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
-        let spec = SubscriptionSpec::new().eq("s", "X");
-        let envelope =
-            producer.seal_registration(&spec, SubscriptionId(5), ClientId(6), &mut rng).unwrap();
-        assert_eq!(engine.peek_registration(&envelope).unwrap(), (SubscriptionId(5), ClientId(6)));
-        assert_eq!(engine.index().len(), 0, "a peek registers nothing");
-        let unreg = producer.seal_unregistration(SubscriptionId(5), ClientId(6), &mut rng).unwrap();
-        assert_eq!(engine.peek_unregistration(&unreg).unwrap(), (SubscriptionId(5), ClientId(6)));
-        // The peeks enforce the same authentication as registration.
-        let forged = rogue.seal_registration(&spec, SubscriptionId(5), ClientId(6), &mut rng);
-        assert!(engine.peek_registration(&forged.unwrap()).is_err());
-        // Envelope kinds are not interchangeable.
-        assert!(engine.peek_registration(&unreg).is_err());
-        assert!(engine.peek_unregistration(&envelope).is_err());
-    }
-
-    #[test]
     fn edge_subscriptions_excludes_interface_copies() {
         let mut rng = CryptoRng::from_seed(47);
         let producer = producer(&mut rng);
@@ -1457,9 +1370,6 @@ mod tests {
         engine.register_envelope_as(&learnt, Some(interface)).unwrap();
         assert_eq!(engine.index().len(), 2);
         assert_eq!(engine.edge_subscriptions(), 1, "the interface copy is not edge load");
-        assert_eq!(engine.delivery_identity(SubscriptionId(1)), Some(ClientId(7)));
-        assert_eq!(engine.delivery_identity(SubscriptionId(2)), Some(interface));
-        assert_eq!(engine.delivery_identity(SubscriptionId(9)), None);
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl SubscriptionIndex for NaiveIndex {
 
 /// A flat matcher with the engine's plaintext signatures: an attribute
 /// table plus a [`NaiveIndex`]. What the equivalence tests check the
-/// engine, the partitioned matcher and the overlay against.
+/// engine, the partitioned router and the overlay against.
 #[derive(Debug)]
 pub struct FlatOracle {
     schema: AttrSchema,

@@ -37,15 +37,15 @@
 //! `version ‖ kind ‖ base version`, then the sealed payload with that
 //! header as associated data; without a platform (pre-shared trust) the
 //! blobs are the bare payloads. The *base payload* is the whole record:
-//! per matcher slice the engine snapshot (with per-subscription
-//! *delivery identities*, so link interfaces are restored as interfaces,
-//! not edge clients), the live envelope set with origins, and every
-//! per-link [`ForwardingTable`] (rows + churn counters). It opens with a
-//! `u32::MAX` magic, the record version and the slice count, one slice or
-//! many; a base in any other layout is refused with a codec error. A
-//! *delta payload* is the journal: one entry per
-//! admission (origin, replay flag, opened registration body, envelope)
-//! and per retirement (id, origin) since the previous checkpoint.
+//! the engine snapshot (with per-subscription *delivery identities*, so
+//! link interfaces are restored as interfaces, not edge clients), the
+//! live envelope set with origins, and every per-link
+//! [`ForwardingTable`] (rows + churn counters). It opens with a
+//! `u32::MAX` magic and the record version; a base in any other layout is
+//! refused with a codec error. A *delta payload* is the journal: one
+//! entry per admission (origin, replay flag, opened registration body,
+//! envelope) and per retirement (id, origin) since the previous
+//! checkpoint.
 //!
 //! **Checkpoints.** At the end of any [`Broker::step`] that mutated
 //! subscription state the enclave seals **once** — however many
@@ -58,9 +58,7 @@
 //! deltas on disk plus this one would reach the base's size; by retired
 //! quarter, the registrations retired since the base was written (still
 //! on the host's disk, in the base or in a delta) reach a quarter of
-//! it; the step migrated subscriptions between slices (a migration
-//! re-authenticates envelopes under `SK`; it is not a journal kind); or
-//! the step closed a rejoin/heal reconciliation. Each base write is
+//! it; or the step closed a rejoin/heal reconciliation. Each base write is
 //! thus paid for by at least a quarter base of retired or one base of
 //! appended bytes, so a mutation of either kind costs O(what it
 //! changed) amortised; a retired registration leaves the disk within a
@@ -130,26 +128,14 @@
 //! the outgoing link set in the same enclave crossing. Per-hop batches go
 //! through the gate in [`MAX_DRAIN`]-bounded chunks, mirroring the
 //! single-router event loop.
-//!
-//! ## Partitioned matching
-//!
-//! With [`Broker::set_partition`] the core's matcher is sharded into N
-//! [`PartitionedMatcher`] slices: subscriptions hash-placed per slice,
-//! every publication fanned across all slices *inside the same single
-//! crossing* and merged, and a serving-tick control loop that watches
-//! the edge-occupancy skew and migrates subscriptions from the fullest
-//! slice to the emptiest, make-before-break, once the skew exceeds
-//! [`PartitionConfig::skew_threshold`]. The sealed record stores the
-//! per-slice assignment, so a crash/rejoin restores the sharding
-//! exactly — mid-migration included.
 
 use crate::error::OverlayError;
 use crate::forwarding::ForwardingTable;
 use crate::journal::{self, Journal, Redo, RedoReader};
-use crate::partition::{PartitionConfig, PartitionedMatcher, RebalanceReport};
-use scbr::cluster::SliceStats;
 use scbr::codec;
+use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
+use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
 use scbr::protocol::messages::{
     encode_publish_batch, Message, PublishBatchView, PublishItem, PublishItemRef,
@@ -183,12 +169,12 @@ pub fn link_interface(neighbor: usize) -> ClientId {
 const RETIRED_DIVISOR: usize = 4;
 
 /// Version byte of the recovery-record layout, written after a `u32::MAX`
-/// magic by every base, whatever its slice count. The older single-slice
-/// layout began with its one engine snapshot's byte length instead (never
-/// `u32::MAX`), so a base in that layout is refused with a codec error
-/// rather than misread; its snapshot predates the engine's current
-/// snapshot format and would be refused anyway.
-const RECORD_VERSION: u8 = 1;
+/// magic by every base: `u32::MAX ‖ 2 ‖ engine snapshot ‖ live set ‖
+/// tables`. Version 1 carried a slice count and one engine snapshot per
+/// matcher slice; the oldest layout began with its one engine snapshot's
+/// byte length instead (never `u32::MAX`). A base in either is refused
+/// with a codec error rather than misread.
+const RECORD_VERSION: u8 = 2;
 
 /// Timer-driven liveness configuration, in tick units. Host-side
 /// configuration: survives crashes, like the trust anchors.
@@ -552,7 +538,7 @@ struct RemoveOutcome {
 
 /// The enclave-resident routing state.
 struct BrokerCore {
-    matcher: PartitionedMatcher,
+    matcher: MatchingEngine,
     /// Per neighbour (ascending), the covering table of subscriptions
     /// forwarded on that link.
     upstream: Vec<(usize, ForwardingTable)>,
@@ -588,9 +574,9 @@ struct BrokerCore {
 }
 
 impl BrokerCore {
-    fn fresh(mem: &MemorySim, flood: bool, neighbors: &[usize], slices: usize) -> Self {
+    fn fresh(mem: &MemorySim, flood: bool, neighbors: &[usize]) -> Self {
         BrokerCore {
-            matcher: PartitionedMatcher::new(mem, slices),
+            matcher: MatchingEngine::new(mem, IndexKind::Poset),
             upstream: neighbors.iter().map(|&n| (n, ForwardingTable::new())).collect(),
             live: BTreeMap::new(),
             flood,
@@ -622,7 +608,7 @@ impl BrokerCore {
 
     /// The covering half of an admission, shared by live traffic
     /// ([`BrokerCore::admit`]) and the restart redo
-    /// ([`BrokerCore::redo`]): `id` is registered in the matcher; decide
+    /// ([`BrokerCore::redo`]): `id` is registered in the engine; decide
     /// per link whether it is forwarded, replaced or pruned, and record
     /// it live.
     fn propagate(
@@ -702,7 +688,7 @@ impl BrokerCore {
     /// Redoes one sealed delta on top of the state restored so far, in
     /// journal order, through the same [`BrokerCore::propagate`] and
     /// [`BrokerCore::uncover_after_removal`] live traffic runs — the
-    /// matcher placement, the covering tables, their counters, the live
+    /// engine, the covering tables, their counters, the live
     /// set and the retired-bytes figure end up exactly where the crashed
     /// core had them at its last checkpoint. Registrations come from
     /// their journalled bodies (the relaunched enclave holds no `SK`
@@ -771,7 +757,8 @@ impl BrokerCore {
         routes: &mut RouteSpans,
     ) -> Result<(), ScbrError> {
         for ct in headers {
-            self.matcher.match_into(ct, &mut self.route_buf)?;
+            self.route_buf.clear();
+            self.matcher.match_encrypted_append(ct, &mut self.route_buf)?;
             for client in &self.route_buf {
                 if !client.is_interface() {
                     routes.locals.push(*client);
@@ -801,23 +788,19 @@ impl BrokerCore {
     }
 
     /// Serialises the full recovery record — the *base* a compaction
-    /// seals: per matcher slice the engine snapshot
-    /// (bodies + delivery identities — the slice sections *are*
-    /// the sealed per-slice assignment), the live envelope set with
-    /// origins, and every per-link covering table (rows + counters).
-    /// Runs inside the enclave; the result is only ever persisted sealed.
+    /// seals: the engine snapshot (bodies + delivery identities), the
+    /// live envelope set with origins, and every per-link covering table
+    /// (rows + counters). Runs inside the enclave; the result is only
+    /// ever persisted sealed.
     fn serialize_record(&self) -> Vec<u8> {
-        self.record_with(&self.matcher.snapshot_slices())
+        self.record_with(&self.matcher.snapshot())
     }
 
     /// The record [`BrokerCore::serialize_record`] writes, around the
-    /// given per-slice engine snapshots.
-    fn record_with(&self, snapshots: &[Vec<u8>]) -> Vec<u8> {
+    /// given engine snapshot.
+    fn record_with(&self, snapshot: &[u8]) -> Vec<u8> {
         let mut w = codec::Writer::new();
-        w.u32(u32::MAX).u8(RECORD_VERSION).u32(snapshots.len() as u32);
-        for snapshot in snapshots {
-            w.bytes(snapshot);
-        }
+        w.u32(u32::MAX).u8(RECORD_VERSION).bytes(snapshot);
         w.u32(self.live.len() as u32);
         for (id, sub) in &self.live {
             w.u64(id.0);
@@ -854,10 +837,8 @@ impl BrokerCore {
 
     /// Rebuilds a core from an opened recovery record — `record[0]` the
     /// base, the rest its deltas in order — or fresh when the host has
-    /// no record (a disk-loss restart). The base restores the sealed
-    /// per-slice assignment exactly — the recorded slice count wins over
-    /// `slices`, so a config change takes effect through the rebalancer,
-    /// never by scrambling a restore — and the deltas are then redone on
+    /// no record (a disk-loss restart). The base restores the engine,
+    /// the live set and the tables, and the deltas are then redone on
     /// top ([`BrokerCore::redo`]). A base without the record magic and
     /// version is a codec error.
     fn restore(
@@ -865,9 +846,8 @@ impl BrokerCore {
         mem: &MemorySim,
         flood: bool,
         neighbors: &[usize],
-        slices: usize,
     ) -> Result<Self, ScbrError> {
-        let mut core = BrokerCore::fresh(mem, flood, neighbors, slices);
+        let mut core = BrokerCore::fresh(mem, flood, neighbors);
         let Some((bytes, deltas)) = record.split_first() else {
             return Ok(core);
         };
@@ -875,15 +855,7 @@ impl BrokerCore {
         if r.u32()? != u32::MAX || r.u8()? != RECORD_VERSION {
             return Err(ScbrError::Codec { context: "recovery record version" });
         }
-        let n_slices = r.u32()? as usize;
-        if n_slices == 0 {
-            return Err(ScbrError::Codec { context: "recovery slice count" });
-        }
-        core.matcher = PartitionedMatcher::new(mem, n_slices);
-        for slice in 0..n_slices {
-            let snapshot = r.bytes()?;
-            core.matcher.restore_slice(slice, &snapshot)?;
-        }
+        core.matcher.restore(&r.bytes()?)?;
         let n_live = r.u32()?;
         for _ in 0..n_live {
             let id = SubscriptionId(r.u64()?);
@@ -920,48 +892,6 @@ impl BrokerCore {
             core.redo(delta)?;
         }
         Ok(core)
-    }
-
-    /// One closed-loop rebalancing run: while the edge-occupancy skew
-    /// exceeds `threshold`, migrate up to `batch` edge subscriptions per
-    /// pass from the fullest slice to the emptiest (make-before-break —
-    /// see [`PartitionedMatcher::migrate`]; link-interface copies never
-    /// move). Each pass moves at most half the fullest↔emptiest gap, so
-    /// every pass strictly narrows it and the loop terminates.
-    fn rebalance(&mut self, threshold: f64, batch: usize) -> Result<RebalanceReport, ScbrError> {
-        let skew_before = self.matcher.occupancy_skew();
-        let mut migrated = 0usize;
-        let mut passes = 0usize;
-        if self.matcher.slice_count() > 1 {
-            while self.matcher.occupancy_skew() > threshold {
-                let (fullest, emptiest) = self.matcher.extremes();
-                let counts = self.matcher.edge_counts();
-                if counts[fullest] <= counts[emptiest] + 1 {
-                    break; // as level as migration can make it
-                }
-                let headroom = (counts[fullest] - counts[emptiest]) / 2;
-                let candidates = self.matcher.edge_ids_on(fullest, batch.min(headroom).max(1));
-                if candidates.is_empty() {
-                    break; // remaining load is pinned interface copies
-                }
-                for id in candidates {
-                    let Some(sub) = self.live.get(&id) else {
-                        continue;
-                    };
-                    let envelope = sub.envelope.clone();
-                    if self.matcher.migrate(id, &envelope, emptiest)? {
-                        migrated += 1;
-                    }
-                }
-                passes += 1;
-            }
-        }
-        Ok(RebalanceReport {
-            migrated,
-            passes,
-            skew_before,
-            skew_after: self.matcher.occupancy_skew(),
-        })
     }
 }
 
@@ -1227,15 +1157,10 @@ pub struct Broker {
     /// rebuilt core on restart. Off by default — the uninstrumented hot
     /// path stays byte-for-byte identical.
     telemetry: bool,
-    /// Matcher partitioning + rebalancing thresholds. Host
-    /// configuration: survives crashes (the *assignment* is what the
-    /// sealed record restores).
-    partition: PartitionConfig,
     /// Subscription state mutated during the current `step`; flushed to
     /// (at most) one [`Broker::checkpoint`] on the way out.
     dirty: bool,
-    /// The pending checkpoint must write a whole base: the step changed
-    /// state the journal does not describe (a migration) or closed a
+    /// The pending checkpoint must write a whole base: the step closed a
     /// replay reconciliation.
     force_base: bool,
     /// Recovery-record seals performed (cumulative).
@@ -1262,7 +1187,7 @@ impl std::fmt::Debug for Broker {
             .field("state", &self.state)
             .field("attested", &self.enclave.is_some())
             .field("links", &self.links.len())
-            .field("subscriptions", &self.core.matcher.subscriptions())
+            .field("subscriptions", &self.subscriptions())
             .finish()
     }
 }
@@ -1279,7 +1204,7 @@ impl Broker {
         let platform = SgxPlatform::for_testing(seed);
         let enclave = platform.launch(router_builder(code))?;
         let counter = platform.create_counter();
-        let core = BrokerCore::fresh(enclave.memory(), flood, &[], 1);
+        let core = BrokerCore::fresh(enclave.memory(), flood, &[]);
         Ok(Broker {
             id,
             state: Lifecycle::Cold,
@@ -1318,7 +1243,6 @@ impl Broker {
             requested_at: BTreeMap::new(),
             heartbeats_sent: 0,
             telemetry: false,
-            partition: PartitionConfig::default(),
             dirty: false,
             force_base: false,
             seals: 0,
@@ -1344,7 +1268,7 @@ impl Broker {
             enclave: None,
             code: Vec::new(),
             flood,
-            core: BrokerCore::fresh(&mem, flood, &[], 1),
+            core: BrokerCore::fresh(&mem, flood, &[]),
             links: BTreeMap::new(),
             neighbors: Vec::new(),
             initiations: BTreeMap::new(),
@@ -1375,7 +1299,6 @@ impl Broker {
             requested_at: BTreeMap::new(),
             heartbeats_sent: 0,
             telemetry: false,
-            partition: PartitionConfig::default(),
             dirty: false,
             force_base: false,
             seals: 0,
@@ -1447,27 +1370,6 @@ impl Broker {
     pub fn set_neighbors(&mut self, neighbors: &[usize]) {
         self.neighbors = neighbors.to_vec();
         self.core.upstream = neighbors.iter().map(|&n| (n, ForwardingTable::new())).collect();
-    }
-
-    /// Configures matcher partitioning (host configuration: survives
-    /// crashes, like the trust anchors — what the sealed record restores
-    /// is the *assignment*). Call once, before provisioning: the matcher
-    /// is rebuilt empty with the new slice count, dropping any
-    /// registered state and keys.
-    pub fn set_partition(&mut self, config: PartitionConfig) {
-        self.partition = PartitionConfig {
-            slices: config.slices.max(1),
-            skew_threshold: config.skew_threshold.max(1.0),
-            migration_batch: config.migration_batch.max(1),
-        };
-        let mem = self.core.matcher.memory().clone();
-        self.core.matcher = PartitionedMatcher::new(&mem, self.partition.slices);
-        self.core.matcher.set_telemetry(self.telemetry);
-    }
-
-    /// The configured matcher partitioning.
-    pub fn partition_config(&self) -> PartitionConfig {
-        self.partition
     }
 
     /// Installs the trust anchors (attestation service + verifier
@@ -1621,8 +1523,8 @@ impl Broker {
     /// Marks the recovery record stale. Every subscription-state
     /// mutation calls this instead of sealing on the spot; the flag is
     /// flushed to at most **one** [`Broker::checkpoint`] at the end of
-    /// the step, so an N-mutation step (a replayed-link reconciliation,
-    /// a rebalancing pass) pays one seal ECALL instead of N.
+    /// the step, so an N-mutation step (a replayed-link reconciliation)
+    /// pays one seal ECALL instead of N.
     fn mark_dirty(&mut self) {
         if self.dirty {
             self.seals_saved += 1;
@@ -1678,7 +1580,7 @@ impl Broker {
         }
         self.enclave = None;
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        self.core = BrokerCore::fresh(&mem, self.flood, &self.neighbors, self.partition.slices);
+        self.core = BrokerCore::fresh(&mem, self.flood, &self.neighbors);
         // Telemetry is host configuration: the flag survives the crash,
         // but the flight recorder and stage histograms (volatile, never
         // sealed) restart empty with the rebuilt core.
@@ -1727,7 +1629,7 @@ impl Broker {
         // been accepted — a refused restart leaves the broker crashed
         // and the file where it was.
         let entries = journal::split_entries(self.sealed.as_deref().unwrap_or_default())?;
-        let (flood, slices) = (self.flood, self.partition.slices);
+        let flood = self.flood;
         let neighbors = &self.neighbors;
         if let Some(platform) = &self.platform {
             // Relaunch the (same, identically measured) routing enclave;
@@ -1747,8 +1649,7 @@ impl Broker {
                     _ => (0, Vec::new()),
                 };
                 let record: Vec<&[u8]> = opened.iter().map(Vec::as_slice).collect();
-                let mut core =
-                    BrokerCore::restore(&record, ctx.memory(), flood, neighbors, slices)?;
+                let mut core = BrokerCore::restore(&record, ctx.memory(), flood, neighbors)?;
                 core.base_version = base_version;
                 Ok(core)
             })?;
@@ -1756,7 +1657,7 @@ impl Broker {
             self.core = core;
         } else {
             let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-            self.core = BrokerCore::restore(&entries, &mem, flood, neighbors, slices)?;
+            self.core = BrokerCore::restore(&entries, &mem, flood, neighbors)?;
         }
         self.log = match entries.split_first() {
             Some((base, deltas)) => LogShape {
@@ -1811,36 +1712,8 @@ impl Broker {
                 outs.extend(self.tick_replay_kickoff()?);
                 Ok(outs)
             }
-            Lifecycle::Serving => {
-                self.maybe_rebalance()?;
-                self.tick_serving()
-            }
+            Lifecycle::Serving => self.tick_serving(),
         }
-    }
-
-    /// Serving-tick arm of the rebalancing loop: on a partitioned
-    /// matcher, run one [`BrokerCore::rebalance`] inside a single
-    /// crossing — a no-op returning immediately while the skew is at or
-    /// under [`PartitionConfig::skew_threshold`]. Anything migrated
-    /// marks the record dirty (sealed once at the end of this step).
-    /// Single-slice brokers skip the crossing entirely, keeping the
-    /// legacy tick costs exact.
-    fn maybe_rebalance(&mut self) -> Result<(), OverlayError> {
-        if self.partition.slices <= 1 {
-            return Ok(());
-        }
-        let (threshold, batch) = (self.partition.skew_threshold, self.partition.migration_batch);
-        let report = self.call(|c| c.rebalance(threshold, batch))?;
-        // One mark per migrated subscription: the whole pass coalesces
-        // into one seal, and `seals_saved` records the per-mutation
-        // seals it avoided.
-        for _ in 0..report.migrated {
-            self.mark_dirty();
-        }
-        // A migration re-registers under `SK` and moves placement: not a
-        // journal kind, so the checkpoint it triggers writes a base.
-        self.force_base |= report.migrated > 0;
-        Ok(())
     }
 
     /// Initiates pending link handshakes: at bring-up the lower id
@@ -2555,8 +2428,7 @@ impl Broker {
     /// host appends a delta to its file and replaces the file with a
     /// base. Without a platform (pre-shared trust) the same entries are
     /// stored unsealed. Reached only through
-    /// [`Broker::flush_checkpoint`] (and the forced
-    /// [`Broker::rebalance_now`]), so each step seals at most once.
+    /// [`Broker::flush_checkpoint`], so each step seals at most once.
     ///
     /// Admissions and retirements both append. The compaction rule is
     /// fixed: write a base when there is none, by size — the deltas on
@@ -2564,10 +2436,9 @@ impl Broker {
     /// quarter — the envelopes of the registrations retired since the
     /// base was written, all still on the host's disk, add up to
     /// [`RETIRED_DIVISOR`] of it — and whenever the step forced one
-    /// (`force_base`: it migrated subscriptions between slices or
-    /// closed a replay reconciliation). Between forced bases every base
-    /// write is paid for by a quarter base of retired or one base of
-    /// appended bytes — amortised O(entry) per mutation — a retired
+    /// (`force_base`: it closed a replay reconciliation). Between forced
+    /// bases every base write is paid for by a quarter base of retired or
+    /// one base of appended bytes — amortised O(entry) per mutation — a retired
     /// registration leaves the disk within a quarter base of further
     /// retirements, the file stays under twice its base, and a restart
     /// redoes at most one base's worth of journal.
@@ -2620,10 +2491,9 @@ impl Broker {
 
     // ---- inspection ----------------------------------------------------
 
-    /// Live subscriptions in the index (edge clients + link interfaces),
-    /// summed over matcher slices.
+    /// Live subscriptions in the index (edge clients + link interfaces).
     pub fn subscriptions(&self) -> usize {
-        self.core.matcher.subscriptions()
+        self.core.matcher.index().len()
     }
 
     /// Counters for this broker.
@@ -2641,7 +2511,7 @@ impl Broker {
         BrokerStats {
             router: self.id,
             state: self.state,
-            subscriptions: self.core.matcher.subscriptions(),
+            subscriptions: self.subscriptions(),
             ecalls: mem.ecalls,
             ocalls: mem.ocalls,
             elapsed_ns: mem.elapsed_ns,
@@ -2658,57 +2528,6 @@ impl Broker {
             compactions: self.compactions,
             log_entries: self.log.deltas,
         }
-    }
-
-    // ---- partitioning --------------------------------------------------
-
-    /// Matcher slices in this broker (1 = unpartitioned).
-    pub fn slice_count(&self) -> usize {
-        self.core.matcher.slice_count()
-    }
-
-    /// Max-over-mean edge occupancy across matcher slices (1.0 when
-    /// single-slice, balanced or empty). Link-interface copies are
-    /// excluded: they are pinned to the broker that owns the link, so
-    /// counting them would read a high-degree broker as permanently
-    /// skewed and trigger futile rebalancing.
-    pub fn occupancy_skew(&self) -> f64 {
-        self.core.matcher.occupancy_skew()
-    }
-
-    /// Subscriptions migrated between slices over the broker's lifetime
-    /// (volatile — restarts at zero with the rebuilt core).
-    pub fn migrations(&self) -> u64 {
-        self.core.matcher.migrations()
-    }
-
-    /// Per-slice occupancy stats in the cluster schema
-    /// ([`SliceStats`]); `mem` and `lifetime_ecalls` are `None` — the
-    /// slices share the broker's one memory and call gate, so per-slice
-    /// memory counters and crossings are not attributable.
-    pub fn slice_stats(&self) -> Vec<SliceStats> {
-        self.core.matcher.slice_stats()
-    }
-
-    /// Forces one synchronous rebalancing run (all passes inside a
-    /// single enclave crossing), sealing the record immediately when
-    /// anything moved. The serving tick runs the same loop
-    /// automatically; this is the operator override.
-    ///
-    /// # Errors
-    ///
-    /// Lifecycle (not serving) or migration failures.
-    pub fn rebalance_now(&mut self) -> Result<RebalanceReport, OverlayError> {
-        self.require_serving("rebalance for a broker that is not serving")?;
-        let (threshold, batch) = (self.partition.skew_threshold, self.partition.migration_batch);
-        let report = self.call(|c| c.rebalance(threshold, batch))?;
-        if report.migrated > 0 {
-            // All migrations share one seal; count the avoided ones.
-            self.seals_saved += report.migrated as u64 - 1;
-            self.force_base = true;
-            self.checkpoint()?;
-        }
-        Ok(report)
     }
 
     // ---- telemetry -----------------------------------------------------
@@ -2729,8 +2548,7 @@ impl Broker {
     }
 
     /// Per-stage latency summaries: the in-enclave engine stages
-    /// (decrypt, index match, ASPE gate — per slice, in slice order)
-    /// followed by the broker shell's (seal, hop crossing). Empty with
+    /// (decrypt, index match, ASPE gate) followed by the broker shell's (seal, hop crossing). Empty with
     /// telemetry off.
     pub fn stage_summaries(&self) -> Vec<StageSummary> {
         let mut out = self.core.matcher.stage_summaries();
@@ -2837,19 +2655,6 @@ mod tests {
             epoch: KeyEpoch(0),
             payload_ct: vec![0xaa],
         }
-    }
-
-    /// The host file of a `slices`-slice broker holding everything in
-    /// slice 0: the single-slice `broker`'s base record, with empty engine
-    /// snapshots for the other slices, and no deltas.
-    fn piled_file(broker: &Broker, slices: usize) -> Vec<u8> {
-        let mut snapshots = broker.core.matcher.snapshot_slices();
-        assert_eq!(snapshots.len(), 1);
-        let empty = PartitionedMatcher::new(broker.core.matcher.memory(), 1).snapshot_slices();
-        snapshots.resize(slices, empty[0].clone());
-        let mut file = Vec::new();
-        journal::append_entry(&mut file, &broker.core.record_with(&snapshots));
-        file
     }
 
     #[test]
@@ -3325,212 +3130,6 @@ mod tests {
         ));
     }
 
-    /// Runs the same subscribe/publish script against a broker and
-    /// returns the sorted delivered-client multiset per publication
-    /// batch.
-    fn routing_fingerprint(broker: &mut Broker, rng: &mut CryptoRng) -> Vec<Vec<ClientId>> {
-        let producer = producer(rng);
-        broker.provision_preshared(&producer);
-        for i in 0..12u64 {
-            let spec = SubscriptionSpec::new().gt("price", (i % 4) as f64 * 25.0);
-            let envelope = producer
-                .seal_registration(&spec, SubscriptionId(i), ClientId(100 + i), rng)
-                .unwrap();
-            broker.step(i, Input::Subscribe { envelope }).unwrap();
-        }
-        // Retire a few so removals cross slices too.
-        for (t, id) in [3u64, 7, 11].iter().enumerate() {
-            let envelope =
-                producer.seal_unregistration(SubscriptionId(*id), ClientId(100 + id), rng).unwrap();
-            broker.step(20 + t as u64, Input::Unsubscribe { envelope }).unwrap();
-        }
-        let mut fingerprint = Vec::new();
-        for (t, price) in [5.0f64, 30.0, 60.0, 90.0].iter().enumerate() {
-            let items = vec![item(&producer, &PublicationSpec::new().attr("price", *price), rng)];
-            let outs =
-                broker.step(40 + t as u64, Input::Publish { items, trace: TraceId::NONE }).unwrap();
-            let mut clients: Vec<ClientId> = deliveries(&outs).iter().map(|d| d.client).collect();
-            clients.sort_unstable_by_key(|c| c.0);
-            fingerprint.push(clients);
-        }
-        fingerprint
-    }
-
-    #[test]
-    fn partitioned_broker_routes_exactly_like_a_single_slice_broker() {
-        let mut single = Broker::preshared(0, 77, false);
-        let mut sliced = Broker::preshared(0, 77, false);
-        sliced.set_partition(PartitionConfig::sliced(4));
-        assert_eq!(single.slice_count(), 1);
-        assert_eq!(sliced.slice_count(), 4);
-
-        // Separate rng streams: ciphertexts differ, routing must not.
-        let mut rng_a = CryptoRng::from_seed(77);
-        let mut rng_b = CryptoRng::from_seed(77);
-        let oracle = routing_fingerprint(&mut single, &mut rng_a);
-        let fanned = routing_fingerprint(&mut sliced, &mut rng_b);
-        assert_eq!(oracle, fanned, "slice fan-out + merge must be invisible to routing");
-        assert_eq!(single.subscriptions(), sliced.subscriptions());
-        assert!(!oracle.iter().all(|c| c.is_empty()), "script must actually deliver");
-        // The hash spread the nine survivors over more than one slice.
-        let occupied = sliced.slice_stats().iter().filter(|s| s.edge_subscriptions > 0).count();
-        assert!(occupied > 1, "expected load on several slices, got {occupied}");
-    }
-
-    #[test]
-    fn partitioned_attested_broker_still_counts_one_crossing_per_batch() {
-        let mut rng = CryptoRng::from_seed(34);
-        let producer = producer(&mut rng);
-        let mut broker = Broker::attested(0, 34, b"router v1", false).unwrap();
-        broker.set_neighbors(&[]);
-        broker.set_partition(PartitionConfig::sliced(4));
-        broker.provision_preshared(&producer);
-        for i in 0..4u64 {
-            let envelope = producer
-                .seal_registration(
-                    &SubscriptionSpec::new().gt("p", 1.0),
-                    SubscriptionId(i),
-                    ClientId(i),
-                    &mut rng,
-                )
-                .unwrap();
-            broker.step(i, Input::Subscribe { envelope }).unwrap();
-        }
-        broker.reset_counters();
-        let items: Vec<PublishItem> = (0..10)
-            .map(|i| item(&producer, &PublicationSpec::new().attr("p", 2.0 + i as f64), &mut rng))
-            .collect();
-        let outs = broker.step(10, Input::Publish { items, trace: TraceId::NONE }).unwrap();
-        assert_eq!(deliveries(&outs).len(), 40, "each item reaches all four subscribers");
-        assert_eq!(
-            broker.stats().ecalls,
-            1,
-            "fanning a batch across slices must stay one enclave crossing"
-        );
-    }
-
-    #[test]
-    fn legacy_record_restores_into_a_partitioned_broker_and_rebalances() {
-        let mut rng = CryptoRng::from_seed(11);
-        let producer = producer(&mut rng);
-
-        // A single-slice broker's subscriptions, written as a four-slice
-        // record with all of them in slice 0.
-        let mut old = Broker::preshared(0, 11, false);
-        old.provision_preshared(&producer);
-        for i in 0..3u64 {
-            let envelope = producer
-                .seal_registration(
-                    &SubscriptionSpec::new().gt("p", i as f64),
-                    SubscriptionId(i),
-                    ClientId(i),
-                    &mut rng,
-                )
-                .unwrap();
-            old.step(i, Input::Subscribe { envelope }).unwrap();
-        }
-        assert!(old.sealed_record().is_some(), "record sealed after admissions");
-        let piled = piled_file(&old, 4);
-
-        // A partitioned replacement restores the sealed assignment: every
-        // subscription in slice 0.
-        let mut broker = Broker::preshared(0, 11, false);
-        broker.set_partition(PartitionConfig::sliced(4));
-        broker.provision_preshared(&producer);
-        broker.step(10, Input::Crash).unwrap();
-        broker.set_sealed_record(piled);
-        broker.step(20, Input::Restart { dead_links: vec![] }).unwrap();
-        assert_eq!(broker.lifecycle(), Lifecycle::Serving);
-        assert_eq!(broker.subscriptions(), 3);
-        assert_eq!(broker.slice_count(), 4);
-        let skew = broker.occupancy_skew();
-        assert!(skew > 1.5, "the restore piles onto slice 0, skew {skew}");
-
-        // The rebalancer spreads the pile below threshold; deliveries
-        // stay exactly-once throughout.
-        broker.provision_preshared(&producer);
-        let report = broker.rebalance_now().unwrap();
-        assert!(report.migrated >= 1);
-        assert!(report.skew_after <= 1.5, "skew_after {}", report.skew_after);
-        assert!(broker.occupancy_skew() <= 1.5);
-        assert_eq!(broker.migrations(), report.migrated as u64);
-        let publish = |broker: &mut Broker, at: u64, rng: &mut CryptoRng| {
-            let items = vec![item(&producer, &PublicationSpec::new().attr("p", 2.5), rng)];
-            broker.step(at, Input::Publish { items, trace: TraceId::NONE }).unwrap()
-        };
-        let outs = publish(&mut broker, 30, &mut rng);
-        let mut clients: Vec<u64> = deliveries(&outs).iter().map(|d| d.client.0).collect();
-        clients.sort_unstable();
-        assert_eq!(clients, vec![0, 1, 2], "every subscriber exactly once after migration");
-
-        // The migrated sharding itself survives the next crash: the
-        // versioned record carries per-slice assignments.
-        let spread: Vec<usize> =
-            broker.slice_stats().iter().map(|s| s.edge_subscriptions).collect();
-        broker.step(40, Input::Crash).unwrap();
-        broker.step(50, Input::Restart { dead_links: vec![] }).unwrap();
-        broker.provision_preshared(&producer);
-        let restored: Vec<usize> =
-            broker.slice_stats().iter().map(|s| s.edge_subscriptions).collect();
-        assert_eq!(spread, restored, "restore must reproduce the sharding exactly");
-        let outs = publish(&mut broker, 60, &mut rng);
-        assert_eq!(deliveries(&outs).len(), 3);
-    }
-
-    #[test]
-    fn serving_tick_rebalances_and_coalesces_the_reseals() {
-        let mut rng = CryptoRng::from_seed(12);
-        let producer = producer(&mut rng);
-
-        // Same piled record as above to manufacture a skewed partitioned
-        // broker deterministically.
-        let mut old = Broker::preshared(0, 12, false);
-        old.provision_preshared(&producer);
-        for i in 0..6u64 {
-            let envelope = producer
-                .seal_registration(
-                    &SubscriptionSpec::new().gt("p", i as f64),
-                    SubscriptionId(i),
-                    ClientId(i),
-                    &mut rng,
-                )
-                .unwrap();
-            old.step(i, Input::Subscribe { envelope }).unwrap();
-        }
-        let piled = piled_file(&old, 3);
-
-        let mut broker = Broker::preshared(0, 12, false);
-        broker.set_partition(PartitionConfig::sliced(3));
-        broker.provision_preshared(&producer);
-        broker.step(10, Input::Crash).unwrap();
-        broker.set_sealed_record(piled);
-        broker.step(20, Input::Restart { dead_links: vec![] }).unwrap();
-        broker.provision_preshared(&producer);
-        assert!(broker.occupancy_skew() > 1.5);
-
-        // One serving tick runs the whole rebalancing loop and seals the
-        // record once, however many subscriptions it moved.
-        let before = broker.stats();
-        broker.step(30, Input::Tick).unwrap();
-        let after = broker.stats();
-        assert!(broker.migrations() >= 2, "skew 3.0 needs multiple migrations");
-        assert!(broker.occupancy_skew() <= 1.5);
-        assert_eq!(after.seals, before.seals + 1, "the whole pass coalesces into one seal");
-        assert_eq!(
-            (after.compactions, after.log_entries),
-            (before.compactions + 1, 0),
-            "migrations are not journalled: the pass seals a whole base"
-        );
-        assert_eq!(
-            after.seals_saved - before.seals_saved,
-            broker.migrations() - 1,
-            "every migration after the first rides the same seal"
-        );
-        // An idle tick at balance is free: no migration, no seal.
-        broker.step(31, Input::Tick).unwrap();
-        assert_eq!(broker.stats().seals, after.seals);
-    }
-
     fn subscribe_n(
         broker: &mut Broker,
         producer: &ProducerCrypto,
@@ -3752,19 +3351,25 @@ mod tests {
         broker.provision_preshared(&producer);
         subscribe_n(&mut broker, &producer, &mut rng, 0..3);
         let record = broker.core.serialize_record();
-        // The versioned layout opens `u32::MAX ‖ version ‖ 1`; the old one
-        // began directly with the one engine snapshot, length first.
-        assert_eq!(record[..9], [0xff, 0xff, 0xff, 0xff, RECORD_VERSION, 0, 0, 0, 1]);
-        let mut old = Vec::new();
-        journal::append_entry(&mut old, &record[9..]);
+        // The layout opens `u32::MAX ‖ version`, then the engine snapshot,
+        // length first. The oldest layout began directly with that
+        // snapshot; version 1 put a slice count before it.
+        assert_eq!(record[..5], [0xff, 0xff, 0xff, 0xff, RECORD_VERSION]);
+        let unversioned = &record[5..];
+        let mut counted = vec![0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 1];
+        counted.extend_from_slice(unversioned);
         broker.step(10, Input::Crash).unwrap();
-        broker.set_sealed_record(old);
-        let refused = broker.step(11, Input::Restart { dead_links: vec![] });
-        assert!(
-            matches!(refused, Err(OverlayError::Routing(ScbrError::Codec { .. }))),
-            "{refused:?}"
-        );
-        assert_eq!(broker.lifecycle(), Lifecycle::Crashed);
-        assert_eq!(broker.subscriptions(), 0);
+        for (layout, what) in [(unversioned, "unversioned"), (&counted[..], "version 1, counted")] {
+            let mut old = Vec::new();
+            journal::append_entry(&mut old, layout);
+            broker.set_sealed_record(old);
+            let refused = broker.step(11, Input::Restart { dead_links: vec![] });
+            assert!(
+                matches!(refused, Err(OverlayError::Routing(ScbrError::Codec { .. }))),
+                "{what}: {refused:?}"
+            );
+            assert_eq!(broker.lifecycle(), Lifecycle::Crashed, "{what}");
+            assert_eq!(broker.subscriptions(), 0, "{what}");
+        }
     }
 }

@@ -3,18 +3,18 @@
 //! One broker with two neighbours is driven through a generated schedule
 //! of every input that mutates subscription state — local subscribe and
 //! unsubscribe, link `sub-forward` / `sub-remove` / `sub-drop`,
-//! re-registration of a live id with a changed filter, forced rebalancing
-//! passes and serving ticks — and crashed after a random step. Its only
-//! way back is the host file: the last base plus the deltas appended
-//! since, admissions and retirements alike, redone through the live
-//! admission and removal code. An uncrashed twin receives the same
+//! re-registration of a live id with a changed filter and serving ticks —
+//! and crashed after a random step. Its only way back is the host file:
+//! the last base plus the deltas appended since, admissions and
+//! retirements alike, redone through the live admission and removal
+//! code. An uncrashed twin receives the same
 //! inputs. After the restart, and again after the rest of the schedule
 //! and a second crash, the two must be indistinguishable:
 //!
-//! * their full recovery records serialise to the **same bytes** (matcher
-//!   contents and slice assignment, live set, every covering table row
-//!   and every ledger counter) once the one column that records forest
-//!   shape, each engine row's anchor, is masked;
+//! * their full recovery records serialise to the **same bytes** (engine
+//!   contents, live set, every covering table row and every ledger
+//!   counter) once the one column that records forest shape, each engine
+//!   row's anchor, is masked;
 //! * the restarted broker — no live neighbour, so serving at once —
 //!   resumes with the twin's retired-bytes figure, recomputed by the redo;
 //! * probe publications deliver and forward exactly what a flat oracle
@@ -88,10 +88,9 @@ fn shared_producer() -> ProducerCrypto {
         .clone()
 }
 
-fn new_broker(seed: u64, partition: PartitionConfig, producer: &ProducerCrypto) -> Broker {
+fn new_broker(seed: u64, producer: &ProducerCrypto) -> Broker {
     let mut broker = Broker::preshared(0, seed, false);
     broker.set_neighbors(&NEIGHBORS);
-    broker.set_partition(partition);
     relink(&mut broker, producer);
     broker
 }
@@ -219,8 +218,6 @@ impl Harness {
                 let &Live { id, client, origin } = self.live.get(pick % self.live.len().max(1))?;
                 Some(self.registration(id, client, origin, raw))
             }
-            // A serving tick (runs the auto-rebalancer on a partitioned
-            // broker). Op 9, the forced rebalance, is not an `Input`.
             _ => Some(Input::Tick),
         }
     }
@@ -267,20 +264,14 @@ fn frame(from: usize, message: Message) -> Input {
     Input::Frame { from, bytes: message.to_wire() }
 }
 
-/// `broker`'s full recovery record with only the engine snapshots' anchor
+/// `broker`'s full recovery record with only the engine snapshot's anchor
 /// column masked: anchors describe the shape of a covering forest, which
 /// a restart may change (the restored engine numbers attributes in
 /// restore order, so later inserts can settle under other parents)
 /// without changing what the broker holds or delivers.
 fn record_without_anchors(broker: &Broker) -> Vec<u8> {
-    let snapshots: Vec<Vec<u8>> = broker
-        .core
-        .matcher
-        .snapshot_slices()
-        .iter()
-        .map(|snapshot| strip_anchors(snapshot).expect("own snapshot parses"))
-        .collect();
-    broker.core.record_with(&snapshots)
+    let snapshot = strip_anchors(&broker.core.matcher.snapshot()).expect("own snapshot parses");
+    broker.core.record_with(&snapshot)
 }
 
 fn assert_same_state(crashed: &Broker, twin: &Broker, what: &str) -> Result<(), TestCaseError> {
@@ -319,9 +310,8 @@ fn removals_in_deltas(broker: &Broker) -> usize {
     removals
 }
 
-/// The whole property for one partition configuration.
+/// The whole property.
 fn crash_anywhere(
-    partition: PartitionConfig,
     specs: &[RawSpec],
     script: &[(u8, usize)],
     crash_after: usize,
@@ -330,8 +320,8 @@ fn crash_anywhere(
 ) -> Result<(), TestCaseError> {
     let mut harness = Harness::new(seed);
     let producer = harness.producer.clone();
-    let mut crashed = new_broker(seed, partition, &producer);
-    let mut twin = new_broker(seed, partition, &producer);
+    let mut crashed = new_broker(seed, &producer);
+    let mut twin = new_broker(seed, &producer);
 
     // Eight guaranteed admissions up front: under the doubling rule that
     // alone crosses the second compaction, whatever the script does next.
@@ -348,11 +338,7 @@ fn crash_anywhere(
         if step >= pairs_from && op == 0 && removals_in_deltas(&crashed) > 0 {
             break; // a retirement sits in a delta: no further pair needed
         }
-        if op == 9 {
-            let a = crashed.rebalance_now().expect("rebalance");
-            let b = twin.rebalance_now().expect("rebalance");
-            prop_assert_eq!(a.migrated, b.migrated, "rebalancers diverged at step {}", step);
-        } else if let Some(input) = harness.next_input(op, pick, &specs[step % specs.len()]) {
+        if let Some(input) = harness.next_input(op, pick, &specs[step % specs.len()]) {
             crashed.step(now, input.clone()).expect("step on the crashing broker");
             twin.step(now, input).expect("step on the twin");
         }
@@ -402,21 +388,6 @@ proptest! {
         probes in proptest::collection::vec(probe_strategy(), 2..5),
         seed in 0u64..1_000,
     ) {
-        crash_anywhere(PartitionConfig::default(), &specs, &script, crash_after, &probes, seed)?;
-    }
-
-    #[test]
-    fn crash_anywhere_restores_the_twin_with_four_slices(
-        specs in proptest::collection::vec(spec_strategy(), 4..12),
-        script in proptest::collection::vec((0u8..10, 0usize..64), 16..40),
-        crash_after in 0usize..1_000,
-        probes in proptest::collection::vec(probe_strategy(), 2..5),
-        seed in 0u64..1_000,
-    ) {
-        // An eager threshold and a small batch, so ticks and forced
-        // passes really migrate — and force bases mid-chain.
-        let partition =
-            PartitionConfig::sliced(4).with_skew_threshold(1.2).with_migration_batch(2);
-        crash_anywhere(partition, &specs, &script, crash_after, &probes, seed)?;
+        crash_anywhere(&specs, &script, crash_after, &probes, seed)?;
     }
 }

@@ -68,7 +68,7 @@ fn uncover_reference(core: &mut BrokerCore, id: SubscriptionId, origin: Origin) 
 
 fn new_core(flood: bool, neighbors: &[usize]) -> BrokerCore {
     let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-    BrokerCore::fresh(&mem, flood, neighbors, 1)
+    BrokerCore::fresh(&mem, flood, neighbors)
 }
 
 /// Admits `spec` as `id` from `origin` without an envelope to open; the

@@ -37,7 +37,6 @@ use crate::broker::{
     Output, SuspectReason,
 };
 use crate::error::OverlayError;
-use crate::partition::{PartitionConfig, RebalanceReport};
 use crate::topology::Topology;
 use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
 use scbr::protocol::keys::ProducerCrypto;
@@ -103,11 +102,6 @@ pub struct FabricConfig {
     /// behaviourally identical, but off keeps the crossing counts
     /// byte-for-byte those of the seed fabric.
     pub telemetry: bool,
-    /// Matcher partitioning inside every broker. The default (1 slice)
-    /// is the legacy single-engine matcher; with more slices each broker
-    /// shards its subscriptions and rebalances them on its serving ticks
-    /// (see [`PartitionConfig`]).
-    pub partition: PartitionConfig,
 }
 
 impl FabricConfig {
@@ -121,7 +115,6 @@ impl FabricConfig {
             epoch: KeyEpoch(0),
             heartbeats: None,
             telemetry: false,
-            partition: PartitionConfig::default(),
         }
     }
 
@@ -142,14 +135,6 @@ impl FabricConfig {
     #[must_use]
     pub fn with_telemetry(mut self) -> Self {
         self.telemetry = true;
-        self
-    }
-
-    /// Partitions every broker's matcher into `config.slices` slices
-    /// with skew-driven auto-rebalancing.
-    #[must_use]
-    pub fn with_partition(mut self, partition: PartitionConfig) -> Self {
-        self.partition = partition;
         self
     }
 }
@@ -287,7 +272,6 @@ impl OverlayFabric {
                     let mut broker =
                         Broker::preshared(id, config.seed.wrapping_add(id as u64), flood);
                     broker.set_neighbors(topology.neighbors(id));
-                    broker.set_partition(config.partition);
                     broker.provision_preshared(&producer);
                     brokers.push(broker);
                 }
@@ -304,7 +288,6 @@ impl OverlayFabric {
                     let seed = config.seed.wrapping_mul(7919).wrapping_add(id as u64 + 1);
                     let mut broker = Broker::attested(id, seed, ROUTER_ENCLAVE_CODE, flood)?;
                     broker.set_neighbors(topology.neighbors(id));
-                    broker.set_partition(config.partition);
                     let platform = broker.platform().expect("attested broker has a platform");
                     service.trust_platform(platform.attestation_public_key().clone());
                     brokers.push(broker);
@@ -1024,27 +1007,18 @@ impl OverlayFabric {
         self.brokers.iter().map(|b| b.subscriptions()).sum()
     }
 
-    /// Edge-occupancy skew across the matcher slices of broker `at`
-    /// (1.0 when unpartitioned, balanced or empty).
-    pub fn occupancy_skew(&self, at: usize) -> f64 {
-        self.brokers[at].occupancy_skew()
+    /// Compatibility shim for the benchmark harness, which reads it as
+    /// `overlay.slice_skew_milli`: always 1.0, what a broker with one
+    /// matcher reports. Goes with the next benchmark change.
+    pub fn occupancy_skew(&self, _at: usize) -> f64 {
+        1.0
     }
 
-    /// Forces one synchronous rebalancing run on broker `at` (the
-    /// serving tick runs the same loop automatically once the skew
-    /// exceeds the configured threshold).
-    ///
-    /// # Errors
-    ///
-    /// Lifecycle (broker not serving) or migration failures.
-    pub fn rebalance(&mut self, at: usize) -> Result<RebalanceReport, OverlayError> {
-        self.brokers[at].rebalance_now()
-    }
-
-    /// Total cross-slice migrations across brokers (volatile — each
-    /// broker's counter restarts at zero on crash).
+    /// Compatibility shim for the benchmark harness, which reads it as
+    /// `overlay.migrations`: always 0, since a broker's one matcher never
+    /// migrates anything. Goes with the next benchmark change.
     pub fn total_migrations(&self) -> u64 {
-        self.brokers.iter().map(|b| b.migrations()).sum()
+        0
     }
 
     /// Resets every broker's counters (between measurement phases).
@@ -1083,19 +1057,6 @@ impl OverlayFabric {
             registry.absorb("mem", &broker.mem_stats().snapshot());
             for (neighbor, counters) in broker.link_snapshots() {
                 registry.absorb(&format!("link.{neighbor}"), &counters);
-            }
-            if broker.slice_count() > 1 {
-                // The closed rebalancing loop's inputs and outputs, in
-                // the cluster module's per-slice schema plus broker-level
-                // partition gauges (skew in milli-units — the registry is
-                // integral).
-                for stats in broker.slice_stats() {
-                    registry.absorb(&format!("slice.{}", stats.slice), &stats.snapshot());
-                }
-                registry.set("partition.slices", broker.slice_count() as u64);
-                registry.set("partition.migrations", broker.migrations());
-                registry
-                    .set("partition.skew_milli", (broker.occupancy_skew() * 1000.0).round() as u64);
             }
             registry.set("trace.dropped", broker.trace_drops());
             fabric_registry.absorb("total", &stats.snapshot());
@@ -1358,31 +1319,6 @@ mod tests {
         assert!(snap.fabric.get("events.subscribed").unwrap() >= 1);
         // Draining is destructive: a second snapshot has no hops.
         assert!(fabric.telemetry().trace_path(trace).is_empty());
-    }
-
-    #[test]
-    fn sliced_broker_exports_its_memory_counters_once() {
-        // Regression: every slice of a partitioned broker re-exported the
-        // broker's one shared memory counters, so `slice.*.ecalls` summed
-        // to slices × the broker's count and the spread of
-        // `slice.*.epc_swaps` was always 0.
-        let config = FabricConfig::attested(33).with_partition(PartitionConfig::sliced(4));
-        let mut fabric = OverlayFabric::build(Topology::line(2), config).unwrap();
-        for i in 0..8u64 {
-            let spec = SubscriptionSpec::new().gt("price", i as f64);
-            fabric.subscribe(0, ClientId(i), &spec).unwrap();
-        }
-        fabric.publish(1, &[PublicationSpec::new().attr("price", 9.0)]).unwrap();
-        let snap = fabric.telemetry();
-        let counters = &snap.brokers[0].counters;
-        assert!(counters.get("mem.ecalls").unwrap() > 0, "the broker's counters, once");
-        assert_eq!(counters.get("partition.slices"), Some(4));
-        for slice in 0..4 {
-            assert!(counters.get(&format!("slice.{slice}.subscriptions")).is_some());
-            for shared in ["ecalls", "epc_swaps", "lifetime_ecalls"] {
-                assert_eq!(counters.get(&format!("slice.{slice}.{shared}")), None, "{shared}");
-            }
-        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! * [`broker`] — one overlay node as a **sans-IO lifecycle state
 //!   machine** (`Cold → Attesting → Linking → Serving → Crashed →
 //!   Rejoining`): its whole surface is [`broker::Broker::step`]`(now,
-//!   Input) -> Vec<Output>`. The matching engine (inside the enclave)
-//!   indexes link interfaces alongside edge clients, so each hop
+//!   Input) -> Vec<Output>`. The broker's one matching engine (inside
+//!   the enclave) indexes link interfaces alongside edge clients, so each hop
 //!   decrypts and matches a whole publication batch in **one enclave
 //!   crossing** and learns local deliveries and outgoing links together.
 //!   At the end of any `step` that mutated subscriptions the enclave
@@ -33,16 +33,6 @@
 //!   a crashed broker restarts from it (base, then the deltas redone
 //!   through the live admission code) and asks its neighbours to replay
 //!   their live forwarded sets.
-//! * [`partition`] — the matcher inside each broker can be sharded into
-//!   N [`partition::PartitionedMatcher`] slices behind the same
-//!   admit/remove/route surface: subscriptions hash-placed per slice by
-//!   [`scbr::cluster::home_slice`] (the scale-out router's rule, so the
-//!   tree has one), each publication fanned across all slices inside the
-//!   same single
-//!   enclave crossing and merged, and a serving-tick rebalancer that
-//!   watches `occupancy_skew` and migrates subscriptions fullest →
-//!   emptiest make-before-break
-//!   ([`partition::PartitionConfig::skew_threshold`]).
 //! * [`fabric`] — a thin deterministic scheduler: build, attest, link,
 //!   then [`fabric::OverlayFabric::subscribe`],
 //!   [`fabric::OverlayFabric::publish`],
@@ -81,7 +71,6 @@ pub mod error;
 pub mod fabric;
 pub mod forwarding;
 mod journal;
-pub mod partition;
 pub mod topology;
 
 pub use broker::{
@@ -93,6 +82,5 @@ pub use fabric::{
     AutoRejoin, Delivery, FabricConfig, OverlayFabric, Propagation, RejoinReport, Trust,
 };
 pub use forwarding::ForwardingTable;
-pub use partition::{PartitionConfig, PartitionedMatcher, RebalanceReport};
 pub use scbr_telemetry::{BrokerTelemetry, HopRecord, StageSummary, TelemetrySnapshot, TraceId};
 pub use topology::Topology;

@@ -230,10 +230,17 @@ fn edited_record_chains_are_refused() {
         assert_eq!(fabric.sealed_record(1), Some(file), "{what}: the file is untouched");
     }
 
+    // The genuine file is mid-chain, a base and ≥ 3 deltas. Closing the
+    // neighbour's replay forces a base however short the chain is, so the
+    // rejoined broker's file is one entry again.
+    let compactions = fabric.broker_stats()[1].compactions;
     fabric.set_sealed_record(1, genuine);
     let report = fabric.restart(1).unwrap();
     assert_eq!(report.restored as u64, subscribed);
     assert_eq!(fabric.lifecycle(1), Lifecycle::Serving);
+    let rejoined = fabric.broker_stats()[1];
+    assert_eq!((rejoined.compactions, rejoined.log_entries), (compactions + 1, 0));
+    assert_eq!(file_entries(&fabric.sealed_record(1).unwrap()).len(), 1);
     let deliveries = fabric.publish(0, &[PublicationSpec::new().attr("price", 1e9)]).unwrap();
     assert_eq!(deliveries.len() as u64, subscribed);
 }

@@ -29,7 +29,7 @@ use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
 use scbr_overlay::fabric::{FabricConfig, OverlayFabric, Propagation};
-use scbr_overlay::{Delivery, HeartbeatConfig, PartitionConfig, Topology};
+use scbr_overlay::{Delivery, HeartbeatConfig, Topology};
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 
 const SYMBOLS: [&str; 3] = ["HAL", "IBM", "AMD"];
@@ -795,156 +795,5 @@ proptest! {
         }
         prop_assert_eq!(fabric.total_index_entries(), 0, "leaked entries");
         prop_assert_eq!(fabric.total_forwarded(), 0, "leaked rows");
-    }
-
-    /// Partitioned-matcher arm: a fabric whose brokers shard their
-    /// matcher into 3 slices (with an aggressive skew threshold, so the
-    /// auto-rebalancer and forced rebalances actually migrate) must stay
-    /// delivery-equivalent to an unpartitioned twin and the flat oracle
-    /// through random churn, forced migration passes, and a crash/rejoin
-    /// landing right after migrations — the sealed per-slice assignment
-    /// must restore into exactly-once delivery.
-    #[test]
-    fn partitioned_fabric_stays_oracle_equivalent(
-        parents in proptest::collection::vec(0usize..6, 1..5),
-        subs in proptest::collection::vec(sub_strategy(), 1..8),
-        script in proptest::collection::vec((0u8..5, 0usize..16), 0..20),
-        pubs in proptest::collection::vec(pub_strategy(), 1..3),
-        (publish_router, seed) in (0usize..64, 0u64..1_000),
-    ) {
-        let topology = build_tree(&parents);
-        let routers = topology.routers();
-        let publications: Vec<PublicationSpec> = pubs.iter().map(build_pub).collect();
-        let publish_at = publish_router % routers;
-
-        let producer = shared_producer();
-        let config = FabricConfig::preshared(seed);
-        let mut flat = OverlayFabric::build_with_producer(
-            topology.clone(),
-            config,
-            producer.clone(),
-        ).expect("single-slice fabric");
-        let mut sharded = OverlayFabric::build_with_producer(
-            topology.clone(),
-            config.with_partition(
-                PartitionConfig::sliced(3).with_skew_threshold(1.2).with_migration_batch(2),
-            ),
-            producer.clone(),
-        ).expect("partitioned fabric");
-        let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        let mut oracle = FlatOracle::new(&mem);
-
-        // id → (index into `subs`, actual edge router): placement dodges
-        // a crashed broker, so it is recorded per subscription.
-        let mut live: Vec<(SubscriptionId, usize, usize)> = Vec::new();
-        let mut next_sub = 0usize;
-        let mut crashed: Option<usize> = None;
-
-        for (step_no, &(op, pick)) in script.iter().enumerate() {
-            match op {
-                0 if next_sub < subs.len() => {
-                    let raw = &subs[next_sub];
-                    let mut at = raw.router % routers;
-                    if Some(at) == crashed {
-                        at = (at + 1) % routers;
-                    }
-                    let client = ClientId(next_sub as u64);
-                    let spec = build_sub(raw);
-                    let id = flat.subscribe(at, client, &spec).expect("flat subscribe");
-                    let id2 = sharded.subscribe(at, client, &spec).expect("sharded subscribe");
-                    prop_assert_eq!(id, id2, "both fabrics allocate ids in lockstep");
-                    oracle.register_plain(id, client, &spec).expect("oracle register");
-                    live.push((id, next_sub, at));
-                    next_sub += 1;
-                }
-                1 if !live.is_empty() => {
-                    // Unsubscribe a live subscription homed at a live broker.
-                    let start = pick % live.len();
-                    let Some(offset) = (0..live.len())
-                        .find(|o| Some(live[(start + o) % live.len()].2) != crashed)
-                    else { continue };
-                    let (id, _, _) = live.remove((start + offset) % live.len());
-                    prop_assert!(flat.unsubscribe(id).expect("flat unsubscribe"));
-                    prop_assert!(sharded.unsubscribe(id).expect("sharded unsubscribe"));
-                    prop_assert!(oracle.unregister(id), "oracle had the subscription");
-                }
-                // Forced migration pass at a serving broker; a second
-                // pass right after must find nothing left to move.
-                2 => {
-                    let mut at = pick % routers;
-                    if Some(at) == crashed {
-                        at = (at + 1) % routers;
-                    }
-                    sharded.rebalance(at).expect("forced rebalance");
-                    let again = sharded.rebalance(at).expect("repeat rebalance");
-                    prop_assert_eq!(
-                        again.migrated, 0,
-                        "rebalancing must be idempotent at step {}", step_no
-                    );
-                }
-                // Crash — deliberately *after* whatever migrations the
-                // script forced, so rejoin exercises the sealed
-                // per-slice assignment.
-                3 if crashed.is_none() => {
-                    let victim = pick % routers;
-                    flat.crash(victim).expect("flat crash");
-                    sharded.crash(victim).expect("sharded crash");
-                    crashed = Some(victim);
-                }
-                4 => {
-                    if let Some(victim) = crashed.take() {
-                        flat.restart(victim).expect("flat restart");
-                        sharded.restart(victim).expect("sharded restart");
-                    }
-                }
-                _ => {}
-            }
-
-            if crashed.is_some() {
-                continue; // probe only a fully serving pair
-            }
-            let got_flat = flat.publish(publish_at, &publications).expect("flat publish");
-            let got_sharded =
-                sharded.publish(publish_at, &publications).expect("sharded publish");
-            prop_assert_eq!(
-                &got_flat, &got_sharded,
-                "partitioning changed deliveries at step {}", step_no
-            );
-            let mut expected: Vec<Delivery> = Vec::new();
-            for (p, publication) in publications.iter().enumerate() {
-                for client in oracle.match_plain(publication).expect("oracle match") {
-                    let &(_, _, placed) = live
-                        .iter()
-                        .find(|(_, idx, _)| *idx == client.0 as usize)
-                        .expect("delivered client is live");
-                    expected.push(Delivery { router: placed, client, publication: p });
-                }
-            }
-            expected.sort_unstable();
-            prop_assert_eq!(
-                got_flat, expected,
-                "overlay disagrees with the flat oracle after step {}", step_no
-            );
-            assert_counters(&sharded, "partitioned")?;
-        }
-
-        // Heal, drain, and check for leaks — migrations must not leave
-        // duplicate or orphaned slice entries behind.
-        if let Some(victim) = crashed.take() {
-            flat.restart(victim).expect("final flat restart");
-            sharded.restart(victim).expect("final sharded restart");
-        }
-        for (id, _, _) in live.drain(..) {
-            prop_assert!(flat.unsubscribe(id).expect("drain flat"));
-            prop_assert!(sharded.unsubscribe(id).expect("drain sharded"));
-            prop_assert!(oracle.unregister(id));
-        }
-        for fabric in [&flat, &sharded] {
-            prop_assert_eq!(fabric.total_index_entries(), 0, "leaked index entries");
-            prop_assert_eq!(fabric.total_forwarded(), 0, "leaked forwarding-table rows");
-            for stats in fabric.broker_stats() {
-                prop_assert_eq!(stats.subscriptions, 0, "router {} index not empty", stats.router);
-            }
-        }
     }
 }

@@ -36,6 +36,10 @@ fn infrastructure_cannot_forge_registrations() {
         .seal_registration(&spec, SubscriptionId(1), ClientId(1), &mut rng)
         .expect("rogue can build envelopes");
     assert!(engine.register_envelope(&forged).is_err());
+    // A genuine envelope of the other kind does not register either.
+    let unregistration =
+        honest.seal_unregistration(SubscriptionId(1), ClientId(1), &mut rng).expect("seal");
+    assert!(engine.register_envelope(&unregistration).is_err());
     assert_eq!(engine.index().len(), 0);
 }
 

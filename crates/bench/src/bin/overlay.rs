@@ -317,12 +317,7 @@ fn main() {
             ("fast", scbr_overlay::HeartbeatConfig::fast()),
             ("default", scbr_overlay::HeartbeatConfig::default()),
         ] {
-            let config = FabricConfig {
-                seed: 19,
-                propagation: Propagation::CoveringPruned,
-                ..FabricConfig::preshared(19)
-            }
-            .with_heartbeats(heartbeats);
+            let config = FabricConfig::attested(19).with_heartbeats(heartbeats);
             let mut fabric =
                 OverlayFabric::build(Topology::line(routers), config).expect("fabric build");
             for (i, spec) in subs.iter().take(n_detect).enumerate() {

@@ -32,11 +32,10 @@
 //! **File format.** One byte string (read and replaced through
 //! [`Broker::sealed_record`] / [`Broker::set_sealed_record`]): entries of
 //! `u32` big-endian length + blob; the first is the base, the rest are
-//! deltas in the order they were written. On an attested broker each
-//! blob is one [`VersionedSeal::seal_link`] link — a clear header
+//! deltas in the order they were written. Each blob is one
+//! [`VersionedSeal::seal_link`] link — a clear header
 //! `version ‖ kind ‖ base version`, then the sealed payload with that
-//! header as associated data; without a platform (pre-shared trust) the
-//! blobs are the bare payloads. The *base payload* is the whole record:
+//! header as associated data. The *base payload* is the whole record:
 //! the engine snapshot (with per-subscription *delivery identities*, so
 //! link interfaces are restored as interfaces, not edge clients), the
 //! live envelope set with origins, and every per-link
@@ -62,8 +61,9 @@
 //! thus paid for by at least a quarter base of retired or one base of
 //! appended bytes, so a mutation of either kind costs O(what it
 //! changed) amortised; a retired registration leaves the disk within a
-//! quarter base of further retirements, the file stays under twice its
-//! base, and a restart redoes at most one base's worth of journal.
+//! quarter base of further retirements, the deltas on disk stay under
+//! the base's size plus one entry's seal, and a restart redoes at most
+//! one base's worth of journal.
 //!
 //! **Chain rule.** Every blob takes its own counter value, and
 //! [`VersionedSeal::unseal_chain`] accepts only a base at `v_b` followed
@@ -96,7 +96,7 @@
 //! authenticated `sub-drop` frames. Recovery traffic therefore touches
 //! only the broker's incident links — the tree never re-propagates.
 //!
-//! ## Trust split
+//! ## What the enclave holds
 //!
 //! The in-enclave state is `BrokerCore`: the matching engine (holding
 //! `SK` and the plaintext compiled subscriptions) plus the per-link
@@ -149,7 +149,7 @@ use scbr_telemetry::{
 };
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
 use sgx_sim::enclave::EnclaveBuilder;
-use sgx_sim::link::{LinkAccept, LinkFinish, LinkHello, LinkInitiator, LinkKey, LinkResponder};
+use sgx_sim::link::{LinkAccept, LinkFinish, LinkHello, LinkInitiator, LinkResponder};
 use sgx_sim::platform::CounterId;
 use sgx_sim::seal::{SealPolicy, VersionedSeal};
 use sgx_sim::{CacheConfig, CostModel, Enclave, MemStats, MemorySim, SgxPlatform};
@@ -568,8 +568,7 @@ struct BrokerCore {
     /// redo.
     retired_bytes: usize,
     /// Counter value the current base record was sealed at — what every
-    /// delta must name. 0 until a base exists (counter values start at 1)
-    /// and on brokers without a platform.
+    /// delta must name. 0 until a base exists (counter values start at 1).
     base_version: u64,
 }
 
@@ -971,16 +970,11 @@ pub struct LocalDelivery {
     pub item: Arc<PublishItem>,
 }
 
-/// The two halves of one established link at one endpoint. `Sealed` is
-/// the production (and by far the common) variant, so its size is the
-/// collection's working size either way — boxing it would just add a
-/// pointer chase to every frame.
-#[allow(clippy::large_enum_variant)]
-enum LinkChannel {
-    /// Sealed under an attested link key.
-    Sealed { outbound: SecureLink, inbound: SecureLink },
-    /// Pre-shared-trust mode: frames pass in the clear.
-    Plain,
+/// The two halves of one established link at one endpoint, sealed under
+/// the key its attested handshake agreed.
+struct LinkChannel {
+    outbound: SecureLink,
+    inbound: SecureLink,
 }
 
 /// Per-broker counters (cumulative unless reset).
@@ -1084,7 +1078,8 @@ struct LogShape {
 pub struct Broker {
     id: usize,
     state: Lifecycle,
-    platform: Option<SgxPlatform>,
+    platform: SgxPlatform,
+    /// `None` only while crashed.
     enclave: Option<Enclave>,
     /// The measured routing binary, kept for enclave relaunch on restart.
     code: Vec<u8>,
@@ -1096,7 +1091,7 @@ pub struct Broker {
     initiations: BTreeMap<usize, LinkInitiator>,
     /// Half-open handshakes we responded to (awaiting link-finish).
     responses: BTreeMap<usize, LinkResponder>,
-    /// Trust anchors for verifying peer quotes during link handshakes.
+    /// The trust anchors for verifying peer quotes during link handshakes.
     service: Option<AttestationService>,
     policy: Option<VerifierPolicy>,
     /// The sealed recovery record, as stored on the untrusted host
@@ -1107,7 +1102,7 @@ pub struct Broker {
     log: LogShape,
     /// The platform monotonic counter keying the record's rollback
     /// protection.
-    counter: Option<CounterId>,
+    counter: CounterId,
     /// Rejoin bookkeeping: links still owing a replay, replay requests
     /// already sent, per-link ids confirmed by the replay so far, and
     /// neighbours the operator declared dead at restart (skipped until
@@ -1185,7 +1180,6 @@ impl std::fmt::Debug for Broker {
         f.debug_struct("Broker")
             .field("id", &self.id)
             .field("state", &self.state)
-            .field("attested", &self.enclave.is_some())
             .field("links", &self.links.len())
             .field("subscriptions", &self.subscriptions())
             .finish()
@@ -1208,7 +1202,7 @@ impl Broker {
         Ok(Broker {
             id,
             state: Lifecycle::Cold,
-            platform: Some(platform),
+            platform,
             enclave: Some(enclave),
             code: code.to_vec(),
             flood,
@@ -1221,7 +1215,7 @@ impl Broker {
             policy: None,
             sealed: None,
             log: LogShape::default(),
-            counter: Some(counter),
+            counter,
             pending_replays: BTreeSet::new(),
             requested: BTreeSet::new(),
             confirmed: BTreeMap::new(),
@@ -1255,62 +1249,6 @@ impl Broker {
         })
     }
 
-    /// Builds a plain broker for pre-shared-trust deployments and tests:
-    /// no enclave, free-cost native memory, unsealed links. Crash/rejoin
-    /// still works — the recovery record is stored unsealed (no rollback
-    /// protection without a platform).
-    pub fn preshared(id: usize, seed: u64, flood: bool) -> Self {
-        let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        Broker {
-            id,
-            state: Lifecycle::Cold,
-            platform: None,
-            enclave: None,
-            code: Vec::new(),
-            flood,
-            core: BrokerCore::fresh(&mem, flood, &[]),
-            links: BTreeMap::new(),
-            neighbors: Vec::new(),
-            initiations: BTreeMap::new(),
-            responses: BTreeMap::new(),
-            service: None,
-            policy: None,
-            sealed: None,
-            log: LogShape::default(),
-            counter: None,
-            pending_replays: BTreeSet::new(),
-            requested: BTreeSet::new(),
-            confirmed: BTreeMap::new(),
-            dead_links: BTreeSet::new(),
-            replayed_subs: 0,
-            dropped_stale: 0,
-            crashed_at: 0,
-            now: 0,
-            gaps: 0,
-            heartbeats: None,
-            ticks: 0,
-            last_rx: BTreeMap::new(),
-            last_hb: BTreeMap::new(),
-            gap_since: BTreeMap::new(),
-            suspects: BTreeSet::new(),
-            resync: BTreeSet::new(),
-            parked_replays: BTreeSet::new(),
-            initiated_at: BTreeMap::new(),
-            requested_at: BTreeMap::new(),
-            heartbeats_sent: 0,
-            telemetry: false,
-            dirty: false,
-            force_base: false,
-            seals: 0,
-            seals_saved: 0,
-            sealed_bytes: 0,
-            compactions: 0,
-            rng: CryptoRng::from_seed(seed ^ 0x6c69_6e6b),
-            routes: RouteSpans::default(),
-            batch_wire: Vec::new(),
-        }
-    }
-
     /// The broker's router id.
     pub fn id(&self) -> usize {
         self.id
@@ -1321,13 +1259,12 @@ impl Broker {
         self.state
     }
 
-    /// The broker's platform (attested brokers only).
-    pub fn platform(&self) -> Option<&SgxPlatform> {
-        self.platform.as_ref()
+    /// The broker's platform (its machine, which survives crashes).
+    pub fn platform(&self) -> &SgxPlatform {
+        &self.platform
     }
 
-    /// The broker's enclave (attested brokers only; `None` while
-    /// crashed).
+    /// The broker's enclave (`None` while crashed).
     pub fn enclave(&self) -> Option<&Enclave> {
         self.enclave.as_ref()
     }
@@ -1348,8 +1285,8 @@ impl Broker {
         self.sealed = Some(record);
     }
 
-    /// Runs `f` on the enclave-resident core, crossing the call gate when
-    /// attested.
+    /// Runs `f` on the enclave-resident core, crossing the call gate (a
+    /// crashed broker, with no enclave, holds only an empty core).
     fn call<R>(&mut self, f: impl FnOnce(&mut BrokerCore) -> R) -> R {
         let core = &mut self.core;
         match &self.enclave {
@@ -1380,18 +1317,6 @@ impl Broker {
         self.policy = Some(policy);
     }
 
-    /// Installs `SK` and the producer key directly (pre-shared trust).
-    /// Moves a cold broker straight to `Serving` (plain links carry no
-    /// handshake).
-    pub fn provision_preshared(&mut self, producer: &ProducerCrypto) {
-        let sk = producer.sk().clone();
-        let pk = producer.public_key().clone();
-        self.call(|c| c.matcher.provision_keys(sk, pk));
-        if self.state == Lifecycle::Cold {
-            self.state = Lifecycle::Serving;
-        }
-    }
-
     /// Provisions `SK` into the broker's enclave via remote attestation
     /// (the producer releases the key only to the expected measurement).
     /// Moves a cold broker through `Attesting` into `Linking` (or
@@ -1401,8 +1326,7 @@ impl Broker {
     /// # Errors
     ///
     /// Any attestation, policy or crypto failure — the broker is left in
-    /// `Attesting`; also fails on a pre-shared broker (nothing to
-    /// attest).
+    /// `Attesting`; also fails on a crashed broker (no enclave).
     pub fn provision_attested(
         &mut self,
         service: &AttestationService,
@@ -1413,14 +1337,10 @@ impl Broker {
         if self.state == Lifecycle::Cold {
             self.state = Lifecycle::Attesting;
         }
-        let platform = self
-            .platform
-            .as_ref()
-            .ok_or(OverlayError::Link { reason: "broker has no platform" })?;
         let enclave =
             self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
         let (sk, pk) = provision_sk_via_attestation(
-            platform,
+            &self.platform,
             enclave,
             service,
             policy,
@@ -1447,27 +1367,26 @@ impl Broker {
         self.heartbeats
     }
 
-    /// Installs an unsealed link to `neighbor` (pre-shared trust).
-    pub fn install_plain_link(&mut self, neighbor: usize) {
-        self.links.insert(neighbor, LinkChannel::Plain);
-        self.last_rx.insert(neighbor, self.ticks);
-        self.gap_since.remove(&neighbor);
-    }
-
-    fn install_sealed_link(&mut self, neighbor: usize, key: &LinkKey) {
+    /// Installs the sealed channel to `neighbor` under `key`, the link
+    /// key a handshake just agreed.
+    fn install_sealed_link(&mut self, neighbor: usize, key: &[u8]) {
         let local = self.id as u64;
         self.links.insert(
             neighbor,
-            LinkChannel::Sealed {
-                outbound: SecureLink::outbound(key.as_bytes(), local, neighbor as u64),
-                inbound: SecureLink::inbound(key.as_bytes(), local, neighbor as u64),
+            LinkChannel {
+                outbound: SecureLink::outbound(key, local, neighbor as u64),
+                inbound: SecureLink::inbound(key, local, neighbor as u64),
             },
         );
         // A fresh key resets the liveness view of the link: the silence
-        // clock restarts and any wedge died with the old channel.
+        // clock restarts and any wedge died with the old channel. So does
+        // any handshake of ours still open toward the neighbour — a probe
+        // sent while it was down, say, that it re-keyed past from its own
+        // side. Left in place, it would stop the next gap from re-keying.
         self.last_rx.insert(neighbor, self.ticks);
         self.gap_since.remove(&neighbor);
         self.initiated_at.remove(&neighbor);
+        self.initiations.remove(&neighbor);
     }
 
     fn seal_to(&mut self, neighbor: usize, wire: &[u8]) -> Result<Vec<u8>, OverlayError> {
@@ -1476,9 +1395,7 @@ impl Broker {
 
     /// [`Broker::seal_to`] with a clear-text metadata word (the trace id
     /// of a publication batch). The word is bound into the sealed
-    /// frame's AAD, so tampering is detected on open; plain links have
-    /// no frame header to carry it, so there it is dropped — cross-hop
-    /// traces need sealed links.
+    /// frame's AAD, so tampering is detected on open.
     fn seal_to_meta(
         &mut self,
         neighbor: usize,
@@ -1486,8 +1403,7 @@ impl Broker {
         meta: u64,
     ) -> Result<Vec<u8>, OverlayError> {
         match self.links.get_mut(&neighbor) {
-            Some(LinkChannel::Sealed { outbound, .. }) => Ok(outbound.seal_meta(wire, meta)),
-            Some(LinkChannel::Plain) => Ok(wire.to_vec()),
+            Some(link) => Ok(link.outbound.seal_meta(wire, meta)),
             None => Err(OverlayError::Link { reason: "no link to neighbour" }),
         }
     }
@@ -1629,36 +1545,31 @@ impl Broker {
         // been accepted — a refused restart leaves the broker crashed
         // and the file where it was.
         let entries = journal::split_entries(self.sealed.as_deref().unwrap_or_default())?;
-        let flood = self.flood;
-        let neighbors = &self.neighbors;
-        if let Some(platform) = &self.platform {
-            // Relaunch the (same, identically measured) routing enclave;
-            // one crossing opens the chain (one key derivation for all
-            // its blobs), restores the base and redoes the deltas.
-            let enclave = platform.launch(router_builder(&self.code))?;
-            let counter = self.counter;
-            let core = enclave.ecall(|ctx| -> Result<BrokerCore, OverlayError> {
-                let (base_version, opened) = match counter {
-                    Some(counter) if !entries.is_empty() => VersionedSeal::unseal_chain(
-                        ctx,
-                        SealPolicy::MrEnclave,
-                        platform,
-                        counter,
-                        &entries,
-                    )?,
-                    _ => (0, Vec::new()),
-                };
-                let record: Vec<&[u8]> = opened.iter().map(Vec::as_slice).collect();
-                let mut core = BrokerCore::restore(&record, ctx.memory(), flood, neighbors)?;
-                core.base_version = base_version;
-                Ok(core)
-            })?;
-            self.enclave = Some(enclave);
-            self.core = core;
-        } else {
-            let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-            self.core = BrokerCore::restore(&entries, &mem, flood, neighbors)?;
-        }
+        let (flood, neighbors, platform, counter) =
+            (self.flood, &self.neighbors, &self.platform, self.counter);
+        // Relaunch the (same, identically measured) routing enclave; one
+        // crossing opens the chain (one key derivation for all its
+        // blobs), restores the base and redoes the deltas.
+        let enclave = platform.launch(router_builder(&self.code))?;
+        let core = enclave.ecall(|ctx| -> Result<BrokerCore, OverlayError> {
+            let (base_version, opened) = if entries.is_empty() {
+                (0, Vec::new())
+            } else {
+                VersionedSeal::unseal_chain(
+                    ctx,
+                    SealPolicy::MrEnclave,
+                    platform,
+                    counter,
+                    &entries,
+                )?
+            };
+            let record: Vec<&[u8]> = opened.iter().map(Vec::as_slice).collect();
+            let mut core = BrokerCore::restore(&record, ctx.memory(), flood, neighbors)?;
+            core.base_version = base_version;
+            Ok(core)
+        })?;
+        self.enclave = Some(enclave);
+        self.core = core;
         self.log = match entries.split_first() {
             Some((base, deltas)) => LogShape {
                 base_bytes: base.len(),
@@ -1697,7 +1608,8 @@ impl Broker {
     }
 
     /// Timer tick, dispatched per lifecycle state. While linking or
-    /// rejoining it drives handshake initiation and replay kick-off;
+    /// rejoining it drives handshake initiation (a rejoining broker's
+    /// replay request follows each of its handshakes);
     /// while serving (with heartbeats configured) it runs the
     /// steady-state liveness work — heartbeat emission, dead-link
     /// probing and suspicion timeouts. Cold, attesting and crashed
@@ -1707,11 +1619,7 @@ impl Broker {
         match self.state {
             Lifecycle::Cold | Lifecycle::Attesting | Lifecycle::Crashed => Ok(Vec::new()),
             Lifecycle::Linking => self.tick_handshakes(false),
-            Lifecycle::Rejoining => {
-                let mut outs = self.tick_handshakes(true)?;
-                outs.extend(self.tick_replay_kickoff()?);
-                Ok(outs)
-            }
+            Lifecycle::Rejoining => self.tick_handshakes(true),
             Lifecycle::Serving => self.tick_serving(),
         }
     }
@@ -1742,37 +1650,17 @@ impl Broker {
         Ok(outs)
     }
 
-    /// Plain links (pre-shared trust) need no handshake: a rejoining
-    /// broker requests the replay as soon as the host has reinstalled
-    /// them.
-    fn tick_replay_kickoff(&mut self) -> Result<Vec<Output>, OverlayError> {
-        let mut outs = Vec::new();
-        let ready: Vec<usize> = self
-            .pending_replays
-            .iter()
-            .copied()
-            .filter(|n| self.links.contains_key(n) && !self.requested.contains(n))
-            .collect();
-        for neighbor in ready {
-            self.requested.insert(neighbor);
-            self.requested_at.insert(neighbor, self.ticks);
-            let bytes = self.seal_to(neighbor, &Message::ReplayRequest.to_wire())?;
-            outs.push(Output::Frame(LinkFrame { to: neighbor, from: self.id, bytes }));
-        }
-        Ok(outs)
-    }
-
     /// Steady-state liveness work (with heartbeats disabled, a serving
     /// tick is still accepted but does nothing — the legacy behaviour).
     /// Per neighbour:
     ///
     /// * an established, trusted link gets a heartbeat every `interval`
     ///   ticks;
-    /// * a believed-dead neighbour whose plain link the host reinstalled
-    ///   is healed immediately (pull-replay — the stale-liveness-view
-    ///   fix);
-    /// * an unkeyed link is probed with a fresh handshake (attested
-    ///   brokers; retried every `suspect_after` ticks);
+    /// * a believed-dead neighbour that re-keyed the link from its own
+    ///   side is healed immediately (pull-replay — the
+    ///   stale-liveness-view fix);
+    /// * an unkeyed link is probed with a fresh handshake (retried every
+    ///   `suspect_after` ticks);
     /// * a link wedged on a sequence gap past `gap_grace` is declared
     ///   [`SuspectReason::Gap`] and proactively re-keyed + resynced;
     /// * a link silent past `suspect_after` is declared
@@ -1791,9 +1679,10 @@ impl Broker {
             let seen = *self.last_rx.entry(n).or_insert(self.ticks);
             let keyed = self.links.contains_key(&n);
             if keyed && self.dead_links.contains(&n) {
-                // Stale liveness view: the host reinstalled a plain link
-                // to a neighbour we believed dead — it is reachable, so
-                // reconcile what we missed while ignoring it.
+                // Stale liveness view: a neighbour we believed dead
+                // re-keyed the link while we were still rejoining — it is
+                // reachable, so reconcile what we missed while ignoring
+                // it.
                 outs.extend(self.heal_dead_link(n)?);
                 continue;
             }
@@ -1822,7 +1711,7 @@ impl Broker {
                         outs.push(Output::Frame(LinkFrame { to: n, from: self.id, bytes }));
                     }
                 }
-            } else if self.platform.is_some() && !self.responses.contains_key(&n) {
+            } else if !self.responses.contains_key(&n) {
                 // No channel (the neighbour was dead at our restart, or
                 // its key died with it): probe with a fresh handshake.
                 // An unanswered probe is retried once its age exceeds
@@ -1853,7 +1742,7 @@ impl Broker {
                     // frames. Heal at link level: re-key, then pull a
                     // replay on the fresh channel to recover whatever
                     // subscription traffic the gap swallowed.
-                    if self.platform.is_some() && !self.initiations.contains_key(&n) {
+                    if !self.initiations.contains_key(&n) {
                         self.resync.insert(n);
                         let (wire, state) = self.initiate_handshake()?;
                         self.initiations.insert(n, state);
@@ -1889,12 +1778,9 @@ impl Broker {
     // ---- link handshake ------------------------------------------------
 
     fn initiate_handshake(&mut self) -> Result<(Vec<u8>, LinkInitiator), OverlayError> {
-        let (Some(platform), Some(enclave)) = (&self.platform, &self.enclave) else {
-            return Err(OverlayError::Link {
-                reason: "link handshake requires an attested broker",
-            });
-        };
-        let (hello, state) = sgx_sim::link::initiate(platform, enclave, &mut self.rng)?;
+        let enclave =
+            self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
+        let (hello, state) = sgx_sim::link::initiate(&self.platform, enclave, &mut self.rng)?;
         Ok((Message::LinkHello { payload: hello.to_bytes() }.to_wire(), state))
     }
 
@@ -1905,16 +1791,13 @@ impl Broker {
             return Err(OverlayError::Link { reason: "handshake from a non-neighbour" });
         }
         let hello = LinkHello::from_bytes(payload)?;
-        let (Some(platform), Some(enclave)) = (&self.platform, &self.enclave) else {
-            return Err(OverlayError::Link {
-                reason: "link handshake requires an attested broker",
-            });
-        };
+        let enclave =
+            self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
         let (Some(service), Some(policy)) = (&self.service, &self.policy) else {
             return Err(OverlayError::Link { reason: "link trust anchors not configured" });
         };
         let (accept, state) =
-            sgx_sim::link::accept(platform, enclave, service, policy, &hello, &mut self.rng)?;
+            sgx_sim::link::accept(&self.platform, enclave, service, policy, &hello, &mut self.rng)?;
         self.responses.insert(from, state);
         Ok(vec![Output::Frame(LinkFrame {
             to: from,
@@ -1937,7 +1820,7 @@ impl Broker {
         };
         let (finish, key) =
             sgx_sim::link::finish(state, &accept, service, policy, enclave, &mut self.rng)?;
-        self.install_sealed_link(from, &key);
+        self.install_sealed_link(from, key.as_bytes());
         let mut outs = vec![Output::Frame(LinkFrame {
             to: from,
             from: self.id,
@@ -1956,7 +1839,7 @@ impl Broker {
         let enclave =
             self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
         let key = sgx_sim::link::complete(state, &finish, enclave)?;
-        self.install_sealed_link(from, &key);
+        self.install_sealed_link(from, key.as_bytes());
         self.post_link_up(from)
     }
 
@@ -2001,7 +1884,7 @@ impl Broker {
             });
         }
         let opened = match self.links.get_mut(&from) {
-            Some(LinkChannel::Sealed { inbound, .. }) => match inbound.open(bytes) {
+            Some(LinkChannel { inbound, .. }) => match inbound.open(bytes) {
                 // The metadata word (a publication's trace id) rides in
                 // clear but is AAD-bound, so a successful open vouches
                 // for it.
@@ -2009,7 +1892,6 @@ impl Broker {
                 Err(NetError::Gap { expected, got }) => Opened::Gap { expected, got },
                 Err(err) => Opened::Failed(err),
             },
-            Some(LinkChannel::Plain) => Opened::Wire { wire: bytes.to_vec(), meta: 0 },
             None => Opened::NoChannel,
         };
         match opened {
@@ -2046,6 +1928,11 @@ impl Broker {
                     Ok(Message::LinkAccept { payload }) if self.initiations.contains_key(&from) => {
                         self.hs_accept(from, &payload)
                     }
+                    // The answer to a handshake of ours that the link
+                    // outran: the neighbour re-keyed from its own side
+                    // first, and the fresh channel dropped our initiation.
+                    // Nothing is left to finish.
+                    Ok(Message::LinkAccept { .. }) => Ok(Vec::new()),
                     Ok(Message::LinkFinish { payload }) if self.responses.contains_key(&from) => {
                         self.hs_finish(from, &payload)
                     }
@@ -2426,9 +2313,8 @@ impl Broker {
     /// as the next link of the chain, bound to a fresh monotonic-counter
     /// value (so every older or shorter file is rollback-detected); the
     /// host appends a delta to its file and replaces the file with a
-    /// base. Without a platform (pre-shared trust) the same entries are
-    /// stored unsealed. Reached only through
-    /// [`Broker::flush_checkpoint`], so each step seals at most once.
+    /// base. Reached only through [`Broker::flush_checkpoint`], so each
+    /// step seals at most once.
     ///
     /// Admissions and retirements both append. The compaction rule is
     /// fixed: write a base when there is none, by size — the deltas on
@@ -2440,40 +2326,38 @@ impl Broker {
     /// bases every base write is paid for by a quarter base of retired or
     /// one base of appended bytes — amortised O(entry) per mutation — a retired
     /// registration leaves the disk within a quarter base of further
-    /// retirements, the file stays under twice its base, and a restart
-    /// redoes at most one base's worth of journal.
+    /// retirements, the deltas on disk stay under the base's size plus
+    /// one entry's seal, and a restart redoes at most one base's worth of
+    /// journal.
     fn checkpoint(&mut self) -> Result<(), OverlayError> {
         self.seals += 1;
         let compact = self.force_base
             || self.sealed.is_none()
             || self.log.delta_bytes + self.core.journal.len() >= self.log.base_bytes
             || self.core.retired_bytes >= self.log.base_bytes / RETIRED_DIVISOR;
-        let core = &mut self.core;
-        let (plain_bytes, entry) = match (&self.enclave, &self.platform, self.counter) {
-            (Some(enclave), Some(platform), Some(counter)) => {
-                let rng = &mut self.rng;
-                enclave.ecall(|ctx| -> Result<(usize, Vec<u8>), OverlayError> {
-                    let (payload, base) = core.checkpoint_payload(compact);
-                    let (version, blob) = VersionedSeal::seal_link(
-                        ctx,
-                        SealPolicy::MrEnclave,
-                        platform,
-                        counter,
-                        base,
-                        &payload,
-                        rng,
-                    )?;
-                    if compact {
-                        core.base_version = version;
-                    }
-                    Ok((payload.len(), blob))
-                })?
-            }
-            _ => {
-                let (payload, _) = core.checkpoint_payload(compact);
-                (payload.len(), payload)
-            }
-        };
+        let enclave = self
+            .enclave
+            .as_ref()
+            .ok_or(OverlayError::Lifecycle { reason: "checkpoint of a crashed broker" })?;
+        let (core, platform, counter, rng) =
+            (&mut self.core, &self.platform, self.counter, &mut self.rng);
+        let (plain_bytes, entry) =
+            enclave.ecall(|ctx| -> Result<(usize, Vec<u8>), OverlayError> {
+                let (payload, base) = core.checkpoint_payload(compact);
+                let (version, blob) = VersionedSeal::seal_link(
+                    ctx,
+                    SealPolicy::MrEnclave,
+                    platform,
+                    counter,
+                    base,
+                    &payload,
+                    rng,
+                )?;
+                if compact {
+                    core.base_version = version;
+                }
+                Ok((payload.len(), blob))
+            })?;
         self.sealed_bytes += plain_bytes as u64;
         let file = self.sealed.get_or_insert_default();
         if compact {
@@ -2558,8 +2442,8 @@ impl Broker {
 
     /// Drains the in-enclave flight recorder through an explicit,
     /// costed ocall (the records leave the enclave exactly once, and
-    /// the exit is charged like any other). Plain brokers drain
-    /// directly. Returns the hop records in arrival order.
+    /// the exit is charged like any other). A crashed broker's empty
+    /// recorder drains directly. Returns the hop records in arrival order.
     pub fn drain_trace(&mut self) -> Vec<HopRecord> {
         let core = &mut self.core;
         match &self.enclave {
@@ -2617,11 +2501,16 @@ pub fn router_builder(code: &[u8]) -> EnclaveBuilder {
 mod checkpoint_proptests;
 
 #[cfg(test)]
+mod test_broker;
+
+#[cfg(test)]
 mod uncover_proptests;
 
 #[cfg(test)]
 mod tests {
+    use super::test_broker::{provision, serving};
     use super::*;
+    use crate::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
     use scbr::ids::KeyEpoch;
     use scbr::{PublicationSpec, SubscriptionSpec};
 
@@ -2657,6 +2546,11 @@ mod tests {
         }
     }
 
+    /// A memory simulator for restoring a core outside any enclave.
+    fn native() -> MemorySim {
+        MemorySim::native(CacheConfig::default(), CostModel::free())
+    }
+
     #[test]
     fn link_interface_encoding() {
         let iface = link_interface(5);
@@ -2665,16 +2559,10 @@ mod tests {
     }
 
     #[test]
-    fn preshared_broker_admits_and_routes_through_step() {
+    fn broker_admits_and_routes_through_step() {
         let mut rng = CryptoRng::from_seed(1);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 1, false);
-        broker.set_neighbors(&[1, 2]);
-        broker.install_plain_link(1);
-        broker.install_plain_link(2);
-        assert_eq!(broker.lifecycle(), Lifecycle::Cold);
-        broker.provision_preshared(&producer);
-        assert_eq!(broker.lifecycle(), Lifecycle::Serving);
+        let (mut broker, mut peers) = serving(0, 1, false, &[1, 2], &producer);
 
         // A local subscription propagates to both neighbours.
         let spec = SubscriptionSpec::new().gt("price", 10.0);
@@ -2692,7 +2580,7 @@ mod tests {
         let envelope2 =
             producer.seal_registration(&narrow, SubscriptionId(2), ClientId(8), &mut rng).unwrap();
         let wire = Message::SubForward { envelope: envelope2 }.to_wire();
-        let outs = broker.step(1, Input::Frame { from: 1, bytes: wire }).unwrap();
+        let outs = broker.step(1, peers.frame(1, &wire)).unwrap();
         assert!(frames(&outs).is_empty(), "covered subscription is pruned");
         assert_eq!(broker.subscriptions(), 2);
         assert_eq!(broker.stats().pruned, 1);
@@ -2702,7 +2590,7 @@ mod tests {
         let publication = PublicationSpec::new().attr("price", 60.0);
         let batch = Message::PublishBatch { items: vec![item(&producer, &publication, &mut rng)] }
             .to_wire();
-        let outs = broker.step(2, Input::Frame { from: 2, bytes: batch }).unwrap();
+        let outs = broker.step(2, peers.frame(2, &batch)).unwrap();
         let delivered = deliveries(&outs);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].client, ClientId(7));
@@ -2716,10 +2604,7 @@ mod tests {
     fn flood_mode_skips_pruning() {
         let mut rng = CryptoRng::from_seed(2);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 2, true);
-        broker.set_neighbors(&[1]);
-        broker.install_plain_link(1);
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 2, true, &[1], &producer);
         for (i, spec) in
             [SubscriptionSpec::new().gt("price", 0.0), SubscriptionSpec::new().gt("price", 10.0)]
                 .iter()
@@ -2737,10 +2622,7 @@ mod tests {
     fn removing_a_covering_sub_uncovers_and_reforwards() {
         let mut rng = CryptoRng::from_seed(5);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 5, false);
-        broker.set_neighbors(&[1]);
-        broker.install_plain_link(1);
-        broker.provision_preshared(&producer);
+        let (mut broker, mut peers) = serving(0, 5, false, &[1], &producer);
 
         let broad = producer
             .seal_registration(
@@ -2760,6 +2642,7 @@ mod tests {
             .unwrap();
         let outs = broker.step(0, Input::Subscribe { envelope: broad }).unwrap();
         assert_eq!(frames(&outs).len(), 1, "broad forwards");
+        assert_eq!(peers.open(frames(&outs)[0]).kind(), "sub-forward");
         let outs = broker.step(1, Input::Subscribe { envelope: narrow }).unwrap();
         assert!(frames(&outs).is_empty(), "narrow is pruned under broad");
 
@@ -2771,10 +2654,8 @@ mod tests {
             o,
             Output::Event(LinkEvent::Unsubscribed { id, removed: true }) if id.0 == 1
         )));
-        let kinds: Vec<String> = frames(&outs)
-            .iter()
-            .map(|f| Message::from_wire(&f.bytes).unwrap().kind().to_owned())
-            .collect();
+        let kinds: Vec<String> =
+            frames(&outs).iter().map(|f| peers.open(f).kind().to_owned()).collect();
         assert_eq!(kinds, vec!["sub-forward", "sub-remove"], "make-before-break ordering");
         let stats = broker.stats();
         assert_eq!(stats.uncovered, 1);
@@ -2790,11 +2671,7 @@ mod tests {
         // never run steady-state timer work.
         let mut rng = CryptoRng::from_seed(11);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 11, false);
-        broker.set_neighbors(&[1]);
-        broker.install_plain_link(1);
-        broker.provision_preshared(&producer);
-        assert_eq!(broker.lifecycle(), Lifecycle::Serving);
+        let (mut broker, mut peers) = serving(0, 11, false, &[1], &producer);
 
         // Without heartbeats configured, a serving tick stays a no-op
         // (the legacy behaviour).
@@ -2805,7 +2682,7 @@ mod tests {
         let hb = frames(&outs);
         assert_eq!(hb.len(), 1, "one heartbeat on the established link");
         assert_eq!(hb[0].to, 1);
-        assert!(matches!(Message::from_wire(&hb[0].bytes).unwrap(), Message::Heartbeat));
+        assert!(matches!(peers.open(hb[0]), Message::Heartbeat));
         assert_eq!(broker.stats().heartbeats, 1);
 
         // The neighbour stays silent: after `suspect_after` silent ticks
@@ -2821,24 +2698,23 @@ mod tests {
         assert_eq!(suspects, vec![(1, SuspectReason::Silence)], "one accusation per episode");
 
         // An authentic inbound frame retracts the accusation.
-        let outs =
-            broker.step(10, Input::Frame { from: 1, bytes: Message::Heartbeat.to_wire() }).unwrap();
+        let outs = broker.step(10, peers.frame(1, &Message::Heartbeat.to_wire())).unwrap();
         assert!(
             outs.iter().any(|o| matches!(o, Output::Event(LinkEvent::Cleared { link: 1 }))),
             "proof of life clears the suspect, got {outs:?}"
         );
     }
 
-    /// Two linked serving brokers: a (0, the edge) — b (1).
+    /// The key of the link between [`linked_pair`]'s brokers.
+    const PAIR_KEY: [u8; 32] = [0x5a; 32];
+
+    /// Two linked serving brokers: a (0, the edge) — b (1), on
+    /// [`PAIR_KEY`].
     fn linked_pair(producer: &ProducerCrypto) -> (Broker, Broker) {
-        let mut a = Broker::preshared(0, 7, false);
-        let mut b = Broker::preshared(1, 8, false);
-        a.set_neighbors(&[1]);
-        b.set_neighbors(&[0]);
-        a.install_plain_link(1);
-        b.install_plain_link(0);
-        a.provision_preshared(producer);
-        b.provision_preshared(producer);
+        let (mut a, _) = serving(0, 7, false, &[1], producer);
+        let (mut b, _) = serving(1, 8, false, &[0], producer);
+        a.install_sealed_link(1, &PAIR_KEY);
+        b.install_sealed_link(0, &PAIR_KEY);
         (a, b)
     }
 
@@ -2919,6 +2795,8 @@ mod tests {
         let mut rng = CryptoRng::from_seed(17);
         let producer = producer(&mut rng);
         let (mut a, mut b) = linked_pair(&producer);
+        // Reads the kinds of what a sends b, in order, off the shared key.
+        let mut tap = SecureLink::inbound(&PAIR_KEY, 1, 0);
         let mut register = |a: &mut Broker, b: &mut Broker, id: u64, above: f64| {
             let spec = SubscriptionSpec::new().gt("price", above);
             let envelope = producer
@@ -2927,7 +2805,9 @@ mod tests {
             let outs = a.step(id, Input::Subscribe { envelope }).unwrap();
             let kinds: Vec<String> = frames(&outs)
                 .iter()
-                .map(|f| Message::from_wire(&f.bytes).unwrap().kind().to_owned())
+                .map(|f| {
+                    Message::from_wire(&tap.open(&f.bytes).unwrap()).unwrap().kind().to_owned()
+                })
                 .collect();
             for f in frames(&outs) {
                 b.step(id, Input::Frame { from: f.from, bytes: f.bytes.clone() }).unwrap();
@@ -2959,10 +2839,7 @@ mod tests {
     fn pruned_removal_is_silent_and_double_remove_is_idempotent() {
         let mut rng = CryptoRng::from_seed(6);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 6, false);
-        broker.set_neighbors(&[1]);
-        broker.install_plain_link(1);
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 6, false, &[1], &producer);
         let broad = producer
             .seal_registration(
                 &SubscriptionSpec::new().gt("price", 0.0),
@@ -3008,11 +2885,7 @@ mod tests {
     fn attested_broker_counts_one_crossing_per_batch() {
         let mut rng = CryptoRng::from_seed(3);
         let producer = producer(&mut rng);
-        let mut broker = Broker::attested(0, 33, b"router v1", false).unwrap();
-        broker.set_neighbors(&[]);
-        // Install keys directly (attestation is exercised in the fabric
-        // tests; this test is about crossing accounting).
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 33, false, &[], &producer);
         let envelope = producer
             .seal_registration(
                 &SubscriptionSpec::new().gt("p", 1.0),
@@ -3036,7 +2909,7 @@ mod tests {
     fn lifecycle_gates_inputs() {
         let mut rng = CryptoRng::from_seed(9);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 9, false);
+        let mut broker = Broker::attested(0, 9, ROUTER_ENCLAVE_CODE, false).unwrap();
         let envelope = producer
             .seal_registration(
                 &SubscriptionSpec::new().gt("p", 1.0),
@@ -3055,7 +2928,8 @@ mod tests {
             broker.step(0, Input::Restart { dead_links: vec![] }),
             Err(OverlayError::Lifecycle { .. })
         ));
-        broker.provision_preshared(&producer);
+        provision(&mut broker, &producer);
+        assert_eq!(broker.lifecycle(), Lifecycle::Serving, "no neighbours: nothing to link");
         broker.step(1, Input::Subscribe { envelope }).unwrap();
         // Crash is idempotent; crashed brokers refuse traffic.
         broker.step(2, Input::Crash).unwrap();
@@ -3075,12 +2949,11 @@ mod tests {
 
     #[test]
     fn crash_drops_volatile_state_and_restart_restores_from_the_record() {
-        // A neighbour-less broker: recovery comes from the (sealed)
-        // record alone, so the restart transitions straight to Serving.
+        // A neighbour-less broker: recovery comes from the sealed record
+        // alone, so the restart transitions straight to Serving.
         let mut rng = CryptoRng::from_seed(10);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 10, false);
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 10, false, &[], &producer);
         for i in 0..3u64 {
             let envelope = producer
                 .seal_registration(
@@ -3104,8 +2977,9 @@ mod tests {
             Output::Event(LinkEvent::Rejoined { replayed: 0, dropped_stale: 0, downtime: 10 })
         )));
         assert_eq!(broker.lifecycle(), Lifecycle::Serving);
-        // Keys are volatile: the host must re-provision before traffic.
-        broker.provision_preshared(&producer);
+        // Keys are volatile: the relaunched enclave is attested again
+        // before traffic.
+        provision(&mut broker, &producer);
         let outs = broker
             .step(
                 21,
@@ -3122,12 +2996,63 @@ mod tests {
     fn frames_on_unknown_links_are_refused() {
         let mut rng = CryptoRng::from_seed(4);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 4, false);
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 4, false, &[], &producer);
         assert!(matches!(
             broker.step(0, Input::Frame { from: 9, bytes: b"junk".to_vec() }),
             Err(OverlayError::Link { reason: "no link to neighbour" })
         ));
+    }
+
+    /// Two serving brokers open a handshake toward each other at once.
+    /// b's completes first; the fresh channel drops a's own initiation,
+    /// and the answer to a's hello, arriving after that, is a no-op: a
+    /// stays on the key both ends hold and the step does not fail.
+    #[test]
+    fn a_late_accept_for_a_handshake_the_link_outran_is_dropped() {
+        let mut rng = CryptoRng::from_seed(18);
+        let producer = producer(&mut rng);
+        let (mut a, _) = serving(0, 18, false, &[1], &producer);
+        let (mut b, _) = serving(1, 19, false, &[0], &producer);
+        let mut service = AttestationService::new();
+        service.trust_platform(a.platform().attestation_public_key().clone());
+        service.trust_platform(b.platform().attestation_public_key().clone());
+        let policy = VerifierPolicy::require_mr_enclave(router_measurement());
+        a.configure_trust(service.clone(), policy.clone());
+        b.configure_trust(service, policy);
+
+        let (hello_a, state) = a.initiate_handshake().unwrap();
+        a.initiations.insert(1, state);
+        let (hello_b, state) = b.initiate_handshake().unwrap();
+        b.initiations.insert(0, state);
+        let answer = |broker: &mut Broker, from: usize, bytes: Vec<u8>| -> Vec<u8> {
+            let outs = broker.step(0, Input::Frame { from, bytes }).unwrap();
+            frames(&outs)
+                .into_iter()
+                .find(|f| f.to == from)
+                .expect("a handshake reply")
+                .bytes
+                .clone()
+        };
+        let accept_from_a = answer(&mut a, 1, hello_b);
+        let accept_from_b = answer(&mut b, 0, hello_a);
+        let finish_from_b = answer(&mut b, 0, accept_from_a);
+        assert!(a.step(1, Input::Frame { from: 1, bytes: finish_from_b }).is_ok());
+        assert!(!a.initiations.contains_key(&1), "the fresh channel dropped a's handshake");
+
+        let late = a.step(2, Input::Frame { from: 1, bytes: accept_from_b }).unwrap();
+        assert!(late.is_empty(), "nothing is left to finish: {late:?}");
+        let envelope = producer
+            .seal_registration(
+                &SubscriptionSpec::new().gt("p", 1.0),
+                SubscriptionId(1),
+                ClientId(1),
+                &mut rng,
+            )
+            .unwrap();
+        let outs = a.step(3, Input::Subscribe { envelope }).unwrap();
+        let forward = frames(&outs)[0];
+        b.step(3, Input::Frame { from: 0, bytes: forward.bytes.clone() }).unwrap();
+        assert_eq!(b.subscriptions(), 1, "both ends kept the same key");
     }
 
     fn subscribe_n(
@@ -3153,10 +3078,12 @@ mod tests {
     fn checkpoints_append_deltas_and_compact_by_the_fixed_rule() {
         let mut rng = CryptoRng::from_seed(13);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 13, false);
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 13, false, &[], &producer);
         assert!(broker.sealed_record().is_none());
 
+        // Sealing adds the same few bytes to every entry, base or delta:
+        // the entry is the payload the step sealed, plus that overhead.
+        let mut overhead = None;
         let mut appended = 0;
         for i in 0..40u64 {
             let before = (broker.stats(), broker.sealed_record().map_or(0, <[u8]>::len));
@@ -3165,46 +3092,44 @@ mod tests {
             assert_eq!(after.seals, before.0.seals + 1, "one checkpoint per mutating step");
             let entries = journal::split_entries(file).unwrap();
             assert_eq!(entries.len() as u64, 1 + after.log_entries);
+            let payload = (after.sealed_bytes - before.0.sealed_bytes) as usize;
+            let sealing = entries.last().unwrap().len() - payload;
+            assert_eq!(*overhead.get_or_insert(sealing), sealing);
             if after.compactions == before.0.compactions {
                 // A delta: the file only grew, by a few hundred bytes.
                 assert_eq!(after.log_entries, before.0.log_entries + 1);
-                assert!(file.len() > before.1 && file.len() - before.1 < 400);
+                assert!(file.len() > before.1 && payload < 400);
                 appended += 1;
             } else {
                 assert_eq!(after.log_entries, 0, "a base replaces the whole file");
-                assert_eq!(entries[0], broker.core.serialize_record());
+                assert_eq!(payload, broker.core.serialize_record().len());
             }
-            // The file never reaches twice its base.
-            assert!(file.len() < 2 * (entries[0].len() + 4));
-            assert_eq!(
-                after.sealed_bytes - before.0.sealed_bytes,
-                entries.last().unwrap().len() as u64,
-                "unsealed brokers store exactly the bytes they would have sealed"
-            );
+            // The deltas never outgrow the base by more than one seal.
+            let deltas: usize = entries[1..].iter().map(|d| d.len()).sum();
+            assert!(deltas < entries[0].len() + sealing);
         }
         let stats = broker.stats();
         assert!(appended >= 30, "most checkpoints are deltas, got {appended}");
         assert!((3..=10).contains(&stats.compactions), "doubling rule: {}", stats.compactions);
 
-        // A retiring step appends too — ten bytes — and the retired
-        // envelope stays on the host's disk, counted.
+        // A retiring step appends too — ten bytes, sealed — and the
+        // retired envelope stays on the host's disk, counted.
+        let overhead = overhead.unwrap();
         subscribe_n(&mut broker, &producer, &mut rng, 40..41);
-        let retired = broker.core.live[&SubscriptionId(40)].envelope.clone();
-        let holds = |file: &[u8]| file.windows(retired.len()).any(|w| w == retired);
+        let retired = broker.core.live[&SubscriptionId(40)].envelope.len();
         let mut retire = |broker: &mut Broker, id: u64| {
             let unreg =
                 producer.seal_unregistration(SubscriptionId(id), ClientId(id), &mut rng).unwrap();
             broker.step(41 + id, Input::Unsubscribe { envelope: unreg }).unwrap();
         };
         let before = (broker.stats(), broker.sealed_record().unwrap().len());
-        assert!(before.0.log_entries > 0 && holds(broker.sealed_record().unwrap()));
+        assert!(before.0.log_entries > 0, "the envelope went to disk in a delta");
         retire(&mut broker, 40);
         let after = broker.stats();
         assert_eq!((after.seals, after.compactions), (stats.seals + 2, stats.compactions));
         assert_eq!(after.log_entries, before.0.log_entries + 1);
-        assert_eq!(broker.sealed_record().unwrap().len(), before.1 + 4 + 10);
-        assert_eq!(broker.core.retired_bytes, retired.len());
-        assert!(holds(broker.sealed_record().unwrap()));
+        assert_eq!(broker.sealed_record().unwrap().len(), before.1 + 4 + 10 + overhead);
+        assert_eq!(broker.core.retired_bytes, retired);
 
         // Retirements alone then cross the retired quarter, long before
         // their deltas could reach the base's size. That compaction takes
@@ -3215,15 +3140,18 @@ mod tests {
             let retired_bytes =
                 broker.core.retired_bytes + broker.core.live[&SubscriptionId(id)].envelope.len();
             retire(&mut broker, id);
-            let file = broker.sealed_record().unwrap();
-            assert!(file.len() < 2 * (broker.log.base_bytes + 4));
+            assert!(broker.log.delta_bytes < broker.log.base_bytes + overhead);
             let quarter_reached = retired_bytes >= log.base_bytes / RETIRED_DIVISOR;
             if broker.stats().compactions == compactions {
                 assert!(!quarter_reached && broker.core.retired_bytes == retired_bytes);
                 continue;
             }
             assert_eq!((broker.stats().log_entries, broker.core.retired_bytes), (0, 0));
-            assert!(!holds(file), "a compaction drops every retired envelope");
+            assert_eq!(
+                broker.log.base_bytes,
+                broker.core.serialize_record().len() + overhead,
+                "a compaction leaves one base, of the live set alone"
+            );
             if log.delta_bytes + 10 < log.base_bytes {
                 assert!(quarter_reached, "neither rule was due");
                 by_retired_quarter = true;
@@ -3237,10 +3165,8 @@ mod tests {
     fn attested_checkpoint_is_one_crossing_and_one_counter_value() {
         let mut rng = CryptoRng::from_seed(14);
         let producer = producer(&mut rng);
-        let mut broker = Broker::attested(0, 14, b"router v1", false).unwrap();
-        broker.set_neighbors(&[]);
-        broker.provision_preshared(&producer);
-        let counter = broker.counter.unwrap();
+        let (mut broker, _) = serving(0, 14, false, &[], &producer);
+        let counter = broker.counter;
         let (mut bases, mut deltas) = (0, 0);
         for i in 0..12u64 {
             let before = broker.stats();
@@ -3249,7 +3175,7 @@ mod tests {
             let after = broker.stats();
             assert_eq!(after.ecalls, 2, "admission + checkpoint, base or delta");
             assert_eq!(
-                broker.platform().unwrap().read_counter(counter).unwrap(),
+                broker.platform().read_counter(counter).unwrap(),
                 i + 1,
                 "each checkpoint takes exactly one counter value"
             );
@@ -3275,8 +3201,7 @@ mod tests {
     fn a_crash_discards_the_pending_journal_with_the_mutations_it_describes() {
         let mut rng = CryptoRng::from_seed(15);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 15, false);
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 15, false, &[], &producer);
         subscribe_n(&mut broker, &producer, &mut rng, 0..5);
         let flushed = broker.core.serialize_record();
         let file = broker.sealed_record().unwrap().to_vec();
@@ -3305,50 +3230,46 @@ mod tests {
     }
 
     #[test]
-    fn an_edited_unsealed_file_is_refused_not_trusted() {
-        // Pre-shared brokers store the chain unsealed: no rollback
-        // protection, but a file that does not parse or does not redo
-        // must still fail the restart cleanly.
+    fn an_edited_journal_is_refused_by_the_redo() {
+        // The seal chain keeps the host from editing the file at all
+        // (`failover.rs`). Behind it, redo still refuses a journal the
+        // live core could not have written instead of skipping an entry:
+        // the live core journals a retirement only for an id it holds.
         let mut rng = CryptoRng::from_seed(16);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 16, false);
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 16, false, &[], &producer);
         subscribe_n(&mut broker, &producer, &mut rng, 0..6);
-        let genuine = broker.sealed_record().unwrap().to_vec();
-        let entries = journal::split_entries(&genuine).unwrap();
-        assert!(entries.len() >= 2, "a base and at least one delta");
-        broker.step(10, Input::Crash).unwrap();
-
-        let mut cut = genuine.clone();
-        cut.truncate(genuine.len() - 3);
-        let mut unknown_kind = genuine.clone();
-        journal::append_entry(&mut unknown_kind, &[3, 0, 0, 0, 0, 0, 0, 0, 77, 0]);
-        let mut unknown_id = genuine.clone();
-        journal::append_entry(&mut unknown_id, &[2, 0, 0, 0, 0, 0, 0, 0, 77, 0]);
-        let mut delta_first = Vec::new();
-        journal::append_entry(&mut delta_first, entries[1]);
-        for (bad, what) in [
-            (cut, "torn tail"),
-            (unknown_kind, "delta entry of a kind the journal does not have"),
-            (unknown_id, "removal of an id that was never admitted"),
-            (delta_first, "delta in base position"),
+        let base = broker.core.serialize_record();
+        let removal = |id: u64| {
+            let mut journal = Journal::default();
+            journal.remove(SubscriptionId(id), Origin::Local);
+            journal.take()
+        };
+        let mut torn = removal(1);
+        torn.truncate(torn.len() - 3);
+        let (unknown_kind, never_admitted) = ([3, 0, 0, 0, 0, 0, 0, 0, 77, 0], removal(77));
+        let once = removal(0);
+        for (record, what) in [
+            (vec![&base[..], &unknown_kind], "delta entry of a kind the journal does not have"),
+            (vec![&base[..], &never_admitted], "removal of an id that was never admitted"),
+            (vec![&base[..], &once, &once], "removal of an id already removed"),
+            (vec![&base[..], &torn], "torn delta"),
+            (vec![&once[..]], "delta in base position"),
         ] {
-            broker.set_sealed_record(bad);
-            assert!(broker.step(11, Input::Restart { dead_links: vec![] }).is_err(), "{what}");
-            assert_eq!(broker.lifecycle(), Lifecycle::Crashed, "{what}");
-            assert_eq!(broker.subscriptions(), 0, "{what}");
+            let refused = BrokerCore::restore(&record, &native(), false, &[]);
+            assert!(matches!(refused, Err(ScbrError::Codec { .. })), "{what}: {:?}", refused.err());
         }
-        broker.set_sealed_record(genuine);
-        broker.step(12, Input::Restart { dead_links: vec![] }).unwrap();
-        assert_eq!(broker.subscriptions(), 6);
+        let genuine = BrokerCore::restore(&[&base, &once], &native(), false, &[]).unwrap();
+        assert_eq!(genuine.live.len(), 5);
     }
 
     #[test]
     fn a_record_in_the_old_single_slice_layout_is_refused() {
+        // The seal does not know layouts: an old record opens, and the
+        // restore then refuses it.
         let mut rng = CryptoRng::from_seed(17);
         let producer = producer(&mut rng);
-        let mut broker = Broker::preshared(0, 17, false);
-        broker.provision_preshared(&producer);
+        let (mut broker, _) = serving(0, 17, false, &[], &producer);
         subscribe_n(&mut broker, &producer, &mut rng, 0..3);
         let record = broker.core.serialize_record();
         // The layout opens `u32::MAX ‖ version`, then the engine snapshot,
@@ -3358,18 +3279,10 @@ mod tests {
         let unversioned = &record[5..];
         let mut counted = vec![0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 1];
         counted.extend_from_slice(unversioned);
-        broker.step(10, Input::Crash).unwrap();
         for (layout, what) in [(unversioned, "unversioned"), (&counted[..], "version 1, counted")] {
-            let mut old = Vec::new();
-            journal::append_entry(&mut old, layout);
-            broker.set_sealed_record(old);
-            let refused = broker.step(11, Input::Restart { dead_links: vec![] });
-            assert!(
-                matches!(refused, Err(OverlayError::Routing(ScbrError::Codec { .. }))),
-                "{what}: {refused:?}"
-            );
-            assert_eq!(broker.lifecycle(), Lifecycle::Crashed, "{what}");
-            assert_eq!(broker.subscriptions(), 0, "{what}");
+            let refused = BrokerCore::restore(&[layout], &native(), false, &[]);
+            assert!(matches!(refused, Err(ScbrError::Codec { .. })), "{what}: {:?}", refused.err());
         }
+        assert_eq!(BrokerCore::restore(&[&record], &native(), false, &[]).unwrap().live.len(), 3);
     }
 }

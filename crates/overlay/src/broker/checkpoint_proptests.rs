@@ -1,15 +1,17 @@
 //! Property: **crash anywhere, restart, and nothing is different.**
 //!
-//! One broker with two neighbours is driven through a generated schedule
-//! of every input that mutates subscription state — local subscribe and
-//! unsubscribe, link `sub-forward` / `sub-remove` / `sub-drop`,
-//! re-registration of a live id with a changed filter and serving ticks —
-//! and crashed after a random step. Its only way back is the host file:
-//! the last base plus the deltas appended since, admissions and
-//! retirements alike, redone through the live admission and removal
-//! code. An uncrashed twin receives the same
-//! inputs. After the restart, and again after the rest of the schedule
-//! and a second crash, the two must be indistinguishable:
+//! One attested broker with sealed links to two neighbours is driven
+//! through a generated schedule of every input that mutates subscription
+//! state — local subscribe and unsubscribe, link `sub-forward` /
+//! `sub-remove` / `sub-drop`, re-registration of a live id with a changed
+//! filter and serving ticks — and crashed after a random step. Its only
+//! way back is the host file: the sealed base plus the sealed deltas
+//! appended since, which a relaunched enclave opens against the platform
+//! counter before it redoes the deltas, admissions and retirements
+//! alike, through the live admission and removal code. An uncrashed twin
+//! receives the same inputs. After the restart, and again after the rest
+//! of the schedule and a second crash, the two must be
+//! indistinguishable:
 //!
 //! * their full recovery records serialise to the **same bytes** (engine
 //!   contents, live set, every covering table row and every ledger
@@ -28,6 +30,7 @@
 //! A child module of `broker` so it can read `BrokerCore` directly: the
 //! plaintext record must not grow a public accessor for a test's sake.
 
+use super::test_broker::{provision, relink, serving, Peers};
 use super::*;
 use proptest::prelude::*;
 use scbr::engine::strip_anchors;
@@ -88,29 +91,34 @@ fn shared_producer() -> ProducerCrypto {
         .clone()
 }
 
-fn new_broker(seed: u64, producer: &ProducerCrypto) -> Broker {
-    let mut broker = Broker::preshared(0, seed, false);
-    broker.set_neighbors(&NEIGHBORS);
-    relink(&mut broker, producer);
-    broker
-}
-
-/// What the host redoes around a pre-shared broker after (re)start.
-fn relink(broker: &mut Broker, producer: &ProducerCrypto) {
-    for n in NEIGHBORS {
-        broker.install_plain_link(n);
-    }
-    broker.provision_preshared(producer);
-}
-
 /// Crashes `broker` and brings it back from its host file alone: every
 /// neighbour is declared dead, so no replay papers over a bad restore.
-fn crash_and_restart(broker: &mut Broker, now: u64, producer: &ProducerCrypto) {
+/// The relaunched enclave is attested again and re-linked; returns the
+/// neighbours' new ends.
+fn crash_and_restart(broker: &mut Broker, now: u64, producer: &ProducerCrypto) -> Peers {
     broker.step(now, Input::Crash).expect("crash");
     assert_eq!(broker.subscriptions(), 0, "volatile state is gone");
     broker.step(now, Input::Restart { dead_links: NEIGHBORS.to_vec() }).expect("restart");
     assert_eq!(broker.lifecycle(), Lifecycle::Serving);
-    relink(broker, producer);
+    provision(broker, producer);
+    relink(broker)
+}
+
+/// One generated input: a local one as it is, or a neighbour's message,
+/// which each broker receives sealed on its own link.
+#[derive(Clone)]
+enum Op {
+    Local(Input),
+    Link(usize, Vec<u8>),
+}
+
+impl Op {
+    fn input(&self, peers: &mut Peers) -> Input {
+        match self {
+            Op::Local(input) => input.clone(),
+            Op::Link(from, wire) => peers.frame(*from, wire),
+        }
+    }
 }
 
 /// A live subscription as the harness (and the flat oracle) knows it.
@@ -144,15 +152,15 @@ impl Harness {
     }
 
     /// Seals `spec` as a registration of `id`, records it in the oracle
-    /// (replacing any previous filter of the id) and wraps it as the
-    /// input that delivers it from `origin`.
+    /// (replacing any previous filter of the id) and wraps it as the op
+    /// that delivers it from `origin`.
     fn registration(
         &mut self,
         id: SubscriptionId,
         client: ClientId,
         origin: Origin,
         raw: &RawSpec,
-    ) -> Input {
+    ) -> Op {
         let spec = build_spec(raw);
         let envelope =
             self.producer.seal_registration(&spec, id, client, &mut self.rng).expect("seal");
@@ -160,8 +168,8 @@ impl Harness {
             .register_plain(id, origin.deliver_to().unwrap_or(client), &spec)
             .expect("oracle register");
         match origin {
-            Origin::Local => Input::Subscribe { envelope },
-            Origin::Link(n) => frame(n, Message::SubForward { envelope }),
+            Origin::Local => Op::Local(Input::Subscribe { envelope }),
+            Origin::Link(n) => Op::Link(n, Message::SubForward { envelope }.to_wire()),
         }
     }
 
@@ -175,10 +183,10 @@ impl Harness {
         Some(gone)
     }
 
-    /// Turns one generated op into the input both brokers receive,
-    /// keeping the live set and the oracle in step. `None` when the op
-    /// has no target (e.g. an unsubscribe with nothing live).
-    fn next_input(&mut self, op: u8, pick: usize, raw: &RawSpec) -> Option<Input> {
+    /// Turns one generated op into the one both brokers receive, keeping
+    /// the live set and the oracle in step. `None` when the op has no
+    /// target (e.g. an unsubscribe with nothing live).
+    fn next_op(&mut self, op: u8, pick: usize, raw: &RawSpec) -> Option<Op> {
         match op {
             // A fresh subscription: local (0, 1) or learnt from a link
             // (2, 3).
@@ -196,21 +204,22 @@ impl Harness {
                     .producer
                     .seal_unregistration(gone.id, gone.client, &mut self.rng)
                     .expect("seal");
-                Some(Input::Unsubscribe { envelope })
+                Some(Op::Local(Input::Unsubscribe { envelope }))
             }
             // Link removal, producer-signed (5) or link-authenticated (6).
             5 | 6 => {
                 let gone = self.retire(pick, |origin| origin != Origin::Local)?;
                 let Origin::Link(n) = gone.origin else { unreachable!("picked among link subs") };
-                Some(if op == 5 {
+                let message = if op == 5 {
                     let envelope = self
                         .producer
                         .seal_unregistration(gone.id, gone.client, &mut self.rng)
                         .expect("seal");
-                    frame(n, Message::SubRemove { envelope })
+                    Message::SubRemove { envelope }
                 } else {
-                    frame(n, Message::SubDrop { id: gone.id })
-                })
+                    Message::SubDrop { id: gone.id }
+                };
+                Some(Op::Link(n, message.to_wire()))
             }
             // Re-registration of a live id with a (most likely) changed
             // filter, from wherever the id first entered.
@@ -218,7 +227,7 @@ impl Harness {
                 let &Live { id, client, origin } = self.live.get(pick % self.live.len().max(1))?;
                 Some(self.registration(id, client, origin, raw))
             }
-            _ => Some(Input::Tick),
+            _ => Some(Op::Local(Input::Tick)),
         }
     }
 
@@ -260,10 +269,6 @@ impl Harness {
     }
 }
 
-fn frame(from: usize, message: Message) -> Input {
-    Input::Frame { from, bytes: message.to_wire() }
-}
-
 /// `broker`'s full recovery record with only the engine snapshot's anchor
 /// column masked: anchors describe the shape of a covering forest, which
 /// a restart may change (the restored engine numbers attributes in
@@ -296,20 +301,6 @@ fn assert_same_state(crashed: &Broker, twin: &Broker, what: &str) -> Result<(), 
     Ok(())
 }
 
-/// Retirements journalled in the deltas of `broker`'s host file: what a
-/// restart from it redoes through `uncover_after_removal`.
-fn removals_in_deltas(broker: &Broker) -> usize {
-    let file = broker.sealed_record().unwrap_or_default();
-    let mut removals = 0;
-    for delta in journal::split_entries(file).expect("host file").iter().skip(1) {
-        let mut entries = RedoReader::new(delta);
-        while let Some(entry) = entries.next().expect("delta entry") {
-            removals += usize::from(matches!(entry, Redo::Remove { .. }));
-        }
-    }
-    removals
-}
-
 /// The whole property.
 fn crash_anywhere(
     specs: &[RawSpec],
@@ -320,8 +311,8 @@ fn crash_anywhere(
 ) -> Result<(), TestCaseError> {
     let mut harness = Harness::new(seed);
     let producer = harness.producer.clone();
-    let mut crashed = new_broker(seed, &producer);
-    let mut twin = new_broker(seed, &producer);
+    let (mut crashed, mut crashed_peers) = serving(0, seed, false, &NEIGHBORS, &producer);
+    let (mut twin, mut twin_peers) = serving(0, seed, false, &NEIGHBORS, &producer);
 
     // Eight guaranteed admissions up front: under the doubling rule that
     // alone crosses the second compaction, whatever the script does next.
@@ -335,16 +326,16 @@ fn crash_anywhere(
     let (crash_after, pairs_from) = (crash_after % (8 + script.len()), 16 + script.len());
     for (step, (op, pick)) in warmup.chain(script.iter().copied()).chain(tail).enumerate() {
         let now = step as u64;
-        if step >= pairs_from && op == 0 && removals_in_deltas(&crashed) > 0 {
+        if step >= pairs_from && op == 0 && crashed.core.retired_bytes > 0 {
             break; // a retirement sits in a delta: no further pair needed
         }
-        if let Some(input) = harness.next_input(op, pick, &specs[step % specs.len()]) {
-            crashed.step(now, input.clone()).expect("step on the crashing broker");
-            twin.step(now, input).expect("step on the twin");
+        if let Some(op) = harness.next_op(op, pick, &specs[step % specs.len()]) {
+            crashed.step(now, op.input(&mut crashed_peers)).expect("step on the crashing broker");
+            twin.step(now, op.input(&mut twin_peers)).expect("step on the twin");
         }
         if step == crash_after {
             let what = "after the mid-schedule crash";
-            crash_and_restart(&mut crashed, now, &producer);
+            crashed_peers = crash_and_restart(&mut crashed, now, &producer);
             assert_same_state(&crashed, &twin, what)?;
             harness.assert_routes_like_the_oracle(&mut crashed, probes, what)?;
         }
@@ -354,7 +345,7 @@ fn crash_anywhere(
     // from: a second crash at the very end must round-trip too, and its
     // restart redoes a retirement from a delta.
     assert_same_state(&crashed, &twin, "at the end of the schedule")?;
-    prop_assert!(removals_in_deltas(&crashed) > 0, "no retirement left in a delta to redo");
+    prop_assert!(crashed.core.retired_bytes > 0, "no retirement left in a delta to redo");
     crash_and_restart(&mut crashed, (24 + script.len()) as u64, &producer);
     assert_same_state(&crashed, &twin, "after the final crash")?;
     harness.assert_routes_like_the_oracle(&mut crashed, probes, "after the final crash")?;

@@ -4,9 +4,9 @@
 //! [`OverlayFabric`] owns one [`Broker`] per router of a [`Topology`] and
 //! drives the deployment by shuttling [`Output`]s back in as [`Input`]s:
 //!
-//! 1. **Bootstrap** — in [`Trust::Attested`] mode every broker runs on its
-//!    own simulated SGX machine; the producer provisions `SK` into each
-//!    enclave via remote attestation, and a timer tick makes every tree
+//! 1. **Bootstrap** — every broker runs on its own simulated SGX
+//!    machine; the producer provisions `SK` into each enclave via remote
+//!    attestation, and a timer tick makes every tree
 //!    edge's lower endpoint initiate the mutual-quote handshake of
 //!    [`sgx_sim::link`]. The fabric forwards the handshake frames until
 //!    every broker reports `Serving`; all subsequent frames on an edge
@@ -67,17 +67,6 @@ pub enum Propagation {
     Flood,
 }
 
-/// How brokers and links authenticate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Trust {
-    /// Per-broker SGX platforms, SK via remote attestation, links keyed
-    /// by mutual-quote handshakes and sealed.
-    Attested,
-    /// Keys installed directly, links in the clear (fast functional
-    /// testing; no security claims).
-    PreShared,
-}
-
 /// Fabric construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct FabricConfig {
@@ -85,8 +74,6 @@ pub struct FabricConfig {
     pub seed: u64,
     /// Subscription-propagation mode.
     pub propagation: Propagation,
-    /// Authentication mode.
-    pub trust: Trust,
     /// Group-key epoch stamped onto published payloads. Advanced by the
     /// operator on key rotation ([`OverlayFabric::set_epoch`]) — restart
     /// tests advance it across a crash to pin that recovery does not
@@ -111,16 +98,10 @@ impl FabricConfig {
         FabricConfig {
             seed,
             propagation: Propagation::CoveringPruned,
-            trust: Trust::Attested,
             epoch: KeyEpoch(0),
             heartbeats: None,
             telemetry: false,
         }
-    }
-
-    /// Fast functional-test configuration (no attestation, no sealing).
-    pub fn preshared(seed: u64) -> Self {
-        FabricConfig { trust: Trust::PreShared, ..FabricConfig::attested(seed) }
     }
 
     /// Enables timer-driven failure detection on every broker.
@@ -190,10 +171,9 @@ pub struct OverlayFabric {
     /// while a never-issued id is a clean error.
     issued: BTreeMap<SubscriptionId, (usize, ClientId)>,
     epoch: KeyEpoch,
-    trust: Trust,
-    /// Trust anchors, kept for re-attestation on restart (attested mode).
-    service: Option<AttestationService>,
-    policy: Option<VerifierPolicy>,
+    /// The trust anchors, kept for re-attestation on restart.
+    service: AttestationService,
+    policy: VerifierPolicy,
     /// The scheduler's virtual clock: one tick per dispatched input.
     clock: u64,
     /// Frames put on each directed edge, cumulative.
@@ -265,40 +245,20 @@ impl OverlayFabric {
         let flood = config.propagation == Propagation::Flood;
         let n = topology.routers();
         let mut brokers = Vec::with_capacity(n);
-        let mut service_policy = None;
-        match config.trust {
-            Trust::PreShared => {
-                for id in 0..n {
-                    let mut broker =
-                        Broker::preshared(id, config.seed.wrapping_add(id as u64), flood);
-                    broker.set_neighbors(topology.neighbors(id));
-                    broker.provision_preshared(&producer);
-                    brokers.push(broker);
-                }
-                for (a, b) in topology.edges() {
-                    brokers[a].install_plain_link(b);
-                    brokers[b].install_plain_link(a);
-                }
-            }
-            Trust::Attested => {
-                // Each broker is its own machine; the attestation service
-                // (the producer's trust anchor) knows all their platforms.
-                let mut service = AttestationService::new();
-                for id in 0..n {
-                    let seed = config.seed.wrapping_mul(7919).wrapping_add(id as u64 + 1);
-                    let mut broker = Broker::attested(id, seed, ROUTER_ENCLAVE_CODE, flood)?;
-                    broker.set_neighbors(topology.neighbors(id));
-                    let platform = broker.platform().expect("attested broker has a platform");
-                    service.trust_platform(platform.attestation_public_key().clone());
-                    brokers.push(broker);
-                }
-                let policy = VerifierPolicy::require_mr_enclave(router_measurement());
-                for broker in &mut brokers {
-                    broker.configure_trust(service.clone(), policy.clone());
-                    broker.provision_attested(&service, &policy, &producer, &mut rng)?;
-                }
-                service_policy = Some((service, policy));
-            }
+        // Each broker is its own machine; the attestation service (the
+        // producer's trust anchor) knows all their platforms.
+        let mut service = AttestationService::new();
+        for id in 0..n {
+            let seed = config.seed.wrapping_mul(7919).wrapping_add(id as u64 + 1);
+            let mut broker = Broker::attested(id, seed, ROUTER_ENCLAVE_CODE, flood)?;
+            broker.set_neighbors(topology.neighbors(id));
+            service.trust_platform(broker.platform().attestation_public_key().clone());
+            brokers.push(broker);
+        }
+        let policy = VerifierPolicy::require_mr_enclave(router_measurement());
+        for broker in &mut brokers {
+            broker.configure_trust(service.clone(), policy.clone());
+            broker.provision_attested(&service, &policy, &producer, &mut rng)?;
         }
         if let Some(heartbeats) = config.heartbeats {
             for broker in &mut brokers {
@@ -318,9 +278,8 @@ impl OverlayFabric {
             next_sub: 0,
             issued: BTreeMap::new(),
             epoch: config.epoch,
-            trust: config.trust,
-            service: service_policy.as_ref().map(|(s, _)| s.clone()),
-            policy: service_policy.map(|(_, p)| p),
+            service,
+            policy,
             clock: 0,
             edge_frames: BTreeMap::new(),
             dropped_frames: 0,
@@ -333,13 +292,11 @@ impl OverlayFabric {
             next_trace: 1,
             strides: BTreeMap::new(),
         };
-        if config.trust == Trust::Attested {
-            // One tick round: every edge's lower endpoint initiates; the
-            // pump completes all handshakes synchronously.
-            fabric.tick_all()?;
-            for broker in &fabric.brokers {
-                debug_assert_eq!(broker.lifecycle(), Lifecycle::Serving, "bring-up incomplete");
-            }
+        // One tick round: every edge's lower endpoint initiates; the pump
+        // completes all handshakes synchronously.
+        fabric.tick_all()?;
+        for broker in &fabric.brokers {
+            debug_assert_eq!(broker.lifecycle(), Lifecycle::Serving, "bring-up incomplete");
         }
         Ok(fabric)
     }
@@ -648,7 +605,7 @@ impl OverlayFabric {
     }
 
     /// Restarts crashed router `at` and drives the full rejoin to
-    /// completion: unseal + restore, re-attestation (attested mode),
+    /// completion: unseal + restore, re-attestation,
     /// link re-keying with every neighbour, neighbour replay of the live
     /// forwarded sets, and reconciliation of subscriptions removed
     /// during the outage. Returns what the recovery restored and cost.
@@ -697,8 +654,8 @@ impl OverlayFabric {
         let frames_before: u64 = self.edge_frames.values().sum();
         let events_before = self.events.len();
         self.begin_restart(at, dead_links)?;
-        // One tick initiates every incident handshake (attested) or
-        // replay request (pre-shared); the pump completes the rejoin
+        // One tick initiates every incident handshake, each followed by
+        // its replay request; the pump completes the rejoin
         // synchronously. The extra iterations cover multi-round heal
         // chains (e.g. a neighbour pulling its own replay back).
         for _ in 0..4 {
@@ -738,36 +695,14 @@ impl OverlayFabric {
         Ok(RejoinReport { restored, replayed, dropped_stale, recovery_frames })
     }
 
-    /// Dispatches the `Restart` input and restores host-side state
-    /// (plain links, provisioning) *without* driving the rejoin to
-    /// completion — subsequent timer ticks carry it forward. Splitting
-    /// this off is what lets the detection loop hold several adjacent
-    /// brokers mid-rejoin at once.
+    /// Dispatches the `Restart` input and re-attests the relaunched
+    /// enclave *without* driving the rejoin to completion — subsequent
+    /// timer ticks carry it forward. Splitting this off is what lets the
+    /// detection loop hold several adjacent brokers mid-rejoin at once.
     fn begin_restart(&mut self, at: usize, dead_links: &[usize]) -> Result<(), OverlayError> {
         self.dispatch(at, Input::Restart { dead_links: dead_links.to_vec() })?;
-        match self.trust {
-            Trust::PreShared => {
-                // Plain links are stateless: reinstall them everywhere
-                // (frames toward a still-crashed neighbour drop at the
-                // scheduler); `dead_links` only governs replay skipping.
-                let neighbors = self.topology.neighbors(at).to_vec();
-                for neighbor in neighbors {
-                    self.brokers[at].install_plain_link(neighbor);
-                    self.brokers[neighbor].install_plain_link(at);
-                }
-                let producer = self.producer.clone();
-                self.brokers[at].provision_preshared(&producer);
-            }
-            Trust::Attested => {
-                let (Some(service), Some(policy)) = (self.service.clone(), self.policy.clone())
-                else {
-                    return Err(OverlayError::Link { reason: "fabric lost its trust anchors" });
-                };
-                let producer = self.producer.clone();
-                self.brokers[at].provision_attested(&service, &policy, &producer, &mut self.rng)?;
-            }
-        }
-        Ok(())
+        let producer = self.producer.clone();
+        self.brokers[at].provision_attested(&self.service, &self.policy, &producer, &mut self.rng)
     }
 
     // ---- timer-driven failure detection --------------------------------
@@ -1098,9 +1033,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preshared_line_routes_end_to_end() {
+    fn line_routes_end_to_end() {
         let mut fabric =
-            OverlayFabric::build(Topology::line(3), FabricConfig::preshared(7)).unwrap();
+            OverlayFabric::build(Topology::line(3), FabricConfig::attested(7)).unwrap();
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 10.0)).unwrap();
         fabric.subscribe(2, ClientId(2), &SubscriptionSpec::new().eq("symbol", "HAL")).unwrap();
         let deliveries = fabric
@@ -1124,7 +1059,7 @@ mod tests {
     #[test]
     fn covering_prunes_propagation_traffic() {
         let mut fabric =
-            OverlayFabric::build(Topology::line(4), FabricConfig::preshared(8)).unwrap();
+            OverlayFabric::build(Topology::line(4), FabricConfig::attested(8)).unwrap();
         // A broad subscription at router 0 travels all 3 links; narrower
         // ones behind it are pruned at the first hop.
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
@@ -1151,7 +1086,7 @@ mod tests {
     fn flood_mode_forwards_everything() {
         let mut fabric = OverlayFabric::build(
             Topology::line(3),
-            FabricConfig { propagation: Propagation::Flood, ..FabricConfig::preshared(9) },
+            FabricConfig { propagation: Propagation::Flood, ..FabricConfig::attested(9) },
         )
         .unwrap();
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
@@ -1163,7 +1098,7 @@ mod tests {
     fn unsubscribe_uncovers_across_hops_and_drains_state() {
         use scbr::ids::SubscriptionId;
         let mut fabric =
-            OverlayFabric::build(Topology::line(3), FabricConfig::preshared(12)).unwrap();
+            OverlayFabric::build(Topology::line(3), FabricConfig::attested(12)).unwrap();
         let broad =
             fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
         let narrow =
@@ -1208,7 +1143,7 @@ mod tests {
     #[test]
     fn out_of_range_routers_are_an_error_not_a_panic() {
         let mut fabric =
-            OverlayFabric::build(Topology::line(2), FabricConfig::preshared(11)).unwrap();
+            OverlayFabric::build(Topology::line(2), FabricConfig::attested(11)).unwrap();
         assert!(matches!(
             fabric.subscribe(5, ClientId(1), &SubscriptionSpec::new()),
             Err(OverlayError::Topology { reason: "router out of range" })
@@ -1222,7 +1157,7 @@ mod tests {
     #[test]
     fn publications_do_not_echo_to_their_origin() {
         let mut fabric =
-            OverlayFabric::build(Topology::line(2), FabricConfig::preshared(10)).unwrap();
+            OverlayFabric::build(Topology::line(2), FabricConfig::attested(10)).unwrap();
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("x", 0.0)).unwrap();
         // Published at the subscriber's own router: delivered locally,
         // no frame crosses the link and comes back.
@@ -1235,52 +1170,12 @@ mod tests {
     fn epoch_comes_from_config_and_advances() {
         let mut fabric = OverlayFabric::build(
             Topology::line(2),
-            FabricConfig { epoch: KeyEpoch(3), ..FabricConfig::preshared(13) },
+            FabricConfig { epoch: KeyEpoch(3), ..FabricConfig::attested(13) },
         )
         .unwrap();
         assert_eq!(fabric.epoch(), KeyEpoch(3));
         fabric.set_epoch(KeyEpoch(4));
         assert_eq!(fabric.epoch(), KeyEpoch(4));
-    }
-
-    #[test]
-    fn crash_rejoin_round_trip_preshared() {
-        let mut fabric =
-            OverlayFabric::build(Topology::line(3), FabricConfig::preshared(14)).unwrap();
-        let keep =
-            fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
-        fabric.subscribe(2, ClientId(2), &SubscriptionSpec::new().gt("price", 5.0)).unwrap();
-        let entries_before = fabric.total_index_entries();
-        let rows_before = fabric.total_forwarded();
-
-        fabric.crash(1).unwrap();
-        assert_eq!(fabric.lifecycle(1), Lifecycle::Crashed);
-        // Local edge ops at the crashed broker are lifecycle errors.
-        assert!(matches!(
-            fabric.subscribe(1, ClientId(9), &SubscriptionSpec::new()),
-            Err(OverlayError::Lifecycle { .. })
-        ));
-        // Publications still work, but the far side is unreachable.
-        let during = fabric.publish(0, &[PublicationSpec::new().attr("price", 7.0)]).unwrap();
-        assert_eq!(during, vec![Delivery { router: 0, client: ClientId(1), publication: 0 }]);
-        assert!(fabric.dropped_frames() > 0, "the frame toward the crashed broker was dropped");
-
-        let report = fabric.restart(1).unwrap();
-        assert_eq!(fabric.lifecycle(1), Lifecycle::Serving);
-        assert_eq!(report.dropped_stale, 0);
-        assert_eq!(fabric.total_index_entries(), entries_before, "state fully recovered");
-        assert_eq!(fabric.total_forwarded(), rows_before);
-        // Delivery is exact again, both directions.
-        let after = fabric.publish(0, &[PublicationSpec::new().attr("price", 7.0)]).unwrap();
-        assert_eq!(
-            after,
-            vec![
-                Delivery { router: 0, client: ClientId(1), publication: 0 },
-                Delivery { router: 2, client: ClientId(2), publication: 0 },
-            ]
-        );
-        // And the fabric still drains clean.
-        assert!(fabric.unsubscribe(keep).unwrap());
     }
 
     #[test]
@@ -1324,7 +1219,7 @@ mod tests {
     #[test]
     fn telemetry_off_publishes_untraced_with_no_records() {
         let mut fabric =
-            OverlayFabric::build(Topology::line(2), FabricConfig::preshared(32)).unwrap();
+            OverlayFabric::build(Topology::line(2), FabricConfig::attested(32)).unwrap();
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("x", 0.0)).unwrap();
         let (trace, deliveries) =
             fabric.publish_traced(1, &[PublicationSpec::new().attr("x", 1.0)]).unwrap();
@@ -1339,7 +1234,7 @@ mod tests {
     fn telemetry_survives_crash_but_flight_records_do_not() {
         let mut fabric = OverlayFabric::build(
             Topology::line(2),
-            FabricConfig { telemetry: true, ..FabricConfig::preshared(33) },
+            FabricConfig { telemetry: true, ..FabricConfig::attested(33) },
         )
         .unwrap();
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("x", 0.0)).unwrap();
@@ -1349,15 +1244,14 @@ mod tests {
         fabric.restart(1).unwrap();
         // Telemetry is host configuration and is re-applied after the
         // rejoin, but the un-drained flight record at broker 1 died with
-        // the crash (volatile by design). Plain links carry no frame
-        // metadata, so the trace never reached broker 0 either.
+        // the crash (volatile by design): of the earlier trace, only the
+        // hop at broker 0 is left.
         let (after, _) =
             fabric.publish_traced(1, &[PublicationSpec::new().attr("x", 2.0)]).unwrap();
         assert!(after.is_some() && after != before);
         let snap = fabric.telemetry();
-        assert!(snap.trace_path(before).is_empty(), "pre-crash record was volatile");
-        let path = snap.trace_path(after);
-        assert_eq!(path.len(), 1, "plain links drop the trace id; only the origin records");
-        assert_eq!(path[0].broker, 1);
+        let brokers = |trace| snap.trace_path(trace).iter().map(|h| h.broker).collect::<Vec<_>>();
+        assert_eq!(brokers(before), vec![0], "broker 1's pre-crash record was volatile");
+        assert_eq!(brokers(after), vec![1, 0], "sealed links carry the trace id");
     }
 }

@@ -151,8 +151,8 @@ impl ForwardingTable {
 
     /// Rebuilds a table from sealed recovery state: the live rows plus
     /// the counters captured by [`ForwardingTable::counters`]. The record
-    /// may come from an untrusted host (pre-shared mode stores it
-    /// unsealed), so the ledger invariants are *validated*, not assumed:
+    /// reaches the enclave only through the seal chain, but the ledger
+    /// invariants are *validated* anyway, not assumed:
     /// `rows == forwarded_total − removed` (without underflow) and
     /// `uncovered ≤ forwarded_total`. Returns `None` on a corrupt
     /// ledger.
@@ -345,8 +345,8 @@ mod tests {
         assert_eq!(rebuilt.get(SubscriptionId(1)), Some(&a));
         assert_eq!(rebuilt.get(SubscriptionId(9)), None);
 
-        // Corrupt ledgers (a hostile host rewriting an unsealed record)
-        // are rejected, including underflowing counters.
+        // Corrupt ledgers are rejected, including underflowing
+        // counters.
         assert!(ForwardingTable::rebuild(rows.clone(), (0, 99, 0, 0)).is_none());
         assert!(ForwardingTable::rebuild(rows.clone(), (0, 1, 5, 0)).is_none(), "underflow");
         assert!(ForwardingTable::rebuild(rows, (0, 2, 0, 7)).is_none(), "uncovered > total");

@@ -53,9 +53,8 @@
 //! use scbr_overlay::fabric::{FabricConfig, OverlayFabric};
 //! use scbr_overlay::topology::Topology;
 //!
-//! // A 3-broker chain with pre-shared trust (fast; see
-//! // `FabricConfig::attested` for the fully attested mode).
-//! let mut fabric = OverlayFabric::build(Topology::line(3), FabricConfig::preshared(1))?;
+//! // A 3-broker chain: each broker attested, every link sealed.
+//! let mut fabric = OverlayFabric::build(Topology::line(3), FabricConfig::attested(1))?;
 //! fabric.subscribe(0, ClientId(7), &SubscriptionSpec::new().eq("symbol", "HAL"))?;
 //! let deliveries = fabric.publish(2, &[PublicationSpec::new().attr("symbol", "HAL")])?;
 //! assert_eq!(deliveries.len(), 1);
@@ -78,9 +77,7 @@ pub use broker::{
     SuspectReason,
 };
 pub use error::OverlayError;
-pub use fabric::{
-    AutoRejoin, Delivery, FabricConfig, OverlayFabric, Propagation, RejoinReport, Trust,
-};
+pub use fabric::{AutoRejoin, Delivery, FabricConfig, OverlayFabric, Propagation, RejoinReport};
 pub use forwarding::ForwardingTable;
 pub use scbr_telemetry::{BrokerTelemetry, HopRecord, StageSummary, TelemetrySnapshot, TraceId};
 pub use topology::Topology;

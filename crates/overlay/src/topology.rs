@@ -105,20 +105,6 @@ impl Topology {
         &self.adj[r]
     }
 
-    /// The edge list with each edge's smaller endpoint first, sorted.
-    pub fn edges(&self) -> Vec<(usize, usize)> {
-        let mut edges = Vec::with_capacity(self.adj.len().saturating_sub(1));
-        for (a, neighbors) in self.adj.iter().enumerate() {
-            for &b in neighbors {
-                if a < b {
-                    edges.push((a, b));
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges
-    }
-
     /// The unique path between two routers (inclusive of both endpoints).
     ///
     /// # Panics
@@ -187,7 +173,7 @@ mod tests {
         assert_eq!(line.routers(), 4);
         assert_eq!(line.neighbors(0), &[1]);
         assert_eq!(line.neighbors(1), &[0, 2]);
-        assert_eq!(line.edges(), vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(line.neighbors(3), &[2]);
         assert_eq!(line.diameter(), 3);
 
         let star = Topology::star(5);

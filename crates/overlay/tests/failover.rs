@@ -246,15 +246,14 @@ fn edited_record_chains_are_refused() {
 }
 
 /// A delta that removes an id the base never held — or removes one
-/// twice — is not a record the enclave wrote: the live core journals a
-/// retirement only for an id it holds, so redo refuses the file instead
-/// of skipping the entry. Forging a delta at all takes a pre-shared
-/// fabric, whose chain is stored unsealed; under attestation the MAC
-/// refuses it first (`edited_record_chains_are_refused`).
+/// twice — is not a record the enclave wrote. Appended to the sealed file
+/// in plaintext, it is refused before any redo: it is no link of the
+/// seal chain. (Behind the seal, redo refuses such a journal too; the
+/// broker's unit tests pin that.)
 #[test]
 fn a_delta_that_removes_an_id_the_base_never_held_is_refused() {
     let mut fabric =
-        OverlayFabric::build(Topology::line(2), FabricConfig::preshared(67)).expect("build");
+        OverlayFabric::build(Topology::line(2), FabricConfig::attested(67)).expect("build");
     let mut ids = Vec::new();
     for i in 0..3u64 {
         let spec = SubscriptionSpec::new().gt("price", i as f64);
@@ -275,7 +274,10 @@ fn a_delta_that_removes_an_id_the_base_never_held_is_refused() {
     ] {
         fabric.set_sealed_record(1, file.clone());
         let result = fabric.restart(1);
-        assert!(matches!(result, Err(OverlayError::Routing(_))), "{what}: got {result:?}");
+        assert!(
+            matches!(result, Err(OverlayError::Sgx(SgxError::UnsealFailed { .. }))),
+            "{what}: got {result:?}"
+        );
         assert_eq!(fabric.lifecycle(1), Lifecycle::Crashed, "{what}: refused broker stays crashed");
         assert_eq!(fabric.broker_stats()[1].subscriptions, 0, "{what}: nothing was restored");
         assert_eq!(fabric.sealed_record(1), Some(file), "{what}: the file is untouched");
@@ -294,7 +296,7 @@ fn a_delta_that_removes_an_id_the_base_never_held_is_refused() {
 #[test]
 fn removals_during_outage_reconcile_via_replay() {
     let mut fabric =
-        OverlayFabric::build(Topology::line(3), FabricConfig::preshared(53)).expect("build");
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(53)).expect("build");
     let broad =
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
     assert_eq!(fabric.total_index_entries(), 3, "one copy per broker");
@@ -320,7 +322,7 @@ fn removals_during_outage_reconcile_via_replay() {
 #[test]
 fn additions_during_outage_arrive_via_replay() {
     let mut fabric =
-        OverlayFabric::build(Topology::line(3), FabricConfig::preshared(54)).expect("build");
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(54)).expect("build");
     fabric.crash(1).unwrap();
     fabric.subscribe(0, ClientId(5), &SubscriptionSpec::new().eq("symbol", "INTC")).unwrap();
     // The forward toward the crashed broker was dropped; router 2 knows
@@ -377,7 +379,7 @@ fn lost_frames_surface_as_gap_events_and_rekey_heals() {
 fn epoch_advances_across_a_restart() {
     let mut fabric = OverlayFabric::build(
         Topology::line(2),
-        FabricConfig { epoch: KeyEpoch(1), ..FabricConfig::preshared(56) },
+        FabricConfig { epoch: KeyEpoch(1), ..FabricConfig::attested(56) },
     )
     .expect("build");
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("x", 0.0)).unwrap();
@@ -395,7 +397,7 @@ fn epoch_advances_across_a_restart() {
 #[test]
 fn repeated_crash_rejoin_cycles_stay_consistent() {
     let mut fabric =
-        OverlayFabric::build(Topology::star(4), FabricConfig::preshared(57)).expect("build");
+        OverlayFabric::build(Topology::star(4), FabricConfig::attested(57)).expect("build");
     fabric.subscribe(1, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
     // Covered by client 1's interest on the hub's links toward 3: the
     // hub prunes it exactly once, and rejoins must not count it again.
@@ -437,7 +439,7 @@ fn repeated_crash_rejoin_cycles_stay_consistent() {
 #[test]
 fn adjacent_crashes_rejoin_sequentially() {
     let mut fabric =
-        OverlayFabric::build(Topology::line(3), FabricConfig::preshared(58)).expect("build");
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(58)).expect("build");
     let doomed =
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
     let keep =
@@ -482,15 +484,20 @@ fn adjacent_crashes_rejoin_sequentially() {
 fn serving_brokers_do_tick_work() {
     let mut fabric = OverlayFabric::build(
         Topology::line(3),
-        FabricConfig::preshared(60).with_heartbeats(HeartbeatConfig::fast()),
+        FabricConfig::attested(60).with_heartbeats(HeartbeatConfig::fast()),
     )
     .expect("build");
-    assert_eq!(fabric.total_heartbeats(), 0);
+    // Bring-up's own tick round already reaches brokers that are serving.
+    let baseline = fabric.total_heartbeats();
     fabric.tick_round().unwrap();
     // Each broker heartbeats every established link: 2·(edge count).
-    assert_eq!(fabric.total_heartbeats(), 4, "one heartbeat per directed edge per round");
+    assert_eq!(
+        fabric.total_heartbeats(),
+        baseline + 4,
+        "one heartbeat per directed edge per round"
+    );
     fabric.tick_round().unwrap();
-    assert_eq!(fabric.total_heartbeats(), 8);
+    assert_eq!(fabric.total_heartbeats(), baseline + 8);
     // Heartbeats are pure liveness: no deliveries, no index movement,
     // no suspicion among healthy brokers.
     assert!(fabric.suspicions().is_empty());
@@ -504,7 +511,7 @@ fn serving_brokers_do_tick_work() {
 fn silent_crash_is_detected_and_rejoined_automatically() {
     let mut fabric = OverlayFabric::build(
         Topology::line(3),
-        FabricConfig::preshared(61).with_heartbeats(HeartbeatConfig::fast()),
+        FabricConfig::attested(61).with_heartbeats(HeartbeatConfig::fast()),
     )
     .expect("build");
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
@@ -549,7 +556,7 @@ fn silent_crash_is_detected_and_rejoined_automatically() {
 fn adjacent_concurrent_crashes_both_recover_automatically() {
     let mut fabric = OverlayFabric::build(
         Topology::line(5),
-        FabricConfig::preshared(62).with_heartbeats(HeartbeatConfig::fast()),
+        FabricConfig::attested(62).with_heartbeats(HeartbeatConfig::fast()),
     )
     .expect("build");
     let doomed =
@@ -612,7 +619,7 @@ fn adjacent_concurrent_crashes_both_recover_automatically() {
 fn leaf_and_its_only_neighbour_both_recover_automatically() {
     let mut fabric = OverlayFabric::build(
         Topology::line(3),
-        FabricConfig::preshared(63).with_heartbeats(HeartbeatConfig::fast()),
+        FabricConfig::attested(63).with_heartbeats(HeartbeatConfig::fast()),
     )
     .expect("build");
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
@@ -710,7 +717,7 @@ fn stale_liveness_view_heals_by_probe_and_replay() {
 fn slow_but_alive_broker_is_never_suspected() {
     let mut fabric = OverlayFabric::build(
         Topology::line(3),
-        FabricConfig::preshared(64).with_heartbeats(HeartbeatConfig::fast()),
+        FabricConfig::attested(64).with_heartbeats(HeartbeatConfig::fast()),
     )
     .expect("build");
     // Heartbeats arrive every 3rd round; suspicion needs 4 silent ticks.
@@ -768,6 +775,30 @@ fn wedged_gap_link_rekeys_and_heals_itself() {
     // The re-keyed link carries publications again.
     let deliveries = fabric.publish(0, &[PublicationSpec::new().attr("price", 3.0)]).unwrap();
     assert_eq!(deliveries, vec![Delivery { router: 1, client: ClientId(3), publication: 0 }]);
+}
+
+/// Regression: a handshake left open blocked gap re-keying for good. A
+/// broker that rejoined with a neighbour still down probes it; the
+/// neighbour, once restarted, re-keys the link from its own side, and
+/// the probe used to stay open. A later lost frame then opened a
+/// sequence gap whose `Suspect { Gap }` skipped the re-key, because a
+/// handshake looked already in flight, so the link stayed wedged.
+#[test]
+fn a_probe_the_neighbour_re_keyed_past_does_not_block_gap_healing() {
+    let mut fabric = OverlayFabric::build(
+        Topology::line(3),
+        FabricConfig::attested(61).with_heartbeats(HeartbeatConfig::fast()),
+    )
+    .expect("build");
+    fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
+    fabric.crash(1).unwrap();
+    fabric.crash(2).unwrap();
+    assert_eq!(fabric.run_detection(128).unwrap().len(), 2);
+    fabric.drop_next_frame(2, 1);
+    for _ in 0..3 {
+        assert!(fabric.tick_round().unwrap().is_empty());
+    }
+    fabric.run_detection(64).expect("a lost heartbeat heals by re-key");
 }
 
 /// A link re-keyed after a crash never repeats a (key, nonce) pair.

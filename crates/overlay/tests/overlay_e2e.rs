@@ -159,8 +159,8 @@ fn link_establishment_rejects_wrong_measurement() {
     let mut genuine = Broker::attested(0, 1000, ROUTER_ENCLAVE_CODE, false).unwrap();
     let mut tampered = Broker::attested(1, 1001, b"routing engine + backdoor", false).unwrap();
     let mut service = AttestationService::new();
-    service.trust_platform(genuine.platform().unwrap().attestation_public_key().clone());
-    service.trust_platform(tampered.platform().unwrap().attestation_public_key().clone());
+    service.trust_platform(genuine.platform().attestation_public_key().clone());
+    service.trust_platform(tampered.platform().attestation_public_key().clone());
     let policy = VerifierPolicy::require_mr_enclave(router_measurement());
     let lax =
         VerifierPolicy { mr_enclave: None, mr_signer: None, min_isv_svn: 0, allow_debug: true };
@@ -220,12 +220,12 @@ fn link_establishment_rejects_untrusted_platform() {
     // Only the genuine broker's platform is trusted by honest verifiers;
     // the emulator's own service naturally trusts itself.
     let mut service = AttestationService::new();
-    service.trust_platform(genuine.platform().unwrap().attestation_public_key().clone());
+    service.trust_platform(genuine.platform().attestation_public_key().clone());
     let mut rogue_service = AttestationService::new();
-    rogue_service.trust_platform(emulated.platform().unwrap().attestation_public_key().clone());
+    rogue_service.trust_platform(emulated.platform().attestation_public_key().clone());
     // The adversary's verifier happily trusts the genuine platform too —
     // its laxness is not what protects the overlay.
-    rogue_service.trust_platform(genuine.platform().unwrap().attestation_public_key().clone());
+    rogue_service.trust_platform(genuine.platform().attestation_public_key().clone());
     let policy = VerifierPolicy::require_mr_enclave(router_measurement());
     genuine.set_neighbors(&[1]);
     emulated.set_neighbors(&[0]);
@@ -257,8 +257,8 @@ fn tampered_link_frames_are_refused() {
     let mut a = Broker::attested(0, 1004, ROUTER_ENCLAVE_CODE, false).unwrap();
     let mut b = Broker::attested(1, 1005, ROUTER_ENCLAVE_CODE, false).unwrap();
     let mut service = AttestationService::new();
-    service.trust_platform(a.platform().unwrap().attestation_public_key().clone());
-    service.trust_platform(b.platform().unwrap().attestation_public_key().clone());
+    service.trust_platform(a.platform().attestation_public_key().clone());
+    service.trust_platform(b.platform().attestation_public_key().clone());
     let policy = VerifierPolicy::require_mr_enclave(router_measurement());
     a.set_neighbors(&[1]);
     b.set_neighbors(&[0]);
@@ -300,7 +300,7 @@ fn tampered_link_frames_are_refused() {
 /// a flat reading of its two subscriptions says.
 #[test]
 fn index_kinds_agree_on_overlay_routing() {
-    let mut fabric = OverlayFabric::build(Topology::line(3), FabricConfig::preshared(47)).unwrap();
+    let mut fabric = OverlayFabric::build(Topology::line(3), FabricConfig::attested(47)).unwrap();
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 10.0)).unwrap();
     fabric.subscribe(2, ClientId(2), &SubscriptionSpec::new().eq("symbol", "HAL")).unwrap();
     let deliveries = fabric

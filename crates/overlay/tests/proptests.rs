@@ -117,7 +117,7 @@ fn run_fabric(
     pubs: &[PublicationSpec],
     publish_at: usize,
 ) -> (Vec<Delivery>, OverlayFabric) {
-    let config = FabricConfig { propagation, ..FabricConfig::preshared(seed) };
+    let config = FabricConfig { propagation, ..FabricConfig::attested(seed) };
     let mut fabric =
         OverlayFabric::build_with_producer(topology.clone(), config, shared_producer())
             .expect("fabric build");

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut honest = Broker::attested(10, 900, ROUTER_ENCLAVE_CODE, false)?;
     let mut rogue = Broker::attested(11, 901, b"router + backdoor", false)?;
     let mut service = AttestationService::new();
-    service.trust_platform(honest.platform().expect("attested").attestation_public_key().clone());
-    service.trust_platform(rogue.platform().expect("attested").attestation_public_key().clone());
+    service.trust_platform(honest.platform().attestation_public_key().clone());
+    service.trust_platform(rogue.platform().attestation_public_key().clone());
     let policy = VerifierPolicy::require_mr_enclave(router_measurement());
     let lax =
         VerifierPolicy { mr_enclave: None, mr_signer: None, min_isv_svn: 0, allow_debug: true };

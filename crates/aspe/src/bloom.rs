@@ -87,11 +87,6 @@ impl BloomFilter {
     pub fn popcount(&self) -> u32 {
         self.bits.iter().map(|w| w.count_ones()).sum()
     }
-
-    /// Serialised size in bytes (what the publication carries).
-    pub fn byte_len(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]

@@ -321,17 +321,6 @@ impl AspeExperiment {
     }
 }
 
-/// Formats a matching-time table row.
-pub fn format_point(label: &str, p: &MatchPoint) -> String {
-    format!(
-        "{label:<10} subs={:<7} match={:>12.2} µs  miss={:>5.1}%  db={:>7.2} MB",
-        p.subs,
-        p.matching_us,
-        p.cache_miss_rate * 100.0,
-        p.index_bytes as f64 / (1024.0 * 1024.0)
-    )
-}
-
 /// Prints a standard experiment header.
 pub fn banner(figure: &str, description: &str, scale: &Scale) {
     println!("==============================================================");

@@ -74,11 +74,6 @@ impl CryptoRng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p
     }
-
-    /// Access the underlying [`rand`] generator for use with `rand` APIs.
-    pub fn as_rand_core(&mut self) -> &mut StdRng {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]

@@ -183,11 +183,6 @@ impl RsaKeyPair {
     pub fn private(&self) -> &RsaPrivateKey {
         &self.private
     }
-
-    /// Splits the pair into its halves.
-    pub fn into_parts(self) -> (RsaPublicKey, RsaPrivateKey) {
-        (self.public, self.private)
-    }
 }
 
 impl RsaPublicKey {

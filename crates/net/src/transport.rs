@@ -126,11 +126,6 @@ impl InProcNetwork {
     pub fn new() -> Self {
         InProcNetwork::default()
     }
-
-    /// Removes a bound endpoint, disconnecting its listener.
-    pub fn unbind(&self, name: &str) {
-        self.registry.lock().remove(name);
-    }
 }
 
 impl Transport for InProcNetwork {

@@ -128,6 +128,20 @@
 //! the outgoing link set in the same enclave crossing. Per-hop batches go
 //! through the gate in [`MAX_DRAIN`]-bounded chunks, mirroring the
 //! single-router event loop.
+//!
+//! ## Neighbours
+//!
+//! The untrusted shell keeps **one record per neighbour** (`Peer`): the
+//! sealed channel, the handshakes in flight on it, the replay the link
+//! owes and its liveness clocks. No per-link state lives anywhere else,
+//! so each reset happens in one place: a crash returns every record to
+//! its default, and installing a fresh key (`Peer::install`) restarts
+//! the link's silence clock, forgets its gap and drops any handshake of
+//! ours still open on it. When two brokers open a handshake toward each
+//! other at once, the **higher id's wins**: the lower one withdraws its
+//! own on the other's hello (and still answers it), so both ends install
+//! the one key instead of each other's crosswise, whatever order the
+//! host delivers the frames in.
 
 use crate::error::OverlayError;
 use crate::forwarding::ForwardingTable;
@@ -977,6 +991,74 @@ struct LinkChannel {
     inbound: SecureLink,
 }
 
+/// Everything the untrusted shell keeps about one neighbour: the sealed
+/// channel, the handshakes in flight on it, the replay it owes and its
+/// liveness clocks. A crash resets every record to the default; so the
+/// only state that outlives a crash is the set of neighbours itself.
+#[derive(Default)]
+struct Peer {
+    /// The sealed channel, once a handshake agreed a key.
+    link: Option<LinkChannel>,
+    /// Our half-open handshake toward the neighbour (awaiting
+    /// link-accept).
+    initiation: Option<LinkInitiator>,
+    /// The tick of our last handshake initiation (probe retry pacing).
+    initiated_at: Option<u64>,
+    /// The neighbour's half-open handshake we answered (awaiting
+    /// link-finish).
+    response: Option<LinkResponder>,
+    /// The replay the link still owes us: during a rejoin, or while a
+    /// serving broker heals the link.
+    replay: Option<Replay>,
+    /// Declared dead by the operator at restart: no handshake and no
+    /// replay until it re-keys the link from its own side.
+    dead: bool,
+    /// Pull a replay once the channel re-keys (set by the gap-heal path).
+    resync: bool,
+    /// A replay request received while we were not yet serving (the
+    /// neighbour rejoined concurrently with us); served on our own
+    /// transition to `Serving`.
+    parked_replay: bool,
+    /// The tick of the last *authentic* inbound frame (gap frames
+    /// included — a gap proves the peer alive).
+    last_rx: Option<u64>,
+    /// The tick of the last heartbeat we emitted.
+    last_hb: Option<u64>,
+    /// The tick a sequence gap was first observed (cleared on re-key —
+    /// the gapped channel can never advance on its own).
+    gap_since: Option<u64>,
+    /// Under suspicion (one `Suspect` per episode).
+    suspect: bool,
+}
+
+/// A replay a link owes us.
+#[derive(Default)]
+struct Replay {
+    /// The tick of our last replay request, `None` before the first
+    /// (pull-retry pacing: a request toward a neighbour that was dead
+    /// when we sent it is re-sent once its age exceeds the suspicion
+    /// window).
+    requested_at: Option<u64>,
+    /// The ids the neighbour has re-confirmed so far.
+    confirmed: BTreeSet<SubscriptionId>,
+}
+
+impl Peer {
+    /// Installs the channel a handshake just agreed. A fresh key resets
+    /// the liveness view of the link: the silence clock restarts and any
+    /// wedge died with the old channel. So does any handshake of ours
+    /// still open toward the neighbour — a probe sent while it was down,
+    /// say, that it re-keyed past from its own side. Left in place, it
+    /// would stop the next gap from re-keying.
+    fn install(&mut self, link: LinkChannel, now: u64) {
+        self.link = Some(link);
+        self.last_rx = Some(now);
+        self.gap_since = None;
+        self.initiation = None;
+        self.initiated_at = None;
+    }
+}
+
 /// Per-broker counters (cumulative unless reset).
 #[derive(Debug, Clone, Copy)]
 pub struct BrokerStats {
@@ -1085,12 +1167,8 @@ pub struct Broker {
     code: Vec<u8>,
     flood: bool,
     core: BrokerCore,
-    links: BTreeMap<usize, LinkChannel>,
-    neighbors: Vec<usize>,
-    /// Half-open handshakes we initiated (awaiting link-accept).
-    initiations: BTreeMap<usize, LinkInitiator>,
-    /// Half-open handshakes we responded to (awaiting link-finish).
-    responses: BTreeMap<usize, LinkResponder>,
+    /// One record per neighbour, in ascending id order.
+    peers: BTreeMap<usize, Peer>,
     /// The trust anchors for verifying peer quotes during link handshakes.
     service: Option<AttestationService>,
     policy: Option<VerifierPolicy>,
@@ -1103,14 +1181,8 @@ pub struct Broker {
     /// The platform monotonic counter keying the record's rollback
     /// protection.
     counter: CounterId,
-    /// Rejoin bookkeeping: links still owing a replay, replay requests
-    /// already sent, per-link ids confirmed by the replay so far, and
-    /// neighbours the operator declared dead at restart (skipped until
-    /// they rejoin on their own).
-    pending_replays: BTreeSet<usize>,
-    requested: BTreeSet<usize>,
-    confirmed: BTreeMap<usize, BTreeSet<SubscriptionId>>,
-    dead_links: BTreeSet<usize>,
+    /// Rejoin bookkeeping: envelopes replayed and stale subscriptions
+    /// dropped since the restart.
     replayed_subs: usize,
     dropped_stale: usize,
     crashed_at: u64,
@@ -1121,30 +1193,6 @@ pub struct Broker {
     heartbeats: Option<HeartbeatConfig>,
     /// Ticks processed over the broker's lifetime (the liveness clock).
     ticks: u64,
-    /// Per link, the tick of the last *authentic* inbound frame
-    /// (including gap frames — a gap proves the peer alive).
-    last_rx: BTreeMap<usize, u64>,
-    /// Per link, the tick of the last heartbeat we emitted.
-    last_hb: BTreeMap<usize, u64>,
-    /// Per link, the tick a sequence gap was first observed (cleared on
-    /// re-key — the gapped channel can never advance on its own).
-    gap_since: BTreeMap<usize, u64>,
-    /// Links currently under suspicion (one `Suspect` per episode).
-    suspects: BTreeSet<usize>,
-    /// Links needing a pull-replay once their channel re-keys (set by
-    /// the gap-heal path).
-    resync: BTreeSet<usize>,
-    /// Replay requests received while not yet serving (a neighbour
-    /// rejoining concurrently with us); served on our own transition to
-    /// `Serving`.
-    parked_replays: BTreeSet<usize>,
-    /// Per link, the tick of our last handshake initiation (probe
-    /// retry pacing).
-    initiated_at: BTreeMap<usize, u64>,
-    /// Per link, the tick of our last replay request (pull-retry
-    /// pacing: a request toward a neighbour that was dead when we sent
-    /// it is re-sent once its age exceeds the suspicion window).
-    requested_at: BTreeMap<usize, u64>,
     /// Heartbeat frames emitted (cumulative).
     heartbeats_sent: u64,
     /// Stage-latency and hop-trace instrumentation. Host configuration
@@ -1180,7 +1228,7 @@ impl std::fmt::Debug for Broker {
         f.debug_struct("Broker")
             .field("id", &self.id)
             .field("state", &self.state)
-            .field("links", &self.links.len())
+            .field("links", &self.peers.values().filter(|p| p.link.is_some()).count())
             .field("subscriptions", &self.subscriptions())
             .finish()
     }
@@ -1207,19 +1255,12 @@ impl Broker {
             code: code.to_vec(),
             flood,
             core,
-            links: BTreeMap::new(),
-            neighbors: Vec::new(),
-            initiations: BTreeMap::new(),
-            responses: BTreeMap::new(),
+            peers: BTreeMap::new(),
             service: None,
             policy: None,
             sealed: None,
             log: LogShape::default(),
             counter,
-            pending_replays: BTreeSet::new(),
-            requested: BTreeSet::new(),
-            confirmed: BTreeMap::new(),
-            dead_links: BTreeSet::new(),
             replayed_subs: 0,
             dropped_stale: 0,
             crashed_at: 0,
@@ -1227,14 +1268,6 @@ impl Broker {
             gaps: 0,
             heartbeats: None,
             ticks: 0,
-            last_rx: BTreeMap::new(),
-            last_hb: BTreeMap::new(),
-            gap_since: BTreeMap::new(),
-            suspects: BTreeSet::new(),
-            resync: BTreeSet::new(),
-            parked_replays: BTreeSet::new(),
-            initiated_at: BTreeMap::new(),
-            requested_at: BTreeMap::new(),
             heartbeats_sent: 0,
             telemetry: false,
             dirty: false,
@@ -1305,8 +1338,23 @@ impl Broker {
     /// Declares the broker's neighbour set, creating one (empty) covering
     /// table per link. Call once, before provisioning.
     pub fn set_neighbors(&mut self, neighbors: &[usize]) {
-        self.neighbors = neighbors.to_vec();
+        self.peers = neighbors.iter().map(|&n| (n, Peer::default())).collect();
         self.core.upstream = neighbors.iter().map(|&n| (n, ForwardingTable::new())).collect();
+    }
+
+    /// The neighbours, ascending.
+    fn neighbors(&self) -> Vec<usize> {
+        self.peers.keys().copied().collect()
+    }
+
+    /// The record of neighbour `n`, which the caller knows is one.
+    fn peer(&mut self, n: usize) -> &mut Peer {
+        self.peers.get_mut(&n).expect("a neighbour")
+    }
+
+    /// True while some link still owes us a replay.
+    fn replays_owed(&self) -> bool {
+        self.peers.values().any(|p| p.replay.is_some())
     }
 
     /// Installs the trust anchors (attestation service + verifier
@@ -1351,7 +1399,7 @@ impl Broker {
         self.call(|c| c.matcher.provision_keys(sk, pk));
         if self.state == Lifecycle::Attesting {
             self.state =
-                if self.neighbors.is_empty() { Lifecycle::Serving } else { Lifecycle::Linking };
+                if self.peers.is_empty() { Lifecycle::Serving } else { Lifecycle::Linking };
         }
         Ok(())
     }
@@ -1362,50 +1410,24 @@ impl Broker {
         self.heartbeats = config;
     }
 
-    /// The configured liveness timers, if any.
-    pub fn heartbeat_config(&self) -> Option<HeartbeatConfig> {
-        self.heartbeats
-    }
-
     /// Installs the sealed channel to `neighbor` under `key`, the link
-    /// key a handshake just agreed.
+    /// key a handshake just agreed ([`Peer::install`]).
     fn install_sealed_link(&mut self, neighbor: usize, key: &[u8]) {
-        let local = self.id as u64;
-        self.links.insert(
-            neighbor,
+        let (local, now) = (self.id as u64, self.ticks);
+        self.peer(neighbor).install(
             LinkChannel {
                 outbound: SecureLink::outbound(key, local, neighbor as u64),
                 inbound: SecureLink::inbound(key, local, neighbor as u64),
             },
+            now,
         );
-        // A fresh key resets the liveness view of the link: the silence
-        // clock restarts and any wedge died with the old channel. So does
-        // any handshake of ours still open toward the neighbour — a probe
-        // sent while it was down, say, that it re-keyed past from its own
-        // side. Left in place, it would stop the next gap from re-keying.
-        self.last_rx.insert(neighbor, self.ticks);
-        self.gap_since.remove(&neighbor);
-        self.initiated_at.remove(&neighbor);
-        self.initiations.remove(&neighbor);
     }
 
-    fn seal_to(&mut self, neighbor: usize, wire: &[u8]) -> Result<Vec<u8>, OverlayError> {
-        self.seal_to_meta(neighbor, wire, 0)
-    }
-
-    /// [`Broker::seal_to`] with a clear-text metadata word (the trace id
-    /// of a publication batch). The word is bound into the sealed
-    /// frame's AAD, so tampering is detected on open.
-    fn seal_to_meta(
-        &mut self,
-        neighbor: usize,
-        wire: &[u8],
-        meta: u64,
-    ) -> Result<Vec<u8>, OverlayError> {
-        match self.links.get_mut(&neighbor) {
-            Some(link) => Ok(link.outbound.seal_meta(wire, meta)),
-            None => Err(OverlayError::Link { reason: "no link to neighbour" }),
-        }
+    /// Seals `wire` on the link to `to` into the frame that carries it.
+    fn send(&mut self, to: usize, wire: &[u8]) -> Result<Output, OverlayError> {
+        let link = self.peers.get_mut(&to).and_then(|p| p.link.as_mut());
+        let link = link.ok_or(OverlayError::Link { reason: "no link to neighbour" })?;
+        Ok(Output::Frame(LinkFrame { to, from: self.id, bytes: link.outbound.seal_meta(wire, 0) }))
     }
 
     // ---- the state machine ---------------------------------------------
@@ -1496,7 +1518,7 @@ impl Broker {
         }
         self.enclave = None;
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        self.core = BrokerCore::fresh(&mem, self.flood, &self.neighbors);
+        self.core = BrokerCore::fresh(&mem, self.flood, &self.neighbors());
         // Telemetry is host configuration: the flag survives the crash,
         // but the flight recorder and stage histograms (volatile, never
         // sealed) restart empty with the rebuilt core.
@@ -1506,21 +1528,7 @@ impl Broker {
         // last *flushed* record on the host disk is the recovery truth.
         self.dirty = false;
         self.force_base = false;
-        self.links.clear();
-        self.initiations.clear();
-        self.responses.clear();
-        self.pending_replays.clear();
-        self.requested.clear();
-        self.confirmed.clear();
-        self.dead_links.clear();
-        self.last_rx.clear();
-        self.last_hb.clear();
-        self.gap_since.clear();
-        self.suspects.clear();
-        self.resync.clear();
-        self.parked_replays.clear();
-        self.initiated_at.clear();
-        self.requested_at.clear();
+        self.peers.values_mut().for_each(|peer| *peer = Peer::default());
         self.crashed_at = self.now;
         self.state = Lifecycle::Crashed;
         Ok(vec![Output::Event(LinkEvent::Crashed)])
@@ -1546,7 +1554,7 @@ impl Broker {
         // and the file where it was.
         let entries = journal::split_entries(self.sealed.as_deref().unwrap_or_default())?;
         let (flood, neighbors, platform, counter) =
-            (self.flood, &self.neighbors, &self.platform, self.counter);
+            (self.flood, self.neighbors(), &self.platform, self.counter);
         // Relaunch the (same, identically measured) routing enclave; one
         // crossing opens the chain (one key derivation for all its
         // blobs), restores the base and redoes the deltas.
@@ -1564,7 +1572,7 @@ impl Broker {
                 )?
             };
             let record: Vec<&[u8]> = opened.iter().map(Vec::as_slice).collect();
-            let mut core = BrokerCore::restore(&record, ctx.memory(), flood, neighbors)?;
+            let mut core = BrokerCore::restore(&record, ctx.memory(), flood, &neighbors)?;
             core.base_version = base_version;
             Ok(core)
         })?;
@@ -1584,15 +1592,14 @@ impl Broker {
         let restored = self.core.live.len();
         self.replayed_subs = 0;
         self.dropped_stale = 0;
-        self.requested.clear();
-        self.requested_at.clear();
-        self.confirmed.clear();
-        self.dead_links =
-            dead_links.iter().copied().filter(|n| self.neighbors.contains(n)).collect();
-        self.pending_replays =
-            self.neighbors.iter().copied().filter(|n| !self.dead_links.contains(n)).collect();
+        // Every record is at its default since the crash: mark the dead,
+        // and owe a replay from every other neighbour.
+        for (n, peer) in &mut self.peers {
+            peer.dead = dead_links.contains(n);
+            peer.replay = (!peer.dead).then(Replay::default);
+        }
         let mut outs = vec![Output::Event(LinkEvent::RejoinStarted { restored })];
-        if self.pending_replays.is_empty() {
+        if !self.replays_owed() {
             // No (live) neighbours to replay from: recovery is the seal
             // alone.
             self.state = Lifecycle::Serving;
@@ -1628,26 +1635,19 @@ impl Broker {
     /// initiates each edge; a rejoining broker initiates every incident
     /// link, since only *it* lost the keys.
     fn tick_handshakes(&mut self, rejoining: bool) -> Result<Vec<Output>, OverlayError> {
-        let mut outs = Vec::new();
         let targets: Vec<usize> = self
-            .neighbors
+            .peers
             .iter()
-            .copied()
-            .filter(|n| {
-                !self.links.contains_key(n)
-                    && !self.initiations.contains_key(n)
-                    && !self.responses.contains_key(n)
-                    && !self.dead_links.contains(n)
-                    && (rejoining || self.id < *n)
+            .filter(|&(&n, p)| {
+                p.link.is_none()
+                    && p.initiation.is_none()
+                    && p.response.is_none()
+                    && !p.dead
+                    && (rejoining || self.id < n)
             })
+            .map(|(&n, _)| n)
             .collect();
-        for neighbor in targets {
-            let (wire, state) = self.initiate_handshake()?;
-            self.initiations.insert(neighbor, state);
-            self.initiated_at.insert(neighbor, self.ticks);
-            outs.push(Output::Frame(LinkFrame { to: neighbor, from: self.id, bytes: wire }));
-        }
-        Ok(outs)
+        targets.into_iter().map(|n| self.initiate(n)).collect()
     }
 
     /// Steady-state liveness work (with heartbeats disabled, a serving
@@ -1671,89 +1671,69 @@ impl Broker {
             return Ok(Vec::new());
         };
         let mut outs = Vec::new();
-        let hb_wire = Message::Heartbeat.to_wire();
-        for n in self.neighbors.clone() {
+        let (now, hb_wire) = (self.ticks, Message::Heartbeat.to_wire());
+        for n in self.neighbors() {
+            let peer = self.peer(n);
             // Every neighbour is on the liveness clock from its first
             // serving tick — silence toward a neighbour we have never
             // heard from (because it is dead) must accrue too.
-            let seen = *self.last_rx.entry(n).or_insert(self.ticks);
-            let keyed = self.links.contains_key(&n);
-            if keyed && self.dead_links.contains(&n) {
+            let seen = *peer.last_rx.get_or_insert(now);
+            let keyed = peer.link.is_some();
+            if keyed && peer.dead {
                 // Stale liveness view: a neighbour we believed dead
                 // re-keyed the link while we were still rejoining — it is
                 // reachable, so reconcile what we missed while ignoring
                 // it.
-                outs.extend(self.heal_dead_link(n)?);
+                outs.push(self.heal_link(n)?);
                 continue;
             }
             if keyed {
-                let due = self.last_hb.get(&n).is_none_or(|&t| self.ticks - t >= config.interval);
-                if due {
-                    self.last_hb.insert(n, self.ticks);
+                if peer.last_hb.is_none_or(|t| now - t >= config.interval) {
+                    peer.last_hb = Some(now);
                     self.heartbeats_sent += 1;
-                    let bytes = self.seal_to(n, &hb_wire)?;
-                    outs.push(Output::Frame(LinkFrame { to: n, from: self.id, bytes }));
+                    outs.push(self.send(n, &hb_wire)?);
                 }
-                if self.pending_replays.contains(&n) {
-                    // An unanswered pull: the neighbour was dead (or
-                    // still rejoining) when we asked. Re-send once the
-                    // request outlives the suspicion window, so a heal
-                    // attempted against a corpse completes when the
-                    // corpse is itself fenced and restarted.
-                    let stale = self
-                        .requested_at
-                        .get(&n)
-                        .is_none_or(|&t| self.ticks - t >= config.suspect_after);
-                    if stale {
-                        self.requested.insert(n);
-                        self.requested_at.insert(n, self.ticks);
-                        let bytes = self.seal_to(n, &Message::ReplayRequest.to_wire())?;
-                        outs.push(Output::Frame(LinkFrame { to: n, from: self.id, bytes }));
-                    }
+                // An unanswered pull: the neighbour was dead (or still
+                // rejoining) when we asked. Re-send once the request
+                // outlives the suspicion window, so a heal attempted
+                // against a corpse completes when the corpse is itself
+                // fenced and restarted.
+                let replay = self.peer(n).replay.as_ref();
+                if replay
+                    .is_some_and(|r| r.requested_at.is_none_or(|t| now - t >= config.suspect_after))
+                {
+                    outs.push(self.request_replay(n)?);
                 }
-            } else if !self.responses.contains_key(&n) {
+            } else if peer.response.is_none()
+                && peer.initiated_at.is_none_or(|t| now - t >= config.suspect_after)
+            {
                 // No channel (the neighbour was dead at our restart, or
                 // its key died with it): probe with a fresh handshake.
                 // An unanswered probe is retried once its age exceeds
                 // the suspicion window.
-                let stale = self
-                    .initiated_at
-                    .get(&n)
-                    .is_none_or(|&t| self.ticks - t >= config.suspect_after);
-                if stale {
-                    let (wire, state) = self.initiate_handshake()?;
-                    self.initiations.insert(n, state);
-                    self.initiated_at.insert(n, self.ticks);
-                    outs.push(Output::Frame(LinkFrame { to: n, from: self.id, bytes: wire }));
-                }
+                outs.push(self.initiate(n)?);
             }
-            if self.suspects.contains(&n) {
+            let peer = self.peer(n);
+            if peer.suspect {
                 continue; // one Suspect per episode
             }
-            if let Some(&since) = self.gap_since.get(&n) {
-                if self.ticks - since >= config.gap_grace {
-                    self.suspects.insert(n);
-                    outs.push(Output::Event(LinkEvent::Suspect {
-                        link: n,
-                        reason: SuspectReason::Gap,
-                    }));
-                    // The peer is provably alive — gap frames
-                    // authenticate — only the channel is wedged on lost
-                    // frames. Heal at link level: re-key, then pull a
-                    // replay on the fresh channel to recover whatever
-                    // subscription traffic the gap swallowed.
-                    if !self.initiations.contains_key(&n) {
-                        self.resync.insert(n);
-                        let (wire, state) = self.initiate_handshake()?;
-                        self.initiations.insert(n, state);
-                        self.initiated_at.insert(n, self.ticks);
-                        outs.push(Output::Frame(LinkFrame { to: n, from: self.id, bytes: wire }));
-                    }
-                    continue;
+            if peer.gap_since.is_some_and(|since| now - since >= config.gap_grace) {
+                peer.suspect = true;
+                outs.push(Output::Event(LinkEvent::Suspect {
+                    link: n,
+                    reason: SuspectReason::Gap,
+                }));
+                // The peer is provably alive — gap frames authenticate —
+                // only the channel is wedged on lost frames. Heal at link
+                // level: re-key, then pull a replay on the fresh channel
+                // to recover whatever subscription traffic the gap
+                // swallowed.
+                if peer.initiation.is_none() {
+                    peer.resync = true;
+                    outs.push(self.initiate(n)?);
                 }
-            }
-            if self.ticks.saturating_sub(seen) >= config.suspect_after {
-                self.suspects.insert(n);
+            } else if now.saturating_sub(seen) >= config.suspect_after {
+                peer.suspect = true;
                 outs.push(Output::Event(LinkEvent::Suspect {
                     link: n,
                     reason: SuspectReason::Silence,
@@ -1763,31 +1743,50 @@ impl Broker {
         Ok(outs)
     }
 
-    /// A believed-dead neighbour turned out reachable: forget the dead
-    /// mark and pull a replay over the link to pick up every interest
-    /// change we missed while skipping it.
-    fn heal_dead_link(&mut self, neighbor: usize) -> Result<Vec<Output>, OverlayError> {
-        self.dead_links.remove(&neighbor);
-        self.pending_replays.insert(neighbor);
-        self.requested.insert(neighbor);
-        self.requested_at.insert(neighbor, self.ticks);
-        let bytes = self.seal_to(neighbor, &Message::ReplayRequest.to_wire())?;
-        Ok(vec![Output::Frame(LinkFrame { to: neighbor, from: self.id, bytes })])
+    /// A believed-dead or gap-wedged neighbour is reachable on a fresh
+    /// key: forget the dead mark and pull a replay over the link to pick
+    /// up every interest change we missed.
+    fn heal_link(&mut self, neighbor: usize) -> Result<Output, OverlayError> {
+        let peer = self.peer(neighbor);
+        peer.dead = false;
+        peer.resync = false;
+        self.request_replay(neighbor)
+    }
+
+    /// Asks `neighbor` to replay what it forwarded on the link, recording
+    /// the request on the replay the link owes (opening one if none is).
+    fn request_replay(&mut self, neighbor: usize) -> Result<Output, OverlayError> {
+        let now = self.ticks;
+        self.peer(neighbor).replay.get_or_insert_default().requested_at = Some(now);
+        self.send(neighbor, &Message::ReplayRequest.to_wire())
     }
 
     // ---- link handshake ------------------------------------------------
 
-    fn initiate_handshake(&mut self) -> Result<(Vec<u8>, LinkInitiator), OverlayError> {
+    /// Opens a handshake toward `neighbor`: records it and returns the
+    /// hello frame.
+    fn initiate(&mut self, neighbor: usize) -> Result<Output, OverlayError> {
         let enclave =
             self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
         let (hello, state) = sgx_sim::link::initiate(&self.platform, enclave, &mut self.rng)?;
-        Ok((Message::LinkHello { payload: hello.to_bytes() }.to_wire(), state))
+        let now = self.ticks;
+        let peer = self.peer(neighbor);
+        peer.initiation = Some(state);
+        peer.initiated_at = Some(now);
+        let bytes = Message::LinkHello { payload: hello.to_bytes() }.to_wire();
+        Ok(Output::Frame(LinkFrame { to: neighbor, from: self.id, bytes }))
     }
 
     /// Responds to a neighbour's hello after verifying its quote against
     /// the configured trust anchors.
+    ///
+    /// When both ends open a handshake at once, the higher id's wins: a
+    /// broker whose id is lower than the sender's drops its own
+    /// initiation toward it, so the two ends install the one key the
+    /// winner's handshake agrees instead of each other's crosswise. It
+    /// still answers every hello, so a lost one cannot wedge the link.
     fn hs_hello(&mut self, from: usize, payload: &[u8]) -> Result<Vec<Output>, OverlayError> {
-        if !self.neighbors.contains(&from) {
+        if !self.peers.contains_key(&from) {
             return Err(OverlayError::Link { reason: "handshake from a non-neighbour" });
         }
         let hello = LinkHello::from_bytes(payload)?;
@@ -1798,7 +1797,12 @@ impl Broker {
         };
         let (accept, state) =
             sgx_sim::link::accept(&self.platform, enclave, service, policy, &hello, &mut self.rng)?;
-        self.responses.insert(from, state);
+        let yields = self.id < from;
+        let peer = self.peer(from);
+        peer.response = Some(state);
+        if yields {
+            peer.initiation = None;
+        }
         Ok(vec![Output::Frame(LinkFrame {
             to: from,
             from: self.id,
@@ -1807,10 +1811,13 @@ impl Broker {
     }
 
     /// Completes the initiator side: verify the responder's quote,
-    /// derive the link key, install the sealed channels.
+    /// derive the link key, install the sealed channels. An accept for a
+    /// handshake of ours that is gone is dropped: the link outran it
+    /// (the neighbour re-keyed from its own side first) or the tie-break
+    /// in [`Broker::hs_hello`] withdrew it. Nothing is left to finish.
     fn hs_accept(&mut self, from: usize, payload: &[u8]) -> Result<Vec<Output>, OverlayError> {
-        let Some(state) = self.initiations.remove(&from) else {
-            return Err(OverlayError::Link { reason: "unexpected link-accept" });
+        let Some(state) = self.peers.get_mut(&from).and_then(|p| p.initiation.take()) else {
+            return Ok(Vec::new());
         };
         let accept = LinkAccept::from_bytes(payload)?;
         let enclave =
@@ -1832,7 +1839,7 @@ impl Broker {
 
     /// Completes the responder side, deriving the same link key.
     fn hs_finish(&mut self, from: usize, payload: &[u8]) -> Result<Vec<Output>, OverlayError> {
-        let Some(state) = self.responses.remove(&from) else {
+        let Some(state) = self.peers.get_mut(&from).and_then(|p| p.response.take()) else {
             return Err(OverlayError::Link { reason: "unexpected link-finish" });
         };
         let finish = LinkFinish::from_bytes(payload)?;
@@ -1850,26 +1857,18 @@ impl Broker {
     /// key. A fresh channel also retracts any standing suspicion.
     fn post_link_up(&mut self, link: usize) -> Result<Vec<Output>, OverlayError> {
         let mut outs = vec![Output::Event(LinkEvent::LinkUp { link })];
-        if self.suspects.remove(&link) {
+        let peer = self.peer(link);
+        if std::mem::take(&mut peer.suspect) {
             outs.push(Output::Event(LinkEvent::Cleared { link }));
         }
+        let unrequested = peer.replay.as_ref().is_some_and(|r| r.requested_at.is_none());
+        let heal = peer.dead || peer.resync;
         match self.state {
-            Lifecycle::Linking if self.neighbors.iter().all(|n| self.links.contains_key(n)) => {
+            Lifecycle::Linking if self.peers.values().all(|p| p.link.is_some()) => {
                 self.state = Lifecycle::Serving;
             }
-            Lifecycle::Rejoining
-                if self.pending_replays.contains(&link) && self.requested.insert(link) =>
-            {
-                self.requested_at.insert(link, self.ticks);
-                let bytes = self.seal_to(link, &Message::ReplayRequest.to_wire())?;
-                outs.push(Output::Frame(LinkFrame { to: link, from: self.id, bytes }));
-            }
-            Lifecycle::Serving
-                if self.dead_links.contains(&link) || self.resync.contains(&link) =>
-            {
-                self.resync.remove(&link);
-                outs.extend(self.heal_dead_link(link)?);
-            }
+            Lifecycle::Rejoining if unrequested => outs.push(self.request_replay(link)?),
+            Lifecycle::Serving if heal => outs.push(self.heal_link(link)?),
             _ => {}
         }
         Ok(outs)
@@ -1883,7 +1882,10 @@ impl Broker {
                 reason: "frame for a broker that is not linked",
             });
         }
-        let opened = match self.links.get_mut(&from) {
+        let Some(peer) = self.peers.get_mut(&from) else {
+            return Err(OverlayError::Link { reason: "no link to neighbour" });
+        };
+        let opened = match &mut peer.link {
             Some(LinkChannel { inbound, .. }) => match inbound.open(bytes) {
                 // The metadata word (a publication's trace id) rides in
                 // clear but is AAD-bound, so a successful open vouches
@@ -1898,8 +1900,8 @@ impl Broker {
             Opened::Wire { wire, meta } => {
                 // An authentic frame is proof of life: refresh the
                 // liveness clock and retract any standing suspicion.
-                self.last_rx.insert(from, self.ticks);
-                let cleared = self.suspects.remove(&from);
+                peer.last_rx = Some(self.ticks);
+                let cleared = std::mem::take(&mut peer.suspect);
                 let mut outs = self.dispatch_wire(from, &wire, meta)?;
                 if cleared {
                     outs.insert(0, Output::Event(LinkEvent::Cleared { link: from }));
@@ -1913,8 +1915,8 @@ impl Broker {
                 // gap-grace clock; `tick_serving` escalates it to a
                 // `Suspect { reason: Gap }` re-key if it outlives the
                 // grace window.
-                self.last_rx.insert(from, self.ticks);
-                self.gap_since.entry(from).or_insert(self.ticks);
+                peer.last_rx = Some(self.ticks);
+                peer.gap_since.get_or_insert(self.ticks);
                 Ok(vec![Output::Event(LinkEvent::Gap { link: from, expected, got })])
             }
             Opened::Failed(err) => {
@@ -1925,29 +1927,19 @@ impl Broker {
                 // channel stays installed until the new key proves out).
                 match Message::from_wire(bytes) {
                     Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload),
-                    Ok(Message::LinkAccept { payload }) if self.initiations.contains_key(&from) => {
-                        self.hs_accept(from, &payload)
-                    }
-                    // The answer to a handshake of ours that the link
-                    // outran: the neighbour re-keyed from its own side
-                    // first, and the fresh channel dropped our initiation.
-                    // Nothing is left to finish.
-                    Ok(Message::LinkAccept { .. }) => Ok(Vec::new()),
-                    Ok(Message::LinkFinish { payload }) if self.responses.contains_key(&from) => {
+                    Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload),
+                    Ok(Message::LinkFinish { payload }) if peer.response.is_some() => {
                         self.hs_finish(from, &payload)
                     }
                     _ => Err(err.into()),
                 }
             }
             Opened::NoChannel => {
-                if !self.neighbors.contains(&from) {
-                    return Err(OverlayError::Link { reason: "no link to neighbour" });
-                }
                 match Message::from_wire(bytes) {
                     Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload),
                     Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload),
                     Ok(Message::LinkFinish { payload }) => self.hs_finish(from, &payload),
-                    _ if self.dead_links.contains(&from) || self.state == Lifecycle::Rejoining => {
+                    _ if peer.dead || self.state == Lifecycle::Rejoining => {
                         // Sealed traffic under a key we no longer hold:
                         // either our liveness view is stale (the sender
                         // is alive and still using its pre-restart key
@@ -1981,10 +1973,10 @@ impl Broker {
                 // mode whatever our own lifecycle state: a rejoining
                 // broker replays from every neighbour, a serving broker
                 // replays over a single healed link.
-                let replaying = self.pending_replays.contains(&from);
+                let replaying = self.peer(from).replay.is_some();
                 let outcome = self.call(|c| c.admit(&envelope, Origin::Link(from), replaying))?;
-                if replaying {
-                    self.confirmed.entry(from).or_default().insert(outcome.id);
+                if let Some(replay) = &mut self.peer(from).replay {
+                    replay.confirmed.insert(outcome.id);
                     self.replayed_subs += 1;
                 }
                 let wire = Message::SubForward { envelope }.to_wire();
@@ -2033,7 +2025,7 @@ impl Broker {
                     // request — it drains the moment we reach Serving —
                     // so two adjacent brokers crashed in the same window
                     // both recover instead of wedging on each other.
-                    self.parked_replays.insert(from);
+                    self.peer(from).parked_replay = true;
                     return Ok(Vec::new());
                 }
                 self.serve_replay(from)
@@ -2056,24 +2048,25 @@ impl Broker {
         let count = envelopes.len() as u32;
         let mut outs = Vec::with_capacity(envelopes.len() + 1);
         for envelope in envelopes {
-            let wire = Message::SubForward { envelope }.to_wire();
-            let bytes = self.seal_to(from, &wire)?;
-            outs.push(Output::Frame(LinkFrame { to: from, from: self.id, bytes }));
+            outs.push(self.send(from, &Message::SubForward { envelope }.to_wire())?);
         }
-        let bytes = self.seal_to(from, &Message::ReplayDone { count }.to_wire())?;
-        outs.push(Output::Frame(LinkFrame { to: from, from: self.id, bytes }));
+        outs.push(self.send(from, &Message::ReplayDone { count }.to_wire())?);
         Ok(outs)
     }
 
     /// Serves every replay request that arrived while we were not yet
     /// serving. Called on the Rejoining → Serving transition.
     fn drain_parked(&mut self) -> Result<Vec<Output>, OverlayError> {
-        let parked = std::mem::take(&mut self.parked_replays);
+        let parked: Vec<usize> = self
+            .peers
+            .iter_mut()
+            .filter_map(|(&n, p)| {
+                (std::mem::take(&mut p.parked_replay) && p.link.is_some()).then_some(n)
+            })
+            .collect();
         let mut outs = Vec::new();
         for neighbor in parked {
-            if self.links.contains_key(&neighbor) {
-                outs.extend(self.serve_replay(neighbor)?);
-            }
+            outs.extend(self.serve_replay(neighbor)?);
         }
         Ok(outs)
     }
@@ -2087,11 +2080,11 @@ impl Broker {
     /// replay reports `Healed` instead.
     fn reconcile_replay(&mut self, from: usize, count: u32) -> Result<Vec<Output>, OverlayError> {
         let healing = self.state == Lifecycle::Serving;
-        if !(self.state == Lifecycle::Rejoining || healing) || !self.pending_replays.contains(&from)
-        {
+        let open = healing || self.state == Lifecycle::Rejoining;
+        let Some(replay) = self.peer(from).replay.as_mut().filter(|_| open) else {
             return Err(OverlayError::Lifecycle { reason: "unexpected replay-done" });
-        }
-        let confirmed = self.confirmed.remove(&from).unwrap_or_default();
+        };
+        let confirmed = std::mem::take(&mut replay.confirmed);
         if confirmed.len() != count as usize {
             return Err(OverlayError::Link { reason: "replay count mismatch" });
         }
@@ -2118,16 +2111,14 @@ impl Broker {
         // would cost as much and restart redo twice over.
         self.mark_dirty();
         self.force_base = true;
-        self.pending_replays.remove(&from);
-        self.requested.remove(&from);
-        self.requested_at.remove(&from);
+        self.peer(from).replay = None;
         if healing {
             outs.push(Output::Event(LinkEvent::Healed {
                 link: from,
                 replayed: replayed_here,
                 dropped_stale: stale.len(),
             }));
-        } else if self.pending_replays.is_empty() {
+        } else if !self.replays_owed() {
             self.state = Lifecycle::Serving;
             outs.push(Output::Event(LinkEvent::Rejoined {
                 replayed: self.replayed_subs,
@@ -2213,7 +2204,7 @@ impl Broker {
         let t_matched = if timing { self.mem_elapsed_ns() } else { 0.0 };
         let matched_here = routes.locals.len();
         // lint: allow(SL03, owned output construction - deliveries and frames leave this fn)
-        let mut outs = Vec::with_capacity(matched_here + self.links.len());
+        let mut outs = Vec::with_capacity(matched_here + self.peers.len());
         for (i, item) in items().enumerate() {
             let (locals, _) = routes.get(i);
             if locals.is_empty() {
@@ -2231,10 +2222,9 @@ impl Broker {
         // One batch per keyed link with interest, in ascending neighbour
         // order. Interest toward a dead (not yet re-keyed) neighbour is
         // lost here, like the wire would lose the frame.
-        let mut wire = std::mem::take(&mut self.batch_wire);
-        let mut next = 0;
-        while let Some(neighbor) = self.links.range(next..).next().map(|(&n, _)| n) {
-            next = neighbor + 1;
+        let wire = &mut self.batch_wire;
+        let links = self.peers.iter_mut().filter_map(|(&n, p)| Some((n, p.link.as_mut()?)));
+        for (neighbor, link) in links {
             let mut routed = items()
                 .enumerate()
                 .filter(|(i, _)| routes.get(*i).1.contains(&neighbor))
@@ -2243,11 +2233,11 @@ impl Broker {
             if routed.peek().is_none() {
                 continue;
             }
-            encode_publish_batch(routed, &mut wire)?;
-            let bytes = self.seal_to_meta(neighbor, &wire, trace.0)?;
+            encode_publish_batch(routed, wire)?;
+            // The trace id rides in clear, bound into the frame's AAD.
+            let bytes = link.outbound.seal_meta(wire, trace.0);
             outs.push(Output::Frame(LinkFrame { to: neighbor, from: self.id, bytes }));
         }
-        self.batch_wire = wire;
         self.routes = routes;
         if timing {
             let t_forwarded = self.mem_elapsed_ns();
@@ -2290,7 +2280,7 @@ impl Broker {
     ) -> Result<Vec<Output>, OverlayError> {
         let mut outs = Vec::new();
         for link in links {
-            if !self.links.contains_key(&link.neighbor) {
+            if self.peers.get(&link.neighbor).is_none_or(|p| p.link.is_none()) {
                 // Dead neighbour (declared so at restart), no channel
                 // yet: the covering table is up to date, and its rejoin
                 // replay will see that instead of these frames.
@@ -2298,11 +2288,9 @@ impl Broker {
             }
             for envelope in &link.uncovered {
                 let wire = Message::SubForward { envelope: envelope.clone() }.to_wire();
-                let bytes = self.seal_to(link.neighbor, &wire)?;
-                outs.push(Output::Frame(LinkFrame { to: link.neighbor, from: self.id, bytes }));
+                outs.push(self.send(link.neighbor, &wire)?);
             }
-            let bytes = self.seal_to(link.neighbor, terminal)?;
-            outs.push(Output::Frame(LinkFrame { to: link.neighbor, from: self.id, bytes }));
+            outs.push(self.send(link.neighbor, terminal)?);
         }
         Ok(outs)
     }
@@ -2478,9 +2466,7 @@ impl Broker {
     /// fabric's detection loop runs until every broker settles.
     pub fn settled(&self) -> bool {
         self.state == Lifecycle::Serving
-            && self.pending_replays.is_empty()
-            && self.dead_links.is_empty()
-            && self.gap_since.is_empty()
+            && self.peers.values().all(|p| p.replay.is_none() && !p.dead && p.gap_since.is_none())
     }
 
     /// Resets the broker's memory counters (between measurement phases).
@@ -3003,27 +2989,43 @@ mod tests {
         ));
     }
 
-    /// Two serving brokers open a handshake toward each other at once.
-    /// b's completes first; the fresh channel drops a's own initiation,
-    /// and the answer to a's hello, arriving after that, is a no-op: a
-    /// stays on the key both ends hold and the step does not fail.
-    #[test]
-    fn a_late_accept_for_a_handshake_the_link_outran_is_dropped() {
-        let mut rng = CryptoRng::from_seed(18);
-        let producer = producer(&mut rng);
-        let (mut a, _) = serving(0, 18, false, &[1], &producer);
-        let (mut b, _) = serving(1, 19, false, &[0], &producer);
+    /// Points both brokers' link trust anchors at both platforms.
+    fn trust_each_other(a: &mut Broker, b: &mut Broker) {
         let mut service = AttestationService::new();
         service.trust_platform(a.platform().attestation_public_key().clone());
         service.trust_platform(b.platform().attestation_public_key().clone());
         let policy = VerifierPolicy::require_mr_enclave(router_measurement());
         a.configure_trust(service.clone(), policy.clone());
         b.configure_trust(service, policy);
+    }
 
-        let (hello_a, state) = a.initiate_handshake().unwrap();
-        a.initiations.insert(1, state);
-        let (hello_b, state) = b.initiate_handshake().unwrap();
-        b.initiations.insert(0, state);
+    /// Steps `to` on every frame in `outs` addressed to it, in order, and
+    /// returns everything those steps put out.
+    fn deliver(to: &mut Broker, outs: &[Output]) -> Vec<Output> {
+        let id = to.id();
+        frames(outs)
+            .into_iter()
+            .filter(|f| f.to == id)
+            .flat_map(|f| {
+                to.step(0, Input::Frame { from: f.from, bytes: f.bytes.clone() }).unwrap()
+            })
+            .collect()
+    }
+
+    /// Two serving brokers open a handshake toward each other at once.
+    /// b's completes first; a's own initiation is gone by then, and the
+    /// answer to a's hello, arriving after that, is a no-op: a stays on
+    /// the key both ends hold and the step does not fail.
+    #[test]
+    fn a_late_accept_for_a_handshake_the_link_outran_is_dropped() {
+        let mut rng = CryptoRng::from_seed(18);
+        let producer = producer(&mut rng);
+        let (mut a, _) = serving(0, 18, false, &[1], &producer);
+        let (mut b, _) = serving(1, 19, false, &[0], &producer);
+        trust_each_other(&mut a, &mut b);
+
+        let hello_a = frames(&[a.initiate(1).unwrap()])[0].bytes.clone();
+        let hello_b = frames(&[b.initiate(0).unwrap()])[0].bytes.clone();
         let answer = |broker: &mut Broker, from: usize, bytes: Vec<u8>| -> Vec<u8> {
             let outs = broker.step(0, Input::Frame { from, bytes }).unwrap();
             frames(&outs)
@@ -3037,7 +3039,7 @@ mod tests {
         let accept_from_b = answer(&mut b, 0, hello_a);
         let finish_from_b = answer(&mut b, 0, accept_from_a);
         assert!(a.step(1, Input::Frame { from: 1, bytes: finish_from_b }).is_ok());
-        assert!(!a.initiations.contains_key(&1), "the fresh channel dropped a's handshake");
+        assert!(a.peers[&1].initiation.is_none(), "the fresh channel dropped a's handshake");
 
         let late = a.step(2, Input::Frame { from: 1, bytes: accept_from_b }).unwrap();
         assert!(late.is_empty(), "nothing is left to finish: {late:?}");
@@ -3053,6 +3055,75 @@ mod tests {
         let forward = frames(&outs)[0];
         b.step(3, Input::Frame { from: 0, bytes: forward.bytes.clone() }).unwrap();
         assert_eq!(b.subscriptions(), 1, "both ends kept the same key");
+    }
+
+    /// Two brokers open a handshake toward each other at once and both
+    /// accepts arrive before either finish. The higher id's handshake
+    /// wins: a (0) withdrew its own on b's hello, so it drops b's answer
+    /// to it, and both ends install the one key b's handshake agreed —
+    /// on a link both already held (a re-key), and on one neither holds
+    /// yet (two restarted brokers).
+    #[test]
+    fn crossed_handshakes_settle_on_one_key() {
+        let mut rng = CryptoRng::from_seed(20);
+        let producer = producer(&mut rng);
+        let spec = SubscriptionSpec::new().gt("p", 1.0);
+        let envelope =
+            producer.seal_registration(&spec, SubscriptionId(1), ClientId(1), &mut rng).unwrap();
+        let publication = PublicationSpec::new().attr("p", 2.0);
+
+        // Keyed: two serving brokers re-key their link at once.
+        let (mut a, mut b) = linked_pair(&producer);
+        trust_each_other(&mut a, &mut b);
+        let (hello_a, hello_b) = (a.initiate(1).unwrap(), b.initiate(0).unwrap());
+        let accept_a = deliver(&mut a, &[hello_b]);
+        let accept_b = deliver(&mut b, &[hello_a]);
+        let finish_a = deliver(&mut a, &accept_b);
+        let finish_b = deliver(&mut b, &accept_a);
+        deliver(&mut a, &finish_b);
+        deliver(&mut b, &finish_a);
+        // a's subscription crosses to b, and b's publication back to a.
+        let outs = a.step(1, Input::Subscribe { envelope }).unwrap();
+        deliver(&mut b, &outs);
+        assert_eq!(b.subscriptions(), 1);
+        let items = vec![item(&producer, &publication, &mut rng)];
+        let outs = b.step(2, Input::Publish { items, trace: TraceId::NONE }).unwrap();
+        assert_eq!(deliveries(&deliver(&mut a, &outs)).len(), 1, "one key, both directions");
+
+        // Unkeyed: both crash. b restarts first, with a (still down) in
+        // its dead view: it serves at once and probes a. a restarts into
+        // `Rejoining` and opens its own handshake; the two cross.
+        a.step(3, Input::Crash).unwrap();
+        b.step(3, Input::Crash).unwrap();
+        b.step(4, Input::Restart { dead_links: vec![0] }).unwrap();
+        provision(&mut b, &producer);
+        b.set_heartbeats(Some(HeartbeatConfig::fast()));
+        a.step(5, Input::Restart { dead_links: vec![] }).unwrap();
+        provision(&mut a, &producer);
+        assert_eq!((a.lifecycle(), b.lifecycle()), (Lifecycle::Rejoining, Lifecycle::Serving));
+        let hello_a = a.step(6, Input::Tick).unwrap();
+        let hello_b = b.step(6, Input::Tick).unwrap();
+        let accept_a = deliver(&mut a, &hello_b);
+        let accept_b = deliver(&mut b, &hello_a);
+        assert!(deliver(&mut a, &accept_b).is_empty(), "a withdrew the handshake b accepted");
+        // b finishes its handshake and, its dead view proved stale, pulls
+        // a replay; a installs b's key and asks for its own replay.
+        let up_b = deliver(&mut b, &accept_a);
+        let up_a = deliver(&mut a, &up_b);
+        let requested = a.peers[&1].replay.as_ref().is_some_and(|r| r.requested_at.is_some());
+        assert!(requested && frames(&up_a).len() == 1, "a asked for its replay on the new key");
+        let replay_to_a = deliver(&mut b, &up_a);
+        let replay_to_b = deliver(&mut a, &replay_to_a);
+        assert!(replay_to_b.iter().any(|o| matches!(o, Output::Event(LinkEvent::Rejoined { .. }))));
+        let healed = deliver(&mut b, &replay_to_b);
+        assert!(healed.iter().any(|o| matches!(
+            o,
+            Output::Event(LinkEvent::Healed { link: 0, replayed: 1, dropped_stale: 0 })
+        )));
+        assert!(a.settled() && b.settled());
+        let items = vec![item(&producer, &publication, &mut rng)];
+        let outs = b.step(7, Input::Publish { items, trace: TraceId::NONE }).unwrap();
+        assert_eq!(deliveries(&deliver(&mut a, &outs)).len(), 1, "one key after the rejoin");
     }
 
     fn subscribe_n(

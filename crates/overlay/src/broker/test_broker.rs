@@ -52,7 +52,7 @@ pub(super) fn provision(broker: &mut Broker, producer: &ProducerCrypto) {
 /// heal follow, so after a restart this is the host's whole relink.
 pub(super) fn relink(broker: &mut Broker) -> Peers {
     let mut links = BTreeMap::new();
-    for n in broker.neighbors.clone() {
+    for n in broker.neighbors() {
         let mut key = [0u8; 32];
         broker.rng.fill(&mut key);
         broker.install_sealed_link(n, &key);

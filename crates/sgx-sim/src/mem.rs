@@ -195,11 +195,6 @@ impl MemorySim {
         MemorySim::native(CacheConfig::default(), CostModel::default())
     }
 
-    /// Enclave memory with the paper machine's default geometry and costs.
-    pub fn enclave_default() -> Self {
-        MemorySim::enclave(CacheConfig::default(), EpcConfig::default(), CostModel::default())
-    }
-
     /// Which protection domain this memory models.
     pub fn protection(&self) -> Protection {
         self.protection

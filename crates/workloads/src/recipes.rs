@@ -142,11 +142,6 @@ impl Workload {
         self.attr_multiplier
     }
 
-    /// The equality-count distribution rows.
-    pub fn eq_distribution(&self) -> &[(usize, f64)] {
-        &self.eq_dist
-    }
-
     /// The value-selection mode.
     pub fn selection(&self) -> ValueSelection {
         self.selection

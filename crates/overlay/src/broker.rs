@@ -13,6 +13,23 @@
 //!                                                Crashed ──Restart──▶ Rejoining
 //! ```
 //!
+//! Each phase owns the data that only means something in it, so a
+//! transition is one assignment. Every input is gated by the phase
+//! (`lifecycle_gates_inputs` pins this table):
+//!
+//! | Phase | Owns | Accepts | Leaves by |
+//! |---|---|---|---|
+//! | `Cold` | the enclave | `Tick`, `Crash` | provisioning → `Attesting`; `Crash` |
+//! | `Attesting` | the enclave | `Tick`, `Crash` | provisioned → `Linking` (→ `Serving` with no neighbours); `Crash` |
+//! | `Linking` | the enclave | `Tick`, `Crash`, frames: handshakes and heartbeats (replay requests are parked) | last link up → `Serving`; `Crash` |
+//! | `Serving` | the enclave | everything but `Restart` | `Crash` |
+//! | `Rejoining` | the enclave, the crash time, what the rejoin replayed and dropped | `Tick`, `Crash`, frames: handshakes, subscription traffic, replays (undecipherable ones are dropped) | last replay closed → `Serving`; `Crash` |
+//! | `Crashed` | the crash time | `Tick`, `Crash`, `Restart` | `Restart` → `Rejoining` (→ `Serving` when no replay is owed) |
+//!
+//! `Serving` is entered after bring-up through one transition, which
+//! reports a finished rejoin and serves the replay requests neighbours
+//! parked while the broker could not.
+//!
 //! Its entire runtime surface is [`Broker::step`]`(now, Input) ->
 //! Vec<Output>`: inputs are wire frames, local edge traffic, admin
 //! commands ([`Input::Crash`], [`Input::Restart`]) and timer ticks;
@@ -244,10 +261,12 @@ pub enum SuspectReason {
     Gap,
 }
 
-/// The broker lifecycle states (see the module docs for the diagram).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The broker lifecycle states (see the module docs for the diagram and
+/// the phase table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Lifecycle {
     /// Constructed; no keys, no links.
+    #[default]
     Cold,
     /// Remote attestation / key provisioning in flight.
     Attesting,
@@ -1060,7 +1079,7 @@ impl Peer {
 }
 
 /// Per-broker counters (cumulative unless reset).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BrokerStats {
     /// The broker's router id.
     pub router: usize,
@@ -1155,65 +1174,123 @@ struct LogShape {
     deltas: u64,
 }
 
-/// One overlay broker (untrusted shell + enclave-resident core), driven
-/// exclusively through [`Broker::step`].
-pub struct Broker {
-    id: usize,
-    state: Lifecycle,
-    platform: SgxPlatform,
-    /// `None` only while crashed.
-    enclave: Option<Enclave>,
-    /// The measured routing binary, kept for enclave relaunch on restart.
-    code: Vec<u8>,
-    flood: bool,
-    core: BrokerCore,
-    /// One record per neighbour, in ascending id order.
-    peers: BTreeMap<usize, Peer>,
-    /// The trust anchors for verifying peer quotes during link handshakes.
-    service: Option<AttestationService>,
-    policy: Option<VerifierPolicy>,
-    /// The sealed recovery record, as stored on the untrusted host
-    /// disk: one length-prefixed base entry, then the deltas appended
-    /// since.
+/// The host's recovery file and the checkpoint the current step owes it.
+struct RecoveryFile {
+    /// The sealed record as stored on the untrusted host disk: one
+    /// length-prefixed base entry, then the deltas appended since.
     sealed: Option<Vec<u8>>,
     /// The shape of `sealed` as last written or restored.
     log: LogShape,
     /// The platform monotonic counter keying the record's rollback
     /// protection.
     counter: CounterId,
-    /// Rejoin bookkeeping: envelopes replayed and stale subscriptions
-    /// dropped since the restart.
-    replayed_subs: usize,
-    dropped_stale: usize,
-    crashed_at: u64,
+    /// The seal this step owes, flushed to one [`Broker::checkpoint`] on
+    /// the way out. A failed delta is dropped; a failed base stays owed
+    /// until a checkpoint writes it or a crash clears it.
+    pending: Option<Seal>,
+}
+
+/// What a pending checkpoint must write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seal {
+    /// Whatever the compaction rule picks; a delta when it picks none.
+    Delta,
+    /// A whole base: the step closed a replay reconciliation.
+    Base,
+}
+
+/// Where the broker is in its lifecycle, with the data that only means
+/// something there (the phase table in the module docs). Every phase but
+/// `Crashed` owns the enclave; [`Lifecycle`] is the public tag.
+enum Phase {
+    Cold(Enclave),
+    Attesting(Enclave),
+    Linking(Enclave),
+    Serving(Enclave),
+    /// Restarted from the sealed record, re-linking and replaying.
+    Rejoining {
+        enclave: Enclave,
+        /// When the broker crashed: the rejoin reports its downtime.
+        crashed_at: u64,
+        /// Envelopes the neighbours replayed since the restart.
+        replayed: usize,
+        /// Restored subscriptions dropped as stale since the restart.
+        dropped: usize,
+    },
+    /// The enclave is gone; only the host's sealed record survives.
+    Crashed {
+        at: u64,
+    },
+}
+
+impl Phase {
+    fn lifecycle(&self) -> Lifecycle {
+        match self {
+            Phase::Cold(_) => Lifecycle::Cold,
+            Phase::Attesting(_) => Lifecycle::Attesting,
+            Phase::Linking(_) => Lifecycle::Linking,
+            Phase::Serving(_) => Lifecycle::Serving,
+            Phase::Rejoining { .. } => Lifecycle::Rejoining,
+            Phase::Crashed { .. } => Lifecycle::Crashed,
+        }
+    }
+
+    /// The enclave. No input that needs one reaches a crashed broker.
+    fn enclave(&self) -> Result<&Enclave, OverlayError> {
+        match self {
+            Phase::Cold(enclave)
+            | Phase::Attesting(enclave)
+            | Phase::Linking(enclave)
+            | Phase::Serving(enclave)
+            | Phase::Rejoining { enclave, .. } => Ok(enclave),
+            Phase::Crashed { .. } => {
+                Err(OverlayError::Lifecycle { reason: "a crashed broker has no enclave" })
+            }
+        }
+    }
+
+    /// Moves the enclave into the phase `next` builds around it. A
+    /// crashed broker has none and stays crashed.
+    fn advance(&mut self, next: fn(Enclave) -> Phase) {
+        *self = match std::mem::replace(self, Phase::Crashed { at: 0 }) {
+            Phase::Cold(enclave)
+            | Phase::Attesting(enclave)
+            | Phase::Linking(enclave)
+            | Phase::Serving(enclave)
+            | Phase::Rejoining { enclave, .. } => next(enclave),
+            crashed => crashed,
+        };
+    }
+}
+
+/// One overlay broker (untrusted shell + enclave-resident core), driven
+/// exclusively through [`Broker::step`].
+pub struct Broker {
+    id: usize,
+    phase: Phase,
+    platform: SgxPlatform,
+    /// The measured routing binary, kept for enclave relaunch on restart.
+    code: Vec<u8>,
+    core: BrokerCore,
+    /// One record per neighbour, in ascending id order.
+    peers: BTreeMap<usize, Peer>,
+    /// The trust anchors for verifying peer quotes during link handshakes.
+    trust: Option<(AttestationService, VerifierPolicy)>,
+    file: RecoveryFile,
     now: u64,
-    gaps: u64,
     /// Liveness timers (host configuration; `None` disables all
     /// steady-state tick work).
     heartbeats: Option<HeartbeatConfig>,
     /// Ticks processed over the broker's lifetime (the liveness clock).
     ticks: u64,
-    /// Heartbeat frames emitted (cumulative).
-    heartbeats_sent: u64,
     /// Stage-latency and hop-trace instrumentation. Host configuration
     /// (like the trust anchors): survives crashes, re-applied to the
     /// rebuilt core on restart. Off by default — the uninstrumented hot
     /// path stays byte-for-byte identical.
     telemetry: bool,
-    /// Subscription state mutated during the current `step`; flushed to
-    /// (at most) one [`Broker::checkpoint`] on the way out.
-    dirty: bool,
-    /// The pending checkpoint must write a whole base: the step closed a
-    /// replay reconciliation.
-    force_base: bool,
-    /// Recovery-record seals performed (cumulative).
-    seals: u64,
-    /// Seals avoided by per-step coalescing (cumulative).
-    seals_saved: u64,
-    /// Plaintext bytes sealed by checkpoints (cumulative).
-    sealed_bytes: u64,
-    /// Checkpoints that wrote a base (cumulative).
-    compactions: u64,
+    /// The cumulative counters [`Broker::stats`] reports as they are:
+    /// gaps, heartbeats, seals, seals saved, sealed bytes, compactions.
+    counters: BrokerStats,
     rng: CryptoRng,
     /// Route results of the publication batch in flight; the enclave
     /// fills it, the shell turns it into outputs. Reused across batches.
@@ -1227,12 +1304,15 @@ impl std::fmt::Debug for Broker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Broker")
             .field("id", &self.id)
-            .field("state", &self.state)
+            .field("state", &self.lifecycle())
             .field("links", &self.peers.values().filter(|p| p.link.is_some()).count())
             .field("subscriptions", &self.subscriptions())
             .finish()
     }
 }
+
+/// Refusal of a link handshake by a broker told no trust anchors.
+const UNTRUSTED: OverlayError = OverlayError::Link { reason: "link trust anchors not configured" };
 
 impl Broker {
     /// Launches an attested broker: own platform (its own machine), the
@@ -1249,33 +1329,18 @@ impl Broker {
         let core = BrokerCore::fresh(enclave.memory(), flood, &[]);
         Ok(Broker {
             id,
-            state: Lifecycle::Cold,
+            phase: Phase::Cold(enclave),
             platform,
-            enclave: Some(enclave),
             code: code.to_vec(),
-            flood,
             core,
             peers: BTreeMap::new(),
-            service: None,
-            policy: None,
-            sealed: None,
-            log: LogShape::default(),
-            counter,
-            replayed_subs: 0,
-            dropped_stale: 0,
-            crashed_at: 0,
+            trust: None,
+            file: RecoveryFile { sealed: None, log: LogShape::default(), counter, pending: None },
             now: 0,
-            gaps: 0,
             heartbeats: None,
             ticks: 0,
-            heartbeats_sent: 0,
             telemetry: false,
-            dirty: false,
-            force_base: false,
-            seals: 0,
-            seals_saved: 0,
-            sealed_bytes: 0,
-            compactions: 0,
+            counters: BrokerStats::default(),
             rng: CryptoRng::from_seed(seed ^ 0x6c69_6e6b),
             routes: RouteSpans::default(),
             batch_wire: Vec::new(),
@@ -1289,17 +1354,12 @@ impl Broker {
 
     /// The broker's lifecycle state.
     pub fn lifecycle(&self) -> Lifecycle {
-        self.state
+        self.phase.lifecycle()
     }
 
     /// The broker's platform (its machine, which survives crashes).
     pub fn platform(&self) -> &SgxPlatform {
         &self.platform
-    }
-
-    /// The broker's enclave (`None` while crashed).
-    pub fn enclave(&self) -> Option<&Enclave> {
-        self.enclave.as_ref()
     }
 
     /// The sealed recovery record currently on the host's disk (base
@@ -1308,23 +1368,23 @@ impl Broker {
     /// adversaries) may read, cut up or swap it; the seal chain, not the
     /// accessor, provides the protection.
     pub fn sealed_record(&self) -> Option<&[u8]> {
-        self.sealed.as_deref()
+        self.file.sealed.as_deref()
     }
 
     /// Overwrites the host-disk recovery record (models a malicious or
     /// restored-from-backup host). A stale, truncated or re-spliced
     /// record is caught by the monotonic counter at restart.
     pub fn set_sealed_record(&mut self, record: Vec<u8>) {
-        self.sealed = Some(record);
+        self.file.sealed = Some(record);
     }
 
     /// Runs `f` on the enclave-resident core, crossing the call gate (a
     /// crashed broker, with no enclave, holds only an empty core).
     fn call<R>(&mut self, f: impl FnOnce(&mut BrokerCore) -> R) -> R {
         let core = &mut self.core;
-        match &self.enclave {
-            Some(enclave) => enclave.ecall(|_ctx| f(core)),
-            None => f(core),
+        match self.phase.enclave() {
+            Ok(enclave) => enclave.ecall(|_ctx| f(core)),
+            Err(_) => f(core),
         }
     }
 
@@ -1361,8 +1421,7 @@ impl Broker {
     /// policy) the broker uses to verify peer quotes during link
     /// handshakes. Host-side configuration: survives crashes.
     pub fn configure_trust(&mut self, service: AttestationService, policy: VerifierPolicy) {
-        self.service = Some(service);
-        self.policy = Some(policy);
+        self.trust = Some((service, policy));
     }
 
     /// Provisions `SK` into the broker's enclave via remote attestation
@@ -1382,14 +1441,12 @@ impl Broker {
         producer: &ProducerCrypto,
         producer_rng: &mut CryptoRng,
     ) -> Result<(), OverlayError> {
-        if self.state == Lifecycle::Cold {
-            self.state = Lifecycle::Attesting;
+        if let Phase::Cold(_) = self.phase {
+            self.phase.advance(Phase::Attesting);
         }
-        let enclave =
-            self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
         let (sk, pk) = provision_sk_via_attestation(
             &self.platform,
-            enclave,
+            self.phase.enclave()?,
             service,
             policy,
             producer,
@@ -1397,9 +1454,8 @@ impl Broker {
             producer_rng,
         )?;
         self.call(|c| c.matcher.provision_keys(sk, pk));
-        if self.state == Lifecycle::Attesting {
-            self.state =
-                if self.peers.is_empty() { Lifecycle::Serving } else { Lifecycle::Linking };
+        if let Phase::Attesting(_) = self.phase {
+            self.phase.advance(if self.peers.is_empty() { Phase::Serving } else { Phase::Linking });
         }
         Ok(())
     }
@@ -1442,7 +1498,10 @@ impl Broker {
     ///
     /// Inputs invalid for the current [`Lifecycle`] state are
     /// [`OverlayError::Lifecycle`]; frame authentication, routing and
-    /// sealing failures propagate with their own kinds.
+    /// sealing failures propagate with their own kinds. A failed delta
+    /// seal is dropped — the journal it took went with it — but a failed
+    /// base stays owed, so every later step retries it (and fails while
+    /// sealing does) until it is written or the broker crashes.
     pub fn step(&mut self, now: u64, input: Input) -> Result<Vec<Output>, OverlayError> {
         self.now = now;
         let outs = match input {
@@ -1454,20 +1513,27 @@ impl Broker {
             Input::Unsubscribe { envelope } => self.on_unsubscribe(&envelope),
             Input::Publish { items, trace } => self.on_publish(&items, trace),
         }?;
-        self.flush_checkpoint()?;
+        if let Some(seal) = self.file.pending.take() {
+            if let Err(err) = self.checkpoint(seal) {
+                if seal == Seal::Base {
+                    self.file.pending = Some(seal);
+                }
+                return Err(err);
+            }
+        }
         Ok(outs)
     }
 
     /// Marks the recovery record stale. Every subscription-state
-    /// mutation calls this instead of sealing on the spot; the flag is
-    /// flushed to at most **one** [`Broker::checkpoint`] at the end of
-    /// the step, so an N-mutation step (a replayed-link reconciliation)
-    /// pays one seal ECALL instead of N.
+    /// mutation calls this instead of sealing on the spot; the pending
+    /// seal is flushed to at most **one** [`Broker::checkpoint`] at the
+    /// end of the step, so an N-mutation step (a replayed-link
+    /// reconciliation) pays one seal ECALL instead of N.
     fn mark_dirty(&mut self) {
-        if self.dirty {
-            self.seals_saved += 1;
+        if self.file.pending.is_some() {
+            self.counters.seals_saved += 1;
         } else {
-            self.dirty = true;
+            self.file.pending = Some(Seal::Delta);
         }
     }
 
@@ -1477,31 +1543,21 @@ impl Broker {
     /// re-sealing per replayed envelope would make recovery quadratic in
     /// the live set.
     fn mark_dirty_if_serving(&mut self) {
-        if self.state == Lifecycle::Serving {
+        if let Phase::Serving(_) = self.phase {
             self.mark_dirty();
         }
     }
 
-    /// Seals the recovery record if this step mutated subscription
-    /// state.
-    fn flush_checkpoint(&mut self) -> Result<(), OverlayError> {
-        if !self.dirty {
-            return Ok(());
-        }
-        self.dirty = false;
-        self.checkpoint()
-    }
-
     fn require_serving(&self, what: &'static str) -> Result<(), OverlayError> {
-        if self.state != Lifecycle::Serving {
-            return Err(OverlayError::Lifecycle { reason: what });
+        match self.phase {
+            Phase::Serving(_) => Ok(()),
+            _ => Err(OverlayError::Lifecycle { reason: what }),
         }
-        Ok(())
     }
 
     fn require_traffic(&self) -> Result<(), OverlayError> {
-        match self.state {
-            Lifecycle::Serving | Lifecycle::Rejoining => Ok(()),
+        match self.phase {
+            Phase::Serving(_) | Phase::Rejoining { .. } => Ok(()),
             _ => Err(OverlayError::Lifecycle { reason: "subscription frame outside serving" }),
         }
     }
@@ -1513,12 +1569,12 @@ impl Broker {
     /// anchors survive; everything else — enclave, keys, index, live
     /// set, covering tables, link keys, half-open handshakes — is gone.
     fn on_crash(&mut self) -> Result<Vec<Output>, OverlayError> {
-        if self.state == Lifecycle::Crashed {
+        if let Phase::Crashed { .. } = self.phase {
             return Ok(Vec::new()); // idempotent
         }
-        self.enclave = None;
+        self.phase = Phase::Crashed { at: self.now };
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        self.core = BrokerCore::fresh(&mem, self.flood, &self.neighbors());
+        self.core = BrokerCore::fresh(&mem, self.core.flood, &self.neighbors());
         // Telemetry is host configuration: the flag survives the crash,
         // but the flight recorder and stage histograms (volatile, never
         // sealed) restart empty with the rebuilt core.
@@ -1526,11 +1582,8 @@ impl Broker {
         // Whatever was marked dirty this step died with the enclave, and
         // so did the journal (it lived in the core just replaced); the
         // last *flushed* record on the host disk is the recovery truth.
-        self.dirty = false;
-        self.force_base = false;
+        self.file.pending = None;
         self.peers.values_mut().for_each(|peer| *peer = Peer::default());
-        self.crashed_at = self.now;
-        self.state = Lifecycle::Crashed;
         Ok(vec![Output::Event(LinkEvent::Crashed)])
     }
 
@@ -1543,18 +1596,18 @@ impl Broker {
     /// *they* rejoin and replay from us (their reconciliation
     /// `sub-drop`s cover removals we both missed).
     fn on_restart(&mut self, dead_links: &[usize]) -> Result<Vec<Output>, OverlayError> {
-        if self.state != Lifecycle::Crashed {
+        let Phase::Crashed { at: crashed_at } = self.phase else {
             return Err(OverlayError::Lifecycle {
                 reason: "restart of a broker that is not crashed",
             });
-        }
+        };
         // The host's file: the base entry, then the deltas appended
         // since. Nothing below touches `self` until the whole record has
         // been accepted — a refused restart leaves the broker crashed
         // and the file where it was.
-        let entries = journal::split_entries(self.sealed.as_deref().unwrap_or_default())?;
+        let entries = journal::split_entries(self.file.sealed.as_deref().unwrap_or_default())?;
         let (flood, neighbors, platform, counter) =
-            (self.flood, self.neighbors(), &self.platform, self.counter);
+            (self.core.flood, self.neighbors(), &self.platform, self.file.counter);
         // Relaunch the (same, identically measured) routing enclave; one
         // crossing opens the chain (one key derivation for all its
         // blobs), restores the base and redoes the deltas.
@@ -1576,9 +1629,8 @@ impl Broker {
             core.base_version = base_version;
             Ok(core)
         })?;
-        self.enclave = Some(enclave);
         self.core = core;
-        self.log = match entries.split_first() {
+        self.file.log = match entries.split_first() {
             Some((base, deltas)) => LogShape {
                 base_bytes: base.len(),
                 delta_bytes: deltas.iter().map(|d| d.len()).sum(),
@@ -1587,29 +1639,19 @@ impl Broker {
             None => LogShape::default(),
         };
         self.core.matcher.set_telemetry(self.telemetry);
-        self.dirty = false;
-        self.force_base = false;
-        let restored = self.core.live.len();
-        self.replayed_subs = 0;
-        self.dropped_stale = 0;
+        self.phase = Phase::Rejoining { enclave, crashed_at, replayed: 0, dropped: 0 };
         // Every record is at its default since the crash: mark the dead,
         // and owe a replay from every other neighbour.
         for (n, peer) in &mut self.peers {
             peer.dead = dead_links.contains(n);
             peer.replay = (!peer.dead).then(Replay::default);
         }
-        let mut outs = vec![Output::Event(LinkEvent::RejoinStarted { restored })];
+        let mut outs =
+            vec![Output::Event(LinkEvent::RejoinStarted { restored: self.core.live.len() })];
         if !self.replays_owed() {
             // No (live) neighbours to replay from: recovery is the seal
             // alone.
-            self.state = Lifecycle::Serving;
-            outs.push(Output::Event(LinkEvent::Rejoined {
-                replayed: 0,
-                dropped_stale: 0,
-                downtime: self.now.saturating_sub(self.crashed_at),
-            }));
-        } else {
-            self.state = Lifecycle::Rejoining;
+            outs.extend(self.serve()?);
         }
         Ok(outs)
     }
@@ -1623,11 +1665,11 @@ impl Broker {
     /// brokers have no timer work.
     fn on_tick(&mut self) -> Result<Vec<Output>, OverlayError> {
         self.ticks += 1;
-        match self.state {
-            Lifecycle::Cold | Lifecycle::Attesting | Lifecycle::Crashed => Ok(Vec::new()),
-            Lifecycle::Linking => self.tick_handshakes(false),
-            Lifecycle::Rejoining => self.tick_handshakes(true),
-            Lifecycle::Serving => self.tick_serving(),
+        match self.phase {
+            Phase::Cold(_) | Phase::Attesting(_) | Phase::Crashed { .. } => Ok(Vec::new()),
+            Phase::Linking(_) => self.tick_handshakes(false),
+            Phase::Rejoining { .. } => self.tick_handshakes(true),
+            Phase::Serving(_) => self.tick_serving(),
         }
     }
 
@@ -1690,7 +1732,7 @@ impl Broker {
             if keyed {
                 if peer.last_hb.is_none_or(|t| now - t >= config.interval) {
                     peer.last_hb = Some(now);
-                    self.heartbeats_sent += 1;
+                    self.counters.heartbeats += 1;
                     outs.push(self.send(n, &hb_wire)?);
                 }
                 // An unanswered pull: the neighbour was dead (or still
@@ -1766,9 +1808,8 @@ impl Broker {
     /// Opens a handshake toward `neighbor`: records it and returns the
     /// hello frame.
     fn initiate(&mut self, neighbor: usize) -> Result<Output, OverlayError> {
-        let enclave =
-            self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
-        let (hello, state) = sgx_sim::link::initiate(&self.platform, enclave, &mut self.rng)?;
+        let (hello, state) =
+            sgx_sim::link::initiate(&self.platform, self.phase.enclave()?, &mut self.rng)?;
         let now = self.ticks;
         let peer = self.peer(neighbor);
         peer.initiation = Some(state);
@@ -1790,11 +1831,8 @@ impl Broker {
             return Err(OverlayError::Link { reason: "handshake from a non-neighbour" });
         }
         let hello = LinkHello::from_bytes(payload)?;
-        let enclave =
-            self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
-        let (Some(service), Some(policy)) = (&self.service, &self.policy) else {
-            return Err(OverlayError::Link { reason: "link trust anchors not configured" });
-        };
+        let enclave = self.phase.enclave()?;
+        let (service, policy) = self.trust.as_ref().ok_or(UNTRUSTED)?;
         let (accept, state) =
             sgx_sim::link::accept(&self.platform, enclave, service, policy, &hello, &mut self.rng)?;
         let yields = self.id < from;
@@ -1820,11 +1858,8 @@ impl Broker {
             return Ok(Vec::new());
         };
         let accept = LinkAccept::from_bytes(payload)?;
-        let enclave =
-            self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
-        let (Some(service), Some(policy)) = (&self.service, &self.policy) else {
-            return Err(OverlayError::Link { reason: "link trust anchors not configured" });
-        };
+        let enclave = self.phase.enclave()?;
+        let (service, policy) = self.trust.as_ref().ok_or(UNTRUSTED)?;
         let (finish, key) =
             sgx_sim::link::finish(state, &accept, service, policy, enclave, &mut self.rng)?;
         self.install_sealed_link(from, key.as_bytes());
@@ -1843,18 +1878,17 @@ impl Broker {
             return Err(OverlayError::Link { reason: "unexpected link-finish" });
         };
         let finish = LinkFinish::from_bytes(payload)?;
-        let enclave =
-            self.enclave.as_ref().ok_or(OverlayError::Link { reason: "broker has no enclave" })?;
-        let key = sgx_sim::link::complete(state, &finish, enclave)?;
+        let key = sgx_sim::link::complete(state, &finish, self.phase.enclave()?)?;
         self.install_sealed_link(from, key.as_bytes());
         self.post_link_up(from)
     }
 
-    /// Bookkeeping after a sealed channel (re-)establishes: transition
-    /// `Linking → Serving` once every neighbour is up, during a rejoin
-    /// request the replay on the fresh channel, and while serving heal a
-    /// believed-dead or gap-wedged link by pulling a replay over the new
-    /// key. A fresh channel also retracts any standing suspicion.
+    /// Bookkeeping after a sealed channel (re-)establishes: start
+    /// serving ([`Broker::serve`]) once every neighbour of a linking
+    /// broker is up, during a rejoin request the replay on the fresh
+    /// channel, and while serving heal a believed-dead or gap-wedged link
+    /// by pulling a replay over the new key. A fresh channel also
+    /// retracts any standing suspicion.
     fn post_link_up(&mut self, link: usize) -> Result<Vec<Output>, OverlayError> {
         let mut outs = vec![Output::Event(LinkEvent::LinkUp { link })];
         let peer = self.peer(link);
@@ -1863,12 +1897,12 @@ impl Broker {
         }
         let unrequested = peer.replay.as_ref().is_some_and(|r| r.requested_at.is_none());
         let heal = peer.dead || peer.resync;
-        match self.state {
-            Lifecycle::Linking if self.peers.values().all(|p| p.link.is_some()) => {
-                self.state = Lifecycle::Serving;
+        match self.phase {
+            Phase::Linking(_) if self.peers.values().all(|p| p.link.is_some()) => {
+                outs.extend(self.serve()?);
             }
-            Lifecycle::Rejoining if unrequested => outs.push(self.request_replay(link)?),
-            Lifecycle::Serving if heal => outs.push(self.heal_link(link)?),
+            Phase::Rejoining { .. } if unrequested => outs.push(self.request_replay(link)?),
+            Phase::Serving(_) if heal => outs.push(self.heal_link(link)?),
             _ => {}
         }
         Ok(outs)
@@ -1877,7 +1911,7 @@ impl Broker {
     // ---- frames --------------------------------------------------------
 
     fn on_frame(&mut self, from: usize, bytes: &[u8]) -> Result<Vec<Output>, OverlayError> {
-        if matches!(self.state, Lifecycle::Cold | Lifecycle::Attesting | Lifecycle::Crashed) {
+        if let Phase::Cold(_) | Phase::Attesting(_) | Phase::Crashed { .. } = self.phase {
             return Err(OverlayError::Lifecycle {
                 reason: "frame for a broker that is not linked",
             });
@@ -1909,7 +1943,7 @@ impl Broker {
                 Ok(outs)
             }
             Opened::Gap { expected, got } => {
-                self.gaps += 1;
+                self.counters.gaps += 1;
                 // A gap frame authenticates, so the *peer* is alive —
                 // but the channel is wedged. Start (or keep) the
                 // gap-grace clock; `tick_serving` escalates it to a
@@ -1939,7 +1973,7 @@ impl Broker {
                     Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload),
                     Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload),
                     Ok(Message::LinkFinish { payload }) => self.hs_finish(from, &payload),
-                    _ if peer.dead || self.state == Lifecycle::Rejoining => {
+                    _ if peer.dead || matches!(self.phase, Phase::Rejoining { .. }) => {
                         // Sealed traffic under a key we no longer hold:
                         // either our liveness view is stale (the sender
                         // is alive and still using its pre-restart key
@@ -1977,7 +2011,9 @@ impl Broker {
                 let outcome = self.call(|c| c.admit(&envelope, Origin::Link(from), replaying))?;
                 if let Some(replay) = &mut self.peer(from).replay {
                     replay.confirmed.insert(outcome.id);
-                    self.replayed_subs += 1;
+                    if let Phase::Rejoining { replayed, .. } = &mut self.phase {
+                        *replayed += 1;
+                    }
                 }
                 let wire = Message::SubForward { envelope }.to_wire();
                 let outs = self.link_frames(outcome.links, &wire)?;
@@ -2019,7 +2055,7 @@ impl Broker {
                 self.route_batch(|| std::iter::once(item), Origin::Link(from), TraceId(meta))
             }
             Message::ReplayRequest => {
-                if self.state != Lifecycle::Serving {
+                if !matches!(self.phase, Phase::Serving(_)) {
                     // A neighbour that rejoined concurrently with us is
                     // asking for a replay we cannot serve yet. Park the
                     // request — it drains the moment we reach Serving —
@@ -2054,23 +2090,6 @@ impl Broker {
         Ok(outs)
     }
 
-    /// Serves every replay request that arrived while we were not yet
-    /// serving. Called on the Rejoining → Serving transition.
-    fn drain_parked(&mut self) -> Result<Vec<Output>, OverlayError> {
-        let parked: Vec<usize> = self
-            .peers
-            .iter_mut()
-            .filter_map(|(&n, p)| {
-                (std::mem::take(&mut p.parked_replay) && p.link.is_some()).then_some(n)
-            })
-            .collect();
-        let mut outs = Vec::new();
-        for neighbor in parked {
-            outs.extend(self.serve_replay(neighbor)?);
-        }
-        Ok(outs)
-    }
-
     /// Ends the replay from `from`: every restored subscription learnt
     /// from that link which the neighbour did *not* re-confirm was
     /// removed during the outage — drop it with full uncovering
@@ -2079,8 +2098,8 @@ impl Broker {
     /// start serving; a serving broker finishing a single healed link's
     /// replay reports `Healed` instead.
     fn reconcile_replay(&mut self, from: usize, count: u32) -> Result<Vec<Output>, OverlayError> {
-        let healing = self.state == Lifecycle::Serving;
-        let open = healing || self.state == Lifecycle::Rejoining;
+        let healing = matches!(self.phase, Phase::Serving(_));
+        let open = healing || matches!(self.phase, Phase::Rejoining { .. });
         let Some(replay) = self.peer(from).replay.as_mut().filter(|_| open) else {
             return Err(OverlayError::Lifecycle { reason: "unexpected replay-done" });
         };
@@ -2101,8 +2120,10 @@ impl Broker {
             let outcome = self.call(|c| c.remove_by_id(*id, Origin::Link(from)));
             let wire = Message::SubDrop { id: *id }.to_wire();
             outs.extend(self.link_frames(outcome.links, &wire)?);
-            self.dropped_stale += 1;
             self.mark_dirty();
+        }
+        if let Phase::Rejoining { dropped, .. } = &mut self.phase {
+            *dropped += stale.len();
         }
         // One checkpoint per completed link replay: covers the replayed
         // admissions (whose per-frame marks are suppressed while
@@ -2110,7 +2131,7 @@ impl Broker {
         // a replay re-journals the link's whole live set, so a delta
         // would cost as much and restart redo twice over.
         self.mark_dirty();
-        self.force_base = true;
+        self.file.pending = Some(Seal::Base);
         self.peer(from).replay = None;
         if healing {
             outs.push(Output::Event(LinkEvent::Healed {
@@ -2119,16 +2140,36 @@ impl Broker {
                 dropped_stale: stale.len(),
             }));
         } else if !self.replays_owed() {
-            self.state = Lifecycle::Serving;
+            outs.extend(self.serve()?);
+        }
+        Ok(outs)
+    }
+
+    /// Enters `Serving`: the one transition into it after bring-up, from
+    /// `Linking` once every link is up and from `Rejoining` once no
+    /// replay is owed. Leaving `Rejoining` reports the rejoin. Either
+    /// way, neighbours that asked for a replay while we could not serve
+    /// it (they restarted while we were linking or rejoining) are served
+    /// now.
+    fn serve(&mut self) -> Result<Vec<Output>, OverlayError> {
+        let mut outs = Vec::new();
+        if let Phase::Rejoining { crashed_at, replayed, dropped, .. } = self.phase {
             outs.push(Output::Event(LinkEvent::Rejoined {
-                replayed: self.replayed_subs,
-                dropped_stale: self.dropped_stale,
-                downtime: self.now.saturating_sub(self.crashed_at),
+                replayed,
+                dropped_stale: dropped,
+                downtime: self.now.saturating_sub(crashed_at),
             }));
-            // Neighbours that rejoined concurrently with us asked for
-            // their replays while we could not serve them: drain the
-            // parked requests now that we can.
-            outs.extend(self.drain_parked()?);
+        }
+        self.phase.advance(Phase::Serving);
+        let parked: Vec<usize> = self
+            .peers
+            .iter_mut()
+            .filter_map(|(&n, p)| {
+                (std::mem::take(&mut p.parked_replay) && p.link.is_some()).then_some(n)
+            })
+            .collect();
+        for neighbor in parked {
+            outs.extend(self.serve_replay(neighbor)?);
         }
         Ok(outs)
     }
@@ -2301,34 +2342,32 @@ impl Broker {
     /// as the next link of the chain, bound to a fresh monotonic-counter
     /// value (so every older or shorter file is rollback-detected); the
     /// host appends a delta to its file and replaces the file with a
-    /// base. Reached only through [`Broker::flush_checkpoint`], so each
-    /// step seals at most once.
+    /// base. Reached only from the end of [`Broker::step`], so each step
+    /// seals at most once.
     ///
     /// Admissions and retirements both append. The compaction rule is
     /// fixed: write a base when there is none, by size — the deltas on
     /// disk plus this one would reach the base's size — by retired
     /// quarter — the envelopes of the registrations retired since the
     /// base was written, all still on the host's disk, add up to
-    /// [`RETIRED_DIVISOR`] of it — and whenever the step forced one
-    /// (`force_base`: it closed a replay reconciliation). Between forced
+    /// [`RETIRED_DIVISOR`] of it — and whenever the step owes one
+    /// ([`Seal::Base`]: it closed a replay reconciliation). Between forced
     /// bases every base write is paid for by a quarter base of retired or
     /// one base of appended bytes — amortised O(entry) per mutation — a retired
     /// registration leaves the disk within a quarter base of further
     /// retirements, the deltas on disk stay under the base's size plus
     /// one entry's seal, and a restart redoes at most one base's worth of
     /// journal.
-    fn checkpoint(&mut self) -> Result<(), OverlayError> {
-        self.seals += 1;
-        let compact = self.force_base
-            || self.sealed.is_none()
-            || self.log.delta_bytes + self.core.journal.len() >= self.log.base_bytes
-            || self.core.retired_bytes >= self.log.base_bytes / RETIRED_DIVISOR;
-        let enclave = self
-            .enclave
-            .as_ref()
-            .ok_or(OverlayError::Lifecycle { reason: "checkpoint of a crashed broker" })?;
+    fn checkpoint(&mut self, seal: Seal) -> Result<(), OverlayError> {
+        self.counters.seals += 1;
+        let log = self.file.log;
+        let compact = seal == Seal::Base
+            || self.file.sealed.is_none()
+            || log.delta_bytes + self.core.journal.len() >= log.base_bytes
+            || self.core.retired_bytes >= log.base_bytes / RETIRED_DIVISOR;
+        let enclave = self.phase.enclave()?;
         let (core, platform, counter, rng) =
-            (&mut self.core, &self.platform, self.counter, &mut self.rng);
+            (&mut self.core, &self.platform, self.file.counter, &mut self.rng);
         let (plain_bytes, entry) =
             enclave.ecall(|ctx| -> Result<(usize, Vec<u8>), OverlayError> {
                 let (payload, base) = core.checkpoint_payload(compact);
@@ -2346,18 +2385,18 @@ impl Broker {
                 }
                 Ok((payload.len(), blob))
             })?;
-        self.sealed_bytes += plain_bytes as u64;
-        let file = self.sealed.get_or_insert_default();
+        self.counters.sealed_bytes += plain_bytes as u64;
+        let file = &mut self.file;
+        let sealed = file.sealed.get_or_insert_default();
         if compact {
-            file.clear();
-            self.log = LogShape { base_bytes: entry.len(), delta_bytes: 0, deltas: 0 };
-            self.compactions += 1;
-            self.force_base = false;
+            sealed.clear();
+            file.log = LogShape { base_bytes: entry.len(), delta_bytes: 0, deltas: 0 };
+            self.counters.compactions += 1;
         } else {
-            self.log.delta_bytes += entry.len();
-            self.log.deltas += 1;
+            file.log.delta_bytes += entry.len();
+            file.log.deltas += 1;
         }
-        journal::append_entry(file, &entry);
+        journal::append_entry(sealed, &entry);
         Ok(())
     }
 
@@ -2382,7 +2421,7 @@ impl Broker {
         }
         BrokerStats {
             router: self.id,
-            state: self.state,
+            state: self.lifecycle(),
             subscriptions: self.subscriptions(),
             ecalls: mem.ecalls,
             ocalls: mem.ocalls,
@@ -2392,13 +2431,8 @@ impl Broker {
             forwarded_total,
             removed,
             uncovered,
-            gaps: self.gaps,
-            heartbeats: self.heartbeats_sent,
-            seals: self.seals,
-            seals_saved: self.seals_saved,
-            sealed_bytes: self.sealed_bytes,
-            compactions: self.compactions,
-            log_entries: self.log.deltas,
+            log_entries: self.file.log.deltas,
+            ..self.counters
         }
     }
 
@@ -2412,11 +2446,6 @@ impl Broker {
     pub fn set_telemetry(&mut self, on: bool) {
         self.telemetry = on;
         self.core.matcher.set_telemetry(on);
-    }
-
-    /// Whether hot-path telemetry is enabled.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry
     }
 
     /// Per-stage latency summaries: the in-enclave engine stages
@@ -2434,12 +2463,12 @@ impl Broker {
     /// recorder drains directly. Returns the hop records in arrival order.
     pub fn drain_trace(&mut self) -> Vec<HopRecord> {
         let core = &mut self.core;
-        match &self.enclave {
-            Some(enclave) => enclave.ecall(|ctx| {
+        match self.phase.enclave() {
+            Ok(enclave) => enclave.ecall(|ctx| {
                 let records = core.recorder.drain();
                 ctx.ocall(move || records)
             }),
-            None => core.recorder.drain(),
+            Err(_) => core.recorder.drain(),
         }
     }
 
@@ -2465,7 +2494,7 @@ impl Broker {
     /// in flight, no believed-dead links, and no unhealed gap. The
     /// fabric's detection loop runs until every broker settles.
     pub fn settled(&self) -> bool {
-        self.state == Lifecycle::Serving
+        matches!(self.phase, Phase::Serving(_))
             && self.peers.values().all(|p| p.replay.is_none() && !p.dead && p.gap_since.is_none())
     }
 
@@ -2494,7 +2523,7 @@ mod uncover_proptests;
 
 #[cfg(test)]
 mod tests {
-    use super::test_broker::{provision, serving};
+    use super::test_broker::{provision, relink, serving};
     use super::*;
     use crate::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
     use scbr::ids::KeyEpoch;
@@ -2891,46 +2920,114 @@ mod tests {
         assert_eq!(broker.stats().ecalls, 1, "whole batch in one crossing");
     }
 
+    /// Broker 0, with neighbour 1, in `phase` (one a test can reach).
+    fn in_phase(phase: Lifecycle, producer: &ProducerCrypto) -> Broker {
+        let mut broker = match phase {
+            Lifecycle::Cold | Lifecycle::Linking => {
+                let mut broker = Broker::attested(0, 9, ROUTER_ENCLAVE_CODE, false).unwrap();
+                broker.set_neighbors(&[1]);
+                if phase == Lifecycle::Linking {
+                    provision(&mut broker, producer);
+                }
+                broker
+            }
+            _ => serving(0, 9, false, &[1], producer).0,
+        };
+        if matches!(phase, Lifecycle::Crashed | Lifecycle::Rejoining) {
+            broker.step(0, Input::Crash).unwrap();
+        }
+        if phase == Lifecycle::Rejoining {
+            broker.step(0, Input::Restart { dead_links: vec![] }).unwrap();
+        }
+        assert_eq!(broker.lifecycle(), phase);
+        broker
+    }
+
+    /// Which inputs each phase accepts (`ok`) and which it refuses, by
+    /// the refusal's error label: `lifecycle` is the phase gate; `link`
+    /// and `net` are refusals past it (a frame on a link with no channel,
+    /// or one the channel cannot open).
     #[test]
     fn lifecycle_gates_inputs() {
         let mut rng = CryptoRng::from_seed(9);
         let producer = producer(&mut rng);
-        let mut broker = Broker::attested(0, 9, ROUTER_ENCLAVE_CODE, false).unwrap();
-        let envelope = producer
-            .seal_registration(
-                &SubscriptionSpec::new().gt("p", 1.0),
-                SubscriptionId(1),
-                ClientId(1),
-                &mut rng,
-            )
-            .unwrap();
-        // Cold: no traffic.
-        assert!(matches!(
-            broker.step(0, Input::Subscribe { envelope: envelope.clone() }),
-            Err(OverlayError::Lifecycle { .. })
-        ));
-        // Restart only applies to a crashed broker.
-        assert!(matches!(
-            broker.step(0, Input::Restart { dead_links: vec![] }),
-            Err(OverlayError::Lifecycle { .. })
-        ));
-        provision(&mut broker, &producer);
-        assert_eq!(broker.lifecycle(), Lifecycle::Serving, "no neighbours: nothing to link");
-        broker.step(1, Input::Subscribe { envelope }).unwrap();
-        // Crash is idempotent; crashed brokers refuse traffic.
+        let spec = SubscriptionSpec::new().gt("p", 1.0);
+        let envelope =
+            producer.seal_registration(&spec, SubscriptionId(1), ClientId(1), &mut rng).unwrap();
+        let unreg = producer.seal_unregistration(SubscriptionId(1), ClientId(1), &mut rng).unwrap();
+        let inputs = [
+            ("subscribe", Input::Subscribe { envelope }),
+            ("unsubscribe", Input::Unsubscribe { envelope: unreg }),
+            ("publish", Input::Publish { items: vec![], trace: TraceId::NONE }),
+            ("tick", Input::Tick),
+            ("crash", Input::Crash),
+            ("restart", Input::Restart { dead_links: vec![] }),
+            ("frame", Input::Frame { from: 1, bytes: vec![1] }),
+        ];
+        use Lifecycle::*;
+        #[rustfmt::skip]
+        let table = [
+            //          subscribe    unsubscribe  publish      tick  crash restart      frame
+            (Cold,      ["lifecycle", "lifecycle", "lifecycle", "ok", "ok", "lifecycle", "lifecycle"]),
+            (Linking,   ["lifecycle", "lifecycle", "lifecycle", "ok", "ok", "lifecycle", "link"]),
+            (Serving,   ["ok",        "ok",        "ok",        "ok", "ok", "lifecycle", "net"]),
+            (Crashed,   ["lifecycle", "lifecycle", "lifecycle", "ok", "ok", "ok",        "lifecycle"]),
+            (Rejoining, ["lifecycle", "lifecycle", "lifecycle", "ok", "ok", "lifecycle", "ok"]),
+        ];
+        for (phase, row) in table {
+            for ((what, input), expected) in inputs.iter().zip(row) {
+                let mut broker = in_phase(phase, &producer);
+                let got = match broker.step(1, input.clone()) {
+                    Ok(_) => "ok",
+                    Err(err) => err.label(),
+                };
+                assert_eq!(got, expected, "{what} in {phase:?}");
+            }
+        }
+        // Crash is idempotent: a second one emits nothing and keeps the
+        // first crash's time, so the rejoin reports the whole downtime.
+        // Ticks on a crashed broker are quiet.
+        let (mut broker, _) = serving(0, 9, false, &[], &producer);
         broker.step(2, Input::Crash).unwrap();
-        assert_eq!(broker.lifecycle(), Lifecycle::Crashed);
         assert!(broker.step(3, Input::Crash).unwrap().is_empty());
-        assert!(matches!(
-            broker.step(4, Input::Publish { items: vec![], trace: TraceId::NONE }),
-            Err(OverlayError::Lifecycle { .. })
-        ));
-        assert!(matches!(
-            broker.step(5, Input::Frame { from: 1, bytes: vec![1] }),
-            Err(OverlayError::Lifecycle { .. })
-        ));
-        // Ticks are always safe.
-        assert!(broker.step(6, Input::Tick).unwrap().is_empty());
+        assert!(broker.step(4, Input::Tick).unwrap().is_empty());
+        let outs = broker.step(12, Input::Restart { dead_links: vec![] }).unwrap();
+        assert!(outs
+            .iter()
+            .any(|o| matches!(o, Output::Event(LinkEvent::Rejoined { downtime: 10, .. }))));
+    }
+
+    /// Broker 0 has neighbours 1 and 2. Its link to 1 is up, its
+    /// handshake with 2 is not, so it is still `Linking` when 1 —
+    /// restarted and re-keyed — asks for a replay. The request is parked,
+    /// and served when the link to 2 comes up and 0 starts serving.
+    #[test]
+    fn a_replay_request_parked_while_linking_is_served() {
+        let mut rng = CryptoRng::from_seed(21);
+        let producer = producer(&mut rng);
+        let mut broker = Broker::attested(0, 21, ROUTER_ENCLAVE_CODE, false).unwrap();
+        broker.set_neighbors(&[1, 2]);
+        provision(&mut broker, &producer);
+        let mut peers = relink(&mut broker);
+        broker.peer(2).link = None; // the handshake with 2 is still open
+        assert_eq!(broker.lifecycle(), Lifecycle::Linking);
+        let request = peers.frame(1, &Message::ReplayRequest.to_wire());
+        assert!(broker.step(0, request).unwrap().is_empty(), "parked, not served");
+
+        broker.install_sealed_link(2, &[7; 32]);
+        let mut outs = broker.post_link_up(2).unwrap();
+        assert_eq!(broker.lifecycle(), Lifecycle::Serving);
+        broker.set_heartbeats(Some(HeartbeatConfig::fast()));
+        for now in 1..=50 {
+            outs.extend(broker.step(now, Input::Tick).unwrap());
+        }
+        let to_one: Vec<Message> =
+            frames(&outs).into_iter().filter(|f| f.to == 1).map(|f| peers.open(f)).collect();
+        assert!(
+            to_one.iter().any(|m| matches!(m, Message::ReplayDone { count: 0 })),
+            "the parked replay was never served ({} frames to 1)",
+            to_one.len()
+        );
     }
 
     #[test]
@@ -3207,11 +3304,11 @@ mod tests {
         // the retired envelopes off the disk.
         let mut by_retired_quarter = false;
         for id in 0..40 {
-            let (log, compactions) = (broker.log, broker.stats().compactions);
+            let (log, compactions) = (broker.file.log, broker.stats().compactions);
             let retired_bytes =
                 broker.core.retired_bytes + broker.core.live[&SubscriptionId(id)].envelope.len();
             retire(&mut broker, id);
-            assert!(broker.log.delta_bytes < broker.log.base_bytes + overhead);
+            assert!(broker.file.log.delta_bytes < broker.file.log.base_bytes + overhead);
             let quarter_reached = retired_bytes >= log.base_bytes / RETIRED_DIVISOR;
             if broker.stats().compactions == compactions {
                 assert!(!quarter_reached && broker.core.retired_bytes == retired_bytes);
@@ -3219,7 +3316,7 @@ mod tests {
             }
             assert_eq!((broker.stats().log_entries, broker.core.retired_bytes), (0, 0));
             assert_eq!(
-                broker.log.base_bytes,
+                broker.file.log.base_bytes,
                 broker.core.serialize_record().len() + overhead,
                 "a compaction leaves one base, of the live set alone"
             );
@@ -3237,7 +3334,7 @@ mod tests {
         let mut rng = CryptoRng::from_seed(14);
         let producer = producer(&mut rng);
         let (mut broker, _) = serving(0, 14, false, &[], &producer);
-        let counter = broker.counter;
+        let counter = broker.file.counter;
         let (mut bases, mut deltas) = (0, 0);
         for i in 0..12u64 {
             let before = broker.stats();
@@ -3262,7 +3359,7 @@ mod tests {
         let record = broker.core.serialize_record();
         broker.step(20, Input::Crash).unwrap();
         broker.step(21, Input::Restart { dead_links: vec![] }).unwrap();
-        assert_eq!(broker.enclave().unwrap().ecall_count(), 1, "unseal + restore + redo");
+        assert_eq!(broker.phase.enclave().unwrap().ecall_count(), 1, "unseal + restore + redo");
         assert_eq!(broker.core.serialize_record(), record);
         let on_disk = journal::split_entries(broker.sealed_record().unwrap()).unwrap().len();
         assert_eq!(broker.stats().log_entries, on_disk as u64 - 1);
@@ -3292,12 +3389,62 @@ mod tests {
         assert!(broker.core.journal.len() > 0);
         broker.step(10, Input::Crash).unwrap();
         assert_eq!(broker.core.journal.len(), 0);
-        assert!(!broker.dirty && !broker.force_base);
+        assert_eq!(broker.file.pending, None);
         assert_eq!(broker.sealed_record().unwrap(), file, "a crash writes nothing");
 
         broker.step(11, Input::Restart { dead_links: vec![] }).unwrap();
         assert_eq!(broker.core.serialize_record(), flushed, "the last flushed state, exactly");
         assert_eq!(broker.subscriptions(), 5);
+    }
+
+    /// A failed delta seal is dropped: the next step seals nothing and
+    /// succeeds. Closing a rejoin's last replay owes a base; when that
+    /// checkpoint fails, the base stays owed, every later step retries
+    /// it, and the first one that can seal writes it.
+    #[test]
+    fn a_failed_checkpoint_still_owes_its_base() {
+        let mut rng = CryptoRng::from_seed(22);
+        let producer = producer(&mut rng);
+        let (mut broker, _) = serving(0, 22, false, &[1], &producer);
+        subscribe_n(&mut broker, &producer, &mut rng, 0..3);
+        let other = SgxPlatform::for_testing(0);
+        other.create_counter();
+        let missing = other.create_counter();
+        assert!(broker.platform().read_counter(missing).is_err());
+        let counter = std::mem::replace(&mut broker.file.counter, missing);
+
+        let envelope = producer
+            .seal_registration(
+                &SubscriptionSpec::new().gt("p", 50.0),
+                SubscriptionId(50),
+                ClientId(50),
+                &mut rng,
+            )
+            .unwrap();
+        assert!(broker.step(3, Input::Subscribe { envelope }).is_err(), "the delta failed");
+        assert_eq!(broker.file.pending, None, "a failed delta is not owed");
+        let seals = broker.stats().seals;
+        broker.step(4, Input::Tick).unwrap();
+        assert_eq!(broker.stats().seals, seals, "nothing retried");
+        broker.file.counter = counter;
+
+        broker.step(5, Input::Crash).unwrap();
+        broker.step(6, Input::Restart { dead_links: vec![] }).unwrap();
+        let mut peers = relink(&mut broker);
+        let counter = std::mem::replace(&mut broker.file.counter, missing);
+        let done = peers.frame(1, &Message::ReplayDone { count: 0 }.to_wire());
+        assert!(broker.step(7, done).is_err(), "the base could not be sealed");
+        assert_eq!(broker.lifecycle(), Lifecycle::Serving);
+        assert_eq!(broker.file.pending, Some(Seal::Base));
+        assert!(broker.step(8, Input::Tick).is_err(), "the owed base is retried");
+        assert_eq!(broker.file.pending, Some(Seal::Base));
+
+        broker.file.counter = counter;
+        let compactions = broker.stats().compactions;
+        broker.step(9, Input::Tick).unwrap();
+        let stats = broker.stats();
+        assert_eq!((stats.compactions, stats.log_entries), (compactions + 1, 0));
+        assert_eq!(broker.file.pending, None);
     }
 
     #[test]

@@ -30,12 +30,6 @@ impl BloomFilter {
         BloomFilter { bits: vec![0u64; n_bits.div_ceil(64)], n_bits, k }
     }
 
-    /// Standard sizing for an expected `n` items at ~1% false positives.
-    pub fn for_items(n: usize) -> Self {
-        // m = n * 9.6 bits, k = 7 for p ≈ 0.01.
-        BloomFilter::new((n.max(1) * 10).next_power_of_two(), 7)
-    }
-
     /// Number of hash functions.
     pub fn hashes(&self) -> u32 {
         self.k
@@ -82,11 +76,6 @@ impl BloomFilter {
         assert!(position < self.n_bits, "bit out of range");
         self.bits[position / 64] & (1 << (position % 64)) != 0
     }
-
-    /// Number of set bits (for diagnostics).
-    pub fn popcount(&self) -> u32 {
-        self.bits.iter().map(|w| w.count_ones()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +95,8 @@ mod tests {
 
     #[test]
     fn absent_items_mostly_not_found() {
-        let mut bf = BloomFilter::for_items(100);
+        // ~10 bits per item and k = 7: p ≈ 0.01 for 100 items.
+        let mut bf = BloomFilter::new(1024, 7);
         for i in 0..100u32 {
             bf.insert(b"key", &i.to_be_bytes());
         }
@@ -130,7 +120,6 @@ mod tests {
     fn empty_filter_contains_nothing() {
         let bf = BloomFilter::new(256, 3);
         assert!(!bf.contains(b"k", b"anything"));
-        assert_eq!(bf.popcount(), 0);
     }
 
     #[test]

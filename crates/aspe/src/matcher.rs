@@ -21,11 +21,9 @@ use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use scbr::value::Value;
 use scbr_crypto::rng::CryptoRng;
-use scbr_telemetry::LatencyHistogram;
 use sgx_sim::MemorySim;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bloom-filter geometry carried by every publication (bits, hashes).
 /// Sized so that realistic headers (≤ ~50 equality items) keep the false
@@ -293,13 +291,6 @@ pub struct AspeMatcher {
     bloom_checked: AtomicU64,
     bloom_skipped: AtomicU64,
     forms_evaluated: AtomicU64,
-    /// When set, each `match_publication_into` records its full
-    /// gate-plus-forms duration into the latency histogram.
-    telemetry: AtomicBool,
-    /// Per-publication ASPE-gate latency (Bloom probes + surviving
-    /// quadratic forms), virtual ns. Fixed-array histogram: recording
-    /// never allocates.
-    gate_hist: Mutex<LatencyHistogram>,
 }
 
 impl std::fmt::Debug for AspeMatcher {
@@ -323,21 +314,7 @@ impl AspeMatcher {
             bloom_checked: AtomicU64::new(0),
             bloom_skipped: AtomicU64::new(0),
             forms_evaluated: AtomicU64::new(0),
-            telemetry: AtomicBool::new(false),
-            gate_hist: Mutex::new(LatencyHistogram::new()),
         }
-    }
-
-    /// Enables or disables per-publication gate latency recording.
-    /// Timing reads the virtual clock without charging it, so matching
-    /// results and simulated costs are unaffected.
-    pub fn set_telemetry(&self, on: bool) {
-        self.telemetry.store(on, Ordering::Relaxed);
-    }
-
-    /// Copies out the ASPE-gate latency histogram.
-    pub fn gate_histogram(&self) -> LatencyHistogram {
-        self.gate_hist.lock().expect("gate histogram lock").clone()
     }
 
     /// Stores an encrypted subscription.
@@ -402,8 +379,6 @@ impl AspeMatcher {
         out: &mut Vec<ClientId>,
     ) {
         out.clear();
-        let t_start =
-            if self.telemetry.load(Ordering::Relaxed) { Some(self.mem.elapsed_ns()) } else { None };
         let point_norm2: f64 = publication.point.iter().map(|v| v * v).sum();
         for stored in &self.subs {
             if !stored.alive {
@@ -455,10 +430,6 @@ impl AspeMatcher {
         }
         out.sort_unstable_by_key(|c| c.0);
         out.dedup();
-        if let Some(t_start) = t_start {
-            let elapsed = (self.mem.elapsed_ns() - t_start).max(0.0) as u64;
-            self.gate_hist.lock().expect("gate histogram lock").record(elapsed);
-        }
     }
 
     /// Bloom-gate counters accumulated since creation (or the last
@@ -472,6 +443,7 @@ impl AspeMatcher {
     }
 
     /// Zeroes the Bloom-gate counters (between measurement phases).
+    // lint: allow(SL08, bloom_gate_never_drops_a_true_match in tests/proptests.rs zeroes it)
     pub fn reset_bloom_stats(&self) {
         self.bloom_checked.store(0, Ordering::Relaxed);
         self.bloom_skipped.store(0, Ordering::Relaxed);
@@ -592,33 +564,6 @@ mod tests {
         assert_eq!(after_hit.bloom_checked, 8);
         assert_eq!(after_hit.bloom_skipped, 0);
         assert_eq!(after_hit.forms_evaluated, 8, "one range form per surviving sub");
-    }
-
-    #[test]
-    fn gate_telemetry_records_latency_without_changing_matches() {
-        let mut rng = CryptoRng::from_seed(12);
-        let auth = authority(&mut rng);
-        let publication =
-            PublicationSpec::new().attr("symbol", "HAL").attr("price", 5.0).attr("volume", 1i64);
-        let enc = auth.encrypt_publication(&publication, &mut rng).unwrap();
-        let sub = SubscriptionSpec::new().eq("symbol", "HAL").ge("price", 0.0);
-        let enc_sub = auth.encrypt_subscription(&sub, &mut rng).unwrap();
-
-        let run = |telemetry: bool| {
-            let mem = MemorySim::native(CacheConfig::default(), CostModel::default());
-            let mut matcher = AspeMatcher::new(&mem);
-            matcher.set_telemetry(telemetry);
-            matcher.insert(SubscriptionId(1), ClientId(1), enc_sub.clone());
-            let clients = matcher.match_publication(&enc);
-            (clients, mem.elapsed_ns(), matcher.gate_histogram())
-        };
-        let (plain_clients, plain_ns, plain_hist) = run(false);
-        let (instr_clients, instr_ns, instr_hist) = run(true);
-        assert_eq!(plain_clients, instr_clients);
-        assert_eq!(plain_ns, instr_ns, "reading the clock must not charge it");
-        assert_eq!(plain_hist.total(), 0);
-        assert_eq!(instr_hist.total(), 1);
-        assert!(instr_hist.max_ns() > 0);
     }
 
     #[test]

@@ -29,12 +29,13 @@ impl Matrix {
         m
     }
 
-    /// Builds from rows.
+    /// Builds from rows (a unit-test helper).
     ///
     /// # Panics
     ///
     /// Panics if rows are ragged or empty.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    #[cfg(test)]
+    fn from_rows(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "matrix needs at least one row");
         let cols = rows[0].len();
         assert!(cols > 0 && rows.iter().all(|r| r.len() == cols), "ragged rows");

@@ -69,16 +69,6 @@ impl AspeKey {
         }
         self.m_inv.mul(w)?.mul(&self.m_inv_t)
     }
-
-    /// Evaluates an encrypted form on an encrypted point. This is the
-    /// *untrusted* operation: it needs no key material.
-    ///
-    /// # Errors
-    ///
-    /// [`AspeError::DimensionMismatch`] on size mismatch.
-    pub fn evaluate(encrypted_form: &Matrix, encrypted_point: &[f64]) -> Result<f64, AspeError> {
-        encrypted_form.quadratic_form(encrypted_point)
-    }
 }
 
 /// Builds the quadratic form testing `lo ≤ x` at `attr_slot` with the
@@ -146,7 +136,7 @@ mod tests {
             [(7.0, true), (5.5, true), (9.9, true), (4.0, false), (12.0, false), (-3.0, false)]
         {
             let p_enc = key.encrypt_point(&embed(x, rng.unit_f64()), &mut rng).unwrap();
-            let val = AspeKey::evaluate(&w_enc, &p_enc).unwrap();
+            let val = w_enc.quadratic_form(&p_enc).unwrap();
             assert_eq!(val > 0.0, expected_inside, "x = {x}, got {val}");
         }
     }
@@ -192,7 +182,7 @@ mod tests {
             // always positive.
             let p_enc_a =
                 key_a.encrypt_point(&embed((i + 1) as f64, rng.unit_f64()), &mut rng).unwrap();
-            if AspeKey::evaluate(&w_enc_b, &p_enc_a).unwrap() <= 0.0 {
+            if w_enc_b.quadratic_form(&p_enc_a).unwrap() <= 0.0 {
                 wrong += 1;
             }
         }

@@ -207,6 +207,7 @@ impl MatchExperiment {
 
     /// Matches one publication, returning raw client ids (correctness
     /// checks; uses the plaintext path regardless of configuration).
+    // lint: allow(SL08, all_configs_agree_on_results in tests/figures_smoke.rs)
     pub fn match_clients(&mut self, publication: &PublicationSpec) -> Vec<u64> {
         self.engine
             .call(|e| e.match_plain(publication))

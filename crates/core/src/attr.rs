@@ -68,8 +68,9 @@ impl AttrSchema {
         id
     }
 
-    /// Looks up an already-interned name.
-    pub fn lookup(&self, name: &str) -> Option<AttrId> {
+    /// Looks up an already-interned name (a unit-test helper).
+    #[cfg(test)]
+    pub(crate) fn lookup(&self, name: &str) -> Option<AttrId> {
         self.inner.read().by_name.get(name).copied()
     }
 

@@ -190,6 +190,7 @@ impl PartitionedRouter {
     }
 
     /// Number of slices.
+    // lint: allow(SL08, partitioned_router_matches_one_engine_under_churn, batch_equivalence.rs)
     pub fn slice_count(&self) -> usize {
         self.slices.len()
     }

@@ -261,6 +261,7 @@ pub fn encode_header(spec: &PublicationSpec) -> Vec<u8> {
 /// # Errors
 ///
 /// [`ScbrError::Codec`] on malformed input or trailing bytes.
+// lint: allow(SL08, codec_never_panics in tests/proptests.rs fuzzes it)
 pub fn decode_header(bytes: &[u8]) -> Result<PublicationSpec, ScbrError> {
     let mut r = Reader::new(bytes);
     let n = r.u16()? as usize;
@@ -414,6 +415,7 @@ pub fn encode_publish(header_ct: &[u8], epoch: KeyEpoch, payload_ct: &[u8]) -> V
 /// # Errors
 ///
 /// [`ScbrError::Codec`] on malformed input.
+// lint: allow(SL08, codec_never_panics in tests/proptests.rs fuzzes it)
 pub fn decode_publish(bytes: &[u8]) -> Result<(Vec<u8>, KeyEpoch, Vec<u8>), ScbrError> {
     let mut r = Reader::new(bytes);
     let header_ct = r.bytes()?;

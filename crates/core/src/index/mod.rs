@@ -55,8 +55,10 @@ impl MatchScratch {
         Self::default()
     }
 
-    /// Capacity currently retained by the scratch, in entries.
-    pub fn retained(&self) -> usize {
+    /// Capacity currently retained by the scratch, in entries (a
+    /// unit-test helper).
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
         self.stack.capacity()
     }
 }

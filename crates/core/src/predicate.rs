@@ -78,11 +78,6 @@ pub enum ConstraintSet {
 }
 
 impl ConstraintSet {
-    /// An unbounded numeric range (matches any value of the right kind).
-    pub fn any_range() -> Self {
-        ConstraintSet::Range { lo: Bound::Unbounded, hi: Bound::Unbounded }
-    }
-
     /// Point equality on a numeric scalar.
     pub fn point(s: Scalar) -> Self {
         ConstraintSet::Range { lo: Bound::Inclusive(s), hi: Bound::Inclusive(s) }
@@ -258,6 +253,11 @@ mod tests {
         ConstraintSet::Range { lo, hi }
     }
 
+    /// Matches any value of a numeric kind.
+    fn unbounded() -> ConstraintSet {
+        range(Bound::Unbounded, Bound::Unbounded)
+    }
+
     fn f(v: f64) -> Scalar {
         Scalar::Float(v)
     }
@@ -284,7 +284,7 @@ mod tests {
         let c = range(Bound::Unbounded, Bound::Exclusive(f(0.0)));
         assert!(c.matches(&f(-1e300)));
         assert!(!c.matches(&f(0.0)));
-        let any = ConstraintSet::any_range();
+        let any = unbounded();
         assert!(any.matches(&f(1.0)));
         assert!(any.matches(&Scalar::Int(1)));
         assert!(!any.matches(&Scalar::Str(7)), "ranges never match strings");
@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn covers_unbounded() {
-        let any = ConstraintSet::any_range();
+        let any = unbounded();
         let something = range(Bound::Inclusive(f(3.0)), Bound::Unbounded);
         assert!(any.covers(&something));
         assert!(!something.covers(&any));
@@ -327,7 +327,7 @@ mod tests {
     fn covers_strings() {
         assert!(ConstraintSet::StrEq(1).covers(&ConstraintSet::StrEq(1)));
         assert!(!ConstraintSet::StrEq(1).covers(&ConstraintSet::StrEq(2)));
-        assert!(!ConstraintSet::any_range().covers(&ConstraintSet::StrEq(1)));
+        assert!(!unbounded().covers(&ConstraintSet::StrEq(1)));
     }
 
     #[test]
@@ -373,7 +373,7 @@ mod tests {
     fn intersect_strings() {
         assert!(ConstraintSet::StrEq(1).intersect(&ConstraintSet::StrEq(1)).is_some());
         assert!(ConstraintSet::StrEq(1).intersect(&ConstraintSet::StrEq(2)).is_none());
-        assert!(ConstraintSet::StrEq(1).intersect(&ConstraintSet::any_range()).is_none());
+        assert!(ConstraintSet::StrEq(1).intersect(&unbounded()).is_none());
     }
 
     #[test]
@@ -387,7 +387,7 @@ mod tests {
     fn kind_inference() {
         assert_eq!(ConstraintSet::StrEq(1).kind(), Some(ValueKind::Str));
         assert_eq!(ConstraintSet::point(f(1.0)).kind(), Some(ValueKind::Float));
-        assert_eq!(ConstraintSet::any_range().kind(), None);
+        assert_eq!(unbounded().kind(), None);
     }
 
     #[test]

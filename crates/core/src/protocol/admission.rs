@@ -16,9 +16,9 @@ use std::collections::HashMap;
 pub enum ClientStatus {
     /// In good standing; subscriptions are accepted.
     Active,
-    /// Temporarily barred (e.g. payment lapse); may be reactivated.
+    /// Barred (e.g. payment lapse): subscriptions are refused.
     Suspended,
-    /// Permanently excluded; cannot be reactivated.
+    /// Permanently excluded.
     Revoked,
 }
 
@@ -79,19 +79,6 @@ impl ClientDirectory {
         let record = self.clients.get_mut(&id).ok_or(ScbrError::NotFound { what: "client" })?;
         if record.status == ClientStatus::Active {
             record.status = ClientStatus::Suspended;
-        }
-        Ok(())
-    }
-
-    /// Reactivates a suspended client (revoked clients stay revoked).
-    ///
-    /// # Errors
-    ///
-    /// [`ScbrError::NotFound`] for unknown clients.
-    pub fn reactivate(&mut self, id: ClientId) -> Result<(), ScbrError> {
-        let record = self.clients.get_mut(&id).ok_or(ScbrError::NotFound { what: "client" })?;
-        if record.status == ClientStatus::Suspended {
-            record.status = ClientStatus::Active;
         }
         Ok(())
     }
@@ -165,18 +152,6 @@ impl ClientDirectory {
         self.clients.get(&id)
     }
 
-    /// Ids of all clients currently in good standing.
-    pub fn active_clients(&self) -> Vec<ClientId> {
-        let mut ids: Vec<ClientId> = self
-            .clients
-            .iter()
-            .filter(|(_, r)| r.status == ClientStatus::Active)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable_by_key(|c| c.0);
-        ids
-    }
-
     /// Number of known clients (any status).
     pub fn len(&self) -> usize {
         self.clients.len()
@@ -211,14 +186,9 @@ mod tests {
             dir.check_admitted(c),
             Err(ScbrError::NotAdmitted { status: "suspended" })
         ));
-        dir.reactivate(c).unwrap();
-        assert!(dir.check_admitted(c).is_ok());
 
         dir.revoke(c).unwrap();
         assert!(matches!(dir.check_admitted(c), Err(ScbrError::NotAdmitted { status: "revoked" })));
-        // Revocation is permanent.
-        dir.reactivate(c).unwrap();
-        assert!(dir.check_admitted(c).is_err());
     }
 
     #[test]
@@ -268,18 +238,5 @@ mod tests {
         dir.admit(ClientId(1), key(&mut rng));
         dir.suspend(ClientId(1)).unwrap();
         assert!(dir.issue_subscription(ClientId(1)).is_err());
-    }
-
-    #[test]
-    fn active_clients_lists_only_active() {
-        let mut rng = CryptoRng::from_seed(4);
-        let mut dir = ClientDirectory::new();
-        for i in 0..4 {
-            dir.admit(ClientId(i), key(&mut rng));
-        }
-        dir.suspend(ClientId(1)).unwrap();
-        dir.revoke(ClientId(3)).unwrap();
-        assert_eq!(dir.active_clients(), vec![ClientId(0), ClientId(2)]);
-        assert_eq!(dir.len(), 4);
     }
 }

@@ -200,6 +200,7 @@ impl ClientNode {
     /// # Errors
     ///
     /// Transport or decoding failures.
+    // lint: allow(SL08, revoked_client_cannot_read_new_payloads in tests/end_to_end.rs)
     pub fn poll_delivery_raw(
         &mut self,
         timeout: Duration,

@@ -34,7 +34,7 @@ pub enum ProducerCommand {
         /// The client's public key.
         public_key: RsaPublicKey,
     },
-    /// Suspend a client (subscriptions refused until reactivated).
+    /// Suspend a client (its subscriptions are refused).
     Suspend(ClientId),
     /// Revoke a client: removed from the group, key rotated, fresh key
     /// pushed to remaining members.

@@ -132,23 +132,12 @@ impl Scalar {
     /// Orders two scalars of the same orderable kind.
     ///
     /// Returns `None` across kinds and for strings (hash order is
-    /// meaningless); string equality is still visible through
-    /// [`Scalar::same`] .
+    /// meaningless).
     pub fn order(&self, other: &Scalar) -> Option<Ordering> {
         match (self, other) {
             (Scalar::Int(a), Scalar::Int(b)) => Some(a.cmp(b)),
             (Scalar::Float(a), Scalar::Float(b)) => Some(a.total_cmp(b)),
             _ => None,
-        }
-    }
-
-    /// Equality across identical kinds (strings compare by hash).
-    pub fn same(&self, other: &Scalar) -> bool {
-        match (self, other) {
-            (Scalar::Int(a), Scalar::Int(b)) => a == b,
-            (Scalar::Float(a), Scalar::Float(b)) => a.total_cmp(b) == Ordering::Equal,
-            (Scalar::Str(a), Scalar::Str(b)) => a == b,
-            _ => false,
         }
     }
 }
@@ -200,15 +189,6 @@ mod tests {
     fn scalar_ordering_across_kinds_none() {
         assert_eq!(Scalar::Int(1).order(&Scalar::Float(1.0)), None);
         assert_eq!(Scalar::Str(1).order(&Scalar::Str(1)), None, "strings are unordered");
-    }
-
-    #[test]
-    fn scalar_same() {
-        assert!(Scalar::Int(4).same(&Scalar::Int(4)));
-        assert!(!Scalar::Int(4).same(&Scalar::Int(5)));
-        assert!(Value::Str("HAL".into()).to_scalar().same(&Value::Str("HAL".into()).to_scalar()));
-        assert!(!Value::Str("HAL".into()).to_scalar().same(&Value::Str("IBM".into()).to_scalar()));
-        assert!(!Scalar::Int(4).same(&Scalar::Float(4.0)), "kinds are strict");
     }
 
     #[test]

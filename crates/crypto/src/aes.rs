@@ -136,6 +136,7 @@ impl Aes {
 
     /// Encrypts one 16-byte block in place (through the four-block core,
     /// so a caller with several blocks should batch them, as CTR does).
+    // lint: allow(SL08, aes128_fips197_example and aes256_fips197_example in tests/kat.rs)
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
         let mut four = [0u8; PARALLEL_LEN];
         four[..BLOCK_LEN].copy_from_slice(block);

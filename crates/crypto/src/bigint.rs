@@ -406,6 +406,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if `m` is even (zero included).
+    // lint: allow(SL08, biguint_modpow_matches_u128 in tests/proptests.rs)
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(m.is_odd(), "modulus must be odd");
         match MontCtx::new(m) {

@@ -1,4 +1,4 @@
-//! Constant-time comparison helpers.
+//! Constant-time comparison.
 
 /// Compares two byte slices in time independent of where they differ.
 ///
@@ -20,13 +20,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Selects `a` if `choice` is true, `b` otherwise, without branching on
-/// `choice` at byte level.
-pub fn ct_select(choice: bool, a: u8, b: u8) -> u8 {
-    let mask = (choice as u8).wrapping_neg();
-    (a & mask) | (b & !mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,11 +31,5 @@ mod tests {
         assert!(!ct_eq(b"x", b"y"));
         assert!(!ct_eq(b"x", b"xx"));
         assert!(!ct_eq(b"ab", b"ba"));
-    }
-
-    #[test]
-    fn select_basic() {
-        assert_eq!(ct_select(true, 0xaa, 0x55), 0xaa);
-        assert_eq!(ct_select(false, 0xaa, 0x55), 0x55);
     }
 }

@@ -28,6 +28,7 @@ impl CryptoRng {
     }
 
     /// Creates a generator seeded from the operating system.
+    // lint: allow(SL08, the only OS-entropy constructor; every caller seeds on purpose)
     pub fn from_os() -> Self {
         CryptoRng { inner: StdRng::from_os_rng() }
     }

@@ -7,13 +7,15 @@
 //! code never reads the wall clock. This crate turns those into
 //! whole-tree build-time checks: a hand-rolled comment/string-aware
 //! [`lexer`], a lightweight item-level [`parser`], and a [`rules`] engine
-//! with stable codes (`SL01`–`SL06`), inline
+//! with stable codes (`SL01`–`SL06`, `SL08`), inline
 //! `// lint: allow(<rule>, <reason>)` suppressions, JSON output, and
 //! `--deny` exit-code semantics for CI.
 //!
 //! Boundary changes are manifest-driven: the ecall/ocall-crossing surface
 //! is enumerated into `BOUNDARY.lock`, so any new crossing is an explicit,
-//! reviewed diff to the lock file (rule SL05).
+//! reviewed diff to the lock file (rule SL05). Dead surface is found the
+//! same tree-wide way: a `pub` item that only tests name is an SL08
+//! finding.
 #![forbid(unsafe_code)]
 
 pub mod lexer;
@@ -21,7 +23,7 @@ pub mod parser;
 pub mod report;
 pub mod rules;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -32,7 +34,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// One finding, suppressed or not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule code (`SL01` … `SL06`).
+    /// Stable rule code (`SL01` … `SL06`, `SL08`; `SL00` marks a malformed
+    /// suppression).
     pub rule: &'static str,
     /// Path relative to the workspace root, `/`-separated.
     pub path: String,
@@ -163,6 +166,7 @@ pub struct TreeReport {
 
 impl TreeReport {
     /// Findings for one rule code.
+    // lint: allow(SL08, tests/fixtures_corpus.rs reads SL05 and SL08 findings through it)
     pub fn of_rule(&self, rule: &str) -> Vec<&Finding> {
         self.findings.iter().filter(|f| f.rule == rule).collect()
     }
@@ -243,8 +247,7 @@ fn apply_suppressions(
     if allows.is_empty() {
         return;
     }
-    let comment_lines: std::collections::BTreeSet<u32> =
-        lexed.comments.iter().map(|c| c.line).collect();
+    let comment_lines: BTreeSet<u32> = lexed.comments.iter().map(|c| c.line).collect();
     // (start, end, rule, reason) coverage spans.
     let mut spans: Vec<(u32, u32, &str, &str)> = Vec::new();
     for a in allows {
@@ -255,6 +258,7 @@ fn apply_suppressions(
         .iter()
         .map(|f| (f.decl_line, f.end_line))
         .chain(model.types.iter().map(|t| (t.decl_line, t.end_line)))
+        .chain(model.pub_items.iter().map(|p| (p.decl_line, p.end_line)))
         .collect();
     items.sort_unstable();
     for (decl, end) in items {
@@ -289,16 +293,32 @@ fn apply_suppressions(
 // Per-file and per-tree drivers
 // ---------------------------------------------------------------------------
 
-/// Lints one file's source as if it lived at `rel` (workspace-relative).
-/// `crate_root` marks `src/lib.rs` files for the SL06 forbid check.
-pub fn lint_file(rel: &str, source: &str, cfg: &LintConfig, crate_root: bool) -> FileOutcome {
+/// One lexed and parsed file, kept for the tree-wide rules.
+struct Analyzed {
+    rel: String,
+    lexed: lexer::Lexed,
+    model: parser::FileModel,
+    allows: Vec<Allow>,
+}
+
+/// Runs the per-file rules over `source` and keeps what the tree-wide
+/// rules need.
+fn analyze(rel: &str, source: &str, cfg: &LintConfig, crate_root: bool) -> (FileOutcome, Analyzed) {
     let lexed = lexer::lex(source);
     let model = parser::parse(&lexed);
     let (mut findings, surface) = rules::check_file(rel, &lexed, &model, cfg, crate_root);
     let allows = parse_allows(&lexed, rel, &mut findings);
     apply_suppressions(&mut findings, &allows, &model, &lexed);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    FileOutcome { findings, surface }
+    (FileOutcome { findings, surface }, Analyzed { rel: rel.to_string(), lexed, model, allows })
+}
+
+/// Lints one file's source as if it lived at `rel` (workspace-relative).
+/// `crate_root` marks `src/lib.rs` files for the SL06 forbid check. The
+/// tree-wide rules (SL05, SL08) need [`lint_tree`].
+// lint: allow(SL08, tests/fixtures_corpus.rs lints each per-file fixture through it)
+pub fn lint_file(rel: &str, source: &str, cfg: &LintConfig, crate_root: bool) -> FileOutcome {
+    analyze(rel, source, cfg, crate_root).0
 }
 
 /// True for `crates/<name>/src/lib.rs` and the umbrella `src/lib.rs`.
@@ -309,6 +329,10 @@ fn is_crate_root(rel: &str) -> bool {
     let parts: Vec<&str> = rel.split('/').collect();
     matches!(parts.as_slice(), ["crates", _, "src", "lib.rs"])
 }
+
+/// Directories read only as SL08 callers, never linted: the benchmark
+/// harness lives outside the workspace but depends on its `pub` API.
+const REFERENCE_ROOTS: [&str; 1] = ["benchmark/src"];
 
 /// Path components that end a walk: build output, vendored stand-ins, the
 /// deliberately-violating fixture corpus.
@@ -331,6 +355,15 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) {
     }
 }
 
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
 /// Lints the whole tree under `root` and checks the boundary surface
 /// against `lock` (`None` defaults to `<root>/BOUNDARY.lock`).
 pub fn lint_tree(root: &Path, cfg: &LintConfig, lock: Option<&Path>) -> TreeReport {
@@ -341,20 +374,28 @@ pub fn lint_tree(root: &Path, cfg: &LintConfig, lock: Option<&Path>) -> TreeRepo
     let mut report = TreeReport::default();
     let mut all: Vec<Finding> = Vec::new();
     let mut sites: Vec<SurfaceSite> = Vec::new();
+    let mut linted = Vec::new();
     for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
+        let rel = rel_path(root, path);
         let Ok(source) = fs::read_to_string(path) else { continue };
-        let outcome = lint_file(&rel, &source, cfg, is_crate_root(&rel));
+        let (outcome, analyzed) = analyze(&rel, &source, cfg, is_crate_root(&rel));
         all.extend(outcome.findings);
         sites.extend(outcome.surface);
+        linted.push(analyzed);
         report.files_scanned += 1;
     }
+    let mut references = Vec::new();
+    for top in REFERENCE_ROOTS {
+        let mut paths = Vec::new();
+        walk(&root.join(top), &mut paths);
+        for path in paths {
+            let Ok(source) = fs::read_to_string(&path) else { continue };
+            let lexed = lexer::lex(&source);
+            let model = parser::parse(&lexed);
+            references.push(Analyzed { rel: rel_path(root, &path), lexed, model, allows: vec![] });
+        }
+    }
+    all.extend(sl08_unreached_pub(&linted, &references));
     report.surface = aggregate_surface(&sites);
     let lock_path = lock.map(Path::to_path_buf).unwrap_or_else(|| root.join("BOUNDARY.lock"));
     all.extend(check_boundary(&report.surface, &sites, &lock_path));
@@ -363,6 +404,90 @@ pub fn lint_tree(root: &Path, cfg: &LintConfig, lock: Option<&Path>) -> TreeRepo
     report.findings = findings;
     report.suppressed = suppressed;
     report
+}
+
+// ---------------------------------------------------------------------------
+// SL08: unreached pub items
+// ---------------------------------------------------------------------------
+
+/// The files only tests compile: everything under a `tests/` directory,
+/// and every file a `#[cfg(test)] mod name;` declares, transitively.
+fn test_only_files(files: &[Analyzed]) -> BTreeSet<String> {
+    let mut test: BTreeSet<String> = files
+        .iter()
+        .filter(|f| f.rel.split('/').any(|c| c == "tests"))
+        .map(|f| f.rel.clone())
+        .collect();
+    loop {
+        let before = test.len();
+        for f in files {
+            let whole = test.contains(&f.rel);
+            let dir = match f.rel.rsplit_once('/') {
+                Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir.to_string(),
+                _ => f.rel.trim_end_matches(".rs").to_string(),
+            };
+            for m in &f.model.file_mods {
+                if whole || f.model.in_test(m.at) {
+                    test.insert(format!("{dir}/{}.rs", m.name));
+                    test.insert(format!("{dir}/{}/mod.rs", m.name));
+                }
+            }
+        }
+        if test.len() == before {
+            return test;
+        }
+    }
+}
+
+/// The identifiers among tokens `range` of `f`, outside `#[cfg(test)]`
+/// items.
+fn idents(f: &Analyzed, range: std::ops::Range<usize>) -> impl Iterator<Item = &str> {
+    range.filter(|&i| !f.model.in_test(i)).filter_map(|i| match &f.lexed.tokens[i].tok {
+        lexer::Tok::Ident(name) => Some(name.as_str()),
+        _ => None,
+    })
+}
+
+/// SL08: a `pub` item whose name appears as an identifier nowhere in
+/// non-test code outside the item itself. `references` are read as
+/// callers only. See the rules table for the semantics.
+fn sl08_unreached_pub(linted: &[Analyzed], references: &[Analyzed]) -> Vec<Finding> {
+    let test_files = test_only_files(linted);
+    let live = |f: &Analyzed| !test_files.contains(&f.rel);
+    // Non-test identifier occurrences, tree-wide.
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    for f in linted.iter().filter(|f| live(f)).chain(references) {
+        for name in idents(f, 0..f.lexed.tokens.len()) {
+            *uses.entry(name).or_default() += 1;
+        }
+    }
+    let mut findings = Vec::new();
+    for f in linted.iter().filter(|f| live(f)) {
+        let mut own = Vec::new();
+        for item in &f.model.pub_items {
+            if f.model.in_test(item.span.0) {
+                continue;
+            }
+            let inside =
+                idents(f, item.span.0..item.span.1 + 1).filter(|n| *n == item.name).count();
+            if uses.get(item.name.as_str()).copied().unwrap_or(0) > inside {
+                continue;
+            }
+            own.push(Finding::new(
+                "SL08",
+                &f.rel,
+                item.line,
+                format!(
+                    "no non-test code names `pub {} {}` outside the item itself — delete it, \
+                     or suppress with the test or caller that needs it",
+                    item.kind, item.name
+                ),
+            ));
+        }
+        apply_suppressions(&mut own, &f.allows, &f.model, &f.lexed);
+        findings.extend(own);
+    }
+    findings
 }
 
 // ---------------------------------------------------------------------------

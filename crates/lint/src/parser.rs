@@ -3,10 +3,12 @@
 //! This is not a Rust grammar: it recovers exactly the structure the rules
 //! need — function signatures and body extents (with their enclosing
 //! `impl` type), struct definitions with derive lists and field types,
-//! `impl Trait for Type` headers, and the crate-root
-//! `#![forbid(unsafe_code)]` attribute. Everything else passes through as
-//! anonymous tokens. Brace depth is tracked globally, so expression braces
-//! (struct literals, match arms) nest correctly around item extents.
+//! `impl Trait for Type` headers, the crate-root
+//! `#![forbid(unsafe_code)]` attribute, `pub` item declarations, the
+//! extents of `#[cfg(test)]` items and `mod name;` declarations.
+//! Everything else passes through as anonymous tokens. Brace depth is
+//! tracked globally, so expression braces (struct literals, match arms)
+//! nest correctly around item extents.
 
 use crate::lexer::{Lexed, Tok, Token};
 
@@ -63,12 +65,41 @@ pub struct ImplDef {
     pub line: u32,
 }
 
+/// A `pub` item (bare `pub`, not `pub(crate)` and the like): a free or
+/// associated `fn`, a `struct`, `enum`, `trait`, `type`, `const`,
+/// `static` or `mod`.
+#[derive(Debug, Clone)]
+pub struct PubItem {
+    pub name: String,
+    /// The item keyword (`fn`, `struct`, …).
+    pub kind: &'static str,
+    /// Line of the `pub` token.
+    pub line: u32,
+    /// See [`FnItem::decl_line`].
+    pub decl_line: u32,
+    pub end_line: u32,
+    /// Token index range `[pub, end]` of the whole item.
+    pub span: (usize, usize),
+}
+
+/// A `mod name;` declaration: its body lives in another file.
+#[derive(Debug, Clone)]
+pub struct ModDecl {
+    pub name: String,
+    /// Token index of the `mod` keyword.
+    pub at: usize,
+}
+
 /// Everything the parser recovered from one file.
 #[derive(Debug, Default)]
 pub struct FileModel {
     pub fns: Vec<FnItem>,
     pub types: Vec<TypeDef>,
     pub impls: Vec<ImplDef>,
+    pub pub_items: Vec<PubItem>,
+    /// Token index ranges of `#[cfg(test)]` items, attribute included.
+    pub test_spans: Vec<(usize, usize)>,
+    pub file_mods: Vec<ModDecl>,
     /// The file carries `#![forbid(unsafe_code)]`.
     pub has_forbid_unsafe: bool,
 }
@@ -81,6 +112,39 @@ impl FileModel {
             .filter(|f| f.body.is_some_and(|(s, e)| s <= idx && idx <= e))
             .min_by_key(|f| f.body.map(|(s, e)| e - s).unwrap_or(usize::MAX))
     }
+
+    /// True when token index `idx` lies inside a `#[cfg(test)]` item.
+    pub fn in_test(&self, idx: usize) -> bool {
+        self.test_spans.iter().any(|&(s, e)| s <= idx && idx <= e)
+    }
+}
+
+/// Item keywords a `pub` item can start with (after qualifiers).
+const PUB_ITEM_KINDS: [&str; 8] =
+    ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+
+/// The token index ending the item that starts at `start`: its `;` or the
+/// brace closing its body, whichever comes first at nesting level 0.
+fn item_end(toks: &[Token], start: usize) -> usize {
+    let (mut paren, mut bracket, mut brace) = (0i32, 0i32, 0i32);
+    for (i, t) in toks.iter().enumerate().skip(start) {
+        match t.tok {
+            Tok::Punct('(') => paren += 1,
+            Tok::Punct(')') => paren -= 1,
+            Tok::Punct('[') => bracket += 1,
+            Tok::Punct(']') => bracket -= 1,
+            Tok::Punct('{') => brace += 1,
+            Tok::Punct('}') => {
+                brace -= 1;
+                if brace <= 0 && paren == 0 && bracket == 0 {
+                    return i;
+                }
+            }
+            Tok::Punct(';') if paren == 0 && bracket == 0 && brace == 0 => return i,
+            _ => {}
+        }
+    }
+    toks.len().saturating_sub(1)
 }
 
 /// Parses a lexed file into its item model.
@@ -147,6 +211,19 @@ impl Parser<'_> {
                     self.type_def(is_struct, line);
                 }
                 Tok::Ident(kw) if kw == "impl" => self.impl_header(line),
+                Tok::Ident(kw) if kw == "pub" => {
+                    self.pub_item(line);
+                    self.i += 1;
+                }
+                Tok::Ident(kw)
+                    if kw == "mod"
+                        && self.is_ident(self.i + 1)
+                        && self.punct_at(self.i + 2) == Some(';') =>
+                {
+                    let name = self.ident_at(self.i + 1).unwrap_or_default().to_string();
+                    self.model.file_mods.push(ModDecl { name, at: self.i });
+                    self.i += 3;
+                }
                 Tok::Ident(kw) if kw == "fn" && self.is_ident(self.i + 1) => self.fn_item(line),
                 _ => self.i += 1,
             }
@@ -206,8 +283,46 @@ impl Parser<'_> {
         }
         if !inner_attr {
             self.pending_attr_line.get_or_insert(line);
+            if inner == ["cfg", "test"] {
+                self.model.test_spans.push((self.i, item_end(self.toks, j)));
+            }
         }
         self.i = j;
+    }
+
+    /// Records the `pub` item starting at `self.i`, if it is one; leaves
+    /// `self.i` on the `pub` so the item itself is parsed as usual.
+    fn pub_item(&mut self, line: u32) {
+        let mut j = self.i + 1;
+        // Qualifiers: `const fn`, `async fn`, `unsafe fn`.
+        while matches!(self.ident_at(j), Some("const" | "async" | "unsafe"))
+            && matches!(self.ident_at(j + 1), Some("fn" | "const" | "async" | "unsafe"))
+        {
+            j += 1;
+        }
+        let Some(kind) = self.ident_at(j).and_then(|k| PUB_ITEM_KINDS.iter().find(|&&p| p == k))
+        else {
+            return;
+        };
+        j += 1;
+        if *kind == "static" && self.ident_at(j) == Some("mut") {
+            j += 1;
+        }
+        let Some(name) = self.ident_at(j).map(str::to_string) else { return };
+        let decl_line = self.pending_attr_line.unwrap_or(line);
+        if !matches!(*kind, "fn" | "struct" | "enum") {
+            // Only fn and type items consume a pending attribute line.
+            self.pending_attr_line = None;
+        }
+        let end = item_end(self.toks, j);
+        self.model.pub_items.push(PubItem {
+            name,
+            kind,
+            line,
+            decl_line,
+            end_line: self.toks[end].line,
+            span: (self.i, end),
+        });
     }
 
     /// Skips a balanced `<...>` group starting at `self.i` (which must be
@@ -595,6 +710,31 @@ mod tests {
         let (s, e) = inner.body.expect("body");
         let mid = (s + e) / 2;
         assert_eq!(m.enclosing_fn(mid).map(|f| f.name.as_str()), Some("inner"));
+    }
+
+    #[test]
+    fn pub_items_test_spans_and_file_mods() {
+        let m = model(
+            "pub const fn a() {}\n\
+             pub(crate) fn hidden() {}\n\
+             pub static mut COUNT: u32 = 0;\n\
+             pub mod inline { pub trait T {} }\n\
+             #[cfg(test)]\n\
+             mod helpers;\n\
+             #[cfg(test)]\n\
+             mod tests { pub fn t() {} }\n",
+        );
+        let items: Vec<(&str, &str)> =
+            m.pub_items.iter().map(|p| (p.kind, p.name.as_str())).collect();
+        assert_eq!(
+            items,
+            [("fn", "a"), ("static", "COUNT"), ("mod", "inline"), ("trait", "T"), ("fn", "t")]
+        );
+        assert_eq!(m.pub_items[2].end_line, 4, "an inline module spans its braces");
+        assert_eq!(m.file_mods.len(), 1);
+        assert!(m.in_test(m.file_mods[0].at));
+        assert!(m.in_test(m.pub_items[4].span.0), "items inside a cfg(test) module");
+        assert!(!m.in_test(m.pub_items[0].span.0));
     }
 
     #[test]

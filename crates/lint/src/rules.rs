@@ -9,13 +9,14 @@
 //! | SL04 | Every `u64` field of a struct exporting `snapshot() -> Vec<(&'static str, u64)>` appears as a key in that snapshot (no counter drift toward dashboards). |
 //! | SL05 | The ecall/ocall-crossing surface matches the checked-in `BOUNDARY.lock` manifest (handled tree-wide in [`crate::lint_tree`]). |
 //! | SL06 | Every crate root retains `#![forbid(unsafe_code)]`, and `unsafe` appears nowhere outside the allowlisted, `// SAFETY:`-documented files. |
+//! | SL08 | Every `pub` item (`fn`, `struct`, `enum`, `trait`, `type`, `const`, `static`, `mod`) is named as an identifier by some non-test code outside the item itself (handled tree-wide in [`crate::lint_tree`]). Non-test code excludes `#[cfg(test)]` items, files a `#[cfg(test)] mod name;` declares and everything under a `tests/` directory; examples and bench targets count as callers, and `benchmark/src` is read as a caller but never linted. Matching is by name alone, so the rule is conservative: when two items share a name, both count as reached. |
 
 use crate::lexer::{Lexed, Tok};
 use crate::parser::FileModel;
 use crate::{Finding, LintConfig, SurfaceSite};
 
-/// Stable rule codes, in catalogue order.
-pub const RULE_CODES: [&str; 6] = ["SL01", "SL02", "SL03", "SL04", "SL05", "SL06"];
+/// Stable rule codes, in catalogue order (`SL07` is reserved).
+pub const RULE_CODES: [&str; 7] = ["SL01", "SL02", "SL03", "SL04", "SL05", "SL06", "SL08"];
 
 /// Allocating constructs banned on the zero-alloc hot path. Method calls
 /// are matched as `.name(`, macro names as `name!`, and associated

@@ -1,11 +1,12 @@
 //! The fixture corpus: one violating and one conforming file per rule,
 //! each bad fixture firing *exactly* its own rule; plus the tree-clean
-//! check on the real workspace and the boundary-lock drift check.
+//! check on the real workspace, the boundary-lock drift check and the
+//! SL08 fixture tree.
 //!
 //! Fixtures live under `tests/fixtures/`, which the tree walker skips, so
 //! the deliberately-violating files never pollute the real lint run.
 
-use scbr_lint::{lint_file, lint_tree, LintConfig};
+use scbr_lint::{lint_file, lint_tree, Finding, LintConfig};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -142,4 +143,36 @@ fn boundary_findings_cannot_be_suppressed() {
     let root = fixtures().join("boundary_drift");
     let report = lint_tree(&root, &LintConfig::default(), None);
     assert!(report.of_rule("SL05").iter().all(|f| f.suppressed.is_none()));
+}
+
+/// The items a set of SL08 findings names (`pub fn name`).
+fn sl08_items(findings: &[&Finding]) -> BTreeSet<String> {
+    findings
+        .iter()
+        .filter(|f| f.rule == "SL08")
+        .map(|f| f.message.split('`').nth(1).expect("the item in backticks").to_string())
+        .collect()
+}
+
+/// SL08 counts a name only where non-test code uses it as an identifier
+/// outside the item itself: a `#[cfg(test)]` module, a file a
+/// `#[cfg(test)] mod` declares, `tests/`, comments, strings and the
+/// item's own body do not count, while a sibling file and a reference
+/// root (`benchmark/src`, never linted itself) do.
+#[test]
+fn unreached_pub_items_are_flagged() {
+    let root = fixtures().join("unreached_pub");
+    let report = lint_tree(&root, &LintConfig::default(), None);
+    let findings: Vec<&Finding> = report.findings.iter().collect();
+    assert_eq!(report.of_rule("SL08").len(), findings.len(), "only SL08 fires: {findings:#?}");
+    let expected = ["only_in_test_file", "only_mentioned", "only_recursive", "only_tested"];
+    assert_eq!(sl08_items(&findings), expected.map(|n| format!("pub fn {n}")).into());
+    assert!(findings.iter().all(|f| f.path == "src/lib.rs"), "{findings:#?}");
+
+    let suppressed: Vec<&Finding> = report.suppressed.iter().collect();
+    assert_eq!(sl08_items(&suppressed), BTreeSet::from(["pub fn kept".to_string()]));
+    assert_eq!(
+        suppressed[0].suppressed.as_deref(),
+        Some("the fixture corpus checks that this reason is reported")
+    );
 }

@@ -82,11 +82,6 @@ pub struct SecureLink {
     /// The direction bit of every nonce on this half (bit 63).
     direction: u64,
     seq: u64,
-    /// First sequence gap observed on this (inbound) half, if any:
-    /// `(expected, got)` at the moment the gap surfaced. Sticky — a
-    /// gapped link cannot make progress, so the record stands until the
-    /// link is re-keyed (a fresh [`SecureLink`]).
-    gap: Option<(u64, u64)>,
     /// Meta word of the last successfully opened frame (inbound half).
     last_meta: u64,
 }
@@ -96,7 +91,6 @@ impl std::fmt::Debug for SecureLink {
         // The sealer's keyed state stays out of logs.
         f.debug_struct("SecureLink")
             .field("seq", &self.seq)
-            .field("gap", &self.gap)
             .field("last_meta", &self.last_meta)
             .finish_non_exhaustive()
     }
@@ -150,23 +144,15 @@ impl SecureLink {
             label: direction_label(from, to),
             direction: u64::from(from > to) << 63,
             seq: 0,
-            gap: None,
             last_meta: 0,
         }
     }
 
-    /// Frames sealed (outbound half) or expected (inbound half) so far.
-    pub fn sequence(&self) -> u64 {
+    /// Frames sealed (outbound half) or expected (inbound half) so far (a
+    /// unit-test helper).
+    #[cfg(test)]
+    fn sequence(&self) -> u64 {
         self.seq
-    }
-
-    /// The first sequence gap this inbound half observed, as
-    /// `(expected, got)`. A gapped link is wedged — the lost frames will
-    /// never arrive and the counter cannot advance — so the record is
-    /// sticky until the link is re-keyed. This is the per-channel wedge
-    /// predicate the overlay's suspicion timers key off.
-    pub fn gap_observed(&self) -> Option<(u64, u64)> {
-        self.gap
     }
 
     /// Meta word of the most recently opened frame on this inbound half
@@ -247,9 +233,6 @@ impl SecureLink {
             .open_with_nonce(self.nonce_for(claimed), body, &self.aad_for(claimed, meta))
             .map_err(|_| NetError::Malformed { context: "sealed link frame" })?;
         if claimed > self.seq {
-            if self.gap.is_none() {
-                self.gap = Some((self.seq, claimed));
-            }
             return Err(NetError::Gap { expected: self.seq, got: claimed });
         }
         self.seq += 1;
@@ -316,11 +299,8 @@ mod tests {
         // A gap does not advance the counter: the link is stuck (the lost
         // frames will never arrive) until it is re-established.
         assert_eq!(rx.sequence(), 0);
-        // The wedge is recorded stickily, pinned to the *first* gap.
-        assert_eq!(rx.gap_observed(), Some((0, 2)));
         let later = tx.seal(b"frame 3", &mut rng);
         assert!(matches!(rx.open(&later), Err(NetError::Gap { expected: 0, got: 3 })));
-        assert_eq!(rx.gap_observed(), Some((0, 2)), "first gap record is sticky");
     }
 
     #[test]
@@ -331,13 +311,11 @@ mod tests {
             let sealed = tx.seal(b"ok", &mut rng);
             rx.open(&sealed).unwrap();
         }
-        assert_eq!(rx.gap_observed(), None);
-        // A forged frame is a Malformed error, never a gap record.
+        // A forged frame is a Malformed error, never a gap.
         let mut forged = tx.seal(b"x", &mut rng);
         let n = forged.len();
         forged[n - 1] ^= 1;
-        assert!(rx.open(&forged).is_err());
-        assert_eq!(rx.gap_observed(), None);
+        assert!(matches!(rx.open(&forged), Err(NetError::Malformed { .. })));
     }
 
     #[test]
@@ -412,7 +390,7 @@ mod tests {
     fn debug_prints_no_key_material() {
         let (mut tx, _) = pair();
         tx.seal(b"frame 0", &mut CryptoRng::from_seed(12));
-        assert_eq!(format!("{tx:?}"), "SecureLink { seq: 1, gap: None, last_meta: 0, .. }");
+        assert_eq!(format!("{tx:?}"), "SecureLink { seq: 1, last_meta: 0, .. }");
     }
 
     /// A frame pinned byte for byte: sequence, meta word, ciphertext and

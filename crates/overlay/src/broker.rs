@@ -778,7 +778,9 @@ impl BrokerCore {
     }
 
     /// Decrypts and matches each header, appending to `routes` its local
-    /// deliveries and outgoing links. The match buffer is the broker's
+    /// deliveries and outgoing links; returns how many headers were
+    /// refused. A header that fails to decrypt or decode gets an empty
+    /// span and costs only itself. The match buffer is the broker's
     /// own, reused across every header of every hop (the engine's
     /// decrypt/decode/traversal scratch is reused inside
     /// `match_encrypted_append`).
@@ -787,10 +789,14 @@ impl BrokerCore {
         headers: impl Iterator<Item = &'a [u8]>,
         origin: Origin,
         routes: &mut RouteSpans,
-    ) -> Result<(), ScbrError> {
+    ) -> u64 {
+        let mut refused = 0;
         for ct in headers {
             self.route_buf.clear();
-            self.matcher.match_encrypted_append(ct, &mut self.route_buf)?;
+            if self.matcher.match_encrypted_append(ct, &mut self.route_buf).is_err() {
+                self.route_buf.clear();
+                refused += 1;
+            }
             for client in &self.route_buf {
                 if !client.is_interface() {
                     routes.locals.push(*client);
@@ -803,7 +809,7 @@ impl BrokerCore {
             }
             routes.ends.push((routes.locals.len() as u32, routes.links.len() as u32));
         }
-        Ok(())
+        refused
     }
 
     /// The live registration envelopes recorded as forwarded on the link
@@ -1128,6 +1134,10 @@ pub struct BrokerStats {
     pub compactions: u64,
     /// Deltas currently chained onto the base in the host's file.
     pub log_entries: u64,
+    /// Publication items refused because their header failed to decrypt
+    /// or decode (cumulative); each one is dropped alone, its batch-mates
+    /// still route.
+    pub refused: u64,
 }
 
 impl BrokerStats {
@@ -1151,6 +1161,7 @@ impl BrokerStats {
             ("sealed_bytes", self.sealed_bytes),
             ("compactions", self.compactions),
             ("log_entries", self.log_entries),
+            ("refused", self.refused),
         ]
     }
 }
@@ -2240,7 +2251,7 @@ impl Broker {
         routes.clear();
         for start in (0..items().len()).step_by(MAX_DRAIN) {
             let headers = items().skip(start).take(MAX_DRAIN).map(|item| item.header_ct);
-            self.call(|c| c.route_into(headers, origin, &mut routes))?;
+            self.counters.refused += self.call(|c| c.route_into(headers, origin, &mut routes));
         }
         let t_matched = if timing { self.mem_elapsed_ns() } else { 0.0 };
         let matched_here = routes.locals.len();
@@ -2918,6 +2929,46 @@ mod tests {
         assert_eq!(deliveries(&outs).len(), 10);
         assert!(frames(&outs).is_empty());
         assert_eq!(broker.stats().ecalls, 1, "whole batch in one crossing");
+    }
+
+    /// A header that fails to decrypt costs only itself: its batch-mates
+    /// are still delivered and forwarded, and the refusal is counted.
+    #[test]
+    fn a_poisoned_item_costs_only_itself() {
+        let mut rng = CryptoRng::from_seed(4);
+        let producer = producer(&mut rng);
+        let (mut broker, mut peers) = serving(0, 34, false, &[1], &producer);
+        let spec = SubscriptionSpec::new().gt("price", 10.0);
+        let local =
+            producer.seal_registration(&spec, SubscriptionId(1), ClientId(7), &mut rng).unwrap();
+        let outs = broker.step(0, Input::Subscribe { envelope: local }).unwrap();
+        for frame in frames(&outs) {
+            peers.open(frame);
+        }
+        let remote =
+            producer.seal_registration(&spec, SubscriptionId(2), ClientId(8), &mut rng).unwrap();
+        let wire = Message::SubForward { envelope: remote }.to_wire();
+        broker.step(1, peers.frame(1, &wire)).unwrap();
+
+        let good = PublicationSpec::new().attr("price", 60.0);
+        let mut poisoned = item(&producer, &good, &mut rng);
+        poisoned.header_ct.truncate(3);
+        let items =
+            vec![item(&producer, &good, &mut rng), poisoned, item(&producer, &good, &mut rng)];
+        let outs = broker.step(2, Input::Publish { items, trace: TraceId::NONE }).unwrap();
+        assert_eq!(deliveries(&outs).len(), 2, "both good items are delivered");
+        let fwd = frames(&outs);
+        assert_eq!(fwd.len(), 1);
+        match peers.open(fwd[0]) {
+            Message::PublishBatch { items } => assert_eq!(items.len(), 2, "and forwarded"),
+            other => panic!("expected a publish batch, got {other:?}"),
+        }
+        assert_eq!(broker.stats().refused, 1);
+
+        let items = vec![item(&producer, &good, &mut rng)];
+        let outs = broker.step(3, Input::Publish { items, trace: TraceId::NONE }).unwrap();
+        assert_eq!(deliveries(&outs).len(), 1);
+        assert_eq!(broker.stats().refused, 1);
     }
 
     /// Broker 0, with neighbour 1, in `phase` (one a test can reach).

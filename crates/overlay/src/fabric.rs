@@ -317,6 +317,7 @@ impl OverlayFabric {
     }
 
     /// Advances the publication epoch (operator-driven key rotation).
+    // lint: allow(SL08, epoch_advances_across_a_restart in tests/failover.rs)
     pub fn set_epoch(&mut self, epoch: KeyEpoch) {
         self.epoch = epoch;
     }
@@ -479,6 +480,7 @@ impl OverlayFabric {
     /// # Errors
     ///
     /// As [`OverlayFabric::unsubscribe`].
+    // lint: allow(SL08, lifecycle_proptests.rs lifecycle_interleavings_stay_oracle_equivalent)
     pub fn resubscribe(
         &mut self,
         id: SubscriptionId,
@@ -813,6 +815,7 @@ impl OverlayFabric {
     /// every `stride`-th detection round (models a slow-but-alive host —
     /// its heartbeats are delayed, not lost; with `stride · interval`
     /// below `suspect_after` its neighbours never accuse it).
+    // lint: allow(SL08, tests/failover.rs and tests/lifecycle_proptests.rs slow a clock with it)
     pub fn set_tick_stride(&mut self, at: usize, stride: u64) {
         self.strides.insert(at, stride.max(1));
     }
@@ -855,6 +858,7 @@ impl OverlayFabric {
     /// Schedules the next frame on the directed edge `from → to` to be
     /// lost in transit (test hook: downstream of the loss, the receiver
     /// observes a sequence gap — the liveness signal).
+    // lint: allow(SL08, tests/failover.rs and tests/lifecycle_proptests.rs lose frames with it)
     pub fn drop_next_frame(&mut self, from: usize, to: usize) {
         self.drop_plan.insert((from, to));
     }
@@ -877,6 +881,7 @@ impl OverlayFabric {
     }
 
     /// Drains the typed events surfaced by brokers since the last call.
+    // lint: allow(SL08, the recovery tests in tests/failover.rs read link events through it)
     pub fn take_events(&mut self) -> Vec<(usize, LinkEvent)> {
         std::mem::take(&mut self.events)
     }
@@ -964,12 +969,6 @@ impl OverlayFabric {
     }
 
     // ---- telemetry ------------------------------------------------------
-
-    /// Whether the fabric was built with telemetry
-    /// ([`FabricConfig::with_telemetry`]).
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry
-    }
 
     /// The fabric's full telemetry view: per-broker counter registries
     /// (broker, memory-simulator and per-link forwarding counters under
@@ -1183,7 +1182,6 @@ mod tests {
         let mut fabric =
             OverlayFabric::build(Topology::line(3), FabricConfig::attested(31).with_telemetry())
                 .unwrap();
-        assert!(fabric.telemetry_enabled());
         fabric.subscribe(2, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
         let (trace, deliveries) =
             fabric.publish_traced(0, &[PublicationSpec::new().attr("price", 9.0)]).unwrap();

@@ -86,6 +86,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics when `n == 0`.
+    // lint: allow(SL08, tests/failover.rs and tests/overlay_e2e.rs build star topologies with it)
     pub fn star(n: usize) -> Self {
         let edges: Vec<(usize, usize)> = (1..n).map(|i| (0, i)).collect();
         Topology::tree(n, &edges).expect("a star is a tree")

@@ -109,6 +109,7 @@ impl CacheSim {
     }
 
     /// Miss rate in `[0, 1]`; 0 if no accesses yet.
+    // lint: allow(SL08, cache_accounting_is_consistent in tests/proptests.rs bounds it)
     pub fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {

@@ -153,7 +153,6 @@ pub(crate) struct EnclaveInner {
     pub(crate) mem: MemorySim,
     pub(crate) costs: CostModel,
     pub(crate) ecalls: AtomicU64,
-    pub(crate) ocalls: AtomicU64,
     /// Key material tied to the platform, used for report MACs and sealing.
     pub(crate) platform_key: [u8; 32],
 }
@@ -173,7 +172,6 @@ impl Enclave {
                 mem,
                 costs,
                 ecalls: AtomicU64::new(0),
-                ocalls: AtomicU64::new(0),
                 platform_key,
             }),
         }
@@ -206,11 +204,6 @@ impl Enclave {
         self.inner.ecalls.load(Ordering::Relaxed)
     }
 
-    /// Number of OCALLs performed so far.
-    pub fn ocall_count(&self) -> u64 {
-        self.inner.ocalls.load(Ordering::Relaxed)
-    }
-
     /// The enclave's protected memory (for arenas living inside it).
     pub fn memory(&self) -> &MemorySim {
         &self.inner.mem
@@ -236,7 +229,6 @@ impl EnclaveContext<'_> {
 
     /// Performs an OCALL: leaves the enclave, runs `f` untrusted, re-enters.
     pub fn ocall<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.inner.ocalls.fetch_add(1, Ordering::Relaxed);
         self.inner.mem.record_ocall(
             self.inner.costs.eexit_ns + self.inner.costs.ocall_ns + self.inner.costs.eenter_ns,
         );
@@ -339,7 +331,6 @@ mod tests {
             assert_eq!(v, 7);
             assert!(ctx.memory().elapsed_ns() > t0);
         });
-        assert_eq!(e.ocall_count(), 1);
     }
 
     #[test]

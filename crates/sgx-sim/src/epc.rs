@@ -141,6 +141,7 @@ impl Epc {
     }
 
     /// Number of pages currently resident.
+    // lint: allow(SL08, epc_matches_reference in tests/proptests.rs checks it against the oracle)
     pub fn resident_pages(&self) -> usize {
         self.slots.len()
     }
@@ -166,6 +167,7 @@ impl Epc {
     }
 
     /// Total page faults (admissions + swaps), mirroring `minflt`.
+    // lint: allow(SL08, epc_invariants in tests/proptests.rs checks faults = admissions + swaps)
     pub fn faults(&self) -> u64 {
         self.admissions + self.swaps
     }

@@ -18,9 +18,8 @@
 //!    with CLOCK eviction.
 //! 2. **The security contract of SGX.** Enclaves are measured at build time
 //!    ([`enclave`]); secrets are provisioned after remote attestation
-//!    ([`attest`]); state is sealed with rollback protection ([`seal`]);
-//!    and protected memory detects tampering and replay through a
-//!    counter/integrity tree with a trusted root ([`mee`]).
+//!    ([`attest`]); and state is sealed with rollback protection
+//!    ([`seal`]).
 //!
 //! ## Quick example
 //!
@@ -46,12 +45,15 @@
 //!
 //! ## What is and is not modelled
 //!
-//! * Modelled: costs (cache, MEE, paging, ECALL/OCALL transitions),
-//!   measurement, attestation, sealing, rollback protection, integrity
-//!   trees.
+//! * Modelled: costs (cache, paging, ECALL/OCALL transitions, and the
+//!   MEE as a per-miss and per-integrity-tree-level charge in
+//!   [`CostModel`]), measurement, attestation, sealing, rollback
+//!   protection.
 //! * Not modelled: intra-process memory *isolation* (a Rust test harness
-//!   cannot fault on stray loads), speculative-execution attacks, and the
-//!   EPID group-signature scheme (quotes use plain RSA signatures).
+//!   cannot fault on stray loads), the MEE's encryption and integrity tree
+//!   themselves (an evicted page is only charged for, never encrypted or
+//!   verified), speculative-execution attacks, and the EPID
+//!   group-signature scheme (quotes use plain RSA signatures).
 //!
 //! [Pires et al., Middleware '16]: https://doi.org/10.1145/2988336.2988346
 
@@ -65,7 +67,6 @@ pub mod enclave;
 pub mod epc;
 pub mod error;
 pub mod link;
-pub mod mee;
 pub mod mem;
 pub mod platform;
 pub mod seal;

@@ -191,6 +191,7 @@ impl MemorySim {
     }
 
     /// Native memory with the paper machine's default geometry and costs.
+    // lint: allow(SL08, the crate doc examples of scbr, scbr-aspe and sgx-sim start from it)
     pub fn native_default() -> Self {
         MemorySim::native(CacheConfig::default(), CostModel::default())
     }

@@ -22,7 +22,8 @@ pub struct CounterId(u64);
 
 impl CounterId {
     /// An id that never refers to a live counter (for negative tests).
-    pub fn invalid_for_tests() -> Self {
+    #[cfg(test)]
+    pub(crate) fn invalid_for_tests() -> Self {
         CounterId(u64::MAX)
     }
 }
@@ -143,13 +144,15 @@ impl SgxPlatform {
         ))
     }
 
-    /// Verifies a local report produced on this platform.
+    /// Verifies a local report produced on this platform (a unit-test
+    /// helper).
     ///
     /// # Errors
     ///
     /// [`SgxError::AttestationFailed`] for reports from other platforms or
     /// tampered reports.
-    pub fn verify_local_report(&self, report: &Report) -> Result<(), SgxError> {
+    #[cfg(test)]
+    pub(crate) fn verify_local_report(&self, report: &Report) -> Result<(), SgxError> {
         crate::attest::verify_report(&self.device_key, report)
     }
 

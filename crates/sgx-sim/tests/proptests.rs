@@ -1,8 +1,6 @@
 //! Property-based tests for the SGX simulator's core invariants.
 
 use proptest::prelude::*;
-use scbr_crypto::ctr::SymmetricKey;
-use scbr_crypto::rng::CryptoRng;
 use sgx_sim::cache::{Access, CacheSim};
 use sgx_sim::costs::{CacheConfig, CostModel, EpcConfig};
 use sgx_sim::epc::{Epc, PageAccess};
@@ -137,7 +135,6 @@ fn page_stream() -> impl Strategy<Value = Vec<u64>> {
     let page = prop_oneof![12 => 0u64..48, 1 => any::<u64>()];
     proptest::collection::vec(page, 1..600)
 }
-use sgx_sim::mee::{CounterTree, ProtectedStore};
 use sgx_sim::mem::{MemorySim, SimArena};
 
 proptest! {
@@ -217,40 +214,6 @@ proptest! {
         // Each distinct page is admitted exactly once.
         let distinct: std::collections::HashSet<_> = pages.iter().collect();
         prop_assert_eq!(epc.admissions(), distinct.len() as u64);
-    }
-
-    /// Counter-tree versions count bumps exactly, for arbitrary interleaved
-    /// blocks, and always verify when untampered.
-    #[test]
-    fn counter_tree_versions_count_bumps(ops in proptest::collection::vec(0u64..512, 1..200)) {
-        let mut tree = CounterTree::new(512, [9u8; 32]);
-        let mut expected = std::collections::HashMap::new();
-        for &b in &ops {
-            let v = tree.bump(b).unwrap();
-            let e = expected.entry(b).or_insert(0u64);
-            *e += 1;
-            prop_assert_eq!(v, *e);
-        }
-        for (&b, &v) in &expected {
-            prop_assert_eq!(tree.version(b).unwrap(), v);
-        }
-    }
-
-    /// Protected store round-trips arbitrary page contents and any
-    /// single-byte corruption of the stored blob is detected.
-    #[test]
-    fn protected_store_detects_any_corruption(data in proptest::collection::vec(any::<u8>(), 1..128),
-                                              page in 0u64..1024, flip in 0usize..1024) {
-        let mut rng = CryptoRng::from_seed(3);
-        let key = SymmetricKey::generate(&mut rng);
-        let mut store = ProtectedStore::new(1024, &key, rng);
-        store.write(page, &data).unwrap();
-        prop_assert_eq!(store.read(page).unwrap(), data);
-        let mut raw = store.raw_page(page).unwrap().clone();
-        let idx = flip % raw.len();
-        raw[idx] ^= 1;
-        store.set_raw_page(page, raw);
-        prop_assert!(store.read(page).is_err());
     }
 
     /// Virtual time is monotone non-decreasing under any access sequence,

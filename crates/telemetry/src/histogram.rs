@@ -64,15 +64,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Inclusive lower bound of bucket `i` in nanoseconds.
-    pub fn bucket_floor(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << i
-        }
-    }
-
     /// Total number of recorded samples.
     pub fn total(&self) -> u64 {
         (0..HISTOGRAM_BUCKETS).map(|i| self.bucket(i)).sum()
@@ -104,18 +95,6 @@ impl LatencyHistogram {
             .find(|&i| self.bucket(i) > 0)
             .map(|i| (1u64 << (i + 1).min(63)).saturating_sub(1).max(1))
             .unwrap_or(0)
-    }
-
-    /// The non-empty `(bucket_floor_ns, count)` pairs — the export shape
-    /// the JSON emitters and dump tools consume. Allocates (off the hot
-    /// path).
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        (0..HISTOGRAM_BUCKETS)
-            .filter_map(|i| {
-                let count = self.bucket(i);
-                (count > 0).then_some((Self::bucket_floor(i), count))
-            })
-            .collect()
     }
 }
 
@@ -248,7 +227,6 @@ mod tests {
         assert_eq!(h.bucket(1), 2, "2 and 3 share bucket 1");
         assert_eq!(h.bucket(10), 1);
         assert_eq!(h.total(), 5);
-        assert_eq!(LatencyHistogram::bucket_floor(10), 1024);
     }
 
     #[test]
@@ -283,7 +261,6 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.percentile_ns(50), 0);
         assert_eq!(h.max_ns(), 0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]

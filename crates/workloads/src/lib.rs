@@ -49,6 +49,6 @@ pub mod stats;
 pub mod zipf;
 
 pub use market::{MarketConfig, Quote, StockMarket};
-pub use pushfeed::{ChurnOp, PushFeed, PushFeedConfig};
+pub use pushfeed::{PushFeed, PushFeedConfig};
 pub use recipes::{Workload, WorkloadName};
 pub use zipf::Zipf;

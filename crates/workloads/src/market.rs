@@ -195,13 +195,6 @@ impl StockMarket {
         self.len() == 0
     }
 
-    /// Draws a uniformly random quote.
-    pub fn random_quote(&self, rng: &mut CryptoRng) -> &Quote {
-        let s = rng.below(self.quotes.len() as u64) as usize;
-        let d = rng.below(self.quotes[s].len() as u64) as usize;
-        &self.quotes[s][d]
-    }
-
     /// Numeric range attributes subscriptions constrain (base names,
     /// no suffix).
     pub fn numeric_attributes() -> &'static [&'static str] {
@@ -301,16 +294,5 @@ mod tests {
     fn paper_scale_config_is_250k() {
         let c = MarketConfig::paper_scale();
         assert_eq!(c.quote_count(), 252_000);
-    }
-
-    #[test]
-    fn random_quote_covers_market() {
-        let market = StockMarket::generate(&MarketConfig::small(), 4);
-        let mut rng = CryptoRng::from_seed(5);
-        let mut seen_symbols = std::collections::HashSet::new();
-        for _ in 0..500 {
-            seen_symbols.insert(market.random_quote(&mut rng).symbol.clone());
-        }
-        assert!(seen_symbols.len() > 10, "uniform sampling reaches many symbols");
     }
 }

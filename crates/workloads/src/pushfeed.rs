@@ -11,9 +11,6 @@
 //! * **Zipf topics.** Topic popularity follows a Zipf law (exponent
 //!   `s ≈ 1`): a few world channels dominate both subscription interest
 //!   and publication traffic, mirroring the paper's `z100` datasets.
-//! * **Heavy churn.** Users join and leave constantly; [`PushFeed::churn`]
-//!   emits an interleaved op stream (subscribe / unsubscribe / publish)
-//!   that keeps the live-set size steady while recycling index slots.
 //!
 //! Everything is deterministic per seed, so benchmarks and equivalence
 //! tests can replay identical streams against the forest and its oracle.
@@ -66,30 +63,6 @@ impl PushFeedConfig {
     pub fn total_subscriptions(&self) -> usize {
         self.users * self.subs_per_user
     }
-}
-
-/// One step of the churn stream.
-#[derive(Debug, Clone)]
-pub enum ChurnOp {
-    /// A user joins a topic.
-    Subscribe {
-        /// Fresh subscription id.
-        id: SubscriptionId,
-        /// The subscribing user.
-        client: ClientId,
-        /// The filter to register.
-        spec: SubscriptionSpec,
-    },
-    /// A previously issued subscription leaves.
-    Unsubscribe {
-        /// The id issued by an earlier [`ChurnOp::Subscribe`].
-        id: SubscriptionId,
-    },
-    /// A message is published into the feed.
-    Publish {
-        /// The publication header.
-        spec: PublicationSpec,
-    },
 }
 
 /// Deterministic generator for the push-notification workload.
@@ -152,34 +125,6 @@ impl PushFeed {
         let mut rng = CryptoRng::from_seed(seed ^ 0x9e37_79b9_7f4a_7c15);
         (0..count).map(|_| self.publication_spec(&mut rng)).collect()
     }
-
-    /// A churn stream of `ops` steps: ~40 % subscribes, ~40 % unsubscribes
-    /// of the oldest live churn subscription (FIFO — chat sessions expire
-    /// in join order), ~20 % publishes. Fresh ids start at `next_id` so the
-    /// stream composes with [`PushFeed::subscriptions`] without collisions.
-    pub fn churn(&self, ops: usize, next_id: u64, seed: u64) -> Vec<ChurnOp> {
-        let mut rng = CryptoRng::from_seed(seed ^ 0x5851_f42d_4c95_7f2d);
-        let mut next = next_id;
-        let mut live: std::collections::VecDeque<SubscriptionId> =
-            std::collections::VecDeque::new();
-        let mut out = Vec::with_capacity(ops);
-        for _ in 0..ops {
-            let roll = rng.unit_f64();
-            if roll < 0.4 || live.is_empty() && roll < 0.8 {
-                let id = SubscriptionId(next);
-                next += 1;
-                let client = ClientId((rng.unit_f64() * self.cfg.users.max(1) as f64) as u64);
-                live.push_back(id);
-                out.push(ChurnOp::Subscribe { id, client, spec: self.subscription_spec(&mut rng) });
-            } else if roll < 0.8 {
-                let id = live.pop_front().expect("guarded by is_empty above");
-                out.push(ChurnOp::Unsubscribe { id });
-            } else {
-                out.push(ChurnOp::Publish { spec: self.publication_spec(&mut rng) });
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -227,29 +172,5 @@ mod tests {
         let cfg = PushFeedConfig::with_total_subscriptions(30_000);
         assert!(cfg.total_subscriptions() >= 30_000);
         assert!(cfg.total_subscriptions() < 30_000 + cfg.subs_per_user);
-    }
-
-    #[test]
-    fn churn_never_unsubscribes_unknown_ids_and_mixes_ops() {
-        let feed = PushFeed::new(PushFeedConfig::small());
-        let base = feed.subscriptions(3);
-        let ops = feed.churn(5_000, base.len() as u64, 3);
-        let mut live: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let (mut subs, mut unsubs, mut pubs) = (0usize, 0usize, 0usize);
-        for op in &ops {
-            match op {
-                ChurnOp::Subscribe { id, .. } => {
-                    assert!(id.0 >= base.len() as u64, "fresh ids never collide with the base set");
-                    assert!(live.insert(id.0), "ids are never reissued");
-                    subs += 1;
-                }
-                ChurnOp::Unsubscribe { id } => {
-                    assert!(live.remove(&id.0), "only live churn ids are unsubscribed");
-                    unsubs += 1;
-                }
-                ChurnOp::Publish { .. } => pubs += 1,
-            }
-        }
-        assert!(subs > 1_000 && unsubs > 1_000 && pubs > 500, "{subs}/{unsubs}/{pubs}");
     }
 }

@@ -63,12 +63,13 @@ impl Zipf {
         }
     }
 
-    /// Probability mass of `rank`.
+    /// Probability mass of `rank` (a unit-test helper).
     ///
     /// # Panics
     ///
     /// Panics if `rank` is out of range.
-    pub fn pmf(&self, rank: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, rank: usize) -> f64 {
         if rank == 0 {
             self.cdf[0]
         } else {

@@ -11,7 +11,6 @@ use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
 use sgx_sim::enclave::EnclaveBuilder;
-use sgx_sim::mee::ProtectedStore;
 use sgx_sim::seal::{SealPolicy, VersionedSeal};
 use sgx_sim::{MemorySim, SgxPlatform};
 
@@ -176,35 +175,6 @@ fn sealed_router_state_resists_rollback() {
         })
         .expect("fresh state accepted");
     assert_eq!(fresh, b"12 subs");
-}
-
-#[test]
-fn evicted_page_store_detects_host_attacks() {
-    // The MEE model: evicted enclave pages are confidential and
-    // tamper/replay evident.
-    let mut rng = CryptoRng::from_seed(14);
-    let key = scbr_crypto::ctr::SymmetricKey::generate(&mut rng);
-    let mut store = ProtectedStore::new(1 << 12, &key, rng);
-    store.write(7, b"subscription index page").expect("write");
-
-    // Confidentiality: ciphertext does not contain the plaintext.
-    let raw = store.raw_page(7).expect("stored").clone();
-    assert!(!raw.windows(b"subscription".len()).any(|w| w == b"subscription"));
-
-    // Tampering detected.
-    let mut bent = raw.clone();
-    bent[12] ^= 0x40;
-    store.set_raw_page(7, bent);
-    assert!(store.read(7).is_err());
-
-    // Restoring the original bytes works again (it was authentic).
-    store.set_raw_page(7, raw.clone());
-    assert_eq!(store.read(7).expect("authentic"), b"subscription index page");
-
-    // Replay of an old version after an update is detected.
-    store.write(7, b"updated page").expect("update");
-    store.set_raw_page(7, raw);
-    assert!(store.read(7).is_err());
 }
 
 #[test]

@@ -24,6 +24,7 @@
 use scbr::ids::ClientId;
 use scbr_bench::json::{emit, JsonObj};
 use scbr_bench::{banner, Scale};
+use scbr_overlay::broker::{GAP_GRACE, HEARTBEAT_INTERVAL, SUSPECT_AFTER};
 use scbr_overlay::fabric::{FabricConfig, OverlayFabric};
 use scbr_overlay::{Propagation, Topology};
 use scbr_workloads::{StockMarket, Workload, WorkloadName};
@@ -293,78 +294,59 @@ fn main() {
 
     // ---- detection mode: zero-operator recovery latency ----------------
     //
-    // With heartbeats enabled the fabric is its own liveness oracle: a
-    // middle broker is crashed *silently* (no `restart` call anywhere)
-    // and the detection loop alone — per-link silence, quorum suspicion,
-    // fence, rejoin — brings it back. The sweep measures the timer
-    // trade-off: tighter heartbeat/suspicion windows detect faster but
-    // spend more steady-state frames.
+    // The fabric is its own liveness oracle: a middle broker is crashed
+    // *silently* (no `restart` call anywhere) and the detection loop
+    // alone — per-link silence, quorum suspicion, fence, rejoin — brings
+    // it back on the brokers' fixed timers.
     println!(
-        "\n{:<8} {:<8} {:>9} {:>13} {:>13} {:>11} {:>9} {:>10}",
-        "routers",
-        "timers",
-        "interval",
-        "detect round",
-        "settle round",
-        "heartbeats",
-        "dropped",
-        "delivered"
+        "\n{:<8} {:>9} {:>13} {:>13} {:>11} {:>9} {:>10}",
+        "routers", "interval", "detect round", "settle round", "heartbeats", "dropped", "delivered"
     );
     let n_detect = n_subs.min(128);
     let mut detect_rows: Vec<JsonObj> = Vec::new();
     for &routers in router_counts {
-        for (timers, heartbeats) in [
-            ("fast", scbr_overlay::HeartbeatConfig::fast()),
-            ("default", scbr_overlay::HeartbeatConfig::default()),
-        ] {
-            let config = FabricConfig::attested(19).with_heartbeats(heartbeats);
-            let mut fabric =
-                OverlayFabric::build(Topology::line(routers), config).expect("fabric build");
-            for (i, spec) in subs.iter().take(n_detect).enumerate() {
-                fabric.subscribe(0, ClientId(i as u64), spec).expect("subscribe");
-            }
-            let victim = routers / 2;
-            fabric.crash(victim).expect("crash");
-            let rejoins = fabric.run_detection(256).expect("detection settles");
-            assert_eq!(rejoins.len(), 1, "exactly one automatic fence-and-restart");
-            let detect_round = rejoins[0].round;
-            let settle_round = fabric.rounds();
-            let heartbeats_sent = fabric.total_heartbeats();
-            let dropped = fabric.dropped_frames();
-            let deliveries = fabric.publish(routers - 1, &pubs).expect("publish");
-            println!(
-                "{:<8} {:<8} {:>9} {:>13} {:>13} {:>11} {:>9} {:>10}",
-                routers,
-                timers,
-                heartbeats.interval,
-                detect_round,
-                settle_round,
-                heartbeats_sent,
-                dropped,
-                deliveries.len()
-            );
-            detect_rows.push(
-                JsonObj::new()
-                    .int("routers", routers as u64)
-                    .int("hops", (routers - 1) as u64)
-                    .int("subscribers", n_detect as u64)
-                    .str("timers", timers)
-                    .int("interval", heartbeats.interval)
-                    .int("suspect_after", heartbeats.suspect_after)
-                    .int("gap_grace", heartbeats.gap_grace)
-                    .int("detect_round", detect_round)
-                    .int("settle_round", settle_round)
-                    .int("heartbeats_sent", heartbeats_sent)
-                    .int("dropped_frames", dropped)
-                    .int("deliveries", deliveries.len() as u64),
-            );
+        let mut fabric = OverlayFabric::build(Topology::line(routers), FabricConfig::attested(19))
+            .expect("fabric build");
+        for (i, spec) in subs.iter().take(n_detect).enumerate() {
+            fabric.subscribe(0, ClientId(i as u64), spec).expect("subscribe");
         }
+        let victim = routers / 2;
+        fabric.crash(victim).expect("crash");
+        let rejoins = fabric.run_detection(256).expect("detection settles");
+        assert_eq!(rejoins.len(), 1, "exactly one automatic fence-and-restart");
+        let detect_round = rejoins[0].round;
+        let settle_round = fabric.rounds();
+        let heartbeats_sent = fabric.total_heartbeats();
+        let dropped = fabric.dropped_frames();
+        let deliveries = fabric.publish(routers - 1, &pubs).expect("publish");
+        println!(
+            "{:<8} {:>9} {:>13} {:>13} {:>11} {:>9} {:>10}",
+            routers,
+            HEARTBEAT_INTERVAL,
+            detect_round,
+            settle_round,
+            heartbeats_sent,
+            dropped,
+            deliveries.len()
+        );
+        detect_rows.push(
+            JsonObj::new()
+                .int("routers", routers as u64)
+                .int("hops", (routers - 1) as u64)
+                .int("subscribers", n_detect as u64)
+                .int("interval", HEARTBEAT_INTERVAL)
+                .int("suspect_after", SUSPECT_AFTER)
+                .int("gap_grace", GAP_GRACE)
+                .int("detect_round", detect_round)
+                .int("settle_round", settle_round)
+                .int("heartbeats_sent", heartbeats_sent)
+                .int("dropped_frames", dropped)
+                .int("deliveries", deliveries.len() as u64),
+        );
     }
     println!(
-        "\nexpected: detect round tracks the suspicion window (suspect_after ticks of \
-         silence before the quorum fences), settle round adds the replay-driven rejoin, \
-         and the faster timers buy detection latency with proportionally more \
-         steady-state heartbeat frames"
+        "\nexpected: detect round tracks the suspicion window (SUSPECT_AFTER ticks of \
+         silence before the quorum fences), settle round adds the replay-driven rejoin"
     );
     emit("overlay_detect", scale.name, &detect_rows);
 

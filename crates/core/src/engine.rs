@@ -39,6 +39,13 @@ use sgx_sim::{Enclave, MemStats, MemorySim, SgxPlatform};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+/// Maximum publications matched per enclave crossing. Bounds both
+/// delivery latency under saturation and the working set a single ECALL
+/// pins inside the enclave: the TCP router's drain loop and an overlay
+/// broker's hop both chunk their batches by it, and the producer never
+/// packs more into one frame.
+pub const MAX_DRAIN: usize = 128;
+
 /// Per-engine reusable buffers for the hot matching path. All match entry
 /// points are `&self`, so the scratch sits behind a mutex; matching is
 /// serialised per engine anyway (the enclave model admits one ecall at a

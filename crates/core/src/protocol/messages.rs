@@ -17,8 +17,8 @@
 //! | 7 | `Unsubscribed` | `u64 id` |
 //! | 8 | `Unregister` | `bytes envelope` |
 //! | 9 | `UnregisterAck` | `u64 id` |
-//! | 10 | `Publish` | `bytes header_ct ‖ u64 epoch ‖ bytes payload_ct` |
-//! | 11 | `PublishBatch` | `u32 count ‖ (u32 len ‖ item) × count`, each item a `Publish` body |
+//! | 10 | retired (was a one-publication `Publish`; now unknown) | — |
+//! | 11 | `PublishBatch` | `u32 count ‖ (u32 len ‖ item) × count`, each item `bytes header_ct ‖ u64 epoch ‖ bytes payload_ct` |
 //! | 12 | `Deliver` | `u64 epoch ‖ bytes payload_ct` |
 //! | 13 | `KeyUpdate` | `bytes wrapped` |
 //! | 14 | `Hello` | `u64 client` |
@@ -60,7 +60,6 @@ const TAG_UNSUBSCRIBE: u8 = 6;
 const TAG_UNSUBSCRIBED: u8 = 7;
 const TAG_UNREGISTER: u8 = 8;
 const TAG_UNREGISTER_ACK: u8 = 9;
-const TAG_PUBLISH: u8 = 10;
 const TAG_PUBLISH_BATCH: u8 = 11;
 const TAG_DELIVER: u8 = 12;
 const TAG_KEY_UPDATE: u8 = 13;
@@ -77,8 +76,7 @@ const TAG_HEARTBEAT: u8 = 23;
 const TAG_ERROR: u8 = 24;
 const TAG_SHUTDOWN: u8 = 25;
 
-/// One publication inside a [`Message::PublishBatch`]: the same triple a
-/// [`Message::Publish`] carries.
+/// One publication inside a [`Message::PublishBatch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PublishItem {
     /// `{header}SK`.
@@ -295,18 +293,10 @@ pub enum Message {
         /// The retired subscription id.
         id: SubscriptionId,
     },
-    /// Producer → router: encrypted header + payload (step 4).
-    Publish {
-        /// `{header}SK`.
-        header_ct: Vec<u8>,
-        /// Group-key epoch of the payload.
-        epoch: KeyEpoch,
-        /// Payload ciphertext (opaque to the router).
-        payload_ct: Vec<u8>,
-    },
-    /// Producer → router: a whole batch of encrypted publications in one
-    /// wire unit (the batch-first pipeline; the router matches the batch
-    /// through a single enclave crossing).
+    /// Producer → router (and broker → broker): encrypted headers +
+    /// payloads (step 4), one or many in one wire unit (the batch-first
+    /// pipeline; the router matches the batch through a single enclave
+    /// crossing).
     PublishBatch {
         /// The batched publications, in publish order.
         items: Vec<PublishItem>,
@@ -419,7 +409,6 @@ impl Message {
             Message::Unsubscribed { .. } => "unsubscribed",
             Message::Unregister { .. } => "unregister",
             Message::UnregisterAck { .. } => "unregister-ack",
-            Message::Publish { .. } => "publish",
             Message::PublishBatch { .. } => "publish-batch",
             Message::Deliver { .. } => "deliver",
             Message::KeyUpdate { .. } => "key-update",
@@ -477,9 +466,6 @@ impl Message {
             }
             Message::UnregisterAck { id } => {
                 w.u8(TAG_UNREGISTER_ACK).u64(id.0);
-            }
-            Message::Publish { header_ct, epoch, payload_ct } => {
-                w.u8(TAG_PUBLISH).bytes(header_ct).u64(epoch.0).bytes(payload_ct);
             }
             Message::PublishBatch { items } => {
                 let mut wire = Vec::new();
@@ -561,11 +547,6 @@ impl Message {
             TAG_UNSUBSCRIBED => Message::Unsubscribed { id: SubscriptionId(r.u64()?) },
             TAG_UNREGISTER => Message::Unregister { envelope: r.bytes()? },
             TAG_UNREGISTER_ACK => Message::UnregisterAck { id: SubscriptionId(r.u64()?) },
-            TAG_PUBLISH => Message::Publish {
-                header_ct: r.bytes()?,
-                epoch: KeyEpoch(r.u64()?),
-                payload_ct: r.bytes()?,
-            },
             TAG_PUBLISH_BATCH => {
                 let items = PublishBatchView::parse(body)?.map(|i| i.to_item()).collect();
                 return Ok(Message::PublishBatch { items });
@@ -623,7 +604,6 @@ mod tests {
             Message::Unsubscribed { id: SubscriptionId(8) },
             Message::Unregister { envelope: vec![6] },
             Message::UnregisterAck { id: SubscriptionId(8) },
-            Message::Publish { header_ct: vec![1], epoch: KeyEpoch(2), payload_ct: vec![3] },
             Message::PublishBatch { items: vec![item(&[1, 2], 3, &[4]), item(&[], 0, &[5])] },
             Message::Deliver { epoch: KeyEpoch(2), payload_ct: vec![3] },
             Message::KeyUpdate { wrapped: vec![9] },
@@ -677,7 +657,6 @@ mod tests {
             "070000000000000008",
             "080000000106",
             "090000000000000008",
-            "0a000000010100000000000000020000000103",
             "0b000000020000001300000002010200000000000000030000000104000000110000000000000000000000000000000105",
             "0c00000000000000020000000103",
             "0d0000000109",
@@ -700,7 +679,7 @@ mod tests {
     }
 
     /// The `PublishBatch` body is the net layer's batch frame of
-    /// `Publish` bodies.
+    /// [`crate::codec::encode_publish`] items.
     #[test]
     fn publish_batch_body_is_the_batch_frame() {
         let items = vec![item(&[1, 2], 3, &[4]), item(&[], 0, &[5; 70])];
@@ -716,6 +695,11 @@ mod tests {
     #[test]
     fn unknown_kind_rejected() {
         let known: Vec<u8> = samples().iter().map(|m| m.to_wire()[0]).collect();
+        // Tag 10, the retired one-publication `Publish`, is unknown: its
+        // old wire no longer decodes.
+        assert!(!known.contains(&10));
+        let retired = [&[10][..], &crate::codec::encode_publish(&[1], KeyEpoch(2), &[3])].concat();
+        assert!(Message::from_wire(&retired).is_err());
         for tag in 0..=u8::MAX {
             if !known.contains(&tag) {
                 assert!(Message::from_wire(&[tag]).is_err(), "tag {tag}");

@@ -5,13 +5,14 @@
 //! 2), publishes encrypted quotes, and rotates the payload group key as
 //! membership changes.
 
+use crate::engine::MAX_DRAIN;
 use crate::error::ScbrError;
 use crate::ids::ClientId;
 use crate::ids::SubscriptionId;
 use crate::protocol::admission::ClientDirectory;
 use crate::protocol::group::GroupKeyManager;
 use crate::protocol::keys::{unsubscribe_signing_bytes, ProducerCrypto};
-use crate::protocol::messages::{Message, PublishItem};
+use crate::protocol::messages::{encode_publish_batch, Message, PublishItem};
 use crate::publication::PublicationSpec;
 use crate::roles::ConnEvent;
 use crate::roles::{pump_connection, pump_listener, send_best_effort};
@@ -147,62 +148,11 @@ impl Producer {
                                 }
                             }
                             ProducerCommand::Publish(publication) => {
-                                let header_ct = crypto.encrypt_header(&publication, &mut rng);
-                                let (epoch, payload_ct) =
-                                    group.encrypt_payload(publication.payload_bytes(), &mut rng);
-                                send_best_effort(
-                                    router.as_ref(),
-                                    &Message::Publish { header_ct, epoch, payload_ct },
-                                );
+                                let publications = std::slice::from_ref(&publication);
+                                publish(router.as_ref(), &crypto, &group, &mut rng, publications);
                             }
                             ProducerCommand::PublishBatch(publications) => {
-                                // Chunk the outgoing frames: never exceed
-                                // the router's per-crossing drain bound per
-                                // frame, and stay far inside the wire-level
-                                // frame limit so encoding cannot fail (an
-                                // oversized batch must degrade into more
-                                // frames, not kill the event loop). An
-                                // empty command sends nothing.
-                                const MAX_BATCH_BYTES: usize = 4 << 20;
-                                let mut items: Vec<PublishItem> = Vec::new();
-                                let mut batch_bytes = 0usize;
-                                for publication in &publications {
-                                    let header_ct = crypto.encrypt_header(publication, &mut rng);
-                                    let (epoch, payload_ct) =
-                                        group.encrypt_payload(publication.payload_bytes(), &mut rng);
-                                    let item_bytes = header_ct.len() + payload_ct.len() + 32;
-                                    if item_bytes > MAX_BATCH_BYTES {
-                                        // A single outsized publication
-                                        // cannot ride in a batch frame; ship
-                                        // it alone so the wire layer applies
-                                        // its own size policy (exactly like
-                                        // ProducerCommand::Publish).
-                                        send_best_effort(
-                                            router.as_ref(),
-                                            &Message::Publish { header_ct, epoch, payload_ct },
-                                        );
-                                        continue;
-                                    }
-                                    batch_bytes += item_bytes;
-                                    items.push(PublishItem { header_ct, epoch, payload_ct });
-                                    if items.len() >= crate::roles::router::MAX_DRAIN
-                                        || batch_bytes >= MAX_BATCH_BYTES
-                                    {
-                                        send_best_effort(
-                                            router.as_ref(),
-                                            &Message::PublishBatch {
-                                                items: std::mem::take(&mut items),
-                                            },
-                                        );
-                                        batch_bytes = 0;
-                                    }
-                                }
-                                if !items.is_empty() {
-                                    send_best_effort(
-                                        router.as_ref(),
-                                        &Message::PublishBatch { items },
-                                    );
-                                }
+                                publish(router.as_ref(), &crypto, &group, &mut rng, &publications);
                             }
                             ProducerCommand::Shutdown => {
                                 send_best_effort(router.as_ref(), &Message::Shutdown);
@@ -363,6 +313,55 @@ impl Producer {
             .ok_or(ScbrError::NotFound { what: "producer thread" })?
             .join()
             .map_err(|_| ScbrError::NotFound { what: "producer thread (panicked)" })
+    }
+}
+
+/// Encrypts `publications` and sends them to the router as
+/// `PublishBatch` frames, in order. Frames are chunked: never more than
+/// the router's per-crossing drain bound ([`MAX_DRAIN`]) per frame, and
+/// far inside the wire-level frame limit, so an oversized command
+/// degrades into more frames instead of killing the event loop. A single
+/// outsized publication rides alone in a one-item frame. An empty
+/// command sends nothing.
+fn publish(
+    router: &dyn Connection,
+    crypto: &ProducerCrypto,
+    group: &GroupKeyManager,
+    rng: &mut CryptoRng,
+    publications: &[PublicationSpec],
+) {
+    const MAX_BATCH_BYTES: usize = 4 << 20;
+    let mut items: Vec<PublishItem> = Vec::new();
+    let mut batch_bytes = 0usize;
+    for publication in publications {
+        let header_ct = crypto.encrypt_header(publication, rng);
+        let (epoch, payload_ct) = group.encrypt_payload(publication.payload_bytes(), rng);
+        let item = PublishItem { header_ct, epoch, payload_ct };
+        let item_bytes = item.header_ct.len() + item.payload_ct.len() + 32;
+        if item_bytes > MAX_BATCH_BYTES {
+            send_batch(router, std::slice::from_ref(&item));
+            continue;
+        }
+        batch_bytes += item_bytes;
+        items.push(item);
+        if items.len() >= MAX_DRAIN || batch_bytes >= MAX_BATCH_BYTES {
+            send_batch(router, &items);
+            items.clear();
+            batch_bytes = 0;
+        }
+    }
+    if !items.is_empty() {
+        send_batch(router, &items);
+    }
+}
+
+/// Sends `items` as one `PublishBatch` frame, best effort like every
+/// producer send: a frame the wire cannot carry (a publication beyond
+/// [`scbr_net::frame::MAX_FRAME`]) is dropped.
+fn send_batch(router: &dyn Connection, items: &[PublishItem]) {
+    let mut wire = Vec::new();
+    if encode_publish_batch(items.iter().map(PublishItem::view), &mut wire).is_ok() {
+        let _ = router.send(&wire);
     }
 }
 

@@ -27,7 +27,7 @@
 //! amortised across everything the producers managed to queue — the
 //! paper's "message batching" future-work optimisation.
 
-use crate::engine::{BatchMatches, RouterEngine};
+use crate::engine::{BatchMatches, RouterEngine, MAX_DRAIN};
 use crate::error::ScbrError;
 use crate::ids::{ClientId, KeyEpoch};
 use crate::protocol::messages::{Message, PublishItem};
@@ -37,11 +37,6 @@ use scbr_net::{Connection, Listener};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Maximum publications matched per enclave crossing by the drain loop.
-/// Bounds both delivery latency under saturation and the working set a
-/// single ECALL pins inside the enclave.
-pub const MAX_DRAIN: usize = 128;
 
 /// Delivery metadata for one drained publication (its header travels
 /// separately, in the batch handed to the engine).
@@ -129,19 +124,19 @@ impl Router {
                                     send_best_effort(c.as_ref(), &reply);
                                 }
                             }
-                            message @ (Message::Publish { .. } | Message::PublishBatch { .. }) => {
+                            Message::PublishBatch { items } => {
                                 // Drain the channel into one batch, then
                                 // match it in MAX_DRAIN-bounded enclave
                                 // crossings.
-                                collect_publishes(&mut headers, &mut pending, conn, message);
+                                collect_publishes(&mut headers, &mut pending, conn, items);
                                 while headers.len() < MAX_DRAIN {
                                     match events_rx.try_recv() {
                                         Ok(ConnEvent::Msg {
                                             conn: c,
-                                            message:
-                                                m @ (Message::Publish { .. }
-                                                | Message::PublishBatch { .. }),
-                                        }) => collect_publishes(&mut headers, &mut pending, c, m),
+                                            message: Message::PublishBatch { items },
+                                        }) => {
+                                            collect_publishes(&mut headers, &mut pending, c, items)
+                                        }
                                         Ok(other) => {
                                             stashed = Some(other);
                                             break;
@@ -210,25 +205,17 @@ impl Router {
     }
 }
 
-/// Appends the publication(s) in `message` to the in-flight batch.
+/// Appends the publications of one `PublishBatch` to the in-flight
+/// batch.
 fn collect_publishes(
     headers: &mut Vec<Vec<u8>>,
     pending: &mut Vec<PendingPublish>,
     conn: u64,
-    message: Message,
+    items: Vec<PublishItem>,
 ) {
-    match message {
-        Message::Publish { header_ct, epoch, payload_ct } => {
-            headers.push(header_ct);
-            pending.push(PendingPublish { conn, epoch, payload_ct });
-        }
-        Message::PublishBatch { items } => {
-            for PublishItem { header_ct, epoch, payload_ct } in items {
-                headers.push(header_ct);
-                pending.push(PendingPublish { conn, epoch, payload_ct });
-            }
-        }
-        _ => unreachable!("only publish traffic is collected"),
+    for PublishItem { header_ct, epoch, payload_ct } in items {
+        headers.push(header_ct);
+        pending.push(PendingPublish { conn, epoch, payload_ct });
     }
 }
 

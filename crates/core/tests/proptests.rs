@@ -88,7 +88,6 @@ fn every_variant(a: &[u8], b: &[u8], n: u64) -> Vec<Message> {
         Message::Unsubscribed { id: SubscriptionId(n) },
         Message::Unregister { envelope: b.to_vec() },
         Message::UnregisterAck { id: SubscriptionId(n) },
-        Message::Publish { header_ct: a.to_vec(), epoch: KeyEpoch(n), payload_ct: b.to_vec() },
         Message::PublishBatch { items: vec![item(a, b), item(b, &[]), item(&[], a)] },
         Message::Deliver { epoch: KeyEpoch(n), payload_ct: b.to_vec() },
         Message::KeyUpdate { wrapped: a.to_vec() },

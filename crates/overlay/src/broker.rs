@@ -164,14 +164,13 @@ use crate::error::OverlayError;
 use crate::forwarding::ForwardingTable;
 use crate::journal::{self, Journal, Redo, RedoReader};
 use scbr::codec;
-use scbr::engine::MatchingEngine;
+use scbr::engine::{MatchingEngine, MAX_DRAIN};
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
 use scbr::protocol::messages::{
     encode_publish_batch, Message, PublishBatchView, PublishItem, PublishItemRef,
 };
-use scbr::roles::router::MAX_DRAIN;
 use scbr::ScbrError;
 use scbr_crypto::rng::CryptoRng;
 use scbr_net::{NetError, SecureLink};
@@ -207,54 +206,33 @@ const RETIRED_DIVISOR: usize = 4;
 /// with a codec error rather than misread.
 const RECORD_VERSION: u8 = 2;
 
-/// Timer-driven liveness configuration, in tick units. Host-side
-/// configuration: survives crashes, like the trust anchors.
-///
-/// With heartbeats enabled, a `Serving` broker emits one
-/// [`Message::Heartbeat`] per established link every `interval` ticks
-/// (sealed and sequence-numbered like any data frame), and raises
-/// [`LinkEvent::Suspect`] against a link that has carried no authentic
-/// frame for `suspect_after` ticks — or whose sequence gap has stood
-/// unhealed for `gap_grace` ticks. With `None` (the default) the broker
-/// keeps the legacy behaviour: no steady-state timer work at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    /// Ticks between heartbeats on each established link.
-    pub interval: u64,
-    /// Ticks of silence (no authentic inbound frame) before a link is
-    /// declared [`SuspectReason::Silence`]. Must comfortably exceed
-    /// `interval` (plus any expected delivery delay) or a slow-but-alive
-    /// peer will be falsely accused.
-    pub suspect_after: u64,
-    /// Ticks an observed sequence gap may stand before the link is
-    /// declared [`SuspectReason::Gap`] and proactively re-keyed.
-    pub gap_grace: u64,
-}
+/// Liveness timers, in ticks (one tick is one scheduler round). Every
+/// `Serving` broker emits one [`Message::Heartbeat`] per established
+/// link every [`HEARTBEAT_INTERVAL`] ticks (sealed and sequence-numbered
+/// like any data frame), and raises [`LinkEvent::Suspect`] against a link
+/// that has carried no authentic frame for [`SUSPECT_AFTER`] ticks — or
+/// whose sequence gap has stood unhealed for [`GAP_GRACE`] ticks.
+pub const HEARTBEAT_INTERVAL: u64 = 1;
 
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        HeartbeatConfig { interval: 2, suspect_after: 8, gap_grace: 4 }
-    }
-}
+/// Ticks of silence (no authentic inbound frame) before a link is
+/// declared [`SuspectReason::Silence`]. Comfortably exceeds
+/// [`HEARTBEAT_INTERVAL`], so a peer whose frames arrive a round late is
+/// not falsely accused.
+pub const SUSPECT_AFTER: u64 = 4;
 
-impl HeartbeatConfig {
-    /// An aggressive profile for tests and benches: heartbeat every
-    /// tick, suspect after four silent ticks, re-key a wedged link after
-    /// two.
-    pub fn fast() -> Self {
-        HeartbeatConfig { interval: 1, suspect_after: 4, gap_grace: 2 }
-    }
-}
+/// Ticks an observed sequence gap may stand before the link is declared
+/// [`SuspectReason::Gap`] and proactively re-keyed.
+pub const GAP_GRACE: u64 = 2;
 
 /// Why a link was declared [`LinkEvent::Suspect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuspectReason {
-    /// No authentic frame for at least `suspect_after` ticks: the peer
+    /// No authentic frame for at least [`SUSPECT_AFTER`] ticks: the peer
     /// (or the whole path to it) may be dead. This is the signal the
     /// fabric aggregates into quorum and answers with an automatic
     /// crash-observed → restart.
     Silence,
-    /// A sequence gap has stood unhealed for at least `gap_grace` ticks:
+    /// A sequence gap has stood unhealed for at least [`GAP_GRACE`] ticks:
     /// the peer is provably alive (gap frames authenticate) but the
     /// channel is wedged on lost frames. Healed at link level — re-key
     /// and replay — never counted toward node-death quorum.
@@ -325,9 +303,9 @@ pub enum Input {
         dead_links: Vec<usize>,
     },
     /// A timer tick: drives handshake initiation and replay kick-off
-    /// while linking or rejoining, and — with heartbeats configured —
-    /// steady-state liveness work while serving (heartbeat emission,
-    /// dead-link probing, suspicion timeouts).
+    /// while linking or rejoining, and steady-state liveness work while
+    /// serving (heartbeat emission, dead-link probing, suspicion
+    /// timeouts).
     Tick,
 }
 
@@ -391,8 +369,8 @@ pub enum LinkEvent {
         downtime: u64,
     },
     /// A liveness timer expired on a link: no authentic frame for
-    /// `suspect_after` ticks, or a sequence gap unhealed past
-    /// `gap_grace`. Emitted once per suspicion episode; the fabric
+    /// [`SUSPECT_AFTER`] ticks, or a sequence gap unhealed past
+    /// [`GAP_GRACE`]. Emitted once per suspicion episode; the fabric
     /// aggregates silence suspicions into quorum.
     Suspect {
         /// The suspected link.
@@ -1116,8 +1094,8 @@ pub struct BrokerStats {
     /// Sequence-number gaps observed on inbound links (cumulative; the
     /// liveness signal — each one is a [`LinkEvent::Gap`]).
     pub gaps: u64,
-    /// Heartbeat frames emitted (cumulative; zero with heartbeats
-    /// disabled).
+    /// Heartbeat frames emitted (cumulative; one per established link
+    /// every [`HEARTBEAT_INTERVAL`] serving ticks).
     pub heartbeats: u64,
     /// Recovery-record seals performed (cumulative). At most one per
     /// [`Broker::step`], however many mutations the step carried.
@@ -1289,9 +1267,6 @@ pub struct Broker {
     trust: Option<(AttestationService, VerifierPolicy)>,
     file: RecoveryFile,
     now: u64,
-    /// Liveness timers (host configuration; `None` disables all
-    /// steady-state tick work).
-    heartbeats: Option<HeartbeatConfig>,
     /// Ticks processed over the broker's lifetime (the liveness clock).
     ticks: u64,
     /// Stage-latency and hop-trace instrumentation. Host configuration
@@ -1348,7 +1323,6 @@ impl Broker {
             trust: None,
             file: RecoveryFile { sealed: None, log: LogShape::default(), counter, pending: None },
             now: 0,
-            heartbeats: None,
             ticks: 0,
             telemetry: false,
             counters: BrokerStats::default(),
@@ -1469,12 +1443,6 @@ impl Broker {
             self.phase.advance(if self.peers.is_empty() { Phase::Serving } else { Phase::Linking });
         }
         Ok(())
-    }
-
-    /// Configures (or disables, with `None`) the liveness timers. Host
-    /// configuration: survives crashes. Takes effect on the next tick.
-    pub fn set_heartbeats(&mut self, config: Option<HeartbeatConfig>) {
-        self.heartbeats = config;
     }
 
     /// Installs the sealed channel to `neighbor` under `key`, the link
@@ -1669,11 +1637,10 @@ impl Broker {
 
     /// Timer tick, dispatched per lifecycle state. While linking or
     /// rejoining it drives handshake initiation (a rejoining broker's
-    /// replay request follows each of its handshakes);
-    /// while serving (with heartbeats configured) it runs the
-    /// steady-state liveness work — heartbeat emission, dead-link
-    /// probing and suspicion timeouts. Cold, attesting and crashed
-    /// brokers have no timer work.
+    /// replay request follows each of its handshakes); while serving it
+    /// runs the steady-state liveness work — heartbeat emission,
+    /// dead-link probing and suspicion timeouts. Cold, attesting and
+    /// crashed brokers have no timer work.
     fn on_tick(&mut self) -> Result<Vec<Output>, OverlayError> {
         self.ticks += 1;
         match self.phase {
@@ -1703,26 +1670,21 @@ impl Broker {
         targets.into_iter().map(|n| self.initiate(n)).collect()
     }
 
-    /// Steady-state liveness work (with heartbeats disabled, a serving
-    /// tick is still accepted but does nothing — the legacy behaviour).
-    /// Per neighbour:
+    /// Steady-state liveness work. Per neighbour:
     ///
-    /// * an established, trusted link gets a heartbeat every `interval`
-    ///   ticks;
+    /// * an established, trusted link gets a heartbeat every
+    ///   [`HEARTBEAT_INTERVAL`] ticks;
     /// * a believed-dead neighbour that re-keyed the link from its own
     ///   side is healed immediately (pull-replay — the
     ///   stale-liveness-view fix);
     /// * an unkeyed link is probed with a fresh handshake (retried every
-    ///   `suspect_after` ticks);
-    /// * a link wedged on a sequence gap past `gap_grace` is declared
+    ///   [`SUSPECT_AFTER`] ticks);
+    /// * a link wedged on a sequence gap past [`GAP_GRACE`] is declared
     ///   [`SuspectReason::Gap`] and proactively re-keyed + resynced;
-    /// * a link silent past `suspect_after` is declared
+    /// * a link silent past [`SUSPECT_AFTER`] is declared
     ///   [`SuspectReason::Silence`] — the fabric aggregates these into
     ///   quorum and auto-restarts the peer.
     fn tick_serving(&mut self) -> Result<Vec<Output>, OverlayError> {
-        let Some(config) = self.heartbeats else {
-            return Ok(Vec::new());
-        };
         let mut outs = Vec::new();
         let (now, hb_wire) = (self.ticks, Message::Heartbeat.to_wire());
         for n in self.neighbors() {
@@ -1741,7 +1703,7 @@ impl Broker {
                 continue;
             }
             if keyed {
-                if peer.last_hb.is_none_or(|t| now - t >= config.interval) {
+                if peer.last_hb.is_none_or(|t| now - t >= HEARTBEAT_INTERVAL) {
                     peer.last_hb = Some(now);
                     self.counters.heartbeats += 1;
                     outs.push(self.send(n, &hb_wire)?);
@@ -1752,13 +1714,11 @@ impl Broker {
                 // against a corpse completes when the corpse is itself
                 // fenced and restarted.
                 let replay = self.peer(n).replay.as_ref();
-                if replay
-                    .is_some_and(|r| r.requested_at.is_none_or(|t| now - t >= config.suspect_after))
-                {
+                if replay.is_some_and(|r| r.requested_at.is_none_or(|t| now - t >= SUSPECT_AFTER)) {
                     outs.push(self.request_replay(n)?);
                 }
             } else if peer.response.is_none()
-                && peer.initiated_at.is_none_or(|t| now - t >= config.suspect_after)
+                && peer.initiated_at.is_none_or(|t| now - t >= SUSPECT_AFTER)
             {
                 // No channel (the neighbour was dead at our restart, or
                 // its key died with it): probe with a fresh handshake.
@@ -1770,7 +1730,7 @@ impl Broker {
             if peer.suspect {
                 continue; // one Suspect per episode
             }
-            if peer.gap_since.is_some_and(|since| now - since >= config.gap_grace) {
+            if peer.gap_since.is_some_and(|since| now - since >= GAP_GRACE) {
                 peer.suspect = true;
                 outs.push(Output::Event(LinkEvent::Suspect {
                     link: n,
@@ -1785,7 +1745,7 @@ impl Broker {
                     peer.resync = true;
                     outs.push(self.initiate(n)?);
                 }
-            } else if now.saturating_sub(seen) >= config.suspect_after {
+            } else if now.saturating_sub(seen) >= SUSPECT_AFTER {
                 peer.suspect = true;
                 outs.push(Output::Event(LinkEvent::Suspect {
                     link: n,
@@ -2059,11 +2019,6 @@ impl Broker {
                     }
                     Some(_) => Err(OverlayError::Link { reason: "sub-drop from wrong direction" }),
                 }
-            }
-            Message::Publish { header_ct, epoch, payload_ct } => {
-                self.require_serving("publication for a broker that is not serving")?;
-                let item = PublishItemRef { header_ct: &header_ct, epoch, payload_ct: &payload_ct };
-                self.route_batch(|| std::iter::once(item), Origin::Link(from), TraceId(meta))
             }
             Message::ReplayRequest => {
                 if !matches!(self.phase, Phase::Serving(_)) {
@@ -2460,8 +2415,8 @@ impl Broker {
     }
 
     /// Per-stage latency summaries: the in-enclave engine stages
-    /// (decrypt, index match, ASPE gate) followed by the broker shell's (seal, hop crossing). Empty with
-    /// telemetry off.
+    /// (decrypt, index match) followed by the broker shell's (seal, hop
+    /// crossing). Empty with telemetry off.
     pub fn stage_summaries(&self) -> Vec<StageSummary> {
         let mut out = self.core.matcher.stage_summaries();
         out.extend(self.core.stages.summaries());
@@ -2699,11 +2654,6 @@ mod tests {
         let producer = producer(&mut rng);
         let (mut broker, mut peers) = serving(0, 11, false, &[1], &producer);
 
-        // Without heartbeats configured, a serving tick stays a no-op
-        // (the legacy behaviour).
-        assert!(broker.step(0, Input::Tick).unwrap().is_empty());
-
-        broker.set_heartbeats(Some(HeartbeatConfig::fast()));
         let outs = broker.step(1, Input::Tick).unwrap();
         let hb = frames(&outs);
         assert_eq!(hb.len(), 1, "one heartbeat on the established link");
@@ -2711,7 +2661,7 @@ mod tests {
         assert!(matches!(peers.open(hb[0]), Message::Heartbeat));
         assert_eq!(broker.stats().heartbeats, 1);
 
-        // The neighbour stays silent: after `suspect_after` silent ticks
+        // The neighbour stays silent: after `SUSPECT_AFTER` silent ticks
         // the link is declared suspect, exactly once per episode.
         let mut suspects = Vec::new();
         for now in 2..10u64 {
@@ -3068,7 +3018,6 @@ mod tests {
         broker.install_sealed_link(2, &[7; 32]);
         let mut outs = broker.post_link_up(2).unwrap();
         assert_eq!(broker.lifecycle(), Lifecycle::Serving);
-        broker.set_heartbeats(Some(HeartbeatConfig::fast()));
         for now in 1..=50 {
             outs.extend(broker.step(now, Input::Tick).unwrap());
         }
@@ -3245,7 +3194,6 @@ mod tests {
         b.step(3, Input::Crash).unwrap();
         b.step(4, Input::Restart { dead_links: vec![0] }).unwrap();
         provision(&mut b, &producer);
-        b.set_heartbeats(Some(HeartbeatConfig::fast()));
         a.step(5, Input::Restart { dead_links: vec![] }).unwrap();
         provision(&mut a, &producer);
         assert_eq!((a.lifecycle(), b.lifecycle()), (Lifecycle::Rejoining, Lifecycle::Serving));

@@ -94,14 +94,20 @@ fn shared_producer() -> ProducerCrypto {
 /// Crashes `broker` and brings it back from its host file alone: every
 /// neighbour is declared dead, so no replay papers over a bad restore.
 /// The relaunched enclave is attested again and re-linked; returns the
-/// neighbours' new ends.
+/// neighbours' new ends. The relink also retracts the dead marks: left
+/// set, the next serving tick would heal each link by pulling a replay
+/// the phantom neighbours never send.
 fn crash_and_restart(broker: &mut Broker, now: u64, producer: &ProducerCrypto) -> Peers {
     broker.step(now, Input::Crash).expect("crash");
     assert_eq!(broker.subscriptions(), 0, "volatile state is gone");
     broker.step(now, Input::Restart { dead_links: NEIGHBORS.to_vec() }).expect("restart");
     assert_eq!(broker.lifecycle(), Lifecycle::Serving);
     provision(broker, producer);
-    relink(broker)
+    let peers = relink(broker);
+    for n in NEIGHBORS {
+        broker.peer(n).dead = false;
+    }
+    peers
 }
 
 /// One generated input: a local one as it is, or a neighbour's message,

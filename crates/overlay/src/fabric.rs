@@ -22,9 +22,11 @@
 //!    re-keying, neighbour replay, stale-subscription reconciliation.
 //!    The per-edge frame counters expose exactly which links carried
 //!    recovery traffic.
-//! 4. **Detection** — with [`HeartbeatConfig`] enabled (see
-//!    [`FabricConfig::with_heartbeats`]), [`OverlayFabric::tick_round`]
-//!    drives every broker's liveness timers and aggregates their
+//! 4. **Detection** — [`OverlayFabric::tick_round`] drives every
+//!    broker's liveness timers (the fixed
+//!    [`HEARTBEAT_INTERVAL`](crate::broker::HEARTBEAT_INTERVAL),
+//!    [`SUSPECT_AFTER`](crate::broker::SUSPECT_AFTER) and
+//!    [`GAP_GRACE`](crate::broker::GAP_GRACE)) and aggregates their
 //!    [`LinkEvent::Suspect`] accusations: once a majority of a broker's
 //!    *live* neighbours accuse it of silence, the fabric fences it
 //!    (`Crash` observed) and starts its rejoin automatically — no
@@ -33,8 +35,8 @@
 //!    crashed brokers, adjacent ones included.
 
 use crate::broker::{
-    Broker, BrokerStats, HeartbeatConfig, Input, Lifecycle, LinkEvent, LinkFrame, LocalDelivery,
-    Output, SuspectReason,
+    Broker, BrokerStats, Input, Lifecycle, LinkEvent, LinkFrame, LocalDelivery, Output,
+    SuspectReason,
 };
 use crate::error::OverlayError;
 use crate::topology::Topology;
@@ -74,15 +76,6 @@ pub struct FabricConfig {
     pub seed: u64,
     /// Subscription-propagation mode.
     pub propagation: Propagation,
-    /// Group-key epoch stamped onto published payloads. Advanced by the
-    /// operator on key rotation ([`OverlayFabric::set_epoch`]) — restart
-    /// tests advance it across a crash to pin that recovery does not
-    /// resurrect an old epoch.
-    pub epoch: KeyEpoch,
-    /// Liveness timers installed on every broker. `None` (the default)
-    /// keeps the legacy behaviour: no heartbeats, no suspicion,
-    /// operator-driven restarts only.
-    pub heartbeats: Option<HeartbeatConfig>,
     /// Hot-path telemetry on every broker: per-stage latency histograms,
     /// trace ids on published batches, per-hop flight records. Off by
     /// default — the instrumented and uninstrumented hot paths are
@@ -93,22 +86,9 @@ pub struct FabricConfig {
 
 impl FabricConfig {
     /// The default production-shaped configuration: attested brokers,
-    /// covering-pruned propagation, epoch 0.
+    /// covering-pruned propagation.
     pub fn attested(seed: u64) -> Self {
-        FabricConfig {
-            seed,
-            propagation: Propagation::CoveringPruned,
-            epoch: KeyEpoch(0),
-            heartbeats: None,
-            telemetry: false,
-        }
-    }
-
-    /// Enables timer-driven failure detection on every broker.
-    #[must_use]
-    pub fn with_heartbeats(mut self, heartbeats: HeartbeatConfig) -> Self {
-        self.heartbeats = Some(heartbeats);
-        self
+        FabricConfig { seed, propagation: Propagation::CoveringPruned, telemetry: false }
     }
 
     /// Enables hot-path telemetry (stage histograms + cross-hop tracing)
@@ -260,11 +240,6 @@ impl OverlayFabric {
             broker.configure_trust(service.clone(), policy.clone());
             broker.provision_attested(&service, &policy, &producer, &mut rng)?;
         }
-        if let Some(heartbeats) = config.heartbeats {
-            for broker in &mut brokers {
-                broker.set_heartbeats(Some(heartbeats));
-            }
-        }
         if config.telemetry {
             for broker in &mut brokers {
                 broker.set_telemetry(true);
@@ -277,7 +252,7 @@ impl OverlayFabric {
             rng,
             next_sub: 0,
             issued: BTreeMap::new(),
-            epoch: config.epoch,
+            epoch: KeyEpoch(0),
             service,
             policy,
             clock: 0,
@@ -622,7 +597,7 @@ impl OverlayFabric {
         // The scheduler is the liveness oracle: neighbours that are not
         // serving cannot answer a replay right now, so the rejoiner skips
         // them — their own rejoin replays from `at` and reconciles both
-        // sides, and (with heartbeats) `at` heals the skipped link the
+        // sides, and `at`'s liveness timers heal the skipped link the
         // moment it is re-keyed. Adjacent concurrent crashes recover in
         // any order: a replay request toward a still-rejoining neighbour
         // parks there and drains when that neighbour starts serving.
@@ -813,8 +788,9 @@ impl OverlayFabric {
 
     /// Sets broker `at`'s tick stride: it receives a timer tick only
     /// every `stride`-th detection round (models a slow-but-alive host —
-    /// its heartbeats are delayed, not lost; with `stride · interval`
-    /// below `suspect_after` its neighbours never accuse it).
+    /// its heartbeats are delayed, not lost; with `stride ·
+    /// HEARTBEAT_INTERVAL` below `SUSPECT_AFTER` its neighbours never
+    /// accuse it).
     // lint: allow(SL08, tests/failover.rs and tests/lifecycle_proptests.rs slow a clock with it)
     pub fn set_tick_stride(&mut self, at: usize, stride: u64) {
         self.strides.insert(at, stride.max(1));
@@ -1166,13 +1142,10 @@ mod tests {
     }
 
     #[test]
-    fn epoch_comes_from_config_and_advances() {
-        let mut fabric = OverlayFabric::build(
-            Topology::line(2),
-            FabricConfig { epoch: KeyEpoch(3), ..FabricConfig::attested(13) },
-        )
-        .unwrap();
-        assert_eq!(fabric.epoch(), KeyEpoch(3));
+    fn epoch_starts_at_zero_and_advances() {
+        let mut fabric =
+            OverlayFabric::build(Topology::line(2), FabricConfig::attested(13)).unwrap();
+        assert_eq!(fabric.epoch(), KeyEpoch(0));
         fabric.set_epoch(KeyEpoch(4));
         assert_eq!(fabric.epoch(), KeyEpoch(4));
     }

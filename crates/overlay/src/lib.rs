@@ -38,8 +38,9 @@
 //!   [`fabric::OverlayFabric::publish`],
 //!   [`fabric::OverlayFabric::unsubscribe`] — and the failure path,
 //!   [`fabric::OverlayFabric::crash`] /
-//!   [`fabric::OverlayFabric::restart`]. With heartbeats enabled
-//!   ([`broker::HeartbeatConfig`]), the fabric is also the liveness
+//!   [`fabric::OverlayFabric::restart`]. Every broker runs its liveness
+//!   timers ([`broker::HEARTBEAT_INTERVAL`], [`broker::SUSPECT_AFTER`],
+//!   [`broker::GAP_GRACE`]), so the fabric is also the liveness
 //!   oracle: [`fabric::OverlayFabric::run_detection`] aggregates
 //!   per-link silence suspicion into quorum and fences + restarts
 //!   crashed brokers automatically — adjacent concurrent crashes
@@ -72,10 +73,7 @@ pub mod forwarding;
 mod journal;
 pub mod topology;
 
-pub use broker::{
-    Broker, BrokerStats, HeartbeatConfig, Input, Lifecycle, LinkEvent, Origin, Output,
-    SuspectReason,
-};
+pub use broker::{Broker, BrokerStats, Input, Lifecycle, LinkEvent, Origin, Output, SuspectReason};
 pub use error::OverlayError;
 pub use fabric::{AutoRejoin, Delivery, FabricConfig, OverlayFabric, Propagation, RejoinReport};
 pub use forwarding::ForwardingTable;

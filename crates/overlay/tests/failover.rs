@@ -20,10 +20,9 @@
 
 use scbr::ids::{ClientId, KeyEpoch};
 use scbr::{PublicationSpec, SubscriptionSpec};
+use scbr_overlay::broker::SUSPECT_AFTER;
 use scbr_overlay::fabric::{FabricConfig, OverlayFabric};
-use scbr_overlay::{
-    Delivery, HeartbeatConfig, Lifecycle, LinkEvent, OverlayError, SuspectReason, Topology,
-};
+use scbr_overlay::{Delivery, Lifecycle, LinkEvent, OverlayError, SuspectReason, Topology};
 use sgx_sim::SgxError;
 
 /// Recovery traffic stays on the crashed broker's incident links: with
@@ -377,11 +376,9 @@ fn lost_frames_surface_as_gap_events_and_rekey_heals() {
 /// the old one).
 #[test]
 fn epoch_advances_across_a_restart() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(2),
-        FabricConfig { epoch: KeyEpoch(1), ..FabricConfig::attested(56) },
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(2), FabricConfig::attested(56)).expect("build");
+    fabric.set_epoch(KeyEpoch(1));
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("x", 0.0)).unwrap();
     fabric.crash(1).unwrap();
     fabric.set_epoch(KeyEpoch(2));
@@ -478,15 +475,12 @@ fn adjacent_crashes_rejoin_sequentially() {
 
 /// Regression for the swallowed-tick bug: a `Serving` broker's timer
 /// tick used to early-return before any steady-state work could run.
-/// With heartbeats configured, one detection round makes every serving
-/// broker emit heartbeat frames on its established links.
+/// One detection round makes every serving broker emit heartbeat frames
+/// on its established links.
 #[test]
 fn serving_brokers_do_tick_work() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(3),
-        FabricConfig::attested(60).with_heartbeats(HeartbeatConfig::fast()),
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(60)).expect("build");
     // Bring-up's own tick round already reaches brokers that are serving.
     let baseline = fabric.total_heartbeats();
     fabric.tick_round().unwrap();
@@ -509,11 +503,8 @@ fn serving_brokers_do_tick_work() {
 /// rejoin — returns it to `Serving`. No `restart` call anywhere.
 #[test]
 fn silent_crash_is_detected_and_rejoined_automatically() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(3),
-        FabricConfig::attested(61).with_heartbeats(HeartbeatConfig::fast()),
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(61)).expect("build");
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
     fabric.subscribe(2, ClientId(2), &SubscriptionSpec::new().eq("symbol", "HAL")).unwrap();
 
@@ -521,7 +512,7 @@ fn silent_crash_is_detected_and_rejoined_automatically() {
     let rejoins = fabric.run_detection(32).expect("fabric settles");
     assert_eq!(rejoins.len(), 1, "exactly one automatic fence-and-restart");
     assert_eq!(rejoins[0].router, 1);
-    assert!(rejoins[0].round >= HeartbeatConfig::fast().suspect_after, "suspicion needs silence");
+    assert!(rejoins[0].round >= SUSPECT_AFTER, "suspicion needs silence");
     assert_eq!(fabric.lifecycle(1), Lifecycle::Serving);
     assert!(fabric.settled());
 
@@ -554,11 +545,8 @@ fn silent_crash_is_detected_and_rejoined_automatically() {
 /// during the double outage reconciles through the chained replays.
 #[test]
 fn adjacent_concurrent_crashes_both_recover_automatically() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(5),
-        FabricConfig::attested(62).with_heartbeats(HeartbeatConfig::fast()),
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(5), FabricConfig::attested(62)).expect("build");
     let doomed =
         fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
     fabric.subscribe(4, ClientId(2), &SubscriptionSpec::new().eq("symbol", "HAL")).unwrap();
@@ -617,11 +605,8 @@ fn adjacent_concurrent_crashes_both_recover_automatically() {
 /// timer-paced retry completes the heal once the leaf is back.
 #[test]
 fn leaf_and_its_only_neighbour_both_recover_automatically() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(3),
-        FabricConfig::attested(63).with_heartbeats(HeartbeatConfig::fast()),
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(63)).expect("build");
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
     fabric.subscribe(2, ClientId(2), &SubscriptionSpec::new().eq("symbol", "HAL")).unwrap();
 
@@ -665,16 +650,14 @@ fn leaf_and_its_only_neighbour_both_recover_automatically() {
 
 /// Regression for the stale-liveness-view wedge: a `Restart` naming a
 /// neighbour that is actually alive used to leave that link un-rekeyed
-/// forever (skipped at rejoin, never retried). With heartbeats, the
-/// serving broker probes the missing link, re-keys it, pulls a replay
-/// and reports `Healed` — without fencing the falsely-accused neighbour.
+/// forever (skipped at rejoin, never retried). Now the serving broker's
+/// liveness timer probes the missing link; the broker re-keys it, pulls
+/// a replay and reports `Healed` — without fencing the falsely-accused
+/// neighbour.
 #[test]
 fn stale_liveness_view_heals_by_probe_and_replay() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(3),
-        FabricConfig::attested(63).with_heartbeats(HeartbeatConfig::fast()),
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(63)).expect("build");
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
     fabric.subscribe(2, ClientId(2), &SubscriptionSpec::new().eq("symbol", "HAL")).unwrap();
 
@@ -715,11 +698,8 @@ fn stale_liveness_view_heals_by_probe_and_replay() {
 /// suspicion window.
 #[test]
 fn slow_but_alive_broker_is_never_suspected() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(3),
-        FabricConfig::attested(64).with_heartbeats(HeartbeatConfig::fast()),
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(64)).expect("build");
     // Heartbeats arrive every 3rd round; suspicion needs 4 silent ticks.
     fabric.set_tick_stride(1, 3);
     fabric.take_events();
@@ -738,17 +718,14 @@ fn slow_but_alive_broker_is_never_suspected() {
 }
 
 /// A wedged sealed link (unhealed sequence gap) is escalated by the
-/// timers: after `gap_grace` ticks the receiver declares
+/// timers: after `GAP_GRACE` ticks the receiver declares
 /// `Suspect { reason: Gap }`, re-keys the link on its own, pulls a
 /// replay over the fresh channel and reports `Healed` — all without any
 /// crash, restart, or node-death quorum (the peer provably lives).
 #[test]
 fn wedged_gap_link_rekeys_and_heals_itself() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(2),
-        FabricConfig::attested(65).with_heartbeats(HeartbeatConfig::fast()),
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(2), FabricConfig::attested(65)).expect("build");
     fabric.subscribe(1, ClientId(3), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
 
     // Lose one frame 0→1, then let the next one surface the gap.
@@ -785,11 +762,8 @@ fn wedged_gap_link_rekeys_and_heals_itself() {
 /// handshake looked already in flight, so the link stayed wedged.
 #[test]
 fn a_probe_the_neighbour_re_keyed_past_does_not_block_gap_healing() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(3),
-        FabricConfig::attested(61).with_heartbeats(HeartbeatConfig::fast()),
-    )
-    .expect("build");
+    let mut fabric =
+        OverlayFabric::build(Topology::line(3), FabricConfig::attested(61)).expect("build");
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 0.0)).unwrap();
     fabric.crash(1).unwrap();
     fabric.crash(2).unwrap();

@@ -29,7 +29,7 @@ use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
 use scbr_overlay::fabric::{FabricConfig, OverlayFabric, Propagation};
-use scbr_overlay::{Delivery, HeartbeatConfig, Topology};
+use scbr_overlay::{Delivery, Topology};
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 
 const SYMBOLS: [&str; 3] = ["HAL", "IBM", "AMD"];
@@ -481,10 +481,9 @@ proptest! {
         let publish_at = publish_router % routers;
 
         let producer = shared_producer();
-        let heartbeats = HeartbeatConfig::fast();
         let mut pruned = OverlayFabric::build_with_producer(
             topology.clone(),
-            FabricConfig::attested(seed).with_heartbeats(heartbeats),
+            FabricConfig::attested(seed),
             producer.clone(),
         ).expect("pruned fabric");
         let mut flooded = OverlayFabric::build_with_producer(
@@ -492,11 +491,11 @@ proptest! {
             FabricConfig {
                 propagation: Propagation::Flood,
                 ..FabricConfig::attested(seed)
-            }.with_heartbeats(heartbeats),
+            },
             producer.clone(),
         ).expect("flooded fabric");
         // Delays: a stride-s broker only sees a timer tick every s-th
-        // round. All strides stay under `suspect_after` so a slow host
+        // round. All strides stay under `SUSPECT_AFTER` so a slow host
         // is never silent long enough to be suspected.
         for (r, &s) in strides.iter().take(routers).enumerate() {
             pruned.set_tick_stride(r, s);

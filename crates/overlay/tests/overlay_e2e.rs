@@ -325,11 +325,8 @@ fn index_kinds_agree_on_overlay_routing() {
 /// Delivery across the healed hop is exact, with zero operator calls.
 #[test]
 fn attested_chain_detects_and_heals_a_silent_crash() {
-    let mut fabric = OverlayFabric::build(
-        Topology::line(3),
-        FabricConfig::attested(49).with_heartbeats(scbr_overlay::HeartbeatConfig::fast()),
-    )
-    .expect("attested build");
+    let mut fabric = OverlayFabric::build(Topology::line(3), FabricConfig::attested(49))
+        .expect("attested build");
     fabric.subscribe(0, ClientId(1), &SubscriptionSpec::new().gt("price", 10.0)).unwrap();
     fabric.subscribe(2, ClientId(2), &SubscriptionSpec::new().eq("symbol", "HAL")).unwrap();
 

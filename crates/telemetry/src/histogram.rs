@@ -105,8 +105,6 @@ pub enum Stage {
     Decrypt,
     /// Containment-index traversal (decode + match).
     IndexMatch,
-    /// ASPE Bloom gate + quadratic-form evaluation (the outside baseline).
-    AspeGate,
     /// Sealing an outbound batch (or recovery record) for a link.
     Seal,
     /// One full enclave crossing routing a batch at a hop.
@@ -115,28 +113,22 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 5] =
-        [Stage::Decrypt, Stage::IndexMatch, Stage::AspeGate, Stage::Seal, Stage::HopCrossing];
+    pub const ALL: [Stage; 4] =
+        [Stage::Decrypt, Stage::IndexMatch, Stage::Seal, Stage::HopCrossing];
 
     /// Stable label used in metric names, JSON rows, and log lines.
     pub fn label(self) -> &'static str {
         match self {
             Stage::Decrypt => "decrypt",
             Stage::IndexMatch => "index_match",
-            Stage::AspeGate => "aspe_gate",
             Stage::Seal => "seal",
             Stage::HopCrossing => "hop_crossing",
         }
     }
 
+    /// Position in [`Stage::ALL`] (the declaration order).
     fn index(self) -> usize {
-        match self {
-            Stage::Decrypt => 0,
-            Stage::IndexMatch => 1,
-            Stage::AspeGate => 2,
-            Stage::Seal => 3,
-            Stage::HopCrossing => 4,
-        }
+        self as usize
     }
 }
 
@@ -150,7 +142,7 @@ impl std::fmt::Display for Stage {
 /// struct costs a few KiB of inline state and zero heap.
 #[derive(Debug, Clone, Default)]
 pub struct StageHistograms {
-    stages: [LatencyHistogram; 5],
+    stages: [LatencyHistogram; Stage::ALL.len()],
 }
 
 impl StageHistograms {
@@ -283,7 +275,8 @@ mod tests {
     #[test]
     fn stage_labels_are_stable() {
         let labels: Vec<&str> = Stage::ALL.iter().map(|s| s.label()).collect();
-        assert_eq!(labels, vec!["decrypt", "index_match", "aspe_gate", "seal", "hop_crossing"]);
+        assert_eq!(labels, vec!["decrypt", "index_match", "seal", "hop_crossing"]);
+        assert!(Stage::ALL.iter().enumerate().all(|(i, s)| s.index() == i));
         assert_eq!(Stage::HopCrossing.to_string(), "hop_crossing");
     }
 }

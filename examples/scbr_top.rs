@@ -18,14 +18,12 @@
 use scbr::ids::ClientId;
 use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
-use scbr_overlay::broker::HeartbeatConfig;
 use scbr_overlay::fabric::{FabricConfig, OverlayFabric};
 use scbr_overlay::Topology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. A 3-broker attested chain, fully instrumented. --------------
-    let config =
-        FabricConfig::attested(2016).with_heartbeats(HeartbeatConfig::default()).with_telemetry();
+    let config = FabricConfig::attested(2016).with_telemetry();
     let mut fabric = OverlayFabric::build(Topology::line(3), config)?;
     println!("3-broker attested line fabric, heartbeats + telemetry on\n");
 

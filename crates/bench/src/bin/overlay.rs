@@ -24,7 +24,7 @@
 use scbr::ids::ClientId;
 use scbr_bench::json::{emit, JsonObj};
 use scbr_bench::{banner, Scale};
-use scbr_overlay::broker::{GAP_GRACE, HEARTBEAT_INTERVAL, SUSPECT_AFTER};
+use scbr_overlay::broker::{GAP_GRACE, SUSPECT_AFTER};
 use scbr_overlay::fabric::{FabricConfig, OverlayFabric};
 use scbr_overlay::{Propagation, Topology};
 use scbr_workloads::{StockMarket, Workload, WorkloadName};
@@ -299,8 +299,8 @@ fn main() {
     // alone — per-link silence, quorum suspicion, fence, rejoin — brings
     // it back on the brokers' fixed timers.
     println!(
-        "\n{:<8} {:>9} {:>13} {:>13} {:>11} {:>9} {:>10}",
-        "routers", "interval", "detect round", "settle round", "heartbeats", "dropped", "delivered"
+        "\n{:<8} {:>13} {:>13} {:>11} {:>9} {:>10}",
+        "routers", "detect round", "settle round", "heartbeats", "dropped", "delivered"
     );
     let n_detect = n_subs.min(128);
     let mut detect_rows: Vec<JsonObj> = Vec::new();
@@ -320,9 +320,8 @@ fn main() {
         let dropped = fabric.dropped_frames();
         let deliveries = fabric.publish(routers - 1, &pubs).expect("publish");
         println!(
-            "{:<8} {:>9} {:>13} {:>13} {:>11} {:>9} {:>10}",
+            "{:<8} {:>13} {:>13} {:>11} {:>9} {:>10}",
             routers,
-            HEARTBEAT_INTERVAL,
             detect_round,
             settle_round,
             heartbeats_sent,
@@ -334,7 +333,6 @@ fn main() {
                 .int("routers", routers as u64)
                 .int("hops", (routers - 1) as u64)
                 .int("subscribers", n_detect as u64)
-                .int("interval", HEARTBEAT_INTERVAL)
                 .int("suspect_after", SUSPECT_AFTER)
                 .int("gap_grace", GAP_GRACE)
                 .int("detect_round", detect_round)

@@ -4,10 +4,9 @@
 //! into dense [`AttrId`]s so compiled subscriptions and headers are
 //! fixed-size and comparisons are integer comparisons.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// Dense identifier of an interned attribute name (engine-local).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,6 +47,12 @@ impl AttrSchema {
         AttrSchema::default()
     }
 
+    /// Shared access to the table. The table only ever grows, so a
+    /// poisoned lock is taken over.
+    fn read(&self) -> RwLockReadGuard<'_, SchemaInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Interns `name`, returning its stable id.
     ///
     /// # Panics
@@ -55,10 +60,10 @@ impl AttrSchema {
     /// Panics if more than `u16::MAX` distinct attributes are interned
     /// (far beyond any realistic header).
     pub fn intern(&self, name: &str) -> AttrId {
-        if let Some(&id) = self.inner.read().by_name.get(name) {
+        if let Some(&id) = self.read().by_name.get(name) {
             return id;
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(&id) = inner.by_name.get(name) {
             return id; // raced with another writer
         }
@@ -71,17 +76,17 @@ impl AttrSchema {
     /// Looks up an already-interned name (a unit-test helper).
     #[cfg(test)]
     pub(crate) fn lookup(&self, name: &str) -> Option<AttrId> {
-        self.inner.read().by_name.get(name).copied()
+        self.read().by_name.get(name).copied()
     }
 
     /// The name behind an id, if valid.
     pub fn name(&self, id: AttrId) -> Option<String> {
-        self.inner.read().names.get(id.0 as usize).cloned()
+        self.read().names.get(id.0 as usize).cloned()
     }
 
     /// Number of interned attributes.
     pub fn len(&self) -> usize {
-        self.inner.read().names.len()
+        self.read().names.len()
     }
 
     /// True if nothing has been interned.

@@ -30,7 +30,6 @@ use crate::ids::{ClientId, SubscriptionId};
 use crate::index::{Anchor, IndexKind, MatchScratch, PosetIndex, SubscriptionIndex};
 use crate::publication::{CompiledHeader, PublicationSpec};
 use crate::subscription::SubscriptionSpec;
-use parking_lot::Mutex;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
 use scbr_crypto::rsa::RsaPublicKey;
 use scbr_telemetry::{Stage, StageHistograms, StageSummary};
@@ -38,6 +37,7 @@ use sgx_sim::enclave::EnclaveBuilder;
 use sgx_sim::{Enclave, MemStats, MemorySim, SgxPlatform};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Maximum publications matched per enclave crossing. Bounds both
 /// delivery latency under saturation and the working set a single ECALL
@@ -49,7 +49,7 @@ pub const MAX_DRAIN: usize = 128;
 /// Per-engine reusable buffers for the hot matching path. All match entry
 /// points are `&self`, so the scratch sits behind a mutex; matching is
 /// serialised per engine anyway (the enclave model admits one ecall at a
-/// time) and an uncontended `parking_lot` lock never allocates.
+/// time) and an uncontended `std::sync::Mutex` never allocates.
 #[derive(Debug, Default)]
 struct EngineScratch {
     /// Index traversal state (the DFS stack).
@@ -304,7 +304,13 @@ impl MatchingEngine {
 
     /// Summaries of every stage that recorded at least one sample.
     pub fn stage_summaries(&self) -> Vec<StageSummary> {
-        self.scratch.lock().stages.summaries()
+        self.scratch().stages.summaries()
+    }
+
+    /// The hot-path scratch. It holds only reusable buffers, so a panic
+    /// mid-match leaves nothing to protect: a poisoned lock is taken over.
+    fn scratch(&self) -> MutexGuard<'_, EngineScratch> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Installs the symmetric key `SK` and the producer's signature key
@@ -586,7 +592,7 @@ impl MatchingEngine {
         self.mem.charge_message_parse();
         let header = publication.compile_header(&self.schema)?;
         let mut out = Vec::new();
-        let mut scratch = self.scratch.lock();
+        let mut scratch = self.scratch();
         self.index.match_into(&header, &mut scratch.index, &mut out);
         drop(scratch);
         out.sort_unstable_by_key(|c| c.0);
@@ -665,7 +671,7 @@ impl MatchingEngine {
         header_ct: &[u8],
         out: &mut Vec<ClientId>,
     ) -> Result<(), ScbrError> {
-        let mut scratch = self.scratch.lock();
+        let mut scratch = self.scratch();
         self.match_decrypt_append(header_ct, &mut scratch, out)
     }
 
@@ -677,7 +683,7 @@ impl MatchingEngine {
     /// schema warm — the call performs no heap allocation at all.
     pub fn match_encrypted_batch_into(&self, headers: &[Vec<u8>], out: &mut BatchMatches) {
         out.clear();
-        let mut guard = self.scratch.lock();
+        let mut guard = self.scratch();
         let scratch = &mut *guard;
         for ct in headers {
             let start = out.clients.len() as u32;

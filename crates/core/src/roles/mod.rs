@@ -9,14 +9,24 @@
 //!
 //! The roles are transport-agnostic: tests and benchmarks use
 //! [`scbr_net::InProcNetwork`]; the examples also run over TCP.
+//!
+//! ## One event queue per role
+//!
+//! Each role loop blocks on exactly one `std::sync::mpsc::Receiver`. A
+//! reader thread per connection and one acceptor thread per listener feed
+//! it connection events; the producer's operator handle sends its
+//! commands into the same queue. The acceptor queues a connection's
+//! `Opened` event before it starts that connection's reader, so a loop
+//! always holds the connection by the time the connection's first
+//! message reaches it.
 
 pub mod client;
 pub mod producer;
 pub mod router;
 
 use crate::protocol::messages::Message;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use scbr_net::Connection;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 pub use client::ClientNode;
@@ -24,8 +34,14 @@ pub use producer::{Producer, ProducerCommand, ProducerHandle};
 pub use router::Router;
 
 /// An event produced by a connection pump.
-#[derive(Debug)]
 pub(crate) enum ConnEvent {
+    /// The listener accepted `connection`; the loop writes to it by `conn`.
+    Opened {
+        /// Pump-local connection identifier.
+        conn: u64,
+        /// The accepted connection.
+        connection: Arc<dyn Connection>,
+    },
     /// A decoded message arrived on connection `conn`.
     Msg {
         /// Pump-local connection identifier.
@@ -42,16 +58,16 @@ pub(crate) enum ConnEvent {
 
 /// Spawns a reader thread that decodes frames from `connection` into
 /// [`ConnEvent`]s on `events`.
-pub(crate) fn pump_connection(
+pub(crate) fn pump_connection<E: From<ConnEvent> + Send + 'static>(
     conn_id: u64,
     connection: Arc<dyn Connection>,
-    events: Sender<ConnEvent>,
+    events: Sender<E>,
 ) {
     std::thread::spawn(move || loop {
         match connection.recv() {
             Ok(frame) => match Message::from_wire(&frame) {
                 Ok(message) => {
-                    if events.send(ConnEvent::Msg { conn: conn_id, message }).is_err() {
+                    if events.send(ConnEvent::Msg { conn: conn_id, message }.into()).is_err() {
                         return;
                     }
                 }
@@ -61,40 +77,69 @@ pub(crate) fn pump_connection(
                 }
             },
             Err(_) => {
-                let _ = events.send(ConnEvent::Gone { conn: conn_id });
+                let _ = events.send(ConnEvent::Gone { conn: conn_id }.into());
                 return;
             }
         }
     });
 }
 
-/// Spawns an acceptor thread that pumps every accepted connection into
-/// `events`, tagging connections with ids starting at `first_id`.
-/// Returns a receiver of the accepted connections (so the owner can write
-/// to them).
-pub(crate) fn pump_listener(
+/// Spawns an acceptor thread that announces every accepted connection on
+/// `events` ([`ConnEvent::Opened`], ids starting at `first_id`) and then
+/// pumps its frames into the same queue.
+pub(crate) fn pump_listener<E: From<ConnEvent> + Send + 'static>(
     listener: Box<dyn scbr_net::Listener>,
-    events: Sender<ConnEvent>,
+    events: Sender<E>,
     first_id: u64,
-) -> Receiver<(u64, Arc<dyn Connection>)> {
-    let (tx, rx) = unbounded();
+) {
     std::thread::spawn(move || {
-        let mut next = first_id;
-        while let Ok(conn) = listener.accept() {
-            let conn: Arc<dyn Connection> = Arc::from(conn);
-            let id = next;
-            next += 1;
-            pump_connection(id, conn.clone(), events.clone());
-            if tx.send((id, conn)).is_err() {
+        for conn in first_id.. {
+            let Ok(connection) = listener.accept() else { return };
+            let connection: Arc<dyn Connection> = Arc::from(connection);
+            let opened = ConnEvent::Opened { conn, connection: connection.clone() };
+            if events.send(opened.into()).is_err() {
                 return;
             }
+            pump_connection(conn, connection, events.clone());
         }
     });
-    rx
 }
 
 /// Sends a message on a connection, ignoring disconnects (the pump reports
 /// those separately).
 pub(crate) fn send_best_effort(conn: &dyn Connection, msg: &Message) {
     let _ = conn.send(&msg.to_wire());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::ClientId;
+    use scbr_net::{InProcNetwork, Transport};
+    use std::sync::mpsc::channel;
+
+    /// A connection's first frame, sent the moment it connects, still
+    /// reaches the role's queue after the connection itself.
+    #[test]
+    fn opened_precedes_the_connections_first_message() {
+        let net = InProcNetwork::new();
+        let (tx, rx) = channel::<ConnEvent>();
+        pump_listener(net.bind("role").unwrap(), tx, 7);
+        for round in 0..20u64 {
+            let conn = net.connect("role").unwrap();
+            send_best_effort(conn.as_ref(), &Message::Hello { client: ClientId(round) });
+            match rx.recv().unwrap() {
+                ConnEvent::Opened { conn, .. } => assert_eq!(conn, 7 + round),
+                _ => panic!("round {round}: an event came before Opened"),
+            }
+            match rx.recv().unwrap() {
+                ConnEvent::Msg { conn, message: Message::Hello { client } } => {
+                    assert_eq!((conn, client), (7 + round, ClientId(round)));
+                }
+                _ => panic!("round {round}: expected the connection's Hello"),
+            }
+            drop(conn);
+            assert!(matches!(rx.recv().unwrap(), ConnEvent::Gone { conn } if conn == 7 + round));
+        }
+    }
 }

@@ -16,11 +16,11 @@ use crate::protocol::messages::{encode_publish_batch, Message, PublishItem};
 use crate::publication::PublicationSpec;
 use crate::roles::ConnEvent;
 use crate::roles::{pump_connection, pump_listener, send_best_effort};
-use crossbeam::channel::{unbounded, Sender};
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::RsaPublicKey;
 use scbr_net::{Connection, Listener};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -62,16 +62,29 @@ enum PendingKind {
     Unregister,
 }
 
+/// What the producer loop waits on: operator commands and connection
+/// traffic share one queue.
+enum ProducerEvent {
+    Command(ProducerCommand),
+    Conn(ConnEvent),
+}
+
+impl From<ConnEvent> for ProducerEvent {
+    fn from(event: ConnEvent) -> Self {
+        ProducerEvent::Conn(event)
+    }
+}
+
 /// Control handle to a running producer.
 #[derive(Debug, Clone)]
 pub struct ProducerHandle {
-    tx: Sender<ProducerCommand>,
+    tx: Sender<ProducerEvent>,
 }
 
 impl ProducerHandle {
     /// Sends a command; returns whether the producer is still running.
     pub fn send(&self, cmd: ProducerCommand) -> bool {
-        self.tx.send(cmd).is_ok()
+        self.tx.send(ProducerEvent::Command(cmd)).is_ok()
     }
 }
 
@@ -95,12 +108,11 @@ impl Producer {
         crypto: ProducerCrypto,
         rng: CryptoRng,
     ) -> Producer {
-        let (control_tx, control_rx) = unbounded();
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = channel();
         const ROUTER_CONN: u64 = 0;
         let router: Arc<dyn Connection> = Arc::from(router);
         pump_connection(ROUTER_CONN, router.clone(), events_tx.clone());
-        let accepted = pump_listener(listener, events_tx, 1);
+        pump_listener(listener, events_tx.clone(), 1);
 
         let handle = std::thread::spawn(move || {
             let mut rng = rng;
@@ -115,185 +127,165 @@ impl Producer {
             // request — the next router reply belongs to.
             let mut pending_acks: Vec<(u64, PendingKind)> = Vec::new();
 
-            loop {
-                crossbeam::channel::select! {
-                    recv(control_rx) -> cmd => {
-                        let Ok(cmd) = cmd else { break };
-                        match cmd {
-                            ProducerCommand::Admit { client, public_key } => {
-                                directory.admit(client, public_key.clone());
-                                group.add_member(client, public_key);
-                                // Push the current key if connected.
+            while let Ok(event) = events_rx.recv() {
+                match event {
+                    ProducerEvent::Command(cmd) => match cmd {
+                        ProducerCommand::Admit { client, public_key } => {
+                            directory.admit(client, public_key.clone());
+                            group.add_member(client, public_key);
+                            // Push the current key if connected.
+                            if let Ok(updates) = group.key_updates(&mut rng) {
+                                push_key_updates(&updates, &client_conns, &conns, &[client]);
+                            }
+                        }
+                        ProducerCommand::Suspend(c) => {
+                            let _ = directory.suspend(c);
+                        }
+                        ProducerCommand::Revoke(c) => {
+                            let _ = directory.revoke(c);
+                            group.remove_member(c);
+                            group.rekey(&mut rng);
+                            if let Ok(updates) = group.key_updates(&mut rng) {
+                                let members = group.members();
+                                push_key_updates(&updates, &client_conns, &conns, &members);
+                            }
+                        }
+                        ProducerCommand::Rekey => {
+                            group.rekey(&mut rng);
+                            if let Ok(updates) = group.key_updates(&mut rng) {
+                                let members = group.members();
+                                push_key_updates(&updates, &client_conns, &conns, &members);
+                            }
+                        }
+                        ProducerCommand::Publish(publication) => {
+                            let publications = std::slice::from_ref(&publication);
+                            publish(router.as_ref(), &crypto, &group, &mut rng, publications);
+                        }
+                        ProducerCommand::PublishBatch(publications) => {
+                            publish(router.as_ref(), &crypto, &group, &mut rng, &publications);
+                        }
+                        ProducerCommand::Shutdown => {
+                            send_best_effort(router.as_ref(), &Message::Shutdown);
+                            break;
+                        }
+                    },
+                    ProducerEvent::Conn(ConnEvent::Opened { conn, connection }) => {
+                        conns.insert(conn, connection);
+                    }
+                    ProducerEvent::Conn(ConnEvent::Gone { conn }) => {
+                        conns.remove(&conn);
+                        client_conns.retain(|_, c| *c != conn);
+                    }
+                    ProducerEvent::Conn(ConnEvent::Msg { conn, message }) => match message {
+                        Message::Hello { client } => {
+                            client_conns.insert(client, conn);
+                            // If already admitted, push the current key.
+                            if directory.check_admitted(client).is_ok() {
                                 if let Ok(updates) = group.key_updates(&mut rng) {
                                     push_key_updates(&updates, &client_conns, &conns, &[client]);
                                 }
                             }
-                            ProducerCommand::Suspend(c) => {
-                                let _ = directory.suspend(c);
-                            }
-                            ProducerCommand::Revoke(c) => {
-                                let _ = directory.revoke(c);
-                                group.remove_member(c);
-                                group.rekey(&mut rng);
-                                if let Ok(updates) = group.key_updates(&mut rng) {
-                                    let members = group.members();
-                                    push_key_updates(&updates, &client_conns, &conns, &members);
-                                }
-                            }
-                            ProducerCommand::Rekey => {
-                                group.rekey(&mut rng);
-                                if let Ok(updates) = group.key_updates(&mut rng) {
-                                    let members = group.members();
-                                    push_key_updates(&updates, &client_conns, &conns, &members);
-                                }
-                            }
-                            ProducerCommand::Publish(publication) => {
-                                let publications = std::slice::from_ref(&publication);
-                                publish(router.as_ref(), &crypto, &group, &mut rng, publications);
-                            }
-                            ProducerCommand::PublishBatch(publications) => {
-                                publish(router.as_ref(), &crypto, &group, &mut rng, &publications);
-                            }
-                            ProducerCommand::Shutdown => {
-                                send_best_effort(router.as_ref(), &Message::Shutdown);
-                                break;
-                            }
                         }
-                    }
-                    recv(events_rx) -> event => {
-                        let Ok(event) = event else { break };
-                        while let Ok((id, conn)) = accepted.try_recv() {
-                            conns.insert(id, conn);
-                        }
-                        match event {
-                            ConnEvent::Gone { conn } => {
-                                conns.remove(&conn);
-                                client_conns.retain(|_, c| *c != conn);
-                            }
-                            ConnEvent::Msg { conn, message } => match message {
-                                Message::Hello { client } => {
-                                    client_conns.insert(client, conn);
-                                    // If already admitted, push the current key.
-                                    if directory.check_admitted(client).is_ok() {
-                                        if let Ok(updates) = group.key_updates(&mut rng) {
-                                            push_key_updates(
-                                                &updates, &client_conns, &conns, &[client],
-                                            );
-                                        }
-                                    }
-                                }
-                                Message::SubmitSubscription { client, encrypted_subscription } => {
-                                    let reply = handle_submission(
-                                        &crypto,
-                                        &mut directory,
-                                        client,
-                                        &encrypted_subscription,
-                                        router.as_ref(),
-                                        &mut rng,
-                                    );
-                                    match reply {
-                                        Ok(()) => pending_acks.push((conn, PendingKind::Register)),
-                                        Err(e) => {
-                                            if let Some(c) = conns.get(&conn) {
-                                                send_best_effort(
-                                                    c.as_ref(),
-                                                    &Message::SubscriptionRejected {
-                                                        reason: e.to_string(),
-                                                    },
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                                Message::Unsubscribe { client, id, signature } => {
-                                    let reply = handle_unsubscription(
-                                        &crypto,
-                                        &mut directory,
-                                        client,
-                                        id,
-                                        &signature,
-                                        router.as_ref(),
-                                        &mut rng,
-                                    );
-                                    match reply {
-                                        Ok(()) => {
-                                            pending_acks.push((conn, PendingKind::Unregister))
-                                        }
-                                        Err(e) => {
-                                            if let Some(c) = conns.get(&conn) {
-                                                send_best_effort(
-                                                    c.as_ref(),
-                                                    &Message::Error { message: e.to_string() },
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                                // Router acknowledgements map onto the oldest
-                                // pending submission (the router processes
-                                // registrations in order).
-                                Message::RegisterAck { id } if conn == ROUTER_CONN => {
-                                    if !pending_acks.is_empty() {
-                                        let (client_conn, _) = pending_acks.remove(0);
-                                        if let Some(c) = conns.get(&client_conn) {
-                                            send_best_effort(
-                                                c.as_ref(),
-                                                &Message::SubscriptionAccepted { id },
-                                            );
-                                        }
-                                    }
-                                }
-                                Message::UnregisterAck { id } if conn == ROUTER_CONN => {
-                                    if !pending_acks.is_empty() {
-                                        let (client_conn, _) = pending_acks.remove(0);
-                                        if let Some(c) = conns.get(&client_conn) {
-                                            send_best_effort(
-                                                c.as_ref(),
-                                                &Message::Unsubscribed { id },
-                                            );
-                                        }
-                                    }
-                                }
-                                // A router error refuses the *oldest* in-
-                                // flight request, whichever kind it was —
-                                // the stored kind picks the reply shape the
-                                // waiting client understands.
-                                Message::Error { message } if conn == ROUTER_CONN => {
-                                    if !pending_acks.is_empty() {
-                                        let (client_conn, kind) = pending_acks.remove(0);
-                                        if let Some(c) = conns.get(&client_conn) {
-                                            let reply = match kind {
-                                                PendingKind::Register => {
-                                                    Message::SubscriptionRejected {
-                                                        reason: message,
-                                                    }
-                                                }
-                                                PendingKind::Unregister => {
-                                                    Message::Error { message }
-                                                }
-                                            };
-                                            send_best_effort(c.as_ref(), &reply);
-                                        }
-                                    }
-                                }
-                                Message::Shutdown => break,
-                                other => {
+                        Message::SubmitSubscription { client, encrypted_subscription } => {
+                            let reply = handle_submission(
+                                &crypto,
+                                &mut directory,
+                                client,
+                                &encrypted_subscription,
+                                router.as_ref(),
+                                &mut rng,
+                            );
+                            match reply {
+                                Ok(()) => pending_acks.push((conn, PendingKind::Register)),
+                                Err(e) => {
                                     if let Some(c) = conns.get(&conn) {
                                         send_best_effort(
                                             c.as_ref(),
-                                            &Message::Error {
-                                                message: format!("unexpected {}", other.kind()),
+                                            &Message::SubscriptionRejected {
+                                                reason: e.to_string(),
                                             },
                                         );
                                     }
                                 }
-                            },
+                            }
                         }
-                    }
+                        Message::Unsubscribe { client, id, signature } => {
+                            let reply = handle_unsubscription(
+                                &crypto,
+                                &mut directory,
+                                client,
+                                id,
+                                &signature,
+                                router.as_ref(),
+                                &mut rng,
+                            );
+                            match reply {
+                                Ok(()) => pending_acks.push((conn, PendingKind::Unregister)),
+                                Err(e) => {
+                                    if let Some(c) = conns.get(&conn) {
+                                        send_best_effort(
+                                            c.as_ref(),
+                                            &Message::Error { message: e.to_string() },
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                        // Router acknowledgements map onto the oldest
+                        // pending submission (the router processes
+                        // registrations in order).
+                        Message::RegisterAck { id } if conn == ROUTER_CONN => {
+                            if !pending_acks.is_empty() {
+                                let (client_conn, _) = pending_acks.remove(0);
+                                if let Some(c) = conns.get(&client_conn) {
+                                    send_best_effort(
+                                        c.as_ref(),
+                                        &Message::SubscriptionAccepted { id },
+                                    );
+                                }
+                            }
+                        }
+                        Message::UnregisterAck { id } if conn == ROUTER_CONN => {
+                            if !pending_acks.is_empty() {
+                                let (client_conn, _) = pending_acks.remove(0);
+                                if let Some(c) = conns.get(&client_conn) {
+                                    send_best_effort(c.as_ref(), &Message::Unsubscribed { id });
+                                }
+                            }
+                        }
+                        // A router error refuses the *oldest* in-
+                        // flight request, whichever kind it was —
+                        // the stored kind picks the reply shape the
+                        // waiting client understands.
+                        Message::Error { message } if conn == ROUTER_CONN => {
+                            if !pending_acks.is_empty() {
+                                let (client_conn, kind) = pending_acks.remove(0);
+                                if let Some(c) = conns.get(&client_conn) {
+                                    let reply = match kind {
+                                        PendingKind::Register => {
+                                            Message::SubscriptionRejected { reason: message }
+                                        }
+                                        PendingKind::Unregister => Message::Error { message },
+                                    };
+                                    send_best_effort(c.as_ref(), &reply);
+                                }
+                            }
+                        }
+                        other => {
+                            if let Some(c) = conns.get(&conn) {
+                                send_best_effort(
+                                    c.as_ref(),
+                                    &Message::Error {
+                                        message: format!("unexpected {}", other.kind()),
+                                    },
+                                );
+                            }
+                        }
+                    },
                 }
             }
         });
-        Producer { handle: Some(handle), control: ProducerHandle { tx: control_tx } }
+        Producer { handle: Some(handle), control: ProducerHandle { tx: events_tx } }
     }
 
     /// The control handle.

@@ -32,9 +32,9 @@ use crate::error::ScbrError;
 use crate::ids::{ClientId, KeyEpoch};
 use crate::protocol::messages::{Message, PublishItem};
 use crate::roles::{pump_listener, send_best_effort, ConnEvent};
-use crossbeam::channel::unbounded;
 use scbr_net::{Connection, Listener};
 use std::collections::HashMap;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -59,8 +59,8 @@ impl Router {
     /// The engine should already be provisioned with keys (see
     /// [`crate::protocol::keys::provision_sk_via_attestation`]).
     pub fn spawn(listener: Box<dyn Listener>, engine: RouterEngine) -> Router {
-        let (events_tx, events_rx) = unbounded();
-        let accepted = pump_listener(listener, events_tx, 0);
+        let (events_tx, events_rx) = channel();
+        pump_listener(listener, events_tx, 0);
         let handle = std::thread::spawn(move || {
             let mut engine = engine;
             let mut conns: HashMap<u64, Arc<dyn Connection>> = HashMap::new();
@@ -74,10 +74,6 @@ impl Router {
             let mut pending: Vec<PendingPublish> = Vec::new();
             let mut matches = BatchMatches::new();
             loop {
-                // Collect any newly accepted connections.
-                while let Ok((id, conn)) = accepted.try_recv() {
-                    conns.insert(id, conn);
-                }
                 let event = match stashed.take() {
                     Some(event) => event,
                     None => {
@@ -86,16 +82,14 @@ impl Router {
                     }
                 };
                 match event {
+                    ConnEvent::Opened { conn, connection } => {
+                        conns.insert(conn, connection);
+                    }
                     ConnEvent::Gone { conn } => {
                         conns.remove(&conn);
                         delivery.retain(|_, c| *c != conn);
                     }
                     ConnEvent::Msg { conn, message } => {
-                        // The connection may have been accepted after its
-                        // first frame was pumped.
-                        while let Ok((id, c)) = accepted.try_recv() {
-                            conns.insert(id, c);
-                        }
                         match message {
                             Message::Hello { client } => {
                                 delivery.insert(client, conn);

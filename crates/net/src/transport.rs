@@ -7,12 +7,11 @@
 
 use crate::error::NetError;
 use crate::frame;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A bidirectional, message-oriented connection.
@@ -73,11 +72,26 @@ pub trait Transport {
 // In-process transport
 // ---------------------------------------------------------------------------
 
+/// Takes `lock` over even if a holder panicked: every value behind this
+/// module's locks (a channel end, a buffered stream, the endpoint
+/// registry) stays usable.
+fn lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One side of an in-process connection.
 #[derive(Debug)]
 pub struct InProcConnection {
     tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
+    /// Behind a lock because [`Connection`] is `Sync` and a std receiver
+    /// is not; one reader at a time is all a connection ever has.
+    rx: Mutex<Receiver<Vec<u8>>>,
+}
+
+impl InProcConnection {
+    fn new(tx: Sender<Vec<u8>>, rx: Receiver<Vec<u8>>) -> Self {
+        InProcConnection { tx, rx: Mutex::new(rx) }
+    }
 }
 
 impl Connection for InProcConnection {
@@ -86,14 +100,14 @@ impl Connection for InProcConnection {
     }
 
     fn recv(&self) -> Result<Vec<u8>, NetError> {
-        self.rx.recv().map_err(|_| NetError::Disconnected)
+        lock(&self.rx).recv().map_err(|_| NetError::Disconnected)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        match self.rx.recv_timeout(timeout) {
+        match lock(&self.rx).recv_timeout(timeout) {
             Ok(frame) => Ok(Some(frame)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
         }
     }
 }
@@ -130,24 +144,23 @@ impl InProcNetwork {
 
 impl Transport for InProcNetwork {
     fn bind(&self, name: &str) -> Result<Box<dyn Listener>, NetError> {
-        let mut reg = self.registry.lock();
+        let mut reg = lock(&self.registry);
         if reg.contains_key(name) {
             return Err(NetError::AddressInUse { name: name.to_owned() });
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         reg.insert(name.to_owned(), tx);
         Ok(Box::new(InProcListener { incoming: rx }))
     }
 
     fn connect(&self, name: &str) -> Result<Box<dyn Connection>, NetError> {
-        let reg = self.registry.lock();
+        let reg = lock(&self.registry);
         let acceptor =
             reg.get(name).ok_or_else(|| NetError::NoSuchEndpoint { name: name.to_owned() })?;
-        let (a_tx, b_rx) = unbounded();
-        let (b_tx, a_rx) = unbounded();
-        let server_side = InProcConnection { tx: b_tx, rx: b_rx };
-        acceptor.send(server_side).map_err(|_| NetError::Disconnected)?;
-        Ok(Box::new(InProcConnection { tx: a_tx, rx: a_rx }))
+        let (a_tx, b_rx) = channel();
+        let (b_tx, a_rx) = channel();
+        acceptor.send(InProcConnection::new(b_tx, b_rx)).map_err(|_| NetError::Disconnected)?;
+        Ok(Box::new(InProcConnection::new(a_tx, a_rx)))
     }
 }
 
@@ -172,15 +185,15 @@ impl TcpConnection {
 
 impl Connection for TcpConnection {
     fn send(&self, payload: &[u8]) -> Result<(), NetError> {
-        frame::write_frame(&mut *self.writer.lock(), payload)
+        frame::write_frame(&mut *lock(&self.writer), payload)
     }
 
     fn recv(&self) -> Result<Vec<u8>, NetError> {
-        frame::read_frame(&mut *self.reader.lock())
+        frame::read_frame(&mut *lock(&self.reader))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
-        let mut reader = self.reader.lock();
+        let mut reader = lock(&self.reader);
         // A zero duration means "disable timeouts" to the socket API;
         // callers mean "poll", so clamp to the shortest representable wait.
         let timeout = timeout.max(Duration::from_millis(1));
@@ -324,6 +337,19 @@ mod tests {
         let s2 = listener.accept().unwrap();
         assert_eq!(s1.recv().unwrap(), b"from-1");
         assert_eq!(s2.recv().unwrap(), b"from-2");
+    }
+
+    #[test]
+    fn lock_survives_a_panicking_holder() {
+        let registry = Arc::new(Mutex::new(0));
+        let held = registry.clone();
+        let _ = thread::spawn(move || {
+            let _guard = lock(&held);
+            panic!("poison attempt");
+        })
+        .join();
+        *lock(&registry) += 1;
+        assert_eq!(*lock(&registry), 1);
     }
 
     #[test]

@@ -208,16 +208,14 @@ const RECORD_VERSION: u8 = 2;
 
 /// Liveness timers, in ticks (one tick is one scheduler round). Every
 /// `Serving` broker emits one [`Message::Heartbeat`] per established
-/// link every [`HEARTBEAT_INTERVAL`] ticks (sealed and sequence-numbered
-/// like any data frame), and raises [`LinkEvent::Suspect`] against a link
-/// that has carried no authentic frame for [`SUSPECT_AFTER`] ticks — or
-/// whose sequence gap has stood unhealed for [`GAP_GRACE`] ticks.
-pub const HEARTBEAT_INTERVAL: u64 = 1;
-
-/// Ticks of silence (no authentic inbound frame) before a link is
-/// declared [`SuspectReason::Silence`]. Comfortably exceeds
-/// [`HEARTBEAT_INTERVAL`], so a peer whose frames arrive a round late is
-/// not falsely accused.
+/// link on every tick (sealed and sequence-numbered like any data
+/// frame), and raises [`LinkEvent::Suspect`] against a link that has
+/// carried no authentic frame for [`SUSPECT_AFTER`] ticks — or whose
+/// sequence gap has stood unhealed for [`GAP_GRACE`] ticks.
+///
+/// Ticks of silence before a link is declared
+/// [`SuspectReason::Silence`]: four heartbeats missed in a row, so a
+/// peer whose frames arrive a round late is not falsely accused.
 pub const SUSPECT_AFTER: u64 = 4;
 
 /// Ticks an observed sequence gap may stand before the link is declared
@@ -1025,8 +1023,6 @@ struct Peer {
     /// The tick of the last *authentic* inbound frame (gap frames
     /// included — a gap proves the peer alive).
     last_rx: Option<u64>,
-    /// The tick of the last heartbeat we emitted.
-    last_hb: Option<u64>,
     /// The tick a sequence gap was first observed (cleared on re-key —
     /// the gapped channel can never advance on its own).
     gap_since: Option<u64>,
@@ -1095,7 +1091,7 @@ pub struct BrokerStats {
     /// liveness signal — each one is a [`LinkEvent::Gap`]).
     pub gaps: u64,
     /// Heartbeat frames emitted (cumulative; one per established link
-    /// every [`HEARTBEAT_INTERVAL`] serving ticks).
+    /// per serving tick).
     pub heartbeats: u64,
     /// Recovery-record seals performed (cumulative). At most one per
     /// [`Broker::step`], however many mutations the step carried.
@@ -1672,8 +1668,7 @@ impl Broker {
 
     /// Steady-state liveness work. Per neighbour:
     ///
-    /// * an established, trusted link gets a heartbeat every
-    ///   [`HEARTBEAT_INTERVAL`] ticks;
+    /// * an established, trusted link gets a heartbeat;
     /// * a believed-dead neighbour that re-keyed the link from its own
     ///   side is healed immediately (pull-replay — the
     ///   stale-liveness-view fix);
@@ -1703,11 +1698,8 @@ impl Broker {
                 continue;
             }
             if keyed {
-                if peer.last_hb.is_none_or(|t| now - t >= HEARTBEAT_INTERVAL) {
-                    peer.last_hb = Some(now);
-                    self.counters.heartbeats += 1;
-                    outs.push(self.send(n, &hb_wire)?);
-                }
+                self.counters.heartbeats += 1;
+                outs.push(self.send(n, &hb_wire)?);
                 // An unanswered pull: the neighbour was dead (or still
                 // rejoining) when we asked. Re-send once the request
                 // outlives the suspicion window, so a heal attempted

@@ -23,9 +23,8 @@
 //!    The per-edge frame counters expose exactly which links carried
 //!    recovery traffic.
 //! 4. **Detection** — [`OverlayFabric::tick_round`] drives every
-//!    broker's liveness timers (the fixed
-//!    [`HEARTBEAT_INTERVAL`](crate::broker::HEARTBEAT_INTERVAL),
-//!    [`SUSPECT_AFTER`](crate::broker::SUSPECT_AFTER) and
+//!    broker's liveness timers (one heartbeat per link per tick, the
+//!    fixed [`SUSPECT_AFTER`](crate::broker::SUSPECT_AFTER) and
 //!    [`GAP_GRACE`](crate::broker::GAP_GRACE)) and aggregates their
 //!    [`LinkEvent::Suspect`] accusations: once a majority of a broker's
 //!    *live* neighbours accuse it of silence, the fabric fences it
@@ -788,9 +787,8 @@ impl OverlayFabric {
 
     /// Sets broker `at`'s tick stride: it receives a timer tick only
     /// every `stride`-th detection round (models a slow-but-alive host —
-    /// its heartbeats are delayed, not lost; with `stride ·
-    /// HEARTBEAT_INTERVAL` below `SUSPECT_AFTER` its neighbours never
-    /// accuse it).
+    /// its heartbeats are delayed, not lost; with `stride` below
+    /// `SUSPECT_AFTER` its neighbours never accuse it).
     // lint: allow(SL08, tests/failover.rs and tests/lifecycle_proptests.rs slow a clock with it)
     pub fn set_tick_stride(&mut self, at: usize, stride: u64) {
         self.strides.insert(at, stride.max(1));

@@ -38,9 +38,10 @@
 //!   [`fabric::OverlayFabric::publish`],
 //!   [`fabric::OverlayFabric::unsubscribe`] — and the failure path,
 //!   [`fabric::OverlayFabric::crash`] /
-//!   [`fabric::OverlayFabric::restart`]. Every broker runs its liveness
-//!   timers ([`broker::HEARTBEAT_INTERVAL`], [`broker::SUSPECT_AFTER`],
-//!   [`broker::GAP_GRACE`]), so the fabric is also the liveness
+//!   [`fabric::OverlayFabric::restart`]. Every broker heartbeats each
+//!   link once a tick and runs its liveness timers
+//!   ([`broker::SUSPECT_AFTER`], [`broker::GAP_GRACE`]), so the fabric
+//!   is also the liveness
 //!   oracle: [`fabric::OverlayFabric::run_detection`] aggregates
 //!   per-link silence suspicion into quorum and fences + restarts
 //!   crashed brokers automatically — adjacent concurrent crashes

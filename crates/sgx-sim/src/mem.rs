@@ -23,9 +23,8 @@
 use crate::cache::{Access, CacheSim};
 use crate::costs::{CacheConfig, CostModel, EpcConfig};
 use crate::epc::{Epc, PageAccess, PageHash};
-use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Snapshot of the counters a [`MemorySim`] maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -196,6 +195,13 @@ impl MemorySim {
         MemorySim::native(CacheConfig::default(), CostModel::default())
     }
 
+    /// The simulator's state. Every update under the lock is a counter
+    /// bump or a cache/EPC step that leaves the state consistent, so a
+    /// poisoned lock is taken over.
+    fn state(&self) -> MutexGuard<'_, MemState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Which protection domain this memory models.
     pub fn protection(&self) -> Protection {
         self.protection
@@ -205,7 +211,7 @@ impl MemorySim {
     /// allocation; the space is never reused, mirroring the paper's
     /// append-only subscription store).
     pub fn alloc(&self, len: u64) -> u64 {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let addr = st.next_addr;
         let aligned = len.div_ceil(self.line_size) * self.line_size;
         st.next_addr += aligned.max(self.line_size);
@@ -224,14 +230,14 @@ impl MemorySim {
     }
 
     fn touch(&self, addr: u64, len: u64, write: bool) {
-        self.touch_locked(&mut self.state.lock(), addr, len, write);
+        self.touch_locked(&mut self.state(), addr, len, write);
     }
 
     /// Charges `evals` predicate evaluations, then a read of `len` bytes at
     /// `addr`: [`MemorySim::charge_predicate_evals`] followed by
     /// [`MemorySim::touch_read`], under one lock.
     fn evaluate_and_read(&self, evals: u64, addr: u64, len: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.stats.elapsed_ns += self.costs.predicate_eval_ns * evals as f64;
         self.touch_locked(&mut st, addr, len, false);
     }
@@ -294,21 +300,21 @@ impl MemorySim {
 
     /// Charges pure CPU time (no memory traffic).
     pub fn charge_ns(&self, ns: f64) {
-        self.state.lock().stats.elapsed_ns += ns;
+        self.state().stats.elapsed_ns += ns;
     }
 
     /// Records one enclave transition pair (`EENTER` + `EEXIT`), charging
     /// `ns` of call-gate time. Called by the enclave's call gate — one
     /// ECALL covering a whole batch records a single transition.
     pub fn record_ecall(&self, ns: f64) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.stats.ecalls += 1;
         st.stats.elapsed_ns += ns;
     }
 
     /// Records one OCALL round-trip, charging `ns` of transition time.
     pub fn record_ocall(&self, ns: f64) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.stats.ocalls += 1;
         st.stats.elapsed_ns += ns;
     }
@@ -342,18 +348,18 @@ impl MemorySim {
 
     /// Virtual nanoseconds elapsed so far.
     pub fn elapsed_ns(&self) -> f64 {
-        self.state.lock().stats.elapsed_ns
+        self.state().stats.elapsed_ns
     }
 
     /// Snapshot of all counters.
     pub fn stats(&self) -> MemStats {
-        self.state.lock().stats
+        self.state().stats
     }
 
     /// Resets cache hit/miss counters and the clock, keeping contents and
     /// residency (used between measurement phases).
     pub fn reset_counters(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.cache.reset_stats();
         let allocated = st.stats.allocated_bytes;
         st.stats = MemStats { allocated_bytes: allocated, ..MemStats::default() };

@@ -10,11 +10,10 @@ use crate::costs::{CacheConfig, CostModel, EpcConfig};
 use crate::enclave::{validate_builder, Enclave, EnclaveBuilder};
 use crate::error::SgxError;
 use crate::seal::MonotonicCounter;
-use parking_lot::Mutex;
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Handle to a platform monotonic counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,9 +170,14 @@ impl SgxPlatform {
         self.quoting.attestation_public_key()
     }
 
+    /// The counter service's state; a poisoned lock is taken over.
+    fn state(&self) -> MutexGuard<'_, PlatformState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates a fresh monotonic counter.
     pub fn create_counter(&self) -> CounterId {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let id = CounterId(st.next_counter);
         st.next_counter += 1;
         st.counters.insert(id, MonotonicCounter::new());
@@ -186,8 +190,7 @@ impl SgxPlatform {
     ///
     /// [`SgxError::NotFound`] for unknown ids.
     pub fn read_counter(&self, id: CounterId) -> Result<u64, SgxError> {
-        self.state
-            .lock()
+        self.state()
             .counters
             .get(&id)
             .map(|c| c.read())
@@ -200,8 +203,7 @@ impl SgxPlatform {
     ///
     /// [`SgxError::NotFound`] for unknown ids.
     pub fn increment_counter(&self, id: CounterId) -> Result<u64, SgxError> {
-        self.state
-            .lock()
+        self.state()
             .counters
             .get_mut(&id)
             .map(|c| c.increment())

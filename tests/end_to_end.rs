@@ -162,6 +162,27 @@ fn unadmitted_client_is_rejected() {
 }
 
 #[test]
+fn a_client_cannot_stop_the_producer() {
+    // Only the operator stops the producer (`ProducerCommand::Shutdown`):
+    // a wire `Shutdown` arriving on its client listener is a stray
+    // message like any other, answered with an `Error`.
+    let d = deploy(115);
+    let raw = d.net.connect("producer").expect("raw->producer");
+    raw.send(&Message::Shutdown.to_wire()).expect("send shutdown");
+    let reply = raw.recv_timeout(WAIT).expect("recv").map(|f| Message::from_wire(&f));
+    assert!(matches!(reply, Some(Ok(Message::Error { .. }))), "got {reply:?}");
+
+    let mut alice = new_client(&d, 1, 116);
+    alice
+        .subscribe(&SubscriptionSpec::new().eq("symbol", "HAL"), WAIT)
+        .expect("the producer still serves its clients");
+
+    d.producer.shutdown().expect("shutdown");
+    let engine = d.router.unwrap().join().expect("join");
+    assert_eq!(engine.engine().index().len(), 1);
+}
+
+#[test]
 fn suspended_client_cannot_add_subscriptions() {
     let d = deploy(120);
     let mut carol = new_client(&d, 3, 300);

@@ -1,4 +1,4 @@
-//! Batching ablation (extension): **batch size × slice count** over the
+//! Batching ablation (extension): **batch size × star width** over the
 //! batch-first pipeline.
 //!
 //! The paper's cost model is dominated by enclave transitions: every
@@ -6,35 +6,35 @@
 //! cost, and its future work proposes "message batching … to reduce the
 //! frequency of enclave enters/exits". This run measures that amortisation
 //! directly — the simulator counts transitions per batch, so the measured
-//! transition count scales as `slices / batch_size` — and sweeps it
-//! against a [`scbr::cluster::PartitionedRouter`] whose scoped threads
-//! genuinely run the slices concurrently (wall-clock µs/msg is
-//! host-measured spawn→merge time).
+//! transition count scales as `brokers / batch_size` — and sweeps it over
+//! one attested broker and stars of a hub and 2 or 4 leaves, the
+//! subscriptions dealt round-robin over the leaves.
 //!
-//! The workload is Zipf-skewed (`e80a1zz100`) and sized so a single
-//! slice's index overflows the (reduced) usable EPC: one slice pays page
-//! swaps, partitioned slices fit. For each slice count the run reports the
+//! The workload is Zipf-skewed (`e80a1zz100`) and sized so one broker's
+//! index overflows the (reduced) usable EPC: the one broker pays page
+//! swaps, the leaves of a star fit. For each shape the run reports the
 //! **knee**: the smallest batch size past which per-message virtual time
-//! stops improving by more than 5 % — where the amortised transition cost
-//! has flattened into the matching cost.
+//! (the bottleneck broker's) stops improving by more than 5 % — where the
+//! amortised transition cost has flattened into the matching cost.
+//!
+//! The wall column times the fabric's single-threaded scheduler on the
+//! host: brokers run one after another, so it is the sum of the brokers'
+//! work, not a concurrent fan-out. Every shape must deliver exactly what
+//! the one broker delivers; the run exits nonzero otherwise.
 //!
 //! ```text
 //! cargo run --release -p scbr-bench --bin batching
 //! SCBR_JSON=1 SCBR_SCALE=smoke cargo run --release -p scbr-bench --bin batching
 //! ```
 
-use scbr::cluster::PartitionedRouter;
-use scbr::engine::BatchMatches;
-use scbr::ids::{ClientId, SubscriptionId};
 use scbr_bench::json::{emit, JsonObj};
-use scbr_bench::{banner, Scale};
-use scbr_crypto::ctr::AesCtr;
-use scbr_crypto::rng::CryptoRng;
+use scbr_bench::{banner, delivered, mem_counter, path_elapsed_ns, scaleout_fabric, Scale};
 use scbr_workloads::{StockMarket, Workload, WorkloadName};
-use sgx_sim::{CacheConfig, CostModel, EpcConfig, SgxPlatform};
+use sgx_sim::EpcConfig;
+use std::time::Instant;
 
 const BATCHES: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-const SLICES: [usize; 3] = [1, 2, 4];
+const LEAVES: [usize; 3] = [1, 2, 4];
 /// Publications per configuration (a multiple of every batch size).
 const PUBLICATIONS: usize = 256;
 
@@ -42,88 +42,78 @@ fn main() {
     let scale = Scale::from_env();
     banner(
         "Batching ablation (extension)",
-        "Amortised enclave transitions: batch size × slice count, Zipf workload vs a tight EPC",
+        "Amortised enclave transitions: batch size × star width, Zipf workload vs a tight EPC",
         &scale,
     );
-    // A reduced EPC so the single-slice index overflows usable EPC at
-    // every scale while two or more slices fit (the subscription node
-    // stride is ~432 B, but the Zipf workload shares nodes heavily).
+    // A reduced EPC so one broker's index overflows usable EPC at every
+    // scale while the leaves of a star fit (the subscription node stride
+    // is ~432 B, but the Zipf workload shares nodes heavily).
     let (n_subs, usable) = match scale.name {
         "smoke" => (12_000usize, 5usize << 19), // ~3.2 MB index vs 2.5 MB EPC
         "full" => (80_000, 10 << 20),
         _ => (40_000, 6 << 20),
     };
     let epc = EpcConfig { total_bytes: 2 * usable, usable_bytes: usable, page_size: 4096 };
-    let platform =
-        SgxPlatform::with_config(17, CacheConfig::default(), epc, CostModel::default(), 512);
     let market = StockMarket::generate(&scale.market, 1);
     let workload = Workload::from_name(WorkloadName::E80A1Zz100);
     eprintln!("generating {n_subs} Zipf subscriptions …");
     let subs = workload.subscriptions(&market, n_subs, 7);
     let pubs = workload.publications(&market, PUBLICATIONS, 8);
-    let sk = scbr_crypto::ctr::SymmetricKey::from_bytes([0x5c; 16]);
-    let pk = scbr_crypto::rsa::RsaPublicKey::from_parts(
-        scbr_crypto::BigUint::from_u64(3233),
-        scbr_crypto::BigUint::from_u64(17),
-    );
-    let mut rng = CryptoRng::from_seed(11);
-    let headers: Vec<Vec<u8>> = pubs
-        .iter()
-        .map(|p| AesCtr::encrypt_with_nonce(&sk, &mut rng, &scbr::codec::encode_header(p)))
-        .collect();
+    let n_msgs = pubs.len() as f64;
 
     println!(
-        "\n{:<7} {:<6} {:>8} {:>10} {:>14} {:>12} {:>10}",
-        "slices", "batch", "ecalls", "trans/msg", "virt µs/msg", "wall µs/msg", "epc swaps"
+        "\nleaves  batch    ecalls  trans/msg    virt µs/msg   path µs/msg  wall µs/msg  epc swaps"
     );
     let mut rows: Vec<JsonObj> = Vec::new();
-    let mut wall_at_32 = Vec::new();
-    for &n_slices in &SLICES {
-        let mut router = PartitionedRouter::in_enclaves(&platform, n_slices).expect("launch");
-        router.provision_keys(&sk, &pk);
-        for (i, spec) in subs.iter().enumerate() {
-            router
-                .register_plain(SubscriptionId(i as u64), ClientId(i as u64), spec)
-                .expect("register");
-        }
+    let mut reference = None;
+    let mut mismatched = Vec::new();
+    for &leaves in &LEAVES {
+        let mut fabric = scaleout_fabric(leaves, epc, 17, &subs);
+        let brokers = fabric.topology().routers();
         // Warm up caches/EPC residency before the measured sweeps.
-        let mut matches = BatchMatches::new();
-        router.match_batch_into(&headers[..32.min(headers.len())], &mut matches);
+        fabric.publish(0, &pubs[..32.min(pubs.len())]).expect("publish");
 
         let mut prev_virt: Option<f64> = None;
         let mut knee: Option<usize> = None;
         for &batch in &BATCHES {
-            router.reset_counters();
-            for chunk in headers.chunks(batch) {
-                router.match_batch_into(chunk, &mut matches);
+            fabric.reset_counters();
+            let mut deliveries = Vec::new();
+            let started = Instant::now();
+            for (i, chunk) in pubs.chunks(batch).enumerate() {
+                deliveries
+                    .extend(delivered(&fabric.publish(0, chunk).expect("publish"), i * batch));
             }
-            let n_msgs = headers.len() as f64;
-            let ecalls = router.total_ecalls();
+            let wall_us = started.elapsed().as_nanos() as f64 / n_msgs / 1_000.0;
+            deliveries.sort_unstable();
+            let ecalls = fabric.total_ecalls();
+            let ocalls: u64 = fabric.broker_stats().iter().map(|s| s.ocalls).sum();
             let trans_per_msg = ecalls as f64 / n_msgs;
-            let virt_us = router.parallel_elapsed_ns() / n_msgs / 1_000.0;
-            let wall_us = router.fanout_wall_ns() as f64 / n_msgs / 1_000.0;
-            let swaps = router.total_epc_swaps();
+            let virt_us = fabric.max_elapsed_ns() / n_msgs / 1_000.0;
+            let path_us = path_elapsed_ns(&fabric) / n_msgs / 1_000.0;
+            let (swaps, _) = mem_counter(&mut fabric, "epc_swaps");
             println!(
-                "{:<7} {:<6} {:>8} {:>10.3} {:>14.2} {:>12.2} {:>10}",
-                n_slices, batch, ecalls, trans_per_msg, virt_us, wall_us, swaps
+                "{:<7} {:<6} {:>8} {:>10.3} {:>14.2} {:>13.2} {:>12.2} {:>10}",
+                leaves, batch, ecalls, trans_per_msg, virt_us, path_us, wall_us, swaps
             );
             rows.push(
                 JsonObj::new()
-                    .int("slices", n_slices as u64)
+                    .int("leaves", leaves as u64)
+                    .int("brokers", brokers as u64)
                     .int("batch", batch as u64)
-                    .int("publications", headers.len() as u64)
+                    .int("publications", pubs.len() as u64)
                     .int("subscriptions", n_subs as u64)
                     .int("ecalls", ecalls)
-                    .int("ocalls", router.total_ocalls())
+                    .int("ocalls", ocalls)
                     .num("transitions_per_msg", trans_per_msg)
                     .num("virtual_us_per_msg", virt_us)
+                    .num("path_us_per_msg", path_us)
                     .num("throughput_virtual_msg_per_s", 1_000_000.0 / virt_us)
                     .num("wall_us_per_msg", wall_us)
                     .int("epc_swaps", swaps)
-                    .num("occupancy_skew", router.occupancy_skew()),
+                    .int("deliveries", deliveries.len() as u64),
             );
-            if batch == 32 {
-                wall_at_32.push((n_slices, virt_us, wall_us));
+            if *reference.get_or_insert_with(|| deliveries.clone()) != deliveries {
+                mismatched.push((leaves, batch));
             }
             if let (Some(prev), None) = (prev_virt, knee) {
                 if (prev - virt_us) / prev < 0.05 {
@@ -132,27 +122,27 @@ fn main() {
             }
             prev_virt = Some(virt_us);
         }
-        let occupancy = router.slice_stats();
-        let per_slice_mb =
-            occupancy.first().map(|s| s.index_bytes as f64 / (1024.0 * 1024.0)).unwrap_or(0.0);
+        let (_, max_bytes) = mem_counter(&mut fabric, "allocated_bytes");
+        let max_mb = max_bytes as f64 / (1024.0 * 1024.0);
         match knee {
             Some(b) => println!(
                 "  -> knee at batch {b}: transition amortisation flattened \
-                 (per-slice db {per_slice_mb:.1} MB, skew {:.2})",
-                router.occupancy_skew()
+                 (largest broker {max_mb:.1} MB)"
             ),
             None => println!("  -> no knee up to batch 128 (still transition-bound)"),
         }
     }
 
-    println!("\nwall-clock fan-out at batch 32 (scoped threads, host-measured):");
-    for (n_slices, virt_us, wall_us) in &wall_at_32 {
-        println!("  {n_slices} slice(s): {virt_us:>8.2} virt µs/msg  {wall_us:>8.2} wall µs/msg");
-    }
     println!(
-        "\nexpected: measured transitions/msg = slices/batch (the 1/batch_size \
-         amortisation); the EPC-thrashing single slice loses to partitioned \
-         slices on both clocks once batches stop dominating"
+        "\nexpected: measured transitions/msg = brokers/batch (the 1/batch_size \
+         amortisation); the EPC-thrashing single broker loses to every star's \
+         bottleneck broker once batches stop dominating"
     );
     emit("batching", scale.name, &rows);
+    if !mismatched.is_empty() {
+        eprintln!(
+            "delivery sets differ from the one-broker rows at (leaves, batch) {mismatched:?}"
+        );
+        std::process::exit(1);
+    }
 }

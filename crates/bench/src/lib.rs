@@ -10,8 +10,8 @@
 //! | `fig6` | Figure 6 | matching time vs #subscriptions, all nine workloads, plaintext outside |
 //! | `fig7` | Figure 7 | per workload: Out ASPE vs In AES vs Out AES + cache-miss % |
 //! | `fig8` | Figure 8 | registration-time and page-fault in/out ratios vs database size |
-//! | `scaleout` | extension | partitioned router vs the EPC limit, 1/2/4/8 slices |
-//! | `batching` | extension | batch size × slice count: amortised enclave transitions |
+//! | `scaleout` | extension | one attested broker vs stars of 2/4/8 leaves under a reduced EPC |
+//! | `batching` | extension | batch size × star width: amortised enclave transitions |
 //! | `overlay` | extension | broker chains: covering-pruned propagation, multi-hop batches |
 //!
 //! All times are **virtual nanoseconds** from the `sgx-sim` cost model
@@ -44,8 +44,9 @@ use scbr::subscription::SubscriptionSpec;
 use scbr_aspe::{AspeAuthority, AspeMatcher};
 use scbr_crypto::ctr::AesCtr;
 use scbr_crypto::rng::CryptoRng;
+use scbr_overlay::{Delivery, FabricConfig, OverlayFabric, Topology};
 use scbr_workloads::{MarketConfig, StockMarket, Workload};
-use sgx_sim::{MemStats, SgxPlatform};
+use sgx_sim::{EpcConfig, MemStats, SgxPlatform};
 
 /// Experiment scale parameters.
 #[derive(Debug, Clone)]
@@ -320,6 +321,60 @@ impl AspeExperiment {
             index_bytes: self.matcher.logical_bytes(),
         }
     }
+}
+
+/// The scale-out deployment the `scaleout` and `batching` bins sweep, with
+/// `subs` registered: one attested broker when `leaves` is 1, otherwise a
+/// star of hub 0 and `leaves` leaves, subscription `i` (client `i`) on
+/// leaf `1 + i % leaves`. Every broker's machine has EPC geometry `epc`.
+/// Publications enter at broker 0.
+///
+/// # Panics
+///
+/// Panics if the fabric cannot be built or a subscription is refused.
+pub fn scaleout_fabric(
+    leaves: usize,
+    epc: EpcConfig,
+    seed: u64,
+    subs: &[SubscriptionSpec],
+) -> OverlayFabric {
+    let topology = if leaves == 1 { Topology::line(1) } else { Topology::star(1 + leaves) };
+    let config = FabricConfig { epc, ..FabricConfig::attested(seed) };
+    let mut fabric = OverlayFabric::build(topology, config).expect("fabric build");
+    for (i, spec) in subs.iter().enumerate() {
+        let at = if leaves == 1 { 0 } else { 1 + i % leaves };
+        fabric.subscribe(at, ClientId(i as u64), spec).expect("subscribe");
+    }
+    fabric
+}
+
+/// Virtual nanoseconds since the last reset on the longest path through a
+/// [`scaleout_fabric`]: the hub's clock plus the slowest leaf's (the one
+/// broker's clock when there are no leaves). That is one batch's latency;
+/// [`OverlayFabric::max_elapsed_ns`] is the bottleneck broker instead.
+pub fn path_elapsed_ns(fabric: &OverlayFabric) -> f64 {
+    let stats = fabric.broker_stats();
+    let slowest_leaf = stats[1..].iter().map(|s| s.elapsed_ns).fold(0.0, f64::max);
+    stats[0].elapsed_ns + slowest_leaf
+}
+
+/// Sums memory counter `name` (`epc_swaps`, `allocated_bytes`, …) over
+/// the fabric's brokers, and takes its largest per-broker value, from the
+/// `mem.*` telemetry counters.
+pub fn mem_counter(fabric: &mut OverlayFabric, name: &str) -> (u64, u64) {
+    let key = format!("mem.{name}");
+    let values: Vec<u64> =
+        fabric.telemetry().brokers.iter().map(|b| b.counters.get(&key).unwrap_or(0)).collect();
+    (values.iter().sum(), values.iter().copied().max().unwrap_or(0))
+}
+
+/// Who received what: the sorted `(client, publication)` pairs of
+/// `deliveries`, publication indices shifted by `offset` (the batch's
+/// position in the run), whichever broker delivered them.
+pub fn delivered(deliveries: &[Delivery], offset: usize) -> Vec<(ClientId, usize)> {
+    let mut pairs: Vec<_> = deliveries.iter().map(|d| (d.client, offset + d.publication)).collect();
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Prints a standard experiment header.

@@ -20,8 +20,8 @@
 //! [`MatchingEngine::match_encrypted_batch_into`] matches a batch into a
 //! reused flat [`BatchMatches`] with per-header fault isolation, and
 //! [`RouterEngine::match_batch_into`] is that same call behind a single
-//! enclave crossing — the path the TCP router, the partitioned router
-//! and the benchmark all run.
+//! enclave crossing — the path the TCP router and the benchmark both
+//! run.
 
 use crate::attr::AttrSchema;
 use crate::codec;
@@ -119,32 +119,6 @@ impl BatchMatches {
     /// counted separately).
     pub fn total_clients(&self) -> usize {
         self.clients.len()
-    }
-
-    /// Commits one header's merged client span: `clients` is sorted and
-    /// deduplicated in place, appended to the shared buffer, and recorded
-    /// as the next header's outcome. This is how a partitioned router
-    /// folds several slices' results for one header into the same flat
-    /// shape a single engine produces.
-    pub fn push_span(&mut self, clients: &mut Vec<ClientId>) {
-        clients.sort_unstable_by_key(|c| c.0);
-        clients.dedup();
-        let start = self.clients.len() as u32;
-        self.clients.extend_from_slice(clients);
-        self.spans.push(Ok((start, self.clients.len() as u32)));
-    }
-
-    /// Records the next header's outcome as a failure (no clients).
-    pub fn push_error(&mut self, error: ScbrError) {
-        self.spans.push(Err(error));
-    }
-
-    /// Moves header `i`'s failure out, if it failed, leaving an empty
-    /// span in its place — how a partitioned router hands one slice's
-    /// error on to its merged result.
-    pub(crate) fn take_error(&mut self, i: usize) -> Option<ScbrError> {
-        let span = self.spans.get_mut(i).filter(|span| span.is_err())?;
-        std::mem::replace(span, Ok((0, 0))).err()
     }
 }
 
@@ -692,18 +666,6 @@ impl MatchingEngine {
                 .map(|()| (start, out.clients.len() as u32));
             out.spans.push(span);
         }
-    }
-
-    /// Live subscriptions whose delivery identity is a real edge client —
-    /// link-interface copies ([`ClientId::is_interface`]) excluded. This
-    /// is the occupancy figure load balancing must read: interface copies
-    /// are pinned to whichever broker owns the link, so counting them
-    /// makes a high-degree broker look permanently skewed.
-    pub fn edge_subscriptions(&self) -> usize {
-        self.registered
-            .iter()
-            .filter(|(_, deliver_to, _)| deliver_to.is_none_or(|c| !c.is_interface()))
-            .count()
     }
 
     /// The covering forest.
@@ -1346,51 +1308,6 @@ mod tests {
                 assert_eq!(out.get(i).unwrap(), engine.match_encrypted(ct).unwrap().as_slice());
             }
         }
-    }
-
-    #[test]
-    fn edge_subscriptions_excludes_interface_copies() {
-        let mut rng = CryptoRng::from_seed(47);
-        let producer = producer(&mut rng);
-        let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
-        let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
-        let edge = producer
-            .seal_registration(
-                &SubscriptionSpec::new().eq("s", "E"),
-                SubscriptionId(1),
-                ClientId(7),
-                &mut rng,
-            )
-            .unwrap();
-        let learnt = producer
-            .seal_registration(
-                &SubscriptionSpec::new().eq("s", "L"),
-                SubscriptionId(2),
-                ClientId(8),
-                &mut rng,
-            )
-            .unwrap();
-        let interface = ClientId(ClientId::INTERFACE_BIT | 3);
-        engine.register_envelope(&edge).unwrap();
-        engine.register_envelope_as(&learnt, Some(interface)).unwrap();
-        assert_eq!(engine.index().len(), 2);
-        assert_eq!(engine.edge_subscriptions(), 1, "the interface copy is not edge load");
-    }
-
-    #[test]
-    fn push_span_merges_like_a_single_engine() {
-        let mut out = BatchMatches::new();
-        let mut merged = vec![ClientId(4), ClientId(1), ClientId(4), ClientId(2)];
-        out.push_span(&mut merged);
-        out.push_error(ScbrError::NotFound { what: "header" });
-        let mut empty = Vec::new();
-        out.push_span(&mut empty);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.get(0).unwrap(), &[ClientId(1), ClientId(2), ClientId(4)]);
-        assert!(out.get(1).is_err());
-        assert!(out.get(2).unwrap().is_empty());
-        assert_eq!(out.total_clients(), 3);
     }
 
     #[test]

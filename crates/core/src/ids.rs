@@ -9,8 +9,8 @@ pub struct ClientId(pub u64);
 impl ClientId {
     /// Top bit reserved for synthetic delivery identities that stand for
     /// an overlay link rather than an edge client. Real client ids never
-    /// carry it; occupancy accounting uses it to tell edge load apart
-    /// from link-interface copies.
+    /// carry it; a broker routes a match on it to the link, not to a
+    /// local client.
     pub const INTERFACE_BIT: u64 = 1 << 63;
 
     /// True when this id is a synthetic link-interface identity rather

@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod attr;
-pub mod cluster;
 pub mod codec;
 pub mod engine;
 pub mod error;

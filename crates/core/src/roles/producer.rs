@@ -308,6 +308,18 @@ impl Producer {
     }
 }
 
+/// A producer dropped without [`Producer::shutdown`] still stops: its
+/// connection pumps hold the event queue open, so the loop would
+/// otherwise wait on it until the process ends.
+impl Drop for Producer {
+    fn drop(&mut self) {
+        if let Some(handle) = self.handle.take() {
+            let _ = self.control.send(ProducerCommand::Shutdown);
+            let _ = handle.join();
+        }
+    }
+}
+
 /// Encrypts `publications` and sends them to the router as
 /// `PublishBatch` frames, in order. Frames are chunked: never more than
 /// the router's per-crossing drain bound ([`MAX_DRAIN`]) per frame, and
@@ -412,5 +424,40 @@ fn push_key_updates(
                 send_best_effort(conn.as_ref(), &Message::KeyUpdate { wrapped: wrapped.clone() });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::RouterEngine;
+    use crate::roles::Router;
+    use scbr_net::{InProcNetwork, Transport};
+    use sgx_sim::SgxPlatform;
+    use std::time::Duration;
+
+    /// Dropping a producer stops its loop, which tells the router to shut
+    /// down: the router's join returns instead of waiting forever.
+    #[test]
+    fn dropping_a_producer_stops_it_and_its_router() {
+        let net = InProcNetwork::new();
+        let platform = SgxPlatform::for_testing(6);
+        let router = Router::spawn(net.bind("router").unwrap(), RouterEngine::outside(&platform));
+        let mut rng = CryptoRng::from_seed(6);
+        let crypto = ProducerCrypto::generate(512, &mut rng).unwrap();
+        let producer = Producer::spawn(
+            net.bind("producer").unwrap(),
+            net.connect("router").unwrap(),
+            crypto,
+            rng,
+        );
+        drop(producer);
+        let (joined_tx, joined_rx) = channel();
+        std::thread::spawn(move || joined_tx.send(router.join().is_ok()));
+        assert_eq!(
+            joined_rx.recv_timeout(Duration::from_secs(5)),
+            Ok(true),
+            "the dropped producer's Shutdown reaches the router"
+        );
     }
 }

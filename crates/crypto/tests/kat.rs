@@ -5,7 +5,8 @@
 //! * AES-CTR — NIST SP 800-38A F.5.1 / F.5.5
 //! * AES-CTR and `SealedBox` — seeded outputs, pinned byte for byte
 //! * HMAC-SHA256 — RFC 4231 test cases 1–7
-//! * Poly1305 — RFC 8439 §2.5.2
+//! * Poly1305 — RFC 8439 §2.5.2, and one input that reaches the final
+//!   reduction's first-pass carry
 //! * HKDF-SHA256 — RFC 5869 test cases 1–3
 //! * RSA — seeded 512- and 1024-bit keys, their PKCS#1 v1.5 SHA-256
 //!   signatures and one type-2 ciphertext, pinned byte for byte
@@ -270,6 +271,24 @@ fn poly1305_rfc8439_2_5_2() {
     let mut mac = Poly1305::new(&key);
     mac.update(b"Cryptographic Forum Research Group");
     assert_eq!(mac.finalize().to_vec(), hex("a8061dc1305136c6c22b8baf0c0127a9"));
+}
+
+/// A one-block message built to reach `finalize`'s first-pass `h0 → h1`
+/// carry, which neither the RFC vector nor random inputs reach. With this
+/// clamped `r` the block leaves the accumulator at 2¹³⁰ + 2⁴⁴ − 5 in
+/// limbs (2⁴⁴ − 5, 2⁴⁴, 2⁴² − 1): the first pass folds 2¹³⁰ back in as 5,
+/// which lifts `h0` to 2⁴⁴ and carries into `h1`. `h mod p` is 2⁴⁴, so
+/// the tag is `s + 2⁴⁴`. The expected tag comes from RFC 8439's
+/// big-integer algorithm, computed independently of this implementation.
+#[test]
+fn poly1305_finalize_first_pass_carry() {
+    let key: [u8; 32] = hex("9ae6315810c266b376b61ec71f82f9b9\
+                             bf5d991f14f84b8471fc1e23026490ff")
+    .try_into()
+    .unwrap();
+    let mut mac = Poly1305::new(&key);
+    mac.update(&hex("480b8649b5389b27a9d088b99381d271"));
+    assert_eq!(mac.finalize().to_vec(), hex("bf5d991f14084c8471fc1e23026490ff"));
 }
 
 // -------------------------------------------------------------------------

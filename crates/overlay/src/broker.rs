@@ -182,7 +182,7 @@ use sgx_sim::enclave::EnclaveBuilder;
 use sgx_sim::link::{LinkAccept, LinkFinish, LinkHello, LinkInitiator, LinkResponder};
 use sgx_sim::platform::CounterId;
 use sgx_sim::seal::{SealPolicy, VersionedSeal};
-use sgx_sim::{CacheConfig, CostModel, Enclave, MemStats, MemorySim, SgxPlatform};
+use sgx_sim::{CacheConfig, CostModel, Enclave, EpcConfig, MemStats, MemorySim, SgxPlatform};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -1297,15 +1297,23 @@ impl std::fmt::Debug for Broker {
 const UNTRUSTED: OverlayError = OverlayError::Link { reason: "link trust anchors not configured" };
 
 impl Broker {
-    /// Launches an attested broker: own platform (its own machine), the
-    /// routing enclave measured from `code`, index in enclave memory, a
-    /// platform monotonic counter reserved for its recovery record.
+    /// Launches an attested broker: own platform (its own machine, with
+    /// an EPC of geometry `epc`), the routing enclave measured from
+    /// `code`, index in enclave memory, a platform monotonic counter
+    /// reserved for its recovery record.
     ///
     /// # Errors
     ///
     /// Propagates enclave-launch failures.
-    pub fn attested(id: usize, seed: u64, code: &[u8], flood: bool) -> Result<Self, OverlayError> {
-        let platform = SgxPlatform::for_testing(seed);
+    pub fn attested(
+        id: usize,
+        seed: u64,
+        code: &[u8],
+        flood: bool,
+        epc: EpcConfig,
+    ) -> Result<Self, OverlayError> {
+        let platform =
+            SgxPlatform::with_config(seed, CacheConfig::default(), epc, CostModel::default(), 512);
         let enclave = platform.launch(router_builder(code))?;
         let counter = platform.create_counter();
         let core = BrokerCore::fresh(enclave.memory(), flood, &[]);
@@ -2917,7 +2925,9 @@ mod tests {
     fn in_phase(phase: Lifecycle, producer: &ProducerCrypto) -> Broker {
         let mut broker = match phase {
             Lifecycle::Cold | Lifecycle::Linking => {
-                let mut broker = Broker::attested(0, 9, ROUTER_ENCLAVE_CODE, false).unwrap();
+                let mut broker =
+                    Broker::attested(0, 9, ROUTER_ENCLAVE_CODE, false, EpcConfig::default())
+                        .unwrap();
                 broker.set_neighbors(&[1]);
                 if phase == Lifecycle::Linking {
                     provision(&mut broker, producer);
@@ -2998,7 +3008,8 @@ mod tests {
     fn a_replay_request_parked_while_linking_is_served() {
         let mut rng = CryptoRng::from_seed(21);
         let producer = producer(&mut rng);
-        let mut broker = Broker::attested(0, 21, ROUTER_ENCLAVE_CODE, false).unwrap();
+        let mut broker =
+            Broker::attested(0, 21, ROUTER_ENCLAVE_CODE, false, EpcConfig::default()).unwrap();
         broker.set_neighbors(&[1, 2]);
         provision(&mut broker, &producer);
         let mut peers = relink(&mut broker);

@@ -77,7 +77,8 @@ pub(super) fn serving(
     neighbors: &[usize],
     producer: &ProducerCrypto,
 ) -> (Broker, Peers) {
-    let mut broker = Broker::attested(id, seed, ROUTER_ENCLAVE_CODE, flood).expect("launch");
+    let mut broker = Broker::attested(id, seed, ROUTER_ENCLAVE_CODE, flood, EpcConfig::default())
+        .expect("launch");
     broker.set_neighbors(neighbors);
     provision(&mut broker, producer);
     let peers = relink(&mut broker);

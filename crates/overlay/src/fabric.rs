@@ -46,6 +46,7 @@ use scbr::{PublicationSpec, ScbrError, SubscriptionSpec};
 use scbr_crypto::rng::CryptoRng;
 use scbr_telemetry::{BrokerTelemetry, MetricsRegistry, TelemetrySnapshot, TraceId};
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
+use sgx_sim::EpcConfig;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The measured content of the genuine overlay routing enclave. A broker
@@ -81,13 +82,22 @@ pub struct FabricConfig {
     /// behaviourally identical, but off keeps the crossing counts
     /// byte-for-byte those of the seed fabric.
     pub telemetry: bool,
+    /// EPC geometry of every broker's machine. The scale-out experiments
+    /// shrink it so one broker's index overflows the usable EPC while a
+    /// star's leaves each fit.
+    pub epc: EpcConfig,
 }
 
 impl FabricConfig {
     /// The default production-shaped configuration: attested brokers,
     /// covering-pruned propagation.
     pub fn attested(seed: u64) -> Self {
-        FabricConfig { seed, propagation: Propagation::CoveringPruned, telemetry: false }
+        FabricConfig {
+            seed,
+            propagation: Propagation::CoveringPruned,
+            telemetry: false,
+            epc: EpcConfig::default(),
+        }
     }
 
     /// Enables hot-path telemetry (stage histograms + cross-hop tracing)
@@ -229,7 +239,7 @@ impl OverlayFabric {
         let mut service = AttestationService::new();
         for id in 0..n {
             let seed = config.seed.wrapping_mul(7919).wrapping_add(id as u64 + 1);
-            let mut broker = Broker::attested(id, seed, ROUTER_ENCLAVE_CODE, flood)?;
+            let mut broker = Broker::attested(id, seed, ROUTER_ENCLAVE_CODE, flood, config.epc)?;
             broker.set_neighbors(topology.neighbors(id));
             service.trust_platform(broker.platform().attestation_public_key().clone());
             brokers.push(broker);
@@ -872,8 +882,12 @@ impl OverlayFabric {
         self.brokers.iter().map(|b| b.stats().ecalls).sum()
     }
 
-    /// Slowest broker's virtual clock since the last reset (the overlay's
-    /// critical path for concurrently-running brokers).
+    /// Slowest broker's virtual clock since the last reset: the
+    /// bottleneck that bounds pipelined throughput when brokers run
+    /// concurrently. It is not one publication's latency, which through a
+    /// star is the hub's time plus a leaf's; the `scaleout` and
+    /// `batching` bins report that as `path_us_per_pub` and
+    /// `path_us_per_msg`.
     pub fn max_elapsed_ns(&self) -> f64 {
         self.brokers.iter().map(|b| b.stats().elapsed_ns).fold(0.0, f64::max)
     }

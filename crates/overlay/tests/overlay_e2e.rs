@@ -13,8 +13,13 @@ use scbr_overlay::broker::{Broker, Input, LinkFrame, Output};
 use scbr_overlay::fabric::{router_measurement, FabricConfig, OverlayFabric, ROUTER_ENCLAVE_CODE};
 use scbr_overlay::{Delivery, Lifecycle, OverlayError, Topology};
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
-use sgx_sim::SgxError;
+use sgx_sim::{EpcConfig, SgxError};
 use std::collections::VecDeque;
+
+/// A cold attested broker on a default-EPC machine.
+fn attested(id: usize, seed: u64, code: &[u8]) -> Broker {
+    Broker::attested(id, seed, code, false, EpcConfig::default()).unwrap()
+}
 
 fn out_frames(outputs: &[Output]) -> Vec<LinkFrame> {
     outputs
@@ -156,8 +161,8 @@ fn pruning_shrinks_upstream_state() {
 fn link_establishment_rejects_wrong_measurement() {
     let mut rng = scbr_crypto::rng::CryptoRng::from_seed(1000);
     let producer = scbr::protocol::keys::ProducerCrypto::generate(512, &mut rng).unwrap();
-    let mut genuine = Broker::attested(0, 1000, ROUTER_ENCLAVE_CODE, false).unwrap();
-    let mut tampered = Broker::attested(1, 1001, b"routing engine + backdoor", false).unwrap();
+    let mut genuine = attested(0, 1000, ROUTER_ENCLAVE_CODE);
+    let mut tampered = attested(1, 1001, b"routing engine + backdoor");
     let mut service = AttestationService::new();
     service.trust_platform(genuine.platform().attestation_public_key().clone());
     service.trust_platform(tampered.platform().attestation_public_key().clone());
@@ -215,8 +220,8 @@ fn link_establishment_rejects_wrong_measurement() {
 fn link_establishment_rejects_untrusted_platform() {
     let mut rng = scbr_crypto::rng::CryptoRng::from_seed(1002);
     let producer = scbr::protocol::keys::ProducerCrypto::generate(512, &mut rng).unwrap();
-    let mut genuine = Broker::attested(0, 1002, ROUTER_ENCLAVE_CODE, false).unwrap();
-    let mut emulated = Broker::attested(1, 1003, ROUTER_ENCLAVE_CODE, false).unwrap();
+    let mut genuine = attested(0, 1002, ROUTER_ENCLAVE_CODE);
+    let mut emulated = attested(1, 1003, ROUTER_ENCLAVE_CODE);
     // Only the genuine broker's platform is trusted by honest verifiers;
     // the emulator's own service naturally trusts itself.
     let mut service = AttestationService::new();
@@ -254,8 +259,8 @@ fn tampered_link_frames_are_refused() {
     };
     // Two attested brokers with an established sealed link; flip one
     // ciphertext bit in a forwarded frame and watch it bounce.
-    let mut a = Broker::attested(0, 1004, ROUTER_ENCLAVE_CODE, false).unwrap();
-    let mut b = Broker::attested(1, 1005, ROUTER_ENCLAVE_CODE, false).unwrap();
+    let mut a = attested(0, 1004, ROUTER_ENCLAVE_CODE);
+    let mut b = attested(1, 1005, ROUTER_ENCLAVE_CODE);
     let mut service = AttestationService::new();
     service.trust_platform(a.platform().attestation_public_key().clone());
     service.trust_platform(b.platform().attestation_public_key().clone());

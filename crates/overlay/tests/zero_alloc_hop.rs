@@ -26,6 +26,7 @@ use scbr_overlay::broker::{Broker, Input, LinkFrame, Output};
 use scbr_overlay::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
 use scbr_overlay::{Lifecycle, TraceId};
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
+use sgx_sim::EpcConfig;
 
 thread_local! {
     /// Allocator calls made by the current thread. `const`-initialised
@@ -115,7 +116,7 @@ fn attested_line(clients: u64) -> (Vec<Broker>, Vec<PublishItem>) {
         .collect();
     let mut brokers: Vec<Broker> = (0..BROKERS)
         .map(|id| {
-            Broker::attested(id, 2702 + id as u64, ROUTER_ENCLAVE_CODE, false)
+            Broker::attested(id, 2702 + id as u64, ROUTER_ENCLAVE_CODE, false, EpcConfig::default())
                 .expect("enclave launch")
         })
         .collect();

@@ -3,8 +3,8 @@
 //! The paper evaluates SCBR almost entirely through measurement, and the
 //! repro had grown one ad-hoc counter struct per subsystem
 //! (`sgx_sim::MemStats`, the overlay's `BrokerStats`, ASPE's
-//! `BloomGateStats`, the cluster's `SliceStats`, per-link forwarding
-//! ledgers) with no shared surface. This crate is the surface:
+//! `BloomGateStats`, per-link forwarding ledgers) with no shared
+//! surface. This crate is the surface:
 //!
 //! * [`MetricsRegistry`] — named monotonic counters/gauges with cheap
 //!   [`Snapshot`]/[`Snapshot::delta`] semantics. Every stats struct in the

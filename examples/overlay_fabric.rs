@@ -32,6 +32,7 @@ use scbr_overlay::broker::{Broker, Input, Output};
 use scbr_overlay::fabric::{router_measurement, FabricConfig, OverlayFabric, ROUTER_ENCLAVE_CODE};
 use scbr_overlay::Topology;
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
+use sgx_sim::EpcConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Build + attest the fabric. ----------------------------------
@@ -44,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // measurement, so an honest broker refuses the handshake hello.
     let mut rng = scbr_crypto::rng::CryptoRng::from_seed(900);
     let producer = scbr::protocol::keys::ProducerCrypto::generate(512, &mut rng)?;
-    let mut honest = Broker::attested(10, 900, ROUTER_ENCLAVE_CODE, false)?;
-    let mut rogue = Broker::attested(11, 901, b"router + backdoor", false)?;
+    let mut honest = Broker::attested(10, 900, ROUTER_ENCLAVE_CODE, false, EpcConfig::default())?;
+    let mut rogue = Broker::attested(11, 901, b"router + backdoor", false, EpcConfig::default())?;
     let mut service = AttestationService::new();
     service.trust_platform(honest.platform().attestation_public_key().clone());
     service.trust_platform(rogue.platform().attestation_public_key().clone());

@@ -9,7 +9,9 @@
 use scbr::engine::RouterEngine;
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
-use scbr_bench::{AspeExperiment, EngineConfig, MatchExperiment, Scale};
+use scbr_bench::{
+    delivered, mem_counter, scaleout_fabric, AspeExperiment, EngineConfig, MatchExperiment, Scale,
+};
 use scbr_workloads::{StockMarket, Workload, WorkloadName};
 use sgx_sim::{EpcConfig, SgxPlatform};
 
@@ -176,83 +178,63 @@ fn all_configs_agree_on_results() {
     }
 }
 
-/// The batching ablation's two claims (this PR's acceptance criteria),
-/// asserted on the deterministic virtual clocks: measured transitions
-/// scale as `slices / batch_size`, and a partitioned router whose slices
-/// each fit the EPC beats the single EPC-thrashing slice on a Zipf
-/// workload.
+/// The batching ablation's claims, asserted on the deterministic virtual
+/// clocks: one broker whose index overflows the EPC pages while no broker
+/// of a 2-leaf star does (the hub included), every broker crosses into
+/// its enclave once per batch, the star's bottleneck broker at least
+/// halves the thrashing broker's time, batching amortises the one
+/// broker's transitions, and both shapes deliver the same publications to
+/// the same clients.
 #[test]
 fn batching_amortises_transitions_and_partitioning_beats_epc_thrash() {
-    use scbr::cluster::PartitionedRouter;
-    use scbr_crypto::ctr::AesCtr;
-    use scbr_crypto::rng::CryptoRng;
-    use sgx_sim::{CacheConfig, CostModel};
-
     let scale = Scale::smoke();
     let market = StockMarket::generate(&scale.market, 1);
     let workload = Workload::from_name(WorkloadName::E80A1Zz100);
-    // A tight EPC: one slice's index overflows usable EPC, two fit.
+    // A tight EPC: one broker's index overflows usable EPC, a leaf's fits.
     let epc = EpcConfig { total_bytes: 2 << 20, usable_bytes: 1 << 20, page_size: 4096 };
-    let platform =
-        SgxPlatform::with_config(31, CacheConfig::default(), epc, CostModel::default(), 512);
     let subs = workload.subscriptions(&market, 5_000, 7);
     let pubs = workload.publications(&market, 32, 8);
-    let sk = scbr_crypto::ctr::SymmetricKey::from_bytes([0x5c; 16]);
-    let pk = scbr_crypto::rsa::RsaPublicKey::from_parts(
-        scbr_crypto::BigUint::from_u64(3233),
-        scbr_crypto::BigUint::from_u64(17),
-    );
-    let mut rng = CryptoRng::from_seed(3);
-    let headers: Vec<Vec<u8>> = pubs
-        .iter()
-        .map(|p| AesCtr::encrypt_with_nonce(&sk, &mut rng, &scbr::codec::encode_header(p)))
-        .collect();
 
-    let mut virt_per_batch = Vec::new();
-    for slices in [1usize, 2] {
-        let mut router = PartitionedRouter::in_enclaves(&platform, slices).expect("launch");
-        router.provision_keys(&sk, &pk);
-        for (i, spec) in subs.iter().enumerate() {
-            router
-                .register_plain(SubscriptionId(i as u64), ClientId(i as u64), spec)
-                .expect("register");
-        }
-        if slices == 1 {
-            assert!(router.total_epc_swaps() > 0, "single slice must thrash the EPC");
-        } else {
-            assert_eq!(router.total_epc_swaps(), 0, "partitioned slices fit the EPC");
-        }
+    // Per shape, the bottleneck broker's virtual time at each batch size.
+    let mut virt = Vec::new();
+    let mut reference: Option<Vec<_>> = None;
+    for leaves in [1usize, 2] {
+        let mut fabric = scaleout_fabric(leaves, epc, 31, &subs);
+        let brokers = fabric.topology().routers() as u64;
+        let swaps = mem_counter(&mut fabric, "epc_swaps").0;
+        assert_eq!(swaps > 0, leaves == 1, "only the one broker pages, the hub included");
+        let mut times = Vec::new();
         for batch in [1usize, 8, 32] {
-            router.reset_counters();
-            for chunk in headers.chunks(batch) {
-                router.match_batch_into(chunk, &mut scbr::engine::BatchMatches::new());
+            fabric.reset_counters();
+            let mut set = Vec::new();
+            for (i, chunk) in pubs.chunks(batch).enumerate() {
+                set.extend(delivered(&fabric.publish(0, chunk).expect("publish"), i * batch));
             }
-            // Transition count scales as slices / batch (ceil per chunk).
-            let expected = slices as u64 * headers.chunks(batch).len() as u64;
-            assert_eq!(router.total_ecalls(), expected, "slices {slices}, batch {batch}");
-            if slices == 1 {
-                virt_per_batch.push(router.parallel_elapsed_ns());
+            set.sort_unstable();
+            let expected = brokers * pubs.chunks(batch).len() as u64;
+            assert_eq!(fabric.total_ecalls(), expected, "leaves {leaves}, batch {batch}");
+            if leaves > 1 {
+                assert_eq!(mem_counter(&mut fabric, "epc_swaps").0, 0, "batch {batch}");
             }
+            assert!(!set.is_empty(), "the workload must deliver");
+            let one_broker = reference.get_or_insert_with(|| set.clone());
+            assert_eq!(&set, one_broker, "same deliveries, leaves {leaves}, batch {batch}");
+            times.push(fabric.max_elapsed_ns());
         }
-        if slices == 2 {
-            // The partitioned router's critical path beats the thrashing
-            // single slice (compared at batch 32, the last measurement).
-            assert!(
-                router.parallel_elapsed_ns() < virt_per_batch[2] / 2.0,
-                "2 fitting slices at least halve the thrashing slice's time"
-            );
-        }
+        virt.push(times);
     }
+    let (one, star) = (&virt[0], &virt[1]);
+    assert!(
+        star[2] < one[2] / 2.0,
+        "the star's bottleneck ({}) at least halves the thrashing broker's time ({})",
+        star[2],
+        one[2]
+    );
     // Batch 32 beats batch 1 by roughly the 31 saved crossings. The full
-    // strict chain no longer holds: the arena index's per-publication
+    // strict chain does not hold: the arena index's per-publication
     // footprint is small enough that EPC swap counts — which shift a
-    // little with chunk boundaries on this deliberately thrashing slice —
+    // little with chunk boundaries on this deliberately thrashing broker —
     // are the same order as one transition, so adjacent batch sizes can
     // tie. The endpoint ordering stays deterministic.
-    assert!(
-        virt_per_batch[0] > virt_per_batch[2],
-        "batch 1 ({}) should cost more than batch 32 ({})",
-        virt_per_batch[0],
-        virt_per_batch[2]
-    );
+    assert!(one[0] > one[2], "batch 1 ({}) should cost more than batch 32 ({})", one[0], one[2]);
 }

@@ -10,12 +10,19 @@
 //! one attested broker and stars of a hub and 2 or 4 leaves, the
 //! subscriptions dealt round-robin over the leaves.
 //!
+//! A batch amortises a second cost too: each crossing matches its
+//! publications in one covering-forest walk, so a node that several of
+//! them reach is read once. The `reads/msg` column counts the enclave
+//! memory lines read per publication, summed over the brokers; it falls
+//! with batch size as the batch's publications share more of the forest.
+//!
 //! The workload is Zipf-skewed (`e80a1zz100`) and sized so one broker's
 //! index overflows the (reduced) usable EPC: the one broker pays page
 //! swaps, the leaves of a star fit. For each shape the run reports the
 //! **knee**: the smallest batch size past which per-message virtual time
 //! (the bottleneck broker's) stops improving by more than 5 % — where the
-//! amortised transition cost has flattened into the matching cost.
+//! amortised transitions and the shared node reads have both flattened
+//! into the per-publication matching cost.
 //!
 //! The wall column times the fabric's single-threaded scheduler on the
 //! host: brokers run one after another, so it is the sum of the brokers'
@@ -62,7 +69,7 @@ fn main() {
     let n_msgs = pubs.len() as f64;
 
     println!(
-        "\nleaves  batch    ecalls  trans/msg    virt µs/msg   path µs/msg  wall µs/msg  epc swaps"
+        "\nleaves  batch    ecalls  trans/msg  reads/msg    virt µs/msg   path µs/msg  wall µs/msg  epc swaps"
     );
     let mut rows: Vec<JsonObj> = Vec::new();
     let mut reference = None;
@@ -91,9 +98,18 @@ fn main() {
             let virt_us = fabric.max_elapsed_ns() / n_msgs / 1_000.0;
             let path_us = path_elapsed_ns(&fabric) / n_msgs / 1_000.0;
             let (swaps, _) = mem_counter(&mut fabric, "epc_swaps");
+            let reads_per_msg = mem_counter(&mut fabric, "reads").0 as f64 / n_msgs;
             println!(
-                "{:<7} {:<6} {:>8} {:>10.3} {:>14.2} {:>13.2} {:>12.2} {:>10}",
-                leaves, batch, ecalls, trans_per_msg, virt_us, path_us, wall_us, swaps
+                "{:<7} {:<6} {:>8} {:>10.3} {:>10.1} {:>14.2} {:>13.2} {:>12.2} {:>10}",
+                leaves,
+                batch,
+                ecalls,
+                trans_per_msg,
+                reads_per_msg,
+                virt_us,
+                path_us,
+                wall_us,
+                swaps
             );
             rows.push(
                 JsonObj::new()
@@ -105,6 +121,7 @@ fn main() {
                     .int("ecalls", ecalls)
                     .int("ocalls", ocalls)
                     .num("transitions_per_msg", trans_per_msg)
+                    .num("reads_per_msg", reads_per_msg)
                     .num("virtual_us_per_msg", virt_us)
                     .num("path_us_per_msg", path_us)
                     .num("throughput_virtual_msg_per_s", 1_000_000.0 / virt_us)
@@ -126,7 +143,7 @@ fn main() {
         let max_mb = max_bytes as f64 / (1024.0 * 1024.0);
         match knee {
             Some(b) => println!(
-                "  -> knee at batch {b}: transition amortisation flattened \
+                "  -> knee at batch {b}: transition and node-read amortisation flattened \
                  (largest broker {max_mb:.1} MB)"
             ),
             None => println!("  -> no knee up to batch 128 (still transition-bound)"),

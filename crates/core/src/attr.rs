@@ -73,9 +73,10 @@ impl AttrSchema {
         id
     }
 
-    /// Looks up an already-interned name (a unit-test helper).
-    #[cfg(test)]
-    pub(crate) fn lookup(&self, name: &str) -> Option<AttrId> {
+    /// Looks up an already-interned name without interning it: what a
+    /// decoder of untrusted input uses, so that input cannot grow the
+    /// table.
+    pub fn lookup(&self, name: &str) -> Option<AttrId> {
         self.read().by_name.get(name).copied()
     }
 

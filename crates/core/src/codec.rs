@@ -278,15 +278,22 @@ pub fn decode_header(bytes: &[u8]) -> Result<PublicationSpec, ScbrError> {
 }
 
 /// Decodes a wire header straight into a reusable [`crate::publication::CompiledHeader`]:
-/// attribute names are interned against `schema` without building `String`s
-/// and string values are FNV-hashed in place, so steady-state decoding of
-/// headers whose attributes the schema has already seen performs no heap
-/// allocation (beyond the entry buffer's one-time growth).
+/// attribute names are looked up in `schema` without building `String`s
+/// and string values are FNV-hashed in place, so steady-state decoding
+/// performs no heap allocation (beyond the entry buffer's one-time
+/// growth).
 ///
-/// Semantically equivalent to [`decode_header`] followed by
-/// [`PublicationSpec::compile_header`]: NaN values, duplicate attributes,
-/// malformed bytes and trailing bytes are all rejected, and entries come
-/// out sorted by attribute id. On error `header` is left empty.
+/// Names the schema does not know are skipped, never interned: only a
+/// subscription interns a name, so no constraint tests an unknown one,
+/// and a header cannot grow the schema. That matters because headers are
+/// unauthenticated AES-CTR: a host that flips ciphertext bits can mint
+/// fresh names at will.
+///
+/// Otherwise equivalent to [`decode_header`] followed by
+/// [`PublicationSpec::compile_header`]: NaN values, an attribute named
+/// twice (known or not), malformed bytes and trailing bytes are all
+/// rejected, and entries come out sorted by attribute id. On error
+/// `header` is left empty.
 ///
 /// # Errors
 ///
@@ -297,9 +304,11 @@ pub fn decode_header_into(
     schema: &crate::attr::AttrSchema,
     header: &mut crate::publication::CompiledHeader,
 ) -> Result<(), ScbrError> {
-    let result = decode_header_entries(bytes, schema, header.entries_mut());
+    let (entries, unknown) = header.decode_buffers();
+    let result = decode_header_entries(bytes, schema, entries, unknown);
+    unknown.clear();
     if result.is_err() {
-        header.entries_mut().clear();
+        entries.clear();
     }
     result
 }
@@ -308,13 +317,15 @@ fn decode_header_entries(
     bytes: &[u8],
     schema: &crate::attr::AttrSchema,
     entries: &mut Vec<(crate::attr::AttrId, crate::value::Scalar)>,
+    unknown: &mut Vec<std::ops::Range<usize>>,
 ) -> Result<(), ScbrError> {
     use crate::value::{fnv1a, Scalar};
     entries.clear();
+    unknown.clear();
     let mut r = Reader::new(bytes);
     let n = r.u16()? as usize;
     for _ in 0..n {
-        let id = schema.intern(r.str_ref()?);
+        let name = r.str_ref()?;
         let scalar = match r.u8()? {
             TAG_INT => Scalar::Int(r.i64()?),
             TAG_FLOAT => {
@@ -327,10 +338,26 @@ fn decode_header_entries(
             TAG_STR => Scalar::Str(fnv1a(r.str_ref()?.as_bytes())),
             _ => return Err(ScbrError::Codec { context: "value tag" }),
         };
-        if entries.iter().any(|(a, _)| *a == id) {
+        let duplicate = match schema.lookup(name) {
+            Some(id) if entries.iter().all(|(a, _)| *a != id) => {
+                entries.push((id, scalar));
+                false
+            }
+            Some(_) => true,
+            // An unknown name can only repeat an earlier unknown one,
+            // whose bytes its range still points at.
+            None => {
+                let name = name.as_bytes();
+                let repeated = unknown.iter().any(|earlier| &bytes[earlier.clone()] == name);
+                // `name` borrows from `bytes`, so its offset is exact.
+                let start = name.as_ptr() as usize - bytes.as_ptr() as usize;
+                unknown.push(start..start + name.len());
+                repeated
+            }
+        };
+        if duplicate {
             return Err(ScbrError::InvalidPublication { reason: "duplicate attribute" });
         }
-        entries.push((id, scalar));
     }
     if !r.is_exhausted() {
         return Err(ScbrError::Codec { context: "header trailing bytes" });
@@ -543,6 +570,33 @@ mod tests {
         trailing.push(0);
         assert!(decode_header_into(&trailing, &schema, &mut header).is_err());
         assert!(header.is_empty());
+    }
+
+    #[test]
+    fn decode_header_into_skips_unknown_names_without_interning() {
+        let schema = crate::attr::AttrSchema::new();
+        let price = schema.intern("price");
+        let mut header = crate::publication::CompiledHeader::empty();
+        let bytes = encode_header(
+            &PublicationSpec::new().attr("fresh", 1i64).attr("price", 2.5).attr("other", "x"),
+        );
+        decode_header_into(&bytes, &schema, &mut header).unwrap();
+        assert_eq!(header.entries(), &[(price, crate::value::Scalar::Float(2.5))]);
+        assert_eq!(schema.len(), 1, "decoding interned a name");
+        // An attribute named twice is refused whether the schema knows it
+        // or not, and whatever lies between the two.
+        for twice in [
+            PublicationSpec::new().attr("fresh", 1i64).attr("price", 2.0).attr("fresh", "y"),
+            PublicationSpec::new().attr("price", 1i64).attr("fresh", 2.0).attr("price", 3i64),
+        ] {
+            let bytes = encode_header(&twice);
+            assert!(matches!(
+                decode_header_into(&bytes, &schema, &mut header),
+                Err(ScbrError::InvalidPublication { reason: "duplicate attribute" })
+            ));
+            assert!(header.is_empty());
+        }
+        assert_eq!(schema.len(), 1);
     }
 
     #[test]

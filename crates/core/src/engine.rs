@@ -14,14 +14,13 @@
 //! One allocation-free core behind every encrypted entry point:
 //! [`MatchingEngine::match_plain`] and [`MatchingEngine::match_encrypted`]
 //! are the single-shot conveniences that return an owned client list
-//! (figure binaries, examples, test oracles);
-//! [`MatchingEngine::match_encrypted_append`] matches one header into a
-//! caller-owned buffer (what an overlay broker routes each hop with);
-//! [`MatchingEngine::match_encrypted_batch_into`] matches a batch into a
-//! reused flat [`BatchMatches`] with per-header fault isolation, and
-//! [`RouterEngine::match_batch_into`] is that same call behind a single
-//! enclave crossing — the path the TCP router and the benchmark both
-//! run.
+//! (figure binaries, examples, test oracles), the encrypted one a batch
+//! of one; [`MatchingEngine::match_encrypted_batch_into`] matches a batch into a
+//! reused flat [`BatchMatches`] with per-header fault isolation, walking
+//! the covering forest once per [`MAX_DRAIN`] chunk — what an overlay
+//! broker routes each crossing with — and [`RouterEngine::match_batch_into`]
+//! is that same call behind a single enclave crossing, the path the TCP
+//! router and the benchmark both run.
 
 use crate::attr::AttrSchema;
 use crate::codec;
@@ -43,8 +42,14 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// delivery latency under saturation and the working set a single ECALL
 /// pins inside the enclave: the TCP router's drain loop and an overlay
 /// broker's hop both chunk their batches by it, and the producer never
-/// packs more into one frame.
+/// packs more into one frame. It is also the width of one covering-forest
+/// walk: a crossing shares the node reads of its publications, not only
+/// the transition, and [`MatchingEngine::match_encrypted_batch_into`]
+/// walks a longer batch in chunks of this many.
 pub const MAX_DRAIN: usize = 128;
+
+// A walk's live set is a `u128`, one bit per publication.
+const _: () = assert!(MAX_DRAIN <= u128::BITS as usize);
 
 /// Per-engine reusable buffers for the hot matching path. All match entry
 /// points are `&self`, so the scratch sits behind a mutex; matching is
@@ -52,20 +57,23 @@ pub const MAX_DRAIN: usize = 128;
 /// time) and an uncontended `std::sync::Mutex` never allocates.
 #[derive(Debug, Default)]
 struct EngineScratch {
-    /// Index traversal state (the DFS stack).
+    /// Index traversal state (the DFS stacks, a chunk's attribute table
+    /// and its per-publication client lists).
     index: MatchScratch,
     /// Decrypted header plaintext, reused across publications.
     plain: Vec<u8>,
-    /// Compiled header, decoded in place without `String`/`Value` churn.
-    header: CompiledHeader,
+    /// A chunk's compiled headers, decoded in place without
+    /// `String`/`Value` churn; as long as the longest chunk so far.
+    headers: Vec<CompiledHeader>,
     /// CTR cipher with the session key's schedule already expanded, keyed
     /// by the `SymmetricKey` it was built from so re-provisioning cannot
     /// serve a stale schedule. `AesCtr::new` expands the key per call; at
     /// one key for millions of headers that is pure hot-path churn.
     cipher: Option<(SymmetricKey, AesCtr)>,
-    /// Per-stage latency histograms (decrypt, index match) — fixed-size
-    /// arrays with epoch-stamped clears, so recording a sample in the hot
-    /// path never allocates. Populated only when telemetry is enabled.
+    /// Per-stage latency histograms (decrypt per header, index match per
+    /// walk) — fixed-size arrays with epoch-stamped clears, so recording a
+    /// sample in the hot path never allocates. Populated only when
+    /// telemetry is enabled.
     stages: StageHistograms,
 }
 
@@ -574,16 +582,23 @@ impl MatchingEngine {
         Ok(out)
     }
 
-    /// Decrypt-decode-match one header, appending its sorted, deduplicated
-    /// clients to `out` — the shared allocation-free core of every
-    /// encrypted match path. Errors occur strictly before anything is
-    /// appended.
-    fn match_decrypt_append(
+    /// Decrypts `{header}SK` and decodes it into `scratch.headers[slot]`,
+    /// recording the header's [`Stage::Decrypt`] sample. Returns the
+    /// virtual time the decode took when telemetry is on (0 otherwise),
+    /// which belongs to the [`Stage::IndexMatch`] sample of the walk that
+    /// matches the header.
+    fn open_header(
         &self,
         header_ct: &[u8],
         scratch: &mut EngineScratch,
-        out: &mut Vec<ClientId>,
-    ) -> Result<(), ScbrError> {
+        slot: usize,
+    ) -> Result<f64, ScbrError> {
+        // The slot exists even when the header fails below: a chunk's
+        // walk borrows every slot up to its width, failed ones included.
+        let EngineScratch { plain, cipher, headers, stages, .. } = scratch;
+        if headers.len() <= slot {
+            headers.resize_with(slot + 1, CompiledHeader::empty);
+        }
         let sk = self.sk.as_ref().ok_or(ScbrError::MissingKeys { which: "SK" })?;
         // Stage timings read the virtual clock without charging it, so
         // the instrumented path is behaviourally identical to the
@@ -591,7 +606,6 @@ impl MatchingEngine {
         // histograms allocates nothing).
         let t_start = if self.telemetry { self.mem.elapsed_ns() } else { 0.0 };
         self.mem.charge_crypto_op(header_ct.len() as u64);
-        let EngineScratch { plain, cipher, .. } = scratch;
         if !matches!(cipher, Some((key, _)) if key == sk) {
             *cipher = Some((sk.clone(), AesCtr::new(sk, [0u8; scbr_crypto::ctr::NONCE_LEN])));
         }
@@ -599,73 +613,105 @@ impl MatchingEngine {
         ctr.decrypt_into(header_ct, plain)?;
         let t_decrypted = if self.telemetry { self.mem.elapsed_ns() } else { 0.0 };
         self.mem.charge_message_parse();
-        codec::decode_header_into(&scratch.plain, &self.schema, &mut scratch.header)?;
-        let start = out.len();
-        self.index.match_into(&scratch.header, &mut scratch.index, out);
-        out[start..].sort_unstable_by_key(|c| c.0);
-        // Dedup within the freshly appended span (Vec::dedup would also
-        // touch earlier spans).
-        let mut keep = start;
-        for i in start..out.len() {
-            if keep == start || out[keep - 1] != out[i] {
-                out[keep] = out[i];
-                keep += 1;
-            }
+        codec::decode_header_into(plain, &self.schema, &mut headers[slot])?;
+        if !self.telemetry {
+            return Ok(0.0);
         }
-        out.truncate(keep);
-        if self.telemetry {
-            let t_matched = self.mem.elapsed_ns();
-            scratch.stages.record(Stage::Decrypt, (t_decrypted - t_start).max(0.0) as u64);
-            scratch.stages.record(Stage::IndexMatch, (t_matched - t_decrypted).max(0.0) as u64);
-        }
-        Ok(())
+        stages.record(Stage::Decrypt, (t_decrypted - t_start).max(0.0) as u64);
+        Ok(self.mem.elapsed_ns() - t_decrypted)
     }
 
-    /// Decrypts `{header}SK` and matches it (the paper's step 5).
+    /// Records one walk's [`Stage::IndexMatch`] sample: its headers'
+    /// decode time plus the walk since `t_walk`.
+    fn record_walk(&self, stages: &mut StageHistograms, decode_ns: f64, t_walk: f64) {
+        if self.telemetry {
+            let walk_ns = self.mem.elapsed_ns() - t_walk;
+            stages.record(Stage::IndexMatch, (decode_ns + walk_ns).max(0.0) as u64);
+        }
+    }
+
+    /// Decrypts `{header}SK` and matches it (the paper's step 5): a
+    /// batch of one, so the covering-forest walk carries one publication.
     ///
     /// # Errors
     ///
     /// Decryption or decoding failures, or missing keys.
     pub fn match_encrypted(&self, header_ct: &[u8]) -> Result<Vec<ClientId>, ScbrError> {
-        let mut out = Vec::new();
-        self.match_encrypted_append(header_ct, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`MatchingEngine::match_encrypted`], but *appends* the
-    /// header's sorted, deduplicated clients to a caller-owned buffer
-    /// without clearing it: a warmed-up caller reusing one buffer sees no
-    /// heap allocation per publication. Nothing is appended on error.
-    ///
-    /// # Errors
-    ///
-    /// Decryption or decoding failures, or missing keys.
-    pub fn match_encrypted_append(
-        &self,
-        header_ct: &[u8],
-        out: &mut Vec<ClientId>,
-    ) -> Result<(), ScbrError> {
-        let mut scratch = self.scratch();
-        self.match_decrypt_append(header_ct, &mut scratch, out)
+        let mut out = BatchMatches::new();
+        self.match_encrypted_batch_into([header_ct], &mut out);
+        match out.spans.pop() {
+            Some(Err(e)) => Err(e),
+            // One header's span is the whole client buffer.
+            _ => Ok(out.clients),
+        }
     }
 
     /// Matches a batch of encrypted headers into a reusable flat
     /// [`BatchMatches`] — the zero-allocation spine of
-    /// [`RouterEngine::match_batch_into`]. Each header's outcome is
-    /// independent (a poisoned header records its error and the batch
-    /// continues), and in steady state — buffers at their high-water mark,
-    /// schema warm — the call performs no heap allocation at all.
-    pub fn match_encrypted_batch_into(&self, headers: &[Vec<u8>], out: &mut BatchMatches) {
+    /// [`RouterEngine::match_batch_into`] and of an overlay broker's hop.
+    /// Each header's outcome is independent: one that fails to decrypt or
+    /// decode records its error, stays out of the walk, and the batch
+    /// continues. The rest are matched [`MAX_DRAIN`] at a time, each chunk
+    /// in one covering-forest walk that reads a node once for all the
+    /// publications alive at it ([`PosetIndex::match_batch_into`]); a
+    /// chunk with one decodable header runs the walk of one. In steady
+    /// state — buffers at their high-water mark — the call performs no
+    /// heap allocation at all.
+    pub fn match_encrypted_batch_into<H: AsRef<[u8]>>(
+        &self,
+        headers: impl IntoIterator<Item = H>,
+        out: &mut BatchMatches,
+    ) {
         out.clear();
         let mut guard = self.scratch();
         let scratch = &mut *guard;
-        for ct in headers {
-            let start = out.clients.len() as u32;
-            let span = self
-                .match_decrypt_append(ct, scratch, &mut out.clients)
-                .map(|()| (start, out.clients.len() as u32));
-            out.spans.push(span);
+        let mut headers = headers.into_iter().peekable();
+        while headers.peek().is_some() {
+            self.match_chunk(headers.by_ref().take(MAX_DRAIN), scratch, out);
         }
+    }
+
+    /// Decrypts and decodes up to [`MAX_DRAIN`] headers, then matches the
+    /// decodable ones in one walk, appending one span per header to `out`.
+    fn match_chunk<H: AsRef<[u8]>>(
+        &self,
+        headers: impl Iterator<Item = H>,
+        scratch: &mut EngineScratch,
+        out: &mut BatchMatches,
+    ) {
+        let first = out.spans.len();
+        let mut live = 0u128;
+        let mut decode_ns = 0.0;
+        for (i, ct) in headers.enumerate() {
+            match self.open_header(ct.as_ref(), scratch, i) {
+                Ok(ns) => {
+                    live |= 1 << i;
+                    decode_ns += ns;
+                    out.spans.push(Ok((0, 0)));
+                }
+                Err(e) => out.spans.push(Err(e)),
+            }
+        }
+        if live == 0 {
+            return;
+        }
+        let t_walk = if self.telemetry { self.mem.elapsed_ns() } else { 0.0 };
+        let width = out.spans.len() - first;
+        let EngineScratch { index, headers, stages, .. } = scratch;
+        if live.is_power_of_two() {
+            let i = live.trailing_zeros() as usize;
+            let start = out.clients.len();
+            self.index.match_into(&headers[i], index, &mut out.clients);
+            out.spans[first + i] = Ok((start as u32, sort_dedup_from(&mut out.clients, start)));
+        } else {
+            self.index.match_batch_into(&headers[..width], live, index);
+            for i in (0..width).filter(|i| live >> i & 1 == 1) {
+                let start = out.clients.len();
+                out.clients.extend_from_slice(index.matched(i));
+                out.spans[first + i] = Ok((start as u32, sort_dedup_from(&mut out.clients, start)));
+            }
+        }
+        self.record_walk(stages, decode_ns, t_walk);
     }
 
     /// The covering forest.
@@ -677,6 +723,21 @@ impl MatchingEngine {
     pub fn memory(&self) -> &MemorySim {
         &self.mem
     }
+}
+
+/// Sorts `out[start..]` and drops its duplicates, leaving the spans
+/// before `start` alone; returns the new length.
+fn sort_dedup_from(out: &mut Vec<ClientId>, start: usize) -> u32 {
+    out[start..].sort_unstable_by_key(|c| c.0);
+    let mut keep = start;
+    for i in start..out.len() {
+        if keep == start || out[keep - 1] != out[i] {
+            out[keep] = out[i];
+            keep += 1;
+        }
+    }
+    out.truncate(keep);
+    keep as u32
 }
 
 /// A matching engine bound to a placement — the unit the benchmarks drive.
@@ -727,7 +788,9 @@ impl RouterEngine {
     /// future-work optimisation ("message batching … to reduce the
     /// frequency of enclave enters/exits"): the EENTER/EEXIT pair (and its
     /// [`MemStats::ecalls`] tick) is paid once for the whole slice of
-    /// headers, so per-message transition cost scales as `1/batch_size`.
+    /// headers, so per-message transition cost scales as `1/batch_size`,
+    /// and each [`MAX_DRAIN`] chunk walks the covering forest once, so a
+    /// node the batch's publications share is read once.
     /// Each header's outcome is independent and a steady-state call
     /// allocates nothing (see
     /// [`MatchingEngine::match_encrypted_batch_into`]).
@@ -1308,6 +1371,64 @@ mod tests {
                 assert_eq!(out.get(i).unwrap(), engine.match_encrypted(ct).unwrap().as_slice());
             }
         }
+    }
+
+    #[test]
+    fn fresh_engine_isolates_a_truncated_last_header() {
+        let mut rng = CryptoRng::from_seed(47);
+        let producer = producer(&mut rng);
+        let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
+        let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
+        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        for i in 0..4u64 {
+            let spec = SubscriptionSpec::new().gt("p", i as f64);
+            engine.register_plain(SubscriptionId(i), ClientId(i), &spec).unwrap();
+        }
+        let mut headers: Vec<Vec<u8>> = [1.5, 3.5]
+            .iter()
+            .map(|&p| producer.encrypt_header(&PublicationSpec::new().attr("p", p), &mut rng))
+            .collect();
+        // Shorter than a nonce: it fails before its decode slot is filled,
+        // on an engine whose scratch has never held three headers.
+        headers.push(vec![0u8; 3]);
+        let mut out = BatchMatches::new();
+        engine.match_encrypted_batch_into(&headers, &mut out);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out.get(0).unwrap(), &[ClientId(0), ClientId(1)]);
+        assert_eq!(out.get(1).unwrap(), &[ClientId(0), ClientId(1), ClientId(2), ClientId(3)]);
+        assert!(out.get(2).is_err());
+    }
+
+    #[test]
+    fn fresh_header_names_never_grow_the_schema() {
+        let mut rng = CryptoRng::from_seed(48);
+        let producer = producer(&mut rng);
+        let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
+        let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
+        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        let spec = SubscriptionSpec::new().eq("symbol", "HAL");
+        engine.register_plain(SubscriptionId(1), ClientId(7), &spec).unwrap();
+        let interned = engine.schema.len();
+        // More fresh names than an `AttrId` can number, as a host flipping
+        // header ciphertext bits could mint them.
+        let mut out = BatchMatches::new();
+        for round in 0..70u32 {
+            let headers: Vec<Vec<u8>> = (0..1000)
+                .map(|i| {
+                    let symbol = if i % 2 == 0 { "HAL" } else { "IBM" };
+                    let fresh = format!("fresh{}", round * 1000 + i);
+                    let publication =
+                        PublicationSpec::new().attr("symbol", symbol).attr(&fresh, 1i64);
+                    producer.encrypt_header(&publication, &mut rng)
+                })
+                .collect();
+            engine.match_encrypted_batch_into(&headers, &mut out);
+            for (i, outcome) in out.iter().enumerate() {
+                let expected: &[ClientId] = if i % 2 == 0 { &[ClientId(7)] } else { &[] };
+                assert_eq!(outcome.unwrap(), expected, "round {round}, header {i}");
+            }
+        }
+        assert_eq!(engine.schema.len(), interned, "headers grew the schema");
     }
 
     #[test]

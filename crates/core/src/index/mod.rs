@@ -20,9 +20,12 @@
 //! [`sgx_sim::MemorySim`] — that is what lets the benchmarks observe
 //! cache-miss knees and EPC paging exactly where the paper does.
 //!
-//! The one match entry point is [`SubscriptionIndex::match_into`]: it
+//! The shared match entry point is [`SubscriptionIndex::match_into`]: it
 //! threads a caller-owned [`MatchScratch`] through the traversal so
-//! steady-state matching performs no heap allocation.
+//! steady-state matching performs no heap allocation. The forest also
+//! matches up to 128 headers in one walk
+//! ([`PosetIndex::match_batch_into`]), reading each node once for all of
+//! them; `match_into` is that walk carrying one publication.
 //!
 //! The forest also reports an [`Anchor`] per subscription — where it sits
 //! in the structure — and takes it back through
@@ -32,27 +35,51 @@
 pub mod naive;
 pub mod poset;
 
+use crate::attr::AttrId;
 use crate::ids::{ClientId, SubscriptionId};
 use crate::publication::CompiledHeader;
 use crate::subscription::CompiledSubscription;
+use crate::value::Scalar;
 
 pub use naive::{FlatOracle, NaiveIndex};
 pub use poset::PosetIndex;
 
 /// Reusable per-engine traversal state threaded through
-/// [`SubscriptionIndex::match_into`]: the forest's DFS stack. After a
-/// short warm-up it reaches its high-water mark and matching allocates
-/// nothing. The linear scan needs none of it.
+/// [`SubscriptionIndex::match_into`] and [`PosetIndex::match_batch_into`]:
+/// the forest's DFS stacks, a chunk's attribute table and its
+/// per-publication client lists. After a short warm-up every buffer
+/// reaches its high-water mark and matching allocates nothing. The linear
+/// scan needs none of it.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    /// DFS work list (poset traversal).
-    pub(crate) stack: Vec<u32>,
+    /// DFS work list of a one-publication walk.
+    pub(crate) stack: Vec<(u32, poset::One)>,
+    /// DFS work list of a chunk walk: each node with the chunk's
+    /// publications still alive at it, one bit each.
+    pub(crate) masks: Vec<(u32, u128)>,
+    /// A chunk's attributes, ascending, each with the publications that
+    /// carry it.
+    pub(crate) attrs: Vec<(AttrId, u128)>,
+    /// A chunk's values, one row of chunk width per entry of `attrs`.
+    pub(crate) values: Vec<Scalar>,
+    /// String values grouped with the publications carrying them.
+    pub(crate) groups: Vec<(u64, u128)>,
+    /// A chunk walk's clients, one list per publication.
+    pub(crate) matched: Vec<Vec<ClientId>>,
 }
 
 impl MatchScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The clients the last [`PosetIndex::match_batch_into`] found for
+    /// header `i` of its chunk, as [`SubscriptionIndex::match_into`] would
+    /// append them: unordered, duplicates possible. Empty for a header the
+    /// walk did not carry.
+    pub fn matched(&self, i: usize) -> &[ClientId] {
+        self.matched.get(i).map_or(&[], Vec::as_slice)
     }
 
     /// Capacity currently retained by the scratch, in entries (a

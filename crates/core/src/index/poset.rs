@@ -17,7 +17,7 @@
 //!    memory beyond the EPC costs 1000× (Figure 8).
 //!
 //! Compared to the pre-arena poset it replaced (deleted; its last
-//! measurement is `crates/bench/baselines/million-7ef4a61.json`) five
+//! measurement is `crates/bench/baselines/million-7ef4a61.json`) six
 //! things changed:
 //!
 //! * **Sorted child runs.** A node's children are one *run*: a contiguous
@@ -74,10 +74,34 @@
 //!   reaches ~384 subscribers through matched nodes with ~5 700 children
 //!   between them, most under ~16 wide range nodes whose children are
 //!   gated on `symbol = X`; the gates keep all but a few hundred unread,
-//!   and the binary search leaves most of them untested. Traced at the
-//!   default seed on a 2-core VM, the walk costs `index.match_us_per_msg`
-//!   ~40 µs (~145 µs with sibling lists) for ~1 014 simulated line reads
-//!   per message, one `SimArena::read_partial` per visited node.
+//!   and the binary search leaves most of them untested. A publication
+//!   walking alone still reads ~1 014 lines per message there
+//!   (`index.mem_reads_per_msg` at the default seed), one
+//!   `SimArena::read_partial` per visited node.
+//! * **One walk per batch.** [`PosetIndex::match_batch_into`] matches up
+//!   to 128 publications in one depth-first walk. Each stack entry
+//!   carries a node and the set of publications still alive at it, a
+//!   `u128` mask: a node is read once for all of them, then its
+//!   constraints, child gates and subscriber list are applied to each.
+//!   The directory seeds the walk bucket by bucket: the string-equality
+//!   bucket of each value the chunk carries, with the publications that
+//!   carry it, and each range root with the publications its gate
+//!   passes. A gate's attribute is looked up once per candidate group
+//!   in the chunk's attribute table, and a string-equality group is
+//!   binary-searched once per value. A node alive for one publication
+//!   hands its subtree to that publication's walk of one. The traversal
+//!   is written once, generic over its live set (the `Walk` trait):
+//!   [`SubscriptionIndex::match_into`] is the walk carrying one
+//!   publication, whose live set is zero-sized, so it reads, charges
+//!   and costs what the walk before chunks did (a unit test pins its
+//!   charges). Predicate evaluations stay per publication — each node's
+//!   constraints once per live publication, each rejected candidate once
+//!   per publication it rejects — so shared node reads are the only
+//!   virtual time a chunk saves. On `router_scan` at the default seed the
+//!   engine's batches of 16 fall from 31.80 to 22.72 virtual µs per
+//!   message, and the walk alone runs ~30 % faster on the wall clock of a
+//!   2-vCPU VM; on `router_selective`, whose `e100a1` publications share
+//!   few nodes, the reads per message fall only from ~67 to ~60.
 //! * **Restore.** [`PosetIndex::anchor`] names where a
 //!   subscription sits: a root, or the first subscription of its parent
 //!   node (of its own shared node, when it is not that node's first). An
@@ -296,32 +320,6 @@ impl RootDirectory {
             }
         }
     }
-
-    /// Seeds a match with every root that could possibly accept `header`:
-    /// the unconstrained `top` roots plus, for each publication attribute,
-    /// the exact string-equality bucket (when the value is a string) and
-    /// the numeric-range roots `admit` passes. Complete because a matching
-    /// root's first constrained attribute must appear in the header with a
-    /// compatible kind, and each root lives in exactly one bucket (no
-    /// duplicates).
-    fn seed_match(
-        &self,
-        header: &CompiledHeader,
-        mut admit: impl FnMut(u32) -> bool,
-        out: &mut Vec<u32>,
-    ) {
-        out.extend_from_slice(&self.top);
-        for (attr, scalar) in header.entries() {
-            if let Some(bucket) = self.by_attr.get(attr) {
-                if let Scalar::Str(h) = scalar {
-                    if let Some(list) = bucket.eq.get(h) {
-                        out.extend_from_slice(list);
-                    }
-                }
-                out.extend(bucket.ranges.iter().copied().filter(|&r| admit(r)));
-            }
-        }
-    }
 }
 
 /// Appends at most [`SCAN_CAP`] entries sampled *across* a candidate list
@@ -344,6 +342,231 @@ fn sample_of(len: usize, salt: u64) -> (usize, usize) {
     }
     let stride = len.div_ceil(SCAN_CAP);
     ((salt as usize) % stride, stride)
+}
+
+/// The publications one walk carries, and where each one's clients go.
+/// [`PosetIndex::walk`] is written once against it: a walk of one
+/// ([`Single`]) has a zero-sized live set, so it compiles to a plain
+/// one-publication DFS, and a chunk ([`Chunk`]) has one bit per
+/// publication.
+trait Walk {
+    /// Which of the walk's publications are alive at a node; never empty
+    /// on the stack.
+    type Live: Copy;
+
+    /// Number of publications in `live`.
+    fn count(live: Self::Live) -> u64;
+
+    /// The members of `live` whose header `keep` accepts, if any.
+    fn matching(
+        &self,
+        live: Self::Live,
+        keep: impl FnMut(&CompiledHeader) -> bool,
+    ) -> Option<Self::Live>;
+
+    /// Calls `f` once per attribute the walk's headers carry, ascending,
+    /// with the publications that carry it.
+    fn each_attr(&mut self, f: impl FnMut(&mut Self, AttrId, Self::Live));
+
+    /// Calls `f` once per string value the members of `live` carry on
+    /// `attr`, with the members that carry it.
+    fn each_str(&mut self, live: Self::Live, attr: AttrId, f: impl FnMut(u64, Self::Live));
+
+    /// Pushes each candidate, all gated on `attr`, with the members of
+    /// `live` whose value passes its gate in `gates`, and returns the
+    /// rejections: one per candidate and member it was not pushed for. A
+    /// missing gate rejects.
+    fn admit(
+        &self,
+        live: Self::Live,
+        attr: AttrId,
+        candidates: impl ExactSizeIterator<Item = u32>,
+        gates: &[Gate],
+        push: impl FnMut(u32, Self::Live),
+    ) -> u64;
+
+    /// Appends the subscribers' clients to every member of `live`.
+    fn emit(&mut self, live: Self::Live, subscribers: &[(SubscriptionId, ClientId)]);
+
+    /// When `live` holds a single publication of a wider walk, that
+    /// publication's walk of one and the stack it runs on.
+    fn alone(&mut self, live: Self::Live) -> Option<(Single<'_>, &mut Vec<(u32, One)>)>;
+}
+
+/// The live set of a walk of one: a node on the stack is alive.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct One;
+
+/// A walk carrying one publication, appending its clients to `out`.
+struct Single<'a> {
+    header: &'a CompiledHeader,
+    out: &'a mut Vec<ClientId>,
+}
+
+impl Walk for Single<'_> {
+    type Live = One;
+
+    fn count(_: One) -> u64 {
+        1
+    }
+
+    fn matching(&self, _: One, mut keep: impl FnMut(&CompiledHeader) -> bool) -> Option<One> {
+        keep(self.header).then_some(One)
+    }
+
+    fn each_attr(&mut self, mut f: impl FnMut(&mut Self, AttrId, One)) {
+        let header = self.header;
+        for &(attr, _) in header.entries() {
+            f(self, attr, One);
+        }
+    }
+
+    fn each_str(&mut self, _: One, attr: AttrId, mut f: impl FnMut(u64, One)) {
+        if let Some(&Scalar::Str(h)) = self.header.get(attr) {
+            f(h, One);
+        }
+    }
+
+    fn admit(
+        &self,
+        _: One,
+        attr: AttrId,
+        candidates: impl ExactSizeIterator<Item = u32>,
+        gates: &[Gate],
+        mut push: impl FnMut(u32, One),
+    ) -> u64 {
+        let Some(value) = self.header.get(attr) else {
+            return candidates.len() as u64;
+        };
+        let mut rejected = 0;
+        for c in candidates {
+            if matches!(&gates[c as usize], Some((_, set)) if set.matches(value)) {
+                push(c, One);
+            } else {
+                rejected += 1;
+            }
+        }
+        rejected
+    }
+
+    fn emit(&mut self, _: One, subscribers: &[(SubscriptionId, ClientId)]) {
+        self.out.extend(subscribers.iter().map(|(_, c)| *c));
+    }
+
+    fn alone(&mut self, _: One) -> Option<(Single<'_>, &mut Vec<(u32, One)>)> {
+        None
+    }
+}
+
+/// A walk carrying up to 128 publications, bit `p` for `headers[p]`,
+/// over the chunk's attribute table ([`PosetIndex::match_batch_into`]
+/// builds it): a gate's attribute is looked up once per candidate group,
+/// not once per publication.
+struct Chunk<'a> {
+    headers: &'a [CompiledHeader],
+    /// The chunk's attributes, ascending, each with its carriers.
+    attrs: &'a [(AttrId, u128)],
+    /// Row `r`, as long as `headers`, holds each carrier's value on
+    /// `attrs[r]` at its bit.
+    values: &'a [Scalar],
+    groups: &'a mut Vec<(u64, u128)>,
+    matched: &'a mut [Vec<ClientId>],
+    /// The stack of a subtree alive for one publication only.
+    stack: &'a mut Vec<(u32, One)>,
+}
+
+impl<'a> Chunk<'a> {
+    /// The carriers of `attr` and its row of values.
+    fn column(&self, attr: AttrId) -> Option<(u128, &'a [Scalar])> {
+        let (attrs, values, width) = (self.attrs, self.values, self.headers.len());
+        let row = attrs.binary_search_by_key(&attr, |&(a, _)| a).ok()?;
+        Some((attrs[row].1, &values[row * width..][..width]))
+    }
+}
+
+/// The set bits of `mask`, ascending.
+fn members(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let p = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (p < u128::BITS as usize).then_some(p)
+    })
+}
+
+impl Walk for Chunk<'_> {
+    type Live = u128;
+
+    fn count(live: u128) -> u64 {
+        u64::from(live.count_ones())
+    }
+
+    fn matching(&self, live: u128, mut keep: impl FnMut(&CompiledHeader) -> bool) -> Option<u128> {
+        let kept = members(live).filter(|&p| keep(&self.headers[p])).fold(0, |m, p| m | 1 << p);
+        (kept != 0).then_some(kept)
+    }
+
+    fn each_attr(&mut self, mut f: impl FnMut(&mut Self, AttrId, u128)) {
+        let attrs = self.attrs;
+        for &(attr, with) in attrs {
+            f(self, attr, with);
+        }
+    }
+
+    fn each_str(&mut self, live: u128, attr: AttrId, mut f: impl FnMut(u64, u128)) {
+        let Some((with, values)) = self.column(attr) else {
+            return;
+        };
+        let groups = &mut *self.groups;
+        groups.clear();
+        for p in members(live & with) {
+            if let Scalar::Str(h) = values[p] {
+                match groups.iter_mut().find(|(g, _)| *g == h) {
+                    Some((_, same)) => *same |= 1 << p,
+                    None => groups.push((h, 1 << p)),
+                }
+            }
+        }
+        for &(h, same) in groups.iter() {
+            f(h, same);
+        }
+    }
+
+    fn admit(
+        &self,
+        live: u128,
+        attr: AttrId,
+        candidates: impl ExactSizeIterator<Item = u32>,
+        gates: &[Gate],
+        mut push: impl FnMut(u32, u128),
+    ) -> u64 {
+        let (with, values) = self.column(attr).unwrap_or((0, &[]));
+        let with = live & with;
+        let mut rejected = (Self::count(live) - Self::count(with)) * candidates.len() as u64;
+        for c in candidates {
+            let passed = match &gates[c as usize] {
+                Some((_, set)) if with != 0 => {
+                    members(with).filter(|&p| set.matches(&values[p])).fold(0, |m, p| m | 1 << p)
+                }
+                _ => 0,
+            };
+            rejected += Self::count(with) - Self::count(passed);
+            if passed != 0 {
+                push(c, passed);
+            }
+        }
+        rejected
+    }
+
+    fn emit(&mut self, live: u128, subscribers: &[(SubscriptionId, ClientId)]) {
+        for p in members(live) {
+            self.matched[p].extend(subscribers.iter().map(|(_, c)| *c));
+        }
+    }
+
+    fn alone(&mut self, live: u128) -> Option<(Single<'_>, &mut Vec<(u32, One)>)> {
+        let p = live.is_power_of_two().then_some(live.trailing_zeros() as usize)?;
+        Some((Single { header: &self.headers[p], out: &mut self.matched[p] }, &mut *self.stack))
+    }
 }
 
 /// Relation between a resident node's subscription and an incoming one.
@@ -536,17 +759,86 @@ impl PosetIndex {
         out.extend(run.iter().skip(offset).step_by(stride).map(|e| e.child));
     }
 
-    /// Pushes the children in a matched node's `run` whose gates `header`
-    /// passes onto `stack`, one `(attr, kind)` group at a time, and
-    /// returns how many it rejected. Each group looks its attribute up
-    /// in the header once. A string-equality group is binary-searched for
-    /// the value's hash and pushes the equal-key range; any other value
-    /// kind fails the whole group. A range group is tested entry by entry.
-    fn admit_children(
+    /// The one traversal every match runs. Seeds `stack` from the root
+    /// directory, each compatible root with the publications it may
+    /// accept, then walks depth first: a node is read once for every
+    /// publication alive at it, and its constraints, child gates and
+    /// subscriber list are then applied to each of them.
+    ///
+    /// Charging: one [`SimArena::read_partial`] per node, carrying one
+    /// publication's predicate evaluations; each further live publication
+    /// adds the node's evaluations again, and each rejected candidate one
+    /// more, whether its gate was tested or skipped by a binary search.
+    /// Those are summed and charged once per walk. Evaluations are thus
+    /// per publication, as if each walked alone; the shared node reads
+    /// are the only virtual time a chunk saves.
+    fn walk<W: Walk>(&self, w: &mut W, all: W::Live, stack: &mut Vec<(u32, W::Live)>) {
+        let mut evals = 0u64;
+        stack.clear();
+        stack.extend(self.directory.top.iter().map(|&r| (r, all)));
+        // A matching root's first constrained attribute must appear in the
+        // header with a compatible kind, and each root lives in exactly
+        // one bucket: the `top` roots, then per attribute the exact
+        // string-equality bucket of each value the walk's headers carry
+        // and the range roots whose gate passes seed every root once.
+        w.each_attr(|w, attr, with| {
+            let Some(bucket) = self.directory.by_attr.get(&attr) else {
+                return;
+            };
+            w.each_str(with, attr, |h, same| {
+                if let Some(list) = bucket.eq.get(&h) {
+                    stack.extend(list.iter().map(|&r| (r, same)));
+                }
+            });
+            let roots = bucket.ranges.iter().copied();
+            evals += w.admit(with, attr, roots, &self.gate, |r, l| stack.push((r, l)));
+        });
+        evals += self.descend(w, stack);
+        self.mem.charge_predicate_evals(evals);
+    }
+
+    /// Walks `stack` depth first and returns the evaluations it left to
+    /// charge. A node alive for a single publication of a chunk hands its
+    /// subtree to that publication's walk of one, which reads exactly the
+    /// nodes the chunk would, without the chunk's bookkeeping.
+    fn descend<W: Walk>(&self, w: &mut W, stack: &mut Vec<(u32, W::Live)>) -> u64 {
+        let mut evals = 0u64;
+        while let Some((idx, live)) = stack.pop() {
+            if let Some((mut one, stack)) = w.alone(live) {
+                stack.clear();
+                stack.push((idx, One));
+                evals += self.descend(&mut one, stack);
+                continue;
+            }
+            let node = self.visit(idx);
+            evals += (W::count(live) - 1) * node.sub.len().max(1) as u64;
+            // A failed node prunes its whole subtree: every descendant is
+            // covered by it, so none can match.
+            let Some(matched) = w.matching(live, |header| node.sub.matches(header)) else {
+                continue;
+            };
+            w.emit(matched, &node.subscribers);
+            // Only children whose gate passes are read: the parent's
+            // constraints already hold, so the gate is the child's first
+            // chance to fail.
+            evals += self.admit_children(w, &node.run, matched, stack);
+        }
+        evals
+    }
+
+    /// Pushes the children in a matched node's `run` onto `stack`, each
+    /// with the publications of `live` that pass its gate, one
+    /// `(attr, kind)` group at a time, and returns the rejections: one per
+    /// child and publication it was not pushed for. Each group looks its
+    /// attribute up once. A string-equality group is binary-searched once
+    /// per value and pushes the equal-key range; any other value kind
+    /// fails the whole group. A range group is tested entry by entry.
+    fn admit_children<W: Walk>(
         &self,
+        w: &mut W,
         mut run: &[ChildEntry],
-        header: &CompiledHeader,
-        stack: &mut Vec<u32>,
+        live: W::Live,
+        stack: &mut Vec<(u32, W::Live)>,
     ) -> u64 {
         let mut rejected = 0;
         while let Some(first) = run.first() {
@@ -554,27 +846,81 @@ impl PosetIndex {
             let len = run.partition_point(|e| (e.attr, e.kind) == (attr, kind));
             let (group, rest) = run.split_at(len);
             run = rest;
-            let pushed = stack.len();
             match kind {
-                GateKind::Ungated => stack.extend(group.iter().map(|e| e.child)),
+                GateKind::Ungated => stack.extend(group.iter().map(|e| (e.child, live))),
                 GateKind::StrEq => {
-                    if let Some(&Scalar::Str(h)) = header.get(attr) {
+                    let mut admitted = 0;
+                    w.each_str(live, attr, |h, same| {
                         let lo = group.partition_point(|e| e.key < h);
                         let hi = group.partition_point(|e| e.key <= h);
-                        stack.extend(group[lo..hi].iter().map(|e| e.child));
-                    }
+                        stack.extend(group[lo..hi].iter().map(|e| (e.child, same)));
+                        admitted += (hi - lo) as u64 * W::count(same);
+                    });
+                    rejected += len as u64 * W::count(live) - admitted;
                 }
                 GateKind::Range => {
-                    if let Some(value) = header.get(attr) {
-                        stack.extend(group.iter().map(|e| e.child).filter(|&c| {
-                            matches!(&self.gate[c as usize], Some((_, set)) if set.matches(value))
-                        }));
-                    }
+                    let children = group.iter().map(|e| e.child);
+                    rejected +=
+                        w.admit(live, attr, children, &self.gate, |c, l| stack.push((c, l)));
                 }
             }
-            rejected += (len - (stack.len() - pushed)) as u64;
         }
         rejected
+    }
+
+    /// Matches the headers whose bit `live` sets (bit `i` is
+    /// `headers[i]`) in one walk of the forest, reading each node once
+    /// for all the publications alive at it; header `i`'s clients are then
+    /// [`MatchScratch::matched`]`(i)`. Per publication, the clients and
+    /// the predicate evaluations charged are those of
+    /// [`SubscriptionIndex::match_into`]; the node reads are those of the
+    /// union of the nodes their single walks visit. Steady-state calls
+    /// allocate nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `headers` holds more than 128 headers.
+    pub fn match_batch_into(
+        &self,
+        headers: &[CompiledHeader],
+        live: u128,
+        scratch: &mut MatchScratch,
+    ) {
+        assert!(headers.len() <= u128::BITS as usize, "a chunk walk carries at most 128 headers");
+        let width = headers.len();
+        let live = live & u128::MAX.checked_shr(u128::BITS - width as u32).unwrap_or(0);
+        let MatchScratch { stack, masks, attrs, values, groups, matched } = scratch;
+        if matched.len() < width {
+            // lint: allow(SL03, grows once to the widest chunk - later walks reuse these lists)
+            matched.resize_with(width, Vec::new);
+        }
+        matched[..width].iter_mut().for_each(Vec::clear);
+        if live == 0 {
+            return;
+        }
+        // The chunk's attribute table: which publications carry each
+        // attribute, and their values, one row per attribute.
+        attrs.clear();
+        for p in members(live) {
+            for &(attr, _) in headers[p].entries() {
+                match attrs.iter_mut().find(|(a, _)| *a == attr) {
+                    Some((_, with)) => *with |= 1 << p,
+                    None => attrs.push((attr, 1 << p)),
+                }
+            }
+        }
+        attrs.sort_unstable_by_key(|&(attr, _)| attr);
+        values.clear();
+        values.resize(attrs.len() * width, Scalar::Int(0));
+        for p in members(live) {
+            for &(attr, value) in headers[p].entries() {
+                let row = attrs.partition_point(|&(a, _)| a < attr);
+                values[row * width + p] = value;
+            }
+        }
+        let matched = &mut matched[..width];
+        let mut chunk = Chunk { headers, attrs, values, groups, matched, stack };
+        self.walk(&mut chunk, live, masks);
     }
 
     /// Allocates a node slot, recycling a detached one when available.
@@ -791,34 +1137,8 @@ impl SubscriptionIndex for PosetIndex {
         scratch: &mut MatchScratch,
         out: &mut Vec<ClientId>,
     ) {
-        // A candidate's gate is tested from the gate column or its run
-        // entry, never the node. Each rejection, tested or skipped by a
-        // binary search, is priced as one predicate evaluation, charged
-        // once per match rather than once per candidate.
-        let mut rejected = 0u64;
-        let admit = |c: u32| {
-            let pass = match &self.gate[c as usize] {
-                None => true,
-                Some((attr, set)) => header.get(*attr).is_some_and(|value| set.matches(value)),
-            };
-            rejected += u64::from(!pass);
-            pass
-        };
-        scratch.stack.clear();
-        self.directory.seed_match(header, admit, &mut scratch.stack);
-        while let Some(idx) = scratch.stack.pop() {
-            let node = self.visit(idx);
-            if node.sub.matches(header) {
-                out.extend(node.subscribers.iter().map(|(_, c)| *c));
-                // Only children whose gate passes are read: the parent's
-                // constraints already hold, so the gate is the child's
-                // first chance to fail.
-                rejected += self.admit_children(&node.run, header, &mut scratch.stack);
-            }
-            // A failed node prunes its whole subtree: every descendant is
-            // covered by it, so none can match.
-        }
-        self.mem.charge_predicate_evals(rejected);
+        // The walk carrying one publication: its live set is zero-sized.
+        self.walk(&mut Single { header, out }, One, &mut scratch.stack);
     }
 
     fn len(&self) -> usize {
@@ -840,7 +1160,13 @@ mod tests {
     use super::*;
     use crate::attr::AttrSchema;
     use crate::subscription::SubscriptionSpec;
+    use sgx_sim::CostModel;
     use std::collections::HashSet;
+
+    /// Line reads and virtual-time bits of [`charged_forest`]'s ten
+    /// single walks, as the walk before chunks charged them.
+    const PINNED_READS: u64 = 887;
+    const PINNED_NS_BITS: u64 = 4_668_806_417_148_490_647; // 13 789.4 ns
 
     /// Asserts the child-run invariants: every run is sorted; each entry's
     /// key is its child's current gate, which is the gate re-derived under
@@ -1166,6 +1492,118 @@ mod tests {
         // visit); the 199 other bands fail their gate and are never read —
         // an ungated walk reads ~400 lines.
         assert!(mem.stats().reads <= 8, "gated match read {} lines", mem.stats().reads);
+    }
+
+    #[test]
+    fn a_chunk_reads_shared_nodes_once_and_evaluates_per_publication() {
+        // Only predicate evaluations cost virtual time, one nanosecond
+        // each, so the clock counts them.
+        let mem = MemorySim::native(
+            sgx_sim::CacheConfig::default(),
+            CostModel { predicate_eval_ns: 1.0, ..CostModel::free() },
+        );
+        let schema = AttrSchema::new();
+        let mut index = PosetIndex::new(&mem);
+        index.insert(
+            SubscriptionId(0),
+            ClientId(0),
+            sub(&schema, SubscriptionSpec::new().eq("topic", "t")),
+        );
+        // Price bands under the topic; the one around 0 would admit a
+        // publication without a price that a gate mistook for 0.
+        for i in 0..=20u64 {
+            let lo = (i * 10) as i64 - 5 * i64::from(i == 0);
+            index.insert(
+                SubscriptionId(i + 1),
+                ClientId(i + 1),
+                sub(&schema, SubscriptionSpec::new().eq("topic", "t").between("p", lo, lo + 5)),
+            );
+        }
+        let headers = [
+            header(&schema, &[("topic", "t".into()), ("p", 72i64.into())]),
+            header(&schema, &[("topic", "t".into()), ("p", 152i64.into())]),
+            header(&schema, &[("topic", "t".into())]),
+        ];
+        let mut scratch = MatchScratch::new();
+        let mut single = (0, 0.0);
+        for h in &headers {
+            mem.reset_counters();
+            index.match_into(h, &mut scratch, &mut Vec::new());
+            single = (single.0 + mem.stats().reads, single.1 + mem.elapsed_ns());
+        }
+        mem.reset_counters();
+        index.match_batch_into(&headers, 0b111, &mut scratch);
+        let batch = (mem.stats().reads, mem.elapsed_ns());
+        let ids = |i: usize| scratch.matched(i).iter().map(|c| c.0).collect::<Vec<_>>();
+        assert_eq!((ids(0), ids(1), ids(2)), (vec![0, 8], vec![0, 16], vec![0]));
+        // The shared root is read once: the chunk reads the union of the
+        // nodes the three walks visit, and evaluates as they do.
+        assert_eq!(batch.0, reads_of_visiting(&index, &mem, &[0, 8, 16]));
+        assert!(batch.0 < single.0, "{} reads for the chunk, {} alone", batch.0, single.0);
+        assert_eq!(batch.1, single.1, "evaluations are per publication");
+    }
+
+    /// A churned forest on the default cost model and ten headers over
+    /// its attributes (the parent walk's charges for them are pinned
+    /// below).
+    fn charged_forest(mem: &MemorySim, schema: &AttrSchema) -> (PosetIndex, Vec<CompiledHeader>) {
+        let mut index = PosetIndex::new(mem);
+        let mut rng = scbr_crypto::CryptoRng::from_seed(47);
+        let symbols = ["A", "B", "C", "D"];
+        for i in 0..400u64 {
+            let mut spec = SubscriptionSpec::new();
+            if rng.chance(0.7) {
+                spec = spec.eq("symbol", symbols[rng.below(4) as usize]);
+            }
+            if rng.chance(0.8) {
+                let lo = rng.below(60) as f64;
+                spec = spec.between("price", lo, lo + rng.below(40) as f64);
+            }
+            if rng.chance(0.4) {
+                spec = spec.gt("volume", rng.below(1000) as i64);
+            }
+            index.insert(SubscriptionId(i), ClientId(i % 97), sub(schema, spec));
+            if i % 7 == 6 {
+                index.remove(SubscriptionId(rng.below(i)));
+            }
+        }
+        let headers = (0..10u64)
+            .map(|t| {
+                header(
+                    schema,
+                    &[
+                        ("symbol", symbols[(t % 4) as usize].into()),
+                        ("price", ((t * 11 % 90) as f64).into()),
+                        ("volume", ((t * 131 % 1100) as i64).into()),
+                    ],
+                )
+            })
+            .collect();
+        (index, headers)
+    }
+
+    #[test]
+    fn a_batch_of_one_charges_what_the_single_walk_charged() {
+        let mem = MemorySim::native(sgx_sim::CacheConfig::default(), CostModel::default());
+        let schema = AttrSchema::new();
+        let (index, headers) = charged_forest(&mem, &schema);
+        let mut scratch = MatchScratch::new();
+        let mut out = Vec::new();
+        let mut charged = |walk: &mut dyn FnMut(&CompiledHeader, &mut MatchScratch)| {
+            mem.reset_counters();
+            for h in &headers {
+                walk(h, &mut scratch);
+            }
+            (mem.stats().reads, mem.elapsed_ns().to_bits())
+        };
+        let alone = charged(&mut |h, scratch| index.match_into(h, scratch, &mut out));
+        // The walk before chunks existed charged exactly this.
+        assert_eq!(alone, (PINNED_READS, PINNED_NS_BITS), "{} ns", f64::from_bits(alone.1));
+        // A chunk carrying one publication walks it alone too.
+        let chunked = charged(&mut |h, scratch| {
+            index.match_batch_into(std::slice::from_ref(h), 1, scratch);
+        });
+        assert_eq!(chunked, alone);
     }
 
     #[test]

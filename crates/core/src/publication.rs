@@ -8,6 +8,7 @@
 use crate::attr::{AttrId, AttrSchema};
 use crate::error::ScbrError;
 use crate::value::{Scalar, Value};
+use std::ops::Range;
 
 /// A wire-level publication: named header attributes and an opaque payload.
 ///
@@ -75,7 +76,7 @@ impl PublicationSpec {
             entries.push((id, value.to_scalar()));
         }
         entries.sort_by_key(|(a, _)| *a);
-        Ok(CompiledHeader { entries })
+        Ok(CompiledHeader { entries, unknown: Vec::new() })
     }
 }
 
@@ -83,6 +84,10 @@ impl PublicationSpec {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledHeader {
     entries: Vec<(AttrId, Scalar)>,
+    /// Byte ranges of the wire names the schema does not know, which the
+    /// in-place decode keeps to refuse one named twice; empty between
+    /// decodes.
+    unknown: Vec<Range<usize>>,
 }
 
 impl CompiledHeader {
@@ -92,9 +97,12 @@ impl CompiledHeader {
         CompiledHeader::default()
     }
 
-    /// Mutable access to the entry buffer for the in-place decode path.
-    pub(crate) fn entries_mut(&mut self) -> &mut Vec<(AttrId, Scalar)> {
-        &mut self.entries
+    /// Mutable access to the entry buffer and the unknown-name ranges for
+    /// the in-place decode path.
+    pub(crate) fn decode_buffers(
+        &mut self,
+    ) -> (&mut Vec<(AttrId, Scalar)>, &mut Vec<Range<usize>>) {
+        (&mut self.entries, &mut self.unknown)
     }
 
     /// The sorted entries.

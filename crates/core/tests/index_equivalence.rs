@@ -206,6 +206,29 @@ fn shape_of(engine: &MatchingEngine) -> (usize, usize, usize) {
     (forest.node_count(), forest.root_count(), forest.depth())
 }
 
+/// A generated publication that may lack any of its four attributes.
+type RawPublication = (Option<usize>, Vec<Option<i8>>);
+
+fn publication_strategy() -> impl Strategy<Value = RawPublication> {
+    (
+        proptest::option::of(0usize..TOPICS.len()),
+        proptest::collection::vec(proptest::option::of(-25i8..25), 3),
+    )
+}
+
+fn publication_of((topic, values): &RawPublication) -> PublicationSpec {
+    let mut spec = PublicationSpec::new();
+    if let Some(t) = topic {
+        spec = spec.attr("topic", TOPICS[*t]);
+    }
+    for (name, value) in ["x", "y", "z"].iter().zip(values) {
+        if let Some(v) = value {
+            spec = spec.attr(name, *v as i64);
+        }
+    }
+    spec
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -392,6 +415,91 @@ proptest! {
                 "restored engine diverges on {:?}",
                 publication
             );
+        }
+    }
+
+    /// One walk per batch: over a forest churned by inserts,
+    /// re-registrations and removals, a batch of 1 to 128 publications —
+    /// repeated ones, and ones missing attributes, among them — walked
+    /// once gives each publication the naive scan's clients, whichever
+    /// publications the live mask leaves out.
+    #[test]
+    fn one_walk_per_batch_matches_like_the_naive_scan(
+        pool in proptest::collection::vec(sub_strategy(), 1..24),
+        ops in proptest::collection::vec(churn_op_strategy(), 1..80),
+        publications in proptest::collection::vec(publication_strategy(), 1..24),
+        picks in proptest::collection::vec(0usize..64, 1..129),
+        skip in any::<u128>(),
+    ) {
+        let schema = AttrSchema::new();
+        let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
+        let mut poset = PosetIndex::new(&mem);
+        let mut naive = NaiveIndex::new(&mem);
+        let mut live: Vec<SubscriptionId> = Vec::new();
+        let (mut next_id, mut next_sub) = (0u64, 0usize);
+        for op in &ops {
+            let id = match *op {
+                ChurnOp::Insert => {
+                    next_id += 1;
+                    live.push(SubscriptionId(next_id));
+                    SubscriptionId(next_id)
+                }
+                ChurnOp::Reregister(pick) if !live.is_empty() => {
+                    let id = live[pick % live.len()];
+                    prop_assert_eq!(poset.remove(id), naive.remove(id));
+                    id
+                }
+                ChurnOp::Remove(pick) | ChurnOp::RemoveAnchor(pick) if !live.is_empty() => {
+                    let named: Vec<SubscriptionId> = match op {
+                        ChurnOp::RemoveAnchor(_) => live
+                            .iter()
+                            .filter_map(|&id| match poset.anchor(id) {
+                                Anchor::Under(at) => Some(at),
+                                _ => None,
+                            })
+                            .collect(),
+                        _ => live.clone(),
+                    };
+                    let Some(&id) = named.get(pick % named.len().max(1)) else { continue };
+                    live.retain(|l| *l != id);
+                    prop_assert!(poset.remove(id), "poset lost {:?}", id);
+                    prop_assert!(naive.remove(id), "naive lost {:?}", id);
+                    continue;
+                }
+                _ => continue,
+            };
+            let compiled = build_sub(&pool[next_sub % pool.len()])
+                .compile(&schema)
+                .expect("generated subs compile");
+            next_sub += 1;
+            poset.insert(id, ClientId(id.0), compiled.clone());
+            naive.insert(id, ClientId(id.0), compiled);
+        }
+
+        let headers: Vec<_> = picks
+            .iter()
+            .map(|&k| {
+                publication_of(&publications[k % publications.len()])
+                    .compile_header(&schema)
+                    .expect("header compiles")
+            })
+            .collect();
+        // A header the mask leaves out stands for one that failed to
+        // decode: the walk must give it nothing and the others their own.
+        let carried = !skip | 1;
+        let mut scratch = MatchScratch::default();
+        poset.match_batch_into(&headers, carried, &mut scratch);
+        let mut alone = MatchScratch::default();
+        for (i, header) in headers.iter().enumerate() {
+            let mut got: Vec<u64> = scratch.matched(i).iter().map(|c| c.0).collect();
+            got.sort_unstable();
+            got.dedup();
+            let expected = if carried >> i & 1 == 1 {
+                matches_of(&naive, header, &mut alone)
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(got, expected, "publication {} of {}", i, headers.len());
         }
     }
 

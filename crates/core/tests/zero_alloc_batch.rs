@@ -3,8 +3,9 @@
 //!
 //! This binary installs a counting global allocator and drives warmed
 //! batches through the flat pipeline: decrypt into a reused plaintext
-//! buffer, decode into a reused `CompiledHeader`, match through the
-//! per-engine `MatchScratch`, append into a reused `BatchMatches`. After
+//! buffer, decode into the chunk's reused `CompiledHeader`s, match the
+//! chunk in one walk through the per-engine `MatchScratch`, append into a
+//! reused `BatchMatches`. After
 //! the warm-up batch has sized every buffer, repeated batches must not
 //! touch the allocator at all.
 //!
@@ -16,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use scbr::engine::{BatchMatches, MatchingEngine};
+use scbr::engine::{BatchMatches, MatchingEngine, MAX_DRAIN};
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::IndexKind;
 use scbr::publication::PublicationSpec;
@@ -72,7 +73,10 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-fn drive_warmed_batches(telemetry: bool) {
+/// Drives warmed batches of `width` headers, the one at `poisoned` (if
+/// any) truncated so that it fails to decrypt, and asserts the steady
+/// state allocates nothing.
+fn drive_warmed_batches(telemetry: bool, width: usize, poisoned: Option<usize>) {
     let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
     let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
     engine.set_telemetry(telemetry);
@@ -93,7 +97,7 @@ fn drive_warmed_batches(telemetry: bool) {
     }
 
     let mut rng = CryptoRng::from_seed(11);
-    let headers: Vec<Vec<u8>> = (0..32)
+    let mut headers: Vec<Vec<u8>> = (0..width)
         .map(|i| {
             let publication = PublicationSpec::new()
                 .attr("topic", format!("t{}", i % 20).as_str())
@@ -102,6 +106,9 @@ fn drive_warmed_batches(telemetry: bool) {
             AesCtr::encrypt_with_nonce(&sk, &mut rng, &scbr::codec::encode_header(&publication))
         })
         .collect();
+    if let Some(i) = poisoned {
+        headers[i].truncate(3);
+    }
 
     let mut out = BatchMatches::new();
     // Warm up: the first batches size the decrypt buffer, the decoded
@@ -111,6 +118,10 @@ fn drive_warmed_batches(telemetry: bool) {
         engine.match_encrypted_batch_into(&headers, &mut out);
     }
     assert!(out.total_clients() > 0, "workload must actually match");
+    assert_eq!(out.len(), width);
+    for (i, outcome) in out.iter().enumerate() {
+        assert_eq!(outcome.is_err(), poisoned == Some(i), "header {i}");
+    }
     let expected: usize = out.total_clients();
 
     let before = allocations();
@@ -124,7 +135,7 @@ fn drive_warmed_batches(telemetry: bool) {
 
 #[test]
 fn warmed_batch_matching_never_allocates() {
-    drive_warmed_batches(false);
+    drive_warmed_batches(false, 32, None);
 }
 
 /// The telemetry histograms are fixed arrays with epoch-stamped clears,
@@ -132,5 +143,18 @@ fn warmed_batch_matching_never_allocates() {
 /// allocation-free as the bare one.
 #[test]
 fn warmed_instrumented_batch_matching_never_allocates() {
-    drive_warmed_batches(true);
+    drive_warmed_batches(true, 32, None);
+}
+
+/// A full-width batch (`MAX_DRAIN` headers, one covering-forest walk) with
+/// one poisoned header: the chunk's headers, its per-publication client
+/// lists and the walk's mask stack are all scratch-resident.
+#[test]
+fn warmed_full_width_batch_with_a_poisoned_header_never_allocates() {
+    drive_warmed_batches(false, MAX_DRAIN, Some(77));
+}
+
+#[test]
+fn warmed_instrumented_full_width_batch_with_a_poisoned_header_never_allocates() {
+    drive_warmed_batches(true, MAX_DRAIN, Some(77));
 }

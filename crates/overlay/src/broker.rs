@@ -164,7 +164,7 @@ use crate::error::OverlayError;
 use crate::forwarding::ForwardingTable;
 use crate::journal::{self, Journal, Redo, RedoReader};
 use scbr::codec;
-use scbr::engine::{MatchingEngine, MAX_DRAIN};
+use scbr::engine::{BatchMatches, MatchingEngine, MAX_DRAIN};
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
@@ -556,9 +556,9 @@ struct BrokerCore {
     /// Flood mode: forward every subscription on every link (the
     /// equivalence oracle for tests; covering-pruned is the real mode).
     flood: bool,
-    /// Reusable match buffer for the per-hop routing path: one `Vec` per
+    /// Reusable match buffer for the per-hop routing path: one per
     /// broker instead of one per publication per hop.
-    route_buf: Vec<ClientId>,
+    route_matches: BatchMatches,
     /// In-enclave flight recorder for cross-hop publication tracing.
     /// Volatile by design: hop records die with a crash (never sealed
     /// into the recovery record) and leave the enclave only through the
@@ -588,7 +588,7 @@ impl BrokerCore {
             upstream: neighbors.iter().map(|&n| (n, ForwardingTable::new())).collect(),
             live: BTreeMap::new(),
             flood,
-            route_buf: Vec::new(),
+            route_matches: BatchMatches::new(),
             recorder: FlightRecorder::default(),
             stages: StageHistograms::new(),
             journal: Journal::default(),
@@ -753,27 +753,27 @@ impl BrokerCore {
         RemoveOutcome { id, removed: true, links }
     }
 
-    /// Decrypts and matches each header, appending to `routes` its local
-    /// deliveries and outgoing links; returns how many headers were
-    /// refused. A header that fails to decrypt or decode gets an empty
-    /// span and costs only itself. The match buffer is the broker's
-    /// own, reused across every header of every hop (the engine's
-    /// decrypt/decode/traversal scratch is reused inside
-    /// `match_encrypted_append`).
+    /// Decrypts and matches the headers of one crossing as one batch,
+    /// appending to `routes` each one's local deliveries and outgoing
+    /// links; returns how many headers were refused. A header that fails
+    /// to decrypt or decode gets an empty span and costs only itself. The
+    /// batch's match buffer is the broker's own, reused across every hop,
+    /// and the engine walks the covering forest once for the whole batch
+    /// ([`MatchingEngine::match_encrypted_batch_into`]).
     fn route_into<'a>(
         &mut self,
         headers: impl Iterator<Item = &'a [u8]>,
         origin: Origin,
         routes: &mut RouteSpans,
     ) -> u64 {
+        self.matcher.match_encrypted_batch_into(headers, &mut self.route_matches);
         let mut refused = 0;
-        for ct in headers {
-            self.route_buf.clear();
-            if self.matcher.match_encrypted_append(ct, &mut self.route_buf).is_err() {
-                self.route_buf.clear();
+        for outcome in self.route_matches.iter() {
+            let clients = outcome.unwrap_or_else(|_| {
                 refused += 1;
-            }
-            for client in &self.route_buf {
+                &[]
+            });
+            for client in clients {
                 if !client.is_interface() {
                     routes.locals.push(*client);
                 } else {

@@ -60,7 +60,12 @@ pub struct CostModel {
     pub eexit_ns: f64,
     /// Fixed overhead of an OCALL (beyond the two crossings).
     pub ocall_ns: f64,
-    /// CPU cost of evaluating one predicate comparison.
+    /// CPU cost of evaluating one predicate comparison. The covering
+    /// forest charges it per publication, also when one walk matches a
+    /// batch: a node's constraints once for each publication alive at it,
+    /// a rejected candidate once for each publication it rejects. The
+    /// node's memory read, by contrast, is charged once per walk, so
+    /// shared node reads are all the virtual time a batch walk saves.
     pub predicate_eval_ns: f64,
     /// CPU cost of one AES block operation (16 bytes) in software.
     pub aes_block_ns: f64,

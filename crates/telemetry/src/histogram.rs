@@ -101,9 +101,13 @@ impl LatencyHistogram {
 /// The hot-path stages instrumented across the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// AES-CTR header decryption inside the enclave.
+    /// AES-CTR header decryption inside the enclave, one sample per
+    /// header.
     Decrypt,
-    /// Containment-index traversal (decode + match).
+    /// One covering-forest walk: the decode of the headers it carries,
+    /// the walk itself and the sorting of their client spans. One sample
+    /// per walk — per header for a walk of one, per chunk of up to 128
+    /// headers for a batch.
     IndexMatch,
     /// Sealing an outbound batch (or recovery record) for a link.
     Seal,

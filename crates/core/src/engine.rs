@@ -51,6 +51,11 @@ pub const MAX_DRAIN: usize = 128;
 // A walk's live set is a `u128`, one bit per publication.
 const _: () = assert!(MAX_DRAIN <= u128::BITS as usize);
 
+/// Refusal of an edge registration whose client id carries
+/// [`ClientId::INTERFACE_BIT`], the mark of a link interface.
+const RESERVED_CLIENT: ScbrError =
+    ScbrError::InvalidSubscription { reason: "client id carries the link-interface bit" };
+
 /// Per-engine reusable buffers for the hot matching path. All match entry
 /// points are `&self`, so the scratch sits behind a mutex; matching is
 /// serialised per engine anyway (the enclave model admits one ecall at a
@@ -307,13 +312,17 @@ impl MatchingEngine {
     ///
     /// # Errors
     ///
-    /// Propagates compilation failures.
+    /// Propagates compilation failures, and refuses a `client` carrying
+    /// [`ClientId::INTERFACE_BIT`] as an invalid subscription.
     pub fn register_plain(
         &mut self,
         id: SubscriptionId,
         client: ClientId,
         spec: &SubscriptionSpec,
     ) -> Result<(), ScbrError> {
+        if client.is_interface() {
+            return Err(RESERVED_CLIENT);
+        }
         self.mem.charge_message_parse();
         let compiled = spec.compile(&self.schema)?;
         self.retain_body(id, None, codec::encode_registration(spec, id, client));
@@ -388,13 +397,19 @@ impl MatchingEngine {
     ///
     /// # Errors
     ///
-    /// Malformed bodies or invalid subscriptions.
+    /// Malformed bodies or invalid subscriptions; a body whose client
+    /// carries [`ClientId::INTERFACE_BIT`] and no `deliver_to` override
+    /// is refused as an invalid subscription: matches on it would be
+    /// routed as a link, and the client would silently receive nothing.
     pub fn register_retained_as(
         &mut self,
         body: Vec<u8>,
         deliver_to: Option<ClientId>,
     ) -> Result<(SubscriptionId, crate::subscription::CompiledSubscription), ScbrError> {
         let (spec, id, client) = codec::decode_registration(&body)?;
+        if deliver_to.is_none() && client.is_interface() {
+            return Err(RESERVED_CLIENT);
+        }
         let compiled = spec.compile(&self.schema)?;
         self.retain_body(id, deliver_to, body);
         self.index.insert(id, deliver_to.unwrap_or(client), compiled.clone());
@@ -925,6 +940,31 @@ mod tests {
         assert_eq!(compiled, spec.compile(&engine.schema).unwrap());
         let publication = PublicationSpec::new().attr("symbol", "HAL");
         assert_eq!(engine.match_plain(&publication).unwrap(), vec![link]);
+    }
+
+    #[test]
+    fn an_edge_client_with_the_interface_bit_is_refused() {
+        let mut rng = CryptoRng::from_seed(32);
+        let producer = producer(&mut rng);
+        let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
+        let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
+        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        let spec = SubscriptionSpec::new().eq("symbol", "HAL");
+        let reserved = ClientId(ClientId::INTERFACE_BIT | 1);
+        let envelope =
+            producer.seal_registration(&spec, SubscriptionId(4), reserved, &mut rng).unwrap();
+        fn refused<T>(r: Result<T, ScbrError>) -> bool {
+            matches!(r, Err(ScbrError::InvalidSubscription { reason })
+                if reason.contains("link-interface"))
+        }
+        assert!(refused(engine.register_envelope(&envelope)));
+        assert!(refused(engine.register_plain(SubscriptionId(5), reserved, &spec)));
+        assert_eq!(engine.index().len(), 0, "nothing reached the index");
+        // Under a link's override the body's client is not a delivery
+        // identity, so the same body is admitted.
+        assert!(engine.register_envelope_as(&envelope, Some(reserved)).is_ok());
+        let edge = ClientId(ClientId::INTERFACE_BIT - 1);
+        assert!(engine.register_plain(SubscriptionId(6), edge, &spec).is_ok());
     }
 
     #[test]

@@ -161,6 +161,25 @@ impl SealedBox {
         sealed: &[u8],
         aad: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
+        let mut plain = Vec::new();
+        self.open_into(nonce, sealed, aad, &mut plain)?;
+        Ok(plain)
+    }
+
+    /// [`SealedBox::open_with_nonce`], appending the plaintext to `out`
+    /// instead of returning it, the twin of [`SealedBox::seal_into`]. On
+    /// an error nothing is appended.
+    ///
+    /// # Errors
+    ///
+    /// As [`SealedBox::open`].
+    pub fn open_into(
+        &self,
+        nonce: [u8; NONCE_LEN],
+        sealed: &[u8],
+        aad: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
         let Some(body_len) = sealed.len().checked_sub(TAG_LEN) else {
             return Err(CryptoError::InvalidLength { context: "sealed message" });
         };
@@ -169,9 +188,8 @@ impl SealedBox {
         if !crate::ct::ct_eq(&self.tag(s, aad, ciphertext), tag) {
             return Err(CryptoError::VerificationFailed);
         }
-        let mut plain = Vec::with_capacity(ciphertext.len());
-        stream.xor_append(&self.cipher, ciphertext, &mut plain);
-        Ok(plain)
+        stream.xor_append(&self.cipher, ciphertext, out);
+        Ok(())
     }
 
     /// RFC 8439 §2.8's tag over `aad` and `ciphertext`, keyed by this
@@ -298,6 +316,22 @@ mod tests {
             sb.open_with_nonce([4; NONCE_LEN], &[0; TAG_LEN - 1], b""),
             Err(CryptoError::InvalidLength { .. })
         ));
+    }
+
+    #[test]
+    fn open_into_appends_and_leaves_the_buffer_alone_on_refusal() {
+        let (sb, _) = setup();
+        let mut body = Vec::new();
+        sb.seal_into([6; NONCE_LEN], b"payload", b"aad", &mut body);
+        let mut out = b"kept".to_vec();
+        sb.open_into([6; NONCE_LEN], &body, b"aad", &mut out).unwrap();
+        assert_eq!(out, b"keptpayload");
+        body[0] ^= 1;
+        assert_eq!(
+            sb.open_into([6; NONCE_LEN], &body, b"aad", &mut out),
+            Err(CryptoError::VerificationFailed)
+        );
+        assert_eq!(out, b"keptpayload", "nothing appended on a refused tag");
     }
 
     /// The tag is RFC 8439 §2.8's: Poly1305 over the padded associated

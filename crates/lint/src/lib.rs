@@ -122,13 +122,21 @@ impl Default for LintConfig {
                 "Poly1305::blocks".into(),
                 "Poly1305::update".into(),
                 "Poly1305::finalize".into(),
-                // The overlay hop path: batches are read in place from the
-                // opened frame, routed into reused spans and encoded per
-                // link into a reused buffer.
+                // The overlay hop path: frames are opened into a reused
+                // buffer, batches are read in place from it, routed into
+                // reused spans, delivered as one record per publication
+                // into a reused buffer, encoded per link into another and
+                // stepped into the caller's output `Vec`; the fabric
+                // expands the records through a reused key buffer.
+                "SealedBox::open_into".into(),
+                "SecureLink::open_into".into(),
+                "step_into".into(),
                 "PublishBatchView::next".into(),
                 "split_member".into(),
                 "encode_publish_batch".into(),
                 "BrokerCore::route_into".into(),
+                "Delivered::push".into(),
+                "expand_deliveries".into(),
                 // The simulated LLC (`sgx-sim` `cache.rs`), probed once per
                 // tracked line: a set is shifted in place.
                 "CacheSim::access".into(),

@@ -218,6 +218,19 @@ impl SecureLink {
     /// between were lost, and the link cannot make progress until it is
     /// re-established (the counter does not advance).
     pub fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, NetError> {
+        let mut plain = Vec::new();
+        self.open_into(sealed, &mut plain)?;
+        Ok(plain)
+    }
+
+    /// [`SecureLink::open`], appending the plaintext to `out` instead of
+    /// returning it, so a receiver opens every frame into one reused
+    /// buffer. On an error nothing is appended.
+    ///
+    /// # Errors
+    ///
+    /// As [`SecureLink::open`].
+    pub fn open_into(&mut self, sealed: &[u8], out: &mut Vec<u8>) -> Result<(), NetError> {
         let Some((header, body)) = sealed.split_first_chunk::<HEADER_LEN>() else {
             return Err(NetError::Malformed { context: "sealed link frame" });
         };
@@ -228,16 +241,17 @@ impl SecureLink {
             // no half seals past the direction bit.
             return Err(NetError::Malformed { context: "sealed link frame" });
         }
-        let plain = self
-            .sealer
-            .open_with_nonce(self.nonce_for(claimed), body, &self.aad_for(claimed, meta))
+        let start = out.len();
+        self.sealer
+            .open_into(self.nonce_for(claimed), body, &self.aad_for(claimed, meta), out)
             .map_err(|_| NetError::Malformed { context: "sealed link frame" })?;
         if claimed > self.seq {
+            out.truncate(start);
             return Err(NetError::Gap { expected: self.seq, got: claimed });
         }
         self.seq += 1;
         self.last_meta = meta;
-        Ok(plain)
+        Ok(())
     }
 }
 
@@ -339,6 +353,20 @@ mod tests {
         assert!(matches!(rx2.open(&relabelled), Err(NetError::Malformed { .. })));
         // Truncated-to-header frames are malformed outright.
         assert!(matches!(rx2.open(&[1, 2, 3]), Err(NetError::Malformed { .. })));
+    }
+
+    #[test]
+    fn open_into_reuses_the_buffer_and_appends_nothing_on_a_gap() {
+        let (mut tx, mut rx) = pair();
+        let mut wire = Vec::new();
+        rx.open_into(&tx.seal_meta(b"first", 3), &mut wire).unwrap();
+        assert_eq!((wire.as_slice(), rx.last_meta()), (b"first".as_slice(), 3));
+        wire.clear();
+        let _lost = tx.seal_meta(b"lost", 0);
+        let ahead = tx.seal_meta(b"ahead", 0);
+        assert!(matches!(rx.open_into(&ahead, &mut wire), Err(NetError::Gap { .. })));
+        assert!(wire.is_empty(), "an authentic frame past a gap yields no bytes");
+        assert_eq!(rx.sequence(), 1);
     }
 
     #[test]

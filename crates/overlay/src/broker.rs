@@ -30,10 +30,11 @@
 //! reports a finished rejoin and serves the replay requests neighbours
 //! parked while the broker could not.
 //!
-//! Its entire runtime surface is [`Broker::step`]`(now, Input) ->
-//! Vec<Output>`: inputs are wire frames, local edge traffic, admin
-//! commands ([`Input::Crash`], [`Input::Restart`]) and timer ticks;
-//! outputs are frames-to-links, local deliveries and typed
+//! Its entire runtime surface is [`Broker::step_into`]`(now, Input,
+//! &mut Vec<Output>)`, which [`Broker::step`] wraps: inputs are wire
+//! frames, local edge traffic, admin commands ([`Input::Crash`],
+//! [`Input::Restart`]) and timer ticks; outputs are frames-to-links,
+//! local deliveries (one record per delivered publication) and typed
 //! [`LinkEvent`]s. The broker performs **no IO** — the caller (normally
 //! [`crate::fabric::OverlayFabric`], a thin deterministic scheduler)
 //! shuttles outputs back in as inputs.
@@ -165,7 +166,7 @@ use crate::forwarding::ForwardingTable;
 use crate::journal::{self, Journal, Redo, RedoReader};
 use scbr::codec;
 use scbr::engine::{BatchMatches, MatchingEngine, MAX_DRAIN};
-use scbr::ids::{ClientId, SubscriptionId};
+use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
 use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
 use scbr::protocol::messages::{
@@ -312,8 +313,8 @@ pub enum Input {
 pub enum Output {
     /// A frame to hand to a neighbour.
     Frame(LinkFrame),
-    /// A publication delivered to a local edge client.
-    Delivery(LocalDelivery),
+    /// A publication delivered to the local edge clients it matched.
+    Deliveries(LocalDeliveries),
     /// A typed lifecycle / link event for the operator.
     Event(LinkEvent),
 }
@@ -972,17 +973,102 @@ pub struct LinkFrame {
     pub bytes: Vec<u8>,
 }
 
-/// A publication delivered to an edge client of this broker.
+/// One publication delivered at this broker: the item once, and every
+/// edge client the enclave matched it to here, ascending. A publication
+/// yields one record however many clients it reaches.
+///
+/// The bytes live in one buffer per routed batch that the batch's
+/// records share. The broker refills that buffer for its next batch once
+/// every record of this one is dropped, so a caller that drops them
+/// before stepping the broker again costs it no allocation.
 #[derive(Debug, Clone)]
-pub struct LocalDelivery {
+pub struct LocalDeliveries {
+    router: usize,
+    batch: Arc<Delivered>,
+    index: usize,
+}
+
+impl LocalDeliveries {
     /// The delivering broker.
-    pub router: usize,
-    /// The edge client.
-    pub client: ClientId,
-    /// The delivered item (payload still encrypted under the group key),
-    /// one allocation shared by every client the publication reaches
-    /// here.
-    pub item: Arc<PublishItem>,
+    pub fn router(&self) -> usize {
+        self.router
+    }
+
+    /// The delivered item, its payload still encrypted under the group
+    /// key.
+    pub fn item(&self) -> PublishItemRef<'_> {
+        self.batch.item(self.index)
+    }
+
+    /// The edge clients the item reached, ascending and distinct.
+    pub fn clients(&self) -> &[ClientId] {
+        self.batch.clients(self.index)
+    }
+}
+
+/// The items one routed batch delivered at a broker, and the clients
+/// each reached, flat: the storage every [`LocalDeliveries`] of that
+/// batch points into.
+#[derive(Debug, Default)]
+struct Delivered {
+    /// Each item's header, then its payload ciphertext, back to back.
+    bytes: Vec<u8>,
+    /// Each item's clients, back to back.
+    clients: Vec<ClientId>,
+    /// Per item, in batch order.
+    items: Vec<DeliveredItem>,
+}
+
+/// Where one delivered item ends in [`Delivered`]'s buffers; it starts
+/// where the item before it ends.
+#[derive(Debug, Clone, Copy)]
+struct DeliveredItem {
+    epoch: KeyEpoch,
+    header_end: usize,
+    payload_end: usize,
+    clients_end: usize,
+}
+
+impl Delivered {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.clients.clear();
+        self.items.clear();
+    }
+
+    /// Appends `item`, delivered to `clients`.
+    fn push(&mut self, item: PublishItemRef<'_>, clients: &[ClientId]) {
+        self.bytes.extend_from_slice(item.header_ct);
+        let header_end = self.bytes.len();
+        self.bytes.extend_from_slice(item.payload_ct);
+        self.clients.extend_from_slice(clients);
+        self.items.push(DeliveredItem {
+            epoch: item.epoch,
+            header_end,
+            payload_end: self.bytes.len(),
+            clients_end: self.clients.len(),
+        });
+    }
+
+    /// Where item `i`'s bytes and clients start.
+    fn starts(&self, i: usize) -> (usize, usize) {
+        i.checked_sub(1).map_or((0, 0), |p| (self.items[p].payload_end, self.items[p].clients_end))
+    }
+
+    fn item(&self, i: usize) -> PublishItemRef<'_> {
+        let (start, _) = self.starts(i);
+        let DeliveredItem { epoch, header_end, payload_end, .. } = self.items[i];
+        PublishItemRef {
+            header_ct: &self.bytes[start..header_end],
+            epoch,
+            payload_ct: &self.bytes[header_end..payload_end],
+        }
+    }
+
+    fn clients(&self, i: usize) -> &[ClientId] {
+        let (_, start) = self.starts(i);
+        &self.clients[start..self.items[i].clients_end]
+    }
 }
 
 /// The two halves of one established link at one endpoint, sealed under
@@ -1141,9 +1227,9 @@ impl BrokerStats {
 }
 
 /// Result of opening an inbound frame, lifted out of the borrow on the
-/// link map.
+/// link map. An opened frame's plaintext is in `Broker::wire`.
 enum Opened {
-    Wire { wire: Vec<u8>, meta: u64 },
+    Wire { meta: u64 },
     Gap { expected: u64, got: u64 },
     Failed(NetError),
     NoChannel,
@@ -1277,6 +1363,12 @@ pub struct Broker {
     /// Route results of the publication batch in flight; the enclave
     /// fills it, the shell turns it into outputs. Reused across batches.
     routes: RouteSpans,
+    /// What the last batch delivered here, shared by its delivery
+    /// records; refilled in place once they are all dropped.
+    delivered: Arc<Delivered>,
+    /// The plaintext of the inbound frame in flight, opened into one
+    /// buffer reused across frames.
+    wire: Vec<u8>,
     /// Encoding buffer for outgoing publication batches, reused across
     /// links and batches.
     batch_wire: Vec<u8>,
@@ -1332,6 +1424,8 @@ impl Broker {
             counters: BrokerStats::default(),
             rng: CryptoRng::from_seed(seed ^ 0x6c69_6e6b),
             routes: RouteSpans::default(),
+            delivered: Arc::default(),
+            wire: Vec::new(),
             batch_wire: Vec::new(),
         })
     }
@@ -1471,40 +1565,70 @@ impl Broker {
 
     // ---- the state machine ---------------------------------------------
 
+    /// Advances the state machine by one input at virtual time `now`,
+    /// returning its outputs: [`Broker::step_into`] into a fresh `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Broker::step_into`].
+    pub fn step(&mut self, now: u64, input: Input) -> Result<Vec<Output>, OverlayError> {
+        let mut outs = Vec::new();
+        self.step_into(now, input, &mut outs)?;
+        Ok(outs)
+    }
+
     /// Advances the state machine by one input at virtual time `now`.
     /// This is the broker's **entire** runtime surface: frames, local
     /// traffic, admin commands and timer ticks all enter here, and every
-    /// effect — frames to send, local deliveries, lifecycle events —
-    /// comes back as an [`Output`] for the caller to dispatch.
+    /// effect — frames to send, local deliveries, lifecycle events — is
+    /// appended to `outs` as an [`Output`] for the caller to dispatch. A
+    /// caller that reuses `outs` across steps costs the hop path no
+    /// allocation for it.
     ///
     /// # Errors
     ///
     /// Inputs invalid for the current [`Lifecycle`] state are
     /// [`OverlayError::Lifecycle`]; frame authentication, routing and
-    /// sealing failures propagate with their own kinds. A failed delta
-    /// seal is dropped — the journal it took went with it — but a failed
-    /// base stays owed, so every later step retries it (and fails while
-    /// sealing does) until it is written or the broker crashes.
-    pub fn step(&mut self, now: u64, input: Input) -> Result<Vec<Output>, OverlayError> {
+    /// sealing failures propagate with their own kinds. A failed step
+    /// appends nothing to `outs`. A failed delta seal is dropped — the
+    /// journal it took went with it — but a failed base stays owed, so
+    /// every later step retries it (and fails while sealing does) until
+    /// it is written or the broker crashes.
+    pub fn step_into(
+        &mut self,
+        now: u64,
+        input: Input,
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         self.now = now;
-        let outs = match input {
-            Input::Crash => self.on_crash(),
-            Input::Restart { dead_links } => self.on_restart(&dead_links),
-            Input::Tick => self.on_tick(),
-            Input::Frame { from, bytes } => self.on_frame(from, &bytes),
-            Input::Subscribe { envelope } => self.on_subscribe(&envelope),
-            Input::Unsubscribe { envelope } => self.on_unsubscribe(&envelope),
-            Input::Publish { items, trace } => self.on_publish(&items, trace),
-        }?;
-        if let Some(seal) = self.file.pending.take() {
-            if let Err(err) = self.checkpoint(seal) {
-                if seal == Seal::Base {
-                    self.file.pending = Some(seal);
-                }
-                return Err(err);
-            }
+        let start = outs.len();
+        let stepped = match input {
+            Input::Crash => self.on_crash(outs),
+            Input::Restart { dead_links } => self.on_restart(&dead_links, outs),
+            Input::Tick => self.on_tick(outs),
+            Input::Frame { from, bytes } => self.on_frame(from, &bytes, outs),
+            Input::Subscribe { envelope } => self.on_subscribe(&envelope, outs),
+            Input::Unsubscribe { envelope } => self.on_unsubscribe(&envelope, outs),
+            Input::Publish { items, trace } => self.on_publish(&items, trace, outs),
+        };
+        let flushed = stepped.and_then(|()| self.flush_checkpoint());
+        if flushed.is_err() {
+            outs.truncate(start);
         }
-        Ok(outs)
+        flushed
+    }
+
+    /// Writes the checkpoint the step owes, if any. A failed base stays
+    /// owed.
+    fn flush_checkpoint(&mut self) -> Result<(), OverlayError> {
+        let Some(seal) = self.file.pending.take() else {
+            return Ok(());
+        };
+        self.checkpoint(seal).inspect_err(|_| {
+            if seal == Seal::Base {
+                self.file.pending = Some(seal);
+            }
+        })
     }
 
     /// Marks the recovery record stale. Every subscription-state
@@ -1551,9 +1675,9 @@ impl Broker {
     /// host disk (sealed record), the measured binary and the trust
     /// anchors survive; everything else — enclave, keys, index, live
     /// set, covering tables, link keys, half-open handshakes — is gone.
-    fn on_crash(&mut self) -> Result<Vec<Output>, OverlayError> {
+    fn on_crash(&mut self, outs: &mut Vec<Output>) -> Result<(), OverlayError> {
         if let Phase::Crashed { .. } = self.phase {
-            return Ok(Vec::new()); // idempotent
+            return Ok(()); // idempotent
         }
         self.phase = Phase::Crashed { at: self.now };
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
@@ -1567,7 +1691,8 @@ impl Broker {
         // last *flushed* record on the host disk is the recovery truth.
         self.file.pending = None;
         self.peers.values_mut().for_each(|peer| *peer = Peer::default());
-        Ok(vec![Output::Event(LinkEvent::Crashed)])
+        outs.push(Output::Event(LinkEvent::Crashed));
+        Ok(())
     }
 
     /// Restarts a crashed broker: relaunch the enclave, unseal and
@@ -1578,7 +1703,11 @@ impl Broker {
     /// rows toward them stay recorded, and consistency is restored when
     /// *they* rejoin and replay from us (their reconciliation
     /// `sub-drop`s cover removals we both missed).
-    fn on_restart(&mut self, dead_links: &[usize]) -> Result<Vec<Output>, OverlayError> {
+    fn on_restart(
+        &mut self,
+        dead_links: &[usize],
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         let Phase::Crashed { at: crashed_at } = self.phase else {
             return Err(OverlayError::Lifecycle {
                 reason: "restart of a broker that is not crashed",
@@ -1629,14 +1758,13 @@ impl Broker {
             peer.dead = dead_links.contains(n);
             peer.replay = (!peer.dead).then(Replay::default);
         }
-        let mut outs =
-            vec![Output::Event(LinkEvent::RejoinStarted { restored: self.core.live.len() })];
+        outs.push(Output::Event(LinkEvent::RejoinStarted { restored: self.core.live.len() }));
         if !self.replays_owed() {
             // No (live) neighbours to replay from: recovery is the seal
             // alone.
-            outs.extend(self.serve()?);
+            self.serve(outs)?;
         }
-        Ok(outs)
+        Ok(())
     }
 
     /// Timer tick, dispatched per lifecycle state. While linking or
@@ -1645,20 +1773,24 @@ impl Broker {
     /// runs the steady-state liveness work — heartbeat emission,
     /// dead-link probing and suspicion timeouts. Cold, attesting and
     /// crashed brokers have no timer work.
-    fn on_tick(&mut self) -> Result<Vec<Output>, OverlayError> {
+    fn on_tick(&mut self, outs: &mut Vec<Output>) -> Result<(), OverlayError> {
         self.ticks += 1;
         match self.phase {
-            Phase::Cold(_) | Phase::Attesting(_) | Phase::Crashed { .. } => Ok(Vec::new()),
-            Phase::Linking(_) => self.tick_handshakes(false),
-            Phase::Rejoining { .. } => self.tick_handshakes(true),
-            Phase::Serving(_) => self.tick_serving(),
+            Phase::Cold(_) | Phase::Attesting(_) | Phase::Crashed { .. } => Ok(()),
+            Phase::Linking(_) => self.tick_handshakes(false, outs),
+            Phase::Rejoining { .. } => self.tick_handshakes(true, outs),
+            Phase::Serving(_) => self.tick_serving(outs),
         }
     }
 
     /// Initiates pending link handshakes: at bring-up the lower id
     /// initiates each edge; a rejoining broker initiates every incident
     /// link, since only *it* lost the keys.
-    fn tick_handshakes(&mut self, rejoining: bool) -> Result<Vec<Output>, OverlayError> {
+    fn tick_handshakes(
+        &mut self,
+        rejoining: bool,
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         let targets: Vec<usize> = self
             .peers
             .iter()
@@ -1671,7 +1803,10 @@ impl Broker {
             })
             .map(|(&n, _)| n)
             .collect();
-        targets.into_iter().map(|n| self.initiate(n)).collect()
+        for n in targets {
+            outs.push(self.initiate(n)?);
+        }
+        Ok(())
     }
 
     /// Steady-state liveness work. Per neighbour:
@@ -1687,8 +1822,7 @@ impl Broker {
     /// * a link silent past [`SUSPECT_AFTER`] is declared
     ///   [`SuspectReason::Silence`] — the fabric aggregates these into
     ///   quorum and auto-restarts the peer.
-    fn tick_serving(&mut self) -> Result<Vec<Output>, OverlayError> {
-        let mut outs = Vec::new();
+    fn tick_serving(&mut self, outs: &mut Vec<Output>) -> Result<(), OverlayError> {
         let (now, hb_wire) = (self.ticks, Message::Heartbeat.to_wire());
         for n in self.neighbors() {
             let peer = self.peer(n);
@@ -1753,7 +1887,7 @@ impl Broker {
                 }));
             }
         }
-        Ok(outs)
+        Ok(())
     }
 
     /// A believed-dead or gap-wedged neighbour is reachable on a fresh
@@ -1797,7 +1931,12 @@ impl Broker {
     /// initiation toward it, so the two ends install the one key the
     /// winner's handshake agrees instead of each other's crosswise. It
     /// still answers every hello, so a lost one cannot wedge the link.
-    fn hs_hello(&mut self, from: usize, payload: &[u8]) -> Result<Vec<Output>, OverlayError> {
+    fn hs_hello(
+        &mut self,
+        from: usize,
+        payload: &[u8],
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         if !self.peers.contains_key(&from) {
             return Err(OverlayError::Link { reason: "handshake from a non-neighbour" });
         }
@@ -1812,11 +1951,12 @@ impl Broker {
         if yields {
             peer.initiation = None;
         }
-        Ok(vec![Output::Frame(LinkFrame {
+        outs.push(Output::Frame(LinkFrame {
             to: from,
             from: self.id,
             bytes: Message::LinkAccept { payload: accept.to_bytes() }.to_wire(),
-        })])
+        }));
+        Ok(())
     }
 
     /// Completes the initiator side: verify the responder's quote,
@@ -1824,9 +1964,14 @@ impl Broker {
     /// handshake of ours that is gone is dropped: the link outran it
     /// (the neighbour re-keyed from its own side first) or the tie-break
     /// in [`Broker::hs_hello`] withdrew it. Nothing is left to finish.
-    fn hs_accept(&mut self, from: usize, payload: &[u8]) -> Result<Vec<Output>, OverlayError> {
+    fn hs_accept(
+        &mut self,
+        from: usize,
+        payload: &[u8],
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         let Some(state) = self.peers.get_mut(&from).and_then(|p| p.initiation.take()) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
         let accept = LinkAccept::from_bytes(payload)?;
         let enclave = self.phase.enclave()?;
@@ -1834,24 +1979,28 @@ impl Broker {
         let (finish, key) =
             sgx_sim::link::finish(state, &accept, service, policy, enclave, &mut self.rng)?;
         self.install_sealed_link(from, key.as_bytes());
-        let mut outs = vec![Output::Frame(LinkFrame {
+        outs.push(Output::Frame(LinkFrame {
             to: from,
             from: self.id,
             bytes: Message::LinkFinish { payload: finish.to_bytes() }.to_wire(),
-        })];
-        outs.extend(self.post_link_up(from)?);
-        Ok(outs)
+        }));
+        self.post_link_up(from, outs)
     }
 
     /// Completes the responder side, deriving the same link key.
-    fn hs_finish(&mut self, from: usize, payload: &[u8]) -> Result<Vec<Output>, OverlayError> {
+    fn hs_finish(
+        &mut self,
+        from: usize,
+        payload: &[u8],
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         let Some(state) = self.peers.get_mut(&from).and_then(|p| p.response.take()) else {
             return Err(OverlayError::Link { reason: "unexpected link-finish" });
         };
         let finish = LinkFinish::from_bytes(payload)?;
         let key = sgx_sim::link::complete(state, &finish, self.phase.enclave()?)?;
         self.install_sealed_link(from, key.as_bytes());
-        self.post_link_up(from)
+        self.post_link_up(from, outs)
     }
 
     /// Bookkeeping after a sealed channel (re-)establishes: start
@@ -1860,8 +2009,8 @@ impl Broker {
     /// channel, and while serving heal a believed-dead or gap-wedged link
     /// by pulling a replay over the new key. A fresh channel also
     /// retracts any standing suspicion.
-    fn post_link_up(&mut self, link: usize) -> Result<Vec<Output>, OverlayError> {
-        let mut outs = vec![Output::Event(LinkEvent::LinkUp { link })];
+    fn post_link_up(&mut self, link: usize, outs: &mut Vec<Output>) -> Result<(), OverlayError> {
+        outs.push(Output::Event(LinkEvent::LinkUp { link }));
         let peer = self.peer(link);
         if std::mem::take(&mut peer.suspect) {
             outs.push(Output::Event(LinkEvent::Cleared { link }));
@@ -1870,18 +2019,23 @@ impl Broker {
         let heal = peer.dead || peer.resync;
         match self.phase {
             Phase::Linking(_) if self.peers.values().all(|p| p.link.is_some()) => {
-                outs.extend(self.serve()?);
+                self.serve(outs)?;
             }
             Phase::Rejoining { .. } if unrequested => outs.push(self.request_replay(link)?),
             Phase::Serving(_) if heal => outs.push(self.heal_link(link)?),
             _ => {}
         }
-        Ok(outs)
+        Ok(())
     }
 
     // ---- frames --------------------------------------------------------
 
-    fn on_frame(&mut self, from: usize, bytes: &[u8]) -> Result<Vec<Output>, OverlayError> {
+    fn on_frame(
+        &mut self,
+        from: usize,
+        bytes: &[u8],
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         if let Phase::Cold(_) | Phase::Attesting(_) | Phase::Crashed { .. } = self.phase {
             return Err(OverlayError::Lifecycle {
                 reason: "frame for a broker that is not linked",
@@ -1890,28 +2044,30 @@ impl Broker {
         let Some(peer) = self.peers.get_mut(&from) else {
             return Err(OverlayError::Link { reason: "no link to neighbour" });
         };
+        self.wire.clear();
         let opened = match &mut peer.link {
-            Some(LinkChannel { inbound, .. }) => match inbound.open(bytes) {
+            Some(LinkChannel { inbound, .. }) => match inbound.open_into(bytes, &mut self.wire) {
                 // The metadata word (a publication's trace id) rides in
                 // clear but is AAD-bound, so a successful open vouches
                 // for it.
-                Ok(wire) => Opened::Wire { wire, meta: inbound.last_meta() },
+                Ok(()) => Opened::Wire { meta: inbound.last_meta() },
                 Err(NetError::Gap { expected, got }) => Opened::Gap { expected, got },
                 Err(err) => Opened::Failed(err),
             },
             None => Opened::NoChannel,
         };
         match opened {
-            Opened::Wire { wire, meta } => {
+            Opened::Wire { meta } => {
                 // An authentic frame is proof of life: refresh the
                 // liveness clock and retract any standing suspicion.
                 peer.last_rx = Some(self.ticks);
-                let cleared = std::mem::take(&mut peer.suspect);
-                let mut outs = self.dispatch_wire(from, &wire, meta)?;
-                if cleared {
-                    outs.insert(0, Output::Event(LinkEvent::Cleared { link: from }));
+                if std::mem::take(&mut peer.suspect) {
+                    outs.push(Output::Event(LinkEvent::Cleared { link: from }));
                 }
-                Ok(outs)
+                let wire = std::mem::take(&mut self.wire);
+                let dispatched = self.dispatch_wire(from, &wire, meta, outs);
+                self.wire = wire;
+                dispatched
             }
             Opened::Gap { expected, got } => {
                 self.counters.gaps += 1;
@@ -1922,7 +2078,8 @@ impl Broker {
                 // grace window.
                 peer.last_rx = Some(self.ticks);
                 peer.gap_since.get_or_insert(self.ticks);
-                Ok(vec![Output::Event(LinkEvent::Gap { link: from, expected, got })])
+                outs.push(Output::Event(LinkEvent::Gap { link: from, expected, got }));
+                Ok(())
             }
             Opened::Failed(err) => {
                 // Not a frame the sealed channel can open. A *restarted*
@@ -1931,19 +2088,19 @@ impl Broker {
                 // a forgery cannot complete the handshake, and the old
                 // channel stays installed until the new key proves out).
                 match Message::from_wire(bytes) {
-                    Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload),
-                    Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload),
+                    Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload, outs),
+                    Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload, outs),
                     Ok(Message::LinkFinish { payload }) if peer.response.is_some() => {
-                        self.hs_finish(from, &payload)
+                        self.hs_finish(from, &payload, outs)
                     }
                     _ => Err(err.into()),
                 }
             }
             Opened::NoChannel => {
                 match Message::from_wire(bytes) {
-                    Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload),
-                    Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload),
-                    Ok(Message::LinkFinish { payload }) => self.hs_finish(from, &payload),
+                    Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload, outs),
+                    Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload, outs),
+                    Ok(Message::LinkFinish { payload }) => self.hs_finish(from, &payload, outs),
                     _ if peer.dead || matches!(self.phase, Phase::Rejoining { .. }) => {
                         // Sealed traffic under a key we no longer hold:
                         // either our liveness view is stale (the sender
@@ -1952,7 +2109,7 @@ impl Broker {
                         // has not re-keyed with us yet. Swallow the
                         // undecipherable frame — the probe/rejoin
                         // handshake heals the link.
-                        Ok(Vec::new())
+                        Ok(())
                     }
                     _ => Err(OverlayError::Link { reason: "no link to neighbour" }),
                 }
@@ -1965,11 +2122,12 @@ impl Broker {
         from: usize,
         wire: &[u8],
         meta: u64,
-    ) -> Result<Vec<Output>, OverlayError> {
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         // Publication batches are routed straight out of the opened frame.
         if let Some(batch) = PublishBatchView::from_wire(wire)? {
             self.require_serving("publication for a broker that is not serving")?;
-            return self.route_batch(|| batch.clone(), Origin::Link(from), TraceId(meta));
+            return self.route_batch(|| batch.clone(), Origin::Link(from), TraceId(meta), outs);
         }
         match Message::from_wire(wire)? {
             Message::SubForward { envelope } => {
@@ -1987,35 +2145,35 @@ impl Broker {
                     }
                 }
                 let wire = Message::SubForward { envelope }.to_wire();
-                let outs = self.link_frames(outcome.links, &wire)?;
+                self.link_frames(outcome.links, &wire, outs)?;
                 // While replaying, one mark at the end of the link's
                 // replay (reconcile_replay) covers the whole burst.
                 if !replaying {
                     self.mark_dirty_if_serving();
                 }
-                Ok(outs)
+                Ok(())
             }
             Message::SubRemove { envelope } => {
                 self.require_traffic()?;
                 let outcome = self.call(|c| c.remove(&envelope, Origin::Link(from)))?;
                 if !outcome.removed {
-                    return Ok(Vec::new());
+                    return Ok(());
                 }
                 let wire = Message::SubRemove { envelope }.to_wire();
-                let outs = self.link_frames(outcome.links, &wire)?;
+                self.link_frames(outcome.links, &wire, outs)?;
                 self.mark_dirty_if_serving();
-                Ok(outs)
+                Ok(())
             }
             Message::SubDrop { id } => {
                 self.require_traffic()?;
                 match self.call(|c| c.origin_of(id)) {
-                    None => Ok(Vec::new()), // already gone: idempotent
+                    None => Ok(()), // already gone: idempotent
                     Some(Origin::Link(l)) if l == from => {
                         let outcome = self.call(|c| c.remove_by_id(id, Origin::Link(from)));
                         let wire = Message::SubDrop { id }.to_wire();
-                        let outs = self.link_frames(outcome.links, &wire)?;
+                        self.link_frames(outcome.links, &wire, outs)?;
                         self.mark_dirty_if_serving();
-                        Ok(outs)
+                        Ok(())
                     }
                     Some(_) => Err(OverlayError::Link { reason: "sub-drop from wrong direction" }),
                 }
@@ -2028,15 +2186,15 @@ impl Broker {
                     // so two adjacent brokers crashed in the same window
                     // both recover instead of wedging on each other.
                     self.peer(from).parked_replay = true;
-                    return Ok(Vec::new());
+                    return Ok(());
                 }
-                self.serve_replay(from)
+                self.serve_replay(from, outs)
             }
-            Message::ReplayDone { count } => self.reconcile_replay(from, count),
+            Message::ReplayDone { count } => self.reconcile_replay(from, count, outs),
             Message::Heartbeat => {
                 // Pure liveness beacon: opening it already refreshed
                 // `last_rx`; there is nothing to route.
-                Ok(Vec::new())
+                Ok(())
             }
             _ => Err(OverlayError::Link { reason: "unexpected message kind on link" }),
         }
@@ -2045,15 +2203,14 @@ impl Broker {
     /// Serves a replay towards `from`: re-send every subscription the
     /// neighbour should hold from us, closed with a count-carrying
     /// `ReplayDone` marker.
-    fn serve_replay(&mut self, from: usize) -> Result<Vec<Output>, OverlayError> {
+    fn serve_replay(&mut self, from: usize, outs: &mut Vec<Output>) -> Result<(), OverlayError> {
         let envelopes = self.call(|c| c.replay_rows(from));
         let count = envelopes.len() as u32;
-        let mut outs = Vec::with_capacity(envelopes.len() + 1);
         for envelope in envelopes {
             outs.push(self.send(from, &Message::SubForward { envelope }.to_wire())?);
         }
         outs.push(self.send(from, &Message::ReplayDone { count }.to_wire())?);
-        Ok(outs)
+        Ok(())
     }
 
     /// Ends the replay from `from`: every restored subscription learnt
@@ -2063,7 +2220,12 @@ impl Broker {
     /// reverse path. When a rejoining broker's last neighbour finishes,
     /// start serving; a serving broker finishing a single healed link's
     /// replay reports `Healed` instead.
-    fn reconcile_replay(&mut self, from: usize, count: u32) -> Result<Vec<Output>, OverlayError> {
+    fn reconcile_replay(
+        &mut self,
+        from: usize,
+        count: u32,
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         let healing = matches!(self.phase, Phase::Serving(_));
         let open = healing || matches!(self.phase, Phase::Rejoining { .. });
         let Some(replay) = self.peer(from).replay.as_mut().filter(|_| open) else {
@@ -2081,11 +2243,10 @@ impl Broker {
                 .collect()
         });
         let replayed_here = confirmed.len();
-        let mut outs = Vec::new();
         for id in &stale {
             let outcome = self.call(|c| c.remove_by_id(*id, Origin::Link(from)));
             let wire = Message::SubDrop { id: *id }.to_wire();
-            outs.extend(self.link_frames(outcome.links, &wire)?);
+            self.link_frames(outcome.links, &wire, outs)?;
             self.mark_dirty();
         }
         if let Phase::Rejoining { dropped, .. } = &mut self.phase {
@@ -2106,9 +2267,9 @@ impl Broker {
                 dropped_stale: stale.len(),
             }));
         } else if !self.replays_owed() {
-            outs.extend(self.serve()?);
+            self.serve(outs)?;
         }
-        Ok(outs)
+        Ok(())
     }
 
     /// Enters `Serving`: the one transition into it after bring-up, from
@@ -2117,8 +2278,7 @@ impl Broker {
     /// way, neighbours that asked for a replay while we could not serve
     /// it (they restarted while we were linking or rejoining) are served
     /// now.
-    fn serve(&mut self) -> Result<Vec<Output>, OverlayError> {
-        let mut outs = Vec::new();
+    fn serve(&mut self, outs: &mut Vec<Output>) -> Result<(), OverlayError> {
         if let Phase::Rejoining { crashed_at, replayed, dropped, .. } = self.phase {
             outs.push(Output::Event(LinkEvent::Rejoined {
                 replayed,
@@ -2135,54 +2295,65 @@ impl Broker {
             })
             .collect();
         for neighbor in parked {
-            outs.extend(self.serve_replay(neighbor)?);
+            self.serve_replay(neighbor, outs)?;
         }
-        Ok(outs)
+        Ok(())
     }
 
     // ---- local traffic -------------------------------------------------
 
-    fn on_subscribe(&mut self, envelope: &[u8]) -> Result<Vec<Output>, OverlayError> {
+    fn on_subscribe(
+        &mut self,
+        envelope: &[u8],
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         self.require_serving("subscription for a broker that is not serving")?;
         let outcome = self.call(|c| c.admit(envelope, Origin::Local, false))?;
         let wire = Message::SubForward { envelope: envelope.to_vec() }.to_wire();
-        let mut outs = self.link_frames(outcome.links, &wire)?;
+        self.link_frames(outcome.links, &wire, outs)?;
         self.mark_dirty();
         outs.push(Output::Event(LinkEvent::Subscribed { id: outcome.id }));
-        Ok(outs)
+        Ok(())
     }
 
-    fn on_unsubscribe(&mut self, envelope: &[u8]) -> Result<Vec<Output>, OverlayError> {
+    fn on_unsubscribe(
+        &mut self,
+        envelope: &[u8],
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         self.require_serving("unsubscription for a broker that is not serving")?;
         let outcome = self.call(|c| c.remove(envelope, Origin::Local))?;
-        let mut outs = Vec::new();
         if outcome.removed {
             let wire = Message::SubRemove { envelope: envelope.to_vec() }.to_wire();
-            outs = self.link_frames(outcome.links, &wire)?;
+            self.link_frames(outcome.links, &wire, outs)?;
             self.mark_dirty();
         }
         outs.push(Output::Event(LinkEvent::Unsubscribed {
             id: outcome.id,
             removed: outcome.removed,
         }));
-        Ok(outs)
+        Ok(())
     }
 
     fn on_publish(
         &mut self,
         items: &[PublishItem],
         trace: TraceId,
-    ) -> Result<Vec<Output>, OverlayError> {
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         self.require_serving("publication for a broker that is not serving")?;
-        self.route_batch(|| items.iter().map(PublishItem::view), Origin::Local, trace)
+        self.route_batch(|| items.iter().map(PublishItem::view), Origin::Local, trace, outs)
     }
 
     /// Routes a batch of publications: decrypt+match the whole batch in
     /// [`MAX_DRAIN`]-bounded single enclave crossings, deliver locally —
-    /// every client a publication reaches here shares one copy of it —
-    /// and forward each item on every matching link (origin excluded),
-    /// each link's batch encoded from the borrowed items into one reused
-    /// buffer. `items` yields the batch afresh on every call.
+    /// one [`LocalDeliveries`] record per publication that reaches a
+    /// client here, carrying the item once and its matched clients — and
+    /// forward each item on every matching link (origin excluded), each
+    /// link's batch encoded from the borrowed items into one reused
+    /// buffer. The records share the broker's one delivery buffer, which
+    /// is refilled in place when the previous batch's records are gone.
+    /// `items` yields the batch afresh on every call.
     ///
     /// With telemetry enabled the batch is timed through three waypoints
     /// (arrival, matched, forwarded) and committed as one
@@ -2196,7 +2367,8 @@ impl Broker {
         items: impl Fn() -> I,
         origin: Origin,
         trace: TraceId,
-    ) -> Result<Vec<Output>, OverlayError>
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError>
     where
         I: ExactSizeIterator<Item = PublishItemRef<'a>>,
     {
@@ -2210,21 +2382,24 @@ impl Broker {
         }
         let t_matched = if timing { self.mem_elapsed_ns() } else { 0.0 };
         let matched_here = routes.locals.len();
-        // lint: allow(SL03, owned output construction - deliveries and frames leave this fn)
-        let mut outs = Vec::with_capacity(matched_here + self.peers.len());
-        for (i, item) in items().enumerate() {
-            let (locals, _) = routes.get(i);
-            if locals.is_empty() {
-                continue;
+        if matched_here > 0 {
+            // The last batch's records may still be held: then they keep
+            // its buffer, and this batch starts a fresh one.
+            if Arc::get_mut(&mut self.delivered).is_none() {
+                self.delivered = Arc::default();
             }
-            let shared = Arc::new(item.to_item());
-            outs.extend(locals.iter().map(|&client| {
-                Output::Delivery(LocalDelivery {
-                    router: self.id,
-                    client,
-                    item: Arc::clone(&shared),
-                })
-            }));
+            let delivered = Arc::get_mut(&mut self.delivered).expect("unshared");
+            delivered.clear();
+            for (i, item) in items().enumerate() {
+                let (locals, _) = routes.get(i);
+                if !locals.is_empty() {
+                    delivered.push(item, locals);
+                }
+            }
+            for index in 0..delivered.items.len() {
+                let batch = Arc::clone(&self.delivered);
+                outs.push(Output::Deliveries(LocalDeliveries { router: self.id, batch, index }));
+            }
         }
         // One batch per keyed link with interest, in ascending neighbour
         // order. Interest toward a dead (not yet re-keyed) neighbour is
@@ -2269,7 +2444,7 @@ impl Broker {
                 }
             });
         }
-        Ok(outs)
+        Ok(())
     }
 
     // ---- frame builders ------------------------------------------------
@@ -2284,8 +2459,8 @@ impl Broker {
         &mut self,
         links: Vec<LinkUpdate>,
         terminal: &[u8],
-    ) -> Result<Vec<Output>, OverlayError> {
-        let mut outs = Vec::new();
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
         for link in links {
             if self.peers.get(&link.neighbor).is_none_or(|p| p.link.is_none()) {
                 // Dead neighbour (declared so at restart), no channel
@@ -2299,7 +2474,7 @@ impl Broker {
             }
             outs.push(self.send(link.neighbor, terminal)?);
         }
-        Ok(outs)
+        Ok(())
     }
 
     /// Checkpoints the recovery record after a subscription-state
@@ -2509,13 +2684,17 @@ mod tests {
             .collect()
     }
 
-    fn deliveries(outputs: &[Output]) -> Vec<&LocalDelivery> {
+    /// The clients the outputs deliver to, one entry per client per
+    /// publication.
+    fn deliveries(outputs: &[Output]) -> Vec<ClientId> {
         outputs
             .iter()
             .filter_map(|o| match o {
-                Output::Delivery(d) => Some(d),
+                Output::Deliveries(d) => Some(d.clients()),
                 _ => None,
             })
+            .flatten()
+            .copied()
             .collect()
     }
 
@@ -2572,9 +2751,7 @@ mod tests {
         let batch = Message::PublishBatch { items: vec![item(&producer, &publication, &mut rng)] }
             .to_wire();
         let outs = broker.step(2, peers.frame(2, &batch)).unwrap();
-        let delivered = deliveries(&outs);
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].client, ClientId(7));
+        assert_eq!(deliveries(&outs), vec![ClientId(7)]);
         // price>10 came locally; price>50 came from link 1 → forward to 1.
         let fwd = frames(&outs);
         assert_eq!(fwd.len(), 1);
@@ -2757,9 +2934,7 @@ mod tests {
         let fwd = frames(&outs);
         assert_eq!(fwd.len(), 1, "b forwards under the replaced (broad) spec");
         let outs = a.step(3, Input::Frame { from: 1, bytes: fwd[0].bytes.clone() }).unwrap();
-        let local = deliveries(&outs);
-        assert_eq!(local.len(), 1);
-        assert_eq!(local[0].client, ClientId(1));
+        assert_eq!(deliveries(&outs), vec![ClientId(1)]);
     }
 
     #[test]
@@ -2807,8 +2982,7 @@ mod tests {
         let fwd = frames(&outs);
         assert_eq!(fwd.len(), 1, "b still knows about id 2's interest");
         let outs = a.step(9, Input::Frame { from: 1, bytes: fwd[0].bytes.clone() }).unwrap();
-        let clients: Vec<ClientId> = deliveries(&outs).iter().map(|d| d.client).collect();
-        assert_eq!(clients, vec![ClientId(2)]);
+        assert_eq!(deliveries(&outs), vec![ClientId(2)]);
     }
 
     #[test]
@@ -2879,6 +3053,82 @@ mod tests {
         assert_eq!(deliveries(&outs).len(), 10);
         assert!(frames(&outs).is_empty());
         assert_eq!(broker.stats().ecalls, 1, "whole batch in one crossing");
+    }
+
+    /// A batch yields one record per publication delivered here, holding
+    /// the item and its clients ascending. Records still held when the
+    /// next batch routes keep reading their own batch; once dropped, the
+    /// broker refills the same buffer.
+    #[test]
+    fn one_record_per_delivered_publication_and_held_records_stay_intact() {
+        let mut rng = CryptoRng::from_seed(5);
+        let producer = producer(&mut rng);
+        let (mut broker, _) = serving(0, 35, false, &[], &producer);
+        for (id, client, above) in [(1, 9, 0.0), (2, 4, 5.0), (3, 0, 0.0)] {
+            let spec = SubscriptionSpec::new().gt("p", above);
+            let envelope = producer
+                .seal_registration(&spec, SubscriptionId(id), ClientId(client), &mut rng)
+                .unwrap();
+            broker.step(0, Input::Subscribe { envelope }).unwrap();
+        }
+        let batch = |rng: &mut CryptoRng, prices: &[f64]| -> Vec<PublishItem> {
+            prices
+                .iter()
+                .map(|&p| {
+                    let mut item = item(&producer, &PublicationSpec::new().attr("p", p), rng);
+                    item.payload_ct = p.to_be_bytes().to_vec();
+                    item
+                })
+                .collect()
+        };
+        let records = |outs: &[Output]| -> Vec<LocalDeliveries> {
+            outs.iter()
+                .filter_map(|o| match o {
+                    Output::Deliveries(d) => Some(d.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let first = batch(&mut rng, &[6.0, -1.0, 2.0]);
+        let held = records(
+            &broker.step(1, Input::Publish { items: first.clone(), trace: TraceId::NONE }).unwrap(),
+        );
+        let read = |records: &[LocalDeliveries]| -> Vec<(Vec<u8>, Vec<u8>, Vec<ClientId>)> {
+            records
+                .iter()
+                .map(|r| {
+                    assert_eq!(r.router(), 0);
+                    let item = r.item();
+                    (item.header_ct.to_vec(), item.payload_ct.to_vec(), r.clients().to_vec())
+                })
+                .collect()
+        };
+        let expected = vec![
+            (
+                first[0].header_ct.clone(),
+                first[0].payload_ct.clone(),
+                vec![ClientId(0), ClientId(4), ClientId(9)],
+            ),
+            (
+                first[2].header_ct.clone(),
+                first[2].payload_ct.clone(),
+                vec![ClientId(0), ClientId(9)],
+            ),
+        ];
+        assert_eq!(read(&held), expected, "the unmatched publication yields no record");
+        let buffer = Arc::as_ptr(&broker.delivered);
+        let second = batch(&mut rng, &[7.0]);
+        let outs = broker.step(2, Input::Publish { items: second, trace: TraceId::NONE }).unwrap();
+        assert_eq!(read(&held), expected, "a held batch is not overwritten");
+        assert_ne!(Arc::as_ptr(&broker.delivered), buffer);
+        drop((held, outs));
+        let buffer = Arc::as_ptr(&broker.delivered);
+        let third = batch(&mut rng, &[8.0]);
+        let outs =
+            broker.step(3, Input::Publish { items: third.clone(), trace: TraceId::NONE }).unwrap();
+        assert_eq!(Arc::as_ptr(&broker.delivered), buffer, "a released buffer is refilled");
+        assert_eq!(read(&records(&outs))[0].1, third[0].payload_ct);
+        assert_eq!(records(&outs)[0].item().epoch, third[0].epoch);
     }
 
     /// A header that fails to decrypt costs only itself: its batch-mates
@@ -3019,10 +3269,11 @@ mod tests {
         assert!(broker.step(0, request).unwrap().is_empty(), "parked, not served");
 
         broker.install_sealed_link(2, &[7; 32]);
-        let mut outs = broker.post_link_up(2).unwrap();
+        let mut outs = Vec::new();
+        broker.post_link_up(2, &mut outs).unwrap();
         assert_eq!(broker.lifecycle(), Lifecycle::Serving);
         for now in 1..=50 {
-            outs.extend(broker.step(now, Input::Tick).unwrap());
+            broker.step_into(now, Input::Tick, &mut outs).unwrap();
         }
         let to_one: Vec<Message> =
             frames(&outs).into_iter().filter(|f| f.to == 1).map(|f| peers.open(f)).collect();

@@ -256,10 +256,10 @@ impl Harness {
                 .expect("probe publish");
             let mut got: Vec<ClientId> = outs
                 .iter()
-                .filter_map(|o| match o {
-                    Output::Delivery(d) => Some(d.client),
-                    Output::Frame(f) => Some(link_interface(f.to)),
-                    Output::Event(_) => None,
+                .flat_map(|o| match o {
+                    Output::Deliveries(d) => d.clients().to_vec(),
+                    Output::Frame(f) => vec![link_interface(f.to)],
+                    Output::Event(_) => Vec::new(),
                 })
                 .collect();
             got.sort_unstable_by_key(|c| c.0);

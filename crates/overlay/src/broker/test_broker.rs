@@ -83,7 +83,7 @@ pub(super) fn serving(
     provision(&mut broker, producer);
     let peers = relink(&mut broker);
     for &n in neighbors {
-        broker.post_link_up(n).expect("link up");
+        broker.post_link_up(n, &mut Vec::new()).expect("link up");
     }
     assert_eq!(broker.lifecycle(), Lifecycle::Serving);
     (broker, peers)

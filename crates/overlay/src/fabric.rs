@@ -34,7 +34,7 @@
 //!    crashed brokers, adjacent ones included.
 
 use crate::broker::{
-    Broker, BrokerStats, Input, Lifecycle, LinkEvent, LinkFrame, LocalDelivery, Output,
+    Broker, BrokerStats, Input, Lifecycle, LinkEvent, LinkFrame, LocalDeliveries, Output,
     SuspectReason,
 };
 use crate::error::OverlayError;
@@ -193,6 +193,14 @@ pub struct OverlayFabric {
     /// tick only every `s`-th detection round (models a slow-but-alive
     /// host whose heartbeats are delayed, not lost). Default 1.
     strides: BTreeMap<usize, u64>,
+    /// The scheduler's buffers, reused across dispatches: the frames in
+    /// flight, one step's outputs, the delivery records a dispatch
+    /// collects, and the sort keys a publication's deliveries are
+    /// ordered by.
+    queue: VecDeque<LinkFrame>,
+    outs: Vec<Output>,
+    delivered: Vec<LocalDeliveries>,
+    keys: Vec<u128>,
 }
 
 impl std::fmt::Debug for OverlayFabric {
@@ -275,6 +283,10 @@ impl OverlayFabric {
             telemetry: config.telemetry,
             next_trace: 1,
             strides: BTreeMap::new(),
+            queue: VecDeque::new(),
+            outs: Vec::new(),
+            delivered: Vec::new(),
+            keys: Vec::new(),
         };
         // One tick round: every edge's lower endpoint initiates; the pump
         // completes all handshakes synchronously.
@@ -331,23 +343,25 @@ impl OverlayFabric {
     /// Feeds every broker one timer tick and pumps the fallout.
     fn tick_all(&mut self) -> Result<(), OverlayError> {
         for id in 0..self.brokers.len() {
-            if self.brokers[id].lifecycle() == Lifecycle::Crashed {
-                continue;
+            if self.brokers[id].lifecycle() != Lifecycle::Crashed {
+                self.dispatch(id, Input::Tick)?;
             }
-            let now = self.tick();
-            let outs = self.brokers[id].step(now, Input::Tick)?;
-            self.pump(id, outs)?;
         }
         Ok(())
     }
 
     /// Dispatches one input to one broker and pumps the resulting frames
-    /// breadth-first until the tree is quiescent, collecting local
-    /// deliveries along the way.
-    fn dispatch(&mut self, at: usize, input: Input) -> Result<Vec<LocalDelivery>, OverlayError> {
-        let now = self.tick();
-        let outs = self.brokers[at].step(now, input)?;
-        self.pump(at, outs)
+    /// breadth-first until the tree is quiescent, collecting the local
+    /// delivery records made along the way in `self.delivered`.
+    fn dispatch(&mut self, at: usize, input: Input) -> Result<(), OverlayError> {
+        self.delivered.clear();
+        let (mut queue, mut outs) =
+            (std::mem::take(&mut self.queue), std::mem::take(&mut self.outs));
+        let pumped = self.pump(at, input, &mut queue, &mut outs);
+        queue.clear();
+        outs.clear();
+        (self.queue, self.outs) = (queue, outs);
+        pumped
     }
 
     /// The scheduler core: frames out of one broker become inputs to the
@@ -356,53 +370,14 @@ impl OverlayFabric {
     /// counted — the sender finds out the way a real deployment does.
     fn pump(
         &mut self,
-        origin: usize,
-        outputs: Vec<Output>,
-    ) -> Result<Vec<LocalDelivery>, OverlayError> {
-        let mut deliveries = Vec::new();
-        let mut queue: VecDeque<LinkFrame> = VecDeque::new();
-        let absorb = |outs: Vec<Output>,
-                      router: usize,
-                      queue: &mut VecDeque<LinkFrame>,
-                      deliveries: &mut Vec<LocalDelivery>,
-                      events: &mut Vec<(usize, LinkEvent)>,
-                      suspicions: &mut BTreeMap<usize, BTreeSet<usize>>| {
-            for out in outs {
-                match out {
-                    Output::Frame(frame) => queue.push_back(frame),
-                    Output::Delivery(delivery) => deliveries.push(delivery),
-                    Output::Event(event) => {
-                        // Mirror the liveness accusations into the
-                        // fabric's aggregate view. Only silence counts
-                        // toward node death; a gap accuses the channel,
-                        // not the peer (which provably sent the frame).
-                        match &event {
-                            LinkEvent::Suspect { link, reason: SuspectReason::Silence } => {
-                                suspicions.entry(*link).or_default().insert(router);
-                            }
-                            LinkEvent::Cleared { link } => {
-                                if let Some(accusers) = suspicions.get_mut(link) {
-                                    accusers.remove(&router);
-                                    if accusers.is_empty() {
-                                        suspicions.remove(link);
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                        events.push((router, event));
-                    }
-                }
-            }
-        };
-        absorb(
-            outputs,
-            origin,
-            &mut queue,
-            &mut deliveries,
-            &mut self.events,
-            &mut self.suspicions,
-        );
+        at: usize,
+        input: Input,
+        queue: &mut VecDeque<LinkFrame>,
+        outs: &mut Vec<Output>,
+    ) -> Result<(), OverlayError> {
+        let now = self.tick();
+        self.brokers[at].step_into(now, input, outs)?;
+        self.absorb(at, outs, queue);
         while let Some(frame) = queue.pop_front() {
             let edge = (frame.from, frame.to);
             *self.edge_frames.entry(edge).or_default() += 1;
@@ -414,18 +389,43 @@ impl OverlayFabric {
                 continue;
             }
             let now = self.tick();
-            let outs = self.brokers[frame.to]
-                .step(now, Input::Frame { from: frame.from, bytes: frame.bytes })?;
-            absorb(
-                outs,
-                frame.to,
-                &mut queue,
-                &mut deliveries,
-                &mut self.events,
-                &mut self.suspicions,
-            );
+            let input = Input::Frame { from: frame.from, bytes: frame.bytes };
+            self.brokers[frame.to].step_into(now, input, outs)?;
+            self.absorb(frame.to, outs, queue);
         }
-        Ok(deliveries)
+        Ok(())
+    }
+
+    /// Takes one step's outputs at `router`: frames join the queue,
+    /// delivery records are collected and events are logged.
+    fn absorb(&mut self, router: usize, outs: &mut Vec<Output>, queue: &mut VecDeque<LinkFrame>) {
+        for out in outs.drain(..) {
+            match out {
+                Output::Frame(frame) => queue.push_back(frame),
+                Output::Deliveries(records) => self.delivered.push(records),
+                Output::Event(event) => {
+                    // Mirror the liveness accusations into the fabric's
+                    // aggregate view. Only silence counts toward node
+                    // death; a gap accuses the channel, not the peer
+                    // (which provably sent the frame).
+                    match &event {
+                        LinkEvent::Suspect { link, reason: SuspectReason::Silence } => {
+                            self.suspicions.entry(*link).or_default().insert(router);
+                        }
+                        LinkEvent::Cleared { link } => {
+                            if let Some(accusers) = self.suspicions.get_mut(link) {
+                                accusers.remove(&router);
+                                if accusers.is_empty() {
+                                    self.suspicions.remove(link);
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                    self.events.push((router, event));
+                }
+            }
+        }
     }
 
     /// Registers `client`'s subscription at edge router `at` and
@@ -563,10 +563,13 @@ impl OverlayFabric {
                 payload_ct: (i as u32).to_be_bytes().to_vec(),
             })
             .collect();
-        let local = self.dispatch(at, Input::Publish { items, trace })?;
-        let mut deliveries: Vec<Delivery> =
-            local.iter().map(decode_delivery).collect::<Result<_, _>>()?;
-        deliveries.sort_unstable();
+        let mut deliveries = Vec::new();
+        let expanded = self
+            .dispatch(at, Input::Publish { items, trace })
+            .and_then(|()| expand_deliveries(&self.delivered, &mut self.keys, &mut deliveries));
+        // Dropping the records hands each broker its delivery buffer back.
+        self.delivered.clear();
+        expanded?;
         Ok((trace, deliveries))
     }
 
@@ -648,9 +651,7 @@ impl OverlayFabric {
             if self.brokers[at].lifecycle() == Lifecycle::Serving {
                 break;
             }
-            let now = self.tick();
-            let outs = self.brokers[at].step(now, Input::Tick)?;
-            self.pump(at, outs)?;
+            self.dispatch(at, Input::Tick)?;
         }
         if self.brokers[at].lifecycle() != Lifecycle::Serving {
             // Leave a cleanly restartable state rather than a broker
@@ -717,12 +718,9 @@ impl OverlayFabric {
                 continue;
             }
             let stride = self.strides.get(&id).copied().unwrap_or(1).max(1);
-            if !self.rounds.is_multiple_of(stride) {
-                continue;
+            if self.rounds.is_multiple_of(stride) {
+                self.dispatch(id, Input::Tick)?;
             }
-            let now = self.tick();
-            let outs = self.brokers[id].step(now, Input::Tick)?;
-            self.pump(id, outs)?;
         }
         let mut rejoins = Vec::new();
         let candidates: Vec<usize> = self.suspicions.keys().copied().collect();
@@ -1000,19 +998,33 @@ impl OverlayFabric {
     }
 }
 
-/// Decodes the batch index the fabric tagged into a delivered payload.
-fn decode_delivery(local: &LocalDelivery) -> Result<Delivery, OverlayError> {
-    let bytes: [u8; 4] = local
-        .item
-        .payload_ct
-        .as_slice()
-        .try_into()
-        .map_err(|_| OverlayError::Link { reason: "unexpected payload tag" })?;
-    Ok(Delivery {
-        router: local.router,
-        client: local.client,
-        publication: u32::from_be_bytes(bytes) as usize,
-    })
+/// Expands per-publication delivery records into `out`, one
+/// [`Delivery`] per client, ordered by router, client, then publication.
+/// Each record's payload tag (the batch index the fabric wrote) is
+/// decoded once; the order comes from sorting packed `router ‖ client ‖
+/// publication` keys (32, 64 and 32 bits) in `keys`, a buffer reused
+/// across calls.
+fn expand_deliveries(
+    records: &[LocalDeliveries],
+    keys: &mut Vec<u128>,
+    out: &mut Vec<Delivery>,
+) -> Result<(), OverlayError> {
+    keys.clear();
+    for record in records {
+        let tag = record.item().payload_ct.try_into();
+        let tag = tag.map_err(|_| OverlayError::Link { reason: "unexpected payload tag" })?;
+        let router = u32::try_from(record.router())
+            .map_err(|_| OverlayError::Topology { reason: "router out of range" })?;
+        let high = u128::from(router) << 96 | u128::from(u32::from_be_bytes(tag));
+        keys.extend(record.clients().iter().map(|c| high | u128::from(c.0) << 32));
+    }
+    keys.sort_unstable();
+    out.extend(keys.iter().map(|&key| Delivery {
+        router: (key >> 96) as usize,
+        client: ClientId((key >> 32) as u64),
+        publication: key as u32 as usize,
+    }));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,14 +7,15 @@
 //! delivery — plus the negative path: a router whose quote fails the
 //! `require_mr_enclave` policy never gets a link.
 
-use scbr::ids::ClientId;
-use scbr::{PublicationSpec, SubscriptionSpec};
+use scbr::ids::{ClientId, SubscriptionId};
+use scbr::index::FlatOracle;
+use scbr::{PublicationSpec, ScbrError, SubscriptionSpec};
 use scbr_overlay::broker::{Broker, Input, LinkFrame, Output};
 use scbr_overlay::fabric::{router_measurement, FabricConfig, OverlayFabric, ROUTER_ENCLAVE_CODE};
 use scbr_overlay::{Delivery, Lifecycle, OverlayError, Topology};
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
-use sgx_sim::{EpcConfig, SgxError};
-use std::collections::VecDeque;
+use sgx_sim::{CacheConfig, CostModel, EpcConfig, MemorySim, SgxError};
+use std::collections::{BTreeSet, VecDeque};
 
 /// A cold attested broker on a default-EPC machine.
 fn attested(id: usize, seed: u64, code: &[u8]) -> Broker {
@@ -32,16 +33,16 @@ fn out_frames(outputs: &[Output]) -> Vec<LinkFrame> {
 }
 
 /// Shuttles frames between two brokers until quiescent (the two-node
-/// version of the fabric's scheduler), collecting local deliveries.
+/// version of the fabric's scheduler), collecting local delivery records.
 fn drive(
     a: &mut Broker,
     b: &mut Broker,
     first: Vec<Output>,
-) -> Result<Vec<scbr_overlay::broker::LocalDelivery>, OverlayError> {
+) -> Result<Vec<scbr_overlay::broker::LocalDeliveries>, OverlayError> {
     let mut deliveries = Vec::new();
     let mut queue: VecDeque<LinkFrame> = out_frames(&first).into();
     for o in first {
-        if let Output::Delivery(d) = o {
+        if let Output::Deliveries(d) = o {
             deliveries.push(d);
         }
     }
@@ -50,7 +51,7 @@ fn drive(
         let outs = target.step(0, Input::Frame { from: frame.from, bytes: frame.bytes })?;
         queue.extend(out_frames(&outs));
         for o in outs {
-            if let Output::Delivery(d) = o {
+            if let Output::Deliveries(d) = o {
                 deliveries.push(d);
             }
         }
@@ -358,4 +359,73 @@ fn attested_chain_detects_and_heals_a_silent_crash() {
             Delivery { router: 2, client: ClientId(2), publication: 0 },
         ]
     );
+}
+
+/// An edge client id with the link-interface bit is refused at
+/// admission: indexed as it was, every match on it read as a link and
+/// the client silently received nothing.
+#[test]
+fn a_client_id_with_the_interface_bit_is_refused() {
+    let mut fabric = OverlayFabric::build(Topology::line(2), FabricConfig::attested(50)).unwrap();
+    let spec = SubscriptionSpec::new().gt("price", 10.0);
+    let reserved = ClientId(ClientId::INTERFACE_BIT | 1);
+    assert!(matches!(
+        fabric.subscribe(0, reserved, &spec),
+        Err(OverlayError::Routing(ScbrError::InvalidSubscription { .. }))
+    ));
+    assert_eq!(fabric.total_index_entries(), 0, "nothing was indexed or forwarded");
+    fabric.subscribe(0, ClientId(2), &spec).unwrap();
+    let deliveries = fabric.publish(1, &[PublicationSpec::new().attr("price", 20.0)]).unwrap();
+    assert_eq!(deliveries, vec![Delivery { router: 0, client: ClientId(2), publication: 0 }]);
+}
+
+/// The fabric's deliveries are exactly the flat oracle's, in `(router,
+/// client, publication)` order, on a tree where several brokers deliver
+/// each batch, client ids span the whole edge range, and one client
+/// matches several publications of a batch.
+#[test]
+fn deliveries_equal_the_flat_oracle_in_router_client_publication_order() {
+    let topology = Topology::tree(6, &[(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]).unwrap();
+    let mut fabric = OverlayFabric::build(topology, FabricConfig::attested(51)).unwrap();
+    let top = ClientId::INTERFACE_BIT - 1;
+    // (router, client, lower price bound, upper price bound)
+    let subs: [(usize, u64, f64, f64); 9] = [
+        (0, 0, 10.0, 100.0),
+        (0, top, 0.0, 50.0),
+        (0, 7, 40.0, 90.0),
+        (2, 0, 0.0, 30.0),
+        (2, top, 20.0, 100.0),
+        (4, 3, 0.0, 100.0),
+        (4, 3, 60.0, 70.0),
+        (5, top, 35.0, 45.0),
+        (5, 1, 80.0, 100.0),
+    ];
+    let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
+    let mut oracle = FlatOracle::new(&mem);
+    for (i, &(router, client, low, high)) in subs.iter().enumerate() {
+        let spec = SubscriptionSpec::new().gt("price", low).lt("price", high);
+        fabric.subscribe(router, ClientId(client), &spec).unwrap();
+        // The oracle indexes subscription i under identity i.
+        oracle.register_plain(SubscriptionId(i as u64), ClientId(i as u64), &spec).unwrap();
+    }
+    let prices = [5.0, 25.0, 42.0, 65.0, 85.0, 95.0, 15.0];
+    let publications: Vec<PublicationSpec> =
+        prices.iter().map(|&p| PublicationSpec::new().attr("price", p)).collect();
+    for at in [0, 2, 4, 5] {
+        let deliveries = fabric.publish(at, &publications).unwrap();
+        let mut expected = BTreeSet::new();
+        for (p, publication) in publications.iter().enumerate() {
+            for matched in oracle.match_plain(publication).unwrap() {
+                let (router, client, ..) = subs[matched.0 as usize];
+                expected.insert((router, client, p));
+            }
+        }
+        let got: Vec<(usize, u64, usize)> =
+            deliveries.iter().map(|d| (d.router, d.client.0, d.publication)).collect();
+        assert_eq!(got, expected.into_iter().collect::<Vec<_>>(), "published at {at}");
+        let routers: BTreeSet<usize> = got.iter().map(|d| d.0).collect();
+        assert_eq!(routers.len(), 4, "every subscribed broker delivers");
+        assert!(got.iter().filter(|d| d.0 == 0 && d.1 == top).count() >= 3);
+        assert!(got.iter().any(|d| d.1 == 0));
+    }
 }

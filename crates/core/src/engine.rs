@@ -18,9 +18,9 @@
 //! of one; [`MatchingEngine::match_encrypted_batch_into`] matches a batch into a
 //! reused flat [`BatchMatches`] with per-header fault isolation, walking
 //! the covering forest once per [`MAX_DRAIN`] chunk — what an overlay
-//! broker routes each crossing with — and [`RouterEngine::match_batch_into`]
-//! is that same call behind a single enclave crossing, the path the TCP
-//! router and the benchmark both run.
+//! broker, the TCP router role's included, routes each crossing with —
+//! and [`RouterEngine::match_batch_into`] is that same call behind a
+//! single enclave crossing, the path the benchmark's single router runs.
 
 use crate::attr::AttrSchema;
 use crate::codec;
@@ -40,8 +40,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Maximum publications matched per enclave crossing. Bounds both
 /// delivery latency under saturation and the working set a single ECALL
-/// pins inside the enclave: the TCP router's drain loop and an overlay
-/// broker's hop both chunk their batches by it, and the producer never
+/// pins inside the enclave: an overlay broker's hop chunks its batches by
+/// it, the TCP router role stops draining queued frames into one broker
+/// step once it holds this many publications, and the producer never
 /// packs more into one frame. It is also the width of one covering-forest
 /// walk: a crossing shares the node reads of its publications, not only
 /// the transition, and [`MatchingEngine::match_encrypted_batch_into`]
@@ -473,7 +474,7 @@ impl MatchingEngine {
     }
 
     /// Serialises the registered subscriptions for sealing: the enclave
-    /// can persist this via [`sgx_sim::seal::VersionedSeal`] and
+    /// can persist this via [`sgx_sim::seal::VersionedSeal::seal_link`] and
     /// re-register after a restart without a new remote attestation (the
     /// paper's §2 restart flow).
     ///
@@ -1291,13 +1292,14 @@ mod tests {
         engine
             .register_plain(SubscriptionId(1), ClientId(7), &SubscriptionSpec::new().eq("x", 1i64))
             .unwrap();
-        let sealed = enclave
+        let (_, sealed) = enclave
             .ecall(|ctx| {
-                VersionedSeal::seal(
+                VersionedSeal::seal_link(
                     ctx,
                     SealPolicy::MrEnclave,
                     &platform,
                     counter,
+                    None,
                     &engine.snapshot(),
                     &mut rng,
                 )
@@ -1307,12 +1309,18 @@ mod tests {
         // "Reboot": a new enclave with the same measurement restores.
         let restarted = build();
         let mut engine2 = MatchingEngine::new(restarted.memory(), IndexKind::Poset);
-        let snapshot = restarted
+        let (_, snapshot) = restarted
             .ecall(|ctx| {
-                VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &platform, counter, &sealed)
+                VersionedSeal::unseal_chain(
+                    ctx,
+                    SealPolicy::MrEnclave,
+                    &platform,
+                    counter,
+                    &[&sealed],
+                )
             })
             .unwrap();
-        assert_eq!(engine2.restore(&snapshot).unwrap(), 1);
+        assert_eq!(engine2.restore(&snapshot[0]).unwrap(), 1);
         let publication = PublicationSpec::new().attr("x", 1i64);
         assert_eq!(engine2.match_plain(&publication).unwrap(), vec![ClientId(7)]);
     }

@@ -20,8 +20,9 @@
 //!   outside an enclave (the axis of the paper's experiments).
 //! * **Protocol** — the Figure 4 key exchange, admission control and group
 //!   key rotation ([`protocol`]).
-//! * **Roles** — runnable producer / router / client nodes over
-//!   [`scbr_net`] transports ([`roles`]).
+//! * **Roles** — runnable producer / client nodes over [`scbr_net`]
+//!   transports ([`roles`]); the router role is an overlay broker
+//!   (`scbr_overlay::Router`).
 //!
 //! ## Quickstart
 //!

@@ -1,11 +1,13 @@
-//! Runnable SCBR nodes: producer, router and client.
+//! Runnable SCBR nodes: producer and client, and the connection pumps
+//! every role loop is fed by.
 //!
 //! Each role is an event loop over [`scbr_net`] connections speaking
 //! [`crate::protocol::messages::Message`]. The wiring matches the paper's
 //! Figure 3: clients talk to the producer to subscribe (and receive group
 //! keys), the producer talks to the router to register subscriptions and
 //! publish, and the router pushes matched payloads to clients over their
-//! delivery channels.
+//! delivery channels. The router role is `scbr_overlay::Router`: one
+//! attested overlay broker driven by the same pumps.
 //!
 //! The roles are transport-agnostic: tests and benchmarks use
 //! [`scbr_net::InProcNetwork`]; the examples also run over TCP.
@@ -22,7 +24,6 @@
 
 pub mod client;
 pub mod producer;
-pub mod router;
 
 use crate::protocol::messages::Message;
 use scbr_net::Connection;
@@ -31,10 +32,9 @@ use std::sync::Arc;
 
 pub use client::ClientNode;
 pub use producer::{Producer, ProducerCommand, ProducerHandle};
-pub use router::Router;
 
 /// An event produced by a connection pump.
-pub(crate) enum ConnEvent {
+pub enum ConnEvent {
     /// The listener accepted `connection`; the loop writes to it by `conn`.
     Opened {
         /// Pump-local connection identifier.
@@ -87,7 +87,7 @@ pub(crate) fn pump_connection<E: From<ConnEvent> + Send + 'static>(
 /// Spawns an acceptor thread that announces every accepted connection on
 /// `events` ([`ConnEvent::Opened`], ids starting at `first_id`) and then
 /// pumps its frames into the same queue.
-pub(crate) fn pump_listener<E: From<ConnEvent> + Send + 'static>(
+pub fn pump_listener<E: From<ConnEvent> + Send + 'static>(
     listener: Box<dyn scbr_net::Listener>,
     events: Sender<E>,
     first_id: u64,
@@ -107,7 +107,7 @@ pub(crate) fn pump_listener<E: From<ConnEvent> + Send + 'static>(
 
 /// Sends a message on a connection, ignoring disconnects (the pump reports
 /// those separately).
-pub(crate) fn send_best_effort(conn: &dyn Connection, msg: &Message) {
+pub fn send_best_effort(conn: &dyn Connection, msg: &Message) {
     let _ = conn.send(&msg.to_wire());
 }
 

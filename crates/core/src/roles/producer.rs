@@ -430,19 +430,15 @@ fn push_key_updates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RouterEngine;
-    use crate::roles::Router;
     use scbr_net::{InProcNetwork, Transport};
-    use sgx_sim::SgxPlatform;
     use std::time::Duration;
 
-    /// Dropping a producer stops its loop, which tells the router to shut
-    /// down: the router's join returns instead of waiting forever.
+    /// Dropping a producer stops its loop, which tells its router to shut
+    /// down: `Shutdown` is the last message on the router connection.
     #[test]
     fn dropping_a_producer_stops_it_and_its_router() {
         let net = InProcNetwork::new();
-        let platform = SgxPlatform::for_testing(6);
-        let router = Router::spawn(net.bind("router").unwrap(), RouterEngine::outside(&platform));
+        let router = net.bind("router").unwrap();
         let mut rng = CryptoRng::from_seed(6);
         let crypto = ProducerCrypto::generate(512, &mut rng).unwrap();
         let producer = Producer::spawn(
@@ -451,13 +447,13 @@ mod tests {
             crypto,
             rng,
         );
+        let from_producer = router.accept().unwrap();
         drop(producer);
-        let (joined_tx, joined_rx) = channel();
-        std::thread::spawn(move || joined_tx.send(router.join().is_ok()));
-        assert_eq!(
-            joined_rx.recv_timeout(Duration::from_secs(5)),
-            Ok(true),
-            "the dropped producer's Shutdown reaches the router"
+        let frame = from_producer.recv_timeout(Duration::from_secs(5)).unwrap();
+        let message = frame.map(|f| Message::from_wire(&f).unwrap());
+        assert!(
+            matches!(message, Some(Message::Shutdown)),
+            "the dropped producer's Shutdown reaches the router, got {message:?}"
         );
     }
 }

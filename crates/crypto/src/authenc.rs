@@ -115,7 +115,7 @@ impl SealedBox {
     /// Appends `ciphertext || tag` of `plaintext` under `nonce` to `out`,
     /// binding `aad` into the tag. The nonce itself is not written: the
     /// caller carries or re-derives it, and opens with
-    /// [`SealedBox::open_with_nonce`].
+    /// [`SealedBox::open_into`].
     ///
     /// `nonce` must never repeat under this box's key (see the module
     /// doc for what a repeat costs).
@@ -145,30 +145,15 @@ impl SealedBox {
         let Some((nonce, body)) = sealed.split_first_chunk::<NONCE_LEN>() else {
             return Err(CryptoError::InvalidLength { context: "sealed message" });
         };
-        self.open_with_nonce(*nonce, body, aad)
-    }
-
-    /// Verifies and decrypts `ciphertext || tag` written by
-    /// [`SealedBox::seal_into`] under `nonce`. Nothing is decrypted
-    /// unless the tag matches.
-    ///
-    /// # Errors
-    ///
-    /// As [`SealedBox::open`].
-    pub fn open_with_nonce(
-        &self,
-        nonce: [u8; NONCE_LEN],
-        sealed: &[u8],
-        aad: &[u8],
-    ) -> Result<Vec<u8>, CryptoError> {
         let mut plain = Vec::new();
-        self.open_into(nonce, sealed, aad, &mut plain)?;
+        self.open_into(*nonce, body, aad, &mut plain)?;
         Ok(plain)
     }
 
-    /// [`SealedBox::open_with_nonce`], appending the plaintext to `out`
-    /// instead of returning it, the twin of [`SealedBox::seal_into`]. On
-    /// an error nothing is appended.
+    /// Verifies `ciphertext || tag` written by [`SealedBox::seal_into`]
+    /// under `nonce` and appends its plaintext to `out`, the twin of
+    /// [`SealedBox::seal_into`]. Nothing is decrypted unless the tag
+    /// matches, and on an error nothing is appended.
     ///
     /// # Errors
     ///
@@ -180,16 +165,34 @@ impl SealedBox {
         aad: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CryptoError> {
+        self.verify(nonce, sealed, aad)?.decrypt_into(out);
+        Ok(())
+    }
+
+    /// Checks the tag of `ciphertext || tag` written by
+    /// [`SealedBox::seal_into`] under `nonce`, decrypting nothing: the
+    /// first half of [`SealedBox::open_into`], for a caller that may
+    /// still refuse an authentic message (a sealed link frame ahead of
+    /// its receive counter) without paying for its keystream pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`SealedBox::open`].
+    pub fn verify<'a>(
+        &'a self,
+        nonce: [u8; NONCE_LEN],
+        sealed: &'a [u8],
+        aad: &[u8],
+    ) -> Result<Verified<'a>, CryptoError> {
         let Some(body_len) = sealed.len().checked_sub(TAG_LEN) else {
             return Err(CryptoError::InvalidLength { context: "sealed message" });
         };
         let (ciphertext, tag) = sealed.split_at(body_len);
-        let (s, mut stream) = ctr::split_first_block(&self.cipher, nonce);
+        let (s, stream) = ctr::split_first_block(&self.cipher, nonce);
         if !crate::ct::ct_eq(&self.tag(s, aad, ciphertext), tag) {
             return Err(CryptoError::VerificationFailed);
         }
-        stream.xor_append(&self.cipher, ciphertext, out);
-        Ok(())
+        Ok(Verified { cipher: &self.cipher, stream, ciphertext })
     }
 
     /// RFC 8439 §2.8's tag over `aad` and `ciphertext`, keyed by this
@@ -206,6 +209,22 @@ impl SealedBox {
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(&(ciphertext.len() as u64).to_le_bytes());
         mac.finalize()
+    }
+}
+
+/// A sealed message whose tag [`SealedBox::verify`] accepted, not yet
+/// decrypted.
+pub struct Verified<'a> {
+    cipher: &'a Aes,
+    /// The message's keystream, block 0 (Poly1305's `s`) already spent.
+    stream: ctr::Keystream,
+    ciphertext: &'a [u8],
+}
+
+impl Verified<'_> {
+    /// Decrypts the message, appending its plaintext to `out`.
+    pub fn decrypt_into(mut self, out: &mut Vec<u8>) {
+        self.stream.xor_append(self.cipher, self.ciphertext, out);
     }
 }
 
@@ -254,6 +273,22 @@ mod tests {
     }
 
     #[test]
+    fn verify_then_decrypt_is_open() {
+        let (sb, _) = setup();
+        let nonce = [3u8; NONCE_LEN];
+        let mut sealed = Vec::new();
+        sb.seal_into(nonce, b"verified first", b"aad", &mut sealed);
+        let mut out = b"kept ".to_vec();
+        sb.verify(nonce, &sealed, b"aad").unwrap().decrypt_into(&mut out);
+        assert_eq!(out, b"kept verified first");
+        assert!(matches!(sb.verify(nonce, &sealed, b"bad"), Err(CryptoError::VerificationFailed)));
+        assert!(matches!(
+            sb.verify(nonce, &sealed[..3], b"aad"),
+            Err(CryptoError::InvalidLength { .. })
+        ));
+    }
+
+    #[test]
     fn wrong_aad_rejected() {
         let (sb, mut rng) = setup();
         let sealed = sb.seal(b"data", b"version 1", &mut rng);
@@ -298,9 +333,11 @@ mod tests {
         assert_eq!(&frame[..6], b"header", "appends after what is there");
         let body = &frame[6..];
         assert_eq!(body.len(), 7 + TAG_LEN, "no nonce on the wire");
-        assert_eq!(sb.open_with_nonce([4; NONCE_LEN], body, b"aad").unwrap(), b"payload");
+        let mut out = Vec::new();
+        sb.open_into([4; NONCE_LEN], body, b"aad", &mut out).unwrap();
+        assert_eq!(out, b"payload");
         assert_eq!(
-            sb.open_with_nonce([5; NONCE_LEN], body, b"aad"),
+            sb.open_into([5; NONCE_LEN], body, b"aad", &mut out),
             Err(CryptoError::VerificationFailed)
         );
         // `seal` is `seal_into` behind a drawn nonce.
@@ -313,7 +350,7 @@ mod tests {
         sb.seal_into(nonce, b"payload", b"aad", &mut again);
         assert_eq!(blob[NONCE_LEN..], again[..]);
         assert!(matches!(
-            sb.open_with_nonce([4; NONCE_LEN], &[0; TAG_LEN - 1], b""),
+            sb.open_into([4; NONCE_LEN], &[0; TAG_LEN - 1], b"", &mut out),
             Err(CryptoError::InvalidLength { .. })
         ));
     }

@@ -241,14 +241,16 @@ impl SecureLink {
             // no half seals past the direction bit.
             return Err(NetError::Malformed { context: "sealed link frame" });
         }
-        let start = out.len();
-        self.sealer
-            .open_into(self.nonce_for(claimed), body, &self.aad_for(claimed, meta), out)
+        let aad = self.aad_for(claimed, meta);
+        let verified = self
+            .sealer
+            .verify(self.nonce_for(claimed), body, &aad)
             .map_err(|_| NetError::Malformed { context: "sealed link frame" })?;
         if claimed > self.seq {
-            out.truncate(start);
+            // Authentic but ahead: report the gap without decrypting.
             return Err(NetError::Gap { expected: self.seq, got: claimed });
         }
+        verified.decrypt_into(out);
         self.seq += 1;
         self.last_meta = meta;
         Ok(())

@@ -72,11 +72,13 @@ pub mod error;
 pub mod fabric;
 pub mod forwarding;
 mod journal;
+pub mod router;
 pub mod topology;
 
 pub use broker::{Broker, BrokerStats, Input, Lifecycle, LinkEvent, Origin, Output, SuspectReason};
 pub use error::OverlayError;
 pub use fabric::{AutoRejoin, Delivery, FabricConfig, OverlayFabric, Propagation, RejoinReport};
 pub use forwarding::ForwardingTable;
+pub use router::Router;
 pub use scbr_telemetry::{BrokerTelemetry, HopRecord, StageSummary, TelemetrySnapshot, TraceId};
 pub use topology::Topology;

@@ -14,7 +14,8 @@
 //! [`VersionedSeal::seal_link`] / [`VersionedSeal::unseal_chain`] keep it as
 //! a sealed *base* plus an append-only chain of sealed *deltas*, each blob
 //! on its own counter value, with the same guarantee — the host can serve
-//! the genuine, complete, current chain or be refused.
+//! the genuine, complete, current chain or be refused. That chain is the
+//! one versioned format: a single sealed blob is a base with no deltas.
 
 use crate::enclave::EnclaveContext;
 use crate::error::SgxError;
@@ -69,13 +70,15 @@ pub fn seal_data(
     SealedBox::new(&seal_key(ctx, policy)).seal(data, aad, rng)
 }
 
-/// Unseals data sealed with [`seal_data`].
+/// Unseals data sealed with [`seal_data`] (the sealing tests' opener;
+/// versioned state opens through [`VersionedSeal::unseal_chain`]).
 ///
 /// # Errors
 ///
 /// Returns [`SgxError::UnsealFailed`] if the blob was produced by a
 /// different enclave/policy/platform or was tampered with.
-pub fn unseal_data(
+#[cfg(test)]
+fn unseal_data(
     ctx: &EnclaveContext<'_>,
     policy: SealPolicy,
     sealed: &[u8],
@@ -113,8 +116,11 @@ impl MonotonicCounter {
     }
 }
 
-/// Sealed state with rollback protection: the monotonic counter value is
-/// embedded in the associated data of the sealed blob.
+/// Sealed state with rollback protection: a sealed *base* plus an
+/// append-only chain of sealed *deltas*, each blob bound to its own
+/// monotonic-counter value, so the host can serve the genuine, complete,
+/// current chain or be refused. One blob on its own is a chain with no
+/// deltas ([`VersionedSeal::seal`] / [`VersionedSeal::unseal`]).
 ///
 /// ```
 /// # use sgx_sim::platform::SgxPlatform;
@@ -127,20 +133,29 @@ impl MonotonicCounter {
 ///     .unwrap();
 /// let counter = platform.create_counter();
 /// let mut rng = CryptoRng::from_seed(2);
-/// let blob = enclave.ecall(|ctx| {
-///     VersionedSeal::seal(ctx, SealPolicy::MrEnclave, &platform, counter, b"state v2", &mut rng)
+/// let policy = SealPolicy::MrEnclave;
+/// let (base, v1) = enclave.ecall(|ctx| {
+///     VersionedSeal::seal_link(ctx, policy, &platform, counter, None, b"state v1", &mut rng)
 /// }).unwrap();
-/// let state = enclave.ecall(|ctx| {
-///     VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &platform, counter, &blob)
+/// let (_, delta) = enclave.ecall(|ctx| {
+///     VersionedSeal::seal_link(ctx, policy, &platform, counter, Some(base), b"+v2", &mut rng)
 /// }).unwrap();
-/// assert_eq!(state, b"state v2");
+/// let (_, state) = enclave.ecall(|ctx| {
+///     VersionedSeal::unseal_chain(ctx, policy, &platform, counter, &[&v1, &delta])
+/// }).unwrap();
+/// assert_eq!(state, [b"state v1".to_vec(), b"+v2".to_vec()]);
+/// // The base alone is no longer the current state: rollback refused.
+/// let stale = enclave.ecall(|ctx| {
+///     VersionedSeal::unseal_chain(ctx, policy, &platform, counter, &[&v1])
+/// });
+/// assert!(stale.is_err());
 /// ```
 #[derive(Debug)]
 pub struct VersionedSeal;
 
 impl VersionedSeal {
     /// Increments counter `counter_id` and seals `data` bound to the new
-    /// value.
+    /// value: a fresh base, [`VersionedSeal::seal_link`] with no base.
     ///
     /// # Errors
     ///
@@ -153,21 +168,16 @@ impl VersionedSeal {
         data: &[u8],
         rng: &mut CryptoRng,
     ) -> Result<Vec<u8>, SgxError> {
-        let version = platform.increment_counter(counter_id)?;
-        let aad = version.to_be_bytes();
-        let mut blob = Vec::with_capacity(8 + data.len() + 48);
-        blob.extend_from_slice(&aad);
-        blob.extend_from_slice(&seal_data(ctx, policy, data, &aad, rng));
-        Ok(blob)
+        Self::seal_link(ctx, policy, platform, counter_id, None, data, rng).map(|(_, blob)| blob)
     }
 
-    /// Unseals a blob produced by [`VersionedSeal::seal`], verifying both
-    /// the MAC and that the embedded version matches the live counter.
+    /// Unseals a blob produced by [`VersionedSeal::seal`]: a chain of
+    /// that one base, so it must be authentic and sealed at the live
+    /// counter value ([`VersionedSeal::unseal_chain`]).
     ///
     /// # Errors
     ///
-    /// [`SgxError::UnsealFailed`] when the blob is stale (rollback) or
-    /// corrupt; [`SgxError::NotFound`] for an unknown counter.
+    /// As [`VersionedSeal::unseal_chain`].
     pub fn unseal(
         ctx: &EnclaveContext<'_>,
         policy: SealPolicy,
@@ -175,26 +185,18 @@ impl VersionedSeal {
         counter_id: crate::platform::CounterId,
         blob: &[u8],
     ) -> Result<Vec<u8>, SgxError> {
-        if blob.len() < 8 {
-            return Err(SgxError::UnsealFailed { reason: "blob too short" });
-        }
-        let (aad, sealed) = blob.split_at(8);
-        let claimed = u64::from_be_bytes(aad.try_into().expect("8 bytes"));
-        let live = platform.read_counter(counter_id)?;
-        if claimed != live {
-            return Err(SgxError::UnsealFailed { reason: "stale counter (rollback detected)" });
-        }
-        unseal_data(ctx, policy, sealed, aad)
+        let (_, mut payloads) = Self::unseal_chain(ctx, policy, platform, counter_id, &[blob])?;
+        Ok(payloads.pop().expect("one blob, one payload"))
     }
 
     /// Seals one link of a chain: a fresh base (`base: None`) or a delta
     /// on the base that was sealed at counter value `base`.
     ///
-    /// Like [`VersionedSeal::seal`] the blob takes a fresh counter value
-    /// `v`; its associated data binds `v ‖ kind ‖ base version` (a base
-    /// names itself), so a blob authenticates its own place in exactly one
-    /// chain. Returns `v` with the blob: the caller names it as `base` in
-    /// the deltas that follow a base.
+    /// The blob takes a fresh counter value `v`; its associated data
+    /// binds `v ‖ kind ‖ base version` (a base names itself), so a blob
+    /// authenticates its own place in exactly one chain. Returns `v` with
+    /// the blob: the caller names it as `base` in the deltas that follow
+    /// a base.
     ///
     /// # Errors
     ///
@@ -419,21 +421,47 @@ mod tests {
         assert_eq!(c.read(), 2);
     }
 
+    /// Seals `data` as a one-base chain on `counter`.
+    fn seal_one(
+        e: &crate::enclave::Enclave,
+        p: &SgxPlatform,
+        counter: crate::platform::CounterId,
+        data: &[u8],
+        rng: &mut CryptoRng,
+    ) -> Result<Vec<u8>, SgxError> {
+        e.ecall(|ctx| {
+            VersionedSeal::seal_link(ctx, SealPolicy::MrEnclave, p, counter, None, data, rng)
+        })
+        .map(|(_, blob)| blob)
+    }
+
+    /// Opens `blob` as a chain of that one base.
+    fn open_one(
+        e: &crate::enclave::Enclave,
+        p: &SgxPlatform,
+        counter: crate::platform::CounterId,
+        blob: &[u8],
+    ) -> Result<Vec<u8>, SgxError> {
+        e.ecall(|ctx| VersionedSeal::unseal_chain(ctx, SealPolicy::MrEnclave, p, counter, &[blob]))
+            .map(|(_, mut payloads)| payloads.pop().expect("one payload"))
+    }
+
     #[test]
     fn versioned_seal_round_trip() {
         let p = platform();
         let e = launch(&p, "a", b"code");
         let counter = p.create_counter();
         let mut rng = CryptoRng::from_seed(6);
-        let blob = e
-            .ecall(|ctx| {
-                VersionedSeal::seal(ctx, SealPolicy::MrEnclave, &p, counter, b"cfg", &mut rng)
-            })
-            .unwrap();
-        let out = e
-            .ecall(|ctx| VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &p, counter, &blob))
-            .unwrap();
-        assert_eq!(out, b"cfg");
+        let blob = seal_one(&e, &p, counter, b"cfg", &mut rng).unwrap();
+        assert_eq!(open_one(&e, &p, counter, &blob).unwrap(), b"cfg");
+        // `seal` / `unseal` write and read that same one-base chain.
+        let unsealed =
+            e.ecall(|ctx| VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &p, counter, &blob));
+        assert_eq!(unsealed.unwrap(), b"cfg");
+        let sealed = e.ecall(|ctx| {
+            VersionedSeal::seal(ctx, SealPolicy::MrEnclave, &p, counter, b"cfg2", &mut rng)
+        });
+        assert_eq!(open_one(&e, &p, counter, &sealed.unwrap()).unwrap(), b"cfg2");
     }
 
     #[test]
@@ -442,24 +470,12 @@ mod tests {
         let e = launch(&p, "a", b"code");
         let counter = p.create_counter();
         let mut rng = CryptoRng::from_seed(7);
-        let old = e
-            .ecall(|ctx| {
-                VersionedSeal::seal(ctx, SealPolicy::MrEnclave, &p, counter, b"v1", &mut rng)
-            })
-            .unwrap();
-        let new = e
-            .ecall(|ctx| {
-                VersionedSeal::seal(ctx, SealPolicy::MrEnclave, &p, counter, b"v2", &mut rng)
-            })
-            .unwrap();
+        let old = seal_one(&e, &p, counter, b"v1", &mut rng).unwrap();
+        let new = seal_one(&e, &p, counter, b"v2", &mut rng).unwrap();
         // Serving the stale blob must fail; the fresh one must succeed.
-        let stale =
-            e.ecall(|ctx| VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &p, counter, &old));
+        let stale = open_one(&e, &p, counter, &old);
         assert!(matches!(stale, Err(SgxError::UnsealFailed { .. })));
-        let fresh = e
-            .ecall(|ctx| VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &p, counter, &new))
-            .unwrap();
-        assert_eq!(fresh, b"v2");
+        assert_eq!(open_one(&e, &p, counter, &new).unwrap(), b"v2");
     }
 
     #[test]
@@ -468,10 +484,11 @@ mod tests {
         let e = launch(&p, "a", b"code");
         let mut rng = CryptoRng::from_seed(8);
         let bogus = crate::platform::CounterId::invalid_for_tests();
-        let r = e.ecall(|ctx| {
-            VersionedSeal::seal(ctx, SealPolicy::MrEnclave, &p, bogus, b"x", &mut rng)
-        });
+        let r = seal_one(&e, &p, bogus, b"x", &mut rng);
         assert!(matches!(r, Err(SgxError::NotFound { .. })));
+        let genuine = p.create_counter();
+        let blob = seal_one(&e, &p, genuine, b"x", &mut rng).unwrap();
+        assert!(matches!(open_one(&e, &p, bogus, &blob), Err(SgxError::NotFound { .. })));
     }
 
     /// A chain fixture: one enclave, one counter, and helpers sealing and
@@ -573,20 +590,17 @@ mod tests {
                 c.refused(&file, "bit flip");
             }
         }
-        // A legacy single blob and a chain link do not pass for each other.
+        // A blob in the retired single-blob layout (the bare counter value
+        // as its clear header) does not pass for a chain link.
         let legacy = {
             let Chain { p, e, counter, rng } = &mut c;
-            e.ecall(|ctx| {
-                VersionedSeal::seal(ctx, SealPolicy::MrEnclave, p, *counter, b"legacy", rng)
-            })
-            .unwrap()
+            let version = p.increment_counter(*counter).unwrap().to_be_bytes();
+            let sealed =
+                e.ecall(|ctx| seal_data(ctx, SealPolicy::MrEnclave, b"legacy", &version, rng));
+            [&version[..], &sealed].concat()
         };
         c.refused(&[&legacy], "legacy blob offered as a chain");
         let (_, fresh) = c.link(None, b"C");
-        let as_legacy = c.e.ecall(|ctx| {
-            VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &c.p, c.counter, &fresh)
-        });
-        assert!(as_legacy.is_err(), "chain link offered as a legacy blob");
         assert_eq!(c.open(&[&fresh]).unwrap().1, vec![b"C".to_vec()]);
     }
 

@@ -7,17 +7,17 @@
 //! cargo run --example stock_exchange
 //! ```
 
-use scbr::engine::RouterEngine;
 use scbr::ids::ClientId;
-use scbr::index::{IndexKind, SubscriptionIndex};
-use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
-use scbr::roles::{ClientNode, Producer, ProducerCommand, Router};
+use scbr::protocol::keys::ProducerCrypto;
+use scbr::roles::{ClientNode, Producer, ProducerCommand};
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
 use scbr_net::transport::{InProcNetwork, Transport};
+use scbr_overlay::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
+use scbr_overlay::{Broker, Router};
 use scbr_workloads::{MarketConfig, StockMarket};
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
-use sgx_sim::SgxPlatform;
+use sgx_sim::EpcConfig;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -28,32 +28,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let producer_listener = net.bind("exchange")?;
 
     // --- Infrastructure provider: launches the routing enclave. ---------
-    let platform = SgxPlatform::for_testing(1);
-    let mut engine = RouterEngine::in_enclave(&platform, IndexKind::Poset)?;
+    let mut broker = Broker::attested(0, 1, ROUTER_ENCLAVE_CODE, false, EpcConfig::default())?;
     println!("[cloud] routing enclave launched");
 
     // --- Service provider: attests the enclave, provisions SK. ----------
     let mut exchange_rng = CryptoRng::from_seed(2);
     let exchange_keys = ProducerCrypto::generate(512, &mut exchange_rng)?;
     let mut ias = AttestationService::new();
-    ias.trust_platform(platform.attestation_public_key().clone());
-    let policy =
-        VerifierPolicy::require_mr_enclave(engine.enclave().unwrap().identity().mr_enclave);
-    let mut enclave_rng = CryptoRng::from_seed(3);
-    let (sk, pk) = provision_sk_via_attestation(
-        &platform,
-        engine.enclave().unwrap(),
-        &ias,
-        &policy,
-        &exchange_keys,
-        &mut enclave_rng,
-        &mut exchange_rng,
-    )?;
-    engine.call(|e| e.provision_keys(sk, pk));
+    ias.trust_platform(broker.platform().attestation_public_key().clone());
+    let policy = VerifierPolicy::require_mr_enclave(router_measurement());
+    broker.provision_attested(&ias, &policy, &exchange_keys, &mut exchange_rng)?;
     println!("[exchange] enclave attested; SK provisioned");
 
     // --- Spawn the roles. ------------------------------------------------
-    let router = Router::spawn(router_listener, engine);
+    let router = Router::spawn(router_listener, broker);
     let producer = Producer::spawn(
         producer_listener,
         net.connect("router")?,
@@ -117,11 +105,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     producer.shutdown()?;
-    let engine = router.join()?;
+    let broker = router.join()?;
+    let stats = broker.stats();
     println!(
-        "[cloud] done: {} subscriptions registered, {} ecalls into the enclave",
-        engine.engine().index().len(),
-        engine.enclave().unwrap().ecall_count()
+        "[cloud] done: {} subscriptions registered, {} ecalls into the enclave, {} sealed checkpoints",
+        broker.subscriptions(),
+        stats.ecalls,
+        stats.seals
     );
     Ok(())
 }

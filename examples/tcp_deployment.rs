@@ -7,16 +7,17 @@
 //! cargo run --example tcp_deployment
 //! ```
 
-use scbr::engine::RouterEngine;
 use scbr::ids::ClientId;
-use scbr::index::IndexKind;
 use scbr::protocol::keys::ProducerCrypto;
 use scbr::publication::PublicationSpec;
-use scbr::roles::{ClientNode, Producer, ProducerCommand, Router};
+use scbr::roles::{ClientNode, Producer, ProducerCommand};
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
 use scbr_net::transport::{TcpTransport, Transport};
-use sgx_sim::SgxPlatform;
+use scbr_overlay::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
+use scbr_overlay::{Broker, Router};
+use sgx_sim::attest::{AttestationService, VerifierPolicy};
+use sgx_sim::EpcConfig;
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,16 +26,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (producer_listener, producer_addr) = tcp.bind_ephemeral()?;
     println!("router on {router_addr}, producer on {producer_addr}");
 
-    // Enclave-hosted engine with keys installed directly (see the
-    // `stock_exchange` example for the full attestation flow).
-    let platform = SgxPlatform::for_testing(1);
-    let mut engine = RouterEngine::in_enclave(&platform, IndexKind::Poset)?;
+    // The routing enclave, provisioned with SK by remote attestation
+    // (the `stock_exchange` example walks through the flow).
+    let mut broker = Broker::attested(0, 1, ROUTER_ENCLAVE_CODE, false, EpcConfig::default())?;
     let mut rng = CryptoRng::from_seed(2);
     let keys = ProducerCrypto::generate(512, &mut rng)?;
-    let (sk, pk) = (keys.sk().clone(), keys.public_key().clone());
-    engine.call(move |e| e.provision_keys(sk, pk));
+    let mut ias = AttestationService::new();
+    ias.trust_platform(broker.platform().attestation_public_key().clone());
+    let policy = VerifierPolicy::require_mr_enclave(router_measurement());
+    broker.provision_attested(&ias, &policy, &keys, &mut rng)?;
 
-    let router = Router::spawn(router_listener, engine);
+    let router = Router::spawn(router_listener, broker);
     let producer =
         Producer::spawn(producer_listener, tcp.connect(&router_addr)?, keys.clone(), rng);
 

@@ -1,22 +1,24 @@
 //! End-to-end integration: the full SCBR deployment of Figure 3/4 wired
 //! over the in-process transport.
 //!
-//! Producer, router (engine inside a simulated enclave, keys provisioned
-//! via remote attestation) and clients run as real threads exchanging real
-//! protocol messages; everything is encrypted exactly as in the paper.
+//! Producer, router (one overlay broker: its routing enclave attested and
+//! `SK` provisioned via remote attestation) and clients run as real
+//! threads exchanging real protocol messages; everything is encrypted
+//! exactly as in the paper.
 
-use scbr::engine::RouterEngine;
 use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
-use scbr::index::{IndexKind, SubscriptionIndex};
-use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
+use scbr::protocol::keys::ProducerCrypto;
 use scbr::protocol::messages::{Message, PublishItem};
 use scbr::publication::PublicationSpec;
-use scbr::roles::{ClientNode, Producer, ProducerCommand, Router};
+use scbr::roles::{ClientNode, Producer, ProducerCommand};
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
 use scbr_net::transport::{InProcNetwork, Transport};
+use scbr_net::Connection;
+use scbr_overlay::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
+use scbr_overlay::{Broker, Router};
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
-use sgx_sim::SgxPlatform;
+use sgx_sim::EpcConfig;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -29,42 +31,38 @@ struct Deployment {
     producer_crypto: ProducerCrypto,
 }
 
+/// Launches the router's broker on its own platform. Only the broker's
+/// own platform is trusted, and only the routing enclave's measurement.
+fn launch_router(seed: u64) -> (Broker, AttestationService, VerifierPolicy) {
+    let broker = Broker::attested(0, seed, ROUTER_ENCLAVE_CODE, false, EpcConfig::default())
+        .expect("launch");
+    let mut service = AttestationService::new();
+    service.trust_platform(broker.platform().attestation_public_key().clone());
+    (broker, service, VerifierPolicy::require_mr_enclave(router_measurement()))
+}
+
+/// A router broker whose enclave remote attestation has provisioned with
+/// `SK` and the producer's verification key.
+fn attested_router(seed: u64, producer: &ProducerCrypto, producer_rng: &mut CryptoRng) -> Broker {
+    let (mut broker, service, policy) = launch_router(seed);
+    broker
+        .provision_attested(&service, &policy, producer, producer_rng)
+        .expect("attestation provisioning");
+    broker
+}
+
 /// Wires a full deployment: enclave launch, attestation, SK provisioning,
 /// role threads.
 fn deploy(seed: u64) -> Deployment {
     let net = InProcNetwork::new();
     let router_listener = net.bind("router").expect("bind router");
     let producer_listener = net.bind("producer").expect("bind producer");
-
-    // Infrastructure side: platform + enclave-hosted engine.
-    let platform = SgxPlatform::for_testing(seed);
-    let mut engine = RouterEngine::in_enclave(&platform, IndexKind::Poset).expect("launch");
-
-    // Service-provider side: keys + attestation trust.
     let mut producer_rng = CryptoRng::from_seed(seed + 1);
     let producer_crypto = ProducerCrypto::generate(512, &mut producer_rng).expect("keys");
-    let mut service = AttestationService::new();
-    service.trust_platform(platform.attestation_public_key().clone());
-    let policy =
-        VerifierPolicy::require_mr_enclave(engine.enclave().expect("inside").identity().mr_enclave);
-
-    // Remote attestation delivers SK + the producer verification key into
-    // the enclave.
-    let mut enclave_rng = CryptoRng::from_seed(seed + 2);
-    let (sk, pk) = provision_sk_via_attestation(
-        &platform,
-        engine.enclave().expect("inside"),
-        &service,
-        &policy,
-        &producer_crypto,
-        &mut enclave_rng,
-        &mut producer_rng,
-    )
-    .expect("attestation provisioning");
-    engine.call(|e| e.provision_keys(sk, pk));
+    let broker = attested_router(seed, &producer_crypto, &mut producer_rng);
 
     // Spawn the roles.
-    let router = Router::spawn(router_listener, engine);
+    let router = Router::spawn(router_listener, broker);
     let producer_router_conn = net.connect("router").expect("producer->router");
     let producer = Producer::spawn(
         producer_listener,
@@ -133,12 +131,9 @@ fn subscribe_publish_deliver_decrypt() {
     assert!(alice.poll_delivery(Duration::from_millis(300)).expect("none").is_none());
 
     d.producer.shutdown().expect("producer shutdown");
-    let engine = d.router.unwrap().join().expect("router drains");
-    assert_eq!(engine.engine().index().len(), 2, "both subscriptions registered");
-    assert!(
-        engine.enclave().unwrap().ecall_count() >= 4,
-        "registrations + matches crossed the gate"
-    );
+    let broker = d.router.unwrap().join().expect("router drains");
+    assert_eq!(broker.subscriptions(), 2, "both subscriptions registered");
+    assert!(broker.stats().ecalls >= 4, "registrations + matches crossed the gate");
 }
 
 #[test]
@@ -157,8 +152,8 @@ fn unadmitted_client_is_rejected() {
     assert!(err.is_err(), "unknown client must be rejected");
 
     d.producer.shutdown().expect("shutdown");
-    let engine = d.router.unwrap().join().expect("join");
-    assert_eq!(engine.engine().index().len(), 0, "nothing reached the router");
+    let broker = d.router.unwrap().join().expect("join");
+    assert_eq!(broker.subscriptions(), 0, "nothing reached the router");
 }
 
 #[test]
@@ -178,8 +173,8 @@ fn a_client_cannot_stop_the_producer() {
         .expect("the producer still serves its clients");
 
     d.producer.shutdown().expect("shutdown");
-    let engine = d.router.unwrap().join().expect("join");
-    assert_eq!(engine.engine().index().len(), 1);
+    let broker = d.router.unwrap().join().expect("join");
+    assert_eq!(broker.subscriptions(), 1);
 }
 
 #[test]
@@ -280,8 +275,8 @@ fn unsubscribe_stops_delivery_end_to_end() {
     assert!(alice.unsubscribe(sub, WAIT).is_err());
 
     d.producer.shutdown().expect("shutdown");
-    let engine = d.router.unwrap().join().expect("join");
-    assert_eq!(engine.engine().index().len(), 0, "the router's index is clean");
+    let broker = d.router.unwrap().join().expect("join");
+    assert_eq!(broker.subscriptions(), 0, "the router's index is clean");
 }
 
 #[test]
@@ -313,8 +308,8 @@ fn forged_or_mismatched_unsubscribe_is_rejected() {
     assert_eq!(alice.poll_delivery(WAIT).unwrap().unwrap().payload, b"live");
 
     d.producer.shutdown().expect("shutdown");
-    let engine = d.router.unwrap().join().expect("join");
-    assert_eq!(engine.engine().index().len(), 1, "subscription still registered");
+    let broker = d.router.unwrap().join().expect("join");
+    assert_eq!(broker.subscriptions(), 1, "subscription still registered");
 }
 
 #[test]
@@ -326,9 +321,8 @@ fn router_errors_bounce_to_the_requester_for_both_request_kinds() {
     let net = InProcNetwork::new();
     let router_listener = net.bind("router").expect("bind router");
     let producer_listener = net.bind("producer").expect("bind producer");
-    let platform = SgxPlatform::for_testing(180);
-    let engine = RouterEngine::in_enclave(&platform, IndexKind::Poset).expect("launch");
-    let _router = Router::spawn(router_listener, engine); // keys never provisioned
+    let (broker, _, _) = launch_router(180);
+    let _router = Router::spawn(router_listener, broker); // keys never provisioned
     let mut producer_rng = CryptoRng::from_seed(181);
     let crypto = ProducerCrypto::generate(512, &mut producer_rng).expect("keys");
     let producer = Producer::spawn(
@@ -417,37 +411,37 @@ fn publish_batch_flows_end_to_end() {
     assert!(bob.poll_delivery(Duration::from_millis(300)).unwrap().is_none());
 
     d.producer.shutdown().expect("shutdown");
-    let engine = d.router.unwrap().join().expect("join");
+    let broker = d.router.unwrap().join().expect("join");
     // The whole batch crossed the call gate once: matching added exactly
     // one ECALL on top of the two registrations and key provisioning.
-    let match_ecalls = engine.stats().ecalls
+    let match_ecalls = broker.stats().ecalls
         - 3  // deploy(): two attestation calls + one provisioning call
-        - 2; // one per registration
+        - 2 * 2; // per registration: its admission and its checkpoint seal
     assert_eq!(match_ecalls, 1, "four publications, one crossing");
 }
 
-#[test]
-fn poisoned_publication_in_a_batch_bounces_alone() {
-    // Role-level fault isolation: a batch drained off the wire may mix
-    // traffic from several producers, so one corrupt header must cost
-    // exactly one `Error` to the connection that sent it — its
-    // batch-mates are matched and delivered as if it were not there.
-    // Raw connections stand in for the producer and the subscriber so
-    // the test can put a truncated header on the wire.
+/// A router driven over raw connections, so a test can put a truncated
+/// header on the wire, and a subscriber connection whose registration
+/// has been acknowledged (so the router has also seen its `Hello`).
+struct RawRouter {
+    net: InProcNetwork,
+    router: Router,
+    crypto: ProducerCrypto,
+    rng: CryptoRng,
+    subscriber: Box<dyn Connection>,
+}
+
+fn recv(conn: &dyn Connection, wait: Duration) -> Option<Message> {
+    conn.recv_timeout(wait).expect("recv").map(|f| Message::from_wire(&f).expect("decodes"))
+}
+
+/// Starts a provisioned router with client 1 subscribed to `symbol = HAL`.
+fn raw_router(seed: u64) -> RawRouter {
     let net = InProcNetwork::new();
     let listener = net.bind("router").expect("bind router");
-    let platform = SgxPlatform::for_testing(190);
-    let mut rng = CryptoRng::from_seed(191);
+    let mut rng = CryptoRng::from_seed(seed + 1);
     let crypto = ProducerCrypto::generate(512, &mut rng).expect("keys");
-    let mut engine = RouterEngine::in_enclave(&platform, IndexKind::Poset).expect("launch");
-    engine.call(|e| e.provision_keys(crypto.sk().clone(), crypto.public_key().clone()));
-    let router = Router::spawn(listener, engine);
-
-    let recv = |conn: &dyn scbr_net::Connection, wait: Duration| {
-        conn.recv_timeout(wait).expect("recv").map(|f| Message::from_wire(&f).expect("decodes"))
-    };
-    // The subscriber's connection carries its own registration, so the
-    // ack also proves the router has seen its `Hello`.
+    let router = Router::spawn(listener, attested_router(seed, &crypto, &mut rng));
     let subscriber = net.connect("router").expect("subscriber->router");
     subscriber.send(&Message::Hello { client: ClientId(1) }.to_wire()).expect("hello");
     let envelope = crypto
@@ -460,32 +454,78 @@ fn poisoned_publication_in_a_batch_bounces_alone() {
         .expect("seal");
     subscriber.send(&Message::Register { envelope }.to_wire()).expect("register");
     assert!(matches!(recv(subscriber.as_ref(), WAIT), Some(Message::RegisterAck { .. })));
-    let publisher = net.connect("router").expect("publisher->router");
+    RawRouter { net, router, crypto, rng, subscriber }
+}
 
-    let header = crypto.encrypt_header(&PublicationSpec::new().attr("symbol", "HAL"), &mut rng);
-    let item = |header_ct: Vec<u8>, payload: &[u8]| PublishItem {
-        header_ct,
-        epoch: KeyEpoch(0),
-        payload_ct: payload.to_vec(),
-    };
-    let items = vec![
-        item(header.clone(), b"first"),
-        item(header[..3].to_vec(), b"poisoned"),
-        item(header, b"third"),
-    ];
+impl RawRouter {
+    /// A HAL publication carrying `payload`, its header cut to `keep`
+    /// bytes when given.
+    fn item(&mut self, payload: &[u8], keep: Option<usize>) -> PublishItem {
+        let mut header_ct = self
+            .crypto
+            .encrypt_header(&PublicationSpec::new().attr("symbol", "HAL"), &mut self.rng);
+        header_ct.truncate(keep.unwrap_or(header_ct.len()));
+        PublishItem { header_ct, epoch: KeyEpoch(0), payload_ct: payload.to_vec() }
+    }
+
+    /// The next `n` payloads delivered to the subscriber, which then
+    /// falls silent.
+    fn delivered(&self, n: usize) -> Vec<Vec<u8>> {
+        let got = (0..n)
+            .map(|_| match recv(self.subscriber.as_ref(), WAIT) {
+                Some(Message::Deliver { payload_ct, .. }) => payload_ct,
+                other => panic!("expected a delivery, got {other:?}"),
+            })
+            .collect();
+        let extra = recv(self.subscriber.as_ref(), DRAIN);
+        assert!(extra.is_none(), "a refused item delivers nothing, got {extra:?}");
+        got
+    }
+}
+
+#[test]
+fn poisoned_publication_in_a_batch_bounces_alone() {
+    // Role-level fault isolation: one corrupt header must cost exactly
+    // one `Error` to the connection that sent it — its batch-mates are
+    // matched and delivered as if it were not there.
+    let mut r = raw_router(190);
+    let publisher = r.net.connect("router").expect("publisher->router");
+    let items = vec![r.item(b"first", None), r.item(b"poisoned", Some(3)), r.item(b"third", None)];
     publisher.send(&Message::PublishBatch { items }.to_wire()).expect("publish");
 
-    for expected in [&b"first"[..], b"third"] {
-        match recv(subscriber.as_ref(), WAIT) {
-            Some(Message::Deliver { payload_ct, .. }) => assert_eq!(payload_ct, expected),
-            other => panic!("expected a delivery, got {other:?}"),
-        }
-    }
-    assert!(recv(subscriber.as_ref(), DRAIN).is_none(), "the poisoned item delivers nothing");
+    assert_eq!(r.delivered(2), [b"first".to_vec(), b"third".to_vec()], "in publish order");
     assert!(matches!(recv(publisher.as_ref(), WAIT), Some(Message::Error { .. })));
     assert!(recv(publisher.as_ref(), DRAIN).is_none(), "exactly one error, not one per item");
 
     publisher.send(&Message::Shutdown.to_wire()).expect("shutdown");
-    let engine = router.join().expect("join");
-    assert_eq!(engine.stats().ecalls, 3, "provision + register + one crossing for the batch");
+    let broker = r.router.join().expect("join");
+    assert_eq!(
+        broker.stats().ecalls,
+        2 + 1 + 2 + 1,
+        "attestation + provision + register and its seal + one crossing for the batch"
+    );
+}
+
+#[test]
+fn a_refused_header_bounces_to_its_own_sender_only() {
+    // Two publishers each send one batch; only one batch holds a
+    // truncated header. The router drains per connection, so the error
+    // goes to that sender alone and the other batch delivers in full.
+    let mut r = raw_router(195);
+    let clean = r.net.connect("router").expect("clean->router");
+    let dirty = r.net.connect("router").expect("dirty->router");
+    let clean_items = vec![r.item(b"c1", None), r.item(b"c2", None)];
+    let dirty_items = vec![r.item(b"d1", None), r.item(b"poisoned", Some(3))];
+    clean.send(&Message::PublishBatch { items: clean_items }.to_wire()).expect("publish");
+    dirty.send(&Message::PublishBatch { items: dirty_items }.to_wire()).expect("publish");
+
+    let mut delivered = r.delivered(3);
+    delivered.sort();
+    assert_eq!(delivered, [b"c1".to_vec(), b"c2".to_vec(), b"d1".to_vec()]);
+    assert!(matches!(recv(dirty.as_ref(), WAIT), Some(Message::Error { .. })));
+    assert!(recv(dirty.as_ref(), DRAIN).is_none(), "one error for the one refused header");
+    assert!(recv(clean.as_ref(), DRAIN).is_none(), "the clean sender hears nothing");
+
+    clean.send(&Message::Shutdown.to_wire()).expect("shutdown");
+    assert_eq!(r.router.join().expect("join").stats().refused, 1);
 }

@@ -136,25 +136,27 @@ fn sealed_router_state_resists_rollback() {
     let counter = platform.create_counter();
     let mut rng = CryptoRng::from_seed(13);
 
-    let old_state = enclave
+    let (_, old_state) = enclave
         .ecall(|ctx| {
-            VersionedSeal::seal(
+            VersionedSeal::seal_link(
                 ctx,
                 SealPolicy::MrEnclave,
                 &platform,
                 counter,
+                None,
                 b"10 subs",
                 &mut rng,
             )
         })
         .expect("seal v1");
-    let new_state = enclave
+    let (_, new_state) = enclave
         .ecall(|ctx| {
-            VersionedSeal::seal(
+            VersionedSeal::seal_link(
                 ctx,
                 SealPolicy::MrEnclave,
                 &platform,
                 counter,
+                None,
                 b"12 subs",
                 &mut rng,
             )
@@ -166,15 +168,21 @@ fn sealed_router_state_resists_rollback() {
         .launch(EnclaveBuilder::new("router").add_page(b"engine"))
         .expect("same code, same measurement");
     let stale = restarted.ecall(|ctx| {
-        VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &platform, counter, &old_state)
+        VersionedSeal::unseal_chain(ctx, SealPolicy::MrEnclave, &platform, counter, &[&old_state])
     });
     assert!(stale.is_err(), "stale sealed state rejected");
-    let fresh = restarted
+    let (_, fresh) = restarted
         .ecall(|ctx| {
-            VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &platform, counter, &new_state)
+            VersionedSeal::unseal_chain(
+                ctx,
+                SealPolicy::MrEnclave,
+                &platform,
+                counter,
+                &[&new_state],
+            )
         })
         .expect("fresh state accepted");
-    assert_eq!(fresh, b"12 subs");
+    assert_eq!(fresh, [b"12 subs"]);
 }
 
 #[test]

@@ -8,16 +8,21 @@
 //!
 //! ## Architecture
 //!
-//! * **Data model** — typed attribute values ([`value`]), publications as
-//!   header + opaque payload ([`publication`]), subscriptions as
-//!   conjunctions of equality/range predicates ([`subscription`],
-//!   [`predicate`]).
-//! * **Matching** — the paper's containment poset ([`index`]), which
-//!   prunes matching using the covering partial order, checked against a
-//!   naive scan.
-//! * **Engine** — [`engine::MatchingEngine`] decrypts and matches inside
-//!   the trust boundary; [`engine::RouterEngine`] places it inside or
-//!   outside an enclave (the axis of the paper's experiments).
+//! What the enclave runs is its own crate, [`scbr_enclave`]; this one is
+//! the host side around it and re-exports the trusted modules at their
+//! old paths:
+//!
+//! * **Data model** (trusted) — typed attribute values ([`value`]),
+//!   publications as header + opaque payload ([`publication`]),
+//!   subscriptions as conjunctions of equality/range predicates
+//!   ([`subscription`], [`predicate`]).
+//! * **Matching** (trusted) — the paper's containment poset ([`index`]),
+//!   which prunes matching using the covering partial order, checked
+//!   against a naive scan.
+//! * **Engine** — [`engine::MatchingEngine`] (trusted) decrypts and
+//!   matches inside the trust boundary; [`engine::RouterEngine`] (host)
+//!   places it inside or outside an enclave (the axis of the paper's
+//!   experiments).
 //! * **Protocol** — the Figure 4 key exchange, admission control and group
 //!   key rotation ([`protocol`]).
 //! * **Roles** — runnable producer / client nodes over [`scbr_net`]
@@ -51,18 +56,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attr;
-pub mod codec;
 pub mod engine;
-pub mod error;
-pub mod ids;
-pub mod index;
-pub mod predicate;
 pub mod protocol;
-pub mod publication;
 pub mod roles;
-pub mod subscription;
-pub mod value;
+
+pub use scbr_enclave::{
+    attr, codec, error, ids, index, predicate, publication, subscription, value,
+};
 
 pub use engine::{MatchingEngine, RouterEngine};
 pub use error::ScbrError;

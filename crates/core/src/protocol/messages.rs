@@ -678,15 +678,19 @@ mod tests {
         }
     }
 
-    /// The `PublishBatch` body is the net layer's batch frame of
-    /// [`crate::codec::encode_publish`] items.
+    /// One batch member: `header ‖ epoch ‖ payload`, blobs length-prefixed.
+    fn member(header_ct: &[u8], epoch: KeyEpoch, payload_ct: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(header_ct).u64(epoch.0).bytes(payload_ct);
+        w.into_bytes()
+    }
+
+    /// The `PublishBatch` body is the net layer's batch frame of its items.
     #[test]
     fn publish_batch_body_is_the_batch_frame() {
         let items = vec![item(&[1, 2], 3, &[4]), item(&[], 0, &[5; 70])];
-        let members: Vec<Vec<u8>> = items
-            .iter()
-            .map(|i| crate::codec::encode_publish(&i.header_ct, i.epoch, &i.payload_ct))
-            .collect();
+        let members: Vec<Vec<u8>> =
+            items.iter().map(|i| member(&i.header_ct, i.epoch, &i.payload_ct)).collect();
         let wire = Message::PublishBatch { items }.to_wire();
         assert_eq!(wire[0], TAG_PUBLISH_BATCH);
         assert_eq!(wire[1..], scbr_net::batch::pack(&members).unwrap()[..]);
@@ -698,7 +702,7 @@ mod tests {
         // Tag 10, the retired one-publication `Publish`, is unknown: its
         // old wire no longer decodes.
         assert!(!known.contains(&10));
-        let retired = [&[10][..], &crate::codec::encode_publish(&[1], KeyEpoch(2), &[3])].concat();
+        let retired = [&[10][..], &member(&[1], KeyEpoch(2), &[3])].concat();
         assert!(Message::from_wire(&retired).is_err());
         for tag in 0..=u8::MAX {
             if !known.contains(&tag) {

@@ -430,6 +430,7 @@ fn push_key_updates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scbr_crypto::ctr::AesCtr;
     use scbr_net::{InProcNetwork, Transport};
     use std::time::Duration;
 
@@ -455,5 +456,46 @@ mod tests {
             matches!(message, Some(Message::Shutdown)),
             "the dropped producer's Shutdown reaches the router, got {message:?}"
         );
+    }
+
+    /// A `PublishBatch` command longer than the router's drain bound
+    /// reaches the router as frames of at most [`MAX_DRAIN`] items, in
+    /// publish order.
+    #[test]
+    fn a_long_publish_batch_is_chunked_into_drain_sized_frames() {
+        let net = InProcNetwork::new();
+        let router = net.bind("router").unwrap();
+        // Two producers from one seed hold the same `SK`: this one reads
+        // the headers the spawned one encrypts.
+        let keys = |seed| ProducerCrypto::generate(512, &mut CryptoRng::from_seed(seed)).unwrap();
+        let reader = keys(7);
+        let producer = Producer::spawn(
+            net.bind("producer").unwrap(),
+            net.connect("router").unwrap(),
+            keys(7),
+            CryptoRng::from_seed(8),
+        );
+        let from_producer = router.accept().unwrap();
+        let n = 2 * MAX_DRAIN + 1;
+        let batch = (0..n).map(|i| PublicationSpec::new().attr("seq", i as i64)).collect();
+        assert!(producer.handle().send(ProducerCommand::PublishBatch(batch)));
+        let mut sizes = Vec::new();
+        let mut seqs = Vec::new();
+        while seqs.len() < n {
+            let frame = from_producer.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+            let Message::PublishBatch { items } = Message::from_wire(&frame).unwrap() else {
+                panic!("only publication frames before the last one");
+            };
+            sizes.push(items.len());
+            for item in items {
+                let plain = AesCtr::decrypt_with_nonce(reader.sk(), &item.header_ct).unwrap();
+                seqs.push(crate::codec::decode_header(&plain).unwrap());
+            }
+        }
+        assert_eq!(sizes, vec![MAX_DRAIN, MAX_DRAIN, 1]);
+        let expected: Vec<PublicationSpec> =
+            (0..n).map(|i| PublicationSpec::new().attr("seq", i as i64)).collect();
+        assert_eq!(seqs, expected, "publish order survives the chunking");
+        producer.shutdown().unwrap();
     }
 }

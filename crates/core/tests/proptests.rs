@@ -202,7 +202,6 @@ proptest! {
         let _ = scbr::codec::decode_subscription(&bytes);
         let _ = scbr::codec::decode_header(&bytes);
         let _ = scbr::codec::decode_registration(&bytes);
-        let _ = scbr::codec::decode_publish(&bytes);
         let _ = scbr::protocol::messages::Message::from_wire(&bytes);
     }
 

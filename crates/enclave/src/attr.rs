@@ -29,7 +29,7 @@ struct SchemaInner {
 /// Cloning shares the underlying table.
 ///
 /// ```
-/// use scbr::attr::AttrSchema;
+/// use scbr_enclave::attr::AttrSchema;
 ///
 /// let schema = AttrSchema::new();
 /// let price = schema.intern("price");

@@ -16,12 +16,13 @@
 //! not on time.
 //!
 //! Registrations enter as opened bodies (`register_retained_as`), so no
-//! case pays for a producer signature. A child module of `broker` for the
-//! same reason as `checkpoint_proptests`.
+//! case pays for a producer signature. A child module of `broker` so it
+//! can read `BrokerCore`'s private state.
 
 use super::*;
+use crate::subscription::SubscriptionSpec;
 use proptest::prelude::*;
-use scbr::SubscriptionSpec;
+use sgx_sim::{CacheConfig, CostModel};
 
 const NEIGHBORS: [usize; 2] = [1, 2];
 const SYMBOLS: [&str; 3] = ["HAL", "IBM", "AMD"];

@@ -1,7 +1,7 @@
 //! Binary wire codec for SCBR data types.
 //!
 //! A small hand-rolled format, also the body encoding of every wire
-//! message ([`crate::protocol::messages`]). All integers are big-endian;
+//! message (`scbr::protocol::messages`). All integers are big-endian;
 //! strings and byte blobs are length-prefixed with `u32`.
 
 use crate::error::ScbrError;
@@ -437,23 +437,6 @@ pub fn encode_publish(header_ct: &[u8], epoch: KeyEpoch, payload_ct: &[u8]) -> V
     w.into_bytes()
 }
 
-/// Decodes a published message.
-///
-/// # Errors
-///
-/// [`ScbrError::Codec`] on malformed input.
-// lint: allow(SL08, codec_never_panics in tests/proptests.rs fuzzes it)
-pub fn decode_publish(bytes: &[u8]) -> Result<(Vec<u8>, KeyEpoch, Vec<u8>), ScbrError> {
-    let mut r = Reader::new(bytes);
-    let header_ct = r.bytes()?;
-    let epoch = KeyEpoch(r.u64()?);
-    let payload_ct = r.bytes()?;
-    if !r.is_exhausted() {
-        return Err(ScbrError::Codec { context: "publish trailing bytes" });
-    }
-    Ok((header_ct, epoch, payload_ct))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,20 +613,5 @@ mod tests {
         let mut extended = unreg.clone();
         extended.push(0);
         assert!(decode_unregistration(&extended).is_err());
-    }
-
-    #[test]
-    fn publish_round_trip() {
-        let bytes = encode_publish(b"header-ct", KeyEpoch(3), b"payload-ct");
-        let (h, e, p) = decode_publish(&bytes).unwrap();
-        assert_eq!(h, b"header-ct");
-        assert_eq!(e, KeyEpoch(3));
-        assert_eq!(p, b"payload-ct");
-    }
-
-    #[test]
-    fn publish_truncation_rejected() {
-        let bytes = encode_publish(b"h", KeyEpoch(1), b"p");
-        assert!(decode_publish(&bytes[..bytes.len() - 1]).is_err());
     }
 }

@@ -21,10 +21,10 @@
 //! The table lives inside the broker's enclave: entries are plaintext
 //! compiled subscriptions and must never cross the trust boundary.
 
-use scbr::attr::AttrId;
-use scbr::ids::SubscriptionId;
-use scbr::predicate::ConstraintSet;
-use scbr::CompiledSubscription;
+use crate::attr::AttrId;
+use crate::ids::SubscriptionId;
+use crate::predicate::ConstraintSet;
+use crate::CompiledSubscription;
 use std::collections::HashMap;
 
 /// Covering-candidate bucket of one forwarded row, derived from its first
@@ -76,7 +76,7 @@ pub struct ForwardingTable {
 
 impl ForwardingTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ForwardingTable::default()
     }
 
@@ -93,7 +93,7 @@ impl ForwardingTable {
     /// own constraints are probed (unconstrained rows, the identical
     /// string equality per attribute, and ranges over `sub`'s attributes);
     /// every other row provably cannot cover `sub`.
-    pub fn covered(&self, sub: &CompiledSubscription) -> bool {
+    pub(crate) fn covered(&self, sub: &CompiledSubscription) -> bool {
         if let Some(ids) = self.buckets.get(&CoverKey::Top) {
             if self.any_covers(ids, sub) {
                 return true;
@@ -114,12 +114,12 @@ impl ForwardingTable {
     }
 
     /// Is `id` currently recorded as forwarded on this link?
-    pub fn contains(&self, id: SubscriptionId) -> bool {
+    pub(crate) fn contains(&self, id: SubscriptionId) -> bool {
         self.pos.contains_key(&id)
     }
 
     /// The compiled subscription recorded for `id`, if any.
-    pub fn get(&self, id: SubscriptionId) -> Option<&CompiledSubscription> {
+    pub(crate) fn get(&self, id: SubscriptionId) -> Option<&CompiledSubscription> {
         self.pos.get(&id).map(|&p| &self.entries[p].1)
     }
 
@@ -131,7 +131,7 @@ impl ForwardingTable {
     /// The cumulative churn counters, in the order
     /// `(pruned, forwarded_total, removed, uncovered)` — what a broker
     /// seals alongside the rows so the counter ledger survives a restart.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64, u64, u64) {
         (self.pruned, self.forwarded_total, self.removed, self.uncovered)
     }
 
@@ -156,7 +156,7 @@ impl ForwardingTable {
     /// `rows == forwarded_total − removed` (without underflow) and
     /// `uncovered ≤ forwarded_total`. Returns `None` on a corrupt
     /// ledger.
-    pub fn rebuild(
+    pub(crate) fn rebuild(
         entries: Vec<(SubscriptionId, CompiledSubscription)>,
         counters: (u64, u64, u64, u64),
     ) -> Option<Self> {
@@ -188,7 +188,7 @@ impl ForwardingTable {
     /// [`SubscriptionId`]: re-recording an id replaces its entry instead
     /// of stacking a stale duplicate row, and returns `false` so the
     /// caller knows no new forward is due.
-    pub fn record(&mut self, id: SubscriptionId, sub: CompiledSubscription) -> bool {
+    pub(crate) fn record(&mut self, id: SubscriptionId, sub: CompiledSubscription) -> bool {
         if let Some(&p) = self.pos.get(&id) {
             let old_key = cover_key(&self.entries[p].1);
             let new_key = cover_key(&sub);
@@ -208,7 +208,11 @@ impl ForwardingTable {
 
     /// Records an uncovering promotion: a previously-pruned subscription
     /// forwarded because a removal exposed it.
-    pub fn record_uncovered(&mut self, id: SubscriptionId, sub: CompiledSubscription) -> bool {
+    pub(crate) fn record_uncovered(
+        &mut self,
+        id: SubscriptionId,
+        sub: CompiledSubscription,
+    ) -> bool {
         let fresh = self.record(id, sub);
         if fresh {
             self.uncovered += 1;
@@ -220,7 +224,7 @@ impl ForwardingTable {
     /// is what its removal may uncover. `None` when it was not present (a
     /// pruned subscription was never in the table, so removing it is a
     /// no-op and — crucially — generates no upstream traffic).
-    pub fn remove(&mut self, id: SubscriptionId) -> Option<CompiledSubscription> {
+    pub(crate) fn remove(&mut self, id: SubscriptionId) -> Option<CompiledSubscription> {
         let p = self.pos.remove(&id)?;
         let (_, sub) = self.entries.swap_remove(p);
         if let Some((moved, _)) = self.entries.get(p) {
@@ -232,7 +236,7 @@ impl ForwardingTable {
     }
 
     /// Counts one covering-pruned (not forwarded) subscription.
-    pub fn note_pruned(&mut self) {
+    pub(crate) fn note_pruned(&mut self) {
         self.pruned += 1;
     }
 
@@ -267,8 +271,8 @@ impl ForwardingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scbr::attr::AttrSchema;
-    use scbr::SubscriptionSpec;
+    use crate::attr::AttrSchema;
+    use crate::subscription::SubscriptionSpec;
 
     fn compiled(spec: SubscriptionSpec, schema: &AttrSchema) -> CompiledSubscription {
         spec.compile(schema).unwrap()

@@ -2,16 +2,16 @@
 //! flushed into.
 //!
 //! Between two checkpoints the enclave-resident core appends one entry
-//! per admitted and per retired registration to a [`Journal`]; a
+//! per admitted and per retired registration to a `Journal`; a
 //! checkpoint seals the pending entries as one *delta* and hands it to
 //! the host, which appends it to the recovery file. A restart reads the
-//! entries back ([`RedoReader`]) and redoes them on top of the base
+//! entries back (`RedoReader`) and redoes them on top of the base
 //! record. Entries are logical — "this registration was admitted from
 //! there", "that id was retired from there" — never table rows: redo
 //! runs the same covering and uncovering code as live traffic, so there
 //! is nothing physical to keep in step. Admissions and retirements both
 //! append; a base is written only by the compaction rule (by size or by
-//! retired quarter, see `Broker::checkpoint`).
+//! retired quarter, see [`crate::broker::BrokerCore::checkpoint_payload`]).
 //!
 //! An admission is journalled with its **opened registration body**
 //! beside the producer's envelope: the envelope is what neighbours are
@@ -19,9 +19,9 @@
 //! its journal before it is re-attested and handed `SK` again.
 
 use crate::broker::Origin;
-use scbr::codec::{Reader, Writer};
-use scbr::ids::SubscriptionId;
-use scbr::ScbrError;
+use crate::codec::{Reader, Writer};
+use crate::ids::SubscriptionId;
+use crate::ScbrError;
 
 const ADMIT: u8 = 1;
 const REMOVE: u8 = 2;
@@ -130,7 +130,7 @@ impl<'a> RedoReader<'a> {
 
 /// Appends one entry — `u32` big-endian length, then the blob — to the
 /// host's recovery file.
-pub(crate) fn append_entry(file: &mut Vec<u8>, blob: &[u8]) {
+pub fn append_entry(file: &mut Vec<u8>, blob: &[u8]) {
     file.extend_from_slice(&(blob.len() as u32).to_be_bytes());
     file.extend_from_slice(blob);
 }
@@ -138,7 +138,7 @@ pub(crate) fn append_entry(file: &mut Vec<u8>, blob: &[u8]) {
 /// Splits a recovery file into its entries (the first is the base). The
 /// file comes from the untrusted disk: lengths are checked against what
 /// is actually there and nothing is copied.
-pub(crate) fn split_entries(file: &[u8]) -> Result<Vec<&[u8]>, ScbrError> {
+pub fn split_entries(file: &[u8]) -> Result<Vec<&[u8]>, ScbrError> {
     let mut r = Reader::new(file);
     let mut entries = Vec::new();
     while !r.is_exhausted() {

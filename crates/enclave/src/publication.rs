@@ -13,7 +13,7 @@ use std::ops::Range;
 /// A wire-level publication: named header attributes and an opaque payload.
 ///
 /// ```
-/// use scbr::publication::PublicationSpec;
+/// use scbr_enclave::publication::PublicationSpec;
 ///
 /// let quote = PublicationSpec::new()
 ///     .attr("symbol", "HAL")

@@ -35,7 +35,7 @@ pub struct PredicateSpec {
 /// A wire-level subscription: a conjunction of named predicates.
 ///
 /// ```
-/// use scbr::subscription::SubscriptionSpec;
+/// use scbr_enclave::subscription::SubscriptionSpec;
 ///
 /// let spec = SubscriptionSpec::new()
 ///     .eq("symbol", "HAL")

@@ -34,10 +34,10 @@ impl fmt::Display for ValueKind {
 /// subscription predicates.
 ///
 /// ```
-/// use scbr::value::Value;
+/// use scbr_enclave::value::Value;
 ///
 /// let price = Value::Float(49.5);
-/// assert_eq!(price.kind(), scbr::value::ValueKind::Float);
+/// assert_eq!(price.kind(), scbr_enclave::value::ValueKind::Float);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

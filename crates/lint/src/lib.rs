@@ -89,6 +89,7 @@ impl Default for LintConfig {
         LintConfig {
             sl01_scope: vec![
                 "crates/core/src".into(),
+                "crates/enclave/src".into(),
                 "crates/aspe/src".into(),
                 "crates/crypto/src".into(),
                 "crates/sgx-sim/src".into(),

@@ -57,7 +57,8 @@
 //! the engine snapshot (with per-subscription *delivery identities*, so
 //! link interfaces are restored as interfaces, not edge clients), the
 //! live envelope set with origins, and every per-link
-//! [`ForwardingTable`] (rows + churn counters). It opens with a
+//! [`scbr_enclave::forwarding::ForwardingTable`] (rows + churn
+//! counters). It opens with a
 //! `u32::MAX` magic and the record version; a base in any other layout is
 //! refused with a codec error. A *delta payload* is the journal: one
 //! entry per admission (origin, replay flag, opened registration body,
@@ -101,8 +102,7 @@
 //! last checkpoint (`checkpoint_proptests`). Redo
 //! needs no `SK`: the relaunched enclave has not been re-attested yet,
 //! so admissions are journalled with the registration body the enclave
-//! had already opened
-//! ([`scbr::engine::MatchingEngine::register_retained_as`]). Then — in
+//! had already opened (`MatchingEngine::register_retained_as`). Then — in
 //! `Rejoining` — it re-runs the attested link handshake with every
 //! neighbour and asks each one to **replay** the live registration
 //! envelopes it had forwarded on the link
@@ -116,32 +116,17 @@
 //!
 //! ## What the enclave holds
 //!
-//! The in-enclave state is `BrokerCore`: the matching engine (holding
-//! `SK` and the plaintext compiled subscriptions) plus the per-link
-//! covering tables and the live envelope set. The untrusted shell only
-//! ever handles ciphertext — registration envelopes, encrypted headers,
-//! sealed link frames, sealed recovery records — and the *routing
-//! decisions* the enclave intentionally reveals, exactly the §3.3 leak
-//! the paper accepts for the single-router case. The checkpoint
-//! counters [`BrokerStats`] exports (`seals`, `sealed_bytes`,
-//! `compactions`, `log_entries`) add nothing to that: the host is handed
-//! every blob and stores the file, so it already knows how many there
-//! were, how long each is (ciphertext length is plaintext length plus a
-//! constant) and which ones replaced the file. Journalling retirements
-//! moved one of those observations, it did not add one: the host told
-//! an admission from a retirement by delta-versus-base before and tells
-//! them by the delta's length now. A compaction by retired quarter says
-//! only that the retired envelopes — every one of which the host has
-//! handled as ciphertext, length in clear — now add up to a quarter of
-//! the base; which envelopes those are stays inside. Like the hop
-//! records' bucketed match counts, nothing exported is finer than what
-//! the host observes on its own.
+//! The in-enclave state is [`BrokerCore`], in the `scbr-enclave` crate
+//! with everything else the enclave runs. Its module docs say what it
+//! holds, what the host learns from it, and the ecall table through
+//! which this shell reaches it.
 //!
 //! ## Interfaces
 //!
 //! The engine's index is shared by local subscribers and links: a
 //! subscription learnt from neighbour `n` is registered under the
-//! synthetic delivery identity [`link_interface`]`(n)` (top bit set), so
+//! synthetic delivery identity
+//! [`scbr_enclave::broker::link_interface`]`(n)` (top bit set), so
 //! **one decrypt+match per publication** yields local deliveries *and*
 //! the outgoing link set in the same enclave crossing. Per-hop batches go
 //! through the gate in [`MAX_DRAIN`]-bounded chunks, mirroring the
@@ -162,22 +147,18 @@
 //! host delivers the frames in.
 
 use crate::error::OverlayError;
-use crate::forwarding::ForwardingTable;
-use crate::journal::{self, Journal, Redo, RedoReader};
-use scbr::codec;
-use scbr::engine::{BatchMatches, MatchingEngine, MAX_DRAIN};
+use scbr::engine::MAX_DRAIN;
 use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
-use scbr::index::{IndexKind, SubscriptionIndex};
 use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
 use scbr::protocol::messages::{
     encode_publish_batch, Message, PublishBatchView, PublishItem, PublishItemRef,
 };
-use scbr::ScbrError;
 use scbr_crypto::rng::CryptoRng;
+pub use scbr_enclave::broker::Origin;
+use scbr_enclave::broker::{BrokerCore, LinkUpdate, RouteSpans};
+use scbr_enclave::journal;
 use scbr_net::{NetError, SecureLink};
-use scbr_telemetry::{
-    count_bucket, FlightRecorder, HopRecord, Stage, StageHistograms, StageSummary, TraceId,
-};
+use scbr_telemetry::{count_bucket, HopRecord, StageSummary, TraceId};
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
 use sgx_sim::enclave::EnclaveBuilder;
 use sgx_sim::link::{LinkAccept, LinkFinish, LinkHello, LinkInitiator, LinkResponder};
@@ -186,26 +167,6 @@ use sgx_sim::seal::{SealPolicy, VersionedSeal};
 use sgx_sim::{CacheConfig, CostModel, Enclave, EpcConfig, MemStats, MemorySim, SgxPlatform};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// The synthetic delivery identity for subscriptions learnt from
-/// neighbour `n`: [`ClientId::INTERFACE_BIT`] over the neighbour number.
-pub fn link_interface(neighbor: usize) -> ClientId {
-    ClientId(ClientId::INTERFACE_BIT | neighbor as u64)
-}
-
-/// Compaction by retired quarter: a base is rewritten once the retired
-/// registrations still on the host's disk reach one part in this many of
-/// it. A constant beside the size rule, not a knob (see
-/// [`Broker::checkpoint`]).
-const RETIRED_DIVISOR: usize = 4;
-
-/// Version byte of the recovery-record layout, written after a `u32::MAX`
-/// magic by every base: `u32::MAX ‖ 2 ‖ engine snapshot ‖ live set ‖
-/// tables`. Version 1 carried a slice count and one engine snapshot per
-/// matcher slice; the oldest layout began with its one engine snapshot's
-/// byte length instead (never `u32::MAX`). A base in either is refused
-/// with a codec error rather than misread.
-const RECORD_VERSION: u8 = 2;
 
 /// Liveness timers, in ticks (one tick is one scheduler round). Every
 /// `Serving` broker emits one [`Message::Heartbeat`] per established
@@ -454,512 +415,6 @@ impl std::fmt::Display for SuspectReason {
             SuspectReason::Gap => "gap",
         })
     }
-}
-
-/// Where a message entered this broker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Origin {
-    /// Injected locally (an edge client or producer attached here).
-    Local,
-    /// Received on the link from this neighbour.
-    Link(usize),
-}
-
-impl Origin {
-    /// The delivery identity a subscription that entered here is indexed
-    /// under: its own edge client (`None`) or the link's interface.
-    fn deliver_to(self) -> Option<ClientId> {
-        match self {
-            Origin::Local => None,
-            Origin::Link(l) => Some(link_interface(l)),
-        }
-    }
-}
-
-/// What the enclave decided for a batch of publications, flat: every
-/// publication's edge clients and outgoing links (ascending, origin
-/// excluded) in two shared buffers, plus where each publication's spans
-/// end. One per broker, reused across every hop.
-#[derive(Debug, Default)]
-struct RouteSpans {
-    locals: Vec<ClientId>,
-    links: Vec<usize>,
-    /// Per publication, the end of its `locals` and of its `links` span;
-    /// each span starts where the previous publication's ends.
-    ends: Vec<(u32, u32)>,
-}
-
-impl RouteSpans {
-    fn clear(&mut self) {
-        self.locals.clear();
-        self.links.clear();
-        self.ends.clear();
-    }
-
-    /// Publication `i`'s edge clients and outgoing links.
-    fn get(&self, i: usize) -> (&[ClientId], &[usize]) {
-        let (local_start, link_start) = if i == 0 { (0, 0) } else { self.ends[i - 1] };
-        let (local_end, link_end) = self.ends[i];
-        (
-            &self.locals[local_start as usize..local_end as usize],
-            &self.links[link_start as usize..link_end as usize],
-        )
-    }
-}
-
-/// Outcome of admitting one subscription envelope.
-struct AdmitOutcome {
-    id: SubscriptionId,
-    /// Links the admission propagates on. Links where it was pruned, or
-    /// already held the identical filter, are absent.
-    links: Vec<LinkUpdate>,
-}
-
-/// One live subscription as the broker's enclave tracks it: where it
-/// entered, its compiled (plaintext — never leaves the enclave) form, and
-/// the producer-signed envelope that proves it — kept so an uncovering
-/// promotion (or a neighbour replay) can re-forward the subscription
-/// with a unit the next hop authenticates independently.
-struct LiveSub {
-    origin: Origin,
-    compiled: scbr::CompiledSubscription,
-    envelope: Vec<u8>,
-}
-
-/// What a removal — or a re-registration that replaced a forwarded row —
-/// requires on one link: the envelopes of newly uncovered subscriptions
-/// to forward first (make-before-break — upstream interest never dips),
-/// then the removal or the replacement itself.
-struct LinkUpdate {
-    neighbor: usize,
-    uncovered: Vec<Vec<u8>>,
-}
-
-/// Outcome of processing one unregistration.
-struct RemoveOutcome {
-    id: SubscriptionId,
-    /// False when the id was unknown here (double-unsubscribe): nothing
-    /// changed, no traffic due.
-    removed: bool,
-    /// Links the subscription had actually been forwarded on. Links where
-    /// it was pruned are absent — a pruned removal is free.
-    links: Vec<LinkUpdate>,
-}
-
-/// The enclave-resident routing state.
-struct BrokerCore {
-    matcher: MatchingEngine,
-    /// Per neighbour (ascending), the covering table of subscriptions
-    /// forwarded on that link.
-    upstream: Vec<(usize, ForwardingTable)>,
-    /// Every live subscription, keyed by id (the uncovering candidates).
-    live: BTreeMap<SubscriptionId, LiveSub>,
-    /// Flood mode: forward every subscription on every link (the
-    /// equivalence oracle for tests; covering-pruned is the real mode).
-    flood: bool,
-    /// Reusable match buffer for the per-hop routing path: one per
-    /// broker instead of one per publication per hop.
-    route_matches: BatchMatches,
-    /// In-enclave flight recorder for cross-hop publication tracing.
-    /// Volatile by design: hop records die with a crash (never sealed
-    /// into the recovery record) and leave the enclave only through the
-    /// explicit, costed drain ocall ([`Broker::drain_trace`]).
-    recorder: FlightRecorder,
-    /// Broker-level stage histograms (seal, per-hop crossing); the
-    /// engine's own scratch holds the decrypt/index-match ones. Fixed
-    /// arrays with epoch-stamped clears — recording never allocates.
-    stages: StageHistograms,
-    /// Subscription mutations since the last checkpoint, flushed as one
-    /// sealed delta by the next one.
-    journal: Journal,
-    /// Envelope bytes of the registrations retired since the current base
-    /// was written — dead weight still on the host's disk, in the base or
-    /// in a delta, until the next compaction. Recomputed by the restart
-    /// redo.
-    retired_bytes: usize,
-    /// Counter value the current base record was sealed at — what every
-    /// delta must name. 0 until a base exists (counter values start at 1).
-    base_version: u64,
-}
-
-impl BrokerCore {
-    fn fresh(mem: &MemorySim, flood: bool, neighbors: &[usize]) -> Self {
-        BrokerCore {
-            matcher: MatchingEngine::new(mem, IndexKind::Poset),
-            upstream: neighbors.iter().map(|&n| (n, ForwardingTable::new())).collect(),
-            live: BTreeMap::new(),
-            flood,
-            route_matches: BatchMatches::new(),
-            recorder: FlightRecorder::default(),
-            stages: StageHistograms::new(),
-            journal: Journal::default(),
-            retired_bytes: 0,
-            base_version: 0,
-        }
-    }
-
-    /// Registers an envelope and decides which links to propagate it on.
-    /// `replay` marks a neighbour-replay re-admission: covering decisions
-    /// for subscriptions that were already live before the crash were
-    /// counted in the sealed ledger, so they must not increment the
-    /// pruned counter a second time.
-    fn admit(
-        &mut self,
-        envelope: &[u8],
-        origin: Origin,
-        replay: bool,
-    ) -> Result<AdmitOutcome, ScbrError> {
-        let (id, compiled) = self.matcher.register_envelope_as(envelope, origin.deliver_to())?;
-        let body = self.matcher.retained_body(id).expect("just registered");
-        self.journal.admit(origin, replay, body, envelope);
-        Ok(self.propagate(id, compiled, envelope, origin, replay))
-    }
-
-    /// The covering half of an admission, shared by live traffic
-    /// ([`BrokerCore::admit`]) and the restart redo
-    /// ([`BrokerCore::redo`]): `id` is registered in the engine; decide
-    /// per link whether it is forwarded, replaced or pruned, and record
-    /// it live.
-    fn propagate(
-        &mut self,
-        id: SubscriptionId,
-        compiled: scbr::CompiledSubscription,
-        envelope: &[u8],
-        origin: Origin,
-        replay: bool,
-    ) -> AdmitOutcome {
-        let already_counted = replay && self.live.contains_key(&id);
-        let (flood, live) = (self.flood, &self.live);
-        let mut links = Vec::new();
-        for (neighbor, table) in &mut self.upstream {
-            if origin == Origin::Link(*neighbor) {
-                continue; // never forward back where it came from
-            }
-            let mut uncovered = Vec::new();
-            match table.get(id) {
-                // Re-registration of an id already forwarded there with
-                // its filter *unchanged* — the common case during a
-                // neighbour replay: the upstream copy is already exact and
-                // no traffic is due.
-                Some(old) if *old == compiled => continue,
-                // The filter changed: replace the row *and* re-forward —
-                // the next hop replaces its copy the same way,
-                // recursively, and never matches a stale spec. (The
-                // coverage check must not run here: the id's own stale row
-                // could "cover" its replacement.) What the old filter
-                // covered and the new one does not is uncovered exactly as
-                // if the old row had been removed.
-                Some(old) => {
-                    let old = old.clone();
-                    table.record(id, compiled.clone());
-                    uncovered = promote(table, &dependants(table, live, *neighbor, &old));
-                }
-                // Flood mode records everything (the table *is* the
-                // forwarded set, and the counters stay comparable across
-                // modes) — it never consults coverage.
-                None if !flood && table.covered(&compiled) => {
-                    if !already_counted {
-                        table.note_pruned();
-                    }
-                    continue;
-                }
-                None => {
-                    table.record(id, compiled.clone());
-                }
-            }
-            links.push(LinkUpdate { neighbor: *neighbor, uncovered });
-        }
-        self.live.insert(id, LiveSub { origin, compiled, envelope: envelope.to_vec() });
-        AdmitOutcome { id, links }
-    }
-
-    /// Processes an authenticated unregistration envelope.
-    fn remove(&mut self, envelope: &[u8], origin: Origin) -> Result<RemoveOutcome, ScbrError> {
-        let (id, _client, existed) = self.matcher.unregister_envelope(envelope)?;
-        if !existed {
-            return Ok(RemoveOutcome { id, removed: false, links: Vec::new() });
-        }
-        self.journal.remove(id, origin);
-        Ok(self.uncover_after_removal(id, origin))
-    }
-
-    /// Removes `id` without an envelope (the rejoin reconciliation path:
-    /// link authentication of the attested peer stands in for the
-    /// producer signature, which may have been lost with the outage).
-    fn remove_by_id(&mut self, id: SubscriptionId, origin: Origin) -> RemoveOutcome {
-        if !self.matcher.unregister(id) {
-            return RemoveOutcome { id, removed: false, links: Vec::new() };
-        }
-        self.journal.remove(id, origin);
-        self.uncover_after_removal(id, origin)
-    }
-
-    /// Redoes one sealed delta on top of the state restored so far, in
-    /// journal order, through the same [`BrokerCore::propagate`] and
-    /// [`BrokerCore::uncover_after_removal`] live traffic runs — the
-    /// engine, the covering tables, their counters, the live
-    /// set and the retired-bytes figure end up exactly where the crashed
-    /// core had them at its last checkpoint. Registrations come from
-    /// their journalled bodies (the relaunched enclave holds no `SK`
-    /// yet). Nothing is re-journalled and the frames the mutations once
-    /// produced are not produced again. The live core only journals the
-    /// removal of an id it holds, so a delta that removes an unknown one
-    /// is not a record this enclave wrote: refused, not skipped.
-    fn redo(&mut self, delta: &[u8]) -> Result<(), ScbrError> {
-        let mut entries = RedoReader::new(delta);
-        while let Some(entry) = entries.next()? {
-            match entry {
-                Redo::Admit { origin, replay, body, envelope } => {
-                    let (id, compiled) =
-                        self.matcher.register_retained_as(body.to_vec(), origin.deliver_to())?;
-                    self.propagate(id, compiled, envelope, origin, replay);
-                }
-                Redo::Remove { id, origin } => {
-                    if !self.matcher.unregister(id) {
-                        return Err(ScbrError::Codec { context: "recovery journal removed id" });
-                    }
-                    self.uncover_after_removal(id, origin);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The recorded origin of a live subscription.
-    fn origin_of(&self, id: SubscriptionId) -> Option<Origin> {
-        self.live.get(&id).map(|s| s.origin)
-    }
-
-    /// Applies Siena's **uncovering rule** per link after `id` left the
-    /// index — any still-live subscription the removed one had covered
-    /// (and therefore pruned) must now be promoted into the forwarding
-    /// table and sent upstream, while links that only ever saw the
-    /// subscription pruned stay silent.
-    fn uncover_after_removal(&mut self, id: SubscriptionId, origin: Origin) -> RemoveOutcome {
-        if let Some(gone) = self.live.remove(&id) {
-            self.retired_bytes += gone.envelope.len();
-        }
-        let live = &self.live;
-        let mut links = Vec::new();
-        for (neighbor, table) in &mut self.upstream {
-            if origin == Origin::Link(*neighbor) {
-                continue; // the removal came from there; it already knows
-            }
-            let Some(row) = table.remove(id) else {
-                continue; // pruned on this link: upstream never saw it
-            };
-            let uncovered = promote(table, &dependants(table, live, *neighbor, &row));
-            links.push(LinkUpdate { neighbor: *neighbor, uncovered });
-        }
-        RemoveOutcome { id, removed: true, links }
-    }
-
-    /// Decrypts and matches the headers of one crossing as one batch,
-    /// appending to `routes` each one's local deliveries and outgoing
-    /// links; returns how many headers were refused. A header that fails
-    /// to decrypt or decode gets an empty span and costs only itself. The
-    /// batch's match buffer is the broker's own, reused across every hop,
-    /// and the engine walks the covering forest once for the whole batch
-    /// ([`MatchingEngine::match_encrypted_batch_into`]).
-    fn route_into<'a>(
-        &mut self,
-        headers: impl Iterator<Item = &'a [u8]>,
-        origin: Origin,
-        routes: &mut RouteSpans,
-    ) -> u64 {
-        self.matcher.match_encrypted_batch_into(headers, &mut self.route_matches);
-        let mut refused = 0;
-        for outcome in self.route_matches.iter() {
-            let clients = outcome.unwrap_or_else(|_| {
-                refused += 1;
-                &[]
-            });
-            for client in clients {
-                if !client.is_interface() {
-                    routes.locals.push(*client);
-                } else {
-                    let neighbor = (client.0 & !ClientId::INTERFACE_BIT) as usize;
-                    if origin != Origin::Link(neighbor) {
-                        routes.links.push(neighbor);
-                    }
-                }
-            }
-            routes.ends.push((routes.locals.len() as u32, routes.links.len() as u32));
-        }
-        refused
-    }
-
-    /// The live registration envelopes recorded as forwarded on the link
-    /// to `neighbor`, in table order — what a rejoining peer replays.
-    fn replay_rows(&self, neighbor: usize) -> Vec<Vec<u8>> {
-        let Some((_, table)) = self.upstream.iter().find(|(n, _)| *n == neighbor) else {
-            return Vec::new();
-        };
-        table
-            .row_ids()
-            .iter()
-            .filter_map(|id| self.live.get(id).map(|sub| sub.envelope.clone()))
-            .collect()
-    }
-
-    /// Serialises the full recovery record — the *base* a compaction
-    /// seals: the engine snapshot (bodies + delivery identities), the
-    /// live envelope set with origins, and every per-link covering table
-    /// (rows + counters). Runs inside the enclave; the result is only
-    /// ever persisted sealed.
-    fn serialize_record(&self) -> Vec<u8> {
-        self.record_with(&self.matcher.snapshot())
-    }
-
-    /// The record [`BrokerCore::serialize_record`] writes, around the
-    /// given engine snapshot.
-    fn record_with(&self, snapshot: &[u8]) -> Vec<u8> {
-        let mut w = codec::Writer::new();
-        w.u32(u32::MAX).u8(RECORD_VERSION).bytes(snapshot);
-        w.u32(self.live.len() as u32);
-        for (id, sub) in &self.live {
-            w.u64(id.0);
-            journal::write_origin(&mut w, sub.origin);
-            w.bytes(&sub.envelope);
-        }
-        w.u32(self.upstream.len() as u32);
-        for (neighbor, table) in &self.upstream {
-            w.u64(*neighbor as u64);
-            let rows = table.row_ids();
-            w.u32(rows.len() as u32);
-            for id in rows {
-                w.u64(id.0);
-            }
-            let (pruned, forwarded_total, removed, uncovered) = table.counters();
-            w.u64(pruned).u64(forwarded_total).u64(removed).u64(uncovered);
-        }
-        w.into_bytes()
-    }
-
-    /// What the next checkpoint seals, and the base version it must name
-    /// (`None` for a base, which names itself): the whole record when
-    /// compacting — the pending journal is then part of it and dropped —
-    /// else the pending journal as one delta.
-    fn checkpoint_payload(&mut self, compact: bool) -> (Vec<u8>, Option<u64>) {
-        if compact {
-            self.journal.clear();
-            self.retired_bytes = 0;
-            (self.serialize_record(), None)
-        } else {
-            (self.journal.take(), Some(self.base_version))
-        }
-    }
-
-    /// Rebuilds a core from an opened recovery record — `record[0]` the
-    /// base, the rest its deltas in order — or fresh when the host has
-    /// no record (a disk-loss restart). The base restores the engine,
-    /// the live set and the tables, and the deltas are then redone on
-    /// top ([`BrokerCore::redo`]). A base without the record magic and
-    /// version is a codec error.
-    fn restore(
-        record: &[&[u8]],
-        mem: &MemorySim,
-        flood: bool,
-        neighbors: &[usize],
-    ) -> Result<Self, ScbrError> {
-        let mut core = BrokerCore::fresh(mem, flood, neighbors);
-        let Some((bytes, deltas)) = record.split_first() else {
-            return Ok(core);
-        };
-        let mut r = codec::Reader::new(bytes);
-        if r.u32()? != u32::MAX || r.u8()? != RECORD_VERSION {
-            return Err(ScbrError::Codec { context: "recovery record version" });
-        }
-        core.matcher.restore(&r.bytes()?)?;
-        let n_live = r.u32()?;
-        for _ in 0..n_live {
-            let id = SubscriptionId(r.u64()?);
-            let origin = journal::read_origin(&mut r)?;
-            let envelope = r.bytes()?;
-            let Some((_, compiled)) = core.matcher.compiled_of(id)? else {
-                return Err(ScbrError::Codec { context: "recovery live set" });
-            };
-            core.live.insert(id, LiveSub { origin, compiled, envelope });
-        }
-        let n_links = r.u32()?;
-        for _ in 0..n_links {
-            let neighbor = r.u64()? as usize;
-            let n_rows = r.u32()?;
-            let mut entries = Vec::with_capacity(n_rows as usize);
-            for _ in 0..n_rows {
-                let id = SubscriptionId(r.u64()?);
-                let Some(sub) = core.live.get(&id) else {
-                    return Err(ScbrError::Codec { context: "recovery table row" });
-                };
-                entries.push((id, sub.compiled.clone()));
-            }
-            let counters = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-            let Some(slot) = core.upstream.iter_mut().find(|(n, _)| *n == neighbor) else {
-                return Err(ScbrError::Codec { context: "recovery table neighbour" });
-            };
-            slot.1 = ForwardingTable::rebuild(entries, counters)
-                .ok_or(ScbrError::Codec { context: "recovery table ledger" })?;
-        }
-        if !r.is_exhausted() {
-            return Err(ScbrError::Codec { context: "recovery trailing bytes" });
-        }
-        for delta in deltas {
-            core.redo(delta)?;
-        }
-        Ok(core)
-    }
-}
-
-/// The subscriptions that may need promoting onto the link to `neighbor`
-/// now that `row` has left its `table`: live, routed toward that link,
-/// not forwarded there, and covered by `row`. Every other pruned
-/// subscription was covered by a row that is still in the table, and
-/// still is. (In flood mode everything is already in the table, so this
-/// is empty and no uncovering ever happens — correct, nothing was ever
-/// pruned.)
-fn dependants<'a>(
-    table: &ForwardingTable,
-    live: &'a BTreeMap<SubscriptionId, LiveSub>,
-    neighbor: usize,
-    row: &scbr::CompiledSubscription,
-) -> Vec<(SubscriptionId, &'a LiveSub)> {
-    live.iter()
-        .filter(|(id, sub)| {
-            sub.origin != Origin::Link(neighbor)
-                && !table.contains(**id)
-                && row.covers(&sub.compiled)
-        })
-        .map(|(id, sub)| (*id, sub))
-        .collect()
-}
-
-/// Promotes into `table` the `candidates` nothing in it covers any more,
-/// broadest first, so one promotion can keep narrower candidates pruned
-/// (ties broken by id for determinism); returns the promoted envelopes
-/// in promotion order. Breadth is the coverage count among the
-/// candidates themselves. Covering is transitive, so whatever a
-/// dependant of a departed row covers is itself a dependant of that row:
-/// ranking [`dependants`] gives each of them the count, and so the
-/// order, that ranking every pruned subscription of the link would.
-fn promote(table: &mut ForwardingTable, candidates: &[(SubscriptionId, &LiveSub)]) -> Vec<Vec<u8>> {
-    let coverage: Vec<usize> = candidates
-        .iter()
-        .map(|(_, a)| candidates.iter().filter(|(_, b)| a.compiled.covers(&b.compiled)).count())
-        .collect();
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&i, &j| {
-        coverage[j].cmp(&coverage[i]).then(candidates[i].0 .0.cmp(&candidates[j].0 .0))
-    });
-    let mut uncovered = Vec::new();
-    for &i in &order {
-        let (id, sub) = candidates[i];
-        if table.covered(&sub.compiled) {
-            continue; // still covered by the remaining interest
-        }
-        table.record_uncovered(id, sub.compiled.clone());
-        uncovered.push(sub.envelope.clone());
-    }
-    uncovered
 }
 
 /// One sealed frame to hand to a neighbour.
@@ -1356,6 +811,10 @@ pub struct Broker {
     /// rebuilt core on restart. Off by default — the uninstrumented hot
     /// path stays byte-for-byte identical.
     telemetry: bool,
+    /// Flood mode, handed to every core the broker builds: forward every
+    /// subscription on every link (the equivalence oracle for tests;
+    /// covering-pruned is the real mode).
+    flood: bool,
     /// The cumulative counters [`Broker::stats`] reports as they are:
     /// gaps, heartbeats, seals, seals saved, sealed bytes, compactions.
     counters: BrokerStats,
@@ -1421,6 +880,7 @@ impl Broker {
             now: 0,
             ticks: 0,
             telemetry: false,
+            flood,
             counters: BrokerStats::default(),
             rng: CryptoRng::from_seed(seed ^ 0x6c69_6e6b),
             routes: RouteSpans::default(),
@@ -1475,14 +935,16 @@ impl Broker {
     /// A pure f64 read — charges nothing, so instrumented and
     /// uninstrumented runs observe identical cost models.
     fn mem_elapsed_ns(&self) -> f64 {
-        self.core.matcher.memory().elapsed_ns()
+        self.core.memory().elapsed_ns()
     }
 
-    /// Declares the broker's neighbour set, creating one (empty) covering
-    /// table per link. Call once, before provisioning.
+    /// Declares the broker's neighbour set: the core is built afresh with
+    /// one (empty) covering table per link. Call once, before
+    /// provisioning.
     pub fn set_neighbors(&mut self, neighbors: &[usize]) {
         self.peers = neighbors.iter().map(|&n| (n, Peer::default())).collect();
-        self.core.upstream = neighbors.iter().map(|&n| (n, ForwardingTable::new())).collect();
+        self.core = BrokerCore::fresh(self.core.memory(), self.flood, neighbors);
+        self.core.set_telemetry(self.telemetry);
     }
 
     /// The neighbours, ascending.
@@ -1536,7 +998,7 @@ impl Broker {
             &mut self.rng,
             producer_rng,
         )?;
-        self.call(|c| c.matcher.provision_keys(sk, pk));
+        self.call(|c| c.provision_keys(sk, pk));
         if let Phase::Attesting(_) = self.phase {
             self.phase.advance(if self.peers.is_empty() { Phase::Serving } else { Phase::Linking });
         }
@@ -1681,11 +1143,11 @@ impl Broker {
         }
         self.phase = Phase::Crashed { at: self.now };
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
-        self.core = BrokerCore::fresh(&mem, self.core.flood, &self.neighbors());
+        self.core = BrokerCore::fresh(&mem, self.flood, &self.neighbors());
         // Telemetry is host configuration: the flag survives the crash,
         // but the flight recorder and stage histograms (volatile, never
         // sealed) restart empty with the rebuilt core.
-        self.core.matcher.set_telemetry(self.telemetry);
+        self.core.set_telemetry(self.telemetry);
         // Whatever was marked dirty this step died with the enclave, and
         // so did the journal (it lived in the core just replaced); the
         // last *flushed* record on the host disk is the recovery truth.
@@ -1719,28 +1181,30 @@ impl Broker {
         // and the file where it was.
         let entries = journal::split_entries(self.file.sealed.as_deref().unwrap_or_default())?;
         let (flood, neighbors, platform, counter) =
-            (self.core.flood, self.neighbors(), &self.platform, self.file.counter);
+            (self.flood, self.neighbors(), &self.platform, self.file.counter);
         // Relaunch the (same, identically measured) routing enclave; one
         // crossing opens the chain (one key derivation for all its
         // blobs), restores the base and redoes the deltas.
         let enclave = platform.launch(router_builder(&self.code))?;
-        let core = enclave.ecall(|ctx| -> Result<BrokerCore, OverlayError> {
-            let (base_version, opened) = if entries.is_empty() {
-                (0, Vec::new())
-            } else {
-                VersionedSeal::unseal_chain(
-                    ctx,
-                    SealPolicy::MrEnclave,
-                    platform,
-                    counter,
-                    &entries,
-                )?
-            };
-            let record: Vec<&[u8]> = opened.iter().map(Vec::as_slice).collect();
-            let mut core = BrokerCore::restore(&record, ctx.memory(), flood, &neighbors)?;
-            core.base_version = base_version;
-            Ok(core)
-        })?;
+        let (core, restored) =
+            enclave.ecall(|ctx| -> Result<(BrokerCore, usize), OverlayError> {
+                let (base_version, opened) = if entries.is_empty() {
+                    (0, Vec::new())
+                } else {
+                    VersionedSeal::unseal_chain(
+                        ctx,
+                        SealPolicy::MrEnclave,
+                        platform,
+                        counter,
+                        &entries,
+                    )?
+                };
+                let record: Vec<&[u8]> = opened.iter().map(Vec::as_slice).collect();
+                let mut core = BrokerCore::restore(&record, ctx.memory(), flood, &neighbors)?;
+                core.set_base_version(base_version);
+                let restored = core.live_count();
+                Ok((core, restored))
+            })?;
         self.core = core;
         self.file.log = match entries.split_first() {
             Some((base, deltas)) => LogShape {
@@ -1750,7 +1214,7 @@ impl Broker {
             },
             None => LogShape::default(),
         };
-        self.core.matcher.set_telemetry(self.telemetry);
+        self.core.set_telemetry(self.telemetry);
         self.phase = Phase::Rejoining { enclave, crashed_at, replayed: 0, dropped: 0 };
         // Every record is at its default since the crash: mark the dead,
         // and owe a replay from every other neighbour.
@@ -1758,7 +1222,7 @@ impl Broker {
             peer.dead = dead_links.contains(n);
             peer.replay = (!peer.dead).then(Replay::default);
         }
-        outs.push(Output::Event(LinkEvent::RejoinStarted { restored: self.core.live.len() }));
+        outs.push(Output::Event(LinkEvent::RejoinStarted { restored }));
         if !self.replays_owed() {
             // No (live) neighbours to replay from: recovery is the seal
             // alone.
@@ -2235,13 +1699,7 @@ impl Broker {
         if confirmed.len() != count as usize {
             return Err(OverlayError::Link { reason: "replay count mismatch" });
         }
-        let stale: Vec<SubscriptionId> = self.call(|c| {
-            c.live
-                .iter()
-                .filter(|(id, sub)| sub.origin == Origin::Link(from) && !confirmed.contains(id))
-                .map(|(id, _)| *id)
-                .collect()
-        });
+        let stale = self.call(|c| c.unconfirmed(from, &confirmed));
         let replayed_here = confirmed.len();
         for id in &stale {
             let outcome = self.call(|c| c.remove_by_id(*id, Origin::Link(from)));
@@ -2381,7 +1839,7 @@ impl Broker {
             self.counters.refused += self.call(|c| c.route_into(headers, origin, &mut routes));
         }
         let t_matched = if timing { self.mem_elapsed_ns() } else { 0.0 };
-        let matched_here = routes.locals.len();
+        let matched_here = routes.local_count();
         if matched_here > 0 {
             // The last batch's records may still be held: then they keep
             // its buffer, and this batch starts a fresh one.
@@ -2436,13 +1894,7 @@ impl Broker {
             };
             let seal_ns = (t_forwarded - t_matched).max(0.0) as u64;
             let hop_ns = (t_forwarded - t_arrival).max(0.0) as u64;
-            self.call(|c| {
-                c.stages.record(Stage::Seal, seal_ns);
-                c.stages.record(Stage::HopCrossing, hop_ns);
-                if record.trace.is_some() {
-                    c.recorder.push(record);
-                }
-            });
+            self.call(|c| c.record_hop(seal_ns, hop_ns, record));
         }
         Ok(())
     }
@@ -2486,32 +1938,22 @@ impl Broker {
     /// base. Reached only from the end of [`Broker::step`], so each step
     /// seals at most once.
     ///
-    /// Admissions and retirements both append. The compaction rule is
-    /// fixed: write a base when there is none, by size — the deltas on
-    /// disk plus this one would reach the base's size — by retired
-    /// quarter — the envelopes of the registrations retired since the
-    /// base was written, all still on the host's disk, add up to
-    /// [`RETIRED_DIVISOR`] of it — and whenever the step owes one
-    /// ([`Seal::Base`]: it closed a replay reconciliation). Between forced
-    /// bases every base write is paid for by a quarter base of retired or
-    /// one base of appended bytes — amortised O(entry) per mutation — a retired
-    /// registration leaves the disk within a quarter base of further
-    /// retirements, the deltas on disk stay under the base's size plus
-    /// one entry's seal, and a restart redoes at most one base's worth of
-    /// journal.
+    /// Admissions and retirements both append. The enclave applies the
+    /// fixed compaction rule ([`BrokerCore::checkpoint_payload`]) to the
+    /// file's shape; a base is forced when there is none yet and whenever
+    /// the step owes one ([`Seal::Base`]: it closed a replay
+    /// reconciliation).
     fn checkpoint(&mut self, seal: Seal) -> Result<(), OverlayError> {
         self.counters.seals += 1;
         let log = self.file.log;
-        let compact = seal == Seal::Base
-            || self.file.sealed.is_none()
-            || log.delta_bytes + self.core.journal.len() >= log.base_bytes
-            || self.core.retired_bytes >= log.base_bytes / RETIRED_DIVISOR;
+        let forced = seal == Seal::Base || self.file.sealed.is_none();
         let enclave = self.phase.enclave()?;
         let (core, platform, counter, rng) =
             (&mut self.core, &self.platform, self.file.counter, &mut self.rng);
-        let (plain_bytes, entry) =
-            enclave.ecall(|ctx| -> Result<(usize, Vec<u8>), OverlayError> {
-                let (payload, base) = core.checkpoint_payload(compact);
+        let (plain_bytes, entry, compact) =
+            enclave.ecall(|ctx| -> Result<(usize, Vec<u8>, bool), OverlayError> {
+                let (payload, base) =
+                    core.checkpoint_payload(forced, log.delta_bytes, log.base_bytes);
                 let (version, blob) = VersionedSeal::seal_link(
                     ctx,
                     SealPolicy::MrEnclave,
@@ -2521,10 +1963,10 @@ impl Broker {
                     &payload,
                     rng,
                 )?;
-                if compact {
-                    core.base_version = version;
+                if base.is_none() {
+                    core.set_base_version(version);
                 }
-                Ok((payload.len(), blob))
+                Ok((payload.len(), blob, base.is_none()))
             })?;
         self.counters.sealed_bytes += plain_bytes as u64;
         let file = &mut self.file;
@@ -2545,15 +1987,15 @@ impl Broker {
 
     /// Live subscriptions in the index (edge clients + link interfaces).
     pub fn subscriptions(&self) -> usize {
-        self.core.matcher.index().len()
+        self.core.subscriptions()
     }
 
     /// Counters for this broker.
     pub fn stats(&self) -> BrokerStats {
-        let mem = self.core.matcher.memory().stats();
+        let mem = self.core.memory().stats();
         let (mut forwarded, mut pruned) = (0u64, 0u64);
         let (mut forwarded_total, mut removed, mut uncovered) = (0u64, 0u64, 0u64);
-        for (_, table) in &self.core.upstream {
+        for (_, table) in self.core.ledgers() {
             forwarded += table.forwarded() as u64;
             pruned += table.pruned();
             forwarded_total += table.forwarded_total();
@@ -2586,16 +2028,14 @@ impl Broker {
     /// byte-for-byte the uninstrumented one.
     pub fn set_telemetry(&mut self, on: bool) {
         self.telemetry = on;
-        self.core.matcher.set_telemetry(on);
+        self.core.set_telemetry(on);
     }
 
     /// Per-stage latency summaries: the in-enclave engine stages
     /// (decrypt, index match) followed by the broker shell's (seal, hop
     /// crossing). Empty with telemetry off.
     pub fn stage_summaries(&self) -> Vec<StageSummary> {
-        let mut out = self.core.matcher.stage_summaries();
-        out.extend(self.core.stages.summaries());
-        out
+        self.core.stage_summaries()
     }
 
     /// Drains the in-enclave flight recorder through an explicit,
@@ -2606,29 +2046,29 @@ impl Broker {
         let core = &mut self.core;
         match self.phase.enclave() {
             Ok(enclave) => enclave.ecall(|ctx| {
-                let records = core.recorder.drain();
+                let records = core.drain_trace();
                 ctx.ocall(move || records)
             }),
-            Err(_) => core.recorder.drain(),
+            Err(_) => core.drain_trace(),
         }
     }
 
     /// Hop records the bounded flight recorder overwrote before they
     /// were drained (cumulative).
     pub fn trace_drops(&self) -> u64 {
-        self.core.recorder.dropped()
+        self.core.trace_drops()
     }
 
     /// The broker's memory-simulator counters (paging, cache, enclave
     /// transitions).
     pub fn mem_stats(&self) -> MemStats {
-        self.core.matcher.memory().stats()
+        self.core.memory().stats()
     }
 
     /// Per-link forwarding-table counter snapshots, keyed by neighbour
     /// id, for the metrics registry.
     pub fn link_snapshots(&self) -> Vec<(usize, Vec<(&'static str, u64)>)> {
-        self.core.upstream.iter().map(|(n, table)| (*n, table.snapshot())).collect()
+        self.core.ledgers().iter().map(|(n, table)| (*n, table.snapshot())).collect()
     }
 
     /// True when the broker is fully caught up: serving, with no replay
@@ -2643,7 +2083,7 @@ impl Broker {
     /// Cumulative protocol counters (forwarding ledger, gaps) are not
     /// reset.
     pub fn reset_counters(&self) {
-        self.core.matcher.memory().reset_counters();
+        self.core.memory().reset_counters();
     }
 }
 
@@ -2660,15 +2100,14 @@ mod checkpoint_proptests;
 mod test_broker;
 
 #[cfg(test)]
-mod uncover_proptests;
-
-#[cfg(test)]
 mod tests {
     use super::test_broker::{provision, relink, serving};
     use super::*;
     use crate::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
     use scbr::ids::KeyEpoch;
+    use scbr::ScbrError;
     use scbr::{PublicationSpec, SubscriptionSpec};
+    use scbr_enclave::broker::{link_interface, RECORD_VERSION, RETIRED_DIVISOR};
 
     fn producer(rng: &mut CryptoRng) -> ProducerCrypto {
         ProducerCrypto::generate(512, rng).unwrap()
@@ -2972,7 +2411,7 @@ mod tests {
         assert_eq!(register(&mut a, &mut b, 1, 50.0), vec!["sub-forward", "sub-forward"]);
         let stats = a.stats();
         assert_eq!((stats.forwarded, stats.uncovered, stats.removed), (2, 1, 0));
-        assert_eq!(a.core.upstream[0].1.row_ids(), vec![SubscriptionId(1), SubscriptionId(2)]);
+        assert_eq!(a.core.ledgers()[0].1.row_ids(), vec![SubscriptionId(1), SubscriptionId(2)]);
         assert_eq!(b.subscriptions(), 2);
 
         // price = 10 entering at b matches only id 2 and must reach it.
@@ -3537,7 +2976,7 @@ mod tests {
         // retired envelope stays on the host's disk, counted.
         let overhead = overhead.unwrap();
         subscribe_n(&mut broker, &producer, &mut rng, 40..41);
-        let retired = broker.core.live[&SubscriptionId(40)].envelope.len();
+        let retired = broker.core.live_envelope(SubscriptionId(40)).unwrap().len();
         let mut retire = |broker: &mut Broker, id: u64| {
             let unreg =
                 producer.seal_unregistration(SubscriptionId(id), ClientId(id), &mut rng).unwrap();
@@ -3550,7 +2989,7 @@ mod tests {
         assert_eq!((after.seals, after.compactions), (stats.seals + 2, stats.compactions));
         assert_eq!(after.log_entries, before.0.log_entries + 1);
         assert_eq!(broker.sealed_record().unwrap().len(), before.1 + 4 + 10 + overhead);
-        assert_eq!(broker.core.retired_bytes, retired);
+        assert_eq!(broker.core.retired_bytes(), retired);
 
         // Retirements alone then cross the retired quarter, long before
         // their deltas could reach the base's size. That compaction takes
@@ -3558,16 +2997,16 @@ mod tests {
         let mut by_retired_quarter = false;
         for id in 0..40 {
             let (log, compactions) = (broker.file.log, broker.stats().compactions);
-            let retired_bytes =
-                broker.core.retired_bytes + broker.core.live[&SubscriptionId(id)].envelope.len();
+            let retired_bytes = broker.core.retired_bytes()
+                + broker.core.live_envelope(SubscriptionId(id)).unwrap().len();
             retire(&mut broker, id);
             assert!(broker.file.log.delta_bytes < broker.file.log.base_bytes + overhead);
             let quarter_reached = retired_bytes >= log.base_bytes / RETIRED_DIVISOR;
             if broker.stats().compactions == compactions {
-                assert!(!quarter_reached && broker.core.retired_bytes == retired_bytes);
+                assert!(!quarter_reached && broker.core.retired_bytes() == retired_bytes);
                 continue;
             }
-            assert_eq!((broker.stats().log_entries, broker.core.retired_bytes), (0, 0));
+            assert_eq!((broker.stats().log_entries, broker.core.retired_bytes()), (0, 0));
             assert_eq!(
                 broker.file.log.base_bytes,
                 broker.core.serialize_record().len() + overhead,
@@ -3639,9 +3078,9 @@ mod tests {
             .unwrap();
         broker.call(|c| c.admit(&envelope, Origin::Local, false)).unwrap();
         broker.mark_dirty();
-        assert!(broker.core.journal.len() > 0);
+        assert!(broker.core.journal_len() > 0);
         broker.step(10, Input::Crash).unwrap();
-        assert_eq!(broker.core.journal.len(), 0);
+        assert_eq!(broker.core.journal_len(), 0);
         assert_eq!(broker.file.pending, None);
         assert_eq!(broker.sealed_record().unwrap(), file, "a crash writes nothing");
 
@@ -3711,11 +3150,8 @@ mod tests {
         let (mut broker, _) = serving(0, 16, false, &[], &producer);
         subscribe_n(&mut broker, &producer, &mut rng, 0..6);
         let base = broker.core.serialize_record();
-        let removal = |id: u64| {
-            let mut journal = Journal::default();
-            journal.remove(SubscriptionId(id), Origin::Local);
-            journal.take()
-        };
+        // A journalled retirement: kind 2 ‖ id ‖ origin (0, local).
+        let removal = |id: u64| [&[2][..], &id.to_be_bytes(), &[0]].concat();
         let mut torn = removal(1);
         torn.truncate(torn.len() - 3);
         let (unknown_kind, never_admitted) = ([3, 0, 0, 0, 0, 0, 0, 0, 77, 0], removal(77));
@@ -3731,7 +3167,7 @@ mod tests {
             assert!(matches!(refused, Err(ScbrError::Codec { .. })), "{what}: {:?}", refused.err());
         }
         let genuine = BrokerCore::restore(&[&base, &once], &native(), false, &[]).unwrap();
-        assert_eq!(genuine.live.len(), 5);
+        assert_eq!(genuine.live_count(), 5);
     }
 
     #[test]
@@ -3754,6 +3190,6 @@ mod tests {
             let refused = BrokerCore::restore(&[layout], &native(), false, &[]);
             assert!(matches!(refused, Err(ScbrError::Codec { .. })), "{what}: {:?}", refused.err());
         }
-        assert_eq!(BrokerCore::restore(&[&record], &native(), false, &[]).unwrap().live.len(), 3);
+        assert_eq!(BrokerCore::restore(&[&record], &native(), false, &[]).unwrap().live_count(), 3);
     }
 }

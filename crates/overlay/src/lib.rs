@@ -11,7 +11,8 @@
 //!   bootstrapped by a mutual-quote attestation handshake (both routers
 //!   prove measurement and platform before contributing key material) and
 //!   then sealed with the derived link key.
-//! * [`forwarding`] — covering-pruned subscription propagation: a router
+//! * [`scbr_enclave::forwarding`] — covering-pruned subscription
+//!   propagation, inside the enclave: a router
 //!   forwards a subscription up a link only if nothing already forwarded
 //!   there covers it, reusing the containment relation the poset index is
 //!   built on. Removal is symmetric (Siena's *uncovering* rule): an
@@ -22,7 +23,9 @@
 //! * [`broker`] — one overlay node as a **sans-IO lifecycle state
 //!   machine** (`Cold → Attesting → Linking → Serving → Crashed →
 //!   Rejoining`): its whole surface is [`broker::Broker::step`]`(now,
-//!   Input) -> Vec<Output>`. The broker's one matching engine (inside
+//!   Input) -> Vec<Output>`. What it runs inside its enclave is
+//!   [`scbr_enclave::broker::BrokerCore`], reached only through that
+//!   core's ecall table. The broker's one matching engine (inside
 //!   the enclave) indexes link interfaces alongside edge clients, so each hop
 //!   decrypts and matches a whole publication batch in **one enclave
 //!   crossing** and learns local deliveries and outgoing links together.
@@ -70,15 +73,12 @@
 pub mod broker;
 pub mod error;
 pub mod fabric;
-pub mod forwarding;
-mod journal;
 pub mod router;
 pub mod topology;
 
 pub use broker::{Broker, BrokerStats, Input, Lifecycle, LinkEvent, Origin, Output, SuspectReason};
 pub use error::OverlayError;
 pub use fabric::{AutoRejoin, Delivery, FabricConfig, OverlayFabric, Propagation, RejoinReport};
-pub use forwarding::ForwardingTable;
 pub use router::Router;
 pub use scbr_telemetry::{BrokerTelemetry, HopRecord, StageSummary, TelemetrySnapshot, TraceId};
 pub use topology::Topology;

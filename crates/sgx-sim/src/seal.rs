@@ -60,7 +60,7 @@ pub fn seal_key(ctx: &EnclaveContext<'_>, policy: SealPolicy) -> SymmetricKey {
 /// Seals `data` for later unsealing by the same enclave (or vendor).
 ///
 /// `aad` is authenticated but stored in the clear (e.g. a format version).
-pub fn seal_data(
+fn seal_data(
     ctx: &EnclaveContext<'_>,
     policy: SealPolicy,
     data: &[u8],

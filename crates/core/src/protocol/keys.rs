@@ -383,6 +383,44 @@ mod tests {
         assert_eq!(&pk, producer.public_key());
     }
 
+    /// Provisioning at fixed seeds, pinned: the `SK` and producer key the
+    /// enclave receives, and both RNGs' next draws. A change that moves a
+    /// draw — the response-key generation, the wrap — fails here even
+    /// when provisioning still succeeds.
+    #[test]
+    fn provisioning_transcript_is_pinned() {
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let platform = SgxPlatform::for_testing(44);
+        let enclave = platform
+            .launch(EnclaveBuilder::new("scbr-router").add_page(b"engine").isv_prod_id(1))
+            .unwrap();
+        let mut service = AttestationService::new();
+        service.trust_platform(platform.attestation_public_key().clone());
+        let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
+        let mut producer_rng = rng(45);
+        let producer = ProducerCrypto::generate(512, &mut producer_rng).unwrap();
+        let mut enclave_rng = rng(46);
+        let (sk, pk) = provision_sk_via_attestation(
+            &platform,
+            &enclave,
+            &service,
+            &policy,
+            &producer,
+            &mut enclave_rng,
+            &mut producer_rng,
+        )
+        .unwrap();
+        assert_eq!(hex(sk.as_bytes()), "3ab5ddcd017c3918011faea65e391172");
+        assert_eq!(
+            hex(&scbr_crypto::sha256::Sha256::digest(&pk.to_bytes())),
+            "fbe9a4e4292b0eff0fd35dcd3befc45b400c544df6cc62b711d6b02e6be2453c"
+        );
+        assert_eq!(
+            (enclave_rng.next_u64(), producer_rng.next_u64()),
+            (12479840922948736338, 4532887510774626252)
+        );
+    }
+
     #[test]
     fn attestation_provisioning_rejects_wrong_measurement() {
         let platform = SgxPlatform::for_testing(43);

@@ -511,6 +511,47 @@ mod tests {
         assert_eq!(eb.memory().stats().ecalls, 2);
     }
 
+    /// One handshake at fixed seeds, pinned: the SHA-256 of each message
+    /// on the wire and of the derived key, and each side's next RNG draw.
+    /// A change that moves a draw — the response-key generation, a
+    /// secret, a wrap — fails here even when the handshake still
+    /// succeeds.
+    #[test]
+    fn handshake_transcript_is_pinned() {
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let digest = |bytes: &[u8]| hex(&scbr_crypto::sha256::Sha256::digest(bytes));
+        let pa = SgxPlatform::for_testing(20);
+        let pb = SgxPlatform::for_testing(21);
+        let (ea, eb) = (router(&pa), router(&pb));
+        let service = trust_both(&pa, &pb);
+        let policy = VerifierPolicy::require_mr_enclave(ea.identity().mr_enclave);
+        let mut rng_a = CryptoRng::from_seed(22);
+        let mut rng_b = CryptoRng::from_seed(23);
+        let (hello, st_a) = initiate(&pa, &ea, &mut rng_a).unwrap();
+        let (accept_msg, st_b) = accept(&pb, &eb, &service, &policy, &hello, &mut rng_b).unwrap();
+        let (finish_msg, key) =
+            finish(st_a, &accept_msg, &service, &policy, &ea, &mut rng_a).unwrap();
+        assert_eq!(complete(st_b, &finish_msg, &eb).unwrap(), key);
+        assert_eq!(
+            [
+                digest(&hello.to_bytes()),
+                digest(&accept_msg.to_bytes()),
+                digest(&finish_msg.to_bytes()),
+                digest(key.as_bytes()),
+            ],
+            [
+                "c6bc3d6ba174c56e9f258af6307428374bf8610f10b24670dba508fd7e0f2fed",
+                "b3095263ba846879c8d1f3d09bc243d47278f66b2543d073e6a432b9768e4707",
+                "98bde8696f73c59a28b48cdb800621990e5cfa9d1cda7a0b05ce14f43b10081a",
+                "2f0d2e3bfffa92d67fbf9c32dfc71c76b80491c36dc14e3e05879c463192b187",
+            ]
+        );
+        assert_eq!(
+            (rng_a.next_u64(), rng_b.next_u64()),
+            (7885724225543536813, 13188714651745728861)
+        );
+    }
+
     #[test]
     fn wire_forms_reject_garbage() {
         assert!(LinkHello::from_bytes(b"nope").is_err());

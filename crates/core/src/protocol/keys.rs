@@ -15,8 +15,7 @@ use scbr_crypto::ctr::{AesCtr, SymmetricKey, NONCE_LEN};
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use scbr_crypto::SealedBox;
-use sgx_sim::attest::{provision, AttestationService, VerifierPolicy};
-use sgx_sim::enclave::EnclaveContext;
+use sgx_sim::attest::{AttestationService, QuotedKey, VerifierPolicy};
 use sgx_sim::SgxPlatform;
 
 /// Hybrid public-key encryption: a fresh 128-bit content key is RSA-
@@ -197,12 +196,12 @@ pub fn unsubscribe_signing_bytes(client: ClientId, id: SubscriptionId) -> Vec<u8
 /// Provisions `SK` (and the producer's verification key) into a routing
 /// enclave via remote attestation:
 ///
-/// 1. inside the enclave, generate a fresh response key pair and bind its
-///    public half into a report;
+/// 1. inside the enclave, generate a fresh response key pair and the
+///    report committing to it ([`QuotedKey::generate`]);
 /// 2. have the platform quote the report;
 /// 3. as the producer, verify the quote against the attestation service
-///    and a measurement policy, then release `SK` encrypted to the bound
-///    key;
+///    and a measurement policy ([`QuotedKey::verify`]), then release `SK`
+///    encrypted to the bound key;
 /// 4. back inside the enclave, unwrap `SK`.
 ///
 /// Returns the unwrapped key material as seen inside the enclave, plus the
@@ -220,21 +219,15 @@ pub fn provision_sk_via_attestation(
     enclave_rng: &mut CryptoRng,
     producer_rng: &mut CryptoRng,
 ) -> Result<(SymmetricKey, RsaPublicKey), ScbrError> {
-    // Step 1: inside the enclave.
-    let (report, response_pair) = enclave.ecall(|ctx: &EnclaveContext<'_>| {
-        let pair = RsaKeyPair::generate(512, enclave_rng)?;
-        let report = sgx_sim::attest::create_report(ctx, provision::bind_key(pair.public()));
-        Ok::<_, ScbrError>((report, pair))
-    })?;
-    // Step 2: quoting enclave.
-    let quote = platform.quote(&report)?;
-    let request =
-        provision::ProvisioningRequest { quote, response_key: response_pair.public().clone() };
-    // Step 3: producer side. SK and the verification key travel together.
+    // Steps 1 and 2: inside the enclave, then the quoting enclave.
+    let (report, response_pair) = enclave.ecall(|ctx| QuotedKey::generate(ctx, enclave_rng))?;
+    let request = QuotedKey::quote(platform, &report, &response_pair)?;
+    // Step 3: producer side. Only SK is wrapped; the verification key
+    // travels beside it in clear, bound to nothing.
+    request.verify(service, policy)?;
     let mut secret = Writer::new();
     secret.bytes(producer.sk().as_bytes());
-    let wrapped_secret =
-        provision::release_secret(service, policy, &request, &secret.into_bytes(), producer_rng)?;
+    let wrapped_secret = request.response_key.encrypt(&secret.into_bytes(), producer_rng)?;
     let pk_bytes = producer.public_key().to_bytes();
     // Step 4: inside the enclave again.
     let sk = enclave.ecall(|_ctx| {

@@ -22,7 +22,7 @@
 //! | 12 | `Deliver` | `u64 epoch ‖ bytes payload_ct` |
 //! | 13 | `KeyUpdate` | `bytes wrapped` |
 //! | 14 | `Hello` | `u64 client` |
-//! | 15–17 | `LinkHello`, `LinkAccept`, `LinkFinish` | `bytes payload` |
+//! | 15–17 | `LinkQuote`, `LinkAccept`, `LinkFinish` | `bytes payload` |
 //! | 18, 19 | `SubForward`, `SubRemove` | `bytes envelope` |
 //! | 20 | `ReplayRequest` | empty |
 //! | 21 | `ReplayDone` | `u32 count` |
@@ -319,14 +319,16 @@ pub enum Message {
         /// The connecting client.
         client: ClientId,
     },
-    /// Router → router: first overlay link-handshake message (a serialised
-    /// `sgx_sim::link::LinkHello` — quote plus bound response key).
-    LinkHello {
+    /// Router → router: first overlay link-handshake message, the hello (a
+    /// serialised `sgx_sim::attest::QuotedKey` — quote plus bound response
+    /// key).
+    LinkQuote {
         /// Opaque handshake bytes (parsed by the overlay layer).
         payload: Vec<u8>,
     },
-    /// Router → router: second link-handshake message (responder quote and
-    /// wrapped secret; a serialised `sgx_sim::link::LinkAccept`).
+    /// Router → router: second link-handshake message (the responder's
+    /// `QuotedKey` and wrapped secret; a serialised
+    /// `sgx_sim::link::LinkAccept`).
     LinkAccept {
         /// Opaque handshake bytes.
         payload: Vec<u8>,
@@ -413,7 +415,7 @@ impl Message {
             Message::Deliver { .. } => "deliver",
             Message::KeyUpdate { .. } => "key-update",
             Message::Hello { .. } => "hello",
-            Message::LinkHello { .. } => "link-hello",
+            Message::LinkQuote { .. } => "link-hello",
             Message::LinkAccept { .. } => "link-accept",
             Message::LinkFinish { .. } => "link-finish",
             Message::SubForward { .. } => "sub-forward",
@@ -482,7 +484,7 @@ impl Message {
             Message::Hello { client } => {
                 w.u8(TAG_HELLO).u64(client.0);
             }
-            Message::LinkHello { payload } => {
+            Message::LinkQuote { payload } => {
                 w.u8(TAG_LINK_HELLO).bytes(payload);
             }
             Message::LinkAccept { payload } => {
@@ -554,7 +556,7 @@ impl Message {
             TAG_DELIVER => Message::Deliver { epoch: KeyEpoch(r.u64()?), payload_ct: r.bytes()? },
             TAG_KEY_UPDATE => Message::KeyUpdate { wrapped: r.bytes()? },
             TAG_HELLO => Message::Hello { client: ClientId(r.u64()?) },
-            TAG_LINK_HELLO => Message::LinkHello { payload: r.bytes()? },
+            TAG_LINK_HELLO => Message::LinkQuote { payload: r.bytes()? },
             TAG_LINK_ACCEPT => Message::LinkAccept { payload: r.bytes()? },
             TAG_LINK_FINISH => Message::LinkFinish { payload: r.bytes()? },
             TAG_SUB_FORWARD => Message::SubForward { envelope: r.bytes()? },
@@ -608,7 +610,7 @@ mod tests {
             Message::Deliver { epoch: KeyEpoch(2), payload_ct: vec![3] },
             Message::KeyUpdate { wrapped: vec![9] },
             Message::Hello { client: ClientId(1) },
-            Message::LinkHello { payload: vec![1] },
+            Message::LinkQuote { payload: vec![1] },
             Message::LinkAccept { payload: vec![2] },
             Message::LinkFinish { payload: vec![3] },
             Message::SubForward { envelope: vec![4] },

@@ -92,7 +92,7 @@ fn every_variant(a: &[u8], b: &[u8], n: u64) -> Vec<Message> {
         Message::Deliver { epoch: KeyEpoch(n), payload_ct: b.to_vec() },
         Message::KeyUpdate { wrapped: a.to_vec() },
         Message::Hello { client: ClientId(n) },
-        Message::LinkHello { payload: a.to_vec() },
+        Message::LinkQuote { payload: a.to_vec() },
         Message::LinkAccept { payload: b.to_vec() },
         Message::LinkFinish { payload: a.to_vec() },
         Message::SubForward { envelope: b.to_vec() },

@@ -6,11 +6,11 @@
 //! A broker is always in exactly one [`Lifecycle`] state:
 //!
 //! ```text
-//!  Cold ──provision──▶ Attesting ──▶ Linking ──▶ Serving ◀─────────┐
-//!                                                   │              │
-//!                                                 Crash         replay
-//!                                                   ▼              │
-//!                                                Crashed ──Restart──▶ Rejoining
+//!  Cold ──provision──▶ Linking ──▶ Serving ◀─────────┐
+//!                                     │              │
+//!                                   Crash         replay
+//!                                     ▼              │
+//!                                  Crashed ──Restart──▶ Rejoining
 //! ```
 //!
 //! Each phase owns the data that only means something in it, so a
@@ -19,8 +19,7 @@
 //!
 //! | Phase | Owns | Accepts | Leaves by |
 //! |---|---|---|---|
-//! | `Cold` | the enclave | `Tick`, `Crash` | provisioning → `Attesting`; `Crash` |
-//! | `Attesting` | the enclave | `Tick`, `Crash` | provisioned → `Linking` (→ `Serving` with no neighbours); `Crash` |
+//! | `Cold` | the enclave | `Tick`, `Crash` | provisioned → `Linking` (→ `Serving` with no neighbours); `Crash` |
 //! | `Linking` | the enclave | `Tick`, `Crash`, frames: handshakes and heartbeats (replay requests are parked) | last link up → `Serving`; `Crash` |
 //! | `Serving` | the enclave | everything but `Restart` | `Crash` |
 //! | `Rejoining` | the enclave, the crash time, what the rejoin replayed and dropped | `Tick`, `Crash`, frames: handshakes, subscription traffic, replays (undecipherable ones are dropped) | last replay closed → `Serving`; `Crash` |
@@ -159,9 +158,9 @@ use scbr_enclave::broker::{BrokerCore, LinkUpdate, RouteSpans};
 use scbr_enclave::journal;
 use scbr_net::{NetError, SecureLink};
 use scbr_telemetry::{count_bucket, HopRecord, StageSummary, TraceId};
-use sgx_sim::attest::{AttestationService, VerifierPolicy};
+use sgx_sim::attest::{AttestationService, QuotedKey, VerifierPolicy};
 use sgx_sim::enclave::EnclaveBuilder;
-use sgx_sim::link::{LinkAccept, LinkFinish, LinkHello, LinkInitiator, LinkResponder};
+use sgx_sim::link::{LinkAccept, LinkFinish, LinkInitiator, LinkResponder};
 use sgx_sim::platform::CounterId;
 use sgx_sim::seal::{SealPolicy, VersionedSeal};
 use sgx_sim::{CacheConfig, CostModel, Enclave, EpcConfig, MemStats, MemorySim, SgxPlatform};
@@ -206,8 +205,6 @@ pub enum Lifecycle {
     /// Constructed; no keys, no links.
     #[default]
     Cold,
-    /// Remote attestation / key provisioning in flight.
-    Attesting,
     /// Provisioned; attested link handshakes in flight.
     Linking,
     /// Fully operational: accepting traffic on every input.
@@ -376,44 +373,6 @@ impl LinkEvent {
             LinkEvent::Cleared { .. } => "cleared",
             LinkEvent::Healed { .. } => "healed",
         }
-    }
-}
-
-impl std::fmt::Display for LinkEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LinkEvent::Gap { link, expected, got } => {
-                write!(f, "gap on link {link}: expected seq {expected}, got {got}")
-            }
-            LinkEvent::LinkUp { link } => write!(f, "link {link} up"),
-            LinkEvent::Subscribed { id } => write!(f, "subscribed id {}", id.0),
-            LinkEvent::Unsubscribed { id, removed } => {
-                write!(f, "unsubscribed id {} (removed: {removed})", id.0)
-            }
-            LinkEvent::Crashed => write!(f, "crashed"),
-            LinkEvent::RejoinStarted { restored } => {
-                write!(f, "rejoin started ({restored} subscriptions restored)")
-            }
-            LinkEvent::Rejoined { replayed, dropped_stale, downtime } => write!(
-                f,
-                "rejoined ({replayed} replayed, {dropped_stale} stale dropped, \
-                 downtime {downtime})"
-            ),
-            LinkEvent::Suspect { link, reason } => write!(f, "link {link} suspect ({reason})"),
-            LinkEvent::Cleared { link } => write!(f, "link {link} cleared"),
-            LinkEvent::Healed { link, replayed, dropped_stale } => {
-                write!(f, "link {link} healed ({replayed} replayed, {dropped_stale} stale dropped)")
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for SuspectReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SuspectReason::Silence => "silence",
-            SuspectReason::Gap => "gap",
-        })
     }
 }
 
@@ -730,7 +689,6 @@ enum Seal {
 /// `Crashed` owns the enclave; [`Lifecycle`] is the public tag.
 enum Phase {
     Cold(Enclave),
-    Attesting(Enclave),
     Linking(Enclave),
     Serving(Enclave),
     /// Restarted from the sealed record, re-linking and replaying.
@@ -753,7 +711,6 @@ impl Phase {
     fn lifecycle(&self) -> Lifecycle {
         match self {
             Phase::Cold(_) => Lifecycle::Cold,
-            Phase::Attesting(_) => Lifecycle::Attesting,
             Phase::Linking(_) => Lifecycle::Linking,
             Phase::Serving(_) => Lifecycle::Serving,
             Phase::Rejoining { .. } => Lifecycle::Rejoining,
@@ -765,7 +722,6 @@ impl Phase {
     fn enclave(&self) -> Result<&Enclave, OverlayError> {
         match self {
             Phase::Cold(enclave)
-            | Phase::Attesting(enclave)
             | Phase::Linking(enclave)
             | Phase::Serving(enclave)
             | Phase::Rejoining { enclave, .. } => Ok(enclave),
@@ -780,7 +736,6 @@ impl Phase {
     fn advance(&mut self, next: fn(Enclave) -> Phase) {
         *self = match std::mem::replace(self, Phase::Crashed { at: 0 }) {
             Phase::Cold(enclave)
-            | Phase::Attesting(enclave)
             | Phase::Linking(enclave)
             | Phase::Serving(enclave)
             | Phase::Rejoining { enclave, .. } => next(enclave),
@@ -800,7 +755,9 @@ pub struct Broker {
     core: BrokerCore,
     /// One record per neighbour, in ascending id order.
     peers: BTreeMap<usize, Peer>,
-    /// The trust anchors for verifying peer quotes during link handshakes.
+    /// The trust anchors for verifying peer quotes during link
+    /// handshakes: the attestation service and policy the broker was last
+    /// provisioned under. Host configuration: survives crashes.
     trust: Option<(AttestationService, VerifierPolicy)>,
     file: RecoveryFile,
     now: u64,
@@ -844,7 +801,8 @@ impl std::fmt::Debug for Broker {
     }
 }
 
-/// Refusal of a link handshake by a broker told no trust anchors.
+/// Refusal of a link handshake by a broker never provisioned, so holding
+/// no trust anchors.
 const UNTRUSTED: OverlayError = OverlayError::Link { reason: "link trust anchors not configured" };
 
 impl Broker {
@@ -962,23 +920,18 @@ impl Broker {
         self.peers.values().any(|p| p.replay.is_some())
     }
 
-    /// Installs the trust anchors (attestation service + verifier
-    /// policy) the broker uses to verify peer quotes during link
-    /// handshakes. Host-side configuration: survives crashes.
-    pub fn configure_trust(&mut self, service: AttestationService, policy: VerifierPolicy) {
-        self.trust = Some((service, policy));
-    }
-
     /// Provisions `SK` into the broker's enclave via remote attestation
     /// (the producer releases the key only to the expected measurement).
-    /// Moves a cold broker through `Attesting` into `Linking` (or
-    /// straight to `Serving` with no neighbours); a rejoining broker
-    /// stays `Rejoining`.
+    /// `service` and `policy` become the broker's link trust anchors: a
+    /// peer's quote must pass what the broker's own passed. Moves a cold
+    /// broker into `Linking` (or straight to `Serving` with no
+    /// neighbours); a rejoining broker stays `Rejoining`.
     ///
     /// # Errors
     ///
-    /// Any attestation, policy or crypto failure — the broker is left in
-    /// `Attesting`; also fails on a crashed broker (no enclave).
+    /// Any attestation, policy or crypto failure — the broker is left
+    /// where it was, so a cold one can retry; also fails on a crashed
+    /// broker (no enclave).
     pub fn provision_attested(
         &mut self,
         service: &AttestationService,
@@ -986,9 +939,6 @@ impl Broker {
         producer: &ProducerCrypto,
         producer_rng: &mut CryptoRng,
     ) -> Result<(), OverlayError> {
-        if let Phase::Cold(_) = self.phase {
-            self.phase.advance(Phase::Attesting);
-        }
         let (sk, pk) = provision_sk_via_attestation(
             &self.platform,
             self.phase.enclave()?,
@@ -999,7 +949,8 @@ impl Broker {
             producer_rng,
         )?;
         self.call(|c| c.provision_keys(sk, pk));
-        if let Phase::Attesting(_) = self.phase {
+        self.trust = Some((service.clone(), policy.clone()));
+        if let Phase::Cold(_) = self.phase {
             self.phase.advance(if self.peers.is_empty() { Phase::Serving } else { Phase::Linking });
         }
         Ok(())
@@ -1235,12 +1186,12 @@ impl Broker {
     /// rejoining it drives handshake initiation (a rejoining broker's
     /// replay request follows each of its handshakes); while serving it
     /// runs the steady-state liveness work — heartbeat emission,
-    /// dead-link probing and suspicion timeouts. Cold, attesting and
-    /// crashed brokers have no timer work.
+    /// dead-link probing and suspicion timeouts. Cold and crashed brokers
+    /// have no timer work.
     fn on_tick(&mut self, outs: &mut Vec<Output>) -> Result<(), OverlayError> {
         self.ticks += 1;
         match self.phase {
-            Phase::Cold(_) | Phase::Attesting(_) | Phase::Crashed { .. } => Ok(()),
+            Phase::Cold(_) | Phase::Crashed { .. } => Ok(()),
             Phase::Linking(_) => self.tick_handshakes(false, outs),
             Phase::Rejoining { .. } => self.tick_handshakes(true, outs),
             Phase::Serving(_) => self.tick_serving(outs),
@@ -1383,12 +1334,16 @@ impl Broker {
         let peer = self.peer(neighbor);
         peer.initiation = Some(state);
         peer.initiated_at = Some(now);
-        let bytes = Message::LinkHello { payload: hello.to_bytes() }.to_wire();
-        Ok(Output::Frame(LinkFrame { to: neighbor, from: self.id, bytes }))
+        Ok(self.handshake_frame(neighbor, Message::LinkQuote { payload: hello.to_bytes() }))
     }
 
-    /// Responds to a neighbour's hello after verifying its quote against
-    /// the configured trust anchors.
+    /// The plaintext frame carrying handshake `message` to `to`.
+    fn handshake_frame(&self, to: usize, message: Message) -> Output {
+        Output::Frame(LinkFrame { to, from: self.id, bytes: message.to_wire() })
+    }
+
+    /// Responds to a neighbour's hello after verifying its quoted key
+    /// against the broker's trust anchors.
     ///
     /// When both ends open a handshake at once, the higher id's wins: a
     /// broker whose id is lower than the sender's drops its own
@@ -1404,7 +1359,7 @@ impl Broker {
         if !self.peers.contains_key(&from) {
             return Err(OverlayError::Link { reason: "handshake from a non-neighbour" });
         }
-        let hello = LinkHello::from_bytes(payload)?;
+        let hello = QuotedKey::from_bytes(payload)?;
         let enclave = self.phase.enclave()?;
         let (service, policy) = self.trust.as_ref().ok_or(UNTRUSTED)?;
         let (accept, state) =
@@ -1415,11 +1370,7 @@ impl Broker {
         if yields {
             peer.initiation = None;
         }
-        outs.push(Output::Frame(LinkFrame {
-            to: from,
-            from: self.id,
-            bytes: Message::LinkAccept { payload: accept.to_bytes() }.to_wire(),
-        }));
+        outs.push(self.handshake_frame(from, Message::LinkAccept { payload: accept.to_bytes() }));
         Ok(())
     }
 
@@ -1443,11 +1394,7 @@ impl Broker {
         let (finish, key) =
             sgx_sim::link::finish(state, &accept, service, policy, enclave, &mut self.rng)?;
         self.install_sealed_link(from, key.as_bytes());
-        outs.push(Output::Frame(LinkFrame {
-            to: from,
-            from: self.id,
-            bytes: Message::LinkFinish { payload: finish.to_bytes() }.to_wire(),
-        }));
+        outs.push(self.handshake_frame(from, Message::LinkFinish { payload: finish.to_bytes() }));
         self.post_link_up(from, outs)
     }
 
@@ -1500,7 +1447,7 @@ impl Broker {
         bytes: &[u8],
         outs: &mut Vec<Output>,
     ) -> Result<(), OverlayError> {
-        if let Phase::Cold(_) | Phase::Attesting(_) | Phase::Crashed { .. } = self.phase {
+        if let Phase::Cold(_) | Phase::Crashed { .. } = self.phase {
             return Err(OverlayError::Lifecycle {
                 reason: "frame for a broker that is not linked",
             });
@@ -1545,27 +1492,24 @@ impl Broker {
                 outs.push(Output::Event(LinkEvent::Gap { link: from, expected, got }));
                 Ok(())
             }
-            Opened::Failed(err) => {
-                // Not a frame the sealed channel can open. A *restarted*
-                // peer re-keys its links with plaintext handshake frames;
-                // accept exactly those (each is quote-authenticated —
-                // a forgery cannot complete the handshake, and the old
-                // channel stays installed until the new key proves out).
+            opened @ (Opened::Failed(_) | Opened::NoChannel) => {
+                // Not a frame a sealed channel can open. A peer that lost
+                // its key (restarted, or never linked) re-keys with
+                // plaintext handshake frames; accept exactly those (each
+                // is quote-authenticated — a forgery cannot complete the
+                // handshake, and an installed channel stays until the new
+                // key proves out). On an installed channel a finish is one
+                // only while a response of ours is in flight.
+                let finishes = peer.response.is_some() || matches!(opened, Opened::NoChannel);
+                let swallow = peer.dead || matches!(self.phase, Phase::Rejoining { .. });
                 match Message::from_wire(bytes) {
-                    Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload, outs),
+                    Ok(Message::LinkQuote { payload }) => self.hs_hello(from, &payload, outs),
                     Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload, outs),
-                    Ok(Message::LinkFinish { payload }) if peer.response.is_some() => {
+                    Ok(Message::LinkFinish { payload }) if finishes => {
                         self.hs_finish(from, &payload, outs)
                     }
-                    _ => Err(err.into()),
-                }
-            }
-            Opened::NoChannel => {
-                match Message::from_wire(bytes) {
-                    Ok(Message::LinkHello { payload }) => self.hs_hello(from, &payload, outs),
-                    Ok(Message::LinkAccept { payload }) => self.hs_accept(from, &payload, outs),
-                    Ok(Message::LinkFinish { payload }) => self.hs_finish(from, &payload, outs),
-                    _ if peer.dead || matches!(self.phase, Phase::Rejoining { .. }) => {
+                    _ => match opened {
+                        Opened::Failed(err) => Err(err.into()),
                         // Sealed traffic under a key we no longer hold:
                         // either our liveness view is stale (the sender
                         // is alive and still using its pre-restart key
@@ -1573,9 +1517,9 @@ impl Broker {
                         // has not re-keyed with us yet. Swallow the
                         // undecipherable frame — the probe/rejoin
                         // handshake heals the link.
-                        Ok(())
-                    }
-                    _ => Err(OverlayError::Link { reason: "no link to neighbour" }),
+                        _ if swallow => Ok(()),
+                        _ => Err(OverlayError::Link { reason: "no link to neighbour" }),
+                    },
                 }
             }
         }
@@ -2101,9 +2045,9 @@ mod test_broker;
 
 #[cfg(test)]
 mod tests {
-    use super::test_broker::{provision, relink, serving};
+    use super::test_broker::{provision, provision_under, relink, serving};
     use super::*;
-    use crate::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
+    use crate::fabric::ROUTER_ENCLAVE_CODE;
     use scbr::ids::KeyEpoch;
     use scbr::ScbrError;
     use scbr::{PublicationSpec, SubscriptionSpec};
@@ -2779,14 +2723,14 @@ mod tests {
         ));
     }
 
-    /// Points both brokers' link trust anchors at both platforms.
-    fn trust_each_other(a: &mut Broker, b: &mut Broker) {
+    /// Provisions both brokers against a service that trusts both
+    /// platforms, so each accepts the other's quotes.
+    fn trust_each_other(a: &mut Broker, b: &mut Broker, producer: &ProducerCrypto) {
         let mut service = AttestationService::new();
         service.trust_platform(a.platform().attestation_public_key().clone());
         service.trust_platform(b.platform().attestation_public_key().clone());
-        let policy = VerifierPolicy::require_mr_enclave(router_measurement());
-        a.configure_trust(service.clone(), policy.clone());
-        b.configure_trust(service, policy);
+        provision_under(a, producer, &service);
+        provision_under(b, producer, &service);
     }
 
     /// Steps `to` on every frame in `outs` addressed to it, in order, and
@@ -2812,7 +2756,7 @@ mod tests {
         let producer = producer(&mut rng);
         let (mut a, _) = serving(0, 18, false, &[1], &producer);
         let (mut b, _) = serving(1, 19, false, &[0], &producer);
-        trust_each_other(&mut a, &mut b);
+        trust_each_other(&mut a, &mut b, &producer);
 
         let hello_a = frames(&[a.initiate(1).unwrap()])[0].bytes.clone();
         let hello_b = frames(&[b.initiate(0).unwrap()])[0].bytes.clone();
@@ -2864,7 +2808,7 @@ mod tests {
 
         // Keyed: two serving brokers re-key their link at once.
         let (mut a, mut b) = linked_pair(&producer);
-        trust_each_other(&mut a, &mut b);
+        trust_each_other(&mut a, &mut b, &producer);
         let (hello_a, hello_b) = (a.initiate(1).unwrap(), b.initiate(0).unwrap());
         let accept_a = deliver(&mut a, &[hello_b]);
         let accept_b = deliver(&mut b, &[hello_a]);
@@ -2886,9 +2830,8 @@ mod tests {
         a.step(3, Input::Crash).unwrap();
         b.step(3, Input::Crash).unwrap();
         b.step(4, Input::Restart { dead_links: vec![0] }).unwrap();
-        provision(&mut b, &producer);
         a.step(5, Input::Restart { dead_links: vec![] }).unwrap();
-        provision(&mut a, &producer);
+        trust_each_other(&mut a, &mut b, &producer);
         assert_eq!((a.lifecycle(), b.lifecycle()), (Lifecycle::Rejoining, Lifecycle::Serving));
         let hello_a = a.step(6, Input::Tick).unwrap();
         let hello_b = b.step(6, Input::Tick).unwrap();

@@ -42,9 +42,19 @@ impl Peers {
 pub(super) fn provision(broker: &mut Broker, producer: &ProducerCrypto) {
     let mut service = AttestationService::new();
     service.trust_platform(broker.platform().attestation_public_key().clone());
+    provision_under(broker, producer, &service);
+}
+
+/// [`provision`] against `service`, which also becomes the broker's link
+/// trust anchor.
+pub(super) fn provision_under(
+    broker: &mut Broker,
+    producer: &ProducerCrypto,
+    service: &AttestationService,
+) {
     let policy = VerifierPolicy::require_mr_enclave(router_builder(&broker.code).measurement());
     let mut producer_rng = CryptoRng::from_seed(broker.id as u64);
-    broker.provision_attested(&service, &policy, producer, &mut producer_rng).expect("attestation");
+    broker.provision_attested(service, &policy, producer, &mut producer_rng).expect("attestation");
 }
 
 /// Installs a sealed link to every neighbour of `broker` under a fresh

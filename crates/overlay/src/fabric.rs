@@ -254,7 +254,6 @@ impl OverlayFabric {
         }
         let policy = VerifierPolicy::require_mr_enclave(router_measurement());
         for broker in &mut brokers {
-            broker.configure_trust(service.clone(), policy.clone());
             broker.provision_attested(&service, &policy, &producer, &mut rng)?;
         }
         if config.telemetry {

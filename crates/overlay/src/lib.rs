@@ -21,7 +21,7 @@
 //!   re-forwarded ahead of it, so upstream interest never dips below the
 //!   live set.
 //! * [`broker`] — one overlay node as a **sans-IO lifecycle state
-//!   machine** (`Cold → Attesting → Linking → Serving → Crashed →
+//!   machine** (`Cold → Linking → Serving → Crashed →
 //!   Rejoining`): its whole surface is [`broker::Broker::step`]`(now,
 //!   Input) -> Vec<Output>`. What it runs inside its enclave is
 //!   [`scbr_enclave::broker::BrokerCore`], reached only through that

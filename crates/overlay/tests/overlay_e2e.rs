@@ -172,13 +172,11 @@ fn link_establishment_rejects_wrong_measurement() {
         VerifierPolicy { mr_enclave: None, mr_signer: None, min_isv_svn: 0, allow_debug: true };
     genuine.set_neighbors(&[1]);
     tampered.set_neighbors(&[0]);
-    genuine.configure_trust(service.clone(), policy.clone());
-    // The adversary runs its own lax verifier — its checks are not what
-    // protects the overlay.
-    tampered.configure_trust(service.clone(), lax.clone());
     genuine.provision_attested(&service, &policy, &producer, &mut rng).unwrap();
     // The producer would never provision the tampered broker; the
-    // adversary provisions it itself, lax about its own measurement.
+    // adversary provisions it itself, lax about its own measurement, and
+    // so runs a lax link verifier too — its checks are not what protects
+    // the overlay.
     tampered.provision_attested(&service, &lax, &producer, &mut rng).unwrap();
 
     // Tampered initiator: the genuine responder refuses the hello.
@@ -235,8 +233,6 @@ fn link_establishment_rejects_untrusted_platform() {
     let policy = VerifierPolicy::require_mr_enclave(router_measurement());
     genuine.set_neighbors(&[1]);
     emulated.set_neighbors(&[0]);
-    genuine.configure_trust(service.clone(), policy.clone());
-    emulated.configure_trust(rogue_service.clone(), policy.clone());
     genuine.provision_attested(&service, &policy, &producer, &mut rng).unwrap();
     emulated.provision_attested(&rogue_service, &policy, &producer, &mut rng).unwrap();
     let outs = genuine.step(0, Input::Tick).unwrap();
@@ -268,8 +264,6 @@ fn tampered_link_frames_are_refused() {
     let policy = VerifierPolicy::require_mr_enclave(router_measurement());
     a.set_neighbors(&[1]);
     b.set_neighbors(&[0]);
-    a.configure_trust(service.clone(), policy.clone());
-    b.configure_trust(service.clone(), policy.clone());
     a.provision_attested(&service, &policy, &producer, &mut rng).unwrap();
     b.provision_attested(&service, &policy, &producer, &mut rng).unwrap();
     // One tick: a (lower id) initiates; drive the handshake to both ends.

@@ -138,7 +138,6 @@ fn attested_line(clients: u64, matched: usize) -> (Vec<Broker>, Vec<PublishItem>
     for (id, broker) in brokers.iter_mut().enumerate() {
         let neighbors: Vec<usize> = (0..BROKERS).filter(|n| n.abs_diff(id) == 1).collect();
         broker.set_neighbors(&neighbors);
-        broker.configure_trust(service.clone(), policy.clone());
         broker.provision_attested(&service, &policy, &producer, &mut rng).expect("provisioning");
     }
     let mut bufs = Buffers::default();

@@ -13,12 +13,14 @@
 //! * [`AttestationService`] — the verifier's trust anchor: checks quote
 //!   signatures against the known attestation public key (stand-in for the
 //!   Intel Attestation Service).
-//! * [`provision`] — the "secure channel" finale: the enclave binds a fresh
-//!   RSA public key into its report data; the verifier checks the quote and
-//!   encrypts a secret to that key.
+//! * [`QuotedKey`] — the attested key exchange: the enclave binds a fresh
+//!   RSA public key into its report data; the verifier checks the quote,
+//!   its policy and the binding, and only then encrypts a secret to that
+//!   key. Provisioning `SK` and the overlay's link handshake both run it.
 
 use crate::enclave::{EnclaveContext, EnclaveIdentity, Measurement};
 use crate::error::SgxError;
+use crate::platform::SgxPlatform;
 use scbr_crypto::hmac::HmacSha256;
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -134,8 +136,7 @@ impl Quote {
     /// over untrusted links.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = self.report.to_bytes();
-        out.extend_from_slice(&(self.signature.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.signature);
+        out.extend(join_prefixed(&[&self.signature]));
         out
     }
 
@@ -147,18 +148,10 @@ impl Quote {
     /// carries no trust until [`AttestationService::verify`] accepts it.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
         const REPORT_LEN: usize = 165;
-        if bytes.len() < REPORT_LEN + 4 {
-            return Err(SgxError::AttestationFailed { reason: "malformed quote bytes" });
-        }
-        let report = Report::from_bytes(&bytes[..REPORT_LEN])?;
-        let sig_len =
-            u32::from_be_bytes(bytes[REPORT_LEN..REPORT_LEN + 4].try_into().expect("4 bytes"))
-                as usize;
-        let rest = &bytes[REPORT_LEN + 4..];
-        if rest.len() != sig_len {
-            return Err(SgxError::AttestationFailed { reason: "malformed quote bytes" });
-        }
-        Ok(Quote { report, signature: rest.to_vec() })
+        let malformed = SgxError::AttestationFailed { reason: "malformed quote bytes" };
+        let (report, rest) = bytes.split_at_checked(REPORT_LEN).ok_or(malformed)?;
+        let [signature] = split_prefixed(rest, "malformed quote bytes")?;
+        Ok(Quote { report: Report::from_bytes(report)?, signature: signature.to_vec() })
     }
 }
 
@@ -280,60 +273,137 @@ impl VerifierPolicy {
     }
 }
 
-/// Secret provisioning over attestation, as SCBR needs for delivering `SK`.
-pub mod provision {
-    use super::*;
+/// Binds `key` into report data: SHA-256 of the serialised key, zero
+/// padded to 64 bytes.
+fn bind_key(key: &RsaPublicKey) -> ReportData {
+    let digest = Sha256::digest(&key.to_bytes());
+    let mut data = [0u8; 64];
+    data[..32].copy_from_slice(&digest);
+    data
+}
 
-    /// What the enclave produces to request a secret: a quote whose report
-    /// data commits to a freshly generated RSA public key.
-    #[derive(Debug, Clone)]
-    pub struct ProvisioningRequest {
-        /// Quote proving identity and binding `response_key`.
-        pub quote: Quote,
-        /// Key the verifier should encrypt the secret under.
-        pub response_key: RsaPublicKey,
-    }
+/// A quote and the fresh RSA response key its report data commits to:
+/// what an enclave presents to obtain a secret — `SK` from the producer,
+/// or a link secret from a peer router.
+// lint: allow(SL02, a quote and a public key - both travel in clear)
+#[derive(Debug, Clone)]
+pub struct QuotedKey {
+    /// Quote whose report data commits to `response_key`.
+    pub quote: Quote,
+    /// The key a verifier encrypts the secret to.
+    pub response_key: RsaPublicKey,
+}
 
-    /// Binds `key` into report data: SHA-256 of the serialised key, zero
-    /// padded to 64 bytes.
-    pub fn bind_key(key: &RsaPublicKey) -> ReportData {
-        let digest = Sha256::digest(&key.to_bytes());
-        let mut data = [0u8; 64];
-        data[..32].copy_from_slice(&digest);
-        data
-    }
-
-    /// Verifier side: checks the quote (via `service`), the policy, and the
-    /// key binding, then encrypts `secret` to the enclave.
+impl QuotedKey {
+    /// Inside the enclave: generates a fresh response key pair and the
+    /// report committing to its public half. The private half never
+    /// leaves the enclave; the host quotes the report with
+    /// [`QuotedKey::quote`].
     ///
     /// # Errors
     ///
-    /// Any attestation failure, policy violation, binding mismatch, or an
-    /// over-long secret.
-    pub fn release_secret(
+    /// [`SgxError::AttestationFailed`] if key generation fails.
+    pub fn generate(
+        ctx: &EnclaveContext<'_>,
+        rng: &mut CryptoRng,
+    ) -> Result<(Report, RsaKeyPair), SgxError> {
+        let pair = RsaKeyPair::generate(512, rng).map_err(|_| SgxError::AttestationFailed {
+            reason: "response key generation failed",
+        })?;
+        let report = create_report(ctx, bind_key(pair.public()));
+        Ok((report, pair))
+    }
+
+    /// Outside the enclave: has `platform` quote `report` and pairs the
+    /// quote with the public half of `pair`, the key the report commits
+    /// to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates quoting failures.
+    pub fn quote(
+        platform: &SgxPlatform,
+        report: &Report,
+        pair: &RsaKeyPair,
+    ) -> Result<Self, SgxError> {
+        Ok(QuotedKey { quote: platform.quote(report)?, response_key: pair.public().clone() })
+    }
+
+    /// Verifier side: checks the quote against `service`, the attested
+    /// identity against `policy`, and that the quote commits to
+    /// `response_key`. Nothing may be encrypted to `response_key` before
+    /// this passes. Returns the attested identity.
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::AttestationFailed`] naming the failed check.
+    pub fn verify(
+        &self,
         service: &AttestationService,
         policy: &VerifierPolicy,
-        request: &ProvisioningRequest,
-        secret: &[u8],
-        rng: &mut CryptoRng,
-    ) -> Result<Vec<u8>, SgxError> {
-        let (identity, report_data) = service.verify(&request.quote)?;
+    ) -> Result<EnclaveIdentity, SgxError> {
+        let (identity, report_data) = service.verify(&self.quote)?;
         policy.check(&identity)?;
-        if report_data != bind_key(&request.response_key) {
+        if report_data != bind_key(&self.response_key) {
             return Err(SgxError::AttestationFailed { reason: "response key not bound in quote" });
         }
-        request
-            .response_key
-            .encrypt(secret, rng)
-            .map_err(|_| SgxError::AttestationFailed { reason: "secret too long for response key" })
+        Ok(identity)
     }
+
+    /// Serialises for the wire: the quote, then the response key.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        join_prefixed(&[&self.quote.to_bytes(), &self.response_key.to_bytes()])
+    }
+
+    /// Parses a quoted key serialised by [`QuotedKey::to_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::AttestationFailed`] on malformed input. A parsed key
+    /// carries no trust until [`QuotedKey::verify`] accepts it.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
+        let [quote, key] = split_prefixed(bytes, "malformed quoted key")?;
+        let response_key = RsaPublicKey::from_bytes(key)
+            .map_err(|_| SgxError::AttestationFailed { reason: "malformed response key" })?;
+        Ok(QuotedKey { quote: Quote::from_bytes(quote)?, response_key })
+    }
+}
+
+/// `parts`, each `u32`-length-prefixed: the wire layout of the quote's
+/// signature and of every key-exchange message.
+pub(crate) fn join_prefixed(parts: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(parts.iter().map(|part| 4 + part.len()).sum());
+    for part in parts {
+        out.extend_from_slice(&(part.len() as u32).to_be_bytes());
+        out.extend_from_slice(part);
+    }
+    out
+}
+
+/// Splits `bytes` into the `N` parts [`join_prefixed`] wrote.
+///
+/// # Errors
+///
+/// [`SgxError::AttestationFailed`] with `reason` on truncated input or
+/// trailing bytes.
+pub(crate) fn split_prefixed<'a, const N: usize>(
+    mut bytes: &'a [u8],
+    reason: &'static str,
+) -> Result<[&'a [u8]; N], SgxError> {
+    let malformed = SgxError::AttestationFailed { reason };
+    let mut parts = [&bytes[..0]; N];
+    for part in &mut parts {
+        let (len, rest) = bytes.split_first_chunk::<4>().ok_or(malformed.clone())?;
+        (*part, bytes) =
+            rest.split_at_checked(u32::from_be_bytes(*len) as usize).ok_or(malformed.clone())?;
+    }
+    bytes.is_empty().then_some(parts).ok_or(malformed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enclave::EnclaveBuilder;
-    use crate::platform::SgxPlatform;
 
     fn setup() -> (SgxPlatform, crate::enclave::Enclave, AttestationService) {
         let platform = SgxPlatform::for_testing(42);
@@ -461,25 +531,15 @@ mod tests {
         let mut enclave_rng = CryptoRng::from_seed(2);
 
         // Inside the enclave: generate a response key and quote it.
-        let (request, response_pair) = enclave.ecall(|ctx| {
-            let pair = RsaKeyPair::generate(512, &mut enclave_rng).unwrap();
-            let report = create_report(ctx, provision::bind_key(pair.public()));
-            (report, pair)
-        });
-        let quote = platform.quote(&request).unwrap();
-        let req =
-            provision::ProvisioningRequest { quote, response_key: response_pair.public().clone() };
+        let (report, response_pair) =
+            enclave.ecall(|ctx| QuotedKey::generate(ctx, &mut enclave_rng)).unwrap();
+        let request = QuotedKey::quote(&platform, &report, &response_pair).unwrap();
 
         // Verifier: release the secret only to the expected measurement.
         let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
-        let wrapped = provision::release_secret(
-            &service,
-            &policy,
-            &req,
-            b"the symmetric key SK",
-            &mut verifier_rng,
-        )
-        .unwrap();
+        assert_eq!(&request.verify(&service, &policy).unwrap(), enclave.identity());
+        let wrapped =
+            request.response_key.encrypt(b"the symmetric key SK", &mut verifier_rng).unwrap();
 
         // Enclave decrypts.
         let secret = response_pair.private().decrypt(&wrapped).unwrap();
@@ -490,15 +550,14 @@ mod tests {
     fn provisioning_rejects_substituted_key() {
         let (platform, enclave, service) = setup();
         let mut rng = CryptoRng::from_seed(3);
-        let honest = RsaKeyPair::generate(512, &mut rng).unwrap();
-        let attacker = RsaKeyPair::generate(512, &mut rng).unwrap();
-        let report = enclave.ecall(|ctx| create_report(ctx, provision::bind_key(honest.public())));
-        let quote = platform.quote(&report).unwrap();
+        let (report, honest) = enclave.ecall(|ctx| QuotedKey::generate(ctx, &mut rng)).unwrap();
+        let mut request = QuotedKey::quote(&platform, &report, &honest).unwrap();
         // A man in the middle swaps in their own key.
-        let req = provision::ProvisioningRequest { quote, response_key: attacker.public().clone() };
+        let attacker = RsaKeyPair::generate(512, &mut rng).unwrap();
+        request.response_key = attacker.public().clone();
         let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
         assert!(matches!(
-            provision::release_secret(&service, &policy, &req, b"sk", &mut rng),
+            request.verify(&service, &policy),
             Err(SgxError::AttestationFailed { reason: "response key not bound in quote" })
         ));
     }

@@ -4,10 +4,11 @@
 //! way for two routers on *different* machines to convince each other that
 //! the peer really is the expected routing code in a genuine enclave, and
 //! to agree on a symmetric key protecting the link between them. This
-//! module builds that on the primitives of [`crate::attest`]: a
-//! three-message handshake of **mutual quotes** with a fresh RSA response
-//! key bound into each side's report data, finishing with an HKDF-derived
-//! 256-bit link key.
+//! module builds that on the attested key exchange of [`crate::attest`],
+//! the one `SK` provisioning runs: a three-message handshake of **mutual
+//! quotes**, each side's hello a [`QuotedKey`] (a quote committing to a
+//! fresh RSA response key), finishing with an HKDF-derived 256-bit link
+//! key.
 //!
 //! ```text
 //! initiator                                   responder
@@ -21,19 +22,19 @@
 //!                   info = "scbr-overlay-link-v1")
 //! ```
 //!
-//! Each side refuses to contribute its secret before the peer's quote has
-//! passed the [`AttestationService`] *and* the caller's
-//! [`VerifierPolicy`] — a router whose measurement differs (tampered
-//! binary) or whose platform is untrusted (emulator) never obtains a link
-//! key, so it can neither receive forwarded subscriptions nor inject
-//! publications into the overlay.
+//! Each side refuses to contribute its secret before the peer's quoted key
+//! has passed [`QuotedKey::verify`] against the [`AttestationService`]
+//! *and* the caller's [`VerifierPolicy`] — a router whose measurement
+//! differs (tampered binary) or whose platform is untrusted (emulator)
+//! never obtains a link key, so it can neither receive forwarded
+//! subscriptions nor inject publications into the overlay.
 
-use crate::attest::{create_report, provision, AttestationService, Quote, VerifierPolicy};
+use crate::attest::{join_prefixed, split_prefixed, AttestationService, QuotedKey, VerifierPolicy};
 use crate::enclave::{Enclave, Measurement};
 use crate::error::SgxError;
 use crate::platform::SgxPlatform;
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
+use scbr_crypto::rsa::RsaKeyPair;
 
 /// Length of a derived link key in bytes.
 pub const LINK_KEY_LEN: usize = 32;
@@ -62,51 +63,11 @@ impl std::fmt::Debug for LinkKey {
     }
 }
 
-/// First handshake message: a quote binding a fresh response key.
-#[derive(Debug, Clone)]
-pub struct LinkHello {
-    /// Quote whose report data commits to `response_key`.
-    pub quote: Quote,
-    /// The fresh RSA key the peer should encrypt its secret to.
-    pub response_key: RsaPublicKey,
-}
-
-impl LinkHello {
-    /// Serialises for the wire.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let quote = self.quote.to_bytes();
-        let key = self.response_key.to_bytes();
-        let mut out = Vec::with_capacity(8 + quote.len() + key.len());
-        out.extend_from_slice(&(quote.len() as u32).to_be_bytes());
-        out.extend_from_slice(&quote);
-        out.extend_from_slice(&(key.len() as u32).to_be_bytes());
-        out.extend_from_slice(&key);
-        out
-    }
-
-    /// Parses a hello serialised by [`LinkHello::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::AttestationFailed`] on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
-        let (quote_bytes, rest) = take_prefixed(bytes)?;
-        let (key_bytes, rest) = take_prefixed(rest)?;
-        if !rest.is_empty() {
-            return Err(SgxError::AttestationFailed { reason: "link hello trailing bytes" });
-        }
-        let quote = Quote::from_bytes(quote_bytes)?;
-        let response_key = RsaPublicKey::from_bytes(key_bytes)
-            .map_err(|_| SgxError::AttestationFailed { reason: "malformed link response key" })?;
-        Ok(LinkHello { quote, response_key })
-    }
-}
-
 /// Second handshake message: the responder's hello plus its wrapped secret.
 #[derive(Debug, Clone)]
 pub struct LinkAccept {
-    /// The responder's own quote and response key.
-    pub hello: LinkHello,
+    /// The responder's own quoted response key.
+    pub hello: QuotedKey,
     /// The responder's secret contribution, encrypted to the initiator's
     /// response key.
     pub wrapped_secret: Vec<u8>,
@@ -115,13 +76,7 @@ pub struct LinkAccept {
 impl LinkAccept {
     /// Serialises for the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let hello = self.hello.to_bytes();
-        let mut out = Vec::with_capacity(8 + hello.len() + self.wrapped_secret.len());
-        out.extend_from_slice(&(hello.len() as u32).to_be_bytes());
-        out.extend_from_slice(&hello);
-        out.extend_from_slice(&(self.wrapped_secret.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.wrapped_secret);
-        out
+        join_prefixed(&[&self.hello.to_bytes(), &self.wrapped_secret])
     }
 
     /// Parses an accept serialised by [`LinkAccept::to_bytes`].
@@ -130,15 +85,8 @@ impl LinkAccept {
     ///
     /// [`SgxError::AttestationFailed`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
-        let (hello_bytes, rest) = take_prefixed(bytes)?;
-        let (wrapped, rest) = take_prefixed(rest)?;
-        if !rest.is_empty() {
-            return Err(SgxError::AttestationFailed { reason: "link accept trailing bytes" });
-        }
-        Ok(LinkAccept {
-            hello: LinkHello::from_bytes(hello_bytes)?,
-            wrapped_secret: wrapped.to_vec(),
-        })
+        let [hello, wrapped] = split_prefixed(bytes, "malformed link accept")?;
+        Ok(LinkAccept { hello: QuotedKey::from_bytes(hello)?, wrapped_secret: wrapped.to_vec() })
     }
 }
 
@@ -153,10 +101,7 @@ pub struct LinkFinish {
 impl LinkFinish {
     /// Serialises for the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.wrapped_secret.len());
-        out.extend_from_slice(&(self.wrapped_secret.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.wrapped_secret);
-        out
+        join_prefixed(&[&self.wrapped_secret])
     }
 
     /// Parses a finish serialised by [`LinkFinish::to_bytes`].
@@ -165,25 +110,9 @@ impl LinkFinish {
     ///
     /// [`SgxError::AttestationFailed`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
-        let (wrapped, rest) = take_prefixed(bytes)?;
-        if !rest.is_empty() {
-            return Err(SgxError::AttestationFailed { reason: "link finish trailing bytes" });
-        }
+        let [wrapped] = split_prefixed(bytes, "malformed link finish")?;
         Ok(LinkFinish { wrapped_secret: wrapped.to_vec() })
     }
-}
-
-/// Splits a `u32`-length-prefixed blob off the front of `bytes`.
-fn take_prefixed(bytes: &[u8]) -> Result<(&[u8], &[u8]), SgxError> {
-    if bytes.len() < 4 {
-        return Err(SgxError::AttestationFailed { reason: "truncated link message" });
-    }
-    let len = u32::from_be_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    let rest = &bytes[4..];
-    if rest.len() < len {
-        return Err(SgxError::AttestationFailed { reason: "truncated link message" });
-    }
-    Ok((&rest[..len], &rest[len..]))
 }
 
 /// Initiator-side handshake state between [`initiate`] and [`finish`]
@@ -204,7 +133,7 @@ pub struct LinkResponder {
 }
 
 /// Starts a link handshake: inside the enclave, generate a response key
-/// pair and bind its public half into a quoted report.
+/// pair and the report committing to it; the hello is its quote.
 ///
 /// # Errors
 ///
@@ -213,21 +142,14 @@ pub fn initiate(
     platform: &SgxPlatform,
     enclave: &Enclave,
     rng: &mut CryptoRng,
-) -> Result<(LinkHello, LinkInitiator), SgxError> {
-    let (report, pair) = enclave.ecall(|ctx| {
-        let pair = RsaKeyPair::generate(512, rng)
-            .map_err(|_| SgxError::AttestationFailed { reason: "link key generation failed" })?;
-        let report = create_report(ctx, provision::bind_key(pair.public()));
-        Ok::<_, SgxError>((report, pair))
-    })?;
-    let quote = platform.quote(&report)?;
-    let hello = LinkHello { quote, response_key: pair.public().clone() };
-    let initiator = LinkInitiator { pair, mr_local: enclave.identity().mr_enclave };
-    Ok((hello, initiator))
+) -> Result<(QuotedKey, LinkInitiator), SgxError> {
+    let (report, pair) = enclave.ecall(|ctx| QuotedKey::generate(ctx, rng))?;
+    let hello = QuotedKey::quote(platform, &report, &pair)?;
+    Ok((hello, LinkInitiator { pair, mr_local: enclave.identity().mr_enclave }))
 }
 
-/// Responder side: verify the initiator's quote against `service` and
-/// `policy`, then answer with an own quoted hello plus a wrapped secret
+/// Responder side: verify the initiator's quoted key against `service`
+/// and `policy`, then answer with an own quoted key plus a wrapped secret
 /// contribution.
 ///
 /// # Errors
@@ -239,27 +161,16 @@ pub fn accept(
     enclave: &Enclave,
     service: &AttestationService,
     policy: &VerifierPolicy,
-    peer: &LinkHello,
+    peer: &QuotedKey,
     rng: &mut CryptoRng,
 ) -> Result<(LinkAccept, LinkResponder), SgxError> {
-    let (mr_initiator, report, pair, secret, wrapped) = enclave.ecall(|ctx| {
-        let identity = verify_hello(service, policy, peer)?;
-        let pair = RsaKeyPair::generate(512, rng)
-            .map_err(|_| SgxError::AttestationFailed { reason: "link key generation failed" })?;
-        let mut secret = [0u8; SECRET_LEN];
-        rng.fill(&mut secret);
-        let wrapped = peer
-            .response_key
-            .encrypt(&secret, rng)
-            .map_err(|_| SgxError::AttestationFailed { reason: "link secret wrap failed" })?;
-        let report = create_report(ctx, provision::bind_key(pair.public()));
-        Ok::<_, SgxError>((identity, report, pair, secret, wrapped))
+    let (mr_initiator, (report, pair), (secret, wrapped)) = enclave.ecall(|ctx| {
+        let mr_initiator = peer.verify(service, policy)?.mr_enclave;
+        let own = QuotedKey::generate(ctx, rng)?;
+        Ok::<_, SgxError>((mr_initiator, own, contribute(peer, rng)?))
     })?;
-    let quote = platform.quote(&report)?;
-    let accept = LinkAccept {
-        hello: LinkHello { quote, response_key: pair.public().clone() },
-        wrapped_secret: wrapped,
-    };
+    let accept =
+        LinkAccept { hello: QuotedKey::quote(platform, &report, &pair)?, wrapped_secret: wrapped };
     let responder = LinkResponder {
         pair,
         secret_local: secret,
@@ -269,7 +180,7 @@ pub fn accept(
     Ok((accept, responder))
 }
 
-/// Initiator side: verify the responder's quote, unwrap its secret,
+/// Initiator side: verify the responder's quoted key, unwrap its secret,
 /// contribute an own secret, and derive the link key.
 ///
 /// # Errors
@@ -285,19 +196,9 @@ pub fn finish(
     rng: &mut CryptoRng,
 ) -> Result<(LinkFinish, LinkKey), SgxError> {
     enclave.ecall(|_ctx| {
-        let mr_responder = verify_hello(service, policy, &peer.hello)?;
-        let secret_peer = initiator
-            .pair
-            .private()
-            .decrypt(&peer.wrapped_secret)
-            .map_err(|_| SgxError::AttestationFailed { reason: "link secret unwrap failed" })?;
-        let mut secret_local = [0u8; SECRET_LEN];
-        rng.fill(&mut secret_local);
-        let wrapped = peer
-            .hello
-            .response_key
-            .encrypt(&secret_local, rng)
-            .map_err(|_| SgxError::AttestationFailed { reason: "link secret wrap failed" })?;
+        let mr_responder = peer.hello.verify(service, policy)?.mr_enclave;
+        let secret_peer = unwrap_secret(&initiator.pair, &peer.wrapped_secret)?;
+        let (secret_local, wrapped) = contribute(&peer.hello, rng)?;
         let key = derive_key(initiator.mr_local, mr_responder, &secret_local, &secret_peer);
         Ok((LinkFinish { wrapped_secret: wrapped }, key))
     })
@@ -316,11 +217,7 @@ pub fn complete(
     enclave: &Enclave,
 ) -> Result<LinkKey, SgxError> {
     enclave.ecall(|_ctx| {
-        let secret_peer = responder
-            .pair
-            .private()
-            .decrypt(&finish.wrapped_secret)
-            .map_err(|_| SgxError::AttestationFailed { reason: "link secret unwrap failed" })?;
+        let secret_peer = unwrap_secret(&responder.pair, &finish.wrapped_secret)?;
         Ok(derive_key(
             responder.mr_initiator,
             responder.mr_local,
@@ -330,19 +227,26 @@ pub fn complete(
     })
 }
 
-/// Checks a hello's quote, identity policy and key binding, returning the
-/// attested measurement.
-fn verify_hello(
-    service: &AttestationService,
-    policy: &VerifierPolicy,
-    hello: &LinkHello,
-) -> Result<Measurement, SgxError> {
-    let (identity, report_data) = service.verify(&hello.quote)?;
-    policy.check(&identity)?;
-    if report_data != provision::bind_key(&hello.response_key) {
-        return Err(SgxError::AttestationFailed { reason: "link response key not bound in quote" });
-    }
-    Ok(identity.mr_enclave)
+/// Draws this side's secret contribution and wraps it to the peer's
+/// response key, which [`QuotedKey::verify`] has accepted.
+fn contribute(
+    peer: &QuotedKey,
+    rng: &mut CryptoRng,
+) -> Result<([u8; SECRET_LEN], Vec<u8>), SgxError> {
+    let mut secret = [0u8; SECRET_LEN];
+    rng.fill(&mut secret);
+    let wrapped = peer
+        .response_key
+        .encrypt(&secret, rng)
+        .map_err(|_| SgxError::AttestationFailed { reason: "link secret wrap failed" })?;
+    Ok((secret, wrapped))
+}
+
+/// Unwraps the peer's secret contribution under this side's response key.
+fn unwrap_secret(pair: &RsaKeyPair, wrapped: &[u8]) -> Result<Vec<u8>, SgxError> {
+    pair.private()
+        .decrypt(wrapped)
+        .map_err(|_| SgxError::AttestationFailed { reason: "link secret unwrap failed" })
 }
 
 /// Both ends derive the same key from the ordered measurements and the
@@ -396,7 +300,7 @@ mod tests {
         let mut rng_b = CryptoRng::from_seed(seed + 1);
         let (hello, st_a) = initiate(pa, ea, &mut rng_a)?;
         // Everything travels as bytes, as it would over a real link.
-        let hello = LinkHello::from_bytes(&hello.to_bytes())?;
+        let hello = QuotedKey::from_bytes(&hello.to_bytes())?;
         let (accept_msg, st_b) = accept(pb, eb, service, policy, &hello, &mut rng_b)?;
         let accept_msg = LinkAccept::from_bytes(&accept_msg.to_bytes())?;
         let (finish_msg, key_a) = finish(st_a, &accept_msg, service, policy, ea, &mut rng_a)?;
@@ -494,7 +398,7 @@ mod tests {
         hello.response_key = mitm.public().clone();
         assert!(matches!(
             accept(&pb, &eb, &service, &policy, &hello, &mut rng),
-            Err(SgxError::AttestationFailed { reason: "link response key not bound in quote" })
+            Err(SgxError::AttestationFailed { reason: "response key not bound in quote" })
         ));
     }
 
@@ -554,7 +458,7 @@ mod tests {
 
     #[test]
     fn wire_forms_reject_garbage() {
-        assert!(LinkHello::from_bytes(b"nope").is_err());
+        assert!(QuotedKey::from_bytes(b"nope").is_err());
         assert!(LinkAccept::from_bytes(&[0, 0, 0, 9, 1]).is_err());
         assert!(LinkFinish::from_bytes(&[0, 0, 0, 1, 7, 8]).is_err());
     }

@@ -55,8 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         VerifierPolicy { mr_enclave: None, mr_signer: None, min_isv_svn: 0, allow_debug: true };
     honest.set_neighbors(&[11]);
     rogue.set_neighbors(&[10]);
-    honest.configure_trust(service.clone(), policy.clone());
-    rogue.configure_trust(service.clone(), lax.clone());
     honest.provision_attested(&service, &policy, &producer, &mut rng)?;
     rogue.provision_attested(&service, &lax, &producer, &mut rng)?;
     let hello = honest

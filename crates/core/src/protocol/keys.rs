@@ -14,7 +14,8 @@ use crate::subscription::SubscriptionSpec;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey, NONCE_LEN};
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
-use scbr_crypto::SealedBox;
+use scbr_crypto::x25519::{X25519Secret, KEY_LEN};
+use scbr_crypto::{CryptoError, SealedBox};
 use sgx_sim::attest::{AttestationService, QuotedKey, VerifierPolicy};
 use sgx_sim::SgxPlatform;
 
@@ -193,51 +194,121 @@ pub fn unsubscribe_signing_bytes(client: ClientId, id: SubscriptionId) -> Vec<u8
     w.into_bytes()
 }
 
+/// HKDF info label of the `SK` grant; the producer's ephemeral public
+/// key and the enclave's quoted one follow it.
+const SK_GRANT_INFO: &[u8] = b"scbr-sk-grant-v1";
+
+/// Whoever answers an enclave's request for `SK`: the producer itself,
+/// or, as the enclave sees it, any host relaying the producer's grant.
+pub trait SkIssuer {
+    /// Verifies `request` against `service` and `policy`, then grants
+    /// `SK` and the producer's verification key to the key it quotes.
+    ///
+    /// # Errors
+    ///
+    /// Any attestation or policy failure refuses the grant.
+    fn grant_sk(
+        &self,
+        request: &QuotedKey,
+        service: &AttestationService,
+        policy: &VerifierPolicy,
+        rng: &mut CryptoRng,
+    ) -> Result<Vec<u8>, ScbrError>;
+}
+
+impl SkIssuer for ProducerCrypto {
+    /// `E ‖ SealedBox(SK ‖ PK)`: the box is keyed by HKDF of the
+    /// Diffie–Hellman secret of a fresh ephemeral key `E` (32 bytes of
+    /// `rng`) and the quoted key `X`, and binds `E ‖ X` as associated
+    /// data; its nonce is 8 more bytes of `rng`.
+    fn grant_sk(
+        &self,
+        request: &QuotedKey,
+        service: &AttestationService,
+        policy: &VerifierPolicy,
+        rng: &mut CryptoRng,
+    ) -> Result<Vec<u8>, ScbrError> {
+        request.verify(service, policy)?;
+        let ephemeral = X25519Secret::generate(rng);
+        let shared = ephemeral.diffie_hellman(&request.public_key)?;
+        let (sealed, aad) = grant_box(&shared, ephemeral.public_key(), &request.public_key);
+        let mut payload = Writer::new();
+        payload.bytes(self.sk.as_bytes()).bytes(&self.public_key().to_bytes());
+        let mut grant = ephemeral.public_key().to_vec();
+        grant.extend(sealed.seal(&payload.into_bytes(), &aad, rng));
+        Ok(grant)
+    }
+}
+
+/// The box an `SK` grant is sealed in and the associated data it binds,
+/// from the Diffie–Hellman secret of the producer's ephemeral key and the
+/// enclave's quoted key.
+fn grant_box(
+    shared: &[u8; KEY_LEN],
+    ephemeral: &[u8; KEY_LEN],
+    quoted: &[u8; KEY_LEN],
+) -> (SealedBox, [u8; 2 * KEY_LEN]) {
+    let mut aad = [0u8; 2 * KEY_LEN];
+    aad[..KEY_LEN].copy_from_slice(ephemeral);
+    aad[KEY_LEN..].copy_from_slice(quoted);
+    let mut info = SK_GRANT_INFO.to_vec();
+    info.extend_from_slice(&aad);
+    let mut key = [0u8; 16];
+    scbr_crypto::hkdf::derive(b"", shared, &info, &mut key);
+    (SealedBox::new(&SymmetricKey::from_bytes(key)), aad)
+}
+
 /// Provisions `SK` (and the producer's verification key) into a routing
 /// enclave via remote attestation:
 ///
-/// 1. inside the enclave, generate a fresh response key pair and the
-///    report committing to it ([`QuotedKey::generate`]);
+/// 1. inside the enclave, generate a fresh X25519 key pair and the report
+///    committing to its public half `X` ([`QuotedKey::generate`]);
 /// 2. have the platform quote the report;
 /// 3. as the producer, verify the quote against the attestation service
-///    and a measurement policy ([`QuotedKey::verify`]), then release `SK`
-///    encrypted to the bound key;
-/// 4. back inside the enclave, unwrap `SK`.
+///    and a measurement policy ([`QuotedKey::verify`]), then grant
+///    `E ‖ SealedBox(SK ‖ PK)` under a key agreed between a fresh
+///    ephemeral key `E` and `X` ([`SkIssuer::grant_sk`]);
+/// 4. back inside the enclave, agree the same key from `E`, open the box
+///    (`E ‖ X` is its associated data) and parse `SK` and `PK` from it.
 ///
-/// Returns the unwrapped key material as seen inside the enclave, plus the
-/// producer's public key bytes delivered alongside.
+/// Returns `SK` and the producer's public key as seen inside the enclave.
+/// The host between steps 3 and 4 can change neither: both travel in one
+/// authenticated box.
 ///
 /// # Errors
 ///
-/// Any attestation, policy or crypto failure aborts provisioning.
+/// Any attestation, policy or crypto failure aborts provisioning, and so
+/// does a grant whose `E` is a low-order point.
 pub fn provision_sk_via_attestation(
     platform: &SgxPlatform,
     enclave: &sgx_sim::Enclave,
     service: &AttestationService,
     policy: &VerifierPolicy,
-    producer: &ProducerCrypto,
+    producer: &impl SkIssuer,
     enclave_rng: &mut CryptoRng,
     producer_rng: &mut CryptoRng,
 ) -> Result<(SymmetricKey, RsaPublicKey), ScbrError> {
     // Steps 1 and 2: inside the enclave, then the quoting enclave.
-    let (report, response_pair) = enclave.ecall(|ctx| QuotedKey::generate(ctx, enclave_rng))?;
-    let request = QuotedKey::quote(platform, &report, &response_pair)?;
-    // Step 3: producer side. Only SK is wrapped; the verification key
-    // travels beside it in clear, bound to nothing.
-    request.verify(service, policy)?;
-    let mut secret = Writer::new();
-    secret.bytes(producer.sk().as_bytes());
-    let wrapped_secret = request.response_key.encrypt(&secret.into_bytes(), producer_rng)?;
-    let pk_bytes = producer.public_key().to_bytes();
+    let (report, secret) = enclave.ecall(|ctx| QuotedKey::generate(ctx, enclave_rng));
+    let request = QuotedKey::quote(platform, &report, &secret)?;
+    // Step 3: producer side.
+    let grant = producer.grant_sk(&request, service, policy, producer_rng)?;
     // Step 4: inside the enclave again.
-    let sk = enclave.ecall(|_ctx| {
-        let plain = response_pair.private().decrypt(&wrapped_secret)?;
+    enclave.ecall(|_ctx| {
+        let (ephemeral, sealed) = grant
+            .split_first_chunk::<KEY_LEN>()
+            .ok_or(CryptoError::InvalidLength { context: "sk grant" })?;
+        let shared = secret.diffie_hellman(ephemeral)?;
+        let (sealed_box, aad) = grant_box(&shared, ephemeral, &request.public_key);
+        let plain = sealed_box.open(sealed, &aad)?;
         let mut r = Reader::new(&plain);
-        let sk_bytes = r.bytes()?;
-        Ok::<_, ScbrError>(SymmetricKey::try_from_bytes(&sk_bytes)?)
-    })?;
-    let pk = RsaPublicKey::from_bytes(&pk_bytes)?;
-    Ok((sk, pk))
+        let sk = SymmetricKey::try_from_bytes(r.bytes_ref()?)?;
+        let pk = RsaPublicKey::from_bytes(r.bytes_ref()?)?;
+        if !r.is_exhausted() {
+            return Err(ScbrError::Codec { context: "sk grant" });
+        }
+        Ok((sk, pk))
+    })
 }
 
 #[cfg(test)]
@@ -378,7 +449,7 @@ mod tests {
 
     /// Provisioning at fixed seeds, pinned: the `SK` and producer key the
     /// enclave receives, and both RNGs' next draws. A change that moves a
-    /// draw — the response-key generation, the wrap — fails here even
+    /// draw — either X25519 key, the grant's nonce — fails here even
     /// when provisioning still succeeds.
     #[test]
     fn provisioning_transcript_is_pinned() {
@@ -410,8 +481,97 @@ mod tests {
         );
         assert_eq!(
             (enclave_rng.next_u64(), producer_rng.next_u64()),
-            (12479840922948736338, 4532887510774626252)
+            (2351835461894720056, 8213260559185562414)
         );
+    }
+
+    /// A host between the producer and the enclave that rewrites the
+    /// grant on its way.
+    struct TamperingHost<'a> {
+        producer: &'a ProducerCrypto,
+        tamper: &'a dyn Fn(&mut Vec<u8>),
+    }
+
+    impl SkIssuer for TamperingHost<'_> {
+        fn grant_sk(
+            &self,
+            request: &QuotedKey,
+            service: &AttestationService,
+            policy: &VerifierPolicy,
+            rng: &mut CryptoRng,
+        ) -> Result<Vec<u8>, ScbrError> {
+            let mut grant = self.producer.grant_sk(request, service, policy, rng)?;
+            (self.tamper)(&mut grant);
+            Ok(grant)
+        }
+    }
+
+    /// Provisions through `tamper` at fixed seeds.
+    fn provision_through(
+        tamper: &dyn Fn(&mut Vec<u8>),
+    ) -> Result<(SymmetricKey, RsaPublicKey), ScbrError> {
+        let platform = SgxPlatform::for_testing(47);
+        let enclave = platform
+            .launch(EnclaveBuilder::new("scbr-router").add_page(b"engine").isv_prod_id(1))
+            .unwrap();
+        let mut service = AttestationService::new();
+        service.trust_platform(platform.attestation_public_key().clone());
+        let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
+        let mut producer_rng = rng(48);
+        let producer = ProducerCrypto::generate(512, &mut producer_rng).unwrap();
+        provision_sk_via_attestation(
+            &platform,
+            &enclave,
+            &service,
+            &policy,
+            &TamperingHost { producer: &producer, tamper },
+            &mut rng(49),
+            &mut producer_rng,
+        )
+    }
+
+    #[test]
+    fn the_grant_binds_the_producer_key_to_sk() {
+        assert!(provision_through(&|_| {}).is_ok());
+        // The host knows both producer keys and where the plaintext's
+        // key sits (just before the tag), so under CTR alone it could
+        // swap one for the other; the tag refuses it.
+        let honest = ProducerCrypto::generate(512, &mut rng(48)).unwrap().public_key().to_bytes();
+        let attacker = RsaKeyPair::generate(512, &mut rng(50)).unwrap().public().to_bytes();
+        assert_eq!(honest.len(), attacker.len());
+        let swap = |grant: &mut Vec<u8>| {
+            let at = grant.len() - scbr_crypto::poly1305::TAG_LEN - honest.len();
+            for (i, (h, a)) in honest.iter().zip(&attacker).enumerate() {
+                grant[at + i] ^= h ^ a;
+            }
+        };
+        assert!(matches!(provision_through(&swap), Err(ScbrError::Crypto(_))));
+        // One flipped bit anywhere in the grant: the ephemeral key (also
+        // associated data), the nonce, the ciphertext or the tag.
+        for at in [0, KEY_LEN, KEY_LEN + 8, KEY_LEN + 30] {
+            let flip = move |grant: &mut Vec<u8>| grant[at] ^= 1;
+            assert!(provision_through(&flip).is_err(), "flipped byte {at}");
+        }
+        let flip_last = |grant: &mut Vec<u8>| *grant.last_mut().unwrap() ^= 1;
+        assert!(provision_through(&flip_last).is_err());
+    }
+
+    /// The producer's ephemeral key is not quoted, so the enclave itself
+    /// refuses one of small order.
+    #[test]
+    fn a_low_order_ephemeral_key_is_refused() {
+        for u in [0u8, 1] {
+            let low_order = move |grant: &mut Vec<u8>| {
+                grant[..KEY_LEN].fill(0);
+                grant[0] = u;
+            };
+            assert!(matches!(
+                provision_through(&low_order),
+                Err(ScbrError::Crypto(CryptoError::InvalidKey {
+                    reason: "low-order x25519 point"
+                }))
+            ));
+        }
     }
 
     #[test]

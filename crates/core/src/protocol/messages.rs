@@ -320,21 +320,20 @@ pub enum Message {
         client: ClientId,
     },
     /// Router → router: first overlay link-handshake message, the hello (a
-    /// serialised `sgx_sim::attest::QuotedKey` — quote plus bound response
-    /// key).
+    /// serialised `sgx_sim::attest::QuotedKey` — quote plus the X25519
+    /// public key it binds).
     LinkQuote {
         /// Opaque handshake bytes (parsed by the overlay layer).
         payload: Vec<u8>,
     },
     /// Router → router: second link-handshake message (the responder's
-    /// `QuotedKey` and wrapped secret; a serialised
-    /// `sgx_sim::link::LinkAccept`).
+    /// own `QuotedKey`; a serialised `sgx_sim::link::LinkAccept`).
     LinkAccept {
         /// Opaque handshake bytes.
         payload: Vec<u8>,
     },
-    /// Router → router: final link-handshake message (a serialised
-    /// `sgx_sim::link::LinkFinish`).
+    /// Router → router: final link-handshake message, the initiator's
+    /// key-confirmation tag (a serialised `sgx_sim::link::LinkFinish`).
     LinkFinish {
         /// Opaque handshake bytes.
         payload: Vec<u8>,

@@ -7,9 +7,10 @@
 //! it, with **AES-CTR** for symmetric encryption of publication headers and
 //! subscriptions, and **RSA** for the client → producer leg of the key
 //! exchange. This crate implements those primitives (plus the supporting
-//! hash/MAC/KDF machinery) with no external dependencies beyond a random
-//! number generator, so that the whole system can be built and audited
-//! offline.
+//! hash/MAC/KDF machinery, and **X25519** for the attested key exchange
+//! that provisions `SK` and keys overlay links) with no external
+//! dependencies beyond a random number generator, so that the whole
+//! system can be built and audited offline.
 //!
 //! ## Contents
 //!
@@ -25,6 +26,8 @@
 //! * [`sha256`], [`hmac`], [`hkdf`] — SHA-256, HMAC-SHA256 and HKDF.
 //! * [`bigint`], [`prime`], [`rsa`] — multi-precision arithmetic, prime
 //!   generation and RSA (PKCS#1 v1.5-style encryption and signatures).
+//! * [`x25519`] — X25519 Diffie–Hellman (RFC 7748): the ephemeral keys of
+//!   the attested key exchange.
 //! * [`ct`] — constant-time comparison helpers.
 //! * [`rng`] — deterministic and OS-seeded random sources.
 //!
@@ -50,7 +53,12 @@
 //! operations run on a constant-time ladder (see [`rsa`] for exactly
 //! which paths are constant-time); Poly1305 has no branch on key,
 //! message or tag, down to its masked final reduction ([`poly1305`]);
-//! tags are compared in constant time ([`ct`]). What stays variable-time: RSA is not blinded and its
+//! X25519 runs all 255 ladder steps whatever the scalar, swaps its
+//! working points by a mask rather than a branch, inverts by a fixed
+//! chain for the public exponent p − 2 and reduces by carries rather
+//! than comparisons, so no load and no branch depends on the scalar or
+//! the point ([`x25519`]); tags are compared in constant time ([`ct`]).
+//! What stays variable-time: RSA is not blinded and its
 //! public-key operations, key generation and `BigUint` arithmetic branch
 //! on their inputs; lengths (of messages, associated data and HKDF
 //! output) are public and steer loops; and nothing models cache or
@@ -76,6 +84,7 @@ pub mod prime;
 pub mod rng;
 pub mod rsa;
 pub mod sha256;
+pub mod x25519;
 
 pub use authenc::SealedBox;
 pub use bigint::BigUint;

@@ -10,6 +10,8 @@
 //! * HKDF-SHA256 — RFC 5869 test cases 1–3
 //! * RSA — seeded 512- and 1024-bit keys, their PKCS#1 v1.5 SHA-256
 //!   signatures and one type-2 ciphertext, pinned byte for byte
+//! * X25519 — RFC 7748 §5.2 (two single vectors, the iterated one after
+//!   1 and 1 000 rounds) and the §6.1 Diffie–Hellman example
 //!
 //! The property tests cross-check internal consistency (round trips,
 //! incremental == one-shot); these vectors pin the primitives to the
@@ -24,6 +26,7 @@ use scbr_crypto::poly1305::Poly1305;
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::RsaKeyPair;
 use scbr_crypto::sha256::Sha256;
+use scbr_crypto::x25519::{x25519, X25519Secret, BASEPOINT};
 use scbr_crypto::SealedBox;
 
 fn hex(s: &str) -> Vec<u8> {
@@ -442,4 +445,68 @@ fn rsa_seeded_keys_signatures_and_decrypt() {
         assert_eq!(pair.public().encrypt(RSA_PLAINTEXT, &mut enc_rng).unwrap(), ct);
         assert_eq!(pair.private().decrypt(&ct).unwrap(), RSA_PLAINTEXT);
     }
+}
+
+// -------------------------------------------------------------------------
+// X25519 (RFC 7748)
+// -------------------------------------------------------------------------
+
+fn key32(s: &str) -> [u8; 32] {
+    hex(s).try_into().expect("32 bytes")
+}
+
+#[test]
+fn x25519_rfc7748_single_vectors() {
+    let cases = [
+        (
+            "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+            "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+            "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552",
+        ),
+        (
+            "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+            "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+            "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957",
+        ),
+    ];
+    for (scalar, u, out) in cases {
+        assert_eq!(x25519(&key32(scalar), &key32(u)), key32(out));
+    }
+}
+
+#[test]
+fn x25519_rfc7748_iterated() {
+    let (mut k, mut u) = (BASEPOINT, BASEPOINT);
+    for round in 1..=1000 {
+        let next = x25519(&k, &u);
+        (u, k) = (k, next);
+        if round == 1 {
+            assert_eq!(
+                k,
+                key32("422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079")
+            );
+        }
+    }
+    assert_eq!(k, key32("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"));
+}
+
+#[test]
+fn x25519_rfc7748_diffie_hellman() {
+    let alice = X25519Secret::from_bytes(key32(
+        "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+    ));
+    let bob = X25519Secret::from_bytes(key32(
+        "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb",
+    ));
+    assert_eq!(
+        alice.public_key(),
+        &key32("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a")
+    );
+    assert_eq!(
+        bob.public_key(),
+        &key32("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f")
+    );
+    let shared = key32("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
+    assert_eq!(alice.diffie_hellman(bob.public_key()).unwrap(), shared);
+    assert_eq!(bob.diffie_hellman(alice.public_key()).unwrap(), shared);
 }

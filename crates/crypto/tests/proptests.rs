@@ -4,7 +4,8 @@
 //! against Rust's native `u128`, which covers every carry/borrow path that
 //! fits in two limbs plus a generous multi-limb regime via concatenation.
 //! Poly1305's limb arithmetic is checked the other way round: against a
-//! reference modulo 2¹³⁰ − 5 built on `BigUint`.
+//! reference modulo 2¹³⁰ − 5 built on `BigUint`. X25519 is checked for
+//! agreement between the two sides of an exchange.
 
 use proptest::prelude::*;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
@@ -12,6 +13,7 @@ use scbr_crypto::hmac::HmacSha256;
 use scbr_crypto::poly1305::{Poly1305, KEY_LEN, TAG_LEN};
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::sha256::Sha256;
+use scbr_crypto::x25519::{x25519, X25519Secret};
 use scbr_crypto::{BigUint, SealedBox};
 
 fn big(v: u128) -> BigUint {
@@ -246,5 +248,17 @@ proptest! {
         let idx = flip % bad.len();
         bad[idx] ^= 1;
         prop_assert!(sb.open(&bad, &aad).is_err());
+    }
+
+    /// Two key pairs agree on one secret, and the u-coordinate's bit 255
+    /// changes nothing (RFC 7748 §5 masks it).
+    #[test]
+    fn x25519_sides_agree_and_ignore_bit_255(a: [u8; 32], b: [u8; 32]) {
+        let (alice, bob) = (X25519Secret::from_bytes(a), X25519Secret::from_bytes(b));
+        prop_assert_eq!(alice.diffie_hellman(bob.public_key()).unwrap(),
+                        bob.diffie_hellman(alice.public_key()).unwrap());
+        let mut high = *bob.public_key();
+        high[31] ^= 0x80;
+        prop_assert_eq!(x25519(&a, &high), x25519(&a, bob.public_key()));
     }
 }

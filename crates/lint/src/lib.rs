@@ -123,6 +123,11 @@ impl Default for LintConfig {
                 "Poly1305::blocks".into(),
                 "Poly1305::update".into(),
                 "Poly1305::finalize".into(),
+                // X25519 (`scbr-crypto` `x25519.rs`): field elements are
+                // fixed limb arrays on the stack.
+                "montgomery_ladder".into(),
+                "fe_mul".into(),
+                "fe_cswap".into(),
                 // The overlay hop path: frames are opened into a reused
                 // buffer, batches are read in place from it, routed into
                 // reused spans, delivered as one record per publication

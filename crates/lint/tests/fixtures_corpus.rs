@@ -90,6 +90,18 @@ fn allocating_bitsliced_aes_is_an_sl03_finding() {
     assert_eq!(sl03, [1, 2, 3, 4, 5], "{:?}", out.findings);
 }
 
+/// The X25519 ladder, field multiply and conditional swap are declared
+/// zero-alloc: field elements stay fixed limb arrays.
+#[test]
+fn allocating_x25519_is_an_sl03_finding() {
+    let src = "fn montgomery_ladder(k: &[u8; 32], u: &Fe) -> (Fe, Fe) { let t = u.to_vec(); }\n\
+               fn fe_mul(a: &Fe, b: &Fe) -> Fe { let r = vec![0u128; 5]; }\n\
+               fn fe_cswap(swap: u64, a: &mut Fe, b: &mut Fe) { let t: Vec<u64> = a.iter().copied().collect(); }\n";
+    let out = lint_file("crates/crypto/src/x25519.rs", src, &LintConfig::default(), false);
+    let sl03: Vec<u32> = out.findings.iter().filter(|f| f.rule == "SL03").map(|f| f.line).collect();
+    assert_eq!(sl03, [1, 2, 3], "{:?}", out.findings);
+}
+
 /// The overlay hop path is declared zero-alloc: reading a batch in place,
 /// routing it into reused spans and encoding it per link must not go back
 /// to owned copies.

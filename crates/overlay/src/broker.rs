@@ -148,7 +148,9 @@
 use crate::error::OverlayError;
 use scbr::engine::MAX_DRAIN;
 use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
-use scbr::protocol::keys::{provision_sk_via_attestation, ProducerCrypto};
+#[cfg(test)]
+use scbr::protocol::keys::ProducerCrypto;
+use scbr::protocol::keys::{provision_sk_via_attestation, SkIssuer};
 use scbr::protocol::messages::{
     encode_publish_batch, Message, PublishBatchView, PublishItem, PublishItemRef,
 };
@@ -936,7 +938,7 @@ impl Broker {
         &mut self,
         service: &AttestationService,
         policy: &VerifierPolicy,
-        producer: &ProducerCrypto,
+        producer: &impl SkIssuer,
         producer_rng: &mut CryptoRng,
     ) -> Result<(), OverlayError> {
         let (sk, pk) = provision_sk_via_attestation(
@@ -2631,6 +2633,52 @@ mod tests {
         assert!(outs
             .iter()
             .any(|o| matches!(o, Output::Event(LinkEvent::Rejoined { downtime: 10, .. }))));
+    }
+
+    /// A host that rewrites the producer's `SK` grant on its way into the
+    /// enclave — swaps the producer key under CTR, or flips one sealed
+    /// byte — fails provisioning: the broker stays `Cold`, with no trust
+    /// anchors. The honest grant then provisions it.
+    #[test]
+    fn a_tampered_grant_leaves_the_broker_cold() {
+        struct Host<'a>(&'a ProducerCrypto, &'a dyn Fn(&mut Vec<u8>));
+        impl SkIssuer for Host<'_> {
+            fn grant_sk(
+                &self,
+                request: &QuotedKey,
+                service: &AttestationService,
+                policy: &VerifierPolicy,
+                rng: &mut CryptoRng,
+            ) -> Result<Vec<u8>, ScbrError> {
+                let mut grant = self.0.grant_sk(request, service, policy, rng)?;
+                (self.1)(&mut grant);
+                Ok(grant)
+            }
+        }
+        let mut rng = CryptoRng::from_seed(10);
+        let attacker = producer(&mut rng).public_key().to_bytes();
+        let producer = producer(&mut rng);
+        let honest = producer.public_key().to_bytes();
+        // The producer key ends the plaintext, just before the tag.
+        let swap = |grant: &mut Vec<u8>| {
+            let at = grant.len() - scbr_crypto::poly1305::TAG_LEN - honest.len();
+            for (i, (h, a)) in honest.iter().zip(&attacker).enumerate() {
+                grant[at + i] ^= h ^ a;
+            }
+        };
+        let flip = |grant: &mut Vec<u8>| grant[40] ^= 1;
+        let mut broker = in_phase(Lifecycle::Cold, &producer);
+        let mut service = AttestationService::new();
+        service.trust_platform(broker.platform().attestation_public_key().clone());
+        let policy = VerifierPolicy::require_mr_enclave(router_builder(&broker.code).measurement());
+        for tamper in [&swap as &dyn Fn(&mut Vec<u8>), &flip] {
+            let host = Host(&producer, tamper);
+            assert!(broker.provision_attested(&service, &policy, &host, &mut rng).is_err());
+            assert_eq!(broker.lifecycle(), Lifecycle::Cold);
+            assert!(broker.trust.is_none());
+        }
+        broker.provision_attested(&service, &policy, &producer, &mut rng).unwrap();
+        assert_eq!(broker.lifecycle(), Lifecycle::Linking);
     }
 
     /// Broker 0 has neighbours 1 and 2. Its link to 1 is up, its

@@ -13,10 +13,12 @@
 //! * [`AttestationService`] — the verifier's trust anchor: checks quote
 //!   signatures against the known attestation public key (stand-in for the
 //!   Intel Attestation Service).
-//! * [`QuotedKey`] — the attested key exchange: the enclave binds a fresh
-//!   RSA public key into its report data; the verifier checks the quote,
-//!   its policy and the binding, and only then encrypts a secret to that
-//!   key. Provisioning `SK` and the overlay's link handshake both run it.
+//! * [`QuotedKey`] — the attested key exchange: the enclave binds the
+//!   public half of a fresh X25519 key into its report data; the verifier
+//!   checks the quote, its policy and the binding, and only then agrees a
+//!   secret with that key by Diffie–Hellman (as Intel's remote
+//!   attestation agrees its session key by ECDH). Provisioning `SK` and
+//!   the overlay's link handshake both run it.
 
 use crate::enclave::{EnclaveContext, EnclaveIdentity, Measurement};
 use crate::error::SgxError;
@@ -25,6 +27,7 @@ use scbr_crypto::hmac::HmacSha256;
 use scbr_crypto::rng::CryptoRng;
 use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use scbr_crypto::sha256::Sha256;
+use scbr_crypto::x25519::{X25519Secret, KEY_LEN};
 
 /// Free-form data an enclave binds into its report (64 bytes, like SGX).
 pub type ReportData = [u8; 64];
@@ -273,49 +276,41 @@ impl VerifierPolicy {
     }
 }
 
-/// Binds `key` into report data: SHA-256 of the serialised key, zero
-/// padded to 64 bytes.
-fn bind_key(key: &RsaPublicKey) -> ReportData {
-    let digest = Sha256::digest(&key.to_bytes());
+/// Binds `key` into report data: SHA-256 of the public key, zero padded
+/// to 64 bytes.
+pub(crate) fn bind_key(key: &[u8; KEY_LEN]) -> ReportData {
     let mut data = [0u8; 64];
-    data[..32].copy_from_slice(&digest);
+    data[..32].copy_from_slice(&Sha256::digest(key));
     data
 }
 
-/// A quote and the fresh RSA response key its report data commits to:
-/// what an enclave presents to obtain a secret — `SK` from the producer,
-/// or a link secret from a peer router.
+/// A quote and the ephemeral X25519 public key its report data commits
+/// to: what an enclave presents to obtain a secret — `SK` from the
+/// producer, or a link key from a peer router. The verifier agrees a
+/// shared secret with `public_key` only after [`QuotedKey::verify`]
+/// passes; only the enclave that holds the matching [`X25519Secret`]
+/// can agree the same one.
 // lint: allow(SL02, a quote and a public key - both travel in clear)
 #[derive(Debug, Clone)]
 pub struct QuotedKey {
-    /// Quote whose report data commits to `response_key`.
+    /// Quote whose report data commits to `public_key`.
     pub quote: Quote,
-    /// The key a verifier encrypts the secret to.
-    pub response_key: RsaPublicKey,
+    /// The X25519 public key a verifier agrees the secret with.
+    pub public_key: [u8; KEY_LEN],
 }
 
 impl QuotedKey {
-    /// Inside the enclave: generates a fresh response key pair and the
-    /// report committing to its public half. The private half never
-    /// leaves the enclave; the host quotes the report with
+    /// Inside the enclave: draws a fresh X25519 key pair (32 bytes of
+    /// `rng`) and the report committing to its public half. The secret
+    /// half never leaves the enclave; the host quotes the report with
     /// [`QuotedKey::quote`].
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::AttestationFailed`] if key generation fails.
-    pub fn generate(
-        ctx: &EnclaveContext<'_>,
-        rng: &mut CryptoRng,
-    ) -> Result<(Report, RsaKeyPair), SgxError> {
-        let pair = RsaKeyPair::generate(512, rng).map_err(|_| SgxError::AttestationFailed {
-            reason: "response key generation failed",
-        })?;
-        let report = create_report(ctx, bind_key(pair.public()));
-        Ok((report, pair))
+    pub fn generate(ctx: &EnclaveContext<'_>, rng: &mut CryptoRng) -> (Report, X25519Secret) {
+        let secret = X25519Secret::generate(rng);
+        (create_report(ctx, bind_key(secret.public_key())), secret)
     }
 
     /// Outside the enclave: has `platform` quote `report` and pairs the
-    /// quote with the public half of `pair`, the key the report commits
+    /// quote with the public half of `secret`, the key the report commits
     /// to.
     ///
     /// # Errors
@@ -324,14 +319,14 @@ impl QuotedKey {
     pub fn quote(
         platform: &SgxPlatform,
         report: &Report,
-        pair: &RsaKeyPair,
+        secret: &X25519Secret,
     ) -> Result<Self, SgxError> {
-        Ok(QuotedKey { quote: platform.quote(report)?, response_key: pair.public().clone() })
+        Ok(QuotedKey { quote: platform.quote(report)?, public_key: *secret.public_key() })
     }
 
     /// Verifier side: checks the quote against `service`, the attested
     /// identity against `policy`, and that the quote commits to
-    /// `response_key`. Nothing may be encrypted to `response_key` before
+    /// `public_key`. No secret may be agreed with `public_key` before
     /// this passes. Returns the attested identity.
     ///
     /// # Errors
@@ -344,15 +339,15 @@ impl QuotedKey {
     ) -> Result<EnclaveIdentity, SgxError> {
         let (identity, report_data) = service.verify(&self.quote)?;
         policy.check(&identity)?;
-        if report_data != bind_key(&self.response_key) {
+        if report_data != bind_key(&self.public_key) {
             return Err(SgxError::AttestationFailed { reason: "response key not bound in quote" });
         }
         Ok(identity)
     }
 
-    /// Serialises for the wire: the quote, then the response key.
+    /// Serialises for the wire: the quote, then the public key.
     pub fn to_bytes(&self) -> Vec<u8> {
-        join_prefixed(&[&self.quote.to_bytes(), &self.response_key.to_bytes()])
+        join_prefixed(&[&self.quote.to_bytes(), &self.public_key])
     }
 
     /// Parses a quoted key serialised by [`QuotedKey::to_bytes`].
@@ -363,9 +358,10 @@ impl QuotedKey {
     /// carries no trust until [`QuotedKey::verify`] accepts it.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
         let [quote, key] = split_prefixed(bytes, "malformed quoted key")?;
-        let response_key = RsaPublicKey::from_bytes(key)
+        let public_key = key
+            .try_into()
             .map_err(|_| SgxError::AttestationFailed { reason: "malformed response key" })?;
-        Ok(QuotedKey { quote: Quote::from_bytes(quote)?, response_key })
+        Ok(QuotedKey { quote: Quote::from_bytes(quote)?, public_key })
     }
 }
 
@@ -530,31 +526,31 @@ mod tests {
         let mut verifier_rng = CryptoRng::from_seed(1);
         let mut enclave_rng = CryptoRng::from_seed(2);
 
-        // Inside the enclave: generate a response key and quote it.
-        let (report, response_pair) =
-            enclave.ecall(|ctx| QuotedKey::generate(ctx, &mut enclave_rng)).unwrap();
-        let request = QuotedKey::quote(&platform, &report, &response_pair).unwrap();
+        // Inside the enclave: generate a key pair and quote its public half.
+        let (report, enclave_secret) =
+            enclave.ecall(|ctx| QuotedKey::generate(ctx, &mut enclave_rng));
+        let request = QuotedKey::quote(&platform, &report, &enclave_secret).unwrap();
 
-        // Verifier: release the secret only to the expected measurement.
+        // Verifier: agree a secret only with the expected measurement.
         let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
         assert_eq!(&request.verify(&service, &policy).unwrap(), enclave.identity());
-        let wrapped =
-            request.response_key.encrypt(b"the symmetric key SK", &mut verifier_rng).unwrap();
+        let ephemeral = X25519Secret::generate(&mut verifier_rng);
+        let verifier_shared = ephemeral.diffie_hellman(&request.public_key).unwrap();
 
-        // Enclave decrypts.
-        let secret = response_pair.private().decrypt(&wrapped).unwrap();
-        assert_eq!(secret, b"the symmetric key SK");
+        // Enclave agrees the same secret from the verifier's public key.
+        let enclave_shared = enclave_secret.diffie_hellman(ephemeral.public_key()).unwrap();
+        assert_eq!(enclave_shared, verifier_shared);
     }
 
     #[test]
     fn provisioning_rejects_substituted_key() {
         let (platform, enclave, service) = setup();
         let mut rng = CryptoRng::from_seed(3);
-        let (report, honest) = enclave.ecall(|ctx| QuotedKey::generate(ctx, &mut rng)).unwrap();
+        let (report, honest) = enclave.ecall(|ctx| QuotedKey::generate(ctx, &mut rng));
         let mut request = QuotedKey::quote(&platform, &report, &honest).unwrap();
         // A man in the middle swaps in their own key.
-        let attacker = RsaKeyPair::generate(512, &mut rng).unwrap();
-        request.response_key = attacker.public().clone();
+        let attacker = X25519Secret::generate(&mut rng);
+        request.public_key = *attacker.public_key();
         let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
         assert!(matches!(
             request.verify(&service, &policy),

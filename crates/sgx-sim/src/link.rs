@@ -7,43 +7,49 @@
 //! module builds that on the attested key exchange of [`crate::attest`],
 //! the one `SK` provisioning runs: a three-message handshake of **mutual
 //! quotes**, each side's hello a [`QuotedKey`] (a quote committing to a
-//! fresh RSA response key), finishing with an HKDF-derived 256-bit link
-//! key.
+//! fresh X25519 public key), agreeing the link key by Diffie–Hellman and
+//! confirming it with the third message.
 //!
 //! ```text
 //! initiator                                   responder
-//!   [hello]  ── quote(bind pk_i), pk_i ──────▶  verify quote+policy
-//!            ◀─ quote(bind pk_r), pk_r, ───── [accept]
-//!               {secret_r}pk_i
-//!  [finish]  ── {secret_i}pk_r ──────────────▶ [complete]
+//!   [hello]  ── quote(bind X_i), X_i ────────▶  verify quote+policy,
+//!                                               DH = x_r · X_i
+//!            ◀─ quote(bind X_r), X_r ──────── [accept]
+//!   verify quote+policy,
+//!   DH = x_i · X_r
+//!  [finish]  ── confirmation tag ────────────▶ [complete] checks the tag
 //!
-//!   link key = HKDF(salt = mr_i ‖ mr_r,
-//!                   ikm  = secret_i ‖ secret_r,
-//!                   info = "scbr-overlay-link-v1")
+//!   link key ‖ tag = HKDF(salt = mr_i ‖ mr_r,
+//!                         ikm  = DH,
+//!                         info = "scbr-overlay-link-v2" ‖ X_i ‖ X_r)
 //! ```
 //!
-//! Each side refuses to contribute its secret before the peer's quoted key
-//! has passed [`QuotedKey::verify`] against the [`AttestationService`]
-//! *and* the caller's [`VerifierPolicy`] — a router whose measurement
-//! differs (tampered binary) or whose platform is untrusted (emulator)
-//! never obtains a link key, so it can neither receive forwarded
-//! subscriptions nor inject publications into the overlay.
+//! Each side agrees nothing before the peer's quoted key has passed
+//! [`QuotedKey::verify`] against the [`AttestationService`] *and* the
+//! caller's [`VerifierPolicy`] — a router whose measurement differs
+//! (tampered binary) or whose platform is untrusted (emulator) never
+//! obtains a link key, so it can neither receive forwarded subscriptions
+//! nor inject publications into the overlay. A peer key of small order
+//! (an all-zero shared secret) is refused too. The responder hands out
+//! the key only once the initiator's tag shows it derived the same one.
 
 use crate::attest::{join_prefixed, split_prefixed, AttestationService, QuotedKey, VerifierPolicy};
 use crate::enclave::{Enclave, Measurement};
 use crate::error::SgxError;
 use crate::platform::SgxPlatform;
+use scbr_crypto::ct::ct_eq;
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::rsa::RsaKeyPair;
+use scbr_crypto::x25519::{X25519Secret, KEY_LEN};
 
 /// Length of a derived link key in bytes.
 pub const LINK_KEY_LEN: usize = 32;
 
-/// Per-secret contribution length in bytes.
-const SECRET_LEN: usize = 32;
+/// Length of the key-confirmation tag in bytes.
+const TAG_LEN: usize = 32;
 
-/// HKDF info label pinning the protocol version.
-const LINK_INFO: &[u8] = b"scbr-overlay-link-v1";
+/// HKDF info label pinning the protocol version; the two public keys
+/// follow it.
+const LINK_INFO: &[u8] = b"scbr-overlay-link-v2";
 
 /// A symmetric key shared by the two enclaves at the ends of a link.
 #[derive(Clone, PartialEq, Eq)]
@@ -63,45 +69,21 @@ impl std::fmt::Debug for LinkKey {
     }
 }
 
-/// Second handshake message: the responder's hello plus its wrapped secret.
-#[derive(Debug, Clone)]
-pub struct LinkAccept {
-    /// The responder's own quoted response key.
-    pub hello: QuotedKey,
-    /// The responder's secret contribution, encrypted to the initiator's
-    /// response key.
-    pub wrapped_secret: Vec<u8>,
-}
+/// Second handshake message: the responder's own quoted key.
+pub type LinkAccept = QuotedKey;
 
-impl LinkAccept {
-    /// Serialises for the wire.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        join_prefixed(&[&self.hello.to_bytes(), &self.wrapped_secret])
-    }
-
-    /// Parses an accept serialised by [`LinkAccept::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::AttestationFailed`] on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
-        let [hello, wrapped] = split_prefixed(bytes, "malformed link accept")?;
-        Ok(LinkAccept { hello: QuotedKey::from_bytes(hello)?, wrapped_secret: wrapped.to_vec() })
-    }
-}
-
-/// Third handshake message: the initiator's wrapped secret.
+/// Third handshake message: the initiator's key-confirmation tag.
 #[derive(Debug, Clone)]
 pub struct LinkFinish {
-    /// The initiator's secret contribution, encrypted to the responder's
-    /// response key.
-    pub wrapped_secret: Vec<u8>,
+    /// The HKDF output after the link key: equal on both ends exactly
+    /// when they derived the same key.
+    tag: [u8; TAG_LEN],
 }
 
 impl LinkFinish {
     /// Serialises for the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        join_prefixed(&[&self.wrapped_secret])
+        join_prefixed(&[&self.tag])
     }
 
     /// Parses a finish serialised by [`LinkFinish::to_bytes`].
@@ -110,52 +92,60 @@ impl LinkFinish {
     ///
     /// [`SgxError::AttestationFailed`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
-        let [wrapped] = split_prefixed(bytes, "malformed link finish")?;
-        Ok(LinkFinish { wrapped_secret: wrapped.to_vec() })
+        let [tag] = split_prefixed(bytes, "malformed link finish")?;
+        let tag = tag
+            .try_into()
+            .map_err(|_| SgxError::AttestationFailed { reason: "malformed link finish" })?;
+        Ok(LinkFinish { tag })
     }
 }
 
 /// Initiator-side handshake state between [`initiate`] and [`finish`]
-/// (conceptually enclave-resident: it holds the response private key).
+/// (conceptually enclave-resident: it holds the X25519 secret).
 #[derive(Debug)]
 pub struct LinkInitiator {
-    pair: RsaKeyPair,
+    secret: X25519Secret,
     mr_local: Measurement,
 }
 
-/// Responder-side handshake state between [`accept`] and [`complete`].
-#[derive(Debug)]
+/// Responder-side handshake state between [`accept`] and [`complete`]:
+/// the derived key, held back until the initiator's tag confirms it.
 pub struct LinkResponder {
-    pair: RsaKeyPair,
-    secret_local: [u8; SECRET_LEN],
-    mr_initiator: Measurement,
-    mr_local: Measurement,
+    key: LinkKey,
+    tag: [u8; TAG_LEN],
 }
 
-/// Starts a link handshake: inside the enclave, generate a response key
+impl std::fmt::Debug for LinkResponder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The tag would let anyone forge the finish: never print it.
+        write!(f, "LinkResponder(…)")
+    }
+}
+
+/// Starts a link handshake: inside the enclave, generate an X25519 key
 /// pair and the report committing to it; the hello is its quote.
 ///
 /// # Errors
 ///
-/// Propagates key-generation and quoting failures.
+/// Propagates quoting failures.
 pub fn initiate(
     platform: &SgxPlatform,
     enclave: &Enclave,
     rng: &mut CryptoRng,
 ) -> Result<(QuotedKey, LinkInitiator), SgxError> {
-    let (report, pair) = enclave.ecall(|ctx| QuotedKey::generate(ctx, rng))?;
-    let hello = QuotedKey::quote(platform, &report, &pair)?;
-    Ok((hello, LinkInitiator { pair, mr_local: enclave.identity().mr_enclave }))
+    let (report, secret) = enclave.ecall(|ctx| QuotedKey::generate(ctx, rng));
+    let hello = QuotedKey::quote(platform, &report, &secret)?;
+    Ok((hello, LinkInitiator { secret, mr_local: enclave.identity().mr_enclave }))
 }
 
 /// Responder side: verify the initiator's quoted key against `service`
-/// and `policy`, then answer with an own quoted key plus a wrapped secret
-/// contribution.
+/// and `policy`, then answer with an own quoted key and derive the link
+/// key, which [`complete`] releases.
 ///
 /// # Errors
 ///
-/// Any attestation failure, policy violation or binding mismatch refuses
-/// the link before any secret material is produced.
+/// Any attestation failure, policy violation, binding mismatch or
+/// low-order peer key refuses the link.
 pub fn accept(
     platform: &SgxPlatform,
     enclave: &Enclave,
@@ -164,108 +154,95 @@ pub fn accept(
     peer: &QuotedKey,
     rng: &mut CryptoRng,
 ) -> Result<(LinkAccept, LinkResponder), SgxError> {
-    let (mr_initiator, (report, pair), (secret, wrapped)) = enclave.ecall(|ctx| {
+    let (report, secret, responder) = enclave.ecall(|ctx| {
         let mr_initiator = peer.verify(service, policy)?.mr_enclave;
-        let own = QuotedKey::generate(ctx, rng)?;
-        Ok::<_, SgxError>((mr_initiator, own, contribute(peer, rng)?))
+        let (report, secret) = QuotedKey::generate(ctx, rng);
+        let shared = agree(&secret, &peer.public_key)?;
+        let mr_local = ctx.identity().mr_enclave;
+        let (key, tag) =
+            derive([mr_initiator, mr_local], &shared, [&peer.public_key, secret.public_key()]);
+        Ok::<_, SgxError>((report, secret, LinkResponder { key, tag }))
     })?;
-    let accept =
-        LinkAccept { hello: QuotedKey::quote(platform, &report, &pair)?, wrapped_secret: wrapped };
-    let responder = LinkResponder {
-        pair,
-        secret_local: secret,
-        mr_initiator,
-        mr_local: enclave.identity().mr_enclave,
-    };
-    Ok((accept, responder))
+    Ok((QuotedKey::quote(platform, &report, &secret)?, responder))
 }
 
-/// Initiator side: verify the responder's quoted key, unwrap its secret,
-/// contribute an own secret, and derive the link key.
+/// Initiator side: verify the responder's quoted key, derive the link
+/// key, and confirm it with the finish tag. Draws nothing from `_rng`.
 ///
 /// # Errors
 ///
-/// Any attestation failure, policy violation, binding mismatch or unwrap
-/// failure aborts the handshake.
+/// Any attestation failure, policy violation, binding mismatch or
+/// low-order peer key aborts the handshake.
 pub fn finish(
     initiator: LinkInitiator,
     peer: &LinkAccept,
     service: &AttestationService,
     policy: &VerifierPolicy,
     enclave: &Enclave,
-    rng: &mut CryptoRng,
+    _rng: &mut CryptoRng,
 ) -> Result<(LinkFinish, LinkKey), SgxError> {
     enclave.ecall(|_ctx| {
-        let mr_responder = peer.hello.verify(service, policy)?.mr_enclave;
-        let secret_peer = unwrap_secret(&initiator.pair, &peer.wrapped_secret)?;
-        let (secret_local, wrapped) = contribute(&peer.hello, rng)?;
-        let key = derive_key(initiator.mr_local, mr_responder, &secret_local, &secret_peer);
-        Ok((LinkFinish { wrapped_secret: wrapped }, key))
+        let mr_responder = peer.verify(service, policy)?.mr_enclave;
+        let shared = agree(&initiator.secret, &peer.public_key)?;
+        let (key, tag) = derive(
+            [initiator.mr_local, mr_responder],
+            &shared,
+            [initiator.secret.public_key(), &peer.public_key],
+        );
+        Ok((LinkFinish { tag }, key))
     })
 }
 
-/// Responder side: unwrap the initiator's secret and derive the same link
-/// key as [`finish`].
+/// Responder side: check the initiator's tag in constant time, then
+/// release the link key [`accept`] derived.
 ///
 /// # Errors
 ///
-/// [`SgxError::AttestationFailed`] if the wrapped secret does not unwrap
-/// under the responder's response key.
+/// [`SgxError::AttestationFailed`] if the tag does not match: the
+/// initiator derived another key.
 pub fn complete(
     responder: LinkResponder,
     finish: &LinkFinish,
     enclave: &Enclave,
 ) -> Result<LinkKey, SgxError> {
     enclave.ecall(|_ctx| {
-        let secret_peer = unwrap_secret(&responder.pair, &finish.wrapped_secret)?;
-        Ok(derive_key(
-            responder.mr_initiator,
-            responder.mr_local,
-            &secret_peer,
-            &responder.secret_local,
-        ))
+        if ct_eq(&responder.tag, &finish.tag) {
+            Ok(responder.key)
+        } else {
+            Err(SgxError::AttestationFailed { reason: "link key confirmation failed" })
+        }
     })
 }
 
-/// Draws this side's secret contribution and wraps it to the peer's
-/// response key, which [`QuotedKey::verify`] has accepted.
-fn contribute(
-    peer: &QuotedKey,
-    rng: &mut CryptoRng,
-) -> Result<([u8; SECRET_LEN], Vec<u8>), SgxError> {
-    let mut secret = [0u8; SECRET_LEN];
-    rng.fill(&mut secret);
-    let wrapped = peer
-        .response_key
-        .encrypt(&secret, rng)
-        .map_err(|_| SgxError::AttestationFailed { reason: "link secret wrap failed" })?;
-    Ok((secret, wrapped))
+/// The Diffie–Hellman secret with a verified peer key.
+///
+/// # Errors
+///
+/// [`SgxError::AttestationFailed`] if it is all zero (a low-order peer
+/// key).
+fn agree(own: &X25519Secret, peer: &[u8; KEY_LEN]) -> Result<[u8; KEY_LEN], SgxError> {
+    own.diffie_hellman(peer)
+        .map_err(|_| SgxError::AttestationFailed { reason: "low-order peer key" })
 }
 
-/// Unwraps the peer's secret contribution under this side's response key.
-fn unwrap_secret(pair: &RsaKeyPair, wrapped: &[u8]) -> Result<Vec<u8>, SgxError> {
-    pair.private()
-        .decrypt(wrapped)
-        .map_err(|_| SgxError::AttestationFailed { reason: "link secret unwrap failed" })
-}
-
-/// Both ends derive the same key from the ordered measurements and the
-/// ordered secret contributions (initiator first).
-fn derive_key(
-    mr_initiator: Measurement,
-    mr_responder: Measurement,
-    secret_initiator: &[u8],
-    secret_responder: &[u8],
-) -> LinkKey {
-    let mut salt = Vec::with_capacity(64);
-    salt.extend_from_slice(&mr_initiator);
-    salt.extend_from_slice(&mr_responder);
-    let mut ikm = Vec::with_capacity(secret_initiator.len() + secret_responder.len());
-    ikm.extend_from_slice(secret_initiator);
-    ikm.extend_from_slice(secret_responder);
-    let mut key = [0u8; LINK_KEY_LEN];
-    scbr_crypto::hkdf::derive(&salt, &ikm, LINK_INFO, &mut key);
-    LinkKey(key)
+/// Both ends derive the same key and tag from the ordered measurements,
+/// the shared secret and the ordered public keys (initiator first).
+fn derive(
+    [mr_initiator, mr_responder]: [Measurement; 2],
+    shared: &[u8; KEY_LEN],
+    [key_initiator, key_responder]: [&[u8; KEY_LEN]; 2],
+) -> (LinkKey, [u8; TAG_LEN]) {
+    let mut salt = [0u8; 64];
+    salt[..32].copy_from_slice(&mr_initiator);
+    salt[32..].copy_from_slice(&mr_responder);
+    let mut info = Vec::with_capacity(LINK_INFO.len() + 2 * KEY_LEN);
+    info.extend_from_slice(LINK_INFO);
+    info.extend_from_slice(key_initiator);
+    info.extend_from_slice(key_responder);
+    let mut okm = [0u8; LINK_KEY_LEN + TAG_LEN];
+    scbr_crypto::hkdf::derive(&salt, shared, &info, &mut okm);
+    let (key, tag) = okm.split_at(LINK_KEY_LEN);
+    (LinkKey(key.try_into().expect("32 bytes")), tag.try_into().expect("32 bytes"))
 }
 
 #[cfg(test)]
@@ -393,12 +370,67 @@ mod tests {
         let policy = VerifierPolicy::require_mr_enclave(ea.identity().mr_enclave);
         let mut rng = CryptoRng::from_seed(17);
         let (mut hello, _st) = initiate(&pa, &ea, &mut rng).unwrap();
-        // A man in the middle swaps in their own response key.
-        let mitm = RsaKeyPair::generate(512, &mut rng).unwrap();
-        hello.response_key = mitm.public().clone();
+        // A man in the middle swaps in their own key.
+        let mitm = X25519Secret::generate(&mut rng);
+        hello.public_key = *mitm.public_key();
         assert!(matches!(
             accept(&pb, &eb, &service, &policy, &hello, &mut rng),
             Err(SgxError::AttestationFailed { reason: "response key not bound in quote" })
+        ));
+    }
+
+    /// A genuine enclave whose quote commits to a low-order point: the
+    /// quote verifies, the all-zero shared secret does not.
+    fn low_order_hello(platform: &SgxPlatform, enclave: &Enclave, u: u8) -> QuotedKey {
+        let mut public_key = [0u8; KEY_LEN];
+        public_key[0] = u;
+        let data = crate::attest::bind_key(&public_key);
+        let report = enclave.ecall(|ctx| crate::attest::create_report(ctx, data));
+        QuotedKey { quote: platform.quote(&report).unwrap(), public_key }
+    }
+
+    #[test]
+    fn low_order_peer_keys_are_refused_both_ways() {
+        let pa = SgxPlatform::for_testing(24);
+        let pb = SgxPlatform::for_testing(25);
+        let (ea, eb) = (router(&pa), router(&pb));
+        let service = trust_both(&pa, &pb);
+        let policy = VerifierPolicy::require_mr_enclave(ea.identity().mr_enclave);
+        let mut rng = CryptoRng::from_seed(26);
+        for u in [0, 1] {
+            // A low-order hello: the responder refuses to accept.
+            let hello = low_order_hello(&pa, &ea, u);
+            assert!(hello.verify(&service, &policy).is_ok());
+            assert!(matches!(
+                accept(&pb, &eb, &service, &policy, &hello, &mut rng),
+                Err(SgxError::AttestationFailed { reason: "low-order peer key" })
+            ));
+            // A low-order accept: the initiator refuses to finish.
+            let (_, st_a) = initiate(&pa, &ea, &mut rng).unwrap();
+            let accept_msg = low_order_hello(&pb, &eb, u);
+            assert!(matches!(
+                finish(st_a, &accept_msg, &service, &policy, &ea, &mut rng),
+                Err(SgxError::AttestationFailed { reason: "low-order peer key" })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_wrong_confirmation_tag_withholds_the_key() {
+        let pa = SgxPlatform::for_testing(27);
+        let pb = SgxPlatform::for_testing(28);
+        let (ea, eb) = (router(&pa), router(&pb));
+        let service = trust_both(&pa, &pb);
+        let policy = VerifierPolicy::require_mr_enclave(ea.identity().mr_enclave);
+        let mut rng = CryptoRng::from_seed(29);
+        let (hello, st_a) = initiate(&pa, &ea, &mut rng).unwrap();
+        let (accept_msg, st_b) = accept(&pb, &eb, &service, &policy, &hello, &mut rng).unwrap();
+        let (mut finish_msg, _) =
+            finish(st_a, &accept_msg, &service, &policy, &ea, &mut rng).unwrap();
+        finish_msg.tag[0] ^= 1;
+        assert!(matches!(
+            complete(st_b, &finish_msg, &eb),
+            Err(SgxError::AttestationFailed { reason: "link key confirmation failed" })
         ));
     }
 
@@ -417,9 +449,8 @@ mod tests {
 
     /// One handshake at fixed seeds, pinned: the SHA-256 of each message
     /// on the wire and of the derived key, and each side's next RNG draw.
-    /// A change that moves a draw — the response-key generation, a
-    /// secret, a wrap — fails here even when the handshake still
-    /// succeeds.
+    /// A change that moves a draw — either side's X25519 key — fails
+    /// here even when the handshake still succeeds.
     #[test]
     fn handshake_transcript_is_pinned() {
         let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
@@ -444,15 +475,15 @@ mod tests {
                 digest(key.as_bytes()),
             ],
             [
-                "c6bc3d6ba174c56e9f258af6307428374bf8610f10b24670dba508fd7e0f2fed",
-                "b3095263ba846879c8d1f3d09bc243d47278f66b2543d073e6a432b9768e4707",
-                "98bde8696f73c59a28b48cdb800621990e5cfa9d1cda7a0b05ce14f43b10081a",
-                "2f0d2e3bfffa92d67fbf9c32dfc71c76b80491c36dc14e3e05879c463192b187",
+                "20ee0b5dad1607884482db1dd61834e723142cb419ec9deece9b391de6027c74",
+                "94cc8657fd0c8b3e6c24a876107b86af870c76909ba91d6cbf5234b1530b9e8e",
+                "5d1387aa34cd1791ae0411ded9a03ebbbb2194324aaee04bceb5ac44842ddb4f",
+                "ada99186d2d56e471b6e3520a227cd368d1a95b4bf54cc1d9b4b08c49992f69e",
             ]
         );
         assert_eq!(
             (rng_a.next_u64(), rng_b.next_u64()),
-            (7885724225543536813, 13188714651745728861)
+            (12550849026259220575, 11197449226209884227)
         );
     }
 
@@ -461,5 +492,6 @@ mod tests {
         assert!(QuotedKey::from_bytes(b"nope").is_err());
         assert!(LinkAccept::from_bytes(&[0, 0, 0, 9, 1]).is_err());
         assert!(LinkFinish::from_bytes(&[0, 0, 0, 1, 7, 8]).is_err());
+        assert!(LinkFinish::from_bytes(&[0, 0, 0, 1, 7]).is_err());
     }
 }

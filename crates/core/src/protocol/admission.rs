@@ -4,11 +4,14 @@
 //! a subscription from a client, as well as to subsequently invalidate it"
 //! (§3.3): clients pay for the service and can be suspended or excluded.
 //! The producer consults this directory in protocol step 2 before
-//! forwarding any subscription to a router.
+//! forwarding any subscription to a router. It is also the one place a
+//! client's [`PairwiseKey`] is kept: submissions and unsubscribes are
+//! opened under it, and group-key updates sealed under it
+//! ([`crate::protocol::group::GroupKeyManager::key_updates`]).
 
 use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
-use scbr_crypto::rsa::RsaPublicKey;
+use crate::protocol::keys::PairwiseKey;
 use std::collections::HashMap;
 
 /// A client's standing with the service provider.
@@ -26,21 +29,15 @@ pub enum ClientStatus {
 #[derive(Debug, Clone)]
 pub struct ClientRecord {
     status: ClientStatus,
-    /// The client's public key (used to wrap group keys for payload
-    /// delivery).
-    public_key: RsaPublicKey,
+    /// The key agreed with the client at admission.
+    pairwise_key: PairwiseKey,
     subscriptions: Vec<SubscriptionId>,
 }
 
 impl ClientRecord {
-    /// The client's standing.
-    pub fn status(&self) -> ClientStatus {
-        self.status
-    }
-
-    /// The client's public key.
-    pub fn public_key(&self) -> &RsaPublicKey {
-        &self.public_key
+    /// The key agreed with the client at admission.
+    pub fn pairwise_key(&self) -> &PairwiseKey {
+        &self.pairwise_key
     }
 
     /// Subscriptions registered on behalf of this client.
@@ -62,11 +59,12 @@ impl ClientDirectory {
         ClientDirectory::default()
     }
 
-    /// Admits a new client with its public key.
-    pub fn admit(&mut self, id: ClientId, public_key: RsaPublicKey) {
+    /// Admits a new client with the key agreed with it
+    /// ([`crate::protocol::keys::ProducerCrypto::pairwise_key`]).
+    pub fn admit(&mut self, id: ClientId, pairwise_key: PairwiseKey) {
         self.clients.insert(
             id,
-            ClientRecord { status: ClientStatus::Active, public_key, subscriptions: Vec::new() },
+            ClientRecord { status: ClientStatus::Active, pairwise_key, subscriptions: Vec::new() },
         );
     }
 
@@ -151,25 +149,18 @@ impl ClientDirectory {
     pub fn get(&self, id: ClientId) -> Option<&ClientRecord> {
         self.clients.get(&id)
     }
-
-    /// Number of known clients (any status).
-    pub fn len(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// True when no client is known.
-    pub fn is_empty(&self) -> bool {
-        self.clients.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scbr_crypto::{CryptoRng, RsaKeyPair};
+    use crate::protocol::keys::ProducerCrypto;
+    use scbr_crypto::x25519::X25519Secret;
+    use scbr_crypto::CryptoRng;
 
-    fn key(rng: &mut CryptoRng) -> RsaPublicKey {
-        RsaKeyPair::generate(512, rng).unwrap().public().clone()
+    fn key(rng: &mut CryptoRng) -> PairwiseKey {
+        let producer = ProducerCrypto::generate(512, rng).unwrap();
+        producer.pairwise_key(ClientId(1), X25519Secret::generate(rng).public_key()).unwrap()
     }
 
     #[test]

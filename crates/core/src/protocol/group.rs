@@ -6,24 +6,25 @@
 //! change ("rekeying") cuts off clients that cancelled or were revoked —
 //! they can still receive forwarded ciphertexts but cannot read them.
 //!
-//! Key distribution wraps each epoch key individually under every member's
-//! RSA public key. (The paper scopes smarter group-key schemes out; this is
-//! the straightforward realisation.)
+//! Key distribution seals each epoch key individually under every
+//! member's [`PairwiseKey`], which the producer's [`ClientDirectory`]
+//! holds. (The paper scopes smarter group-key schemes out; this is the
+//! straightforward realisation.)
 
 use crate::error::ScbrError;
 use crate::ids::{ClientId, KeyEpoch};
-use crate::protocol::keys::{hybrid_decrypt, hybrid_encrypt};
+use crate::protocol::admission::ClientDirectory;
+use crate::protocol::keys::PairwiseKey;
 use scbr_crypto::ctr::SymmetricKey;
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use scbr_crypto::SealedBox;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Producer-side group-key state.
 pub struct GroupKeyManager {
     epoch: KeyEpoch,
     current: SymmetricKey,
-    members: HashMap<ClientId, RsaPublicKey>,
+    members: BTreeSet<ClientId>,
 }
 
 impl std::fmt::Debug for GroupKeyManager {
@@ -42,7 +43,7 @@ impl GroupKeyManager {
         GroupKeyManager {
             epoch: KeyEpoch::default(),
             current: SymmetricKey::generate(rng),
-            members: HashMap::new(),
+            members: BTreeSet::new(),
         }
     }
 
@@ -51,24 +52,22 @@ impl GroupKeyManager {
         self.epoch
     }
 
-    /// Current members.
+    /// Current members, in id order.
     pub fn members(&self) -> Vec<ClientId> {
-        let mut ids: Vec<ClientId> = self.members.keys().copied().collect();
-        ids.sort_unstable_by_key(|c| c.0);
-        ids
+        self.members.iter().copied().collect()
     }
 
     /// Adds a member; call [`GroupKeyManager::rekey`] afterwards if forward
     /// secrecy against the new member is wanted for *past* messages (new
     /// members cannot read earlier epochs anyway unless handed old keys).
-    pub fn add_member(&mut self, id: ClientId, key: RsaPublicKey) {
-        self.members.insert(id, key);
+    pub fn add_member(&mut self, id: ClientId) {
+        self.members.insert(id);
     }
 
     /// Removes a member. Until the next [`GroupKeyManager::rekey`] the
     /// removed client can still read the *current* epoch.
     pub fn remove_member(&mut self, id: ClientId) -> bool {
-        self.members.remove(&id).is_some()
+        self.members.remove(&id)
     }
 
     /// Rotates to a fresh key and a new epoch.
@@ -85,23 +84,19 @@ impl GroupKeyManager {
         (self.epoch, sealed)
     }
 
-    /// Wraps the current epoch key for every member: `client -> wrapped`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates RSA failures.
-    pub fn key_updates(&self, rng: &mut CryptoRng) -> Result<Vec<(ClientId, Vec<u8>)>, ScbrError> {
-        let mut out = Vec::with_capacity(self.members.len());
-        let mut ids = self.members();
-        ids.sort_unstable_by_key(|c| c.0);
-        for id in ids {
-            let key = &self.members[&id];
-            let mut body = Vec::with_capacity(8 + self.current.as_bytes().len());
-            body.extend_from_slice(&self.epoch.0.to_be_bytes());
-            body.extend_from_slice(self.current.as_bytes());
-            out.push((id, hybrid_encrypt(key, &body, rng)?));
-        }
-        Ok(out)
+    /// Seals the current epoch key for every member under the pairwise
+    /// key `directory` holds for it: `client -> wrapped`, in id order. A
+    /// member the directory does not know gets nothing.
+    pub fn key_updates(
+        &self,
+        directory: &ClientDirectory,
+        rng: &mut CryptoRng,
+    ) -> Vec<(ClientId, Vec<u8>)> {
+        self.members
+            .iter()
+            .filter_map(|&id| directory.get(id).map(|record| (id, record.pairwise_key())))
+            .map(|(id, key)| (id, key.seal_key_update(self.epoch, &self.current, rng)))
+            .collect()
     }
 }
 
@@ -126,23 +121,19 @@ impl GroupKeyStore {
         GroupKeyStore::default()
     }
 
-    /// Ingests a wrapped key update addressed to this client.
+    /// Ingests a wrapped key update addressed to this client, whose
+    /// pairwise key is `key`.
     ///
     /// # Errors
     ///
-    /// Crypto failures when the update is not for this client's key pair.
+    /// Crypto failures when the update was sealed for another client.
     pub fn ingest_update(
         &mut self,
-        pair: &RsaKeyPair,
+        key: &PairwiseKey,
         wrapped: &[u8],
     ) -> Result<KeyEpoch, ScbrError> {
-        let body = hybrid_decrypt(pair, wrapped)?;
-        if body.len() < 8 {
-            return Err(ScbrError::Codec { context: "key update" });
-        }
-        let epoch = KeyEpoch(u64::from_be_bytes(body[..8].try_into().expect("8 bytes")));
-        let key = SymmetricKey::try_from_bytes(&body[8..])?;
-        self.keys.insert(epoch, key);
+        let (epoch, group_key) = key.open_key_update(wrapped)?;
+        self.keys.insert(epoch, group_key);
         Ok(epoch)
     }
 
@@ -173,23 +164,38 @@ impl GroupKeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::keys::ProducerCrypto;
+    use scbr_crypto::x25519::X25519Secret;
 
-    fn client_pair(seed: u64) -> RsaKeyPair {
+    /// A producer's directory with clients `ids` admitted, and each
+    /// client's own derivation of its pairwise key.
+    fn admitted(seed: u64, ids: &[u64]) -> (ClientDirectory, Vec<PairwiseKey>) {
         let mut rng = CryptoRng::from_seed(seed);
-        RsaKeyPair::generate(512, &mut rng).unwrap()
+        let producer = ProducerCrypto::generate(512, &mut rng).unwrap();
+        let mut directory = ClientDirectory::new();
+        let keys = ids
+            .iter()
+            .map(|&id| {
+                let secret = X25519Secret::generate(&mut rng);
+                let key = producer.pairwise_key(ClientId(id), secret.public_key()).unwrap();
+                directory.admit(ClientId(id), key);
+                PairwiseKey::for_client(&secret, ClientId(id), producer.exchange_key()).unwrap()
+            })
+            .collect();
+        (directory, keys)
     }
 
     #[test]
     fn member_receives_and_reads_payload() {
         let mut rng = CryptoRng::from_seed(1);
         let mut mgr = GroupKeyManager::new(&mut rng);
-        let alice = client_pair(100);
-        mgr.add_member(ClientId(1), alice.public().clone());
+        let (directory, alice) = admitted(100, &[1]);
+        mgr.add_member(ClientId(1));
 
         let mut store = GroupKeyStore::new();
-        for (id, wrapped) in mgr.key_updates(&mut rng).unwrap() {
+        for (id, wrapped) in mgr.key_updates(&directory, &mut rng) {
             assert_eq!(id, ClientId(1));
-            store.ingest_update(&alice, &wrapped).unwrap();
+            store.ingest_update(&alice[0], &wrapped).unwrap();
         }
         let (epoch, sealed) = mgr.encrypt_payload(b"quote body", &mut rng);
         assert_eq!(store.open_payload(epoch, &sealed).unwrap(), b"quote body");
@@ -199,26 +205,25 @@ mod tests {
     fn revoked_member_loses_new_epochs() {
         let mut rng = CryptoRng::from_seed(2);
         let mut mgr = GroupKeyManager::new(&mut rng);
-        let alice = client_pair(101);
-        let bob = client_pair(102);
-        mgr.add_member(ClientId(1), alice.public().clone());
-        mgr.add_member(ClientId(2), bob.public().clone());
+        let (directory, keys) = admitted(101, &[1, 2]);
+        mgr.add_member(ClientId(1));
+        mgr.add_member(ClientId(2));
 
         let mut alice_store = GroupKeyStore::new();
         let mut bob_store = GroupKeyStore::new();
-        for (id, wrapped) in mgr.key_updates(&mut rng).unwrap() {
+        for (id, wrapped) in mgr.key_updates(&directory, &mut rng) {
             match id {
-                ClientId(1) => alice_store.ingest_update(&alice, &wrapped).unwrap(),
-                ClientId(2) => bob_store.ingest_update(&bob, &wrapped).unwrap(),
+                ClientId(1) => alice_store.ingest_update(&keys[0], &wrapped).unwrap(),
+                ClientId(2) => bob_store.ingest_update(&keys[1], &wrapped).unwrap(),
                 _ => unreachable!(),
             };
         }
         // Bob cancels; producer rekeys and distributes to remaining members.
         mgr.remove_member(ClientId(2));
         mgr.rekey(&mut rng);
-        for (id, wrapped) in mgr.key_updates(&mut rng).unwrap() {
+        for (id, wrapped) in mgr.key_updates(&directory, &mut rng) {
             assert_eq!(id, ClientId(1), "bob receives nothing");
-            alice_store.ingest_update(&alice, &wrapped).unwrap();
+            alice_store.ingest_update(&keys[0], &wrapped).unwrap();
         }
         let (epoch, sealed) = mgr.encrypt_payload(b"fresh data", &mut rng);
         assert_eq!(alice_store.open_payload(epoch, &sealed).unwrap(), b"fresh data");
@@ -232,11 +237,11 @@ mod tests {
     fn old_epoch_remains_readable_by_old_members() {
         let mut rng = CryptoRng::from_seed(3);
         let mut mgr = GroupKeyManager::new(&mut rng);
-        let bob = client_pair(103);
-        mgr.add_member(ClientId(2), bob.public().clone());
+        let (directory, bob) = admitted(103, &[2]);
+        mgr.add_member(ClientId(2));
         let mut bob_store = GroupKeyStore::new();
-        for (_, wrapped) in mgr.key_updates(&mut rng).unwrap() {
-            bob_store.ingest_update(&bob, &wrapped).unwrap();
+        for (_, wrapped) in mgr.key_updates(&directory, &mut rng) {
+            bob_store.ingest_update(&bob[0], &wrapped).unwrap();
         }
         let (old_epoch, old_sealed) = mgr.encrypt_payload(b"old", &mut rng);
         mgr.remove_member(ClientId(2));
@@ -245,27 +250,31 @@ mod tests {
         assert_eq!(bob_store.open_payload(old_epoch, &old_sealed).unwrap(), b"old");
     }
 
+    /// An update sealed for Alice does not ingest at Bob, though both
+    /// are admitted members of the same producer.
     #[test]
     fn wrong_client_cannot_ingest_update() {
         let mut rng = CryptoRng::from_seed(4);
         let mut mgr = GroupKeyManager::new(&mut rng);
-        let alice = client_pair(104);
-        let eve = client_pair(105);
-        mgr.add_member(ClientId(1), alice.public().clone());
-        let updates = mgr.key_updates(&mut rng).unwrap();
-        let mut eve_store = GroupKeyStore::new();
-        assert!(eve_store.ingest_update(&eve, &updates[0].1).is_err());
+        let (directory, keys) = admitted(104, &[1, 2]);
+        mgr.add_member(ClientId(1));
+        let updates = mgr.key_updates(&directory, &mut rng);
+        assert_eq!(updates.len(), 1);
+        let mut bob_store = GroupKeyStore::new();
+        assert!(bob_store.ingest_update(&keys[1], &updates[0].1).is_err());
+        assert!(bob_store.is_empty());
+        assert!(GroupKeyStore::new().ingest_update(&keys[0], &updates[0].1).is_ok());
     }
 
     #[test]
     fn tampered_payload_rejected() {
         let mut rng = CryptoRng::from_seed(5);
         let mut mgr = GroupKeyManager::new(&mut rng);
-        let alice = client_pair(106);
-        mgr.add_member(ClientId(1), alice.public().clone());
+        let (directory, alice) = admitted(106, &[1]);
+        mgr.add_member(ClientId(1));
         let mut store = GroupKeyStore::new();
-        for (_, wrapped) in mgr.key_updates(&mut rng).unwrap() {
-            store.ingest_update(&alice, &wrapped).unwrap();
+        for (_, wrapped) in mgr.key_updates(&directory, &mut rng) {
+            store.ingest_update(&alice[0], &wrapped).unwrap();
         }
         let (epoch, mut sealed) = mgr.encrypt_payload(b"data", &mut rng);
         sealed[10] ^= 1;
@@ -276,16 +285,16 @@ mod tests {
     fn epochs_are_isolated() {
         let mut rng = CryptoRng::from_seed(6);
         let mut mgr = GroupKeyManager::new(&mut rng);
-        let alice = client_pair(107);
-        mgr.add_member(ClientId(1), alice.public().clone());
+        let (directory, alice) = admitted(107, &[1]);
+        mgr.add_member(ClientId(1));
         let mut store = GroupKeyStore::new();
-        for (_, w) in mgr.key_updates(&mut rng).unwrap() {
-            store.ingest_update(&alice, &w).unwrap();
+        for (_, w) in mgr.key_updates(&directory, &mut rng) {
+            store.ingest_update(&alice[0], &w).unwrap();
         }
         let (e0, sealed0) = mgr.encrypt_payload(b"zero", &mut rng);
         mgr.rekey(&mut rng);
-        for (_, w) in mgr.key_updates(&mut rng).unwrap() {
-            store.ingest_update(&alice, &w).unwrap();
+        for (_, w) in mgr.key_updates(&directory, &mut rng) {
+            store.ingest_update(&alice[0], &w).unwrap();
         }
         // A payload from epoch 1 cannot be opened claiming epoch 0.
         let (e1, sealed1) = mgr.encrypt_payload(b"one", &mut rng);

@@ -1,14 +1,15 @@
 //! Key material and the subscription key-exchange.
 //!
-//! The producer owns three long-lived secrets: its RSA key pair
-//! (`PK`/`PK⁻¹`) that clients encrypt subscriptions to, the symmetric key
-//! `SK` shared with routing enclaves, and an RSA signing identity routers
-//! use to authenticate forwarded registrations (the same key pair serves
-//! both roles here, as in the prototype).
+//! The producer owns three long-lived secrets: the symmetric key `SK`
+//! shared with routing enclaves, an RSA key pair whose signature routers
+//! use to authenticate forwarded registrations, and a static X25519 key
+//! `X_P` that each admitted client agrees its [`PairwiseKey`] with.
+//! Clients never encrypt to the producer's RSA key: a submission, an
+//! unsubscribe and a group-key update all travel under the pairwise key.
 
 use crate::codec::{self, Reader, Writer};
 use crate::error::ScbrError;
-use crate::ids::{ClientId, SubscriptionId};
+use crate::ids::{ClientId, KeyEpoch, SubscriptionId};
 use crate::publication::PublicationSpec;
 use crate::subscription::SubscriptionSpec;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey, NONCE_LEN};
@@ -19,39 +20,6 @@ use scbr_crypto::{CryptoError, SealedBox};
 use sgx_sim::attest::{AttestationService, QuotedKey, VerifierPolicy};
 use sgx_sim::SgxPlatform;
 
-/// Hybrid public-key encryption: a fresh 128-bit content key is RSA-
-/// encrypted, the body is sealed (AES-CTR + HMAC) under it.
-///
-/// # Errors
-///
-/// Propagates RSA failures (e.g. a key too small to wrap the content key).
-pub fn hybrid_encrypt(
-    pk: &RsaPublicKey,
-    msg: &[u8],
-    rng: &mut CryptoRng,
-) -> Result<Vec<u8>, ScbrError> {
-    let content_key = SymmetricKey::generate(rng);
-    let wrapped = pk.encrypt(content_key.as_bytes(), rng)?;
-    let sealed = SealedBox::new(&content_key).seal(msg, b"scbr-hybrid", rng);
-    let mut w = Writer::new();
-    w.bytes(&wrapped).bytes(&sealed);
-    Ok(w.into_bytes())
-}
-
-/// Inverse of [`hybrid_encrypt`].
-///
-/// # Errors
-///
-/// [`ScbrError::Crypto`] on any unwrap or authentication failure.
-pub fn hybrid_decrypt(pair: &RsaKeyPair, ciphertext: &[u8]) -> Result<Vec<u8>, ScbrError> {
-    let mut r = Reader::new(ciphertext);
-    let wrapped = r.bytes()?;
-    let sealed = r.bytes()?;
-    let content_key_bytes = pair.private().decrypt(&wrapped)?;
-    let content_key = SymmetricKey::try_from_bytes(&content_key_bytes)?;
-    Ok(SealedBox::new(&content_key).open(&sealed, b"scbr-hybrid")?)
-}
-
 /// The producer's cryptographic identity and the operations of protocol
 /// steps 2 and 4.
 #[derive(Debug, Clone)]
@@ -61,11 +29,13 @@ pub struct ProducerCrypto {
     /// `SK`'s expanded schedule, so headers and envelopes are encrypted
     /// without a key expansion each.
     sk_cipher: AesCtr,
+    /// `x_P`, the static key every client's pairwise key is agreed with.
+    exchange: X25519Secret,
 }
 
 impl ProducerCrypto {
-    /// Generates fresh producer keys (`bits`-bit RSA modulus plus a random
-    /// 128-bit `SK`).
+    /// Generates fresh producer keys: a `bits`-bit RSA modulus, a random
+    /// 128-bit `SK`, then the static X25519 key (32 more bytes of `rng`).
     ///
     /// # Errors
     ///
@@ -74,13 +44,19 @@ impl ProducerCrypto {
         let rsa = RsaKeyPair::generate(bits, rng)?;
         let sk = SymmetricKey::generate(rng);
         let sk_cipher = AesCtr::new(&sk, [0u8; NONCE_LEN]);
-        Ok(ProducerCrypto { rsa, sk, sk_cipher })
+        let exchange = X25519Secret::generate(rng);
+        Ok(ProducerCrypto { rsa, sk, sk_cipher, exchange })
     }
 
-    /// The public key `PK` clients encrypt subscriptions to (also the
-    /// signature-verification key routers pin).
+    /// The signature-verification key `PK` routers pin.
     pub fn public_key(&self) -> &RsaPublicKey {
         self.rsa.public()
+    }
+
+    /// `X_P`, the X25519 key clients agree their pairwise key with
+    /// (handed to them at signup).
+    pub fn exchange_key(&self) -> &[u8; KEY_LEN] {
+        self.exchange.public_key()
     }
 
     /// The symmetric key `SK` shared with routing enclaves.
@@ -88,18 +64,19 @@ impl ProducerCrypto {
         &self.sk
     }
 
-    /// Decrypts a client's `{s}PK` submission (protocol step 2, first
-    /// half).
+    /// The pairwise key of `client`, whose X25519 key is `client_key`:
+    /// the producer's half of admission.
     ///
     /// # Errors
     ///
-    /// [`ScbrError::Crypto`] or [`ScbrError::Codec`] on malformed input.
-    pub fn open_client_subscription(
+    /// [`ScbrError::Crypto`] when `client_key` is a low-order point.
+    pub fn pairwise_key(
         &self,
-        ciphertext: &[u8],
-    ) -> Result<SubscriptionSpec, ScbrError> {
-        let plain = hybrid_decrypt(&self.rsa, ciphertext)?;
-        codec::decode_subscription(&plain)
+        client: ClientId,
+        client_key: &[u8; KEY_LEN],
+    ) -> Result<PairwiseKey, ScbrError> {
+        let info = [PAIRWISE_INFO, &client.0.to_be_bytes(), client_key, self.exchange_key()];
+        Ok(PairwiseKey(dh_box(&self.exchange, client_key, &info)?))
     }
 
     /// Re-encrypts a validated subscription under `SK` and signs it
@@ -170,24 +147,121 @@ impl ProducerCrypto {
     }
 }
 
-/// Client-side helper for protocol step 1: encrypt a subscription to the
-/// producer.
-///
-/// # Errors
-///
-/// Propagates hybrid-encryption failures.
-pub fn encrypt_subscription_for_producer(
-    producer_pk: &RsaPublicKey,
-    spec: &SubscriptionSpec,
-    rng: &mut CryptoRng,
-) -> Result<Vec<u8>, ScbrError> {
-    hybrid_encrypt(producer_pk, &codec::encode_subscription(spec), rng)
+/// HKDF info label of a client's pairwise key; the client id, the
+/// client's key and the producer's follow it.
+const PAIRWISE_INFO: &[u8] = b"scbr-client-v1";
+
+/// Associated data of a sealed subscription submission.
+const SUBMISSION_AD: &[u8] = b"scbr-submission-v1";
+
+/// Associated data of a sealed group-key update.
+const KEY_UPDATE_AD: &[u8] = b"scbr-key-update-v1";
+
+/// `K_c`, the key one admitted client shares with the producer:
+/// HKDF(DH(x_c, X_P), `scbr-client-v1` ‖ client id ‖ `X_c` ‖ `X_P`) as a
+/// [`SealedBox`]. It carries the client's submissions (protocol step 1),
+/// authenticates its unsubscribes and wraps the group keys pushed to it,
+/// each under its own associated data. Because the client id is in the
+/// derivation, nobody but the client and the producer can seal a request
+/// the producer accepts in that client's name.
+#[derive(Clone)]
+pub struct PairwiseKey(SealedBox);
+
+impl std::fmt::Debug for PairwiseKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PairwiseKey").finish_non_exhaustive()
+    }
 }
 
-/// The canonical bytes a client signs to prove an unsubscribe request:
-/// a domain-separation label plus the client and subscription ids. Both
+impl PairwiseKey {
+    /// The client's half of admission: `secret` is the client's key,
+    /// `producer_key` the producer's [`ProducerCrypto::exchange_key`].
+    ///
+    /// # Errors
+    ///
+    /// [`ScbrError::Crypto`] when `producer_key` is a low-order point.
+    pub fn for_client(
+        secret: &X25519Secret,
+        client: ClientId,
+        producer_key: &[u8; KEY_LEN],
+    ) -> Result<Self, ScbrError> {
+        let info = [PAIRWISE_INFO, &client.0.to_be_bytes(), secret.public_key(), producer_key];
+        Ok(PairwiseKey(dh_box(secret, producer_key, &info)?))
+    }
+
+    /// Seals a subscription for the producer (protocol step 1).
+    pub fn seal_subscription(&self, spec: &SubscriptionSpec, rng: &mut CryptoRng) -> Vec<u8> {
+        self.0.seal(&codec::encode_subscription(spec), SUBMISSION_AD, rng)
+    }
+
+    /// Opens a submission sealed by [`PairwiseKey::seal_subscription`]
+    /// (protocol step 2, first half).
+    ///
+    /// # Errors
+    ///
+    /// [`ScbrError::Crypto`] when it was sealed under another key or
+    /// altered, [`ScbrError::Codec`] on a malformed subscription.
+    pub fn open_subscription(&self, sealed: &[u8]) -> Result<SubscriptionSpec, ScbrError> {
+        codec::decode_subscription(&self.0.open(sealed, SUBMISSION_AD)?)
+    }
+
+    /// The tag proving that this key's client asks to retire `id`: a
+    /// sealed empty message over [`unsubscribe_signing_bytes`].
+    pub fn unsubscribe_tag(
+        &self,
+        client: ClientId,
+        id: SubscriptionId,
+        rng: &mut CryptoRng,
+    ) -> Vec<u8> {
+        self.0.seal(&[], &unsubscribe_signing_bytes(client, id), rng)
+    }
+
+    /// Checks a tag made by [`PairwiseKey::unsubscribe_tag`].
+    ///
+    /// # Errors
+    ///
+    /// [`ScbrError::Crypto`] when the tag is for another key, client or
+    /// subscription, or is malformed.
+    pub fn check_unsubscribe(
+        &self,
+        client: ClientId,
+        id: SubscriptionId,
+        tag: &[u8],
+    ) -> Result<(), ScbrError> {
+        self.0.open(tag, &unsubscribe_signing_bytes(client, id))?;
+        Ok(())
+    }
+
+    /// Wraps the group key of `epoch` for this key's client.
+    pub fn seal_key_update(
+        &self,
+        epoch: KeyEpoch,
+        key: &SymmetricKey,
+        rng: &mut CryptoRng,
+    ) -> Vec<u8> {
+        let mut body = epoch.0.to_be_bytes().to_vec();
+        body.extend_from_slice(key.as_bytes());
+        self.0.seal(&body, KEY_UPDATE_AD, rng)
+    }
+
+    /// Unwraps an update made by [`PairwiseKey::seal_key_update`].
+    ///
+    /// # Errors
+    ///
+    /// [`ScbrError::Crypto`] when the update was sealed for another
+    /// client or altered, [`ScbrError::Codec`] on a malformed body.
+    pub fn open_key_update(&self, wrapped: &[u8]) -> Result<(KeyEpoch, SymmetricKey), ScbrError> {
+        let body = self.0.open(wrapped, KEY_UPDATE_AD)?;
+        let (epoch, key) =
+            body.split_first_chunk::<8>().ok_or(ScbrError::Codec { context: "key update" })?;
+        Ok((KeyEpoch(u64::from_be_bytes(*epoch)), SymmetricKey::try_from_bytes(key)?))
+    }
+}
+
+/// The canonical bytes a client's unsubscribe tag covers: a
+/// domain-separation label plus the client and subscription ids. Both
 /// the client ([`crate::roles::ClientNode::unsubscribe`]) and the
-/// producer's verification build exactly this buffer.
+/// producer's check build exactly this buffer.
 pub fn unsubscribe_signing_bytes(client: ClientId, id: SubscriptionId) -> Vec<u8> {
     let mut w = Writer::new();
     w.str("scbr-unsubscribe-v1").u64(client.0).u64(id.0);
@@ -230,8 +304,8 @@ impl SkIssuer for ProducerCrypto {
     ) -> Result<Vec<u8>, ScbrError> {
         request.verify(service, policy)?;
         let ephemeral = X25519Secret::generate(rng);
-        let shared = ephemeral.diffie_hellman(&request.public_key)?;
-        let (sealed, aad) = grant_box(&shared, ephemeral.public_key(), &request.public_key);
+        let aad = [ephemeral.public_key().as_slice(), &request.public_key].concat();
+        let sealed = dh_box(&ephemeral, &request.public_key, &[SK_GRANT_INFO, &aad])?;
         let mut payload = Writer::new();
         payload.bytes(self.sk.as_bytes()).bytes(&self.public_key().to_bytes());
         let mut grant = ephemeral.public_key().to_vec();
@@ -240,22 +314,22 @@ impl SkIssuer for ProducerCrypto {
     }
 }
 
-/// The box an `SK` grant is sealed in and the associated data it binds,
-/// from the Diffie–Hellman secret of the producer's ephemeral key and the
-/// enclave's quoted key.
-fn grant_box(
-    shared: &[u8; KEY_LEN],
-    ephemeral: &[u8; KEY_LEN],
-    quoted: &[u8; KEY_LEN],
-) -> (SealedBox, [u8; 2 * KEY_LEN]) {
-    let mut aad = [0u8; 2 * KEY_LEN];
-    aad[..KEY_LEN].copy_from_slice(ephemeral);
-    aad[KEY_LEN..].copy_from_slice(quoted);
-    let mut info = SK_GRANT_INFO.to_vec();
-    info.extend_from_slice(&aad);
+/// A box keyed by HKDF of the Diffie–Hellman secret of `own` and `peer`,
+/// with the concatenated `info` as HKDF info: the `SK` grant's, and each
+/// client's [`PairwiseKey`].
+///
+/// # Errors
+///
+/// [`ScbrError::Crypto`] when `peer` is a low-order point.
+fn dh_box(
+    own: &X25519Secret,
+    peer: &[u8; KEY_LEN],
+    info: &[&[u8]],
+) -> Result<SealedBox, ScbrError> {
+    let shared = own.diffie_hellman(peer)?;
     let mut key = [0u8; 16];
-    scbr_crypto::hkdf::derive(b"", shared, &info, &mut key);
-    (SealedBox::new(&SymmetricKey::from_bytes(key)), aad)
+    scbr_crypto::hkdf::derive(b"", &shared, &info.concat(), &mut key);
+    Ok(SealedBox::new(&SymmetricKey::from_bytes(key)))
 }
 
 /// Provisions `SK` (and the producer's verification key) into a routing
@@ -298,9 +372,8 @@ pub fn provision_sk_via_attestation(
         let (ephemeral, sealed) = grant
             .split_first_chunk::<KEY_LEN>()
             .ok_or(CryptoError::InvalidLength { context: "sk grant" })?;
-        let shared = secret.diffie_hellman(ephemeral)?;
-        let (sealed_box, aad) = grant_box(&shared, ephemeral, &request.public_key);
-        let plain = sealed_box.open(sealed, &aad)?;
+        let aad = [ephemeral.as_slice(), &request.public_key].concat();
+        let plain = dh_box(&secret, ephemeral, &[SK_GRANT_INFO, &aad])?.open(sealed, &aad)?;
         let mut r = Reader::new(&plain);
         let sk = SymmetricKey::try_from_bytes(r.bytes_ref()?)?;
         let pk = RsaPublicKey::from_bytes(r.bytes_ref()?)?;
@@ -320,41 +393,99 @@ mod tests {
         CryptoRng::from_seed(seed)
     }
 
+    /// Alice's pairwise key as she derives it and as the producer does.
+    fn alice_both_sides(
+        producer: &ProducerCrypto,
+        r: &mut CryptoRng,
+    ) -> (PairwiseKey, PairwiseKey) {
+        let alice = X25519Secret::generate(r);
+        let client = PairwiseKey::for_client(&alice, ClientId(1), producer.exchange_key()).unwrap();
+        let server = producer.pairwise_key(ClientId(1), alice.public_key()).unwrap();
+        (client, server)
+    }
+
     #[test]
-    fn hybrid_round_trip_large_message() {
+    fn both_sides_derive_one_pairwise_key() {
         let mut r = rng(1);
-        let pair = RsaKeyPair::generate(512, &mut r).unwrap();
-        let msg = vec![0x7fu8; 10_000]; // far beyond one RSA block
-        let ct = hybrid_encrypt(pair.public(), &msg, &mut r).unwrap();
-        assert_eq!(hybrid_decrypt(&pair, &ct).unwrap(), msg);
+        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let (client, server) = alice_both_sides(&producer, &mut r);
+        // A large subscription: a sealed box has no size limit.
+        let spec = (0..200).fold(SubscriptionSpec::new(), |s, i| s.gt(&format!("a{i}"), 1.0));
+        let sealed = client.seal_subscription(&spec, &mut r);
+        assert_eq!(server.open_subscription(&sealed).unwrap(), spec);
+        let tag = client.unsubscribe_tag(ClientId(1), SubscriptionId(4), &mut r);
+        server.check_unsubscribe(ClientId(1), SubscriptionId(4), &tag).unwrap();
+        let wrapped = server.seal_key_update(KeyEpoch(3), producer.sk(), &mut r);
+        let (epoch, key) = client.open_key_update(&wrapped).unwrap();
+        assert_eq!((epoch, key.as_bytes()), (KeyEpoch(3), producer.sk().as_bytes()));
     }
 
     #[test]
-    fn hybrid_tamper_rejected() {
+    fn a_tampered_submission_is_refused() {
         let mut r = rng(2);
-        let pair = RsaKeyPair::generate(512, &mut r).unwrap();
-        let mut ct = hybrid_encrypt(pair.public(), b"secret", &mut r).unwrap();
-        let n = ct.len();
-        ct[n - 1] ^= 1;
-        assert!(hybrid_decrypt(&pair, &ct).is_err());
+        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let (client, server) = alice_both_sides(&producer, &mut r);
+        let sealed = client.seal_subscription(&SubscriptionSpec::new().eq("s", "HAL"), &mut r);
+        for at in [0, 8, sealed.len() - 1] {
+            let mut bad = sealed.clone();
+            bad[at] ^= 1;
+            assert!(server.open_subscription(&bad).is_err(), "flipped byte {at}");
+        }
+        assert!(server.open_subscription(&sealed[..sealed.len() - 3]).is_err());
     }
 
+    /// Each key opens only what it sealed, and each job only its own
+    /// messages: another client's key, another client id, another
+    /// subscription or another job's box is refused.
     #[test]
-    fn hybrid_wrong_key_rejected() {
+    fn another_clients_pairwise_key_opens_nothing() {
         let mut r = rng(3);
-        let a = RsaKeyPair::generate(512, &mut r).unwrap();
-        let b = RsaKeyPair::generate(512, &mut r).unwrap();
-        let ct = hybrid_encrypt(a.public(), b"secret", &mut r).unwrap();
-        assert!(hybrid_decrypt(&b, &ct).is_err());
+        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let (alice, alice_at_producer) = alice_both_sides(&producer, &mut r);
+        let bob = X25519Secret::generate(&mut r);
+        let bob = PairwiseKey::for_client(&bob, ClientId(2), producer.exchange_key()).unwrap();
+        let spec = SubscriptionSpec::new().eq("symbol", "HAL");
+        assert!(alice_at_producer
+            .open_subscription(&bob.seal_subscription(&spec, &mut r))
+            .is_err());
+        // Alice's own scalar under another client's id is another key.
+        let tag = bob.unsubscribe_tag(ClientId(1), SubscriptionId(4), &mut r);
+        assert!(alice_at_producer.check_unsubscribe(ClientId(1), SubscriptionId(4), &tag).is_err());
+        let tag = alice.unsubscribe_tag(ClientId(1), SubscriptionId(4), &mut r);
+        assert!(alice_at_producer.check_unsubscribe(ClientId(2), SubscriptionId(4), &tag).is_err());
+        assert!(alice_at_producer.check_unsubscribe(ClientId(1), SubscriptionId(5), &tag).is_err());
+        let wrapped = alice_at_producer.seal_key_update(KeyEpoch(0), producer.sk(), &mut r);
+        assert!(bob.open_key_update(&wrapped).is_err());
+        assert!(alice.open_subscription(&wrapped).is_err(), "a key update is no submission");
     }
 
     #[test]
     fn client_submission_round_trip() {
         let mut r = rng(4);
         let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let (client, server) = alice_both_sides(&producer, &mut r);
         let spec = SubscriptionSpec::new().eq("symbol", "HAL").lt("price", 50.0);
-        let ct = encrypt_subscription_for_producer(producer.public_key(), &spec, &mut r).unwrap();
-        assert_eq!(producer.open_client_subscription(&ct).unwrap(), spec);
+        let sealed = client.seal_subscription(&spec, &mut r);
+        assert_eq!(server.open_subscription(&sealed).unwrap(), spec);
+    }
+
+    /// Either side refuses a low-order peer key: the "pairwise" key it
+    /// gives is one an attacker knows without any scalar.
+    #[test]
+    fn a_low_order_key_is_refused_on_either_side() {
+        let mut r = rng(12);
+        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let client = X25519Secret::generate(&mut r);
+        for u in [0u8, 1] {
+            let mut key = [0u8; KEY_LEN];
+            key[0] = u;
+            for refused in [
+                producer.pairwise_key(ClientId(1), &key),
+                PairwiseKey::for_client(&client, ClientId(1), &key),
+            ] {
+                assert!(matches!(refused, Err(ScbrError::Crypto(CryptoError::InvalidKey { .. }))));
+            }
+        }
     }
 
     #[test]
@@ -382,15 +513,15 @@ mod tests {
             producer.seal_registration(&spec, SubscriptionId(7), ClientId(3), &mut r).unwrap();
         assert_eq!(
             hex(&header),
-            "46518e40a7832ccb93ff36a1c094940658e59ddcd1635d3632e7fe40a7cf61f8fde7eb3d99e1ab667cca\
-             4006d6c9"
+            "4dfd1a3e6faff8a2a994dab4cab52898e86f589ab8d5fdea590483a0ce681f7ff9226b216d49f08e\
+             5be6b750ad1a"
         );
         assert_eq!(
             hex(&envelope),
-            "00000044f7bac95702f3f27a7412db415799a41b3e0e8f250b26a522599e29c7d8538ab2f7c99274\
-             7117b69e68ca39b5802701aac5b44bdee4ff96bfd0b7d63f275ab153bb1fcaac0000004065724730\
-             042f1be510c9e6b00d97dec6b0c51d9240f2cf31b1828e9c76e55de521ccb94af4b563b0aa2d7b5c\
-             9455b03ea496cbed2e52aea8bfa93d3d6d3c7c79"
+            "000000441561c1cf8ce287c3ed5b3e296a65b7656f4f44cea34636378cab0bb3869404c604685bd2\
+             40096a8d40b8e0361731ee2ec8e763f25e0b7f69527562fe384144538c6dfa60000000407730bfdc\
+             1988c458bfe9946d70d0252915fcaaa0590200e15a5185705c7f98dc234ca21903f8d6d4d1ba3341\
+             718c193e7a12b9c2bd09e2ba093810c24db517ef"
         );
     }
 
@@ -481,7 +612,7 @@ mod tests {
         );
         assert_eq!(
             (enclave_rng.next_u64(), producer_rng.next_u64()),
-            (2351835461894720056, 8213260559185562414)
+            (2351835461894720056, 4176409124227897208)
         );
     }
 

@@ -8,19 +8,19 @@
 //!
 //! | tag | variant | body |
 //! |----:|---------|------|
-//! | 1 | `SubmitSubscription` | `u64 client ‖ bytes encrypted_subscription` |
+//! | 1 | `SubmitSubscription` | `u64 client ‖ bytes encrypted_subscription` (sealed under the client's pairwise key) |
 //! | 2 | `SubscriptionAccepted` | `u64 id` |
 //! | 3 | `SubscriptionRejected` | `str reason` |
 //! | 4 | `Register` | `bytes envelope` |
 //! | 5 | `RegisterAck` | `u64 id` |
-//! | 6 | `Unsubscribe` | `u64 client ‖ u64 id ‖ bytes signature` |
+//! | 6 | `Unsubscribe` | `u64 client ‖ u64 id ‖ bytes tag` (a `SealedBox` tag under the client's pairwise key) |
 //! | 7 | `Unsubscribed` | `u64 id` |
 //! | 8 | `Unregister` | `bytes envelope` |
 //! | 9 | `UnregisterAck` | `u64 id` |
 //! | 10 | retired (was a one-publication `Publish`; now unknown) | — |
 //! | 11 | `PublishBatch` | `u32 count ‖ (u32 len ‖ item) × count`, each item `bytes header_ct ‖ u64 epoch ‖ bytes payload_ct` |
 //! | 12 | `Deliver` | `u64 epoch ‖ bytes payload_ct` |
-//! | 13 | `KeyUpdate` | `bytes wrapped` |
+//! | 13 | `KeyUpdate` | `bytes wrapped` (sealed under the client's pairwise key) |
 //! | 14 | `Hello` | `u64 client` |
 //! | 15–17 | `LinkQuote`, `LinkAccept`, `LinkFinish` | `bytes payload` |
 //! | 18, 19 | `SubForward`, `SubRemove` | `bytes envelope` |
@@ -236,11 +236,13 @@ pub fn encode_publish_batch<'a>(
 /// All SCBR protocol messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Client → producer: `{s}PK` plus the client's identity (step 1).
+    /// Client → producer: the subscription sealed under the client's
+    /// pairwise key, plus the client's identity (step 1).
     SubmitSubscription {
         /// Requesting client.
         client: ClientId,
-        /// Hybrid-encrypted subscription bytes.
+        /// [`crate::protocol::keys::PairwiseKey::seal_subscription`]'s
+        /// output.
         encrypted_subscription: Vec<u8>,
     },
     /// Producer → client: subscription accepted under this id.
@@ -264,16 +266,18 @@ pub enum Message {
         id: SubscriptionId,
     },
     /// Client → producer: retire one of this client's subscriptions. The
-    /// signature (by the client's admission key, over
+    /// tag (a `SealedBox` tag under the client's pairwise key, over
     /// [`crate::protocol::keys::unsubscribe_signing_bytes`]) proves the
-    /// request really comes from the subscription's owner.
+    /// request really comes from the subscription's owner; the producer,
+    /// the only verifier, holds the same key.
     Unsubscribe {
         /// The requesting client.
         client: ClientId,
         /// The subscription to retire.
         id: SubscriptionId,
-        /// Client signature over the canonical unsubscribe bytes.
-        signature: Vec<u8>,
+        /// [`crate::protocol::keys::PairwiseKey::unsubscribe_tag`]'s
+        /// output.
+        tag: Vec<u8>,
     },
     /// Producer → client: the subscription was retired (idempotent — a
     /// second unsubscribe of the same id also lands here).
@@ -310,7 +314,7 @@ pub enum Message {
     },
     /// Producer → client: a wrapped group key for an epoch.
     KeyUpdate {
-        /// Hybrid-encrypted `epoch || key` bytes.
+        /// `epoch || key`, sealed under the client's pairwise key.
         wrapped: Vec<u8>,
     },
     /// Client → router: identify this connection as a client's delivery
@@ -456,8 +460,8 @@ impl Message {
             Message::RegisterAck { id } => {
                 w.u8(TAG_REGISTER_ACK).u64(id.0);
             }
-            Message::Unsubscribe { client, id, signature } => {
-                w.u8(TAG_UNSUBSCRIBE).u64(client.0).u64(id.0).bytes(signature);
+            Message::Unsubscribe { client, id, tag } => {
+                w.u8(TAG_UNSUBSCRIBE).u64(client.0).u64(id.0).bytes(tag);
             }
             Message::Unsubscribed { id } => {
                 w.u8(TAG_UNSUBSCRIBED).u64(id.0);
@@ -543,7 +547,7 @@ impl Message {
             TAG_UNSUBSCRIBE => Message::Unsubscribe {
                 client: ClientId(r.u64()?),
                 id: SubscriptionId(r.u64()?),
-                signature: r.bytes()?,
+                tag: r.bytes()?,
             },
             TAG_UNSUBSCRIBED => Message::Unsubscribed { id: SubscriptionId(r.u64()?) },
             TAG_UNREGISTER => Message::Unregister { envelope: r.bytes()? },
@@ -601,7 +605,7 @@ mod tests {
             Message::SubscriptionRejected { reason: "no".into() },
             Message::Register { envelope: vec![4, 5] },
             Message::RegisterAck { id: SubscriptionId(1) },
-            Message::Unsubscribe { client: ClientId(3), id: SubscriptionId(8), signature: vec![7] },
+            Message::Unsubscribe { client: ClientId(3), id: SubscriptionId(8), tag: vec![7] },
             Message::Unsubscribed { id: SubscriptionId(8) },
             Message::Unregister { envelope: vec![6] },
             Message::UnregisterAck { id: SubscriptionId(8) },
@@ -641,7 +645,7 @@ mod tests {
         round_trip(Message::Unsubscribe {
             client: ClientId(3),
             id: SubscriptionId(8),
-            signature: vec![7; 64],
+            tag: vec![7; 64],
         });
     }
 

@@ -2,20 +2,23 @@
 //!
 //! The paper's Figure 4 flow, implemented end to end:
 //!
-//! 1. A client encrypts its subscription under the producer's public key
-//!    `PK` (hybrid RSA + AES, since subscriptions exceed one RSA block) and
-//!    sends `{s}PK` to the producer — [`keys::hybrid_encrypt`].
-//! 2. The producer decrypts, checks the client's standing
-//!    ([`admission::ClientDirectory`]), re-encrypts under the symmetric key
-//!    `SK` it shares with the routing enclave, and signs —
+//! 0. At admission the client and the producer agree a pairwise key `K_c`
+//!    by X25519 ([`keys::PairwiseKey`]); the paper's `{s}PK` becomes
+//!    `{s}K_c`, since only the producer ever opens it.
+//! 1. A client seals its subscription under `K_c` and sends it to the
+//!    producer — [`keys::PairwiseKey::seal_subscription`].
+//! 2. The producer checks the client's standing
+//!    ([`admission::ClientDirectory`]), opens the submission under that
+//!    client's `K_c`, re-encrypts under the symmetric key `SK` it shares
+//!    with the routing enclave, and signs —
 //!    [`keys::ProducerCrypto::seal_registration`].
 //! 3. The routing enclave verifies and decrypts inside the enclave and
 //!    inserts the subscription into its index (see
 //!    [`crate::engine::MatchingEngine::register_envelope`]).
 //! 4. Publications flow back (the paper's steps 4–6): headers encrypted
 //!    under `SK`, payloads under a rotating *group key*
-//!    ([`group::GroupKeyManager`]) so revoked clients lose access to new
-//!    messages.
+//!    ([`group::GroupKeyManager`], each epoch key sealed under every
+//!    member's `K_c`) so revoked clients lose access to new messages.
 //!
 //! `SK` itself reaches the enclave through remote attestation
 //! ([`keys::provision_sk_via_attestation`]), so the infrastructure provider

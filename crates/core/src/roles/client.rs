@@ -4,11 +4,11 @@
 use crate::error::ScbrError;
 use crate::ids::{ClientId, KeyEpoch, SubscriptionId};
 use crate::protocol::group::GroupKeyStore;
-use crate::protocol::keys::{encrypt_subscription_for_producer, unsubscribe_signing_bytes};
+use crate::protocol::keys::PairwiseKey;
 use crate::protocol::messages::Message;
 use crate::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
+use scbr_crypto::x25519::{X25519Secret, KEY_LEN};
 use scbr_net::Connection;
 use std::time::Duration;
 
@@ -28,11 +28,13 @@ pub struct Delivery {
 /// as they arrive interleaved with other traffic.
 pub struct ClientNode {
     id: ClientId,
-    key_pair: RsaKeyPair,
+    /// `X_c`, handed to the producer at admission.
+    public_key: [u8; KEY_LEN],
+    /// `K_c`, agreed with the producer's key when the client connects.
+    pairwise_key: PairwiseKey,
     keys: GroupKeyStore,
     producer: Box<dyn Connection>,
     router: Box<dyn Connection>,
-    producer_key: Option<RsaPublicKey>,
     rng: CryptoRng,
 }
 
@@ -46,28 +48,34 @@ impl std::fmt::Debug for ClientNode {
 }
 
 impl ClientNode {
-    /// Creates a client and announces itself on both connections.
+    /// Creates a client with a fresh X25519 key (32 bytes of `rng`),
+    /// agrees its pairwise key with `producer_key` (the producer's
+    /// [`crate::protocol::keys::ProducerCrypto::exchange_key`], obtained
+    /// at signup) and announces the client on both connections.
     ///
     /// # Errors
     ///
-    /// Key-generation or transport failures.
+    /// [`ScbrError::Crypto`] when `producer_key` is a low-order point;
+    /// transport failures.
     pub fn connect(
         id: ClientId,
+        producer_key: &[u8; KEY_LEN],
         producer: Box<dyn Connection>,
         router: Box<dyn Connection>,
         mut rng: CryptoRng,
     ) -> Result<Self, ScbrError> {
-        let key_pair = RsaKeyPair::generate(512, &mut rng)?;
+        let secret = X25519Secret::generate(&mut rng);
+        let pairwise_key = PairwiseKey::for_client(&secret, id, producer_key)?;
         let hello = Message::Hello { client: id };
         producer.send(&hello.to_wire())?;
         router.send(&hello.to_wire())?;
         Ok(ClientNode {
             id,
-            key_pair,
+            public_key: *secret.public_key(),
+            pairwise_key,
             keys: GroupKeyStore::new(),
             producer,
             router,
-            producer_key: None,
             rng,
         })
     }
@@ -77,9 +85,10 @@ impl ClientNode {
         self.id
     }
 
-    /// The public key the producer should be given at admission time.
-    pub fn public_key(&self) -> &RsaPublicKey {
-        self.key_pair.public()
+    /// The X25519 public key the producer should be given at admission
+    /// time.
+    pub fn public_key(&self) -> &[u8; KEY_LEN] {
+        &self.public_key
     }
 
     /// Submits a subscription (protocol step 1) and waits for the verdict.
@@ -93,17 +102,7 @@ impl ClientNode {
         spec: &SubscriptionSpec,
         timeout: Duration,
     ) -> Result<SubscriptionId, ScbrError> {
-        let ct = encrypt_subscription_for_producer(
-            // Subscriptions are encrypted to the *producer*; its key is
-            // delivered out of band (service signup), modelled here as the
-            // key cached in the producer connection handshake. The caller
-            // passes it in via `set_producer_key` below when needed.
-            self.producer_key
-                .as_ref()
-                .ok_or(ScbrError::MissingKeys { which: "producer public key" })?,
-            spec,
-            &mut self.rng,
-        )?;
+        let ct = self.pairwise_key.seal_subscription(spec, &mut self.rng);
         let msg = Message::SubmitSubscription { client: self.id, encrypted_subscription: ct };
         self.producer.send(&msg.to_wire())?;
         // Wait for the verdict, stashing any interleaved key updates.
@@ -117,17 +116,18 @@ impl ClientNode {
     }
 
     /// Retires one of this client's subscriptions and waits for the
-    /// producer's confirmation. The request is signed with the client's
-    /// admission key so nobody else can shed this client's interest.
+    /// producer's confirmation. The request carries a tag under the
+    /// client's pairwise key so nobody else can shed this client's
+    /// interest.
     ///
     /// # Errors
     ///
     /// [`ScbrError::UnexpectedMessage`] when the producer rejects the
-    /// request (not admitted, bad signature, not the owner) or the wait
-    /// times out; transport/crypto failures otherwise.
+    /// request (not admitted, bad tag, not the owner) or the wait times
+    /// out; transport/crypto failures otherwise.
     pub fn unsubscribe(&mut self, id: SubscriptionId, timeout: Duration) -> Result<(), ScbrError> {
-        let signature = self.key_pair.private().sign(&unsubscribe_signing_bytes(self.id, id))?;
-        let msg = Message::Unsubscribe { client: self.id, id, signature };
+        let tag = self.pairwise_key.unsubscribe_tag(self.id, id, &mut self.rng);
+        let msg = Message::Unsubscribe { client: self.id, id, tag };
         self.producer.send(&msg.to_wire())?;
         self.await_producer_reply(timeout, |msg| match msg {
             Message::Unsubscribed { id: got } if got == id => Ok(Some(())),
@@ -160,7 +160,7 @@ impl ClientNode {
             };
             match Message::from_wire(&frame)? {
                 Message::KeyUpdate { wrapped } => {
-                    let _ = self.keys.ingest_update(&self.key_pair, &wrapped);
+                    let _ = self.keys.ingest_update(&self.pairwise_key, &wrapped);
                 }
                 other => {
                     if let Some(done) = judge(other)? {
@@ -223,7 +223,7 @@ impl ClientNode {
         let mut n = 0;
         while let Some(frame) = self.producer.recv_timeout(timeout)? {
             if let Ok(Message::KeyUpdate { wrapped }) = Message::from_wire(&frame) {
-                if self.keys.ingest_update(&self.key_pair, &wrapped).is_ok() {
+                if self.keys.ingest_update(&self.pairwise_key, &wrapped).is_ok() {
                     n += 1;
                 }
             }
@@ -234,10 +234,5 @@ impl ClientNode {
     /// Number of group-key epochs this client can decrypt.
     pub fn epochs_held(&self) -> usize {
         self.keys.len()
-    }
-
-    /// Installs the producer's public key (obtained at signup).
-    pub fn set_producer_key(&mut self, key: RsaPublicKey) {
-        self.producer_key = Some(key);
     }
 }

@@ -11,13 +11,13 @@ use crate::ids::ClientId;
 use crate::ids::SubscriptionId;
 use crate::protocol::admission::ClientDirectory;
 use crate::protocol::group::GroupKeyManager;
-use crate::protocol::keys::{unsubscribe_signing_bytes, ProducerCrypto};
+use crate::protocol::keys::ProducerCrypto;
 use crate::protocol::messages::{encode_publish_batch, Message, PublishItem};
 use crate::publication::PublicationSpec;
 use crate::roles::ConnEvent;
 use crate::roles::{pump_connection, pump_listener, send_best_effort};
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::rsa::RsaPublicKey;
+use scbr_crypto::x25519::KEY_LEN;
 use scbr_net::{Connection, Listener};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
@@ -27,13 +27,14 @@ use std::thread::JoinHandle;
 /// Operator commands accepted by a running [`Producer`].
 #[derive(Debug)]
 pub enum ProducerCommand {
-    /// Admit a client (adds it to the payload group and pushes the current
-    /// group key if the client is connected).
+    /// Admit a client: agree its pairwise key, add it to the payload
+    /// group and push the current group key if the client is connected.
+    /// A low-order key is refused and the client is not admitted.
     Admit {
         /// The client to admit.
         client: ClientId,
-        /// The client's public key.
-        public_key: RsaPublicKey,
+        /// The client's X25519 public key.
+        public_key: [u8; KEY_LEN],
     },
     /// Suspend a client (its subscriptions are refused).
     Suspend(ClientId),
@@ -101,7 +102,7 @@ impl Producer {
     /// * `listener` — endpoint clients connect to (submissions + key
     ///   updates).
     /// * `router` — established connection to the router.
-    /// * `crypto` — the producer's key material (`PK`, `SK`).
+    /// * `crypto` — the producer's key material (`PK`, `SK`, `X_P`).
     pub fn spawn(
         listener: Box<dyn Listener>,
         router: Box<dyn Connection>,
@@ -131,12 +132,14 @@ impl Producer {
                 match event {
                     ProducerEvent::Command(cmd) => match cmd {
                         ProducerCommand::Admit { client, public_key } => {
-                            directory.admit(client, public_key.clone());
-                            group.add_member(client, public_key);
+                            let Ok(key) = crypto.pairwise_key(client, &public_key) else {
+                                continue;
+                            };
+                            directory.admit(client, key);
+                            group.add_member(client);
                             // Push the current key if connected.
-                            if let Ok(updates) = group.key_updates(&mut rng) {
-                                push_key_updates(&updates, &client_conns, &conns, &[client]);
-                            }
+                            let updates = group.key_updates(&directory, &mut rng);
+                            push_key_updates(&updates, &client_conns, &conns, &[client]);
                         }
                         ProducerCommand::Suspend(c) => {
                             let _ = directory.suspend(c);
@@ -145,17 +148,13 @@ impl Producer {
                             let _ = directory.revoke(c);
                             group.remove_member(c);
                             group.rekey(&mut rng);
-                            if let Ok(updates) = group.key_updates(&mut rng) {
-                                let members = group.members();
-                                push_key_updates(&updates, &client_conns, &conns, &members);
-                            }
+                            let updates = group.key_updates(&directory, &mut rng);
+                            push_key_updates(&updates, &client_conns, &conns, &group.members());
                         }
                         ProducerCommand::Rekey => {
                             group.rekey(&mut rng);
-                            if let Ok(updates) = group.key_updates(&mut rng) {
-                                let members = group.members();
-                                push_key_updates(&updates, &client_conns, &conns, &members);
-                            }
+                            let updates = group.key_updates(&directory, &mut rng);
+                            push_key_updates(&updates, &client_conns, &conns, &group.members());
                         }
                         ProducerCommand::Publish(publication) => {
                             let publications = std::slice::from_ref(&publication);
@@ -181,9 +180,8 @@ impl Producer {
                             client_conns.insert(client, conn);
                             // If already admitted, push the current key.
                             if directory.check_admitted(client).is_ok() {
-                                if let Ok(updates) = group.key_updates(&mut rng) {
-                                    push_key_updates(&updates, &client_conns, &conns, &[client]);
-                                }
+                                let updates = group.key_updates(&directory, &mut rng);
+                                push_key_updates(&updates, &client_conns, &conns, &[client]);
                             }
                         }
                         Message::SubmitSubscription { client, encrypted_subscription } => {
@@ -209,13 +207,13 @@ impl Producer {
                                 }
                             }
                         }
-                        Message::Unsubscribe { client, id, signature } => {
+                        Message::Unsubscribe { client, id, tag } => {
                             let reply = handle_unsubscription(
                                 &crypto,
                                 &mut directory,
                                 client,
                                 id,
-                                &signature,
+                                &tag,
                                 router.as_ref(),
                                 &mut rng,
                             );
@@ -369,7 +367,8 @@ fn send_batch(router: &dyn Connection, items: &[PublishItem]) {
     }
 }
 
-/// Validates and forwards one client submission (protocol step 2).
+/// Validates and forwards one client submission (protocol step 2): it
+/// must open under the pairwise key of the admitted client it names.
 fn handle_submission(
     crypto: &ProducerCrypto,
     directory: &mut ClientDirectory,
@@ -378,8 +377,8 @@ fn handle_submission(
     router: &dyn Connection,
     rng: &mut CryptoRng,
 ) -> Result<(), ScbrError> {
-    directory.check_admitted(client)?;
-    let spec = crypto.open_client_subscription(encrypted_subscription)?;
+    let record = directory.check_admitted(client)?;
+    let spec = record.pairwise_key().open_subscription(encrypted_subscription)?;
     let id = directory.issue_subscription(client)?;
     let envelope = crypto.seal_registration(&spec, id, client, rng)?;
     send_best_effort(router, &Message::Register { envelope });
@@ -387,21 +386,20 @@ fn handle_submission(
 }
 
 /// Validates and forwards one client unsubscribe request: the client must
-/// be admitted, the request must carry a valid signature under the
-/// client's admission key, and the subscription must belong to that
-/// client. Only then does the producer seal an unregistration envelope
-/// for the router.
+/// be admitted, the request must carry a valid tag under the client's
+/// pairwise key, and the subscription must belong to that client. Only
+/// then does the producer seal an unregistration envelope for the router.
 fn handle_unsubscription(
     crypto: &ProducerCrypto,
     directory: &mut ClientDirectory,
     client: ClientId,
     id: SubscriptionId,
-    signature: &[u8],
+    tag: &[u8],
     router: &dyn Connection,
     rng: &mut CryptoRng,
 ) -> Result<(), ScbrError> {
     let record = directory.check_admitted(client)?;
-    record.public_key().verify(&unsubscribe_signing_bytes(client, id), signature)?;
+    record.pairwise_key().check_unsubscribe(client, id, tag)?;
     directory.retire_subscription(client, id)?;
     let envelope = crypto.seal_unregistration(id, client, rng)?;
     send_best_effort(router, &Message::Unregister { envelope });

@@ -84,7 +84,7 @@ fn every_variant(a: &[u8], b: &[u8], n: u64) -> Vec<Message> {
         Message::SubscriptionRejected { reason: text.clone() },
         Message::Register { envelope: a.to_vec() },
         Message::RegisterAck { id: SubscriptionId(n) },
-        Message::Unsubscribe { client: ClientId(n), id: SubscriptionId(!n), signature: b.to_vec() },
+        Message::Unsubscribe { client: ClientId(n), id: SubscriptionId(!n), tag: b.to_vec() },
         Message::Unsubscribed { id: SubscriptionId(n) },
         Message::Unregister { envelope: b.to_vec() },
         Message::UnregisterAck { id: SubscriptionId(n) },

@@ -6,8 +6,8 @@ use std::fmt;
 /// Errors produced by cryptographic operations.
 ///
 /// The `Display` messages deliberately avoid leaking which internal check
-/// failed for authenticated operations (padding vs MAC), mirroring standard
-/// practice against oracle attacks.
+/// failed for authenticated operations, mirroring standard practice
+/// against oracle attacks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CryptoError {
@@ -23,8 +23,6 @@ pub enum CryptoError {
         /// What was being decoded.
         context: &'static str,
     },
-    /// A message is too large for the key (RSA) or mode in use.
-    MessageTooLong,
     /// A key could not be generated or is structurally invalid.
     InvalidKey {
         /// Why the key was rejected.
@@ -48,7 +46,6 @@ impl fmt::Display for CryptoError {
             CryptoError::InvalidEncoding { context } => {
                 write!(f, "invalid encoding for {context}")
             }
-            CryptoError::MessageTooLong => write!(f, "message too long for key or mode"),
             CryptoError::InvalidKey { reason } => write!(f, "invalid key: {reason}"),
             CryptoError::Arithmetic { reason } => write!(f, "arithmetic error: {reason}"),
         }
@@ -67,7 +64,6 @@ mod tests {
             CryptoError::VerificationFailed,
             CryptoError::InvalidLength { context: "aes key" },
             CryptoError::InvalidEncoding { context: "rsa public key" },
-            CryptoError::MessageTooLong,
             CryptoError::InvalidKey { reason: "modulus too small" },
             CryptoError::Arithmetic { reason: "division by zero" },
         ];

@@ -6,9 +6,11 @@
 //! Crypto++ library outside the enclave and the Intel SGX SDK crypto inside
 //! it, with **AES-CTR** for symmetric encryption of publication headers and
 //! subscriptions, and **RSA** for the client → producer leg of the key
-//! exchange. This crate implements those primitives (plus the supporting
-//! hash/MAC/KDF machinery, and **X25519** for the attested key exchange
-//! that provisions `SK` and keys overlay links) with no external
+//! exchange. This crate implements AES-CTR, RSA signatures (producer
+//! registrations and platform quotes) and **X25519** for every key
+//! agreement (the attested exchange that provisions `SK` and keys overlay
+//! links, and each admitted client's pairwise key with the producer),
+//! plus the supporting hash/MAC/KDF machinery, with no external
 //! dependencies beyond a random number generator, so that the whole
 //! system can be built and audited offline.
 //!
@@ -20,14 +22,14 @@
 //!   SCBR headers and subscriptions.
 //! * [`authenc`] — AES-CTR + Poly1305-AES authenticated encryption
 //!   ([`authenc::SealedBox`]), used by the enclave simulator for sealing,
-//!   by sealed overlay links, and by SCBR for group keys and hybrid
-//!   envelopes.
+//!   by sealed overlay links, and by SCBR for the `SK` grant, client
+//!   submissions and group keys.
 //! * [`poly1305`] — the Poly1305 one-time authenticator (RFC 8439 §2.5).
 //! * [`sha256`], [`hmac`], [`hkdf`] — SHA-256, HMAC-SHA256 and HKDF.
 //! * [`bigint`], [`prime`], [`rsa`] — multi-precision arithmetic, prime
-//!   generation and RSA (PKCS#1 v1.5-style encryption and signatures).
+//!   generation and RSA (PKCS#1 v1.5 SHA-256 signatures).
 //! * [`x25519`] — X25519 Diffie–Hellman (RFC 7748): the ephemeral keys of
-//!   the attested key exchange.
+//!   the attested key exchange and the clients' pairwise keys.
 //! * [`ct`] — constant-time comparison helpers.
 //! * [`rng`] — deterministic and OS-seeded random sources.
 //!

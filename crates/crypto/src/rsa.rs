@@ -1,9 +1,9 @@
-//! RSA public-key encryption and signatures (PKCS#1 v1.5-style padding).
+//! RSA signatures (PKCS#1 v1.5, SHA-256).
 //!
-//! SCBR uses RSA on the client → producer leg of the subscription key
-//! exchange: the client encrypts its subscription under the producer's
-//! public key `PK`, and the producer signs re-encrypted subscriptions it
-//! forwards to the routing enclave.
+//! SCBR signs with RSA in two places: the producer signs the re-encrypted
+//! subscriptions it forwards to routing enclaves, and a platform's
+//! quoting enclave signs its quotes. No key exchange uses RSA: clients
+//! and enclaves agree keys by X25519 ([`crate::x25519`]).
 //!
 //! Key generation draws two random primes (via [`crate::prime`]) and uses
 //! the standard `e = 65537`. Each key builds its Montgomery contexts once —
@@ -11,14 +11,12 @@
 //! operation reuses them.
 //!
 //! **Timing.** Constant-time in the private key: [`RsaPrivateKey::sign`]
-//! and [`RsaPrivateKey::decrypt`] run both CRT halves on a fixed 4-bit
-//! window ladder over the full width of `p`/`q` (masked table reads, masked
-//! final subtraction), recombine with a masked add, and scan the type-2
-//! padding with masks; what remains data-dependent is the result's
-//! conversion to bytes (it skips leading zero bytes), the length of the
-//! plaintext returned and whether the padding was valid. Variable-time on
-//! purpose: [`RsaPublicKey::verify`] and [`RsaPublicKey::encrypt`]
-//! (square-and-multiply over the public `e`) and key generation's
+//! runs both CRT halves on a fixed 4-bit window ladder over the full width
+//! of `p`/`q` (masked table reads, masked final subtraction) and
+//! recombines with a masked add; what remains data-dependent is the
+//! result's conversion to bytes (it skips leading zero bytes). Variable-time
+//! on purpose: [`RsaPublicKey::verify`] (square-and-multiply over the
+//! public `e`) and key generation's
 //! rejection of prime candidates (trial division and Miller–Rabin exit
 //! early on a composite, which reveals nothing about the primes kept).
 //!
@@ -113,8 +111,8 @@ impl std::fmt::Debug for RsaPrivateKey {
 ///
 /// let mut rng = CryptoRng::from_seed(7);
 /// let pair = RsaKeyPair::generate(512, &mut rng)?;
-/// let ct = pair.public().encrypt(b"secret subscription", &mut rng)?;
-/// assert_eq!(pair.private().decrypt(&ct)?, b"secret subscription");
+/// let signature = pair.private().sign(b"registration")?;
+/// pair.public().verify(b"registration", &signature)?;
 /// # Ok::<(), scbr_crypto::CryptoError>(())
 /// ```
 #[derive(Clone)]
@@ -265,42 +263,6 @@ impl RsaPublicKey {
         d[..8].try_into().expect("8 bytes")
     }
 
-    /// Encrypts `msg` with PKCS#1 v1.5 padding (type 2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::MessageTooLong`] if `msg` exceeds `k - 11`
-    /// bytes for a `k`-byte modulus, and [`CryptoError::InvalidKey`] under
-    /// an even modulus or `n < 3`.
-    pub fn encrypt(&self, msg: &[u8], rng: &mut CryptoRng) -> Result<Vec<u8>, CryptoError> {
-        let Some(ctx) = &self.ctx else {
-            return Err(CryptoError::InvalidKey { reason: "modulus must be odd and at least 3" });
-        };
-        let k = self.modulus_len();
-        if msg.len() + 11 > k {
-            return Err(CryptoError::MessageTooLong);
-        }
-        // EM = 0x00 || 0x02 || PS (nonzero random) || 0x00 || M
-        let mut em = vec![0u8; k];
-        em[1] = 0x02;
-        let ps_len = k - 3 - msg.len();
-        for i in 0..ps_len {
-            let mut b = [0u8; 1];
-            loop {
-                rng.fill(&mut b);
-                if b[0] != 0 {
-                    break;
-                }
-            }
-            em[2 + i] = b[0];
-        }
-        em[2 + ps_len] = 0x00;
-        em[3 + ps_len..].copy_from_slice(msg);
-        // EM starts with 0x00, so m < 256^(k−1) ≤ n.
-        let m = BigUint::from_bytes_be(&em);
-        ctx.pow_public(&m, &self.e).to_bytes_be_padded(k)
-    }
-
     /// Verifies a PKCS#1 v1.5 SHA-256 signature over `msg`.
     ///
     /// # Errors
@@ -365,38 +327,6 @@ impl RsaPrivateKey {
         self.p.ctx.crt_combine(&m1, &m2, &self.q_inv, &self.q.ctx)
     }
 
-    /// Decrypts a PKCS#1 v1.5 type-2 ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::VerificationFailed`] on any padding problem
-    /// (deliberately indistinguishable) and [`CryptoError::InvalidLength`]
-    /// for wrong-size inputs.
-    pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let k = self.modulus_len();
-        if ciphertext.len() != k || k < 11 {
-            return Err(CryptoError::InvalidLength { context: "rsa ciphertext" });
-        }
-        let c = BigUint::from_bytes_be(ciphertext);
-        if c >= self.n {
-            return Err(CryptoError::VerificationFailed);
-        }
-        let em = self.private_op(&c).to_bytes_be_padded(k)?;
-        // The 0x00 separator must follow at least 8 bytes of padding. Find
-        // the first one by a masked scan of every byte (0 if there is none)
-        // and judge the whole encoding at once.
-        let mut sep = 0usize;
-        for (i, &b) in em.iter().enumerate().skip(2) {
-            let first = usize::from(b == 0) & usize::from(sep == 0);
-            sep |= i & first.wrapping_neg();
-        }
-        if (em[0] == 0x00) & (em[1] == 0x02) & (sep >= 10) {
-            Ok(em[sep + 1..].to_vec())
-        } else {
-            Err(CryptoError::VerificationFailed)
-        }
-    }
-
     /// Signs the SHA-256 digest of `msg` (PKCS#1 v1.5).
     ///
     /// # Errors
@@ -419,49 +349,6 @@ mod tests {
         // 512-bit keys keep tests fast; generation is still exercised.
         let mut rng = CryptoRng::from_seed(1234);
         RsaKeyPair::generate(512, &mut rng).unwrap()
-    }
-
-    #[test]
-    fn encrypt_decrypt_round_trip() {
-        let pair = test_pair();
-        let mut rng = CryptoRng::from_seed(5);
-        for msg in [&b""[..], b"x", b"hello scbr", &[0xffu8; 53]] {
-            let ct = pair.public().encrypt(msg, &mut rng).unwrap();
-            assert_eq!(ct.len(), pair.public().modulus_len());
-            assert_eq!(pair.private().decrypt(&ct).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn encryption_is_randomised() {
-        let pair = test_pair();
-        let mut rng = CryptoRng::from_seed(6);
-        let a = pair.public().encrypt(b"same message", &mut rng).unwrap();
-        let b = pair.public().encrypt(b"same message", &mut rng).unwrap();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn message_too_long_rejected() {
-        let pair = test_pair();
-        let mut rng = CryptoRng::from_seed(7);
-        let too_long = vec![1u8; pair.public().modulus_len() - 10];
-        assert_eq!(pair.public().encrypt(&too_long, &mut rng), Err(CryptoError::MessageTooLong));
-    }
-
-    #[test]
-    fn tampered_ciphertext_fails() {
-        let pair = test_pair();
-        let mut rng = CryptoRng::from_seed(8);
-        let mut ct = pair.public().encrypt(b"secret", &mut rng).unwrap();
-        ct[10] ^= 1;
-        assert!(pair.private().decrypt(&ct).is_err());
-    }
-
-    #[test]
-    fn wrong_length_ciphertext_fails() {
-        let pair = test_pair();
-        assert!(pair.private().decrypt(&[0u8; 10]).is_err());
     }
 
     #[test]
@@ -570,7 +457,6 @@ mod tests {
             for sig in [vec![0u8; k], vec![0xffu8; k], vec![1u8; k + 1]] {
                 assert!(key.verify(b"msg", &sig).is_err());
             }
-            assert!(key.encrypt(b"x", &mut CryptoRng::from_seed(1)).is_err());
         }
     }
 

@@ -3,7 +3,9 @@
 //! An enclave draws an ephemeral [`X25519Secret`], binds its public key
 //! into a quote, and agrees a shared secret with whoever holds the other
 //! half of the exchange: the producer provisioning `SK`, or a peer
-//! router opening a link. The function [`x25519`] is the RFC's: clamp the
+//! router opening a link. A client and the producer each hold a static
+//! one and agree the client's pairwise key from them once, at
+//! admission. The function [`x25519`] is the RFC's: clamp the
 //! scalar, mask bit 255 of the u-coordinate, run the Montgomery ladder,
 //! return `x2 / z2`.
 //!
@@ -244,8 +246,9 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     fe_to_bytes(&fe_mul(&x2, &fe_invert(&z2)))
 }
 
-/// An ephemeral X25519 key pair: the scalar stays with its owner, the
-/// public u-coordinate travels.
+/// An X25519 key pair: the scalar stays with its owner, the public
+/// u-coordinate travels.
+#[derive(Clone)]
 pub struct X25519Secret {
     scalar: [u8; KEY_LEN],
     public: [u8; KEY_LEN],

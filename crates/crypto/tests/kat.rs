@@ -8,8 +8,8 @@
 //! * Poly1305 — RFC 8439 §2.5.2, and one input that reaches the final
 //!   reduction's first-pass carry
 //! * HKDF-SHA256 — RFC 5869 test cases 1–3
-//! * RSA — seeded 512- and 1024-bit keys, their PKCS#1 v1.5 SHA-256
-//!   signatures and one type-2 ciphertext, pinned byte for byte
+//! * RSA — seeded 512- and 1024-bit keys and their PKCS#1 v1.5 SHA-256
+//!   signatures, pinned byte for byte
 //! * X25519 — RFC 7748 §5.2 (two single vectors, the iterated one after
 //!   1 and 1 000 rounds) and the §6.1 Diffie–Hellman example
 //!
@@ -366,9 +366,6 @@ fn hkdf_sha256_rfc5869_vectors() {
 /// The messages every pinned key signs.
 const RSA_MESSAGES: [&[u8]; 3] = [b"", b"abc", b"subscription: symbol = HAL and price < 50"];
 
-/// The plaintext of each pinned ciphertext.
-const RSA_PLAINTEXT: &[u8] = b"SK = 000102030405060708090a0b0c0d0e0f";
-
 struct RsaCase {
     seed: u64,
     bits: usize,
@@ -376,15 +373,13 @@ struct RsaCase {
     public_key: &'static str,
     /// One signature per entry of `RSA_MESSAGES`.
     signatures: [&'static str; 3],
-    /// `RSA_PLAINTEXT` encrypted with `CryptoRng::from_seed(seed + 1)`.
-    ciphertext: &'static str,
 }
 
 /// Key generation draws the same RNG sequence, so seeded keys (benchmark
 /// seeds, fixtures, `SgxPlatform::for_testing`) stay byte-identical;
 /// signing is deterministic, so signatures do too.
 #[test]
-fn rsa_seeded_keys_signatures_and_decrypt() {
+fn rsa_seeded_keys_and_signatures() {
     let cases = [
         RsaCase {
             seed: 2016,
@@ -400,8 +395,6 @@ fn rsa_seeded_keys_signatures_and_decrypt() {
                 "6e3ef04e7a539b640716b269ee480b9770b19c94211d5e80297e318b1e13e7ea\
                  ac66ac6f67fe0e604aa0d15f440c4531896716825d2ec32f7aae3ded98909294",
             ],
-            ciphertext: "8f852e881722215b19d6217cfaeea559a1000b9748c4a59943d0626122de8c2a\
-                         1f2c2afd3c02eee1e85efbdefd810ef46fecbc84df16a5a1005aa13ba9bfedd3",
         },
         RsaCase {
             seed: 612,
@@ -425,10 +418,6 @@ fn rsa_seeded_keys_signatures_and_decrypt() {
                  e5f3c046409815b8b7ec103b6973ff5dc226a40653c83cf8032a6f7ef25dbe38\
                  77924420b3dba7eea38c36f0603f4aac4be1b1ccc891cf6dee4252c5d76add25",
             ],
-            ciphertext: "166bcc7e5d39233aff734639be11b331ebb0b0833b446bceb39c48518f41c5a8\
-                         dd5cfeb03dca1cbd97b26b43b19342fc5ce61e5ace6203280cde3ec0a67d9b1e\
-                         fcaf471e38206a63140a25c889859877c28c7086a470db420214b94ed2bf53f2\
-                         d6da3c0a7b918cb4f80fae1822a969ba070e3c001e4c531fa9e56b51ffbe707e",
         },
     ];
     for case in &cases {
@@ -440,10 +429,6 @@ fn rsa_seeded_keys_signatures_and_decrypt() {
             assert_eq!(pair.private().sign(msg).unwrap(), sig, "{}-bit signature", case.bits);
             pair.public().verify(msg, &sig).unwrap();
         }
-        let ct = hex(case.ciphertext);
-        let mut enc_rng = CryptoRng::from_seed(case.seed + 1);
-        assert_eq!(pair.public().encrypt(RSA_PLAINTEXT, &mut enc_rng).unwrap(), ct);
-        assert_eq!(pair.private().decrypt(&ct).unwrap(), RSA_PLAINTEXT);
     }
 }
 

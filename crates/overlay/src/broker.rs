@@ -824,7 +824,7 @@ impl Broker {
         epc: EpcConfig,
     ) -> Result<Self, OverlayError> {
         let platform =
-            SgxPlatform::with_config(seed, CacheConfig::default(), epc, CostModel::default(), 512);
+            SgxPlatform::with_config(seed, CacheConfig::default(), epc, CostModel::default());
         let enclave = platform.launch(router_builder(code))?;
         let counter = platform.create_counter();
         let core = BrokerCore::fresh(enclave.memory(), flood, &[]);

@@ -15,6 +15,10 @@ use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+/// Modulus size of every platform's attestation key: small, so a
+/// platform is fast to construct.
+const ATTESTATION_KEY_BITS: usize = 512;
+
 /// Handle to a platform monotonic counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterId(u64);
@@ -60,20 +64,14 @@ impl std::fmt::Debug for SgxPlatform {
 }
 
 impl SgxPlatform {
-    /// Builds a platform with explicit geometry, costs and attestation key
-    /// strength. `seed` determines the device key and attestation key pair
+    /// Builds a platform with explicit geometry and costs. `seed`
+    /// determines the device key and the attestation key pair
     /// deterministically.
-    pub fn with_config(
-        seed: u64,
-        cache: CacheConfig,
-        epc: EpcConfig,
-        costs: CostModel,
-        attestation_key_bits: usize,
-    ) -> Self {
+    pub fn with_config(seed: u64, cache: CacheConfig, epc: EpcConfig, costs: CostModel) -> Self {
         let mut rng = CryptoRng::from_seed(seed);
         let mut device_key = [0u8; 32];
         rng.fill(&mut device_key);
-        let key_pair = RsaKeyPair::generate(attestation_key_bits, &mut rng)
+        let key_pair = RsaKeyPair::generate(ATTESTATION_KEY_BITS, &mut rng)
             .expect("attestation key generation");
         SgxPlatform {
             device_key,
@@ -88,27 +86,14 @@ impl SgxPlatform {
         }
     }
 
-    /// A platform shaped like the paper's machine (8 MB LLC, 128 MB EPC)
-    /// with a 1024-bit attestation key.
-    pub fn new(seed: u64) -> Self {
-        SgxPlatform::with_config(
-            seed,
-            CacheConfig::default(),
-            EpcConfig::default(),
-            CostModel::default(),
-            1024,
-        )
-    }
-
-    /// A fast-to-construct platform for tests: default geometry, small
-    /// attestation key.
+    /// A platform with the default geometry and costs: the paper's
+    /// machine (8 MB LLC, 128 MB EPC).
     pub fn for_testing(seed: u64) -> Self {
         SgxPlatform::with_config(
             seed,
             CacheConfig::default(),
             EpcConfig::default(),
             CostModel::default(),
-            512,
         )
     }
 

@@ -60,14 +60,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let id = ClientId(i as u64 + 1);
         let mut client = ClientNode::connect(
             id,
+            exchange_keys.exchange_key(),
             net.connect("exchange")?,
             net.connect("router")?,
             CryptoRng::from_seed(100 + i as u64),
         )?;
-        client.set_producer_key(exchange_keys.public_key().clone());
         producer
             .handle()
-            .send(ProducerCommand::Admit { client: id, public_key: client.public_key().clone() });
+            .send(ProducerCommand::Admit { client: id, public_key: *client.public_key() });
         while client.epochs_held() == 0 {
             client.drain_key_updates(Duration::from_millis(200))?;
         }

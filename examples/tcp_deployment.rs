@@ -43,15 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One client over TCP.
     let mut client = ClientNode::connect(
         ClientId(1),
+        keys.exchange_key(),
         tcp.connect(&producer_addr)?,
         tcp.connect(&router_addr)?,
         CryptoRng::from_seed(3),
     )?;
-    client.set_producer_key(keys.public_key().clone());
-    producer.handle().send(ProducerCommand::Admit {
-        client: ClientId(1),
-        public_key: client.public_key().clone(),
-    });
+    producer
+        .handle()
+        .send(ProducerCommand::Admit { client: ClientId(1), public_key: *client.public_key() });
     while client.epochs_held() == 0 {
         client.drain_key_updates(Duration::from_millis(200))?;
     }

@@ -7,12 +7,13 @@
 //! exactly as in the paper.
 
 use scbr::ids::{ClientId, KeyEpoch, SubscriptionId};
-use scbr::protocol::keys::ProducerCrypto;
+use scbr::protocol::keys::{PairwiseKey, ProducerCrypto};
 use scbr::protocol::messages::{Message, PublishItem};
 use scbr::publication::PublicationSpec;
 use scbr::roles::{ClientNode, Producer, ProducerCommand};
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
+use scbr_crypto::x25519::X25519Secret;
 use scbr_net::transport::{InProcNetwork, Transport};
 use scbr_net::Connection;
 use scbr_overlay::fabric::{router_measurement, ROUTER_ENCLAVE_CODE};
@@ -76,16 +77,16 @@ fn deploy(seed: u64) -> Deployment {
 fn new_client(d: &Deployment, id: u64, seed: u64) -> ClientNode {
     let mut client = ClientNode::connect(
         ClientId(id),
+        d.producer_crypto.exchange_key(),
         d.net.connect("producer").expect("client->producer"),
         d.net.connect("router").expect("client->router"),
         CryptoRng::from_seed(seed),
     )
     .expect("client connects");
-    client.set_producer_key(d.producer_crypto.public_key().clone());
-    let admitted = d.producer.handle().send(ProducerCommand::Admit {
-        client: ClientId(id),
-        public_key: client.public_key().clone(),
-    });
+    let admitted = d
+        .producer
+        .handle()
+        .send(ProducerCommand::Admit { client: ClientId(id), public_key: *client.public_key() });
     assert!(admitted);
     // The admission key-update push doubles as a synchronisation barrier.
     let mut tries = 0;
@@ -142,18 +143,95 @@ fn unadmitted_client_is_rejected() {
     // Connect without admission.
     let mut eve = ClientNode::connect(
         ClientId(66),
+        d.producer_crypto.exchange_key(),
         d.net.connect("producer").expect("conn"),
         d.net.connect("router").expect("conn"),
         CryptoRng::from_seed(5),
     )
     .expect("connect");
-    eve.set_producer_key(d.producer_crypto.public_key().clone());
     let err = eve.subscribe(&SubscriptionSpec::new().eq("symbol", "HAL"), WAIT);
     assert!(err.is_err(), "unknown client must be rejected");
 
     d.producer.shutdown().expect("shutdown");
     let broker = d.router.unwrap().join().expect("join");
     assert_eq!(broker.subscriptions(), 0, "nothing reached the router");
+}
+
+/// A submission in admitted Alice's name that is not sealed under her
+/// pairwise key is refused, whoever holds the key it is sealed under:
+/// admitted Mallory, or nobody the producer ever admitted.
+#[test]
+fn a_submission_in_another_clients_name_is_rejected() {
+    let d = deploy(112);
+    let _alice = new_client(&d, 1, 210);
+    let mut rng = CryptoRng::from_seed(211);
+    let mallory = X25519Secret::generate(&mut rng);
+    d.producer
+        .handle()
+        .send(ProducerCommand::Admit { client: ClientId(2), public_key: *mallory.public_key() });
+    let producer_key = d.producer_crypto.exchange_key();
+    let mallorys = PairwiseKey::for_client(&mallory, ClientId(2), producer_key).expect("key");
+    let underived = X25519Secret::generate(&mut rng);
+    let underived = PairwiseKey::for_client(&underived, ClientId(1), producer_key).expect("key");
+
+    let raw = d.net.connect("producer").expect("raw->producer");
+    let spec = SubscriptionSpec::new().eq("symbol", "HAL");
+    for key in [&mallorys, &underived] {
+        let forged = Message::SubmitSubscription {
+            client: ClientId(1),
+            encrypted_subscription: key.seal_subscription(&spec, &mut rng),
+        };
+        raw.send(&forged.to_wire()).expect("send");
+        match recv(raw.as_ref(), WAIT) {
+            Some(Message::SubscriptionRejected { reason }) => {
+                assert!(reason.contains("crypto"), "refused for its key, not standing: {reason}")
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    d.producer.shutdown().expect("shutdown");
+    let broker = d.router.unwrap().join().expect("join");
+    assert_eq!(broker.subscriptions(), 0, "nothing reached the router");
+}
+
+/// A low-order key would give a pairwise key anyone can compute, so the
+/// producer refuses the admission: the client stays unknown, holds no
+/// group key, and is admitted once it presents its real key.
+#[test]
+fn a_low_order_client_key_is_not_admitted() {
+    let d = deploy(114);
+    let mut carol = ClientNode::connect(
+        ClientId(3),
+        d.producer_crypto.exchange_key(),
+        d.net.connect("producer").expect("conn"),
+        d.net.connect("router").expect("conn"),
+        CryptoRng::from_seed(212),
+    )
+    .expect("connect");
+    for u in [0u8, 1] {
+        let mut low_order = [0u8; 32];
+        low_order[0] = u;
+        d.producer
+            .handle()
+            .send(ProducerCommand::Admit { client: ClientId(3), public_key: low_order });
+    }
+    let refused = carol.subscribe(&SubscriptionSpec::new().eq("symbol", "HAL"), WAIT);
+    assert!(
+        matches!(&refused, Err(e) if e.to_string().contains("not admitted (unknown)")),
+        "got {refused:?}"
+    );
+    assert_eq!(carol.epochs_held(), 0, "no group key was pushed");
+
+    d.producer
+        .handle()
+        .send(ProducerCommand::Admit { client: ClientId(3), public_key: *carol.public_key() });
+    carol.subscribe(&SubscriptionSpec::new().eq("symbol", "HAL"), WAIT).expect("admitted now");
+    assert_eq!(carol.epochs_held(), 1);
+
+    d.producer.shutdown().expect("shutdown");
+    let broker = d.router.unwrap().join().expect("join");
+    assert_eq!(broker.subscriptions(), 1);
 }
 
 #[test]
@@ -293,7 +371,7 @@ fn forged_or_mismatched_unsubscribe_is_rejected() {
 
     // A raw request under alice's identity with a forged signature.
     let conn = d.net.connect("producer").expect("rogue connection");
-    let forged = Message::Unsubscribe { client: ClientId(1), id: sub, signature: vec![0xab; 64] };
+    let forged = Message::Unsubscribe { client: ClientId(1), id: sub, tag: vec![0xab; 64] };
     conn.send(&forged.to_wire()).expect("send");
     let frame = conn.recv_timeout(WAIT).expect("reply").expect("reply frame");
     assert!(
@@ -333,16 +411,15 @@ fn router_errors_bounce_to_the_requester_for_both_request_kinds() {
     );
     let mut alice = ClientNode::connect(
         ClientId(1),
+        crypto.exchange_key(),
         net.connect("producer").expect("conn"),
         net.connect("router").expect("conn"),
         CryptoRng::from_seed(182),
     )
     .expect("connect");
-    alice.set_producer_key(crypto.public_key().clone());
-    producer.handle().send(ProducerCommand::Admit {
-        client: ClientId(1),
-        public_key: alice.public_key().clone(),
-    });
+    producer
+        .handle()
+        .send(ProducerCommand::Admit { client: ClientId(1), public_key: *alice.public_key() });
     let mut tries = 0;
     while alice.epochs_held() == 0 && tries < 50 {
         alice.drain_key_updates(DRAIN).expect("drain");

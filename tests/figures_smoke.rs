@@ -119,7 +119,6 @@ fn fig8_paging_cliff() {
         sgx_sim::CacheConfig::default(),
         EpcConfig { total_bytes: 4 << 20, usable_bytes: 2 << 20, page_size: 4096 },
         sgx_sim::CostModel::default(),
-        512,
     );
     let workload = Workload::from_name(WorkloadName::E80A1);
     let n = 20_000; // ~8.3 MB of nodes, 4x the usable EPC

@@ -4,11 +4,10 @@
 use scbr::engine::MatchingEngine;
 use scbr::ids::{ClientId, SubscriptionId};
 use scbr::index::{IndexKind, SubscriptionIndex};
-use scbr::protocol::keys::{
-    encrypt_subscription_for_producer, provision_sk_via_attestation, ProducerCrypto,
-};
+use scbr::protocol::keys::{provision_sk_via_attestation, PairwiseKey, ProducerCrypto};
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::rng::CryptoRng;
+use scbr_crypto::x25519::X25519Secret;
 use sgx_sim::attest::{AttestationService, VerifierPolicy};
 use sgx_sim::enclave::EnclaveBuilder;
 use sgx_sim::seal::{SealPolicy, VersionedSeal};
@@ -63,15 +62,21 @@ fn infrastructure_cannot_replay_modified_envelopes() {
 #[test]
 fn producer_rejects_garbage_submissions() {
     let (honest, mut rng) = producer(4);
-    // Submission encrypted for a different producer.
+    let client = X25519Secret::generate(&mut rng);
+    let at_producer = honest.pairwise_key(ClientId(1), client.public_key()).expect("admit");
+    // Submission sealed for a different producer.
     let (other, _) = producer(5);
     let spec = SubscriptionSpec::new().lt("price", 1.0);
-    let wrong_key =
-        encrypt_subscription_for_producer(other.public_key(), &spec, &mut rng).expect("encrypt");
-    assert!(honest.open_client_subscription(&wrong_key).is_err());
+    let wrong_key = PairwiseKey::for_client(&client, ClientId(1), other.exchange_key())
+        .expect("pairwise key")
+        .seal_subscription(&spec, &mut rng);
+    assert!(at_producer.open_subscription(&wrong_key).is_err());
     // Truncated ciphertext.
-    let ok = encrypt_subscription_for_producer(honest.public_key(), &spec, &mut rng).unwrap();
-    assert!(honest.open_client_subscription(&ok[..ok.len() - 3]).is_err());
+    let ok = PairwiseKey::for_client(&client, ClientId(1), honest.exchange_key())
+        .expect("pairwise key")
+        .seal_subscription(&spec, &mut rng);
+    assert_eq!(at_producer.open_subscription(&ok).expect("opens"), spec);
+    assert!(at_producer.open_subscription(&ok[..ok.len() - 3]).is_err());
 }
 
 #[test]

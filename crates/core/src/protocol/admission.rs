@@ -7,7 +7,7 @@
 //! forwarding any subscription to a router. It is also the one place a
 //! client's [`PairwiseKey`] is kept: submissions and unsubscribes are
 //! opened under it, and group-key updates sealed under it
-//! ([`crate::protocol::group::GroupKeyManager::key_updates`]).
+//! ([`crate::protocol::group::GroupKeyManager::key_update`]).
 
 use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
@@ -31,6 +31,9 @@ pub struct ClientRecord {
     status: ClientStatus,
     /// The key agreed with the client at admission.
     pairwise_key: PairwiseKey,
+    /// The highest submission number issued a subscription: a replayed
+    /// submission carries none above it.
+    last_seq: u64,
     subscriptions: Vec<SubscriptionId>,
 }
 
@@ -62,10 +65,9 @@ impl ClientDirectory {
     /// Admits a new client with the key agreed with it
     /// ([`crate::protocol::keys::ProducerCrypto::pairwise_key`]).
     pub fn admit(&mut self, id: ClientId, pairwise_key: PairwiseKey) {
-        self.clients.insert(
-            id,
-            ClientRecord { status: ClientStatus::Active, pairwise_key, subscriptions: Vec::new() },
-        );
+        let status = ClientStatus::Active;
+        let record = ClientRecord { status, pairwise_key, last_seq: 0, subscriptions: Vec::new() };
+        self.clients.insert(id, record);
     }
 
     /// Suspends an active client.
@@ -108,17 +110,28 @@ impl ClientDirectory {
         }
     }
 
-    /// Records a subscription issued to an admitted client, allocating its
-    /// id.
+    /// Records a subscription issued to an admitted client for its
+    /// submission number `seq`, allocating its id.
     ///
     /// # Errors
     ///
-    /// [`ScbrError::NotAdmitted`] if the client is not in good standing.
-    pub fn issue_subscription(&mut self, id: ClientId) -> Result<SubscriptionId, ScbrError> {
+    /// [`ScbrError::NotAdmitted`] if the client is not in good standing,
+    /// [`ScbrError::InvalidSubscription`] if `seq` is not above every
+    /// number the client used before: the submission is a replay.
+    pub fn issue_subscription(
+        &mut self,
+        id: ClientId,
+        seq: u64,
+    ) -> Result<SubscriptionId, ScbrError> {
         self.check_admitted(id)?;
+        let record = self.clients.get_mut(&id).expect("checked above");
+        if seq <= record.last_seq {
+            return Err(ScbrError::InvalidSubscription { reason: "replayed submission" });
+        }
+        record.last_seq = seq;
         let sub = SubscriptionId(self.next_subscription);
         self.next_subscription += 1;
-        self.clients.get_mut(&id).expect("checked above").subscriptions.push(sub);
+        record.subscriptions.push(sub);
         Ok(sub)
     }
 
@@ -187,7 +200,7 @@ mod tests {
         let mut dir = ClientDirectory::new();
         assert!(dir.suspend(ClientId(9)).is_err());
         assert!(dir.revoke(ClientId(9)).is_err());
-        assert!(dir.issue_subscription(ClientId(9)).is_err());
+        assert!(dir.issue_subscription(ClientId(9), 1).is_err());
     }
 
     #[test]
@@ -196,11 +209,16 @@ mod tests {
         let mut dir = ClientDirectory::new();
         dir.admit(ClientId(1), key(&mut rng));
         dir.admit(ClientId(2), key(&mut rng));
-        let s1 = dir.issue_subscription(ClientId(1)).unwrap();
-        let s2 = dir.issue_subscription(ClientId(2)).unwrap();
-        let s3 = dir.issue_subscription(ClientId(1)).unwrap();
+        let s1 = dir.issue_subscription(ClientId(1), 1).unwrap();
+        let s2 = dir.issue_subscription(ClientId(2), 1).unwrap();
+        let s3 = dir.issue_subscription(ClientId(1), 2).unwrap();
         assert_ne!(s1, s2);
         assert_ne!(s2, s3);
+        assert_eq!(dir.get(ClientId(1)).unwrap().subscriptions(), &[s1, s3]);
+        // A number already used is a replay, and issues nothing.
+        for seq in [1, 2] {
+            assert!(dir.issue_subscription(ClientId(1), seq).is_err(), "seq {seq} replayed");
+        }
         assert_eq!(dir.get(ClientId(1)).unwrap().subscriptions(), &[s1, s3]);
     }
 
@@ -210,7 +228,7 @@ mod tests {
         let mut dir = ClientDirectory::new();
         dir.admit(ClientId(1), key(&mut rng));
         dir.admit(ClientId(2), key(&mut rng));
-        let s1 = dir.issue_subscription(ClientId(1)).unwrap();
+        let s1 = dir.issue_subscription(ClientId(1), 1).unwrap();
         // The wrong client cannot retire someone else's subscription.
         assert!(dir.retire_subscription(ClientId(2), s1).is_err());
         assert_eq!(dir.get(ClientId(1)).unwrap().subscriptions(), &[s1]);
@@ -228,6 +246,6 @@ mod tests {
         let mut dir = ClientDirectory::new();
         dir.admit(ClientId(1), key(&mut rng));
         dir.suspend(ClientId(1)).unwrap();
-        assert!(dir.issue_subscription(ClientId(1)).is_err());
+        assert!(dir.issue_subscription(ClientId(1), 1).is_err());
     }
 }

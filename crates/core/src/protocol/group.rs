@@ -6,9 +6,9 @@
 //! change ("rekeying") cuts off clients that cancelled or were revoked —
 //! they can still receive forwarded ciphertexts but cannot read them.
 //!
-//! Key distribution seals each epoch key individually under every
-//! member's [`PairwiseKey`], which the producer's [`ClientDirectory`]
-//! holds. (The paper scopes smarter group-key schemes out; this is the
+//! Key distribution seals each epoch key individually under the
+//! [`PairwiseKey`] of each member it is sent to, which the producer's
+//! [`ClientDirectory`] holds. (The paper scopes smarter group-key schemes out; this is the
 //! straightforward realisation.)
 
 use crate::error::ScbrError;
@@ -47,11 +47,6 @@ impl GroupKeyManager {
         }
     }
 
-    /// Current epoch.
-    pub fn epoch(&self) -> KeyEpoch {
-        self.epoch
-    }
-
     /// Current members, in id order.
     pub fn members(&self) -> Vec<ClientId> {
         self.members.iter().copied().collect()
@@ -84,19 +79,20 @@ impl GroupKeyManager {
         (self.epoch, sealed)
     }
 
-    /// Seals the current epoch key for every member under the pairwise
-    /// key `directory` holds for it: `client -> wrapped`, in id order. A
-    /// member the directory does not know gets nothing.
-    pub fn key_updates(
+    /// Seals the current epoch key for `client` under the pairwise key
+    /// `directory` holds for it; `None` when `client` is not a member or
+    /// the directory does not know it.
+    pub fn key_update(
         &self,
+        client: ClientId,
         directory: &ClientDirectory,
         rng: &mut CryptoRng,
-    ) -> Vec<(ClientId, Vec<u8>)> {
-        self.members
-            .iter()
-            .filter_map(|&id| directory.get(id).map(|record| (id, record.pairwise_key())))
-            .map(|(id, key)| (id, key.seal_key_update(self.epoch, &self.current, rng)))
-            .collect()
+    ) -> Option<Vec<u8>> {
+        if !self.members.contains(&client) {
+            return None;
+        }
+        let key = directory.get(client)?.pairwise_key();
+        Some(key.seal_key_update(self.epoch, &self.current, rng))
     }
 }
 
@@ -193,10 +189,10 @@ mod tests {
         mgr.add_member(ClientId(1));
 
         let mut store = GroupKeyStore::new();
-        for (id, wrapped) in mgr.key_updates(&directory, &mut rng) {
-            assert_eq!(id, ClientId(1));
-            store.ingest_update(&alice[0], &wrapped).unwrap();
-        }
+        let wrapped = mgr.key_update(ClientId(1), &directory, &mut rng).unwrap();
+        store.ingest_update(&alice[0], &wrapped).unwrap();
+        // A client outside the group is sealed nothing.
+        assert!(mgr.key_update(ClientId(2), &directory, &mut rng).is_none());
         let (epoch, sealed) = mgr.encrypt_payload(b"quote body", &mut rng);
         assert_eq!(store.open_payload(epoch, &sealed).unwrap(), b"quote body");
     }
@@ -211,20 +207,16 @@ mod tests {
 
         let mut alice_store = GroupKeyStore::new();
         let mut bob_store = GroupKeyStore::new();
-        for (id, wrapped) in mgr.key_updates(&directory, &mut rng) {
-            match id {
-                ClientId(1) => alice_store.ingest_update(&keys[0], &wrapped).unwrap(),
-                ClientId(2) => bob_store.ingest_update(&keys[1], &wrapped).unwrap(),
-                _ => unreachable!(),
-            };
+        for (id, store) in [(1, &mut alice_store), (2, &mut bob_store)] {
+            let wrapped = mgr.key_update(ClientId(id), &directory, &mut rng).unwrap();
+            store.ingest_update(&keys[id as usize - 1], &wrapped).unwrap();
         }
         // Bob cancels; producer rekeys and distributes to remaining members.
         mgr.remove_member(ClientId(2));
         mgr.rekey(&mut rng);
-        for (id, wrapped) in mgr.key_updates(&directory, &mut rng) {
-            assert_eq!(id, ClientId(1), "bob receives nothing");
-            alice_store.ingest_update(&keys[0], &wrapped).unwrap();
-        }
+        assert!(mgr.key_update(ClientId(2), &directory, &mut rng).is_none(), "bob gets nothing");
+        let wrapped = mgr.key_update(ClientId(1), &directory, &mut rng).unwrap();
+        alice_store.ingest_update(&keys[0], &wrapped).unwrap();
         let (epoch, sealed) = mgr.encrypt_payload(b"fresh data", &mut rng);
         assert_eq!(alice_store.open_payload(epoch, &sealed).unwrap(), b"fresh data");
         assert!(matches!(
@@ -240,9 +232,8 @@ mod tests {
         let (directory, bob) = admitted(103, &[2]);
         mgr.add_member(ClientId(2));
         let mut bob_store = GroupKeyStore::new();
-        for (_, wrapped) in mgr.key_updates(&directory, &mut rng) {
-            bob_store.ingest_update(&bob[0], &wrapped).unwrap();
-        }
+        let wrapped = mgr.key_update(ClientId(2), &directory, &mut rng).unwrap();
+        bob_store.ingest_update(&bob[0], &wrapped).unwrap();
         let (old_epoch, old_sealed) = mgr.encrypt_payload(b"old", &mut rng);
         mgr.remove_member(ClientId(2));
         mgr.rekey(&mut rng);
@@ -258,12 +249,12 @@ mod tests {
         let mut mgr = GroupKeyManager::new(&mut rng);
         let (directory, keys) = admitted(104, &[1, 2]);
         mgr.add_member(ClientId(1));
-        let updates = mgr.key_updates(&directory, &mut rng);
-        assert_eq!(updates.len(), 1);
+        let update = mgr.key_update(ClientId(1), &directory, &mut rng).unwrap();
+        assert!(mgr.key_update(ClientId(2), &directory, &mut rng).is_none(), "bob is no member");
         let mut bob_store = GroupKeyStore::new();
-        assert!(bob_store.ingest_update(&keys[1], &updates[0].1).is_err());
+        assert!(bob_store.ingest_update(&keys[1], &update).is_err());
         assert!(bob_store.is_empty());
-        assert!(GroupKeyStore::new().ingest_update(&keys[0], &updates[0].1).is_ok());
+        assert!(GroupKeyStore::new().ingest_update(&keys[0], &update).is_ok());
     }
 
     #[test]
@@ -273,9 +264,8 @@ mod tests {
         let (directory, alice) = admitted(106, &[1]);
         mgr.add_member(ClientId(1));
         let mut store = GroupKeyStore::new();
-        for (_, wrapped) in mgr.key_updates(&directory, &mut rng) {
-            store.ingest_update(&alice[0], &wrapped).unwrap();
-        }
+        let wrapped = mgr.key_update(ClientId(1), &directory, &mut rng).unwrap();
+        store.ingest_update(&alice[0], &wrapped).unwrap();
         let (epoch, mut sealed) = mgr.encrypt_payload(b"data", &mut rng);
         sealed[10] ^= 1;
         assert!(store.open_payload(epoch, &sealed).is_err());
@@ -288,14 +278,12 @@ mod tests {
         let (directory, alice) = admitted(107, &[1]);
         mgr.add_member(ClientId(1));
         let mut store = GroupKeyStore::new();
-        for (_, w) in mgr.key_updates(&directory, &mut rng) {
-            store.ingest_update(&alice[0], &w).unwrap();
-        }
+        let wrapped = mgr.key_update(ClientId(1), &directory, &mut rng).unwrap();
+        store.ingest_update(&alice[0], &wrapped).unwrap();
         let (e0, sealed0) = mgr.encrypt_payload(b"zero", &mut rng);
         mgr.rekey(&mut rng);
-        for (_, w) in mgr.key_updates(&directory, &mut rng) {
-            store.ingest_update(&alice[0], &w).unwrap();
-        }
+        let wrapped = mgr.key_update(ClientId(1), &directory, &mut rng).unwrap();
+        store.ingest_update(&alice[0], &wrapped).unwrap();
         // A payload from epoch 1 cannot be opened claiming epoch 0.
         let (e1, sealed1) = mgr.encrypt_payload(b"one", &mut rng);
         assert_ne!(e0, e1);

@@ -151,8 +151,10 @@ impl ProducerCrypto {
 /// client's key and the producer's follow it.
 const PAIRWISE_INFO: &[u8] = b"scbr-client-v1";
 
-/// Associated data of a sealed subscription submission.
-const SUBMISSION_AD: &[u8] = b"scbr-submission-v1";
+/// Associated data of a sealed subscription submission. A `v2` box holds
+/// a sequence number ahead of the subscription, so a `v1` box is refused
+/// rather than misread.
+const SUBMISSION_AD: &[u8] = b"scbr-submission-v2";
 
 /// Associated data of a sealed group-key update.
 const KEY_UPDATE_AD: &[u8] = b"scbr-key-update-v1";
@@ -189,20 +191,34 @@ impl PairwiseKey {
         Ok(PairwiseKey(dh_box(secret, producer_key, &info)?))
     }
 
-    /// Seals a subscription for the producer (protocol step 1).
-    pub fn seal_subscription(&self, spec: &SubscriptionSpec, rng: &mut CryptoRng) -> Vec<u8> {
-        self.0.seal(&codec::encode_subscription(spec), SUBMISSION_AD, rng)
+    /// Seals a subscription for the producer (protocol step 1) as the
+    /// client's submission number `seq`. The producer refuses a `seq` no
+    /// higher than one it has already opened, so a captured submission
+    /// cannot be replayed.
+    pub fn seal_subscription(
+        &self,
+        seq: u64,
+        spec: &SubscriptionSpec,
+        rng: &mut CryptoRng,
+    ) -> Vec<u8> {
+        let mut body = seq.to_be_bytes().to_vec();
+        body.extend_from_slice(&codec::encode_subscription(spec));
+        self.0.seal(&body, SUBMISSION_AD, rng)
     }
 
     /// Opens a submission sealed by [`PairwiseKey::seal_subscription`]
-    /// (protocol step 2, first half).
+    /// (protocol step 2, first half): its sequence number and
+    /// subscription.
     ///
     /// # Errors
     ///
     /// [`ScbrError::Crypto`] when it was sealed under another key or
     /// altered, [`ScbrError::Codec`] on a malformed subscription.
-    pub fn open_subscription(&self, sealed: &[u8]) -> Result<SubscriptionSpec, ScbrError> {
-        codec::decode_subscription(&self.0.open(sealed, SUBMISSION_AD)?)
+    pub fn open_subscription(&self, sealed: &[u8]) -> Result<(u64, SubscriptionSpec), ScbrError> {
+        let body = self.0.open(sealed, SUBMISSION_AD)?;
+        let (seq, spec) =
+            body.split_first_chunk::<8>().ok_or(ScbrError::Codec { context: "submission" })?;
+        Ok((u64::from_be_bytes(*seq), codec::decode_subscription(spec)?))
     }
 
     /// The tag proving that this key's client asks to retire `id`: a
@@ -411,8 +427,8 @@ mod tests {
         let (client, server) = alice_both_sides(&producer, &mut r);
         // A large subscription: a sealed box has no size limit.
         let spec = (0..200).fold(SubscriptionSpec::new(), |s, i| s.gt(&format!("a{i}"), 1.0));
-        let sealed = client.seal_subscription(&spec, &mut r);
-        assert_eq!(server.open_subscription(&sealed).unwrap(), spec);
+        let sealed = client.seal_subscription(7, &spec, &mut r);
+        assert_eq!(server.open_subscription(&sealed).unwrap(), (7, spec));
         let tag = client.unsubscribe_tag(ClientId(1), SubscriptionId(4), &mut r);
         server.check_unsubscribe(ClientId(1), SubscriptionId(4), &tag).unwrap();
         let wrapped = server.seal_key_update(KeyEpoch(3), producer.sk(), &mut r);
@@ -425,7 +441,7 @@ mod tests {
         let mut r = rng(2);
         let producer = ProducerCrypto::generate(512, &mut r).unwrap();
         let (client, server) = alice_both_sides(&producer, &mut r);
-        let sealed = client.seal_subscription(&SubscriptionSpec::new().eq("s", "HAL"), &mut r);
+        let sealed = client.seal_subscription(1, &SubscriptionSpec::new().eq("s", "HAL"), &mut r);
         for at in [0, 8, sealed.len() - 1] {
             let mut bad = sealed.clone();
             bad[at] ^= 1;
@@ -446,7 +462,7 @@ mod tests {
         let bob = PairwiseKey::for_client(&bob, ClientId(2), producer.exchange_key()).unwrap();
         let spec = SubscriptionSpec::new().eq("symbol", "HAL");
         assert!(alice_at_producer
-            .open_subscription(&bob.seal_subscription(&spec, &mut r))
+            .open_subscription(&bob.seal_subscription(1, &spec, &mut r))
             .is_err());
         // Alice's own scalar under another client's id is another key.
         let tag = bob.unsubscribe_tag(ClientId(1), SubscriptionId(4), &mut r);
@@ -465,8 +481,8 @@ mod tests {
         let producer = ProducerCrypto::generate(512, &mut r).unwrap();
         let (client, server) = alice_both_sides(&producer, &mut r);
         let spec = SubscriptionSpec::new().eq("symbol", "HAL").lt("price", 50.0);
-        let sealed = client.seal_subscription(&spec, &mut r);
-        assert_eq!(server.open_subscription(&sealed).unwrap(), spec);
+        let sealed = client.seal_subscription(u64::MAX, &spec, &mut r);
+        assert_eq!(server.open_subscription(&sealed).unwrap(), (u64::MAX, spec));
     }
 
     /// Either side refuses a low-order peer key: the "pairwise" key it

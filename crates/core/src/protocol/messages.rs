@@ -242,7 +242,7 @@ pub enum Message {
         /// Requesting client.
         client: ClientId,
         /// [`crate::protocol::keys::PairwiseKey::seal_subscription`]'s
-        /// output.
+        /// output: the client's submission number and the subscription.
         encrypted_subscription: Vec<u8>,
     },
     /// Producer → client: subscription accepted under this id.

@@ -5,11 +5,13 @@
 //! 0. At admission the client and the producer agree a pairwise key `K_c`
 //!    by X25519 ([`keys::PairwiseKey`]); the paper's `{s}PK` becomes
 //!    `{s}K_c`, since only the producer ever opens it.
-//! 1. A client seals its subscription under `K_c` and sends it to the
-//!    producer — [`keys::PairwiseKey::seal_subscription`].
+//! 1. A client seals its subscription under `K_c`, numbered by a counter
+//!    that rises with each submission, and sends it to the producer —
+//!    [`keys::PairwiseKey::seal_subscription`].
 //! 2. The producer checks the client's standing
 //!    ([`admission::ClientDirectory`]), opens the submission under that
-//!    client's `K_c`, re-encrypts under the symmetric key `SK` it shares
+//!    client's `K_c`, refuses a number it has already passed (a replay),
+//!    re-encrypts under the symmetric key `SK` it shares
 //!    with the routing enclave, and signs —
 //!    [`keys::ProducerCrypto::seal_registration`].
 //! 3. The routing enclave verifies and decrypts inside the enclave and
@@ -17,8 +19,8 @@
 //!    [`crate::engine::MatchingEngine::register_envelope`]).
 //! 4. Publications flow back (the paper's steps 4–6): headers encrypted
 //!    under `SK`, payloads under a rotating *group key*
-//!    ([`group::GroupKeyManager`], each epoch key sealed under every
-//!    member's `K_c`) so revoked clients lose access to new messages.
+//!    ([`group::GroupKeyManager`], each epoch key sealed under the `K_c`
+//!    of each member it is sent to) so revoked clients lose access to new messages.
 //!
 //! `SK` itself reaches the enclave through remote attestation
 //! ([`keys::provision_sk_via_attestation`]), so the infrastructure provider

@@ -32,6 +32,9 @@ pub struct ClientNode {
     public_key: [u8; KEY_LEN],
     /// `K_c`, agreed with the producer's key when the client connects.
     pairwise_key: PairwiseKey,
+    /// The number of this client's latest submission; the producer
+    /// refuses one that does not rise above it.
+    seq: u64,
     keys: GroupKeyStore,
     producer: Box<dyn Connection>,
     router: Box<dyn Connection>,
@@ -73,6 +76,7 @@ impl ClientNode {
             id,
             public_key: *secret.public_key(),
             pairwise_key,
+            seq: 0,
             keys: GroupKeyStore::new(),
             producer,
             router,
@@ -102,7 +106,8 @@ impl ClientNode {
         spec: &SubscriptionSpec,
         timeout: Duration,
     ) -> Result<SubscriptionId, ScbrError> {
-        let ct = self.pairwise_key.seal_subscription(spec, &mut self.rng);
+        self.seq += 1;
+        let ct = self.pairwise_key.seal_subscription(self.seq, spec, &mut self.rng);
         let msg = Message::SubmitSubscription { client: self.id, encrypted_subscription: ct };
         self.producer.send(&msg.to_wire())?;
         // Wait for the verdict, stashing any interleaved key updates.

@@ -12,6 +12,31 @@
 //! The roles are transport-agnostic: tests and benchmarks use
 //! [`scbr_net::InProcNetwork`]; the examples also run over TCP.
 //!
+//! ## The producer machine
+//!
+//! Every role is a deterministic machine behind a thin socket driver. The
+//! producer's is [`producer::ProducerCore`]: its driver, [`Producer`],
+//! owns the connections and turns each queued event into one input, and
+//! sends each `(To, Message)` output where it says. Nothing else in the
+//! driver decides anything.
+//!
+//! | input                         | outputs                                                        |
+//! |-------------------------------|----------------------------------------------------------------|
+//! | `Admit { client, public_key }` | one `KeyUpdate` to the client if connected; none for a low-order key |
+//! | `Suspend(client)`             | none                                                           |
+//! | `Revoke(client)`, `Rekey`     | one `KeyUpdate` of the new epoch to each connected member       |
+//! | `Publish`, `PublishBatch`     | `PublishBatch`es to the router, at most [`crate::engine::MAX_DRAIN`] items each |
+//! | `Shutdown`                    | `Shutdown` to the router (the driver then ends its loop)       |
+//! | client `Hello`                | one `KeyUpdate` if the client is admitted                      |
+//! | client `SubmitSubscription`   | `Register` to the router, or `SubscriptionRejected` (bad key, standing or a replayed number) |
+//! | client `Unsubscribe`          | `Unregister` to the router, or `Error` (bad tag, standing or owner) |
+//! | client, anything else         | `Error { "unexpected <kind>" }`                                |
+//! | router `RegisterAck`          | `SubscriptionAccepted` to the oldest waiting client           |
+//! | router `UnregisterAck`        | `Unsubscribed` to the oldest waiting client                   |
+//! | router `Error`                | the oldest waiting request's refusal: `SubscriptionRejected` or `Error` |
+//! | router, anything else         | none                                                           |
+//! | connection gone               | none: a client on it gets no more key updates                  |
+//!
 //! ## One event queue per role
 //!
 //! Each role loop blocks on exactly one `std::sync::mpsc::Receiver`. A

@@ -179,7 +179,7 @@ fn a_submission_in_another_clients_name_is_rejected() {
     for key in [&mallorys, &underived] {
         let forged = Message::SubmitSubscription {
             client: ClientId(1),
-            encrypted_subscription: key.seal_subscription(&spec, &mut rng),
+            encrypted_subscription: key.seal_subscription(1, &spec, &mut rng),
         };
         raw.send(&forged.to_wire()).expect("send");
         match recv(raw.as_ref(), WAIT) {

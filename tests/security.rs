@@ -69,13 +69,13 @@ fn producer_rejects_garbage_submissions() {
     let spec = SubscriptionSpec::new().lt("price", 1.0);
     let wrong_key = PairwiseKey::for_client(&client, ClientId(1), other.exchange_key())
         .expect("pairwise key")
-        .seal_subscription(&spec, &mut rng);
+        .seal_subscription(1, &spec, &mut rng);
     assert!(at_producer.open_subscription(&wrong_key).is_err());
     // Truncated ciphertext.
     let ok = PairwiseKey::for_client(&client, ClientId(1), honest.exchange_key())
         .expect("pairwise key")
-        .seal_subscription(&spec, &mut rng);
-    assert_eq!(at_producer.open_subscription(&ok).expect("opens"), spec);
+        .seal_subscription(1, &spec, &mut rng);
+    assert_eq!(at_producer.open_subscription(&ok).expect("opens"), (1, spec));
     assert!(at_producer.open_subscription(&ok[..ok.len() - 3]).is_err());
 }
 

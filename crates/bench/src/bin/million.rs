@@ -53,10 +53,6 @@ fn main() {
     };
     let platform = SgxPlatform::for_testing(17);
     let sk = scbr_crypto::ctr::SymmetricKey::from_bytes([0x5c; 16]);
-    let pk = scbr_crypto::rsa::RsaPublicKey::from_parts(
-        scbr_crypto::BigUint::from_u64(3233),
-        scbr_crypto::BigUint::from_u64(17),
-    );
 
     let mut rows: Vec<JsonObj> = Vec::new();
     println!(
@@ -74,8 +70,8 @@ fn main() {
             .collect();
 
         let mut engine = RouterEngine::outside(&platform);
-        let (sk_c, pk_c) = (sk.clone(), pk.clone());
-        engine.call(move |e| e.provision_keys(sk_c, pk_c));
+        let sk_c = sk.clone();
+        engine.call(move |e| e.provision(sk_c));
         let reg_start = Instant::now();
         for (id, client, spec) in &subs {
             engine.call(|e| e.register_plain(*id, *client, spec)).expect("register");

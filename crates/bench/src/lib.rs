@@ -186,12 +186,8 @@ impl MatchExperiment {
         // A fixed SK: the key-exchange protocol is exercised in tests and
         // examples; experiments measure steady-state matching.
         let sk = scbr_crypto::ctr::SymmetricKey::from_bytes([0x5c; 16]);
-        let pk = scbr_crypto::rsa::RsaPublicKey::from_parts(
-            scbr_crypto::BigUint::from_u64(3233),
-            scbr_crypto::BigUint::from_u64(17),
-        );
         let sk_for_engine = sk.clone();
-        engine.call(move |e| e.provision_keys(sk_for_engine, pk));
+        engine.call(move |e| e.provision(sk_for_engine));
         MatchExperiment { engine, config, sk, loaded: 0 }
     }
 

@@ -118,7 +118,7 @@ mod tests {
     use scbr_telemetry::Stage;
 
     fn producer(rng: &mut CryptoRng) -> ProducerCrypto {
-        ProducerCrypto::generate(512, rng).unwrap()
+        ProducerCrypto::new(rng)
     }
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
             let mem =
                 MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::default());
             let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-            engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+            engine.provision(producer.sk().clone());
             engine.set_telemetry(telemetry);
             engine.register_envelope(&envelope).unwrap();
             let clients = engine.match_encrypted(&header_ct).unwrap();
@@ -159,7 +159,7 @@ mod tests {
         let producer = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
 
         let spec = SubscriptionSpec::new().eq("symbol", "INTC");
         let envelope =
@@ -177,7 +177,7 @@ mod tests {
         let producer = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         let spec = SubscriptionSpec::new().eq("symbol", "HAL");
         let envelope =
             producer.seal_registration(&spec, SubscriptionId(3), ClientId(5), &mut rng).unwrap();
@@ -205,10 +205,10 @@ mod tests {
     fn forged_unregistration_rejected_and_changes_nothing() {
         let mut rng = CryptoRng::from_seed(42);
         let producer = producer(&mut rng);
-        let rogue = ProducerCrypto::generate(512, &mut rng).unwrap();
+        let rogue = ProducerCrypto::new(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         let envelope = producer
             .seal_registration(
                 &SubscriptionSpec::new().eq("s", 1i64),
@@ -218,7 +218,7 @@ mod tests {
             )
             .unwrap();
         engine.register_envelope(&envelope).unwrap();
-        // Signed by the wrong key: refused, index untouched.
+        // Sealed under another producer's SK: refused, index untouched.
         let forged = rogue.seal_unregistration(SubscriptionId(1), ClientId(1), &mut rng).unwrap();
         assert!(engine.unregister_envelope(&forged).is_err());
         // Tampered ciphertext: refused too.
@@ -226,8 +226,8 @@ mod tests {
             producer.seal_unregistration(SubscriptionId(1), ClientId(1), &mut rng).unwrap();
         bent[6] ^= 1;
         assert!(engine.unregister_envelope(&bent).is_err());
-        // A registration envelope fed to the unregister path is a codec
-        // error, not a removal.
+        // A registration envelope fed to the unregister path fails its
+        // tag: it is not a removal.
         assert!(engine.unregister_envelope(&envelope).is_err());
         assert_eq!(engine.index().len(), 1, "nothing was removed");
     }
@@ -238,7 +238,7 @@ mod tests {
         let producer = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         engine
             .register_plain(SubscriptionId(1), ClientId(1), &SubscriptionSpec::new().eq("s", "A"))
             .unwrap();
@@ -263,7 +263,7 @@ mod tests {
         let producer = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         let envelope = producer
             .seal_registration(
                 &SubscriptionSpec::new().eq("s", "X"),
@@ -297,7 +297,7 @@ mod tests {
         let producer = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         let mut envelope = producer
             .seal_registration(
                 &SubscriptionSpec::new().eq("s", 1i64),
@@ -314,13 +314,14 @@ mod tests {
     #[test]
     fn unsigned_registration_rejected() {
         // A malicious infrastructure (or client bypassing the producer)
-        // cannot register subscriptions: it lacks the signature key.
+        // cannot register subscriptions: it lacks SK, and so the
+        // registration key.
         let mut rng = CryptoRng::from_seed(3);
         let producer = producer(&mut rng);
-        let rogue = ProducerCrypto::generate(512, &mut rng).unwrap();
+        let rogue = ProducerCrypto::new(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         let envelope = rogue
             .seal_registration(
                 &SubscriptionSpec::new().eq("s", 1i64),
@@ -339,7 +340,7 @@ mod tests {
         let producer_b = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer_a.sk().clone(), producer_a.public_key().clone());
+        engine.provision(producer_a.sk().clone());
         engine
             .register_plain(SubscriptionId(1), ClientId(1), &SubscriptionSpec::new().eq("s", "X"))
             .unwrap();
@@ -359,7 +360,7 @@ mod tests {
         let producer = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         // Mix of plaintext and envelope registrations.
         engine
             .register_plain(SubscriptionId(1), ClientId(1), &SubscriptionSpec::new().eq("s", "A"))
@@ -447,7 +448,7 @@ mod tests {
         let producer = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         for i in 0..10u64 {
             engine
                 .register_plain(
@@ -492,7 +493,7 @@ mod tests {
         let producer = producer(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        engine.provision_keys(producer.sk().clone(), producer.public_key().clone());
+        engine.provision(producer.sk().clone());
         for i in 0..4u64 {
             let spec = SubscriptionSpec::new().gt("p", i as f64);
             engine.register_plain(SubscriptionId(i), ClientId(i), &spec).unwrap();
@@ -518,7 +519,7 @@ mod tests {
         let mut rng = CryptoRng::from_seed(25);
         let producer = producer(&mut rng);
         let mut engine = RouterEngine::in_enclave(&platform, IndexKind::Poset).unwrap();
-        engine.call(|e| e.provision_keys(producer.sk().clone(), producer.public_key().clone()));
+        engine.call(|e| e.provision(producer.sk().clone()));
         for i in 0..8u64 {
             let spec = SubscriptionSpec::new().gt("p", i as f64);
             engine.call(|e| e.register_plain(SubscriptionId(i), ClientId(i), &spec)).unwrap();
@@ -590,7 +591,7 @@ mod tests {
         let mut inside = RouterEngine::in_enclave(&platform, IndexKind::Poset).unwrap();
         let mut outside = RouterEngine::outside(&platform);
         for engine in [&mut inside, &mut outside] {
-            engine.call(|e| e.provision_keys(producer.sk().clone(), producer.public_key().clone()));
+            engine.call(|e| e.provision(producer.sk().clone()));
         }
         for i in 0..20u64 {
             let spec = SubscriptionSpec::new().gt("price", i as f64);

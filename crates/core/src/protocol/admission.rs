@@ -12,6 +12,7 @@
 use crate::error::ScbrError;
 use crate::ids::{ClientId, SubscriptionId};
 use crate::protocol::keys::PairwiseKey;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A client's standing with the service provider.
@@ -62,12 +63,25 @@ impl ClientDirectory {
         ClientDirectory::default()
     }
 
-    /// Admits a new client with the key agreed with it
-    /// ([`crate::protocol::keys::ProducerCrypto::pairwise_key`]).
+    /// Admits a client with the key agreed with it
+    /// ([`crate::protocol::keys::ProducerCrypto::pairwise_key`]). A known
+    /// client gets the new key and good standing back, but keeps its
+    /// submission floor and its subscriptions: a submission it sent
+    /// before stays a replay, and what it still has registered stays its
+    /// own to unsubscribe.
     pub fn admit(&mut self, id: ClientId, pairwise_key: PairwiseKey) {
         let status = ClientStatus::Active;
-        let record = ClientRecord { status, pairwise_key, last_seq: 0, subscriptions: Vec::new() };
-        self.clients.insert(id, record);
+        match self.clients.entry(id) {
+            Entry::Occupied(known) => {
+                let record = known.into_mut();
+                record.status = status;
+                record.pairwise_key = pairwise_key;
+            }
+            Entry::Vacant(new) => {
+                let subscriptions = Vec::new();
+                new.insert(ClientRecord { status, pairwise_key, last_seq: 0, subscriptions });
+            }
+        }
     }
 
     /// Suspends an active client.
@@ -172,7 +186,7 @@ mod tests {
     use scbr_crypto::CryptoRng;
 
     fn key(rng: &mut CryptoRng) -> PairwiseKey {
-        let producer = ProducerCrypto::generate(512, rng).unwrap();
+        let producer = ProducerCrypto::new(rng);
         producer.pairwise_key(ClientId(1), X25519Secret::generate(rng).public_key()).unwrap()
     }
 

@@ -167,7 +167,7 @@ mod tests {
     /// client's own derivation of its pairwise key.
     fn admitted(seed: u64, ids: &[u64]) -> (ClientDirectory, Vec<PairwiseKey>) {
         let mut rng = CryptoRng::from_seed(seed);
-        let producer = ProducerCrypto::generate(512, &mut rng).unwrap();
+        let producer = ProducerCrypto::new(&mut rng);
         let mut directory = ClientDirectory::new();
         let keys = ids
             .iter()
@@ -175,7 +175,7 @@ mod tests {
                 let secret = X25519Secret::generate(&mut rng);
                 let key = producer.pairwise_key(ClientId(id), secret.public_key()).unwrap();
                 directory.admit(ClientId(id), key);
-                PairwiseKey::for_client(&secret, ClientId(id), producer.exchange_key()).unwrap()
+                PairwiseKey::for_client(&secret, ClientId(id), producer.public_key()).unwrap()
             })
             .collect();
         (directory, keys)

@@ -1,20 +1,30 @@
 //! Key material and the subscription key-exchange.
 //!
-//! The producer owns three long-lived secrets: the symmetric key `SK`
-//! shared with routing enclaves, an RSA key pair whose signature routers
-//! use to authenticate forwarded registrations, and a static X25519 key
-//! `X_P` that each admitted client agrees its [`PairwiseKey`] with.
-//! Clients never encrypt to the producer's RSA key: a submission, an
-//! unsubscribe and a group-key update all travel under the pairwise key.
+//! The producer owns two long-lived secrets: the symmetric key `SK`
+//! shared with routing enclaves, and a static X25519 key `x_P` that each
+//! admitted client agrees its [`PairwiseKey`] with. Clients never encrypt
+//! to anything but their pairwise key: a submission, an unsubscribe and a
+//! group-key update all travel under it.
+//!
+//! Registrations need no key of their own. The producer seals each
+//! registration and unregistration envelope under `K_reg`, a subkey of
+//! `SK` ([`crate::engine::registration_key`]), where the paper signs them.
+//! The two prove the same thing, because the only parties that check an
+//! envelope are attested enclaves, and every one of them holds `SK`. So a
+//! tag under `K_reg` convinces exactly the verifiers a signature did. What
+//! changes is who could mint an envelope: any attested enclave now can,
+//! not only the producer. That grants nothing: such an enclave already
+//! decrypts every header and every envelope it routes, so it can already
+//! read everything a forged registration would match.
 
-use crate::codec::{self, Reader, Writer};
+use crate::codec::{self, Writer};
+use crate::engine::{registration_key, REGISTER_AD, UNREGISTER_AD};
 use crate::error::ScbrError;
 use crate::ids::{ClientId, KeyEpoch, SubscriptionId};
 use crate::publication::PublicationSpec;
 use crate::subscription::SubscriptionSpec;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey, NONCE_LEN};
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use scbr_crypto::x25519::{X25519Secret, KEY_LEN};
 use scbr_crypto::{CryptoError, SealedBox};
 use sgx_sim::attest::{AttestationService, QuotedKey, VerifierPolicy};
@@ -24,38 +34,40 @@ use sgx_sim::SgxPlatform;
 /// steps 2 and 4.
 #[derive(Debug, Clone)]
 pub struct ProducerCrypto {
-    rsa: RsaKeyPair,
     sk: SymmetricKey,
-    /// `SK`'s expanded schedule, so headers and envelopes are encrypted
-    /// without a key expansion each.
+    /// `SK`'s expanded schedule, so headers are encrypted without a key
+    /// expansion each.
     sk_cipher: AesCtr,
+    /// `K_reg`, derived from `SK`: what envelopes are sealed under.
+    registration_key: SealedBox,
     /// `x_P`, the static key every client's pairwise key is agreed with.
     exchange: X25519Secret,
 }
 
 impl ProducerCrypto {
-    /// Generates fresh producer keys: a `bits`-bit RSA modulus, a random
-    /// 128-bit `SK`, then the static X25519 key (32 more bytes of `rng`).
+    /// Generates fresh producer keys: a random 128-bit `SK`, then the
+    /// static X25519 key (32 more bytes of `rng`).
+    pub fn new(rng: &mut CryptoRng) -> Self {
+        let sk = SymmetricKey::generate(rng);
+        let sk_cipher = AesCtr::new(&sk, [0u8; NONCE_LEN]);
+        let registration_key = registration_key(&sk);
+        let exchange = X25519Secret::generate(rng);
+        ProducerCrypto { sk, sk_cipher, registration_key, exchange }
+    }
+
+    /// [`ProducerCrypto::new`]; the ignored key size and the `Result` are
+    /// a shim that goes with the next benchmark change.
     ///
     /// # Errors
     ///
-    /// Propagates RSA key-generation failures.
-    pub fn generate(bits: usize, rng: &mut CryptoRng) -> Result<Self, ScbrError> {
-        let rsa = RsaKeyPair::generate(bits, rng)?;
-        let sk = SymmetricKey::generate(rng);
-        let sk_cipher = AesCtr::new(&sk, [0u8; NONCE_LEN]);
-        let exchange = X25519Secret::generate(rng);
-        Ok(ProducerCrypto { rsa, sk, sk_cipher, exchange })
+    /// None.
+    pub fn generate(_bits: usize, rng: &mut CryptoRng) -> Result<Self, ScbrError> {
+        Ok(ProducerCrypto::new(rng))
     }
 
-    /// The signature-verification key `PK` routers pin.
-    pub fn public_key(&self) -> &RsaPublicKey {
-        self.rsa.public()
-    }
-
-    /// `X_P`, the X25519 key clients agree their pairwise key with
-    /// (handed to them at signup).
-    pub fn exchange_key(&self) -> &[u8; KEY_LEN] {
+    /// `X_P`, the producer's one public key: the X25519 key clients agree
+    /// their pairwise key with (handed to them at signup).
+    pub fn public_key(&self) -> &[u8; KEY_LEN] {
         self.exchange.public_key()
     }
 
@@ -75,17 +87,18 @@ impl ProducerCrypto {
         client: ClientId,
         client_key: &[u8; KEY_LEN],
     ) -> Result<PairwiseKey, ScbrError> {
-        let info = [PAIRWISE_INFO, &client.0.to_be_bytes(), client_key, self.exchange_key()];
+        let info = [PAIRWISE_INFO, &client.0.to_be_bytes(), client_key, self.public_key()];
         Ok(PairwiseKey(dh_box(&self.exchange, client_key, &info)?))
     }
 
-    /// Re-encrypts a validated subscription under `SK` and signs it
-    /// (protocol step 2, second half). The output is what routers accept in
-    /// [`crate::engine::MatchingEngine::register_envelope`].
+    /// Seals a validated subscription under the registration key
+    /// (protocol step 2, second half). The output is what routers accept
+    /// in [`crate::engine::MatchingEngine::register_envelope`].
     ///
     /// # Errors
     ///
-    /// Propagates signing failures.
+    /// None; the `Result` is a shim that goes with the next benchmark
+    /// change.
     pub fn seal_registration(
         &self,
         spec: &SubscriptionSpec,
@@ -94,23 +107,20 @@ impl ProducerCrypto {
         rng: &mut CryptoRng,
     ) -> Result<Vec<u8>, ScbrError> {
         let body = codec::encode_registration(spec, id, client);
-        let body_ct = self.encrypt_under_sk(&body, rng);
-        let signature = self.rsa.private().sign(&body_ct)?;
-        let mut w = Writer::new();
-        w.bytes(&body_ct).bytes(&signature);
-        Ok(w.into_bytes())
+        Ok(self.registration_key.seal(&body, REGISTER_AD, rng))
     }
 
-    /// Seals an unregistration under `SK` and signs it — the removal
-    /// counterpart of [`ProducerCrypto::seal_registration`]. Routers
-    /// accept the output in
+    /// Seals an unregistration under the registration key — the removal
+    /// counterpart of [`ProducerCrypto::seal_registration`], under its
+    /// own associated data. Routers accept the output in
     /// [`crate::engine::MatchingEngine::unregister_envelope`], and overlay
     /// brokers forward it hop by hop (each enclave re-authenticates it
     /// independently).
     ///
     /// # Errors
     ///
-    /// Propagates signing failures.
+    /// None; the `Result` is a shim that goes with the next benchmark
+    /// change.
     pub fn seal_unregistration(
         &self,
         id: SubscriptionId,
@@ -118,28 +128,19 @@ impl ProducerCrypto {
         rng: &mut CryptoRng,
     ) -> Result<Vec<u8>, ScbrError> {
         let body = codec::encode_unregistration(id, client);
-        let body_ct = self.encrypt_under_sk(&body, rng);
-        let signature = self.rsa.private().sign(&body_ct)?;
-        let mut w = Writer::new();
-        w.bytes(&body_ct).bytes(&signature);
-        Ok(w.into_bytes())
+        Ok(self.registration_key.seal(&body, UNREGISTER_AD, rng))
     }
 
-    /// Encrypts a publication header under `SK` (protocol step 4).
+    /// Encrypts a publication header under `SK` (protocol step 4):
+    /// `nonce || ciphertext` under a fresh nonce, the bytes
+    /// [`AesCtr::encrypt_with_nonce`] produces, on the cached schedule.
     pub fn encrypt_header(&self, publication: &PublicationSpec, rng: &mut CryptoRng) -> Vec<u8> {
         let plain = codec::encode_header(publication);
-        self.encrypt_under_sk(&plain, rng)
-    }
-
-    /// `nonce || ciphertext` of `plain` under `SK` and a fresh nonce — the
-    /// bytes [`AesCtr::encrypt_with_nonce`] produces, on the cached
-    /// schedule.
-    fn encrypt_under_sk(&self, plain: &[u8], rng: &mut CryptoRng) -> Vec<u8> {
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill(&mut nonce);
         let mut out = Vec::with_capacity(NONCE_LEN + plain.len());
         out.extend_from_slice(&nonce);
-        out.extend_from_slice(plain);
+        out.extend_from_slice(&plain);
         let mut cipher = self.sk_cipher.clone();
         cipher.reset_nonce(nonce);
         cipher.apply(&mut out[NONCE_LEN..]);
@@ -177,7 +178,7 @@ impl std::fmt::Debug for PairwiseKey {
 
 impl PairwiseKey {
     /// The client's half of admission: `secret` is the client's key,
-    /// `producer_key` the producer's [`ProducerCrypto::exchange_key`].
+    /// `producer_key` the producer's [`ProducerCrypto::public_key`].
     ///
     /// # Errors
     ///
@@ -292,7 +293,7 @@ const SK_GRANT_INFO: &[u8] = b"scbr-sk-grant-v1";
 /// or, as the enclave sees it, any host relaying the producer's grant.
 pub trait SkIssuer {
     /// Verifies `request` against `service` and `policy`, then grants
-    /// `SK` and the producer's verification key to the key it quotes.
+    /// `SK` to the key it quotes.
     ///
     /// # Errors
     ///
@@ -307,7 +308,7 @@ pub trait SkIssuer {
 }
 
 impl SkIssuer for ProducerCrypto {
-    /// `E ‖ SealedBox(SK ‖ PK)`: the box is keyed by HKDF of the
+    /// `E ‖ SealedBox(SK)`: the box is keyed by HKDF of the
     /// Diffie–Hellman secret of a fresh ephemeral key `E` (32 bytes of
     /// `rng`) and the quoted key `X`, and binds `E ‖ X` as associated
     /// data; its nonce is 8 more bytes of `rng`.
@@ -322,10 +323,8 @@ impl SkIssuer for ProducerCrypto {
         let ephemeral = X25519Secret::generate(rng);
         let aad = [ephemeral.public_key().as_slice(), &request.public_key].concat();
         let sealed = dh_box(&ephemeral, &request.public_key, &[SK_GRANT_INFO, &aad])?;
-        let mut payload = Writer::new();
-        payload.bytes(self.sk.as_bytes()).bytes(&self.public_key().to_bytes());
         let mut grant = ephemeral.public_key().to_vec();
-        grant.extend(sealed.seal(&payload.into_bytes(), &aad, rng));
+        grant.extend(sealed.seal(self.sk.as_bytes(), &aad, rng));
         Ok(grant)
     }
 }
@@ -348,22 +347,22 @@ fn dh_box(
     Ok(SealedBox::new(&SymmetricKey::from_bytes(key)))
 }
 
-/// Provisions `SK` (and the producer's verification key) into a routing
-/// enclave via remote attestation:
+/// Provisions `SK` into a routing enclave via remote attestation:
 ///
 /// 1. inside the enclave, generate a fresh X25519 key pair and the report
 ///    committing to its public half `X` ([`QuotedKey::generate`]);
 /// 2. have the platform quote the report;
 /// 3. as the producer, verify the quote against the attestation service
 ///    and a measurement policy ([`QuotedKey::verify`]), then grant
-///    `E ‖ SealedBox(SK ‖ PK)` under a key agreed between a fresh
-///    ephemeral key `E` and `X` ([`SkIssuer::grant_sk`]);
-/// 4. back inside the enclave, agree the same key from `E`, open the box
-///    (`E ‖ X` is its associated data) and parse `SK` and `PK` from it.
+///    `E ‖ SealedBox(SK)` under a key agreed between a fresh ephemeral
+///    key `E` and `X` ([`SkIssuer::grant_sk`]);
+/// 4. back inside the enclave, agree the same key from `E` and open the
+///    box (`E ‖ X` is its associated data): its plaintext is `SK`.
 ///
-/// Returns `SK` and the producer's public key as seen inside the enclave.
-/// The host between steps 3 and 4 can change neither: both travel in one
-/// authenticated box.
+/// Returns `SK` as seen inside the enclave; the host between steps 3 and
+/// 4 cannot change it, because it travels in an authenticated box. The
+/// `()` beside it is the slot the producer's signature key had, a shim
+/// that goes with the next benchmark change.
 ///
 /// # Errors
 ///
@@ -377,7 +376,7 @@ pub fn provision_sk_via_attestation(
     producer: &impl SkIssuer,
     enclave_rng: &mut CryptoRng,
     producer_rng: &mut CryptoRng,
-) -> Result<(SymmetricKey, RsaPublicKey), ScbrError> {
+) -> Result<(SymmetricKey, ()), ScbrError> {
     // Steps 1 and 2: inside the enclave, then the quoting enclave.
     let (report, secret) = enclave.ecall(|ctx| QuotedKey::generate(ctx, enclave_rng));
     let request = QuotedKey::quote(platform, &report, &secret)?;
@@ -389,14 +388,8 @@ pub fn provision_sk_via_attestation(
             .split_first_chunk::<KEY_LEN>()
             .ok_or(CryptoError::InvalidLength { context: "sk grant" })?;
         let aad = [ephemeral.as_slice(), &request.public_key].concat();
-        let plain = dh_box(&secret, ephemeral, &[SK_GRANT_INFO, &aad])?.open(sealed, &aad)?;
-        let mut r = Reader::new(&plain);
-        let sk = SymmetricKey::try_from_bytes(r.bytes_ref()?)?;
-        let pk = RsaPublicKey::from_bytes(r.bytes_ref()?)?;
-        if !r.is_exhausted() {
-            return Err(ScbrError::Codec { context: "sk grant" });
-        }
-        Ok((sk, pk))
+        let sk = dh_box(&secret, ephemeral, &[SK_GRANT_INFO, &aad])?.open(sealed, &aad)?;
+        Ok((SymmetricKey::try_from_bytes(&sk)?, ()))
     })
 }
 
@@ -415,7 +408,7 @@ mod tests {
         r: &mut CryptoRng,
     ) -> (PairwiseKey, PairwiseKey) {
         let alice = X25519Secret::generate(r);
-        let client = PairwiseKey::for_client(&alice, ClientId(1), producer.exchange_key()).unwrap();
+        let client = PairwiseKey::for_client(&alice, ClientId(1), producer.public_key()).unwrap();
         let server = producer.pairwise_key(ClientId(1), alice.public_key()).unwrap();
         (client, server)
     }
@@ -423,7 +416,7 @@ mod tests {
     #[test]
     fn both_sides_derive_one_pairwise_key() {
         let mut r = rng(1);
-        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let producer = ProducerCrypto::new(&mut r);
         let (client, server) = alice_both_sides(&producer, &mut r);
         // A large subscription: a sealed box has no size limit.
         let spec = (0..200).fold(SubscriptionSpec::new(), |s, i| s.gt(&format!("a{i}"), 1.0));
@@ -439,7 +432,7 @@ mod tests {
     #[test]
     fn a_tampered_submission_is_refused() {
         let mut r = rng(2);
-        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let producer = ProducerCrypto::new(&mut r);
         let (client, server) = alice_both_sides(&producer, &mut r);
         let sealed = client.seal_subscription(1, &SubscriptionSpec::new().eq("s", "HAL"), &mut r);
         for at in [0, 8, sealed.len() - 1] {
@@ -456,10 +449,10 @@ mod tests {
     #[test]
     fn another_clients_pairwise_key_opens_nothing() {
         let mut r = rng(3);
-        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let producer = ProducerCrypto::new(&mut r);
         let (alice, alice_at_producer) = alice_both_sides(&producer, &mut r);
         let bob = X25519Secret::generate(&mut r);
-        let bob = PairwiseKey::for_client(&bob, ClientId(2), producer.exchange_key()).unwrap();
+        let bob = PairwiseKey::for_client(&bob, ClientId(2), producer.public_key()).unwrap();
         let spec = SubscriptionSpec::new().eq("symbol", "HAL");
         assert!(alice_at_producer
             .open_subscription(&bob.seal_subscription(1, &spec, &mut r))
@@ -478,7 +471,7 @@ mod tests {
     #[test]
     fn client_submission_round_trip() {
         let mut r = rng(4);
-        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let producer = ProducerCrypto::new(&mut r);
         let (client, server) = alice_both_sides(&producer, &mut r);
         let spec = SubscriptionSpec::new().eq("symbol", "HAL").lt("price", 50.0);
         let sealed = client.seal_subscription(u64::MAX, &spec, &mut r);
@@ -490,7 +483,7 @@ mod tests {
     #[test]
     fn a_low_order_key_is_refused_on_either_side() {
         let mut r = rng(12);
-        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let producer = ProducerCrypto::new(&mut r);
         let client = X25519Secret::generate(&mut r);
         for u in [0u8, 1] {
             let mut key = [0u8; KEY_LEN];
@@ -507,21 +500,22 @@ mod tests {
     #[test]
     fn header_encryption_round_trip() {
         let mut r = rng(5);
-        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let producer = ProducerCrypto::new(&mut r);
         let publication = PublicationSpec::new().attr("symbol", "HAL").attr("price", 12.5);
         let ct = producer.encrypt_header(&publication, &mut r);
-        let plain = AesCtr::decrypt_with_nonce(producer.sk(), &ct).unwrap();
+        let mut plain = Vec::new();
+        AesCtr::new(producer.sk(), [0; NONCE_LEN]).decrypt_into(&ct, &mut plain).unwrap();
         let decoded = codec::decode_header(&plain).unwrap();
         assert_eq!(decoded.header(), publication.header());
     }
 
-    /// Seeded producer, so the header ciphertext and the whole signed
+    /// Seeded producer, so the header ciphertext and the whole sealed
     /// envelope are pinned byte for byte.
     #[test]
     fn seeded_header_and_registration_are_pinned() {
         let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
         let mut r = rng(26);
-        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let producer = ProducerCrypto::new(&mut r);
         let publication = PublicationSpec::new().attr("symbol", "HAL").attr("price", 12.5);
         let header = producer.encrypt_header(&publication, &mut r);
         let spec = SubscriptionSpec::new().eq("symbol", "HAL").lt("price", 50.0);
@@ -529,33 +523,29 @@ mod tests {
             producer.seal_registration(&spec, SubscriptionId(7), ClientId(3), &mut r).unwrap();
         assert_eq!(
             hex(&header),
-            "4dfd1a3e6faff8a2a994dab4cab52898e86f589ab8d5fdea590483a0ce681f7ff9226b216d49f08e\
-             5be6b750ad1a"
+            "20ac119ddfe17e769d666ec4005f7f43aaa9e2d0344d1fd7189bb7d8da16361afc5d4e04674d0379\
+             b3ddc6208bd3"
         );
         assert_eq!(
             hex(&envelope),
-            "000000441561c1cf8ce287c3ed5b3e296a65b7656f4f44cea34636378cab0bb3869404c604685bd2\
-             40096a8d40b8e0361731ee2ec8e763f25e0b7f69527562fe384144538c6dfa60000000407730bfdc\
-             1988c458bfe9946d70d0252915fcaaa0590200e15a5185705c7f98dc234ca21903f8d6d4d1ba3341\
-             718c193e7a12b9c2bd09e2ba093810c24db517ef"
+            "8203fc26c8897ea3fe9a4e112f4c2b128c2ff56a4ec907afb0931f48360e415a5f45298f7fd127f8\
+             433db16fa646e550add16fb125b7c2f17ceaa8ff0a8b37c732691a7bd8749144b1f16fdb105acc9e\
+             9f21b967"
         );
     }
 
     #[test]
     fn unregistration_sealing_round_trip() {
-        use crate::ids::{ClientId, SubscriptionId};
         let mut r = rng(11);
-        let producer = ProducerCrypto::generate(512, &mut r).unwrap();
+        let producer = ProducerCrypto::new(&mut r);
         let envelope =
             producer.seal_unregistration(SubscriptionId(9), ClientId(4), &mut r).unwrap();
-        // The envelope opens exactly like a registration: signature over the
-        // ciphertext, body under SK.
-        let mut reader = Reader::new(&envelope);
-        let body_ct = reader.bytes().unwrap();
-        let signature = reader.bytes().unwrap();
-        producer.public_key().verify(&body_ct, &signature).unwrap();
-        let body = AesCtr::decrypt_with_nonce(producer.sk(), &body_ct).unwrap();
+        // The envelope opens under the registration key derived from SK,
+        // and only as an unregistration.
+        let key = registration_key(producer.sk());
+        let body = key.open(&envelope, UNREGISTER_AD).unwrap();
         assert_eq!(codec::decode_unregistration(&body).unwrap(), (SubscriptionId(9), ClientId(4)));
+        assert!(key.open(&envelope, REGISTER_AD).is_err());
     }
 
     #[test]
@@ -577,10 +567,10 @@ mod tests {
         service.trust_platform(platform.attestation_public_key().clone());
         let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
         let mut producer_rng = rng(6);
-        let producer = ProducerCrypto::generate(512, &mut producer_rng).unwrap();
+        let producer = ProducerCrypto::new(&mut producer_rng);
         let mut enclave_rng = rng(7);
 
-        let (sk, pk) = provision_sk_via_attestation(
+        let (sk, ()) = provision_sk_via_attestation(
             &platform,
             &enclave,
             &service,
@@ -591,11 +581,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sk.as_bytes(), producer.sk().as_bytes());
-        assert_eq!(&pk, producer.public_key());
     }
 
-    /// Provisioning at fixed seeds, pinned: the `SK` and producer key the
-    /// enclave receives, and both RNGs' next draws. A change that moves a
+    /// Provisioning at fixed seeds, pinned: the `SK` the enclave receives,
+    /// and both RNGs' next draws. A change that moves a
     /// draw — either X25519 key, the grant's nonce — fails here even
     /// when provisioning still succeeds.
     #[test]
@@ -609,9 +598,9 @@ mod tests {
         service.trust_platform(platform.attestation_public_key().clone());
         let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
         let mut producer_rng = rng(45);
-        let producer = ProducerCrypto::generate(512, &mut producer_rng).unwrap();
+        let producer = ProducerCrypto::new(&mut producer_rng);
         let mut enclave_rng = rng(46);
-        let (sk, pk) = provision_sk_via_attestation(
+        let (sk, ()) = provision_sk_via_attestation(
             &platform,
             &enclave,
             &service,
@@ -621,14 +610,10 @@ mod tests {
             &mut producer_rng,
         )
         .unwrap();
-        assert_eq!(hex(sk.as_bytes()), "3ab5ddcd017c3918011faea65e391172");
-        assert_eq!(
-            hex(&scbr_crypto::sha256::Sha256::digest(&pk.to_bytes())),
-            "fbe9a4e4292b0eff0fd35dcd3befc45b400c544df6cc62b711d6b02e6be2453c"
-        );
+        assert_eq!(hex(sk.as_bytes()), "975229986317d97caf562fe651ba5383");
         assert_eq!(
             (enclave_rng.next_u64(), producer_rng.next_u64()),
-            (2351835461894720056, 4176409124227897208)
+            (2351835461894720056, 3070357840948666418)
         );
     }
 
@@ -654,9 +639,7 @@ mod tests {
     }
 
     /// Provisions through `tamper` at fixed seeds.
-    fn provision_through(
-        tamper: &dyn Fn(&mut Vec<u8>),
-    ) -> Result<(SymmetricKey, RsaPublicKey), ScbrError> {
+    fn provision_through(tamper: &dyn Fn(&mut Vec<u8>)) -> Result<(SymmetricKey, ()), ScbrError> {
         let platform = SgxPlatform::for_testing(47);
         let enclave = platform
             .launch(EnclaveBuilder::new("scbr-router").add_page(b"engine").isv_prod_id(1))
@@ -665,7 +648,7 @@ mod tests {
         service.trust_platform(platform.attestation_public_key().clone());
         let policy = VerifierPolicy::require_mr_enclave(enclave.identity().mr_enclave);
         let mut producer_rng = rng(48);
-        let producer = ProducerCrypto::generate(512, &mut producer_rng).unwrap();
+        let producer = ProducerCrypto::new(&mut producer_rng);
         provision_sk_via_attestation(
             &platform,
             &enclave,
@@ -678,29 +661,29 @@ mod tests {
     }
 
     #[test]
-    fn the_grant_binds_the_producer_key_to_sk() {
-        assert!(provision_through(&|_| {}).is_ok());
-        // The host knows both producer keys and where the plaintext's
-        // key sits (just before the tag), so under CTR alone it could
-        // swap one for the other; the tag refuses it.
-        let honest = ProducerCrypto::generate(512, &mut rng(48)).unwrap().public_key().to_bytes();
-        let attacker = RsaKeyPair::generate(512, &mut rng(50)).unwrap().public().to_bytes();
-        assert_eq!(honest.len(), attacker.len());
+    fn the_grant_authenticates_sk() {
+        let honest = ProducerCrypto::new(&mut rng(48)).sk().as_bytes().to_vec();
+        assert_eq!(provision_through(&|_| {}).unwrap().0.as_bytes(), honest);
+        // The host knows where `SK` sits (it is the whole plaintext, just
+        // before the tag), so under CTR alone a host that knew it could
+        // swap in a key of its own; the tag refuses it.
+        let attacker = SymmetricKey::generate(&mut rng(50));
         let swap = |grant: &mut Vec<u8>| {
             let at = grant.len() - scbr_crypto::poly1305::TAG_LEN - honest.len();
-            for (i, (h, a)) in honest.iter().zip(&attacker).enumerate() {
+            for (i, (h, a)) in honest.iter().zip(attacker.as_bytes()).enumerate() {
                 grant[at + i] ^= h ^ a;
             }
         };
         assert!(matches!(provision_through(&swap), Err(ScbrError::Crypto(_))));
         // One flipped bit anywhere in the grant: the ephemeral key (also
         // associated data), the nonce, the ciphertext or the tag.
-        for at in [0, KEY_LEN, KEY_LEN + 8, KEY_LEN + 30] {
+        let len = KEY_LEN + 8 + honest.len() + scbr_crypto::poly1305::TAG_LEN;
+        for at in 0..len {
             let flip = move |grant: &mut Vec<u8>| grant[at] ^= 1;
             assert!(provision_through(&flip).is_err(), "flipped byte {at}");
         }
-        let flip_last = |grant: &mut Vec<u8>| *grant.last_mut().unwrap() ^= 1;
-        assert!(provision_through(&flip_last).is_err());
+        let truncate = |grant: &mut Vec<u8>| grant.truncate(len - 1);
+        assert!(provision_through(&truncate).is_err());
     }
 
     /// The producer's ephemeral key is not quoted, so the enclave itself
@@ -731,7 +714,7 @@ mod tests {
         // Policy pins a different measurement.
         let policy = VerifierPolicy::require_mr_enclave([0xde; 32]);
         let mut producer_rng = rng(8);
-        let producer = ProducerCrypto::generate(512, &mut producer_rng).unwrap();
+        let producer = ProducerCrypto::new(&mut producer_rng);
         let mut enclave_rng = rng(9);
         let result = provision_sk_via_attestation(
             &platform,

@@ -344,8 +344,9 @@ pub enum Message {
     },
     /// Router → router: a registration envelope propagated through the
     /// overlay (covering-pruned at each hop). The envelope is the same
-    /// producer-signed `{s}SK` unit a [`Message::Register`] carries, so
-    /// the next hop's enclave can authenticate it independently.
+    /// unit, sealed under the registration key, that a
+    /// [`Message::Register`] carries, so the next hop's enclave can
+    /// authenticate it independently.
     SubForward {
         /// The forwarded registration envelope.
         envelope: Vec<u8>,
@@ -372,11 +373,11 @@ pub enum Message {
         /// Envelopes replayed on this link.
         count: u32,
     },
-    /// Router → router: withdraw subscription `id` without a signed
+    /// Router → router: withdraw subscription `id` without an
     /// unregistration envelope. Only valid **down** the reverse path: the
     /// receiver accepts it solely for a subscription it learnt *from this
     /// link* (link authentication — the attested peer — stands in for the
-    /// producer signature, which the peer may never have seen if the
+    /// unregistration envelope, which the peer may never have seen if the
     /// removal happened while this broker was crashed). Used during
     /// rejoin reconciliation to propagate removals that were lost while a
     /// broker was down.

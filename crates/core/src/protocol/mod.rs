@@ -11,10 +11,10 @@
 //! 2. The producer checks the client's standing
 //!    ([`admission::ClientDirectory`]), opens the submission under that
 //!    client's `K_c`, refuses a number it has already passed (a replay),
-//!    re-encrypts under the symmetric key `SK` it shares
-//!    with the routing enclave, and signs —
-//!    [`keys::ProducerCrypto::seal_registration`].
-//! 3. The routing enclave verifies and decrypts inside the enclave and
+//!    and seals it under `K_reg`, a subkey of the symmetric key `SK` it
+//!    shares with the routing enclave, where the paper re-encrypts under
+//!    `SK` and signs — [`keys::ProducerCrypto::seal_registration`].
+//! 3. The routing enclave opens the envelope inside the enclave and
 //!    inserts the subscription into its index (see
 //!    [`crate::engine::MatchingEngine::register_envelope`]).
 //! 4. Publications flow back (the paper's steps 4–6): headers encrypted

@@ -53,7 +53,7 @@ impl std::fmt::Debug for ClientNode {
 impl ClientNode {
     /// Creates a client with a fresh X25519 key (32 bytes of `rng`),
     /// agrees its pairwise key with `producer_key` (the producer's
-    /// [`crate::protocol::keys::ProducerCrypto::exchange_key`], obtained
+    /// [`crate::protocol::keys::ProducerCrypto::public_key`], obtained
     /// at signup) and announces the client on both connections.
     ///
     /// # Errors

@@ -22,12 +22,12 @@
 //!
 //! | input                         | outputs                                                        |
 //! |-------------------------------|----------------------------------------------------------------|
-//! | `Admit { client, public_key }` | one `KeyUpdate` to the client if connected; none for a low-order key |
-//! | `Suspend(client)`             | none                                                           |
+//! | `Admit { client, public_key }` | one `KeyUpdate` to the client if connected; none for a low-order key (a known client keeps its submission floor and subscriptions) |
+//! | `Suspend(client)`             | none: the client stays a group member                          |
 //! | `Revoke(client)`, `Rekey`     | one `KeyUpdate` of the new epoch to each connected member       |
 //! | `Publish`, `PublishBatch`     | `PublishBatch`es to the router, at most [`crate::engine::MAX_DRAIN`] items each |
 //! | `Shutdown`                    | `Shutdown` to the router (the driver then ends its loop)       |
-//! | client `Hello`                | one `KeyUpdate` if the client is admitted                      |
+//! | client `Hello`                | one `KeyUpdate` if the client is a group member, suspended or not |
 //! | client `SubmitSubscription`   | `Register` to the router, or `SubscriptionRejected` (bad key, standing or a replayed number) |
 //! | client `Unsubscribe`          | `Unregister` to the router, or `Error` (bad tag, standing or owner) |
 //! | client, anything else         | `Error { "unexpected <kind>" }`                                |

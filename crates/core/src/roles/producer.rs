@@ -36,7 +36,8 @@ pub enum ProducerCommand {
         /// The client's X25519 public key.
         public_key: [u8; KEY_LEN],
     },
-    /// Suspend a client (its subscriptions are refused).
+    /// Suspend a client: its subscriptions and unsubscribes are refused,
+    /// but it stays a group member and keeps receiving the payload key.
     Suspend(ClientId),
     /// Revoke a client: removed from the group, key rotated, fresh key
     /// pushed to remaining members.
@@ -169,10 +170,7 @@ impl ProducerCore {
         let (kind, request) = match message {
             Message::Hello { client } => {
                 self.client_conns.insert(client, conn);
-                if self.directory.check_admitted(client).is_ok() {
-                    self.push_key(client, out);
-                }
-                return;
+                return self.push_key(client, out);
             }
             Message::SubmitSubscription { client, encrypted_subscription } => {
                 (PendingKind::Register, self.submission(client, &encrypted_subscription))
@@ -331,7 +329,7 @@ impl Producer {
     /// * `listener` — endpoint clients connect to (submissions + key
     ///   updates).
     /// * `router` — established connection to the router.
-    /// * `crypto` — the producer's key material (`PK`, `SK`, `X_P`).
+    /// * `crypto` — the producer's key material (`SK`, `x_P`).
     pub fn spawn(
         listener: Box<dyn Listener>,
         router: Box<dyn Connection>,
@@ -427,7 +425,7 @@ mod tests {
     /// A core whose keys come from `seed` and whose own draws from
     /// `seed + 1`.
     fn core(seed: u64) -> ProducerCore {
-        let crypto = ProducerCrypto::generate(512, &mut CryptoRng::from_seed(seed)).unwrap();
+        let crypto = ProducerCrypto::new(&mut CryptoRng::from_seed(seed));
         ProducerCore::new(crypto, CryptoRng::from_seed(seed + 1))
     }
 
@@ -446,7 +444,7 @@ mod tests {
         let admit =
             ProducerCommand::Admit { client: ClientId(client), public_key: *secret.public_key() };
         let out = step(core, Input::Command(admit));
-        let producer_key = core.crypto.exchange_key();
+        let producer_key = core.crypto.public_key();
         (PairwiseKey::for_client(&secret, ClientId(client), producer_key).unwrap(), out)
     }
 
@@ -498,6 +496,57 @@ mod tests {
         let next = submit(&alice, 1, 2, &mut CryptoRng::from_seed(13));
         let out = step(&mut core, Input::Msg(To::Conn(11), next));
         assert!(matches!(&out[..], [(To::Router, Message::Register { .. })]), "{out:?}");
+    }
+
+    /// Re-admitting a known client with the same key keeps its replay
+    /// floor and its subscriptions: its old submission is still a
+    /// replay, and the subscription it registered before is still its
+    /// own to unsubscribe.
+    #[test]
+    fn a_readmitted_client_keeps_its_replay_floor_and_subscriptions() {
+        let mut core = core(15);
+        let (alice, _) = admit(&mut core, 1, 11);
+        let submission = submit(&alice, 1, 1, &mut CryptoRng::from_seed(16));
+        step(&mut core, Input::Msg(To::Conn(11), submission.clone()));
+        step(&mut core, Input::Msg(To::Router, Message::RegisterAck { id: SubscriptionId(0) }));
+        let secret = X25519Secret::generate(&mut CryptoRng::from_seed(1001));
+        let again =
+            ProducerCommand::Admit { client: ClientId(1), public_key: *secret.public_key() };
+        step(&mut core, Input::Command(again));
+        let out = step(&mut core, Input::Msg(To::Conn(11), submission));
+        match &out[..] {
+            [(To::Conn(11), Message::SubscriptionRejected { reason })] => {
+                assert!(reason.contains("replayed"), "{reason}")
+            }
+            other => panic!("expected the replay refused, got {other:?}"),
+        }
+        let id = SubscriptionId(0);
+        let tag = alice.unsubscribe_tag(ClientId(1), id, &mut CryptoRng::from_seed(17));
+        let unsubscribe = Message::Unsubscribe { client: ClientId(1), id, tag };
+        let out = step(&mut core, Input::Msg(To::Conn(11), unsubscribe));
+        assert!(matches!(&out[..], [(To::Router, Message::Unregister { .. })]), "{out:?}");
+    }
+
+    /// Group membership alone decides who gets the payload key: a
+    /// suspended member's `Hello` gets exactly one key update, of the
+    /// current epoch, while its submission is refused.
+    #[test]
+    fn a_suspended_member_gets_the_key_but_cannot_subscribe() {
+        let mut core = core(25);
+        let (alice, _) = admit(&mut core, 1, 11);
+        step(&mut core, Input::Command(ProducerCommand::Rekey));
+        step(&mut core, Input::Command(ProducerCommand::Suspend(ClientId(1))));
+        let out = step(&mut core, Input::Msg(To::Conn(12), Message::Hello { client: ClientId(1) }));
+        let keys = HashMap::from([(12, alice.clone())]);
+        assert_eq!(updates(&out, &keys), vec![(12, KeyEpoch(1))]);
+        let submission = submit(&alice, 1, 1, &mut CryptoRng::from_seed(26));
+        let out = step(&mut core, Input::Msg(To::Conn(12), submission));
+        match &out[..] {
+            [(To::Conn(12), Message::SubscriptionRejected { reason })] => {
+                assert!(reason.contains("suspended"), "{reason}")
+            }
+            other => panic!("expected the submission refused, got {other:?}"),
+        }
     }
 
     /// Admitting 64 connected clients sends 64 key updates, each to its
@@ -603,7 +652,7 @@ mod tests {
         let net = InProcNetwork::new();
         let router = net.bind("router").unwrap();
         let mut rng = CryptoRng::from_seed(6);
-        let crypto = ProducerCrypto::generate(512, &mut rng).unwrap();
+        let crypto = ProducerCrypto::new(&mut rng);
         let producer = Producer::spawn(
             net.bind("producer").unwrap(),
             net.connect("router").unwrap(),
@@ -631,13 +680,15 @@ mod tests {
         let out = step(&mut core, Input::Command(ProducerCommand::PublishBatch(batch)));
         let mut sizes = Vec::new();
         let mut seqs = Vec::new();
+        let mut header_cipher = AesCtr::new(core.crypto.sk(), [0; NONCE_LEN]);
         for (to, message) in out {
             let (To::Router, Message::PublishBatch { items }) = (to, message) else {
                 panic!("only publication frames to the router");
             };
             sizes.push(items.len());
             for item in items {
-                let plain = AesCtr::decrypt_with_nonce(core.crypto.sk(), &item.header_ct).unwrap();
+                let mut plain = Vec::new();
+                header_cipher.decrypt_into(&item.header_ct, &mut plain).unwrap();
                 seqs.push(crate::codec::decode_header(&plain).unwrap());
             }
         }

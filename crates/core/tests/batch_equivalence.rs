@@ -17,7 +17,6 @@ use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::rsa::RsaPublicKey;
 use sgx_sim::{CacheConfig, CostModel, MemorySim, SgxPlatform};
 
 const SYMBOLS: [&str; 3] = ["HAL", "IBM", "AMD"];
@@ -84,14 +83,8 @@ fn spans(batch: &BatchMatches) -> Vec<Vec<ClientId>> {
     batch.iter().map(|span| span.expect("valid header").to_vec()).collect()
 }
 
-fn test_key() -> (SymmetricKey, RsaPublicKey) {
-    (
-        SymmetricKey::from_bytes([0x42; 16]),
-        RsaPublicKey::from_parts(
-            scbr_crypto::BigUint::from_u64(3233),
-            scbr_crypto::BigUint::from_u64(17),
-        ),
-    )
+fn test_key() -> SymmetricKey {
+    SymmetricKey::from_bytes([0x42; 16])
 }
 
 proptest! {
@@ -106,7 +99,7 @@ proptest! {
         pubs in proptest::collection::vec(pub_strategy(), 1..10),
         seed in 0u64..1_000,
     ) {
-        let (sk, pk) = test_key();
+        let sk = test_key();
         let mut rng = CryptoRng::from_seed(seed);
         let headers: Vec<Vec<u8>> = pubs
             .iter()
@@ -119,7 +112,7 @@ proptest! {
         let mem = MemorySim::native(CacheConfig::default(), CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
         let mut oracle = FlatOracle::new(&mem);
-        engine.provision_keys(sk, pk);
+        engine.provision(sk);
         for (i, raw) in subs.iter().enumerate() {
             // Collide clients: dedup paths.
             let (id, client, spec) = (SubscriptionId(i as u64), ClientId(i as u64 % 7), build_sub(raw));
@@ -161,14 +154,14 @@ proptest! {
         pubs in proptest::collection::vec(pub_strategy(), 1..8),
         split in 1usize..8,
     ) {
-        let (sk, pk) = test_key();
+        let sk = test_key();
         let mut rng = CryptoRng::from_seed(9);
         let platform = SgxPlatform::for_testing(1);
         let mut inside = RouterEngine::in_enclave(&platform, IndexKind::Poset).expect("launch");
         let mut outside = RouterEngine::outside(&platform);
         for engine in [&mut inside, &mut outside] {
-            let (sk, pk) = (sk.clone(), pk.clone());
-            engine.call(move |e| e.provision_keys(sk, pk));
+            let sk = sk.clone();
+            engine.call(move |e| e.provision(sk));
             for (i, raw) in subs.iter().enumerate() {
                 engine
                     .call(|e| {

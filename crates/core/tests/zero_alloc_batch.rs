@@ -24,7 +24,6 @@ use scbr::publication::PublicationSpec;
 use scbr::subscription::SubscriptionSpec;
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::rsa::RsaPublicKey;
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 
 thread_local! {
@@ -81,11 +80,7 @@ fn drive_warmed_batches(telemetry: bool, width: usize, poisoned: Option<usize>) 
     let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
     engine.set_telemetry(telemetry);
     let sk = SymmetricKey::from_bytes([0x5c; 16]);
-    let pk = RsaPublicKey::from_parts(
-        scbr_crypto::BigUint::from_u64(3233),
-        scbr_crypto::BigUint::from_u64(17),
-    );
-    engine.provision_keys(sk.clone(), pk);
+    engine.provision(sk.clone());
 
     // A containment-heavy database: per topic, nested priority floors
     // share poset chains; distinct topics spread the root directory.

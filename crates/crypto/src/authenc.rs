@@ -3,8 +3,8 @@
 //! The SGX simulator uses this construction for sealed storage (real SGX
 //! uses AES-GCM inside `sgx_seal_data`, another counter-mode cipher with
 //! a polynomial one-time MAC), `scbr-net` for sealed broker-to-broker
-//! link frames, and SCBR for the `SK` grant, the pairwise client keys
-//! and group keys.
+//! link frames, and SCBR for the `SK` grant, registration envelopes, the
+//! pairwise client keys and group keys.
 //!
 //! # Construction
 //!

@@ -14,9 +14,8 @@
 //! [`SymmetricKey`] is plain key bytes; the expanded schedule belongs to
 //! whoever encrypts repeatedly under one key: an [`AesCtr`] (a router's
 //! cached header cipher, the producer's `SK` cipher) or a
-//! [`crate::authenc::SealedBox`]. The associated functions that take a
-//! `SymmetricKey` ([`AesCtr::encrypt_with_nonce`] and the
-//! `decrypt_with_nonce` pair) expand it on every call.
+//! [`crate::authenc::SealedBox`]. [`AesCtr::encrypt_with_nonce`], which
+//! takes a `SymmetricKey`, expands it on every call.
 
 use crate::aes::{Aes, BLOCK_LEN, PARALLEL_LEN};
 use crate::error::CryptoError;
@@ -132,10 +131,11 @@ impl AesCtr {
         self.stream = Keystream::new(nonce);
     }
 
-    /// Like [`AesCtr::decrypt_with_nonce_into`], but reuses `self`'s key
-    /// schedule: the message's nonce replaces the cipher's stream position
-    /// via [`AesCtr::reset_nonce`]. Allocation-free once `out` has
-    /// capacity.
+    /// Decrypts `nonce || ciphertext`, the inverse of
+    /// [`AesCtr::encrypt_with_nonce`], into `out` (cleared first) on
+    /// `self`'s key schedule: the message's nonce replaces the cipher's
+    /// stream position via [`AesCtr::reset_nonce`]. Allocation-free once
+    /// `out` has capacity.
     ///
     /// # Errors
     ///
@@ -160,35 +160,6 @@ impl AesCtr {
     ) -> Vec<u8> {
         let aes = Aes::new(key.as_bytes()).expect("SymmetricKey guarantees a valid length");
         seal_framed(&aes, rng, plaintext)
-    }
-
-    /// Inverse of [`AesCtr::encrypt_with_nonce`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidLength`] if `message` is shorter than a
-    /// nonce.
-    pub fn decrypt_with_nonce(key: &SymmetricKey, message: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let mut out = Vec::new();
-        AesCtr::decrypt_with_nonce_into(key, message, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`AesCtr::decrypt_with_nonce`], but writes the plaintext into
-    /// `out` (cleared first) so a caller on a hot path can reuse one buffer
-    /// across messages instead of allocating per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidLength`] if `message` is shorter than a
-    /// nonce; `out` is left cleared in that case.
-    pub fn decrypt_with_nonce_into(
-        key: &SymmetricKey,
-        message: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CryptoError> {
-        let aes = Aes::new(key.as_bytes()).expect("SymmetricKey guarantees a valid length");
-        open_framed(&aes, message, out).map(drop)
     }
 }
 
@@ -384,28 +355,32 @@ mod tests {
         let msg = b"symbol=INTC volume>10000";
         let wire = AesCtr::encrypt_with_nonce(&key, &mut rng, msg);
         assert_eq!(wire.len(), msg.len() + NONCE_LEN);
-        let back = AesCtr::decrypt_with_nonce(&key, &wire).unwrap();
+        let mut back = Vec::new();
+        AesCtr::new(&key, [0; NONCE_LEN]).decrypt_into(&wire, &mut back).unwrap();
         assert_eq!(back, msg);
     }
 
     #[test]
     fn decrypt_rejects_truncated() {
         let key = SymmetricKey::from_bytes([7u8; 16]);
-        assert!(AesCtr::decrypt_with_nonce(&key, &[1, 2, 3]).is_err());
+        let mut cipher = AesCtr::new(&key, [0; NONCE_LEN]);
+        assert!(cipher.decrypt_into(&[1, 2, 3], &mut Vec::new()).is_err());
     }
 
     #[test]
     fn decrypt_into_reuses_buffer() {
         let key = SymmetricKey::from_bytes([7u8; 16]);
         let mut rng = CryptoRng::from_seed(9);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(64);
+        let buffer = out.as_ptr();
         for msg in [&b"first message"[..], b"a longer second message", b"x"] {
             let wire = AesCtr::encrypt_with_nonce(&key, &mut rng, msg);
-            AesCtr::decrypt_with_nonce_into(&key, &wire, &mut out).unwrap();
+            AesCtr::new(&key, [0; NONCE_LEN]).decrypt_into(&wire, &mut out).unwrap();
             assert_eq!(out, msg);
+            assert_eq!(out.as_ptr(), buffer, "the buffer is reused");
         }
         // Errors clear the buffer rather than leaving stale plaintext.
-        assert!(AesCtr::decrypt_with_nonce_into(&key, &[1, 2], &mut out).is_err());
+        assert!(AesCtr::new(&key, [0; NONCE_LEN]).decrypt_into(&[1, 2], &mut out).is_err());
         assert!(out.is_empty());
     }
 
@@ -416,12 +391,14 @@ mod tests {
         let mut cipher = AesCtr::new(&key, [0; NONCE_LEN]);
         let mut out = Vec::new();
         // One cipher decrypts many independently-nonced messages, and
-        // agrees with the schedule-per-call path.
+        // agrees with a fresh cipher per message.
         for msg in [&b"first message"[..], b"a longer second message", b"x", b""] {
             let wire = AesCtr::encrypt_with_nonce(&key, &mut rng, msg);
             cipher.decrypt_into(&wire, &mut out).unwrap();
             assert_eq!(out, msg);
-            assert_eq!(out, AesCtr::decrypt_with_nonce(&key, &wire).unwrap());
+            let mut fresh = Vec::new();
+            AesCtr::new(&key, [0; NONCE_LEN]).decrypt_into(&wire, &mut fresh).unwrap();
+            assert_eq!(out, fresh);
         }
         assert!(cipher.decrypt_into(&[1, 2], &mut out).is_err());
         assert!(out.is_empty());

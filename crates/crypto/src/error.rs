@@ -18,11 +18,6 @@ pub enum CryptoError {
         /// What was being parsed or processed.
         context: &'static str,
     },
-    /// Input could not be decoded (e.g. a malformed RSA public key).
-    InvalidEncoding {
-        /// What was being decoded.
-        context: &'static str,
-    },
     /// A key could not be generated or is structurally invalid.
     InvalidKey {
         /// Why the key was rejected.
@@ -43,9 +38,6 @@ impl fmt::Display for CryptoError {
             CryptoError::InvalidLength { context } => {
                 write!(f, "invalid length for {context}")
             }
-            CryptoError::InvalidEncoding { context } => {
-                write!(f, "invalid encoding for {context}")
-            }
             CryptoError::InvalidKey { reason } => write!(f, "invalid key: {reason}"),
             CryptoError::Arithmetic { reason } => write!(f, "arithmetic error: {reason}"),
         }
@@ -63,7 +55,6 @@ mod tests {
         let errors = [
             CryptoError::VerificationFailed,
             CryptoError::InvalidLength { context: "aes key" },
-            CryptoError::InvalidEncoding { context: "rsa public key" },
             CryptoError::InvalidKey { reason: "modulus too small" },
             CryptoError::Arithmetic { reason: "division by zero" },
         ];

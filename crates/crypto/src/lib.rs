@@ -6,8 +6,8 @@
 //! Crypto++ library outside the enclave and the Intel SGX SDK crypto inside
 //! it, with **AES-CTR** for symmetric encryption of publication headers and
 //! subscriptions, and **RSA** for the client → producer leg of the key
-//! exchange. This crate implements AES-CTR, RSA signatures (producer
-//! registrations and platform quotes) and **X25519** for every key
+//! exchange. This crate implements AES-CTR, RSA signatures (platform
+//! quotes only) and **X25519** for every key
 //! agreement (the attested exchange that provisions `SK` and keys overlay
 //! links, and each admitted client's pairwise key with the producer),
 //! plus the supporting hash/MAC/KDF machinery, with no external
@@ -22,8 +22,8 @@
 //!   SCBR headers and subscriptions.
 //! * [`authenc`] — AES-CTR + Poly1305-AES authenticated encryption
 //!   ([`authenc::SealedBox`]), used by the enclave simulator for sealing,
-//!   by sealed overlay links, and by SCBR for the `SK` grant, client
-//!   submissions and group keys.
+//!   by sealed overlay links, and by SCBR for the `SK` grant,
+//!   registration envelopes, client submissions and group keys.
 //! * [`poly1305`] — the Poly1305 one-time authenticator (RFC 8439 §2.5).
 //! * [`sha256`], [`hmac`], [`hkdf`] — SHA-256, HMAC-SHA256 and HKDF.
 //! * [`bigint`], [`prime`], [`rsa`] — multi-precision arithmetic, prime

@@ -1,9 +1,12 @@
 //! RSA signatures (PKCS#1 v1.5, SHA-256).
 //!
-//! SCBR signs with RSA in two places: the producer signs the re-encrypted
-//! subscriptions it forwards to routing enclaves, and a platform's
-//! quoting enclave signs its quotes. No key exchange uses RSA: clients
-//! and enclaves agree keys by X25519 ([`crate::x25519`]).
+//! SCBR signs with RSA in one place: a platform's quoting enclave signs
+//! its quotes. No key exchange uses RSA (clients and enclaves agree keys
+//! by X25519, [`crate::x25519`]), and registrations are sealed under a
+//! subkey of `SK`, not signed.
+//!
+//! A public key is only ever made by [`RsaKeyPair::generate`]; none is
+//! parsed from bytes.
 //!
 //! Key generation draws two random primes (via [`crate::prime`]) and uses
 //! the standard `e = 65537`. Each key builds its Montgomery contexts once —
@@ -45,10 +48,8 @@ const SHA256_DIGEST_INFO: [u8; 19] = [
 pub struct RsaPublicKey {
     n: BigUint,
     e: BigUint,
-    /// Montgomery context for `n`; `None` only for an even or unit modulus
-    /// handed to [`RsaPublicKey::from_parts`], under which every operation
-    /// fails.
-    ctx: Option<MontCtx>,
+    /// Montgomery context for `n`.
+    ctx: MontCtx,
 }
 
 impl PartialEq for RsaPublicKey {
@@ -166,7 +167,8 @@ impl RsaKeyPair {
             };
             let (p, q) = (CrtFactor::new(&p, &d), CrtFactor::new(&q, &d));
             let q_inv = p.ctx.to_mont(&q_inv);
-            let public = RsaPublicKey::from_parts(n.clone(), e.clone());
+            let ctx = MontCtx::new(&n).expect("an RSA modulus is odd");
+            let public = RsaPublicKey { n: n.clone(), e: e.clone(), ctx };
             let private = RsaPrivateKey { n, d, p, q, q_inv };
             return Ok(RsaKeyPair { public, private });
         }
@@ -184,61 +186,6 @@ impl RsaKeyPair {
 }
 
 impl RsaPublicKey {
-    /// Constructs a public key from raw `n` and `e`.
-    ///
-    /// Unchecked: under an even modulus or `n < 3` (which
-    /// [`RsaPublicKey::from_bytes`] refuses) every operation returns an
-    /// error.
-    pub fn from_parts(n: BigUint, e: BigUint) -> Self {
-        let ctx = MontCtx::new(&n);
-        RsaPublicKey { n, e, ctx }
-    }
-
-    /// Serialises the key as `len(n) (4 BE) || n || len(e) (4 BE) || e`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n.to_bytes_be();
-        let e = self.e.to_bytes_be();
-        let mut out = Vec::with_capacity(8 + n.len() + e.len());
-        out.extend_from_slice(&(n.len() as u32).to_be_bytes());
-        out.extend_from_slice(&n);
-        out.extend_from_slice(&(e.len() as u32).to_be_bytes());
-        out.extend_from_slice(&e);
-        out
-    }
-
-    /// Parses a key serialised by [`RsaPublicKey::to_bytes`].
-    ///
-    /// The bytes are attacker-supplied in the link handshake and during
-    /// provisioning, so structurally impossible keys are refused here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidEncoding`] on malformed input, an even
-    /// modulus, `n < 3` or `e = 0`.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        let err = CryptoError::InvalidEncoding { context: "rsa public key" };
-        let read = |buf: &[u8]| -> Result<(BigUint, usize), CryptoError> {
-            if buf.len() < 4 {
-                return Err(err.clone());
-            }
-            let len = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-            if buf.len() < 4 + len {
-                return Err(err.clone());
-            }
-            Ok((BigUint::from_bytes_be(&buf[4..4 + len]), 4 + len))
-        };
-        let (n, used) = read(bytes)?;
-        let (e, used2) = read(&bytes[used..])?;
-        if used + used2 != bytes.len() || e.is_zero() {
-            return Err(err);
-        }
-        let key = RsaPublicKey::from_parts(n, e);
-        if key.ctx.is_none() {
-            return Err(err);
-        }
-        Ok(key)
-    }
-
     /// Modulus size in bytes (k in RFC 8017 terms).
     pub fn modulus_len(&self) -> usize {
         self.n.bits().div_ceil(8)
@@ -276,13 +223,10 @@ impl RsaPublicKey {
             return Err(CryptoError::InvalidLength { context: "rsa signature" });
         }
         let s = BigUint::from_bytes_be(signature);
-        let Some(ctx) = &self.ctx else {
-            return Err(CryptoError::VerificationFailed);
-        };
         if s >= self.n {
             return Err(CryptoError::VerificationFailed);
         }
-        let em = ctx.pow_public(&s, &self.e).to_bytes_be_padded(k)?;
+        let em = self.ctx.pow_public(&s, &self.e).to_bytes_be_padded(k)?;
         let expected = signature_encoding(msg, k)?;
         if em == expected {
             Ok(())
@@ -399,25 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn public_key_bytes_round_trip() {
-        let pair = test_pair();
-        let bytes = pair.public().to_bytes();
-        let back = RsaPublicKey::from_bytes(&bytes).unwrap();
-        assert_eq!(&back, pair.public());
-        // Debug shows (n, e) only, never the cached context.
-        assert_eq!(
-            format!("{back:?}"),
-            format!("RsaPublicKey {{ n: {:?}, e: {:?} }}", back.n(), back.e())
-        );
-        // Malformed inputs are rejected.
-        assert!(RsaPublicKey::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(RsaPublicKey::from_bytes(&[]).is_err());
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(RsaPublicKey::from_bytes(&extra).is_err());
-    }
-
-    #[test]
     fn private_exponent_consistent_with_crt() {
         // e * d == 1 (mod lcm is implied); check the textbook identity
         // m^(e*d) == m (mod n) using the exposed d directly.
@@ -442,29 +367,16 @@ mod tests {
     }
 
     #[test]
-    fn hostile_public_keys_are_refused() {
-        let pair = test_pair();
-        let n = pair.public().n();
-        let e = pair.public().e().clone();
-        let even = n.add(&BigUint::one());
-        for bad_n in [even, BigUint::one(), BigUint::from_u64(2), BigUint::zero()] {
-            let bytes = RsaPublicKey::from_parts(bad_n.clone(), e.clone()).to_bytes();
-            assert!(RsaPublicKey::from_bytes(&bytes).is_err(), "n = {bad_n:?}");
-            // The unchecked constructor still yields a key whose every
-            // operation fails cleanly.
-            let key = RsaPublicKey::from_parts(bad_n, e.clone());
-            let k = key.modulus_len();
-            for sig in [vec![0u8; k], vec![0xffu8; k], vec![1u8; k + 1]] {
-                assert!(key.verify(b"msg", &sig).is_err());
-            }
-        }
-    }
-
-    #[test]
     fn debug_does_not_leak_private_key() {
         let pair = test_pair();
         let dbg = format!("{:?}", pair.private());
         assert!(dbg.contains("modulus_bits"));
         assert!(!dbg.to_lowercase().contains("d:"));
+        // The public key shows (n, e) only, never the cached context.
+        let public = pair.public();
+        assert_eq!(
+            format!("{public:?}"),
+            format!("RsaPublicKey {{ n: {:?}, e: {:?} }}", public.n(), public.e())
+        );
     }
 }

@@ -369,7 +369,7 @@ const RSA_MESSAGES: [&[u8]; 3] = [b"", b"abc", b"subscription: symbol = HAL and 
 struct RsaCase {
     seed: u64,
     bits: usize,
-    /// `RsaPublicKey::to_bytes`.
+    /// `len(n) (4 BE) ‖ n ‖ len(e) (4 BE) ‖ e`.
     public_key: &'static str,
     /// One signature per entry of `RSA_MESSAGES`.
     signatures: [&'static str; 3],
@@ -423,7 +423,10 @@ fn rsa_seeded_keys_and_signatures() {
     for case in &cases {
         let mut rng = CryptoRng::from_seed(case.seed);
         let pair = RsaKeyPair::generate(case.bits, &mut rng).unwrap();
-        assert_eq!(pair.public().to_bytes(), hex(case.public_key), "{}-bit key", case.bits);
+        let (n, e) = (pair.public().n().to_bytes_be(), pair.public().e().to_bytes_be());
+        let public_key =
+            [&(n.len() as u32).to_be_bytes()[..], &n, &(e.len() as u32).to_be_bytes(), &e];
+        assert_eq!(public_key.concat(), hex(case.public_key), "{}-bit key", case.bits);
         for (msg, sig) in RSA_MESSAGES.iter().zip(case.signatures) {
             let sig = hex(sig);
             assert_eq!(pair.private().sign(msg).unwrap(), sig, "{}-bit signature", case.bits);

@@ -27,7 +27,7 @@
 //!
 //! The fields are private; the shell changes them only through these
 //! methods, called inside a crossing. `Broker::call` runs one per
-//! crossing: `provision_keys`, `admit`, `remove`, `remove_by_id`,
+//! crossing: `provision`, `admit`, `remove`, `remove_by_id`,
 //! `origin_of`, `unconfirmed`, `replay_rows`, `route_into` and
 //! `record_hop`; the trace drain runs `drain_trace` and hands the records
 //! out through an ocall. The checkpoint's crossing runs
@@ -40,7 +40,7 @@
 //! `trace_drops` and `memory`.
 
 use crate::codec;
-use crate::engine::{BatchMatches, MatchingEngine};
+use crate::engine::{BatchMatches, MatchingEngine, REGISTER_AD};
 use crate::forwarding::ForwardingTable;
 use crate::ids::{ClientId, SubscriptionId};
 use crate::index::{IndexKind, SubscriptionIndex};
@@ -48,7 +48,6 @@ use crate::journal::{self, Journal, Redo, RedoReader};
 use crate::subscription::CompiledSubscription;
 use crate::ScbrError;
 use scbr_crypto::ctr::SymmetricKey;
-use scbr_crypto::rsa::RsaPublicKey;
 use scbr_telemetry::{FlightRecorder, HopRecord, Stage, StageHistograms, StageSummary};
 use sgx_sim::MemorySim;
 use std::collections::{BTreeMap, BTreeSet};
@@ -144,9 +143,9 @@ pub struct AdmitOutcome {
 
 /// One live subscription as the broker's enclave tracks it: where it
 /// entered, its compiled (plaintext — never leaves the enclave) form, and
-/// the producer-signed envelope that proves it — kept so an uncovering
-/// promotion (or a neighbour replay) can re-forward the subscription
-/// with a unit the next hop authenticates independently.
+/// the envelope sealed under the registration key that proves it — kept
+/// so an uncovering promotion (or a neighbour replay) can re-forward the
+/// subscription with a unit the next hop authenticates independently.
 struct LiveSub {
     origin: Origin,
     compiled: CompiledSubscription,
@@ -243,7 +242,7 @@ impl BrokerCore {
         origin: Origin,
         replay: bool,
     ) -> Result<AdmitOutcome, ScbrError> {
-        let body = self.matcher.open_envelope(envelope)?;
+        let body = self.matcher.open_envelope(envelope, REGISTER_AD)?;
         let (id, compiled) = self.matcher.register_retained_as(body, origin.deliver_to())?;
         let body = self.matcher.retained_body(id).expect("just registered");
         self.journal.admit(origin, replay, body, envelope);
@@ -320,7 +319,7 @@ impl BrokerCore {
 
     /// Removes `id` without an envelope (the rejoin reconciliation path:
     /// link authentication of the attested peer stands in for the
-    /// producer signature, which may have been lost with the outage).
+    /// unregistration envelope, which may have been lost with the outage).
     pub fn remove_by_id(&mut self, id: SubscriptionId, origin: Origin) -> RemoveOutcome {
         if !self.matcher.unregister(id) {
             return RemoveOutcome { id, removed: false, links: Vec::new() };
@@ -565,9 +564,9 @@ impl BrokerCore {
         Ok(core)
     }
 
-    /// Installs `SK` and the producer's signature key.
-    pub fn provision_keys(&mut self, sk: SymmetricKey, producer_key: RsaPublicKey) {
-        self.matcher.provision_keys(sk, producer_key);
+    /// Installs `SK` (and the registration key derived from it).
+    pub fn provision(&mut self, sk: SymmetricKey) {
+        self.matcher.provision(sk);
     }
 
     /// The live subscriptions learnt from the link to `neighbor` that its

@@ -16,7 +16,7 @@
 //! not on time.
 //!
 //! Registrations enter as opened bodies (`register_retained_as`), so no
-//! case pays for a producer signature. A child module of `broker` so it
+//! case needs `SK` or seals an envelope. A child module of `broker` so it
 //! can read `BrokerCore`'s private state.
 
 use super::*;

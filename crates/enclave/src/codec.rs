@@ -366,7 +366,7 @@ fn decode_header_entries(
     Ok(())
 }
 
-/// Encodes the registration body a producer signs and forwards to routers:
+/// Encodes the registration body a producer seals and forwards to routers:
 /// subscription bytes plus routing metadata visible to the enclave.
 pub fn encode_registration(
     sub: &SubscriptionSpec,
@@ -399,10 +399,11 @@ pub fn decode_registration(
 
 /// Tag byte opening an unregistration body: keeps the two envelope body
 /// formats (registration vs unregistration) from ever decoding as each
-/// other, even though both travel `{body}SK` + producer signature.
+/// other, even though both travel sealed under one registration key
+/// (whose associated data tells them apart as well).
 const UNREGISTRATION_TAG: u8 = 0x55;
 
-/// Encodes the unregistration body a producer signs and forwards to
+/// Encodes the unregistration body a producer seals and forwards to
 /// routers: which subscription to retire, on behalf of which client.
 pub fn encode_unregistration(id: SubscriptionId, client: ClientId) -> Vec<u8> {
     let mut w = Writer::new();

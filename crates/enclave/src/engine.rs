@@ -1,7 +1,7 @@
 //! The SCBR matching engine.
 //!
 //! [`MatchingEngine`] is the trusted core: it holds the symmetric key `SK`,
-//! decrypts registrations and publication headers, and matches them against
+//! opens registrations and decrypts publication headers, and matches them against
 //! the covering forest it owns by value ([`PosetIndex`], so the hot match
 //! is a direct call). Its placement, inside an enclave or outside, is the
 //! host's business (`scbr::engine::RouterEngine`).
@@ -25,7 +25,7 @@ use crate::index::{Anchor, IndexKind, MatchScratch, PosetIndex, SubscriptionInde
 use crate::publication::{CompiledHeader, PublicationSpec};
 use crate::subscription::{CompiledSubscription, SubscriptionSpec};
 use scbr_crypto::ctr::{AesCtr, SymmetricKey};
-use scbr_crypto::rsa::RsaPublicKey;
+use scbr_crypto::SealedBox;
 use scbr_telemetry::{Stage, StageHistograms, StageSummary};
 use sgx_sim::MemorySim;
 use std::collections::hash_map::Entry;
@@ -45,6 +45,26 @@ pub const MAX_DRAIN: usize = 128;
 
 // A walk's live set is a `u128`, one bit per publication.
 const _: () = assert!(MAX_DRAIN <= u128::BITS as usize);
+
+/// HKDF info of `K_reg`, the subkey of `SK` that seals registration and
+/// unregistration envelopes ([`registration_key`]).
+const REGISTRATION_INFO: &[u8] = b"scbr-registration-v1";
+
+/// Associated data of a sealed registration envelope.
+pub const REGISTER_AD: &[u8] = b"scbr-register-v1";
+
+/// Associated data of a sealed unregistration envelope: an unregistration
+/// offered as a registration, or the other way round, fails its tag.
+pub const UNREGISTER_AD: &[u8] = b"scbr-unregister-v1";
+
+/// `K_reg` = HKDF(`SK`, `scbr-registration-v1`) as a [`SealedBox`]: the
+/// producer seals envelopes under it and an enclave holding `SK` opens
+/// them, each side deriving it once, when it gets `SK`.
+pub fn registration_key(sk: &SymmetricKey) -> SealedBox {
+    let mut key = [0u8; 16];
+    scbr_crypto::hkdf::derive(b"", sk.as_bytes(), REGISTRATION_INFO, &mut key);
+    SealedBox::new(&SymmetricKey::from_bytes(key))
+}
 
 /// Refusal of an edge registration whose client id carries
 /// [`ClientId::INTERFACE_BIT`], the mark of a link interface.
@@ -231,7 +251,8 @@ pub struct MatchingEngine {
     index: PosetIndex,
     mem: MemorySim,
     sk: Option<SymmetricKey>,
-    producer_key: Option<RsaPublicKey>,
+    /// [`registration_key`] of `sk`.
+    registration_key: Option<SealedBox>,
     /// Raw registration bodies keyed by subscription id, retained for
     /// sealing snapshots alongside their *delivery identity* override
     /// (`None` = the envelope's embedded edge client; `Some` = a link
@@ -268,7 +289,7 @@ impl MatchingEngine {
             index: PosetIndex::new(mem),
             mem: mem.clone(),
             sk: None,
-            producer_key: None,
+            registration_key: None,
             registered: Vec::new(),
             registered_pos: HashMap::new(),
             scratch: Mutex::new(EngineScratch::default()),
@@ -294,12 +315,18 @@ impl MatchingEngine {
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Installs the symmetric key `SK` and the producer's signature key
-    /// (normally delivered via remote attestation; see
-    /// `scbr::protocol::keys`).
-    pub fn provision_keys(&mut self, sk: SymmetricKey, producer_key: RsaPublicKey) {
+    /// Installs the symmetric key `SK` (normally delivered via remote
+    /// attestation; see `scbr::protocol::keys`) and derives the
+    /// [`registration_key`] from it.
+    pub fn provision(&mut self, sk: SymmetricKey) {
+        self.registration_key = Some(registration_key(&sk));
         self.sk = Some(sk);
-        self.producer_key = Some(producer_key);
+    }
+
+    /// [`MatchingEngine::provision`]; the ignored second argument is a
+    /// shim that goes with the next benchmark change.
+    pub fn provision_keys(&mut self, sk: SymmetricKey, _producer_key: impl Sized) {
+        self.provision(sk);
     }
 
     /// Registers a plaintext subscription (baseline path and tests).
@@ -343,14 +370,14 @@ impl MatchingEngine {
         }
     }
 
-    /// Registers an encrypted, signed registration envelope
-    /// (`{s}SK` + producer signature), the paper's step 3.
+    /// Registers a registration envelope sealed under the
+    /// [`registration_key`], the paper's step 3.
     ///
     /// # Errors
     ///
-    /// Signature or decryption failures, malformed bodies, or missing keys.
+    /// A tag that fails, malformed bodies, or missing keys.
     pub fn register_envelope(&mut self, envelope: &[u8]) -> Result<SubscriptionId, ScbrError> {
-        let body = self.open_envelope(envelope)?;
+        let body = self.open_envelope(envelope, REGISTER_AD)?;
         self.register_retained_as(body, None).map(|(id, _)| id)
     }
 
@@ -368,7 +395,7 @@ impl MatchingEngine {
     /// override alongside the body, so a restored engine re-registers
     /// link interfaces as *interfaces*, not edge clients.
     ///
-    /// It needs neither `SK` nor the producer key, so an enclave
+    /// It does not need `SK`, so an enclave
     /// relaunched after a crash can redo registrations from its own
     /// sealed journal before it has been re-attested. The body is
     /// trusted input: callers hand in only what they unsealed or
@@ -412,8 +439,8 @@ impl MatchingEngine {
         self.index.remove(id)
     }
 
-    /// Processes a signed, encrypted unregistration envelope
-    /// (`{id, client}SK` + producer signature, built by
+    /// Processes an unregistration envelope sealed under the
+    /// [`registration_key`] (built by
     /// `scbr::protocol::keys::ProducerCrypto::seal_unregistration`).
     /// Removal is **idempotent**: retiring an id that is not (or no
     /// longer) in the index authenticates and decrypts normally but
@@ -422,33 +449,27 @@ impl MatchingEngine {
     ///
     /// # Errors
     ///
-    /// Signature or decryption failures, malformed bodies, or missing
-    /// keys. An unknown id is *not* an error (see above).
+    /// A tag that fails, malformed bodies, or missing keys. An unknown
+    /// id is *not* an error (see above).
     pub fn unregister_envelope(
         &mut self,
         envelope: &[u8],
     ) -> Result<(SubscriptionId, ClientId, bool), ScbrError> {
-        let body = self.open_envelope(envelope)?;
+        let body = self.open_envelope(envelope, UNREGISTER_AD)?;
         let (id, client) = codec::decode_unregistration(&body)?;
         let existed = self.unregister(id);
         Ok((id, client, existed))
     }
 
-    /// Shared envelope authentication: verify the producer signature,
-    /// charge the parse/crypto work, and decrypt the body.
-    pub(crate) fn open_envelope(&self, envelope: &[u8]) -> Result<Vec<u8>, ScbrError> {
-        let sk = self.sk.as_ref().ok_or(ScbrError::MissingKeys { which: "SK" })?;
-        let producer = self
-            .producer_key
-            .as_ref()
-            .ok_or(ScbrError::MissingKeys { which: "producer signature key" })?;
-        let mut r = codec::Reader::new(envelope);
-        let body_ct = r.bytes()?;
-        let signature = r.bytes()?;
-        producer.verify(&body_ct, &signature)?;
+    /// Shared envelope authentication: open the envelope of the kind
+    /// `ad` names under the [`registration_key`] and charge the
+    /// parse/crypto work.
+    pub(crate) fn open_envelope(&self, envelope: &[u8], ad: &[u8]) -> Result<Vec<u8>, ScbrError> {
+        let key = self.registration_key.as_ref().ok_or(ScbrError::MissingKeys { which: "SK" })?;
+        let body = key.open(envelope, ad)?;
         self.mem.charge_message_parse();
-        self.mem.charge_crypto_op(body_ct.len() as u64);
-        Ok(AesCtr::decrypt_with_nonce(sk, &body_ct)?)
+        self.mem.charge_crypto_op(envelope.len() as u64);
+        Ok(body)
     }
 
     /// Serialises the registered subscriptions for sealing: the enclave
@@ -738,7 +759,6 @@ fn sort_dedup_from(out: &mut Vec<ClientId>, start: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::ids::ClientId;
-    use scbr_crypto::rsa::RsaKeyPair;
     use scbr_crypto::CryptoRng;
 
     #[test]
@@ -929,8 +949,7 @@ mod tests {
         let sk = SymmetricKey::generate(&mut rng);
         let mem = MemorySim::native(sgx_sim::CacheConfig::default(), sgx_sim::CostModel::free());
         let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-        let producer_key = RsaKeyPair::generate(512, &mut rng).unwrap().public().clone();
-        engine.provision_keys(sk.clone(), producer_key);
+        engine.provision(sk.clone());
         let spec = SubscriptionSpec::new().eq("symbol", "HAL");
         engine.register_plain(SubscriptionId(1), ClientId(7), &spec).unwrap();
         let interned = engine.schema.len();

@@ -229,15 +229,14 @@ pub enum Input {
         /// The raw frame bytes.
         bytes: Vec<u8>,
     },
-    /// A producer-sealed registration envelope from a local edge client.
+    /// A registration envelope from a local edge client.
     Subscribe {
-        /// `{s}SK` + producer signature.
+        /// The subscription, sealed under the registration key.
         envelope: Vec<u8>,
     },
-    /// A producer-sealed unregistration envelope from a local edge
-    /// client.
+    /// An unregistration envelope from a local edge client.
     Unsubscribe {
-        /// `{id, client}SK` + producer signature.
+        /// `{id, client}`, sealed under the registration key.
         envelope: Vec<u8>,
     },
     /// A publication batch injected at this broker.
@@ -941,7 +940,7 @@ impl Broker {
         producer: &impl SkIssuer,
         producer_rng: &mut CryptoRng,
     ) -> Result<(), OverlayError> {
-        let (sk, pk) = provision_sk_via_attestation(
+        let (sk, ()) = provision_sk_via_attestation(
             &self.platform,
             self.phase.enclave()?,
             service,
@@ -950,7 +949,7 @@ impl Broker {
             &mut self.rng,
             producer_rng,
         )?;
-        self.call(|c| c.provision_keys(sk, pk));
+        self.call(|c| c.provision(sk));
         self.trust = Some((service.clone(), policy.clone()));
         if let Phase::Cold(_) = self.phase {
             self.phase.advance(if self.peers.is_empty() { Phase::Serving } else { Phase::Linking });
@@ -2056,7 +2055,7 @@ mod tests {
     use scbr_enclave::broker::{link_interface, RECORD_VERSION, RETIRED_DIVISOR};
 
     fn producer(rng: &mut CryptoRng) -> ProducerCrypto {
-        ProducerCrypto::generate(512, rng).unwrap()
+        ProducerCrypto::new(rng)
     }
 
     fn frames(outputs: &[Output]) -> Vec<&LinkFrame> {
@@ -2410,7 +2409,7 @@ mod tests {
             .any(|o| matches!(o, Output::Event(LinkEvent::Unsubscribed { removed: false, .. }))));
 
         // A forged unregistration is refused outright.
-        let rogue = ProducerCrypto::generate(512, &mut rng).unwrap();
+        let rogue = ProducerCrypto::new(&mut rng);
         let forged = rogue.seal_unregistration(SubscriptionId(1), ClientId(1), &mut rng).unwrap();
         assert!(broker.step(4, Input::Unsubscribe { envelope: forged }).is_err());
         assert_eq!(broker.subscriptions(), 1, "forgery removed nothing");
@@ -2636,7 +2635,7 @@ mod tests {
     }
 
     /// A host that rewrites the producer's `SK` grant on its way into the
-    /// enclave — swaps the producer key under CTR, or flips one sealed
+    /// enclave — swaps `SK` for another key under CTR, or flips any one
     /// byte — fails provisioning: the broker stays `Cold`, with no trust
     /// anchors. The honest grant then provisions it.
     #[test]
@@ -2656,22 +2655,26 @@ mod tests {
             }
         }
         let mut rng = CryptoRng::from_seed(10);
-        let attacker = producer(&mut rng).public_key().to_bytes();
+        let attacker = producer(&mut rng).sk().clone();
         let producer = producer(&mut rng);
-        let honest = producer.public_key().to_bytes();
-        // The producer key ends the plaintext, just before the tag.
+        let honest = producer.sk().as_bytes();
+        // `SK` is the whole plaintext, just before the tag.
         let swap = |grant: &mut Vec<u8>| {
             let at = grant.len() - scbr_crypto::poly1305::TAG_LEN - honest.len();
-            for (i, (h, a)) in honest.iter().zip(&attacker).enumerate() {
+            for (i, (h, a)) in honest.iter().zip(attacker.as_bytes()).enumerate() {
                 grant[at + i] ^= h ^ a;
             }
         };
-        let flip = |grant: &mut Vec<u8>| grant[40] ^= 1;
+        // The ephemeral key, the nonce, `SK` and the tag.
+        let grant_len = 32 + 8 + honest.len() + scbr_crypto::poly1305::TAG_LEN;
+        let flips: Vec<_> =
+            (0..grant_len).map(|at| move |grant: &mut Vec<u8>| grant[at] ^= 1).collect();
         let mut broker = in_phase(Lifecycle::Cold, &producer);
         let mut service = AttestationService::new();
         service.trust_platform(broker.platform().attestation_public_key().clone());
         let policy = VerifierPolicy::require_mr_enclave(router_builder(&broker.code).measurement());
-        for tamper in [&swap as &dyn Fn(&mut Vec<u8>), &flip] {
+        let tampers = flips.iter().map(|flip| flip as &dyn Fn(&mut Vec<u8>));
+        for tamper in std::iter::once(&swap as &dyn Fn(&mut Vec<u8>)).chain(tampers) {
             let host = Host(&producer, tamper);
             assert!(broker.provision_attested(&service, &policy, &host, &mut rng).is_err());
             assert_eq!(broker.lifecycle(), Lifecycle::Cold);

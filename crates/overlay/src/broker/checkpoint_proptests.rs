@@ -90,15 +90,9 @@ fn build_spec(raw: &RawSpec) -> SubscriptionSpec {
     spec
 }
 
-/// One producer for the whole run: RSA key generation dominates set-up
-/// and is orthogonal to the property.
+/// One producer identity for the whole run.
 fn shared_producer() -> ProducerCrypto {
-    static PRODUCER: std::sync::OnceLock<ProducerCrypto> = std::sync::OnceLock::new();
-    PRODUCER
-        .get_or_init(|| {
-            ProducerCrypto::generate(512, &mut CryptoRng::from_seed(0x6a6f_7572)).expect("keys")
-        })
-        .clone()
+    ProducerCrypto::new(&mut CryptoRng::from_seed(0x6a6f_7572))
 }
 
 /// Crashes `broker` and brings it back from its host file alone: every
@@ -222,7 +216,7 @@ impl Harness {
                     .expect("seal");
                 Some(Op::Local(Input::Unsubscribe { envelope }))
             }
-            // Link removal, producer-signed (5) or link-authenticated (6).
+            // Link removal, by envelope (5) or link-authenticated (6).
             5 | 6 => {
                 let gone = self.retire(pick, |origin| origin != Origin::Local)?;
                 let Origin::Link(n) = gone.origin else { unreachable!("picked among link subs") };

@@ -221,7 +221,7 @@ impl OverlayFabric {
     /// Enclave-launch, attestation, provisioning or handshake failures.
     pub fn build(topology: Topology, config: FabricConfig) -> Result<Self, OverlayError> {
         let mut rng = CryptoRng::from_seed(config.seed);
-        let producer = ProducerCrypto::generate(512, &mut rng).map_err(OverlayError::Routing)?;
+        let producer = ProducerCrypto::new(&mut rng);
         Self::build_with_producer(topology, config, producer)
     }
 
@@ -454,7 +454,7 @@ impl OverlayFabric {
     }
 
     /// Re-registers subscription `id` with a new filter at its home
-    /// router — same id and client, a fresh producer-signed envelope. The
+    /// router — same id and client, a freshly sealed envelope. The
     /// new filter replaces the old one at every broker the subscription
     /// had reached, and on every link it had been forwarded on,
     /// subscriptions pruned behind the old filter that the new one no

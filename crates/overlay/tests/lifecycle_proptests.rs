@@ -52,16 +52,9 @@ fn witness(raw: &RawSub) -> PublicationSpec {
     spec
 }
 
-/// One producer identity for the whole property run: RSA key generation
-/// dominates fabric construction and is orthogonal to the property.
+/// One producer identity for the whole run.
 fn shared_producer() -> ProducerCrypto {
-    static PRODUCER: std::sync::OnceLock<ProducerCrypto> = std::sync::OnceLock::new();
-    PRODUCER
-        .get_or_init(|| {
-            ProducerCrypto::generate(512, &mut CryptoRng::from_seed(0x6c696665))
-                .expect("producer keys")
-        })
-        .clone()
+    ProducerCrypto::new(&mut CryptoRng::from_seed(0x6c696665))
 }
 
 /// One lifecycle step, decoded from the generated script.

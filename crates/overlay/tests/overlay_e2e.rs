@@ -161,7 +161,7 @@ fn pruning_shrinks_upstream_state() {
 #[test]
 fn link_establishment_rejects_wrong_measurement() {
     let mut rng = scbr_crypto::rng::CryptoRng::from_seed(1000);
-    let producer = scbr::protocol::keys::ProducerCrypto::generate(512, &mut rng).unwrap();
+    let producer = scbr::protocol::keys::ProducerCrypto::new(&mut rng);
     let mut genuine = attested(0, 1000, ROUTER_ENCLAVE_CODE);
     let mut tampered = attested(1, 1001, b"routing engine + backdoor");
     let mut service = AttestationService::new();
@@ -218,7 +218,7 @@ fn link_establishment_rejects_wrong_measurement() {
 #[test]
 fn link_establishment_rejects_untrusted_platform() {
     let mut rng = scbr_crypto::rng::CryptoRng::from_seed(1002);
-    let producer = scbr::protocol::keys::ProducerCrypto::generate(512, &mut rng).unwrap();
+    let producer = scbr::protocol::keys::ProducerCrypto::new(&mut rng);
     let mut genuine = attested(0, 1002, ROUTER_ENCLAVE_CODE);
     let mut emulated = attested(1, 1003, ROUTER_ENCLAVE_CODE);
     // Only the genuine broker's platform is trusted by honest verifiers;
@@ -248,7 +248,7 @@ fn link_establishment_rejects_untrusted_platform() {
 #[test]
 fn tampered_link_frames_are_refused() {
     let mut rng = scbr_crypto::rng::CryptoRng::from_seed(99);
-    let producer = scbr::protocol::keys::ProducerCrypto::generate(512, &mut rng).unwrap();
+    let producer = scbr::protocol::keys::ProducerCrypto::new(&mut rng);
     let item = scbr::protocol::messages::PublishItem {
         header_ct: producer.encrypt_header(&PublicationSpec::new().attr("price", 1.0), &mut rng),
         epoch: scbr::ids::KeyEpoch(0),

@@ -25,16 +25,9 @@ use scbr_overlay::fabric::{FabricConfig, OverlayFabric, Propagation};
 use scbr_overlay::{Delivery, Topology};
 use sgx_sim::{CacheConfig, CostModel, MemorySim};
 
-/// One producer identity for the whole property run: RSA key generation
-/// dominates fabric construction and is orthogonal to the property.
+/// One producer identity for the whole run.
 fn shared_producer() -> ProducerCrypto {
-    static PRODUCER: std::sync::OnceLock<ProducerCrypto> = std::sync::OnceLock::new();
-    PRODUCER
-        .get_or_init(|| {
-            ProducerCrypto::generate(512, &mut CryptoRng::from_seed(0x70726f70))
-                .expect("producer keys")
-        })
-        .clone()
+    ProducerCrypto::new(&mut CryptoRng::from_seed(0x70726f70))
 }
 
 /// Runs one fabric end to end and returns the sorted delivery set.

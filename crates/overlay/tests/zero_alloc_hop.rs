@@ -115,7 +115,7 @@ fn pump(brokers: &mut [Broker], at: usize, input: Input, bufs: &mut Buffers) -> 
 /// publications of which the last `matched` match it.
 fn attested_line(clients: u64, matched: usize) -> (Vec<Broker>, Vec<PublishItem>) {
     let mut rng = CryptoRng::from_seed(2701);
-    let producer = ProducerCrypto::generate(512, &mut rng).expect("producer keys");
+    let producer = ProducerCrypto::new(&mut rng);
     let items = (0..BATCH)
         .map(|i| PublishItem {
             header_ct: producer

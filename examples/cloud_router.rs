@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = VerifierPolicy::require_mr_enclave(expected);
 
     let mut producer_rng = CryptoRng::from_seed(2);
-    let producer = ProducerCrypto::generate(512, &mut producer_rng)?;
+    let producer = ProducerCrypto::new(&mut producer_rng);
 
     // --- 1. Genuine enclave, genuine platform. ---------------------------
     let genuine = genuine_platform.launch(router_builder(GENUINE_CODE))?;
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut rng1,
         &mut producer_rng,
     ) {
-        Ok((sk, _pk)) => {
+        Ok((sk, ())) => {
             println!("[1] genuine enclave:   SK provisioned ({} key bytes) ✓", sk.as_bytes().len())
         }
         Err(e) => println!("[1] genuine enclave:   UNEXPECTED failure: {e}"),

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A tampered router build cannot join: its quote carries the wrong
     // measurement, so an honest broker refuses the handshake hello.
     let mut rng = scbr_crypto::rng::CryptoRng::from_seed(900);
-    let producer = scbr::protocol::keys::ProducerCrypto::generate(512, &mut rng)?;
+    let producer = scbr::protocol::keys::ProducerCrypto::new(&mut rng);
     let mut honest = Broker::attested(10, 900, ROUTER_ENCLAVE_CODE, false, EpcConfig::default())?;
     let mut rogue = Broker::attested(11, 901, b"router + backdoor", false, EpcConfig::default())?;
     let mut service = AttestationService::new();

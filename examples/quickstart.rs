@@ -27,13 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &router.enclave().unwrap().identity().mr_enclave[..4]
     );
 
-    // The producer owns PK (for clients) and SK (shared with the enclave).
+    // The producer owns SK (shared with the enclave).
     let mut rng = CryptoRng::from_seed(2);
-    let producer = ProducerCrypto::generate(512, &mut rng)?;
-    let (sk, pk) = (producer.sk().clone(), producer.public_key().clone());
-    router.call(move |e| e.provision_keys(sk, pk));
+    let producer = ProducerCrypto::new(&mut rng);
+    let sk = producer.sk().clone();
+    router.call(move |e| e.provision(sk));
 
-    // Subscriptions travel encrypted and signed (`{s}SK` + signature).
+    // Subscriptions travel sealed under a subkey of SK.
     let alice = SubscriptionSpec::new().eq("symbol", "HAL").lt("price", 50.0);
     let bob = SubscriptionSpec::new().gt("volume", 10_000i64);
     for (i, (spec, client)) in [(alice, 1u64), (bob, 2u64)].into_iter().enumerate() {

@@ -84,8 +84,8 @@ fn publish(producer: &mut ProducerCore, quote: &[u8]) -> Vec<(To, Message)> {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let crypto = ProducerCrypto::generate(512, &mut CryptoRng::from_seed(1))?;
-    let producer_key = *crypto.exchange_key();
+    let crypto = ProducerCrypto::new(&mut CryptoRng::from_seed(1));
+    let producer_key = *crypto.public_key();
     let mut producer = ProducerCore::new(crypto, CryptoRng::from_seed(2));
 
     // Two paying clients with their own X25519 keys; admitting each

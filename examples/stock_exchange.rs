@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Service provider: attests the enclave, provisions SK. ----------
     let mut exchange_rng = CryptoRng::from_seed(2);
-    let exchange_keys = ProducerCrypto::generate(512, &mut exchange_rng)?;
+    let exchange_keys = ProducerCrypto::new(&mut exchange_rng);
     let mut ias = AttestationService::new();
     ias.trust_platform(broker.platform().attestation_public_key().clone());
     let policy = VerifierPolicy::require_mr_enclave(router_measurement());
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let id = ClientId(i as u64 + 1);
         let mut client = ClientNode::connect(
             id,
-            exchange_keys.exchange_key(),
+            exchange_keys.public_key(),
             net.connect("exchange")?,
             net.connect("router")?,
             CryptoRng::from_seed(100 + i as u64),

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (the `stock_exchange` example walks through the flow).
     let mut broker = Broker::attested(0, 1, ROUTER_ENCLAVE_CODE, false, EpcConfig::default())?;
     let mut rng = CryptoRng::from_seed(2);
-    let keys = ProducerCrypto::generate(512, &mut rng)?;
+    let keys = ProducerCrypto::new(&mut rng);
     let mut ias = AttestationService::new();
     ias.trust_platform(broker.platform().attestation_public_key().clone());
     let policy = VerifierPolicy::require_mr_enclave(router_measurement());
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One client over TCP.
     let mut client = ClientNode::connect(
         ClientId(1),
-        keys.exchange_key(),
+        keys.public_key(),
         tcp.connect(&producer_addr)?,
         tcp.connect(&router_addr)?,
         CryptoRng::from_seed(3),

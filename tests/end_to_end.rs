@@ -59,7 +59,7 @@ fn deploy(seed: u64) -> Deployment {
     let router_listener = net.bind("router").expect("bind router");
     let producer_listener = net.bind("producer").expect("bind producer");
     let mut producer_rng = CryptoRng::from_seed(seed + 1);
-    let producer_crypto = ProducerCrypto::generate(512, &mut producer_rng).expect("keys");
+    let producer_crypto = ProducerCrypto::new(&mut producer_rng);
     let broker = attested_router(seed, &producer_crypto, &mut producer_rng);
 
     // Spawn the roles.
@@ -77,7 +77,7 @@ fn deploy(seed: u64) -> Deployment {
 fn new_client(d: &Deployment, id: u64, seed: u64) -> ClientNode {
     let mut client = ClientNode::connect(
         ClientId(id),
-        d.producer_crypto.exchange_key(),
+        d.producer_crypto.public_key(),
         d.net.connect("producer").expect("client->producer"),
         d.net.connect("router").expect("client->router"),
         CryptoRng::from_seed(seed),
@@ -143,7 +143,7 @@ fn unadmitted_client_is_rejected() {
     // Connect without admission.
     let mut eve = ClientNode::connect(
         ClientId(66),
-        d.producer_crypto.exchange_key(),
+        d.producer_crypto.public_key(),
         d.net.connect("producer").expect("conn"),
         d.net.connect("router").expect("conn"),
         CryptoRng::from_seed(5),
@@ -169,7 +169,7 @@ fn a_submission_in_another_clients_name_is_rejected() {
     d.producer
         .handle()
         .send(ProducerCommand::Admit { client: ClientId(2), public_key: *mallory.public_key() });
-    let producer_key = d.producer_crypto.exchange_key();
+    let producer_key = d.producer_crypto.public_key();
     let mallorys = PairwiseKey::for_client(&mallory, ClientId(2), producer_key).expect("key");
     let underived = X25519Secret::generate(&mut rng);
     let underived = PairwiseKey::for_client(&underived, ClientId(1), producer_key).expect("key");
@@ -203,7 +203,7 @@ fn a_low_order_client_key_is_not_admitted() {
     let d = deploy(114);
     let mut carol = ClientNode::connect(
         ClientId(3),
-        d.producer_crypto.exchange_key(),
+        d.producer_crypto.public_key(),
         d.net.connect("producer").expect("conn"),
         d.net.connect("router").expect("conn"),
         CryptoRng::from_seed(212),
@@ -402,7 +402,7 @@ fn router_errors_bounce_to_the_requester_for_both_request_kinds() {
     let (broker, _, _) = launch_router(180);
     let _router = Router::spawn(router_listener, broker); // keys never provisioned
     let mut producer_rng = CryptoRng::from_seed(181);
-    let crypto = ProducerCrypto::generate(512, &mut producer_rng).expect("keys");
+    let crypto = ProducerCrypto::new(&mut producer_rng);
     let producer = Producer::spawn(
         producer_listener,
         net.connect("router").expect("producer->router"),
@@ -411,7 +411,7 @@ fn router_errors_bounce_to_the_requester_for_both_request_kinds() {
     );
     let mut alice = ClientNode::connect(
         ClientId(1),
-        crypto.exchange_key(),
+        crypto.public_key(),
         net.connect("producer").expect("conn"),
         net.connect("router").expect("conn"),
         CryptoRng::from_seed(182),
@@ -517,7 +517,7 @@ fn raw_router(seed: u64) -> RawRouter {
     let net = InProcNetwork::new();
     let listener = net.bind("router").expect("bind router");
     let mut rng = CryptoRng::from_seed(seed + 1);
-    let crypto = ProducerCrypto::generate(512, &mut rng).expect("keys");
+    let crypto = ProducerCrypto::new(&mut rng);
     let router = Router::spawn(listener, attested_router(seed, &crypto, &mut rng));
     let subscriber = net.connect("router").expect("subscriber->router");
     subscriber.send(&Message::Hello { client: ClientId(1) }.to_wire()).expect("hello");

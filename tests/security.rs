@@ -15,19 +15,19 @@ use sgx_sim::{MemorySim, SgxPlatform};
 
 fn producer(seed: u64) -> (ProducerCrypto, CryptoRng) {
     let mut rng = CryptoRng::from_seed(seed);
-    let crypto = ProducerCrypto::generate(512, &mut rng).expect("keys");
+    let crypto = ProducerCrypto::new(&mut rng);
     (crypto, rng)
 }
 
 #[test]
 fn infrastructure_cannot_forge_registrations() {
-    // A malicious host without the producer's signing key cannot inject
-    // subscriptions into the engine.
+    // A malicious host without `SK`, and so without the registration key,
+    // cannot inject subscriptions into the engine.
     let (honest, mut rng) = producer(1);
     let (rogue, _) = producer(2);
     let mem = MemorySim::native_default();
     let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-    engine.provision_keys(honest.sk().clone(), honest.public_key().clone());
+    engine.provision(honest.sk().clone());
 
     let spec = SubscriptionSpec::new().eq("symbol", "SPY");
     let forged = rogue
@@ -46,7 +46,7 @@ fn infrastructure_cannot_replay_modified_envelopes() {
     let (honest, mut rng) = producer(3);
     let mem = MemorySim::native_default();
     let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
-    engine.provision_keys(honest.sk().clone(), honest.public_key().clone());
+    engine.provision(honest.sk().clone());
     let spec = SubscriptionSpec::new().eq("symbol", "SPY");
     let envelope =
         honest.seal_registration(&spec, SubscriptionId(1), ClientId(1), &mut rng).expect("seal");
@@ -59,6 +59,68 @@ fn infrastructure_cannot_replay_modified_envelopes() {
     }
 }
 
+/// Every hostile envelope, of either kind, is refused, and the engine's
+/// index and retained registrations stay as they were: each single byte
+/// flipped, each truncation, one sealed under a foreign `SK`, and a
+/// genuine envelope offered as the other kind.
+#[test]
+fn hostile_envelopes_leave_the_engine_unchanged() {
+    let (honest, mut rng) = producer(16);
+    let (foreign, _) = producer(17);
+    let mem = MemorySim::native_default();
+    let mut engine = MatchingEngine::new(&mem, IndexKind::Poset);
+    engine.provision(honest.sk().clone());
+    let spec = SubscriptionSpec::new().eq("symbol", "SPY");
+    let live =
+        honest.seal_registration(&spec, SubscriptionId(1), ClientId(1), &mut rng).expect("seal");
+    engine.register_envelope(&live).expect("a genuine registration");
+    let before = (engine.index().len(), engine.snapshot());
+
+    let spec = spec.lt("price", 5.0);
+    let registration =
+        honest.seal_registration(&spec, SubscriptionId(2), ClientId(2), &mut rng).expect("seal");
+    let unregistration =
+        honest.seal_unregistration(SubscriptionId(1), ClientId(1), &mut rng).expect("seal");
+    let foreign_registration =
+        foreign.seal_registration(&spec, SubscriptionId(2), ClientId(2), &mut rng).expect("seal");
+    let foreign_unregistration =
+        foreign.seal_unregistration(SubscriptionId(1), ClientId(1), &mut rng).expect("seal");
+    // (what, bytes, offered as a registration)
+    let mut hostile = vec![
+        ("foreign SK".to_owned(), foreign_registration, true),
+        ("foreign SK".to_owned(), foreign_unregistration, false),
+        ("the other kind".to_owned(), registration.clone(), false),
+        ("the other kind".to_owned(), unregistration.clone(), true),
+    ];
+    for (envelope, as_registration) in [(&registration, true), (&unregistration, false)] {
+        for at in 0..envelope.len() {
+            let mut flipped = envelope.clone();
+            flipped[at] ^= 1;
+            hostile.push((format!("byte {at} flipped"), flipped, as_registration));
+        }
+        for len in 0..envelope.len() {
+            hostile.push((
+                format!("truncated to {len}"),
+                envelope[..len].to_vec(),
+                as_registration,
+            ));
+        }
+    }
+    for (what, envelope, as_registration) in hostile {
+        let refused = if as_registration {
+            engine.register_envelope(&envelope).is_err()
+        } else {
+            engine.unregister_envelope(&envelope).is_err()
+        };
+        assert!(refused, "{what} accepted");
+        assert_eq!((engine.index().len(), engine.snapshot()), before, "{what} changed the engine");
+    }
+    // The genuine envelopes still do their jobs.
+    assert_eq!(engine.register_envelope(&registration).expect("registers"), SubscriptionId(2));
+    let removed = engine.unregister_envelope(&unregistration).expect("unregisters");
+    assert_eq!(removed, (SubscriptionId(1), ClientId(1), true));
+}
+
 #[test]
 fn producer_rejects_garbage_submissions() {
     let (honest, mut rng) = producer(4);
@@ -67,12 +129,12 @@ fn producer_rejects_garbage_submissions() {
     // Submission sealed for a different producer.
     let (other, _) = producer(5);
     let spec = SubscriptionSpec::new().lt("price", 1.0);
-    let wrong_key = PairwiseKey::for_client(&client, ClientId(1), other.exchange_key())
+    let wrong_key = PairwiseKey::for_client(&client, ClientId(1), other.public_key())
         .expect("pairwise key")
         .seal_subscription(1, &spec, &mut rng);
     assert!(at_producer.open_subscription(&wrong_key).is_err());
     // Truncated ciphertext.
-    let ok = PairwiseKey::for_client(&client, ClientId(1), honest.exchange_key())
+    let ok = PairwiseKey::for_client(&client, ClientId(1), honest.public_key())
         .expect("pairwise key")
         .seal_subscription(1, &spec, &mut rng);
     assert_eq!(at_producer.open_subscription(&ok).expect("opens"), (1, spec));

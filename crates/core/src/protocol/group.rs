@@ -271,6 +271,29 @@ mod tests {
         assert!(store.open_payload(epoch, &sealed).is_err());
     }
 
+    /// Seeded payloads across a rekey, byte for byte: the epoch key,
+    /// the nonce draw and the cipher together. How often the box is
+    /// built must not move a byte or a draw.
+    #[test]
+    fn seeded_payloads_are_pinned() {
+        let mut rng = CryptoRng::from_seed(8);
+        let mut mgr = GroupKeyManager::new(&mut rng);
+        let (e0, first) = mgr.encrypt_payload(b"first quote", &mut rng);
+        let (_, second) = mgr.encrypt_payload(b"second quote", &mut rng);
+        mgr.rekey(&mut rng);
+        let (e1, third) = mgr.encrypt_payload(b"after rekey", &mut rng);
+        assert_eq!((e0, e1), (KeyEpoch(0), KeyEpoch(1)));
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(
+            [hex(&first), hex(&second), hex(&third)],
+            [
+                "23b71a49c527a058f18d82dedc8b8f30bbb090d85fb9c9fbdb5393d0d76d72cbfef168",
+                "38a6438614c2c6b16761608911abdde6882268e562827f9d7bd1c631eca4196794ac3368",
+                "4b23385faa95fd4b6e2985af1cad05d7887af6531c3ab12c6c7be586bc8a441d921dd0",
+            ]
+        );
+    }
+
     #[test]
     fn epochs_are_isolated() {
         let mut rng = CryptoRng::from_seed(6);

@@ -604,6 +604,35 @@ mod tests {
         assert_eq!(c.open(&[&fresh]).unwrap().1, vec![b"C".to_vec()]);
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A seeded base and two deltas, byte for byte: what the seal key,
+    /// the link header, the nonce draw and the cipher write together.
+    /// A change to how or how often a key is derived must leave it alone.
+    #[test]
+    fn seeded_chain_is_pinned() {
+        let mut c = Chain::new(23);
+        let (vb, base) = c.link(None, b"pinned base state");
+        let (_, d1) = c.link(Some(vb), b"+delta one");
+        let (_, d2) = c.link(Some(vb), b"+delta two");
+        let got: Vec<String> = [&base, &d1, &d2].iter().map(|b| hex(b)).collect();
+        assert_eq!(
+            got,
+            [
+                "0000000000000001000000000000000001\
+                 3e29ec071ea4f56a15b9f82bc1b1eefe491292812bfd22953dc513d68f39a2b119a69490d3431af527",
+                "0000000000000002010000000000000001\
+                 08aa36d0252d08e5620022eeb18df47f595c5fed5b2b46235cd24b26d32f4fc8f70a",
+                "0000000000000003010000000000000001\
+                 a4900ce6b8700fa80500e296a39761204b83cc186be7648545b6b6af1d887c37379a",
+            ]
+        );
+        let (_, payloads) = c.open(&[&base, &d1, &d2]).unwrap();
+        assert_eq!(payloads, [&b"pinned base state"[..], b"+delta one", b"+delta two"]);
+    }
+
     #[test]
     fn genuine_chain_still_opens_after_refusals_and_only_for_its_enclave() {
         let mut c = Chain::new(22);

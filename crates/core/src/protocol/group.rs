@@ -24,6 +24,9 @@ use std::collections::{BTreeSet, HashMap};
 pub struct GroupKeyManager {
     epoch: KeyEpoch,
     current: SymmetricKey,
+    /// The box `current` keys, built once per epoch rather than per
+    /// payload.
+    sealer: SealedBox,
     members: BTreeSet<ClientId>,
 }
 
@@ -40,9 +43,11 @@ impl std::fmt::Debug for GroupKeyManager {
 impl GroupKeyManager {
     /// Creates a manager at epoch 0 with a fresh key and no members.
     pub fn new(rng: &mut CryptoRng) -> Self {
+        let current = SymmetricKey::generate(rng);
         GroupKeyManager {
             epoch: KeyEpoch::default(),
-            current: SymmetricKey::generate(rng),
+            sealer: SealedBox::new(&current),
+            current,
             members: BTreeSet::new(),
         }
     }
@@ -69,13 +74,14 @@ impl GroupKeyManager {
     pub fn rekey(&mut self, rng: &mut CryptoRng) -> KeyEpoch {
         self.epoch = self.epoch.next();
         self.current = SymmetricKey::generate(rng);
+        self.sealer = SealedBox::new(&self.current);
         self.epoch
     }
 
     /// Encrypts a payload under the current epoch key. Returns the epoch to
     /// stamp on the publication.
     pub fn encrypt_payload(&self, payload: &[u8], rng: &mut CryptoRng) -> (KeyEpoch, Vec<u8>) {
-        let sealed = SealedBox::new(&self.current).seal(payload, &self.epoch.0.to_be_bytes(), rng);
+        let sealed = self.sealer.seal(payload, &self.epoch.0.to_be_bytes(), rng);
         (self.epoch, sealed)
     }
 
@@ -96,10 +102,11 @@ impl GroupKeyManager {
     }
 }
 
-/// Client-side store of received group keys.
+/// Client-side store of received group keys, each held as the box it
+/// keys so a delivery opens with no key setup.
 #[derive(Default)]
 pub struct GroupKeyStore {
-    keys: HashMap<KeyEpoch, SymmetricKey>,
+    keys: HashMap<KeyEpoch, SealedBox>,
 }
 
 impl std::fmt::Debug for GroupKeyStore {
@@ -129,7 +136,7 @@ impl GroupKeyStore {
         wrapped: &[u8],
     ) -> Result<KeyEpoch, ScbrError> {
         let (epoch, group_key) = key.open_key_update(wrapped)?;
-        self.keys.insert(epoch, group_key);
+        self.keys.insert(epoch, SealedBox::new(&group_key));
         Ok(epoch)
     }
 
@@ -141,9 +148,9 @@ impl GroupKeyStore {
     /// epoch's key (e.g. it was revoked before the rekey), or crypto errors
     /// on tampering.
     pub fn open_payload(&self, epoch: KeyEpoch, sealed: &[u8]) -> Result<Vec<u8>, ScbrError> {
-        let key =
+        let sealer =
             self.keys.get(&epoch).ok_or(ScbrError::MissingKeys { which: "group key epoch" })?;
-        Ok(SealedBox::new(key).open(sealed, &epoch.0.to_be_bytes())?)
+        Ok(sealer.open(sealed, &epoch.0.to_be_bytes())?)
     }
 
     /// Number of epochs held.

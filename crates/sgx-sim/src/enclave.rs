@@ -14,9 +14,11 @@
 use crate::costs::{CacheConfig, CostModel, EpcConfig};
 use crate::error::SgxError;
 use crate::mem::MemorySim;
+use crate::seal::{seal_key, SealPolicy};
 use scbr_crypto::sha256::Sha256;
+use scbr_crypto::SealedBox;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A 256-bit enclave measurement (`MRENCLAVE`) or signer digest
 /// (`MRSIGNER`).
@@ -155,6 +157,10 @@ pub(crate) struct EnclaveInner {
     pub(crate) ecalls: AtomicU64,
     /// Key material tied to the platform, used for report MACs and sealing.
     pub(crate) platform_key: [u8; 32],
+    /// This launch's seal boxes, `MrEnclave` then `MrSigner`, each derived
+    /// the first time that policy seals or unseals. They are enclave
+    /// memory: a relaunch starts without them and derives them again.
+    seal_boxes: [OnceLock<SealedBox>; 2],
 }
 
 impl Enclave {
@@ -173,6 +179,7 @@ impl Enclave {
                 costs,
                 ecalls: AtomicU64::new(0),
                 platform_key,
+                seal_boxes: Default::default(),
             }),
         }
     }
@@ -238,6 +245,16 @@ impl EnclaveContext<'_> {
     /// Platform-bound key material (used by sealing and reports).
     pub(crate) fn platform_key(&self) -> &[u8; 32] {
         &self.inner.platform_key
+    }
+
+    /// This launch's seal box under `policy`: the cipher and MAC keys of
+    /// [`seal_key`], derived on the first call and held from then on.
+    pub(crate) fn seal_box(&self, policy: SealPolicy) -> &SealedBox {
+        let slot = match policy {
+            SealPolicy::MrEnclave => 0,
+            SealPolicy::MrSigner => 1,
+        };
+        self.inner.seal_boxes[slot].get_or_init(|| SealedBox::new(&seal_key(self, policy)))
     }
 }
 

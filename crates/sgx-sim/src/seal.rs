@@ -16,12 +16,22 @@
 //! on its own counter value, with the same guarantee — the host can serve
 //! the genuine, complete, current chain or be refused. That chain is the
 //! one versioned format: a single sealed blob is a base with no deltas.
+//!
+//! A launched enclave derives its seal key once per policy, the first time
+//! it seals or unseals under that policy, and holds the resulting
+//! [`scbr_crypto::SealedBox`] for the rest of the launch. That is sound
+//! because the key is a pure function of the platform key, the enclave's
+//! identity and the policy, none of which changes while the enclave runs;
+//! the held box is enclave-private state like any other key the enclave
+//! keeps (a broker's `SK` and `K_reg`), and a relaunch starts without it.
+//! Every sealed byte and every nonce draw is what a fresh derivation per
+//! seal would give; only the HKDF and AES key schedule are not repeated.
 
 use crate::enclave::EnclaveContext;
 use crate::error::SgxError;
-use scbr_crypto::ctr::SymmetricKey;
+use scbr_crypto::ctr::{SymmetricKey, NONCE_LEN};
+use scbr_crypto::poly1305::TAG_LEN;
 use scbr_crypto::rng::CryptoRng;
-use scbr_crypto::SealedBox;
 
 /// Key-derivation policy for sealing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +44,22 @@ pub enum SealPolicy {
     MrSigner,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// How many times [`seal_key`] ran on this thread.
+    static SEAL_KEY_DERIVATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Derives the seal key for the calling enclave under `policy`.
 ///
 /// Deterministic per (platform, identity, policy): the same enclave gets
 /// the same key on every call, a different enclave gets an unrelated key.
+/// Since none of the three changes during a launch, the enclave runs this
+/// once per launch and policy and keeps the box it keys (see the module
+/// doc); sealing never re-derives it per blob.
 pub fn seal_key(ctx: &EnclaveContext<'_>, policy: SealPolicy) -> SymmetricKey {
+    #[cfg(test)]
+    SEAL_KEY_DERIVATIONS.with(|n| n.set(n.get() + 1));
     let identity = ctx.identity();
     let mut info = Vec::with_capacity(72);
     match policy {
@@ -55,38 +76,6 @@ pub fn seal_key(ctx: &EnclaveContext<'_>, policy: SealPolicy) -> SymmetricKey {
     let mut key = [0u8; 32];
     scbr_crypto::hkdf::derive(ctx.platform_key(), b"sgx-seal", &info, &mut key);
     SymmetricKey::from_bytes(key)
-}
-
-/// Seals `data` for later unsealing by the same enclave (or vendor).
-///
-/// `aad` is authenticated but stored in the clear (e.g. a format version).
-fn seal_data(
-    ctx: &EnclaveContext<'_>,
-    policy: SealPolicy,
-    data: &[u8],
-    aad: &[u8],
-    rng: &mut CryptoRng,
-) -> Vec<u8> {
-    SealedBox::new(&seal_key(ctx, policy)).seal(data, aad, rng)
-}
-
-/// Unseals data sealed with [`seal_data`] (the sealing tests' opener;
-/// versioned state opens through [`VersionedSeal::unseal_chain`]).
-///
-/// # Errors
-///
-/// Returns [`SgxError::UnsealFailed`] if the blob was produced by a
-/// different enclave/policy/platform or was tampered with.
-#[cfg(test)]
-fn unseal_data(
-    ctx: &EnclaveContext<'_>,
-    policy: SealPolicy,
-    sealed: &[u8],
-    aad: &[u8],
-) -> Result<Vec<u8>, SgxError> {
-    SealedBox::new(&seal_key(ctx, policy))
-        .open(sealed, aad)
-        .map_err(|_| SgxError::UnsealFailed { reason: "mac mismatch" })
 }
 
 /// A platform monotonic counter (SGX PSE-style).
@@ -196,7 +185,8 @@ impl VersionedSeal {
     /// binds `v ‖ kind ‖ base version` (a base names itself), so a blob
     /// authenticates its own place in exactly one chain. Returns `v` with
     /// the blob: the caller names it as `base` in the deltas that follow
-    /// a base.
+    /// a base. The blob is `header ‖ nonce ‖ ciphertext ‖ tag`, sealed
+    /// straight into one buffer on the launch's held box.
     ///
     /// # Errors
     ///
@@ -217,9 +207,14 @@ impl VersionedSeal {
             base: base.unwrap_or(version),
         }
         .to_bytes();
-        let mut blob = Vec::with_capacity(LINK_HEADER_LEN + data.len() + 48);
+        // The nonce is drawn as `SealedBox::seal` draws it, so the blob is
+        // byte for byte `header ‖ seal(data)`.
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill(&mut nonce);
+        let mut blob = Vec::with_capacity(LINK_HEADER_LEN + NONCE_LEN + data.len() + TAG_LEN);
         blob.extend_from_slice(&header);
-        blob.extend_from_slice(&seal_data(ctx, policy, data, &header, rng));
+        blob.extend_from_slice(&nonce);
+        ctx.seal_box(policy).seal_into(nonce, data, &header, &mut blob);
         Ok((version, blob))
     }
 
@@ -233,8 +228,8 @@ impl VersionedSeal {
     /// duplicated delta, deltas spliced across two bases, a delta offered
     /// as a base, or an older whole chain all fail one of those checks
     /// before any MAC is computed; the MAC over each blob's header then
-    /// vouches that the host did not simply rewrite the numbers. The seal
-    /// key is derived once for the whole chain.
+    /// vouches that the host did not simply rewrite the numbers. Every
+    /// blob opens on the launch's held seal box.
     ///
     /// # Errors
     ///
@@ -270,7 +265,7 @@ impl VersionedSeal {
         if last != live {
             return Err(SgxError::UnsealFailed { reason: "stale counter (rollback detected)" });
         }
-        let sealer = SealedBox::new(&seal_key(ctx, policy));
+        let sealer = ctx.seal_box(policy);
         let mut payloads = Vec::with_capacity(blobs.len());
         for blob in blobs {
             let (aad, sealed) = blob.split_at(LINK_HEADER_LEN);
@@ -328,6 +323,31 @@ mod tests {
 
     fn launch(p: &SgxPlatform, name: &str, page: &[u8]) -> crate::enclave::Enclave {
         p.launch(EnclaveBuilder::new(name).add_page(page).signer([5u8; 32])).expect("launch")
+    }
+
+    /// Seals `data` as one bare blob on the launch's box under `policy`
+    /// (versioned state seals through [`VersionedSeal::seal_link`]).
+    fn seal_data(
+        ctx: &EnclaveContext<'_>,
+        policy: SealPolicy,
+        data: &[u8],
+        aad: &[u8],
+        rng: &mut CryptoRng,
+    ) -> Vec<u8> {
+        ctx.seal_box(policy).seal(data, aad, rng)
+    }
+
+    /// Opens a blob sealed with [`seal_data`]; a blob from another
+    /// enclave, policy or platform, or a tampered one, is refused.
+    fn unseal_data(
+        ctx: &EnclaveContext<'_>,
+        policy: SealPolicy,
+        sealed: &[u8],
+        aad: &[u8],
+    ) -> Result<Vec<u8>, SgxError> {
+        ctx.seal_box(policy)
+            .open(sealed, aad)
+            .map_err(|_| SgxError::UnsealFailed { reason: "mac mismatch" })
     }
 
     #[test]
@@ -631,6 +651,101 @@ mod tests {
         );
         let (_, payloads) = c.open(&[&base, &d1, &d2]).unwrap();
         assert_eq!(payloads, [&b"pinned base state"[..], b"+delta one", b"+delta two"]);
+    }
+
+    fn derivations() -> u64 {
+        SEAL_KEY_DERIVATIONS.with(std::cell::Cell::get)
+    }
+
+    /// Seals a base and `deltas` deltas under `policy` on a fresh counter.
+    fn seal_chain(
+        e: &crate::enclave::Enclave,
+        p: &SgxPlatform,
+        policy: SealPolicy,
+        deltas: u8,
+        rng: &mut CryptoRng,
+    ) -> (crate::platform::CounterId, Vec<Vec<u8>>) {
+        let counter = p.create_counter();
+        let (vb, base) = e
+            .ecall(|ctx| VersionedSeal::seal_link(ctx, policy, p, counter, None, b"base", rng))
+            .unwrap();
+        let mut blobs = vec![base];
+        for i in 0..deltas {
+            let (_, d) = e
+                .ecall(|ctx| VersionedSeal::seal_link(ctx, policy, p, counter, Some(vb), &[i], rng))
+                .unwrap();
+            blobs.push(d);
+        }
+        (counter, blobs)
+    }
+
+    fn open_chain(
+        e: &crate::enclave::Enclave,
+        p: &SgxPlatform,
+        policy: SealPolicy,
+        counter: crate::platform::CounterId,
+        blobs: &[Vec<u8>],
+    ) -> Result<(u64, Vec<Vec<u8>>), SgxError> {
+        let blobs: Vec<&[u8]> = blobs.iter().map(Vec::as_slice).collect();
+        e.ecall(|ctx| VersionedSeal::unseal_chain(ctx, policy, p, counter, &blobs))
+    }
+
+    #[test]
+    fn a_launch_derives_its_seal_key_once_per_policy() {
+        let p = platform();
+        let e = launch(&p, "a", b"code");
+        let mut rng = CryptoRng::from_seed(24);
+        let before = derivations();
+        let (c1, mre) = seal_chain(&e, &p, SealPolicy::MrEnclave, 49, &mut rng);
+        let (c2, mrs) = seal_chain(&e, &p, SealPolicy::MrSigner, 49, &mut rng);
+        assert_eq!(mre.len() + mrs.len(), 100, "100 seal_link calls");
+        assert_eq!(open_chain(&e, &p, SealPolicy::MrEnclave, c1, &mre).unwrap().1.len(), 50);
+        assert_eq!(open_chain(&e, &p, SealPolicy::MrSigner, c2, &mrs).unwrap().1.len(), 50);
+        let blob = e.ecall(|ctx| {
+            VersionedSeal::seal(ctx, SealPolicy::MrEnclave, &p, c1, b"whole", &mut rng)
+        });
+        let opened = e
+            .ecall(|ctx| VersionedSeal::unseal(ctx, SealPolicy::MrEnclave, &p, c1, &blob.unwrap()));
+        assert_eq!(opened.unwrap(), b"whole");
+        assert_eq!(derivations() - before, 2, "one derivation per policy per launch");
+    }
+
+    #[test]
+    fn held_boxes_keep_the_policies_apart() {
+        let p = platform();
+        let e = launch(&p, "a", b"code");
+        let mut rng = CryptoRng::from_seed(25);
+        let (c1, mre) = seal_chain(&e, &p, SealPolicy::MrEnclave, 1, &mut rng);
+        let (c2, mrs) = seal_chain(&e, &p, SealPolicy::MrSigner, 1, &mut rng);
+        // Both boxes are held now; each chain opens under its own policy
+        // only.
+        assert!(open_chain(&e, &p, SealPolicy::MrEnclave, c1, &mre).is_ok());
+        assert!(open_chain(&e, &p, SealPolicy::MrSigner, c2, &mrs).is_ok());
+        for (policy, counter, blobs) in
+            [(SealPolicy::MrSigner, c1, &mre), (SealPolicy::MrEnclave, c2, &mrs)]
+        {
+            let got = open_chain(&e, &p, policy, counter, blobs);
+            assert!(
+                matches!(got, Err(SgxError::UnsealFailed { reason: "mac mismatch" })),
+                "{policy:?}: got {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_relaunch_derives_again_and_opens_its_predecessors_chain() {
+        let p = platform();
+        let mut rng = CryptoRng::from_seed(26);
+        let first = launch(&p, "a", b"code");
+        let before = derivations();
+        let (counter, blobs) = seal_chain(&first, &p, SealPolicy::MrEnclave, 3, &mut rng);
+        assert_eq!(derivations() - before, 1);
+        drop(first);
+        let second = launch(&p, "a", b"code");
+        let (_, payloads) =
+            open_chain(&second, &p, SealPolicy::MrEnclave, counter, &blobs).unwrap();
+        assert_eq!(payloads, [&b"base"[..], &[0], &[1], &[2]]);
+        assert_eq!(derivations() - before, 2, "a relaunch starts with no held box");
     }
 
     #[test]
